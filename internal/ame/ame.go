@@ -93,16 +93,14 @@ func (k *Key) Dim() int { return k.dim }
 // ExtDim returns 2d+6, the share vector dimension.
 func (k *Key) ExtDim() int { return k.ext }
 
-// extend builds x_u = r_u·[‖u‖², uᵀ, 1, junk...] with fresh junk randomness.
-func (k *Key) extend(u []float64) []float64 {
+// extend builds x_u = r_u·[‖u‖², uᵀ, 1, junk...] with fresh junk randomness
+// drawn from r.
+func (k *Key) extend(r *rng.Rand, u []float64) []float64 {
 	x := make([]float64, k.ext)
-	var ru float64
-	k.mu.Lock()
-	ru = rng.Uniform(k.rnd, 0.5, 2)
+	ru := rng.Uniform(r, 0.5, 2)
 	for i := k.dim + 2; i < k.ext; i++ {
-		x[i] = k.rnd.NormFloat64()
+		x[i] = r.NormFloat64()
 	}
-	k.mu.Unlock()
 	var sq float64
 	for i, v := range u {
 		sv := k.scale * v
@@ -114,16 +112,35 @@ func (k *Key) extend(u []float64) []float64 {
 	return x
 }
 
-// Encrypt encrypts one database vector into its 32 share vectors.
+// Encrypt encrypts one database vector into its 32 share vectors, drawing
+// its randomness from the key's own sequential stream.
 func (k *Key) Encrypt(u []float64) *Ciphertext {
+	k.checkDim(u)
+	k.mu.Lock()
+	xo, xp := k.extend(k.rnd, u), k.extend(k.rnd, u)
+	k.mu.Unlock()
+	return k.share(xo, xp)
+}
+
+// EncryptWith is Encrypt drawing from r instead of the key's stream and
+// taking no lock: bulk encryption gives every record its own stream so the
+// ciphertexts do not depend on worker scheduling.
+func (k *Key) EncryptWith(r *rng.Rand, u []float64) *Ciphertext {
+	k.checkDim(u)
+	return k.share(k.extend(r, u), k.extend(r, u))
+}
+
+func (k *Key) checkDim(u []float64) {
 	if len(u) != k.dim {
 		panic(fmt.Sprintf("ame: encrypting %d-dim vector with %d-dim key", len(u), k.dim))
 	}
+}
+
+// share multiplies the two extended vectors into the 16 left-role and 16
+// right-role shares. The randomizers are independent per role: a vector
+// compared as o and as p must not share extension randomness.
+func (k *Key) share(xo, xp []float64) *Ciphertext {
 	ct := &Ciphertext{}
-	// Independent randomizers for the two roles (a vector compared as o
-	// and as p must not share extension randomness).
-	xo := k.extend(u)
-	xp := k.extend(u)
 	for i := 0; i < Shares; i++ {
 		ct.L[i] = k.a[i].MulVec(nil, xo)
 		ct.R[i] = k.b[i].MulVec(nil, xp)

@@ -217,3 +217,26 @@ func TestConcurrentEncrypt(t *testing.T) {
 		}
 	}
 }
+
+// TestEncryptWithStream: ciphertexts drawn from a caller's stream are fixed
+// by (key, stream state, vector) and compare like Encrypt's.
+func TestEncryptWithStream(t *testing.T) {
+	r := rng.NewSeeded(13)
+	const dim = 5
+	k, err := KeyGen(r, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := rng.NewStreams(r)
+	o, p, q := rng.Gaussian(r, nil, dim), rng.Gaussian(r, nil, dim), rng.Gaussian(r, nil, dim)
+	co, again := k.EncryptWith(streams.At(0), o), k.EncryptWith(streams.At(0), o)
+	for i := range co.L {
+		if !vec.ApproxEqual(co.L[i], again.L[i], 0) || !vec.ApproxEqual(co.R[i], again.R[i], 0) {
+			t.Fatalf("share %d: same stream, different ciphertexts", i)
+		}
+	}
+	z := Compare(co, k.EncryptWith(streams.At(1), p), k.TrapGen(q))
+	if do, dp := vec.SqDist(o, q), vec.SqDist(p, q); (z < 0) != (do < dp) {
+		t.Fatalf("Compare sign wrong: z=%g, dist(o,q)=%g, dist(p,q)=%g", z, do, dp)
+	}
+}

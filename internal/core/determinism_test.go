@@ -1,0 +1,116 @@
+package core
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+)
+
+// TestSeedFixesBytesOnAnyCoreCount is the determinism contract of set-up:
+// one seed gives one database — keys, SAP and DCE ciphertexts, filter
+// index, PQ tier — byte for byte in the PPANNSD5 file, whether
+// EncryptDatabase ran on one core or four. Every stage is parallel (per-
+// record streams, blocked key inversion, batched HNSW build, k-means
+// assignment, PQ encoding), so each is a way this could fail.
+func TestSeedFixesBytesOnAnyCoreCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	data := clustered(91, 700, 12, 5)
+	for _, params := range []Params{
+		{Dim: 12, Beta: 0.5, Seed: 91, Index: "hnsw"},
+		{Dim: 12, Beta: 0.5, Seed: 92, Index: "ivf", PQ: true, PQM: 4},
+		{Dim: 12, Beta: 0.5, Seed: 93, Index: "nsg"},
+		{Dim: 12, Beta: 0.5, Seed: 94, Index: "lsh"},
+		{Dim: 12, Beta: 0.5, Seed: 95, Index: "hnsw", WithAME: true, PQ: true, PQM: 3},
+	} {
+		name := params.Index
+		if params.WithAME {
+			name += "+ame"
+		}
+		t.Run(name, func(t *testing.T) {
+			var wantDB, wantKey []byte
+			var wantAME []float64
+			for _, procs := range []int{1, 4} {
+				runtime.GOMAXPROCS(procs)
+				owner, err := NewDataOwner(params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				edb, err := owner.EncryptDatabase(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ame []float64
+				for _, ct := range edb.AME {
+					for i := range ct.L {
+						ame = append(append(ame, ct.L[i]...), ct.R[i]...)
+					}
+				}
+				srv, err := NewServer(edb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				path := filepath.Join(t.TempDir(), "db.ppanns")
+				if err := srv.SaveTo(path); err != nil {
+					t.Fatal(err)
+				}
+				db, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.HasPrefix(db, []byte("PPANNSD5")) {
+					t.Fatalf("SaveTo wrote %q, want a PPANNSD5 file", db[:8])
+				}
+				var key bytes.Buffer
+				if err := SaveUserKey(&key, owner.UserKey()); err != nil {
+					t.Fatal(err)
+				}
+				if wantDB == nil {
+					wantDB, wantKey, wantAME = db, key.Bytes(), ame
+					continue
+				}
+				if !bytes.Equal(key.Bytes(), wantKey) {
+					t.Errorf("user key differs between GOMAXPROCS 1 and %d", procs)
+				}
+				if !bytes.Equal(db, wantDB) {
+					t.Errorf("database file differs between GOMAXPROCS 1 and %d (%d vs %d bytes)", procs, len(wantDB), len(db))
+				}
+				if len(ame) != len(wantAME) {
+					t.Fatalf("AME ciphertext sizes differ: %d vs %d", len(ame), len(wantAME))
+				}
+				for i, v := range ame {
+					if v != wantAME[i] {
+						t.Fatalf("AME ciphertext float %d differs between GOMAXPROCS 1 and %d", i, procs)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestEncryptDatabaseDrawsFreshStreams: a second EncryptDatabase on the
+// same owner must not reuse the first call's per-record randomness.
+func TestEncryptDatabaseDrawsFreshStreams(t *testing.T) {
+	data := clustered(96, 40, 8, 2)
+	owner, err := NewDataOwner(Params{Dim: 8, Beta: 0.5, Seed: 96, Index: "ivf"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := owner.EncryptDatabase(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := owner.EncryptDatabase(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.DCE.Record(0)[0] == b.DCE.Record(0)[0] {
+		t.Fatal("two EncryptDatabase calls produced the same DCE ciphertext")
+	}
+	va, _ := a.Index.Vector(0)
+	vb, _ := b.Index.Vector(0)
+	if va[0] == vb[0] {
+		t.Fatal("two EncryptDatabase calls produced the same SAP ciphertext")
+	}
+}

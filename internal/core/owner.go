@@ -19,6 +19,9 @@ import (
 type DataOwner struct {
 	params Params
 	keys   *UserKey
+	// rnd seeds the per-record streams of EncryptDatabase; it is derived
+	// with the keys and advances once per call.
+	rnd *rng.Rand
 }
 
 // NewDataOwner validates parameters; keys are generated on the first
@@ -63,15 +66,21 @@ func (o *DataOwner) generateKeys(maxAbs float64) error {
 		keys.AME = ameKey
 	}
 	o.keys = keys
+	o.rnd = rng.Derive(r, 4)
 	return nil
 }
 
 // EncryptDatabase encrypts every vector under SAP and DCE (and AME when
 // configured), builds the selected filter index over the SAP ciphertexts,
-// and returns the complete server-side state. Encryption parallelizes
-// across GOMAXPROCS workers; index construction parallelizes per backend.
+// and returns the complete server-side state: the paper's B1/B2 steps of
+// Figure 3.
 //
-// The paper's B1/B2 steps of Figure 3.
+// Every stage runs on GOMAXPROCS workers and none lets the worker count
+// show: record i draws all its randomness (SAP, then DCE, then AME) from
+// its own stream, derived from one base drawn here, and the index and PQ
+// builds are functions of their seed and input. A seeded owner therefore
+// produces the same bytes on any number of cores. EncryptVector keeps
+// drawing from the keys' sequential streams.
 func (o *DataOwner) EncryptDatabase(vectors [][]float64) (*EncryptedDatabase, error) {
 	if len(vectors) == 0 {
 		return nil, fmt.Errorf("core: empty database")
@@ -98,17 +107,20 @@ func (o *DataOwner) EncryptDatabase(vectors [][]float64) (*EncryptedDatabase, er
 		ameCts = make([]*ame.Ciphertext, n)
 	}
 
-	workers := runtime.GOMAXPROCS(0)
+	streams := rng.NewStreams(o.rnd)
+	workers := min(runtime.GOMAXPROCS(0), n)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			enc := o.keys.DCE.NewEncryptor()
 			for i := w; i < n; i += workers {
-				sap[i] = o.keys.SAP.Encrypt(vectors[i])
-				o.keys.DCE.EncryptRecord(vectors[i], store.Record(i))
+				r := streams.At(i)
+				sap[i] = o.keys.SAP.EncryptWith(r, vectors[i])
+				enc.EncryptRecord(r, vectors[i], store.Record(i))
 				if ameCts != nil {
-					ameCts[i] = o.keys.AME.Encrypt(vectors[i])
+					ameCts[i] = o.keys.AME.EncryptWith(r, vectors[i])
 				}
 			}
 		}(w)

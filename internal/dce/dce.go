@@ -166,8 +166,10 @@ func (k *Key) randScalars(n int, signed bool) []float64 {
 // pairTransform computes the paper's step 1: p̌ from p (database side,
 // sign=+1) or q̌ from q (query side, sign=−1), folding in the key's input
 // scale and padding odd dimensions with a trailing zero.
-func (k *Key) pairTransform(p []float64, sign float64) []float64 {
-	out := make([]float64, k.padDim)
+func (k *Key) pairTransform(out, p []float64, sign float64) []float64 {
+	if out == nil {
+		out = make([]float64, k.padDim)
+	}
 	get := func(i int) float64 {
 		if i < len(p) {
 			return k.scale * p[i]
@@ -182,12 +184,50 @@ func (k *Key) pairTransform(p []float64, sign float64) []float64 {
 	return out
 }
 
+// encRand is the per-record randomness of Enc: α₁, α₂, r′₁, r′₂, r′₃
+// (signed) and r_p (positive), in the order they are drawn.
+type encRand [6]float64
+
+func drawEncRand(r *rng.Rand) (rs encRand) {
+	for i := range rs[:5] {
+		rs[i] = rng.UniformNonZero(r, randLo, randHi)
+	}
+	rs[5] = rng.Uniform(r, randLo, randHi)
+	return rs
+}
+
+// Encryptor encrypts records with one reusable set of temporaries: Enc
+// needs eight O(d) intermediates per vector, and a bulk-encryption worker
+// that keeps one Encryptor allocates none of them per record. It is not
+// safe for concurrent use; the key it wraps is.
+type Encryptor struct {
+	k *Key
+	// check (p̌), hat (p̂), the padded halves p1/p2, enc and bar (p̄), and
+	// the two M₃ projections — all slices of one backing array.
+	check, hat, p1, p2, enc, bar, up, down []float64
+}
+
+// NewEncryptor returns an Encryptor for the key.
+func (k *Key) NewEncryptor() *Encryptor {
+	sub, bar, big := k.half+4, k.padDim+8, k.CiphertextDim()
+	buf := make([]float64, 2*k.padDim+2*sub+2*bar+2*big)
+	cut := func(n int) []float64 {
+		out := buf[:n:n]
+		buf = buf[n:]
+		return out
+	}
+	return &Encryptor{
+		k: k, check: cut(k.padDim), hat: cut(k.padDim), p1: cut(sub), p2: cut(sub),
+		enc: cut(bar), bar: cut(bar), up: cut(big), down: cut(big),
+	}
+}
+
 // randomizeDB runs the four vector-randomization steps for a database
-// vector, returning p̄ ∈ R^(padDim+8).
-func (k *Key) randomizeDB(p []float64) []float64 {
-	check := k.pairTransform(p, +1) // step 1: p̌
-	hat := k.pi1.Apply(nil, check)  // step 2: p̂ = π₁(p̌)
-	rs := k.randScalars(5, true)    // α₁, α₂, r′₁, r′₂, r′₃
+// vector, leaving p̄ ∈ R^(padDim+8) in e.bar.
+func (e *Encryptor) randomizeDB(p []float64, rs *encRand) {
+	k := e.k
+	k.pairTransform(e.check, p, +1) // step 1: p̌
+	k.pi1.Apply(e.hat, e.check)     // step 2: p̂ = π₁(p̌)
 	alpha1, alpha2 := rs[0], rs[1]
 	rp1, rp2, rp3 := rs[2], rs[3], rs[4]
 	normSq := k.scale * k.scale * vec.SqNorm(p)
@@ -195,32 +235,30 @@ func (k *Key) randomizeDB(p []float64) []float64 {
 
 	// Step 3: split with cancelling randomness (Equation 2).
 	sub := k.half + 4
-	p1 := make([]float64, sub)
-	p2 := make([]float64, sub)
-	copy(p1, hat[:k.half])
+	p1, p2 := e.p1, e.p2
+	copy(p1, e.hat[:k.half])
 	p1[k.half] = alpha1
 	p1[k.half+1] = -alpha1
 	p1[k.half+2] = rp1
 	p1[k.half+3] = rp2
-	copy(p2, hat[k.half:])
+	copy(p2, e.hat[k.half:])
 	p2[k.half] = alpha2
 	p2[k.half+1] = alpha2
 	p2[k.half+2] = rp3
 	p2[k.half+3] = gamma
 
 	// Step 4: matrix encryption + second permutation (Equation 4).
-	enc := make([]float64, k.padDim+8)
-	k.m1.VecMul(enc[:sub], p1)
-	k.m2.VecMul(enc[sub:], p2)
-	return k.pi2.Apply(nil, enc)
+	k.m1.VecMul(e.enc[:sub], p1)
+	k.m2.VecMul(e.enc[sub:], p2)
+	k.pi2.Apply(e.bar, e.enc)
 }
 
 // randomizeQuery runs the four vector-randomization steps for a query
 // vector, returning q̄ ∈ R^(padDim+8).
 func (k *Key) randomizeQuery(q []float64) []float64 {
-	check := k.pairTransform(q, -1) // step 1: q̌ (note the global minus)
-	hat := k.pi1.Apply(nil, check)  // step 2
-	rs := k.randScalars(2, true)    // β₁, β₂
+	check := k.pairTransform(nil, q, -1) // step 1: q̌ (note the global minus)
+	hat := k.pi1.Apply(nil, check)       // step 2
+	rs := k.randScalars(2, true)         // β₁, β₂
 	beta1, beta2 := rs[0], rs[1]
 
 	// Step 3 (Equation 3): the query side carries the shared key scalars
@@ -262,10 +300,28 @@ func (k *Key) Encrypt(p []float64) *Ciphertext {
 }
 
 // EncryptRecord is Encrypt writing into a caller-provided flat record
-// [P1|P2|P3|P4] of length 4·CiphertextDim — typically a CiphertextStore
-// record, so bulk encryption fills the arena in place without per-point
-// allocation.
+// [P1|P2|P3|P4] of length 4·CiphertextDim. The record's randomness comes
+// from the key's own sequential stream; bulk encryption, which must not
+// depend on the order workers reach that stream, uses an Encryptor with one
+// stream per record instead.
 func (k *Key) EncryptRecord(p []float64, rec []float64) {
+	k.mu.Lock()
+	rs := drawEncRand(k.rnd)
+	k.mu.Unlock()
+	k.NewEncryptor().encrypt(p, rec, &rs)
+}
+
+// EncryptRecord encrypts p into the flat record rec [P1|P2|P3|P4] of
+// length 4·CiphertextDim — typically a CiphertextStore record, so bulk
+// encryption fills the arena in place — drawing the record's randomness
+// from r.
+func (e *Encryptor) EncryptRecord(r *rng.Rand, p []float64, rec []float64) {
+	rs := drawEncRand(r)
+	e.encrypt(p, rec, &rs)
+}
+
+func (e *Encryptor) encrypt(p []float64, rec []float64, rs *encRand) {
+	k := e.k
 	if len(p) != k.dim {
 		panic(fmt.Sprintf("dce: encrypting %d-dim vector with %d-dim key", len(p), k.dim))
 	}
@@ -273,14 +329,14 @@ func (k *Key) EncryptRecord(p []float64, rec []float64) {
 	if len(rec) != 4*big {
 		panic(fmt.Sprintf("dce: record length %d, want %d", len(rec), 4*big))
 	}
-	bar := k.randomizeDB(p)
+	e.randomizeDB(p, rs)
 
 	// Matrix encryption step i (Equation 10): project onto both halves
 	// of M₃ and form the ±1 shifted copies.
-	up := k.mup.VecMul(nil, bar)     // p̄ᵀ·M_up
-	down := k.mdown.VecMul(nil, bar) // p̄ᵀ·M_down
+	up := k.mup.VecMul(e.up, e.bar)       // p̄ᵀ·M_up
+	down := k.mdown.VecMul(e.down, e.bar) // p̄ᵀ·M_down
 
-	rp := k.randScalars(1, false)[0] // r_p ∈ R⁺
+	rp := rs[5] // r_p ∈ R⁺
 
 	p1, p2, p3, p4 := rec[:big], rec[big:2*big], rec[2*big:3*big], rec[3*big:]
 	// Randomness step ii (Equation 13): shift, divide by the key vectors,

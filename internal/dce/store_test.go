@@ -285,3 +285,42 @@ func TestDistanceCompHalves(t *testing.T) {
 		}
 	}
 }
+
+// TestEncryptorStreamsAndScratch: an Encryptor's output is fixed by (key,
+// stream, vector) — reusing one across records leaks nothing from record
+// to record, so a worker's records equal those of fresh Encryptors — and
+// its ciphertexts answer comparisons like Encrypt's do.
+func TestEncryptorStreamsAndScratch(t *testing.T) {
+	r := rng.NewSeeded(78)
+	for _, dim := range []int{1, 7, 10} {
+		k, err := KeyGen(r, dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams := rng.NewStreams(r)
+		const n = 6
+		vecs := make([][]float64, n)
+		reused, fresh := NewCiphertextStoreN(k.CiphertextDim(), n), NewCiphertextStoreN(k.CiphertextDim(), n)
+		enc := k.NewEncryptor()
+		for i := range vecs {
+			vecs[i] = rng.Gaussian(r, nil, dim)
+			enc.EncryptRecord(streams.At(i), vecs[i], reused.Record(i))
+			k.NewEncryptor().EncryptRecord(streams.At(i), vecs[i], fresh.Record(i))
+			for j, v := range reused.Record(i) {
+				if v != fresh.Record(i)[j] {
+					t.Fatalf("dim=%d record %d float %d: reused scratch %v, fresh %v", dim, i, j, v, fresh.Record(i)[j])
+				}
+			}
+		}
+		q := rng.Gaussian(r, nil, dim)
+		tq := k.TrapGen(q)
+		for o := 0; o < n; o++ {
+			for p := 0; p < n; p++ {
+				do, dp := vec.SqDist(vecs[o], q), vec.SqDist(vecs[p], q)
+				if z := reused.DistanceComp(o, p, tq); o != p && (z < 0) != (do < dp) {
+					t.Fatalf("dim=%d: comparison (%d,%d) = %v, distances %v vs %v", dim, o, p, z, do, dp)
+				}
+			}
+		}
+	}
+}

@@ -71,30 +71,39 @@ func BetaRange(maxAbs float64, dim int) (lo, hi float64) {
 }
 
 // Encrypt implements Algorithm 1 (EncSAP): C = s·p + λ with λ uniform in
-// the ball of radius sβ/4. It is safe for concurrent use.
+// the ball of radius sβ/4, drawn from the key's own sequential stream. It
+// is safe for concurrent use.
 func (k *Key) Encrypt(p []float64) []float64 {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.EncryptWith(k.rnd, p)
+}
+
+// EncryptWith is Encrypt drawing the perturbation from r instead of the
+// key's stream and taking no lock: bulk encryption gives every record its
+// own stream so the ciphertexts do not depend on worker scheduling.
+func (k *Key) EncryptWith(r *rng.Rand, p []float64) []float64 {
 	if len(p) != k.dim {
 		panic(fmt.Sprintf("dcpe: encrypting %d-dim vector with %d-dim key", len(p), k.dim))
 	}
-	out := vec.Scale(nil, k.s, p)
 	if k.beta == 0 {
-		return out
+		return vec.Scale(nil, k.s, p)
 	}
-	u := make([]float64, k.dim)
-	k.mu.Lock()
-	for i := range u {
-		u[i] = k.rnd.NormFloat64() // Line 1: u ← N(0_d, I_d)
-	}
-	xp := k.rnd.Float64() // Line 2: x′ ← U(0, 1)
-	k.mu.Unlock()
+	// The output doubles as the buffer for u until its norm is known.
+	out := rng.Gaussian(r, nil, k.dim) // Line 1: u ← N(0_d, I_d)
+	xp := r.Float64()                  // Line 2: x′ ← U(0, 1)
 
 	// Line 3: x ← (sβ/4)·x′^(1/d); Line 4: λ = x·u/‖u‖.
 	x := k.MaxNoise() * math.Pow(xp, 1/float64(k.dim))
-	norm := vec.Norm(u)
+	norm := vec.Norm(out)
 	if norm == 0 {
-		return out // astronomically unlikely; treat as zero perturbation
+		return vec.Scale(out, k.s, p) // astronomically unlikely; treat as zero perturbation
 	}
-	return vec.AXPY(out, x/norm, u, out) // Line 5: C = s·p + λ
+	c := x / norm
+	for i, u := range out {
+		out[i] = float64(k.s*p[i]) + float64(c*u) // Line 5: C = s·p + λ
+	}
+	return out
 }
 
 // ApproxSqDist returns the squared distance between two ciphertexts divided

@@ -213,3 +213,31 @@ func TestConcurrentEncrypt(t *testing.T) {
 		}
 	}
 }
+
+// TestEncryptWithStream: a ciphertext drawn from a caller's stream is fixed
+// by (key, stream state, vector), stays inside the perturbation ball, and
+// leaves the key's own stream where it was.
+func TestEncryptWithStream(t *testing.T) {
+	r := rng.NewSeeded(12)
+	const dim = 24
+	k, err := KeyGen(r, dim, 1024, 2.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, _ := KeyGen(rng.NewSeeded(12), dim, 1024, 2.5)
+	streams := rng.NewStreams(r)
+	for i := 0; i < 50; i++ {
+		p := rng.Gaussian(r, nil, dim)
+		a, b := k.EncryptWith(streams.At(i), p), k.EncryptWith(streams.At(i), p)
+		if !vec.ApproxEqual(a, b, 0) {
+			t.Fatalf("record %d: same stream, different ciphertexts", i)
+		}
+		if noise := vec.Dist(a, vec.Scale(nil, k.S(), p)); noise > k.MaxNoise()*(1+1e-12) {
+			t.Fatalf("noise %g exceeds bound %g", noise, k.MaxNoise())
+		}
+	}
+	p := rng.Gaussian(r, nil, dim)
+	if !vec.ApproxEqual(k.Encrypt(p), twin.Encrypt(p), 0) {
+		t.Fatal("EncryptWith advanced the key's sequential stream")
+	}
+}

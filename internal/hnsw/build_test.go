@@ -1,0 +1,235 @@
+package hnsw
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+
+	"ppanns/internal/rng"
+	"ppanns/internal/vec"
+)
+
+// saveBytes is the graph's persisted form, the strictest equality there is:
+// vectors, levels, tombstones, every adjacency list in order, entry point.
+func saveBytes(t testing.TB, g *Graph) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := g.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestBuildDeterministicAcrossWorkers is the bulk build's contract: the
+// graph is a function of (seed, vectors), whatever GOMAXPROCS is.
+func TestBuildDeterministicAcrossWorkers(t *testing.T) {
+	data := clusteredData(31, 3000, 16, 8)
+	cfg := Config{Dim: 16, M: 12, EfConstruction: 80, Seed: 31}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []byte
+	for _, procs := range []int{1, 4, 3} {
+		runtime.GOMAXPROCS(procs)
+		g, err := Build(data, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := saveBytes(t, g)
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("GOMAXPROCS=%d built a different graph than GOMAXPROCS=1", procs)
+		}
+	}
+}
+
+// TestBuildMatchesSequentialInserts pins Add as the batch-of-one case of
+// the bulk linking: while a build's batches are single points (the first
+// 2·batchShare nodes), it and a loop of Adds produce the same graph.
+func TestBuildMatchesSequentialInserts(t *testing.T) {
+	data := clusteredData(32, 2*batchShare, 8, 3)
+	cfg := Config{Dim: 8, M: 6, EfConstruction: 40, Seed: 32}
+	bulk, err := Build(data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := buildGraph(t, data, cfg)
+	if !bytes.Equal(saveBytes(t, bulk), saveBytes(t, seq)) {
+		t.Fatal("Build and a loop of Adds disagree on single-point batches")
+	}
+}
+
+// TestBuildRecallAndEquivalence holds a bulk-built graph to the recall the
+// insert-built graphs are held to, and its frozen search to the
+// live-adjacency search bit for bit — with tombstones, and after Adds and
+// Deletes have continued the build's level stream.
+func TestBuildRecallAndEquivalence(t *testing.T) {
+	const n, dim, k = 4000, 16, 10
+	data := clusteredData(33, n, dim, 12)
+	g, err := Build(data, Config{Dim: dim, M: 16, EfConstruction: 200, Seed: 33})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Len() != n {
+		t.Fatalf("Len = %d, want %d", g.Len(), n)
+	}
+	for i := 0; i < n; i += 997 {
+		if vec.SqDist(g.Vector(i), data[i]) != 0 {
+			t.Fatalf("graph id %d does not hold vector %d", i, i)
+		}
+	}
+	r := rng.NewSeeded(34)
+	queries := make([][]float64, 100)
+	for i := range queries {
+		queries[i] = vec.Add(nil, data[r.IntN(n)], rng.GaussianVec(r, dim, 0.5))
+	}
+	var total float64
+	for _, q := range queries {
+		res := g.Search(q, k, 100)
+		ids := make([]int, len(res))
+		for i, it := range res {
+			ids[i] = it.ID
+		}
+		total += recallOf(ids, bruteForce(data, q, k, nil))
+	}
+	if rec := total / float64(len(queries)); rec < 0.95 {
+		t.Fatalf("bulk-built graph recall@%d = %.3f, want >= 0.95", k, rec)
+	}
+
+	for _, id := range []int{g.EntryPoint(), 7, 1234, n - 1} {
+		if err := g.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		g.Add(rng.GaussianVec(r, dim, 5))
+	}
+	for qi, q := range queries {
+		g.noFreeze = true
+		live := g.Search(q, k, 60)
+		g.noFreeze = false
+		frozen := g.Search(q, k, 60)
+		if len(frozen) != len(live) {
+			t.Fatalf("query %d: frozen %d items, live %d", qi, len(frozen), len(live))
+		}
+		for i := range frozen {
+			if frozen[i] != live[i] {
+				t.Fatalf("query %d rank %d: frozen %+v, live %+v", qi, i, frozen[i], live[i])
+			}
+		}
+	}
+}
+
+func TestBuildEdgeCases(t *testing.T) {
+	g, err := Build(nil, Config{Dim: 4})
+	if err != nil || g.Len() != 0 || g.EntryPoint() != -1 {
+		t.Fatalf("empty build: %v, len %d, entry %d", err, g.Len(), g.EntryPoint())
+	}
+	if id := g.Add([]float64{1, 2, 3, 4}); id != 0 {
+		t.Fatalf("first Add after an empty build returned id %d", id)
+	}
+	if _, err := Build([][]float64{{1, 2}, {1, 2, 3}}, Config{Dim: 2}); err == nil {
+		t.Fatal("expected an error for a vector of the wrong dimension")
+	}
+	one, err := Build([][]float64{{1, 2}}, Config{Dim: 2})
+	if err != nil || one.Len() != 1 || one.EntryPoint() != 0 {
+		t.Fatalf("single-vector build: %v, len %d, entry %d", err, one.Len(), one.EntryPoint())
+	}
+}
+
+// TestSaveLoadAfterDeletingEntry is the checkpoint defect the benchmark's
+// recovery gate found: a fold rebuilt the graph, re-deleted the dead ids,
+// the entry node was among them, Delete re-seated the entry below the level
+// the tombstone kept, and Load refused the file ("node 119 has level 3
+// beyond max 2"). Deleting entry nodes until maxLevel drops must leave a
+// graph that round-trips.
+func TestSaveLoadAfterDeletingEntry(t *testing.T) {
+	data := clusteredData(35, 500, 8, 4)
+	g, err := Build(data, Config{Dim: 8, M: 8, EfConstruction: 60, Seed: 35})
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := g.Stats().MaxLevel
+	if top == 0 {
+		t.Fatal("test graph has a single layer; pick another seed")
+	}
+	for deleted := 0; g.Stats().MaxLevel == top; deleted++ {
+		if deleted > 100 {
+			t.Fatal("maxLevel never dropped")
+		}
+		if err := g.Delete(g.EntryPoint()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g2, err := Load(bytes.NewReader(saveBytes(t, g)), nil)
+	if err != nil {
+		t.Fatalf("graph saved after deleting its entry node does not load: %v", err)
+	}
+	if g2.Len() != g.Len() || g2.EntryPoint() != g.EntryPoint() {
+		t.Fatalf("loaded len/entry %d/%d, want %d/%d", g2.Len(), g2.EntryPoint(), g.Len(), g.EntryPoint())
+	}
+	q := data[3]
+	a, b := g.Search(q, 5, 40), g2.Search(q, 5, 40)
+	if len(a) != len(b) {
+		t.Fatalf("result count differs after reload: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("rank %d differs after reload: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestSaveLoadFuzzedMutations round-trips graphs after random insert and
+// delete sequences: whatever Add and Delete leave behind, Load accepts.
+func TestSaveLoadFuzzedMutations(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		r := rng.NewSeeded(seed)
+		g, err := Build(clusteredData(seed, 120, 6, 3), Config{Dim: 6, M: 4, EfConstruction: 30, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var live []int
+		for i := 0; i < 120; i++ {
+			live = append(live, i)
+		}
+		for op := 0; op < 150; op++ {
+			if len(live) > 0 && r.IntN(3) > 0 {
+				i := r.IntN(len(live))
+				if r.IntN(4) == 0 {
+					// Bias towards the entry node, the case that broke.
+					for j, id := range live {
+						if id == g.EntryPoint() {
+							i = j
+						}
+					}
+				}
+				if err := g.Delete(live[i]); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live[:i], live[i+1:]...)
+			} else {
+				live = append(live, g.Add(rng.GaussianVec(r, 6, 3)))
+			}
+		}
+		g2, err := Load(bytes.NewReader(saveBytes(t, g)), nil)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !bytes.Equal(saveBytes(t, g2), saveBytes(t, g)) {
+			t.Fatalf("seed %d: save → load → save changed the bytes", seed)
+		}
+	}
+}
+
+// BenchmarkHNSWBuild is the bulk build at the benchmark's embed-deep shape
+// (n = 8000, d = 96, default M and efConstruction) on GOMAXPROCS workers.
+func BenchmarkHNSWBuild(b *testing.B) {
+	data := clusteredData(36, 8000, 96, 40)
+	cfg := Config{Dim: 96, Seed: 36}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(data, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

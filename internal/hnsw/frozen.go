@@ -2,19 +2,17 @@ package hnsw
 
 // Frozen CSR search views.
 //
-// The mutable graph stores one adjacency slice per node per layer, each
-// guarded by that node's mutex; a search therefore pays a lock/unlock plus a
-// defensive copy for every hop. Under the snapshot-publication serving
-// discipline the graph a search runs against is almost always immutable
-// (core never mutates a published index), making all of that per-hop work
-// pure overhead — and the pointer-per-node layout scatters the adjacency
-// across the heap, so the beam search's dominant memory traffic is random.
+// The mutable graph stores one adjacency slice per node per layer at its
+// full capacity, so a walk over it chases a slice header per hop and skips
+// over the unused tail of every list. Under the snapshot-publication
+// serving discipline the graph a search runs against is almost always
+// immutable (core never mutates a published index), so the adjacency can
+// be packed once and read many times.
 //
-// A frozenView flattens the adjacency of one quiescent generation into CSR
-// form — per layer, one offsets array plus one flat neighbor array — so the
-// frozen search walks contiguous memory with zero locking and zero copying,
-// and each hop hands its whole gathered neighbor list to one blocked
-// distance kernel call instead of N scalar calls.
+// A frozenView flattens the adjacency of one generation into CSR form —
+// per layer, one offsets array plus one flat neighbor array — so the
+// frozen search walks dense contiguous memory, and each hop hands its
+// whole gathered neighbor list to one blocked distance kernel call.
 //
 // Lifecycle: the view is built lazily on the first search of a quiescent
 // graph and cached behind an atomic pointer. Every mutation (Add, Delete)
@@ -23,14 +21,11 @@ package hnsw
 // Clone does not share the cache — a clone starts unfrozen and freezes on
 // its own first search.
 //
-// Safety argument for lock-free reads: a view is only built, and only
-// trusted, when (a) the builder/search holds the graph's read lock, so no
-// mutation can start (Add's node-materialization phase and all of Delete
-// require the exclusive lock), and (b) the in-flight linker count is zero,
-// so every Add that already passed its exclusive phase has finished writing
-// adjacency. Both the generation and the linker count are sequentially
-// consistent atomics, giving the builder a happens-before edge over every
-// completed mutation's writes.
+// Safety argument: a view is only built, and only trusted, while the
+// builder/search holds the graph's read lock. Add and Delete hold the
+// exclusive lock from their generation bump to their last adjacency write,
+// so under the read lock the graph is quiescent and the generation is the
+// one the view was built at.
 
 import "ppanns/internal/resultheap"
 
@@ -57,8 +52,8 @@ type frozenView struct {
 }
 
 // frozenViewFor returns a CSR view valid for the current generation, or nil
-// when the graph is mid-mutation (callers then take the locked path).
-// Caller must hold at least the read lock.
+// when another search is building it (callers then walk the live
+// adjacency). Caller must hold at least the read lock.
 func (g *Graph) frozenViewFor() *frozenView {
 	if g.noFreeze {
 		return nil
@@ -67,14 +62,9 @@ func (g *Graph) frozenViewFor() *frozenView {
 	if v := g.view.Load(); v != nil && v.gen == cur {
 		return v
 	}
-	// Stale or absent: rebuild, but only from a quiescent graph. A non-zero
-	// linker count means an insert past its exclusive phase is still writing
-	// adjacency; freezing now would capture a half-linked node.
-	if g.linking.Load() != 0 {
-		return nil
-	}
-	// One builder at a time; concurrent searches fall back to the locked
-	// path for this query instead of queueing on the build.
+	// Stale or absent: rebuild. One builder at a time; concurrent searches
+	// walk the live adjacency for this query instead of queueing on the
+	// build.
 	if !g.freezeMu.TryLock() {
 		return nil
 	}
@@ -88,8 +78,8 @@ func (g *Graph) frozenViewFor() *frozenView {
 }
 
 // buildFrozenView flattens the adjacency into CSR form. Caller holds the
-// read lock on a quiescent graph (generation cur, no in-flight linkers), so
-// plain reads of every node's state are safe.
+// read lock (generation cur), so plain reads of every node's state are
+// safe.
 func (g *Graph) buildFrozenView(cur uint64) *frozenView {
 	n := len(g.nodes)
 	v := &frozenView{
@@ -99,33 +89,28 @@ func (g *Graph) buildFrozenView(cur uint64) *frozenView {
 		deleted:  make([]bool, n),
 		layers:   make([]csrLayer, g.maxLevel+1),
 	}
-	for i, nd := range g.nodes {
-		v.deleted[i] = nd.deleted
+	for i := range g.nodes {
+		v.deleted[i] = g.nodes[i].deleted
 	}
 	for l := range v.layers {
 		offs := make([]int32, n+1)
 		total := int32(0)
-		for i, nd := range g.nodes {
-			if l < len(nd.neighbors) {
-				total += int32(len(nd.neighbors[l]))
-			}
+		for i := range g.nodes {
+			total += int32(len(g.neighborsAt(i, l)))
 			offs[i+1] = total
 		}
 		nbrs := make([]int32, total)
-		for i, nd := range g.nodes {
-			if l < len(nd.neighbors) {
-				copy(nbrs[offs[i]:offs[i+1]], nd.neighbors[l])
-			}
+		for i := range g.nodes {
+			copy(nbrs[offs[i]:offs[i+1]], g.neighborsAt(i, l))
 		}
 		v.layers[l] = csrLayer{offs: offs, nbrs: nbrs}
 	}
 	return v
 }
 
-// frozenDescend is greedyDescend over a CSR view: one blocked distance call
-// per hop, no node locks, no adjacency copies. Results are identical to the
-// locked path — the same neighbors are evaluated with the same kernel in
-// the same order.
+// frozenDescend is greedyDescend over a CSR view. Results are identical to
+// the live-adjacency path — the same neighbors are evaluated with the same
+// kernel in the same order.
 func (g *Graph) frozenDescend(ctx *searchCtx, v *frozenView, q []float64, ep int, epDist float64, layer int) (int, float64) {
 	lay := &v.layers[layer]
 	for {
@@ -148,7 +133,7 @@ func (g *Graph) frozenDescend(ctx *searchCtx, v *frozenView, q []float64, ep int
 // semantics, matching what searchInto requests). Each hop gathers its
 // unvisited neighbors and evaluates them with one blocked kernel call; the
 // admission logic then replays in neighbor order, so heap state evolves
-// exactly as on the locked path and results are order-identical.
+// exactly as in searchLayer and results are order-identical.
 func (g *Graph) frozenSearchLayer(ctx *searchCtx, v *frozenView, q []float64, ep int, epDist float64, ef, layer int, allow func(int) bool) *resultheap.MaxDistHeap {
 	offs, nbrs := v.layers[layer].offs, v.layers[layer].nbrs
 	deleted := v.deleted

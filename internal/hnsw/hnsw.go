@@ -4,10 +4,10 @@
 //
 // The implementation is complete rather than minimal: randomized level
 // assignment, beam search with efConstruction during build, the diversity
-// heuristic for neighbor selection, bidirectional linking with pruning,
-// concurrent inserts (per-node locking), filtered search, deletion with
-// in-neighbor repair (the maintenance procedure of Section V-D), and binary
-// serialization.
+// heuristic for neighbor selection, bidirectional linking with pruning, a
+// seed-deterministic parallel bulk build (build.go), filtered search,
+// deletion with in-neighbor repair (the maintenance procedure of Section
+// V-D), and binary serialization.
 //
 // The graph is metric-agnostic: it stores opaque float64 vectors and ranks
 // by a caller-supplied distance. The PP-ANNS scheme instantiates it over
@@ -73,38 +73,36 @@ func (c Config) withDefaults() (Config, error) {
 }
 
 type node struct {
-	mu        sync.Mutex
 	neighbors [][]int32 // one adjacency list per layer 0..level
 	level     int
 	deleted   bool
 }
 
-// Graph is a thread-safe HNSW index. Inserts may run concurrently with each
-// other and with searches; deletes are exclusive.
+// Graph is a thread-safe HNSW index. Searches run concurrently with each
+// other; Add and Delete are exclusive.
 type Graph struct {
 	cfg Config
 	mL  float64
-	// blockDist marks the default metric, whose frozen-path hops run the
-	// blocked arena kernel instead of per-neighbor DistanceFunc calls.
+	// blockDist marks the default metric, whose hops run the blocked arena
+	// kernel instead of per-neighbor DistanceFunc calls.
 	blockDist bool
 
-	// mu guards data/nodes growth, entry and maxLevel. Searches hold the
-	// read lock for their whole duration so vector rows stay stable.
+	// mu guards everything below it. Searches, Clone and the accessors hold
+	// it shared for their whole duration; Add, Delete and Save hold it
+	// exclusively, so adjacency is only ever written on a graph nobody is
+	// reading and needs no per-node locks.
 	mu       sync.RWMutex
 	data     *vec.Dataset
-	nodes    []*node
+	nodes    []node
 	entry    int
 	maxLevel int
 	size     int // live (non-deleted) node count
 
 	// gen counts mutations; every Add/Delete bumps it under the exclusive
-	// lock, invalidating any cached frozen view. linking counts inserts
-	// past their exclusive phase that are still writing adjacency — a view
-	// may only be frozen while it is zero (see frozen.go). view caches the
-	// CSR snapshot of the current generation; noFreeze pins searches to the
-	// locked path (conformance tests compare the two).
+	// lock, invalidating any cached frozen view (see frozen.go). view caches
+	// the CSR snapshot of the current generation; noFreeze pins searches to
+	// the live-adjacency path (conformance tests compare the two).
 	gen      atomic.Uint64
-	linking  atomic.Int64
 	view     atomic.Pointer[frozenView]
 	freezeMu sync.Mutex
 	noFreeze bool
@@ -116,7 +114,10 @@ type Graph struct {
 }
 
 // New creates an empty graph.
-func New(cfg Config) (*Graph, error) {
+func New(cfg Config) (*Graph, error) { return newGraph(cfg, 1024) }
+
+// newGraph creates an empty graph with room for capHint vectors.
+func newGraph(cfg Config, capHint int) (*Graph, error) {
 	blockDist := cfg.Distance == nil
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -126,7 +127,7 @@ func New(cfg Config) (*Graph, error) {
 		cfg:       cfg,
 		mL:        1 / math.Log(float64(cfg.M)),
 		blockDist: blockDist,
-		data:      vec.NewDataset(cfg.Dim, 1024),
+		data:      vec.NewDataset(cfg.Dim, capHint),
 		entry:     -1,
 		lvlRnd:    rng.NewSeeded(cfg.Seed ^ 0x9e37),
 	}, nil
@@ -160,11 +161,6 @@ func (g *Graph) Vector(id int) []float64 {
 // The clone's level RNG is derived from (and advances) the receiver's
 // stream, so a chain of clone-then-insert steps keeps drawing fresh levels
 // instead of replaying one.
-//
-// Clone locks each node while copying its adjacency, so it is safe against
-// concurrent searches on the receiver; for a semantically clean copy the
-// caller must not run Add/Delete on the receiver while cloning (the
-// snapshot writers in core guarantee this by serializing mutations).
 func (g *Graph) Clone() *Graph {
 	g.lvlMu.Lock()
 	lvlRnd := rng.New(g.lvlRnd.Uint64(), g.lvlRnd.Uint64())
@@ -179,24 +175,22 @@ func (g *Graph) Clone() *Graph {
 		mL:        g.mL,
 		blockDist: g.blockDist,
 		data:      g.data.Clone(),
-		nodes:     make([]*node, len(g.nodes)),
 		entry:     g.entry,
 		maxLevel:  g.maxLevel,
 		size:      g.size,
 		lvlRnd:    lvlRnd,
 	}
-	for i, nd := range g.nodes {
-		nd.mu.Lock()
-		cp := &node{
-			neighbors: make([][]int32, len(nd.neighbors)),
-			level:     nd.level,
-			deleted:   nd.deleted,
-		}
+	levels := make([]int, len(g.nodes))
+	for i := range g.nodes {
+		levels[i] = g.nodes[i].level
+	}
+	ng.nodes = ng.carveNodes(levels)
+	for i := range g.nodes {
+		nd, cp := &g.nodes[i], &ng.nodes[i]
+		cp.deleted = nd.deleted
 		for l, lst := range nd.neighbors {
-			cp.neighbors[l] = append([]int32(nil), lst...)
+			cp.neighbors[l] = append(cp.neighbors[l], lst...)
 		}
-		nd.mu.Unlock()
-		ng.nodes[i] = cp
 	}
 	return ng
 }
@@ -212,10 +206,11 @@ func (g *Graph) randomLevel() int {
 	return int(-math.Log(u) * g.mL)
 }
 
-// searchCtx holds per-search scratch state, pooled across searches: the
-// visited set, both beam-search heaps, the neighbor snapshot buffer, and
-// the drained result slice. After warm-up a search touches no allocator
-// at all.
+// searchCtx holds per-walk scratch state: the visited set, both beam-search
+// heaps, the gathered-neighbor buffer, the blocked-kernel output, the
+// drained result slice and the linking scratch. Query searches pool theirs
+// across searches (after warm-up a search touches no allocator at all); a
+// bulk build owns one per worker and drops them when it returns.
 type searchCtx struct {
 	vis   epochset.Set
 	cand  *resultheap.MinDistHeap
@@ -223,19 +218,30 @@ type searchCtx struct {
 	buf   []int32
 	dists []float64 // blocked-kernel output, parallel to the gathered buf
 	items []resultheap.Item
+	// Linking scratch: the diversity heuristic's rejected candidates, a
+	// backlink merge's id list, and a batch's sorted (target, source)
+	// backlink keys with the start of each target's run.
+	pruned []resultheap.Item
+	ids    []int32
+	keys   []uint64
+	starts []int32
 	// sc, when non-nil, supplies every candidate distance of this search
 	// (SearchIntoDist — the PQ filter path). Ids passed to it are graph
 	// ids. Build and repair searches always run with sc nil.
 	sc vec.BlockScanner
 }
 
+func newSearchCtx() *searchCtx {
+	return &searchCtx{
+		cand: resultheap.NewMinDistHeap(64),
+		res:  resultheap.NewMaxDistHeap(64),
+	}
+}
+
 func (g *Graph) getCtx(n int) *searchCtx {
 	c, _ := g.ctxPool.Get().(*searchCtx)
 	if c == nil {
-		c = &searchCtx{
-			cand: resultheap.NewMinDistHeap(64),
-			res:  resultheap.NewMaxDistHeap(64),
-		}
+		c = newSearchCtx()
 	}
 	c.sc = nil
 	c.vis.Grow(n)
@@ -281,48 +287,48 @@ func (c *searchCtx) next() { c.vis.Next() }
 
 func (c *searchCtx) seen(id int) bool { return c.vis.Seen(id) }
 
-// copyNeighbors snapshots a node's adjacency list at a layer under its lock.
-func (g *Graph) copyNeighbors(buf []int32, id, layer int) []int32 {
-	nd := g.nodes[id]
-	nd.mu.Lock()
+// neighborsAt returns id's live adjacency list at a layer (empty when the
+// node's level is below the layer). Caller holds the lock.
+func (g *Graph) neighborsAt(id, layer int) []int32 {
+	nd := &g.nodes[id]
 	if layer >= len(nd.neighbors) {
-		nd.mu.Unlock()
-		return buf[:0]
+		return nil
 	}
-	buf = append(buf[:0], nd.neighbors[layer]...)
-	nd.mu.Unlock()
-	return buf
+	return nd.neighbors[layer]
 }
 
-// greedyDescend walks one layer greedily towards q, returning the closest
-// node found and its distance. Caller must hold at least the read lock.
+// greedyDescend walks one layer of the live adjacency greedily towards q,
+// returning the closest node found and its distance: one blocked distance
+// call per hop, exactly like frozenDescend over a CSR view. Caller must
+// hold the lock.
 func (g *Graph) greedyDescend(ctx *searchCtx, q []float64, ep int, epDist float64, layer int) (int, float64) {
-	buf := ctx.buf
 	for {
 		improved := false
-		buf = g.copyNeighbors(buf, ep, layer)
-		for _, nb := range buf {
-			d := g.pairDist(ctx, q, int(nb))
-			if d < epDist {
+		nbrs := g.neighborsAt(ep, layer)
+		dists := g.hopDists(ctx, q, nbrs)
+		for j, nb := range nbrs {
+			if d := dists[j]; d < epDist {
 				epDist, ep = d, int(nb)
 				improved = true
 			}
 		}
 		if !improved {
-			ctx.buf = buf
 			return ep, epDist
 		}
 	}
 }
 
-// searchLayer is the beam search of the HNSW paper (Algorithm 2): starting
-// from ep, it maintains a candidate min-heap and a bounded result max-heap
-// of width ef, both reused from ctx. liveOnly excludes tombstoned nodes
-// from the result set; allow further filters result membership (traversal
-// still passes through filtered nodes so the graph stays navigable around
-// tombstones). The returned heap is ctx-owned: consume it before the next
-// searchLayer call on the same ctx. Caller must hold at least the read
-// lock.
+// searchLayer is the beam search of the HNSW paper (Algorithm 2) over the
+// live adjacency: starting from ep, it maintains a candidate min-heap and a
+// bounded result max-heap of width ef, both reused from ctx. Each hop
+// gathers its unvisited neighbors and evaluates them with one blocked
+// kernel call, then replays admission in neighbor order — the same walk
+// frozenSearchLayer makes over a CSR view, so the two are order-identical.
+// liveOnly excludes tombstoned nodes from the result set; allow further
+// filters result membership (traversal still passes through filtered nodes
+// so the graph stays navigable around tombstones). The returned heap is
+// ctx-owned: consume it before the next searchLayer call on the same ctx.
+// Caller must hold the lock; nothing here takes another.
 func (g *Graph) searchLayer(ctx *searchCtx, q []float64, ep int, epDist float64, ef, layer int, liveOnly bool, allow func(int) bool) *resultheap.MaxDistHeap {
 	cand, res := ctx.cand, ctx.res
 	cand.Reset()
@@ -332,19 +338,22 @@ func (g *Graph) searchLayer(ctx *searchCtx, q []float64, ep int, epDist float64,
 	if (!liveOnly || !g.nodes[ep].deleted) && (allow == nil || allow(ep)) {
 		res.Push(ep, epDist)
 	}
-	buf := ctx.buf
+	gather := ctx.buf
 	for cand.Len() > 0 {
 		c := cand.Pop()
 		if res.Len() >= ef && c.Dist > res.Top().Dist {
 			break
 		}
-		buf = g.copyNeighbors(buf, c.ID, layer)
-		for _, nb := range buf {
-			id := int(nb)
-			if ctx.seen(id) {
-				continue
+		gather = gather[:0]
+		for _, nb := range g.neighborsAt(c.ID, layer) {
+			if !ctx.seen(int(nb)) {
+				gather = append(gather, nb)
 			}
-			d := g.pairDist(ctx, q, id)
+		}
+		dists := g.hopDists(ctx, q, gather)
+		for j, nb := range gather {
+			id := int(nb)
+			d := dists[j]
 			if res.Len() < ef || d < res.Top().Dist {
 				cand.Push(id, d)
 				if (!liveOnly || !g.nodes[id].deleted) && (allow == nil || allow(id)) {
@@ -353,177 +362,68 @@ func (g *Graph) searchLayer(ctx *searchCtx, q []float64, ep int, epDist float64,
 			}
 		}
 	}
-	ctx.buf = buf
+	ctx.buf = gather
 	return res
 }
 
-// selectNeighbors applies the diversity heuristic (HNSW Algorithm 4) to a
-// candidate set sorted ascending by distance to the base vector, returning
-// at most m ids. A candidate is kept when it is closer to the base than to
-// any already-kept neighbor; when fewer than m survive and KeepPruned is
-// active, the closest pruned candidates fill the remaining slots.
-func (g *Graph) selectNeighbors(base []float64, cands []resultheap.Item, m int) []int32 {
-	selected := make([]int32, 0, m)
-	var pruned []resultheap.Item
+// selectNeighbors applies the diversity heuristic (HNSW Algorithm 4) to the
+// candidates loaded into ctx.cand (keyed by distance to the base vector),
+// appending at most m ids to dst[:0]. Candidates are drawn closest first,
+// and only as many as the selection consumes. A candidate is kept when it
+// is closer to the base than to any already-kept neighbor; when fewer than
+// m survive and KeepPruned is active, the closest pruned candidates fill
+// the remaining slots. dst may be the list being replaced: the heap holds
+// ids by value.
+func (g *Graph) selectNeighbors(ctx *searchCtx, dst []int32, m int) []int32 {
+	dst = dst[:0]
+	pruned := ctx.pruned[:0]
 	dist := g.cfg.Distance
-	for _, c := range cands {
-		if len(selected) >= m {
-			break
-		}
+	for cand := ctx.cand; cand.Len() > 0 && len(dst) < m; {
+		c := cand.Pop()
 		good := true
 		cv := g.data.At(c.ID)
-		for _, s := range selected {
+		for _, s := range dst {
 			if dist(cv, g.data.At(int(s))) < c.Dist {
 				good = false
 				break
 			}
 		}
 		if good {
-			selected = append(selected, int32(c.ID))
+			dst = append(dst, int32(c.ID))
 		} else if !g.cfg.SkipKeepPruned {
 			pruned = append(pruned, c)
 		}
 	}
 	for _, c := range pruned {
-		if len(selected) >= m {
+		if len(dst) >= m {
 			break
 		}
-		selected = append(selected, int32(c.ID))
+		dst = append(dst, int32(c.ID))
 	}
-	return selected
+	ctx.pruned = pruned
+	return dst
 }
 
-// Add inserts a vector and returns its id. Safe for concurrent use.
+// Add inserts a vector and returns its id: the batch-of-one case of the
+// bulk build's linking (build.go). Safe for concurrent use; inserts
+// exclude each other and searches.
 func (g *Graph) Add(v []float64) int {
 	if len(v) != g.cfg.Dim {
 		panic(fmt.Sprintf("hnsw: adding %d-dim vector to %d-dim graph", len(v), g.cfg.Dim))
 	}
 	level := g.randomLevel()
-
-	// Phase 1: materialize the node (exclusive). The generation bump
-	// invalidates any cached frozen view before a single edge is written,
-	// and the linker count stays raised until every adjacency write of this
-	// insert has landed, so no search can freeze a half-linked graph.
 	g.mu.Lock()
+	defer g.mu.Unlock()
+	// The generation bump invalidates any cached frozen view before a
+	// single edge is written.
 	g.gen.Add(1)
-	g.linking.Add(1)
 	id := g.data.Append(v)
-	nd := &node{level: level, neighbors: make([][]int32, level+1)}
-	g.nodes = append(g.nodes, nd)
+	g.nodes = append(g.nodes, g.carveNodes([]int{level})...)
 	g.size++
-	first := g.entry < 0
-	if first {
-		g.entry = id
-		g.maxLevel = level
-	}
-	entry, maxLevel := g.entry, g.maxLevel
-	g.mu.Unlock()
-	defer g.linking.Add(-1)
-	if first {
-		return id
-	}
-
-	// Phase 2: link (shared lock; concurrent with other linkers/searches).
-	g.mu.RLock()
-	g.link(id, v, level, entry, maxLevel)
-	g.mu.RUnlock()
-
-	// Phase 3: possibly promote the entry point.
-	if level > maxLevel {
-		g.mu.Lock()
-		if level > g.maxLevel {
-			g.maxLevel = level
-			g.entry = id
-		}
-		g.mu.Unlock()
-	}
-	return id
-}
-
-// link connects a freshly added node into the graph. Caller holds RLock.
-func (g *Graph) link(id int, v []float64, level, entry, maxLevel int) {
 	ctx := g.getCtx(len(g.nodes))
-	defer g.ctxPool.Put(ctx)
-
-	ep := entry
-	epDist := g.cfg.Distance(v, g.data.At(ep))
-	for l := maxLevel; l > level; l-- {
-		ep, epDist = g.greedyDescend(ctx, v, ep, epDist, l)
-	}
-	top := level
-	if maxLevel < level {
-		top = maxLevel
-	}
-	nd := g.nodes[id]
-	for l := top; l >= 0; l-- {
-		ctx.next() // fresh visited set per layer
-		res := g.searchLayer(ctx, v, ep, epDist, g.cfg.EfConstruction, l, false, nil)
-		ctx.items = res.SortedInto(ctx.items)
-		cands := ctx.items
-		// Drop self-references (possible on re-link during repair).
-		filtered := cands[:0]
-		for _, c := range cands {
-			if c.ID != id {
-				filtered = append(filtered, c)
-			}
-		}
-		m := g.cfg.M
-		sel := g.selectNeighbors(v, filtered, m)
-
-		nd.mu.Lock()
-		nd.neighbors[l] = append(nd.neighbors[l][:0], sel...)
-		nd.mu.Unlock()
-
-		maxLinks := g.cfg.M
-		if l == 0 {
-			maxLinks = g.cfg.MMax0
-		}
-		for _, nb := range sel {
-			g.addBacklink(int(nb), id, l, maxLinks)
-		}
-		if len(filtered) > 0 {
-			ep, epDist = filtered[0].ID, filtered[0].Dist
-		}
-	}
-}
-
-// addBacklink adds id to nb's layer-l adjacency, re-pruning with the
-// diversity heuristic when the list overflows.
-func (g *Graph) addBacklink(nb, id, l, maxLinks int) {
-	nd := g.nodes[nb]
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	if l >= len(nd.neighbors) {
-		return // nb was created with a lower level than observed; skip
-	}
-	for _, existing := range nd.neighbors[l] {
-		if int(existing) == id {
-			return
-		}
-	}
-	if len(nd.neighbors[l]) < maxLinks {
-		nd.neighbors[l] = append(nd.neighbors[l], int32(id))
-		return
-	}
-	// Overflow: rank current links plus the newcomer by distance to nb and
-	// re-select with the heuristic.
-	base := g.data.At(nb)
-	items := make([]resultheap.Item, 0, len(nd.neighbors[l])+1)
-	items = append(items, resultheap.Item{ID: id, Dist: g.cfg.Distance(base, g.data.At(id))})
-	for _, existing := range nd.neighbors[l] {
-		items = append(items, resultheap.Item{ID: int(existing), Dist: g.cfg.Distance(base, g.data.At(int(existing)))})
-	}
-	sortItems(items)
-	nd.neighbors[l] = append(nd.neighbors[l][:0], g.selectNeighbors(base, items, maxLinks)...)
-}
-
-// sortItems sorts by distance ascending (insertion sort: lists are short).
-func sortItems(items []resultheap.Item) {
-	for i := 1; i < len(items); i++ {
-		for j := i; j > 0 && items[j].Dist < items[j-1].Dist; j-- {
-			items[j], items[j-1] = items[j-1], items[j]
-		}
-	}
+	g.insertBatch([]*searchCtx{ctx}, id, id+1)
+	g.ctxPool.Put(ctx)
+	return id
 }
 
 // Search returns the ids of the (approximately) k closest live vectors to
@@ -607,13 +507,18 @@ func (g *Graph) searchInto(dst []resultheap.Item, q []float64, k, ef int, allow 
 // tombstoned, its out-edges dropped, and every in-neighbor is repaired by
 // re-running neighbor selection over a fresh search so the graph stays
 // navigable. Returns an error for unknown or already-deleted ids.
+//
+// A tombstone keeps its row and its id but not its level: it falls to
+// level 0 with an empty list, so "every node's level is at most maxLevel"
+// holds after the entry point is re-seated below it — the invariant Load
+// checks, which a tombstone that kept its level used to break.
 func (g *Graph) Delete(id int) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if id < 0 || id >= len(g.nodes) {
 		return fmt.Errorf("hnsw: delete of unknown id %d", id)
 	}
-	nd := g.nodes[id]
+	nd := &g.nodes[id]
 	if nd.deleted {
 		return fmt.Errorf("hnsw: id %d already deleted", id)
 	}
@@ -626,7 +531,8 @@ func (g *Graph) Delete(id int) error {
 	// Collect in-neighbors per layer and cut their edges to id.
 	type affected struct{ node, layer int }
 	var repairs []affected
-	for nid, other := range g.nodes {
+	for nid := range g.nodes {
+		other := &g.nodes[nid]
 		if nid == id || other.deleted {
 			continue
 		}
@@ -640,7 +546,10 @@ func (g *Graph) Delete(id int) error {
 			}
 		}
 	}
-	nd.neighbors = make([][]int32, nd.level+1) // drop out-edges
+	// Drop the out-edges and the level.
+	nd.level = 0
+	nd.neighbors = nd.neighbors[:1:1]
+	nd.neighbors[0] = nd.neighbors[0][:0]
 
 	if g.size == 0 {
 		g.entry = -1
@@ -650,8 +559,8 @@ func (g *Graph) Delete(id int) error {
 	// Re-seat the entry point if it was the deleted node.
 	if g.entry == id {
 		best, bestLevel := -1, -1
-		for nid, other := range g.nodes {
-			if !other.deleted && other.level > bestLevel {
+		for nid := range g.nodes {
+			if other := &g.nodes[nid]; !other.deleted && other.level > bestLevel {
 				best, bestLevel = nid, other.level
 			}
 		}
@@ -665,10 +574,6 @@ func (g *Graph) Delete(id int) error {
 	defer g.ctxPool.Put(ctx)
 	for _, rep := range repairs {
 		v := g.data.At(rep.node)
-		maxLinks := g.cfg.M
-		if rep.layer == 0 {
-			maxLinks = g.cfg.MMax0
-		}
 		ctx.next()
 		allow := func(cid int) bool { return cid != rep.node && !g.nodes[cid].deleted }
 		ep, epDist := g.entry, g.cfg.Distance(v, g.data.At(g.entry))
@@ -676,20 +581,9 @@ func (g *Graph) Delete(id int) error {
 			ep, epDist = g.greedyDescend(ctx, v, ep, epDist, l)
 		}
 		res := g.searchLayer(ctx, v, ep, epDist, g.cfg.EfConstruction, rep.layer, false, allow)
-		cands := res.SortedAscending()
-		filtered := cands[:0]
-		for _, c := range cands {
-			if c.ID != rep.node && !g.nodes[c.ID].deleted {
-				filtered = append(filtered, c)
-			}
-		}
-		sel := g.selectNeighbors(v, filtered, maxLinks)
-		repNode := g.nodes[rep.node]
-		repNode.mu.Lock()
-		if rep.layer < len(repNode.neighbors) {
-			repNode.neighbors[rep.layer] = append(repNode.neighbors[rep.layer][:0], sel...)
-		}
-		repNode.mu.Unlock()
+		ctx.cand.Load(res.Items())
+		lst := &g.nodes[rep.node].neighbors[rep.layer]
+		*lst = g.selectNeighbors(ctx, *lst, g.maxLinks(rep.layer))
 	}
 	return nil
 }
@@ -700,14 +594,12 @@ func (g *Graph) Delete(id int) error {
 func (g *Graph) Neighbors(id, layer int) []int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	nd := g.nodes[id]
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	if layer >= len(nd.neighbors) {
+	lst := g.neighborsAt(id, layer)
+	if lst == nil {
 		return nil
 	}
-	out := make([]int, len(nd.neighbors[layer]))
-	for i, nb := range nd.neighbors[layer] {
+	out := make([]int, len(lst))
+	for i, nb := range lst {
 		out[i] = int(nb)
 	}
 	return out
@@ -742,19 +634,18 @@ func (g *Graph) Stats() Stats {
 	defer g.mu.RUnlock()
 	st := Stats{Nodes: g.size, MaxLevel: g.maxLevel}
 	var deg0 int
-	for _, nd := range g.nodes {
+	for i := range g.nodes {
+		nd := &g.nodes[i]
 		if nd.deleted {
 			st.Deleted++
 			continue
 		}
-		nd.mu.Lock()
 		for l, lst := range nd.neighbors {
 			st.Edges += len(lst)
 			if l == 0 {
 				deg0 += len(lst)
 			}
 		}
-		nd.mu.Unlock()
 	}
 	if st.Nodes > 0 {
 		st.AvgDegree = float64(deg0) / float64(st.Nodes)

@@ -108,7 +108,7 @@ func Load(r io.Reader, dist DistanceFunc) (*Graph, error) {
 	}
 	g.data = ds
 
-	g.nodes = make([]*node, n)
+	g.nodes = make([]node, n)
 	for i := 0; i < n; i++ {
 		var level int32
 		if err := binary.Read(br, binary.LittleEndian, &level); err != nil {
@@ -121,7 +121,7 @@ func Load(r io.Reader, dist DistanceFunc) (*Graph, error) {
 		if level < 0 || int(level) > maxLevel {
 			return nil, fmt.Errorf("hnsw: node %d has level %d beyond max %d", i, level, maxLevel)
 		}
-		nd := &node{level: int(level), deleted: delByte != 0, neighbors: make([][]int32, level+1)}
+		nd := node{level: int(level), deleted: delByte != 0, neighbors: make([][]int32, level+1)}
 		for l := 0; l <= int(level); l++ {
 			var cnt int32
 			if err := binary.Read(br, binary.LittleEndian, &cnt); err != nil {

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 
 	"ppanns/internal/hnsw"
@@ -17,11 +16,12 @@ func init() {
 	Register(Backend{Name: "hnsw", Build: buildHNSW, Load: loadHNSW})
 }
 
-// hnswIndex adapts hnsw.Graph to SecureIndex. The graph assigns its own
-// ids in arrival order, which under the parallel build differs from vector
-// positions; the adapter keeps the two-way mapping so external ids stay
-// equal to positions (they index the ciphertext arrays and are what users
-// see).
+// hnswIndex adapts hnsw.Graph to SecureIndex. A bulk build gives vector i
+// graph id i, but database files written before the build was made
+// deterministic carry graphs whose ids follow the arrival order of a
+// parallel build, so the adapter keeps (and persists) the two-way mapping
+// that makes external ids equal to positions (they index the ciphertext
+// arrays and are what users see).
 type hnswIndex struct {
 	g *hnsw.Graph
 
@@ -33,7 +33,7 @@ type hnswIndex struct {
 }
 
 func buildHNSW(vectors [][]float64, opts Options) (SecureIndex, error) {
-	g, err := hnsw.New(hnsw.Config{
+	g, err := hnsw.Build(vectors, hnsw.Config{
 		Dim:            opts.Dim,
 		M:              opts.M,
 		EfConstruction: opts.EfConstruction,
@@ -42,37 +42,14 @@ func buildHNSW(vectors [][]float64, opts Options) (SecureIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := len(vectors)
 	ix := &hnswIndex{
 		g:       g,
-		pos2gid: make([]int32, n),
-		gid2pos: make([]int32, n),
+		pos2gid: make([]int32, len(vectors)),
+		gid2pos: make([]int32, len(vectors)),
 	}
-	// Parallel construction: workers pull positions off a shared counter
-	// and record the graph id each insert received.
-	workers := runtime.GOMAXPROCS(0)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	next := 0
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= n {
-					return
-				}
-				gid := g.Add(vectors[i])
-				ix.pos2gid[i] = int32(gid)
-				ix.gid2pos[gid] = int32(i)
-			}
-		}()
+	for i := range ix.pos2gid {
+		ix.pos2gid[i], ix.gid2pos[i] = int32(i), int32(i)
 	}
-	wg.Wait()
 	return ix, nil
 }
 
@@ -183,8 +160,7 @@ func (ix *hnswIndex) Clone() SecureIndex {
 }
 
 // Rebuild reconstructs a fresh graph over vectors with the receiver's
-// build parameters, through the same parallel build path as the registry
-// Build (so the blocked distance kernels stay engaged).
+// build parameters, through the same bulk build as the registry Build.
 func (ix *hnswIndex) Rebuild(vectors [][]float64) (SecureIndex, error) {
 	cfg := ix.g.Config()
 	return buildHNSW(vectors, Options{

@@ -8,8 +8,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
+	"ppanns/internal/par"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
@@ -29,14 +29,20 @@ type Config struct {
 
 // Result is a fitted clustering.
 type Result struct {
+	// Centroids are the rows of Flat.
 	Centroids [][]float64
+	// Flat is the contiguous K×dim centroid block.
+	Flat []float64
 	// Assign maps each input row to its centroid index.
 	Assign []int
 	// Iters is the number of Lloyd iterations performed.
 	Iters int
 }
 
-// Fit clusters data into cfg.K groups.
+// Fit clusters data into cfg.K groups. Assignment and seeding distances
+// run on GOMAXPROCS workers; everything whose floating-point order could
+// show (centroid sums, the D² total and pick) is accumulated in index
+// order on one, so the result is a function of (data, cfg) alone.
 func Fit(data [][]float64, cfg Config) (*Result, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("kmeans: empty data")
@@ -53,57 +59,121 @@ func Fit(data [][]float64, cfg Config) (*Result, error) {
 	dim := len(data[0])
 	r := rng.NewSeeded(cfg.Seed ^ 0x43a9)
 
-	centroids := seedPlusPlus(r, data, cfg.K)
+	cents := seedPlusPlus(r, data, cfg.K)
+	next := make([]float64, len(cents))
 	assign := make([]int, len(data))
 	counts := make([]int, cfg.K)
-	workers := runtime.GOMAXPROCS(0)
 
 	var iters int
 	for iters = 0; iters < cfg.MaxIters; iters++ {
 		// Assignment step (parallel).
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(data); i += workers {
-					assign[i] = nearest(centroids, data[i])
-				}
-			}(w)
-		}
-		wg.Wait()
+		sweep(len(data), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				assign[i], _ = NearestFlat(cents, dim, data[i])
+			}
+		})
 
 		// Update step.
-		next := make([][]float64, cfg.K)
-		for c := range next {
-			next[c] = make([]float64, dim)
-			counts[c] = 0
-		}
+		clear(next)
+		clear(counts)
 		for i, c := range assign {
-			vec.Add(next[c], next[c], data[i])
+			row := next[c*dim : (c+1)*dim]
+			vec.Add(row, row, data[i])
 			counts[c]++
 		}
 		var moved float64
-		for c := range next {
+		for c := range counts {
+			row := next[c*dim : (c+1)*dim]
 			if counts[c] == 0 {
 				// Re-seed an empty cluster on a random point.
-				copy(next[c], data[r.IntN(len(data))])
+				copy(row, data[r.IntN(len(data))])
 			} else {
-				vec.Scale(next[c], 1/float64(counts[c]), next[c])
+				vec.Scale(row, 1/float64(counts[c]), row)
 			}
-			moved += vec.Dist(next[c], centroids[c])
+			moved += vec.Dist(row, cents[c*dim:(c+1)*dim])
 		}
-		centroids = next
+		cents, next = next, cents
 		if moved/float64(cfg.K) < cfg.Tol {
 			iters++
 			break
 		}
 	}
-	return &Result{Centroids: centroids, Assign: assign, Iters: iters}, nil
+	rows := make([][]float64, cfg.K)
+	for c := range rows {
+		rows[c] = cents[c*dim : (c+1)*dim : (c+1)*dim]
+	}
+	return &Result{Centroids: rows, Flat: cents, Assign: assign, Iters: iters}, nil
 }
 
-// nearest returns the index of the centroid closest to v.
-func nearest(centroids [][]float64, v []float64) int {
+// sweep runs fn over the points in fixed spans on GOMAXPROCS workers. The
+// callers write per-point state only, so nothing of the split shows.
+func sweep(n int, fn func(lo, hi int)) {
+	par.Spans(runtime.GOMAXPROCS(0), n, 256, func(_, lo, hi int) { fn(lo, hi) })
+}
+
+// NearestFlat returns the index of the row of the contiguous K×w block
+// cents closest to v, and its squared distance: the one nearest-centroid
+// routine behind Lloyd assignment and PQ encoding. Distances are those of
+// vec.SqDist bit for bit, ties go to the lowest index. Rows shorter than
+// one vector step (the PQ subspaces) are scanned by a sequential loop
+// inlined here — no call and no dispatch per row; longer rows take one
+// kernel call each, over a block that stays in L1 while the points stream
+// past it.
+func NearestFlat(cents []float64, w int, v []float64) (int, float64) {
+	best, bestD := 0, math.Inf(1)
+	if w < 8 {
+		// The sequential loop over at most seven elements, unrolled: w is
+		// fixed for the scan, so the branches below predict perfectly and
+		// a row costs little more than its arithmetic.
+		var q [7]float64
+		copy(q[:], v[:w])
+		for c := 0; len(cents) >= w; c++ {
+			row := cents[:w]
+			cents = cents[w:]
+			t := q[0] - row[0]
+			d := t * t
+			if w > 1 {
+				t = q[1] - row[1]
+				d += t * t
+				if w > 2 {
+					t = q[2] - row[2]
+					d += t * t
+					if w > 3 {
+						t = q[3] - row[3]
+						d += t * t
+						if w > 4 {
+							t = q[4] - row[4]
+							d += t * t
+							if w > 5 {
+								t = q[5] - row[5]
+								d += t * t
+								if w > 6 {
+									t = q[6] - row[6]
+									d += t * t
+								}
+							}
+						}
+					}
+				}
+			}
+			if d < bestD {
+				best, bestD = c, d
+			}
+		}
+		return best, bestD
+	}
+	for c := 0; len(cents) >= w; c++ {
+		if d := vec.SqDist(cents[:w], v); d < bestD {
+			best, bestD = c, d
+		}
+		cents = cents[w:]
+	}
+	return best, bestD
+}
+
+// Nearest returns the index of the centroid closest to v, for search-time
+// probing over centroid rows.
+func Nearest(centroids [][]float64, v []float64) int {
 	best, bestD := 0, math.Inf(1)
 	for c, cent := range centroids {
 		if d := vec.SqDist(cent, v); d < bestD {
@@ -112,9 +182,6 @@ func nearest(centroids [][]float64, v []float64) int {
 	}
 	return best
 }
-
-// Nearest exposes centroid lookup for search-time probing.
-func Nearest(centroids [][]float64, v []float64) int { return nearest(centroids, v) }
 
 // NearestNInto is NearestN writing the winning indexes into dst (whose
 // capacity is reused) and using dists as the parallel distance scratch, so
@@ -152,15 +219,26 @@ func NearestN(centroids [][]float64, v []float64, n int) []int {
 	return idx
 }
 
-// seedPlusPlus implements k-means++ (D² sampling).
-func seedPlusPlus(r *rng.Rand, data [][]float64, k int) [][]float64 {
-	centroids := make([][]float64, 0, k)
-	centroids = append(centroids, vec.Clone(data[r.IntN(len(data))]))
+// seedPlusPlus implements k-means++ (D² sampling), returning the K×dim
+// seed block. The pick is serial; the distance update after each pick runs
+// over the points in parallel.
+func seedPlusPlus(r *rng.Rand, data [][]float64, k int) []float64 {
+	dim := len(data[0])
+	cents := make([]float64, 0, k*dim)
+	cents = append(cents, data[r.IntN(len(data))]...)
 	d2 := make([]float64, len(data))
-	for i, v := range data {
-		d2[i] = vec.SqDist(v, centroids[0])
+	for i := range d2 {
+		d2[i] = math.Inf(1)
 	}
-	for len(centroids) < k {
+	for len(cents) < k*dim {
+		c := cents[len(cents)-dim:]
+		sweep(len(data), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if d := vec.SqDist(data[i], c); d < d2[i] {
+					d2[i] = d
+				}
+			}
+		})
 		var total float64
 		for _, d := range d2 {
 			total += d
@@ -178,13 +256,7 @@ func seedPlusPlus(r *rng.Rand, data [][]float64, k int) [][]float64 {
 				}
 			}
 		}
-		c := vec.Clone(data[pick])
-		centroids = append(centroids, c)
-		for i, v := range data {
-			if d := vec.SqDist(v, c); d < d2[i] {
-				d2[i] = d
-			}
-		}
+		cents = append(cents, data[pick]...)
 	}
-	return centroids
+	return cents
 }

@@ -1,6 +1,8 @@
 package kmeans
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"ppanns/internal/rng"
@@ -134,4 +136,103 @@ func TestKEqualsN(t *testing.T) {
 	if len(res.Centroids) != len(data) {
 		t.Fatalf("%d centroids for k=n", len(res.Centroids))
 	}
+}
+
+// oldNearest is the nearest-centroid loop NearestFlat replaced — one
+// dispatched vec.SqDist call per centroid row — kept as the test oracle.
+func oldNearest(cents []float64, w int, v []float64) (int, float64) {
+	best, bestD := 0, math.Inf(1)
+	for c := 0; c*w < len(cents); c++ {
+		if d := vec.SqDist(cents[c*w:(c+1)*w], v); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best, bestD
+}
+
+// TestNearestFlatMatchesPerRow: index and distance bits of the flat routine
+// equal the per-row loop's at widths on both sides of the inline cut-off,
+// with exact ties (duplicate rows, equidistant rows) going to the lowest
+// index in both.
+func TestNearestFlatMatchesPerRow(t *testing.T) {
+	r := rng.NewSeeded(21)
+	for _, w := range []int{1, 2, 3, 5, 7, 8, 9, 96} {
+		for _, k := range []int{1, 2, 17, 256, 300} {
+			cents := rng.Gaussian(r, nil, k*w)
+			// Duplicate rows and a mirrored pair make ties certain.
+			if k >= 17 {
+				copy(cents[9*w:10*w], cents[3*w:4*w])
+				copy(cents[16*w:17*w], cents[3*w:4*w])
+			}
+			for trial := 0; trial < 50; trial++ {
+				v := rng.Gaussian(r, nil, w)
+				switch {
+				case trial%5 == 1 && k >= 17:
+					copy(v, cents[3*w:4*w]) // distance exactly 0 to three rows
+				case trial%5 == 2 && k >= 2:
+					for i := range v { // exactly between rows 0 and 1
+						cents[i], cents[w+i] = v[i]-1, v[i]+1
+					}
+				}
+				gotI, gotD := NearestFlat(cents, w, v)
+				wantI, wantD := oldNearest(cents, w, v)
+				if gotI != wantI || math.Float64bits(gotD) != math.Float64bits(wantD) {
+					t.Fatalf("w=%d k=%d trial %d: flat (%d, %v), per-row (%d, %v)", w, k, trial, gotI, gotD, wantI, wantD)
+				}
+			}
+		}
+	}
+}
+
+// TestFitIndependentOfWorkers: the parallel assignment and seeding leave no
+// trace of GOMAXPROCS in centroids, assignment or iteration count.
+func TestFitIndependentOfWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	data, _ := separated(6, 7, 60, 12)
+	var want *Result
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		got, err := Fit(data, Config{K: 9, Seed: 13})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if got.Iters != want.Iters {
+			t.Fatalf("iterations %d vs %d", got.Iters, want.Iters)
+		}
+		for i, v := range got.Flat {
+			if math.Float64bits(v) != math.Float64bits(want.Flat[i]) {
+				t.Fatalf("centroid float %d differs between GOMAXPROCS 1 and %d", i, procs)
+			}
+		}
+		for i, c := range got.Assign {
+			if c != want.Assign[i] {
+				t.Fatalf("assignment of point %d differs between GOMAXPROCS 1 and %d", i, procs)
+			}
+		}
+	}
+}
+
+var sinkNearest int
+
+// BenchmarkNearestCentroid is the PQ training and encoding inner loop at
+// its usual shape: 256 centroids of a 3-element subspace.
+func BenchmarkNearestCentroid(b *testing.B) {
+	const w, k = 3, 256
+	r := rng.NewSeeded(1)
+	cents := rng.Gaussian(r, nil, k*w)
+	v := rng.Gaussian(r, nil, w)
+	b.Run("flat", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkNearest, _ = NearestFlat(cents, w, v)
+		}
+	})
+	b.Run("per-row", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkNearest, _ = oldNearest(cents, w, v)
+		}
+	})
 }

@@ -3,12 +3,16 @@ package matrix
 import (
 	"fmt"
 	"math"
+	"runtime"
 
+	"ppanns/internal/par"
 	"ppanns/internal/rng"
 )
 
 // LU holds an LU factorization with partial pivoting of a square matrix:
-// P·A = L·U, stored compactly with L's unit diagonal implied.
+// P·A = L·U, stored compactly with L's unit diagonal implied and L's
+// multipliers negated, so that every elimination and substitution step is
+// the same "add a combination of rows" update (axpyRows).
 type LU struct {
 	lu    *Dense
 	pivot []int
@@ -19,8 +23,25 @@ type LU struct {
 // accepted before a factorization is declared numerically singular.
 const pivotTol = 1e-10
 
+const (
+	// luBlock is the panel width of the blocked factorization and the row
+	// block of the blocked triangular solves: 64 rows of a 64-column panel
+	// are 32 KB, an L1-resident operand for the update that follows.
+	luBlock = 64
+	// luRows is the number of trailing rows one task of the parallel
+	// update takes.
+	luRows = 16
+)
+
 // Factorize computes the LU factorization of the square matrix a.
 // It returns ErrSingular when a pivot falls below tolerance.
+//
+// The elimination is right-looking and cache-blocked: a panel of luBlock
+// columns is factorized with partial pivoting, the rows of U beside it are
+// finished, and the trailing submatrix takes the whole panel's update in
+// one pass, row spans in parallel. Every element still receives its
+// updates one pivot at a time in pivot order, so pivots and factors are
+// those of the unblocked algorithm bit for bit, on any number of cores.
 func Factorize(a *Dense) (*LU, error) {
 	if a.rows != a.cols {
 		return nil, fmt.Errorf("matrix: LU of non-square %dx%d: %w", a.rows, a.cols, ErrSingular)
@@ -41,38 +62,53 @@ func Factorize(a *Dense) (*LU, error) {
 		return nil, fmt.Errorf("matrix: zero matrix: %w", ErrSingular)
 	}
 
-	for k := 0; k < n; k++ {
-		// Find the pivot row.
-		p := k
-		max := math.Abs(lu.At(k, k))
-		for i := k + 1; i < n; i++ {
-			if v := math.Abs(lu.At(i, k)); v > max {
-				max, p = v, i
+	for k0 := 0; k0 < n; k0 += luBlock {
+		k1 := min(k0+luBlock, n)
+		// Panel: eliminate columns k0..k1 below the diagonal, updating the
+		// panel's own columns only.
+		for k := k0; k < k1; k++ {
+			p := k
+			max := math.Abs(lu.At(k, k))
+			for i := k + 1; i < n; i++ {
+				if v := math.Abs(lu.At(i, k)); v > max {
+					max, p = v, i
+				}
+			}
+			if max < pivotTol*scale {
+				return nil, fmt.Errorf("matrix: pivot %g below tolerance at step %d: %w", max, k, ErrSingular)
+			}
+			pivot[k] = p
+			if p != k {
+				rk, rp := lu.Row(k), lu.Row(p)
+				for j := range rk {
+					rk[j], rp[j] = rp[j], rk[j]
+				}
+				sign = -sign
+			}
+			rk := lu.Row(k)
+			inv := 1 / rk[k]
+			for i := k + 1; i < n; i++ {
+				ri := lu.Row(i)
+				f := -(ri[k] * inv)
+				ri[k] = f
+				if f != 0 {
+					axpy1(ri[k+1:k1], f, rk[k+1:k1])
+				}
 			}
 		}
-		if max < pivotTol*scale {
-			return nil, fmt.Errorf("matrix: pivot %g below tolerance at step %d: %w", max, k, ErrSingular)
+		if k1 == n {
+			break
 		}
-		pivot[k] = p
-		if p != k {
-			rk, rp := lu.Row(k), lu.Row(p)
-			for j := range rk {
-				rk[j], rp[j] = rp[j], rk[j]
-			}
-			sign = -sign
+		// Rows of U beside the panel: row r takes the panel rows above it.
+		for r := k0 + 1; r < k1; r++ {
+			axpyRows(lu.Row(r)[k1:], lu.Row(r)[k0:r], lu.data[k0*n+k1:], n)
 		}
-		inv := 1 / lu.At(k, k)
-		for i := k + 1; i < n; i++ {
-			f := lu.At(i, k) * inv
-			lu.Set(i, k, f)
-			if f == 0 {
-				continue
+		// Trailing submatrix: every row below takes all panel rows.
+		par.Spans(runtime.GOMAXPROCS(0), n-k1, luRows, func(_, lo, hi int) {
+			for i := k1 + lo; i < k1+hi; i++ {
+				axpyRows(lu.Row(i)[k1:], lu.Row(i)[k0:k1], lu.data[k0*n+k1:], n)
 			}
-			ri, rk := lu.Row(i), lu.Row(k)
-			for j := k + 1; j < n; j++ {
-				ri[j] -= f * rk[j]
-			}
-		}
+		})
 	}
 	return &LU{lu: lu, pivot: pivot, sign: sign}, nil
 }
@@ -90,14 +126,14 @@ func (f *LU) Solve(b []float64) []float64 {
 			x[k], x[p] = x[p], x[k]
 		}
 	}
-	// Forward substitution (unit lower triangular).
+	// Forward substitution (unit lower triangular, multipliers negated).
 	for i := 1; i < n; i++ {
 		row := f.lu.Row(i)
 		var s float64
 		for j := 0; j < i; j++ {
 			s += row[j] * x[j]
 		}
-		x[i] -= s
+		x[i] += s
 	}
 	// Back substitution.
 	for i := n - 1; i >= 0; i-- {
@@ -111,22 +147,91 @@ func (f *LU) Solve(b []float64) []float64 {
 	return x
 }
 
+// invPanel is the number of columns of A⁻¹ one task of Inverse solves for.
+const invPanel = 64
+
 // Inverse returns A⁻¹ from the factorization.
+//
+// With P·A = L·U, A⁻¹ = U⁻¹·L⁻¹·P, and column j of L⁻¹ ends up as column
+// perm[j] of the inverse. The columns are solved for in panels of invPanel,
+// each in a contiguous scratch block: a forward substitution that starts at
+// the panel's first row (L⁻¹ is lower triangular, so everything above is
+// zero), a back substitution, both in row blocks of luBlock so that the
+// rows being combined stay in L1, and a scatter into place. Panels share
+// nothing, so they run in parallel and the result does not depend on how
+// many run at once.
 func (f *LU) Inverse() *Dense {
 	n := f.lu.rows
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	for k, p := range f.pivot {
+		perm[k], perm[p] = perm[p], perm[k]
+	}
 	inv := NewDense(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
+	scratch := make([][]float64, runtime.GOMAXPROCS(0))
+	par.Spans(len(scratch), n, invPanel, func(worker, c0, c1 int) {
+		if scratch[worker] == nil {
+			scratch[worker] = make([]float64, n*invPanel)
 		}
-		e[j] = 1
-		col := f.Solve(e)
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
+		f.inversePanel(inv, perm, scratch[worker], c0, c1)
+	})
+	return inv
+}
+
+// inversePanel solves for columns [c0,c1) of L⁻¹ and then of U⁻¹·L⁻¹ in s
+// (row i at s[i·w:], w = c1−c0) and scatters them into inv.
+func (f *LU) inversePanel(inv *Dense, perm []int, s []float64, c0, c1 int) {
+	n, w := f.lu.rows, c1-c0
+	lu := f.lu.data
+	row := func(i int) []float64 { return s[i*w : (i+1)*w] }
+	clear(s[:n*w])
+	for c := c0; c < c1; c++ {
+		s[c*w+c-c0] = 1
+	}
+
+	// Forward: row i of L⁻¹ is e_i plus the (negated) multipliers of row i
+	// times the rows above, from c0 on.
+	for i0 := c0; i0 < n; i0 += luBlock {
+		i1 := min(i0+luBlock, n)
+		for j0 := c0; j0 < i0; j0 += luBlock {
+			for i := i0; i < i1; i++ {
+				axpyRows(row(i), lu[i*n+j0:i*n+j0+luBlock], s[j0*w:], w)
+			}
+		}
+		for i := i0 + 1; i < i1; i++ {
+			axpyRows(row(i), lu[i*n+i0:i*n+i], s[i0*w:], w)
 		}
 	}
-	return inv
+
+	// Backward: solved rows are kept negated, so a row is again the right
+	// hand side plus U's entries times the rows below, divided by the
+	// diagonal.
+	for i1 := n; i1 > 0; i1 -= luBlock {
+		i0 := max(i1-luBlock, 0)
+		for j0 := i1; j0 < n; j0 += luBlock {
+			j1 := min(j0+luBlock, n)
+			for i := i0; i < i1; i++ {
+				axpyRows(row(i), lu[i*n+j0:i*n+j1], s[j0*w:], w)
+			}
+		}
+		for i := i1 - 1; i >= i0; i-- {
+			ri := row(i)
+			axpyRows(ri, lu[i*n+i+1:i*n+i1], s[(i+1)*w:], w)
+			d := lu[i*n+i]
+			for j := range ri {
+				ri[j] = -(ri[j] / d)
+			}
+		}
+	}
+
+	for i := 0; i < n; i++ {
+		out, ri := inv.Row(i), row(i)
+		for j, v := range ri {
+			out[perm[c0+j]] = -v
+		}
+	}
 }
 
 // Inverse returns m⁻¹, or ErrSingular when m is not invertible to working

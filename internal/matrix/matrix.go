@@ -88,6 +88,8 @@ func (m *Dense) Transpose() *Dense {
 }
 
 // MulVec stores A·x into dst (length rows) and returns dst; dst may be nil.
+// Each entry is one dot8 inner product, so the result has one fixed
+// floating-point association on every machine.
 func (m *Dense) MulVec(dst, x []float64) []float64 {
 	if len(x) != m.cols {
 		panic(fmt.Sprintf("matrix: MulVec with %d-vector against %dx%d", len(x), m.rows, m.cols))
@@ -97,20 +99,15 @@ func (m *Dense) MulVec(dst, x []float64) []float64 {
 	} else if len(dst) != m.rows {
 		panic(fmt.Sprintf("matrix: MulVec destination %d, want %d", len(dst), m.rows))
 	}
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		dst[i] = s
+	for i := range dst {
+		dst[i] = dot8(m.Row(i), x)
 	}
 	return dst
 }
 
 // VecMul stores the row-vector product xᵀ·A into dst (length cols) and
 // returns dst; dst may be nil. This is the operation DCE's encryption uses
-// (p̂ᵀM).
+// (p̂ᵀM). Entry j accumulates x[i]·A[i][j] in i order.
 func (m *Dense) VecMul(dst, x []float64) []float64 {
 	if len(x) != m.rows {
 		panic(fmt.Sprintf("matrix: VecMul with %d-vector against %dx%d", len(x), m.rows, m.cols))
@@ -120,18 +117,8 @@ func (m *Dense) VecMul(dst, x []float64) []float64 {
 	} else if len(dst) != m.cols {
 		panic(fmt.Sprintf("matrix: VecMul destination %d, want %d", len(dst), m.cols))
 	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		row := m.Row(i)
-		for j, v := range row {
-			dst[j] += xv * v
-		}
-	}
+	clear(dst)
+	axpyRows(dst, x, m.data, m.cols)
 	return dst
 }
 
@@ -142,17 +129,7 @@ func Mul(a, b *Dense) *Dense {
 	}
 	c := NewDense(a.rows, b.cols)
 	for i := 0; i < a.rows; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
+		axpyRows(c.Row(i), a.Row(i), b.data, b.cols)
 	}
 	return c
 }

@@ -1,7 +1,9 @@
 package matrix
 
 import (
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"ppanns/internal/rng"
@@ -160,5 +162,255 @@ func TestBilinearInvariance(t *testing.T) {
 		if math.Abs(got-want) > 1e-8*(1+math.Abs(want)) {
 			t.Fatalf("invariance broken: %v vs %v", got, want)
 		}
+	}
+}
+
+// The unblocked algorithms the blocked ones replaced, kept as oracles.
+
+// refFactorize is row-at-a-time Gaussian elimination with partial pivoting,
+// returning the compact factors (L's multipliers positive), pivots, and
+// whether the matrix was accepted.
+func refFactorize(a *Dense) (*Dense, []int, bool) {
+	n := a.rows
+	lu := a.Clone()
+	pivot := make([]int, n)
+	var scale float64
+	for _, v := range lu.data {
+		scale = math.Max(scale, math.Abs(v))
+	}
+	if scale == 0 {
+		return nil, nil, false
+	}
+	for k := 0; k < n; k++ {
+		p, max := k, math.Abs(lu.At(k, k))
+		for i := k + 1; i < n; i++ {
+			if v := math.Abs(lu.At(i, k)); v > max {
+				max, p = v, i
+			}
+		}
+		if max < pivotTol*scale {
+			return nil, nil, false
+		}
+		pivot[k] = p
+		if p != k {
+			rk, rp := lu.Row(k), lu.Row(p)
+			for j := range rk {
+				rk[j], rp[j] = rp[j], rk[j]
+			}
+		}
+		inv := 1 / lu.At(k, k)
+		for i := k + 1; i < n; i++ {
+			f := lu.At(i, k) * inv
+			lu.Set(i, k, f)
+			if f == 0 {
+				continue
+			}
+			ri, rk := lu.Row(i), lu.Row(k)
+			for j := k + 1; j < n; j++ {
+				ri[j] -= f * rk[j]
+			}
+		}
+	}
+	return lu, pivot, true
+}
+
+// refVecMul is the scalar xᵀ·A loop VecMul used to be.
+func refVecMul(m *Dense, x []float64) []float64 {
+	dst := make([]float64, m.cols)
+	for i, xv := range x {
+		if xv == 0 {
+			continue
+		}
+		for j, v := range m.Row(i) {
+			dst[j] += xv * v
+		}
+	}
+	return dst
+}
+
+func gaussianMatrix(r *rng.Rand, rows, cols int) *Dense {
+	m := NewDense(rows, cols)
+	for i := range m.data {
+		m.data[i] = r.NormFloat64()
+	}
+	return m
+}
+
+// TestBlockedLUMatchesUnblocked checks, at sizes on both sides of every
+// block boundary, that the blocked factorization reproduces the unblocked
+// one bit for bit (pivots and factors), that A·A⁻¹ is the identity to
+// 1e-9·n in the max-row-sum norm, and that neither depends on GOMAXPROCS.
+func TestBlockedLUMatchesUnblocked(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	r := rng.NewSeeded(6)
+	for _, n := range []int{1, 2, 7, 63, 64, 65, 200, 484} {
+		a := gaussianMatrix(r, n, n)
+		wantLU, wantPivot, ok := refFactorize(a)
+		if !ok {
+			t.Fatalf("n=%d: reference rejected a Gaussian matrix", n)
+		}
+		var inv1 *Dense
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			f, err := Factorize(a)
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			for k := range wantPivot {
+				if f.pivot[k] != wantPivot[k] {
+					t.Fatalf("n=%d procs=%d: pivot %d is row %d, reference %d", n, procs, k, f.pivot[k], wantPivot[k])
+				}
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					want := wantLU.At(i, j)
+					if j < i {
+						want = -want // multipliers are stored negated
+					}
+					if got := f.lu.At(i, j); got != want {
+						t.Fatalf("n=%d procs=%d: factor (%d,%d) = %v, reference %v", n, procs, i, j, got, want)
+					}
+				}
+			}
+			inv := f.Inverse()
+			if inv1 == nil {
+				inv1 = inv
+			} else {
+				for i, v := range inv.data {
+					if v != inv1.data[i] {
+						t.Fatalf("n=%d: inverse differs between GOMAXPROCS 1 and %d", n, procs)
+					}
+				}
+			}
+		}
+		prod := Mul(a, inv1)
+		var worst float64
+		for i := 0; i < n; i++ {
+			var sum float64
+			for j, v := range prod.Row(i) {
+				if i == j {
+					v--
+				}
+				sum += math.Abs(v)
+			}
+			worst = math.Max(worst, sum)
+		}
+		if worst > 1e-9*float64(n) {
+			t.Fatalf("n=%d: ‖A·A⁻¹ − I‖∞ = %g, want <= %g", n, worst, 1e-9*float64(n))
+		}
+		// The column-at-a-time solve is the third witness.
+		e := make([]float64, n)
+		e[n/2] = 1
+		f, _ := Factorize(a)
+		for i, v := range f.Solve(e) {
+			if math.Abs(v-inv1.At(i, n/2)) > 1e-9*(1+math.Abs(v)) {
+				t.Fatalf("n=%d: Solve(e_%d)[%d] = %v, inverse column %v", n, n/2, i, v, inv1.At(i, n/2))
+			}
+		}
+	}
+}
+
+func TestBlockedLUSingular(t *testing.T) {
+	for _, n := range []int{1, 3, 70, 130} {
+		if _, err := Factorize(NewDense(n, n)); !errors.Is(err, ErrSingular) {
+			t.Fatalf("n=%d zero matrix: %v", n, err)
+		}
+		// A rank-deficient matrix whose dependency only shows past the
+		// first panel: the last row repeats the first.
+		a := gaussianMatrix(rng.NewSeeded(uint64(n)), n, n)
+		copy(a.Row(n-1), a.Row(0))
+		if n == 1 {
+			continue
+		}
+		if _, err := a.Inverse(); !errors.Is(err, ErrSingular) {
+			t.Fatalf("n=%d rank-deficient matrix: %v", n, err)
+		}
+	}
+}
+
+// FuzzVecMul holds the row-blocked VecMul to the scalar loop it replaced,
+// bit for bit, over shapes that straddle the four-row block and inputs
+// with zeros (which the old loop skipped) sprinkled in.
+func FuzzVecMul(f *testing.F) {
+	f.Add(uint64(1), uint8(7), uint8(5), uint8(0))
+	f.Add(uint64(2), uint8(64), uint8(33), uint8(3))
+	f.Add(uint64(3), uint8(1), uint8(1), uint8(1))
+	f.Add(uint64(4), uint8(13), uint8(200), uint8(2))
+	f.Fuzz(func(t *testing.T, seed uint64, rows, cols, zeroEvery uint8) {
+		if rows == 0 || cols == 0 {
+			return
+		}
+		r := rng.NewSeeded(seed)
+		m := gaussianMatrix(r, int(rows), int(cols))
+		x := rng.Gaussian(r, nil, int(rows))
+		if zeroEvery > 0 {
+			for i := 0; i < len(x); i += int(zeroEvery) {
+				x[i] = 0
+			}
+			for i := 0; i < len(m.data); i += 1 + int(zeroEvery)*3 {
+				m.data[i] = 0
+			}
+		}
+		got, want := m.VecMul(nil, x), refVecMul(m, x)
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("%dx%d column %d: %v, scalar loop %v", rows, cols, j, got[j], want[j])
+			}
+		}
+	})
+}
+
+func TestVecMulBitIdenticalToScalarLoop(t *testing.T) {
+	r := rng.NewSeeded(8)
+	for trial := 0; trial < 200; trial++ {
+		rows, cols := 1+r.IntN(40), 1+r.IntN(70)
+		m := gaussianMatrix(r, rows, cols)
+		x := rng.Gaussian(r, nil, rows)
+		for i := range x {
+			if r.IntN(5) == 0 {
+				x[i] = 0
+			}
+		}
+		got, want := m.VecMul(nil, x), refVecMul(m, x)
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("trial %d (%dx%d) column %d: %v, scalar loop %v", trial, rows, cols, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// TestMulVecAssociation pins MulVec to the eight-lane association it
+// documents, computed here the slow way.
+func TestMulVecAssociation(t *testing.T) {
+	r := rng.NewSeeded(9)
+	for _, cols := range []int{1, 7, 8, 9, 31, 64, 100} {
+		m := gaussianMatrix(r, 5, cols)
+		x := rng.Gaussian(r, nil, cols)
+		got := m.MulVec(nil, x)
+		for i := range got {
+			var lane [8]float64
+			row := m.Row(i)
+			full := cols &^ 7
+			for j := 0; j < full; j++ {
+				lane[j%8] += row[j] * x[j]
+			}
+			for j := full; j < cols; j++ {
+				lane[0] += row[j] * x[j]
+			}
+			want := ((lane[0] + lane[4]) + (lane[2] + lane[6])) + ((lane[1] + lane[5]) + (lane[3] + lane[7]))
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("cols=%d row %d: %v, eight-lane sum %v", cols, i, got[i], want)
+			}
+		}
+	}
+}
+
+// BenchmarkRandomInvertible is key generation's unit of work: sample,
+// factorize and invert one n×n matrix on GOMAXPROCS workers.
+func BenchmarkRandomInvertible(b *testing.B) {
+	r := rng.NewSeeded(10)
+	for i := 0; i < b.N; i++ {
+		RandomInvertible(r, 512)
 	}
 }

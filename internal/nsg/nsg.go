@@ -89,12 +89,9 @@ func Build(vectors [][]float64, cfg Config) (*Graph, error) {
 	dim := len(vectors[0])
 
 	// Step 1: approximate kNN pools via an auxiliary HNSW.
-	aux, err := hnsw.New(hnsw.Config{Dim: dim, M: 16, EfConstruction: 2 * cfg.L, Seed: cfg.Seed})
+	aux, err := hnsw.Build(vectors, hnsw.Config{Dim: dim, M: 16, EfConstruction: 2 * cfg.L, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
-	}
-	for _, v := range vectors {
-		aux.Add(v)
 	}
 
 	g := &Graph{

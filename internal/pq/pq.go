@@ -16,7 +16,6 @@ package pq
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 
@@ -105,11 +104,16 @@ func Train(vectors [][]float64, cfg TrainConfig) (*Codebook, error) {
 	}
 
 	cb := newCodebook(dim, cfg.M, cfg.K)
+	// Each subspace is clustered on a packed copy of its columns: k-means
+	// sweeps the points hundreds of times, and w floats out of every dim
+	// would drag the whole sample through the cache on each sweep.
 	sub := make([][]float64, len(sample))
+	cols := make([]float64, len(sample)*cb.width[0])
 	for m := 0; m < cfg.M; m++ {
 		o, w := cb.off[m], cb.width[m]
 		for i, v := range sample {
-			sub[i] = v[o : o+w]
+			sub[i] = cols[i*w : (i+1)*w : (i+1)*w]
+			copy(sub[i], v[o:o+w])
 		}
 		res, err := kmeans.Fit(sub, kmeans.Config{
 			K: cfg.K, MaxIters: cfg.Iters, Seed: cfg.Seed + uint64(m)*0x9e37,
@@ -117,11 +121,7 @@ func Train(vectors [][]float64, cfg TrainConfig) (*Codebook, error) {
 		if err != nil {
 			return nil, fmt.Errorf("pq: subspace %d: %w", m, err)
 		}
-		flat := make([]float64, cfg.K*w)
-		for c, cent := range res.Centroids {
-			copy(flat[c*w:], cent)
-		}
-		cb.cents[m] = flat
+		cb.cents[m] = res.Flat
 	}
 	return cb, nil
 }
@@ -201,14 +201,7 @@ func (cb *Codebook) EncodeInto(dst []byte, v []float64) {
 	}
 	for j := 0; j < cb.m; j++ {
 		o, w := cb.off[j], cb.width[j]
-		sub := v[o : o+w]
-		flat := cb.cents[j]
-		best, bestD := 0, math.Inf(1)
-		for c := 0; c < cb.k; c++ {
-			if d := vec.SqDist(sub, flat[c*w:c*w+w]); d < bestD {
-				best, bestD = c, d
-			}
-		}
+		best, _ := kmeans.NearestFlat(cb.cents[j], w, v[o:o+w])
 		dst[j] = byte(best)
 	}
 }
@@ -249,11 +242,6 @@ func (cb *Codebook) FillLUT(lut []float64, q []float64) {
 	}
 	for j := 0; j < cb.m; j++ {
 		o, w := cb.off[j], cb.width[j]
-		sub := q[o : o+w]
-		flat := cb.cents[j]
-		row := lut[j*LUTStride:]
-		for c := 0; c < cb.k; c++ {
-			row[c] = vec.SqDist(sub, flat[c*w:c*w+w])
-		}
+		vec.SqDistRows(lut[j*LUTStride:j*LUTStride+cb.k], cb.cents[j], q[o:o+w])
 	}
 }

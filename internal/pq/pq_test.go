@@ -2,6 +2,11 @@ package pq
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -248,5 +253,68 @@ func TestSaveIncompleteStore(t *testing.T) {
 	var buf bytes.Buffer
 	if err := (&Store{}).Save(&buf); err == nil {
 		t.Fatal("expected error saving incomplete store")
+	}
+}
+
+// TestBuildGolden pins codebooks and codes to what the per-row nearest-
+// centroid loops produced before the flat routine replaced them (digests
+// recorded at that commit), at subspace widths on both sides of the inline
+// path's w < 8 cut-off — and on one core and four: training and encoding
+// are parallel, and must not show it.
+func TestBuildGolden(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		seed         uint64
+		n, dim, m, k int
+		book, codes  string
+	}{
+		{5, 2000, 24, 8, 64, "b8f05bc2d287c58d", "412277d085438bcd"}, // w = 3
+		{6, 1500, 20, 3, 0, "47dcace0a0f56db1", "bcfd129b0db874b1"},  // w = 7, 7, 6
+		{7, 900, 64, 4, 32, "0217cc80072a4f11", "192cd30ab6c05c9e"},  // w = 16
+	} {
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			st, err := Build(randVecs(c.seed, c.n, c.dim), TrainConfig{M: c.m, K: c.k, Seed: c.seed + 100})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			var b [8]byte
+			for _, block := range st.Book.Centroids() {
+				for _, v := range block {
+					binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+					h.Write(b[:])
+				}
+			}
+			if got := fmt.Sprintf("%x", h.Sum(nil))[:16]; got != c.book {
+				t.Errorf("seed %d GOMAXPROCS=%d: codebook digest %s, want %s", c.seed, procs, got, c.book)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(st.Codes.Raw()[:c.n*c.m]))[:16]; got != c.codes {
+				t.Errorf("seed %d GOMAXPROCS=%d: codes digest %s, want %s", c.seed, procs, got, c.codes)
+			}
+		}
+	}
+}
+
+// TestFillLUTMatchesSqDist: the table a query scans is, entry for entry,
+// the per-row vec.SqDist it was before SqDistRows filled it.
+func TestFillLUTMatchesSqDist(t *testing.T) {
+	for _, c := range []struct{ dim, m int }{{24, 8}, {20, 3}, {64, 4}} {
+		st, err := Build(randVecs(11, 400, c.dim), TrainConfig{M: c.m, K: 32, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := randVecs(12, 1, c.dim)[0]
+		lut := make([]float64, c.m*LUTStride)
+		st.Book.FillLUT(lut, q)
+		for j := 0; j < c.m; j++ {
+			o, w := st.Book.off[j], st.Book.width[j]
+			for k := 0; k < st.Book.K(); k++ {
+				want := vec.SqDist(q[o:o+w], st.Book.cents[j][k*w:(k+1)*w])
+				if got := lut[j*LUTStride+k]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("dim=%d m=%d: lut[%d][%d] = %v, SqDist %v", c.dim, c.m, j, k, got, want)
+				}
+			}
+		}
 	}
 }

@@ -88,6 +88,16 @@ func (h *MinDistHeap) siftDown(i int) {
 // Reset empties the heap while keeping its storage.
 func (h *MinDistHeap) Reset() { h.items = h.items[:0] }
 
+// Load replaces the heap's contents with a copy of items, heapified in
+// O(len) — the cheap way to read an unordered set closest-first when only
+// a prefix of that order will be consumed.
+func (h *MinDistHeap) Load(items []Item) {
+	h.items = append(h.items[:0], items...)
+	for i := (len(h.items) - 2) / 4; i >= 0; i-- {
+		h.siftDown(i)
+	}
+}
+
 // MaxDistHeap is a 4-ary max-heap keyed by distance (farthest on top),
 // used as the bounded result set during graph search.
 type MaxDistHeap struct{ items []Item }

@@ -271,3 +271,32 @@ func TestMaxDistHeapSortedInto(t *testing.T) {
 		t.Fatal("SortedInto did not reuse dst capacity")
 	}
 }
+
+// TestMinDistHeapLoad: a loaded heap pops its items closest first, owns a
+// copy of them, and replaces whatever it held.
+func TestMinDistHeapLoad(t *testing.T) {
+	r := rng.NewSeeded(31)
+	h := NewMinDistHeap(4)
+	h.Push(99, -1) // must not survive Load
+	for _, n := range []int{0, 1, 2, 5, 6, 200} {
+		items := make([]Item, n)
+		for i := range items {
+			items[i] = Item{ID: i, Dist: float64(r.IntN(50))} // duplicates on purpose
+		}
+		h.Load(items)
+		if h.Len() != n {
+			t.Fatalf("n=%d: Len = %d after Load", n, h.Len())
+		}
+		for i := range items {
+			items[i].Dist = -5 // the heap holds a copy
+		}
+		prev := math.Inf(-1)
+		for h.Len() > 0 {
+			it := h.Pop()
+			if it.Dist < prev || it.Dist < 0 {
+				t.Fatalf("n=%d: popped %v after %v", n, it.Dist, prev)
+			}
+			prev = it.Dist
+		}
+	}
+}

@@ -50,6 +50,33 @@ func Derive(r *Rand, label uint64) *Rand {
 	return New(r.Uint64()^label, r.Uint64()+label)
 }
 
+// Streams is a family of independent streams indexed by an integer and
+// fixed by one base drawn from a parent stream. Work that is spread over a
+// varying number of workers takes stream i for item i, so what item i draws
+// depends on the parent's state and on i — never on which worker reached it
+// or when.
+type Streams struct{ s1, s2 uint64 }
+
+// NewStreams draws the base of a stream family from r.
+func NewStreams(r *Rand) Streams {
+	return Streams{s1: r.Uint64(), s2: r.Uint64()}
+}
+
+// At returns stream i of the family.
+func (s Streams) At(i int) *Rand {
+	return New(s.s1^mix64(uint64(i)), s.s2+mix64(^uint64(i)))
+}
+
+// mix64 is the splitmix64 finalizer: a bijection that spreads consecutive
+// indexes over the whole word, so neighboring streams start far apart in
+// the generator's state space.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // Uniform returns a float64 uniformly distributed in [lo, hi).
 func Uniform(r *Rand, lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()

@@ -203,3 +203,23 @@ func TestPermutationSizeMismatchPanics(t *testing.T) {
 	p := IdentityPermutation(3)
 	p.Apply(nil, []float64{1, 2})
 }
+
+func TestStreams(t *testing.T) {
+	a, b := NewStreams(NewSeeded(5)), NewStreams(NewSeeded(5))
+	seen := map[uint64]int{}
+	for i := 0; i < 2000; i++ {
+		x, y := a.At(i), b.At(i)
+		first := x.Uint64()
+		if first != y.Uint64() || x.Uint64() != y.Uint64() {
+			t.Fatalf("stream %d is not a function of (base, index)", i)
+		}
+		if j, dup := seen[first]; dup {
+			t.Fatalf("streams %d and %d start alike", j, i)
+		}
+		seen[first] = i
+	}
+	r := NewSeeded(6)
+	if NewStreams(r).At(0).Uint64() == NewStreams(r).At(0).Uint64() {
+		t.Fatal("two families drawn from one parent coincide")
+	}
+}

@@ -249,7 +249,25 @@ const serverWriteTimeout = 2 * time.Minute
 // once the listener itself is closed. Each failure is logged — the backoff
 // caps that at one line per second — so a permanently failing listener is
 // visible to the operator instead of spinning silently.
+//
+// Closing the listener shuts the service down: Serve closes the
+// connections it accepted that are still open, waits for their handlers,
+// and only then returns — so a caller that waits for it knows no goroutine
+// it started still holds srv.
 func Serve(l net.Listener, srv *core.Server) error {
+	var (
+		mu   sync.Mutex
+		open = map[net.Conn]struct{}{}
+		wg   sync.WaitGroup
+	)
+	defer func() {
+		mu.Lock()
+		for c := range open {
+			c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	}()
 	var delay time.Duration
 	for {
 		conn, err := l.Accept()
@@ -270,7 +288,17 @@ func Serve(l net.Listener, srv *core.Server) error {
 			continue
 		}
 		delay = 0
-		go serveConn(conn, srv)
+		mu.Lock()
+		open[conn] = struct{}{}
+		mu.Unlock()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			serveConn(conn, srv)
+			mu.Lock()
+			delete(open, conn)
+			mu.Unlock()
+		}()
 	}
 }
 

@@ -796,3 +796,49 @@ func TestLiveCountsOverTCP(t *testing.T) {
 		t.Fatalf("Info counts N=%d Live=%d, want 601/599", info.N, info.Live)
 	}
 }
+
+// TestServeOutlivesNoConnection: when Serve returns, the connections it
+// accepted are closed and their goroutines gone — a caller that waits for
+// it (and then reads the heap, as the benchmark does between set-ups) does
+// not race connection goroutines still holding the server.
+func TestServeOutlivesNoConnection(t *testing.T) {
+	d := dataset.DeepLike(200, 1, 9)
+	owner, err := core.NewDataOwner(core.Params{Dim: d.Dim, Beta: 0.5, Seed: 9, Index: "ivf"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edb, err := owner.EncryptDatabase(d.Train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := core.NewServer(edb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		Serve(l, srv)
+	}()
+	client, err := Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.Len(); err != nil { // the connection is accepted and served
+		t.Fatal(err)
+	}
+	l.Close()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve did not return after the listener closed")
+	}
+	if _, err := client.Len(); err == nil {
+		t.Fatal("a connection outlived the Serve call that accepted it")
+	}
+}

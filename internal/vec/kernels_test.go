@@ -322,3 +322,35 @@ func BenchmarkSqDistBlockKernels(b *testing.B) {
 		}
 	}
 }
+
+// TestSqDistRowsMatchesSqDist: over a contiguous block, every variant's
+// row distances equal the scalar reference kernel's bit for bit — on the
+// inline path below eight elements, which skips dispatch on the grounds
+// that every variant reduces to the sequential loop there, and on the
+// dispatched path above it.
+func TestSqDistRowsMatchesSqDist(t *testing.T) {
+	r := rng.NewSeeded(412)
+	defer SetKernel(ActiveKernel())
+	for _, name := range KernelVariants() {
+		if err := SetKernel(name); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 2, 3, 7, 8, 9, 16, 60, 96} {
+			for _, rows := range []int{0, 1, 5, 256, 257, 600} {
+				block := randFloats(r, rows*w, 8)
+				q := randFloats(r, w, 8)
+				dst := make([]float64, rows)
+				SqDistRows(dst, block, q)
+				for j, got := range dst {
+					row := block[j*w : (j+1)*w]
+					if want := sqDistScalar(q, row); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s w=%d row %d/%d: %v, scalar reference %v", name, w, j, rows, got, want)
+					}
+					if pair := SqDist(row, q); math.Float64bits(got) != math.Float64bits(pair) {
+						t.Fatalf("%s w=%d row %d/%d: %v, SqDist %v", name, w, j, rows, got, pair)
+					}
+				}
+			}
+		}
+	}
+}

@@ -36,7 +36,33 @@ func SqDist(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vec: sqdist of mismatched lengths %d and %d", len(a), len(b)))
 	}
+	if len(a) < 8 {
+		// Below one vector step every variant is the sequential remainder
+		// loop plus a reduction of zeros: same bits, no dispatch.
+		return sqDistTail(0, a, b, 0)
+	}
 	return sqDistKernel(a, b)
+}
+
+// SqDistRows computes dst[j] = SqDist(q, row j) for the len(dst) rows of a
+// contiguous block (row j at rows[j·len(q):]) — a centroid table, say —
+// bit-identical to per-row SqDist calls, with the length check and the
+// kernel dispatch paid once for the block.
+func SqDistRows(dst, rows, q []float64) {
+	w := len(q)
+	if len(rows) != len(dst)*w {
+		panic(fmt.Sprintf("vec: %d rows of %d elements in a block of %d", len(dst), w, len(rows)))
+	}
+	if w < 8 {
+		for j := range dst {
+			dst[j] = sqDistTail(0, q, rows[j*w:(j+1)*w], 0)
+		}
+		return
+	}
+	sqDist := activeKernels.Load().sqDist
+	for j := range dst {
+		dst[j] = sqDist(q, rows[j*w:(j+1)*w])
+	}
 }
 
 // sqDistKernel is the bounds-check-hoisted body of SqDist. Every caller
