@@ -168,6 +168,13 @@ func runEncrypt(args []string) error {
 	if err != nil {
 		return err
 	}
+	st := owner.BuildStats()
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
+	fmt.Printf("build stages: keygen %.1f ms, encrypt %.1f ms, index %.1f ms, pq %.1f ms\n",
+		ms(st.KeyGen), ms(st.Encrypt), ms(st.Index), ms(st.PQ))
+	if st.DistEvals > 0 {
+		fmt.Printf("k-means: %d Lloyd iterations, %d distance evaluations\n", st.KMeansIters, st.DistEvals)
+	}
 	if err := wal.WriteFileAtomic(*dbOut, edb.Save); err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // TestSeedFixesBytesOnAnyCoreCount is the determinism contract of set-up:
@@ -112,5 +113,45 @@ func TestEncryptDatabaseDrawsFreshStreams(t *testing.T) {
 	vb, _ := b.Index.Vector(0)
 	if va[0] == vb[0] {
 		t.Fatal("two EncryptDatabase calls produced the same SAP ciphertext")
+	}
+}
+
+// TestBuildStats: EncryptDatabase times its stages in place — none can be
+// negative and they cannot exceed the call — and reports the k-means work of
+// the builds that cluster (the IVF quantizer, the PQ subspaces), which a
+// graph build without a PQ tier has none of.
+func TestBuildStats(t *testing.T) {
+	data := clustered(97, 600, 12, 5)
+	for _, c := range []struct {
+		params Params
+		kmeans bool
+	}{
+		{Params{Dim: 12, Beta: 0.5, Seed: 97, Index: "ivf", PQ: true, PQM: 4}, true},
+		{Params{Dim: 12, Beta: 0.5, Seed: 98, Index: "hnsw"}, false},
+	} {
+		owner, err := NewDataOwner(c.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if _, err := owner.EncryptDatabase(data); err != nil {
+			t.Fatal(err)
+		}
+		call := time.Since(start)
+		st := owner.BuildStats()
+		for name, d := range map[string]time.Duration{"KeyGen": st.KeyGen, "Encrypt": st.Encrypt, "Index": st.Index} {
+			if d <= 0 {
+				t.Errorf("%s: stage %s took %v", c.params.Index, name, d)
+			}
+		}
+		if (st.PQ > 0) != c.params.PQ {
+			t.Errorf("%s: PQ stage took %v with PQ=%v", c.params.Index, st.PQ, c.params.PQ)
+		}
+		if sum := st.KeyGen + st.Encrypt + st.Index + st.PQ; sum > call {
+			t.Errorf("%s: stages sum to %v, the call took %v", c.params.Index, sum, call)
+		}
+		if (st.KMeansIters > 0) != c.kmeans || (st.DistEvals > 0) != c.kmeans {
+			t.Errorf("%s: %d k-means iterations, %d distance evaluations", c.params.Index, st.KMeansIters, st.DistEvals)
+		}
 	}
 }

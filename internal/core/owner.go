@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"time"
 
 	"ppanns/internal/ame"
 	"ppanns/internal/dce"
 	"ppanns/internal/dcpe"
 	"ppanns/internal/index"
+	"ppanns/internal/kmeans"
 	"ppanns/internal/pq"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
@@ -22,7 +24,35 @@ type DataOwner struct {
 	// rnd seeds the per-record streams of EncryptDatabase; it is derived
 	// with the keys and advances once per call.
 	rnd *rng.Rand
+	// built is the most recent EncryptDatabase call's BuildStats.
+	built BuildStats
 }
+
+// BuildStats says where one EncryptDatabase call spent its time, stage by
+// stage — each stage is timed in place, so the four add up to the call less
+// its validation and none can come out negative — and what its k-means runs
+// (the IVF quantizer, the PQ subspaces) did.
+type BuildStats struct {
+	// KeyGen is key generation, which only an owner's first call pays.
+	KeyGen time.Duration
+	// Encrypt is the SAP, DCE and AME encryption of every vector.
+	Encrypt time.Duration
+	// Index is the filter-index build over the SAP ciphertexts.
+	Index time.Duration
+	// PQ is codebook training plus encoding; zero without Params.PQ.
+	PQ time.Duration
+	// KMeansIters is the Lloyd iterations run, summed over every k-means
+	// run of the build; a run stops at its bound (20 for the IVF quantizer,
+	// 8 per PQ subspace) unless kmeans.Config.Tol stops it first.
+	KMeansIters int
+	// DistEvals is the squared distances those runs evaluated, seeding
+	// included; scanning every centroid for every point would have taken
+	// n·K·(iterations+1) per run.
+	DistEvals int64
+}
+
+// BuildStats returns the stats of the most recent EncryptDatabase call.
+func (o *DataOwner) BuildStats() BuildStats { return o.built }
 
 // NewDataOwner validates parameters; keys are generated on the first
 // encryption call because DCE's input scale depends on the data range.
@@ -90,11 +120,21 @@ func (o *DataOwner) EncryptDatabase(vectors [][]float64) (*EncryptedDatabase, er
 			return nil, fmt.Errorf("core: vector %d has dim %d, want %d", i, len(v), o.params.Dim)
 		}
 	}
+	var built BuildStats
+	stage := time.Now()
+	// lap returns the time since the previous stage ended.
+	lap := func() time.Duration {
+		now := time.Now()
+		d := now.Sub(stage)
+		stage = now
+		return d
+	}
 	if o.keys == nil {
 		if err := o.generateKeys(vec.MaxAbs(vectors)); err != nil {
 			return nil, err
 		}
 	}
+	built.KeyGen = lap()
 
 	n := len(vectors)
 	sap := make([][]float64, n)
@@ -126,10 +166,16 @@ func (o *DataOwner) EncryptDatabase(vectors [][]float64) (*EncryptedDatabase, er
 		}(w)
 	}
 	wg.Wait()
+	built.Encrypt = lap()
 
 	idx, err := index.Build(o.params.Index, sap, o.params.indexOptions())
 	if err != nil {
 		return nil, fmt.Errorf("core: building %s index: %w", o.params.Index, err)
+	}
+	built.Index = lap()
+	var work kmeans.Stats
+	if t, ok := idx.(interface{ Trained() kmeans.Stats }); ok {
+		work = t.Trained()
 	}
 
 	edb := &EncryptedDatabase{
@@ -147,7 +193,11 @@ func (o *DataOwner) EncryptDatabase(vectors [][]float64) (*EncryptedDatabase, er
 			return nil, fmt.Errorf("core: building PQ tier: %w", err)
 		}
 		edb.PQ = pqStore
+		built.PQ = lap()
+		work.Add(pqStore.Book.Trained())
 	}
+	built.KMeansIters, built.DistEvals = work.Iters, work.DistEvals
+	o.built = built
 	return edb, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"ppanns/internal/ivf"
+	"ppanns/internal/kmeans"
 	"ppanns/internal/resultheap"
 	"ppanns/internal/vec"
 )
@@ -81,14 +82,11 @@ func (a *ivfIndex) Clone() SecureIndex { return &ivfIndex{ix: a.ix.Clone(), npro
 // the expensive part of a cold build — is not repeated. List balance is
 // restored because tombstoned members are simply absent.
 func (a *ivfIndex) Rebuild(vectors [][]float64) (SecureIndex, error) {
-	fresh := a.ix.Fresh(len(vectors))
-	for i, v := range vectors {
-		if id := fresh.Add(v); id != i {
-			return nil, fmt.Errorf("index: ivf rebuild assigned id %d to vector %d", id, i)
-		}
-	}
-	return &ivfIndex{ix: fresh, nprobe: a.nprobe}, nil
+	return &ivfIndex{ix: a.ix.Rebuild(vectors), nprobe: a.nprobe}, nil
 }
+
+// Trained reports the k-means work the build spent on the quantizer.
+func (a *ivfIndex) Trained() kmeans.Stats { return a.ix.Trained() }
 
 func (a *ivfIndex) Caps() Caps {
 	return Caps{Name: "ivf", DynamicInsert: true, DynamicDelete: true}

@@ -8,10 +8,12 @@ package ivf
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"ppanns/internal/kmeans"
+	"ppanns/internal/par"
 	"ppanns/internal/resultheap"
 	"ppanns/internal/vec"
 )
@@ -31,6 +33,9 @@ type Config struct {
 type Index struct {
 	dim       int
 	centroids [][]float64
+	// trained is the k-means work Build spent on the quantizer; zero for
+	// an index that was loaded.
+	trained kmeans.Stats
 
 	mu      sync.RWMutex
 	lists   [][]int32 // list → member ids
@@ -124,19 +129,27 @@ func Build(vectors [][]float64, cfg Config) (*Index, error) {
 	ix := &Index{
 		dim:       len(vectors[0]),
 		centroids: res.Centroids,
-		lists:     make([][]int32, nlist),
-		data:      vec.NewDataset(len(vectors[0]), len(vectors)),
-		deleted:   make([]bool, 0, len(vectors)),
+		trained:   res.Stats,
 	}
-	for i, v := range vectors {
-		ix.data.Append(v)
-		ix.deleted = append(ix.deleted, false)
-		c := res.Assign[i]
-		ix.lists[c] = append(ix.lists[c], int32(i))
-	}
-	ix.live = len(vectors)
+	ix.populate(vectors, res.Assign)
 	return ix, nil
 }
+
+// populate fills an empty index with vectors, vector i in list assign[i]:
+// ids are positions and every list is in id order.
+func (ix *Index) populate(vectors [][]float64, assign []int) {
+	ix.lists = make([][]int32, len(ix.centroids))
+	ix.data = vec.NewDataset(ix.dim, len(vectors))
+	ix.deleted = make([]bool, len(vectors))
+	for i, v := range vectors {
+		ix.data.Append(v)
+		ix.lists[assign[i]] = append(ix.lists[assign[i]], int32(i))
+	}
+	ix.live = len(vectors)
+}
+
+// Trained returns the k-means work Build spent on the quantizer.
+func (ix *Index) Trained() kmeans.Stats { return ix.trained }
 
 func isqrt(n int) int {
 	x := 1
@@ -190,21 +203,53 @@ func (ix *Index) Clone() *Index {
 	return cp
 }
 
-// Fresh returns an empty index sharing the receiver's trained quantizer:
-// the rebuild primitive for compaction, which re-populates from scratch
-// (via Rebuild in the adapter layer) without paying for k-means training
-// again. The centroids are immutable, so sharing them is safe.
-func (ix *Index) Fresh(capHint int) *Index {
-	if capHint < 0 {
-		capHint = 0
+// Rebuild returns a new index over vectors (ids are positions) sharing the
+// receiver's trained quantizer: the fold primitive of compaction, which
+// re-populates from scratch — tombstoned members are simply absent —
+// without paying for k-means training again. The centroids are immutable,
+// so sharing them is safe. Every vector lands in the list a full scan of
+// the centroids would choose; the points are assigned in parallel by a
+// kmeans.Searcher, each starting from the list the receiver holds its id
+// in (a fold keeps ids, so that is usually the answer already) and the
+// lists are filled in id order.
+func (ix *Index) Rebuild(vectors [][]float64) *Index {
+	for _, v := range vectors {
+		if len(v) != ix.dim {
+			panic(fmt.Sprintf("ivf: rebuilding a %d-dim index over a %d-dim vector", ix.dim, len(v)))
+		}
 	}
-	return &Index{
-		dim:       ix.dim,
-		centroids: ix.centroids,
-		lists:     make([][]int32, len(ix.lists)),
-		data:      vec.NewDataset(ix.dim, capHint),
-		deleted:   make([]bool, 0, capHint),
+	flat := make([]float64, 0, len(ix.centroids)*ix.dim)
+	for _, c := range ix.centroids {
+		flat = append(flat, c...)
 	}
+	search := kmeans.NewSearcher(flat, ix.dim)
+
+	assign := make([]int, len(vectors))
+	for i := range assign {
+		assign[i] = -1
+	}
+	ix.mu.RLock()
+	for c, lst := range ix.lists {
+		for _, id := range lst {
+			if int(id) < len(assign) {
+				assign[id] = c
+			}
+		}
+	}
+	ix.mu.RUnlock()
+	par.Spans(runtime.GOMAXPROCS(0), len(vectors), 256, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			guess := assign[i]
+			if guess < 0 {
+				guess = search.Guess(vectors[i])
+			}
+			assign[i], _ = search.Nearest(vectors[i], guess)
+		}
+	})
+
+	fresh := &Index{dim: ix.dim, centroids: ix.centroids}
+	fresh.populate(vectors, assign)
+	return fresh
 }
 
 // Add inserts a vector and returns its id.

@@ -1,9 +1,16 @@
 package ivf
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"ppanns/internal/dataset"
+	"ppanns/internal/kmeans"
 	"ppanns/internal/resultheap"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
@@ -176,5 +183,111 @@ func TestSearchIntoAllocationFree(t *testing.T) {
 	})
 	if allocs > 1 { // tolerate one pool refill if GC lands mid-run
 		t.Fatalf("warm SearchInto allocates %.1f times per run", allocs)
+	}
+}
+
+// digest hashes what a build decides: the centroid bits, then every list's
+// length and members in order.
+func (ix *Index) digest() string {
+	h := sha256.New()
+	var b [8]byte
+	for _, c := range ix.centroids {
+		for _, v := range c {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	for _, lst := range ix.lists {
+		binary.LittleEndian.PutUint64(b[:], uint64(len(lst)))
+		h.Write(b[:])
+		for _, id := range lst {
+			binary.LittleEndian.PutUint32(b[:4], uint32(id))
+			h.Write(b[:4])
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))[:16]
+}
+
+// TestBuildGolden pins the quantizer and the lists to what the full-scan
+// k-means produced before the pruned search replaced it (digests recorded at
+// that commit), on raw and on SAP-scaled corpora, on one core and four.
+func TestBuildGolden(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	sift := dataset.SIFTLike(2500, 0, 8).Train
+	deep := dataset.DeepLike(4000, 0, 9).Train
+	scaled := make([][]float64, len(deep))
+	for i, v := range deep {
+		scaled[i] = vec.Scale(nil, 1024, v)
+	}
+	for _, c := range []struct {
+		name string
+		data [][]float64
+		cfg  Config
+		want string
+	}{
+		{"sift", sift, Config{Seed: 8}, "c4476a27224a5e73"},
+		{"deep", deep, Config{Seed: 9, Lists: 100, TrainIters: 8}, "e573a3da3dc1c6aa"},
+		{"deep×1024", scaled, Config{Seed: 10}, "6b008f41ac4067b0"},
+	} {
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			ix, err := Build(c.data, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ix.digest(); got != c.want {
+				t.Errorf("%s GOMAXPROCS=%d: digest %s, want %s", c.name, procs, got, c.want)
+			}
+		}
+	}
+}
+
+// TestRebuildMatchesAdd: the fold primitive puts every vector in the list
+// the one-at-a-time Add loop it replaced would have — the full scan's choice,
+// in id order — whether the ids are the receiver's own (a fold: the guess is
+// the old list), renumbered (an offline compaction: the guess is wrong) or
+// new, on one core and four. Tombstones do not carry over.
+func TestRebuildMatchesAdd(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	ix, d := buildIndex(t, 1500)
+	for _, id := range []int{3, 700, 1499} {
+		if err := ix.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	extra := dataset.DeepLike(200, 0, 32).Train
+	grown := append(append([][]float64(nil), d.Train...), extra...)
+	var shrunk [][]float64
+	for i, v := range d.Train {
+		if i%3 != 0 {
+			shrunk = append(shrunk, v)
+		}
+	}
+	for name, vectors := range map[string][][]float64{"same ids": d.Train, "grown": grown, "renumbered": shrunk} {
+		want := make([][]int32, ix.Lists())
+		for i, v := range vectors {
+			c := kmeans.Nearest(ix.centroids, v)
+			want[c] = append(want[c], int32(i))
+		}
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			got := ix.Rebuild(vectors)
+			if got.Len() != len(vectors) {
+				t.Fatalf("%s: rebuilt index holds %d live vectors, want %d", name, got.Len(), len(vectors))
+			}
+			for c := range want {
+				if !slices.Equal(got.lists[c], want[c]) {
+					t.Fatalf("%s GOMAXPROCS=%d: list %d is %v, want %v", name, procs, c, got.lists[c], want[c])
+				}
+			}
+			for i, v := range vectors {
+				if !slices.Equal(got.Vector(i), v) {
+					t.Fatalf("%s: vector %d changed across the rebuild", name, i)
+				}
+			}
+		}
+	}
+	if ix.Len() != 1497 {
+		t.Fatalf("Rebuild changed its receiver: %d live", ix.Len())
 	}
 }

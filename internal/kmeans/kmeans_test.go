@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 
+	"ppanns/internal/dataset"
+	"ppanns/internal/dcpe"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
@@ -216,6 +218,163 @@ func TestFitIndependentOfWorkers(t *testing.T) {
 	}
 }
 
+// fitFullScan is Fit as it was before the pruned search: k-means++ offering
+// every seed to every point, then Lloyd scanning every centroid for every
+// point, each on one goroutine. The test oracle for Fit.
+func fitFullScan(data [][]float64, cfg Config) *Result {
+	dim, n := len(data[0]), len(data)
+	r := rng.NewSeeded(cfg.Seed ^ 0x43a9)
+	var evals int64
+
+	cents := make([]float64, 0, cfg.K*dim)
+	cents = append(cents, data[r.IntN(n)]...)
+	d2 := make([]float64, n)
+	for i := range d2 {
+		d2[i] = math.Inf(1)
+	}
+	for len(cents) < cfg.K*dim {
+		c := cents[len(cents)-dim:]
+		var total float64
+		for i := range d2 {
+			if d := vec.SqDist(data[i], c); d < d2[i] {
+				d2[i] = d
+			}
+			total += d2[i]
+		}
+		evals += int64(n)
+		pick := 0
+		if total <= 0 {
+			pick = r.IntN(n)
+		} else {
+			pick = weightedPick(d2, r.Float64()*total)
+		}
+		cents = append(cents, data[pick]...)
+	}
+
+	next := make([]float64, len(cents))
+	assign := make([]int, n)
+	counts := make([]int, cfg.K)
+	var iters int
+	for iters = 0; iters < cfg.MaxIters; iters++ {
+		for i := range data {
+			assign[i], _ = NearestFlat(cents, dim, data[i])
+		}
+		evals += int64(n * cfg.K)
+		clear(next)
+		clear(counts)
+		for i, c := range assign {
+			row := next[c*dim : (c+1)*dim]
+			vec.Add(row, row, data[i])
+			counts[c]++
+		}
+		var moved float64
+		for c := range counts {
+			row := next[c*dim : (c+1)*dim]
+			if counts[c] == 0 {
+				copy(row, data[r.IntN(n)])
+			} else {
+				vec.Scale(row, 1/float64(counts[c]), row)
+			}
+			moved += vec.Dist(row, cents[c*dim:(c+1)*dim])
+		}
+		cents, next = next, cents
+		if moved/float64(cfg.K) < cfg.Tol {
+			iters++
+			break
+		}
+	}
+	return &Result{Flat: cents, Assign: assign, Stats: Stats{Iters: iters, DistEvals: evals}}
+}
+
+// TestFitMatchesFullScan: the pruned Fit returns the full-scan Lloyd's
+// centroid bits, assignment and iteration count — on separated clusters, on
+// structureless data, at widths on both sides of the kernel cut-off, through
+// empty-cluster re-seeds (duplicate points make duplicate seeds, and a tie
+// leaves the higher one empty), early stops, K = 1 and K = n, on one core
+// and four (two cases are large enough to fan out) — and evaluates fewer
+// distances doing it.
+func TestFitMatchesFullScan(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	r := rng.NewSeeded(77)
+	gauss := func(n, dim int) [][]float64 {
+		out := make([][]float64, n)
+		for i := range out {
+			out[i] = rng.GaussianVec(r, dim, 1)
+		}
+		return out
+	}
+	clustered, _ := separated(8, 12, 80, 16)
+	short, _ := separated(9, 30, 40, 3)
+	// Enough points that both shapes are cut into several spans.
+	wide := sapLike(t, 3000, 10)
+	long, _ := separated(11, 40, 750, 3)
+	dups := gauss(6, 5)
+	for len(dups) < 300 {
+		dups = append(dups, dups[r.IntN(6)])
+	}
+	for _, c := range []struct {
+		name     string
+		data     [][]float64
+		cfg      Config
+		reseeds  bool
+		fewEvals bool
+	}{
+		{name: "clustered", data: clustered, cfg: Config{K: 30, MaxIters: 12, Seed: 1}, fewEvals: true},
+		{name: "short rows", data: short, cfg: Config{K: 64, MaxIters: 8, Seed: 2}, fewEvals: true},
+		{name: "wide, several spans", data: wide, cfg: Config{K: 50, MaxIters: 6, Seed: 8}, fewEvals: true},
+		{name: "short rows, several spans", data: long, cfg: Config{K: 64, MaxIters: 4, Seed: 9}, fewEvals: true},
+		{name: "structureless", data: gauss(700, 24), cfg: Config{K: 40, MaxIters: 6, Seed: 3}},
+		{name: "early stop", data: clustered, cfg: Config{K: 12, MaxIters: 50, Tol: 0.5, Seed: 4}},
+		{name: "duplicates", data: dups, cfg: Config{K: 20, MaxIters: 5, Seed: 5}, reseeds: true},
+		{name: "k=1", data: short, cfg: Config{K: 1, MaxIters: 3, Seed: 6}},
+		{name: "k=n", data: short[:50], cfg: Config{K: 50, MaxIters: 3, Seed: 7}},
+	} {
+		cfg := c.cfg
+		if cfg.Tol == 0 {
+			cfg.Tol = 1e-4
+		}
+		want := fitFullScan(c.data, cfg)
+		if c.reseeds {
+			counts := make([]int, cfg.K)
+			for _, a := range want.Assign {
+				counts[a]++
+			}
+			empty := 0
+			for _, n := range counts {
+				if n == 0 {
+					empty++
+				}
+			}
+			if empty == 0 {
+				t.Fatalf("%s: the oracle's last assignment has no empty cluster: the case re-seeds nothing", c.name)
+			}
+		}
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			got, err := Fit(c.data, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Iters != want.Iters {
+				t.Fatalf("%s GOMAXPROCS=%d: %d iterations, full scan %d", c.name, procs, got.Iters, want.Iters)
+			}
+			for i, v := range got.Flat {
+				if math.Float64bits(v) != math.Float64bits(want.Flat[i]) {
+					t.Fatalf("%s GOMAXPROCS=%d: centroid float %d is %v, full scan %v", c.name, procs, i, v, want.Flat[i])
+				}
+			}
+			for i, a := range got.Assign {
+				if a != want.Assign[i] {
+					t.Fatalf("%s GOMAXPROCS=%d: point %d assigned %d, full scan %d", c.name, procs, i, a, want.Assign[i])
+				}
+			}
+			if c.fewEvals && got.DistEvals*4 > want.DistEvals {
+				t.Errorf("%s: %d distance evaluations, full scan %d: nothing was pruned", c.name, got.DistEvals, want.DistEvals)
+			}
+		}
+	}
+}
+
 var sinkNearest int
 
 // BenchmarkNearestCentroid is the PQ training and encoding inner loop at
@@ -235,4 +394,50 @@ func BenchmarkNearestCentroid(b *testing.B) {
 			sinkNearest, _ = oldNearest(cents, w, v)
 		}
 	})
+}
+
+// sapLike returns n deep-like (d = 96) vectors under SAP encryption at the
+// standing benchmark's operating point (s = 1024, β = 0.5): what k-means
+// clusters in a build.
+func sapLike(tb testing.TB, n int, seed uint64) [][]float64 {
+	tb.Helper()
+	d := dataset.DeepLike(n, 0, seed)
+	key, err := dcpe.KeyGen(rng.NewSeeded(seed), d.Dim, 1024, 0.5)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := make([][]float64, n)
+	for i, v := range d.Train {
+		out[i] = key.Encrypt(v)
+	}
+	return out
+}
+
+// BenchmarkKMeansFit is one Fit at the two shapes of a scale-pq build: the
+// IVF quantizer (every point, √n lists, full width) and one PQ subspace
+// (the 8192-point training sample, 256 centroids, three columns).
+func BenchmarkKMeansFit(b *testing.B) {
+	sap := sapLike(b, 30000, 1)
+	sub := make([][]float64, 8192)
+	for i := range sub {
+		sub[i] = sap[i][:3:3]
+	}
+	for _, c := range []struct {
+		name string
+		data [][]float64
+		cfg  Config
+	}{
+		{"ivf", sap, Config{K: 173, MaxIters: 20, Seed: 1}},
+		{"pq-subspace", sub, Config{K: 256, MaxIters: 8, Seed: 1}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := Fit(c.data, c.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkNearest = res.Iters
+			}
+		})
+	}
 }

@@ -17,9 +17,9 @@ package pq
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"ppanns/internal/kmeans"
+	"ppanns/internal/par"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
@@ -80,6 +80,9 @@ type Codebook struct {
 	// cents[m] is subspace m's flat centroid block: k rows of width[m]
 	// float64s.
 	cents [][]float64
+	// trained is the k-means work Train spent, summed over the subspaces;
+	// zero for a codebook reassembled from its centroids.
+	trained kmeans.Stats
 }
 
 // Train fits a codebook to the given vectors (typically the SAP
@@ -104,24 +107,36 @@ func Train(vectors [][]float64, cfg TrainConfig) (*Codebook, error) {
 	}
 
 	cb := newCodebook(dim, cfg.M, cfg.K)
-	// Each subspace is clustered on a packed copy of its columns: k-means
-	// sweeps the points hundreds of times, and w floats out of every dim
-	// would drag the whole sample through the cache on each sweep.
-	sub := make([][]float64, len(sample))
-	cols := make([]float64, len(sample)*cb.width[0])
-	for m := 0; m < cfg.M; m++ {
+	// The subspaces are independent problems and train side by side, one
+	// per worker: at PQ's shape (a few thousand short points) a run is too
+	// small to fan out itself, and its serial parts — the D² total and
+	// pick of every seeding — then overlap with another subspace's. Each
+	// is clustered on a packed copy of its columns: k-means sweeps the
+	// points dozens of times, and w floats out of every dim would drag the
+	// whole sample through the cache on each sweep.
+	workers := min(runtime.GOMAXPROCS(0), cfg.M)
+	sub := make([][]float64, workers*len(sample))
+	cols := make([]float64, workers*len(sample)*cb.width[0])
+	runs := make([]*kmeans.Result, cfg.M)
+	errs := make([]error, cfg.M)
+	par.Spans(workers, cfg.M, 1, func(worker, m, _ int) {
 		o, w := cb.off[m], cb.width[m]
+		rows := sub[worker*len(sample) : (worker+1)*len(sample)]
+		packed := cols[worker*len(sample)*cb.width[0]:]
 		for i, v := range sample {
-			sub[i] = cols[i*w : (i+1)*w : (i+1)*w]
-			copy(sub[i], v[o:o+w])
+			rows[i] = packed[i*w : (i+1)*w : (i+1)*w]
+			copy(rows[i], v[o:o+w])
 		}
-		res, err := kmeans.Fit(sub, kmeans.Config{
+		runs[m], errs[m] = kmeans.Fit(rows, kmeans.Config{
 			K: cfg.K, MaxIters: cfg.Iters, Seed: cfg.Seed + uint64(m)*0x9e37,
 		})
-		if err != nil {
-			return nil, fmt.Errorf("pq: subspace %d: %w", m, err)
+	})
+	for m, res := range runs {
+		if errs[m] != nil {
+			return nil, fmt.Errorf("pq: subspace %d: %w", m, errs[m])
 		}
 		cb.cents[m] = res.Flat
+		cb.trained.Add(res.Stats)
 	}
 	return cb, nil
 }
@@ -180,6 +195,10 @@ func (cb *Codebook) M() int { return cb.m }
 // K returns the number of centroids per subspace.
 func (cb *Codebook) K() int { return cb.k }
 
+// Trained returns the k-means work Train spent on the codebook, summed over
+// its subspaces; zero for one that was loaded.
+func (cb *Codebook) Trained() kmeans.Stats { return cb.trained }
+
 // Centroids exposes the flat per-subspace centroid blocks (k rows of the
 // subspace width each) for serialization. Callers must not modify them.
 func (cb *Codebook) Centroids() [][]float64 { return cb.cents }
@@ -206,26 +225,36 @@ func (cb *Codebook) EncodeInto(dst []byte, v []float64) {
 	}
 }
 
-// EncodeAll encodes every vector into a fresh code store, parallel across
+// EncodeAll encodes every vector into a fresh code store, across
 // GOMAXPROCS workers (encoding a million points is the expensive half of a
-// PQ build).
+// PQ build). Each subspace gets a kmeans.Searcher for the call — a point
+// starts from the centroid nearest in its first coordinate and evaluates
+// the few the triangle inequality leaves — and the codes are EncodeInto's.
+// The searchers are dropped on return: nothing is retained per subspace.
 func (cb *Codebook) EncodeAll(vectors [][]float64) *CodeStore {
+	for i, v := range vectors {
+		if len(v) != cb.dim {
+			panic(fmt.Sprintf("pq: encoding %d-dim vector %d with %d-dim codebook", len(v), i, cb.dim))
+		}
+	}
 	cs := NewCodeStoreN(cb.m, len(vectors))
 	workers := runtime.GOMAXPROCS(0)
-	if workers > len(vectors) {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(vectors); i += workers {
-				cb.EncodeInto(cs.Row(i), vectors[i])
+	search := make([]*kmeans.Searcher, cb.m)
+	par.Spans(workers, cb.m, 1, func(_, j, _ int) {
+		search[j] = kmeans.NewSearcher(cb.cents[j], cb.width[j])
+	})
+	// A span of points goes through one subspace at a time, so that the
+	// subspace's lists and centroids stay in cache for the whole span.
+	par.Spans(workers, len(vectors), 256, func(_, lo, hi int) {
+		for j, s := range search {
+			o, w := cb.off[j], cb.width[j]
+			for i := lo; i < hi; i++ {
+				sub := vectors[i][o : o+w]
+				best, _ := s.Nearest(sub, s.Guess(sub))
+				cs.Row(i)[j] = byte(best)
 			}
-		}(w)
-	}
-	wg.Wait()
+		}
+	})
 	return cs
 }
 

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 
+	"ppanns/internal/dataset"
+	"ppanns/internal/dcpe"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
@@ -296,6 +298,32 @@ func TestBuildGolden(t *testing.T) {
 	}
 }
 
+// TestEncodeAllMatchesEncodeInto: the pruned bulk encoder writes the codes
+// of the full-scan single-vector path, on training and on unseen vectors, at
+// ragged subspace widths, on one core and four.
+func TestEncodeAllMatchesEncodeInto(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct{ dim, m, k int }{{24, 8, 64}, {20, 3, 0}, {64, 4, 32}, {5, 5, 7}} {
+		train := randVecs(21, 1200, c.dim)
+		book, err := Train(train, TrainConfig{M: c.m, K: c.k, Seed: 21})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vecs := append(randVecs(22, 700, c.dim), train[:300]...)
+		want := make([]byte, c.m)
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			codes := book.EncodeAll(vecs)
+			for i, v := range vecs {
+				book.EncodeInto(want, v)
+				if !bytes.Equal(codes.Row(i), want) {
+					t.Fatalf("dim=%d m=%d GOMAXPROCS=%d: vector %d encoded %v, EncodeInto %v", c.dim, c.m, procs, i, codes.Row(i), want)
+				}
+			}
+		}
+	}
+}
+
 // TestFillLUTMatchesSqDist: the table a query scans is, entry for entry,
 // the per-row vec.SqDist it was before SqDistRows filled it.
 func TestFillLUTMatchesSqDist(t *testing.T) {
@@ -315,6 +343,51 @@ func TestFillLUTMatchesSqDist(t *testing.T) {
 					t.Fatalf("dim=%d m=%d: lut[%d][%d] = %v, SqDist %v", c.dim, c.m, j, k, got, want)
 				}
 			}
+		}
+	}
+}
+
+// sapLike returns n deep-like (d = 96) vectors under SAP encryption at the
+// standing benchmark's operating point (s = 1024, β = 0.5).
+func sapLike(tb testing.TB, n int) [][]float64 {
+	tb.Helper()
+	d := dataset.DeepLike(n, 0, 1)
+	key, err := dcpe.KeyGen(rng.NewSeeded(1), d.Dim, 1024, 0.5)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sap := make([][]float64, n)
+	for i, v := range d.Train {
+		sap[i] = key.Encrypt(v)
+	}
+	return sap
+}
+
+// BenchmarkPQTrain is the codebook half of a scale-pq build: 32 subspaces
+// of three columns, 256 centroids each, trained side by side on an
+// 8192-point sample of 30 000 SAP ciphertexts (d = 96).
+func BenchmarkPQTrain(b *testing.B) {
+	sap := sapLike(b, 30000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Train(sap, TrainConfig{M: 32, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPQEncodeAll is the encoding half: the 30 000 ciphertexts into
+// M = 32 codes each.
+func BenchmarkPQEncodeAll(b *testing.B) {
+	sap := sapLike(b, 30000)
+	book, err := Train(sap, TrainConfig{M: 32, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if cs := book.EncodeAll(sap); cs.Len() != len(sap) {
+			b.Fatalf("encoded %d of %d", cs.Len(), len(sap))
 		}
 	}
 }

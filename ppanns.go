@@ -109,6 +109,11 @@ const (
 // sees plaintext database vectors.
 type DataOwner = core.DataOwner
 
+// BuildStats reports where an EncryptDatabase call spent its time, stage
+// by stage, and the k-means work of its IVF and PQ builds; see
+// DataOwner.BuildStats.
+type BuildStats = core.BuildStats
+
 // User encrypts queries with owner-authorized key material.
 type User = core.User
 
