@@ -252,7 +252,7 @@ func BenchmarkFig9CostSplit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tok := f.tokens[i%len(f.tokens)]
-		_, st, err := f.server.SearchWithStats(tok, benchK, ppanns.SearchOptions{RatioK: 16, EfSearch: 160})
+		_, st, err := f.server.SearchInto(nil, tok, benchK, ppanns.SearchOptions{RatioK: 16, EfSearch: 160})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -325,7 +325,7 @@ func BenchmarkAblationRefine(b *testing.B) {
 	f := mainFixture(b)
 	tok := f.tokens[0]
 	// Materialize one candidate list via the filter phase at RatioK=16.
-	ids, _, err := f.server.SearchWithStats(tok, 16*benchK, ppanns.SearchOptions{KPrime: 16 * benchK, EfSearch: 160, Refine: ppanns.RefineNone})
+	ids, err := f.server.Search(tok, 16*benchK, ppanns.SearchOptions{KPrime: 16 * benchK, EfSearch: 160, Refine: ppanns.RefineNone})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -33,9 +33,6 @@ func main() {
 		seed       = flag.Uint64("seed", 42, "experiment seed")
 		datasets   = flag.String("datasets", "", "comma-separated dataset subset (sift,gist,glove,deep)")
 		full       = flag.Bool("full", false, "lift laptop-scale caps (gist-size AME pieces)")
-		jsonOut    = flag.String("json", "", "path for the machine-readable profile of -exp perf (e.g. BENCH_search.json)")
-		baseline   = flag.String("baseline", "", "committed profile to regression-gate -exp perf against (fails on >tolerance qps drop)")
-		tol        = flag.Float64("baseline-tolerance", 0.25, "allowed fractional single-stream qps drop vs -baseline")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment run to this file")
 	)
 	flag.Parse()
@@ -66,8 +63,7 @@ func main() {
 	}
 
 	cfg := bench.Config{
-		N: *n, Queries: *queries, K: *k, Seed: *seed, Full: *full, Out: os.Stdout, JSONOut: *jsonOut,
-		Baseline: *baseline, BaselineTolerance: *tol,
+		N: *n, Queries: *queries, K: *k, Seed: *seed, Full: *full, Out: os.Stdout,
 	}
 	if *datasets != "" {
 		cfg.Datasets = strings.Split(*datasets, ",")

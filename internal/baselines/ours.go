@@ -69,7 +69,7 @@ func (o *Ours) Search(q []float64, k int) ([]int, Costs, error) {
 	c.UploadBytes = int64(8*len(tok.SAP) + 8*len(tok.Trapdoor.Q) + 4)
 
 	start = time.Now()
-	ids, st, err := o.server.SearchWithStats(tok, k, o.opt)
+	ids, st, err := o.server.SearchInto(nil, tok, k, o.opt)
 	if err != nil {
 		return nil, c, err
 	}

@@ -4,7 +4,9 @@
 // latency-vs-recall, per-side cost splits, scalability trends).
 //
 // Experiments are registered by id ("table1", "fig4" … "fig10",
-// "overhead", "attack", "maintain") and dispatched by cmd/ppanns-bench.
+// "overhead", "attack", "maintain", "indexes", "tune") and dispatched by
+// cmd/ppanns-bench. Performance is not measured here: the standing
+// benchmark is benchmark/ (see BENCHMARK.json).
 // Absolute numbers differ from the paper's C++/Xeon testbed; the shapes —
 // who wins, by what order of magnitude, how curves bend — are the
 // reproduction target (see EXPERIMENTS.md).
@@ -38,18 +40,6 @@ type Config struct {
 	Full bool
 	// Out receives the report (default os.Stdout via the CLI).
 	Out io.Writer
-	// JSONOut, when non-empty, is the path experiments with a
-	// machine-readable profile (currently "perf") write it to.
-	JSONOut string
-	// Baseline, when non-empty, names a committed profile (the repo's
-	// BENCH_search.json) the "perf" experiment compares its fresh
-	// single-stream qps against, failing on a regression beyond
-	// BaselineTolerance. Tolerance-gated, not flaky-tight: CI hosts jitter,
-	// so only a drop that cannot be noise should fail the job.
-	Baseline string
-	// BaselineTolerance is the allowed fractional qps drop vs the baseline
-	// (default 0.25, i.e. fail only when >25% slower).
-	BaselineTolerance float64
 }
 
 func (c Config) withDefaults() Config {
@@ -94,10 +84,7 @@ func Registry() []Experiment {
 		{"attack", "Sec. III: KPA attacks on ASPE variants (control: DCE)", Attack},
 		{"maintain", "Sec. V-D: index maintenance under churn", Maintain},
 		{"indexes", "Sec. V-A ablation: HNSW vs NSG vs IVF vs flat scan as filter backend", Indexes},
-		{"perf", "Search hot-path profile: qps, latency, cost split, allocs (BENCH_search.json)", SearchPerf},
 		{"tune", "PQ tier tuner: cheapest (M, k′) meeting the recall target", Tune},
-		{"scale", "Million-vector compressed filter tier: (M, k′) curve, bytes/point (BENCH_search.json scale section)", Scale},
-		{"durability", "WAL sync-policy cost and zero-loss recovery check (BENCH_search.json durability section)", Durability},
 	}
 }
 
@@ -194,7 +181,7 @@ func (d *deployment) measure(k int, opt core.SearchOptions) (point, error) {
 	var agg core.SearchStats
 	start := time.Now()
 	for i, tok := range d.tokens {
-		ids, st, err := d.server.SearchWithStats(tok, k, opt)
+		ids, st, err := d.server.SearchInto(nil, tok, k, opt)
 		if err != nil {
 			return point{}, err
 		}

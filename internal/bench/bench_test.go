@@ -2,8 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 
@@ -17,7 +15,7 @@ func tinyCfg(buf *bytes.Buffer) Config {
 
 func TestRegistryAndLookup(t *testing.T) {
 	reg := Registry()
-	if len(reg) != 16 {
+	if len(reg) != 13 {
 		t.Fatalf("registry has %d experiments", len(reg))
 	}
 	for _, e := range reg {
@@ -149,92 +147,5 @@ func TestDeploymentMeasure(t *testing.T) {
 	}
 	if p.Recall < 0.7 || p.QPS <= 0 || p.Latency <= 0 {
 		t.Fatalf("implausible measurement: %+v", p)
-	}
-}
-
-func TestSearchPerfTiny(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := tinyCfg(&buf)
-	cfg.JSONOut = t.TempDir() + "/BENCH_search.json"
-	if err := SearchPerf(cfg); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"qps", "allocs/op", "profile written"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("perf output missing %q:\n%s", want, out)
-		}
-	}
-	blob, err := os.ReadFile(cfg.JSONOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep SearchPerfReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		t.Fatalf("profile is not valid JSON: %v", err)
-	}
-	if rep.Single.QPS <= 0 || rep.Config.N != 600 {
-		t.Fatalf("implausible profile: %+v", rep)
-	}
-	if rep.Single.AllocsPerOp != 0 {
-		t.Fatalf("steady-state search allocates %.1f objects/op, want 0", rep.Single.AllocsPerOp)
-	}
-	if rep.Mixed.Ops == 0 || rep.Mixed.Writes == 0 || rep.Mixed.FailedQueries != 0 {
-		t.Fatalf("implausible mixed-workload section: %+v", rep.Mixed)
-	}
-	if rep.Mixed.Compactions == 0 {
-		t.Fatalf("mixed workload never compacted: %+v", rep.Mixed)
-	}
-	if rep.Mixed.InsertSpeedup < 10 {
-		t.Fatalf("delta insert only %.1f× faster than clone-and-swap", rep.Mixed.InsertSpeedup)
-	}
-}
-
-func TestDurabilityTiny(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := tinyCfg(&buf)
-	cfg.JSONOut = t.TempDir() + "/BENCH_search.json"
-	// Pre-seed the profile with another experiment's section: the merge
-	// must add "durability" without dropping it.
-	if err := os.WriteFile(cfg.JSONOut, []byte(`{"config":{"n":123}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := Durability(cfg); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"no wal (reference)", "every=1", "loss 0", "profile written"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("durability output missing %q:\n%s", want, out)
-		}
-	}
-	blob, err := os.ReadFile(cfg.JSONOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep SearchPerfReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		t.Fatalf("profile is not valid JSON: %v", err)
-	}
-	if rep.Config.N != 123 {
-		t.Fatalf("merge dropped the pre-existing config section: %+v", rep.Config)
-	}
-	dr := rep.Durability
-	if dr == nil || len(dr.Policies) != 4 {
-		t.Fatalf("implausible durability section: %+v", dr)
-	}
-	if dr.Reference.Policy != "none" || dr.Reference.WriteP50Micros <= 0 {
-		t.Fatalf("implausible reference point: %+v", dr.Reference)
-	}
-	for _, pt := range dr.Policies {
-		if pt.AckedWriteLoss != 0 || pt.RecoveredEpoch != uint64(pt.AckedWrites) {
-			t.Fatalf("policy %s lost writes: %+v", pt.Policy, pt)
-		}
-		if pt.WALBytes == 0 || pt.OpsPerSec <= 0 {
-			t.Fatalf("implausible policy point: %+v", pt)
-		}
-	}
-	if dr.SyncEvery1WriteOverheadX <= 0 {
-		t.Fatalf("overhead not quantified: %+v", dr)
 	}
 }

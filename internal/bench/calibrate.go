@@ -187,3 +187,29 @@ func CalibratePQ(data *dataset.Data, k int, target, beta float64, seed uint64) (
 	return best, fmt.Errorf("bench: no (M, k′) reached recall %.3f; best %.3f at M=%d k′=%d",
 		target, best.Recall, best.M, best.KPrime)
 }
+
+// tuneRecall is the Recall@k the "tune" experiment asks of the compressed
+// tier, and tuneBeta the DCPE noise it tunes at.
+const (
+	tuneRecall = 0.95
+	tuneBeta   = 0.3
+)
+
+// Tune ("tune") runs the recall-targeted (M, k′) tuner and prints the
+// chosen operating point per configured dataset.
+func Tune(cfg Config) error {
+	cfg = cfg.withDefaults()
+	datas, err := cfg.datasets("deep")
+	if err != nil {
+		return err
+	}
+	for _, data := range datas {
+		pt, err := CalibratePQ(data, cfg.K, tuneRecall, tuneBeta, cfg.Seed)
+		if err != nil {
+			return fmt.Errorf("bench: %s: %w", data.Name, err)
+		}
+		cfg.printf("%-12s M=%-3d k′=%-4d recall %.3f (target %.2f, %.1f bytes/point codes)\n",
+			data.Name, pt.M, pt.KPrime, pt.Recall, tuneRecall, float64(pt.M))
+	}
+	return nil
+}

@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sync"
+
+	"ppanns/internal/par"
 )
 
 // QueryError attributes one failed query inside a batch.
@@ -16,11 +17,27 @@ func (e QueryError) Error() string { return fmt.Sprintf("query %d: %v", e.Query,
 // Unwrap exposes the underlying per-query error to errors.Is/As.
 func (e QueryError) Unwrap() error { return e.Err }
 
-// BatchError aggregates the failures of a SearchBatch call. The batch's
+// BatchError aggregates the failures of a batch search. The batch's
 // successful results are still returned alongside it — a single malformed
-// token no longer voids a thousand good answers.
+// token does not void a thousand good answers.
 type BatchError struct {
 	Failed []QueryError // in query order
+}
+
+// NewBatchError collects the non-nil entries of a per-query error slice
+// (parallel to the batch's tokens) into a *BatchError, or returns nil when
+// every query succeeded.
+func NewBatchError(errs []error) *BatchError {
+	var failed []QueryError
+	for i, err := range errs {
+		if err != nil {
+			failed = append(failed, QueryError{Query: i, Err: err})
+		}
+	}
+	if failed == nil {
+		return nil
+	}
+	return &BatchError{Failed: failed}
 }
 
 func (e *BatchError) Error() string {
@@ -36,169 +53,24 @@ func (e *BatchError) Unwrap() []error {
 	return out
 }
 
-// SearchBatch answers many queries concurrently across at most parallelism
-// workers (0 defers to SearchOptions.Parallelism, then GOMAXPROCS) and
-// returns per-query results in input order. The paper measures
-// single-threaded search for comparability; a deployed cloud server
-// answers its query stream in parallel, which the snapshot-isolated read
-// path supports with no locking at all — every worker searches the same
-// immutable snapshot.
+// SearchShardBatch is SearchShard over many queries, answered concurrently
+// by at most opt.Parallelism workers (0 means one per CPU). The paper
+// measures single-threaded search for comparability; a deployed cloud
+// server answers its query stream in parallel, which the snapshot-isolated
+// read path supports with no locking at all.
 //
-// Failed queries do not discard the batch: their result slots are nil and
-// the returned error is a *BatchError listing them; every other slot holds
-// its query's answer. Each worker draws its own pooled scratch, and every
-// worker reuses one result buffer across its queries, so the steady-state
-// per-query cost is a single allocation for the returned ids.
-func (s *Server) SearchBatch(toks []*QueryToken, k int, opt SearchOptions, parallelism int) ([][]int, error) {
-	results, errs := s.SearchBatchErrs(toks, k, opt, parallelism)
-	var failed []QueryError
-	for i, err := range errs {
-		if err != nil {
-			failed = append(failed, QueryError{Query: i, Err: err})
-		}
-	}
-	if len(failed) > 0 {
-		return results, &BatchError{Failed: failed}
-	}
-	return results, nil
-}
-
-// forEachQuery dispatches indexes 0..n-1 across at most parallelism
-// workers (already resolved by the caller via SearchOptions.parallelism),
-// the shared scaffold of every batch search flavor. Workers pull indexes
-// off one counter, so long and short queries interleave without static
-// partitioning imbalance. newWorker runs once per worker and returns the
-// closure handling one index, so workers can carry reusable state (result
-// buffers) across the queries they process.
-func forEachQuery(n, parallelism int, newWorker func() func(i int)) {
-	if parallelism <= 0 {
-		parallelism = 1
-	}
-	if parallelism > n {
-		parallelism = n
-	}
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn := newWorker()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// SearchShardBatch is SearchBatchErrs returning ShardResults — per-query
-// result ids plus the cross-shard merge material of the active refine mode
-// — so a scatter-gather coordinator amortizes one round trip (and here one
-// worker-pool spin-up) over a whole batch. Result and error slices are
-// parallel to toks; failed slots hold a zero ShardResult.
-func (s *Server) SearchShardBatch(toks []*QueryToken, k int, opt SearchOptions, parallelism int) ([]ShardResult, []error) {
-	return s.searchShardBatch(toks, k, opt, parallelism, false)
-}
-
-// SearchShardBatchView is SearchShardBatch returning zero-copy merge
-// material (see SearchShardView): each result borrows the snapshot's
-// ciphertext store instead of copying records, which the in-process
-// scatter-gather tier merges without staging allocations.
-func (s *Server) SearchShardBatchView(toks []*QueryToken, k int, opt SearchOptions, parallelism int) ([]ShardResult, []error) {
-	return s.searchShardBatch(toks, k, opt, parallelism, true)
-}
-
-func (s *Server) searchShardBatch(toks []*QueryToken, k int, opt SearchOptions, parallelism int, views bool) ([]ShardResult, []error) {
+// Result and error slices are parallel to toks. A failed query does not
+// discard the batch: its slot holds a zero ShardResult and its error, and
+// every other slot holds its query's answer (NewBatchError folds the error
+// slice into one error). Both slices are nil for an empty batch.
+func (s *Server) SearchShardBatch(toks []*QueryToken, k int, opt SearchOptions) ([]ShardResult, []error) {
 	if len(toks) == 0 {
 		return nil, nil
 	}
 	results := make([]ShardResult, len(toks))
 	errs := make([]error, len(toks))
-	if opt.BlockQ > 1 && opt.Refine == RefineDCE {
-		// Query-blocked path: groups of BlockQ queries share each gathered
-		// candidate block during refine (see blocked.go). The group executor
-		// fills ShardResult slots directly.
-		for i := range results {
-			results[i].views = views
-		}
-		s.runBlockedGroups(toks, k, opt, parallelism, make([][]int, len(toks)), nil, errs, results)
-		for i := range results {
-			if errs[i] != nil {
-				results[i] = ShardResult{}
-			}
-		}
-		return results, errs
-	}
-	forEachQuery(len(toks), opt.parallelism(parallelism), func() func(int) {
-		return func(i int) {
-			var ids []int
-			var st SearchStats
-			results[i].views = views
-			ids, st, errs[i] = s.searchInto(make([]int, 0, k), toks[i], k, opt, &results[i])
-			if errs[i] == nil {
-				results[i].IDs = ids
-				results[i].Epoch = st.Epoch
-			} else {
-				results[i] = ShardResult{}
-			}
-		}
+	par.Spans(opt.parallelism(), len(toks), 1, func(_, i, _ int) {
+		results[i], errs[i] = s.SearchShard(toks[i], k, opt)
 	})
 	return results, errs
-}
-
-// SearchBatchErrs is SearchBatch returning the raw per-query error slice
-// (parallel to the result slice; nil entries mean success) instead of an
-// aggregate error. Both return values are nil for an empty batch.
-func (s *Server) SearchBatchErrs(toks []*QueryToken, k int, opt SearchOptions, parallelism int) ([][]int, []error) {
-	results, _, errs := s.searchBatch(toks, k, opt, parallelism, false)
-	return results, errs
-}
-
-// SearchBatchStats is SearchBatchErrs additionally returning the per-query
-// SearchStats (parallel to the result slice; zero value for failed slots),
-// so callers profiling the batch executor can attribute time to the filter
-// and refine stages without a second measurement pass.
-func (s *Server) SearchBatchStats(toks []*QueryToken, k int, opt SearchOptions, parallelism int) ([][]int, []SearchStats, []error) {
-	return s.searchBatch(toks, k, opt, parallelism, true)
-}
-
-func (s *Server) searchBatch(toks []*QueryToken, k int, opt SearchOptions, parallelism int, wantStats bool) ([][]int, []SearchStats, []error) {
-	if len(toks) == 0 {
-		return nil, nil, nil
-	}
-	results := make([][]int, len(toks))
-	errs := make([]error, len(toks))
-	var stats []SearchStats
-	if wantStats {
-		stats = make([]SearchStats, len(toks))
-	}
-	if opt.BlockQ > 1 && opt.Refine == RefineDCE {
-		// Query-blocked path: groups of BlockQ queries share each gathered
-		// candidate block during refine (see blocked.go).
-		s.runBlockedGroups(toks, k, opt, parallelism, results, stats, errs, nil)
-		return results, stats, errs
-	}
-	forEachQuery(len(toks), opt.parallelism(parallelism), func() func(int) {
-		var buf []int
-		return func(i int) {
-			var st SearchStats
-			buf, st, errs[i] = s.SearchInto(buf[:0], toks[i], k, opt)
-			if errs[i] == nil {
-				results[i] = append([]int(nil), buf...)
-				if wantStats {
-					stats[i] = st
-				}
-			}
-		}
-	})
-	return results, stats, errs
 }

@@ -4,9 +4,23 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
-	"sync/atomic"
+	"slices"
 	"testing"
 )
+
+// batchIDs runs SearchShardBatch and returns the per-query ids beside the
+// aggregate error the transport and shard tiers build from its error slice.
+func batchIDs(s *Server, toks []*QueryToken, k int, opt SearchOptions) ([][]int, error) {
+	rs, errs := s.SearchShardBatch(toks, k, opt)
+	var ids [][]int
+	for _, r := range rs {
+		ids = append(ids, r.IDs)
+	}
+	if be := NewBatchError(errs); be != nil {
+		return ids, be
+	}
+	return ids, nil
+}
 
 func TestSearchBatchMatchesSequential(t *testing.T) {
 	data := clustered(61, 1000, 10, 8)
@@ -14,14 +28,10 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 	queries := makeQueries(62, data, 24, 0.3)
 	toks := make([]*QueryToken, len(queries))
 	for i, q := range queries {
-		tok, err := w.user.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		toks[i] = tok
+		toks[i] = mustToken(t, w, q)
 	}
-	opt := SearchOptions{RatioK: 8, EfSearch: 80}
-	batch, err := w.server.SearchBatch(toks, 5, opt, 6)
+	opt := SearchOptions{RatioK: 8, EfSearch: 80, Parallelism: 6}
+	batch, err := batchIDs(w.server, toks, 5, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,13 +43,8 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(seq) != len(batch[i]) {
+		if !slices.Equal(batch[i], seq) {
 			t.Fatalf("query %d: batch %v vs sequential %v", i, batch[i], seq)
-		}
-		for j := range seq {
-			if batch[i][j] != seq[j] {
-				t.Fatalf("query %d rank %d: batch %d vs sequential %d", i, j, batch[i][j], seq[j])
-			}
 		}
 	}
 }
@@ -47,9 +52,9 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 func TestSearchBatchEmpty(t *testing.T) {
 	data := clustered(63, 100, 6, 2)
 	w := newWorld(t, Params{Dim: 6, Beta: 0.3, Seed: 63}, data)
-	res, err := w.server.SearchBatch(nil, 5, SearchOptions{}, 0)
-	if err != nil || res != nil {
-		t.Fatalf("empty batch: %v, %v", res, err)
+	res, errs := w.server.SearchShardBatch(nil, 5, SearchOptions{})
+	if res != nil || errs != nil || NewBatchError(errs) != nil {
+		t.Fatalf("empty batch: %v, %v", res, errs)
 	}
 }
 
@@ -60,7 +65,7 @@ func TestSearchBatchPropagatesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.server.SearchBatch([]*QueryToken{tok}, 5, SearchOptions{}, 2); err == nil {
+	if _, err := batchIDs(w.server, []*QueryToken{tok}, 5, SearchOptions{Parallelism: 2}); err == nil {
 		t.Fatal("expected error to propagate from the batch")
 	}
 }
@@ -68,52 +73,24 @@ func TestSearchBatchPropagatesErrors(t *testing.T) {
 func TestSearchBatchPartialFailureKeepsResults(t *testing.T) {
 	data := clustered(66, 400, 8, 4)
 	w := newWorld(t, Params{Dim: 8, Beta: 0.3, Seed: 66}, data)
-	good := make([]*QueryToken, 3)
-	for i := range good {
-		tok, err := w.user.Query(data[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		good[i] = tok
-	}
 	bad, err := w.user.QueryFilterOnly(data[9]) // lacks the DCE trapdoor
 	if err != nil {
 		t.Fatal(err)
 	}
-	toks := []*QueryToken{good[0], bad, good[1], nil, good[2]}
+	toks := []*QueryToken{mustToken(t, w, data[0]), bad, mustToken(t, w, data[1]), nil, mustToken(t, w, data[2])}
 
-	results, batchErr := w.server.SearchBatch(toks, 5, SearchOptions{RatioK: 8}, 3)
-	if batchErr == nil {
-		t.Fatal("expected a batch error for the failed queries")
-	}
+	results, batchErr := batchIDs(w.server, toks, 5, SearchOptions{RatioK: 8, Parallelism: 3})
 	var be *BatchError
 	if !errors.As(batchErr, &be) {
-		t.Fatalf("batch error has type %T, want *BatchError", batchErr)
+		t.Fatalf("batch error is %v (%T), want *BatchError", batchErr, batchErr)
 	}
 	if len(be.Failed) != 2 || be.Failed[0].Query != 1 || be.Failed[1].Query != 3 {
 		t.Fatalf("failed set = %+v, want queries 1 and 3", be.Failed)
 	}
 	// One bad query must not void the good answers.
-	for _, i := range []int{0, 2, 4} {
-		if len(results[i]) != 5 {
-			t.Fatalf("good query %d lost its results: %v", i, results[i])
-		}
-	}
-	for _, i := range []int{1, 3} {
-		if results[i] != nil {
-			t.Fatalf("failed query %d has non-nil results %v", i, results[i])
-		}
-	}
-
-	// The raw per-query error slice mirrors the same split.
-	results2, errs := w.server.SearchBatchErrs(toks, 5, SearchOptions{RatioK: 8}, 0)
-	for i, err := range errs {
-		failed := i == 1 || i == 3
-		if (err != nil) != failed {
-			t.Fatalf("query %d: err = %v, want failure=%v", i, err, failed)
-		}
-		if !failed && len(results2[i]) != 5 {
-			t.Fatalf("query %d: results %v", i, results2[i])
+	for i, ids := range results {
+		if want := 5 * (1 - i%2); len(ids) != want {
+			t.Fatalf("query %d: %d ids, want %d", i, len(ids), want)
 		}
 	}
 }
@@ -139,39 +116,14 @@ func TestCorruptedDatabaseDetected(t *testing.T) {
 	}
 }
 
-// TestBatchParallelismResolution pins the worker-count resolution chain of
-// the batch executors: explicit argument, then SearchOptions.Parallelism
-// (which travels over the wire), then one worker per CPU.
+// TestBatchParallelismResolution pins the worker count of a batch:
+// SearchOptions.Parallelism (which travels over the wire), else one worker
+// per CPU.
 func TestBatchParallelismResolution(t *testing.T) {
-	if got := (SearchOptions{}).parallelism(5); got != 5 {
-		t.Fatalf("explicit argument: %d, want 5", got)
+	if got := (SearchOptions{Parallelism: 3}).parallelism(); got != 3 {
+		t.Fatalf("option: %d, want 3", got)
 	}
-	if got := (SearchOptions{Parallelism: 3}).parallelism(0); got != 3 {
-		t.Fatalf("options fallback: %d, want 3", got)
-	}
-	if got := (SearchOptions{Parallelism: 3}).parallelism(2); got != 2 {
-		t.Fatalf("explicit argument must win: %d, want 2", got)
-	}
-	if got, want := (SearchOptions{}).parallelism(0), runtime.GOMAXPROCS(0); got != want {
+	if got, want := (SearchOptions{}).parallelism(), runtime.GOMAXPROCS(0); got != want {
 		t.Fatalf("default: %d, want GOMAXPROCS %d", got, want)
-	}
-
-	// forEachQuery spins up exactly the resolved worker count (capped by
-	// the queue length).
-	var workers atomic.Int32
-	forEachQuery(10, 3, func() func(int) {
-		workers.Add(1)
-		return func(int) {}
-	})
-	if got := workers.Load(); got != 3 {
-		t.Fatalf("forEachQuery started %d workers, want 3", got)
-	}
-	workers.Store(0)
-	forEachQuery(2, 8, func() func(int) {
-		workers.Add(1)
-		return func(int) {}
-	})
-	if got := workers.Load(); got != 2 {
-		t.Fatalf("forEachQuery started %d workers for 2 queries, want 2", got)
 	}
 }

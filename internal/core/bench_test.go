@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"testing"
 
 	"ppanns/internal/dce"
@@ -126,33 +125,15 @@ func BenchmarkRefine(b *testing.B) {
 			dst, _ = refineScratch(sc, cands, k, cmp, dst)
 		}
 	})
-	b.Run("arena-precompute", func(b *testing.B) {
-		b.ReportAllocs()
-		sc := getScratch()
-		defer putScratch(sc)
-		if err := edb.DCE.PrepareQuery(&sc.pq, tok.Trapdoor.Q); err != nil {
-			b.Fatal(err)
-		}
-		cmp := &sc.dce
-		ctDim := edb.DCE.CtDim()
-		var dst []int
-		for i := 0; i < b.N; i++ {
-			sc.ops = edb.DCE.ScaleOperands(sc.ops, cands, tok.Trapdoor.Q)
-			*cmp = dceComparator{pq: &sc.pq, cands: cands, ops: sc.ops, ctDim: ctDim}
-			dst, _ = refineScratch(sc, cands, k, cmp, dst)
-		}
-	})
 }
 
 // BenchmarkSearch measures the full filter-and-refine path. The "into"
-// variants reuse the caller-side result buffer and must report 0 allocs/op
+// variant reuses the caller-side result buffer and must report 0 allocs/op
 // at steady state — the zero-allocation guarantee of the flat-arena
 // rework.
 func BenchmarkSearch(b *testing.B) {
 	w := getBenchWorld(b)
 	opt := SearchOptions{RatioK: 16, EfSearch: 160}
-	pre := opt
-	pre.PrecomputeRefine = true
 
 	b.Run("alloc", func(b *testing.B) {
 		b.ReportAllocs()
@@ -162,25 +143,23 @@ func BenchmarkSearch(b *testing.B) {
 			}
 		}
 	})
-	for name, o := range map[string]SearchOptions{"into": opt, "into-precompute": pre} {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var dst []int
-			var err error
-			// Warm the pools before the measured region.
-			for _, tok := range w.toks {
-				if dst, _, err = w.server.SearchInto(dst, tok, 10, o); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("into", func(b *testing.B) {
+		b.ReportAllocs()
+		var dst []int
+		var err error
+		// Warm the pools before the measured region.
+		for _, tok := range w.toks {
+			if dst, _, err = w.server.SearchInto(dst, tok, 10, opt); err != nil {
+				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if dst, _, err = w.server.SearchInto(dst, w.toks[i%len(w.toks)], 10, o); err != nil {
-					b.Fatal(err)
-				}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if dst, _, err = w.server.SearchInto(dst, w.toks[i%len(w.toks)], 10, opt); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkSearchBatch measures the parallel query stream; each worker
@@ -188,11 +167,11 @@ func BenchmarkSearch(b *testing.B) {
 func BenchmarkSearchBatch(b *testing.B) {
 	w := getBenchWorld(b)
 	opt := SearchOptions{RatioK: 16, EfSearch: 160}
-	workers := runtime.GOMAXPROCS(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.server.SearchBatch(w.toks, 10, opt, workers); err != nil {
+		_, errs := w.server.SearchShardBatch(w.toks, 10, opt)
+		if err := NewBatchError(errs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -23,6 +23,13 @@
 //
 // The server type is constructed exclusively from ciphertexts; no API
 // exposes plaintext vectors, distances, or keys to it.
+//
+// Algorithm 2 has one body (Server.searchInto) and four exported entry
+// points: Search returns ids; SearchInto appends them into a recycled
+// buffer and reports SearchStats; SearchShard additionally returns the
+// merge material of the active refine mode (a ShardResult) for a
+// scatter-gather coordinator; SearchShardBatch is SearchShard over many
+// tokens on SearchOptions.Parallelism workers, with per-query errors.
 package core
 
 import (

@@ -184,7 +184,7 @@ func TestSearchStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, st, err := w.server.SearchWithStats(tok, 5, SearchOptions{RatioK: 8})
+	ids, st, err := w.server.SearchInto(nil, tok, 5, SearchOptions{RatioK: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

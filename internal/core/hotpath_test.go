@@ -26,74 +26,37 @@ func TestSearchIntoZeroAlloc(t *testing.T) {
 		}
 		toks[i] = tok
 	}
-	opts := map[string]SearchOptions{
-		"plain":      {RatioK: 8, EfSearch: 80},
-		"precompute": {RatioK: 8, EfSearch: 80, PrecomputeRefine: true},
-	}
+	opt := SearchOptions{RatioK: 8, EfSearch: 80}
 	var dst []int
-	for name, opt := range opts {
-		// Warm-up: grow every pooled buffer to its steady-state size.
-		for _, tok := range toks {
+	// Warm-up: grow every pooled buffer to its steady-state size.
+	for _, tok := range toks {
+		var err error
+		dst, _, err = w.server.SearchInto(dst, tok, 5, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A GC cycle landing mid-measurement can drain the sync.Pools and
+	// charge the refill to this run; retry so only a persistent
+	// allocation fails the test.
+	i := 0
+	var allocs float64
+	for attempt := 0; attempt < 3; attempt++ {
+		allocs = testing.AllocsPerRun(64, func() {
+			tok := toks[i%len(toks)]
+			i++
 			var err error
 			dst, _, err = w.server.SearchInto(dst, tok, 5, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		// A GC cycle landing mid-measurement can drain the sync.Pools and
-		// charge the refill to this run; retry so only a persistent
-		// allocation fails the test.
-		i := 0
-		var allocs float64
-		for attempt := 0; attempt < 3; attempt++ {
-			allocs = testing.AllocsPerRun(64, func() {
-				tok := toks[i%len(toks)]
-				i++
-				var err error
-				dst, _, err = w.server.SearchInto(dst, tok, 5, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs == 0 {
-				break
-			}
-		}
-		if allocs != 0 {
-			t.Errorf("%s: steady-state SearchInto allocates %.1f objects/op, want 0", name, allocs)
+		})
+		if allocs == 0 {
+			break
 		}
 	}
-}
-
-// TestPrecomputeRefineMatchesPlain checks the scaled-operand kernel makes
-// the same selections as the direct kernel.
-func TestPrecomputeRefineMatchesPlain(t *testing.T) {
-	data := clustered(83, 800, 12, 6)
-	w := newWorld(t, Params{Dim: 12, Beta: 0.4, Seed: 83}, data)
-	for qi, q := range makeQueries(84, data, 25, 0.3) {
-		tok, err := w.user.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain, stPlain, err := w.server.SearchWithStats(tok, 5, SearchOptions{RatioK: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pre, stPre, err := w.server.SearchWithStats(tok, 5, SearchOptions{RatioK: 16, PrecomputeRefine: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(plain) != len(pre) {
-			t.Fatalf("query %d: result counts %d vs %d", qi, len(plain), len(pre))
-		}
-		for i := range plain {
-			if plain[i] != pre[i] {
-				t.Fatalf("query %d rank %d: plain %d vs precomputed %d", qi, i, plain[i], pre[i])
-			}
-		}
-		if stPlain.Comparisons != stPre.Comparisons {
-			t.Fatalf("query %d: comparison counts diverge %d vs %d", qi, stPlain.Comparisons, stPre.Comparisons)
-		}
+	if allocs != 0 {
+		t.Errorf("steady-state SearchInto allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -127,7 +90,7 @@ func TestSearchRejectsUnknownCandidateIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.server.Database().Index = &rogueIndex{SecureIndex: w.server.Database().Index, shift: len(data)}
-	_, _, err = w.server.SearchWithStats(tok, 5, SearchOptions{RatioK: 8})
+	_, err = w.server.Search(tok, 5, SearchOptions{RatioK: 8})
 	if err == nil {
 		t.Fatal("expected error for out-of-store candidate ids")
 	}
@@ -136,7 +99,7 @@ func TestSearchRejectsUnknownCandidateIDs(t *testing.T) {
 	}
 	// Negative ids are rejected the same way, not by panicking.
 	w.server.Database().Index.(*rogueIndex).shift = -len(data)
-	if _, _, err = w.server.SearchWithStats(tok, 5, SearchOptions{RatioK: 8}); err == nil {
+	if _, err = w.server.Search(tok, 5, SearchOptions{RatioK: 8}); err == nil {
 		t.Fatal("expected error for negative candidate ids")
 	}
 }

@@ -222,51 +222,10 @@ func TestFilterPQErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "unknown filter distance mode") {
 		t.Fatalf("unknown mode: %v", err)
 	}
-	_, errs := w.server.SearchBatchErrs([]*QueryToken{tok, tok}, 5, SearchOptions{FilterDist: FilterPQ}, 2)
+	_, errs := w.server.SearchShardBatch([]*QueryToken{tok, tok}, 5, SearchOptions{FilterDist: FilterPQ, Parallelism: 2})
 	for i, err := range errs {
 		if err == nil || !strings.Contains(err.Error(), "no PQ store") {
 			t.Fatalf("batch query %d FilterPQ without a store: %v", i, err)
-		}
-	}
-}
-
-// TestPQBatchBlockedMatchesSequential: the blocked batch executor carries
-// its own pooled PQ scanner per query lane; under FilterPQ it must return
-// exactly what the sequential path returns.
-func TestPQBatchBlockedMatchesSequential(t *testing.T) {
-	const n, dim, k = 800, 10, 5
-	data := clustered(84, n, dim, 6)
-	w := newWorld(t, Params{Dim: dim, Beta: 0.4, Seed: 84, PQ: true, PQM: 5}, data)
-	queries := makeQueries(85, data, 16, 0.3)
-	toks := make([]*QueryToken, len(queries))
-	for i, q := range queries {
-		tok, err := w.user.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		toks[i] = tok
-	}
-	opt := SearchOptions{RatioK: 12, EfSearch: 150, FilterDist: FilterPQ}
-	want := make([][]int, len(toks))
-	for i, tok := range toks {
-		got, err := w.server.Search(tok, k, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = got
-	}
-	got, err := w.server.SearchBatchBlocked(toks, k, opt, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("query %d: %d vs %d results", i, len(got[i]), len(want[i]))
-		}
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("query %d: blocked FilterPQ diverges: %v vs %v", i, got[i], want[i])
-			}
 		}
 	}
 }

@@ -11,17 +11,15 @@ import (
 
 // searchScratch is the per-search working set, pooled so the steady-state
 // hot path performs no allocation: the filter-phase item buffer, the
-// candidate id list, the refine heap with its drain buffer, the pooled
-// comparators, and the optional trapdoor-scaled operand arena.
+// candidate id list, the refine heap with its drain buffer, and the pooled
+// comparators.
 //
-// Every Search call checks one scratch out of the pool and returns it on
-// exit, so concurrent SearchBatch workers each hold their own scratch
-// without coordination.
+// Every search checks one scratch out of the pool and returns it on exit,
+// so concurrent searches each hold their own scratch without coordination.
 type searchScratch struct {
 	items  []resultheap.Item
 	cands  []int
 	sorted []int
-	ops    []float64
 	tier   tierScratch
 	heap   resultheap.CompareHeap
 	pq     dce.PreparedQuery
@@ -57,25 +55,14 @@ func putScratch(sc *searchScratch) {
 // dceComparator implements resultheap.Comparator over candidate positions
 // (indexes into cands), backed by the pooled PreparedQuery — the store
 // binding and trapdoor validation are paid exactly once per query, before
-// the heap starts comparing. With ops set (the trapdoor-scaled operands
-// from CiphertextStore.ScaleOperands) each comparison runs the cheaper
-// two-multiply kernel.
-//
-// A pooled struct pointer stands in for the per-search closure the old
-// code allocated; the heap stores positions so the comparator can address
-// the precomputed operand blocks directly.
+// the heap starts comparing. A pooled struct pointer costs no allocation
+// where a per-search closure would.
 type dceComparator struct {
 	pq    *dce.PreparedQuery
 	cands []int
-	ops   []float64 // nil unless precomputed; 2·ctDim floats per candidate
-	ctDim int
 }
 
 func (c *dceComparator) Farther(a, b int) bool {
-	if c.ops != nil {
-		st := 2 * c.ctDim
-		return c.pq.Store().ScaledComp(c.ops[a*st:(a+1)*st], c.cands[b]) > 0
-	}
 	return c.pq.Comp(c.cands[a], c.cands[b]) > 0
 }
 

@@ -78,7 +78,8 @@ func (m FilterDistMode) String() string {
 // SearchOptions tunes one search call.
 type SearchOptions struct {
 	// KPrime is k′, the filter phase's candidate count. Defaults to
-	// RatioK·k; if RatioK is also zero, to 8·k.
+	// RatioK·k; if RatioK is also zero, to 8·k. Like k it is capped at the
+	// database's record count.
 	KPrime int
 	// RatioK sets k′ = RatioK·k (Figure 5's knob).
 	RatioK int
@@ -90,29 +91,11 @@ type SearchOptions struct {
 	// FilterExact). FilterPQ fails with a wire-safe error when the hosted
 	// database carries no PQ store.
 	FilterDist FilterDistMode
-	// PrecomputeRefine makes the DCE refine phase scale every candidate's
-	// P1/P2 operands by the trapdoor once, up front, so each of the
-	// O(k′ log k) heap comparisons runs a two-multiply kernel instead of
-	// three. The up-front pass writes 2·(2d+16) floats per candidate, so
-	// it only pays when the heap re-compares each candidate many times
-	// (comparisons ≫ k′, e.g. tiny k′ with deep re-heapification); at the
-	// paper's operating points (k′ = 16k) BenchmarkRefine measures it as
-	// a net loss, which is why it defaults to off. Results are identical
-	// either way up to float64 rounding of exactly tied distances.
-	PrecomputeRefine bool
-	// Parallelism caps the worker count of the batch executors
-	// (SearchBatch and friends); 0 means one worker per CPU. It rides
-	// inside the options so remote batch calls carry it over the wire and
-	// the scatter-gather coordinator forwards it to every shard. An
-	// explicit parallelism argument on the batch methods overrides it.
+	// Parallelism caps the worker count of SearchShardBatch; 0 means one
+	// worker per CPU. It rides inside the options so remote batch calls
+	// carry it over the wire and the scatter-gather coordinator forwards it
+	// to every shard.
 	Parallelism int
-	// BlockQ groups the batch executors' queries into blocks of this many
-	// trapdoor-prepared queries that share each gathered candidate block
-	// during the DCE refine phase (see SearchBatchBlocked). 0 or 1 keeps
-	// the per-query path. Like Parallelism it rides inside the options, so
-	// remote batch calls and the scatter-gather coordinator's per-shard
-	// batch ops pick up query blocking with no wire change.
-	BlockQ int
 }
 
 func (s SearchOptions) kPrime(k int) int {
@@ -135,12 +118,9 @@ func (s SearchOptions) ef(kPrime int) int {
 	return 50
 }
 
-// parallelism resolves the worker count of a batch executor: an explicit
-// argument wins, then the Parallelism option, then one worker per CPU.
-func (s SearchOptions) parallelism(explicit int) int {
-	if explicit > 0 {
-		return explicit
-	}
+// parallelism resolves the worker count of a batch: the Parallelism
+// option, else one worker per CPU.
+func (s SearchOptions) parallelism() int {
 	if s.Parallelism > 0 {
 		return s.Parallelism
 	}
@@ -528,11 +508,6 @@ func (s *Server) Search(tok *QueryToken, k int, opt SearchOptions) ([]int, error
 	return ids, err
 }
 
-// SearchWithStats is Search plus cost accounting.
-func (s *Server) SearchWithStats(tok *QueryToken, k int, opt SearchOptions) ([]int, SearchStats, error) {
-	return s.SearchInto(nil, tok, k, opt)
-}
-
 // ShardResult is one server's contribution to a scatter-gather search
 // (see internal/shard): the result ids in refine order plus the per-id
 // material a coordinator needs to merge candidates across shards. Because
@@ -551,51 +526,34 @@ type ShardResult struct {
 	// merge key when no refine runs (RefineNone only).
 	Dists []float64
 	// Recs holds copies of the DCE records [P1|P2|P3|P4] parallel to IDs
-	// (RefineDCE only); CtDim is their component length. Populated by the
-	// wire-safe SearchShard; the view-returning variants leave it nil and
-	// set Store instead.
+	// (RefineDCE only); CtDim is their component length. Recs is how a
+	// result looks after crossing the wire: core.Server leaves it nil and
+	// sets Store, and transport copies the records out of Store into the
+	// response it encodes.
 	Recs  [][]float64
 	CtDim int
 	// AME holds the AME ciphertexts parallel to IDs (RefineAME only).
 	// AME material never travels over the wire, so this field only serves
 	// in-process coordinators.
 	AME []*ame.Ciphertext
-	// Store, when non-nil, replaces Recs for in-process coordinators
-	// (RefineDCE only): the snapshot's ciphertext store, addressed by the
+	// Store is the DCE merge material of an in-process result (RefineDCE
+	// only): the serving snapshot's ciphertext store, addressed by the
 	// local ids in IDs. The snapshot discipline makes this a zero-copy
 	// borrow that stays valid indefinitely — published stores are never
 	// mutated — at the cost of pinning the snapshot in memory while the
-	// result is held.
+	// result is held. Nil on a result that came over the wire (see Recs).
 	Store *dce.CiphertextStore
-	// views marks a result whose merge material should borrow snapshot
-	// views instead of copying records. Only core can set it (via the
-	// View search variants); zero means wire-safe copies.
-	views bool
 }
 
 // SearchShard answers a query like Search and additionally returns the
 // merge material for the active refine mode, so a scatter-gather
 // coordinator can order this server's results against other shards'. The
-// DCE merge material is copied out of the snapshot, making the result safe
-// to serialize over the wire; in-process coordinators should prefer
-// SearchShardView.
+// DCE merge material is a borrow of the snapshot's store (ShardResult.Store),
+// never a copy: immutable snapshots make it safe for as long as the caller
+// holds it.
 func (s *Server) SearchShard(tok *QueryToken, k int, opt SearchOptions) (ShardResult, error) {
-	return s.searchShard(tok, k, opt, false)
-}
-
-// SearchShardView is SearchShard without the copies: the DCE merge
-// material is returned as the snapshot's ciphertext store plus local ids
-// (ShardResult.Store). Immutable snapshots make the borrow safe for as
-// long as the caller holds it; the in-process scatter-gather tier uses
-// this to merge without staging a single record copy.
-func (s *Server) SearchShardView(tok *QueryToken, k int, opt SearchOptions) (ShardResult, error) {
-	return s.searchShard(tok, k, opt, true)
-}
-
-func (s *Server) searchShard(tok *QueryToken, k int, opt SearchOptions, views bool) (ShardResult, error) {
-	res := ShardResult{views: views}
-	dst := make([]int, 0, k) // exact-size result buffer: one allocation, no append growth
-	ids, st, err := s.searchInto(dst, tok, k, opt, &res)
+	var res ShardResult
+	ids, st, err := s.searchInto(nil, tok, k, opt, &res)
 	if err != nil {
 		return ShardResult{}, err
 	}
@@ -604,19 +562,25 @@ func (s *Server) searchShard(tok *QueryToken, k int, opt SearchOptions, views bo
 	return res, nil
 }
 
-// SearchInto is SearchWithStats appending the result ids into dst (whose
-// capacity is reused; pass nil to allocate). All per-query working state —
-// filter items, candidate list, refine heap, operand scratch — comes from
-// an internal pool, so with a recycled dst a steady-state search performs
-// zero allocations.
+// SearchInto is Search plus cost accounting, appending the result ids into
+// dst (whose capacity is reused; pass nil to allocate). All per-query
+// working state — filter items, candidate list, refine heap — comes from an
+// internal pool, so with a recycled dst a steady-state search performs zero
+// allocations.
 func (s *Server) SearchInto(dst []int, tok *QueryToken, k int, opt SearchOptions) ([]int, SearchStats, error) {
 	return s.searchInto(dst, tok, k, opt, nil)
 }
 
 // searchInto is the shared search body. When mm is non-nil it captures,
 // for every returned id, the cross-shard merge material of the active
-// refine mode (SAP distance, DCE record copy or store view, or AME
-// ciphertext).
+// refine mode (SAP distance, DCE store view, or AME ciphertext).
+//
+// k, k′ and dst are sized only after the request has been validated and k
+// and k′ clamped to the snapshot's record count — a query cannot return
+// more ids than exist — so every allocation a request can cause here is
+// O(n), whatever k arrived from the wire. The beam width is not clamped
+// here: each backend bounds the effort it derives from it (IVF by its list
+// count, LSH by its probe generator, the graphs by their node count).
 //
 // The whole body runs lock-free against one immutable snapshot: it loads
 // the snapshot pointer once and never observes a concurrent mutation —
@@ -646,6 +610,9 @@ func (s *Server) searchInto(dst []int, tok *QueryToken, k int, opt SearchOptions
 	if kPrime < k {
 		kPrime = k
 	}
+	ef := opt.ef(kPrime)
+	n := edb.DCE.Len()
+	k, kPrime = min(k, n), min(kPrime, n)
 
 	sc := getScratch()
 	defer putScratch(sc)
@@ -665,7 +632,7 @@ func (s *Server) searchInto(dst []int, tok *QueryToken, k int, opt SearchOptions
 		return dst[:0], st, fmt.Errorf("core: unknown filter distance mode %d", opt.FilterDist)
 	}
 	start := time.Now()
-	sc.items = sp.filterInto(&sc.tier, sc.items[:0], tok.SAP, kPrime, opt.ef(kPrime), psc)
+	sc.items = sp.filterInto(&sc.tier, sc.items[:0], tok.SAP, kPrime, ef, psc)
 	st.FilterTime = time.Since(start)
 	st.Candidates = len(sc.items)
 	if len(sc.items) == 0 {
@@ -677,6 +644,9 @@ func (s *Server) searchInto(dst []int, tok *QueryToken, k int, opt SearchOptions
 		sc.cands = append(sc.cands, it.ID)
 	}
 	cands := sc.cands
+	if want := min(k, len(cands)); cap(dst) < want {
+		dst = make([]int, 0, want) // exact-size result buffer: one allocation, no append growth
+	}
 
 	// Refine phase (Algorithm 2 lines 2–9).
 	start = time.Now()
@@ -698,7 +668,6 @@ func (s *Server) searchInto(dst []int, tok *QueryToken, k int, opt SearchOptions
 		if tok.Trapdoor == nil {
 			return dst[:0], st, fmt.Errorf("core: token lacks DCE trapdoor for refine")
 		}
-		ctDim := edb.DCE.CtDim()
 		// PrepareQuery validates the trapdoor dimension once; every heap
 		// comparison then runs against the prepared binding with no
 		// per-call setup.
@@ -715,26 +684,11 @@ func (s *Server) searchInto(dst []int, tok *QueryToken, k int, opt SearchOptions
 		}
 		cmp := &sc.dce
 		*cmp = dceComparator{pq: &sc.pq, cands: cands}
-		if opt.PrecomputeRefine {
-			sc.ops = edb.DCE.ScaleOperands(sc.ops, cands, tok.Trapdoor.Q)
-			cmp.ops, cmp.ctDim = sc.ops, ctDim
-		}
 		dst, st.Comparisons = refineScratch(sc, cands, k, cmp, dst)
 		if mm != nil {
-			mm.CtDim = ctDim
-			if mm.views {
-				// Zero-copy: the snapshot's store is immutable once
-				// published, so a borrowed view stays valid for as long
-				// as the caller holds the result.
-				mm.Store = edb.DCE
-			} else {
-				// Record copies, not arena views: wire-safe against any
-				// later snapshot appends sharing the arena.
-				mm.Recs = make([][]float64, len(dst))
-				for i, id := range dst {
-					mm.Recs[i] = append([]float64(nil), edb.DCE.Record(id)...)
-				}
-			}
+			// Zero-copy: the snapshot's store is immutable once published,
+			// so the borrow stays valid for as long as the caller holds it.
+			mm.CtDim, mm.Store = edb.DCE.CtDim(), edb.DCE
 		}
 	case RefineAME:
 		if edb.AME == nil {

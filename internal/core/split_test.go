@@ -95,68 +95,6 @@ func TestSplitValidation(t *testing.T) {
 	}
 }
 
-func TestSearchShardMatchesSearch(t *testing.T) {
-	const n, dim, k = 400, 8, 5
-	data := clustered(33, n, dim, 4)
-	w := newWorld(t, Params{Dim: dim, Beta: 0.3, Seed: 33, WithAME: true}, data)
-	opt := SearchOptions{RatioK: 8}
-	for _, mode := range []RefineMode{RefineDCE, RefineNone, RefineAME} {
-		opt.Refine = mode
-		tok := mustToken(t, w, data[2])
-		want, err := w.server.Search(tok, k, opt)
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		res, err := w.server.SearchShard(tok, k, opt)
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		if len(res.IDs) != len(want) {
-			t.Fatalf("%v: SearchShard returned %d ids, Search %d", mode, len(res.IDs), len(want))
-		}
-		for i := range want {
-			if res.IDs[i] != want[i] {
-				t.Fatalf("%v rank %d: SearchShard id %d, Search id %d", mode, i, res.IDs[i], want[i])
-			}
-		}
-		switch mode {
-		case RefineDCE:
-			if len(res.Recs) != len(res.IDs) || res.CtDim != w.server.Database().DCE.CtDim() {
-				t.Fatalf("DCE merge material malformed: %d recs, ctDim %d", len(res.Recs), res.CtDim)
-			}
-			for i, id := range res.IDs {
-				want := w.server.Database().DCE.Record(id)
-				if len(res.Recs[i]) != len(want) {
-					t.Fatalf("rec %d has %d floats, want %d", i, len(res.Recs[i]), len(want))
-				}
-				for j := range want {
-					if res.Recs[i][j] != want[j] {
-						t.Fatalf("rec %d differs from record of id %d at %d", i, id, j)
-					}
-				}
-			}
-		case RefineNone:
-			if len(res.Dists) != len(res.IDs) {
-				t.Fatalf("RefineNone merge material malformed: %d dists for %d ids", len(res.Dists), len(res.IDs))
-			}
-			for i := 1; i < len(res.Dists); i++ {
-				if res.Dists[i] < res.Dists[i-1] {
-					t.Fatalf("filter distances out of order at %d: %v", i, res.Dists)
-				}
-			}
-		case RefineAME:
-			if len(res.AME) != len(res.IDs) {
-				t.Fatalf("AME merge material malformed: %d cts for %d ids", len(res.AME), len(res.IDs))
-			}
-			for i, ct := range res.AME {
-				if ct != w.server.Database().AME[res.IDs[i]] {
-					t.Fatalf("AME ct %d is not the stored ciphertext of id %d", i, res.IDs[i])
-				}
-			}
-		}
-	}
-}
-
 // contractBreaker wraps a SecureIndex, shorting the id space from Rebuild
 // — the backend misbehavior a compaction must reject without publishing
 // anything. Clone preserves the wrapper so the breaker survives snapshot

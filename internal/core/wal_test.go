@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"ppanns/internal/index"
 	"ppanns/internal/rng"
@@ -352,41 +353,56 @@ func TestOpenServerTailWithoutCheckpoint(t *testing.T) {
 
 // TestOpenServerDoubleReplayIdempotence: recovering twice in a row — with
 // no writes in between — must land on the same epoch and results, proving
-// replay applies each record exactly once per recovery.
+// replay applies each record exactly once per recovery. It runs under every
+// sync policy: whatever the policy defers, Close flushes, so a clean
+// shutdown loses no acknowledged write.
 func TestOpenServerDoubleReplayIdempotence(t *testing.T) {
-	const n, dim, k = 150, 8, 8
+	const n, dim, k, writes = 150, 8, 8, 30
 	data := clustered(251, n, dim, 4)
-	dir := t.TempDir()
-	opts := ServerOptions{WALDir: dir, WALSync: wal.SyncPolicy{Every: 1}, CompactAt: -1}
-	w := newWALWorld(t, Params{Dim: dim, Beta: 0.3, Seed: 251}, data, opts)
-	churnWAL(t, w, dim, 30, 252)
-	toks := []*QueryToken{mustToken(t, w, data[3]), mustToken(t, w, data[77])}
-	total := w.server.Len()
-	want := searchAll(t, w.server, toks, k, total)
-	if err := w.server.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for name, policy := range map[string]wal.SyncPolicy{
+		"every=1":      {Every: 1},
+		"every=8":      {Every: 8},
+		"interval=5ms": {Interval: 5 * time.Millisecond},
+		"os-buffered":  {},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := ServerOptions{WALDir: dir, WALSync: policy, CompactAt: -1}
+			w := newWALWorld(t, Params{Dim: dim, Beta: 0.3, Seed: 251}, data, opts)
+			churnWAL(t, w, dim, writes, 252)
+			toks := []*QueryToken{mustToken(t, w, data[3]), mustToken(t, w, data[77])}
+			total := w.server.Len()
+			want := searchAll(t, w.server, toks, k, total)
+			if err := w.server.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	rec1, stats1, err := OpenServer(dir, opts)
-	if err != nil {
-		t.Fatal(err)
+			rec1, stats1, err := OpenServer(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec1.Epoch() != writes {
+				t.Fatalf("recovered epoch %d, want every one of the %d acknowledged writes", rec1.Epoch(), writes)
+			}
+			sameStores(t, "first replay", w.server, rec1)
+			sameResults(t, "first replay", want, searchAll(t, rec1, toks, k, total))
+			if err := rec1.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rec2, stats2, err := OpenServer(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec2.Close()
+			if stats1.Replayed != writes || stats2.Replayed != stats1.Replayed {
+				t.Fatalf("replay counts = %d then %d, want %d both times", stats1.Replayed, stats2.Replayed, writes)
+			}
+			if rec2.Epoch() != rec1.Epoch() {
+				t.Fatalf("epochs diverged across replays: %d vs %d", rec1.Epoch(), rec2.Epoch())
+			}
+			sameResults(t, "second replay", want, searchAll(t, rec2, toks, k, total))
+		})
 	}
-	sameResults(t, "first replay", want, searchAll(t, rec1, toks, k, total))
-	if err := rec1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec2, stats2, err := OpenServer(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec2.Close()
-	if stats1.Replayed != 30 || stats2.Replayed != stats1.Replayed {
-		t.Fatalf("replay counts = %d then %d, want 30 both times", stats1.Replayed, stats2.Replayed)
-	}
-	if rec2.Epoch() != rec1.Epoch() {
-		t.Fatalf("epochs diverged across replays: %d vs %d", rec1.Epoch(), rec2.Epoch())
-	}
-	sameResults(t, "second replay", want, searchAll(t, rec2, toks, k, total))
 }
 
 // TestOpenServerCorruptTailRecord: a CRC-corrupt record is truncated, the

@@ -38,8 +38,7 @@ func naiveDistanceComp(co, cp *Ciphertext, tq *Trapdoor) float64 {
 // BenchmarkDistanceComp compares one secure comparison across layouts and
 // kernels: the seed's naive loop over pointer-per-ciphertext scattered
 // components (the old hot path), the unrolled kernel on the same scattered
-// layout, the flat arena store, and the arena with trapdoor-scaled
-// operands precomputed.
+// layout, and the flat arena store.
 func BenchmarkDistanceComp(b *testing.B) {
 	for _, dim := range []int{96, 128, 960} {
 		r := rng.NewSeeded(41)
@@ -56,12 +55,6 @@ func BenchmarkDistanceComp(b *testing.B) {
 			scattered[i] = scatteredCiphertext(&view)
 		}
 		tq := key.TrapGen(rng.Gaussian(r, nil, dim))
-		ids := make([]int, nPoints)
-		for i := range ids {
-			ids[i] = i
-		}
-		ops := store.ScaleOperands(nil, ids, tq.Q)
-		st := 2 * store.CtDim()
 
 		// Every variant accumulates into the sink so the compiler cannot
 		// elide the comparison after inlining.
@@ -92,15 +85,6 @@ func BenchmarkDistanceComp(b *testing.B) {
 			}
 			benchSink = z
 		})
-		b.Run(fmt.Sprintf("arena-scaled/d=%d", dim), func(b *testing.B) {
-			b.ReportAllocs()
-			var z float64
-			for i := 0; i < b.N; i++ {
-				o, p := i%nPoints, (i*7+1)%nPoints
-				z += store.ScaledComp(ops[o*st:(o+1)*st], p)
-			}
-			benchSink = z
-		})
 	}
 }
 
@@ -128,72 +112,4 @@ func BenchmarkEncrypt(b *testing.B) {
 			key.EncryptRecord(v, rec)
 		}
 	})
-}
-
-// Kernel microbenchmarks of the prepared-query layer, run by the CI
-// bench-smoke job: one scalar comparison per call, the same comparison
-// through a PreparedQuery, and a whole candidate block per call.
-func BenchmarkDistCompScalar(b *testing.B) {
-	benchPrepared(b, func(b *testing.B, store *CiphertextStore, pq *PreparedQuery, ids []int32) {
-		q := pq.Trapdoor()
-		var z float64
-		for i := 0; i < b.N; i++ {
-			z += store.DistanceCompQ(int(ids[i%len(ids)]), int(ids[(i*7+1)%len(ids)]), q)
-		}
-		benchSink = z
-	})
-}
-
-func BenchmarkDistCompPreparedQuery(b *testing.B) {
-	benchPrepared(b, func(b *testing.B, store *CiphertextStore, pq *PreparedQuery, ids []int32) {
-		pq.SetPivot(int(ids[0]))
-		var z float64
-		for i := 0; i < b.N; i++ {
-			z += pq.CompWithPivot(int(ids[(i*7+1)%len(ids)]))
-		}
-		benchSink = z
-	})
-}
-
-func BenchmarkDistCompBlock(b *testing.B) {
-	benchPrepared(b, func(b *testing.B, store *CiphertextStore, pq *PreparedQuery, ids []int32) {
-		pq.SetPivot(int(ids[0]))
-		var dst []float64
-		var z float64
-		b.ResetTimer()
-		for i := 0; i < b.N; i += len(ids) {
-			dst = pq.DistanceCompBlock(dst[:0], ids)
-			z += dst[0]
-		}
-		benchSink = z
-	})
-}
-
-func benchPrepared(b *testing.B, run func(*testing.B, *CiphertextStore, *PreparedQuery, []int32)) {
-	for _, dim := range []int{96, 960} {
-		b.Run(fmt.Sprintf("d=%d", dim), func(b *testing.B) {
-			r := rng.NewSeeded(44)
-			key, err := KeyGen(r, dim)
-			if err != nil {
-				b.Fatal(err)
-			}
-			const nPoints = 256
-			store := NewCiphertextStoreN(key.CiphertextDim(), nPoints)
-			for i := 0; i < nPoints; i++ {
-				key.EncryptRecord(rng.Gaussian(r, nil, dim), store.Record(i))
-			}
-			tq := key.TrapGen(rng.Gaussian(r, nil, dim))
-			var pq PreparedQuery
-			if err := store.PrepareQuery(&pq, tq.Q); err != nil {
-				b.Fatal(err)
-			}
-			ids := make([]int32, nPoints)
-			for i := range ids {
-				ids[i] = int32(i)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			run(b, store, &pq, ids)
-		})
-	}
 }

@@ -7,9 +7,9 @@ import (
 	"ppanns/internal/simd"
 )
 
-// kernelTable is one dispatch variant of the DCE comparison kernels. As in
+// kernelTable is one dispatch variant of the DCE comparison kernel. As in
 // internal/vec, every variant MUST evaluate element-for-element in the same
-// order as the scalar references below — eight independent accumulator
+// order as the scalar reference below — eight independent accumulator
 // lanes, a sequential remainder folded into lane 0, the reduce8 tree — so
 // exchanging variants never flips the sign of a comparison: results are
 // bit-identical, not merely close. (A sign flip on a near-tie would change
@@ -19,22 +19,9 @@ type kernelTable struct {
 	// distComp computes Σᵢ (o1ᵢ·p3ᵢ − o2ᵢ·p4ᵢ)·qᵢ — the paper's
 	// DistanceComp inner product.
 	distComp func(o1, o2, p3, p4, q []float64) float64
-	// distCompBlock computes dst[j] = distComp(o1, o2, P3(ids[j]),
-	// P4(ids[j]), q) over the store arena: record id's [P3|P4] half starts
-	// at arena[id*stride+2*d] (d floats each). dst is pre-sized by the
-	// caller.
-	distCompBlock func(dst, arena []float64, stride, d int, o1, o2, q []float64, ids []int32)
-	// scaledComp computes Σᵢ s1ᵢ·p3ᵢ − s2ᵢ·p4ᵢ, the two-multiply kernel of
-	// the precomputed-operand refine path.
-	scaledComp func(s1, s2, p3, p4 []float64) float64
 }
 
-var scalarKernelTable = kernelTable{
-	name:          simd.Scalar,
-	distComp:      distCompScalar,
-	distCompBlock: distCompBlockScalar,
-	scaledComp:    scaledCompScalar,
-}
+var scalarKernelTable = kernelTable{name: simd.Scalar, distComp: distCompScalar}
 
 // kernelVariants and the registration/selection machinery mirror
 // internal/vec: arch files append via package-level var initializers,
@@ -123,47 +110,5 @@ func distCompScalar(o1, o2, p3, p4, q []float64) float64 {
 		z7 += (o1[i+7]*p3[i+7] - o2[i+7]*p4[i+7]) * q[i+7]
 	}
 	z0 = distCompTail(z0, o1, o2, p3, p4, q, i)
-	return reduce8(z0, z1, z2, z3, z4, z5, z6, z7)
-}
-
-// distCompBlockScalar evaluates the block through the pair reference, so
-// the scalar pair and block paths cannot diverge by construction.
-func distCompBlockScalar(dst, arena []float64, stride, d int, o1, o2, q []float64, ids []int32) {
-	for j, id := range ids {
-		base := int(id)*stride + 2*d
-		p34 := arena[base : base+2*d]
-		dst[j] = distCompScalar(o1, o2, p34[:d], p34[d:], q)
-	}
-}
-
-// scaledCompTail is the shared scalar remainder of the precomputed-operand
-// kernel.
-func scaledCompTail(z0 float64, s1, s2, p3, p4 []float64, i int) float64 {
-	for ; i < len(s1); i++ {
-		z0 += s1[i]*p3[i] - s2[i]*p4[i]
-	}
-	return z0
-}
-
-// scaledCompScalar is the reference two-multiply kernel, eight-wide like
-// distCompScalar.
-func scaledCompScalar(s1, s2, p3, p4 []float64) float64 {
-	n := len(s1)
-	s2 = s2[:n]
-	p3 = p3[:n]
-	p4 = p4[:n]
-	var z0, z1, z2, z3, z4, z5, z6, z7 float64
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		z0 += s1[i]*p3[i] - s2[i]*p4[i]
-		z1 += s1[i+1]*p3[i+1] - s2[i+1]*p4[i+1]
-		z2 += s1[i+2]*p3[i+2] - s2[i+2]*p4[i+2]
-		z3 += s1[i+3]*p3[i+3] - s2[i+3]*p4[i+3]
-		z4 += s1[i+4]*p3[i+4] - s2[i+4]*p4[i+4]
-		z5 += s1[i+5]*p3[i+5] - s2[i+5]*p4[i+5]
-		z6 += s1[i+6]*p3[i+6] - s2[i+6]*p4[i+6]
-		z7 += s1[i+7]*p3[i+7] - s2[i+7]*p4[i+7]
-	}
-	z0 = scaledCompTail(z0, s1, s2, p3, p4, i)
 	return reduce8(z0, z1, z2, z3, z4, z5, z6, z7)
 }

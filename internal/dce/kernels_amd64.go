@@ -4,7 +4,7 @@ package dce
 
 import "ppanns/internal/simd"
 
-// The assembly kernels replicate the scalar references lane-for-lane (see
+// The assembly kernel replicates the scalar reference lane-for-lane (see
 // kernels.go): two YMM accumulators carry lanes 0..3 and 4..7, the
 // remainder folds into lane 0 with scalar VEX ops, and the reduction runs
 // the reduce8 tree. No FMA — fused rounding would break bit-identity with
@@ -14,20 +14,9 @@ import "ppanns/internal/simd"
 //go:noescape
 func distCompPairAVX2(o1, o2, p3, p4, q []float64) float64
 
-//go:noescape
-func distCompBlockAVX2(dst, arena []float64, stride, d int, o1, o2, q []float64, ids []int32)
-
-//go:noescape
-func scaledCompPairAVX2(s1, s2, p3, p4 []float64) float64
-
 var _ = func() struct{} {
 	if !simd.HasAVX2() {
 		return struct{}{}
 	}
-	return registerKernel(&kernelTable{
-		name:          simd.AVX2,
-		distComp:      distCompPairAVX2,
-		distCompBlock: distCompBlockAVX2,
-		scaledComp:    scaledCompPairAVX2,
-	})
+	return registerKernel(&kernelTable{name: simd.AVX2, distComp: distCompPairAVX2})
 }()

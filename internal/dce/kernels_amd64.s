@@ -2,10 +2,9 @@
 
 #include "textflag.h"
 
-// AVX2 DCE comparison kernels. Register conventions shared by all three
-// functions: SI/DI hold the "o" side (o1/o2 or s1/s2), R8/R9 the "p" side
-// (p3/p4), R10 the trapdoor q, CX the element index, DX the element count,
-// BX = DX-8 the vector-loop bound. Y0/Y1 are the lane 0..3 / 4..7
+// AVX2 DCE comparison kernel. Register conventions: SI/DI hold the "o"
+// side (o1/o2), R8/R9 the "p" side (p3/p4), R10 the trapdoor q, CX the
+// element index, DX the element count, BX = DX-8 the vector-loop bound. Y0/Y1 are the lane 0..3 / 4..7
 // accumulators. Per-lane op order matches the scalar reference exactly:
 // (o1·p3), (o2·p4), subtract, (·q), accumulate — no FMA.
 //
@@ -37,29 +36,6 @@
 	VSUBSD X8, X6, X6      \
 	VMOVSD (R10)(CX*8), X7 \
 	VMULSD X7, X6, X6      \
-	VADDSD X6, X0, X0
-
-// SC8 accumulates one 4-lane group of s1·p3 − s2·p4, clobbering Y2..Y5.
-#define SC8(off, acc) \
-	VMOVUPD off(SI)(CX*8), Y2 \
-	VMOVUPD off(R8)(CX*8), Y3 \
-	VMULPD  Y3, Y2, Y2        \
-	VMOVUPD off(DI)(CX*8), Y4 \
-	VMOVUPD off(R9)(CX*8), Y5 \
-	VMULPD  Y5, Y4, Y4        \
-	VSUBPD  Y4, Y2, Y2        \
-	VADDPD  Y2, acc, acc
-
-// SCTAILSTEP folds element CX of s1·p3 − s2·p4 into lane 0 (X0),
-// clobbering X6..X9.
-#define SCTAILSTEP \
-	VMOVSD (SI)(CX*8), X6 \
-	VMOVSD (R8)(CX*8), X7 \
-	VMULSD X7, X6, X6     \
-	VMOVSD (DI)(CX*8), X8 \
-	VMOVSD (R9)(CX*8), X9 \
-	VMULSD X9, X8, X8     \
-	VSUBSD X8, X6, X6     \
 	VADDSD X6, X0, X0
 
 // REDUCE8 runs the reduce8 tree assuming X0=[s0,s1] (tail folded),
@@ -107,104 +83,5 @@ dctailloop:
 dcreduce:
 	REDUCE8
 	VMOVSD     X0, ret+120(FP)
-	VZEROUPPER
-	RET
-
-// func distCompBlockAVX2(dst, arena []float64, stride, d int, o1, o2, q []float64, ids []int32)
-TEXT ·distCompBlockAVX2(SB), NOSPLIT, $0-160
-	MOVQ dst_base+0(FP), R14
-	MOVQ arena_base+24(FP), R15
-	MOVQ stride+48(FP), R11
-	SHLQ $3, R11                 // stride in bytes
-	MOVQ d+56(FP), DX
-	MOVQ o1_base+64(FP), SI
-	MOVQ o2_base+88(FP), DI
-	MOVQ q_base+112(FP), R10
-	MOVQ ids_base+136(FP), R12
-	MOVQ ids_len+144(FP), R13
-	MOVQ DX, BX
-	SUBQ $8, BX
-	XORQ AX, AX                  // j
-
-dbrows:
-	CMPQ    AX, R13
-	JGE     dbdone
-	MOVLQSX (R12)(AX*4), R8      // id (int32, sign-extended)
-	IMULQ   R11, R8
-	ADDQ    R15, R8              // record base
-	MOVQ    DX, R9
-	SHLQ    $4, R9               // 2·d·8 bytes
-	ADDQ    R9, R8               // p3 = arena + id*stride + 2d
-	MOVQ    DX, R9
-	SHLQ    $3, R9
-	ADDQ    R8, R9               // p4 = p3 + d
-	VXORPD  Y0, Y0, Y0
-	VXORPD  Y1, Y1, Y1
-	XORQ    CX, CX
-
-dbloop:
-	CMPQ CX, BX
-	JG   dbtail
-	DC8(0, Y0)
-	DC8(32, Y1)
-	ADDQ $8, CX
-	JMP  dbloop
-
-dbtail:
-	VEXTRACTF128 $1, Y0, X2
-	VEXTRACTF128 $1, Y1, X3
-
-dbtailloop:
-	CMPQ CX, DX
-	JGE  dbreduce
-	DCTAILSTEP
-	INCQ CX
-	JMP  dbtailloop
-
-dbreduce:
-	REDUCE8
-	VMOVSD X0, (R14)(AX*8)
-	INCQ   AX
-	JMP    dbrows
-
-dbdone:
-	VZEROUPPER
-	RET
-
-// func scaledCompPairAVX2(s1, s2, p3, p4 []float64) float64
-TEXT ·scaledCompPairAVX2(SB), NOSPLIT, $0-104
-	MOVQ   s1_base+0(FP), SI
-	MOVQ   s1_len+8(FP), DX
-	MOVQ   s2_base+24(FP), DI
-	MOVQ   p3_base+48(FP), R8
-	MOVQ   p4_base+72(FP), R9
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	XORQ   CX, CX
-	MOVQ   DX, BX
-	SUBQ   $8, BX
-
-scloop:
-	CMPQ CX, BX
-	JG   sctail
-	SC8(0, Y0)
-	SC8(32, Y1)
-	ADDQ $8, CX
-	JMP  scloop
-
-sctail:
-	VEXTRACTF128 $1, Y0, X2
-	VEXTRACTF128 $1, Y1, X3
-
-sctailloop:
-	CMPQ CX, DX
-	JGE  screduce
-	SCTAILSTEP
-	INCQ CX
-	JMP  sctailloop
-
-screduce:
-	REDUCE8
-	VMOVSD     X0, ret+96(FP)
 	VZEROUPPER
 	RET

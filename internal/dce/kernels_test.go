@@ -40,9 +40,9 @@ func dceRandFloats(r *rng.Rand, n int, scale float64) []float64 {
 	return out
 }
 
-// TestDCEKernelVariantsBitIdentical compares every linked variant's three
-// kernels against the scalar references across all loop shapes, unaligned
-// slice offsets, and a padded arena with shuffled, duplicated ids.
+// TestDCEKernelVariantsBitIdentical compares every linked variant's pair
+// kernel against the scalar reference across all loop shapes and unaligned
+// slice offsets.
 func TestDCEKernelVariantsBitIdentical(t *testing.T) {
 	r := rng.NewSeeded(431)
 	for _, k := range kernelVariants {
@@ -61,31 +61,6 @@ func TestDCEKernelVariantsBitIdentical(t *testing.T) {
 					if got := k.distComp(o1, o2, p3, p4, q); dceULPDiff(got, want) > 0 {
 						t.Fatalf("distComp d=%d off=%d: %v vs scalar %v", d, off, got, want)
 					}
-					wantS := scaledCompScalar(o1, o2, p3, p4)
-					if got := k.scaledComp(o1, o2, p3, p4); dceULPDiff(got, wantS) > 0 {
-						t.Fatalf("scaledComp d=%d off=%d: %v vs scalar %v", d, off, got, wantS)
-					}
-				}
-				// Block form over a padded arena laid out like the store:
-				// records of [P1|P2|P3|P4] at a 64-byte-padded stride.
-				stride := vec.PadStride(4 * d)
-				rows := 11
-				arena := vec.AlignedFloats(stride * rows)
-				for i := range arena {
-					arena[i] = (r.Float64() - 0.5) * 20
-				}
-				o1 := dceRandFloats(r, d, 20)
-				o2 := dceRandFloats(r, d, 20)
-				q := dceRandFloats(r, d, 20)
-				ids := []int32{0, 10, 4, 4, 7, 1, 10, 0, 3}
-				want := make([]float64, len(ids))
-				got := make([]float64, len(ids))
-				distCompBlockScalar(want, arena, stride, d, o1, o2, q, ids)
-				k.distCompBlock(got, arena, stride, d, o1, o2, q, ids)
-				for j := range ids {
-					if dceULPDiff(got[j], want[j]) > 0 {
-						t.Fatalf("distCompBlock d=%d id=%d: %v vs scalar %v", d, ids[j], got[j], want[j])
-					}
 				}
 			}
 		})
@@ -94,64 +69,34 @@ func TestDCEKernelVariantsBitIdentical(t *testing.T) {
 
 // TestDCEKernelDispatchPublicSurface forces each variant through SetKernel
 // and drives the public comparison surface — DistanceCompQ, the prepared
-// pair and pivot paths, DistanceCompBlock, and the precomputed-operand
-// ScaledComp — asserting bit-identical results across variants.
+// pair path and the cross-store DistanceCompHalves — asserting
+// bit-identical results across variants.
 func TestDCEKernelDispatchPublicSurface(t *testing.T) {
 	prev := ActiveKernel()
 	defer SetKernel(prev)
 	_, store, _, _, tq := storeWorld(t, 13, 9)
-	cands := []int{0, 5, 2, 8, 2, 7}
-	type obs struct {
-		pair, pivot, scaled float64
-		block               []float64
-	}
+	type obs struct{ pair, prepared, halves float64 }
 	observe := func() obs {
 		var pq PreparedQuery
 		if err := store.PrepareQuery(&pq, tq.Q); err != nil {
 			t.Fatal(err)
 		}
-		pq.SetPivot(3)
-		ids := make([]int32, len(cands))
-		for i, id := range cands {
-			ids[i] = int32(id)
-		}
-		ops := store.ScaleOperands(nil, cands, tq.Q)
-		st := 2 * store.CtDim()
 		return obs{
-			pair:   store.DistanceCompQ(1, 6, tq.Q),
-			pivot:  pq.CompWithPivot(5),
-			scaled: store.ScaledComp(ops[0:st], cands[1]),
-			block:  pq.DistanceCompBlock(nil, ids),
+			pair:     store.DistanceCompQ(1, 6, tq.Q),
+			prepared: pq.Comp(3, 5),
+			halves:   DistanceCompHalves(store.O12(2), store.P34(8), tq.Q),
 		}
 	}
 	if err := SetKernel(simd.Scalar); err != nil {
 		t.Fatal(err)
 	}
 	want := observe()
-	// The blocked path must agree with per-pair calls on the same variant.
-	var pq PreparedQuery
-	if err := store.PrepareQuery(&pq, tq.Q); err != nil {
-		t.Fatal(err)
-	}
-	pq.SetPivot(3)
-	for j, id := range cands {
-		if want.block[j] != pq.Comp(3, id) {
-			t.Fatalf("scalar block[%d] %v != pair %v", j, want.block[j], pq.Comp(3, id))
-		}
-	}
 	for _, name := range KernelVariants() {
 		if err := SetKernel(name); err != nil {
 			t.Fatal(err)
 		}
-		got := observe()
-		if got.pair != want.pair || got.pivot != want.pivot || got.scaled != want.scaled {
-			t.Fatalf("%s: pair/pivot/scaled %v/%v/%v, want %v/%v/%v",
-				name, got.pair, got.pivot, got.scaled, want.pair, want.pivot, want.scaled)
-		}
-		for j := range want.block {
-			if got.block[j] != want.block[j] {
-				t.Fatalf("%s: block[%d] = %v, want %v", name, j, got.block[j], want.block[j])
-			}
+		if got := observe(); got != want {
+			t.Fatalf("%s: pair/prepared/halves %+v, want %+v", name, got, want)
 		}
 	}
 	if err := SetKernel("no-such-kernel"); err == nil {
@@ -278,57 +223,5 @@ func BenchmarkDistCompKernels(b *testing.B) {
 				_ = sink
 			})
 		}
-	}
-}
-
-// BenchmarkDistCompBlockKernels measures the blocked kernel per variant
-// over a padded arena at the refine phase's typical candidate-list size.
-func BenchmarkDistCompBlockKernels(b *testing.B) {
-	r := rng.NewSeeded(439)
-	for _, d := range []int{96, 208} {
-		stride := vec.PadStride(4 * d)
-		const rows = 256
-		arena := vec.AlignedFloats(stride * rows)
-		for i := range arena {
-			arena[i] = r.Float64()
-		}
-		o1 := dceRandFloats(r, d, 20)
-		o2 := dceRandFloats(r, d, 20)
-		q := dceRandFloats(r, d, 20)
-		ids := make([]int32, 64)
-		for i := range ids {
-			ids[i] = int32((i * 37) % rows)
-		}
-		dst := make([]float64, len(ids))
-		for _, k := range kernelVariants {
-			b.Run(fmt.Sprintf("%s/d=%d", k.name, d), func(b *testing.B) {
-				b.ReportAllocs()
-				b.SetBytes(int64(len(ids) * 2 * d * 8))
-				for i := 0; i < b.N; i++ {
-					k.distCompBlock(dst, arena, stride, d, o1, o2, q, ids)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkScaledCompKernels measures the precomputed-operand kernel per
-// variant.
-func BenchmarkScaledCompKernels(b *testing.B) {
-	r := rng.NewSeeded(441)
-	const d = 208
-	s1 := dceRandFloats(r, d, 20)
-	s2 := dceRandFloats(r, d, 20)
-	p3 := dceRandFloats(r, d, 20)
-	p4 := dceRandFloats(r, d, 20)
-	for _, k := range kernelVariants {
-		b.Run(fmt.Sprintf("%s/d=%d", k.name, d), func(b *testing.B) {
-			b.ReportAllocs()
-			var sink float64
-			for i := 0; i < b.N; i++ {
-				sink += k.scaledComp(s1, s2, p3, p4)
-			}
-			_ = sink
-		})
 	}
 }

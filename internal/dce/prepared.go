@@ -3,16 +3,13 @@ package dce
 import "fmt"
 
 // PreparedQuery carries the per-query state of arena DCE comparisons: the
-// store binding, the validated trapdoor vector, and the hoisted operand
-// views of a pivot record. The filter-and-refine hot path performs hundreds
-// of comparisons per query against one trapdoor; preparing the query once
-// moves every per-call dimension check and pivot slice computation out of
-// the comparison kernels, and the blocked kernel below evaluates a whole
-// candidate list against the pivot in one pass over the arena.
+// store binding and the validated trapdoor vector. The filter-and-refine
+// hot path performs hundreds of comparisons per query against one
+// trapdoor; preparing the query once moves the dimension check out of the
+// comparison kernel.
 //
-// All comparison paths through a PreparedQuery are bit-identical to the
-// scalar CiphertextStore.DistanceCompQ: they run the same kernel with the
-// same operand association, so exchanging them never reorders results.
+// Comp is bit-identical to CiphertextStore.DistanceCompQ: it runs the same
+// kernel with the same operand association.
 //
 // A PreparedQuery is single-goroutine state (pool one per search scratch);
 // Reset drops the store and trapdoor references so a pooled value never
@@ -20,81 +17,24 @@ import "fmt"
 type PreparedQuery struct {
 	store *CiphertextStore
 	q     []float64
-	pivot int
-	o1    []float64 // pivot's P1 component view
-	o2    []float64 // pivot's P2 component view
 }
 
 // PrepareQuery binds pq to the store and raw trapdoor vector, performing
-// the dimension validation exactly once per query. The pivot is unset.
+// the dimension validation exactly once per query.
 func (s *CiphertextStore) PrepareQuery(pq *PreparedQuery, q []float64) error {
 	if len(q) != s.ctDim {
 		return fmt.Errorf("dce: trapdoor has dim %d, ciphertexts %d", len(q), s.ctDim)
 	}
 	pq.store = s
 	pq.q = q
-	pq.pivot = -1
-	pq.o1, pq.o2 = nil, nil
 	return nil
 }
 
 // Reset drops all references so a pooled PreparedQuery retains nothing.
-func (pq *PreparedQuery) Reset() { *pq = PreparedQuery{pivot: -1} }
-
-// Store returns the bound ciphertext store (nil before PrepareQuery).
-func (pq *PreparedQuery) Store() *CiphertextStore { return pq.store }
-
-// Trapdoor returns the bound raw trapdoor vector.
-func (pq *PreparedQuery) Trapdoor() []float64 { return pq.q }
+func (pq *PreparedQuery) Reset() { *pq = PreparedQuery{} }
 
 // Comp evaluates Z_{o,p,q} for records o and p, bit-identical to
 // DistanceCompQ on the bound store.
 func (pq *PreparedQuery) Comp(o, p int) float64 {
 	return pq.store.DistanceCompQ(o, p, pq.q)
-}
-
-// Closer reports whether dist(o, q) < dist(p, q).
-func (pq *PreparedQuery) Closer(o, p int) bool { return pq.Comp(o, p) < 0 }
-
-// SetPivot hoists record o's "o"-side operand views so subsequent
-// CompWithPivot/DistanceCompBlock calls skip the per-call slicing.
-func (pq *PreparedQuery) SetPivot(o int) {
-	d := pq.store.ctDim
-	o12 := pq.store.O12(o)
-	pq.pivot = o
-	pq.o1, pq.o2 = o12[:d], o12[d:]
-}
-
-// Pivot returns the current pivot record id (-1 when unset).
-func (pq *PreparedQuery) Pivot() int { return pq.pivot }
-
-// CompWithPivot evaluates Z_{pivot,p,q}, bit-identical to
-// DistanceCompQ(pivot, p, q).
-func (pq *PreparedQuery) CompWithPivot(p int) float64 {
-	d := pq.store.ctDim
-	p34 := pq.store.P34(p)
-	return distCompKernel(pq.o1, pq.o2, p34[:d], p34[d:], pq.q)
-}
-
-// DistanceCompBlock evaluates dst[j] = Z_{pivot, ids[j], q} for every id in
-// one pass over the arena, reusing dst's capacity. The whole block runs
-// inside one dispatched kernel call — every variant matches the scalar
-// reference element-for-element, so results are bit-identical to per-id
-// DistanceCompQ calls; the blocked form amortizes the pivot setup and
-// keeps the trapdoor and pivot operands hot (in YMM registers on the AVX2
-// variant) across the whole candidate list — the shape the blocked refine
-// tile and a DCE-walked neighbor evaluation want (one kernel call per
-// gathered list instead of one per neighbor).
-func (pq *PreparedQuery) DistanceCompBlock(dst []float64, ids []int32) []float64 {
-	if pq.pivot < 0 {
-		panic("dce: DistanceCompBlock without SetPivot")
-	}
-	if cap(dst) < len(ids) {
-		dst = make([]float64, len(ids), len(ids)+len(ids)/2+8)
-	} else {
-		dst = dst[:len(ids)]
-	}
-	s := pq.store
-	activeKernels.Load().distCompBlock(dst, s.arena, s.strideF, s.ctDim, pq.o1, pq.o2, pq.q, ids)
-	return dst
 }

@@ -8,10 +8,9 @@ import (
 
 // TestPreparedQueryBitIdentical is the property test of the prepared-query
 // layer: across random dimensions (odd and even, so ciphertext strides
-// vary) and random record pairs, Comp, CompWithPivot and DistanceCompBlock
-// must return bit-identical values to the scalar DistanceCompQ — not
-// approximately equal: the frozen search views rely on exchanging the
-// kernels without reordering any comparison outcome.
+// vary) and random record pairs, Comp must return bit-identical values to
+// DistanceCompQ — not approximately equal: the refine heap must order
+// candidates the same way whichever entry point compares them.
 func TestPreparedQueryBitIdentical(t *testing.T) {
 	r := rng.NewSeeded(321)
 	for _, dim := range []int{2, 3, 7, 16, 31, 96} {
@@ -34,20 +33,11 @@ func TestPreparedQueryBitIdentical(t *testing.T) {
 		for i := range ids {
 			ids[i] = int32((i * 7) % n)
 		}
-		var block []float64
 		for o := 0; o < n; o += 3 {
-			pq.SetPivot(o)
-			block = pq.DistanceCompBlock(block[:0], ids)
-			for j, id := range ids {
+			for _, id := range ids {
 				want := store.DistanceCompQ(o, int(id), tq.Q)
 				if got := pq.Comp(o, int(id)); got != want {
 					t.Fatalf("dim=%d o=%d p=%d: Comp = %v, DistanceCompQ = %v", dim, o, id, got, want)
-				}
-				if got := pq.CompWithPivot(int(id)); got != want {
-					t.Fatalf("dim=%d o=%d p=%d: CompWithPivot = %v, DistanceCompQ = %v", dim, o, id, got, want)
-				}
-				if block[j] != want {
-					t.Fatalf("dim=%d o=%d p=%d: DistanceCompBlock = %v, DistanceCompQ = %v", dim, o, id, block[j], want)
 				}
 				// And the sign agrees with the pointer-API ground truth.
 				view1, view2 := store.View(o), store.View(int(id))
@@ -75,7 +65,7 @@ func TestPrepareQueryValidatesDimension(t *testing.T) {
 		t.Fatal(err)
 	}
 	pq.Reset()
-	if pq.Store() != nil || pq.Trapdoor() != nil || pq.Pivot() != -1 {
+	if pq.store != nil || pq.q != nil {
 		t.Fatal("Reset retained query material")
 	}
 }

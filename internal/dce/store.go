@@ -383,43 +383,6 @@ func (s *CiphertextStore) Closer(o, p int, tq *Trapdoor) bool {
 	return s.DistanceComp(o, p, tq) < 0
 }
 
-// ScaleOperands precomputes, for every id in ids, the trapdoor-scaled
-// operands (P1◦q | P2◦q) appended into dst (whose capacity is reused).
-// One pass over the candidate set turns every subsequent comparison from
-// three multiplies per element into two (ScaledComp), which pays off as
-// soon as the refine heap performs more comparisons than there are
-// candidates. The result has 2·CtDim floats per id, in ids order.
-func (s *CiphertextStore) ScaleOperands(dst []float64, ids []int, q []float64) []float64 {
-	d := s.ctDim
-	n := 2 * d * len(ids)
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	} else {
-		dst = dst[:n]
-	}
-	for j, id := range ids {
-		o12 := s.O12(id)
-		o1, o2 := o12[:d], o12[d:]
-		out := dst[j*2*d : (j+1)*2*d]
-		s1, s2 := out[:d], out[d:]
-		for i, qv := range q {
-			s1[i] = o1[i] * qv
-			s2[i] = o2[i] * qv
-		}
-	}
-	return dst
-}
-
-// ScaledComp evaluates Z using precomputed scaled operands s12 (one
-// 2·CtDim block from ScaleOperands) on the "o" side and record p on the
-// "p" side. Sign semantics match DistanceComp up to float64 rounding of
-// genuinely tied distances (the summation is associated differently).
-func (s *CiphertextStore) ScaledComp(s12 []float64, p int) float64 {
-	d := s.ctDim
-	p34 := s.P34(p)
-	return scaledCompKernel(s12[:d], s12[d:], p34[:d], p34[d:])
-}
-
 // DistanceCompHalves evaluates Z_{o,p,q} from o's [P1|P2] half and p's
 // [P3|P4] half (each 2·len(q) floats), without requiring both records to
 // live in the same store. The scatter-gather merge uses it to compare
@@ -434,10 +397,4 @@ func DistanceCompHalves(o12, p34, q []float64) float64 {
 // in kernels.go.
 func distCompKernel(o1, o2, p3, p4, q []float64) float64 {
 	return activeKernels.Load().distComp(o1, o2, p3, p4, q)
-}
-
-// scaledCompKernel computes Σᵢ s1ᵢ·p3ᵢ − Σᵢ s2ᵢ·p4ᵢ through the active
-// kernel variant.
-func scaledCompKernel(s1, s2, p3, p4 []float64) float64 {
-	return activeKernels.Load().scaledComp(s1, s2, p3, p4)
 }

@@ -89,27 +89,6 @@ func TestStoreDeleteTombstones(t *testing.T) {
 	}
 }
 
-func TestStoreScaledCompMatchesSign(t *testing.T) {
-	_, store, _, _, tq := storeWorld(t, 17, 10)
-	ids := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	ops := store.ScaleOperands(nil, ids, tq.Q)
-	st := 2 * store.CtDim()
-	for a := range ids {
-		for b := range ids {
-			plain := store.DistanceComp(ids[a], ids[b], tq)
-			scaled := store.ScaledComp(ops[a*st:(a+1)*st], ids[b])
-			if math.Abs(plain-scaled) > 1e-6*(math.Abs(plain)+1) {
-				t.Fatalf("scaled Z(%d,%d)=%g differs from plain %g", a, b, scaled, plain)
-			}
-		}
-	}
-	// Capacity reuse: a second call with enough capacity must not grow.
-	ops2 := store.ScaleOperands(ops, ids[:4], tq.Q)
-	if &ops2[0] != &ops[0] {
-		t.Fatal("ScaleOperands reallocated despite sufficient capacity")
-	}
-}
-
 func TestStoreSignAgainstPlainDistances(t *testing.T) {
 	dim, n := 9, 12
 	r := rng.NewSeeded(303)

@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sort"
 	"testing"
 
@@ -120,6 +121,13 @@ func TestConformance(t *testing.T) {
 			caps := ix.Caps()
 			if caps.Name != name {
 				t.Fatalf("Caps().Name = %q, want %q", caps.Name, name)
+			}
+
+			// The beam width can arrive from the wire. On a fresh index —
+			// no pooled search context yet — an absurd ef must cost memory
+			// bounded by the index and find what ef = n finds.
+			if got, want := searchIDs(ix, queries[0], k, 1<<40), searchIDs(ix, queries[0], k, n); !slices.Equal(got, want) {
+				t.Fatalf("ef=1<<40 found %v, ef=n found %v", got, want)
 			}
 
 			// Recall sanity against brute force.

@@ -59,8 +59,9 @@ type Caps struct {
 //
 // Mutations themselves are not required to be safe against concurrent
 // searches on the same instance — core.Server never mutates a published
-// index; its writers Clone the current one, mutate the private clone, and
-// atomically publish it (see core's snapshot documentation).
+// index: its writers append to the delta tier beside it, and a fold builds
+// the next one with Rebuild on a private value it publishes atomically
+// (see core's snapshot documentation).
 type SecureIndex interface {
 	// Add inserts a vector and returns its id, which is always the value
 	// Len-including-tombstones had before the call. Backends without
@@ -86,11 +87,14 @@ type SecureIndex interface {
 	// Delete tombstones an id. Backends without dynamic delete return an
 	// error wrapping ErrNotSupported.
 	Delete(id int) error
-	// Clone returns an independent copy of the index: the copy-on-write
-	// primitive of the serving tier's snapshot discipline. Mutations on the
+	// Clone returns an independent copy of the index. Mutations on the
 	// clone are invisible to the original (and vice versa), and cloning is
 	// pure copying — no distance computations, no rebuild. Immutable state
-	// (trained quantizers, hash projections) may be shared.
+	// (trained quantizers, hash projections) may be shared. Nothing in the
+	// serving tier calls it today — core.Server stopped cloning when writes
+	// moved to the delta tier — only the conformance suite does; it stays
+	// in the contract because a fold that thaws and extends the published
+	// index instead of rebuilding it needs exactly this private copy.
 	Clone() SecureIndex
 	// Rebuild constructs a fresh index of the same backend over vectors,
 	// using the receiver's build configuration (graph parameters, trained

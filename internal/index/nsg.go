@@ -40,16 +40,22 @@ func (a *nsgIndex) Add(v []float64) (int, error) {
 	return 0, fmt.Errorf("%w: nsg is batch-built and cannot insert", ErrNotSupported)
 }
 
+// beam caps the advisory ef budget at the live node count. The graph sizes
+// a fresh search context by its beam, and ef can arrive from the wire; a
+// beam as wide as the graph already holds every node the walk can reach,
+// so a wider one returns the same results.
+func (a *nsgIndex) beam(ef int) int { return min(ef, a.g.Len()) }
+
 func (a *nsgIndex) Search(q []float64, k, ef int) []resultheap.Item {
-	return a.g.Search(q, k, ef)
+	return a.g.Search(q, k, a.beam(ef))
 }
 
 func (a *nsgIndex) SearchInto(dst []resultheap.Item, q []float64, k, ef int) []resultheap.Item {
-	return a.g.SearchInto(dst, q, k, ef)
+	return a.g.SearchInto(dst, q, k, a.beam(ef))
 }
 
 func (a *nsgIndex) SearchIntoDist(dst []resultheap.Item, q []float64, k, ef int, sc vec.BlockScanner) []resultheap.Item {
-	return a.g.SearchIntoDist(dst, q, k, ef, sc)
+	return a.g.SearchIntoDist(dst, q, k, a.beam(ef), sc)
 }
 
 func (a *nsgIndex) Delete(id int) error { return a.g.Delete(id) }

@@ -425,7 +425,7 @@ func (c *Coordinator) SearchBatch(toks []*core.QueryToken, k int, opt core.Searc
 	}
 
 	results := make([][]int, len(toks))
-	var failed []core.QueryError
+	qErrs := make([]error, len(toks))
 	sc := scratchPool.Get().(*searchScratch)
 	defer putScratch(sc)
 	sc.shards(len(c.stripes))
@@ -453,15 +453,18 @@ func (c *Coordinator) SearchBatch(toks []*core.QueryToken, k int, opt core.Searc
 		if qErr == nil {
 			results[q], qErr = c.merge(toks[q], k, opt.Refine, gather, sc)
 		}
-		if qErr != nil {
-			failed = append(failed, core.QueryError{Query: q, Err: qErr})
-		}
+		qErrs[q] = qErr
 	}
+	be := core.NewBatchError(qErrs)
 	if len(dead) > 0 {
-		return results, &PartialError{Stripes: dead, Errs: deadErrs, Failed: failed}
+		pe := &PartialError{Stripes: dead, Errs: deadErrs}
+		if be != nil {
+			pe.Failed = be.Failed
+		}
+		return results, pe
 	}
-	if len(failed) > 0 {
-		return results, &core.BatchError{Failed: failed}
+	if be != nil {
+		return results, be
 	}
 	return results, nil
 }

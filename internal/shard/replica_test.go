@@ -616,10 +616,7 @@ func TestKilledReplicaMidBatchEpochSafety(t *testing.T) {
 		toks[i] = tok
 	}
 	opt := fullRecall(n, core.RefineDCE)
-	want, err := w.server.SearchBatch(toks, k, opt, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := w.searchAll(t, toks, k, opt)
 	got, err := coord.SearchBatch(toks, k, opt)
 	if err != nil {
 		t.Fatalf("batch with killed replicas: %v", err)

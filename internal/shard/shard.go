@@ -79,18 +79,17 @@ type Local struct {
 	Srv *core.Server
 }
 
-// SearchShard answers one query against the wrapped server. Being
-// in-process, it borrows the snapshot's ciphertext store as merge material
-// (core.ShardResult.Store) instead of copying records — the snapshot is
-// immutable, so the view stays valid for the life of the result.
+// SearchShard answers one query against the wrapped server. The DCE merge
+// material is a borrow of the snapshot's ciphertext store
+// (core.ShardResult.Store), not record copies — the snapshot is immutable,
+// so the view stays valid for the life of the result.
 func (l Local) SearchShard(tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error) {
-	return l.Srv.SearchShardView(tok, k, opt)
+	return l.Srv.SearchShard(tok, k, opt)
 }
 
-// SearchShardBatch fans the batch across the wrapped server's cores,
-// borrowing snapshot views like SearchShard.
+// SearchShardBatch fans the batch across the wrapped server's cores.
 func (l Local) SearchShardBatch(toks []*core.QueryToken, k int, opt core.SearchOptions) ([]core.ShardResult, []error, error) {
-	rs, errs := l.Srv.SearchShardBatchView(toks, k, opt, 0)
+	rs, errs := l.Srv.SearchShardBatch(toks, k, opt)
 	return rs, errs, nil
 }
 

@@ -43,6 +43,19 @@ func testData(seed uint64, n, dim, queries int) (train, qs [][]float64) {
 	return train, qs
 }
 
+// searchAll answers every token on the unsharded reference server.
+func (w *world) searchAll(t *testing.T, toks []*core.QueryToken, k int, opt core.SearchOptions) [][]int {
+	t.Helper()
+	out := make([][]int, len(toks))
+	for i, tok := range toks {
+		var err error
+		if out[i], err = w.server.Search(tok, k, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 func newWorld(t *testing.T, n, dim int, withAME bool) *world {
 	t.Helper()
 	train, qs := testData(11, n, dim, 20)
@@ -164,10 +177,7 @@ func TestSearchBatchMatchesUnsharded(t *testing.T) {
 		}
 		toks[i] = tok
 	}
-	want, err := w.server.SearchBatch(toks, k, opt, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := w.searchAll(t, toks, k, opt)
 	got, err := coord.SearchBatch(toks, k, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -464,10 +474,7 @@ func TestScatterGatherOverTransport(t *testing.T) {
 		toks[i] = tok
 	}
 	opt := fullRecall(n, core.RefineDCE)
-	want, err := w.server.SearchBatch(toks, k, opt, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := w.searchAll(t, toks, k, opt)
 	got, err := coord.SearchBatch(toks, k, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -362,6 +362,21 @@ func handleSafe(srv *core.Server, req *request) (resp *response) {
 	return handle(srv, req)
 }
 
+// wireRecs copies a result's DCE merge records out of the snapshot store
+// it borrows (nil for the other refine modes). Copies, not arena views: the
+// response is encoded after the search has returned, and
+// CiphertextStore.Delete zeroes records in place.
+func wireRecs(r core.ShardResult) [][]float64 {
+	if r.Store == nil {
+		return nil
+	}
+	recs := make([][]float64, len(r.IDs))
+	for i, id := range r.IDs {
+		recs[i] = append([]float64(nil), r.Store.Record(id)...)
+	}
+	return recs
+}
+
 // handle executes one decoded request against the server.
 func handle(srv *core.Server, req *request) *response {
 	var resp response
@@ -379,7 +394,7 @@ func handle(srv *core.Server, req *request) *response {
 			if err != nil {
 				resp.Err = err.Error()
 			} else {
-				resp.IDs, resp.Dists, resp.Recs, resp.CtDim = r.IDs, r.Dists, r.Recs, r.CtDim
+				resp.IDs, resp.Dists, resp.Recs, resp.CtDim = r.IDs, r.Dists, wireRecs(r), r.CtDim
 				resp.Epoch = r.Epoch
 			}
 		} else {
@@ -396,23 +411,15 @@ func handle(srv *core.Server, req *request) *response {
 			toks[i] = wt.token()
 		}
 		resp.Batch = make([]wireResult, len(toks))
-		if req.Merge {
-			rs, errs := srv.SearchShardBatch(toks, req.K, req.Opt, 0)
-			for i := range toks {
-				if errs[i] != nil {
-					resp.Batch[i].Err = errs[i].Error()
-					continue
-				}
-				resp.Batch[i] = wireResult{IDs: rs[i].IDs, Dists: rs[i].Dists, Recs: rs[i].Recs, CtDim: rs[i].CtDim, Epoch: rs[i].Epoch}
-			}
-		} else {
-			results, errs := srv.SearchBatchErrs(toks, req.K, req.Opt, 0)
-			for i := range toks {
-				if errs[i] != nil {
-					resp.Batch[i].Err = errs[i].Error()
-					continue
-				}
-				resp.Batch[i].IDs = results[i]
+		rs, errs := srv.SearchShardBatch(toks, req.K, req.Opt)
+		for i, r := range rs {
+			switch {
+			case errs[i] != nil:
+				resp.Batch[i].Err = errs[i].Error()
+			case req.Merge:
+				resp.Batch[i] = wireResult{IDs: r.IDs, Dists: r.Dists, Recs: wireRecs(r), CtDim: r.CtDim, Epoch: r.Epoch}
+			default:
+				resp.Batch[i].IDs = r.IDs
 			}
 		}
 	case "insert":
@@ -871,26 +878,20 @@ func (c *Client) searchBatch(toks []*core.QueryToken, k int, opt core.SearchOpti
 // SearchBatch answers a whole batch of queries in a single round trip —
 // the server fans the batch across its cores, honoring
 // core.SearchOptions.Parallelism — and returns per-query results in input
-// order. Failed queries surface exactly like core.Server.SearchBatch:
-// their slots are nil and the returned error is a *core.BatchError listing
-// them, so a single malformed token never voids the rest of the batch. A
-// transport-level failure voids the whole call.
+// order. Failed queries leave nil slots and the returned error is a
+// *core.BatchError listing them, so a single malformed token never voids
+// the rest of the batch. A transport-level failure voids the whole call.
 func (c *Client) SearchBatch(toks []*core.QueryToken, k int, opt core.SearchOptions) ([][]int, error) {
 	rs, errs, err := c.searchBatch(toks, k, opt, false)
 	if err != nil || rs == nil {
 		return nil, err
 	}
 	results := make([][]int, len(rs))
-	var failed []core.QueryError
 	for i := range rs {
-		if errs[i] != nil {
-			failed = append(failed, core.QueryError{Query: i, Err: errs[i]})
-			continue
-		}
 		results[i] = rs[i].IDs
 	}
-	if len(failed) > 0 {
-		return results, &core.BatchError{Failed: failed}
+	if be := core.NewBatchError(errs); be != nil {
+		return results, be
 	}
 	return results, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -262,13 +263,13 @@ func TestSearchBatchSingleRoundTrip(t *testing.T) {
 			for i, wt := range req.Tokens {
 				toks[i] = wt.token()
 			}
-			results, errs := srv.SearchBatchErrs(toks, req.K, req.Opt, 0)
+			results, errs := srv.SearchShardBatch(toks, req.K, req.Opt)
 			resp := response{Batch: make([]wireResult, len(toks))}
 			for i := range toks {
 				if errs[i] != nil {
 					resp.Batch[i].Err = errs[i].Error()
 				} else {
-					resp.Batch[i].IDs = results[i]
+					resp.Batch[i].IDs = results[i].IDs
 				}
 			}
 			if err := enc.Encode(&resp); err != nil {
@@ -540,6 +541,64 @@ func TestSearchShardOverTCP(t *testing.T) {
 		if len(rec) != 4*res.CtDim {
 			t.Fatalf("rec %d has %d floats, want %d", i, len(rec), 4*res.CtDim)
 		}
+	}
+}
+
+// TestLegacySearchOptionsOnTheWire: a client built before the blocked
+// executor and the scaled-operand refine were removed still sets their two
+// options inside Opt. gob drops fields the receiver does not know, so the
+// server must answer such a request exactly like a plain one.
+func TestLegacySearchOptionsOnTheWire(t *testing.T) {
+	_, user, d, addr := startWorld(t)
+	client, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	tok, err := user.Query(d.Queries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := client.Search(tok, 5, core.SearchOptions{RatioK: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The request envelope as an old client encodes it.
+	type legacyOptions struct {
+		KPrime, RatioK, EfSearch int
+		Refine                   core.RefineMode
+		FilterDist               core.FilterDistMode
+		PrecomputeRefine         bool
+		Parallelism              int
+		BlockQ                   int
+	}
+	type legacyRequest struct {
+		Seq   uint64
+		Op    string
+		Token *wireToken
+		K     int
+		Opt   legacyOptions
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	wt, err := toWireToken(tok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := legacyRequest{Seq: 1, Op: "search", Token: wt, K: 5, Opt: legacyOptions{RatioK: 8, PrecomputeRefine: true, BlockQ: 8}}
+	if err := gob.NewEncoder(conn).Encode(&req); err != nil {
+		t.Fatal(err)
+	}
+	var resp response
+	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Err != "" || resp.Seq != 1 || !slices.Equal(resp.IDs, want) {
+		t.Fatalf("legacy-shaped request answered %v (err %q, seq %d), plain request %v", resp.IDs, resp.Err, resp.Seq, want)
 	}
 }
 

@@ -61,8 +61,9 @@ type IndexCaps = index.Caps
 // Backends lists the registered filter-index backends, sorted by name.
 func Backends() []string { return index.Names() }
 
-// SearchOptions tunes a single query: k′ (directly or via RatioK), the
-// HNSW beam width, and the refine mode.
+// SearchOptions tunes a query: k′ (directly or via RatioK), the beam
+// width, the refine mode, the filter distance provider, and the worker
+// count of a batch.
 type SearchOptions = core.SearchOptions
 
 // SearchStats reports a query's cost split between the filter and refine
@@ -118,7 +119,10 @@ type BuildStats = core.BuildStats
 type User = core.User
 
 // Server hosts the encrypted database and answers queries; it never holds
-// keys or plaintexts.
+// keys or plaintexts. It has four search methods over one body: Search
+// (ids), SearchInto (ids into a recycled buffer, plus SearchStats), and
+// SearchShard / SearchShardBatch (ids plus the material a scatter-gather
+// coordinator merges shards by, for one query or many).
 type Server = core.Server
 
 // UserKey is the key material the data owner hands an authorized user.
@@ -163,7 +167,7 @@ type CompactionStats = core.CompactionStats
 // ack (group-committed across concurrent writers), Every: N syncs every
 // N-th record, Interval syncs on a timer, and the zero value leaves
 // durability to the OS page cache. See the README's Durability section
-// for the guarantees and measured cost of each.
+// for the guarantees of each.
 type SyncPolicy = wal.SyncPolicy
 
 // RecoveryStats describes what OpenServer found in a WAL directory: the
