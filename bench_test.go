@@ -67,7 +67,7 @@ func buildFixture(b *testing.B, n int, withAME bool) *fixture {
 	b.Helper()
 	data := dataset.DeepLike(n, 30, 7)
 	owner, err := ppanns.NewDataOwner(ppanns.Params{
-		Dim: data.Dim, Beta: 0.3, M: 16, EfConstruction: 200, Seed: 7, WithAME: withAME,
+		Dim: data.Dim, Beta: 0.3, Seed: 7, WithAME: withAME,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -122,7 +122,7 @@ func BenchmarkFig4FilterBeta(b *testing.B) {
 	for _, beta := range []float64{0, 0.3, 0.6} {
 		b.Run(fmt.Sprintf("beta=%v", beta), func(b *testing.B) {
 			data := dataset.DeepLike(1500, 10, 11)
-			owner, err := ppanns.NewDataOwner(ppanns.Params{Dim: data.Dim, Beta: beta, M: 16, EfConstruction: 150, Seed: 11})
+			owner, err := ppanns.NewDataOwner(ppanns.Params{Dim: data.Dim, Beta: beta, IndexOptions: ppanns.IndexOptions{EfConstruction: 150}, Seed: 11})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -177,7 +177,7 @@ func BenchmarkFig7Baselines(b *testing.B) {
 	lshCfg := lsh.Config{Dim: data.Dim, Tables: 10, Hashes: 6, W: 1.0, Seed: 13}
 
 	ours, err := baselines.NewOursFromData(data.Train, core.Params{
-		Dim: data.Dim, Beta: 0.3, M: 16, EfConstruction: 150, Seed: 13,
+		Dim: data.Dim, Beta: 0.3, IndexOptions: ppanns.IndexOptions{EfConstruction: 150}, Seed: 13,
 	}, core.SearchOptions{RatioK: 16, EfSearch: 160})
 	if err != nil {
 		b.Fatal(err)

@@ -158,8 +158,9 @@ func runEncrypt(args []string) error {
 	}
 
 	owner, err := ppanns.NewDataOwner(ppanns.Params{
-		Dim: ds.Dim(), Beta: b, Index: *backend, M: *m, EfConstruction: *efc, Seed: *seed,
-		PQ: *pqm > 0, PQM: *pqm,
+		Dim: ds.Dim(), Beta: b, Index: *backend, Seed: *seed,
+		IndexOptions: ppanns.IndexOptions{M: *m, EfConstruction: *efc},
+		PQ:           *pqm > 0, PQM: *pqm,
 	})
 	if err != nil {
 		return err
@@ -382,7 +383,7 @@ func runRecover(args []string) error {
 }
 
 // runInfo dials a serving instance and prints what the transport info op
-// reports: backend, capabilities, dimension, and the record counts — total
+// reports: backend, dimension, and the record counts — total
 // (tombstones included) and live — so operators can see deletion debt at a
 // glance.
 func runInfo(args []string) error {
@@ -425,49 +426,34 @@ func runInfo(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("backend:    %s (insert=%v delete=%v)\n", info.Backend, info.DynamicInsert, info.DynamicDelete)
+	fmt.Printf("backend:    %s\n", info.Backend)
 	fmt.Printf("dimension:  %d\n", info.Dim)
 	fmt.Printf("records:    %d total\n", info.N)
-	if info.Proto == 0 {
-		// A pre-v2 server never sends live counts; zero here means
-		// "absent", not "everything tombstoned".
-		fmt.Printf("live:       unknown (server speaks protocol v1)\n")
-		return nil
-	}
 	fmt.Printf("live:       %d\n", info.Live)
 	fmt.Printf("tombstones: %d\n", info.N-info.Live)
-	if info.Proto >= 3 {
-		// v3 servers break the write path down by tier: how much of the
-		// database sits in the uncompacted delta, and how many tombstones
-		// are still pending a compaction fold.
-		fmt.Printf("delta:      %d\n", info.Delta)
-		fmt.Printf("pending:    %d tombstones awaiting compaction\n", info.Tombstones)
+	fmt.Printf("delta:      %d\n", info.Delta)
+	fmt.Printf("pending:    %d tombstones awaiting compaction\n", info.Tombstones)
+	// What each stored point costs per tier, and how much of it the
+	// compressed filter tier shaves off.
+	m := info.Memory
+	fmt.Printf("memory:     %.0f B/point SAP + %.0f B/point DCE\n", m.SAP, m.DCE)
+	if m.PQCodes > 0 {
+		fmt.Printf("pq tier:    %.1f B/point codes + %.2f B/point codebook (%.0f× under SAP)\n",
+			m.PQCodes, m.PQBook, m.SAP/(m.PQCodes+m.PQBook))
+	} else {
+		fmt.Printf("pq tier:    none\n")
 	}
-	if m := info.Memory; info.Proto >= 4 && m != nil {
-		// v4 servers report the per-tier memory footprint, so an operator
-		// can see what each stored point costs and how much of it the
-		// compressed filter tier shaves off.
-		fmt.Printf("memory:     %.0f B/point SAP + %.0f B/point DCE\n", m.SAP, m.DCE)
-		if m.PQCodes > 0 {
-			fmt.Printf("pq tier:    %.1f B/point codes + %.2f B/point codebook (%.0f× under SAP)\n",
-				m.PQCodes, m.PQBook, m.SAP/(m.PQCodes+m.PQBook))
-		} else {
-			fmt.Printf("pq tier:    none\n")
+	fmt.Printf("delta heap: %d B un-compacted\n", m.DeltaBytes)
+	// A nil WAL summary means the server runs without one (acknowledged
+	// writes are volatile).
+	if w := info.WAL; w != nil {
+		fmt.Printf("wal:        %s — %d segments, %d B, sync %s\n", w.Dir, w.Segments, w.Bytes, w.Policy)
+		fmt.Printf("wal acked:  %d appended, %d synced durable\n", w.Appended, w.Synced)
+		if w.Checkpoint != "" {
+			fmt.Printf("wal ckpt:   %s (epoch %d, generation %d)\n", w.Checkpoint, w.CheckpointEpoch, w.CheckpointGen)
 		}
-		fmt.Printf("delta heap: %d B un-compacted\n", m.DeltaBytes)
-	}
-	if info.Proto >= 5 {
-		// v5 servers summarize their write-ahead log; nil means the
-		// server runs without one (acknowledged writes are volatile).
-		if w := info.WAL; w != nil {
-			fmt.Printf("wal:        %s — %d segments, %d B, sync %s\n", w.Dir, w.Segments, w.Bytes, w.Policy)
-			fmt.Printf("wal acked:  %d appended, %d synced durable\n", w.Appended, w.Synced)
-			if w.Checkpoint != "" {
-				fmt.Printf("wal ckpt:   %s (epoch %d, generation %d)\n", w.Checkpoint, w.CheckpointEpoch, w.CheckpointGen)
-			}
-		} else {
-			fmt.Printf("wal:        none (writes are not durable across restarts)\n")
-		}
+	} else {
+		fmt.Printf("wal:        none (writes are not durable across restarts)\n")
 	}
 	return nil
 }
@@ -526,8 +512,7 @@ func runQuery(args []string) error {
 	}
 	defer client.Close()
 	if info, err := client.Info(); err == nil {
-		fmt.Printf("server: %d vectors, %s index (insert=%v delete=%v)\n",
-			info.N, info.Backend, info.DynamicInsert, info.DynamicDelete)
+		fmt.Printf("server: %d vectors, %s index\n", info.N, info.Backend)
 	}
 
 	for i := 0; i < qs.Len(); i++ {

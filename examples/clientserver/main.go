@@ -71,7 +71,7 @@ func main() {
 // buildWorld plays the data owner: encrypt the corpus, return the pieces.
 func buildWorld() (*dataset.Data, *ppanns.DataOwner, *ppanns.EncryptedDatabase, *ppanns.Server) {
 	data := dataset.DeepLike(*n, 20, 9)
-	owner, err := ppanns.NewDataOwner(ppanns.Params{Dim: data.Dim, Beta: 0.3, M: 16, EfConstruction: 200, Seed: 9})
+	owner, err := ppanns.NewDataOwner(ppanns.Params{Dim: data.Dim, Beta: 0.3, Seed: 9})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func demo() {
 	}
 	fmt.Printf("Recall@10 over TCP: %.3f (%d queries)\n", recall/float64(len(data.Queries)), len(data.Queries))
 
-	// Protocol v2 multiplexing: many goroutines share the one connection,
+	// Multiplexing: many goroutines share the one connection,
 	// their requests pipeline, and the demux routes each response to its
 	// caller — no per-goroutine dialing, no head-of-line lockstep. Tokens
 	// are encrypted up front on one goroutine: the user key's randomness

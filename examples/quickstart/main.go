@@ -18,14 +18,12 @@ func main() {
 	fmt.Printf("corpus: %s, n=%d, d=%d\n", data.Name, len(data.Train), data.Dim)
 
 	// The data owner picks parameters: β controls how much the index-side
-	// DCPE ciphertexts blur distances (privacy ↔ filter quality), and the
-	// HNSW parameters control the index.
+	// DCPE ciphertexts blur distances (privacy ↔ filter quality);
+	// Params.IndexOptions would tune the HNSW build (defaults M=16, efC=200).
 	dep, err := ppanns.NewDeployment(ppanns.Params{
-		Dim:            data.Dim,
-		Beta:           120, // ≈ half the admissible range's low end for SIFT-scale values
-		M:              16,
-		EfConstruction: 200,
-		Seed:           1,
+		Dim:  data.Dim,
+		Beta: 120, // ≈ half the admissible range's low end for SIFT-scale values
+		Seed: 1,
 	}, data.Train)
 	if err != nil {
 		log.Fatal(err)

@@ -34,7 +34,7 @@ func main() {
 	fmt.Printf("calibrated β = %.4f (filter-phase recall ceiling ≈ 0.5)\n", beta)
 
 	dep, err := ppanns.NewDeployment(ppanns.Params{
-		Dim: data.Dim, Beta: beta, M: 16, EfConstruction: 200, Seed: 33,
+		Dim: data.Dim, Beta: beta, Seed: 33,
 	}, data.Train)
 	if err != nil {
 		log.Fatal(err)

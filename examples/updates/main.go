@@ -25,7 +25,7 @@ func main() {
 	initial, pool := data.Train[:base], data.Train[base:]
 
 	dep, err := ppanns.NewDeployment(ppanns.Params{
-		Dim: data.Dim, Beta: 1.0, M: 16, EfConstruction: 200, Seed: 21,
+		Dim: data.Dim, Beta: 1.0, Seed: 21,
 	}, initial)
 	if err != nil {
 		log.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"ppanns/internal/core"
 	"ppanns/internal/dataset"
 	"ppanns/internal/hnsw"
+	"ppanns/internal/index"
 	"ppanns/internal/lsh"
 )
 
@@ -160,7 +161,7 @@ func TestPRIANNValidation(t *testing.T) {
 func TestOurs(t *testing.T) {
 	w := newWorld(t, 2000, 20, 10)
 	sys, err := NewOursFromData(w.data.Train, core.Params{
-		Dim: w.data.Dim, Beta: 0.05, M: 12, EfConstruction: 150, Seed: 7,
+		Dim: w.data.Dim, Beta: 0.05, IndexOptions: index.Options{M: 12, EfConstruction: 150}, Seed: 7,
 	}, core.SearchOptions{RatioK: 8, EfSearch: 150})
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +194,7 @@ func TestCostShapesAcrossSystems(t *testing.T) {
 	w := newWorld(t, 1500, 8, 10)
 
 	ours, err := NewOursFromData(w.data.Train, core.Params{
-		Dim: w.data.Dim, Beta: 0.05, M: 12, EfConstruction: 120, Seed: 8,
+		Dim: w.data.Dim, Beta: 0.05, IndexOptions: index.Options{M: 12, EfConstruction: 120}, Seed: 8,
 	}, core.SearchOptions{RatioK: 8, EfSearch: 120})
 	if err != nil {
 		t.Fatal(err)

@@ -55,7 +55,7 @@ func Fig4(cfg Config) error {
 		cfg.printf("\n## %s (n=%d, calibrated β=%.3g)\n", d.Name, len(d.Train), cal)
 		for _, beta := range []float64{0, cal / 2, cal, 2 * cal} {
 			dep, err := newDeployment(d, core.Params{
-				Dim: d.Dim, Beta: beta, M: 16, EfConstruction: 200, Seed: cfg.Seed,
+				Dim: d.Dim, Beta: beta, Seed: cfg.Seed,
 			})
 			if err != nil {
 				return err
@@ -86,7 +86,7 @@ func Fig5(cfg Config) error {
 			return err
 		}
 		dep, err := newDeployment(d, core.Params{
-			Dim: d.Dim, Beta: beta, M: 16, EfConstruction: 200, Seed: cfg.Seed,
+			Dim: d.Dim, Beta: beta, Seed: cfg.Seed,
 		})
 		if err != nil {
 			return err
@@ -123,7 +123,7 @@ func Fig6(cfg Config) error {
 			return err
 		}
 		dep, err := newDeployment(d, core.Params{
-			Dim: d.Dim, Beta: beta, M: 16, EfConstruction: 200, Seed: cfg.Seed, WithAME: true,
+			Dim: d.Dim, Beta: beta, Seed: cfg.Seed, WithAME: true,
 		})
 		if err != nil {
 			return err
@@ -248,7 +248,7 @@ type systemEntry struct {
 // comparable tuning.
 func buildAllSystems(d *dataset.Data, beta float64, cfg Config) ([]systemEntry, error) {
 	ours, err := baselines.NewOursFromData(d.Train, core.Params{
-		Dim: d.Dim, Beta: beta, M: 16, EfConstruction: 200, Seed: cfg.Seed,
+		Dim: d.Dim, Beta: beta, Seed: cfg.Seed,
 	}, core.SearchOptions{RatioK: 16, EfSearch: 16 * cfg.K})
 	if err != nil {
 		return nil, err
@@ -424,7 +424,7 @@ func Fig10(cfg Config) error {
 				return err
 			}
 			dep, err := newDeployment(d, core.Params{
-				Dim: d.Dim, Beta: beta, M: 16, EfConstruction: 200, Seed: cfg.Seed,
+				Dim: d.Dim, Beta: beta, Seed: cfg.Seed,
 			})
 			if err != nil {
 				return err
@@ -494,7 +494,7 @@ func Overhead(cfg Config) error {
 		}
 
 		dep, err := newDeployment(d, core.Params{
-			Dim: d.Dim, Beta: beta, M: 16, EfConstruction: 200, Seed: cfg.Seed,
+			Dim: d.Dim, Beta: beta, Seed: cfg.Seed,
 		})
 		if err != nil {
 			return err

@@ -3,11 +3,12 @@ package bench
 import (
 	"ppanns/internal/core"
 	"ppanns/internal/dataset"
+	"ppanns/internal/index"
 )
 
 // coreParamsFor builds laptop-scale parameters for one corpus.
 func coreParamsFor(d *dataset.Data, beta float64, seed uint64) core.Params {
-	return core.Params{Dim: d.Dim, Beta: beta, M: 12, EfConstruction: 120, Seed: seed}
+	return core.Params{Dim: d.Dim, Beta: beta, IndexOptions: index.Options{M: 12, EfConstruction: 120}, Seed: seed}
 }
 
 // searchOpts builds the common search options used in tests.

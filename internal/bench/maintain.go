@@ -30,7 +30,7 @@ func Maintain(cfg Config) error {
 			return err
 		}
 		owner, err := core.NewDataOwner(core.Params{
-			Dim: total.Dim, Beta: beta, M: 16, EfConstruction: 200, Seed: cfg.Seed,
+			Dim: total.Dim, Beta: beta, Seed: cfg.Seed,
 		})
 		if err != nil {
 			return err

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 
 	"ppanns/internal/dce"
@@ -23,7 +22,7 @@ var backendMinRecall = map[string]float64{
 
 // TestBackendsEndToEnd drives every registered filter-index backend
 // through the public pipeline: encrypt, search with DCE refine, save/load
-// round-trip, and capability-gated updates.
+// round-trip, and updates.
 func TestBackendsEndToEnd(t *testing.T) {
 	const n, dim, k = 1500, 12, 10
 	data := clustered(61, n, dim, 10)
@@ -35,10 +34,6 @@ func TestBackendsEndToEnd(t *testing.T) {
 			w := newWorld(t, Params{Dim: dim, Beta: 0.5, Seed: 61, Index: name}, data)
 			if got := w.server.Backend(); got != name {
 				t.Fatalf("Backend() = %q, want %q", got, name)
-			}
-			caps := w.server.Caps()
-			if caps.Name != name {
-				t.Fatalf("Caps().Name = %q, want %q", caps.Name, name)
 			}
 
 			opt := SearchOptions{RatioK: 16, EfSearch: 250}
@@ -86,50 +81,33 @@ func TestBackendsEndToEnd(t *testing.T) {
 				}
 			}
 
-			// Capability-gated insert through the server. A rejected insert
-			// must leave the database untouched (the validate-before-mutate
-			// contract of Server.Insert).
+			// Every backend takes inserts and deletes through the delta tier.
 			r := rng.NewSeeded(63)
 			novel := rng.GaussianVec(r, dim, 30)
 			payload, err := w.owner.EncryptVector(novel)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if caps.DynamicInsert {
-				id, err := w.server.Insert(payload)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if id != n {
-					t.Fatalf("insert id = %d, want %d", id, n)
-				}
-				tok, err := w.user.Query(novel)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := w.server.Search(tok, 1, SearchOptions{RatioK: 8})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != 1 || got[0] != id {
-					t.Fatalf("inserted vector not found: got %v", got)
-				}
-			} else {
-				if _, err := w.server.Insert(payload); !errors.Is(err, index.ErrNotSupported) {
-					t.Fatalf("insert on %s: err = %v, want ErrNotSupported", name, err)
-				}
-				if w.server.Len() != n {
-					t.Fatalf("failed insert mutated database: Len = %d, want %d", w.server.Len(), n)
-				}
-				if _, err := w.server.Search(mustToken(t, w, data[0]), k, opt); err != nil {
-					t.Fatalf("search after failed insert: %v", err)
-				}
+			id, err := w.server.Insert(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id != n {
+				t.Fatalf("insert id = %d, want %d", id, n)
+			}
+			tok, err := w.user.Query(novel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := w.server.Search(tok, 1, SearchOptions{RatioK: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 1 || got[0] != id {
+				t.Fatalf("inserted vector not found: got %v", got)
 			}
 
-			// Delete works on every current backend and must hide the id.
-			if !caps.DynamicDelete {
-				t.Fatalf("backend %s unexpectedly lacks delete support", name)
-			}
+			// A delete must hide the id.
 			q := data[40]
 			before, err := w.server.Search(mustToken(t, w, q), k, opt)
 			if err != nil {

@@ -33,11 +33,6 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			w := newWorld(t, Params{Dim: dim, Beta: 0.3, Seed: 91, Index: name}, data)
-			caps := w.server.Caps()
-			if !caps.DynamicDelete {
-				t.Skipf("%s supports no mutations to churn with", name)
-			}
-
 			// Script the mutation sequence. Epoch e is the state after the
 			// first e mutations, so liveAt[e] is exact.
 			type mutation struct {
@@ -48,7 +43,7 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 			nextDel := 0
 			inserts := 0
 			for m := 0; m < mutations; m++ {
-				if caps.DynamicInsert && m%2 == 0 {
+				if m%2 == 0 {
 					muts = append(muts, mutation{insert: data[m]})
 					inserts++
 				} else {

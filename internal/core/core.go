@@ -59,16 +59,11 @@ type Params struct {
 	// (default), "nsg", "ivf", or "lsh". See internal/index for the
 	// trade-offs each makes.
 	Index string
-	// IndexOptions carries backend-specific build and search options.
-	// Dim and Seed are filled in from this struct; the legacy M and
-	// EfConstruction fields below take effect when their IndexOptions
-	// counterparts are zero.
+	// IndexOptions carries backend-specific build and search options; Dim
+	// and Seed are filled in from this struct. The HNSW build parameters
+	// live there (IndexOptions.M and EfConstruction: the paper uses 40 and
+	// 600, the defaults are a laptop-scale 16 and 200).
 	IndexOptions index.Options
-
-	// M and EfConstruction are the HNSW build parameters; the paper uses
-	// 40 and 600. Defaults: 16 and 200 (laptop-scale).
-	M              int
-	EfConstruction int
 
 	// WithAME additionally encrypts the database under AME so the server
 	// can run the HNSW-AME baseline refine (Figure 6). Costly: Θ(d²)
@@ -115,29 +110,16 @@ func (p Params) withDefaults() (Params, error) {
 	if _, err := index.Lookup(p.Index); err != nil {
 		return p, fmt.Errorf("core: %w", err)
 	}
-	if p.M <= 0 {
-		p.M = 16
-	}
-	if p.EfConstruction <= 0 {
-		p.EfConstruction = 200
-	}
 	return p, nil
 }
 
 // indexOptions assembles the effective backend options: the explicit
-// IndexOptions, with Dim/Seed supplied from the scheme parameters and the
-// legacy HNSW knobs filling any zero values.
+// IndexOptions, with Dim/Seed supplied from the scheme parameters.
 func (p Params) indexOptions() index.Options {
 	opts := p.IndexOptions
 	opts.Dim = p.Dim
 	if opts.Seed == 0 {
 		opts.Seed = p.Seed ^ 0x9d5
-	}
-	if opts.M == 0 {
-		opts.M = p.M
-	}
-	if opts.EfConstruction == 0 {
-		opts.EfConstruction = p.EfConstruction
 	}
 	return opts
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"ppanns/internal/index"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
@@ -132,7 +133,7 @@ func TestParamsValidation(t *testing.T) {
 func TestEndToEndHighRecall(t *testing.T) {
 	const n, dim, k = 3000, 16, 10
 	data := clustered(1, n, dim, 20)
-	w := newWorld(t, Params{Dim: dim, Beta: 0.5, M: 12, EfConstruction: 150, Seed: 42}, data)
+	w := newWorld(t, Params{Dim: dim, Beta: 0.5, IndexOptions: index.Options{M: 12, EfConstruction: 150}, Seed: 42}, data)
 	queries := makeQueries(2, data, 40, 0.3)
 	recall := w.measureRecall(t, queries, k, SearchOptions{RatioK: 8, EfSearch: 120})
 	if recall < 0.9 {
@@ -145,7 +146,7 @@ func TestRefineImprovesOverFilterOnly(t *testing.T) {
 	// filter-only top-k — the core claim of the filter-and-refine design.
 	const n, dim, k = 2500, 16, 10
 	data := clustered(3, n, dim, 15)
-	w := newWorld(t, Params{Dim: dim, Beta: 2.0, M: 12, EfConstruction: 150, Seed: 7}, data)
+	w := newWorld(t, Params{Dim: dim, Beta: 2.0, IndexOptions: index.Options{M: 12, EfConstruction: 150}, Seed: 7}, data)
 	queries := makeQueries(4, data, 40, 0.3)
 	filterOnly := w.measureRecall(t, queries, k, SearchOptions{RatioK: 16, EfSearch: 200, Refine: RefineNone})
 	refined := w.measureRecall(t, queries, k, SearchOptions{RatioK: 16, EfSearch: 200, Refine: RefineDCE})
@@ -375,7 +376,7 @@ func TestRatioKMonotonicRecall(t *testing.T) {
 	// Figure 5's shape: recall ceiling grows with Ratio_k.
 	const n, dim, k = 2000, 12, 10
 	data := clustered(14, n, dim, 12)
-	w := newWorld(t, Params{Dim: dim, Beta: 2.5, M: 12, EfConstruction: 150, Seed: 27}, data)
+	w := newWorld(t, Params{Dim: dim, Beta: 2.5, IndexOptions: index.Options{M: 12, EfConstruction: 150}, Seed: 27}, data)
 	queries := makeQueries(15, data, 30, 0.3)
 	rec1 := w.measureRecall(t, queries, k, SearchOptions{RatioK: 1, EfSearch: 250})
 	rec16 := w.measureRecall(t, queries, k, SearchOptions{RatioK: 16, EfSearch: 250})

@@ -8,55 +8,65 @@ import (
 	"ppanns/internal/resultheap"
 )
 
-// TestSearchIntoZeroAlloc pins the tentpole guarantee: once the scratch
+// TestSearchIntoZeroAlloc pins the hot-path guarantee: once the scratch
 // and context pools are warm and the caller recycles its result buffer, a
-// full filter-and-refine search allocates nothing.
+// full filter-and-refine search allocates nothing — on the exact filter and
+// on the PQ filter, where the graph walk asks a pooled pq.Scanner for every
+// hop's distances.
 func TestSearchIntoZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are meaningless")
 	}
 	data := clustered(81, 1200, 10, 8)
-	w := newWorld(t, Params{Dim: 10, Beta: 0.3, Seed: 81}, data)
 	queries := makeQueries(82, data, 8, 0.3)
-	toks := make([]*QueryToken, len(queries))
-	for i, q := range queries {
-		tok, err := w.user.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		toks[i] = tok
-	}
-	opt := SearchOptions{RatioK: 8, EfSearch: 80}
-	var dst []int
-	// Warm-up: grow every pooled buffer to its steady-state size.
-	for _, tok := range toks {
-		var err error
-		dst, _, err = w.server.SearchInto(dst, tok, 5, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A GC cycle landing mid-measurement can drain the sync.Pools and
-	// charge the refill to this run; retry so only a persistent
-	// allocation fails the test.
-	i := 0
-	var allocs float64
-	for attempt := 0; attempt < 3; attempt++ {
-		allocs = testing.AllocsPerRun(64, func() {
-			tok := toks[i%len(toks)]
-			i++
-			var err error
-			dst, _, err = w.server.SearchInto(dst, tok, 5, opt)
+	for _, c := range []struct {
+		name   string
+		params Params
+		opt    SearchOptions
+	}{
+		{"hnsw exact", Params{Dim: 10, Beta: 0.3, Seed: 81}, SearchOptions{RatioK: 8, EfSearch: 80}},
+		{"hnsw+pq", Params{Dim: 10, Beta: 0.3, Seed: 81, PQ: true, PQM: 5}, SearchOptions{RatioK: 8, EfSearch: 80, FilterDist: FilterPQ}},
+	} {
+		w := newWorld(t, c.params, data)
+		toks := make([]*QueryToken, len(queries))
+		for i, q := range queries {
+			tok, err := w.user.Query(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs == 0 {
-			break
+			toks[i] = tok
 		}
-	}
-	if allocs != 0 {
-		t.Errorf("steady-state SearchInto allocates %.1f objects/op, want 0", allocs)
+		var dst []int
+		// Warm-up: grow every pooled buffer to its steady-state size.
+		for _, tok := range toks {
+			var err error
+			dst, _, err = w.server.SearchInto(dst, tok, 5, c.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A GC cycle landing mid-measurement can drain the sync.Pools and
+		// charge the refill to this run; retry so only a persistent
+		// allocation fails the test.
+		i := 0
+		var allocs float64
+		for attempt := 0; attempt < 3; attempt++ {
+			allocs = testing.AllocsPerRun(64, func() {
+				tok := toks[i%len(toks)]
+				i++
+				var err error
+				dst, _, err = w.server.SearchInto(dst, tok, 5, c.opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs == 0 {
+				break
+			}
+		}
+		if allocs != 0 {
+			t.Errorf("%s: steady-state SearchInto allocates %.1f objects/op, want 0", c.name, allocs)
+		}
 	}
 }
 

@@ -5,13 +5,15 @@ import (
 
 	"ppanns/internal/ame"
 	"ppanns/internal/dce"
+	"ppanns/internal/pq"
 )
 
 // Compacted returns an offline-compacted copy of the database: every
 // tombstoned record is dropped entirely and the survivors are renumbered
 // densely to 0..Live()-1 (relative order preserved), with the filter index
 // rebuilt over the surviving SAP ciphertexts under the receiver's build
-// configuration. The receiver is unmodified.
+// configuration and the PQ tier, when present, folded as an online
+// compaction folds it. The receiver is unmodified.
 //
 // Unlike the serving tier's online compaction — which must keep ids stable
 // because shard striping and user-visible ids depend on positions — the
@@ -59,6 +61,18 @@ func (e *EncryptedDatabase) Compacted() (*EncryptedDatabase, error) {
 		return nil, fmt.Errorf("core: offline compaction: %w", err)
 	}
 	ne := &EncryptedDatabase{Dim: e.Dim, Backend: e.Backend, Index: idx, DCE: store}
+	if e.PQ != nil {
+		ne.PQ, _, err = foldPQ(e.PQ, vecs, func() *pq.CodeStore {
+			codes := pq.NewCodeStoreN(e.PQ.Book.M(), len(oldIDs))
+			for j, id := range oldIDs {
+				copy(codes.Row(j), e.PQ.Codes.Row(id))
+			}
+			return codes
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: offline compaction: %w", err)
+		}
+	}
 	if e.AME != nil {
 		ne.AME = make([]*ame.Ciphertext, len(oldIDs))
 		for j, id := range oldIDs {
@@ -66,4 +80,21 @@ func (e *EncryptedDatabase) Compacted() (*EncryptedDatabase, error) {
 		}
 	}
 	return ne, nil
+}
+
+// foldPQ is the PQ step of a compaction, online or offline, over vecs, the
+// SAP vectors of the compacted id space. The codebook is reused — repack
+// carries the surviving code rows over, like the ciphertext arena — until
+// the database has outgrown its training set (NeedsRetrain's deterministic
+// doubling rule), at which point the whole tier retrains on vecs under the
+// retained config and old codes mean nothing.
+func foldPQ(old *pq.Store, vecs [][]float64, repack func() *pq.CodeStore) (pqs *pq.Store, retrained bool, err error) {
+	if old.NeedsRetrain(len(vecs)) {
+		pqs, err = pq.Build(vecs, old.Cfg)
+		if err != nil {
+			return nil, false, fmt.Errorf("PQ retrain: %w", err)
+		}
+		return pqs, true, nil
+	}
+	return &pq.Store{Book: old.Book, Codes: repack(), TrainedOn: old.TrainedOn, Cfg: old.Cfg}, false, nil
 }

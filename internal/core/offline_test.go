@@ -2,17 +2,30 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
 // TestOfflineCompactedRenumbers exercises the dbtool-compact primitive:
 // tombstoned records are dropped entirely, survivors are renumbered densely
 // with relative order preserved, the receiver stays untouched, and the
-// compacted database answers queries with the renumbered ids.
+// compacted database answers queries with the renumbered ids. A database
+// with a PQ tier keeps it: the survivors' code rows under the same codebook.
 func TestOfflineCompactedRenumbers(t *testing.T) {
-	const n, dim, k = 150, 8, 5
+	const n, dim = 150, 8
+	for name, params := range map[string]Params{
+		"exact": {Dim: dim, Beta: 0.3, Seed: 131},
+		"pq":    {Dim: dim, Beta: 0.3, Seed: 131, PQ: true, PQM: 4},
+	} {
+		t.Run(name, func(t *testing.T) { testOfflineCompacted(t, params, n) })
+	}
+}
+
+func testOfflineCompacted(t *testing.T, params Params, n int) {
+	const k = 5
+	dim := params.Dim
 	data := clustered(131, n, dim, 4)
-	w := newWorld(t, Params{Dim: dim, Beta: 0.3, Seed: 131}, data)
+	w := newWorld(t, params, data)
 	dead := map[int]bool{3: true, 77: true, 149: true}
 	for id := range dead {
 		if err := w.server.Delete(id); err != nil {
@@ -52,6 +65,26 @@ func TestOfflineCompactedRenumbers(t *testing.T) {
 		}
 	}
 
+	// The PQ tier moved with them: row j is the code of survivor j under the
+	// codebook the receiver was serving with.
+	if (compacted.PQ != nil) != params.PQ {
+		t.Fatalf("compacted PQ tier present = %v, want %v", compacted.PQ != nil, params.PQ)
+	}
+	if params.PQ {
+		if compacted.PQ.Book != edb.PQ.Book || compacted.PQ.Codes.Len() != compacted.Len() {
+			t.Fatalf("compacted PQ tier: codebook reused = %v, %d code rows for %d records",
+				compacted.PQ.Book == edb.PQ.Book, compacted.PQ.Codes.Len(), compacted.Len())
+		}
+		code := make([]byte, compacted.PQ.Book.M())
+		for j := 0; j < compacted.Len(); j++ {
+			v, _ := compacted.Index.Vector(j)
+			compacted.PQ.Book.EncodeInto(code, v)
+			if !bytes.Equal(compacted.PQ.Codes.Row(j), code) {
+				t.Fatalf("code row %d is %v, its vector encodes to %v", j, compacted.PQ.Codes.Row(j), code)
+			}
+		}
+	}
+
 	// Query-level identity at exhaustive k′: the compacted database must
 	// return exactly the renumbered image of the original's results.
 	srv, err := NewServer(compacted)
@@ -74,6 +107,19 @@ func TestOfflineCompactedRenumbers(t *testing.T) {
 		for i := range want {
 			if got[i] != newID[want[i]] {
 				t.Fatalf("rank %d: compacted id %d, want renumbered %d (old %d)", i, got[i], newID[want[i]], want[i])
+			}
+		}
+		if params.PQ {
+			opt := exhaustiveOpt(n)
+			opt.FilterDist = FilterPQ
+			pqGot, err := srv.Search(tok, k, opt)
+			if err != nil {
+				t.Fatalf("FilterPQ search on the compacted database: %v", err)
+			}
+			// Exhaustive k′ refines every survivor, so the filter distance
+			// cannot change the answer.
+			if !slices.Equal(pqGot, got) {
+				t.Fatalf("FilterPQ answered %v, the exact filter %v", pqGot, got)
 			}
 		}
 	}

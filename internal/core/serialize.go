@@ -57,23 +57,15 @@ func LoadUserKey(r io.Reader) (*UserKey, error) {
 	return k, nil
 }
 
-// Format history: PPANNSD2 stored a bare HNSW graph plus the id mapping;
-// PPANNSD3 prefixes a backend tag so saved databases round-trip any
-// registered index backend, whose payload is self-describing, and stores
-// one CRC-framed record per ciphertext; PPANNSD4 stores the ciphertext
-// arena in bulk — a presence bitmap followed by the flat float array under
-// a single streaming CRC32 — matching the in-memory CiphertextStore so
-// loading is one contiguous read instead of n pointer-chased records;
-// PPANNSD5 appends a PQ-presence flag byte after the arena checksum,
-// followed by the self-framing PQSTORE1 section when the database carries
-// a compressed filter tier. Older files load with PQ absent (rebuild on
-// demand via BuildPQ).
-const (
-	edbMagic       = "PPANNSD5"
-	edbMagicV4     = "PPANNSD4"
-	edbMagicV3     = "PPANNSD3"
-	edbMagicLegacy = "PPANNSD2"
-)
+// The database file, PPANNSD5: magic, backend tag (one length byte + name),
+// three int64s (dim, record count n, DCE component length), the ciphertext
+// section — n presence bytes, then n records of 4·ctDim float64s (zeroed
+// runs for tombstones) under one streaming CRC32 — a PQ-presence byte
+// followed by the self-framing PQSTORE1 section when the database carries a
+// compressed filter tier, and the backend's self-describing index payload.
+// There is one reader; files of the earlier generations (PPANNSD2–4) are
+// refused with index.ErrOldFormat.
+const edbMagic = "PPANNSD5"
 
 // serializeChunk is the staging-buffer size (in float64s) for bulk arena
 // I/O: large enough to amortize the encode loop, small enough to stay
@@ -81,7 +73,7 @@ const (
 const serializeChunk = 8192
 
 // Save writes the encrypted database (backend tag, DCE ciphertext arena,
-// index payload) in the PPANNSD4 format. The arena travels under a
+// index payload) in the PPANNSD5 format. The arena travels under a
 // streaming CRC32 so storage corruption is detected at load time instead
 // of silently flipping comparison results. AME ciphertexts, when present,
 // are not persisted.
@@ -169,10 +161,11 @@ func (e *EncryptedDatabase) Save(w io.Writer) error {
 	return e.Index.Save(w)
 }
 
-// LoadEncryptedDatabase reads a database written by Save — the current
-// PPANNSD4 bulk-arena format or the per-record PPANNSD3 layout, which is
-// loaded straight into the arena store so pre-arena files keep working
-// bit-for-bit.
+// LoadEncryptedDatabase reads a database written by Save. The bytes are
+// untrusted — a file on disk, a checkpoint after a crash — so every header
+// field is checked against the others before it sizes anything, and the
+// sections that scale with the record count are allocated as their bytes
+// arrive: a file that lies about its size fails at end of input.
 func LoadEncryptedDatabase(r io.Reader) (*EncryptedDatabase, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	magic := make([]byte, len(edbMagic))
@@ -180,9 +173,9 @@ func LoadEncryptedDatabase(r io.Reader) (*EncryptedDatabase, error) {
 		return nil, fmt.Errorf("core: reading magic: %w", err)
 	}
 	switch string(magic) {
-	case edbMagic, edbMagicV4, edbMagicV3:
-	case edbMagicLegacy:
-		return nil, fmt.Errorf("core: legacy %s database; re-encrypt with this version to add the backend tag", edbMagicLegacy)
+	case edbMagic:
+	case "PPANNSD2", "PPANNSD3", "PPANNSD4":
+		return nil, fmt.Errorf("core: %s database: %w", magic, index.ErrOldFormat)
 	default:
 		return nil, fmt.Errorf("core: bad magic %q", magic)
 	}
@@ -201,45 +194,42 @@ func LoadEncryptedDatabase(r io.Reader) (*EncryptedDatabase, error) {
 	var head [3]int64
 	for i := range head {
 		if err := binary.Read(br, binary.LittleEndian, &head[i]); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: reading header: %w", err)
 		}
 	}
+	// The DCE component length is a function of the dimension (2·d+16, d
+	// rounded up to even: dce.Key.CiphertextDim), and n records of 4·ctDim
+	// floats must be addressable.
+	if head[0] <= 0 || head[0] > math.MaxInt32 || head[2] != 2*(head[0]+head[0]%2)+16 ||
+		head[1] <= 0 || head[1] > math.MaxInt/(8*4*head[2]) {
+		return nil, fmt.Errorf("core: implausible header dim=%d n=%d ctDim=%d", head[0], head[1], head[2])
+	}
 	dim, n, ctDim := int(head[0]), int(head[1]), int(head[2])
-	if dim <= 0 || n <= 0 || ctDim <= 0 {
-		return nil, fmt.Errorf("core: implausible header dim=%d n=%d ctDim=%d", dim, n, ctDim)
-	}
-	var store *dce.CiphertextStore
-	if string(magic) == edbMagicV3 {
-		store, err = readArenaRecords(br, n, ctDim)
-	} else {
-		store, err = readArenaBulk(br, n, ctDim)
-	}
+	store, err := readArena(br, n, ctDim)
 	if err != nil {
 		return nil, err
 	}
 	e := &EncryptedDatabase{Dim: dim, Backend: backend, DCE: store}
-	if string(magic) == edbMagic {
-		pqFlag, err := br.ReadByte()
+	pqFlag, err := br.ReadByte()
+	if err != nil {
+		return nil, fmt.Errorf("core: reading PQ flag: %w", err)
+	}
+	switch pqFlag {
+	case 0:
+	case 1:
+		pqs, err := pq.Load(br)
 		if err != nil {
-			return nil, fmt.Errorf("core: reading PQ flag: %w", err)
+			return nil, fmt.Errorf("core: loading PQ tier: %w", err)
 		}
-		switch pqFlag {
-		case 0:
-		case 1:
-			pqs, err := pq.Load(br)
-			if err != nil {
-				return nil, fmt.Errorf("core: loading PQ tier: %w", err)
-			}
-			if pqs.Book.Dim() != dim {
-				return nil, fmt.Errorf("core: PQ codebook dimension %d does not match database dimension %d", pqs.Book.Dim(), dim)
-			}
-			if pqs.Codes.Len() != n {
-				return nil, fmt.Errorf("core: PQ code arena holds %d rows, database %d", pqs.Codes.Len(), n)
-			}
-			e.PQ = pqs
-		default:
-			return nil, fmt.Errorf("core: corrupt PQ flag byte %d", pqFlag)
+		if pqs.Book.Dim() != dim {
+			return nil, fmt.Errorf("core: PQ codebook dimension %d does not match database dimension %d", pqs.Book.Dim(), dim)
 		}
+		if pqs.Codes.Len() != n {
+			return nil, fmt.Errorf("core: PQ code arena holds %d rows, database %d", pqs.Codes.Len(), n)
+		}
+		e.PQ = pqs
+	default:
+		return nil, fmt.Errorf("core: corrupt PQ flag byte %d", pqFlag)
 	}
 	idx, err := index.Load(backend, br)
 	if err != nil {
@@ -258,40 +248,43 @@ func LoadEncryptedDatabase(r io.Reader) (*EncryptedDatabase, error) {
 	return e, nil
 }
 
-// readArenaBulk reads the PPANNSD4 ciphertext section: presence bitmap,
-// flat arena, trailing CRC32 over the arena bytes.
-func readArenaBulk(br io.Reader, n, ctDim int) (*dce.CiphertextStore, error) {
-	present := make([]byte, n)
-	if _, err := io.ReadFull(br, present); err != nil {
-		return nil, fmt.Errorf("core: reading presence bitmap: %w", err)
-	}
-	live := make([]bool, n)
-	for i, b := range present {
-		switch b {
-		case 0:
-		case 1:
-			live[i] = true
-		default:
-			return nil, fmt.Errorf("core: corrupt presence byte %d for record %d", b, i)
-		}
-	}
-	arena := make([]float64, n*4*ctDim)
+// readArena reads the ciphertext section: n presence bytes, n records, the
+// CRC32 of the record bytes. Both buffers start at one staging chunk and
+// double (up to the declared size) as input arrives, so a header that lies
+// about n costs at most about twice what the file really holds.
+func readArena(br io.Reader, n, ctDim int) (*dce.CiphertextStore, error) {
 	buf := make([]byte, serializeChunk*8)
-	var crc uint32
-	for off := 0; off < len(arena); {
-		m := len(arena) - off
-		if m > serializeChunk {
-			m = serializeChunk
+	live := make([]bool, 0, min(n, len(buf)))
+	for len(live) < n {
+		chunk := buf[:min(n-len(live), len(buf))]
+		if _, err := io.ReadFull(br, chunk); err != nil {
+			return nil, fmt.Errorf("core: reading presence bitmap: %w", err)
 		}
+		for _, b := range chunk {
+			if b > 1 {
+				return nil, fmt.Errorf("core: corrupt presence byte %d for record %d", b, len(live))
+			}
+			live = append(live, b == 1)
+		}
+	}
+	total := n * 4 * ctDim
+	arena := make([]float64, 0, min(total, serializeChunk))
+	var crc uint32
+	for len(arena) < total {
+		m := min(total-len(arena), serializeChunk)
 		chunk := buf[:m*8]
 		if _, err := io.ReadFull(br, chunk); err != nil {
 			return nil, fmt.Errorf("core: reading ciphertext arena: %w", err)
 		}
 		crc = crc32.Update(crc, crc32.IEEETable, chunk)
+		if len(arena)+m > cap(arena) {
+			arena = append(make([]float64, 0, min(2*cap(arena), total)), arena...)
+		}
+		off := len(arena)
+		arena = arena[:off+m]
 		for j := 0; j < m; j++ {
 			arena[off+j] = math.Float64frombits(binary.LittleEndian.Uint64(chunk[j*8:]))
 		}
-		off += m
 	}
 	var stored uint32
 	if err := binary.Read(br, binary.LittleEndian, &stored); err != nil {
@@ -299,44 +292,6 @@ func readArenaBulk(br io.Reader, n, ctDim int) (*dce.CiphertextStore, error) {
 	}
 	if crc != stored {
 		return nil, fmt.Errorf("core: ciphertext arena corrupted (crc %08x, want %08x)", crc, stored)
-	}
-	return dce.StoreFromRaw(ctDim, arena, live)
-}
-
-// readArenaRecords reads the pre-arena PPANNSD3 ciphertext section — one
-// presence byte plus CRC-framed record per point — directly into the flat
-// arena layout, preserving every float bit-for-bit.
-func readArenaRecords(br interface {
-	io.Reader
-	io.ByteReader
-}, n, ctDim int) (*dce.CiphertextStore, error) {
-	stride := 4 * ctDim
-	arena := make([]float64, n*stride)
-	live := make([]bool, n)
-	record := make([]byte, stride*8)
-	for i := 0; i < n; i++ {
-		present, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("core: reading ciphertext %d: %w", i, err)
-		}
-		if present == 0 {
-			continue
-		}
-		if _, err := io.ReadFull(br, record); err != nil {
-			return nil, fmt.Errorf("core: reading ciphertext %d: %w", i, err)
-		}
-		var stored uint32
-		if err := binary.Read(br, binary.LittleEndian, &stored); err != nil {
-			return nil, fmt.Errorf("core: reading ciphertext %d checksum: %w", i, err)
-		}
-		if got := crc32.ChecksumIEEE(record); got != stored {
-			return nil, fmt.Errorf("core: ciphertext %d corrupted (crc %08x, want %08x)", i, got, stored)
-		}
-		rec := arena[i*stride : (i+1)*stride]
-		for j := range rec {
-			rec[j] = math.Float64frombits(binary.LittleEndian.Uint64(record[j*8:]))
-		}
-		live[i] = true
 	}
 	return dce.StoreFromRaw(ctDim, arena, live)
 }

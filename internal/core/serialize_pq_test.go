@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"ppanns/internal/pq"
 )
 
 // pqSectionOffset computes where the PQ flag byte sits in a PPANNSD5 blob:
@@ -94,69 +92,5 @@ func TestPQDatabaseRoundTrip(t *testing.T) {
 	if _, err := LoadEncryptedDatabase(bytes.NewReader(bad)); err == nil ||
 		!strings.Contains(err.Error(), "PQ flag") {
 		t.Fatalf("corrupt PQ flag accepted: %v", err)
-	}
-}
-
-// TestV4LoadsWithoutPQ proves backward compatibility: a PPANNSD4 file —
-// synthesized byte-exactly by stripping the D5 flag byte from a no-PQ
-// save — loads with PQ absent, searches identically, and accepts an
-// on-demand BuildPQ afterwards.
-func TestV4LoadsWithoutPQ(t *testing.T) {
-	data := clustered(83, 400, 8, 4)
-	w := newWorld(t, Params{Dim: 8, Beta: 0.5, Seed: 83}, data)
-
-	var buf bytes.Buffer
-	if err := w.server.Database().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	blob := buf.Bytes()
-	off := pqSectionOffset(w.server.Database())
-	if blob[off] != 0 {
-		t.Fatalf("no-PQ save has flag byte %d at %d, want 0", blob[off], off)
-	}
-	v4 := append([]byte(nil), edbMagicV4...)
-	v4 = append(v4, blob[len(edbMagic):off]...)
-	v4 = append(v4, blob[off+1:]...)
-
-	edb2, err := LoadEncryptedDatabase(bytes.NewReader(v4))
-	if err != nil {
-		t.Fatalf("loading synthesized V4 file: %v", err)
-	}
-	if edb2.PQ != nil {
-		t.Fatal("V4 file load conjured a PQ tier")
-	}
-	server2, err := NewServer(edb2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := SearchOptions{RatioK: 12, EfSearch: 150}
-	tok, err := w.user.Query(data[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := w.server.Search(tok, 5, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := server2.Search(tok, 5, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("V4 load changed search results: %v vs %v", a, b)
-		}
-	}
-	// The on-demand rebuild path must light up FilterPQ on the old file.
-	if err := edb2.BuildPQ(pq.TrainConfig{M: 4}); err != nil {
-		t.Fatal(err)
-	}
-	server3, err := NewServer(edb2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.FilterDist = FilterPQ
-	if got, err := server3.Search(tok, 5, opt); err != nil || len(got) == 0 {
-		t.Fatalf("FilterPQ after on-demand BuildPQ: %v, %v", got, err)
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"ppanns/internal/ame"
 	"ppanns/internal/dce"
-	"ppanns/internal/index"
 	"ppanns/internal/pq"
 	"ppanns/internal/resultheap"
 	"ppanns/internal/vec"
@@ -484,18 +483,6 @@ func (s *Server) Dim() int { return s.snap.Load().edb.Dim }
 
 // Backend returns the registry name of the filter-index backend.
 func (s *Server) Backend() string { return s.snap.Load().edb.Backend }
-
-// Caps reports the serving tier's update capabilities. The delta tier
-// accepts inserts and deletes on every backend — batch-built backends
-// (NSG) fold them in at the next compaction — so both capabilities are
-// always true; Name still identifies the filter backend.
-func (s *Server) Caps() index.Caps {
-	return index.Caps{
-		Name:          s.snap.Load().edb.Index.Caps().Name,
-		DynamicInsert: true,
-		DynamicDelete: true,
-	}
-}
 
 // Deleted reports whether an external id is tombstoned, in either tier and
 // either representation (compacted away, or pending in the tombstone set).
@@ -1096,27 +1083,12 @@ func (s *Server) compactFold() error {
 	if idx.Len() != store.Live() {
 		return fmt.Errorf("core: compaction left index with %d live ids, store with %d", idx.Len(), store.Live())
 	}
-	// Fold the PQ tier. The codebook is reused (codes just repack, like the
-	// ciphertext arena) until the database has outgrown its training set —
-	// NeedsRetrain's deterministic doubling rule — at which point the whole
-	// tier retrains on the gathered vectors under the retained config.
 	var pqs *pq.Store
 	var pqRetrained bool
 	if edb.PQ != nil {
-		if edb.PQ.NeedsRetrain(n) {
-			rebuilt, err := pq.Build(vecs, edb.PQ.Cfg)
-			if err != nil {
-				return fmt.Errorf("core: compaction PQ retrain: %w", err)
-			}
-			pqs = rebuilt
-			pqRetrained = true
-		} else {
-			pqs = &pq.Store{
-				Book:      edb.PQ.Book,
-				Codes:     edb.PQ.Codes.Compacted(dead),
-				TrainedOn: edb.PQ.TrainedOn,
-				Cfg:       edb.PQ.Cfg,
-			}
+		pqs, pqRetrained, err = foldPQ(edb.PQ, vecs, func() *pq.CodeStore { return edb.PQ.Codes.Compacted(dead) })
+		if err != nil {
+			return fmt.Errorf("core: compaction: %w", err)
 		}
 	}
 	// graftCode carries id g's code into the folded arena: copied from the

@@ -30,7 +30,7 @@ import (
 // component — starts on a cache-line boundary and SIMD loads never split a
 // line at a record edge. The padding is purely an in-memory layout: Raw and
 // StoreFromRaw speak the compact 4·ctDim-per-record representation, which
-// keeps the PPANNSD4 on-disk bytes identical to the pre-padding format.
+// keeps the PPANNSD5 on-disk bytes independent of it.
 type CiphertextStore struct {
 	ctDim   int
 	strideF int // record stride in float64s: PadStride(4·ctDim)

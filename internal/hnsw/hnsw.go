@@ -140,6 +140,14 @@ func (g *Graph) Len() int {
 	return g.size
 }
 
+// IDs returns the number of ids ever assigned — live nodes plus tombstones.
+// Ids are dense: Build numbers its vectors 0..n-1 and Add continues from IDs().
+func (g *Graph) IDs() int {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return len(g.nodes)
+}
+
 // Dim returns the vector dimension.
 func (g *Graph) Dim() int { return g.cfg.Dim }
 

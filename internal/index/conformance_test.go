@@ -268,6 +268,73 @@ func TestConformance(t *testing.T) {
 	}
 }
 
+// posScanner is a BlockScanner keyed by position: exact distances from q to
+// the vectors of a position-indexed corpus.
+type posScanner struct {
+	data [][]float64
+	q    []float64
+}
+
+func (s posScanner) Dist(id int32) float64 { return vec.SqDist(s.data[id], s.q) }
+
+func (s posScanner) DistBlock(dst []float64, ids []int32) {
+	for j, id := range ids {
+		dst[j] = s.Dist(id)
+	}
+}
+
+// TestHNSWPositionsAreGraphIDs: the hnsw adapter translates nothing. The ids
+// SearchInto and SearchIntoDist return are the graph's own and are positions
+// in the corpus, and the ids the graph hands a scanner are positions too —
+// through a build, Adds, a Delete and a save/load. That is what lets the
+// adapter carry no id map and the loader insist the payload's is the identity.
+func TestHNSWPositionsAreGraphIDs(t *testing.T) {
+	const n, dim, k, ef = 600, 10, 10, 80
+	all := clustered(95, n+20, dim, 5)
+	queries := makeQueries(96, all, 20, 0.3)
+	ix, err := Build("hnsw", all[:n], Options{Dim: dim, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range all[n:] {
+		if id, err := ix.Add(v); err != nil || id != n+i {
+			t.Fatalf("Add %d: id %d, %v", i, id, err)
+		}
+	}
+	if err := ix.Delete(17); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load("hnsw", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ix := range map[string]SecureIndex{"built": ix, "loaded": loaded} {
+		g := ix.(*hnswIndex).g
+		for qi, q := range queries {
+			got := ix.SearchInto(nil, q, k, ef)
+			if own := g.SearchInto(nil, q, k, ef); !slices.Equal(got, own) {
+				t.Fatalf("%s query %d: SearchInto %v, the graph itself %v", name, qi, got, own)
+			}
+			for _, it := range got {
+				if d := vec.SqDist(all[it.ID], q); it.Dist != d {
+					t.Fatalf("%s query %d: id %d reported at distance %g, position %d is at %g", name, qi, it.ID, it.Dist, it.ID, d)
+				}
+			}
+			// Scanner distances are the stored vectors' own, so the walk —
+			// which asks the scanner about graph ids — must end in the same
+			// place if and only if those ids are positions.
+			viaScanner := ix.SearchIntoDist(nil, q, k, ef, posScanner{all, q})
+			if !slices.Equal(viaScanner, got) {
+				t.Fatalf("%s query %d: SearchIntoDist over positions %v, SearchInto %v", name, qi, viaScanner, got)
+			}
+		}
+	}
+}
+
 func TestRegistry(t *testing.T) {
 	names := Names()
 	if len(names) < 4 {

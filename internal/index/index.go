@@ -32,6 +32,12 @@ import (
 // structure cannot perform (e.g. inserting into a batch-built NSG).
 var ErrNotSupported = errors.New("index: operation not supported by backend")
 
+// ErrOldFormat is wrapped by every refusal of bytes an earlier format
+// generation wrote: database files before PPANNSD5 (core) and hnsw payloads
+// whose id map is not the identity (arrival-order parallel builds). There
+// is one reader per format.
+var ErrOldFormat = errors.New("written by an earlier format generation: re-encrypt, or load and re-save with a build at or before PR 23")
+
 // Caps reports what a backend can do beyond build-and-search, so callers
 // can gate updates instead of discovering failures at mutation time.
 type Caps struct {

@@ -126,8 +126,6 @@ type Coordinator struct {
 	opts    Options
 	backend string
 	dim     int
-	insert  bool
-	delete  bool
 
 	mu    sync.RWMutex
 	total int // global ids ever assigned, tombstones included
@@ -174,8 +172,6 @@ func NewReplicated(stripes [][]Shard, opts Options) (*Coordinator, error) {
 		stripes: make([]*ReplicaSet, len(stripes)),
 		m:       Mapping{Shards: len(stripes)},
 		opts:    opts,
-		insert:  true,
-		delete:  true,
 	}
 	lens := make([]int, len(stripes))
 	haveRef := false
@@ -215,8 +211,6 @@ func NewReplicated(stripes [][]Shard, opts Options) (*Coordinator, error) {
 			if info.Epoch > floor {
 				floor = info.Epoch
 			}
-			c.insert = c.insert && info.DynamicInsert
-			c.delete = c.delete && info.DynamicDelete
 		}
 		if !stripeUp {
 			return nil, &ShardError{Shard: s, Err: fmt.Errorf("no replica reachable: %w", errors.Join(downErrs...))}
@@ -648,9 +642,6 @@ func (c *Coordinator) merge(tok *core.QueryToken, k int, mode core.RefineMode, r
 // Only when every replica fails is the insert void: no id is consumed and
 // the *ShardError carries the first cause.
 func (c *Coordinator) Insert(p *core.InsertPayload) (int, error) {
-	if !c.insert {
-		return 0, fmt.Errorf("shard: %s shards do not support inserts", c.backend)
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	gid := c.total
@@ -672,9 +663,6 @@ func (c *Coordinator) Insert(p *core.InsertPayload) (int, error) {
 // around replicas that would resurrect the id), partial application
 // returns a *DegradedWriteError, total failure a *ShardError.
 func (c *Coordinator) Delete(gid int) error {
-	if !c.delete {
-		return fmt.Errorf("shard: %s shards do not support deletes", c.backend)
-	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if gid < 0 || gid >= c.total {

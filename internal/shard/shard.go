@@ -69,7 +69,7 @@ type Shard interface {
 	Insert(p *core.InsertPayload) (int, error)
 	// Delete tombstones a local position.
 	Delete(local int) error
-	// Info reports the shard's backend, capabilities and shape, including
+	// Info reports the shard's backend and shape, including
 	// its record count (tombstones included) as Info.N.
 	Info() (transport.Info, error)
 }
@@ -99,27 +99,8 @@ func (l Local) Insert(p *core.InsertPayload) (int, error) { return l.Srv.Insert(
 // Delete tombstones a local position.
 func (l Local) Delete(local int) error { return l.Srv.Delete(local) }
 
-// Info reports the wrapped server's backend, capabilities and shape, all
-// read from one snapshot so the counts are never torn across a mutation.
-func (l Local) Info() (transport.Info, error) {
-	cs := l.Srv.CompactionStats()
-	caps := l.Srv.Caps()
-	ms := l.Srv.MemoryStats()
-	return transport.Info{
-		Backend:       caps.Name,
-		DynamicInsert: caps.DynamicInsert,
-		DynamicDelete: caps.DynamicDelete,
-		N:             cs.Len,
-		Live:          cs.Live,
-		Dim:           l.Srv.Dim(),
-		Proto:         transport.ProtoVersion,
-		Epoch:         cs.Epoch,
-		Delta:         cs.Delta,
-		Tombstones:    cs.Tombstones,
-		Memory:        &ms,
-		WAL:           l.Srv.WALStats(),
-	}, nil
-}
+// Info reports the wrapped server's backend and shape.
+func (l Local) Info() (transport.Info, error) { return transport.ServerInfo(l.Srv), nil }
 
 // ShardError attributes a failure to the shard that raised it, so a dead
 // or misbehaving partition is identifiable from the error alone.

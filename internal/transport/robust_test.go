@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/gob"
 	"errors"
 	"net"
 	"os"
@@ -12,6 +11,7 @@ import (
 
 	"ppanns/internal/core"
 	"ppanns/internal/dataset"
+	"ppanns/internal/index"
 )
 
 // withHandleHook installs a test hook into the server's request handler
@@ -168,70 +168,6 @@ func TestCancelRaceNeverPoisons(t *testing.T) {
 	}
 }
 
-// TestAbandonAgainstLegacyServerPoisons pins the one case where abandoning
-// is unsafe: against a v1 (Seq-0 FIFO) server, request/response pairing
-// cannot be trusted after an abandon, so the next legacy response must
-// poison the client instead of being misdelivered to the wrong caller.
-func TestAbandonAgainstLegacyServerPoisons(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	release := make(chan struct{})
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		dec := gob.NewDecoder(conn)
-		enc := gob.NewEncoder(conn)
-		n := 0
-		for {
-			var req request
-			if err := dec.Decode(&req); err != nil {
-				return
-			}
-			n++
-			if n == 1 {
-				// Stall the first response until the caller has abandoned.
-				<-release
-			}
-			// v1 shape: no Seq echoed.
-			if err := enc.Encode(&response{N: n}); err != nil {
-				return
-			}
-		}
-	}()
-
-	client, err := Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	cancel := make(chan struct{})
-	close(cancel)
-	if _, err := client.SearchShardCancel(cancel, nil, 5, core.SearchOptions{}); !errors.Is(err, ErrAbandoned) {
-		t.Fatalf("cancelled call err = %v, want ErrAbandoned", err)
-	}
-	close(release)
-
-	// The straggler Seq-0 response cannot be re-paired: the client must
-	// poison itself rather than hand it to a later caller.
-	deadline := time.Now().Add(5 * time.Second)
-	for client.Broken() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("client accepted a legacy response after an abandon without poisoning")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if _, err := client.Len(); !errors.Is(err, ErrClientBroken) {
-		t.Fatalf("Len on poisoned client err = %v, want ErrClientBroken", err)
-	}
-}
-
 // TestChaosWireRedialLoop runs a client workload against a server behind a
 // hostile wire (seeded random delays and connection drops): calls may fail
 // when the wire snaps, but a fresh dial always recovers, answers are never
@@ -284,7 +220,7 @@ type chaosWorld struct {
 func startChaosServer(t *testing.T, opts ChaosOptions) *chaosWorld {
 	t.Helper()
 	d := dataset.DeepLike(600, 10, 5)
-	owner, err := core.NewDataOwner(core.Params{Dim: d.Dim, Beta: 0.05, M: 12, EfConstruction: 100, Seed: 5})
+	owner, err := core.NewDataOwner(core.Params{Dim: d.Dim, Beta: 0.05, IndexOptions: index.Options{M: 12, EfConstruction: 100}, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

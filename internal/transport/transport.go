@@ -3,30 +3,31 @@
 // back — the deployment shape of the paper's Figure 1, where the only
 // user↔server traffic is one encrypted token up and k ids down.
 //
-// # Protocol v2: multiplexed streams
+// # Multiplexed streams
 //
-// Every request carries a client-assigned id (Seq) which the server echoes
-// on the matching response, so one connection multiplexes any number of
-// concurrent calls: the client pipelines requests from many goroutines
+// Every request carries a client-assigned id (Seq ≥ 1) which the server
+// echoes on the matching response, so one connection multiplexes any number
+// of concurrent calls: the client pipelines requests from many goroutines
 // over a single gob stream and a demux goroutine routes each response to
 // the caller waiting on its Seq, while the server dispatches every decoded
 // request to its own handler goroutine (responses serialize on a write
-// mutex, so frames never interleave). A slow search therefore no longer
-// blocks the queries behind it, and the scatter-gather tier keeps one
-// connection per shard regardless of concurrency.
+// mutex, so frames never interleave). A slow search therefore does not
+// block the queries behind it, and the scatter-gather tier keeps one
+// connection per shard regardless of concurrency. A response whose Seq has
+// no waiter — an abandoned call's late answer, a stray frame — is dropped.
 //
-// The v1 protocol (lockstep, one in-flight request per connection) is a
-// wire-compatible subset. A v1 client never pipelines, so a v2 server's
-// out-of-order completions are unobservable to it (gob ignores the Seq
-// field it does not know). A v1 server echoes no Seq; the v2 client
-// detects the zero id and falls back to FIFO matching, which is exactly
-// right because a lockstep server answers in request order.
+// # One generation
 //
-// Streams remain unframed gob, so the PR 3 poisoning semantics carry over
-// unchanged: any stream-level failure (including the new deadline
+// Both envelopes carry ProtoVersion on every frame and nothing is
+// negotiated: a server answers a request of another generation with an
+// error naming both and executes nothing; a client that decodes a response
+// of another generation poisons itself with ErrProtoMismatch. Any other
+// build — up to PR 23 they stamped nothing — is refused on its first call.
+//
+// Streams are unframed gob: any stream-level failure (including deadline
 // expiries) poisons the client and fails every pending and future call
 // with ErrClientBroken; application errors inside intact frames do not.
-// The searchbatch op still amortizes one round trip over a whole batch of
+// The searchbatch op amortizes one round trip over a whole batch of
 // tokens, and search ops can return cross-shard merge material for the
 // scatter-gather tier (internal/shard). AME trapdoors and ciphertexts
 // (benchmark-only) are not carried.
@@ -56,6 +57,10 @@ import (
 // with stale responses, every later call fails fast wrapping this error.
 // Dial a fresh Client to recover.
 var ErrClientBroken = errors.New("transport: connection poisoned by an earlier stream error")
+
+// ErrProtoMismatch is the stream error of a Client whose server answered in
+// another protocol generation. Redialing the same server cannot help.
+var ErrProtoMismatch = errors.New("transport: protocol generation mismatch")
 
 // wireToken is the on-the-wire query token: the SAP ciphertext and the DCE
 // trapdoor vector. AME trapdoors (benchmark-only, megabytes of matrices)
@@ -121,52 +126,58 @@ func (wi *wireInsert) payload() *core.InsertPayload {
 	return p
 }
 
-// ProtoVersion is the generation this package speaks; servers stamp it on
-// info/len responses so clients can tell a zero-valued field from one a
-// legacy peer simply never sent. In-process Info builders (shard.Local)
-// stamp it too, since they are by definition current. v3 adds the
-// two-tier write-path accounting (Delta, Tombstones); v4 the per-tier
-// memory breakdown (Memory); v5 the write-ahead-log summary (WAL).
-const ProtoVersion = 5
+// ProtoVersion is the one protocol generation this package speaks, stamped
+// on every request and response. A peer that stamps nothing reads as 0.
+const ProtoVersion = 6
 
 // Info describes the server a client is connected to: which filter-index
-// backend it runs, what update operations that backend supports (so
-// clients can gate Insert/Delete calls instead of discovering failures
-// remotely), and its record counts — N includes tombstones, Live does not.
-// Proto is the server's protocol generation: 0 means a pre-v2 server,
-// whose responses carry no Live count (Live then gob-decodes as 0 and
-// must not be read as "everything tombstoned"); below 3, the Delta and
-// Tombstones counts are likewise absent, not zero.
+// backend it runs and its record counts — N includes tombstones, Live does
+// not. Every server takes inserts and deletes, whatever the backend.
 type Info struct {
-	Backend       string
-	DynamicInsert bool
-	DynamicDelete bool
-	N             int
-	Live          int
-	Dim           int
-	Proto         int
+	Backend string
+	N       int
+	Live    int
+	Dim     int
 	// Epoch is the server's snapshot publication count at the time of the
-	// call. Replica sets seed their read-your-writes floor from it (a
-	// pre-epoch server reports 0, which is also a valid floor).
+	// call. Replica sets seed their read-your-writes floor from it.
 	Epoch uint64
 	// Delta is the server's delta-tier record count and Tombstones its
 	// pending (uncompacted) tombstone count — the write-path bloat an
-	// operator watches to judge compaction health (Proto ≥ 3).
+	// operator watches to judge compaction health.
 	Delta      int
 	Tombstones int
-	// Memory is the server's per-tier memory breakdown in bytes per point
-	// (Proto ≥ 4; nil from older servers, never zero-valued).
-	Memory *core.MemoryStats
-	// WAL summarizes the server's write-ahead log (Proto ≥ 5; nil from
-	// older servers and from servers running without one — durability of
-	// acknowledged writes is then the operator's problem).
+	// Memory is the server's per-tier memory breakdown in bytes per point.
+	Memory core.MemoryStats
+	// WAL summarizes the server's write-ahead log; nil from a server
+	// running without one — durability of acknowledged writes is then the
+	// operator's problem.
 	WAL *core.WALStats
+}
+
+// ServerInfo describes srv as the info op reports it (and as shard.Local
+// does in-process), the counts all read from one snapshot so they are never
+// torn across a mutation.
+func ServerInfo(srv *core.Server) Info {
+	cs := srv.CompactionStats()
+	return Info{
+		Backend:    srv.Backend(),
+		N:          cs.Len,
+		Live:       cs.Live,
+		Dim:        srv.Dim(),
+		Epoch:      cs.Epoch,
+		Delta:      cs.Delta,
+		Tombstones: cs.Tombstones,
+		Memory:     srv.MemoryStats(),
+		WAL:        srv.WALStats(),
+	}
 }
 
 // request is the wire envelope for client→server calls.
 type request struct {
-	// Seq is the multiplexing id: the server echoes it on the matching
-	// response. 0 identifies a legacy (v1, lockstep) client.
+	// Proto is the sender's ProtoVersion.
+	Proto int
+	// Seq is the multiplexing id (≥ 1): the server echoes it on the
+	// matching response.
 	Seq   uint64
 	Op    string // "search", "searchbatch", "insert", "delete", "len", "info"
 	Token *wireToken
@@ -197,7 +208,9 @@ type wireResult struct {
 
 // response is the wire envelope for server→client replies.
 type response struct {
-	// Seq echoes the request's multiplexing id (0 from a v1 server).
+	// Proto is the sender's ProtoVersion.
+	Proto int
+	// Seq echoes the request's multiplexing id.
 	Seq uint64
 	IDs []int
 	// Dists/Recs/CtDim carry the merge material of a Merge search; Epoch
@@ -212,9 +225,6 @@ type response struct {
 	ID    int
 	N     int
 	Live  int
-	// Proto is stamped ProtoVersion on len responses so clients can
-	// distinguish a legacy server's absent Live count from a real zero.
-	Proto int
 	Info  *Info
 	Err   string
 }
@@ -321,8 +331,13 @@ func serveConn(conn net.Conn, srv *core.Server) {
 		go func(req request) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			resp := handleSafe(srv, &req)
-			resp.Seq = req.Seq
+			var resp *response
+			if req.Proto == ProtoVersion {
+				resp = handleSafe(srv, &req)
+			} else {
+				resp = &response{Err: fmt.Sprintf("transport: request stamped protocol generation %d (0: no stamp, a build at or before PR 23), this server speaks generation %d; nothing was executed", req.Proto, ProtoVersion)}
+			}
+			resp.Proto, resp.Seq = ProtoVersion, req.Seq
 			wmu.Lock()
 			conn.SetWriteDeadline(time.Now().Add(serverWriteTimeout))
 			err := enc.Encode(resp)
@@ -441,25 +456,9 @@ func handle(srv *core.Server, req *request) *response {
 		cs := srv.CompactionStats()
 		resp.N = cs.Len
 		resp.Live = cs.Live
-		resp.Proto = ProtoVersion
 	case "info":
-		cs := srv.CompactionStats()
-		caps := srv.Caps()
-		ms := srv.MemoryStats()
-		resp.Info = &Info{
-			Backend:       caps.Name,
-			DynamicInsert: caps.DynamicInsert,
-			DynamicDelete: caps.DynamicDelete,
-			N:             cs.Len,
-			Live:          cs.Live,
-			Dim:           srv.Dim(),
-			Proto:         ProtoVersion,
-			Epoch:         cs.Epoch,
-			Delta:         cs.Delta,
-			Tombstones:    cs.Tombstones,
-			Memory:        &ms,
-			WAL:           srv.WALStats(),
-		}
+		info := ServerInfo(srv)
+		resp.Info = &info
 	default:
 		resp.Err = fmt.Sprintf("transport: unknown op %q", req.Op)
 	}
@@ -467,17 +466,14 @@ func handle(srv *core.Server, req *request) *response {
 }
 
 // DialOptions configures a Client's deadlines. The zero value disables
-// them all — calls then wait indefinitely, as v1 did.
+// them all — calls then wait indefinitely.
 type DialOptions struct {
 	// DialTimeout bounds the TCP connect (0 = the OS default).
 	DialTimeout time.Duration
 	// Timeout is the per-call deadline: a call not answered within it
-	// fails and poisons the client. Poisoning is deliberately
-	// conservative — against a v2 server the demux could simply drop the
-	// late response by its Seq, but the client cannot know the peer's
-	// protocol generation up front (a legacy lockstep server would
-	// desync), and a deadline expiry usually means the connection is
-	// sick. Fail every call fast; redial to recover.
+	// fails and poisons the client. The demux could drop the late
+	// response by its Seq instead, but a deadline expiry usually means
+	// the connection is sick: fail every call fast; redial to recover.
 	Timeout time.Duration
 	// WriteTimeout bounds each request's encode onto the socket.
 	WriteTimeout time.Duration
@@ -495,10 +491,9 @@ type callResult struct {
 }
 
 // Client is a connection to a remote PP-ANNS server, safe for concurrent
-// use. Unlike the v1 lockstep client, concurrent calls pipeline over the
-// single connection: each is tagged with a Seq id, and a demux goroutine
-// routes responses — which a v2 server may complete out of order — back to
-// their callers.
+// use. Concurrent calls pipeline over the single connection: each is tagged
+// with a Seq id, and a demux goroutine routes responses — which the server
+// may complete out of order — back to their callers.
 type Client struct {
 	conn net.Conn
 	opts DialOptions
@@ -509,7 +504,6 @@ type Client struct {
 	mu      sync.Mutex
 	seq     uint64
 	pending map[uint64]chan callResult
-	fifo    []uint64 // send order, for FIFO-matching legacy (Seq-0) servers
 	// broken records the first stream-level failure. The unframed gob
 	// stream cannot recover from a partial message, so once set every
 	// later call fails fast wrapping ErrClientBroken. Application errors
@@ -517,14 +511,6 @@ type Client struct {
 	// framing survived intact.
 	broken error
 	closed bool
-	// abandoned records that at least one pending call was abandoned
-	// (hedge loss, caller cancellation). Against a v2 server this is
-	// harmless — the demux drops the late response by its Seq — but a
-	// legacy Seq-0 server's responses are matched FIFO, and once a request
-	// with no waiter is interleaved in that order the pairing can no
-	// longer be trusted: the first Seq-0 response after an abandon poisons
-	// the stream instead of risking mispaired answers.
-	abandoned bool
 }
 
 // Dial connects to a server started with Serve, with no deadlines.
@@ -580,7 +566,6 @@ func (c *Client) fail(err error) {
 	}
 	pend := c.pending
 	c.pending = make(map[uint64]chan callResult)
-	c.fifo = nil
 	c.mu.Unlock()
 	c.conn.Close()
 	for _, ch := range pend {
@@ -624,9 +609,7 @@ func (r *progressReader) Read(p []byte) (int, error) {
 }
 
 // demux is the Client's single reader: it decodes responses off the shared
-// stream and routes each to the caller registered under its Seq. Responses
-// from a legacy v1 server carry Seq 0 and are matched FIFO — correct
-// because a lockstep server answers strictly in request order.
+// stream and routes each to the caller registered under its Seq.
 func (c *Client) demux() {
 	dec := gob.NewDecoder(&progressReader{c: c})
 	for {
@@ -646,59 +629,32 @@ func (c *Client) demux() {
 			c.fail(err)
 			return
 		}
+		if resp.Proto != ProtoVersion {
+			// Whatever the frame says was written under another
+			// generation's meaning of its fields; deliver none of it.
+			c.fail(fmt.Errorf("%w: response stamped generation %d (0: no stamp, a build at or before PR 23), this client speaks generation %d", ErrProtoMismatch, resp.Proto, ProtoVersion))
+			return
+		}
 		c.mu.Lock()
-		seq := resp.Seq
-		if seq == 0 {
-			if c.abandoned {
-				// A legacy server is answering in FIFO order but an
-				// abandoned request sits somewhere in that order with no
-				// waiter; matching anything after it risks handing a
-				// caller someone else's answer. Unrecoverable — poison.
-				c.mu.Unlock()
-				c.fail(fmt.Errorf("transport: response from a legacy (v1) server after an abandoned call; cannot re-pair the stream"))
-				return
-			}
-			// Legacy server: match the oldest still-pending call,
-			// skipping ids already resolved (timed out, failed).
-			for len(c.fifo) > 0 {
-				s := c.fifo[0]
-				c.fifo = c.fifo[1:]
-				if _, ok := c.pending[s]; ok {
-					seq = s
-					break
-				}
-			}
-		}
-		ch, ok := c.pending[seq]
+		ch, ok := c.pending[resp.Seq]
 		if ok {
-			delete(c.pending, seq)
-		}
-		// Trim resolved ids off the fifo head so a pure-v2 stream does
-		// not accumulate one entry per request for the life of the
-		// connection (entries behind a still-pending head linger only
-		// until it resolves — bounded by the in-flight count).
-		for len(c.fifo) > 0 {
-			if _, waiting := c.pending[c.fifo[0]]; waiting {
-				break
-			}
-			c.fifo = c.fifo[1:]
+			delete(c.pending, resp.Seq)
 		}
 		c.bumpReadDeadline()
 		c.mu.Unlock()
 		if ok {
 			ch <- callResult{resp: &resp}
 		}
-		// A response with no waiter (e.g. a stray frame from a confused
-		// server) is dropped; the next decode either resynchronizes or
-		// fails and poisons the stream.
+		// A response with no waiter (an abandoned call's late answer, a
+		// stray frame from a confused server) is dropped; the next decode
+		// either resynchronizes or fails and poisons the stream.
 	}
 }
 
 // ErrAbandoned is returned by cancellable calls whose cancel channel fired
 // before the response arrived. The call is abandoned locally — the request
 // stays in flight on the server and its response, when it comes, is
-// dropped by Seq — and the client remains healthy for subsequent calls
-// (unless the peer turns out to be a legacy v1 server; see demux).
+// dropped by Seq — and the client remains healthy for subsequent calls.
 var ErrAbandoned = errors.New("transport: call abandoned by caller")
 
 // abandon unregisters a pending call without poisoning the stream. It
@@ -712,7 +668,6 @@ func (c *Client) abandon(seq uint64) bool {
 		return false
 	}
 	delete(c.pending, seq)
-	c.abandoned = true
 	c.bumpReadDeadline()
 	return true
 }
@@ -728,12 +683,12 @@ func (c *Client) roundTrip(req request) (response, error) {
 func (c *Client) roundTripCancel(req request, cancel <-chan struct{}) (response, error) {
 	c.mu.Lock()
 	if c.broken != nil {
-		err := fmt.Errorf("%w (cause: %v)", ErrClientBroken, c.broken)
+		err := fmt.Errorf("%w (cause: %w)", ErrClientBroken, c.broken)
 		c.mu.Unlock()
 		return response{}, err
 	}
 	c.seq++
-	req.Seq = c.seq
+	req.Proto, req.Seq = ProtoVersion, c.seq
 	ch := make(chan callResult, 1)
 	c.pending[req.Seq] = ch
 	c.mu.Unlock()
@@ -746,14 +701,6 @@ func (c *Client) roundTripCancel(req request, cancel <-chan struct{}) (response,
 	if c.opts.WriteTimeout > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
 	}
-	// The fifo records socket WRITE order, not registration order — a
-	// legacy server answers in the order requests hit the wire, so the
-	// append must happen under the write lock, atomically with the
-	// encode, or two goroutines racing between registration and encode
-	// would let the FIFO fallback swap their responses.
-	c.mu.Lock()
-	c.fifo = append(c.fifo, req.Seq)
-	c.mu.Unlock()
 	err := c.enc.Encode(&req)
 	c.encMu.Unlock()
 	if err != nil {
@@ -931,21 +878,16 @@ func (c *Client) Len() (int, error) {
 	return resp.N, nil
 }
 
-// Live returns the server-side count of non-tombstoned vectors. A pre-v2
-// server never reports it; that surfaces as an error rather than a bogus
-// zero.
+// Live returns the server-side count of non-tombstoned vectors.
 func (c *Client) Live() (int, error) {
 	resp, err := c.roundTrip(request{Op: "len"})
 	if err != nil {
 		return 0, err
 	}
-	if resp.Proto == 0 {
-		return 0, fmt.Errorf("transport: server predates live counts (protocol v1)")
-	}
 	return resp.Live, nil
 }
 
-// Info returns the server's backend name, capabilities and size.
+// Info returns the server's backend name, shape and write-path state.
 func (c *Client) Info() (Info, error) {
 	resp, err := c.roundTrip(request{Op: "info"})
 	if err != nil {

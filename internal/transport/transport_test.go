@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +13,7 @@ import (
 
 	"ppanns/internal/core"
 	"ppanns/internal/dataset"
+	"ppanns/internal/index"
 )
 
 // startWorld spins up a server on a loopback listener and returns the
@@ -21,7 +21,7 @@ import (
 func startWorld(t *testing.T) (*core.DataOwner, *core.User, *dataset.Data, string) {
 	t.Helper()
 	d := dataset.DeepLike(600, 10, 5)
-	owner, err := core.NewDataOwner(core.Params{Dim: d.Dim, Beta: 0.05, M: 12, EfConstruction: 100, Seed: 5})
+	owner, err := core.NewDataOwner(core.Params{Dim: d.Dim, Beta: 0.05, IndexOptions: index.Options{M: 12, EfConstruction: 100}, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,17 +180,11 @@ func TestInfoOverTCP(t *testing.T) {
 	if info.Backend != "hnsw" {
 		t.Fatalf("Backend = %q, want hnsw", info.Backend)
 	}
-	if !info.DynamicInsert || !info.DynamicDelete {
-		t.Fatalf("hnsw caps wrong: %+v", info)
-	}
 	if info.N != 600 || info.Dim != d.Dim {
 		t.Fatalf("N/Dim = %d/%d, want 600/%d", info.N, info.Dim, d.Dim)
 	}
-	if info.Proto < 4 || info.Memory == nil {
-		t.Fatalf("proto %d server sent no memory breakdown: %+v", info.Proto, info)
-	}
 	if info.Memory.N != 600 || info.Memory.SAP <= 0 || info.Memory.DCE <= 0 {
-		t.Fatalf("implausible memory breakdown: %+v", *info.Memory)
+		t.Fatalf("implausible memory breakdown: %+v", info.Memory)
 	}
 }
 
@@ -218,7 +212,7 @@ func batchTokens(t *testing.T, user *core.User, d *dataset.Data, n int) []*core.
 // server counts envelopes while answering with the real protocol.
 func TestSearchBatchSingleRoundTrip(t *testing.T) {
 	d := dataset.DeepLike(600, 10, 5)
-	owner, err := core.NewDataOwner(core.Params{Dim: d.Dim, Beta: 0.05, M: 12, EfConstruction: 100, Seed: 5})
+	owner, err := core.NewDataOwner(core.Params{Dim: d.Dim, Beta: 0.05, IndexOptions: index.Options{M: 12, EfConstruction: 100}, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +250,7 @@ func TestSearchBatchSingleRoundTrip(t *testing.T) {
 			}
 			envelopes.Add(1)
 			if req.Op != "searchbatch" {
-				enc.Encode(&response{Err: "test server only answers searchbatch"})
+				enc.Encode(&response{Proto: ProtoVersion, Seq: req.Seq, Err: "test server only answers searchbatch"})
 				continue
 			}
 			toks := make([]*core.QueryToken, len(req.Tokens))
@@ -264,7 +258,7 @@ func TestSearchBatchSingleRoundTrip(t *testing.T) {
 				toks[i] = wt.token()
 			}
 			results, errs := srv.SearchShardBatch(toks, req.K, req.Opt)
-			resp := response{Batch: make([]wireResult, len(toks))}
+			resp := response{Proto: ProtoVersion, Seq: req.Seq, Batch: make([]wireResult, len(toks))}
 			for i := range toks {
 				if errs[i] != nil {
 					resp.Batch[i].Err = errs[i].Error()
@@ -457,7 +451,7 @@ func (fl *flakyListener) Accept() (net.Conn, error) {
 // down; closing the listener must still end Serve cleanly.
 func TestServeSurvivesTransientAcceptErrors(t *testing.T) {
 	d := dataset.DeepLike(300, 3, 5)
-	owner, err := core.NewDataOwner(core.Params{Dim: d.Dim, Beta: 0.05, M: 12, EfConstruction: 100, Seed: 5})
+	owner, err := core.NewDataOwner(core.Params{Dim: d.Dim, Beta: 0.05, IndexOptions: index.Options{M: 12, EfConstruction: 100}, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,64 +538,6 @@ func TestSearchShardOverTCP(t *testing.T) {
 	}
 }
 
-// TestLegacySearchOptionsOnTheWire: a client built before the blocked
-// executor and the scaled-operand refine were removed still sets their two
-// options inside Opt. gob drops fields the receiver does not know, so the
-// server must answer such a request exactly like a plain one.
-func TestLegacySearchOptionsOnTheWire(t *testing.T) {
-	_, user, d, addr := startWorld(t)
-	client, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	tok, err := user.Query(d.Queries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := client.Search(tok, 5, core.SearchOptions{RatioK: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The request envelope as an old client encodes it.
-	type legacyOptions struct {
-		KPrime, RatioK, EfSearch int
-		Refine                   core.RefineMode
-		FilterDist               core.FilterDistMode
-		PrecomputeRefine         bool
-		Parallelism              int
-		BlockQ                   int
-	}
-	type legacyRequest struct {
-		Seq   uint64
-		Op    string
-		Token *wireToken
-		K     int
-		Opt   legacyOptions
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	wt, err := toWireToken(tok)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := legacyRequest{Seq: 1, Op: "search", Token: wt, K: 5, Opt: legacyOptions{RatioK: 8, PrecomputeRefine: true, BlockQ: 8}}
-	if err := gob.NewEncoder(conn).Encode(&req); err != nil {
-		t.Fatal(err)
-	}
-	var resp response
-	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err != "" || resp.Seq != 1 || !slices.Equal(resp.IDs, want) {
-		t.Fatalf("legacy-shaped request answered %v (err %q, seq %d), plain request %v", resp.IDs, resp.Err, resp.Seq, want)
-	}
-}
-
 // TestPipelinedConcurrentCalls exercises protocol v2's whole point: many
 // goroutines share one connection, their requests pipeline, and the demux
 // routes every (possibly out-of-order) response to the right caller — the
@@ -660,11 +596,95 @@ func TestPipelinedConcurrentCalls(t *testing.T) {
 	}
 }
 
-// TestLegacyServerFIFOFallback pins the v1 compatibility story: a lockstep
-// server that echoes no Seq answers in request order, and the client's
-// FIFO fallback must pair every pipelined caller with a distinct response
-// — responses are made distinguishable by a server-side counter.
-func TestLegacyServerFIFOFallback(t *testing.T) {
+// TestOtherGenerationRefused: there is one protocol generation and nothing
+// to negotiate. A hand-rolled gob peer that stamps generation 5 (the last
+// one before this build's) or none at all (every build up to PR 23) is
+// refused on its first call, as client and as server, with an error naming
+// both generations; nothing is executed or delivered across the mismatch;
+// and a same-generation client of the same listener never notices.
+func TestOtherGenerationRefused(t *testing.T) {
+	owner, _, d, addr := startWorld(t)
+	payload, err := owner.EncryptVector(d.Train[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	wi, err := toWireInsert(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stamp := range []int{5, 0} {
+		names := []string{fmt.Sprintf("generation %d", stamp), fmt.Sprintf("generation %d", ProtoVersion)}
+
+		// As a client of the real server: an insert that must not happen.
+		type peerRequest struct {
+			Proto   int
+			Seq     uint64
+			Op      string
+			Payload *wireInsert
+		}
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewEncoder(conn).Encode(&peerRequest{Proto: stamp, Seq: 7, Op: "insert", Payload: wi}); err != nil {
+			t.Fatal(err)
+		}
+		var resp response
+		if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+		if resp.Seq != 7 || resp.Proto != ProtoVersion || !strings.Contains(resp.Err, names[0]) || !strings.Contains(resp.Err, names[1]) {
+			t.Fatalf("stamp %d as client: answered %+v, want an error naming both generations", stamp, resp)
+		}
+		client, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := client.Len(); err != nil || n != 600 {
+			t.Fatalf("stamp %d: same-generation client sees Len = %d, %v — the refused insert ran, or the listener suffered", stamp, n, err)
+		}
+		client.Close()
+
+		// As the server: it answers everything, stamped its own way.
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
+			for {
+				var req request
+				if dec.Decode(&req) != nil || enc.Encode(&response{Proto: stamp, Seq: req.Seq, N: 42}) != nil {
+					return
+				}
+			}
+		}()
+		client, err = Dial(l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := client.Len()
+		if n != 0 || !errors.Is(err, ErrProtoMismatch) || !strings.Contains(err.Error(), names[0]) || !strings.Contains(err.Error(), names[1]) {
+			t.Fatalf("stamp %d as server: Len = %d, %v, want ErrProtoMismatch naming both generations", stamp, n, err)
+		}
+		if _, err := client.Len(); !errors.Is(err, ErrClientBroken) || !errors.Is(err, ErrProtoMismatch) {
+			t.Fatalf("stamp %d as server: second call err = %v, want a poisoned client that says why", stamp, err)
+		}
+		client.Close()
+		l.Close()
+	}
+}
+
+// TestStrayFrameDropped: Seq 0 is never assigned, so a response carrying it
+// has no waiter; the demux drops it and still delivers the real answer that
+// follows on the same stream.
+func TestStrayFrameDropped(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -676,55 +696,28 @@ func TestLegacyServerFIFOFallback(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		dec := gob.NewDecoder(conn)
-		enc := gob.NewEncoder(conn)
-		n := 0
+		dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
 		for {
 			var req request
-			if err := dec.Decode(&req); err != nil {
-				return
-			}
-			n++
-			// v1 shape: no Seq echoed, strictly in request order.
-			if err := enc.Encode(&response{N: n}); err != nil {
+			if dec.Decode(&req) != nil ||
+				enc.Encode(&response{Proto: ProtoVersion, N: 13}) != nil ||
+				enc.Encode(&response{Proto: ProtoVersion, Seq: req.Seq, N: 42}) != nil {
 				return
 			}
 		}
 	}()
-
 	client, err := Dial(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-
-	const calls = 10
-	got := make([]int, calls)
-	var wg sync.WaitGroup
-	errs := make(chan error, calls)
-	for i := 0; i < calls; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			n, err := client.Len()
-			if err != nil {
-				errs <- err
-				return
-			}
-			got[i] = n
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	seen := make(map[int]bool, calls)
-	for i, n := range got {
-		if n < 1 || n > calls || seen[n] {
-			t.Fatalf("caller %d got response %d; FIFO fallback misrouted (all: %v)", i, n, got)
+	for i := 0; i < 3; i++ {
+		if n, err := client.Len(); err != nil || n != 42 {
+			t.Fatalf("call %d: Len = %d, %v, want the Seq-matched 42", i, n, err)
 		}
-		seen[n] = true
+	}
+	if client.Broken() != nil {
+		t.Fatalf("a stray frame poisoned the client: %v", client.Broken())
 	}
 }
 

@@ -6,9 +6,9 @@ package vec
 // (internal/pq.Scanner). It is defined here, at the bottom of the import
 // graph, so every index backend can accept one without importing pq.
 //
-// Ids are in the coordinate space of whoever calls the scanner; adapters
-// that renumber (the hnsw gid↔position remap) must wrap the scanner with
-// the translation. Implementations must be safe for concurrent use only in
+// Ids are positions, the ids a backend's Search returns; a backend that
+// numbered its vectors any other way inside would have to translate before
+// asking (none does). Implementations must be safe for concurrent use only in
 // the sense that distinct Scanner values may run on distinct goroutines;
 // one value serves one query at a time.
 type BlockScanner interface {

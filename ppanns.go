@@ -46,17 +46,13 @@ import (
 
 // Params configures a deployment. See core.Params for field documentation;
 // the zero value of every optional field selects a sensible default
-// (S=1024, Index="hnsw", M=16, EfConstruction=200).
+// (S=1024, Index="hnsw", IndexOptions.M=16, IndexOptions.EfConstruction=200).
 type Params = core.Params
 
 // IndexOptions carries backend-specific build and search options for
 // Params.IndexOptions. Fields for backends other than the selected one are
 // ignored.
 type IndexOptions = index.Options
-
-// IndexCaps reports a backend's update capabilities (dynamic insert /
-// delete support), as returned by Server.Caps.
-type IndexCaps = index.Caps
 
 // Backends lists the registered filter-index backends, sorted by name.
 func Backends() []string { return index.Names() }
@@ -90,9 +86,8 @@ const (
 // M subquantizers (must divide into Dim reasonably; ≤256 centroids each),
 // sampling and iteration budgets, and the training seed. The zero value
 // of every field selects a sensible default. Used with
-// EncryptedDatabase.BuildPQ to add a PQ tier to an existing database —
-// e.g. one loaded from an older file format; Params.PQ/PQM build the
-// tier at encryption time instead.
+// EncryptedDatabase.BuildPQ to add a PQ tier to a database built or saved
+// without one; Params.PQ/PQM build the tier at encryption time instead.
 type PQConfig = pq.TrainConfig
 
 // RefineMode selects the refine-phase comparison scheme.

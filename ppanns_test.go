@@ -13,7 +13,7 @@ import (
 func TestPublicAPIEndToEnd(t *testing.T) {
 	data := dataset.GloVeLike(1200, 15, 5)
 	dep, err := ppanns.NewDeployment(ppanns.Params{
-		Dim: data.Dim, Beta: 1.0, M: 12, EfConstruction: 120, Seed: 5,
+		Dim: data.Dim, Beta: 1.0, IndexOptions: ppanns.IndexOptions{M: 12, EfConstruction: 120}, Seed: 5,
 	}, data.Train)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 func TestRefineModesExposed(t *testing.T) {
 	data := dataset.DeepLike(400, 5, 6)
 	dep, err := ppanns.NewDeployment(ppanns.Params{
-		Dim: data.Dim, Beta: 0.2, M: 12, EfConstruction: 100, Seed: 6, WithAME: true,
+		Dim: data.Dim, Beta: 0.2, IndexOptions: ppanns.IndexOptions{M: 12, EfConstruction: 100}, Seed: 6, WithAME: true,
 	}, data.Train)
 	if err != nil {
 		t.Fatal(err)
