@@ -42,32 +42,21 @@ type fixture struct {
 var (
 	fixOnce sync.Once
 	fix     *fixture
-
-	ameOnce sync.Once
-	ameFix  *fixture
 )
 
 func mainFixture(b *testing.B) *fixture {
 	b.Helper()
 	fixOnce.Do(func() {
-		fix = buildFixture(b, benchN, false)
+		fix = buildFixture(b, benchN)
 	})
 	return fix
 }
 
-func ameFixture(b *testing.B) *fixture {
-	b.Helper()
-	ameOnce.Do(func() {
-		ameFix = buildFixture(b, 800, true)
-	})
-	return ameFix
-}
-
-func buildFixture(b *testing.B, n int, withAME bool) *fixture {
+func buildFixture(b *testing.B, n int) *fixture {
 	b.Helper()
 	data := dataset.DeepLike(n, 30, 7)
 	owner, err := ppanns.NewDataOwner(ppanns.Params{
-		Dim: data.Dim, Beta: 0.3, Seed: 7, WithAME: withAME,
+		Dim: data.Dim, Beta: 0.3, Seed: 7,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -160,14 +149,36 @@ func BenchmarkFig5RatioK(b *testing.B) {
 }
 
 // BenchmarkFig6RefineScheme measures one query under Figure 6's three
-// refine modes over a shared index.
+// refine schemes over a shared index: filter-only, DCE, and the HNSW-AME
+// baseline.
 func BenchmarkFig6RefineScheme(b *testing.B) {
-	f := ameFixture(b)
-	for _, mode := range []ppanns.RefineMode{ppanns.RefineNone, ppanns.RefineDCE, ppanns.RefineAME} {
+	f := buildFixture(b, 800)
+	for _, mode := range []ppanns.RefineMode{ppanns.RefineNone, ppanns.RefineDCE} {
 		b.Run(mode.String(), func(b *testing.B) {
 			f.search(b, ppanns.SearchOptions{RatioK: 16, EfSearch: 160, Refine: mode})
 		})
 	}
+	hnswAME, err := baselines.NewHNSWAME(f.server, f.data.Train, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Each trapdoor is 16 (2d+6)² matrices: a few, built before the timer.
+	tds := make([]*ame.Trapdoor, 4)
+	for i := range tds {
+		if tds[i], err = hnswAME.Trapdoor(f.data.Queries[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("ame", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := i % len(tds)
+			if _, _, err := hnswAME.Search(f.tokens[j], tds[j], benchK, 16*benchK, 160); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkFig7Baselines measures one query on each of Figure 7's four
@@ -270,7 +281,7 @@ func BenchmarkFig9CostSplit(b *testing.B) {
 func BenchmarkFig10Scalability(b *testing.B) {
 	for _, n := range []int{1000, 2000, 4000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			f := buildFixture(b, n, false)
+			f := buildFixture(b, n)
 			f.search(b, ppanns.SearchOptions{RatioK: 16, EfSearch: 160})
 		})
 	}
@@ -301,7 +312,7 @@ func BenchmarkOverheadVsPlaintext(b *testing.B) {
 // BenchmarkMaintainInsertDelete measures one Section V-D insert+delete
 // round trip against a live index.
 func BenchmarkMaintainInsertDelete(b *testing.B) {
-	f := buildFixture(b, 1500, false)
+	f := buildFixture(b, 1500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		payload, err := f.owner.EncryptVector(f.data.Train[i%len(f.data.Train)])

@@ -14,6 +14,9 @@
 // them and the paper's scheme uniformly, with per-side cost accounting
 // (server time, user time, transfer bytes, rounds) — the quantities
 // Figures 7 and 9 report.
+//
+// HNSWAME is Figure 6's comparison point instead: the paper's own filter
+// phase with the refine done by AME comparisons rather than DCE.
 package baselines
 
 import (

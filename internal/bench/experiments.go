@@ -123,57 +123,60 @@ func Fig6(cfg Config) error {
 			return err
 		}
 		dep, err := newDeployment(d, core.Params{
-			Dim: d.Dim, Beta: beta, Seed: cfg.Seed, WithAME: true,
+			Dim: d.Dim, Beta: beta, Seed: cfg.Seed,
 		})
 		if err != nil {
 			return err
 		}
-		// Few AME queries: each trapdoor is 16 (2d+6)² matrices.
-		ameTokens := dep.tokens
-		if len(ameTokens) > 10 {
-			ameTokens = ameTokens[:10]
+		hnswAME, err := baselines.NewHNSWAME(dep.server, d.Train, cfg.Seed)
+		if err != nil {
+			return err
+		}
+		// Few AME queries: each trapdoor is 16 (2d+6)² matrices. Like the
+		// tokens, they are built before the clock starts.
+		tds := make([]*ame.Trapdoor, min(len(d.Queries), 10))
+		for i := range tds {
+			if tds[i], err = hnswAME.Trapdoor(d.Queries[i]); err != nil {
+				return err
+			}
 		}
 		cfg.printf("\n## %s (n=%d, β=%.3g, k=%d)\n", d.Name, len(d.Train), beta, cfg.K)
-		efs := []int{cfg.K, cfg.K * 2, cfg.K * 4, cfg.K * 8, cfg.K * 16}
-		for _, mode := range []core.RefineMode{core.RefineNone, core.RefineDCE, core.RefineAME} {
-			toks := dep.tokens
-			if mode == core.RefineAME {
-				toks = ameTokens
-			}
-			cfg.printf("%-14s", "HNSW-"+mode.String())
-			for _, ef := range efs {
-				p, err := measureTokens(dep, toks, cfg.K, core.SearchOptions{RatioK: 16, EfSearch: ef, Refine: mode})
-				if err != nil {
-					return err
+		gt := d.GroundTruth(cfg.K)
+		// row prints a scheme's recall and latency per query over its first
+		// n queries, at each beam width.
+		row := func(name string, n int, search func(i, ef int) ([]int, error)) error {
+			cfg.printf("%-14s", name)
+			for _, ef := range []int{cfg.K, cfg.K * 2, cfg.K * 4, cfg.K * 8, cfg.K * 16} {
+				got := make([][]int, n)
+				start := time.Now()
+				for i := range got {
+					var err error
+					if got[i], err = search(i, ef); err != nil {
+						return err
+					}
 				}
-				cfg.printf(" | ef=%-4d r=%.3f lat=%-10v", ef, p.Recall, p.Latency.Round(time.Microsecond))
+				lat := time.Since(start) / time.Duration(n)
+				cfg.printf(" | ef=%-4d r=%.3f lat=%-10v", ef, dataset.MeanRecall(got, gt[:n]), lat.Round(time.Microsecond))
 			}
 			cfg.printf("\n")
+			return nil
+		}
+		for _, mode := range []core.RefineMode{core.RefineNone, core.RefineDCE} {
+			if err := row("HNSW-"+mode.String(), len(dep.tokens), func(i, ef int) ([]int, error) {
+				return dep.server.Search(dep.tokens[i], cfg.K, core.SearchOptions{RatioK: 16, EfSearch: ef, Refine: mode})
+			}); err != nil {
+				return err
+			}
+		}
+		if err := row("HNSW-ame", len(tds), func(i, ef int) ([]int, error) {
+			ids, _, err := hnswAME.Search(dep.tokens[i], tds[i], cfg.K, 16*cfg.K, ef)
+			return ids, err
+		}); err != nil {
+			return err
 		}
 	}
 	cfg.printf("\n(expected shape: DCE ≥100× faster than AME at equal recall; DCE close to filter-only)\n")
 	return nil
-}
-
-// measureTokens is deployment.measure over an explicit token subset.
-func measureTokens(dep *deployment, tokens []*core.QueryToken, k int, opt core.SearchOptions) (point, error) {
-	gt := dep.data.GroundTruth(k)
-	got := make([][]int, len(tokens))
-	start := time.Now()
-	for i, tok := range tokens {
-		ids, err := dep.server.Search(tok, k, opt)
-		if err != nil {
-			return point{}, err
-		}
-		got[i] = ids
-	}
-	elapsed := time.Since(start)
-	return point{
-		Ef:      opt.EfSearch,
-		Recall:  dataset.MeanRecall(got, gt[:len(tokens)]),
-		QPS:     float64(len(tokens)) / elapsed.Seconds(),
-		Latency: elapsed / time.Duration(len(tokens)),
-	}, nil
 }
 
 // lshDefaults returns per-dataset LSH parameters that track each corpus's

@@ -142,20 +142,20 @@ func mustToken(t *testing.T, w *testWorld, q []float64) *QueryToken {
 }
 
 // TestFailedInsertLeavesDatabaseIntact is the regression test for the
-// validate-before-mutate Insert fix: an insert rejected for a missing AME
-// ciphertext must not grow any server-side array or desync the index.
+// validate-before-mutate Insert fix: an insert rejected for a short DCE
+// component must not grow any server-side array or desync the index.
 func TestFailedInsertLeavesDatabaseIntact(t *testing.T) {
 	const n, dim = 300, 8
 	data := clustered(71, n, dim, 4)
-	w := newWorld(t, Params{Dim: dim, Beta: 0.3, Seed: 71, WithAME: true}, data)
+	w := newWorld(t, Params{Dim: dim, Beta: 0.3, Seed: 71}, data)
 
 	payload, err := w.owner.EncryptVector(data[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload.AME = nil
+	payload.DCE.P3 = payload.DCE.P3[:len(payload.DCE.P3)-1]
 	if _, err := w.server.Insert(payload); err == nil {
-		t.Fatal("expected error for missing AME ciphertext")
+		t.Fatal("expected error for a short DCE component")
 	}
 	if w.server.Len() != n {
 		t.Fatalf("failed insert grew database: Len = %d, want %d", w.server.Len(), n)

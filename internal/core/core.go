@@ -35,7 +35,6 @@ package core
 import (
 	"fmt"
 
-	"ppanns/internal/ame"
 	"ppanns/internal/dce"
 	"ppanns/internal/dcpe"
 	"ppanns/internal/index"
@@ -64,11 +63,6 @@ type Params struct {
 	// live there (IndexOptions.M and EfConstruction: the paper uses 40 and
 	// 600, the defaults are a laptop-scale 16 and 200).
 	IndexOptions index.Options
-
-	// WithAME additionally encrypts the database under AME so the server
-	// can run the HNSW-AME baseline refine (Figure 6). Costly: Θ(d²)
-	// space per vector.
-	WithAME bool
 
 	// PQ attaches the compressed filter tier at encryption time: a
 	// product-quantization codebook over the SAP ciphertexts plus an
@@ -137,7 +131,6 @@ func (p Params) rand() *rng.Rand {
 type UserKey struct {
 	DCE *dce.Key
 	SAP *dcpe.Key
-	AME *ame.Key // nil unless Params.WithAME
 }
 
 // QueryToken is the encrypted query the user sends to the server:
@@ -145,24 +138,20 @@ type UserKey struct {
 type QueryToken struct {
 	SAP      []float64
 	Trapdoor *dce.Trapdoor
-	// AME is the AME trapdoor, present only when the deployment runs the
-	// HNSW-AME baseline refine.
-	AME *ame.Trapdoor
 }
 
 // EncryptedDatabase is the server-side state: the filter index over SAP
 // ciphertexts (which owns the C_SAP vectors) plus the DCE ciphertexts in a
-// flat arena store, and optionally the AME ciphertexts for the baseline.
+// flat arena store.
 //
-// External ids (what users see, and what index the DCE store/AME array)
-// are the data owner's vector positions; every index backend returns
+// External ids (what users see, and what index the DCE store) are the data
+// owner's vector positions; every index backend returns
 // positions from Search, keeping any internal id remapping to itself.
 type EncryptedDatabase struct {
 	Dim     int
 	Backend string
 	Index   index.SecureIndex
 	DCE     *dce.CiphertextStore
-	AME     []*ame.Ciphertext // nil unless built WithAME
 	// PQ is the compressed filter tier: a product-quantization codebook
 	// plus one M-byte code per position, trained server-side on the SAP
 	// ciphertexts (no new leakage — the codes are a lossy function of data
@@ -208,5 +197,4 @@ func (e *EncryptedDatabase) Live() int { return e.DCE.Live() }
 type InsertPayload struct {
 	SAP []float64
 	DCE *dce.Ciphertext
-	AME *ame.Ciphertext
 }

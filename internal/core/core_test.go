@@ -201,37 +201,6 @@ func TestSearchStats(t *testing.T) {
 	}
 }
 
-func TestAMERefineMatchesDCERefine(t *testing.T) {
-	// Same filter phase, different exact comparator ⇒ identical result
-	// sets (both are exact).
-	const n, dim, k = 600, 10, 6
-	data := clustered(7, n, dim, 6)
-	w := newWorld(t, Params{Dim: dim, Beta: 1.0, Seed: 13, WithAME: true}, data)
-	queries := makeQueries(8, data, 10, 0.3)
-	for _, q := range queries {
-		tok, err := w.user.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := w.server.Search(tok, k, SearchOptions{RatioK: 8, Refine: RefineDCE})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := w.server.Search(tok, k, SearchOptions{RatioK: 8, Refine: RefineAME})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("result sizes differ: %d vs %d", len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("rank %d differs: DCE %d vs AME %d", i, a[i], b[i])
-			}
-		}
-	}
-}
-
 func TestInsertThenFindable(t *testing.T) {
 	const dim = 10
 	data := clustered(9, 400, dim, 4)
@@ -324,8 +293,8 @@ func TestSearchValidation(t *testing.T) {
 	if _, err := w.server.Search(tok, 0, SearchOptions{}); err == nil {
 		t.Fatal("expected error for k = 0")
 	}
-	if _, err := w.server.Search(tok, 5, SearchOptions{Refine: RefineAME}); err == nil {
-		t.Fatal("expected error for AME refine without AME database")
+	if _, err := w.server.Search(tok, 5, SearchOptions{Refine: RefineMode(1)}); err == nil {
+		t.Fatal("expected error for the unassigned refine mode 1")
 	}
 	filterTok, _ := w.user.QueryFilterOnly(data[0])
 	if _, err := w.server.Search(filterTok, 5, SearchOptions{Refine: RefineDCE}); err == nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"ppanns/internal/ame"
 	"ppanns/internal/dce"
 	"ppanns/internal/pq"
 )
@@ -71,12 +70,6 @@ func (e *EncryptedDatabase) Compacted() (*EncryptedDatabase, error) {
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: offline compaction: %w", err)
-		}
-	}
-	if e.AME != nil {
-		ne.AME = make([]*ame.Ciphertext, len(oldIDs))
-		for j, id := range oldIDs {
-			ne.AME[j] = e.AME[id]
 		}
 	}
 	return ne, nil

@@ -34,8 +34,8 @@ func TestSearchOptionsEf(t *testing.T) {
 
 func TestRefineModeString(t *testing.T) {
 	for mode, want := range map[RefineMode]string{
-		RefineDCE: "dce", RefineAME: "ame", RefineNone: "filter-only",
-		RefineMode(9): "refine(9)",
+		RefineDCE: "dce", RefineNone: "filter-only",
+		RefineMode(1): "refine(1)", RefineMode(9): "refine(9)",
 	} {
 		if mode.String() != want {
 			t.Errorf("String() = %q, want %q", mode.String(), want)
@@ -57,20 +57,6 @@ func TestKPrimeClampedToK(t *testing.T) {
 	}
 	if len(ids) != 10 {
 		t.Fatalf("got %d results with KPrime<k, want 10", len(ids))
-	}
-}
-
-func TestInsertRequiresAMEWhenDatabaseHasIt(t *testing.T) {
-	data := clustered(52, 200, 6, 2)
-	w := newWorld(t, Params{Dim: 6, Beta: 0.3, Seed: 52, WithAME: true}, data)
-	// Handcraft a payload missing the AME component.
-	payload, err := w.owner.EncryptVector(data[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload.AME = nil
-	if _, err := w.server.Insert(payload); err == nil {
-		t.Fatal("expected error for missing AME ciphertext")
 	}
 }
 

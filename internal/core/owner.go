@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"ppanns/internal/ame"
 	"ppanns/internal/dce"
 	"ppanns/internal/dcpe"
 	"ppanns/internal/index"
@@ -35,7 +34,7 @@ type DataOwner struct {
 type BuildStats struct {
 	// KeyGen is key generation, which only an owner's first call pays.
 	KeyGen time.Duration
-	// Encrypt is the SAP, DCE and AME encryption of every vector.
+	// Encrypt is the SAP and DCE encryption of every vector.
 	Encrypt time.Duration
 	// Index is the filter-index build over the SAP ciphertexts.
 	Index time.Duration
@@ -71,8 +70,8 @@ func (o *DataOwner) Params() Params { return o.params }
 // It is nil until EncryptDatabase has run.
 func (o *DataOwner) UserKey() *UserKey { return o.keys }
 
-// generateKeys creates the DCE/SAP (and optionally AME) keys, with DCE and
-// AME input scales set from the observed coordinate range.
+// generateKeys creates the DCE and SAP keys, with the DCE input scale set
+// from the observed coordinate range.
 func (o *DataOwner) generateKeys(maxAbs float64) error {
 	scale := 1.0
 	if maxAbs > 0 {
@@ -87,28 +86,19 @@ func (o *DataOwner) generateKeys(maxAbs float64) error {
 	if err != nil {
 		return fmt.Errorf("core: SAP keygen: %w", err)
 	}
-	keys := &UserKey{DCE: dceKey, SAP: sapKey}
-	if o.params.WithAME {
-		ameKey, err := ame.KeyGenScaled(rng.Derive(r, 3), o.params.Dim, scale)
-		if err != nil {
-			return fmt.Errorf("core: AME keygen: %w", err)
-		}
-		keys.AME = ameKey
-	}
-	o.keys = keys
+	o.keys = &UserKey{DCE: dceKey, SAP: sapKey}
 	o.rnd = rng.Derive(r, 4)
 	return nil
 }
 
-// EncryptDatabase encrypts every vector under SAP and DCE (and AME when
-// configured), builds the selected filter index over the SAP ciphertexts,
-// and returns the complete server-side state: the paper's B1/B2 steps of
-// Figure 3.
+// EncryptDatabase encrypts every vector under SAP and DCE, builds the
+// selected filter index over the SAP ciphertexts, and returns the complete
+// server-side state: the paper's B1/B2 steps of Figure 3.
 //
 // Every stage runs on GOMAXPROCS workers and none lets the worker count
-// show: record i draws all its randomness (SAP, then DCE, then AME) from
-// its own stream, derived from one base drawn here, and the index and PQ
-// builds are functions of their seed and input. A seeded owner therefore
+// show: record i draws all its randomness (SAP, then DCE) from its own
+// stream, derived from one base drawn here, and the index and PQ builds are
+// functions of their seed and input. A seeded owner therefore
 // produces the same bytes on any number of cores. EncryptVector keeps
 // drawing from the keys' sequential streams.
 func (o *DataOwner) EncryptDatabase(vectors [][]float64) (*EncryptedDatabase, error) {
@@ -142,10 +132,6 @@ func (o *DataOwner) EncryptDatabase(vectors [][]float64) (*EncryptedDatabase, er
 	// workers fill disjoint records in place, so the encrypted database is
 	// born cache-friendly with no per-point ciphertext allocation.
 	store := dce.NewCiphertextStoreN(o.keys.DCE.CiphertextDim(), n)
-	var ameCts []*ame.Ciphertext
-	if o.params.WithAME {
-		ameCts = make([]*ame.Ciphertext, n)
-	}
 
 	streams := rng.NewStreams(o.rnd)
 	workers := min(runtime.GOMAXPROCS(0), n)
@@ -159,9 +145,6 @@ func (o *DataOwner) EncryptDatabase(vectors [][]float64) (*EncryptedDatabase, er
 				r := streams.At(i)
 				sap[i] = o.keys.SAP.EncryptWith(r, vectors[i])
 				enc.EncryptRecord(r, vectors[i], store.Record(i))
-				if ameCts != nil {
-					ameCts[i] = o.keys.AME.EncryptWith(r, vectors[i])
-				}
 			}
 		}(w)
 	}
@@ -183,7 +166,6 @@ func (o *DataOwner) EncryptDatabase(vectors [][]float64) (*EncryptedDatabase, er
 		Backend: o.params.Index,
 		Index:   idx,
 		DCE:     store,
-		AME:     ameCts,
 	}
 	if o.params.PQ {
 		// Trained on the SAP ciphertexts the server stores anyway; the
@@ -210,12 +192,8 @@ func (o *DataOwner) EncryptVector(v []float64) (*InsertPayload, error) {
 	if len(v) != o.params.Dim {
 		return nil, fmt.Errorf("core: vector has dim %d, want %d", len(v), o.params.Dim)
 	}
-	p := &InsertPayload{
+	return &InsertPayload{
 		SAP: o.keys.SAP.Encrypt(v),
 		DCE: o.keys.DCE.Encrypt(v),
-	}
-	if o.keys.AME != nil {
-		p.AME = o.keys.AME.Encrypt(v)
-	}
-	return p, nil
+	}, nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 
-	"ppanns/internal/ame"
 	"ppanns/internal/dce"
 	"ppanns/internal/pq"
 	"ppanns/internal/resultheap"
@@ -12,7 +11,7 @@ import (
 // searchScratch is the per-search working set, pooled so the steady-state
 // hot path performs no allocation: the filter-phase item buffer, the
 // candidate id list, the refine heap with its drain buffer, and the pooled
-// comparators.
+// DCE comparator.
 //
 // Every search checks one scratch out of the pool and returns it on exit,
 // so concurrent searches each hold their own scratch without coordination.
@@ -25,7 +24,6 @@ type searchScratch struct {
 	pq     dce.PreparedQuery
 	pqsc   pq.Scanner
 	dce    dceComparator
-	ame    ameComparator
 }
 
 // tierScratch is the filter phase's two-tier staging area: the main-tier
@@ -48,7 +46,6 @@ func putScratch(sc *searchScratch) {
 	sc.pq.Reset()
 	sc.pqsc.Reset()
 	sc.dce = dceComparator{}
-	sc.ame = ameComparator{}
 	scratchPool.Put(sc)
 }
 
@@ -64,17 +61,6 @@ type dceComparator struct {
 
 func (c *dceComparator) Farther(a, b int) bool {
 	return c.pq.Comp(c.cands[a], c.cands[b]) > 0
-}
-
-// ameComparator is the AME-baseline counterpart of dceComparator.
-type ameComparator struct {
-	cts   []*ame.Ciphertext
-	cands []int
-	tq    *ame.Trapdoor
-}
-
-func (c *ameComparator) Farther(a, b int) bool {
-	return ame.Compare(c.cts[c.cands[a]], c.cts[c.cands[b]], c.tq) > 0
 }
 
 // refineScratch runs Algorithm 2's bounded max-heap selection over

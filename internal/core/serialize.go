@@ -16,9 +16,7 @@ import (
 )
 
 // UserKey serialization rides on gob: the DCE and SAP keys implement
-// encoding.BinaryMarshaler. AME keys are a benchmark-only artifact and are
-// not shipped (a deployment running the HNSW-AME baseline regenerates them
-// in place).
+// encoding.BinaryMarshaler.
 
 type userKeyWire struct {
 	DCE []byte
@@ -73,10 +71,9 @@ const edbMagic = "PPANNSD5"
 const serializeChunk = 8192
 
 // Save writes the encrypted database (backend tag, DCE ciphertext arena,
-// index payload) in the PPANNSD5 format. The arena travels under a
-// streaming CRC32 so storage corruption is detected at load time instead
-// of silently flipping comparison results. AME ciphertexts, when present,
-// are not persisted.
+// PQ tier when present, index payload) in the PPANNSD5 format. The arena
+// travels under a streaming CRC32 so storage corruption is detected at load
+// time instead of silently flipping comparison results.
 func (e *EncryptedDatabase) Save(w io.Writer) error {
 	backend := e.Backend
 	if backend == "" {
@@ -217,15 +214,9 @@ func LoadEncryptedDatabase(r io.Reader) (*EncryptedDatabase, error) {
 	switch pqFlag {
 	case 0:
 	case 1:
-		pqs, err := pq.Load(br)
+		pqs, err := pq.Load(br, dim, n)
 		if err != nil {
 			return nil, fmt.Errorf("core: loading PQ tier: %w", err)
-		}
-		if pqs.Book.Dim() != dim {
-			return nil, fmt.Errorf("core: PQ codebook dimension %d does not match database dimension %d", pqs.Book.Dim(), dim)
-		}
-		if pqs.Codes.Len() != n {
-			return nil, fmt.Errorf("core: PQ code arena holds %d rows, database %d", pqs.Codes.Len(), n)
 		}
 		e.PQ = pqs
 	default:

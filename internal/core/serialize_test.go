@@ -164,7 +164,8 @@ func TestLoadEncryptedDatabaseGarbage(t *testing.T) {
 // merely claims. The earlier format generations and an hnsw payload whose id
 // map is not the identity (which only pre-deterministic builds wrote) get
 // index.ErrOldFormat; a header that lies about the record count, or an
-// arena cut short, fails where the bytes run out.
+// arena cut short, fails where the bytes run out; a PQ section that lies
+// about the record count is refused before it sizes anything.
 func TestLoadRefusals(t *testing.T) {
 	w := newWorld(t, Params{Dim: 8, Beta: 0.5, Seed: 35}, clustered(35, 60, 8, 3))
 	edb := w.server.Database()
@@ -185,6 +186,14 @@ func TestLoadRefusals(t *testing.T) {
 	lying = binary.LittleEndian.AppendUint64(lying, 1<<40)
 	lying = binary.LittleEndian.AppendUint64(lying, uint64(edb.DCE.CtDim()))
 	lying = append(lying, make([]byte, 8)...)
+	// The PQSTORE1 header follows the PQ flag: magic, dim, m, k, then n.
+	withPQ := newWorld(t, Params{Dim: 8, Beta: 0.5, Seed: 36, PQ: true, PQM: 4}, clustered(36, 60, 8, 3)).server.Database()
+	var pqBuf bytes.Buffer
+	if err := withPQ.Save(&pqBuf); err != nil {
+		t.Fatal(err)
+	}
+	pqLying := pqBuf.Bytes()
+	binary.LittleEndian.PutUint64(pqLying[pqSectionOffset(withPQ)+1+len("PQSTORE1")+3*8:], 1<<33)
 
 	for _, c := range []struct {
 		name string
@@ -197,6 +206,7 @@ func TestLoadRefusals(t *testing.T) {
 		{"hnsw map not the identity", swapped, true},
 		{"header claims 2^40 records", lying, false},
 		{"arena cut short", valid[:pqSectionOffset(edb)/2], false},
+		{"PQ section claims 2^33 records", pqLying, false},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -221,12 +231,13 @@ func TestLoadRefusals(t *testing.T) {
 // error or a database that hangs together — it never panics, and nothing it
 // allocates is sized by a count the input merely claims.
 //
-// What is mutated is what this package decodes itself: the header and the
-// ciphertext section. The PQSTORE1 section and the backends' index payloads
-// behind them have decoders of their own (pq, hnsw, nsg, ivf, lsh) that
-// still size allocations from their headers, so an input is run only while
-// it ends in some seed's untouched tail; each of those decoders is due its
-// own target (ROADMAP, "Model-based and adversarial correctness").
+// What is mutated is the header, the ciphertext section and the PQSTORE1
+// section (pq.FuzzLoad fuzzes that decoder on its own). The backends'
+// index payloads behind them have decoders of their own (hnsw, nsg, ivf,
+// lsh) that still size allocations from their headers, so an input is run
+// only while it ends in some seed's untouched index payload; each of those
+// decoders is due its own target (ROADMAP, "Model-based and adversarial
+// correctness").
 func FuzzLoadEncryptedDatabase(f *testing.F) {
 	data := clustered(37, 24, 4, 2)
 	var tails [][]byte
@@ -250,7 +261,15 @@ func FuzzLoadEncryptedDatabase(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
-		tails = append(tails, buf.Bytes()[pqSectionOffset(edb):])
+		off := pqSectionOffset(edb) + 1
+		if edb.PQ != nil {
+			var pqBuf bytes.Buffer
+			if err := edb.PQ.Save(&pqBuf); err != nil {
+				f.Fatal(err)
+			}
+			off += pqBuf.Len()
+		}
+		tails = append(tails, buf.Bytes()[off:])
 		if params.Index == "hnsw" && !params.PQ {
 			for _, magic := range []string{"PPANNSD2", "PPANNSD3", "PPANNSD4"} {
 				f.Add(append([]byte(magic), buf.Bytes()[len(edbMagic):]...))
@@ -259,7 +278,7 @@ func FuzzLoadEncryptedDatabase(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		if !slices.ContainsFunc(tails, func(tail []byte) bool { return bytes.HasSuffix(blob, tail) }) {
-			t.Skip("mutation reached a section another package decodes")
+			t.Skip("mutation reached an index payload")
 		}
 		edb, err := LoadEncryptedDatabase(bytes.NewReader(blob))
 		if err != nil {

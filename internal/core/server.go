@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ppanns/internal/ame"
 	"ppanns/internal/dce"
 	"ppanns/internal/pq"
 	"ppanns/internal/resultheap"
@@ -19,16 +18,15 @@ import (
 // RefineMode selects how the server's refine phase compares candidates.
 type RefineMode int
 
+// The values are part of the wire protocol: 1 is unassigned and answered
+// as an unknown mode.
 const (
 	// RefineDCE is the paper's scheme: exact comparisons via DCE, O(d)
 	// per comparison.
-	RefineDCE RefineMode = iota
-	// RefineAME is the HNSW-AME baseline: exact comparisons via AME,
-	// O(d²) per comparison.
-	RefineAME
+	RefineDCE RefineMode = 0
 	// RefineNone skips refinement and returns the filter phase's top-k —
 	// the HNSW(filter) ablation of Figure 6.
-	RefineNone
+	RefineNone RefineMode = 2
 )
 
 // String names the refine mode for reports.
@@ -36,8 +34,6 @@ func (m RefineMode) String() string {
 	switch m {
 	case RefineDCE:
 		return "dce"
-	case RefineAME:
-		return "ame"
 	case RefineNone:
 		return "filter-only"
 	default:
@@ -345,8 +341,7 @@ type ServerOptions struct {
 	// an atomic checkpoint snapshot there. NewServerWith requires a fresh
 	// (empty) directory and seeds it with an initial checkpoint; a
 	// directory holding an existing log is recovered with OpenServer
-	// instead. Databases carrying AME ciphertexts (a benchmark-only tier
-	// that is never persisted) are rejected.
+	// instead.
 	WALDir string
 	// WALSync selects the durability policy of the acknowledgment (see
 	// wal.SyncPolicy): fsync every write (Every: 1, group-committed),
@@ -432,7 +427,7 @@ func NewServerWith(edb *EncryptedDatabase, o ServerOptions) (*Server, error) {
 // flushed — what Save and Split should operate on once a server has
 // applied mutations. If the snapshot carries unflushed mutations this
 // compacts first (synchronously), so the returned database always has its
-// index, ciphertext store and AME array mutually consistent. The returned
+// index and ciphertext store mutually consistent. The returned
 // value is immutable: callers may read it freely without locking but must
 // not mutate it. If compaction fails (a backend violating the rebuild
 // contract), the latest consistent pre-failure state is NOT reconstructed;
@@ -519,10 +514,6 @@ type ShardResult struct {
 	// response it encodes.
 	Recs  [][]float64
 	CtDim int
-	// AME holds the AME ciphertexts parallel to IDs (RefineAME only).
-	// AME material never travels over the wire, so this field only serves
-	// in-process coordinators.
-	AME []*ame.Ciphertext
 	// Store is the DCE merge material of an in-process result (RefineDCE
 	// only): the serving snapshot's ciphertext store, addressed by the
 	// local ids in IDs. The snapshot discipline makes this a zero-copy
@@ -560,7 +551,7 @@ func (s *Server) SearchInto(dst []int, tok *QueryToken, k int, opt SearchOptions
 
 // searchInto is the shared search body. When mm is non-nil it captures,
 // for every returned id, the cross-shard merge material of the active
-// refine mode (SAP distance, DCE store view, or AME ciphertext).
+// refine mode (SAP distances, or the DCE store view).
 //
 // k, k′ and dst are sized only after the request has been validated and k
 // and k′ clamped to the snapshot's record count — a query cannot return
@@ -677,27 +668,6 @@ func (s *Server) searchInto(dst []int, tok *QueryToken, k int, opt SearchOptions
 			// so the borrow stays valid for as long as the caller holds it.
 			mm.CtDim, mm.Store = edb.DCE.CtDim(), edb.DCE
 		}
-	case RefineAME:
-		if edb.AME == nil {
-			return dst[:0], st, fmt.Errorf("core: database was built without AME ciphertexts")
-		}
-		if tok.AME == nil {
-			return dst[:0], st, fmt.Errorf("core: token lacks AME trapdoor for refine")
-		}
-		for _, id := range cands {
-			if id < 0 || id >= len(edb.AME) || edb.AME[id] == nil {
-				return dst[:0], st, fmt.Errorf("core: filter index returned id %d with no AME ciphertext", id)
-			}
-		}
-		cmp := &sc.ame
-		*cmp = ameComparator{cts: edb.AME, cands: cands, tq: tok.AME}
-		dst, st.Comparisons = refineScratch(sc, cands, k, cmp, dst)
-		if mm != nil {
-			mm.AME = make([]*ame.Ciphertext, len(dst))
-			for i, id := range dst {
-				mm.AME[i] = edb.AME[id]
-			}
-		}
 	default:
 		return dst[:0], st, fmt.Errorf("core: unknown refine mode %d", opt.Refine)
 	}
@@ -738,10 +708,6 @@ func (s *Server) Insert(p *InsertPayload) (int, error) {
 		s.wmu.Unlock()
 		return 0, fmt.Errorf("core: insert DCE ciphertext components do not match stored dimension %d", ctDim)
 	}
-	if edb.AME != nil && p.AME == nil {
-		s.wmu.Unlock()
-		return 0, fmt.Errorf("core: database carries AME ciphertexts; payload lacks one")
-	}
 	var code []byte
 	if edb.PQ != nil {
 		// Encode server-side with the published codebook so the code arena
@@ -759,7 +725,7 @@ func (s *Server) Insert(p *InsertPayload) (int, error) {
 			return 0, fmt.Errorf("core: wal append: %w", werr)
 		}
 	}
-	pos := s.publishInsert(cur, p.SAP, p.DCE, p.AME, code)
+	pos := s.publishInsert(cur, p.SAP, p.DCE, code)
 	s.wmu.Unlock()
 	if s.wal != nil {
 		if err := s.wal.Commit(lsn); err != nil {
@@ -775,18 +741,13 @@ func (s *Server) Insert(p *InsertPayload) (int, error) {
 // (nil when the database carries no PQ tier — replay passes the logged row
 // here so recovered code arenas are byte-identical). Caller holds wmu and
 // has validated dimensions against cur.
-func (s *Server) publishInsert(cur *snapshot, sapIn []float64, ct *dce.Ciphertext, ameCt *ame.Ciphertext, code []byte) int {
+func (s *Server) publishInsert(cur *snapshot, sapIn []float64, ct *dce.Ciphertext, code []byte) int {
 	edb := cur.edb
 	pos := edb.DCE.Len()
 	// The arena append writes past every published snapshot's length —
-	// invisible to in-flight readers; likewise the SAP, AME and PQ-code
-	// appends.
+	// invisible to in-flight readers; likewise the SAP and PQ-code appends.
 	store := edb.DCE.Extend(ct)
 	sap := append([]float64(nil), sapIn...)
-	var ameCts []*ame.Ciphertext
-	if edb.AME != nil {
-		ameCts = append(edb.AME, ameCt)
-	}
 	var pqStore *pq.Store
 	if edb.PQ != nil {
 		pqStore = &pq.Store{
@@ -802,7 +763,6 @@ func (s *Server) publishInsert(cur *snapshot, sapIn []float64, ct *dce.Ciphertex
 			Backend: edb.Backend,
 			Index:   edb.Index,
 			DCE:     store,
-			AME:     ameCts,
 			PQ:      pqStore,
 		},
 		frozen:   cur.frozen,
@@ -1107,16 +1067,6 @@ func (s *Server) compactFold() error {
 		pqs.Book.EncodeInto(codeBuf, from.deltaSAP[g-base.frozen])
 		pqs.Codes.AppendRow(codeBuf)
 	}
-	var ameCts []*ame.Ciphertext
-	if edb.AME != nil {
-		ameCts = make([]*ame.Ciphertext, n)
-		copy(ameCts, edb.AME[:n])
-		for g := range ameCts {
-			if dead(g) {
-				ameCts[g] = nil
-			}
-		}
-	}
 
 	// Capture the checkpoint state before any grafting: the folded index,
 	// arena and code store correspond exactly to the base snapshot's
@@ -1177,9 +1127,6 @@ func (s *Server) compactFold() error {
 		}
 	}
 	deltaSAP := append([][]float64(nil), cur.deltaSAP[n-base.frozen:]...)
-	if edb.AME != nil {
-		ameCts = append(ameCts, cur.edb.AME[n:curN]...)
-	}
 	var tombs map[int]struct{}
 	mainDead := 0
 	for t := range cur.tombs {
@@ -1200,7 +1147,6 @@ func (s *Server) compactFold() error {
 			Backend: edb.Backend,
 			Index:   idx,
 			DCE:     store,
-			AME:     ameCts,
 			PQ:      pqs,
 		},
 		frozen:   n,

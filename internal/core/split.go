@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"ppanns/internal/ame"
 	"ppanns/internal/dce"
 	"ppanns/internal/index"
 	"ppanns/internal/pq"
@@ -18,12 +17,13 @@ import (
 // lands on shard G % n exactly when that shard holds G / n records.
 //
 // Every shard receives a copy of its stripe of the DCE ciphertext arena
-// (and the AME ciphertexts and PQ code rows, when present — the PQ
-// codebook is shared, not retrained, since it was fit on the full corpus)
-// plus a freshly built filter index over the stripe's SAP vectors,
-// recovered from the source index via SecureIndex.Vector. Tombstoned ids keep their slots — the shard
-// index is built over every position and the tombstones are re-deleted —
-// so local ids stay dense and the arithmetic mapping never shifts.
+// and, when present, of the PQ code rows (the PQ codebook is shared, not
+// retrained, since it was fit on the full corpus), plus a freshly built
+// filter index over the stripe's SAP vectors, recovered from the source
+// index via SecureIndex.Vector. Tombstoned ids keep their slots — the
+// shard index is built over every position and the tombstones are
+// re-deleted — so local ids stay dense and the arithmetic mapping never
+// shifts.
 //
 // opts configures the per-shard index rebuilds; zero values select the
 // backend's documented defaults, Dim is filled in from the database, and
@@ -44,10 +44,6 @@ func (e *EncryptedDatabase) Split(n int, opts index.Options) ([]*EncryptedDataba
 		cnt := (total - s + n - 1) / n // |{g ∈ [0, total) : g ≡ s (mod n)}|
 		vecs := make([][]float64, 0, cnt)
 		store := dce.NewCiphertextStoreN(e.DCE.CtDim(), cnt)
-		var ameCts []*ame.Ciphertext
-		if e.AME != nil {
-			ameCts = make([]*ame.Ciphertext, cnt)
-		}
 		var dead []int
 		for local := 0; local < cnt; local++ {
 			g := local*n + s
@@ -60,9 +56,6 @@ func (e *EncryptedDatabase) Split(n int, opts index.Options) ([]*EncryptedDataba
 				copy(store.Record(local), e.DCE.Record(g))
 			} else {
 				dead = append(dead, local)
-			}
-			if ameCts != nil {
-				ameCts[local] = e.AME[g]
 			}
 		}
 
@@ -79,9 +72,6 @@ func (e *EncryptedDatabase) Split(n int, opts index.Options) ([]*EncryptedDataba
 				return nil, fmt.Errorf("core: restoring tombstone %d on shard %d: %w", local, s, err)
 			}
 			store.Delete(local)
-			if ameCts != nil {
-				ameCts[local] = nil
-			}
 		}
 		if idx.Len() != store.Live() {
 			return nil, fmt.Errorf("core: shard %d index holds %d live vectors, ciphertext store %d",
@@ -92,7 +82,6 @@ func (e *EncryptedDatabase) Split(n int, opts index.Options) ([]*EncryptedDataba
 			Backend: e.Backend,
 			Index:   idx,
 			DCE:     store,
-			AME:     ameCts,
 		}
 
 		// The compressed filter tier shards with the data: the codebook was

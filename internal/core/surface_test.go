@@ -19,7 +19,7 @@ import (
 type surface struct {
 	name  string
 	merge bool // results carry the refine mode's merge material
-	wire  bool // results crossed the wire: DCE material is Recs, AME is not carried
+	wire  bool // results crossed the wire: DCE material is Recs
 	run   func(toks []*core.QueryToken, k int, opt core.SearchOptions) ([]core.ShardResult, []error)
 }
 
@@ -113,15 +113,6 @@ func checkMaterial(t *testing.T, edb *core.EncryptedDatabase, refine core.Refine
 		if len(r.Dists) != len(r.IDs) || !slices.IsSorted(r.Dists) {
 			t.Fatalf("filter distances %v for %d ids", r.Dists, len(r.IDs))
 		}
-	case core.RefineAME:
-		if len(r.AME) != len(r.IDs) {
-			t.Fatalf("%d AME ciphertexts for %d ids", len(r.AME), len(r.IDs))
-		}
-		for i, id := range r.IDs {
-			if r.AME[i] != edb.AME[id] {
-				t.Fatalf("AME[%d] is not the stored ciphertext of id %d", i, id)
-			}
-		}
 	}
 }
 
@@ -138,7 +129,7 @@ func TestSearchShardMatchesSearch(t *testing.T) {
 	queries := core.MakeQueries(34, data, 5, 0.3)
 	for _, backend := range index.Names() {
 		t.Run(backend, func(t *testing.T) {
-			owner, err := core.NewDataOwner(core.Params{Dim: dim, Beta: 0.3, Seed: 33, Index: backend, WithAME: true, PQ: true, PQM: 4})
+			owner, err := core.NewDataOwner(core.Params{Dim: dim, Beta: 0.3, Seed: 33, Index: backend, PQ: true, PQM: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,13 +171,8 @@ func TestSearchShardMatchesSearch(t *testing.T) {
 				}
 				toks = append(toks, tok)
 			}
-			// AME trapdoors are not carried over the wire.
-			wireToks := make([]*core.QueryToken, len(toks))
-			for i, tok := range toks {
-				wireToks[i] = &core.QueryToken{SAP: tok.SAP, Trapdoor: tok.Trapdoor}
-			}
 
-			for _, refine := range []core.RefineMode{core.RefineDCE, core.RefineAME, core.RefineNone} {
+			for _, refine := range []core.RefineMode{core.RefineDCE, core.RefineNone} {
 				for _, filter := range []core.FilterDistMode{core.FilterExact, core.FilterPQ} {
 					opt := core.SearchOptions{RatioK: 8, Refine: refine, FilterDist: filter, Parallelism: 2}
 					want := make([][]int, len(toks))
@@ -196,15 +182,8 @@ func TestSearchShardMatchesSearch(t *testing.T) {
 						}
 					}
 					for _, sf := range surfaces(srv, client) {
-						in := toks
-						if sf.wire {
-							if refine == core.RefineAME {
-								continue
-							}
-							in = wireToks
-						}
 						where := fmt.Sprintf("%v/%v/%s", refine, filter, sf.name)
-						rs, errs := sf.run(in, k, opt)
+						rs, errs := sf.run(toks, k, opt)
 						if len(rs) != len(toks) || len(errs) != len(toks) {
 							t.Fatalf("%s: %d results, %d errors for %d queries", where, len(rs), len(errs), len(toks))
 						}
@@ -229,7 +208,7 @@ func TestSearchShardMatchesSearch(t *testing.T) {
 						for _, kk := range []int{-1, 0, n, n + 1, 1 << 40} {
 							var before, after runtime.MemStats
 							runtime.ReadMemStats(&before)
-							rs, errs := sf.run(in[:1], kk, opt)
+							rs, errs := sf.run(toks[:1], kk, opt)
 							runtime.ReadMemStats(&after)
 							if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
 								t.Fatalf("%s: k=%d allocated %d bytes", where, kk, got)

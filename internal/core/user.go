@@ -30,20 +30,15 @@ func NewUser(key *UserKey) (*User, error) {
 func (u *User) Dim() int { return u.key.DCE.Dim() }
 
 // Query encrypts a plaintext query into the token sent to the server:
-// C_SAP(q) for the filter phase and T_q for the refine phase (plus the AME
-// trapdoor when the deployment benchmarks the HNSW-AME baseline).
+// C_SAP(q) for the filter phase and T_q for the refine phase.
 func (u *User) Query(q []float64) (*QueryToken, error) {
 	if len(q) != u.Dim() {
 		return nil, fmt.Errorf("core: query has dim %d, want %d", len(q), u.Dim())
 	}
-	tok := &QueryToken{
+	return &QueryToken{
 		SAP:      u.key.SAP.Encrypt(q),
 		Trapdoor: u.key.DCE.TrapGen(q),
-	}
-	if u.key.AME != nil {
-		tok.AME = u.key.AME.TrapGen(q)
-	}
-	return tok, nil
+	}, nil
 }
 
 // QueryFilterOnly encrypts a query with just the SAP ciphertext — used by

@@ -76,9 +76,6 @@ func walLogOptions(o ServerOptions) wal.Options {
 // seeds it with an initial checkpoint of edb, so the directory is
 // recoverable from the first acknowledged write onward.
 func (s *Server) attachWAL(edb *EncryptedDatabase, o ServerOptions) error {
-	if edb.AME != nil {
-		return fmt.Errorf("core: WALDir cannot durably host AME ciphertexts (benchmark-only tier; neither logged nor persisted)")
-	}
 	lg, rec, err := wal.Open(o.WALDir, walLogOptions(o))
 	if err != nil {
 		return err
@@ -213,7 +210,7 @@ func OpenServer(walDir string, o ServerOptions) (*Server, RecoveryStats, error) 
 				return fmt.Errorf("core: wal replay: PQ code on a database without a PQ tier")
 			}
 			s.wmu.Lock()
-			s.publishInsert(cur, sap, &ct, nil, code)
+			s.publishInsert(cur, sap, &ct, code)
 			s.wmu.Unlock()
 		case wal.KindDelete:
 			id, perr := parseDeletePayload(payload)

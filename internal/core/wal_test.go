@@ -14,7 +14,7 @@ import (
 )
 
 // newWALWorld mirrors newWorld but attaches a write-ahead log to the
-// server. AME is never enabled (the WAL rejects it — see attachWAL).
+// server.
 func newWALWorld(t *testing.T, params Params, data [][]float64, opts ServerOptions) *testWorld {
 	t.Helper()
 	owner, err := NewDataOwner(params)
@@ -541,24 +541,11 @@ func TestFlushSurfacesCheckpointSyncError(t *testing.T) {
 	}
 }
 
-// TestWALRejectsAMEAndExistingLog pins the two construction-time
-// refusals: AME databases cannot be made durable (the tier is never
-// persisted), and NewServerWith must not silently clobber a directory
-// that already holds a recoverable log.
-func TestWALRejectsAMEAndExistingLog(t *testing.T) {
+// TestWALRejectsExistingLog pins the construction-time refusal:
+// NewServerWith must not silently clobber a directory that already holds a
+// recoverable log.
+func TestWALRejectsExistingLog(t *testing.T) {
 	data := clustered(281, 60, 6, 3)
-	owner, err := NewDataOwner(Params{Dim: 6, Beta: 0.3, Seed: 281, WithAME: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	edb, err := owner.EncryptDatabase(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewServerWith(edb, ServerOptions{WALDir: t.TempDir()}); err == nil {
-		t.Fatal("expected error for WAL over an AME database")
-	}
-
 	dir := t.TempDir()
 	opts := ServerOptions{WALDir: dir, WALSync: wal.SyncPolicy{Every: 1}, CompactAt: -1}
 	w := newWALWorld(t, Params{Dim: 6, Beta: 0.3, Seed: 282}, data, opts)

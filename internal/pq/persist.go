@@ -63,9 +63,12 @@ func (s *Store) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a store written by Save. The reader is consumed exactly to the
-// end of the PQ section.
-func Load(r io.Reader) (*Store, error) {
+// Load reads a store written by Save for a database of n records of
+// dimension dim. The bytes are untrusted, so the header must agree with
+// both before it sizes anything: every allocation is then bounded by n and
+// dim, which the caller has already paid for in bytes read. The reader is
+// consumed exactly to the end of the PQ section.
+func Load(r io.Reader, dim, n int) (*Store, error) {
 	magic := make([]byte, len(storeMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("pq: reading magic: %w", err)
@@ -79,22 +82,27 @@ func Load(r io.Reader) (*Store, error) {
 			return nil, fmt.Errorf("pq: reading header: %w", err)
 		}
 	}
-	dim, m, k := int(head[0]), int(head[1]), int(head[2])
-	n, trainedOn := int(head[3]), int(head[4])
-	if dim <= 0 || m <= 0 || m > dim || k <= 0 || k > LUTStride || n < 0 || trainedOn < 0 {
+	if head[0] != int64(dim) {
+		return nil, fmt.Errorf("pq: codebook dimension %d does not match database dimension %d", head[0], dim)
+	}
+	if head[3] != int64(n) {
+		return nil, fmt.Errorf("pq: code arena holds %d rows, database %d", head[3], n)
+	}
+	m, k, trainedOn := head[1], head[2], head[4]
+	if m <= 0 || m > int64(dim) || k <= 0 || k > LUTStride || trainedOn < 0 {
 		return nil, fmt.Errorf("pq: implausible header dim=%d m=%d k=%d n=%d", dim, m, k, n)
 	}
 	cfg := TrainConfig{
 		M: int(head[5]), K: int(head[6]), MaxSample: int(head[7]),
 		Iters: int(head[8]), Seed: uint64(head[9]),
 	}
-	// Rebuild the subspace layout to know each centroid block's width.
-	layout := newCodebook(dim, m, k)
+	// Rebuild the subspace layout to know each centroid block's width: the
+	// blocks hold k·dim floats in all.
+	book := newCodebook(dim, int(m), int(k))
 	var crc uint32
 	buf := make([]byte, 8)
-	cents := make([][]float64, m)
-	for j := 0; j < m; j++ {
-		block := make([]float64, k*layout.width[j])
+	for j := range book.cents {
+		block := make([]float64, book.k*book.width[j])
 		for i := range block {
 			if _, err := io.ReadFull(r, buf); err != nil {
 				return nil, fmt.Errorf("pq: reading centroids: %w", err)
@@ -102,13 +110,13 @@ func Load(r io.Reader) (*Store, error) {
 			crc = crc32.Update(crc, crc32.IEEETable, buf)
 			block[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
 		}
-		cents[j] = block
+		book.cents[j] = block
 	}
-	codes := make([]byte, n*m)
-	if _, err := io.ReadFull(r, codes); err != nil {
+	codes := &CodeStore{m: book.m, codes: alloc(n * book.m)}
+	if _, err := io.ReadFull(r, codes.codes); err != nil {
 		return nil, fmt.Errorf("pq: reading codes: %w", err)
 	}
-	crc = crc32.Update(crc, crc32.IEEETable, codes)
+	crc = crc32.Update(crc, crc32.IEEETable, codes.codes)
 	var stored uint32
 	if err := binary.Read(r, binary.LittleEndian, &stored); err != nil {
 		return nil, fmt.Errorf("pq: reading checksum: %w", err)
@@ -116,13 +124,5 @@ func Load(r io.Reader) (*Store, error) {
 	if crc != stored {
 		return nil, fmt.Errorf("pq: store corrupted (crc %08x, want %08x)", crc, stored)
 	}
-	book, err := CodebookFromCentroids(dim, m, k, cents)
-	if err != nil {
-		return nil, err
-	}
-	cs, err := StoreFromRaw(m, codes)
-	if err != nil {
-		return nil, err
-	}
-	return &Store{Book: book, Codes: cs, TrainedOn: trainedOn, Cfg: cfg}, nil
+	return &Store{Book: book, Codes: codes, TrainedOn: int(trainedOn), Cfg: cfg}, nil
 }

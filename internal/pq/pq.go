@@ -165,27 +165,6 @@ func newCodebook(dim, m, k int) *Codebook {
 	return cb
 }
 
-// CodebookFromCentroids reassembles a codebook from its serialized parts:
-// cents[m] must hold k rows of the subspace-m width (the layout Centroids
-// returns).
-func CodebookFromCentroids(dim, m, k int, cents [][]float64) (*Codebook, error) {
-	if m <= 0 || m > dim || k <= 0 || k > LUTStride {
-		return nil, fmt.Errorf("pq: invalid codebook shape dim=%d m=%d k=%d", dim, m, k)
-	}
-	if len(cents) != m {
-		return nil, fmt.Errorf("pq: %d centroid blocks for m=%d", len(cents), m)
-	}
-	cb := newCodebook(dim, m, k)
-	for j := 0; j < m; j++ {
-		if len(cents[j]) != k*cb.width[j] {
-			return nil, fmt.Errorf("pq: subspace %d centroid block has %d floats, want %d",
-				j, len(cents[j]), k*cb.width[j])
-		}
-		cb.cents[j] = cents[j]
-	}
-	return cb, nil
-}
-
 // Dim returns the full vector dimension the codebook was trained on.
 func (cb *Codebook) Dim() int { return cb.dim }
 

@@ -212,7 +212,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 	blob := buf.Bytes()
 
-	got, err := Load(bytes.NewReader(blob))
+	got, err := Load(bytes.NewReader(blob), 9, 350)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,15 +239,23 @@ func TestPersistRoundTrip(t *testing.T) {
 	// distances.
 	bad := append([]byte(nil), blob...)
 	bad[len(bad)-10] ^= 0x40
-	if _, err := Load(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "corrupted") {
+	if _, err := Load(bytes.NewReader(bad), 9, 350); err == nil || !strings.Contains(err.Error(), "corrupted") {
 		t.Fatalf("corrupted store loaded: %v", err)
 	}
 	// Truncation and garbage must error cleanly.
-	if _, err := Load(bytes.NewReader(blob[:len(blob)/2])); err == nil {
+	if _, err := Load(bytes.NewReader(blob[:len(blob)/2]), 9, 350); err == nil {
 		t.Fatal("truncated store loaded")
 	}
-	if _, err := Load(strings.NewReader("NOTAPQST0RE")); err == nil {
+	if _, err := Load(strings.NewReader("NOTAPQST0RE"), 9, 350); err == nil {
 		t.Fatal("garbage magic loaded")
+	}
+	// A store of another database's shape is refused, whichever way it
+	// differs.
+	if _, err := Load(bytes.NewReader(blob), 10, 350); err == nil {
+		t.Fatal("store loaded under the wrong dimension")
+	}
+	if _, err := Load(bytes.NewReader(blob), 9, 349); err == nil {
+		t.Fatal("store loaded under the wrong record count")
 	}
 }
 

@@ -28,7 +28,7 @@ func chaosIters(short, long int) int {
 func TestChaosFailoverZeroFailures(t *testing.T) {
 	const n, dim, k = 300, 16, 6
 	const stripes, rf = 2, 2
-	w := newWorld(t, n, dim, false)
+	w := newWorld(t, n, dim)
 
 	sets := make([][]Shard, stripes)
 	for s := range sets {

@@ -80,7 +80,7 @@ func TestReplicatedChurnCompactionOverTCP(t *testing.T) {
 	const n, dim, k = 300, 16, 6
 	const mutations = 150
 	const compactAt = 24
-	w := newWorld(t, n, dim, false)
+	w := newWorld(t, n, dim)
 	coord, proxies, srvs := replicatedCompactingTCP(t, w, 2, 2, compactAt, Options{Breaker: fastBreaker})
 
 	assertConformance(t, w, coord, k, "before churn (tcp)")

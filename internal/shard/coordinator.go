@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"ppanns/internal/ame"
 	"ppanns/internal/core"
 	"ppanns/internal/dce"
 	"ppanns/internal/transport"
@@ -295,7 +294,6 @@ type searchScratch struct {
 	errs    []error
 	cursors []int
 	dce     dceMerge
-	ame     ameMerge
 	none    distMerge
 }
 
@@ -322,7 +320,6 @@ func putScratch(sc *searchScratch) {
 		sc.errs[i] = nil
 	}
 	sc.dce = dceMerge{}
-	sc.ame = ameMerge{}
 	scratchPool.Put(sc)
 }
 
@@ -503,21 +500,12 @@ func (m *dceMerge) closer(results []core.ShardResult, s1, i1, s2, i2 int) bool {
 	return dce.DistanceCompHalves(m.o12(&results[s1], i1), m.p34(&results[s2], i2), m.q) < 0
 }
 
-// ameMerge orders by AME comparisons (in-process baseline only).
-type ameMerge struct {
-	tq *ame.Trapdoor
-}
-
-func (m *ameMerge) closer(results []core.ShardResult, s1, i1, s2, i2 int) bool {
-	return ame.Compare(results[s1].AME[i1], results[s2].AME[i2], m.tq) < 0
-}
-
 // merge folds per-shard results into the global top-k, remapping local
 // ids to global ones and ordering with the same comparator the refine
 // phase used — SAP distances for the filter-only mode, DCE record
 // comparisons for the paper's scheme (straight out of the shards' snapshot
 // stores when they were borrowed in-process, over the wire copies
-// otherwise), AME comparisons for the baseline.
+// otherwise).
 //
 // Every shard returns its list closest-first, so the global top-k is a
 // k-way merge of sorted lists: k steps of (shards−1) head-to-head
@@ -575,18 +563,6 @@ func (c *Coordinator) merge(tok *core.QueryToken, k int, mode core.RefineMode, r
 		}
 		sc.dce = dceMerge{ctDim: ctDim, q: tok.Trapdoor.Q}
 		cmp = &sc.dce
-
-	case core.RefineAME:
-		if tok == nil || tok.AME == nil {
-			return nil, fmt.Errorf("shard: token lacks AME trapdoor for merge")
-		}
-		for s, r := range results {
-			if len(r.AME) != len(r.IDs) {
-				return nil, &ShardError{Shard: s, Err: fmt.Errorf("shard: %d AME ciphertexts for %d ids (remote shards cannot serve RefineAME)", len(r.AME), len(r.IDs))}
-			}
-		}
-		sc.ame = ameMerge{tq: tok.AME}
-		cmp = &sc.ame
 
 	default:
 		return nil, fmt.Errorf("shard: unknown refine mode %d", mode)

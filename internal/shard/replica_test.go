@@ -170,7 +170,7 @@ func assertConformance(t *testing.T, w *world, coord *Coordinator, k int, phase 
 // the replicas return.
 func TestReplicatedKilledReplicaConformance(t *testing.T) {
 	const n, dim, k = 400, 16, 8
-	w := newWorld(t, n, dim, false)
+	w := newWorld(t, n, dim)
 	coord, faults := replicatedCoordinator(t, w, 2, 2, Options{Breaker: fastBreaker})
 
 	assertConformance(t, w, coord, k, "all replicas up")
@@ -334,7 +334,7 @@ func replicatedRemoteCoordinator(t *testing.T, w *world, stripes, rf int, opts O
 // re-close through redialed connections.
 func TestReplicatedKilledReplicaOverTCP(t *testing.T) {
 	const n, dim, k = 300, 16, 6
-	w := newWorld(t, n, dim, false)
+	w := newWorld(t, n, dim)
 	coord, proxies := replicatedRemoteCoordinator(t, w, 2, 2, Options{Breaker: fastBreaker})
 
 	assertConformance(t, w, coord, k, "all replicas up (tcp)")
@@ -380,7 +380,7 @@ func TestReplicatedKilledReplicaOverTCP(t *testing.T) {
 func TestHedgedReadsCutStragglerLatency(t *testing.T) {
 	const n, dim, k = 300, 16, 6
 	const stall = 300 * time.Millisecond
-	w := newWorld(t, n, dim, false)
+	w := newWorld(t, n, dim)
 	coord, faults := replicatedCoordinator(t, w, 2, 2, Options{
 		Breaker:    fastBreaker,
 		HedgeAfter: 5 * time.Millisecond,
@@ -433,7 +433,7 @@ func TestHedgedReadsCutStragglerLatency(t *testing.T) {
 // every stripe dead, a hard error (empty "results" would be a lie).
 func TestAllowPartialDeadStripe(t *testing.T) {
 	const n, dim, k = 300, 16, 6
-	w := newWorld(t, n, dim, false)
+	w := newWorld(t, n, dim)
 	coord, faults := replicatedCoordinator(t, w, 2, 1, Options{Breaker: fastBreaker, AllowPartial: true})
 	opt := fullRecall(n, core.RefineDCE)
 	tok, err := w.user.Query(w.queries[0])
@@ -502,7 +502,7 @@ func TestAllowPartialDeadStripe(t *testing.T) {
 // it.
 func TestDegradedWriteAndReadYourWrites(t *testing.T) {
 	const n, dim, k = 300, 16, 2
-	w := newWorld(t, n, dim, false)
+	w := newWorld(t, n, dim)
 	coord, faults := replicatedCoordinator(t, w, 2, 2, Options{Breaker: fastBreaker})
 
 	// Global id n lands on stripe n%2 = 0. Replica 1 of that stripe
@@ -591,7 +591,7 @@ func TestDegradedWriteAndReadYourWrites(t *testing.T) {
 // and never return an id deleted before the batch started.
 func TestKilledReplicaMidBatchEpochSafety(t *testing.T) {
 	const n, dim, k = 300, 16, 6
-	w := newWorld(t, n, dim, false)
+	w := newWorld(t, n, dim)
 	coord, faults := replicatedCoordinator(t, w, 2, 2, Options{Breaker: fastBreaker})
 
 	deleted := []int{0, 1, 2, 3}
@@ -643,7 +643,7 @@ func TestKilledReplicaMidBatchEpochSafety(t *testing.T) {
 // deleted id.
 func TestStaleReplicaNeverServesResurrectedIds(t *testing.T) {
 	const n, dim, k = 300, 16, 6
-	w := newWorld(t, n, dim, false)
+	w := newWorld(t, n, dim)
 	coord, faults := replicatedCoordinator(t, w, 2, 2, Options{Breaker: fastBreaker})
 
 	// Replica 1 of stripe 0 misses the delete of gid 0.
@@ -676,7 +676,7 @@ func TestStaleReplicaNeverServesResurrectedIds(t *testing.T) {
 // Remote never stays wedged on the dead client.
 func TestRemoteReconnectAfterPoison(t *testing.T) {
 	const n, dim, k = 300, 16, 5
-	w := newWorld(t, n, dim, false)
+	w := newWorld(t, n, dim)
 	parts, err := w.server.Database().Split(1, index.Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -741,7 +741,7 @@ func TestRemoteReconnectAfterPoison(t *testing.T) {
 // must refuse to wire.
 func TestConstructionToleratesDeadReplica(t *testing.T) {
 	const n, dim, k = 300, 16, 6
-	w := newWorld(t, n, dim, false)
+	w := newWorld(t, n, dim)
 	sets := make([][]Shard, 2)
 	faults := make([][]*Faulty, 2)
 	for s := range sets {

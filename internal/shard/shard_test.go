@@ -56,10 +56,10 @@ func (w *world) searchAll(t *testing.T, toks []*core.QueryToken, k int, opt core
 	return out
 }
 
-func newWorld(t *testing.T, n, dim int, withAME bool) *world {
+func newWorld(t *testing.T, n, dim int) *world {
 	t.Helper()
 	train, qs := testData(11, n, dim, 20)
-	owner, err := core.NewDataOwner(core.Params{Dim: dim, Beta: 0.2, Seed: 11, WithAME: withAME})
+	owner, err := core.NewDataOwner(core.Params{Dim: dim, Beta: 0.2, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +124,11 @@ func sameIDs(a, b []int) bool {
 
 // TestScatterGatherConformance is the acceptance test of the sharded tier:
 // a scatter-gather search over ≥2 shards returns exactly the same ids in
-// exactly the same order as the unsharded server, for all three refine
-// modes, including after deletions.
+// exactly the same order as the unsharded server, in both refine modes,
+// including after deletions.
 func TestScatterGatherConformance(t *testing.T) {
 	const n, dim, k = 500, 16, 10
-	w := newWorld(t, n, dim, true)
+	w := newWorld(t, n, dim)
 	// Tombstone a few ids first so the stripe carries holes through Split.
 	for _, id := range []int{3, 10, 11} {
 		if err := w.server.Delete(id); err != nil {
@@ -140,7 +140,7 @@ func TestScatterGatherConformance(t *testing.T) {
 		if coord.Len() != n {
 			t.Fatalf("%d shards: coordinator Len = %d, want %d", shards, coord.Len(), n)
 		}
-		for _, mode := range []core.RefineMode{core.RefineDCE, core.RefineNone, core.RefineAME} {
+		for _, mode := range []core.RefineMode{core.RefineDCE, core.RefineNone} {
 			opt := fullRecall(n, mode)
 			for qi, q := range w.queries {
 				tok, err := w.user.Query(q)
@@ -165,7 +165,7 @@ func TestScatterGatherConformance(t *testing.T) {
 
 func TestSearchBatchMatchesUnsharded(t *testing.T) {
 	const n, dim, k = 400, 16, 8
-	w := newWorld(t, n, dim, false)
+	w := newWorld(t, n, dim)
 	coord, _ := localCoordinator(t, w, 2)
 	opt := fullRecall(n, core.RefineDCE)
 
@@ -191,7 +191,7 @@ func TestSearchBatchMatchesUnsharded(t *testing.T) {
 
 func TestSearchBatchPartialFailure(t *testing.T) {
 	const n, dim, k = 300, 16, 5
-	w := newWorld(t, n, dim, false)
+	w := newWorld(t, n, dim)
 	coord, _ := localCoordinator(t, w, 2)
 	opt := fullRecall(n, core.RefineDCE)
 
@@ -225,7 +225,7 @@ func TestSearchBatchPartialFailure(t *testing.T) {
 
 func TestInsertDeleteRouting(t *testing.T) {
 	const n, dim, k = 300, 16, 5
-	w := newWorld(t, n, dim, false)
+	w := newWorld(t, n, dim)
 	coord, srvs := localCoordinator(t, w, 3)
 
 	// Inserts must land on the striped owner and hand out sequential
@@ -322,7 +322,7 @@ func TestCoordinatorValidation(t *testing.T) {
 		t.Fatal("expected error for zero shards")
 	}
 	const n, dim = 120, 16
-	w := newWorld(t, n, dim, false)
+	w := newWorld(t, n, dim)
 	parts, err := w.server.Database().Split(2, index.Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -440,7 +440,7 @@ func remoteCoordinator(t *testing.T, w *world, shards int) (*Coordinator, *proxy
 
 func TestScatterGatherOverTransport(t *testing.T) {
 	const n, dim, k = 400, 16, 8
-	w := newWorld(t, n, dim, false)
+	w := newWorld(t, n, dim)
 	coord, _ := remoteCoordinator(t, w, 2)
 
 	for _, mode := range []core.RefineMode{core.RefineDCE, core.RefineNone} {
@@ -492,7 +492,7 @@ func TestScatterGatherOverTransport(t *testing.T) {
 // on the poisoned connection afterwards.
 func TestKilledShardSurfacesError(t *testing.T) {
 	const n, dim, k = 300, 16, 5
-	w := newWorld(t, n, dim, false)
+	w := newWorld(t, n, dim)
 	coord, px := remoteCoordinator(t, w, 2)
 	opt := fullRecall(n, core.RefineDCE)
 
@@ -556,7 +556,7 @@ func TestShardErrorFormatting(t *testing.T) {
 // merely spread across shards).
 func TestDivideEffortRecall(t *testing.T) {
 	const n, dim, k = 500, 16, 10
-	w := newWorld(t, n, dim, false)
+	w := newWorld(t, n, dim)
 	opt := core.SearchOptions{RatioK: 16}
 
 	for _, shards := range []int{2, 3} {

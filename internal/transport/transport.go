@@ -29,8 +29,7 @@
 // with ErrClientBroken; application errors inside intact frames do not.
 // The searchbatch op amortizes one round trip over a whole batch of
 // tokens, and search ops can return cross-shard merge material for the
-// scatter-gather tier (internal/shard). AME trapdoors and ciphertexts
-// (benchmark-only) are not carried.
+// scatter-gather tier (internal/shard).
 package transport
 
 import (
@@ -63,25 +62,21 @@ var ErrClientBroken = errors.New("transport: connection poisoned by an earlier s
 var ErrProtoMismatch = errors.New("transport: protocol generation mismatch")
 
 // wireToken is the on-the-wire query token: the SAP ciphertext and the DCE
-// trapdoor vector. AME trapdoors (benchmark-only, megabytes of matrices)
-// are intentionally not representable.
+// trapdoor vector.
 type wireToken struct {
 	SAP []float64
 	Q   []float64
 }
 
-func toWireToken(tok *core.QueryToken) (*wireToken, error) {
+func toWireToken(tok *core.QueryToken) *wireToken {
 	if tok == nil {
-		return nil, nil
-	}
-	if tok.AME != nil {
-		return nil, fmt.Errorf("transport: AME trapdoors are not carried over the wire")
+		return nil
 	}
 	wt := &wireToken{SAP: tok.SAP}
 	if tok.Trapdoor != nil {
 		wt.Q = tok.Trapdoor.Q
 	}
-	return wt, nil
+	return wt
 }
 
 func (wt *wireToken) token() *core.QueryToken {
@@ -101,18 +96,15 @@ type wireInsert struct {
 	P1, P2, P3, P4 []float64
 }
 
-func toWireInsert(p *core.InsertPayload) (*wireInsert, error) {
+func toWireInsert(p *core.InsertPayload) *wireInsert {
 	if p == nil {
-		return nil, nil
-	}
-	if p.AME != nil {
-		return nil, fmt.Errorf("transport: AME ciphertexts are not carried over the wire")
+		return nil
 	}
 	wi := &wireInsert{SAP: p.SAP}
 	if p.DCE != nil {
 		wi.P1, wi.P2, wi.P3, wi.P4 = p.DCE.P1, p.DCE.P2, p.DCE.P3, p.DCE.P4
 	}
-	return wi, nil
+	return wi
 }
 
 func (wi *wireInsert) payload() *core.InsertPayload {
@@ -378,7 +370,7 @@ func handleSafe(srv *core.Server, req *request) (resp *response) {
 }
 
 // wireRecs copies a result's DCE merge records out of the snapshot store
-// it borrows (nil for the other refine modes). Copies, not arena views: the
+// it borrows (nil under RefineNone). Copies, not arena views: the
 // response is encoded after the search has returned, and
 // CiphertextStore.Delete zeroes records in place.
 func wireRecs(r core.ShardResult) [][]float64 {
@@ -755,11 +747,7 @@ func finishCall(r callResult) (response, error) {
 
 // Search sends an encrypted query token and returns result ids.
 func (c *Client) Search(tok *core.QueryToken, k int, opt core.SearchOptions) ([]int, error) {
-	wt, err := toWireToken(tok)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.roundTrip(request{Op: "search", Token: wt, K: k, Opt: opt})
+	resp, err := c.roundTrip(request{Op: "search", Token: toWireToken(tok), K: k, Opt: opt})
 	if err != nil {
 		return nil, err
 	}
@@ -767,9 +755,9 @@ func (c *Client) Search(tok *core.QueryToken, k int, opt core.SearchOptions) ([]
 }
 
 // SearchShard is Search additionally returning the merge material a
-// scatter-gather coordinator needs (see core.Server.SearchShard). AME
-// material is never carried, so remote shards serve the DCE and
-// filter-only refine modes.
+// scatter-gather coordinator needs (see core.Server.SearchShard): copies of
+// the result ids' DCE records under RefineDCE, their filter distances under
+// RefineNone.
 func (c *Client) SearchShard(tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error) {
 	return c.SearchShardCancel(nil, tok, k, opt)
 }
@@ -778,11 +766,7 @@ func (c *Client) SearchShard(tok *core.QueryToken, k int, opt core.SearchOptions
 // abandons the call (ErrAbandoned) without poisoning the client, which is
 // how a hedged read discards its loser. A nil cancel never fires.
 func (c *Client) SearchShardCancel(cancel <-chan struct{}, tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error) {
-	wt, err := toWireToken(tok)
-	if err != nil {
-		return core.ShardResult{}, err
-	}
-	resp, err := c.roundTripCancel(request{Op: "search", Token: wt, K: k, Opt: opt, Merge: true}, cancel)
+	resp, err := c.roundTripCancel(request{Op: "search", Token: toWireToken(tok), K: k, Opt: opt, Merge: true}, cancel)
 	if err != nil {
 		return core.ShardResult{}, err
 	}
@@ -797,11 +781,7 @@ func (c *Client) searchBatch(toks []*core.QueryToken, k int, opt core.SearchOpti
 	}
 	wts := make([]*wireToken, len(toks))
 	for i, tok := range toks {
-		wt, err := toWireToken(tok)
-		if err != nil {
-			return nil, nil, err
-		}
-		wts[i] = wt
+		wts[i] = toWireToken(tok)
 	}
 	resp, err := c.roundTrip(request{Op: "searchbatch", Tokens: wts, K: k, Opt: opt, Merge: merge})
 	if err != nil {
@@ -852,11 +832,7 @@ func (c *Client) SearchShardBatch(toks []*core.QueryToken, k int, opt core.Searc
 
 // Insert ships one encrypted vector and returns its id.
 func (c *Client) Insert(p *core.InsertPayload) (int, error) {
-	wi, err := toWireInsert(p)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := c.roundTrip(request{Op: "insert", Payload: wi})
+	resp, err := c.roundTrip(request{Op: "insert", Payload: toWireInsert(p)})
 	if err != nil {
 		return 0, err
 	}

@@ -126,6 +126,14 @@ func TestServerErrorsPropagate(t *testing.T) {
 	if _, err := client.Search(nil, 5, core.SearchOptions{}); err == nil {
 		t.Fatal("expected error for nil token")
 	}
+	// Refine mode 1 is unassigned: an error, and the connection survives.
+	if _, err := client.Search(tok, 5, core.SearchOptions{Refine: core.RefineMode(1)}); err == nil ||
+		!strings.Contains(err.Error(), "unknown refine mode") {
+		t.Fatalf("refine mode 1 answered with %v", err)
+	}
+	if client.Broken() != nil {
+		t.Fatalf("an unknown refine mode poisoned the client: %v", client.Broken())
+	}
 	if _, err := client.Insert(nil); err == nil {
 		t.Fatal("expected error for nil payload")
 	}
@@ -608,10 +616,7 @@ func TestOtherGenerationRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wi, err := toWireInsert(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wi := toWireInsert(payload)
 	for _, stamp := range []int{5, 0} {
 		names := []string{fmt.Sprintf("generation %d", stamp), fmt.Sprintf("generation %d", ProtoVersion)}
 

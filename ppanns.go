@@ -93,11 +93,10 @@ type PQConfig = pq.TrainConfig
 // RefineMode selects the refine-phase comparison scheme.
 type RefineMode = core.RefineMode
 
-// Refine modes: the paper's DCE scheme, the HNSW-AME baseline, or no
-// refinement (filter-only ablation).
+// Refine modes: the paper's DCE scheme, or no refinement (the
+// filter-only ablation).
 const (
 	RefineDCE  = core.RefineDCE
-	RefineAME  = core.RefineAME
 	RefineNone = core.RefineNone
 )
 

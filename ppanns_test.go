@@ -69,17 +69,17 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRefineModesExposed confirms the three refine modes are reachable
-// through the façade.
+// TestRefineModesExposed confirms both refine modes are reachable through
+// the façade.
 func TestRefineModesExposed(t *testing.T) {
 	data := dataset.DeepLike(400, 5, 6)
 	dep, err := ppanns.NewDeployment(ppanns.Params{
-		Dim: data.Dim, Beta: 0.2, IndexOptions: ppanns.IndexOptions{M: 12, EfConstruction: 100}, Seed: 6, WithAME: true,
+		Dim: data.Dim, Beta: 0.2, IndexOptions: ppanns.IndexOptions{M: 12, EfConstruction: 100}, Seed: 6,
 	}, data.Train)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []ppanns.RefineMode{ppanns.RefineNone, ppanns.RefineDCE, ppanns.RefineAME} {
+	for _, mode := range []ppanns.RefineMode{ppanns.RefineNone, ppanns.RefineDCE} {
 		ids, err := dep.Search(data.Queries[0], 5, ppanns.SearchOptions{RatioK: 8, Refine: mode})
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
