@@ -445,15 +445,19 @@ func BenchmarkAMECompare(b *testing.B) {
 }
 
 func BenchmarkDCETrapGen(b *testing.B) {
-	r := rng.NewSeeded(31)
-	key, err := dce.KeyGen(r, 128)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := rng.Gaussian(r, nil, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key.TrapGen(q)
+	for _, dim := range []int{96, 128, 960} {
+		b.Run(fmt.Sprintf("d=%d", dim), func(b *testing.B) {
+			r := rng.NewSeeded(31)
+			key, err := dce.KeyGen(r, dim)
+			if err != nil {
+				b.Fatal(err)
+			}
+			q := rng.Gaussian(r, nil, dim)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				key.TrapGen(q)
+			}
+		})
 	}
 }
 

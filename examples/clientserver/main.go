@@ -487,8 +487,8 @@ func demo() {
 	// Multiplexing: many goroutines share the one connection,
 	// their requests pipeline, and the demux routes each response to its
 	// caller — no per-goroutine dialing, no head-of-line lockstep. Tokens
-	// are encrypted up front on one goroutine: the user key's randomness
-	// stream is not safe for concurrent TrapGen.
+	// are encrypted up front so the goroutines time the wire alone; a User
+	// may also be queried from many goroutines at once.
 	toks := make([]*core.QueryToken, len(data.Queries))
 	for i, q := range data.Queries {
 		tok, err := user.Query(q)

@@ -8,7 +8,66 @@ import (
 	"testing"
 
 	"ppanns/internal/index"
+	"ppanns/internal/rng"
+	"ppanns/internal/vec"
 )
+
+// TestUserQueryConcurrent: one User answers Query from 8 goroutines at once.
+// The keys draw per-token randomness under their own locks, so every token
+// is a correct one — its DCE comparisons order the database as the
+// plaintext does — and the race detector sees no unsynchronized state. A
+// trapdoor that kept per-key scratch would fail here.
+func TestUserQueryConcurrent(t *testing.T) {
+	const (
+		n, dim    = 64, 12
+		workers   = 8
+		perWorker = 50
+	)
+	data := clustered(17, n, dim, 4)
+	owner, err := NewDataOwner(Params{Dim: dim, Beta: 0.5, Seed: 17, Index: "hnsw"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edb, err := owner.EncryptDatabase(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	user, err := NewUser(owner.UserKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r := rng.NewSeeded(uint64(100 + w))
+			for i := 0; i < perWorker; i++ {
+				q := rng.GaussianVec(r, dim, 6)
+				tok, err := user.Query(q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				// Adjacent ids in plaintext order must compare the same way
+				// under DCE, ties (below a 1e-9 relative gap) excepted.
+				order := bruteForce(data, q, n, nil)
+				for j := 1; j < n; j++ {
+					a, b := order[j-1], order[j]
+					da, db := vec.SqDist(data[a], q), vec.SqDist(data[b], q)
+					if db-da <= 1e-9*(da+db+1) {
+						continue
+					}
+					if z := edb.DCE.DistanceComp(a, b, tok.Trapdoor); z >= 0 {
+						t.Errorf("worker %d query %d: DCE says %d is not closer than %d (Z=%g, %g < %g)", w, i, a, b, z, da, db)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
 
 // TestSnapshotIsolationUnderChurn is the concurrency conformance test of
 // the snapshot-publication serving model, run against every registered

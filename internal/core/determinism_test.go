@@ -147,8 +147,11 @@ func TestBuildStats(t *testing.T) {
 // SHA-256 of the PPANNSD5 file and of the user key for one small seeded
 // build per backend (hnsw and ivf also with the PQ tier). The test above
 // compares two builds of one commit with each other, so a format drift
-// between commits is invisible to it. Digests recorded at commit 84fd674,
-// before the compatibility readers were removed.
+// between commits is invisible to it. Database digests recorded at commit
+// 84fd674, before the compatibility readers were removed. The user-key
+// digests were re-captured once, when the DCE key file (generation 2)
+// started to carry the folded query matrix in place of M₁⁻¹, M₂⁻¹ and
+// M₃⁻¹; the database digests did not move with them.
 func TestDatabaseGolden(t *testing.T) {
 	data := clustered(61, 300, 8, 4)
 	for _, c := range []struct {
@@ -158,22 +161,22 @@ func TestDatabaseGolden(t *testing.T) {
 	}{
 		{"hnsw", Params{Dim: 8, Beta: 0.5, Seed: 61, Index: "hnsw"},
 			"5d578e82f49ad9e7e3e514263825084c6ec42f6d8284466efde4f460fd059a5d",
-			"93cab8e92c6294ccf603e77ac5dfc7072ef27250d475c24a11c00b53612523ed"},
+			"8bede1ad55554f89fad9cf33980d304f8a37ac83b72110dd29014f455dc397bf"},
 		{"nsg", Params{Dim: 8, Beta: 0.5, Seed: 62, Index: "nsg"},
 			"3a5336576b6355bb7a1dd4f7a0ed7dce72e986160244c6490969103b6d12af88",
-			"0119f1c4bd25518902d73ad9eb6b7204b91e633d36ef243f60ebb0a517d62567"},
+			"f0860e065c30be18fe99706ccf11646b72d4b97f0a11e360716f39b94b1878b4"},
 		{"ivf", Params{Dim: 8, Beta: 0.5, Seed: 63, Index: "ivf"},
 			"0c594bbf0b8504b111681a5c162f483b274e646ca674c86cb3d3103e6a9d858c",
-			"abc67d3d3ef084f83054dc7f426e91f8e263801c5eed6bf440bffec141beba30"},
+			"ff94e983a146b1b58b7cd8e1814c59e69534ed6241c46e1ab3b0f2eb74d42d8c"},
 		{"lsh", Params{Dim: 8, Beta: 0.5, Seed: 64, Index: "lsh"},
 			"5980b4fd0ad95537d3551c0ea40756a2da55caac2827e0579f0feeb61f9e364e",
-			"1e6746ac09df1803778c07a1b9e89f76d770977164a4316d7aa4096035ba8eb5"},
+			"27f630dcf9f045ade60001606661405f8baae0f648b059d32f7e65d287214380"},
 		{"hnsw+pq", Params{Dim: 8, Beta: 0.5, Seed: 65, Index: "hnsw", PQ: true, PQM: 4},
 			"1ffd87a5fb9c43c8d7001d3f1074a3676a9730259a7822f7be9e40b5efce73ca",
-			"d6f2f457701bd431abfc4d29fb2ce6a5ba97ee5ec967e03aeb4479cbc4565f49"},
+			"adc0d24ab79e3d1f8362087cf0e39ddeab3ce0ba1cb403bdc2edc8e75645f746"},
 		{"ivf+pq", Params{Dim: 8, Beta: 0.5, Seed: 66, Index: "ivf", PQ: true, PQM: 4},
 			"9d7c0129b6728e0e01e1771b38cdfd7358f0c339436ab62da12577e75bf4f4fd",
-			"de06ad6e0d01c38285a4a04ac65647d65d75edb9d97a1522e3c33f4062ff9a4c"},
+			"512429ce9993eb6338f752baf629dcfd2daefbf83382d159d0219ce760fb351a"},
 	} {
 		owner, err := NewDataOwner(c.params)
 		if err != nil {

@@ -6,11 +6,12 @@ import "fmt"
 // encrypts queries. Per property P3, this is the user's entire computational
 // role — O(d²) work per query, no participation in the search itself.
 //
-// A User is NOT safe for concurrent Query calls: trapdoor generation draws
-// per-query randomness from the key's single (unsynchronized) stream.
-// Encrypt tokens from one goroutine — or use one User per goroutine — and
-// share the resulting tokens freely; tokens are immutable and the serving
-// side is fully concurrent.
+// A User is safe for concurrent Query calls: the SAP and DCE keys each draw
+// a token's randomness from their own stream under their own lock, and
+// nothing else in Query is shared. Which call gets which draws then depends
+// on the schedule, so only a user that queries from one goroutine gets the
+// same tokens from the same seed. Tokens are immutable and can be shared
+// freely; the serving side is fully concurrent.
 type User struct {
 	key *UserKey
 }

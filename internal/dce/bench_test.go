@@ -88,6 +88,19 @@ func BenchmarkDistanceComp(b *testing.B) {
 	}
 }
 
+// BenchmarkDCEKeyGen is the key's set-up at d=960: two 484² inversions, a
+// 1936² factorization and the solve for the folded 1936×968 query matrix.
+func BenchmarkDCEKeyGen(b *testing.B) {
+	b.Run("d=960", func(b *testing.B) {
+		r := rng.NewSeeded(44)
+		for i := 0; i < b.N; i++ {
+			if _, err := KeyGen(r, 960); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkEncrypt measures per-vector encryption into a fresh ciphertext
 // vs in place into an arena record.
 func BenchmarkEncrypt(b *testing.B) {

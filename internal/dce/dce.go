@@ -20,6 +20,12 @@
 // kv₁◦kv₃ = kv₂◦kv₄, yielding four ciphertext vectors per database point and
 // one trapdoor vector per query.
 //
+// The query side is linear in what its randomization places: steps 1–3 put
+// q, β₁, β₂ and r₁..r₄ into x = [q₁; q₂] ∈ R^(d+8), and everything after
+// that — M₁⁻¹, M₂⁻¹, π₂, M₃⁻¹ over the stacked [q̄; −q̄] and kv₂◦kv₄ — is one
+// fixed (2d+16)×(d+8) matrix Q, folded at KeyGen. A trapdoor is r_q·Q·x: one
+// matrix-vector product, and the key keeps neither M₃⁻¹ nor M₁⁻¹/M₂⁻¹.
+//
 // Correctness (Theorem 3): DistanceComp returns
 // 2·r_o·r_p·r_q·(dist(o,q) − dist(p,q)) with all three r's positive, so the
 // sign answers the comparison exactly (up to float64 rounding of genuinely
@@ -46,6 +52,11 @@ const (
 // Key is the DCE secret key SK = {M₁, M₂, M₃, π₁, π₂, r₁..r₄, kv₁..kv₄}.
 // It lives with the data owner (and, for trapdoor generation, the user);
 // the server never sees it.
+//
+// As held, SK is what the two sides apply: the database side keeps M₁, M₂,
+// π₂, M₃ as its two row halves and kv₁..kv₄; the query side keeps π₁,
+// r₁..r₄ and the folded query matrix Q (see the package doc). No inverse
+// of M₁, M₂ or M₃ is kept, and no (2d+16)² matrix.
 type Key struct {
 	dim    int     // caller-facing dimension d
 	padDim int     // d rounded up to the next even number
@@ -53,15 +64,16 @@ type Key struct {
 	scale  float64 // uniform input scaling (see KeyGenScaled)
 
 	m1, m2         *matrix.Dense // (padDim/2+4)², used for database vectors
-	m1Inv, m2Inv   *matrix.Dense // inverses, used for query vectors
 	pi1            *rng.Permutation
 	pi2            *rng.Permutation
 	r1, r2, r3, r4 float64
 
 	mup, mdown         *matrix.Dense // halves of M₃: (padDim+8)×(2·padDim+16)
-	m3Inv              *matrix.Dense
 	kv1, kv2, kv3, kv4 []float64
-	kv24               []float64 // kv₂◦kv₄, precomputed for TrapGen
+
+	// query is Q = diag(kv₂◦kv₄)·M₃⁻¹·[Π₂B; −Π₂B] with B = blockdiag(M₁⁻¹,
+	// M₂⁻¹): (2·padDim+16)×(padDim+8), the whole of TrapGen after step 3.
+	query *matrix.Dense
 
 	mu  sync.Mutex
 	rnd *rng.Rand
@@ -94,8 +106,9 @@ func KeyGenScaled(r *rng.Rand, dim int, scale float64) (*Key, error) {
 	k := &Key{dim: dim, padDim: pad, half: pad / 2, scale: scale, rnd: rng.Derive(r, 0xd0e)}
 
 	sub := pad/2 + 4
-	k.m1, k.m1Inv = matrix.RandomInvertible(r, sub)
-	k.m2, k.m2Inv = matrix.RandomInvertible(r, sub)
+	var inv1, inv2 *matrix.Dense
+	k.m1, inv1 = matrix.RandomInvertible(r, sub)
+	k.m2, inv2 = matrix.RandomInvertible(r, sub)
 	k.pi1 = rng.NewPermutation(r, pad)
 	k.pi2 = rng.NewPermutation(r, pad+8)
 
@@ -105,10 +118,9 @@ func KeyGenScaled(r *rng.Rand, dim int, scale float64) (*Key, error) {
 	k.r4 = rng.UniformNonZero(r, randLo, randHi)
 
 	big := 2*pad + 16
-	m3, m3Inv := matrix.RandomInvertible(r, big)
+	m3, m3LU := matrix.RandomFactored(r, big)
 	k.mup = m3.SubMatrix(0, pad+8, 0, big)
 	k.mdown = m3.SubMatrix(pad+8, big, 0, big)
-	k.m3Inv = m3Inv
 
 	k.kv1 = make([]float64, big)
 	k.kv2 = make([]float64, big)
@@ -121,8 +133,32 @@ func KeyGenScaled(r *rng.Rand, dim int, scale float64) (*Key, error) {
 		// kv₁◦kv₃ = kv₂◦kv₄ (the constraint Equation 12 relies on).
 		k.kv4[i] = k.kv1[i] * k.kv3[i] / k.kv2[i]
 	}
-	k.kv24 = vec.Mul(nil, k.kv2, k.kv4)
+	k.query = foldQuery(m3LU, inv1, inv2, k.pi2, k.kv2, k.kv4)
 	return k, nil
+}
+
+// foldQuery returns Q = diag(kv₂◦kv₄)·M₃⁻¹·[Π₂B; −Π₂B], B = blockdiag(M₁⁻¹,
+// M₂⁻¹), solving M₃·X = [Π₂B; −Π₂B] from M₃'s factorization: padDim+8
+// right-hand sides, where M₃⁻¹ would take 2·padDim+16.
+func foldQuery(m3 *matrix.LU, inv1, inv2 *matrix.Dense, pi2 *rng.Permutation, kv2, kv4 []float64) *matrix.Dense {
+	sub := inv1.Rows()
+	bar := 2 * sub
+	rhs := matrix.NewDense(2*bar, bar)
+	// Π₂ moves row i of B to row fwd[i]; −Π₂B is the lower half.
+	fwd := pi2.Forward()
+	for i := 0; i < sub; i++ {
+		copy(rhs.Row(fwd[i])[:sub], inv1.Row(i))
+		copy(rhs.Row(fwd[sub+i])[sub:], inv2.Row(i))
+	}
+	for i := 0; i < bar; i++ {
+		vec.Scale(rhs.Row(bar+i), -1, rhs.Row(i))
+	}
+	q := m3.SolveMat(rhs)
+	for i := range kv2 {
+		row := q.Row(i)
+		vec.Scale(row, kv2[i]*kv4[i], row)
+	}
+	return q
 }
 
 // Dim returns the plaintext dimension d the key was generated for.
@@ -253,8 +289,9 @@ func (e *Encryptor) randomizeDB(p []float64, rs *encRand) {
 	k.pi2.Apply(e.bar, e.enc)
 }
 
-// randomizeQuery runs the four vector-randomization steps for a query
-// vector, returning q̄ ∈ R^(padDim+8).
+// randomizeQuery runs vector-randomization steps 1–3 for a query vector,
+// returning x = [q₁; q₂] ∈ R^(padDim+8). Step 4 — q̄ = Π₂·[M₁⁻¹q₁; M₂⁻¹q₂]
+// — is folded into the key's query matrix with the rest of Equation 15.
 func (k *Key) randomizeQuery(q []float64) []float64 {
 	check := k.pairTransform(nil, q, -1) // step 1: q̌ (note the global minus)
 	hat := k.pi1.Apply(nil, check)       // step 2
@@ -264,8 +301,8 @@ func (k *Key) randomizeQuery(q []float64) []float64 {
 	// Step 3 (Equation 3): the query side carries the shared key scalars
 	// r₁..r₄ that pair with the database side's r′ and γ entries.
 	sub := k.half + 4
-	q1 := make([]float64, sub)
-	q2 := make([]float64, sub)
+	x := make([]float64, 2*sub)
+	q1, q2 := x[:sub], x[sub:]
 	copy(q1, hat[:k.half])
 	q1[k.half] = beta1
 	q1[k.half+1] = beta1
@@ -276,12 +313,7 @@ func (k *Key) randomizeQuery(q []float64) []float64 {
 	q2[k.half+1] = -beta2
 	q2[k.half+2] = k.r3
 	q2[k.half+3] = k.r4
-
-	// Step 4: inverse-matrix encryption + the same second permutation.
-	enc := make([]float64, k.padDim+8)
-	k.m1Inv.MulVec(enc[:sub], q1)
-	k.m2Inv.MulVec(enc[sub:], q2)
-	return k.pi2.Apply(nil, enc)
+	return x
 }
 
 // Encrypt is the paper's Enc(p, SK): it encrypts one database vector into
@@ -355,21 +387,15 @@ func (k *Key) TrapGen(q []float64) *Trapdoor {
 	if len(q) != k.dim {
 		panic(fmt.Sprintf("dce: trapdoor for %d-dim vector with %d-dim key", len(q), k.dim))
 	}
-	bar := k.randomizeQuery(q)
-	big := k.CiphertextDim()
-
-	// Equation 15: q̄′ = r_q · (M₃⁻¹ [q̄; −q̄]) ◦ (kv₂◦kv₄).
-	stack := make([]float64, big)
-	copy(stack[:len(bar)], bar)
-	for i, v := range bar {
-		stack[len(bar)+i] = -v
-	}
-	w := k.m3Inv.MulVec(nil, stack)
+	x := k.randomizeQuery(q)
 	rq := k.randScalars(1, false)[0]
-	out := make([]float64, big)
-	for i := range out {
-		out[i] = rq * w[i] * k.kv24[i]
-	}
+
+	// Equation 15: q̄′ = r_q · (M₃⁻¹ [q̄; −q̄]) ◦ (kv₂◦kv₄), q̄ = Π₂·B·x with
+	// B = blockdiag(M₁⁻¹, M₂⁻¹). Everything between x and r_q is fixed by
+	// the key, so it re-associates to r_q · Q·x with
+	// Q = diag(kv₂◦kv₄)·M₃⁻¹·[Π₂B; −Π₂B], folded at KeyGen.
+	out := k.query.MulVec(nil, x)
+	vec.Scale(out, rq, out)
 	return &Trapdoor{Q: out}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -134,27 +135,81 @@ func TestKeySerializeRoundTrip(t *testing.T) {
 	}
 }
 
+// generation1Wire is the key file layout before the query side was folded:
+// no generation stamp, and M₁⁻¹, M₂⁻¹ and M₃⁻¹ beside everything else.
+type generation1Wire struct {
+	Dim, PadDim int
+	Scale       float64
+
+	M1, M1Inv, M2, M2Inv []float64
+	Pi1, Pi2             []int
+	R1, R2, R3, R4       float64
+
+	MUp, MDown, M3Inv  []float64
+	KV1, KV2, KV3, KV4 []float64
+}
+
 func TestKeyDeserializeRejectsGarbage(t *testing.T) {
-	var k Key
-	if err := k.UnmarshalBinary([]byte("junk")); err == nil {
-		t.Fatal("expected error for garbage key blob")
-	}
-	// A structurally valid gob with an implausible header must fail too.
-	blob, err := gobEncodeWire(t, 0, 8, 1)
+	k10, err := KeyGen(rng.NewSeeded(105), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := k.UnmarshalBinary(blob); err == nil {
-		t.Fatal("expected error for dim=0 header")
+	blob, err := k10.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func gobEncodeWire(t *testing.T, dim, pad int, scale float64) ([]byte, error) {
-	t.Helper()
-	var buf bytes.Buffer
-	w := keyWire{Dim: dim, PadDim: pad, Scale: scale}
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		return nil, err
+	var valid keyWire
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&valid); err != nil {
+		t.Fatal(err)
 	}
-	return buf.Bytes(), nil
+	inv1, _ := k10.m1.Inverse()
+	inv2, _ := k10.m2.Inverse()
+	gen1 := generation1Wire{
+		Dim: 10, PadDim: 10, Scale: 1,
+		M1: valid.M1, M1Inv: inv1.Raw(), M2: valid.M2, M2Inv: inv2.Raw(),
+		Pi1: valid.Pi1, Pi2: valid.Pi2, R1: valid.R1, R2: valid.R2, R3: valid.R3, R4: valid.R4,
+		MUp: valid.MUp, MDown: valid.MDown, M3Inv: make([]float64, 36*36),
+		KV1: valid.KV1, KV2: valid.KV2, KV3: valid.KV3, KV4: valid.KV4,
+	}
+	edit := func(f func(w *keyWire)) keyWire {
+		w := valid
+		f(&w)
+		return w
+	}
+	for _, c := range []struct {
+		name string
+		wire any    // gob-encoded to make the blob, unless blob is set
+		blob []byte // raw input
+		want string // substring of the error
+	}{
+		{name: "junk", blob: []byte("junk"), want: "decoding key"},
+		{name: "implausible header", wire: edit(func(w *keyWire) { w.Dim = 0 }), want: "implausible"},
+		// A key written before the fold names the fix instead of failing on
+		// a matrix length.
+		{name: "generation 1 layout", wire: gen1, want: "ppanns-dbtool encrypt"},
+		{name: "future generation", wire: edit(func(w *keyWire) { w.Gen = keyGeneration + 1 }), want: "generation"},
+		// PadDim must be Dim rounded up to even: a dim-8 header over dim-10
+		// matrices would make 36-float tokens a dim-8 server refuses.
+		{name: "PadDim lie", wire: edit(func(w *keyWire) { w.Dim = 8 }), want: "implausible"},
+		{name: "short query matrix", wire: edit(func(w *keyWire) { w.Query = w.Query[:len(w.Query)-1] }), want: "matrices"},
+	} {
+		data := c.blob
+		if data == nil {
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(c.wire); err != nil {
+				t.Fatal(err)
+			}
+			data = buf.Bytes()
+		}
+		var k Key
+		err := k.UnmarshalBinary(data)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+	// The unedited wire still loads.
+	var k Key
+	if err := k.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -1,10 +1,13 @@
 package dce
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"ppanns/internal/matrix"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
@@ -334,6 +337,77 @@ func TestConcurrentEncrypt(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		if !<-done {
 			t.Fatal("concurrent encryption produced a wrong comparison")
+		}
+	}
+}
+
+// TestTrapGenMatchesEquation15 holds the folded query matrix to Equation 15
+// evaluated the long way: two keys from one seed draw the same β₁, β₂ and
+// r_q, one runs TrapGen, the other inverts M₁, M₂ and the M₃ it rebuilds
+// from its halves, applies π₂ to [M₁⁻¹q₁; M₂⁻¹q₂], stacks [q̄; −q̄] and
+// scales M₃⁻¹ of it by r_q·kv₂◦kv₄.
+func TestTrapGenMatchesEquation15(t *testing.T) {
+	for _, dim := range []int{1, 7, 96, 200} {
+		folded, err := KeyGen(rng.NewSeeded(15), dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		long, err := KeyGen(rng.NewSeeded(15), dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		big, sub := long.CiphertextDim(), long.half+4
+		m3 := matrix.NewDense(big, big)
+		for i := 0; i < long.padDim+8; i++ {
+			copy(m3.Row(i), long.mup.Row(i))
+			copy(m3.Row(long.padDim+8+i), long.mdown.Row(i))
+		}
+		inv1, err1 := long.m1.Inverse()
+		inv2, err2 := long.m2.Inverse()
+		inv3, err3 := m3.Inverse()
+		if err := errors.Join(err1, err2, err3); err != nil {
+			t.Fatal(err)
+		}
+		qr := rng.NewSeeded(uint64(dim))
+		for trial := 0; trial < 5; trial++ {
+			q := rng.Gaussian(qr, nil, dim)
+			got := folded.TrapGen(q).Q
+
+			x := long.randomizeQuery(q)
+			enc := append(inv1.MulVec(nil, x[:sub]), inv2.MulVec(nil, x[sub:])...)
+			bar := long.pi2.Apply(nil, enc)
+			w := inv3.MulVec(nil, append(bar, vec.Scale(nil, -1, bar)...))
+			rq := long.randScalars(1, false)[0]
+			want := make([]float64, big)
+			for i := range want {
+				want[i] = rq * w[i] * long.kv2[i] * long.kv4[i]
+			}
+
+			for i := range want {
+				if math.Abs(got[i]-want[i]) > 1e-9*math.Abs(want[i]) {
+					t.Fatalf("d=%d trial %d: component %d is %v, Equation 15 gives %v", dim, trial, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestKeyKeepsNoSquareMatrix: the query side is folded, so no matrix the
+// key holds is (2d+16)² — not M₃⁻¹, not M₃.
+func TestKeyKeepsNoSquareMatrix(t *testing.T) {
+	k, err := KeyGen(rng.NewSeeded(16), 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := k.CiphertextDim()
+	v := reflect.ValueOf(k).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.Type() != reflect.TypeOf((*matrix.Dense)(nil)) {
+			continue
+		}
+		if m := f.Elem(); m.FieldByName("rows").Int() == int64(big) && m.FieldByName("cols").Int() == int64(big) {
+			t.Errorf("Key.%s is %d×%d", v.Type().Field(i).Name, big, big)
 		}
 	}
 }

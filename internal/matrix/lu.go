@@ -113,42 +113,56 @@ func Factorize(a *Dense) (*LU, error) {
 	return &LU{lu: lu, pivot: pivot, sign: sign}, nil
 }
 
-// Solve solves A·x = b in place of a fresh slice and returns x.
+// Solve solves A·x = b in place of a fresh slice and returns x: SolveMat
+// with one right-hand side, so x is bit for bit the matching column of
+// SolveMat's result.
 func (f *LU) Solve(b []float64) []float64 {
 	n := f.lu.rows
 	if len(b) != n {
 		panic(fmt.Sprintf("matrix: LU solve with %d-vector against %dx%d", len(b), n, n))
 	}
-	x := append([]float64(nil), b...)
-	// Apply the row permutation.
-	for k, p := range f.pivot {
-		if p != k {
-			x[k], x[p] = x[p], x[k]
-		}
+	x := make([]float64, n)
+	for i, p := range f.rowPerm() {
+		x[i] = b[p]
 	}
-	// Forward substitution (unit lower triangular, multipliers negated).
-	for i := 1; i < n; i++ {
-		row := f.lu.Row(i)
-		var s float64
-		for j := 0; j < i; j++ {
-			s += row[j] * x[j]
-		}
-		x[i] += s
-	}
-	// Back substitution.
-	for i := n - 1; i >= 0; i-- {
-		row := f.lu.Row(i)
-		var s float64
-		for j := i + 1; j < n; j++ {
-			s += row[j] * x[j]
-		}
-		x[i] = (x[i] - s) / row[i]
+	f.substitute(x, 1, 0)
+	for i := range x {
+		x[i] = -x[i]
 	}
 	return x
 }
 
-// invPanel is the number of columns of A⁻¹ one task of Inverse solves for.
+// invPanel is the number of columns one task of Inverse or SolveMat solves
+// for.
 const invPanel = 64
+
+// rowPerm returns perm with (P·B)[i] = B[perm[i]] for the factorization's
+// row permutation P.
+func (f *LU) rowPerm() []int {
+	perm := make([]int, f.lu.rows)
+	for i := range perm {
+		perm[i] = i
+	}
+	for k, p := range f.pivot {
+		perm[k], perm[p] = perm[p], perm[k]
+	}
+	return perm
+}
+
+// panels calls body once per panel [c0,c1) of invPanel columns out of
+// [0,cols), in parallel, each with a worker-private n×invPanel scratch
+// block. Panels share nothing, so the result does not depend on how many
+// run at once.
+func (f *LU) panels(cols int, body func(s []float64, c0, c1 int)) {
+	n := f.lu.rows
+	scratch := make([][]float64, runtime.GOMAXPROCS(0))
+	par.Spans(len(scratch), cols, invPanel, func(worker, c0, c1 int) {
+		if scratch[worker] == nil {
+			scratch[worker] = make([]float64, n*invPanel)
+		}
+		body(scratch[worker], c0, c1)
+	})
+}
 
 // Inverse returns A⁻¹ from the factorization.
 //
@@ -157,45 +171,68 @@ const invPanel = 64
 // each in a contiguous scratch block: a forward substitution that starts at
 // the panel's first row (L⁻¹ is lower triangular, so everything above is
 // zero), a back substitution, both in row blocks of luBlock so that the
-// rows being combined stay in L1, and a scatter into place. Panels share
-// nothing, so they run in parallel and the result does not depend on how
-// many run at once.
+// rows being combined stay in L1, and a scatter into place.
 func (f *LU) Inverse() *Dense {
 	n := f.lu.rows
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	for k, p := range f.pivot {
-		perm[k], perm[p] = perm[p], perm[k]
-	}
+	perm := f.rowPerm()
 	inv := NewDense(n, n)
-	scratch := make([][]float64, runtime.GOMAXPROCS(0))
-	par.Spans(len(scratch), n, invPanel, func(worker, c0, c1 int) {
-		if scratch[worker] == nil {
-			scratch[worker] = make([]float64, n*invPanel)
+	f.panels(n, func(s []float64, c0, c1 int) {
+		w := c1 - c0
+		clear(s[:n*w])
+		for c := c0; c < c1; c++ {
+			s[c*w+c-c0] = 1
 		}
-		f.inversePanel(inv, perm, scratch[worker], c0, c1)
+		f.substitute(s[:n*w], w, c0)
+		for i := 0; i < n; i++ {
+			out, ri := inv.Row(i), s[i*w:(i+1)*w]
+			for j, v := range ri {
+				out[perm[c0+j]] = -v
+			}
+		}
 	})
 	return inv
 }
 
-// inversePanel solves for columns [c0,c1) of L⁻¹ and then of U⁻¹·L⁻¹ in s
-// (row i at s[i·w:], w = c1−c0) and scatters them into inv.
-func (f *LU) inversePanel(inv *Dense, perm []int, s []float64, c0, c1 int) {
-	n, w := f.lu.rows, c1-c0
+// SolveMat returns X with A·X = B, for any number of right-hand sides: the
+// rows of B are permuted by P, its columns solved for in panels by the same
+// blocked substitutions as Inverse, and copied out. A column of X does not
+// depend on the panel it was solved in, so X equals Solve column by column.
+func (f *LU) SolveMat(b *Dense) *Dense {
+	n := f.lu.rows
+	if b.rows != n {
+		panic(fmt.Sprintf("matrix: LU solve with %dx%d right-hand side against %dx%d", b.rows, b.cols, n, n))
+	}
+	perm := f.rowPerm()
+	x := NewDense(n, b.cols)
+	f.panels(b.cols, func(s []float64, c0, c1 int) {
+		w := c1 - c0
+		for i, p := range perm {
+			copy(s[i*w:(i+1)*w], b.Row(p)[c0:c1])
+		}
+		f.substitute(s[:n*w], w, 0)
+		for i := 0; i < n; i++ {
+			out, ri := x.Row(i)[c0:c1], s[i*w:(i+1)*w]
+			for j, v := range ri {
+				out[j] = -v
+			}
+		}
+	})
+	return x
+}
+
+// substitute overwrites the permuted right-hand sides in s (row i at
+// s[i·w:], w columns) with −U⁻¹·L⁻¹ of them. Rows above from must be zero
+// on entry; the forward substitution skips them.
+func (f *LU) substitute(s []float64, w, from int) {
+	n := f.lu.rows
 	lu := f.lu.data
 	row := func(i int) []float64 { return s[i*w : (i+1)*w] }
-	clear(s[:n*w])
-	for c := c0; c < c1; c++ {
-		s[c*w+c-c0] = 1
-	}
 
-	// Forward: row i of L⁻¹ is e_i plus the (negated) multipliers of row i
-	// times the rows above, from c0 on.
-	for i0 := c0; i0 < n; i0 += luBlock {
+	// Forward: row i of L⁻¹·b is b_i plus the (negated) multipliers of row
+	// i times the rows above, from `from` on.
+	for i0 := from; i0 < n; i0 += luBlock {
 		i1 := min(i0+luBlock, n)
-		for j0 := c0; j0 < i0; j0 += luBlock {
+		for j0 := from; j0 < i0; j0 += luBlock {
 			for i := i0; i < i1; i++ {
 				axpyRows(row(i), lu[i*n+j0:i*n+j0+luBlock], s[j0*w:], w)
 			}
@@ -225,13 +262,6 @@ func (f *LU) inversePanel(inv *Dense, perm []int, s []float64, c0, c1 int) {
 			}
 		}
 	}
-
-	for i := 0; i < n; i++ {
-		out, ri := inv.Row(i), row(i)
-		for j, v := range ri {
-			out[perm[c0+j]] = -v
-		}
-	}
 }
 
 // Inverse returns m⁻¹, or ErrSingular when m is not invertible to working
@@ -253,11 +283,20 @@ func (m *Dense) Solve(b []float64) ([]float64, error) {
 	return f.Solve(b), nil
 }
 
-// RandomInvertible samples an n×n matrix with independent N(0,1) entries and
-// retries until the LU factorization accepts it. Gaussian matrices are
-// invertible with probability 1 and almost always well conditioned, so the
-// loop virtually never iterates more than once.
+// RandomInvertible samples an n×n matrix with RandomFactored and returns it
+// with its inverse.
 func RandomInvertible(r *rng.Rand, n int) (*Dense, *Dense) {
+	m, f := RandomFactored(r, n)
+	return m, f.Inverse()
+}
+
+// RandomFactored samples an n×n matrix with independent N(0,1) entries and
+// retries until the LU factorization accepts it, returning the matrix and
+// that factorization — for a caller that needs M⁻¹·B for a few right-hand
+// sides rather than all of M⁻¹. Gaussian matrices are invertible with
+// probability 1 and almost always well conditioned, so the loop virtually
+// never iterates more than once.
+func RandomFactored(r *rng.Rand, n int) (*Dense, *LU) {
 	for attempt := 0; ; attempt++ {
 		m := NewDense(n, n)
 		for i := range m.data {
@@ -265,7 +304,7 @@ func RandomInvertible(r *rng.Rand, n int) (*Dense, *Dense) {
 		}
 		f, err := Factorize(m)
 		if err == nil {
-			return m, f.Inverse()
+			return m, f
 		}
 		if attempt > 32 {
 			panic("matrix: could not sample an invertible matrix after 32 attempts")

@@ -1,7 +1,8 @@
 // Package matrix implements the dense float64 linear algebra the encryption
 // schemes are built on: row-major matrices, matrix-vector and matrix-matrix
-// products, LU factorization with partial pivoting, inversion, and sampling
-// of well-conditioned random invertible matrices for key generation.
+// products, LU factorization with partial pivoting, inversion and
+// multi-right-hand-side solves, and sampling of well-conditioned random
+// invertible matrices for key generation.
 package matrix
 
 import (

@@ -1,7 +1,10 @@
 package matrix
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -236,20 +239,37 @@ func gaussianMatrix(r *rng.Rand, rows, cols int) *Dense {
 	return m
 }
 
+// maxRowSum is ‖a − b‖∞, the largest absolute row sum of the difference.
+func maxRowSum(a, b *Dense) float64 {
+	var worst float64
+	for i := 0; i < a.rows; i++ {
+		var sum float64
+		for j, v := range a.Row(i) {
+			sum += math.Abs(v - b.At(i, j))
+		}
+		worst = math.Max(worst, sum)
+	}
+	return worst
+}
+
 // TestBlockedLUMatchesUnblocked checks, at sizes on both sides of every
 // block boundary, that the blocked factorization reproduces the unblocked
-// one bit for bit (pivots and factors), that A·A⁻¹ is the identity to
-// 1e-9·n in the max-row-sum norm, and that neither depends on GOMAXPROCS.
+// one bit for bit (pivots and factors), that A·A⁻¹ is the identity and
+// A·X = B for SolveMat's X to 1e-9·n in the max-row-sum norm, and that
+// none of them depends on GOMAXPROCS.
 func TestBlockedLUMatchesUnblocked(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	r := rng.NewSeeded(6)
 	for _, n := range []int{1, 2, 7, 63, 64, 65, 200, 484} {
 		a := gaussianMatrix(r, n, n)
+		// The shape KeyGen solves for: half as many right-hand sides as
+		// rows, more than one panel of them from n=120 on.
+		rhs := gaussianMatrix(r, n, n/2+4)
 		wantLU, wantPivot, ok := refFactorize(a)
 		if !ok {
 			t.Fatalf("n=%d: reference rejected a Gaussian matrix", n)
 		}
-		var inv1 *Dense
+		var inv1, x1 *Dense
 		for _, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
 			f, err := Factorize(a)
@@ -272,40 +292,77 @@ func TestBlockedLUMatchesUnblocked(t *testing.T) {
 					}
 				}
 			}
-			inv := f.Inverse()
+			inv, x := f.Inverse(), f.SolveMat(rhs)
 			if inv1 == nil {
-				inv1 = inv
-			} else {
-				for i, v := range inv.data {
-					if v != inv1.data[i] {
-						t.Fatalf("n=%d: inverse differs between GOMAXPROCS 1 and %d", n, procs)
-					}
+				inv1, x1 = inv, x
+				continue
+			}
+			for i, v := range inv.data {
+				if v != inv1.data[i] {
+					t.Fatalf("n=%d: inverse differs between GOMAXPROCS 1 and %d", n, procs)
+				}
+			}
+			for i, v := range x.data {
+				if math.Float64bits(v) != math.Float64bits(x1.data[i]) {
+					t.Fatalf("n=%d: SolveMat differs between GOMAXPROCS 1 and %d", n, procs)
 				}
 			}
 		}
-		prod := Mul(a, inv1)
-		var worst float64
-		for i := 0; i < n; i++ {
-			var sum float64
-			for j, v := range prod.Row(i) {
-				if i == j {
-					v--
-				}
-				sum += math.Abs(v)
-			}
-			worst = math.Max(worst, sum)
-		}
-		if worst > 1e-9*float64(n) {
+		if worst := maxRowSum(Mul(a, inv1), Identity(n)); worst > 1e-9*float64(n) {
 			t.Fatalf("n=%d: ‖A·A⁻¹ − I‖∞ = %g, want <= %g", n, worst, 1e-9*float64(n))
 		}
-		// The column-at-a-time solve is the third witness.
+		if worst := maxRowSum(Mul(a, x1), rhs); worst > 1e-9*float64(n) {
+			t.Fatalf("n=%d: ‖A·X − B‖∞ = %g, want <= %g", n, worst, 1e-9*float64(n))
+		}
+		// The column-at-a-time solve is the third witness: against a column
+		// of the inverse within rounding, against SolveMat's columns bit for
+		// bit.
+		f, _ := Factorize(a)
 		e := make([]float64, n)
 		e[n/2] = 1
-		f, _ := Factorize(a)
 		for i, v := range f.Solve(e) {
 			if math.Abs(v-inv1.At(i, n/2)) > 1e-9*(1+math.Abs(v)) {
 				t.Fatalf("n=%d: Solve(e_%d)[%d] = %v, inverse column %v", n, n/2, i, v, inv1.At(i, n/2))
 			}
+		}
+		col := make([]float64, n)
+		for j := 0; j < rhs.cols; j++ {
+			for i := range col {
+				col[i] = rhs.At(i, j)
+			}
+			for i, v := range f.Solve(col) {
+				if math.Float64bits(v) != math.Float64bits(x1.At(i, j)) {
+					t.Fatalf("n=%d: Solve(B column %d)[%d] = %v, SolveMat %v", n, j, i, v, x1.At(i, j))
+				}
+			}
+		}
+	}
+}
+
+// TestInverseGolden pins Inverse's bits to digests taken before Inverse and
+// SolveMat came to share one substitution body, so the shared body cannot
+// drift: M₁⁻¹ and M₂⁻¹, and the AME and ASPE keys, are still Inverse's.
+func TestInverseGolden(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		want string
+	}{
+		{7, "9915820c4204d5b742b361ee19b6b1279be89d64a18c5e471e24d96d37382eba"},
+		{65, "663a8049bb52c5ac3f44ef88eaeefd3a98a94c1b02f476019df26aea6c876a22"},
+		{200, "f9d6d40da725687f32c43646abfb73087d644725ca40addb99a1d2a9bb216b25"},
+	} {
+		inv, err := gaussianMatrix(rng.NewSeeded(uint64(1000+c.n)), c.n, c.n).Inverse()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var buf [8]byte
+		for _, v := range inv.data {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != c.want {
+			t.Errorf("n=%d: inverse digest %s, want %s", c.n, got, c.want)
 		}
 	}
 }
