@@ -292,12 +292,9 @@ func BenchmarkFig10Scalability(b *testing.B) {
 func BenchmarkOverheadVsPlaintext(b *testing.B) {
 	f := mainFixture(b)
 	b.Run("plaintext-hnsw", func(b *testing.B) {
-		g, err := hnsw.New(hnsw.Config{Dim: f.data.Dim, M: 16, EfConstruction: 200, Seed: 7})
+		g, err := hnsw.Build(f.data.Train, hnsw.Config{Dim: f.data.Dim, M: 16, EfConstruction: 200, Seed: 7})
 		if err != nil {
 			b.Fatal(err)
-		}
-		for _, v := range f.data.Train {
-			g.Add(v)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

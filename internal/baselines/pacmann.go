@@ -56,12 +56,9 @@ func NewPACMANN(data [][]float64, cfg PACMANNConfig) (*PACMANN, error) {
 	if cfg.Graph.Seed == 0 {
 		cfg.Graph.Seed = cfg.Seed ^ 0x9aC
 	}
-	g, err := hnsw.New(cfg.Graph)
+	g, err := hnsw.Build(data, cfg.Graph)
 	if err != nil {
 		return nil, err
-	}
-	for _, v := range data {
-		g.Add(v)
 	}
 	degree := cfg.Degree
 	if degree <= 0 {

@@ -464,13 +464,11 @@ func Overhead(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		// Plaintext HNSW at the recall target.
-		g, err := hnsw.New(hnsw.Config{Dim: d.Dim, M: 16, EfConstruction: 200, Seed: cfg.Seed})
+		// Plaintext HNSW at the recall target, built the way the scheme
+		// builds its filter index.
+		g, err := hnsw.Build(d.Train, hnsw.Config{Dim: d.Dim, M: 16, EfConstruction: 200, Seed: cfg.Seed})
 		if err != nil {
 			return err
-		}
-		for _, v := range d.Train {
-			g.Add(v)
 		}
 		gt := d.GroundTruth(cfg.K)
 		plainAt := func(ef int) (float64, time.Duration) {

@@ -103,7 +103,7 @@ func Indexes(cfg Config) error {
 				if err != nil {
 					return nil, err
 				}
-				return func(q []float64) []resultheap.Item { return ix.Search(q, cfg.K, 8*cfg.K) }, nil
+				return func(q []float64) []resultheap.Item { return ix.SearchInto(nil, q, cfg.K, 8*cfg.K) }, nil
 			}); err != nil {
 				return err
 			}

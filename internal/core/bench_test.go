@@ -77,7 +77,7 @@ func BenchmarkRefine(b *testing.B) {
 	w := getBenchWorld(b)
 	tok := w.toks[0]
 	edb := w.server.Database()
-	items := edb.Index.Search(tok.SAP, kPrime, kPrime)
+	items := edb.Index.SearchInto(nil, tok.SAP, kPrime, kPrime)
 	cands := make([]int, len(items))
 	for i, it := range items {
 		cands[i] = it.ID

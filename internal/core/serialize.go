@@ -162,7 +162,9 @@ func (e *EncryptedDatabase) Save(w io.Writer) error {
 // untrusted — a file on disk, a checkpoint after a crash — so every header
 // field is checked against the others before it sizes anything, and the
 // sections that scale with the record count are allocated as their bytes
-// arrive: a file that lies about its size fails at end of input.
+// arrive: a file that lies about its size fails at end of input. The PQ
+// section and the index payload are then held to the dimension and record
+// count the ciphertext section paid for.
 func LoadEncryptedDatabase(r io.Reader) (*EncryptedDatabase, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	magic := make([]byte, len(edbMagic))
@@ -222,16 +224,14 @@ func LoadEncryptedDatabase(r io.Reader) (*EncryptedDatabase, error) {
 	default:
 		return nil, fmt.Errorf("core: corrupt PQ flag byte %d", pqFlag)
 	}
-	idx, err := index.Load(backend, br)
+	idx, err := index.Load(backend, br, dim, n)
 	if err != nil {
 		return nil, fmt.Errorf("core: loading %s index: %w", backend, err)
 	}
-	// Cross-check the index against the ciphertext section so corruption
-	// that survives both payloads' own checks still fails at load time
-	// instead of as an out-of-range id during a query.
-	if idx.Dim() != dim {
-		return nil, fmt.Errorf("core: index dimension %d does not match database dimension %d", idx.Dim(), dim)
-	}
+	// Cross-check the index's tombstones against the ciphertext section's
+	// (the loader has already held its shape to the header's), so
+	// corruption that survives both payloads' own checks still fails at
+	// load time instead of as a deleted record served by a query.
 	if idx.Len() != store.Live() {
 		return nil, fmt.Errorf("core: index holds %d live vectors, ciphertext store %d", idx.Len(), store.Live())
 	}

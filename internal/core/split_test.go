@@ -97,8 +97,7 @@ func TestSplitValidation(t *testing.T) {
 
 // contractBreaker wraps a SecureIndex, shorting the id space from Rebuild
 // — the backend misbehavior a compaction must reject without publishing
-// anything. Clone preserves the wrapper so the breaker survives snapshot
-// republication.
+// anything.
 type contractBreaker struct {
 	index.SecureIndex
 	breakRebuild bool
@@ -111,10 +110,6 @@ func (b *contractBreaker) Rebuild(vectors [][]float64) (index.SecureIndex, error
 		vectors = vectors[:len(vectors)-1]
 	}
 	return b.SecureIndex.Rebuild(vectors)
-}
-
-func (b *contractBreaker) Clone() index.SecureIndex {
-	return &contractBreaker{SecureIndex: b.SecureIndex.Clone(), breakRebuild: b.breakRebuild}
 }
 
 // TestCompactionContractViolationLeavesSnapshotUntouched pins the payoff

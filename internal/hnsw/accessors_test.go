@@ -44,16 +44,16 @@ func TestNeighborsAccessor(t *testing.T) {
 }
 
 func TestEntryPointAccessor(t *testing.T) {
-	g, err := New(Config{Dim: 2, Seed: 33})
+	g, err := Build(nil, Config{Dim: 2, Seed: 33})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.EntryPoint() != -1 {
 		t.Fatal("empty graph entry point should be -1")
 	}
-	id := g.Add([]float64{1, 2})
-	if g.EntryPoint() != id {
-		t.Fatal("first insert must become the entry point")
+	g = buildGraph(t, [][]float64{{1, 2}}, Config{Dim: 2, Seed: 33})
+	if g.EntryPoint() != 0 {
+		t.Fatal("a single node must be the entry point")
 	}
 }
 

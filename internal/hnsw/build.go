@@ -1,6 +1,6 @@
 package hnsw
 
-// Bulk construction and the linking code it shares with Add.
+// Bulk construction, and the linking code Delete's repair shares with it.
 //
 // Inserting one point is three steps: beam-search the graph for the
 // point's neighborhood on every layer it lives on, write its out-lists
@@ -23,10 +23,12 @@ package hnsw
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 
 	"ppanns/internal/par"
+	"ppanns/internal/rng"
 )
 
 // batchShare bounds a batch to 1/batchShare of the nodes already linked.
@@ -34,8 +36,8 @@ const batchShare = 16
 
 // Build constructs a graph over vectors in one seed-deterministic parallel
 // pass: vector i receives graph id i, every level is drawn up front from
-// cfg.Seed in id order (the same stream later Adds continue), and the
-// points are linked in fixed-schedule batches across GOMAXPROCS workers.
+// cfg.Seed in id order, and the points are linked in fixed-schedule
+// batches across GOMAXPROCS workers.
 // The result — adjacency, entry point, Save bytes — does not depend on
 // the worker count. Scratch lives for the duration of the call only.
 func Build(vectors [][]float64, cfg Config) (*Graph, error) {
@@ -50,11 +52,7 @@ func Build(vectors [][]float64, cfg Config) (*Graph, error) {
 		}
 		g.data.Append(v)
 	}
-	levels := make([]int, n)
-	for i := range levels {
-		levels[i] = g.randomLevel()
-	}
-	g.nodes = g.carveNodes(levels)
+	g.nodes = g.carveNodes(drawLevels(g.cfg.Seed, g.mL, n))
 	g.size = n
 
 	ctxs := make([]*searchCtx, min(runtime.GOMAXPROCS(0), n))
@@ -68,6 +66,21 @@ func Build(vectors [][]float64, cfg Config) (*Graph, error) {
 		lo = hi
 	}
 	return g, nil
+}
+
+// drawLevels draws n levels, in id order, from the stream cfg.Seed fixes:
+// floor(−ln(U)·mL), the paper's level distribution.
+func drawLevels(seed uint64, mL float64, n int) []int {
+	r := rng.NewSeeded(seed ^ 0x9e37)
+	levels := make([]int, n)
+	for i := range levels {
+		u := r.Float64()
+		if u == 0 {
+			u = 1e-18
+		}
+		levels[i] = int(-math.Log(u) * mL)
+	}
+	return levels
 }
 
 // maxLinks is the adjacency cap of a layer.
@@ -105,7 +118,7 @@ func (g *Graph) carveNodes(levels []int) []node {
 }
 
 // insertBatch links nodes [lo,hi) — already materialized, with levels set
-// and empty lists — into the graph. The caller holds the graph exclusively
+// and empty lists — into the graph. The caller owns the graph outright
 // and supplies one scratch context per worker, each with a visited set
 // covering every node. Every unit of parallel work writes one node only —
 // its own in the search phase, its target in the merge phase.
@@ -168,7 +181,7 @@ func (g *Graph) link(ctx *searchCtx, id, entry, top int) {
 	}
 	for l := min(nd.level, top); l >= 0; l-- {
 		ctx.next() // fresh visited set per layer
-		res := g.searchLayer(ctx, v, ep, epDist, g.cfg.EfConstruction, l, false, nil)
+		res := g.searchLayer(ctx, v, ep, epDist, g.cfg.EfConstruction, l, nil)
 		ctx.cand.Load(res.Items())
 		ep, epDist = ctx.cand.Top().ID, ctx.cand.Top().Dist
 		nd.neighbors[l] = g.selectNeighbors(ctx, nd.neighbors[l], g.cfg.M)

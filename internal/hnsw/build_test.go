@@ -42,9 +42,31 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestBuildMatchesSequentialInserts pins Add as the batch-of-one case of
-// the bulk linking: while a build's batches are single points (the first
-// 2·batchShare nodes), it and a loop of Adds produce the same graph.
+// insertOneByOne links data one point at a time, in id order, with the
+// levels Build draws: the classic sequential HNSW construction.
+func insertOneByOne(t *testing.T, data [][]float64, cfg Config) *Graph {
+	t.Helper()
+	g, err := newGraph(cfg, len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range data {
+		g.data.Append(v)
+	}
+	g.nodes = g.carveNodes(drawLevels(g.cfg.Seed, g.mL, len(data)))
+	g.size = len(data)
+	ctx := newSearchCtx()
+	ctx.vis.Grow(len(data))
+	for id := range data {
+		g.insertBatch([]*searchCtx{ctx}, id, id+1)
+	}
+	return g
+}
+
+// TestBuildMatchesSequentialInserts pins the opening of the batch
+// schedule: while the graph is small (the first 2·batchShare nodes) a
+// build's batches are single points, so it produces the graph one-by-one
+// insertion does.
 func TestBuildMatchesSequentialInserts(t *testing.T) {
 	data := clusteredData(32, 2*batchShare, 8, 3)
 	cfg := Config{Dim: 8, M: 6, EfConstruction: 40, Seed: 32}
@@ -52,16 +74,15 @@ func TestBuildMatchesSequentialInserts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := buildGraph(t, data, cfg)
+	seq := insertOneByOne(t, data, cfg)
 	if !bytes.Equal(saveBytes(t, bulk), saveBytes(t, seq)) {
-		t.Fatal("Build and a loop of Adds disagree on single-point batches")
+		t.Fatal("Build and one-by-one insertion disagree on single-point batches")
 	}
 }
 
-// TestBuildRecallAndEquivalence holds a bulk-built graph to the recall the
-// insert-built graphs are held to, and its frozen search to the
-// live-adjacency search bit for bit — with tombstones, and after Adds and
-// Deletes have continued the build's level stream.
+// TestBuildRecallAndEquivalence holds a bulk-built graph to recall@10 ≥
+// 0.95, and its CSR search to the live-adjacency walk bit for bit — with
+// tombstones, the entry point among them.
 func TestBuildRecallAndEquivalence(t *testing.T) {
 	const n, dim, k = 4000, 16, 10
 	data := clusteredData(33, n, dim, 12)
@@ -100,13 +121,8 @@ func TestBuildRecallAndEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 50; i++ {
-		g.Add(rng.GaussianVec(r, dim, 5))
-	}
 	for qi, q := range queries {
-		g.noFreeze = true
-		live := g.Search(q, k, 60)
-		g.noFreeze = false
+		live := g.liveSearch(q, k, 60)
 		frozen := g.Search(q, k, 60)
 		if len(frozen) != len(live) {
 			t.Fatalf("query %d: frozen %d items, live %d", qi, len(frozen), len(live))
@@ -123,9 +139,6 @@ func TestBuildEdgeCases(t *testing.T) {
 	g, err := Build(nil, Config{Dim: 4})
 	if err != nil || g.Len() != 0 || g.EntryPoint() != -1 {
 		t.Fatalf("empty build: %v, len %d, entry %d", err, g.Len(), g.EntryPoint())
-	}
-	if id := g.Add([]float64{1, 2, 3, 4}); id != 0 {
-		t.Fatalf("first Add after an empty build returned id %d", id)
 	}
 	if _, err := Build([][]float64{{1, 2}, {1, 2, 3}}, Config{Dim: 2}); err == nil {
 		t.Fatal("expected an error for a vector of the wrong dimension")
@@ -160,7 +173,7 @@ func TestSaveLoadAfterDeletingEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g2, err := Load(bytes.NewReader(saveBytes(t, g)), nil)
+	g2, err := Load(bytes.NewReader(saveBytes(t, g)), 8, 500, nil)
 	if err != nil {
 		t.Fatalf("graph saved after deleting its entry node does not load: %v", err)
 	}
@@ -179,39 +192,37 @@ func TestSaveLoadAfterDeletingEntry(t *testing.T) {
 	}
 }
 
-// TestSaveLoadFuzzedMutations round-trips graphs after random insert and
-// delete sequences: whatever Add and Delete leave behind, Load accepts.
+// TestSaveLoadFuzzedMutations round-trips graphs after random delete
+// sequences, down to the empty graph: whatever Delete leaves behind, Load
+// accepts.
 func TestSaveLoadFuzzedMutations(t *testing.T) {
+	const n = 160
 	for seed := uint64(1); seed <= 8; seed++ {
 		r := rng.NewSeeded(seed)
-		g, err := Build(clusteredData(seed, 120, 6, 3), Config{Dim: 6, M: 4, EfConstruction: 30, Seed: seed})
+		g, err := Build(clusteredData(seed, n, 6, 3), Config{Dim: 6, M: 4, EfConstruction: 30, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var live []int
-		for i := 0; i < 120; i++ {
+		for i := 0; i < n; i++ {
 			live = append(live, i)
 		}
-		for op := 0; op < 150; op++ {
-			if len(live) > 0 && r.IntN(3) > 0 {
-				i := r.IntN(len(live))
-				if r.IntN(4) == 0 {
-					// Bias towards the entry node, the case that broke.
-					for j, id := range live {
-						if id == g.EntryPoint() {
-							i = j
-						}
+		for len(live) > int(seed-1)*n/8 {
+			i := r.IntN(len(live))
+			if r.IntN(4) == 0 {
+				// Bias towards the entry node, the case that broke.
+				for j, id := range live {
+					if id == g.EntryPoint() {
+						i = j
 					}
 				}
-				if err := g.Delete(live[i]); err != nil {
-					t.Fatal(err)
-				}
-				live = append(live[:i], live[i+1:]...)
-			} else {
-				live = append(live, g.Add(rng.GaussianVec(r, 6, 3)))
 			}
+			if err := g.Delete(live[i]); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live[:i], live[i+1:]...)
 		}
-		g2, err := Load(bytes.NewReader(saveBytes(t, g)), nil)
+		g2, err := Load(bytes.NewReader(saveBytes(t, g)), 6, n, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

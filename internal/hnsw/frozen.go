@@ -2,30 +2,24 @@ package hnsw
 
 // Frozen CSR search views.
 //
-// The mutable graph stores one adjacency slice per node per layer at its
-// full capacity, so a walk over it chases a slice header per hop and skips
-// over the unused tail of every list. Under the snapshot-publication
-// serving discipline the graph a search runs against is almost always
-// immutable (core never mutates a published index), so the adjacency can
-// be packed once and read many times.
+// The graph stores one adjacency slice per node per layer at its full
+// capacity, which is what Build and Delete's repair write into. A walk over
+// it chases a slice header per hop and skips over the unused tail of every
+// list. Queries run against a graph that Build or Load finished and that
+// only Delete ever changes, so the adjacency is packed once and read many
+// times.
 //
-// A frozenView flattens the adjacency of one generation into CSR form —
-// per layer, one offsets array plus one flat neighbor array — so the
-// frozen search walks dense contiguous memory, and each hop hands its
-// whole gathered neighbor list to one blocked distance kernel call.
+// A frozenView flattens the adjacency into CSR form — per layer, one
+// offsets array plus one flat neighbor array — so a query walks dense
+// contiguous memory, and each hop hands its whole gathered neighbor list
+// to one blocked distance kernel call.
 //
-// Lifecycle: the view is built lazily on the first search of a quiescent
-// graph and cached behind an atomic pointer. Every mutation (Add, Delete)
-// bumps the graph's generation under the exclusive lock, so a cached view
-// is self-invalidating: searches use it only while its generation matches.
-// Clone does not share the cache — a clone starts unfrozen and freezes on
-// its own first search.
-//
-// Safety argument: a view is only built, and only trusted, while the
-// builder/search holds the graph's read lock. Add and Delete hold the
-// exclusive lock from their generation bump to their last adjacency write,
-// so under the read lock the graph is quiescent and the generation is the
-// one the view was built at.
+// Lifecycle: the first search after Build, Load or a Delete builds the view
+// and caches it behind an atomic pointer; Delete clears the pointer under
+// the exclusive lock. A view is only built and only read while the reader
+// holds the read lock, so it always describes the graph as it stands.
+// Searches that race to build the first view each build one, and the first
+// stored is the one they all use.
 
 import "ppanns/internal/resultheap"
 
@@ -42,48 +36,29 @@ func (l *csrLayer) neighbors(id int) []int32 {
 	return l.nbrs[l.offs[id]:l.offs[id+1]]
 }
 
-// frozenView is an immutable CSR snapshot of the graph at generation gen.
+// frozenView is an immutable CSR snapshot of the graph.
 type frozenView struct {
-	gen      uint64
 	entry    int
 	maxLevel int
 	deleted  []bool
 	layers   []csrLayer
 }
 
-// frozenViewFor returns a CSR view valid for the current generation, or nil
-// when another search is building it (callers then walk the live
-// adjacency). Caller must hold at least the read lock.
-func (g *Graph) frozenViewFor() *frozenView {
-	if g.noFreeze {
-		return nil
-	}
-	cur := g.gen.Load()
-	if v := g.view.Load(); v != nil && v.gen == cur {
+// frozen returns the CSR view of the graph, building it when a Delete (or
+// the graph's construction) left none. Caller must hold the read lock.
+func (g *Graph) frozen() *frozenView {
+	if v := g.view.Load(); v != nil {
 		return v
 	}
-	// Stale or absent: rebuild. One builder at a time; concurrent searches
-	// walk the live adjacency for this query instead of queueing on the
-	// build.
-	if !g.freezeMu.TryLock() {
-		return nil
-	}
-	defer g.freezeMu.Unlock()
-	if v := g.view.Load(); v != nil && v.gen == cur {
-		return v
-	}
-	v := g.buildFrozenView(cur)
-	g.view.Store(v)
-	return v
+	g.view.CompareAndSwap(nil, g.buildFrozenView())
+	return g.view.Load()
 }
 
 // buildFrozenView flattens the adjacency into CSR form. Caller holds the
-// read lock (generation cur), so plain reads of every node's state are
-// safe.
-func (g *Graph) buildFrozenView(cur uint64) *frozenView {
+// read lock, so plain reads of every node's state are safe.
+func (g *Graph) buildFrozenView() *frozenView {
 	n := len(g.nodes)
 	v := &frozenView{
-		gen:      cur,
 		entry:    g.entry,
 		maxLevel: g.maxLevel,
 		deleted:  make([]bool, n),
@@ -108,9 +83,8 @@ func (g *Graph) buildFrozenView(cur uint64) *frozenView {
 	return v
 }
 
-// frozenDescend is greedyDescend over a CSR view. Results are identical to
-// the live-adjacency path — the same neighbors are evaluated with the same
-// kernel in the same order.
+// frozenDescend is greedyDescend over a CSR view: the same neighbors are
+// evaluated with the same kernel in the same order.
 func (g *Graph) frozenDescend(ctx *searchCtx, v *frozenView, q []float64, ep int, epDist float64, layer int) (int, float64) {
 	lay := &v.layers[layer]
 	for {
@@ -129,11 +103,11 @@ func (g *Graph) frozenDescend(ctx *searchCtx, v *frozenView, q []float64, ep int
 	}
 }
 
-// frozenSearchLayer is the layer-0 beam search over a CSR view (liveOnly
-// semantics, matching what searchInto requests). Each hop gathers its
-// unvisited neighbors and evaluates them with one blocked kernel call; the
-// admission logic then replays in neighbor order, so heap state evolves
-// exactly as in searchLayer and results are order-identical.
+// frozenSearchLayer is searchLayer over a CSR view with tombstones kept out
+// of the result set, as queries need. Each hop gathers its unvisited
+// neighbors and evaluates them with one blocked kernel call; the admission
+// logic then replays in neighbor order, so heap state evolves exactly as in
+// searchLayer.
 func (g *Graph) frozenSearchLayer(ctx *searchCtx, v *frozenView, q []float64, ep int, epDist float64, ef, layer int, allow func(int) bool) *resultheap.MaxDistHeap {
 	offs, nbrs := v.layers[layer].offs, v.layers[layer].nbrs
 	deleted := v.deleted

@@ -3,9 +3,33 @@ package hnsw
 import (
 	"testing"
 
+	"ppanns/internal/resultheap"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
+
+// liveSearch is the query walk over the live adjacency, with greedyDescend
+// and searchLayer — the walks Build and Delete's repair run — in place of
+// their CSR twins. It is the reference the CSR view is held to.
+func (g *Graph) liveSearch(q []float64, k, ef int) []resultheap.Item {
+	ef = max(ef, k)
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	if g.entry < 0 || g.size == 0 {
+		return nil
+	}
+	ctx := g.getCtx(len(g.nodes))
+	defer g.ctxPool.Put(ctx)
+	ep := g.entry
+	epDist := g.pairDist(ctx, q, ep)
+	for l := g.maxLevel; l > 0; l-- {
+		ep, epDist = g.greedyDescend(ctx, q, ep, epDist, l)
+	}
+	ctx.next()
+	res := g.searchLayer(ctx, q, ep, epDist, ef, 0, func(id int) bool { return !g.nodes[id].deleted })
+	items := res.SortedInto(nil)
+	return items[:min(k, len(items))]
+}
 
 func frozenTestGraph(t *testing.T, n, dim int, cfg Config) (*Graph, [][]float64) {
 	t.Helper()
@@ -15,13 +39,7 @@ func frozenTestGraph(t *testing.T, n, dim int, cfg Config) (*Graph, [][]float64)
 	for i := range data {
 		data[i] = rng.Gaussian(r, nil, dim)
 	}
-	g, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range data {
-		g.Add(v)
-	}
+	g := buildGraph(t, data, cfg)
 	queries := make([][]float64, 32)
 	for i := range queries {
 		queries[i] = rng.Gaussian(r, nil, dim)
@@ -30,8 +48,8 @@ func frozenTestGraph(t *testing.T, n, dim int, cfg Config) (*Graph, [][]float64)
 }
 
 // TestFrozenSearchMatchesLockedExactly is the CSR conformance test: the
-// frozen fast path must return the exact same ids in the exact same order,
-// with bit-identical distances, as the per-node-locked path.
+// CSR walk must return the exact same ids in the exact same order, with
+// bit-identical distances, as the live-adjacency walk.
 func TestFrozenSearchMatchesLockedExactly(t *testing.T) {
 	g, queries := frozenTestGraph(t, 600, 24, Config{M: 8, EfConstruction: 60, Seed: 5})
 	// Tombstones exercise the deleted snapshot inside the view.
@@ -41,12 +59,10 @@ func TestFrozenSearchMatchesLockedExactly(t *testing.T) {
 		}
 	}
 	for qi, q := range queries {
-		g.noFreeze = true
-		locked := g.Search(q, 10, 40)
-		g.noFreeze = false
+		locked := g.liveSearch(q, 10, 40)
 		frozen := g.Search(q, 10, 40)
 		if g.view.Load() == nil {
-			t.Fatal("search did not build a frozen view on a quiescent graph")
+			t.Fatal("search did not build a frozen view")
 		}
 		if len(frozen) != len(locked) {
 			t.Fatalf("query %d: frozen returned %d items, locked %d", qi, len(frozen), len(locked))
@@ -69,9 +85,7 @@ func TestFrozenSearchMatchesLockedCustomDistance(t *testing.T) {
 		t.Fatal("custom distance must disable the blocked kernel")
 	}
 	for qi, q := range queries {
-		g.noFreeze = true
-		locked := g.Search(q, 5, 30)
-		g.noFreeze = false
+		locked := g.liveSearch(q, 5, 30)
 		frozen := g.Search(q, 5, 30)
 		if len(frozen) != len(locked) {
 			t.Fatalf("query %d: frozen %d items, locked %d", qi, len(frozen), len(locked))
@@ -85,8 +99,8 @@ func TestFrozenSearchMatchesLockedCustomDistance(t *testing.T) {
 }
 
 // TestFrozenViewInvalidation asserts the view lifecycle: built on first
-// search, reused while quiescent, invalidated by Add and Delete, rebuilt at
-// the new generation on the next search.
+// search, reused after, dropped by Delete (but not by a rejected Delete),
+// rebuilt with the tombstone on the next search.
 func TestFrozenViewInvalidation(t *testing.T) {
 	g, queries := frozenTestGraph(t, 200, 8, Config{M: 8, EfConstruction: 40, Seed: 7})
 	q := queries[0]
@@ -101,82 +115,63 @@ func TestFrozenViewInvalidation(t *testing.T) {
 	}
 	g.Search(q, 5, 20)
 	if g.view.Load() != v1 {
-		t.Fatal("quiescent search rebuilt the view instead of reusing it")
+		t.Fatal("a second search rebuilt the view instead of reusing it")
 	}
 
-	id := g.Add(make([]float64, 8))
-	g.Search(q, 5, 20)
-	v2 := g.view.Load()
-	if v2 == v1 || v2 == nil || v2.gen == v1.gen {
-		t.Fatalf("Add did not invalidate the frozen view (v1.gen=%d v2.gen=%d)", v1.gen, v2.gen)
+	if err := g.Delete(1000); err == nil {
+		t.Fatal("delete of an unknown id succeeded")
 	}
-
+	if g.view.Load() != v1 {
+		t.Fatal("a rejected Delete dropped the view")
+	}
+	const id = 42
 	if err := g.Delete(id); err != nil {
 		t.Fatal(err)
 	}
-	g.Search(q, 5, 20)
-	v3 := g.view.Load()
-	if v3 == v2 || v3 == nil || v3.gen == v2.gen {
-		t.Fatal("Delete did not invalidate the frozen view")
+	if g.view.Load() != nil {
+		t.Fatal("Delete kept the stale view")
 	}
-	if !v3.deleted[id] {
+	g.Search(q, 5, 20)
+	v2 := g.view.Load()
+	if v2 == nil || v2 == v1 {
+		t.Fatal("the search after a Delete did not rebuild the view")
+	}
+	if !v2.deleted[id] {
 		t.Fatal("rebuilt view does not carry the tombstone")
 	}
 }
 
-// TestCloneDoesNotShareFrozenView: a clone must start unfrozen and freeze
-// independently — the satellite bugfix this PR ships is precisely that a
-// cloned (immutable) snapshot searches without any per-node locking.
-func TestCloneDoesNotShareFrozenView(t *testing.T) {
-	g, queries := frozenTestGraph(t, 200, 8, Config{M: 8, EfConstruction: 40, Seed: 8})
-	g.Search(queries[0], 5, 20)
-	if g.view.Load() == nil {
-		t.Fatal("receiver did not freeze")
-	}
-	c := g.Clone()
-	if c.view.Load() != nil {
-		t.Fatal("clone inherited the receiver's frozen view")
-	}
-	got := c.Search(queries[0], 5, 20)
-	if c.view.Load() == nil {
-		t.Fatal("clone did not freeze on its own first search")
-	}
-	want := g.Search(queries[0], 5, 20)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("clone search diverges at %d", i)
-		}
-	}
-	// Mutating the clone must leave the receiver's view untouched.
-	c.Add(make([]float64, 8))
-	if v := g.view.Load(); v == nil || v.gen != g.gen.Load() {
-		t.Fatal("mutating the clone disturbed the receiver's frozen view")
-	}
-}
-
-// TestFrozenConcurrentChurn hammers searches against concurrent inserts and
-// deletes; under -race this verifies the freeze discipline (generation +
-// linker count) never lets a search read adjacency that is being written.
+// TestFrozenConcurrentChurn hammers searches against concurrent deletes;
+// under -race this verifies that a search never reads adjacency a Delete is
+// writing, nor a view a Delete has made stale.
 func TestFrozenConcurrentChurn(t *testing.T) {
 	g, queries := frozenTestGraph(t, 400, 8, Config{M: 8, EfConstruction: 40, Seed: 9})
+	deleted := make(map[int]bool)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		r := rng.NewSeeded(11)
-		for i := 0; i < 60; i++ {
-			id := g.Add(rng.Gaussian(r, nil, 8))
-			if i%3 == 0 {
+		for len(deleted) < 60 {
+			id := r.IntN(400)
+			if !deleted[id] {
 				_ = g.Delete(id)
+				deleted[id] = true
 			}
 		}
 	}()
 	for i := 0; ; i++ {
 		select {
 		case <-done:
-			// One more search on the now-quiescent graph must freeze.
-			g.Search(queries[0], 5, 20)
-			if g.view.Load() == nil || g.view.Load().gen != g.gen.Load() {
-				t.Fatal("quiescent graph did not refreeze after churn")
+			// The quiescent graph refreezes with every tombstone.
+			for _, it := range g.Search(queries[0], 5, 20) {
+				if deleted[it.ID] {
+					t.Fatalf("deleted id %d returned after churn", it.ID)
+				}
+			}
+			for id := range deleted {
+				if !g.view.Load().deleted[id] {
+					t.Fatalf("view rebuilt after churn misses tombstone %d", id)
+				}
 			}
 			return
 		default:

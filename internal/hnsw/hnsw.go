@@ -9,6 +9,11 @@
 // deletion with in-neighbor repair (the maintenance procedure of Section
 // V-D), and binary serialization.
 //
+// A graph is built once (Build or Load), may have ids tombstoned with
+// Delete, and is otherwise only read: searches walk a packed CSR view of
+// the adjacency (frozen.go) that Delete discards and the next search
+// rebuilds.
+//
 // The graph is metric-agnostic: it stores opaque float64 vectors and ranks
 // by a caller-supplied distance. The PP-ANNS scheme instantiates it over
 // DCPE/SAP ciphertexts; the plaintext baseline instantiates it over raw
@@ -23,7 +28,6 @@ import (
 
 	"ppanns/internal/epochset"
 	"ppanns/internal/resultheap"
-	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
 
@@ -79,7 +83,7 @@ type node struct {
 }
 
 // Graph is a thread-safe HNSW index. Searches run concurrently with each
-// other; Add and Delete are exclusive.
+// other; Delete is exclusive.
 type Graph struct {
 	cfg Config
 	mL  float64
@@ -87,10 +91,10 @@ type Graph struct {
 	// kernel instead of per-neighbor DistanceFunc calls.
 	blockDist bool
 
-	// mu guards everything below it. Searches, Clone and the accessors hold
-	// it shared for their whole duration; Add, Delete and Save hold it
-	// exclusively, so adjacency is only ever written on a graph nobody is
-	// reading and needs no per-node locks.
+	// mu guards everything below it. Searches, Save and the accessors hold
+	// it shared for their whole duration; Delete holds it exclusively, so
+	// adjacency is only ever written on a graph nobody is reading and needs
+	// no per-node locks.
 	mu       sync.RWMutex
 	data     *vec.Dataset
 	nodes    []node
@@ -98,23 +102,12 @@ type Graph struct {
 	maxLevel int
 	size     int // live (non-deleted) node count
 
-	// gen counts mutations; every Add/Delete bumps it under the exclusive
-	// lock, invalidating any cached frozen view (see frozen.go). view caches
-	// the CSR snapshot of the current generation; noFreeze pins searches to
-	// the live-adjacency path (conformance tests compare the two).
-	gen      atomic.Uint64
-	view     atomic.Pointer[frozenView]
-	freezeMu sync.Mutex
-	noFreeze bool
-
-	lvlMu  sync.Mutex
-	lvlRnd *rng.Rand
+	// view caches the CSR snapshot searches walk (see frozen.go). Delete
+	// clears it; the next search rebuilds it.
+	view atomic.Pointer[frozenView]
 
 	ctxPool sync.Pool
 }
-
-// New creates an empty graph.
-func New(cfg Config) (*Graph, error) { return newGraph(cfg, 1024) }
 
 // newGraph creates an empty graph with room for capHint vectors.
 func newGraph(cfg Config, capHint int) (*Graph, error) {
@@ -129,7 +122,6 @@ func newGraph(cfg Config, capHint int) (*Graph, error) {
 		blockDist: blockDist,
 		data:      vec.NewDataset(cfg.Dim, capHint),
 		entry:     -1,
-		lvlRnd:    rng.NewSeeded(cfg.Seed ^ 0x9e37),
 	}, nil
 }
 
@@ -141,7 +133,7 @@ func (g *Graph) Len() int {
 }
 
 // IDs returns the number of ids ever assigned — live nodes plus tombstones.
-// Ids are dense: Build numbers its vectors 0..n-1 and Add continues from IDs().
+// Ids are dense: Build numbers its vectors 0..n-1.
 func (g *Graph) IDs() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -161,57 +153,6 @@ func (g *Graph) Vector(id int) []float64 {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.data.At(id)
-}
-
-// Clone returns a deep copy of the graph sharing no mutable state with the
-// receiver: vectors, adjacency lists and tombstones are all copied, so
-// mutating either graph never changes what the other's searches observe.
-// The clone's level RNG is derived from (and advances) the receiver's
-// stream, so a chain of clone-then-insert steps keeps drawing fresh levels
-// instead of replaying one.
-func (g *Graph) Clone() *Graph {
-	g.lvlMu.Lock()
-	lvlRnd := rng.New(g.lvlRnd.Uint64(), g.lvlRnd.Uint64())
-	g.lvlMu.Unlock()
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	// The frozen-view cache is deliberately not carried over: the clone is
-	// an independent mutable graph and freezes lazily on its own first
-	// search (its zero generation plus nil view make that automatic).
-	ng := &Graph{
-		cfg:       g.cfg,
-		mL:        g.mL,
-		blockDist: g.blockDist,
-		data:      g.data.Clone(),
-		entry:     g.entry,
-		maxLevel:  g.maxLevel,
-		size:      g.size,
-		lvlRnd:    lvlRnd,
-	}
-	levels := make([]int, len(g.nodes))
-	for i := range g.nodes {
-		levels[i] = g.nodes[i].level
-	}
-	ng.nodes = ng.carveNodes(levels)
-	for i := range g.nodes {
-		nd, cp := &g.nodes[i], &ng.nodes[i]
-		cp.deleted = nd.deleted
-		for l, lst := range nd.neighbors {
-			cp.neighbors[l] = append(cp.neighbors[l], lst...)
-		}
-	}
-	return ng
-}
-
-// randomLevel draws floor(−ln(U)·mL), the paper's level distribution.
-func (g *Graph) randomLevel() int {
-	g.lvlMu.Lock()
-	u := g.lvlRnd.Float64()
-	g.lvlMu.Unlock()
-	for u == 0 {
-		u = 1e-18
-	}
-	return int(-math.Log(u) * g.mL)
 }
 
 // searchCtx holds per-walk scratch state: the visited set, both beam-search
@@ -307,7 +248,8 @@ func (g *Graph) neighborsAt(id, layer int) []int32 {
 
 // greedyDescend walks one layer of the live adjacency greedily towards q,
 // returning the closest node found and its distance: one blocked distance
-// call per hop, exactly like frozenDescend over a CSR view. Caller must
+// call per hop. Build and Delete's repair use it; queries take
+// frozenDescend over the CSR view, which makes the same walk. Caller must
 // hold the lock.
 func (g *Graph) greedyDescend(ctx *searchCtx, q []float64, ep int, epDist float64, layer int) (int, float64) {
 	for {
@@ -327,23 +269,24 @@ func (g *Graph) greedyDescend(ctx *searchCtx, q []float64, ep int, epDist float6
 }
 
 // searchLayer is the beam search of the HNSW paper (Algorithm 2) over the
-// live adjacency: starting from ep, it maintains a candidate min-heap and a
-// bounded result max-heap of width ef, both reused from ctx. Each hop
-// gathers its unvisited neighbors and evaluates them with one blocked
-// kernel call, then replays admission in neighbor order — the same walk
-// frozenSearchLayer makes over a CSR view, so the two are order-identical.
-// liveOnly excludes tombstoned nodes from the result set; allow further
-// filters result membership (traversal still passes through filtered nodes
-// so the graph stays navigable around tombstones). The returned heap is
-// ctx-owned: consume it before the next searchLayer call on the same ctx.
-// Caller must hold the lock; nothing here takes another.
-func (g *Graph) searchLayer(ctx *searchCtx, q []float64, ep int, epDist float64, ef, layer int, liveOnly bool, allow func(int) bool) *resultheap.MaxDistHeap {
+// live adjacency, as Build and Delete's repair run it: starting from ep, it
+// maintains a candidate min-heap and a bounded result max-heap of width ef,
+// both reused from ctx. Each hop gathers its unvisited neighbors and
+// evaluates them with one blocked kernel call, then replays admission in
+// neighbor order — the same walk frozenSearchLayer makes over a CSR view.
+// allow, when non-nil, filters result membership (traversal still passes
+// through filtered nodes, so the graph stays navigable around them);
+// tombstones are not filtered otherwise, and repair excludes them with
+// allow. The returned heap is ctx-owned: consume it before the next
+// searchLayer call on the same ctx. Caller must hold the lock; nothing
+// here takes another.
+func (g *Graph) searchLayer(ctx *searchCtx, q []float64, ep int, epDist float64, ef, layer int, allow func(int) bool) *resultheap.MaxDistHeap {
 	cand, res := ctx.cand, ctx.res
 	cand.Reset()
 	res.Reset()
 	ctx.seen(ep)
 	cand.Push(ep, epDist)
-	if (!liveOnly || !g.nodes[ep].deleted) && (allow == nil || allow(ep)) {
+	if allow == nil || allow(ep) {
 		res.Push(ep, epDist)
 	}
 	gather := ctx.buf
@@ -364,7 +307,7 @@ func (g *Graph) searchLayer(ctx *searchCtx, q []float64, ep int, epDist float64,
 			d := dists[j]
 			if res.Len() < ef || d < res.Top().Dist {
 				cand.Push(id, d)
-				if (!liveOnly || !g.nodes[id].deleted) && (allow == nil || allow(id)) {
+				if allow == nil || allow(id) {
 					res.PushBounded(id, d, ef)
 				}
 			}
@@ -410,28 +353,6 @@ func (g *Graph) selectNeighbors(ctx *searchCtx, dst []int32, m int) []int32 {
 	}
 	ctx.pruned = pruned
 	return dst
-}
-
-// Add inserts a vector and returns its id: the batch-of-one case of the
-// bulk build's linking (build.go). Safe for concurrent use; inserts
-// exclude each other and searches.
-func (g *Graph) Add(v []float64) int {
-	if len(v) != g.cfg.Dim {
-		panic(fmt.Sprintf("hnsw: adding %d-dim vector to %d-dim graph", len(v), g.cfg.Dim))
-	}
-	level := g.randomLevel()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	// The generation bump invalidates any cached frozen view before a
-	// single edge is written.
-	g.gen.Add(1)
-	id := g.data.Append(v)
-	g.nodes = append(g.nodes, g.carveNodes([]int{level})...)
-	g.size++
-	ctx := g.getCtx(len(g.nodes))
-	g.insertBatch([]*searchCtx{ctx}, id, id+1)
-	g.ctxPool.Put(ctx)
-	return id
 }
 
 // Search returns the ids of the (approximately) k closest live vectors to
@@ -482,27 +403,14 @@ func (g *Graph) searchInto(dst []resultheap.Item, q []float64, k, ef int, allow 
 		g.ctxPool.Put(ctx)
 	}()
 
-	var res *resultheap.MaxDistHeap
-	if v := g.frozenViewFor(); v != nil {
-		// Frozen fast path: CSR adjacency, no per-node locks, no neighbor
-		// copies, one blocked distance call per hop. Order-identical to the
-		// locked path below.
-		ep := v.entry
-		epDist := g.pairDist(ctx, q, ep)
-		for l := v.maxLevel; l > 0; l-- {
-			ep, epDist = g.frozenDescend(ctx, v, q, ep, epDist, l)
-		}
-		ctx.next()
-		res = g.frozenSearchLayer(ctx, v, q, ep, epDist, ef, 0, allow)
-	} else {
-		ep := g.entry
-		epDist := g.pairDist(ctx, q, ep)
-		for l := g.maxLevel; l > 0; l-- {
-			ep, epDist = g.greedyDescend(ctx, q, ep, epDist, l)
-		}
-		ctx.next()
-		res = g.searchLayer(ctx, q, ep, epDist, ef, 0, true, allow)
+	v := g.frozen()
+	ep := v.entry
+	epDist := g.pairDist(ctx, q, ep)
+	for l := v.maxLevel; l > 0; l-- {
+		ep, epDist = g.frozenDescend(ctx, v, q, ep, epDist, l)
 	}
+	ctx.next()
+	res := g.frozenSearchLayer(ctx, v, q, ep, epDist, ef, 0, allow)
 	ctx.items = res.SortedInto(ctx.items)
 	items := ctx.items
 	if len(items) > k {
@@ -530,9 +438,9 @@ func (g *Graph) Delete(id int) error {
 	if nd.deleted {
 		return fmt.Errorf("hnsw: id %d already deleted", id)
 	}
-	// Invalidate any cached frozen view — after validation, so a rejected
-	// delete does not force the next search into a spurious rebuild.
-	g.gen.Add(1)
+	// Drop the cached view — after validation, so a rejected delete does
+	// not force the next search into a spurious rebuild.
+	g.view.Store(nil)
 	nd.deleted = true
 	g.size--
 
@@ -588,7 +496,7 @@ func (g *Graph) Delete(id int) error {
 		for l := g.maxLevel; l > rep.layer; l-- {
 			ep, epDist = g.greedyDescend(ctx, v, ep, epDist, l)
 		}
-		res := g.searchLayer(ctx, v, ep, epDist, g.cfg.EfConstruction, rep.layer, false, allow)
+		res := g.searchLayer(ctx, v, ep, epDist, g.cfg.EfConstruction, rep.layer, allow)
 		ctx.cand.Load(res.Items())
 		lst := &g.nodes[rep.node].neighbors[rep.layer]
 		*lst = g.selectNeighbors(ctx, *lst, g.maxLinks(rep.layer))

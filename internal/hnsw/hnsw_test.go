@@ -1,6 +1,7 @@
 package hnsw
 
 import (
+	"bytes"
 	"math"
 	"sort"
 	"sync"
@@ -69,24 +70,21 @@ func recallOf(got []int, want []int) float64 {
 
 func buildGraph(t *testing.T, data [][]float64, cfg Config) *Graph {
 	t.Helper()
-	g, err := New(cfg)
+	g, err := Build(data, cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, v := range data {
-		g.Add(v)
 	}
 	return g
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{Dim: 0}); err == nil {
+	if _, err := Build(nil, Config{Dim: 0}); err == nil {
 		t.Fatal("expected error for dim 0")
 	}
 }
 
 func TestEmptyGraphSearch(t *testing.T) {
-	g, err := New(Config{Dim: 4})
+	g, err := Build(nil, Config{Dim: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,42 +180,46 @@ func TestCustomDistance(t *testing.T) {
 	}
 }
 
+// TestConcurrentBuildAndSearch: builds share nothing — each draws its own
+// levels — so graphs built side by side from one seed are byte-identical,
+// and each answers self-queries while the others are still building.
 func TestConcurrentBuildAndSearch(t *testing.T) {
-	const n, dim = 2000, 12
+	const n, dim, builders = 2000, 12, 4
 	data := clusteredData(6, n, dim, 10)
-	g, err := New(Config{Dim: dim, M: 12, EfConstruction: 100, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Dim: dim, M: 12, EfConstruction: 100, Seed: 5}
+	saved := make([][]byte, builders)
+	hits := make([]int, builders)
 	var wg sync.WaitGroup
-	const workers = 8
-	for w := 0; w < workers; w++ {
+	for w := 0; w < builders; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := w; i < n; i += workers {
-				g.Add(data[i])
-				if i%97 == 0 {
-					g.Search(data[i], 5, 20) // interleaved reads
+			g, err := Build(data, cfg)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := w; i < 100*builders; i += builders {
+				res := g.Search(data[i], 1, 30)
+				if len(res) == 1 && vec.SqDist(g.Vector(res[0].ID), data[i]) == 0 {
+					hits[w]++
 				}
 			}
+			var buf bytes.Buffer
+			if err := g.Save(&buf); err != nil {
+				t.Error(err)
+			}
+			saved[w] = buf.Bytes()
 		}(w)
 	}
 	wg.Wait()
-	if g.Len() != n {
-		t.Fatalf("Len = %d, want %d", g.Len(), n)
-	}
-	// Post-build quality check: ids returned by concurrent build map to
-	// vectors, search still accurate on self-queries.
-	hits := 0
-	for i := 0; i < 100; i++ {
-		res := g.Search(g.Vector(i), 1, 30)
-		if len(res) == 1 && vec.SqDist(g.Vector(res[0].ID), g.Vector(i)) == 0 {
-			hits++
+	for w := range saved {
+		if !bytes.Equal(saved[w], saved[0]) {
+			t.Fatalf("builder %d built a different graph than builder 0", w)
 		}
-	}
-	if hits < 97 {
-		t.Fatalf("self-query hit rate %d/100 after concurrent build", hits)
+		if hits[w] < 97 {
+			t.Fatalf("builder %d: self-query hit rate %d/100", w, hits[w])
+		}
 	}
 }
 
@@ -290,11 +292,8 @@ func TestDeleteAll(t *testing.T) {
 	if res := g.Search([]float64{0, 0}, 3, 10); len(res) != 0 {
 		t.Fatalf("search on emptied graph returned %d results", len(res))
 	}
-	// Graph must accept new inserts after total deletion.
-	id := g.Add([]float64{5, 5})
-	res := g.Search([]float64{5, 5}, 1, 10)
-	if len(res) != 1 || res[0].ID != id {
-		t.Fatal("insert after total deletion broken")
+	if g.EntryPoint() != -1 {
+		t.Fatalf("emptied graph keeps entry point %d", g.EntryPoint())
 	}
 }
 
@@ -353,13 +352,9 @@ func TestStats(t *testing.T) {
 }
 
 func TestLevelDistribution(t *testing.T) {
-	g, err := New(Config{Dim: 2, M: 16, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
 	counts := map[int]int{}
-	for i := 0; i < 20000; i++ {
-		counts[g.randomLevel()]++
+	for _, lv := range drawLevels(13, 1/math.Log(16), 20000) {
+		counts[lv]++
 	}
 	// P(level ≥ 1) = e^(−1/mL·1)… with mL = 1/ln(M): P(level≥1) = 1/M.
 	frac := float64(20000-counts[0]) / 20000
@@ -372,8 +367,8 @@ func TestLevelDistribution(t *testing.T) {
 func TestDimMismatchPanics(t *testing.T) {
 	g := buildGraph(t, [][]float64{{0, 0}}, Config{Dim: 2, Seed: 14})
 	for name, fn := range map[string]func(){
-		"Add":    func() { g.Add([]float64{1}) },
-		"Search": func() { g.Search([]float64{1, 2, 3}, 1, 1) },
+		"Search":         func() { g.Search([]float64{1, 2, 3}, 1, 1) },
+		"SearchFiltered": func() { g.SearchFiltered([]float64{1}, 1, 1, nil) },
 	} {
 		func() {
 			defer func() {

@@ -16,11 +16,11 @@ import (
 
 const persistMagic = "HNSWGO01"
 
-// Save writes the graph in the binary index format. It takes the write lock
-// so the snapshot is consistent.
+// Save writes the graph in the binary index format. It takes the read lock:
+// the snapshot is consistent against Delete, and searches run on beside it.
 func (g *Graph) Save(w io.Writer) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+	g.mu.RLock()
+	defer g.mu.RUnlock()
 
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.WriteString(persistMagic); err != nil {
@@ -62,9 +62,11 @@ func (g *Graph) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a graph previously written by Save. dist supplies the metric
-// (nil for squared Euclidean).
-func Load(r io.Reader, dist DistanceFunc) (*Graph, error) {
+// Load reads a graph of n nodes of dimension dim previously written by
+// Save; dist supplies the metric (nil for squared Euclidean). The bytes are
+// untrusted: a header that disagrees with dim and n is refused before it
+// sizes anything.
+func Load(r io.Reader, dim, n int, dist DistanceFunc) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	magic := make([]byte, len(persistMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -88,21 +90,26 @@ func Load(r io.Reader, dist DistanceFunc) (*Graph, error) {
 		SkipKeepPruned: head[5] != 0,
 		Distance:       dist,
 	}
-	n, entry, maxLevel, size := int(head[6]), int(head[7]), int(head[8]), int(head[9])
-	if n < 0 || entry < -1 || entry >= n || maxLevel < 0 || size < 0 || size > n {
+	if head[0] != int64(dim) || head[6] != int64(n) {
+		return nil, fmt.Errorf("hnsw: graph of %d nodes of dimension %d, want %d of %d", head[6], head[0], n, dim)
+	}
+	// Build draws no level above 53 (U ≥ 2⁻⁵³, M ≥ 2), so a deeper header
+	// is a lie.
+	entry, maxLevel, size := head[7], head[8], head[9]
+	if entry < -1 || entry >= int64(n) || maxLevel < 0 || maxLevel > 64 || size < 0 || size > int64(n) || (entry < 0) != (size == 0) {
 		return nil, fmt.Errorf("hnsw: implausible header n=%d entry=%d maxLevel=%d size=%d", n, entry, maxLevel, size)
 	}
-	g, err := New(cfg)
+	g, err := newGraph(cfg, 0)
 	if err != nil {
 		return nil, err
 	}
-	g.entry, g.maxLevel, g.size = entry, maxLevel, size
+	g.entry, g.maxLevel, g.size = int(entry), int(maxLevel), int(size)
 
-	raw := make([]float64, n*cfg.Dim)
+	raw := make([]float64, n*dim)
 	if err := binary.Read(br, binary.LittleEndian, raw); err != nil {
 		return nil, fmt.Errorf("hnsw: reading vectors: %w", err)
 	}
-	ds, err := vec.DatasetFromRaw(cfg.Dim, raw)
+	ds, err := vec.DatasetFromRaw(dim, raw)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +125,7 @@ func Load(r io.Reader, dist DistanceFunc) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("hnsw: reading node %d tombstone: %w", i, err)
 		}
-		if level < 0 || int(level) > maxLevel {
+		if level < 0 || int64(level) > maxLevel {
 			return nil, fmt.Errorf("hnsw: node %d has level %d beyond max %d", i, level, maxLevel)
 		}
 		nd := node{level: int(level), deleted: delByte != 0, neighbors: make([][]int32, level+1)}
@@ -142,6 +149,10 @@ func Load(r io.Reader, dist DistanceFunc) (*Graph, error) {
 			nd.neighbors[l] = lst
 		}
 		g.nodes[i] = nd
+	}
+	// The entry point is a node of the top level.
+	if entry >= 0 && g.nodes[entry].level != g.maxLevel || entry < 0 && maxLevel != 0 {
+		return nil, fmt.Errorf("hnsw: max level %d is not the entry point's", maxLevel)
 	}
 	return g, nil
 }

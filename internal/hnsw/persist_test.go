@@ -2,7 +2,9 @@ package hnsw
 
 import (
 	"bytes"
+	"sync"
 	"testing"
+	"time"
 
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
@@ -19,7 +21,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := g.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := Load(&buf, nil)
+	g2, err := Load(&buf, 12, 800, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,20 +46,26 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// The loaded graph must accept new inserts.
-	id := g2.Add(data[0])
-	if id != len(data) {
-		t.Fatalf("insert after load returned id %d, want %d", id, len(data))
+	// A loaded graph keeps its delete repair.
+	if err := g2.Delete(6); err != nil || g2.Len() != g.Len()-1 {
+		t.Fatalf("delete after load: %v, Len %d", err, g2.Len())
 	}
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not an index")), nil); err == nil {
+	if _, err := Load(bytes.NewReader([]byte("not an index")), 4, 0, nil); err == nil {
 		t.Fatal("expected error for bad magic")
 	}
 	var empty bytes.Buffer
-	if _, err := Load(&empty, nil); err == nil {
+	if _, err := Load(&empty, 4, 0, nil); err == nil {
 		t.Fatal("expected error for empty stream")
+	}
+	// A graph is refused by a caller expecting another shape.
+	raw := saveBytes(t, buildGraph(t, clusteredData(24, 50, 6, 2), Config{Dim: 6, Seed: 24}))
+	for _, shape := range [][2]int{{6, 49}, {6, 51}, {5, 50}, {7, 50}} {
+		if _, err := Load(bytes.NewReader(raw), shape[0], shape[1], nil); err == nil {
+			t.Fatalf("a graph of 50 6-dim nodes loaded as %d of dimension %d", shape[1], shape[0])
+		}
 	}
 }
 
@@ -69,14 +77,14 @@ func TestLoadRejectsTruncated(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	for _, cut := range []int{10, len(raw) / 2, len(raw) - 3} {
-		if _, err := Load(bytes.NewReader(raw[:cut]), nil); err == nil {
+		if _, err := Load(bytes.NewReader(raw[:cut]), 6, 100, nil); err == nil {
 			t.Fatalf("expected error for stream truncated at %d", cut)
 		}
 	}
 }
 
 func TestSaveLoadEmptyGraph(t *testing.T) {
-	g, err := New(Config{Dim: 4, Seed: 23})
+	g, err := Build(nil, Config{Dim: 4, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +92,7 @@ func TestSaveLoadEmptyGraph(t *testing.T) {
 	if err := g.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := Load(&buf, nil)
+	g2, err := Load(&buf, 4, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,5 +101,45 @@ func TestSaveLoadEmptyGraph(t *testing.T) {
 	}
 	if res := g2.Search(make([]float64, 4), 1, 10); len(res) != 0 {
 		t.Fatal("empty loaded graph returned results")
+	}
+}
+
+// stallWriter blocks every Write until release is closed, signalling the
+// first one on started.
+type stallWriter struct {
+	started, release chan struct{}
+	once             sync.Once
+}
+
+func (w *stallWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.started) })
+	<-w.release
+	return len(p), nil
+}
+
+// TestSaveDoesNotBlockSearches: a fold checkpoints the graph it has just
+// published, so a Save stuck on a slow disk must not stall the searches
+// served from that graph.
+func TestSaveDoesNotBlockSearches(t *testing.T) {
+	data := clusteredData(25, 300, 8, 3)
+	g := buildGraph(t, data, Config{Dim: 8, Seed: 25})
+	w := &stallWriter{started: make(chan struct{}), release: make(chan struct{})}
+	saved := make(chan error, 1)
+	go func() { saved <- g.Save(w) }()
+	<-w.started
+	searched := make(chan int, 1)
+	go func() { searched <- len(g.SearchInto(nil, data[7], 5, 20)) }()
+	select {
+	case got := <-searched:
+		if got != 5 {
+			t.Errorf("search beside a stalled Save returned %d results", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("search blocked behind a Save stalled on its writer")
+		defer func() { <-searched }()
+	}
+	close(w.release)
+	if err := <-saved; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,7 +2,6 @@ package index
 
 import (
 	"bytes"
-	"errors"
 	"slices"
 	"sort"
 	"testing"
@@ -14,8 +13,7 @@ import (
 
 // The conformance suite runs every registered backend through the same
 // contract: build, search-recall sanity, byte-exact save/load round-trip,
-// and capability-gated insert/delete behavior. A new backend only has to
-// register itself to be covered.
+// and delete. A new backend only has to register itself to be covered.
 
 func clustered(seed uint64, n, dim, clusters int) [][]float64 {
 	r := rng.NewSeeded(seed)
@@ -81,7 +79,7 @@ func recallOf(got, want []int) float64 {
 }
 
 func searchIDs(ix SecureIndex, q []float64, k, ef int) []int {
-	items := ix.Search(q, k, ef)
+	items := ix.SearchInto(nil, q, k, ef)
 	ids := make([]int, len(items))
 	for i, it := range items {
 		ids[i] = it.ID
@@ -118,10 +116,6 @@ func TestConformance(t *testing.T) {
 			if got := ix.Dim(); got != dim {
 				t.Fatalf("Dim = %d, want %d", got, dim)
 			}
-			caps := ix.Caps()
-			if caps.Name != name {
-				t.Fatalf("Caps().Name = %q, want %q", caps.Name, name)
-			}
 
 			// The beam width can arrive from the wire. On a fresh index —
 			// no pooled search context yet — an absurd ef must cost memory
@@ -144,18 +138,14 @@ func TestConformance(t *testing.T) {
 				t.Fatalf("recall@%d = %.3f, want ≥ %.2f", k, recall, floor)
 			}
 
-			// SearchInto must agree with Search and reuse dst capacity.
+			// SearchInto into a recycled dst must agree with a fresh one and
+			// reuse dst's capacity.
 			var dst []resultheap.Item
 			for qi, q := range queries {
-				want := ix.Search(q, k, ef)
+				want := ix.SearchInto(nil, q, k, ef)
 				dst = ix.SearchInto(dst, q, k, ef)
-				if len(dst) != len(want) {
-					t.Fatalf("query %d: SearchInto returned %d items, Search %d", qi, len(dst), len(want))
-				}
-				for i := range dst {
-					if dst[i].ID != want[i].ID {
-						t.Fatalf("query %d rank %d: SearchInto id %d, Search id %d", qi, i, dst[i].ID, want[i].ID)
-					}
+				if !slices.Equal(dst, want) {
+					t.Fatalf("query %d: SearchInto into a recycled dst %v, into nil %v", qi, dst, want)
 				}
 			}
 			before := cap(dst)
@@ -180,7 +170,7 @@ func TestConformance(t *testing.T) {
 				t.Fatal("Vector(-1) reported present")
 			}
 			if _, ok := ix.Vector(n); ok {
-				t.Fatal("Vector(n) reported present before any insert")
+				t.Fatal("Vector(n) reported present")
 			}
 
 			// Save/load round-trip must reproduce results exactly.
@@ -188,13 +178,18 @@ func TestConformance(t *testing.T) {
 			if err := ix.Save(&buf); err != nil {
 				t.Fatal(err)
 			}
-			ix2, err := Load(name, bytes.NewReader(buf.Bytes()))
+			ix2, err := Load(name, bytes.NewReader(buf.Bytes()), dim, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ix2.Len() != ix.Len() || ix2.Dim() != ix.Dim() || ix2.Caps() != caps {
-				t.Fatalf("round-trip changed shape: %d/%d/%+v vs %d/%d/%+v",
-					ix2.Len(), ix2.Dim(), ix2.Caps(), ix.Len(), ix.Dim(), caps)
+			if ix2.Len() != ix.Len() || ix2.Dim() != ix.Dim() {
+				t.Fatalf("round-trip changed shape: %d/%d vs %d/%d", ix2.Len(), ix2.Dim(), ix.Len(), ix.Dim())
+			}
+			// The payload is refused by a database of another shape.
+			for _, shape := range [][2]int{{dim, n - 1}, {dim, n + 1}, {dim + 1, n}} {
+				if _, err := Load(name, bytes.NewReader(buf.Bytes()), shape[0], shape[1]); err == nil {
+					t.Fatalf("a payload of %d %d-dim vectors loaded as %d of dimension %d", n, dim, shape[1], shape[0])
+				}
 			}
 			for qi, q := range queries {
 				a, b := searchIDs(ix, q, k, ef), searchIDs(ix2, q, k, ef)
@@ -208,61 +203,45 @@ func TestConformance(t *testing.T) {
 				}
 			}
 
-			// Capability-gated insert.
+			// Vectors join through Rebuild: over the corpus plus one, the
+			// newcomer is found at the next position, and the receiver is
+			// left as it was.
 			novel := vec.Scale(nil, 40, vec.Ones(dim)) // far from every cluster
-			if caps.DynamicInsert {
-				id, err := ix.Add(novel)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if id != n {
-					t.Fatalf("Add id = %d, want %d", id, n)
-				}
-				got := searchIDs(ix, novel, 1, ef)
-				if len(got) != 1 || got[0] != id {
-					t.Fatalf("inserted vector not found: got %v", got)
-				}
-				if ix.Len() != n+1 {
-					t.Fatalf("Len after insert = %d, want %d", ix.Len(), n+1)
-				}
-			} else {
-				if _, err := ix.Add(novel); !errors.Is(err, ErrNotSupported) {
-					t.Fatalf("Add on non-dynamic backend: err = %v, want ErrNotSupported", err)
-				}
-				if ix.Len() != n {
-					t.Fatalf("failed Add changed Len to %d", ix.Len())
-				}
+			grown, err := ix.Rebuild(append(slices.Clone(data), novel))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := searchIDs(grown, novel, 1, ef); grown.Len() != n+1 || len(got) != 1 || got[0] != n {
+				t.Fatalf("rebuilt index of %d holds the new vector at %v, want [%d]", grown.Len(), got, n)
+			}
+			if ix.Len() != n {
+				t.Fatalf("Rebuild changed its receiver's Len to %d", ix.Len())
 			}
 
-			// Capability-gated delete.
-			if caps.DynamicDelete {
-				q := data[5]
-				top := searchIDs(ix, q, 1, ef)
-				if len(top) != 1 {
-					t.Fatal("no result before delete")
+			// Delete.
+			q := data[5]
+			top := searchIDs(ix, q, 1, ef)
+			if len(top) != 1 {
+				t.Fatal("no result before delete")
+			}
+			if err := ix.Delete(top[0]); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range []int{top[0], -1, n} {
+				if err := ix.Delete(id); err == nil {
+					t.Fatalf("Delete(%d) did not error", id)
 				}
-				lenBefore := ix.Len()
-				if err := ix.Delete(top[0]); err != nil {
-					t.Fatal(err)
+			}
+			if ix.Len() != n-1 {
+				t.Fatalf("Len after delete = %d, want %d", ix.Len(), n-1)
+			}
+			for _, id := range searchIDs(ix, q, k, ef) {
+				if id == top[0] {
+					t.Fatal("deleted id still returned")
 				}
-				if err := ix.Delete(top[0]); err == nil {
-					t.Fatal("double delete did not error")
-				}
-				if ix.Len() != lenBefore-1 {
-					t.Fatalf("Len after delete = %d, want %d", ix.Len(), lenBefore-1)
-				}
-				for _, id := range searchIDs(ix, q, k, ef) {
-					if id == top[0] {
-						t.Fatal("deleted id still returned")
-					}
-				}
-				if _, ok := ix.Vector(top[0]); !ok {
-					t.Fatal("Vector of tombstoned id reported missing")
-				}
-			} else {
-				if err := ix.Delete(0); !errors.Is(err, ErrNotSupported) {
-					t.Fatalf("Delete on non-dynamic backend: err = %v, want ErrNotSupported", err)
-				}
+			}
+			if _, ok := ix.Vector(top[0]); !ok {
+				t.Fatal("Vector of tombstoned id reported missing")
 			}
 		})
 	}
@@ -286,20 +265,15 @@ func (s posScanner) DistBlock(dst []float64, ids []int32) {
 // TestHNSWPositionsAreGraphIDs: the hnsw adapter translates nothing. The ids
 // SearchInto and SearchIntoDist return are the graph's own and are positions
 // in the corpus, and the ids the graph hands a scanner are positions too —
-// through a build, Adds, a Delete and a save/load. That is what lets the
-// adapter carry no id map and the loader insist the payload's is the identity.
+// through a build, a Delete and a save/load. That is what lets the adapter
+// carry no id map and the loader insist the payload's is the identity.
 func TestHNSWPositionsAreGraphIDs(t *testing.T) {
-	const n, dim, k, ef = 600, 10, 10, 80
-	all := clustered(95, n+20, dim, 5)
+	const n, dim, k, ef = 620, 10, 10, 80
+	all := clustered(95, n, dim, 5)
 	queries := makeQueries(96, all, 20, 0.3)
-	ix, err := Build("hnsw", all[:n], Options{Dim: dim, Seed: 11})
+	ix, err := Build("hnsw", all, Options{Dim: dim, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for i, v := range all[n:] {
-		if id, err := ix.Add(v); err != nil || id != n+i {
-			t.Fatalf("Add %d: id %d, %v", i, id, err)
-		}
 	}
 	if err := ix.Delete(17); err != nil {
 		t.Fatal(err)
@@ -308,7 +282,7 @@ func TestHNSWPositionsAreGraphIDs(t *testing.T) {
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load("hnsw", &buf)
+	loaded, err := Load("hnsw", &buf, dim, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,20 +330,18 @@ func TestRegistry(t *testing.T) {
 	if _, err := Build("hnsw", nil, Options{}); err == nil {
 		t.Fatal("expected Build error for missing dimension")
 	}
-	if _, err := Load("no-such-backend", bytes.NewReader(nil)); err == nil {
+	if _, err := Load("no-such-backend", bytes.NewReader(nil), 4, 0); err == nil {
 		t.Fatal("expected Load error for unknown backend")
 	}
 }
 
-// TestConformanceFrozenViewStability covers the frozen/flattened search
-// views on every registered backend: repeated searches (the first of which
-// builds the lazy view), searches on a fresh clone (which freezes
-// independently), and searches after a mutation (which invalidates and
-// rebuilds the view) must all return the exact same ids in the exact same
-// order for the same database state. The per-package suites additionally
-// compare each view walk against its locked/scalar reference path
-// bit-for-bit; the LSH adapter's reference lives in this package, so its
-// toggle is exercised here.
+// TestConformanceFrozenViewStability covers the packed search
+// representations on every registered backend: repeated searches (the first
+// of which may build a lazy view) must return the exact same ids in the
+// exact same order, and a Delete (which drops a lazy view) must show in the
+// next search. hnsw's suite additionally compares its CSR walk against the
+// live-adjacency walk bit-for-bit; the LSH adapter's scalar reference lives
+// in this package, so its toggle is exercised here.
 func TestConformanceFrozenViewStability(t *testing.T) {
 	data := clustered(91, 900, 12, 6)
 	queries := makeQueries(92, data, 24, 0.3)
@@ -398,29 +370,16 @@ func TestConformanceFrozenViewStability(t *testing.T) {
 					}
 				}
 			}
-			// A clone freezes its own view; same state, same exact results.
-			cl := ix.Clone()
-			for i, q := range queries {
-				dst = cl.SearchInto(dst[:0], q, 10, 60)
-				for j := range dst {
-					if dst[j] != first[i][j] {
-						t.Fatalf("query %d pos %d: clone view diverges", i, j)
-					}
-				}
+			// A Delete must show in every later search.
+			victim := first[0][0].ID
+			if err := ix.Delete(victim); err != nil {
+				t.Fatal(err)
 			}
-			// Mutation invalidates: results must reflect the new state on
-			// both the mutated index and an unfrozen rebuild of it.
-			if ix.Caps().DynamicDelete {
-				victim := first[0][0].ID
-				if err := ix.Delete(victim); err != nil {
-					t.Fatal(err)
-				}
-				for i, q := range queries {
-					dst = ix.SearchInto(dst[:0], q, 10, 60)
-					for _, it := range dst {
-						if it.ID == victim {
-							t.Fatalf("query %d: deleted id %d served from stale view", i, victim)
-						}
+			for i, q := range queries {
+				dst = ix.SearchInto(dst[:0], q, 10, 60)
+				for _, it := range dst {
+					if it.ID == victim {
+						t.Fatalf("query %d: deleted id %d served from stale view", i, victim)
 					}
 				}
 			}
@@ -443,9 +402,9 @@ func TestLSHBlockedScanMatchesScalar(t *testing.T) {
 	}
 	for qi, q := range queries {
 		a.noFlat = true
-		scalar := a.Search(q, 10, 60)
+		scalar := a.SearchInto(nil, q, 10, 60)
 		a.noFlat = false
-		blocked := a.Search(q, 10, 60)
+		blocked := a.SearchInto(nil, q, 10, 60)
 		if len(blocked) != len(scalar) {
 			t.Fatalf("query %d: blocked %d items, scalar %d", qi, len(blocked), len(scalar))
 		}

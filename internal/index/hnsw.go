@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"ppanns/internal/hnsw"
 	"ppanns/internal/resultheap"
@@ -17,8 +16,8 @@ func init() {
 }
 
 // hnswIndex adapts hnsw.Graph to SecureIndex. The bulk build gives vector i
-// graph id i and Add continues the sequence, so positions — the external
-// ids that index the ciphertext arrays — are graph ids.
+// graph id i, so positions — the external ids that index the ciphertext
+// arrays — are graph ids.
 type hnswIndex struct {
 	g *hnsw.Graph
 }
@@ -34,12 +33,6 @@ func buildHNSW(vectors [][]float64, opts Options) (SecureIndex, error) {
 		return nil, err
 	}
 	return &hnswIndex{g: g}, nil
-}
-
-func (ix *hnswIndex) Add(v []float64) (int, error) { return ix.g.Add(v), nil }
-
-func (ix *hnswIndex) Search(q []float64, k, ef int) []resultheap.Item {
-	return ix.g.SearchInto(nil, q, k, ef)
 }
 
 func (ix *hnswIndex) SearchInto(dst []resultheap.Item, q []float64, k, ef int) []resultheap.Item {
@@ -62,8 +55,6 @@ func (ix *hnswIndex) Vector(pos int) ([]float64, bool) {
 	return ix.g.Vector(pos), true
 }
 
-func (ix *hnswIndex) Clone() SecureIndex { return &hnswIndex{g: ix.g.Clone()} }
-
 // Rebuild reconstructs a fresh graph over vectors with the receiver's
 // build parameters, through the same bulk build as the registry Build.
 func (ix *hnswIndex) Rebuild(vectors [][]float64) (SecureIndex, error) {
@@ -74,10 +65,6 @@ func (ix *hnswIndex) Rebuild(vectors [][]float64) (SecureIndex, error) {
 		M:              cfg.M,
 		EfConstruction: cfg.EfConstruction,
 	})
-}
-
-func (ix *hnswIndex) Caps() Caps {
-	return Caps{Name: "hnsw", DynamicInsert: true, DynamicDelete: true}
 }
 
 const hnswPayloadMagic = "IDXHNSW1"
@@ -108,7 +95,7 @@ func (ix *hnswIndex) Save(w io.Writer) error {
 	return ix.g.Save(w)
 }
 
-func loadHNSW(r io.Reader) (SecureIndex, error) {
+func loadHNSW(r io.Reader, dim, n int) (SecureIndex, error) {
 	// Sized like hnsw.Load's own reader, which therefore adopts this one
 	// instead of stacking a second buffer over bytes already consumed.
 	br := bufio.NewReaderSize(r, 1<<20)
@@ -119,28 +106,25 @@ func loadHNSW(r io.Reader) (SecureIndex, error) {
 	if string(magic) != hnswPayloadMagic {
 		return nil, fmt.Errorf("index: bad hnsw payload magic %q", magic)
 	}
-	var n int64
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
+	var size int64
+	if err := binary.Read(br, binary.LittleEndian, &size); err != nil {
 		return nil, fmt.Errorf("index: reading hnsw mapping size: %w", err)
 	}
-	if n < 0 || n > math.MaxInt32 {
-		return nil, fmt.Errorf("index: implausible hnsw mapping size %d", n)
+	if size != int64(n) {
+		return nil, fmt.Errorf("index: hnsw mapping of %d positions, want %d", size, n)
 	}
 	var b [4]byte
-	for pos := int64(0); pos < n; pos++ {
+	for pos := 0; pos < n; pos++ {
 		if _, err := io.ReadFull(br, b[:]); err != nil {
 			return nil, fmt.Errorf("index: reading hnsw mapping: %w", err)
 		}
-		if gid := int32(binary.LittleEndian.Uint32(b[:])); int64(gid) != pos {
+		if gid := int32(binary.LittleEndian.Uint32(b[:])); int(gid) != pos {
 			return nil, fmt.Errorf("index: hnsw payload maps position %d to graph id %d: %w", pos, gid, ErrOldFormat)
 		}
 	}
-	g, err := hnsw.Load(br, nil)
+	g, err := hnsw.Load(br, dim, n, nil)
 	if err != nil {
 		return nil, err
-	}
-	if int64(g.IDs()) != n {
-		return nil, fmt.Errorf("index: hnsw graph has %d nodes, mapping %d", g.IDs(), n)
 	}
 	return &hnswIndex{g: g}, nil
 }

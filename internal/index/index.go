@@ -1,22 +1,23 @@
 // Package index defines the pluggable secure filter-index abstraction of
 // the PP-ANNS scheme. Section V-A of the paper notes the privacy-preserving
 // index is not married to HNSW: any proximity structure built over the
-// DCPE/SAP ciphertexts can serve the filter phase, trading recall, build
-// cost, and update support differently. This package turns that observation
-// into an interface plus a name-keyed registry so `core` (and everything
-// above it — serialization, transport, CLI, benchmarks) selects a backend
-// by name instead of hard-wiring a concrete graph type.
+// DCPE/SAP ciphertexts can serve the filter phase, trading recall and build
+// cost differently. This package turns that observation into an interface
+// plus a name-keyed registry so `core` (and everything above it —
+// serialization, transport, CLI, benchmarks) selects a backend by name
+// instead of hard-wiring a concrete graph type.
 //
 // Four backends register themselves in this package:
 //
-//	hnsw — hierarchical proximity graph; fully dynamic (default)
-//	nsg  — navigating spreading-out graph; batch-built, delete-only
-//	ivf  — IVF-Flat inverted file; dynamic
-//	lsh  — E2LSH multi-probe hashing; dynamic
+//	hnsw — hierarchical proximity graph (default)
+//	nsg  — navigating spreading-out graph
+//	ivf  — IVF-Flat inverted file
+//	lsh  — E2LSH multi-probe hashing
 //
-// External ids are vector positions: every backend assigns ids 0..n-1 in
-// build order and sequentially from Len() on Add, so callers can index
-// parallel ciphertext arrays directly with the ids a Search returns.
+// All four follow one lifecycle (see SecureIndex): batch-built, then
+// delete-only. External ids are vector positions: every backend assigns ids
+// 0..n-1 in build order, so callers can index parallel ciphertext arrays
+// directly with the ids a search returns.
 package index
 
 import (
@@ -28,58 +29,32 @@ import (
 	"ppanns/internal/vec"
 )
 
-// ErrNotSupported is wrapped by backends rejecting an operation their
-// structure cannot perform (e.g. inserting into a batch-built NSG).
-var ErrNotSupported = errors.New("index: operation not supported by backend")
-
 // ErrOldFormat is wrapped by every refusal of bytes an earlier format
 // generation wrote: database files before PPANNSD5 (core) and hnsw payloads
 // whose id map is not the identity (arrival-order parallel builds). There
 // is one reader per format.
 var ErrOldFormat = errors.New("written by an earlier format generation: re-encrypt, or load and re-save with a build at or before PR 23")
 
-// Caps reports what a backend can do beyond build-and-search, so callers
-// can gate updates instead of discovering failures at mutation time.
-type Caps struct {
-	// Name is the registry name of the backend.
-	Name string
-	// DynamicInsert reports whether Add works after the initial build.
-	DynamicInsert bool
-	// DynamicDelete reports whether Delete (tombstoning) works.
-	DynamicDelete bool
-}
-
 // SecureIndex is the filter-phase index over SAP ciphertexts. Ids are
-// vector positions (0..n-1 in build order, then sequential per Add).
+// vector positions, 0..n-1 in build order.
 //
-// # Concurrent-read contract
+// # Lifecycle
 //
-// Every backend must satisfy (and the conformance suite verifies) two
-// concurrency guarantees the snapshot-publication serving tier builds on:
+// An index is built (Build, Rebuild) or loaded (Load), may have ids
+// tombstoned with Delete before it is published, and is then only read.
+// core.Server never mutates a published index: its writers append to the
+// delta tier beside it, and a fold Rebuilds a private index over both
+// tiers, Deletes the dead ids and publishes the result atomically (see
+// core's snapshot documentation).
 //
-//  1. Search/SearchInto may run concurrently with any number of other
-//     searches on the same instance, with no external locking.
-//  2. Clone returns a copy sharing no mutable state with the receiver:
-//     mutating either side (Add, Delete) never changes what the other
-//     side's searches observe.
-//
-// Mutations themselves are not required to be safe against concurrent
-// searches on the same instance — core.Server never mutates a published
-// index: its writers append to the delta tier beside it, and a fold builds
-// the next one with Rebuild on a private value it publishes atomically
-// (see core's snapshot documentation).
+// Searches may run concurrently with any number of other searches on the
+// same instance, with no external locking (the conformance suite verifies
+// it), and beside a Save of it.
 type SecureIndex interface {
-	// Add inserts a vector and returns its id, which is always the value
-	// Len-including-tombstones had before the call. Backends without
-	// dynamic insert return an error wrapping ErrNotSupported.
-	Add(v []float64) (int, error)
-	// Search returns up to k live ids approximately closest to q,
-	// closest first. ef is an advisory search-effort knob (beam width for
-	// graphs; probe budget for partition- and hash-based backends).
-	Search(q []float64, k, ef int) []resultheap.Item
-	// SearchInto is Search appending into dst (reusing its capacity), so
-	// steady-state callers avoid per-query result allocation. Backends
-	// without a pooled internal search path may still allocate scratch.
+	// SearchInto appends up to k live ids approximately closest to q,
+	// closest first, to dst[:0], reusing its capacity. ef is an advisory
+	// search-effort knob (beam width for graphs; probe budget for
+	// partition- and hash-based backends).
 	SearchInto(dst []resultheap.Item, q []float64, k, ef int) []resultheap.Item
 	// SearchIntoDist is SearchInto with every candidate distance supplied
 	// by sc instead of computed from the stored vectors — the compressed
@@ -88,42 +63,29 @@ type SecureIndex interface {
 	// topology) still uses q exactly; every candidate the backend ranks is
 	// scored through sc. Ids passed to sc are external ids (vector
 	// positions), including tombstoned ones traversal routes through, so
-	// the scanner's code arena must cover every position ever assigned.
+	// the scanner's code arena must cover every position.
 	SearchIntoDist(dst []resultheap.Item, q []float64, k, ef int, sc vec.BlockScanner) []resultheap.Item
-	// Delete tombstones an id. Backends without dynamic delete return an
-	// error wrapping ErrNotSupported.
+	// Delete tombstones an id: searches may route through it but never
+	// return it. Unknown and already-deleted ids are errors.
 	Delete(id int) error
-	// Clone returns an independent copy of the index. Mutations on the
-	// clone are invisible to the original (and vice versa), and cloning is
-	// pure copying — no distance computations, no rebuild. Immutable state
-	// (trained quantizers, hash projections) may be shared. Nothing in the
-	// serving tier calls it today — core.Server stopped cloning when writes
-	// moved to the delta tier — only the conformance suite does; it stays
-	// in the contract because a fold that thaws and extends the published
-	// index instead of rebuilding it needs exactly this private copy.
-	Clone() SecureIndex
 	// Rebuild constructs a fresh index of the same backend over vectors,
 	// using the receiver's build configuration (graph parameters, trained
 	// quantizers, hash projections, seed). Ids are assigned 0..len-1 in
 	// vectors order, all live; the receiver is not modified. This is the
-	// compaction primitive: it restores full structure quality (graph
-	// connectivity, list balance) that incremental mutation erodes, and it
-	// works on every backend — including batch-built ones that reject Add.
+	// fold primitive: it restores full structure quality (graph
+	// connectivity, list balance) that tombstones erode.
 	Rebuild(vectors [][]float64) (SecureIndex, error)
 	// Vector returns the stored (SAP-ciphertext) vector of an id, valid
 	// for tombstoned ids too — backends retain tombstone rows, and
 	// partition rebuilds (core.EncryptedDatabase.Split) need every
 	// position's vector to keep local ids dense. The second result is
 	// false only for ids the backend never assigned. Callers must treat
-	// the returned slice as read-only and copy it before retaining it
-	// across mutations.
+	// the returned slice as read-only.
 	Vector(id int) ([]float64, bool)
 	// Len returns the number of live (non-deleted) vectors.
 	Len() int
 	// Dim returns the vector dimension.
 	Dim() int
-	// Caps reports the backend's update capabilities.
-	Caps() Caps
 	// Save writes the index (including search-time options) so the
 	// registered loader round-trips it byte-exactly into an equivalent
 	// index.

@@ -15,8 +15,8 @@ func init() {
 	Register(Backend{Name: "ivf", Build: buildIVF, Load: loadIVF})
 }
 
-// ivfIndex adapts ivf.Index to SecureIndex. IVF assigns ids in build/insert
-// order, which already matches vector positions, so no mapping is needed.
+// ivfIndex adapts ivf.Index to SecureIndex. IVF assigns ids in build order,
+// which already matches vector positions, so no mapping is needed.
 type ivfIndex struct {
 	ix *ivf.Index
 	// nprobe fixes the probed-list count; 0 derives it from the search's
@@ -36,8 +36,6 @@ func buildIVF(vectors [][]float64, opts Options) (SecureIndex, error) {
 	return &ivfIndex{ix: ix, nprobe: opts.NProbe}, nil
 }
 
-func (a *ivfIndex) Add(v []float64) (int, error) { return a.ix.Add(v), nil }
-
 // probesFor maps the advisory ef budget onto a probed-list count: one list
 // per 8 beam slots, never fewer than 4 nor more than nlist.
 func (a *ivfIndex) probesFor(ef int) int {
@@ -52,10 +50,6 @@ func (a *ivfIndex) probesFor(ef int) int {
 		np = a.ix.Lists()
 	}
 	return np
-}
-
-func (a *ivfIndex) Search(q []float64, k, ef int) []resultheap.Item {
-	return a.ix.Search(q, k, a.probesFor(ef))
 }
 
 func (a *ivfIndex) SearchInto(dst []resultheap.Item, q []float64, k, ef int) []resultheap.Item {
@@ -75,8 +69,6 @@ func (a *ivfIndex) Vector(id int) ([]float64, bool) {
 	return v, v != nil
 }
 
-func (a *ivfIndex) Clone() SecureIndex { return &ivfIndex{ix: a.ix.Clone(), nprobe: a.nprobe} }
-
 // Rebuild repopulates a fresh index sharing the receiver's trained
 // quantizer: assignments are recomputed per vector, but k-means training —
 // the expensive part of a cold build — is not repeated. List balance is
@@ -87,10 +79,6 @@ func (a *ivfIndex) Rebuild(vectors [][]float64) (SecureIndex, error) {
 
 // Trained reports the k-means work the build spent on the quantizer.
 func (a *ivfIndex) Trained() kmeans.Stats { return a.ix.Trained() }
-
-func (a *ivfIndex) Caps() Caps {
-	return Caps{Name: "ivf", DynamicInsert: true, DynamicDelete: true}
-}
 
 const ivfPayloadMagic = "IDXIVF01"
 
@@ -104,7 +92,7 @@ func (a *ivfIndex) Save(w io.Writer) error {
 	return a.ix.Save(w)
 }
 
-func loadIVF(r io.Reader) (SecureIndex, error) {
+func loadIVF(r io.Reader, dim, n int) (SecureIndex, error) {
 	magic := make([]byte, len(ivfPayloadMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("index: reading ivf payload magic: %w", err)
@@ -116,7 +104,7 @@ func loadIVF(r io.Reader) (SecureIndex, error) {
 	if err := binary.Read(r, binary.LittleEndian, &nprobe); err != nil {
 		return nil, err
 	}
-	ix, err := ivf.Load(r)
+	ix, err := ivf.Load(r, dim, n)
 	if err != nil {
 		return nil, err
 	}

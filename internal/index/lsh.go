@@ -26,6 +26,14 @@ const (
 	lshDefaultHashes = 8
 )
 
+// lshMaxTables and lshMaxHashes bound the hash layout a build accepts, so a
+// payload header cannot size the projections (Tables·Hashes·Dim floats):
+// the loader refuses any layout no build would have written.
+const (
+	lshMaxTables = 256
+	lshMaxHashes = 64
+)
+
 // lshIndex adapts lsh.Index to SecureIndex. The hash tables only store
 // ids, so the adapter keeps the vectors itself to rank the candidate union
 // by distance — the same filter-then-rank shape the RS-SANN and PRI-ANN
@@ -41,9 +49,11 @@ type lshIndex struct {
 	// tests compare it against the blocked path).
 	noFlat bool
 
+	ix   *lsh.Index
+	data *vec.Dataset
+
+	// mu guards the tombstones.
 	mu      sync.RWMutex
-	ix      *lsh.Index
-	data    *vec.Dataset
 	deleted []bool
 	live    int
 
@@ -104,34 +114,42 @@ func buildLSH(vectors [][]float64, opts Options) (SecureIndex, error) {
 	if cfg.W <= 0 {
 		cfg.W = calibrateW(vectors, opts.Seed)
 	}
+	if cfg.Tables > lshMaxTables || cfg.Hashes > lshMaxHashes {
+		return nil, fmt.Errorf("index: lsh layout of %d tables × %d hashes exceeds %d × %d", cfg.Tables, cfg.Hashes, lshMaxTables, lshMaxHashes)
+	}
+	return buildLSHOver(cfg, opts.Probes, vectors)
+}
+
+// buildLSHOver indexes vectors, all live, as ids 0..len-1: the populate
+// step Build and Rebuild share.
+func buildLSHOver(cfg lsh.Config, probes int, vectors [][]float64) (SecureIndex, error) {
+	data := vec.NewDataset(cfg.Dim, len(vectors))
+	for _, v := range vectors {
+		data.Append(v)
+	}
+	a, err := newLSHIndex(cfg, probes, data, make([]bool, len(vectors)))
+	if err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// newLSHIndex hashes every live row of data into fresh tables. The tables
+// only store ids, so a save need not carry them: the seed reproduces the
+// projections.
+func newLSHIndex(cfg lsh.Config, probes int, data *vec.Dataset, deleted []bool) (*lshIndex, error) {
 	ix, err := lsh.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	a := &lshIndex{
-		cfg:     cfg,
-		probes:  opts.Probes,
-		ix:      ix,
-		data:    vec.NewDataset(opts.Dim, len(vectors)),
-		deleted: make([]bool, 0, len(vectors)),
+	a := &lshIndex{cfg: cfg, probes: probes, ix: ix, data: data, deleted: deleted}
+	for id, del := range deleted {
+		if !del {
+			ix.Insert(id, data.At(id))
+			a.live++
+		}
 	}
-	for _, v := range vectors {
-		id := a.data.Append(v)
-		a.deleted = append(a.deleted, false)
-		ix.Insert(id, v)
-	}
-	a.live = len(vectors)
 	return a, nil
-}
-
-func (a *lshIndex) Add(v []float64) (int, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	id := a.data.Append(v)
-	a.deleted = append(a.deleted, false)
-	a.live++
-	a.ix.Insert(id, v)
-	return id, nil
 }
 
 // probesFor maps the advisory ef budget onto a per-table probe count: one
@@ -149,10 +167,6 @@ func (a *lshIndex) probesFor(ef int) int {
 		p = 2 * a.cfg.Hashes
 	}
 	return p
-}
-
-func (a *lshIndex) Search(q []float64, k, ef int) []resultheap.Item {
-	return a.SearchInto(nil, q, k, ef)
 }
 
 func (a *lshIndex) SearchInto(dst []resultheap.Item, q []float64, k, ef int) []resultheap.Item {
@@ -234,62 +248,24 @@ func (a *lshIndex) Len() int {
 func (a *lshIndex) Dim() int { return a.cfg.Dim }
 
 func (a *lshIndex) Vector(id int) ([]float64, bool) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if id < 0 || id >= len(a.deleted) {
+	if id < 0 || id >= a.data.Len() {
 		return nil, false
 	}
 	return a.data.At(id), true
-}
-
-func (a *lshIndex) Clone() SecureIndex {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return &lshIndex{
-		cfg:     a.cfg,
-		probes:  a.probes,
-		ix:      a.ix.Clone(),
-		data:    a.data.Clone(),
-		deleted: append([]bool(nil), a.deleted...),
-		live:    a.live,
-	}
 }
 
 // Rebuild constructs a fresh table set over vectors with the receiver's
 // configuration. The calibrated quantization width W is retained rather
 // than re-estimated, so the rebuilt tables hash exactly like the original's.
 func (a *lshIndex) Rebuild(vectors [][]float64) (SecureIndex, error) {
-	ix, err := lsh.New(a.cfg)
-	if err != nil {
-		return nil, err
-	}
-	nb := &lshIndex{
-		cfg:     a.cfg,
-		probes:  a.probes,
-		noFlat:  a.noFlat,
-		ix:      ix,
-		data:    vec.NewDataset(a.cfg.Dim, len(vectors)),
-		deleted: make([]bool, 0, len(vectors)),
-	}
-	for _, v := range vectors {
-		id := nb.data.Append(v)
-		nb.deleted = append(nb.deleted, false)
-		ix.Insert(id, v)
-	}
-	nb.live = len(vectors)
-	return nb, nil
-}
-
-func (a *lshIndex) Caps() Caps {
-	return Caps{Name: "lsh", DynamicInsert: true, DynamicDelete: true}
+	return buildLSHOver(a.cfg, a.probes, vectors)
 }
 
 const lshPayloadMagic = "IDXLSH01"
 
 // Save persists the configuration, vectors and tombstones. The hash tables
-// themselves are not written: reconstruction from the same seed reproduces
-// identical projections, so Load rebuilds an equivalent index by
-// re-inserting the live vectors.
+// themselves are not written: Load rebuilds an equivalent index by
+// re-inserting the live vectors under the same seed's projections.
 func (a *lshIndex) Save(w io.Writer) error {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
@@ -325,7 +301,7 @@ func (a *lshIndex) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-func loadLSH(r io.Reader) (SecureIndex, error) {
+func loadLSH(r io.Reader, dim, n int) (SecureIndex, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	magic := make([]byte, len(lshPayloadMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -344,22 +320,24 @@ func loadLSH(r io.Reader) (SecureIndex, error) {
 	if err := binary.Read(br, binary.LittleEndian, &wBits); err != nil {
 		return nil, err
 	}
+	if head[0] != int64(dim) || head[5] != int64(n) {
+		return nil, fmt.Errorf("index: lsh payload of %d vectors of dimension %d, want %d of %d", head[5], head[0], n, dim)
+	}
 	cfg := lsh.Config{
-		Dim:    int(head[0]),
+		Dim:    dim,
 		Tables: int(head[1]),
 		Hashes: int(head[2]),
 		Seed:   uint64(head[3]),
 		W:      math.Float64frombits(wBits),
 	}
-	probes, n, live := int(head[4]), int(head[5]), int(head[6])
-	if cfg.Dim <= 0 || n < 0 || live < 0 || live > n {
-		return nil, fmt.Errorf("index: implausible lsh header dim=%d n=%d live=%d", cfg.Dim, n, live)
+	if head[1] <= 0 || head[1] > lshMaxTables || head[2] <= 0 || head[2] > lshMaxHashes || !(cfg.W > 0) || math.IsInf(cfg.W, 1) {
+		return nil, fmt.Errorf("index: implausible lsh layout tables=%d hashes=%d w=%g", head[1], head[2], cfg.W)
 	}
-	raw := make([]float64, n*cfg.Dim)
+	raw := make([]float64, n*dim)
 	if err := binary.Read(br, binary.LittleEndian, raw); err != nil {
 		return nil, fmt.Errorf("index: reading lsh vectors: %w", err)
 	}
-	ds, err := vec.DatasetFromRaw(cfg.Dim, raw)
+	ds, err := vec.DatasetFromRaw(dim, raw)
 	if err != nil {
 		return nil, err
 	}
@@ -371,14 +349,12 @@ func loadLSH(r io.Reader) (SecureIndex, error) {
 		}
 		deleted[i] = b != 0
 	}
-	ix, err := lsh.New(cfg)
+	a, err := newLSHIndex(cfg, int(head[4]), ds, deleted)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		if !deleted[i] {
-			ix.Insert(i, ds.At(i))
-		}
+	if int64(a.live) != head[6] {
+		return nil, fmt.Errorf("index: lsh header counts %d live vectors, tombstones leave %d", head[6], a.live)
 	}
-	return &lshIndex{cfg: cfg, probes: probes, ix: ix, data: ds, deleted: deleted, live: live}, nil
+	return a, nil
 }

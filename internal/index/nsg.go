@@ -13,9 +13,8 @@ func init() {
 	Register(Backend{Name: "nsg", Build: buildNSG, Load: loadNSG})
 }
 
-// nsgIndex adapts nsg.Graph to SecureIndex. NSG is a batch-built index:
-// ids equal build positions, deletions tombstone, and Add is rejected —
-// the capability report lets callers gate on that instead of failing late.
+// nsgIndex adapts nsg.Graph to SecureIndex: ids equal build positions and
+// deletions tombstone.
 type nsgIndex struct {
 	g *nsg.Graph
 }
@@ -36,19 +35,11 @@ func buildNSG(vectors [][]float64, opts Options) (SecureIndex, error) {
 	return &nsgIndex{g: g}, nil
 }
 
-func (a *nsgIndex) Add(v []float64) (int, error) {
-	return 0, fmt.Errorf("%w: nsg is batch-built and cannot insert", ErrNotSupported)
-}
-
 // beam caps the advisory ef budget at the live node count. The graph sizes
 // a fresh search context by its beam, and ef can arrive from the wire; a
 // beam as wide as the graph already holds every node the walk can reach,
 // so a wider one returns the same results.
 func (a *nsgIndex) beam(ef int) int { return min(ef, a.g.Len()) }
-
-func (a *nsgIndex) Search(q []float64, k, ef int) []resultheap.Item {
-	return a.g.Search(q, k, a.beam(ef))
-}
 
 func (a *nsgIndex) SearchInto(dst []resultheap.Item, q []float64, k, ef int) []resultheap.Item {
 	return a.g.SearchInto(dst, q, k, a.beam(ef))
@@ -67,12 +58,8 @@ func (a *nsgIndex) Vector(id int) ([]float64, bool) {
 	return v, v != nil
 }
 
-func (a *nsgIndex) Clone() SecureIndex { return &nsgIndex{g: a.g.Clone()} }
-
 // Rebuild batch-builds a fresh NSG over vectors with the receiver's
-// configuration. This is how NSG — which rejects Add — supports the
-// serving tier's delta/compaction write path: inserts accumulate in the
-// delta tier and land here wholesale.
+// configuration.
 func (a *nsgIndex) Rebuild(vectors [][]float64) (SecureIndex, error) {
 	if len(vectors) == 0 {
 		return nil, fmt.Errorf("index: nsg requires a non-empty vector set")
@@ -84,10 +71,6 @@ func (a *nsgIndex) Rebuild(vectors [][]float64) (SecureIndex, error) {
 	return &nsgIndex{g: g}, nil
 }
 
-func (a *nsgIndex) Caps() Caps {
-	return Caps{Name: "nsg", DynamicInsert: false, DynamicDelete: true}
-}
-
 const nsgPayloadMagic = "IDXNSG01"
 
 func (a *nsgIndex) Save(w io.Writer) error {
@@ -97,7 +80,7 @@ func (a *nsgIndex) Save(w io.Writer) error {
 	return a.g.Save(w)
 }
 
-func loadNSG(r io.Reader) (SecureIndex, error) {
+func loadNSG(r io.Reader, dim, n int) (SecureIndex, error) {
 	magic := make([]byte, len(nsgPayloadMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("index: reading nsg payload magic: %w", err)
@@ -105,7 +88,7 @@ func loadNSG(r io.Reader) (SecureIndex, error) {
 	if string(magic) != nsgPayloadMagic {
 		return nil, fmt.Errorf("index: bad nsg payload magic %q", magic)
 	}
-	g, err := nsg.Load(r)
+	g, err := nsg.Load(r, dim, n)
 	if err != nil {
 		return nil, err
 	}

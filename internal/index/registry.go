@@ -8,16 +8,19 @@ import (
 )
 
 // Default is the backend used when no name is given: HNSW, the paper's
-// choice, and the only proximity graph here that is fully dynamic.
+// choice.
 const Default = "hnsw"
 
 // Backend bundles a named builder and loader. Build constructs the index
-// over the initial vector set (which may be empty only for dynamic
-// backends); Load reads a payload written by SecureIndex.Save.
+// over a vector set; Load reads a payload written by SecureIndex.Save for
+// a database of n records of dimension dim. The payload's bytes are
+// untrusted, and the dimension and record count come from the database
+// that carries it: Load refuses a payload whose header disagrees with
+// either before it sizes anything.
 type Backend struct {
 	Name  string
 	Build func(vectors [][]float64, opts Options) (SecureIndex, error)
-	Load  func(r io.Reader) (SecureIndex, error)
+	Load  func(r io.Reader, dim, n int) (SecureIndex, error)
 }
 
 var (
@@ -78,11 +81,12 @@ func Build(name string, vectors [][]float64, opts Options) (SecureIndex, error) 
 	return b.Build(vectors, opts)
 }
 
-// Load reads a payload written by the named backend's Save ("" = Default).
-func Load(name string, r io.Reader) (SecureIndex, error) {
+// Load reads a payload written by the named backend's Save ("" = Default)
+// for a database of n records of dimension dim.
+func Load(name string, r io.Reader, dim, n int) (SecureIndex, error) {
 	b, err := Lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	return b.Load(r)
+	return b.Load(r, dim, n)
 }

@@ -4,13 +4,15 @@
 // second index family the paper names (Sections I/VIII); this package backs
 // the index-ablation experiment that compares filter-phase backends over
 // SAP ciphertexts.
+//
+// An index is built once (Build, Rebuild or Load) and then only read; Delete
+// tombstones ids without touching the lists.
 package ivf
 
 import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"ppanns/internal/kmeans"
 	"ppanns/internal/par"
@@ -37,56 +39,18 @@ type Index struct {
 	// an index that was loaded.
 	trained kmeans.Stats
 
+	// The inverted lists in CSR form, fixed when the index is built or
+	// loaded: list c's members, in id order, are ids[offs[c]:offs[c+1]],
+	// so a probe scans one contiguous id span.
+	offs []int32
+	ids  []int32
+	data *vec.Dataset
+
 	mu      sync.RWMutex
-	lists   [][]int32 // list → member ids
-	data    *vec.Dataset
 	deleted []bool
 	live    int
 
-	// gen counts membership mutations (Add; Delete only tombstones, which
-	// the flat view does not capture). flat caches the CSR flattening of
-	// lists for the current generation: one offsets array plus one flat
-	// member array, so a probe scans a contiguous id span instead of
-	// chasing the outer slice. Built lazily on first search, invalidated by
-	// the generation bump. noFlat pins searches to the slice-of-slices path
-	// (conformance tests compare the two).
-	gen     atomic.Uint64
-	flat    atomic.Pointer[flatLists]
-	flatMu  sync.Mutex
-	noFlat  bool
 	ctxPool sync.Pool
-}
-
-// flatLists is the immutable CSR view of the inverted lists at one
-// generation: list c's members are ids[offs[c]:offs[c+1]].
-type flatLists struct {
-	gen  uint64
-	offs []int32
-	ids  []int32
-}
-
-// flatFor returns the CSR list view for the current generation, building
-// it if stale. Caller must hold at least the read lock, which excludes the
-// membership mutations that would invalidate the build mid-flight.
-func (ix *Index) flatFor() *flatLists {
-	if ix.noFlat {
-		return nil
-	}
-	cur := ix.gen.Load()
-	if f := ix.flat.Load(); f != nil && f.gen == cur {
-		return f
-	}
-	if !ix.flatMu.TryLock() {
-		return nil
-	}
-	defer ix.flatMu.Unlock()
-	if f := ix.flat.Load(); f != nil && f.gen == cur {
-		return f
-	}
-	offs, ids := vec.FlattenCSR(ix.lists)
-	f := &flatLists{gen: cur, offs: offs, ids: ids}
-	ix.flat.Store(f)
-	return f
 }
 
 // searchCtx is the pooled per-search scratch: probe list, gathered live
@@ -138,15 +102,28 @@ func Build(vectors [][]float64, cfg Config) (*Index, error) {
 // populate fills an empty index with vectors, vector i in list assign[i]:
 // ids are positions and every list is in id order.
 func (ix *Index) populate(vectors [][]float64, assign []int) {
-	ix.lists = make([][]int32, len(ix.centroids))
+	nlist := len(ix.centroids)
+	ix.offs = make([]int32, nlist+1)
+	for _, c := range assign {
+		ix.offs[c+1]++
+	}
+	for c := 0; c < nlist; c++ {
+		ix.offs[c+1] += ix.offs[c]
+	}
+	next := append([]int32(nil), ix.offs[:nlist]...)
+	ix.ids = make([]int32, len(vectors))
 	ix.data = vec.NewDataset(ix.dim, len(vectors))
-	ix.deleted = make([]bool, len(vectors))
 	for i, v := range vectors {
 		ix.data.Append(v)
-		ix.lists[assign[i]] = append(ix.lists[assign[i]], int32(i))
+		ix.ids[next[assign[i]]] = int32(i)
+		next[assign[i]]++
 	}
+	ix.deleted = make([]bool, len(vectors))
 	ix.live = len(vectors)
 }
+
+// list returns list c's members.
+func (ix *Index) list(c int) []int32 { return ix.ids[ix.offs[c]:ix.offs[c+1]] }
 
 // Trained returns the k-means work Build spent on the quantizer.
 func (ix *Index) Trained() kmeans.Stats { return ix.trained }
@@ -172,36 +149,14 @@ func (ix *Index) Dim() int { return ix.dim }
 // Vector returns the stored vector for id (also valid for deleted ids,
 // whose rows remain as tombstones), or nil for out-of-range ids.
 func (ix *Index) Vector(id int) []float64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if id < 0 || id >= len(ix.deleted) {
+	if id < 0 || id >= ix.data.Len() {
 		return nil
 	}
 	return ix.data.At(id)
 }
 
 // Lists returns nlist.
-func (ix *Index) Lists() int { return len(ix.lists) }
-
-// Clone returns an independent copy of the index: the inverted lists,
-// vectors and tombstones are copied, so Add/Delete on either side is
-// invisible to the other. The trained quantizer is immutable and shared.
-func (ix *Index) Clone() *Index {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	cp := &Index{
-		dim:       ix.dim,
-		centroids: ix.centroids,
-		lists:     make([][]int32, len(ix.lists)),
-		data:      ix.data.Clone(),
-		deleted:   append([]bool(nil), ix.deleted...),
-		live:      ix.live,
-	}
-	for i, lst := range ix.lists {
-		cp.lists[i] = append([]int32(nil), lst...)
-	}
-	return cp
-}
+func (ix *Index) Lists() int { return len(ix.centroids) }
 
 // Rebuild returns a new index over vectors (ids are positions) sharing the
 // receiver's trained quantizer: the fold primitive of compaction, which
@@ -228,15 +183,13 @@ func (ix *Index) Rebuild(vectors [][]float64) *Index {
 	for i := range assign {
 		assign[i] = -1
 	}
-	ix.mu.RLock()
-	for c, lst := range ix.lists {
-		for _, id := range lst {
+	for c := range ix.centroids {
+		for _, id := range ix.list(c) {
 			if int(id) < len(assign) {
 				assign[id] = c
 			}
 		}
 	}
-	ix.mu.RUnlock()
 	par.Spans(runtime.GOMAXPROCS(0), len(vectors), 256, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			guess := assign[i]
@@ -250,22 +203,6 @@ func (ix *Index) Rebuild(vectors [][]float64) *Index {
 	fresh := &Index{dim: ix.dim, centroids: ix.centroids}
 	fresh.populate(vectors, assign)
 	return fresh
-}
-
-// Add inserts a vector and returns its id.
-func (ix *Index) Add(v []float64) int {
-	if len(v) != ix.dim {
-		panic(fmt.Sprintf("ivf: adding %d-dim vector to %d-dim index", len(v), ix.dim))
-	}
-	c := kmeans.Nearest(ix.centroids, v)
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.gen.Add(1) // invalidate the cached flat list view
-	id := ix.data.Append(v)
-	ix.deleted = append(ix.deleted, false)
-	ix.lists[c] = append(ix.lists[c], int32(id))
-	ix.live++
-	return id
 }
 
 // Delete tombstones an id.
@@ -283,16 +220,10 @@ func (ix *Index) Delete(id int) error {
 	return nil
 }
 
-// Search scans the nprobe closest lists and returns the k nearest live
-// ids, closest first.
-func (ix *Index) Search(q []float64, k, nprobe int) []resultheap.Item {
-	return ix.SearchInto(nil, q, k, nprobe)
-}
-
-// SearchInto is Search appending into dst (reusing its capacity). Scratch
-// state is pooled and each probed list is evaluated with one blocked
-// distance call over the flattened member arena, so a warm search with a
-// recycled dst allocates nothing.
+// SearchInto scans the nprobe closest lists and appends the k nearest live
+// ids, closest first, to dst[:0]. Scratch state is pooled and each probed
+// list is evaluated with one blocked distance call over its live members,
+// so a warm search with a recycled dst allocates nothing.
 func (ix *Index) SearchInto(dst []resultheap.Item, q []float64, k, nprobe int) []resultheap.Item {
 	return ix.searchInto(dst, q, k, nprobe, nil)
 }
@@ -313,8 +244,8 @@ func (ix *Index) searchInto(dst []resultheap.Item, q []float64, k, nprobe int, s
 	if nprobe <= 0 {
 		nprobe = 1
 	}
-	if nprobe > len(ix.lists) {
-		nprobe = len(ix.lists)
+	if nprobe > len(ix.centroids) {
+		nprobe = len(ix.centroids)
 	}
 	ctx, _ := ix.ctxPool.Get().(*searchCtx)
 	if ctx == nil {
@@ -325,19 +256,12 @@ func (ix *Index) searchInto(dst []resultheap.Item, q []float64, k, nprobe int, s
 
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	flat := ix.flatFor()
 	res := ctx.res
 	res.Reset()
 	gather := ctx.gather
 	for _, c := range ctx.probes {
-		var members []int32
-		if flat != nil {
-			members = flat.ids[flat.offs[c]:flat.offs[c+1]]
-		} else {
-			members = ix.lists[c]
-		}
 		gather = gather[:0]
-		for _, id := range members {
+		for _, id := range ix.list(c) {
 			if !ix.deleted[id] {
 				gather = append(gather, id)
 			}

@@ -38,7 +38,7 @@ func TestRecallImprovesWithNProbe(t *testing.T) {
 	measure := func(nprobe int) float64 {
 		var recall float64
 		for qi, q := range d.Queries {
-			items := ix.Search(q, 10, nprobe)
+			items := ix.SearchInto(nil, q, 10, nprobe)
 			ids := make([]int, len(items))
 			for i, it := range items {
 				ids[i] = it.ID
@@ -63,7 +63,7 @@ func TestRecallImprovesWithNProbe(t *testing.T) {
 
 func TestResultsSorted(t *testing.T) {
 	ix, d := buildIndex(t, 800)
-	items := ix.Search(d.Queries[0], 10, 8)
+	items := ix.SearchInto(nil, d.Queries[0], 10, 8)
 	for i := 1; i < len(items); i++ {
 		if items[i].Dist < items[i-1].Dist {
 			t.Fatal("results not sorted")
@@ -71,22 +71,22 @@ func TestResultsSorted(t *testing.T) {
 	}
 }
 
+// TestAddAndDelete: a vector added by a rebuild over the grown set is
+// found at the next position, and a Delete then hides it for good.
 func TestAddAndDelete(t *testing.T) {
-	ix, d := buildIndex(t, 500)
+	built, d := buildIndex(t, 500)
 	r := rng.NewSeeded(7)
 	novel := vec.Normalize(rng.GaussianVec(r, d.Dim, 1))
-	id := ix.Add(novel)
-	if id != 500 {
-		t.Fatalf("Add id = %d", id)
-	}
-	items := ix.Search(novel, 1, ix.Lists())
+	ix := built.Rebuild(append(append([][]float64(nil), d.Train...), novel))
+	const id = 500
+	items := ix.SearchInto(nil, novel, 1, ix.Lists())
 	if len(items) != 1 || items[0].ID != id {
 		t.Fatalf("inserted vector not found: %+v", items)
 	}
 	if err := ix.Delete(id); err != nil {
 		t.Fatal(err)
 	}
-	items = ix.Search(novel, 1, ix.Lists())
+	items = ix.SearchInto(nil, novel, 1, ix.Lists())
 	if len(items) == 1 && items[0].ID == id {
 		t.Fatal("deleted id still returned")
 	}
@@ -96,16 +96,16 @@ func TestAddAndDelete(t *testing.T) {
 	if err := ix.Delete(9999); err == nil {
 		t.Fatal("expected error for unknown id")
 	}
-	if ix.Len() != 500 {
-		t.Fatalf("Len = %d", ix.Len())
+	if ix.Len() != 500 || built.Len() != 500 {
+		t.Fatalf("Len = %d, built %d", ix.Len(), built.Len())
 	}
 }
 
 func TestDimMismatchPanics(t *testing.T) {
 	ix, _ := buildIndex(t, 200)
 	for name, fn := range map[string]func(){
-		"Add":    func() { ix.Add(make([]float64, 3)) },
-		"Search": func() { ix.Search(make([]float64, 3), 1, 1) },
+		"Rebuild": func() { ix.Rebuild([][]float64{make([]float64, 3)}) },
+		"Search":  func() { ix.SearchInto(nil, make([]float64, 3), 1, 1) },
 	} {
 		func() {
 			defer func() {
@@ -120,53 +120,17 @@ func TestDimMismatchPanics(t *testing.T) {
 
 func TestListsCoverAllVectors(t *testing.T) {
 	ix, _ := buildIndex(t, 700)
-	total := 0
-	for _, lst := range ix.lists {
-		total += len(lst)
-	}
-	if total != 700 {
-		t.Fatalf("lists hold %d entries, want 700", total)
-	}
-}
-
-// TestFlatScanMatchesSliceLists is the flattened-view conformance test: the
-// CSR member-arena scan must return the exact same ids, order and distances
-// as the slice-of-slices path, including after membership mutations
-// invalidate and rebuild the view.
-func TestFlatScanMatchesSliceLists(t *testing.T) {
-	ix, d := buildIndex(t, 1200)
-	for _, id := range []int{7, 300, 911} {
-		if err := ix.Delete(id); err != nil {
-			t.Fatal(err)
+	seen := make([]bool, 700)
+	for c := 0; c < ix.Lists(); c++ {
+		for _, id := range ix.list(c) {
+			if seen[id] {
+				t.Fatalf("id %d listed twice", id)
+			}
+			seen[id] = true
 		}
 	}
-	check := func(stage string) {
-		t.Helper()
-		for qi, q := range d.Queries {
-			ix.noFlat = true
-			slices := ix.Search(q, 10, 8)
-			ix.noFlat = false
-			flat := ix.Search(q, 10, 8)
-			if ix.flat.Load() == nil || ix.flat.Load().gen != ix.gen.Load() {
-				t.Fatalf("%s: search did not (re)build the flat view", stage)
-			}
-			if len(flat) != len(slices) {
-				t.Fatalf("%s query %d: flat %d items, slices %d", stage, qi, len(flat), len(slices))
-			}
-			for i := range flat {
-				if flat[i] != slices[i] {
-					t.Fatalf("%s query %d pos %d: flat (%d, %v) != slices (%d, %v)",
-						stage, qi, i, flat[i].ID, flat[i].Dist, slices[i].ID, slices[i].Dist)
-				}
-			}
-		}
-	}
-	check("initial")
-	v1 := ix.flat.Load()
-	ix.Add(d.Queries[0]) // membership mutation must invalidate the view
-	check("after add")
-	if ix.flat.Load() == v1 {
-		t.Fatal("Add did not invalidate the flat list view")
+	if len(ix.ids) != 700 {
+		t.Fatalf("lists hold %d entries, want 700", len(ix.ids))
 	}
 }
 
@@ -197,7 +161,8 @@ func (ix *Index) digest() string {
 			h.Write(b[:])
 		}
 	}
-	for _, lst := range ix.lists {
+	for c := 0; c < ix.Lists(); c++ {
+		lst := ix.list(c)
 		binary.LittleEndian.PutUint64(b[:], uint64(len(lst)))
 		h.Write(b[:])
 		for _, id := range lst {
@@ -243,8 +208,8 @@ func TestBuildGolden(t *testing.T) {
 }
 
 // TestRebuildMatchesAdd: the fold primitive puts every vector in the list
-// the one-at-a-time Add loop it replaced would have — the full scan's choice,
-// in id order — whether the ids are the receiver's own (a fold: the guess is
+// a one-at-a-time nearest-centroid insert would have — the full scan's
+// choice, in id order — whether the ids are the receiver's own (a fold: the guess is
 // the old list), renumbered (an offline compaction: the guess is wrong) or
 // new, on one core and four. Tombstones do not carry over.
 func TestRebuildMatchesAdd(t *testing.T) {
@@ -276,8 +241,8 @@ func TestRebuildMatchesAdd(t *testing.T) {
 				t.Fatalf("%s: rebuilt index holds %d live vectors, want %d", name, got.Len(), len(vectors))
 			}
 			for c := range want {
-				if !slices.Equal(got.lists[c], want[c]) {
-					t.Fatalf("%s GOMAXPROCS=%d: list %d is %v, want %v", name, procs, c, got.lists[c], want[c])
+				if !slices.Equal(got.list(c), want[c]) {
+					t.Fatalf("%s GOMAXPROCS=%d: list %d is %v, want %v", name, procs, c, got.list(c), want[c])
 				}
 			}
 			for i, v := range vectors {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"ppanns/internal/vec"
 )
@@ -49,7 +50,8 @@ func (ix *Index) Save(w io.Writer) error {
 			return err
 		}
 	}
-	for _, lst := range ix.lists {
+	for c := range ix.centroids {
+		lst := ix.list(c)
 		if err := binary.Write(bw, binary.LittleEndian, int32(len(lst))); err != nil {
 			return err
 		}
@@ -60,8 +62,12 @@ func (ix *Index) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads an index previously written by Save.
-func Load(r io.Reader) (*Index, error) {
+// Load reads an index of n vectors of dimension dim previously written by
+// Save. The bytes are untrusted: a header that disagrees with dim and n is
+// refused before it sizes anything, the centroids (whose count n does not
+// bound) are allocated as their bytes arrive, and the lists must hold every
+// id exactly once.
+func Load(r io.Reader, dim, n int) (*Index, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	magic := make([]byte, len(persistMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -76,23 +82,20 @@ func Load(r io.Reader) (*Index, error) {
 			return nil, fmt.Errorf("ivf: reading header: %w", err)
 		}
 	}
-	dim, nlist, n, live := int(head[0]), int(head[1]), int(head[2]), int(head[3])
-	if dim <= 0 || nlist <= 0 || n < 0 || live < 0 || live > n {
-		return nil, fmt.Errorf("ivf: implausible header dim=%d nlist=%d n=%d live=%d", dim, nlist, n, live)
+	if head[0] != int64(dim) || head[2] != int64(n) {
+		return nil, fmt.Errorf("ivf: index of %d vectors of dimension %d, want %d of %d", head[2], head[0], n, dim)
 	}
-	ix := &Index{
-		dim:       dim,
-		centroids: make([][]float64, nlist),
-		lists:     make([][]int32, nlist),
-		deleted:   make([]bool, n),
-		live:      live,
+	nlist, live := head[1], head[3]
+	if nlist <= 0 || nlist > math.MaxInt32 || live < 0 || live > int64(n) {
+		return nil, fmt.Errorf("ivf: implausible header nlist=%d n=%d live=%d", nlist, n, live)
 	}
-	for i := range ix.centroids {
+	ix := &Index{dim: dim, deleted: make([]bool, n), live: int(live)}
+	for len(ix.centroids) < int(nlist) {
 		c := make([]float64, dim)
 		if err := binary.Read(br, binary.LittleEndian, c); err != nil {
 			return nil, fmt.Errorf("ivf: reading centroids: %w", err)
 		}
-		ix.centroids[i] = c
+		ix.centroids = append(ix.centroids, c)
 	}
 	raw := make([]float64, n*dim)
 	if err := binary.Read(br, binary.LittleEndian, raw); err != nil {
@@ -110,24 +113,31 @@ func Load(r io.Reader) (*Index, error) {
 		}
 		ix.deleted[i] = b != 0
 	}
-	for i := range ix.lists {
+	ix.offs = make([]int32, nlist+1)
+	ix.ids = make([]int32, n)
+	listed := make([]bool, n)
+	for c := range ix.centroids {
 		var cnt int32
 		if err := binary.Read(br, binary.LittleEndian, &cnt); err != nil {
-			return nil, fmt.Errorf("ivf: reading list %d: %w", i, err)
+			return nil, fmt.Errorf("ivf: reading list %d: %w", c, err)
 		}
-		if cnt < 0 || int(cnt) > n {
-			return nil, fmt.Errorf("ivf: list %d has %d members", i, cnt)
+		if cnt < 0 || int(cnt) > n-int(ix.offs[c]) {
+			return nil, fmt.Errorf("ivf: list %d has %d members, %d ids left", c, cnt, n-int(ix.offs[c]))
 		}
-		lst := make([]int32, cnt)
+		ix.offs[c+1] = ix.offs[c] + cnt
+		lst := ix.list(c)
 		if err := binary.Read(br, binary.LittleEndian, lst); err != nil {
 			return nil, err
 		}
 		for _, id := range lst {
-			if id < 0 || int(id) >= n {
-				return nil, fmt.Errorf("ivf: list %d references out-of-range id %d", i, id)
+			if id < 0 || int(id) >= n || listed[id] {
+				return nil, fmt.Errorf("ivf: list %d holds id %d out of range or twice", c, id)
 			}
+			listed[id] = true
 		}
-		ix.lists[i] = lst
+	}
+	if int(ix.offs[nlist]) != n {
+		return nil, fmt.Errorf("ivf: lists hold %d of %d ids", ix.offs[nlist], n)
 	}
 	return ix, nil
 }

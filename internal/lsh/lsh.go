@@ -104,27 +104,6 @@ func (ix *Index) Len() int {
 	return ix.count
 }
 
-// Clone returns an independent copy of the index: bucket contents are
-// copied, so Insert on either side is invisible to the other. The
-// projection matrices and offsets never change after New and are shared.
-func (ix *Index) Clone() *Index {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	cp := &Index{cfg: ix.cfg, seed: ix.seed, count: ix.count, maxID: ix.maxID}
-	cp.tables = make([]table, len(ix.tables))
-	for t := range ix.tables {
-		src := &ix.tables[t]
-		dst := &cp.tables[t]
-		dst.projs = src.projs
-		dst.offsets = src.offsets
-		dst.buckets = make(map[uint64][]int32, len(src.buckets))
-		for key, ids := range src.buckets {
-			dst.buckets[key] = append([]int32(nil), ids...)
-		}
-	}
-	return cp
-}
-
 // rawHashes computes the K quantized projections of v in one table.
 func (ix *Index) rawHashes(tb *table, v []float64, dst []int64) []int64 {
 	dst = dst[:0]

@@ -6,8 +6,8 @@
 // candidate pools, edges are selected with the MRNG occlusion rule from a
 // navigating node (the medoid), and a spanning traversal guarantees every
 // vertex stays reachable. Search is a beam walk from the navigating node.
-// The graph is static (NSG is a batch-built index); deletions tombstone
-// vertices and searches skip them.
+// The graph is static (NSG is a batch-built index): once built it is packed
+// into CSR form, deletions tombstone vertices and searches skip them.
 package nsg
 
 import (
@@ -52,19 +52,15 @@ type Graph struct {
 	cfg  Config
 	dim  int
 	data *vec.Dataset
-	adj  [][]int32
 	nav  int // navigating node (medoid)
 
-	// flatOffs/flatNbrs are the CSR view of adj: node id's neighbors are
-	// flatNbrs[flatOffs[id]:flatOffs[id+1]]. NSG adjacency is immutable
-	// after Build, so the view is built eagerly (no generation tracking)
-	// and shared by clones; the beam search walks it with one blocked
-	// distance call per hop instead of chasing per-node slice headers.
-	// noFlat pins searches to the slice-of-slices path (conformance tests
-	// compare the two).
-	flatOffs []int32
-	flatNbrs []int32
-	noFlat   bool
+	// adj is the per-vertex adjacency construction works on. Build packs
+	// it into CSR form and drops it: vertex id's neighbors are
+	// nbrs[offs[id]:offs[id+1]], so the beam search walks one contiguous
+	// array with one blocked distance call per hop.
+	adj  [][]int32
+	offs []int32
+	nbrs []int32
 
 	mu      sync.RWMutex
 	deleted []bool
@@ -73,11 +69,8 @@ type Graph struct {
 	ctxPool sync.Pool
 }
 
-// flatten builds the CSR adjacency view. Called once construction (or
-// deserialization) has finalized adj.
-func (g *Graph) flatten() {
-	g.flatOffs, g.flatNbrs = vec.FlattenCSR(g.adj)
-}
+// neighbors returns vertex id's adjacency list.
+func (g *Graph) neighbors(id int) []int32 { return g.nbrs[g.offs[id]:g.offs[id+1]] }
 
 // Build constructs the graph over the given vectors.
 func Build(vectors [][]float64, cfg Config) (*Graph, error) {
@@ -147,7 +140,8 @@ func Build(vectors [][]float64, cfg Config) (*Graph, error) {
 	// Step 5: connectivity — span unreachable vertices from the
 	// navigating node by attaching them to their nearest reached vertex.
 	g.ensureReachable()
-	g.flatten()
+	g.offs, g.nbrs = vec.FlattenCSR(g.adj)
+	g.adj = nil
 	return g, nil
 }
 
@@ -390,26 +384,6 @@ func (g *Graph) Vector(id int) []float64 {
 // NavigatingNode returns the entry vertex id.
 func (g *Graph) NavigatingNode() int { return g.nav }
 
-// Clone returns an independent copy of the graph. NSG is batch-built: the
-// vectors and adjacency never change after Build, so the clone shares them
-// and only copies the mutable tombstone state — deleting on either graph
-// is invisible to the other.
-func (g *Graph) Clone() *Graph {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return &Graph{
-		cfg:      g.cfg,
-		dim:      g.dim,
-		data:     g.data,
-		adj:      g.adj,
-		nav:      g.nav,
-		flatOffs: g.flatOffs,
-		flatNbrs: g.flatNbrs,
-		deleted:  append([]bool(nil), g.deleted...),
-		live:     g.live,
-	}
-}
-
 // Delete tombstones an id; searches route through it but never return it.
 func (g *Graph) Delete(id int) error {
 	g.mu.Lock()
@@ -437,16 +411,10 @@ type searchCtx struct {
 	items  []resultheap.Item
 }
 
-// Search returns the (approximately) k closest live ids, closest first,
-// using beam width ef.
-func (g *Graph) Search(q []float64, k, ef int) []resultheap.Item {
-	return g.SearchInto(nil, q, k, ef)
-}
-
-// SearchInto is Search appending into dst (reusing its capacity). With a
-// recycled dst a warm search is allocation-free: all scratch state is
-// pooled, and the beam walks the CSR adjacency view with one blocked
-// distance call per hop.
+// SearchInto appends the (approximately) k closest live ids, closest first,
+// to dst[:0], using beam width ef. With a recycled dst a warm search is
+// allocation-free: all scratch state is pooled, and the beam walks the CSR
+// adjacency with one blocked distance call per hop.
 func (g *Graph) SearchInto(dst []resultheap.Item, q []float64, k, ef int) []resultheap.Item {
 	return g.searchInto(dst, q, k, ef, nil)
 }
@@ -478,11 +446,10 @@ func (g *Graph) searchInto(dst []resultheap.Item, q []float64, k, ef int, sc vec
 			res:  resultheap.NewMaxDistHeap(ef + 1),
 		}
 	}
-	ctx.vis.Grow(len(g.adj))
+	ctx.vis.Grow(len(g.deleted))
 	ctx.vis.Next()
 	defer g.ctxPool.Put(ctx)
 
-	flat := g.flatOffs != nil && !g.noFlat
 	cand, res := ctx.cand, ctx.res
 	cand.Reset()
 	res.Reset()
@@ -503,14 +470,8 @@ func (g *Graph) searchInto(dst []resultheap.Item, q []float64, k, ef int, sc vec
 		if res.Len() >= ef && c.Dist > res.Top().Dist {
 			break
 		}
-		var nbrs []int32
-		if flat {
-			nbrs = g.flatNbrs[g.flatOffs[c.ID]:g.flatOffs[c.ID+1]]
-		} else {
-			nbrs = g.adj[c.ID]
-		}
 		gather = gather[:0]
-		for _, nb := range nbrs {
+		for _, nb := range g.neighbors(c.ID) {
 			if !ctx.vis.Seen(int(nb)) {
 				gather = append(gather, nb)
 			}
@@ -559,12 +520,12 @@ func (g *Graph) Stats() Stats {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	st := Stats{Nodes: g.live}
-	for i, lst := range g.adj {
-		if g.deleted[i] {
+	for i, del := range g.deleted {
+		if del {
 			st.Deleted++
 			continue
 		}
-		st.Edges += len(lst)
+		st.Edges += len(g.neighbors(i))
 	}
 	if st.Nodes > 0 {
 		st.AvgDegree = float64(st.Edges) / float64(st.Nodes)

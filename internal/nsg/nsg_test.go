@@ -28,7 +28,7 @@ func TestRecall(t *testing.T) {
 	gt := d.GroundTruth(10)
 	var recall float64
 	for qi, q := range d.Queries {
-		items := g.Search(q, 10, 100)
+		items := g.SearchInto(nil, q, 10, 100)
 		ids := make([]int, len(items))
 		for i, it := range items {
 			ids[i] = it.ID
@@ -43,14 +43,15 @@ func TestRecall(t *testing.T) {
 
 func TestEveryVertexReachable(t *testing.T) {
 	g, _ := buildGraph(t, 1200)
-	reached := make([]bool, len(g.adj))
+	n := len(g.deleted)
+	reached := make([]bool, n)
 	queue := []int{g.NavigatingNode()}
 	reached[g.nav] = true
 	count := 1
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, nb := range g.adj[cur] {
+		for _, nb := range g.neighbors(cur) {
 			if !reached[nb] {
 				reached[nb] = true
 				count++
@@ -58,8 +59,8 @@ func TestEveryVertexReachable(t *testing.T) {
 			}
 		}
 	}
-	if count != len(g.adj) {
-		t.Fatalf("only %d/%d vertices reachable from the navigating node", count, len(g.adj))
+	if count != n {
+		t.Fatalf("only %d/%d vertices reachable from the navigating node", count, n)
 	}
 }
 
@@ -72,12 +73,12 @@ func TestDegreeBounded(t *testing.T) {
 	// Connectivity repair may push a few vertices slightly over R; the
 	// bulk must respect the bound.
 	over := 0
-	for _, lst := range g.adj {
-		if len(lst) > g.cfg.R+4 {
+	for i := range g.deleted {
+		if len(g.neighbors(i)) > g.cfg.R+4 {
 			over++
 		}
 	}
-	if over > len(g.adj)/50 {
+	if over > len(g.deleted)/50 {
 		t.Fatalf("%d vertices far exceed the degree bound R=%d", over, g.cfg.R)
 	}
 }
@@ -86,7 +87,7 @@ func TestSelfQuery(t *testing.T) {
 	g, d := buildGraph(t, 800)
 	hits := 0
 	for i := 0; i < 100; i++ {
-		items := g.Search(d.Train[i], 1, 50)
+		items := g.SearchInto(nil, d.Train[i], 1, 50)
 		if len(items) == 1 && items[0].ID == i {
 			hits++
 		}
@@ -98,12 +99,12 @@ func TestSelfQuery(t *testing.T) {
 
 func TestDelete(t *testing.T) {
 	g, d := buildGraph(t, 600)
-	items := g.Search(d.Queries[0], 5, 50)
+	items := g.SearchInto(nil, d.Queries[0], 5, 50)
 	victim := items[0].ID
 	if err := g.Delete(victim); err != nil {
 		t.Fatal(err)
 	}
-	for _, it := range g.Search(d.Queries[0], 5, 50) {
+	for _, it := range g.SearchInto(nil, d.Queries[0], 5, 50) {
 		if it.ID == victim {
 			t.Fatal("deleted id still returned")
 		}
@@ -121,7 +122,7 @@ func TestDelete(t *testing.T) {
 
 func TestResultsSorted(t *testing.T) {
 	g, d := buildGraph(t, 500)
-	items := g.Search(d.Queries[1], 10, 60)
+	items := g.SearchInto(nil, d.Queries[1], 10, 60)
 	for i := 1; i < len(items); i++ {
 		if items[i].Dist < items[i-1].Dist {
 			t.Fatal("results not sorted ascending")
@@ -136,37 +137,7 @@ func TestDimMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	g.Search(make([]float64, 3), 1, 10)
-}
-
-// TestFlatSearchMatchesSliceAdjacency is the CSR conformance test: the
-// flattened adjacency walk must return the exact same ids, order and
-// distances as the slice-of-slices path it replaced.
-func TestFlatSearchMatchesSliceAdjacency(t *testing.T) {
-	g, d := buildGraph(t, 800)
-	if g.flatOffs == nil {
-		t.Fatal("Build did not flatten the adjacency")
-	}
-	for _, id := range []int{5, 100, 731} {
-		if err := g.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for qi, q := range d.Queries {
-		g.noFlat = true
-		slices := g.Search(q, 10, 50)
-		g.noFlat = false
-		flat := g.Search(q, 10, 50)
-		if len(flat) != len(slices) {
-			t.Fatalf("query %d: flat %d items, slices %d", qi, len(flat), len(slices))
-		}
-		for i := range flat {
-			if flat[i] != slices[i] {
-				t.Fatalf("query %d pos %d: flat (%d, %v) != slices (%d, %v)",
-					qi, i, flat[i].ID, flat[i].Dist, slices[i].ID, slices[i].Dist)
-			}
-		}
-	}
+	g.SearchInto(nil, make([]float64, 3), 1, 10)
 }
 
 // TestSearchIntoReusesCapacity guards the pooled hot path: a warm

@@ -25,7 +25,7 @@ func (g *Graph) Save(w io.Writer) error {
 	if _, err := bw.WriteString(persistMagic); err != nil {
 		return fmt.Errorf("nsg: writing magic: %w", err)
 	}
-	n := len(g.adj)
+	n := len(g.deleted)
 	head := []int64{
 		int64(g.cfg.R), int64(g.cfg.L), int64(g.cfg.KNN), int64(g.cfg.Seed),
 		int64(g.dim), int64(n), int64(g.nav), int64(g.live),
@@ -47,7 +47,8 @@ func (g *Graph) Save(w io.Writer) error {
 			return err
 		}
 	}
-	for _, lst := range g.adj {
+	for i := range g.deleted {
+		lst := g.neighbors(i)
 		if err := binary.Write(bw, binary.LittleEndian, int32(len(lst))); err != nil {
 			return err
 		}
@@ -58,8 +59,11 @@ func (g *Graph) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a graph previously written by Save.
-func Load(r io.Reader) (*Graph, error) {
+// Load reads a graph of n vertices of dimension dim previously written by
+// Save. The bytes are untrusted: a header that disagrees with dim and n is
+// refused before it sizes anything, and adjacency is allocated as its
+// bytes arrive.
+func Load(r io.Reader, dim, n int) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	magic := make([]byte, len(persistMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -74,18 +78,21 @@ func Load(r io.Reader) (*Graph, error) {
 			return nil, fmt.Errorf("nsg: reading header: %w", err)
 		}
 	}
+	if head[4] != int64(dim) || head[5] != int64(n) {
+		return nil, fmt.Errorf("nsg: graph of %d vertices of dimension %d, want %d of %d", head[5], head[4], n, dim)
+	}
 	cfg := Config{R: int(head[0]), L: int(head[1]), KNN: int(head[2]), Seed: uint64(head[3])}
-	dim, n, nav, live := int(head[4]), int(head[5]), int(head[6]), int(head[7])
-	if dim <= 0 || n <= 0 || nav < 0 || nav >= n || live < 0 || live > n {
+	nav, live := head[6], head[7]
+	if n <= 0 || nav < 0 || nav >= int64(n) || live < 0 || live > int64(n) {
 		return nil, fmt.Errorf("nsg: implausible header dim=%d n=%d nav=%d live=%d", dim, n, nav, live)
 	}
 	g := &Graph{
 		cfg:     cfg,
 		dim:     dim,
-		adj:     make([][]int32, n),
-		nav:     nav,
+		nav:     int(nav),
+		offs:    make([]int32, n+1),
 		deleted: make([]bool, n),
-		live:    live,
+		live:    int(live),
 	}
 	raw := make([]float64, n*dim)
 	if err := binary.Read(br, binary.LittleEndian, raw); err != nil {
@@ -103,7 +110,7 @@ func Load(r io.Reader) (*Graph, error) {
 		}
 		g.deleted[i] = b != 0
 	}
-	for i := range g.adj {
+	for i := 0; i < n; i++ {
 		var cnt int32
 		if err := binary.Read(br, binary.LittleEndian, &cnt); err != nil {
 			return nil, fmt.Errorf("nsg: reading adjacency of %d: %w", i, err)
@@ -120,8 +127,8 @@ func Load(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("nsg: vertex %d references out-of-range id %d", i, nb)
 			}
 		}
-		g.adj[i] = lst
+		g.nbrs = append(g.nbrs, lst...)
+		g.offs[i+1] = int32(len(g.nbrs))
 	}
-	g.flatten()
 	return g, nil
 }

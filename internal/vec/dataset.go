@@ -152,13 +152,6 @@ func (d *Dataset) Slices() [][]float64 {
 	return out
 }
 
-// Clone returns a deep copy of the dataset (aligned like every dataset).
-func (d *Dataset) Clone() *Dataset {
-	nd := AlignedFloats(len(d.data))
-	copy(nd, d.data)
-	return &Dataset{dim: d.dim, stride: d.stride, data: nd}
-}
-
 // Raw returns the compact flat representation (length Len()*Dim(), no row
 // padding), the layout the serialization code writes. When rows are padded
 // in memory this is a copy; when dim is already a cache-line multiple it is

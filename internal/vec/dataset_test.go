@@ -38,12 +38,14 @@ func TestDatasetDimMismatchPanics(t *testing.T) {
 	NewDataset(3, 1).Append([]float64{1})
 }
 
+// TestDatasetFromSlicesAndClone: DatasetFromSlices clones its input — the
+// dataset shares no storage with the slices it was built from.
 func TestDatasetFromSlicesAndClone(t *testing.T) {
-	ds := DatasetFromSlices([][]float64{{1, 2}, {3, 4}})
-	c := ds.Clone()
-	c.At(0)[0] = 99
+	src := [][]float64{{1, 2}, {3, 4}}
+	ds := DatasetFromSlices(src)
+	src[0][0] = 99
 	if ds.At(0)[0] != 1 {
-		t.Fatal("Clone shares storage with original")
+		t.Fatal("DatasetFromSlices shares storage with its input")
 	}
 	views := ds.Slices()
 	if len(views) != 2 || views[1][1] != 4 {
