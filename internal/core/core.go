@@ -75,10 +75,8 @@ type Params struct {
 	// record count or the pending tombstone count reaches it, a
 	// background compaction folds them into the main index. 0 selects
 	// core.DefaultCompactAt; negative disables automatic compaction
-	// (Server.Compact only). CompactAtBytes adds an optional byte-based
-	// trigger on the delta footprint.
-	CompactAt      int
-	CompactAtBytes int
+	// (Server.Compact only).
+	CompactAt int
 
 	// Seed makes key generation and index construction deterministic when
 	// non-zero (tests and experiments); 0 draws from crypto/rand.
@@ -161,15 +159,18 @@ type EncryptedDatabase struct {
 	PQ *pq.Store
 }
 
-// BuildPQ trains a PQ codebook over the stored SAP ciphertexts and encodes
-// every position, attaching the compressed filter tier to the database.
-// This is the on-demand path for databases built (or saved) without one;
-// cfg zero values select the documented pq defaults. The index must retain
-// a vector for every position ever assigned (all backends do).
+// BuildPQ trains a PQ codebook over the stored SAP ciphertexts of the live
+// records and encodes every live position, attaching the compressed filter
+// tier to the database. A dead position's code row is zero, as a fold
+// leaves it. This is the on-demand path for databases built (or saved)
+// without one; cfg zero values select the documented pq defaults.
 func (e *EncryptedDatabase) BuildPQ(cfg pq.TrainConfig) error {
 	n := e.DCE.Len()
 	vecs := make([][]float64, n)
 	for id := 0; id < n; id++ {
+		if !e.DCE.Has(id) {
+			continue
+		}
 		v, ok := e.Index.Vector(id)
 		if !ok {
 			return fmt.Errorf("core: building PQ: index has no vector for id %d", id)

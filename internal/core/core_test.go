@@ -44,7 +44,7 @@ func newWorld(t *testing.T, params Params, data [][]float64) *testWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	server, err := NewServerWith(edb, ServerOptions{CompactAt: params.CompactAt, CompactAtBytes: params.CompactAtBytes})
+	server, err := NewServerWith(edb, ServerOptions{CompactAt: params.CompactAt})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"ppanns/internal/dce"
 	"ppanns/internal/pq"
@@ -76,13 +77,15 @@ func (e *EncryptedDatabase) Compacted() (*EncryptedDatabase, error) {
 }
 
 // foldPQ is the PQ step of a compaction, online or offline, over vecs, the
-// SAP vectors of the compacted id space. The codebook is reused — repack
-// carries the surviving code rows over, like the ciphertext arena — until
-// the database has outgrown its training set (NeedsRetrain's deterministic
-// doubling rule), at which point the whole tier retrains on vecs under the
-// retained config and old codes mean nothing.
+// SAP vectors of the compacted id space (nil at a dead id). The codebook is
+// reused — repack carries the surviving code rows over, like the
+// ciphertext arena — until the id space has outgrown its training set
+// (NeedsRetrain's deterministic doubling rule), at which point the whole
+// tier retrains on the live rows of vecs under the retained config, dead
+// rows zero, and old codes mean nothing. With no live row there is nothing
+// to train on, and the codebook is kept.
 func foldPQ(old *pq.Store, vecs [][]float64, repack func() *pq.CodeStore) (pqs *pq.Store, retrained bool, err error) {
-	if old.NeedsRetrain(len(vecs)) {
+	if old.NeedsRetrain(len(vecs)) && slices.ContainsFunc(vecs, func(v []float64) bool { return v != nil }) {
 		pqs, err = pq.Build(vecs, old.Cfg)
 		if err != nil {
 			return nil, false, fmt.Errorf("PQ retrain: %w", err)

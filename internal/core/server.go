@@ -187,8 +187,8 @@ type SearchStats struct {
 type snapshot struct {
 	edb *EncryptedDatabase
 	// frozen is the main-tier size: edb.Index covers exactly the ids
-	// [0, frozen), all of which are index-live (pending tombstones are
-	// masked at query time, not applied to the index).
+	// [0, frozen), with a dead slot at each id a fold dropped (pending
+	// tombstones are masked at query time, not applied to the index).
 	frozen int
 	// deltaSAP holds the delta tier's SAP ciphertexts: deltaSAP[i] is the
 	// vector of id frozen+i. Appended to under the writer mutex with the
@@ -331,10 +331,6 @@ type ServerOptions struct {
 	// 0 selects DefaultCompactAt; negative disables automatic compaction
 	// (Compact must be called manually).
 	CompactAt int
-	// CompactAtBytes additionally triggers compaction when the delta
-	// tier's ciphertext+vector footprint reaches this many bytes
-	// (0 disables the byte trigger).
-	CompactAtBytes int
 	// WALDir, when non-empty, makes the write path durable: every
 	// Insert/Delete is appended to a write-ahead log in this directory
 	// before it is acknowledged, and every compaction (or Flush) persists
@@ -380,10 +376,9 @@ type Server struct {
 
 	// cmu serializes compactions (manual and background); never held by
 	// readers or writers.
-	cmu            sync.Mutex
-	compacting     atomic.Bool
-	compactAt      int
-	compactAtBytes int
+	cmu        sync.Mutex
+	compacting atomic.Bool
+	compactAt  int
 
 	statMu       sync.Mutex
 	lastPause    time.Duration
@@ -413,7 +408,7 @@ func NewServerWith(edb *EncryptedDatabase, o ServerOptions) (*Server, error) {
 	if o.CompactAt == 0 {
 		o.CompactAt = DefaultCompactAt
 	}
-	s := &Server{compactAt: o.CompactAt, compactAtBytes: o.CompactAtBytes}
+	s := &Server{compactAt: o.CompactAt}
 	s.snap.Store(&snapshot{edb: edb, frozen: edb.DCE.Len()})
 	if o.WALDir != "" {
 		if err := s.attachWAL(edb, o); err != nil {
@@ -779,7 +774,7 @@ func (s *Server) publishInsert(cur *snapshot, sapIn []float64, ct *dce.Ciphertex
 // Server-only — no data-owner participation, as the paper notes. The
 // delete is a pending tombstone: searches mask the id immediately (it is
 // fully gone from the next snapshot's results), and the next compaction
-// drops the ciphertext bytes and repairs the index around it. O(tombs)
+// drops the ciphertext bytes and rebuilds the index with the id dead. O(tombs)
 // per call (the pending set is copied), independent of database size.
 func (s *Server) Delete(pos int) error {
 	s.wmu.Lock()
@@ -927,15 +922,9 @@ func (s *Server) MemoryStats() MemoryStats {
 }
 
 // overThreshold reports whether the snapshot's pending write state has
-// outgrown the configured compaction triggers.
+// outgrown the configured compaction trigger.
 func (s *Server) overThreshold(sp *snapshot) bool {
-	if s.compactAt < 0 {
-		return false
-	}
-	if len(sp.deltaSAP) >= s.compactAt || len(sp.tombs) >= s.compactAt {
-		return true
-	}
-	return s.compactAtBytes > 0 && s.deltaBytes(sp) >= s.compactAtBytes
+	return s.compactAt >= 0 && (len(sp.deltaSAP) >= s.compactAt || len(sp.tombs) >= s.compactAt)
 }
 
 // maybeCompact starts the background compactor if the pending write state
@@ -1004,37 +993,29 @@ func (s *Server) compactFold() error {
 	edb := base.edb
 	n := edb.DCE.Len()
 
-	// Gather every position's SAP vector: main tier from the frozen
-	// index (which retains tombstone rows), delta tier from the snapshot.
+	// Gather every live position's SAP vector — main tier from the frozen
+	// index, delta tier from the snapshot — and nil for every dead one. The
+	// rebuilt index holds a dead id as an empty slot: the id space never
+	// shifts (shard striping and user-visible ids depend on stable
+	// positions), and no dead vector survives the fold.
+	dead := func(id int) bool { return !edb.DCE.Has(id) || base.tombed(id) }
 	vecs := make([][]float64, n)
-	for g := 0; g < base.frozen; g++ {
-		v, ok := edb.Index.Vector(g)
-		if !ok {
-			return fmt.Errorf("core: compaction: index has no vector for id %d", g)
+	for g := 0; g < n; g++ {
+		switch {
+		case dead(g):
+		case g >= base.frozen:
+			vecs[g] = base.deltaSAP[g-base.frozen]
+		default:
+			v, ok := edb.Index.Vector(g)
+			if !ok {
+				return fmt.Errorf("core: compaction: index has no vector for id %d", g)
+			}
+			vecs[g] = v
 		}
-		vecs[g] = v
 	}
-	for i, v := range base.deltaSAP {
-		vecs[base.frozen+i] = v
-	}
-
-	// Rebuild the filter index over both tiers. Dead ids keep their
-	// (re-deleted) slots so the id space never shifts — shard striping
-	// and user-visible ids depend on stable positions.
 	idx, err := edb.Index.Rebuild(vecs)
 	if err != nil {
 		return fmt.Errorf("core: compaction rebuild: %w", err)
-	}
-	if idx.Len() != n {
-		return fmt.Errorf("core: compaction rebuild produced %d ids, want %d", idx.Len(), n)
-	}
-	dead := func(id int) bool { return !edb.DCE.Has(id) || base.tombed(id) }
-	for g := 0; g < n; g++ {
-		if dead(g) {
-			if err := idx.Delete(g); err != nil {
-				return fmt.Errorf("core: compaction: re-deleting id %d: %w", g, err)
-			}
-		}
 	}
 	// Repack the ciphertext arena: tombstoned records' bytes are dropped
 	// (zeroed), and the new arena is private — the old chain keeps

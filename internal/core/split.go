@@ -21,9 +21,8 @@ import (
 // retrained, since it was fit on the full corpus), plus a freshly built
 // filter index over the stripe's SAP vectors, recovered from the source
 // index via SecureIndex.Vector. Tombstoned ids keep their slots — the
-// shard index is built over every position and the tombstones are
-// re-deleted — so local ids stay dense and the arithmetic mapping never
-// shifts.
+// shard index is built with a nil row, a dead slot, at each — so local ids
+// stay dense and the arithmetic mapping never shifts.
 //
 // opts configures the per-shard index rebuilds; zero values select the
 // backend's documented defaults, Dim is filled in from the database, and
@@ -42,21 +41,20 @@ func (e *EncryptedDatabase) Split(n int, opts index.Options) ([]*EncryptedDataba
 	shards := make([]*EncryptedDatabase, n)
 	for s := 0; s < n; s++ {
 		cnt := (total - s + n - 1) / n // |{g ∈ [0, total) : g ≡ s (mod n)}|
-		vecs := make([][]float64, 0, cnt)
+		vecs := make([][]float64, cnt)
 		store := dce.NewCiphertextStoreN(e.DCE.CtDim(), cnt)
-		var dead []int
-		for local := 0; local < cnt; local++ {
+		for local := range vecs {
 			g := local*n + s
+			if !e.DCE.Has(g) {
+				store.Delete(local)
+				continue
+			}
 			v, ok := e.Index.Vector(g)
 			if !ok {
 				return nil, fmt.Errorf("core: %s index cannot recover the SAP vector of id %d", e.Backend, g)
 			}
-			vecs = append(vecs, v)
-			if e.DCE.Has(g) {
-				copy(store.Record(local), e.DCE.Record(g))
-			} else {
-				dead = append(dead, local)
-			}
+			vecs[local] = v
+			copy(store.Record(local), e.DCE.Record(g))
 		}
 
 		o := opts
@@ -66,12 +64,6 @@ func (e *EncryptedDatabase) Split(n int, opts index.Options) ([]*EncryptedDataba
 		idx, err := index.Build(e.Backend, vecs, o)
 		if err != nil {
 			return nil, fmt.Errorf("core: building %s index for shard %d: %w", e.Backend, s, err)
-		}
-		for _, local := range dead {
-			if err := idx.Delete(local); err != nil {
-				return nil, fmt.Errorf("core: restoring tombstone %d on shard %d: %w", local, s, err)
-			}
-			store.Delete(local)
 		}
 		if idx.Len() != store.Live() {
 			return nil, fmt.Errorf("core: shard %d index holds %d live vectors, ciphertext store %d",

@@ -169,7 +169,7 @@ func OpenServer(walDir string, o ServerOptions) (*Server, RecoveryStats, error) 
 	if o.CompactAt == 0 {
 		o.CompactAt = DefaultCompactAt
 	}
-	s := &Server{compactAt: o.CompactAt, compactAtBytes: o.CompactAtBytes}
+	s := &Server{compactAt: o.CompactAt}
 	s.snap.Store(&snapshot{
 		edb:    edb,
 		frozen: edb.DCE.Len(),

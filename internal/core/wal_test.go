@@ -1,13 +1,18 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"ppanns/internal/hnsw"
 	"ppanns/internal/index"
 	"ppanns/internal/rng"
 	"ppanns/internal/wal"
@@ -564,5 +569,145 @@ func TestWALRejectsExistingLog(t *testing.T) {
 		t.Fatal("expected error for NewServerWith over an existing log")
 	} else if !strings.Contains(err.Error(), "OpenServer") {
 		t.Fatalf("error does not point at OpenServer: %v", err)
+	}
+}
+
+// TestFoldDropsDeadSlots: on every backend, a deleted record's SAP
+// ciphertext leaves the filter tier at the fold. After a main-tier record
+// and an inserted one are deleted and a Compact runs with a WAL attached,
+// the index reports neither vector, and neither the database's Save bytes
+// nor the checkpoint file hold either vector's bit pattern. On HNSW no list
+// of the folded graph names a dead id either.
+func TestFoldDropsDeadSlots(t *testing.T) {
+	const n, dim, mainID = 150, 8, 20
+	data := clustered(241, n, dim, 4)
+	for _, name := range index.Names() {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := ServerOptions{WALDir: dir, WALSync: wal.SyncPolicy{Every: 1}, CompactAt: -1}
+			w := newWALWorld(t, Params{Dim: dim, Beta: 0.3, Seed: 241, Index: name}, data, opts)
+			defer w.server.Close()
+			payload, err := w.owner.EncryptVector(rng.GaussianVec(rng.NewSeeded(242), dim, 6))
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, err := w.server.Insert(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mainSAP, ok := w.server.snap.Load().edb.Index.Vector(mainID)
+			if !ok {
+				t.Fatal("main-tier vector missing before the fold")
+			}
+			dead := map[int][]float64{mainID: slices.Clone(mainSAP), id: payload.SAP}
+			for d := range dead {
+				if err := w.server.Delete(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.server.Compact(); err != nil {
+				t.Fatal(err)
+			}
+
+			edb := w.server.snap.Load().edb
+			var saved bytes.Buffer
+			if err := edb.Save(&saved); err != nil {
+				t.Fatal(err)
+			}
+			ckpt, err := os.ReadFile(filepath.Join(dir, w.server.WALStats().Checkpoint))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for d, sap := range dead {
+				if _, ok := edb.Index.Vector(d); ok {
+					t.Fatalf("folded index still reports a vector for dead id %d", d)
+				}
+				var pattern []byte
+				for _, f := range sap {
+					pattern = binary.LittleEndian.AppendUint64(pattern, math.Float64bits(f))
+				}
+				if bytes.Contains(saved.Bytes(), pattern) || bytes.Contains(ckpt, pattern) {
+					t.Fatalf("the SAP ciphertext of dead id %d survives the fold on disk", d)
+				}
+			}
+			if name != "hnsw" {
+				return
+			}
+			// The hnsw payload is the identity id map (magic, count, one
+			// int32 per id) followed by the graph.
+			var payloadBuf bytes.Buffer
+			if err := edb.Index.Save(&payloadBuf); err != nil {
+				t.Fatal(err)
+			}
+			total := edb.DCE.Len()
+			g, err := hnsw.Load(bytes.NewReader(payloadBuf.Bytes()[16+4*total:]), dim, total, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := 0; v < total; v++ {
+				for l := 0; l <= g.Stats().MaxLevel; l++ {
+					for _, nb := range g.Neighbors(v, l) {
+						if _, isDead := dead[nb]; isDead {
+							t.Fatalf("node %d layer %d links dead id %d", v, l, nb)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestFoldAfterDeletingEverything: with every record deleted — the database
+// grown past its PQ training set first, so the fold's retrain rule fires —
+// a fold still publishes, on every backend: an empty index, a codebook kept
+// (there is nothing to train on), searches that answer nothing, and a
+// checkpoint that recovers.
+func TestFoldAfterDeletingEverything(t *testing.T) {
+	const n, dim = 40, 6
+	data := clustered(251, 2*n, dim, 3)
+	for _, name := range index.Names() {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := ServerOptions{WALDir: dir, WALSync: wal.SyncPolicy{Every: 1}, CompactAt: -1}
+			w := newWALWorld(t, Params{Dim: dim, Beta: 0.3, Seed: 251, Index: name, PQ: true, PQM: 3}, data[:n], opts)
+			for _, v := range data[n:] {
+				payload, err := w.owner.EncryptVector(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := w.server.Insert(payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			book := w.server.snap.Load().edb.PQ.Book
+			for id := 0; id < 2*n; id++ {
+				if err := w.server.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.server.Compact(); err != nil {
+				t.Fatalf("fold after deleting everything: %v", err)
+			}
+			edb := w.server.snap.Load().edb
+			if edb.Index.Len() != 0 || w.server.Live() != 0 || edb.PQ.Book != book {
+				t.Fatalf("index Len %d, Live %d, codebook replaced %v", edb.Index.Len(), w.server.Live(), edb.PQ.Book != book)
+			}
+			for _, opt := range []SearchOptions{{}, {FilterDist: FilterPQ}} {
+				if ids, err := w.server.Search(mustToken(t, w, data[0]), 5, opt); err != nil || len(ids) != 0 {
+					t.Fatalf("search of an empty database: %v, %v", ids, err)
+				}
+			}
+			if err := w.server.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rec, _, err := OpenServer(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			if rec.Len() != 2*n || rec.Live() != 0 {
+				t.Fatalf("recovered Len/Live %d/%d, want %d/0", rec.Len(), rec.Live(), 2*n)
+			}
+		})
 	}
 }

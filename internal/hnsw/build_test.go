@@ -53,13 +53,15 @@ func insertOneByOne(t *testing.T, data [][]float64, cfg Config) *Graph {
 	for _, v := range data {
 		g.data.Append(v)
 	}
-	g.nodes = g.carveNodes(drawLevels(g.cfg.Seed, g.mL, len(data)))
+	g.dead = make([]bool, len(data))
 	g.size = len(data)
+	b := &builder{Graph: g, nodes: g.carveNodes(drawLevels(g.cfg.Seed, g.mL, len(data)))}
 	ctx := newSearchCtx()
 	ctx.vis.Grow(len(data))
 	for id := range data {
-		g.insertBatch([]*searchCtx{ctx}, id, id+1)
+		b.insertBatch([]*searchCtx{ctx}, []int32{int32(id)})
 	}
+	b.pack()
 	return g
 }
 
@@ -81,8 +83,8 @@ func TestBuildMatchesSequentialInserts(t *testing.T) {
 }
 
 // TestBuildRecallAndEquivalence holds a bulk-built graph to recall@10 ≥
-// 0.95, and its CSR search to the live-adjacency walk bit for bit — with
-// tombstones, the entry point among them.
+// 0.95, and its CSR search to the walk over the build's lists bit for bit —
+// with dead slots, the full build's entry point among them.
 func TestBuildRecallAndEquivalence(t *testing.T) {
 	const n, dim, k = 4000, 16, 10
 	data := clusteredData(33, n, dim, 12)
@@ -116,22 +118,9 @@ func TestBuildRecallAndEquivalence(t *testing.T) {
 		t.Fatalf("bulk-built graph recall@%d = %.3f, want >= 0.95", k, rec)
 	}
 
-	for _, id := range []int{g.EntryPoint(), 7, 1234, n - 1} {
-		if err := g.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-	}
+	b := packedBuild(t, withDead(data, g.EntryPoint(), 7, 1234, n-1), Config{Dim: dim, M: 16, EfConstruction: 200, Seed: 33})
 	for qi, q := range queries {
-		live := g.liveSearch(q, k, 60)
-		frozen := g.Search(q, k, 60)
-		if len(frozen) != len(live) {
-			t.Fatalf("query %d: frozen %d items, live %d", qi, len(frozen), len(live))
-		}
-		for i := range frozen {
-			if frozen[i] != live[i] {
-				t.Fatalf("query %d rank %d: frozen %+v, live %+v", qi, i, frozen[i], live[i])
-			}
-		}
+		sameItems(t, qi, b.Search(q, k, 60), b.liveSearch(q, k, 60))
 	}
 }
 
@@ -149,33 +138,36 @@ func TestBuildEdgeCases(t *testing.T) {
 	}
 }
 
-// TestSaveLoadAfterDeletingEntry is the checkpoint defect the benchmark's
-// recovery gate found: a fold rebuilt the graph, re-deleted the dead ids,
-// the entry node was among them, Delete re-seated the entry below the level
-// the tombstone kept, and Load refused the file ("node 119 has level 3
-// beyond max 2"). Deleting entry nodes until maxLevel drops must leave a
-// graph that round-trips.
+// TestSaveLoadAfterDeletingEntry: with every node of the top level dead,
+// the graph is one layer shorter, enters through a live node, and
+// round-trips through Save and Load.
 func TestSaveLoadAfterDeletingEntry(t *testing.T) {
 	data := clusteredData(35, 500, 8, 4)
-	g, err := Build(data, Config{Dim: 8, M: 8, EfConstruction: 60, Seed: 35})
+	cfg := Config{Dim: 8, M: 8, EfConstruction: 60, Seed: 35}
+	full, err := Build(data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	top := g.Stats().MaxLevel
+	top := full.Stats().MaxLevel
 	if top == 0 {
 		t.Fatal("test graph has a single layer; pick another seed")
 	}
-	for deleted := 0; g.Stats().MaxLevel == top; deleted++ {
-		if deleted > 100 {
-			t.Fatal("maxLevel never dropped")
+	var dead []int
+	for id, lv := range full.levels {
+		if int(lv) == top {
+			dead = append(dead, id)
 		}
-		if err := g.Delete(g.EntryPoint()); err != nil {
-			t.Fatal(err)
-		}
+	}
+	g, err := Build(withDead(data, dead...), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Stats().MaxLevel >= top || g.Deleted(g.EntryPoint()) {
+		t.Fatalf("max level %d (full build %d), entry %d dead=%v", g.Stats().MaxLevel, top, g.EntryPoint(), g.Deleted(g.EntryPoint()))
 	}
 	g2, err := Load(bytes.NewReader(saveBytes(t, g)), 8, 500, nil)
 	if err != nil {
-		t.Fatalf("graph saved after deleting its entry node does not load: %v", err)
+		t.Fatalf("graph built without its top level does not load: %v", err)
 	}
 	if g2.Len() != g.Len() || g2.EntryPoint() != g.EntryPoint() {
 		t.Fatalf("loaded len/entry %d/%d, want %d/%d", g2.Len(), g2.EntryPoint(), g.Len(), g.EntryPoint())
@@ -192,35 +184,32 @@ func TestSaveLoadAfterDeletingEntry(t *testing.T) {
 	}
 }
 
-// TestSaveLoadFuzzedMutations round-trips graphs after random delete
-// sequences, down to the empty graph: whatever Delete leaves behind, Load
-// accepts.
+// TestSaveLoadFuzzedMutations round-trips graphs built with random dead
+// slots, down to the all-dead graph: whatever Build leaves behind, Load
+// accepts and Save reproduces byte for byte.
 func TestSaveLoadFuzzedMutations(t *testing.T) {
 	const n = 160
 	for seed := uint64(1); seed <= 8; seed++ {
 		r := rng.NewSeeded(seed)
-		g, err := Build(clusteredData(seed, n, 6, 3), Config{Dim: 6, M: 4, EfConstruction: 30, Seed: seed})
+		data := clusteredData(seed, n, 6, 3)
+		cfg := Config{Dim: 6, M: 4, EfConstruction: 30, Seed: seed}
+		full, err := Build(data, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var live []int
-		for i := 0; i < n; i++ {
-			live = append(live, i)
+		// Always the full build's entry node, the case that broke, then
+		// random ids until only (seed-1)/8 of the nodes are left.
+		dead := map[int]bool{full.EntryPoint(): true}
+		for len(dead) < n-int(seed-1)*n/8 {
+			dead[r.IntN(n)] = true
 		}
-		for len(live) > int(seed-1)*n/8 {
-			i := r.IntN(len(live))
-			if r.IntN(4) == 0 {
-				// Bias towards the entry node, the case that broke.
-				for j, id := range live {
-					if id == g.EntryPoint() {
-						i = j
-					}
-				}
-			}
-			if err := g.Delete(live[i]); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live[:i], live[i+1:]...)
+		var ids []int
+		for id := range dead {
+			ids = append(ids, id)
+		}
+		g, err := Build(withDead(data, ids...), cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
 		g2, err := Load(bytes.NewReader(saveBytes(t, g)), 6, n, nil)
 		if err != nil {

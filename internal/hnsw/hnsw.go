@@ -5,14 +5,15 @@
 // The implementation is complete rather than minimal: randomized level
 // assignment, beam search with efConstruction during build, the diversity
 // heuristic for neighbor selection, bidirectional linking with pruning, a
-// seed-deterministic parallel bulk build (build.go), filtered search,
-// deletion with in-neighbor repair (the maintenance procedure of Section
-// V-D), and binary serialization.
+// seed-deterministic parallel bulk build (build.go), and binary
+// serialization.
 //
-// A graph is built once (Build or Load), may have ids tombstoned with
-// Delete, and is otherwise only read: searches walk a packed CSR view of
-// the adjacency (frozen.go) that Delete discards and the next search
-// rebuilds.
+// A graph is an immutable value. Build or Load constructs it and ends by
+// packing the adjacency into CSR layers — per layer, one offsets array plus
+// one flat neighbor array — which searches, Save and the accessors read with
+// no lock. A nil row given to Build is a dead slot: it keeps its id (so ids
+// stay vector positions), holds a zero vector, is never linked and is never
+// the entry point.
 //
 // The graph is metric-agnostic: it stores opaque float64 vectors and ranks
 // by a caller-supplied distance. The PP-ANNS scheme instantiates it over
@@ -24,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"ppanns/internal/epochset"
 	"ppanns/internal/resultheap"
@@ -76,14 +76,18 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-type node struct {
-	neighbors [][]int32 // one adjacency list per layer 0..level
-	level     int
-	deleted   bool
+// csrLayer is one layer's adjacency in compressed-sparse-row form: node
+// id's neighbor list is nbrs[offs[id]:offs[id+1]] (empty when the node's
+// level is below the layer).
+type csrLayer struct {
+	offs []int32
+	nbrs []int32
 }
 
-// Graph is a thread-safe HNSW index. Searches run concurrently with each
-// other; Delete is exclusive.
+func (l *csrLayer) neighbors(id int) []int32 { return l.nbrs[l.offs[id]:l.offs[id+1]] }
+
+// Graph is an HNSW index. Nothing writes to it once Build or Load returns,
+// so any number of searches run on it concurrently, beside Save.
 type Graph struct {
 	cfg Config
 	mL  float64
@@ -91,20 +95,13 @@ type Graph struct {
 	// kernel instead of per-neighbor DistanceFunc calls.
 	blockDist bool
 
-	// mu guards everything below it. Searches, Save and the accessors hold
-	// it shared for their whole duration; Delete holds it exclusively, so
-	// adjacency is only ever written on a graph nobody is reading and needs
-	// no per-node locks.
-	mu       sync.RWMutex
 	data     *vec.Dataset
-	nodes    []node
+	levels   []int32 // per id: its top layer
+	dead     []bool  // per id: a dead slot (tombstone)
+	layers   []csrLayer
 	entry    int
 	maxLevel int
-	size     int // live (non-deleted) node count
-
-	// view caches the CSR snapshot searches walk (see frozen.go). Delete
-	// clears it; the next search rebuilds it.
-	view atomic.Pointer[frozenView]
+	size     int // live node count
 
 	ctxPool sync.Pool
 }
@@ -125,20 +122,12 @@ func newGraph(cfg Config, capHint int) (*Graph, error) {
 	}, nil
 }
 
-// Len returns the number of live (non-deleted) vectors.
-func (g *Graph) Len() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.size
-}
+// Len returns the number of live vectors.
+func (g *Graph) Len() int { return g.size }
 
-// IDs returns the number of ids ever assigned — live nodes plus tombstones.
-// Ids are dense: Build numbers its vectors 0..n-1.
-func (g *Graph) IDs() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.nodes)
-}
+// IDs returns the number of ids — live nodes plus dead slots. Ids are
+// dense: Build numbers its vectors 0..n-1.
+func (g *Graph) IDs() int { return len(g.levels) }
 
 // Dim returns the vector dimension.
 func (g *Graph) Dim() int { return g.cfg.Dim }
@@ -147,13 +136,9 @@ func (g *Graph) Dim() int { return g.cfg.Dim }
 // callers can construct a fresh graph with the same parameters.
 func (g *Graph) Config() Config { return g.cfg }
 
-// Vector returns the stored vector for id (also valid for deleted ids,
-// whose rows remain as tombstones).
-func (g *Graph) Vector(id int) []float64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.data.At(id)
-}
+// Vector returns the stored vector for id: the zero vector for a dead slot
+// Build made, the retained row for a tombstone a loaded file carries.
+func (g *Graph) Vector(id int) []float64 { return g.data.At(id) }
 
 // searchCtx holds per-walk scratch state: the visited set, both beam-search
 // heaps, the gathered-neighbor buffer, the blocked-kernel output, the
@@ -176,7 +161,7 @@ type searchCtx struct {
 	starts []int32
 	// sc, when non-nil, supplies every candidate distance of this search
 	// (SearchIntoDist — the PQ filter path). Ids passed to it are graph
-	// ids. Build and repair searches always run with sc nil.
+	// ids. Build always runs with sc nil.
 	sc vec.BlockScanner
 }
 
@@ -185,17 +170,6 @@ func newSearchCtx() *searchCtx {
 		cand: resultheap.NewMinDistHeap(64),
 		res:  resultheap.NewMaxDistHeap(64),
 	}
-}
-
-func (g *Graph) getCtx(n int) *searchCtx {
-	c, _ := g.ctxPool.Get().(*searchCtx)
-	if c == nil {
-		c = newSearchCtx()
-	}
-	c.sc = nil
-	c.vis.Grow(n)
-	c.vis.Next()
-	return c
 }
 
 // pairDist is the single-candidate distance of this search: the bound
@@ -236,25 +210,73 @@ func (c *searchCtx) next() { c.vis.Next() }
 
 func (c *searchCtx) seen(id int) bool { return c.vis.Seen(id) }
 
-// neighborsAt returns id's live adjacency list at a layer (empty when the
-// node's level is below the layer). Caller holds the lock.
-func (g *Graph) neighborsAt(id, layer int) []int32 {
-	nd := &g.nodes[id]
-	if layer >= len(nd.neighbors) {
-		return nil
-	}
-	return nd.neighbors[layer]
+// Search returns the ids of the (approximately) k closest live vectors to
+// q, closest first, exploring with beam width ef (ef is raised to k when
+// smaller). It is the HNSW search of the paper's filter phase.
+func (g *Graph) Search(q []float64, k, ef int) []resultheap.Item {
+	return g.searchInto(nil, q, k, ef, nil)
 }
 
-// greedyDescend walks one layer of the live adjacency greedily towards q,
-// returning the closest node found and its distance: one blocked distance
-// call per hop. Build and Delete's repair use it; queries take
-// frozenDescend over the CSR view, which makes the same walk. Caller must
-// hold the lock.
-func (g *Graph) greedyDescend(ctx *searchCtx, q []float64, ep int, epDist float64, layer int) (int, float64) {
+// SearchInto is Search appending the results into dst (reusing its
+// capacity). With a recycled dst the whole search is allocation-free after
+// the context pool has warmed up.
+func (g *Graph) SearchInto(dst []resultheap.Item, q []float64, k, ef int) []resultheap.Item {
+	return g.searchInto(dst, q, k, ef, nil)
+}
+
+// SearchIntoDist is SearchInto with every candidate distance supplied by sc
+// instead of computed from the stored vectors — the compressed (PQ) filter
+// path. Traversal order, heap admission and result ranking all run on the
+// scanner's distances; the graph structure is walked unchanged. Ids passed
+// to sc are graph ids.
+func (g *Graph) SearchIntoDist(dst []resultheap.Item, q []float64, k, ef int, sc vec.BlockScanner) []resultheap.Item {
+	return g.searchInto(dst, q, k, ef, sc)
+}
+
+func (g *Graph) searchInto(dst []resultheap.Item, q []float64, k, ef int, sc vec.BlockScanner) []resultheap.Item {
+	if len(q) != g.cfg.Dim {
+		panic(fmt.Sprintf("hnsw: searching %d-dim query in %d-dim graph", len(q), g.cfg.Dim))
+	}
+	if ef < k {
+		ef = k
+	}
+	if g.size == 0 {
+		return dst[:0]
+	}
+	ctx, _ := g.ctxPool.Get().(*searchCtx)
+	if ctx == nil {
+		ctx = newSearchCtx()
+	}
+	ctx.vis.Grow(len(g.levels))
+	ctx.next()
+	ctx.sc = sc
+	defer func() {
+		ctx.sc = nil // don't pin the scanner's arenas through the pool
+		g.ctxPool.Put(ctx)
+	}()
+
+	ep := g.entry
+	epDist := g.pairDist(ctx, q, ep)
+	for l := g.maxLevel; l > 0; l-- {
+		ep, epDist = g.descend(ctx, q, ep, epDist, l)
+	}
+	ctx.next()
+	res := g.beam(ctx, q, ep, epDist, ef)
+	ctx.items = res.SortedInto(ctx.items)
+	items := ctx.items
+	if len(items) > k {
+		items = items[:k]
+	}
+	return append(dst[:0], items...)
+}
+
+// descend walks one layer greedily towards q, returning the closest node
+// found and its distance: one blocked distance call per hop.
+func (g *Graph) descend(ctx *searchCtx, q []float64, ep int, epDist float64, layer int) (int, float64) {
+	lay := &g.layers[layer]
 	for {
 		improved := false
-		nbrs := g.neighborsAt(ep, layer)
+		nbrs := lay.neighbors(ep)
 		dists := g.hopDists(ctx, q, nbrs)
 		for j, nb := range nbrs {
 			if d := dists[j]; d < epDist {
@@ -268,25 +290,21 @@ func (g *Graph) greedyDescend(ctx *searchCtx, q []float64, ep int, epDist float6
 	}
 }
 
-// searchLayer is the beam search of the HNSW paper (Algorithm 2) over the
-// live adjacency, as Build and Delete's repair run it: starting from ep, it
-// maintains a candidate min-heap and a bounded result max-heap of width ef,
-// both reused from ctx. Each hop gathers its unvisited neighbors and
-// evaluates them with one blocked kernel call, then replays admission in
-// neighbor order — the same walk frozenSearchLayer makes over a CSR view.
-// allow, when non-nil, filters result membership (traversal still passes
-// through filtered nodes, so the graph stays navigable around them);
-// tombstones are not filtered otherwise, and repair excludes them with
-// allow. The returned heap is ctx-owned: consume it before the next
-// searchLayer call on the same ctx. Caller must hold the lock; nothing
-// here takes another.
-func (g *Graph) searchLayer(ctx *searchCtx, q []float64, ep int, epDist float64, ef, layer int, allow func(int) bool) *resultheap.MaxDistHeap {
+// beam is the beam search of the HNSW paper (Algorithm 2) on layer 0, with
+// tombstones kept out of the result set: from ep it maintains a candidate
+// min-heap and a bounded result max-heap of width ef, both reused from ctx.
+// Each hop gathers its unvisited neighbors and evaluates them with one
+// blocked kernel call, then replays admission in neighbor order. The
+// returned heap is ctx-owned.
+func (g *Graph) beam(ctx *searchCtx, q []float64, ep int, epDist float64, ef int) *resultheap.MaxDistHeap {
+	offs, nbrs := g.layers[0].offs, g.layers[0].nbrs
+	dead := g.dead
 	cand, res := ctx.cand, ctx.res
 	cand.Reset()
 	res.Reset()
 	ctx.seen(ep)
 	cand.Push(ep, epDist)
-	if allow == nil || allow(ep) {
+	if !dead[ep] {
 		res.Push(ep, epDist)
 	}
 	gather := ctx.buf
@@ -296,7 +314,7 @@ func (g *Graph) searchLayer(ctx *searchCtx, q []float64, ep int, epDist float64,
 			break
 		}
 		gather = gather[:0]
-		for _, nb := range g.neighborsAt(c.ID, layer) {
+		for _, nb := range nbrs[offs[c.ID]:offs[c.ID+1]] {
 			if !ctx.seen(int(nb)) {
 				gather = append(gather, nb)
 			}
@@ -307,7 +325,7 @@ func (g *Graph) searchLayer(ctx *searchCtx, q []float64, ep int, epDist float64,
 			d := dists[j]
 			if res.Len() < ef || d < res.Top().Dist {
 				cand.Push(id, d)
-				if allow == nil || allow(id) {
+				if !dead[id] {
 					res.PushBounded(id, d, ef)
 				}
 			}
@@ -317,203 +335,14 @@ func (g *Graph) searchLayer(ctx *searchCtx, q []float64, ep int, epDist float64,
 	return res
 }
 
-// selectNeighbors applies the diversity heuristic (HNSW Algorithm 4) to the
-// candidates loaded into ctx.cand (keyed by distance to the base vector),
-// appending at most m ids to dst[:0]. Candidates are drawn closest first,
-// and only as many as the selection consumes. A candidate is kept when it
-// is closer to the base than to any already-kept neighbor; when fewer than
-// m survive and KeepPruned is active, the closest pruned candidates fill
-// the remaining slots. dst may be the list being replaced: the heap holds
-// ids by value.
-func (g *Graph) selectNeighbors(ctx *searchCtx, dst []int32, m int) []int32 {
-	dst = dst[:0]
-	pruned := ctx.pruned[:0]
-	dist := g.cfg.Distance
-	for cand := ctx.cand; cand.Len() > 0 && len(dst) < m; {
-		c := cand.Pop()
-		good := true
-		cv := g.data.At(c.ID)
-		for _, s := range dst {
-			if dist(cv, g.data.At(int(s))) < c.Dist {
-				good = false
-				break
-			}
-		}
-		if good {
-			dst = append(dst, int32(c.ID))
-		} else if !g.cfg.SkipKeepPruned {
-			pruned = append(pruned, c)
-		}
-	}
-	for _, c := range pruned {
-		if len(dst) >= m {
-			break
-		}
-		dst = append(dst, int32(c.ID))
-	}
-	ctx.pruned = pruned
-	return dst
-}
-
-// Search returns the ids of the (approximately) k closest live vectors to
-// q, closest first, exploring with beam width ef (ef is raised to k when
-// smaller). It is the HNSW search of the paper's filter phase.
-func (g *Graph) Search(q []float64, k, ef int) []resultheap.Item {
-	return g.searchInto(nil, q, k, ef, nil, nil)
-}
-
-// SearchInto is Search appending the results into dst (reusing its
-// capacity). With a recycled dst the whole search is allocation-free after
-// the context pool has warmed up.
-func (g *Graph) SearchInto(dst []resultheap.Item, q []float64, k, ef int) []resultheap.Item {
-	return g.searchInto(dst, q, k, ef, nil, nil)
-}
-
-// SearchFiltered is Search restricted to ids accepted by allow (nil accepts
-// all). Deleted nodes are always excluded.
-func (g *Graph) SearchFiltered(q []float64, k, ef int, allow func(int) bool) []resultheap.Item {
-	return g.searchInto(nil, q, k, ef, allow, nil)
-}
-
-// SearchIntoDist is SearchInto with every candidate distance supplied by sc
-// instead of computed from the stored vectors — the compressed (PQ) filter
-// path. Traversal order, heap admission and result ranking all run on the
-// scanner's distances; the graph structure is walked unchanged. Ids passed
-// to sc are graph ids.
-func (g *Graph) SearchIntoDist(dst []resultheap.Item, q []float64, k, ef int, sc vec.BlockScanner) []resultheap.Item {
-	return g.searchInto(dst, q, k, ef, nil, sc)
-}
-
-func (g *Graph) searchInto(dst []resultheap.Item, q []float64, k, ef int, allow func(int) bool, sc vec.BlockScanner) []resultheap.Item {
-	if len(q) != g.cfg.Dim {
-		panic(fmt.Sprintf("hnsw: searching %d-dim query in %d-dim graph", len(q), g.cfg.Dim))
-	}
-	if ef < k {
-		ef = k
-	}
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if g.entry < 0 || g.size == 0 {
-		return dst[:0]
-	}
-	ctx := g.getCtx(len(g.nodes))
-	ctx.sc = sc
-	defer func() {
-		ctx.sc = nil // don't pin the scanner's arenas through the pool
-		g.ctxPool.Put(ctx)
-	}()
-
-	v := g.frozen()
-	ep := v.entry
-	epDist := g.pairDist(ctx, q, ep)
-	for l := v.maxLevel; l > 0; l-- {
-		ep, epDist = g.frozenDescend(ctx, v, q, ep, epDist, l)
-	}
-	ctx.next()
-	res := g.frozenSearchLayer(ctx, v, q, ep, epDist, ef, 0, allow)
-	ctx.items = res.SortedInto(ctx.items)
-	items := ctx.items
-	if len(items) > k {
-		items = items[:k]
-	}
-	return append(dst[:0], items...)
-}
-
-// Delete removes id from the graph following Section V-D: the node is
-// tombstoned, its out-edges dropped, and every in-neighbor is repaired by
-// re-running neighbor selection over a fresh search so the graph stays
-// navigable. Returns an error for unknown or already-deleted ids.
-//
-// A tombstone keeps its row and its id but not its level: it falls to
-// level 0 with an empty list, so "every node's level is at most maxLevel"
-// holds after the entry point is re-seated below it — the invariant Load
-// checks, which a tombstone that kept its level used to break.
-func (g *Graph) Delete(id int) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if id < 0 || id >= len(g.nodes) {
-		return fmt.Errorf("hnsw: delete of unknown id %d", id)
-	}
-	nd := &g.nodes[id]
-	if nd.deleted {
-		return fmt.Errorf("hnsw: id %d already deleted", id)
-	}
-	// Drop the cached view — after validation, so a rejected delete does
-	// not force the next search into a spurious rebuild.
-	g.view.Store(nil)
-	nd.deleted = true
-	g.size--
-
-	// Collect in-neighbors per layer and cut their edges to id.
-	type affected struct{ node, layer int }
-	var repairs []affected
-	for nid := range g.nodes {
-		other := &g.nodes[nid]
-		if nid == id || other.deleted {
-			continue
-		}
-		for l, lst := range other.neighbors {
-			for i, nb := range lst {
-				if int(nb) == id {
-					other.neighbors[l] = append(lst[:i], lst[i+1:]...)
-					repairs = append(repairs, affected{node: nid, layer: l})
-					break
-				}
-			}
-		}
-	}
-	// Drop the out-edges and the level.
-	nd.level = 0
-	nd.neighbors = nd.neighbors[:1:1]
-	nd.neighbors[0] = nd.neighbors[0][:0]
-
-	if g.size == 0 {
-		g.entry = -1
-		g.maxLevel = 0
-		return nil
-	}
-	// Re-seat the entry point if it was the deleted node.
-	if g.entry == id {
-		best, bestLevel := -1, -1
-		for nid := range g.nodes {
-			if other := &g.nodes[nid]; !other.deleted && other.level > bestLevel {
-				best, bestLevel = nid, other.level
-			}
-		}
-		g.entry = best
-		g.maxLevel = bestLevel
-	}
-
-	// Repair each in-neighbor: search around it (excluding itself) and
-	// re-select a full neighbor list at the affected layer.
-	ctx := g.getCtx(len(g.nodes))
-	defer g.ctxPool.Put(ctx)
-	for _, rep := range repairs {
-		v := g.data.At(rep.node)
-		ctx.next()
-		allow := func(cid int) bool { return cid != rep.node && !g.nodes[cid].deleted }
-		ep, epDist := g.entry, g.cfg.Distance(v, g.data.At(g.entry))
-		for l := g.maxLevel; l > rep.layer; l-- {
-			ep, epDist = g.greedyDescend(ctx, v, ep, epDist, l)
-		}
-		res := g.searchLayer(ctx, v, ep, epDist, g.cfg.EfConstruction, rep.layer, allow)
-		ctx.cand.Load(res.Items())
-		lst := &g.nodes[rep.node].neighbors[rep.layer]
-		*lst = g.selectNeighbors(ctx, *lst, g.maxLinks(rep.layer))
-	}
-	return nil
-}
-
-// Neighbors returns a copy of id's adjacency list at the given layer
-// (empty when the node's level is below the layer). Baselines that lay the
-// graph out as PIR blocks read it through this accessor.
+// Neighbors returns a copy of id's adjacency list at the given layer (nil
+// when the node's level is below the layer). Baselines that lay the graph
+// out as PIR blocks read it through this accessor.
 func (g *Graph) Neighbors(id, layer int) []int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	lst := g.neighborsAt(id, layer)
-	if lst == nil {
+	if layer > int(g.levels[id]) {
 		return nil
 	}
+	lst := g.layers[layer].neighbors(id)
 	out := make([]int, len(lst))
 	for i, nb := range lst {
 		out[i] = int(nb)
@@ -521,19 +350,11 @@ func (g *Graph) Neighbors(id, layer int) []int {
 	return out
 }
 
-// EntryPoint returns the graph's current entry node id (-1 when empty).
-func (g *Graph) EntryPoint() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.entry
-}
+// EntryPoint returns the graph's entry node id (-1 when empty).
+func (g *Graph) EntryPoint() int { return g.entry }
 
-// Deleted reports whether id is tombstoned.
-func (g *Graph) Deleted(id int) bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return id < 0 || id >= len(g.nodes) || g.nodes[id].deleted
-}
+// Deleted reports whether id is a dead slot (or not an id at all).
+func (g *Graph) Deleted(id int) bool { return id < 0 || id >= len(g.dead) || g.dead[id] }
 
 // Stats summarizes graph shape for diagnostics and tests.
 type Stats struct {
@@ -544,22 +365,20 @@ type Stats struct {
 	AvgDegree float64 // layer-0 out-degree among live nodes
 }
 
-// Stats computes current graph statistics.
+// Stats computes the graph's statistics.
 func (g *Graph) Stats() Stats {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	st := Stats{Nodes: g.size, MaxLevel: g.maxLevel}
 	var deg0 int
-	for i := range g.nodes {
-		nd := &g.nodes[i]
-		if nd.deleted {
+	for id, dead := range g.dead {
+		if dead {
 			st.Deleted++
 			continue
 		}
-		for l, lst := range nd.neighbors {
-			st.Edges += len(lst)
+		for l := 0; l <= int(g.levels[id]); l++ {
+			d := len(g.layers[l].neighbors(id))
+			st.Edges += d
 			if l == 0 {
-				deg0 += len(lst)
+				deg0 += d
 			}
 		}
 	}

@@ -223,26 +223,35 @@ func TestConcurrentBuildAndSearch(t *testing.T) {
 	}
 }
 
+// withDead returns a copy of data with the rows at ids replaced by nil: the
+// dead slots a fold passes to Build.
+func withDead(data [][]float64, ids ...int) [][]float64 {
+	out := append([][]float64(nil), data...)
+	for _, id := range ids {
+		out[id] = nil
+	}
+	return out
+}
+
+// TestDelete: a build with 200 dead slots never returns one, and its recall
+// against live-only ground truth stays high.
 func TestDelete(t *testing.T) {
 	const n, dim, k = 1500, 12, 10
 	data := clusteredData(7, n, dim, 10)
-	g := buildGraph(t, data, Config{Dim: dim, M: 12, EfConstruction: 120, Seed: 6})
 	r := rng.NewSeeded(13)
 	deleted := map[int]bool{}
+	var ids []int
 	for len(deleted) < 200 {
 		id := r.IntN(n)
-		if deleted[id] {
-			continue
+		if !deleted[id] {
+			deleted[id] = true
+			ids = append(ids, id)
 		}
-		if err := g.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-		deleted[id] = true
 	}
-	if g.Len() != n-200 {
-		t.Fatalf("Len = %d after deletes, want %d", g.Len(), n-200)
+	g := buildGraph(t, withDead(data, ids...), Config{Dim: dim, M: 12, EfConstruction: 120, Seed: 6})
+	if g.Len() != n-200 || g.IDs() != n {
+		t.Fatalf("Len/IDs = %d/%d, want %d/%d", g.Len(), g.IDs(), n-200, n)
 	}
-	// Deleted ids never appear; recall vs live-only ground truth stays high.
 	var recall float64
 	const queries = 30
 	for i := 0; i < queries; i++ {
@@ -251,7 +260,7 @@ func TestDelete(t *testing.T) {
 		ids := make([]int, len(got))
 		for j, it := range got {
 			if deleted[it.ID] {
-				t.Fatalf("deleted id %d returned", it.ID)
+				t.Fatalf("dead id %d returned", it.ID)
 			}
 			ids[j] = it.ID
 		}
@@ -259,74 +268,61 @@ func TestDelete(t *testing.T) {
 	}
 	recall /= queries
 	if recall < 0.9 {
-		t.Fatalf("recall after deletes = %.3f, want ≥ 0.9", recall)
+		t.Fatalf("recall with dead slots = %.3f, want ≥ 0.9", recall)
 	}
 }
 
+// TestDeleteErrors: dead-slot bookkeeping, and a dead slot holds no vector.
 func TestDeleteErrors(t *testing.T) {
-	g := buildGraph(t, [][]float64{{0, 0}, {1, 1}}, Config{Dim: 2, Seed: 8})
-	if err := g.Delete(5); err == nil {
-		t.Fatal("expected error for unknown id")
-	}
-	if err := g.Delete(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Delete(0); err == nil {
-		t.Fatal("expected error for double delete")
-	}
-	if !g.Deleted(0) || g.Deleted(1) {
+	g := buildGraph(t, [][]float64{nil, {1, 1}}, Config{Dim: 2, Seed: 8})
+	if !g.Deleted(0) || g.Deleted(1) || !g.Deleted(5) || !g.Deleted(-1) {
 		t.Fatal("Deleted() bookkeeping wrong")
 	}
+	if v := g.Vector(0); v[0] != 0 || v[1] != 0 {
+		t.Fatalf("dead slot holds %v", v)
+	}
+	if g.EntryPoint() != 1 || len(g.Neighbors(1, 0)) != 0 {
+		t.Fatalf("entry %d, neighbors %v: the live node must be alone", g.EntryPoint(), g.Neighbors(1, 0))
+	}
 }
 
+// TestDeleteAll: a vector set with every row nil builds an empty graph over
+// its ids.
 func TestDeleteAll(t *testing.T) {
-	g := buildGraph(t, [][]float64{{0, 0}, {1, 1}, {2, 2}}, Config{Dim: 2, Seed: 9})
-	for i := 0; i < 3; i++ {
-		if err := g.Delete(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if g.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", g.Len())
+	g := buildGraph(t, [][]float64{nil, nil, nil}, Config{Dim: 2, Seed: 9})
+	if g.Len() != 0 || g.IDs() != 3 {
+		t.Fatalf("Len/IDs = %d/%d, want 0/3", g.Len(), g.IDs())
 	}
 	if res := g.Search([]float64{0, 0}, 3, 10); len(res) != 0 {
-		t.Fatalf("search on emptied graph returned %d results", len(res))
+		t.Fatalf("search on an all-dead graph returned %d results", len(res))
 	}
 	if g.EntryPoint() != -1 {
-		t.Fatalf("emptied graph keeps entry point %d", g.EntryPoint())
+		t.Fatalf("all-dead graph has entry point %d", g.EntryPoint())
 	}
 }
 
+// TestDeleteEntryPoint: when the id the full build would enter through is
+// dead, another node takes its place and searches still work — and the
+// other ids keep the levels the seed drew for them.
 func TestDeleteEntryPoint(t *testing.T) {
 	data := clusteredData(10, 300, 8, 4)
-	g := buildGraph(t, data, Config{Dim: 8, Seed: 10})
-	// Delete whatever the current entry is (highest level node) by
-	// deleting ids until Len shrinks — entry is internal, so simply delete
-	// many nodes and verify searches keep working.
-	for i := 0; i < 100; i++ {
-		if err := g.Delete(i); err != nil {
-			t.Fatal(err)
-		}
-		res := g.Search(data[150], 5, 30)
-		if len(res) == 0 {
-			t.Fatalf("search broke after deleting id %d", i)
+	cfg := Config{Dim: 8, Seed: 10}
+	full := buildGraph(t, data, cfg)
+	dead := full.EntryPoint()
+	g := buildGraph(t, withDead(data, dead), cfg)
+	if ep := g.EntryPoint(); ep == dead || ep < 0 {
+		t.Fatalf("entry point %d, the dead slot is %d", ep, dead)
+	}
+	for id := range data {
+		if id != dead && g.levels[id] != full.levels[id] {
+			t.Fatalf("id %d drew level %d, %d in the full build", id, g.levels[id], full.levels[id])
 		}
 	}
-}
-
-func TestSearchFiltered(t *testing.T) {
-	data := clusteredData(11, 800, 8, 6)
-	g := buildGraph(t, data, Config{Dim: 8, Seed: 11})
-	q := data[42]
-	even := func(id int) bool { return id%2 == 0 }
-	res := g.SearchFiltered(q, 10, 60, even)
-	if len(res) == 0 {
-		t.Fatal("filtered search returned nothing")
+	if g.levels[dead] != 0 {
+		t.Fatalf("dead slot at level %d", g.levels[dead])
 	}
-	for _, it := range res {
-		if it.ID%2 != 0 {
-			t.Fatalf("filter violated: id %d", it.ID)
-		}
+	if res := g.Search(data[150], 5, 30); len(res) != 5 {
+		t.Fatalf("search returned %d results", len(res))
 	}
 }
 
@@ -343,11 +339,9 @@ func TestStats(t *testing.T) {
 	if st.AvgDegree > float64(2*10) {
 		t.Fatalf("layer-0 degree %f exceeds MMax0", st.AvgDegree)
 	}
-	if err := g.Delete(3); err != nil {
-		t.Fatal(err)
-	}
-	if st = g.Stats(); st.Deleted != 1 {
-		t.Fatalf("Stats.Deleted = %d", st.Deleted)
+	g = buildGraph(t, withDead(data, 3), Config{Dim: 8, M: 10, Seed: 12})
+	if st = g.Stats(); st.Nodes != 999 || st.Deleted != 1 {
+		t.Fatalf("Stats nodes=%d deleted=%d with one dead slot", st.Nodes, st.Deleted)
 	}
 }
 
@@ -367,8 +361,8 @@ func TestLevelDistribution(t *testing.T) {
 func TestDimMismatchPanics(t *testing.T) {
 	g := buildGraph(t, [][]float64{{0, 0}}, Config{Dim: 2, Seed: 14})
 	for name, fn := range map[string]func(){
-		"Search":         func() { g.Search([]float64{1, 2, 3}, 1, 1) },
-		"SearchFiltered": func() { g.SearchFiltered([]float64{1}, 1, 1, nil) },
+		"Search":     func() { g.Search([]float64{1, 2, 3}, 1, 1) },
+		"SearchInto": func() { g.SearchInto(nil, []float64{1}, 1, 1) },
 	} {
 		func() {
 			defer func() {
@@ -382,43 +376,37 @@ func TestDimMismatchPanics(t *testing.T) {
 }
 
 func TestGraphConnectivity(t *testing.T) {
-	// Every live node must be reachable from the entry point on layer 0 —
-	// the navigability invariant deletion repair must preserve.
+	// Every live node must be reachable from the entry point on layer 0,
+	// and no list may name a dead slot.
 	data := clusteredData(15, 600, 8, 5)
-	g := buildGraph(t, data, Config{Dim: 8, M: 12, Seed: 15})
+	var dead []int
 	for i := 0; i < 50; i++ {
-		if err := g.Delete(i * 7); err != nil {
-			t.Fatal(err)
+		dead = append(dead, i*7)
+	}
+	g := buildGraph(t, withDead(data, dead...), Config{Dim: 8, M: 12, Seed: 15})
+	for l := range g.layers {
+		for _, nb := range g.layers[l].nbrs {
+			if g.Deleted(int(nb)) {
+				t.Fatalf("layer %d links dead slot %d", l, nb)
+			}
 		}
 	}
-	g.mu.RLock()
-	start := g.entry
-	visited := make(map[int]bool)
-	queue := []int{start}
-	visited[start] = true
+	visited := map[int]bool{g.entry: true}
+	queue := []int{g.entry}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		nd := g.nodes[cur]
-		for _, nb := range nd.neighbors[0] {
+		for _, nb := range g.layers[0].neighbors(cur) {
 			if !visited[int(nb)] {
 				visited[int(nb)] = true
 				queue = append(queue, int(nb))
 			}
 		}
 	}
-	live := g.size
-	g.mu.RUnlock()
-	reached := 0
-	for id := range visited {
-		if !g.Deleted(id) {
-			reached++
-		}
-	}
 	// Allow a tiny number of stranded nodes (HNSW does not guarantee
 	// strong connectivity), but the overwhelming majority must be
 	// reachable.
-	if float64(reached) < 0.98*float64(live) {
-		t.Fatalf("only %d/%d live nodes reachable from entry", reached, live)
+	if float64(len(visited)) < 0.98*float64(g.Len()) {
+		t.Fatalf("only %d/%d live nodes reachable from entry", len(visited), g.Len())
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"ppanns/internal/vec"
 )
@@ -16,12 +17,8 @@ import (
 
 const persistMagic = "HNSWGO01"
 
-// Save writes the graph in the binary index format. It takes the read lock:
-// the snapshot is consistent against Delete, and searches run on beside it.
+// Save writes the graph in the binary index format.
 func (g *Graph) Save(w io.Writer) error {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.WriteString(persistMagic); err != nil {
 		return fmt.Errorf("hnsw: writing magic: %w", err)
@@ -30,32 +27,28 @@ func (g *Graph) Save(w io.Writer) error {
 		int64(g.cfg.Dim), int64(g.cfg.M), int64(g.cfg.MMax0),
 		int64(g.cfg.EfConstruction), int64(g.cfg.Seed),
 		int64(boolByte(g.cfg.SkipKeepPruned)),
-		int64(len(g.nodes)), int64(g.entry), int64(g.maxLevel), int64(g.size),
+		int64(len(g.levels)), int64(g.entry), int64(g.maxLevel), int64(g.size),
 	}
-	for _, v := range head {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return fmt.Errorf("hnsw: writing header: %w", err)
-		}
+	if err := binary.Write(bw, binary.LittleEndian, head); err != nil {
+		return fmt.Errorf("hnsw: writing header: %w", err)
 	}
 	if err := binary.Write(bw, binary.LittleEndian, g.data.Raw()); err != nil {
 		return fmt.Errorf("hnsw: writing vectors: %w", err)
 	}
-	for _, nd := range g.nodes {
-		if err := binary.Write(bw, binary.LittleEndian, int32(nd.level)); err != nil {
+	for id, level := range g.levels {
+		if err := binary.Write(bw, binary.LittleEndian, level); err != nil {
 			return err
 		}
-		if err := bw.WriteByte(boolByte(nd.deleted)); err != nil {
+		if err := bw.WriteByte(boolByte(g.dead[id])); err != nil {
 			return err
 		}
-		for l := 0; l <= nd.level; l++ {
-			lst := nd.neighbors[l]
+		for l := 0; l <= int(level); l++ {
+			lst := g.layers[l].neighbors(id)
 			if err := binary.Write(bw, binary.LittleEndian, int32(len(lst))); err != nil {
 				return err
 			}
-			for _, nb := range lst {
-				if err := binary.Write(bw, binary.LittleEndian, nb); err != nil {
-					return err
-				}
+			if err := binary.Write(bw, binary.LittleEndian, lst); err != nil {
+				return err
 			}
 		}
 	}
@@ -65,7 +58,8 @@ func (g *Graph) Save(w io.Writer) error {
 // Load reads a graph of n nodes of dimension dim previously written by
 // Save; dist supplies the metric (nil for squared Euclidean). The bytes are
 // untrusted: a header that disagrees with dim and n is refused before it
-// sizes anything.
+// sizes anything, and the adjacency is packed into the CSR layers as its
+// bytes arrive.
 func Load(r io.Reader, dim, n int, dist DistanceFunc) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	magic := make([]byte, len(persistMagic))
@@ -76,10 +70,8 @@ func Load(r io.Reader, dim, n int, dist DistanceFunc) (*Graph, error) {
 		return nil, fmt.Errorf("hnsw: bad magic %q", magic)
 	}
 	head := make([]int64, 10)
-	for i := range head {
-		if err := binary.Read(br, binary.LittleEndian, &head[i]); err != nil {
-			return nil, fmt.Errorf("hnsw: reading header: %w", err)
-		}
+	if err := binary.Read(br, binary.LittleEndian, head); err != nil {
+		return nil, fmt.Errorf("hnsw: reading header: %w", err)
 	}
 	cfg := Config{
 		Dim:            int(head[0]),
@@ -109,13 +101,16 @@ func Load(r io.Reader, dim, n int, dist DistanceFunc) (*Graph, error) {
 	if err := binary.Read(br, binary.LittleEndian, raw); err != nil {
 		return nil, fmt.Errorf("hnsw: reading vectors: %w", err)
 	}
-	ds, err := vec.DatasetFromRaw(dim, raw)
-	if err != nil {
+	if g.data, err = vec.DatasetFromRaw(dim, raw); err != nil {
 		return nil, err
 	}
-	g.data = ds
 
-	g.nodes = make([]node, n)
+	g.levels = make([]int32, n)
+	g.dead = make([]bool, n)
+	g.layers = make([]csrLayer, maxLevel+1)
+	for l := range g.layers {
+		g.layers[l].offs = make([]int32, n+1)
+	}
 	for i := 0; i < n; i++ {
 		var level int32
 		if err := binary.Read(br, binary.LittleEndian, &level); err != nil {
@@ -128,31 +123,35 @@ func Load(r io.Reader, dim, n int, dist DistanceFunc) (*Graph, error) {
 		if level < 0 || int64(level) > maxLevel {
 			return nil, fmt.Errorf("hnsw: node %d has level %d beyond max %d", i, level, maxLevel)
 		}
-		nd := node{level: int(level), deleted: delByte != 0, neighbors: make([][]int32, level+1)}
-		for l := 0; l <= int(level); l++ {
-			var cnt int32
-			if err := binary.Read(br, binary.LittleEndian, &cnt); err != nil {
-				return nil, fmt.Errorf("hnsw: reading adjacency of node %d: %w", i, err)
-			}
-			if cnt < 0 || int(cnt) > n {
-				return nil, fmt.Errorf("hnsw: node %d layer %d has %d neighbors", i, l, cnt)
-			}
-			lst := make([]int32, cnt)
-			for j := range lst {
-				if err := binary.Read(br, binary.LittleEndian, &lst[j]); err != nil {
-					return nil, err
+		g.levels[i], g.dead[i] = level, delByte != 0
+		for l := range g.layers {
+			lay := &g.layers[l]
+			if l <= int(level) {
+				var cnt int32
+				if err := binary.Read(br, binary.LittleEndian, &cnt); err != nil {
+					return nil, fmt.Errorf("hnsw: reading adjacency of node %d: %w", i, err)
 				}
-				if lst[j] < 0 || int(lst[j]) >= n {
-					return nil, fmt.Errorf("hnsw: node %d references out-of-range id %d", i, lst[j])
+				if cnt < 0 || int(cnt) > n {
+					return nil, fmt.Errorf("hnsw: node %d layer %d has %d neighbors", i, l, cnt)
+				}
+				at := len(lay.nbrs)
+				lay.nbrs = slices.Grow(lay.nbrs, int(cnt))[:at+int(cnt)]
+				lst := lay.nbrs[at:]
+				if err := binary.Read(br, binary.LittleEndian, lst); err != nil {
+					return nil, fmt.Errorf("hnsw: reading adjacency of node %d: %w", i, err)
+				}
+				for _, nb := range lst {
+					if nb < 0 || int(nb) >= n {
+						return nil, fmt.Errorf("hnsw: node %d references out-of-range id %d", i, nb)
+					}
 				}
 			}
-			nd.neighbors[l] = lst
+			lay.offs[i+1] = int32(len(lay.nbrs))
 		}
-		g.nodes[i] = nd
 	}
-	// The entry point is a node of the top level.
-	if entry >= 0 && g.nodes[entry].level != g.maxLevel || entry < 0 && maxLevel != 0 {
-		return nil, fmt.Errorf("hnsw: max level %d is not the entry point's", maxLevel)
+	// The entry point is a live node of the top level.
+	if entry >= 0 && (g.levels[entry] != int32(maxLevel) || g.dead[entry]) || entry < 0 && maxLevel != 0 {
+		return nil, fmt.Errorf("hnsw: entry point %d is not a live node of the max level %d", entry, maxLevel)
 	}
 	return g, nil
 }

@@ -12,10 +12,7 @@ import (
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	data := clusteredData(21, 800, 12, 6)
-	g := buildGraph(t, data, Config{Dim: 12, M: 10, EfConstruction: 120, Seed: 21})
-	if err := g.Delete(5); err != nil {
-		t.Fatal(err)
-	}
+	g := buildGraph(t, withDead(data, 5), Config{Dim: 12, M: 10, EfConstruction: 120, Seed: 21})
 
 	var buf bytes.Buffer
 	if err := g.Save(&buf); err != nil {
@@ -45,10 +42,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 				t.Fatalf("query %d rank %d: id %d vs %d", i, j, a[j].ID, b[j].ID)
 			}
 		}
-	}
-	// A loaded graph keeps its delete repair.
-	if err := g2.Delete(6); err != nil || g2.Len() != g.Len()-1 {
-		t.Fatalf("delete after load: %v, Len %d", err, g2.Len())
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 
 // The conformance suite runs every registered backend through the same
 // contract: build, search-recall sanity, byte-exact save/load round-trip,
-// and delete. A new backend only has to register itself to be covered.
+// and dead slots. A new backend only has to register itself to be covered.
 
 func clustered(seed uint64, n, dim, clusters int) [][]float64 {
 	r := rng.NewSeeded(seed)
@@ -218,30 +218,56 @@ func TestConformance(t *testing.T) {
 				t.Fatalf("Rebuild changed its receiver's Len to %d", ix.Len())
 			}
 
-			// Delete.
+			// Dead slots: a nil row keeps its id but holds no vector and is
+			// never returned.
 			q := data[5]
 			top := searchIDs(ix, q, 1, ef)
 			if len(top) != 1 {
-				t.Fatal("no result before delete")
+				t.Fatal("no result before the rebuild")
 			}
-			if err := ix.Delete(top[0]); err != nil {
+			dead := slices.Clone(data)
+			dead[top[0]] = nil
+			rebuilt, err := ix.Rebuild(dead)
+			if err != nil {
 				t.Fatal(err)
 			}
-			for _, id := range []int{top[0], -1, n} {
-				if err := ix.Delete(id); err == nil {
-					t.Fatalf("Delete(%d) did not error", id)
-				}
+			if rebuilt.Len() != n-1 {
+				t.Fatalf("Len with one dead slot = %d, want %d", rebuilt.Len(), n-1)
 			}
-			if ix.Len() != n-1 {
-				t.Fatalf("Len after delete = %d, want %d", ix.Len(), n-1)
-			}
-			for _, id := range searchIDs(ix, q, k, ef) {
+			for _, id := range searchIDs(rebuilt, q, k, ef) {
 				if id == top[0] {
-					t.Fatal("deleted id still returned")
+					t.Fatal("dead slot returned")
 				}
 			}
-			if _, ok := ix.Vector(top[0]); !ok {
-				t.Fatal("Vector of tombstoned id reported missing")
+			if _, ok := rebuilt.Vector(top[0]); ok {
+				t.Fatal("Vector of a dead slot reported present")
+			}
+			if v, ok := rebuilt.Vector(top[0] ^ 1); !ok || !slices.Equal(v, data[top[0]^1]) {
+				t.Fatal("a dead slot moved its neighbour's vector")
+			}
+
+			// Every row nil: an empty index, from Build (a stripe whose every
+			// record is dead) and from Rebuild (a fold after deleting
+			// everything), and it round-trips.
+			allDead := make([][]float64, 8)
+			for how, build := range map[string]func() (SecureIndex, error){
+				"build":   func() (SecureIndex, error) { return Build(name, allDead, Options{Dim: dim, Seed: 42}) },
+				"rebuild": func() (SecureIndex, error) { return ix.Rebuild(allDead) },
+			} {
+				empty, err := build()
+				if err != nil {
+					t.Fatalf("%s over all-nil rows: %v", how, err)
+				}
+				if empty.Len() != 0 || len(empty.SearchInto(nil, q, k, ef)) != 0 {
+					t.Fatalf("%s over all-nil rows: Len %d", how, empty.Len())
+				}
+				var buf bytes.Buffer
+				if err := empty.Save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if loaded, err := Load(name, &buf, dim, len(allDead)); err != nil || loaded.Len() != 0 {
+					t.Fatalf("%s over all-nil rows does not round-trip: %v", how, err)
+				}
 			}
 		})
 	}
@@ -265,17 +291,17 @@ func (s posScanner) DistBlock(dst []float64, ids []int32) {
 // TestHNSWPositionsAreGraphIDs: the hnsw adapter translates nothing. The ids
 // SearchInto and SearchIntoDist return are the graph's own and are positions
 // in the corpus, and the ids the graph hands a scanner are positions too —
-// through a build, a Delete and a save/load. That is what lets the adapter
-// carry no id map and the loader insist the payload's is the identity.
+// through a build with a dead slot and a save/load. That is what lets the
+// adapter carry no id map and the loader insist the payload's is the
+// identity.
 func TestHNSWPositionsAreGraphIDs(t *testing.T) {
 	const n, dim, k, ef = 620, 10, 10, 80
 	all := clustered(95, n, dim, 5)
 	queries := makeQueries(96, all, 20, 0.3)
-	ix, err := Build("hnsw", all, Options{Dim: dim, Seed: 11})
+	live := slices.Clone(all)
+	live[17] = nil
+	ix, err := Build("hnsw", live, Options{Dim: dim, Seed: 11})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Delete(17); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -336,12 +362,9 @@ func TestRegistry(t *testing.T) {
 }
 
 // TestConformanceFrozenViewStability covers the packed search
-// representations on every registered backend: repeated searches (the first
-// of which may build a lazy view) must return the exact same ids in the
-// exact same order, and a Delete (which drops a lazy view) must show in the
-// next search. hnsw's suite additionally compares its CSR walk against the
-// live-adjacency walk bit-for-bit; the LSH adapter's scalar reference lives
-// in this package, so its toggle is exercised here.
+// representations on every registered backend: repeated searches must
+// return the exact same ids in the exact same order, and a rebuild with
+// the top hit dead must never return it.
 func TestConformanceFrozenViewStability(t *testing.T) {
 	data := clustered(91, 900, 12, 6)
 	queries := makeQueries(92, data, 24, 0.3)
@@ -357,29 +380,23 @@ func TestConformanceFrozenViewStability(t *testing.T) {
 				dst = ix.SearchInto(dst[:0], q, 10, 60)
 				first[i] = append([]resultheap.Item(nil), dst...)
 			}
-			// Second pass runs entirely on the cached view.
 			for i, q := range queries {
 				dst = ix.SearchInto(dst[:0], q, 10, 60)
-				if len(dst) != len(first[i]) {
-					t.Fatalf("query %d: warm view returned %d items, first pass %d", i, len(dst), len(first[i]))
-				}
-				for j := range dst {
-					if dst[j] != first[i][j] {
-						t.Fatalf("query %d pos %d: warm view (%d, %v) != first pass (%d, %v)",
-							i, j, dst[j].ID, dst[j].Dist, first[i][j].ID, first[i][j].Dist)
-					}
+				if !slices.Equal(dst, first[i]) {
+					t.Fatalf("query %d: repeat search %v, first %v", i, dst, first[i])
 				}
 			}
-			// A Delete must show in every later search.
 			victim := first[0][0].ID
-			if err := ix.Delete(victim); err != nil {
+			live := slices.Clone(data)
+			live[victim] = nil
+			rebuilt, err := ix.Rebuild(live)
+			if err != nil {
 				t.Fatal(err)
 			}
 			for i, q := range queries {
-				dst = ix.SearchInto(dst[:0], q, 10, 60)
-				for _, it := range dst {
+				for _, it := range rebuilt.SearchInto(dst[:0], q, 10, 60) {
 					if it.ID == victim {
-						t.Fatalf("query %d: deleted id %d served from stale view", i, victim)
+						t.Fatalf("query %d: dead slot %d returned", i, victim)
 					}
 				}
 			}
@@ -388,31 +405,31 @@ func TestConformanceFrozenViewStability(t *testing.T) {
 }
 
 // TestLSHBlockedScanMatchesScalar compares the LSH adapter's blocked
-// ranking scan against the scalar reference path bit-for-bit.
+// ranking scan against a scalar reference — one SqDist per candidate of the
+// same union — bit-for-bit, with a dead slot that must never be a
+// candidate.
 func TestLSHBlockedScanMatchesScalar(t *testing.T) {
 	data := clustered(93, 700, 10, 5)
 	queries := makeQueries(94, data, 24, 0.3)
-	ix, err := Build("lsh", data, Options{Dim: 10, Seed: 9})
+	live := slices.Clone(data)
+	live[11] = nil
+	ix, err := Build("lsh", live, Options{Dim: 10, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := ix.(*lshIndex)
-	if err := a.Delete(11); err != nil {
-		t.Fatal(err)
-	}
+	res := resultheap.NewMaxDistHeap(11)
 	for qi, q := range queries {
-		a.noFlat = true
-		scalar := a.SearchInto(nil, q, 10, 60)
-		a.noFlat = false
-		blocked := a.SearchInto(nil, q, 10, 60)
-		if len(blocked) != len(scalar) {
-			t.Fatalf("query %d: blocked %d items, scalar %d", qi, len(blocked), len(scalar))
-		}
-		for i := range blocked {
-			if blocked[i] != scalar[i] {
-				t.Fatalf("query %d pos %d: blocked (%d, %v) != scalar (%d, %v)",
-					qi, i, blocked[i].ID, blocked[i].Dist, scalar[i].ID, scalar[i].Dist)
+		res.Reset()
+		for _, id := range a.ix.CandidatesInto(nil, q, a.probesFor(60), 0) {
+			if id == 11 {
+				t.Fatalf("query %d: dead slot hashed", qi)
 			}
+			res.PushBounded(int(id), vec.SqDist(q, data[id]), 10)
+		}
+		scalar := res.SortedInto(nil)
+		if blocked := a.SearchInto(nil, q, 10, 60); !slices.Equal(blocked, scalar) {
+			t.Fatalf("query %d: blocked %v, scalar %v", qi, blocked, scalar)
 		}
 	}
 }

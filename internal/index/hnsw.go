@@ -43,13 +43,11 @@ func (ix *hnswIndex) SearchIntoDist(dst []resultheap.Item, q []float64, k, ef in
 	return ix.g.SearchIntoDist(dst, q, k, ef, sc)
 }
 
-func (ix *hnswIndex) Delete(pos int) error { return ix.g.Delete(pos) }
-
 func (ix *hnswIndex) Len() int { return ix.g.Len() }
 func (ix *hnswIndex) Dim() int { return ix.g.Dim() }
 
 func (ix *hnswIndex) Vector(pos int) ([]float64, bool) {
-	if pos < 0 || pos >= ix.g.IDs() {
+	if ix.g.Deleted(pos) {
 		return nil, false
 	}
 	return ix.g.Vector(pos), true

@@ -14,10 +14,11 @@
 //	ivf  — IVF-Flat inverted file
 //	lsh  — E2LSH multi-probe hashing
 //
-// All four follow one lifecycle (see SecureIndex): batch-built, then
-// delete-only. External ids are vector positions: every backend assigns ids
-// 0..n-1 in build order, so callers can index parallel ciphertext arrays
-// directly with the ids a search returns.
+// All four follow one lifecycle (see SecureIndex): an index is an immutable
+// value, built or loaded once and then only read. External ids are vector
+// positions: every backend assigns ids 0..n-1 in build order, so callers
+// can index parallel ciphertext arrays directly with the ids a search
+// returns. A nil row in the vectors a build is given is a dead slot.
 package index
 
 import (
@@ -40,16 +41,16 @@ var ErrOldFormat = errors.New("written by an earlier format generation: re-encry
 //
 // # Lifecycle
 //
-// An index is built (Build, Rebuild) or loaded (Load), may have ids
-// tombstoned with Delete before it is published, and is then only read.
-// core.Server never mutates a published index: its writers append to the
-// delta tier beside it, and a fold Rebuilds a private index over both
-// tiers, Deletes the dead ids and publishes the result atomically (see
+// An index is built (Build, Rebuild) or loaded (Load), published, and then
+// read with no lock: nothing writes to it after construction, so searches
+// run concurrently with any number of other searches and beside a Save
+// (the conformance suite verifies it). Deletion is a construction input: a
+// nil row in the vectors is a dead slot, which keeps its id — positions
+// never shift — but holds no vector, and which no backend links, lists or
+// hashes. core.Server's writers append to the delta tier beside the
+// published index, and a fold Rebuilds a private index over both tiers
+// with nil at every dead id and publishes the result atomically (see
 // core's snapshot documentation).
-//
-// Searches may run concurrently with any number of other searches on the
-// same instance, with no external locking (the conformance suite verifies
-// it), and beside a Save of it.
 type SecureIndex interface {
 	// SearchInto appends up to k live ids approximately closest to q,
 	// closest first, to dst[:0], reusing its capacity. ef is an advisory
@@ -62,27 +63,22 @@ type SecureIndex interface {
 	// distance (IVF centroid probing, LSH bucket hashing, HNSW/NSG graph
 	// topology) still uses q exactly; every candidate the backend ranks is
 	// scored through sc. Ids passed to sc are external ids (vector
-	// positions), including tombstoned ones traversal routes through, so
-	// the scanner's code arena must cover every position.
+	// positions), including the tombstones a graph loaded from an earlier
+	// file routes through, so the scanner's code arena must cover every
+	// position.
 	SearchIntoDist(dst []resultheap.Item, q []float64, k, ef int, sc vec.BlockScanner) []resultheap.Item
-	// Delete tombstones an id: searches may route through it but never
-	// return it. Unknown and already-deleted ids are errors.
-	Delete(id int) error
 	// Rebuild constructs a fresh index of the same backend over vectors,
 	// using the receiver's build configuration (graph parameters, trained
 	// quantizers, hash projections, seed). Ids are assigned 0..len-1 in
-	// vectors order, all live; the receiver is not modified. This is the
-	// fold primitive: it restores full structure quality (graph
-	// connectivity, list balance) that tombstones erode.
+	// vectors order, nil rows dead; the receiver is not modified. This is
+	// the fold primitive. A vector set whose rows are all nil builds an
+	// empty index.
 	Rebuild(vectors [][]float64) (SecureIndex, error)
-	// Vector returns the stored (SAP-ciphertext) vector of an id, valid
-	// for tombstoned ids too — backends retain tombstone rows, and
-	// partition rebuilds (core.EncryptedDatabase.Split) need every
-	// position's vector to keep local ids dense. The second result is
-	// false only for ids the backend never assigned. Callers must treat
-	// the returned slice as read-only.
+	// Vector returns the stored (SAP-ciphertext) vector of a live id. The
+	// second result is false for dead slots and for ids the backend never
+	// assigned. Callers must treat the returned slice as read-only.
 	Vector(id int) ([]float64, bool)
-	// Len returns the number of live (non-deleted) vectors.
+	// Len returns the number of live vectors.
 	Len() int
 	// Dim returns the vector dimension.
 	Dim() int

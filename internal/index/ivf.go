@@ -26,6 +26,7 @@ type ivfIndex struct {
 
 func buildIVF(vectors [][]float64, opts Options) (SecureIndex, error) {
 	ix, err := ivf.Build(vectors, ivf.Config{
+		Dim:        opts.Dim,
 		Lists:      opts.Lists,
 		TrainIters: opts.TrainIters,
 		Seed:       opts.Seed,
@@ -60,9 +61,8 @@ func (a *ivfIndex) SearchIntoDist(dst []resultheap.Item, q []float64, k, ef int,
 	return a.ix.SearchIntoDist(dst, q, k, a.probesFor(ef), sc)
 }
 
-func (a *ivfIndex) Delete(id int) error { return a.ix.Delete(id) }
-func (a *ivfIndex) Len() int            { return a.ix.Len() }
-func (a *ivfIndex) Dim() int            { return a.ix.Dim() }
+func (a *ivfIndex) Len() int { return a.ix.Len() }
+func (a *ivfIndex) Dim() int { return a.ix.Dim() }
 
 func (a *ivfIndex) Vector(id int) ([]float64, bool) {
 	v := a.ix.Vector(id)
@@ -71,10 +71,14 @@ func (a *ivfIndex) Vector(id int) ([]float64, bool) {
 
 // Rebuild repopulates a fresh index sharing the receiver's trained
 // quantizer: assignments are recomputed per vector, but k-means training —
-// the expensive part of a cold build — is not repeated. List balance is
-// restored because tombstoned members are simply absent.
+// the expensive part of a cold build — is not repeated. Dead slots are in
+// no list.
 func (a *ivfIndex) Rebuild(vectors [][]float64) (SecureIndex, error) {
-	return &ivfIndex{ix: a.ix.Rebuild(vectors), nprobe: a.nprobe}, nil
+	ix, err := a.ix.Rebuild(vectors)
+	if err != nil {
+		return nil, err
+	}
+	return &ivfIndex{ix: ix, nprobe: a.nprobe}, nil
 }
 
 // Trained reports the k-means work the build spent on the quantizer.

@@ -38,22 +38,17 @@ const (
 // ids, so the adapter keeps the vectors itself to rank the candidate union
 // by distance — the same filter-then-rank shape the RS-SANN and PRI-ANN
 // baselines use, here serving the generic filter phase. The ranking scan is
-// blocked: candidates are gathered into a flat id list and evaluated with
-// one blocked distance call over the vector arena per query.
+// blocked: the candidate union is one flat id list, evaluated with one
+// blocked distance call over the vector arena per query. Dead slots are
+// never hashed, so no candidate is one.
 type lshIndex struct {
 	cfg lsh.Config
 	// probes fixes the multi-probe budget per table; 0 derives it from
 	// the search's ef budget.
 	probes int
-	// noFlat pins searches to the scalar per-candidate scan (conformance
-	// tests compare it against the blocked path).
-	noFlat bool
 
-	ix   *lsh.Index
-	data *vec.Dataset
-
-	// mu guards the tombstones.
-	mu      sync.RWMutex
+	ix      *lsh.Index
+	data    *vec.Dataset
 	deleted []bool
 	live    int
 
@@ -62,11 +57,10 @@ type lshIndex struct {
 
 // lshCtx is the pooled per-search scratch of the adapter's ranking scan.
 type lshCtx struct {
-	cands  []int32
-	gather []int32
-	dists  []float64
-	res    *resultheap.MaxDistHeap
-	items  []resultheap.Item
+	cands []int32
+	dists []float64
+	res   *resultheap.MaxDistHeap
+	items []resultheap.Item
 }
 
 // calibrateW estimates a quantization width from the data scale: W is set
@@ -74,6 +68,7 @@ type lshCtx struct {
 // puts near neighbors well inside one quantization cell while keeping far
 // points apart. E2LSH's fixed default (4) assumes unit-scale data and
 // collapses on SAP ciphertexts, whose coordinates are scaled by S≈1024.
+// Pairs that draw a dead slot are skipped.
 func calibrateW(vectors [][]float64, seed uint64) float64 {
 	if len(vectors) < 2 {
 		return 4
@@ -85,7 +80,7 @@ func calibrateW(vectors [][]float64, seed uint64) float64 {
 	for i := 0; i < pairs; i++ {
 		a := r.IntN(len(vectors))
 		b := r.IntN(len(vectors))
-		if a == b {
+		if a == b || vectors[a] == nil || vectors[b] == nil {
 			continue
 		}
 		sum += vec.Dist(vectors[a], vectors[b])
@@ -120,18 +115,20 @@ func buildLSH(vectors [][]float64, opts Options) (SecureIndex, error) {
 	return buildLSHOver(cfg, opts.Probes, vectors)
 }
 
-// buildLSHOver indexes vectors, all live, as ids 0..len-1: the populate
-// step Build and Rebuild share.
+// buildLSHOver indexes vectors as ids 0..len-1, nil rows dead: the
+// populate step Build and Rebuild share.
 func buildLSHOver(cfg lsh.Config, probes int, vectors [][]float64) (SecureIndex, error) {
 	data := vec.NewDataset(cfg.Dim, len(vectors))
-	for _, v := range vectors {
-		data.Append(v)
+	deleted := make([]bool, len(vectors))
+	for i, v := range vectors {
+		if v == nil {
+			data.AppendZero()
+			deleted[i] = true
+		} else {
+			data.Append(v)
+		}
 	}
-	a, err := newLSHIndex(cfg, probes, data, make([]bool, len(vectors)))
-	if err != nil {
-		return nil, err
-	}
-	return a, nil
+	return newLSHIndex(cfg, probes, data, deleted)
 }
 
 // newLSHIndex hashes every live row of data into fresh tables. The tables
@@ -187,68 +184,31 @@ func (a *lshIndex) searchInto(dst []resultheap.Item, q []float64, k, ef int, sc 
 	}
 	defer a.ctxPool.Put(ctx)
 	ctx.cands = a.ix.CandidatesInto(ctx.cands[:0], q, a.probesFor(ef), 0)
-	a.mu.RLock()
-	defer a.mu.RUnlock()
+	if sc != nil {
+		if cap(ctx.dists) < len(ctx.cands) {
+			ctx.dists = make([]float64, len(ctx.cands))
+		} else {
+			ctx.dists = ctx.dists[:len(ctx.cands)]
+		}
+		sc.DistBlock(ctx.dists, ctx.cands)
+	} else {
+		ctx.dists = a.data.SqDistBlock(ctx.dists, q, ctx.cands)
+	}
 	res := ctx.res
 	res.Reset()
-	if a.noFlat && sc == nil {
-		// Scalar reference scan, kept for the blocked-path conformance test.
-		for _, id := range ctx.cands {
-			if a.deleted[id] {
-				continue
-			}
-			res.PushBounded(int(id), vec.SqDist(q, a.data.At(int(id))), k)
-		}
-	} else {
-		gather := ctx.gather[:0]
-		for _, id := range ctx.cands {
-			if !a.deleted[id] {
-				gather = append(gather, id)
-			}
-		}
-		if sc != nil {
-			if cap(ctx.dists) < len(gather) {
-				ctx.dists = make([]float64, len(gather))
-			} else {
-				ctx.dists = ctx.dists[:len(gather)]
-			}
-			sc.DistBlock(ctx.dists, gather)
-		} else {
-			ctx.dists = a.data.SqDistBlock(ctx.dists, q, gather)
-		}
-		for j, id := range gather {
-			res.PushBounded(int(id), ctx.dists[j], k)
-		}
-		ctx.gather = gather
+	for j, id := range ctx.cands {
+		res.PushBounded(int(id), ctx.dists[j], k)
 	}
 	ctx.items = res.SortedInto(ctx.items)
 	return append(dst[:0], ctx.items...)
 }
 
-func (a *lshIndex) Delete(id int) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if id < 0 || id >= len(a.deleted) {
-		return fmt.Errorf("index: lsh delete of unknown id %d", id)
-	}
-	if a.deleted[id] {
-		return fmt.Errorf("index: lsh id %d already deleted", id)
-	}
-	a.deleted[id] = true
-	a.live--
-	return nil
-}
-
-func (a *lshIndex) Len() int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.live
-}
+func (a *lshIndex) Len() int { return a.live }
 
 func (a *lshIndex) Dim() int { return a.cfg.Dim }
 
 func (a *lshIndex) Vector(id int) ([]float64, bool) {
-	if id < 0 || id >= a.data.Len() {
+	if id < 0 || id >= len(a.deleted) || a.deleted[id] {
 		return nil, false
 	}
 	return a.data.At(id), true
@@ -263,12 +223,11 @@ func (a *lshIndex) Rebuild(vectors [][]float64) (SecureIndex, error) {
 
 const lshPayloadMagic = "IDXLSH01"
 
-// Save persists the configuration, vectors and tombstones. The hash tables
-// themselves are not written: Load rebuilds an equivalent index by
-// re-inserting the live vectors under the same seed's projections.
+// Save persists the configuration, vectors and tombstones (one byte per
+// id, set for a dead slot). The hash tables themselves are not written:
+// Load rebuilds an equivalent index by re-inserting the live vectors under
+// the same seed's projections.
 func (a *lshIndex) Save(w io.Writer) error {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.WriteString(lshPayloadMagic); err != nil {
 		return err

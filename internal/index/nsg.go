@@ -13,8 +13,7 @@ func init() {
 	Register(Backend{Name: "nsg", Build: buildNSG, Load: loadNSG})
 }
 
-// nsgIndex adapts nsg.Graph to SecureIndex: ids equal build positions and
-// deletions tombstone.
+// nsgIndex adapts nsg.Graph to SecureIndex: ids equal build positions.
 type nsgIndex struct {
 	g *nsg.Graph
 }
@@ -24,6 +23,7 @@ func buildNSG(vectors [][]float64, opts Options) (SecureIndex, error) {
 		return nil, fmt.Errorf("index: nsg requires a non-empty initial vector set")
 	}
 	g, err := nsg.Build(vectors, nsg.Config{
+		Dim:  opts.Dim,
 		R:    opts.R,
 		L:    opts.L,
 		KNN:  opts.KNN,
@@ -49,9 +49,8 @@ func (a *nsgIndex) SearchIntoDist(dst []resultheap.Item, q []float64, k, ef int,
 	return a.g.SearchIntoDist(dst, q, k, a.beam(ef), sc)
 }
 
-func (a *nsgIndex) Delete(id int) error { return a.g.Delete(id) }
-func (a *nsgIndex) Len() int            { return a.g.Len() }
-func (a *nsgIndex) Dim() int            { return a.g.Dim() }
+func (a *nsgIndex) Len() int { return a.g.Len() }
+func (a *nsgIndex) Dim() int { return a.g.Dim() }
 
 func (a *nsgIndex) Vector(id int) ([]float64, bool) {
 	v := a.g.Vector(id)

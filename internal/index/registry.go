@@ -69,7 +69,8 @@ func Names() []string {
 	return names
 }
 
-// Build constructs the named backend over the vectors ("" = Default).
+// Build constructs the named backend over the vectors ("" = Default); a
+// nil row is a dead slot (see SecureIndex).
 func Build(name string, vectors [][]float64, opts Options) (SecureIndex, error) {
 	b, err := Lookup(name)
 	if err != nil {

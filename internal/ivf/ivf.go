@@ -5,8 +5,9 @@
 // the index-ablation experiment that compares filter-phase backends over
 // SAP ciphertexts.
 //
-// An index is built once (Build, Rebuild or Load) and then only read; Delete
-// tombstones ids without touching the lists.
+// An index is an immutable value: built (Build, Rebuild) or loaded (Load)
+// once and then only read, with no lock. A nil row in the vectors is a dead
+// slot: it keeps its id and a zero row, and no list holds it.
 package ivf
 
 import (
@@ -22,6 +23,9 @@ import (
 
 // Config parameterizes index construction.
 type Config struct {
+	// Dim is the vector dimension of a build with no live vector; any
+	// other build takes it from its vectors.
+	Dim int
 	// Lists is nlist, the number of inverted lists (default √n capped to
 	// [16, 4096]).
 	Lists int
@@ -31,7 +35,8 @@ type Config struct {
 	Seed uint64
 }
 
-// Index is a thread-safe IVF-Flat index.
+// Index is an IVF-Flat index. Nothing writes to it after construction, so
+// any number of searches run on it concurrently, beside Save.
 type Index struct {
 	dim       int
 	centroids [][]float64
@@ -39,87 +44,103 @@ type Index struct {
 	// an index that was loaded.
 	trained kmeans.Stats
 
-	// The inverted lists in CSR form, fixed when the index is built or
-	// loaded: list c's members, in id order, are ids[offs[c]:offs[c+1]],
-	// so a probe scans one contiguous id span.
-	offs []int32
-	ids  []int32
-	data *vec.Dataset
-
-	mu      sync.RWMutex
+	// The inverted lists in CSR form: list c's live members, in id order,
+	// are ids[offs[c]:offs[c+1]], so a probe scans one contiguous id span.
+	offs    []int32
+	ids     []int32
+	data    *vec.Dataset
 	deleted []bool
 	live    int
 
 	ctxPool sync.Pool
 }
 
-// searchCtx is the pooled per-search scratch: probe list, gathered live
-// ids, blocked-kernel output, result heap and drain buffer.
+// searchCtx is the pooled per-search scratch: probe list, blocked-kernel
+// output, result heap and drain buffer.
 type searchCtx struct {
 	probes     []int
 	probeDists []float64
-	gather     []int32
 	dists      []float64
 	res        *resultheap.MaxDistHeap
 	items      []resultheap.Item
 }
 
-// Build trains the quantizer on the vectors and populates the lists.
+// Build trains the quantizer on the live vectors and populates the lists.
+// A vector set whose rows are all nil builds an index with no lists, of
+// dimension cfg.Dim.
 func Build(vectors [][]float64, cfg Config) (*Index, error) {
 	if len(vectors) == 0 {
 		return nil, fmt.Errorf("ivf: empty data")
 	}
-	nlist := cfg.Lists
-	if nlist <= 0 {
-		nlist = isqrt(len(vectors))
-		if nlist < 16 {
-			nlist = 16
-		}
-		if nlist > 4096 {
-			nlist = 4096
+	var live [][]float64
+	var liveIDs []int
+	for i, v := range vectors {
+		if v != nil {
+			live = append(live, v)
+			liveIDs = append(liveIDs, i)
 		}
 	}
-	if nlist > len(vectors) {
-		nlist = len(vectors)
+	ix := &Index{dim: cfg.Dim}
+	if len(live) > 0 {
+		ix.dim = len(live[0])
 	}
-	iters := cfg.TrainIters
-	if iters <= 0 {
-		iters = 20
+	if ix.dim <= 0 {
+		return nil, fmt.Errorf("ivf: no live vector and no dimension")
 	}
-	res, err := kmeans.Fit(vectors, kmeans.Config{K: nlist, MaxIters: iters, Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
+	assign := make([]int, len(vectors))
+	if len(live) > 0 {
+		nlist := cfg.Lists
+		if nlist <= 0 {
+			nlist = min(max(isqrt(len(live)), 16), 4096)
+		}
+		nlist = min(nlist, len(live))
+		iters := cfg.TrainIters
+		if iters <= 0 {
+			iters = 20
+		}
+		res, err := kmeans.Fit(live, kmeans.Config{K: nlist, MaxIters: iters, Seed: cfg.Seed})
+		if err != nil {
+			return nil, err
+		}
+		ix.centroids, ix.trained = res.Centroids, res.Stats
+		for j, i := range liveIDs {
+			assign[i] = res.Assign[j]
+		}
 	}
-	ix := &Index{
-		dim:       len(vectors[0]),
-		centroids: res.Centroids,
-		trained:   res.Stats,
-	}
-	ix.populate(vectors, res.Assign)
+	ix.populate(vectors, assign)
 	return ix, nil
 }
 
-// populate fills an empty index with vectors, vector i in list assign[i]:
-// ids are positions and every list is in id order.
+// populate fills an empty index with vectors, live vector i in list
+// assign[i] and every nil row a dead slot: ids are positions and every
+// list is in id order.
 func (ix *Index) populate(vectors [][]float64, assign []int) {
 	nlist := len(ix.centroids)
 	ix.offs = make([]int32, nlist+1)
-	for _, c := range assign {
-		ix.offs[c+1]++
+	ix.deleted = make([]bool, len(vectors))
+	for i, v := range vectors {
+		if v == nil {
+			ix.deleted[i] = true
+			continue
+		}
+		ix.offs[assign[i]+1]++
+		ix.live++
 	}
 	for c := 0; c < nlist; c++ {
 		ix.offs[c+1] += ix.offs[c]
 	}
 	next := append([]int32(nil), ix.offs[:nlist]...)
-	ix.ids = make([]int32, len(vectors))
+	ix.ids = make([]int32, ix.live)
 	ix.data = vec.NewDataset(ix.dim, len(vectors))
 	for i, v := range vectors {
+		if v == nil {
+			ix.data.AppendZero()
+			continue
+		}
 		ix.data.Append(v)
 		ix.ids[next[assign[i]]] = int32(i)
 		next[assign[i]]++
 	}
-	ix.deleted = make([]bool, len(vectors))
-	ix.live = len(vectors)
 }
 
 // list returns list c's members.
@@ -137,19 +158,15 @@ func isqrt(n int) int {
 }
 
 // Len returns the number of live vectors.
-func (ix *Index) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.live
-}
+func (ix *Index) Len() int { return ix.live }
 
 // Dim returns the vector dimension.
 func (ix *Index) Dim() int { return ix.dim }
 
-// Vector returns the stored vector for id (also valid for deleted ids,
-// whose rows remain as tombstones), or nil for out-of-range ids.
+// Vector returns the stored vector for a live id, or nil for a dead slot
+// or an out-of-range id.
 func (ix *Index) Vector(id int) []float64 {
-	if id < 0 || id >= ix.data.Len() {
+	if id < 0 || id >= len(ix.deleted) || ix.deleted[id] {
 		return nil
 	}
 	return ix.data.At(id)
@@ -158,18 +175,22 @@ func (ix *Index) Vector(id int) []float64 {
 // Lists returns nlist.
 func (ix *Index) Lists() int { return len(ix.centroids) }
 
-// Rebuild returns a new index over vectors (ids are positions) sharing the
-// receiver's trained quantizer: the fold primitive of compaction, which
-// re-populates from scratch — tombstoned members are simply absent —
-// without paying for k-means training again. The centroids are immutable,
-// so sharing them is safe. Every vector lands in the list a full scan of
-// the centroids would choose; the points are assigned in parallel by a
-// kmeans.Searcher, each starting from the list the receiver holds its id
-// in (a fold keeps ids, so that is usually the answer already) and the
-// lists are filled in id order.
-func (ix *Index) Rebuild(vectors [][]float64) *Index {
+// Rebuild returns a new index over vectors (ids are positions, nil rows
+// dead slots) sharing the receiver's trained quantizer: the fold primitive
+// of compaction, which re-populates from scratch without paying for
+// k-means training again. The centroids are immutable, so sharing them is
+// safe. Every vector lands in the list a full scan of the centroids would
+// choose; the points are assigned in parallel by a kmeans.Searcher, each
+// starting from the list the receiver holds its id in (a fold keeps ids, so
+// that is usually the answer already) and the lists are filled in id order.
+// A receiver with no lists (built with no live vector) has no quantizer to
+// share, so its Rebuild trains one.
+func (ix *Index) Rebuild(vectors [][]float64) (*Index, error) {
+	if len(ix.centroids) == 0 {
+		return Build(vectors, Config{Dim: ix.dim})
+	}
 	for _, v := range vectors {
-		if len(v) != ix.dim {
+		if v != nil && len(v) != ix.dim {
 			panic(fmt.Sprintf("ivf: rebuilding a %d-dim index over a %d-dim vector", ix.dim, len(v)))
 		}
 	}
@@ -192,6 +213,9 @@ func (ix *Index) Rebuild(vectors [][]float64) *Index {
 	}
 	par.Spans(runtime.GOMAXPROCS(0), len(vectors), 256, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
+			if vectors[i] == nil {
+				continue
+			}
 			guess := assign[i]
 			if guess < 0 {
 				guess = search.Guess(vectors[i])
@@ -202,28 +226,13 @@ func (ix *Index) Rebuild(vectors [][]float64) *Index {
 
 	fresh := &Index{dim: ix.dim, centroids: ix.centroids}
 	fresh.populate(vectors, assign)
-	return fresh
-}
-
-// Delete tombstones an id.
-func (ix *Index) Delete(id int) error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if id < 0 || id >= len(ix.deleted) {
-		return fmt.Errorf("ivf: delete of unknown id %d", id)
-	}
-	if ix.deleted[id] {
-		return fmt.Errorf("ivf: id %d already deleted", id)
-	}
-	ix.deleted[id] = true
-	ix.live--
-	return nil
+	return fresh, nil
 }
 
 // SearchInto scans the nprobe closest lists and appends the k nearest live
 // ids, closest first, to dst[:0]. Scratch state is pooled and each probed
-// list is evaluated with one blocked distance call over its live members,
-// so a warm search with a recycled dst allocates nothing.
+// list is evaluated with one blocked distance call over its id span, so a
+// warm search with a recycled dst allocates nothing.
 func (ix *Index) SearchInto(dst []resultheap.Item, q []float64, k, nprobe int) []resultheap.Item {
 	return ix.searchInto(dst, q, k, nprobe, nil)
 }
@@ -241,12 +250,7 @@ func (ix *Index) searchInto(dst []resultheap.Item, q []float64, k, nprobe int, s
 	if len(q) != ix.dim {
 		panic(fmt.Sprintf("ivf: querying %d-dim vector in %d-dim index", len(q), ix.dim))
 	}
-	if nprobe <= 0 {
-		nprobe = 1
-	}
-	if nprobe > len(ix.centroids) {
-		nprobe = len(ix.centroids)
-	}
+	nprobe = min(max(nprobe, 1), len(ix.centroids))
 	ctx, _ := ix.ctxPool.Get().(*searchCtx)
 	if ctx == nil {
 		ctx = &searchCtx{res: resultheap.NewMaxDistHeap(k + 1)}
@@ -254,33 +258,24 @@ func (ix *Index) searchInto(dst []resultheap.Item, q []float64, k, nprobe int, s
 	defer ix.ctxPool.Put(ctx)
 	ctx.probes, ctx.probeDists = kmeans.NearestNInto(ctx.probes, ctx.probeDists, ix.centroids, q, nprobe)
 
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	res := ctx.res
 	res.Reset()
-	gather := ctx.gather
 	for _, c := range ctx.probes {
-		gather = gather[:0]
-		for _, id := range ix.list(c) {
-			if !ix.deleted[id] {
-				gather = append(gather, id)
-			}
-		}
+		lst := ix.list(c)
 		if sc != nil {
-			if cap(ctx.dists) < len(gather) {
-				ctx.dists = make([]float64, len(gather))
+			if cap(ctx.dists) < len(lst) {
+				ctx.dists = make([]float64, len(lst))
 			} else {
-				ctx.dists = ctx.dists[:len(gather)]
+				ctx.dists = ctx.dists[:len(lst)]
 			}
-			sc.DistBlock(ctx.dists, gather)
+			sc.DistBlock(ctx.dists, lst)
 		} else {
-			ctx.dists = ix.data.SqDistBlock(ctx.dists, q, gather)
+			ctx.dists = ix.data.SqDistBlock(ctx.dists, q, lst)
 		}
-		for j, id := range gather {
+		for j, id := range lst {
 			res.PushBounded(int(id), ctx.dists[j], k)
 		}
 	}
-	ctx.gather = gather
 	ctx.items = res.SortedInto(ctx.items)
 	return append(dst[:0], ctx.items...)
 }

@@ -72,32 +72,56 @@ func TestResultsSorted(t *testing.T) {
 }
 
 // TestAddAndDelete: a vector added by a rebuild over the grown set is
-// found at the next position, and a Delete then hides it for good.
+// found at the next position; a rebuild with nil there holds it in no list
+// and no row. A rebuild with every row nil is empty, and an empty index
+// rebuilds over live vectors by training a quantizer of its own.
 func TestAddAndDelete(t *testing.T) {
 	built, d := buildIndex(t, 500)
 	r := rng.NewSeeded(7)
 	novel := vec.Normalize(rng.GaussianVec(r, d.Dim, 1))
-	ix := built.Rebuild(append(append([][]float64(nil), d.Train...), novel))
+	grown := append(append([][]float64(nil), d.Train...), novel)
+	ix, err := built.Rebuild(grown)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const id = 500
 	items := ix.SearchInto(nil, novel, 1, ix.Lists())
 	if len(items) != 1 || items[0].ID != id {
 		t.Fatalf("inserted vector not found: %+v", items)
 	}
-	if err := ix.Delete(id); err != nil {
+	grown[id] = nil
+	gone, err := ix.Rebuild(grown)
+	if err != nil {
 		t.Fatal(err)
 	}
-	items = ix.SearchInto(nil, novel, 1, ix.Lists())
+	items = gone.SearchInto(nil, novel, 1, gone.Lists())
 	if len(items) == 1 && items[0].ID == id {
-		t.Fatal("deleted id still returned")
+		t.Fatal("dead slot returned")
 	}
-	if err := ix.Delete(id); err == nil {
-		t.Fatal("expected error for double delete")
+	if gone.Vector(id) != nil || len(gone.ids) != 500 || !slices.Equal(gone.data.At(id), make([]float64, d.Dim)) {
+		t.Fatal("dead slot kept its vector or its list entry")
 	}
-	if err := ix.Delete(9999); err == nil {
-		t.Fatal("expected error for unknown id")
+	if ix.Len() != 501 || gone.Len() != 500 || built.Len() != 500 {
+		t.Fatalf("Len = %d, %d, built %d", ix.Len(), gone.Len(), built.Len())
 	}
-	if ix.Len() != 500 || built.Len() != 500 {
-		t.Fatalf("Len = %d, built %d", ix.Len(), built.Len())
+
+	empty, err := gone.Rebuild(make([][]float64, 3))
+	if err != nil || empty.Len() != 0 || len(empty.SearchInto(nil, novel, 1, 8)) != 0 {
+		t.Fatalf("all-nil rebuild: %v, Len %d", err, empty.Len())
+	}
+	bare, err := Build(make([][]float64, 3), Config{Dim: d.Dim})
+	if err != nil || bare.Lists() != 0 || bare.Len() != 0 {
+		t.Fatalf("all-nil build: %v, %d lists, Len %d", err, bare.Lists(), bare.Len())
+	}
+	if _, err := Build(make([][]float64, 3), Config{}); err == nil {
+		t.Fatal("all-nil build with no dimension succeeded")
+	}
+	refilled, err := bare.Rebuild(d.Train)
+	if err != nil || refilled.Len() != 500 || refilled.Lists() == 0 {
+		t.Fatalf("rebuilding an empty index: %v, Len %d", err, refilled.Len())
+	}
+	if items := refilled.SearchInto(nil, d.Train[9], 1, refilled.Lists()); len(items) != 1 || items[0].ID != 9 {
+		t.Fatalf("refilled index self-query: %+v", items)
 	}
 }
 
@@ -214,11 +238,14 @@ func TestBuildGolden(t *testing.T) {
 // new, on one core and four. Tombstones do not carry over.
 func TestRebuildMatchesAdd(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	ix, d := buildIndex(t, 1500)
+	built, d := buildIndex(t, 1500)
+	dead := append([][]float64(nil), d.Train...)
 	for _, id := range []int{3, 700, 1499} {
-		if err := ix.Delete(id); err != nil {
-			t.Fatal(err)
-		}
+		dead[id] = nil
+	}
+	ix, err := built.Rebuild(dead)
+	if err != nil {
+		t.Fatal(err)
 	}
 	extra := dataset.DeepLike(200, 0, 32).Train
 	grown := append(append([][]float64(nil), d.Train...), extra...)
@@ -228,17 +255,25 @@ func TestRebuildMatchesAdd(t *testing.T) {
 			shrunk = append(shrunk, v)
 		}
 	}
-	for name, vectors := range map[string][][]float64{"same ids": d.Train, "grown": grown, "renumbered": shrunk} {
+	for name, vectors := range map[string][][]float64{"same ids": d.Train, "dead slots": dead, "grown": grown, "renumbered": shrunk} {
 		want := make([][]int32, ix.Lists())
+		live := 0
 		for i, v := range vectors {
+			if v == nil {
+				continue
+			}
+			live++
 			c := kmeans.Nearest(ix.centroids, v)
 			want[c] = append(want[c], int32(i))
 		}
 		for _, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
-			got := ix.Rebuild(vectors)
-			if got.Len() != len(vectors) {
-				t.Fatalf("%s: rebuilt index holds %d live vectors, want %d", name, got.Len(), len(vectors))
+			got, err := ix.Rebuild(vectors)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Len() != live {
+				t.Fatalf("%s: rebuilt index holds %d live vectors, want %d", name, got.Len(), live)
 			}
 			for c := range want {
 				if !slices.Equal(got.list(c), want[c]) {
@@ -246,7 +281,7 @@ func TestRebuildMatchesAdd(t *testing.T) {
 				}
 			}
 			for i, v := range vectors {
-				if !slices.Equal(got.Vector(i), v) {
+				if !slices.Equal(got.Vector(i), v) || (v == nil) != (got.Vector(i) == nil) {
 					t.Fatalf("%s: vector %d changed across the rebuild", name, i)
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"ppanns/internal/vec"
 )
@@ -16,12 +17,8 @@ import (
 
 const persistMagic = "IVFGO001"
 
-// Save writes the index in the binary format. It takes the read lock so
-// the snapshot is consistent.
+// Save writes the index in the binary format.
 func (ix *Index) Save(w io.Writer) error {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.WriteString(persistMagic); err != nil {
 		return fmt.Errorf("ivf: writing magic: %w", err)
@@ -66,7 +63,8 @@ func (ix *Index) Save(w io.Writer) error {
 // Save. The bytes are untrusted: a header that disagrees with dim and n is
 // refused before it sizes anything, the centroids (whose count n does not
 // bound) are allocated as their bytes arrive, and the lists must hold every
-// id exactly once.
+// live id exactly once. A listed tombstone — files written before dead
+// slots left the lists carry them — is dropped from its list.
 func Load(r io.Reader, dim, n int) (*Index, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	magic := make([]byte, len(persistMagic))
@@ -77,16 +75,14 @@ func Load(r io.Reader, dim, n int) (*Index, error) {
 		return nil, fmt.Errorf("ivf: bad magic %q", magic)
 	}
 	head := make([]int64, 4)
-	for i := range head {
-		if err := binary.Read(br, binary.LittleEndian, &head[i]); err != nil {
-			return nil, fmt.Errorf("ivf: reading header: %w", err)
-		}
+	if err := binary.Read(br, binary.LittleEndian, head); err != nil {
+		return nil, fmt.Errorf("ivf: reading header: %w", err)
 	}
 	if head[0] != int64(dim) || head[2] != int64(n) {
 		return nil, fmt.Errorf("ivf: index of %d vectors of dimension %d, want %d of %d", head[2], head[0], n, dim)
 	}
 	nlist, live := head[1], head[3]
-	if nlist <= 0 || nlist > math.MaxInt32 || live < 0 || live > int64(n) {
+	if nlist < 0 || nlist > math.MaxInt32 || live < 0 || live > int64(n) || nlist == 0 && live != 0 {
 		return nil, fmt.Errorf("ivf: implausible header nlist=%d n=%d live=%d", nlist, n, live)
 	}
 	ix := &Index{dim: dim, deleted: make([]bool, n), live: int(live)}
@@ -106,26 +102,33 @@ func Load(r io.Reader, dim, n int) (*Index, error) {
 		return nil, err
 	}
 	ix.data = ds
-	for i := range ix.deleted {
-		b, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("ivf: reading tombstones: %w", err)
-		}
+	tombs := make([]byte, n)
+	if _, err := io.ReadFull(br, tombs); err != nil {
+		return nil, fmt.Errorf("ivf: reading tombstones: %w", err)
+	}
+	dead := 0
+	for i, b := range tombs {
 		ix.deleted[i] = b != 0
+		if ix.deleted[i] {
+			dead++
+		}
+	}
+	if dead != n-int(live) {
+		return nil, fmt.Errorf("ivf: header counts %d live vectors, tombstones leave %d", live, n-dead)
 	}
 	ix.offs = make([]int32, nlist+1)
-	ix.ids = make([]int32, n)
+	ix.ids = make([]int32, 0, live)
 	listed := make([]bool, n)
+	lst := make([]int32, 0, min(n, 1<<12))
 	for c := range ix.centroids {
 		var cnt int32
 		if err := binary.Read(br, binary.LittleEndian, &cnt); err != nil {
 			return nil, fmt.Errorf("ivf: reading list %d: %w", c, err)
 		}
-		if cnt < 0 || int(cnt) > n-int(ix.offs[c]) {
-			return nil, fmt.Errorf("ivf: list %d has %d members, %d ids left", c, cnt, n-int(ix.offs[c]))
+		if cnt < 0 || int(cnt) > n {
+			return nil, fmt.Errorf("ivf: list %d has %d members", c, cnt)
 		}
-		ix.offs[c+1] = ix.offs[c] + cnt
-		lst := ix.list(c)
+		lst = slices.Grow(lst[:0], int(cnt))[:cnt]
 		if err := binary.Read(br, binary.LittleEndian, lst); err != nil {
 			return nil, err
 		}
@@ -134,10 +137,16 @@ func Load(r io.Reader, dim, n int) (*Index, error) {
 				return nil, fmt.Errorf("ivf: list %d holds id %d out of range or twice", c, id)
 			}
 			listed[id] = true
+			if !ix.deleted[id] {
+				ix.ids = append(ix.ids, id)
+			}
 		}
+		ix.offs[c+1] = int32(len(ix.ids))
 	}
-	if int(ix.offs[nlist]) != n {
-		return nil, fmt.Errorf("ivf: lists hold %d of %d ids", ix.offs[nlist], n)
+	for id, ok := range listed {
+		if !ok && !ix.deleted[id] {
+			return nil, fmt.Errorf("ivf: live id %d is in no list", id)
+		}
 	}
 	return ix, nil
 }

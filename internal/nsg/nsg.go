@@ -6,8 +6,13 @@
 // candidate pools, edges are selected with the MRNG occlusion rule from a
 // navigating node (the medoid), and a spanning traversal guarantees every
 // vertex stays reachable. Search is a beam walk from the navigating node.
-// The graph is static (NSG is a batch-built index): once built it is packed
-// into CSR form, deletions tombstone vertices and searches skip them.
+// The graph is an immutable value (NSG is a batch-built index): Build packs
+// it into CSR form, and nothing writes to it after. A nil row given to
+// Build is a dead slot: it keeps its id and a zero row, and construction —
+// the seeding kNN graph, the medoid, the pools, the reverse edges, the
+// connectivity step — never sees it. Searches still skip tombstoned
+// vertices, because graphs written before dead slots left construction
+// route through them.
 package nsg
 
 import (
@@ -17,12 +22,16 @@ import (
 
 	"ppanns/internal/epochset"
 	"ppanns/internal/hnsw"
+	"ppanns/internal/par"
 	"ppanns/internal/resultheap"
 	"ppanns/internal/vec"
 )
 
 // Config parameterizes construction.
 type Config struct {
+	// Dim is the vector dimension of a build with no live vector; any
+	// other build takes it from its vectors.
+	Dim int
 	// R is the maximum out-degree (default 24).
 	R int
 	// L is the candidate pool size per node during construction
@@ -47,7 +56,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Graph is a built NSG index.
+// Graph is a built NSG index. Nothing writes to it after construction, so
+// any number of searches run on it concurrently, beside Save.
 type Graph struct {
 	cfg  Config
 	dim  int
@@ -62,7 +72,6 @@ type Graph struct {
 	offs []int32
 	nbrs []int32
 
-	mu      sync.RWMutex
 	deleted []bool
 	live    int
 
@@ -72,54 +81,79 @@ type Graph struct {
 // neighbors returns vertex id's adjacency list.
 func (g *Graph) neighbors(id int) []int32 { return g.nbrs[g.offs[id]:g.offs[id+1]] }
 
-// Build constructs the graph over the given vectors.
+// Build constructs the graph over the live (non-nil) vectors. A vector set
+// whose rows are all nil builds a graph with no edge and no live vertex,
+// of dimension cfg.Dim.
 func Build(vectors [][]float64, cfg Config) (*Graph, error) {
 	if len(vectors) == 0 {
 		return nil, fmt.Errorf("nsg: empty data")
 	}
 	cfg = cfg.withDefaults()
 	n := len(vectors)
-	dim := len(vectors[0])
-
-	// Step 1: approximate kNN pools via an auxiliary HNSW.
-	aux, err := hnsw.Build(vectors, hnsw.Config{Dim: dim, M: 16, EfConstruction: 2 * cfg.L, Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
+	var live []int
+	for i, v := range vectors {
+		if v != nil {
+			live = append(live, i)
+		}
 	}
-
+	dim := cfg.Dim
+	if len(live) > 0 {
+		dim = len(vectors[live[0]])
+	}
+	if dim <= 0 {
+		return nil, fmt.Errorf("nsg: no live vector and no dimension")
+	}
+	cfg.Dim = dim
 	g := &Graph{
 		cfg:     cfg,
 		dim:     dim,
 		data:    vec.NewDataset(dim, n),
 		adj:     make([][]int32, n),
 		deleted: make([]bool, n),
-		live:    n,
+		live:    len(live),
 	}
-	for _, v := range vectors {
-		g.data.Append(v)
+	for i, v := range vectors {
+		if v == nil {
+			g.data.AppendZero()
+			g.deleted[i] = true
+		} else {
+			g.data.Append(v)
+		}
 	}
-	g.nav = medoid(vectors)
+	if len(live) > 0 {
+		if err := g.link(vectors, live); err != nil {
+			return nil, err
+		}
+	}
+	g.offs, g.nbrs = vec.FlattenCSR(g.adj)
+	g.adj = nil
+	return g, nil
+}
 
-	// Step 2: per-node candidate pools + MRNG pruning (parallel).
-	workers := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += workers {
-				pool := aux.Search(vectors[i], cfg.L, 2*cfg.L)
-				cands := pool[:0]
-				for _, it := range pool {
-					if it.ID != i {
-						cands = append(cands, it)
-					}
-				}
-				g.adj[i] = g.occlusionPrune(vectors[i], cands, cfg.R)
-			}
-		}(w)
+// link runs the NSG construction over the live ids.
+func (g *Graph) link(vectors [][]float64, live []int) error {
+	// Step 1: approximate kNN pools via an auxiliary HNSW, which holds the
+	// dead slots as dead slots of its own.
+	aux, err := hnsw.Build(vectors, hnsw.Config{Dim: g.dim, M: 16, EfConstruction: 2 * g.cfg.L, Seed: g.cfg.Seed})
+	if err != nil {
+		return err
 	}
-	wg.Wait()
+	g.nav = medoid(vectors, live)
+
+	// Step 2: per-node candidate pools + MRNG pruning (parallel; every node
+	// writes its own list only).
+	par.Spans(runtime.GOMAXPROCS(0), len(live), 16, func(_, lo, hi int) {
+		for _, i := range live[lo:hi] {
+			pool := aux.Search(vectors[i], g.cfg.L, 2*g.cfg.L)
+			cands := pool[:0]
+			for _, it := range pool {
+				if it.ID != i {
+					cands = append(cands, it)
+				}
+			}
+			g.adj[i] = g.occlusionPrune(vectors[i], cands, g.cfg.R)
+		}
+	})
 
 	// Step 3: NSG refinement — rebuild every node's pool from the set of
 	// nodes *visited* while searching the current graph from the
@@ -127,9 +161,9 @@ func Build(vectors [][]float64, cfg Config) (*Graph, error) {
 	// rule then thins), merged with the kNN pool, and re-prune. A second
 	// pass runs over the improved graph, whose longer edges widen the
 	// visited pools further.
-	g.refineFromNavigator(vectors, aux)
+	g.refineFromNavigator(vectors, live, aux)
 	g.insertReverseEdges()
-	g.refineFromNavigator(vectors, aux)
+	g.refineFromNavigator(vectors, live, aux)
 
 	// Step 4: reverse-edge insertion — for every selected edge (u, v) try
 	// to add (v, u), re-pruning v's list with the occlusion rule when it
@@ -139,52 +173,48 @@ func Build(vectors [][]float64, cfg Config) (*Graph, error) {
 
 	// Step 5: connectivity — span unreachable vertices from the
 	// navigating node by attaching them to their nearest reached vertex.
-	g.ensureReachable()
-	g.offs, g.nbrs = vec.FlattenCSR(g.adj)
-	g.adj = nil
-	return g, nil
+	g.ensureReachable(live)
+	return nil
 }
 
-// refineFromNavigator replaces each node's adjacency with an occlusion-
-// pruned selection over {nodes visited during a beam search nav→v} ∪
-// {the kNN pool}, following the NSG construction.
-func (g *Graph) refineFromNavigator(vectors [][]float64, aux *hnsw.Graph) {
+// refineFromNavigator replaces each live node's adjacency with an
+// occlusion-pruned selection over {nodes visited during a beam search
+// nav→v} ∪ {the kNN pool}, following the NSG construction.
+func (g *Graph) refineFromNavigator(vectors [][]float64, live []int, aux *hnsw.Graph) {
 	n := len(vectors)
 	frozen := make([][]int32, n)
 	for i, lst := range g.adj {
 		frozen[i] = append([]int32(nil), lst...)
 	}
 	workers := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			visited := make([]bool, n)
-			for i := w; i < n; i += workers {
-				pool := g.collectVisited(frozen, vectors[i], visited)
-				// Merge the kNN pool (closest candidates) back in.
-				for _, it := range aux.Search(vectors[i], g.cfg.KNN, g.cfg.L) {
-					if !visited[it.ID] {
-						visited[it.ID] = true
-						pool = append(pool, it)
-					}
+	visited := make([][]bool, workers)
+	par.Spans(workers, len(live), 16, func(w, lo, hi int) {
+		if visited[w] == nil {
+			visited[w] = make([]bool, n)
+		}
+		seen := visited[w]
+		for _, i := range live[lo:hi] {
+			pool := g.collectVisited(frozen, vectors[i], seen)
+			// Merge the kNN pool (closest candidates) back in.
+			for _, it := range aux.Search(vectors[i], g.cfg.KNN, g.cfg.L) {
+				if !seen[it.ID] {
+					seen[it.ID] = true
+					pool = append(pool, it)
 				}
-				for _, it := range pool {
-					visited[it.ID] = false
-				}
-				filtered := pool[:0]
-				for _, it := range pool {
-					if it.ID != i {
-						filtered = append(filtered, it)
-					}
-				}
-				sortItems(filtered)
-				g.adj[i] = g.occlusionPrune(vectors[i], filtered, g.cfg.R)
 			}
-		}(w)
-	}
-	wg.Wait()
+			for _, it := range pool {
+				seen[it.ID] = false
+			}
+			filtered := pool[:0]
+			for _, it := range pool {
+				if it.ID != i {
+					filtered = append(filtered, it)
+				}
+			}
+			sortItems(filtered)
+			g.adj[i] = g.occlusionPrune(vectors[i], filtered, g.cfg.R)
+		}
+	})
 }
 
 // collectVisited beam-searches the frozen graph from the navigating node
@@ -276,16 +306,15 @@ func sortItems(items []resultheap.Item) {
 	}
 }
 
-// medoid returns the index of the vector closest to the mean.
-func medoid(vectors [][]float64) int {
-	dim := len(vectors[0])
-	mean := make([]float64, dim)
-	for _, v := range vectors {
-		vec.Add(mean, mean, v)
+// medoid returns the live id whose vector is closest to the live mean.
+func medoid(vectors [][]float64, live []int) int {
+	mean := make([]float64, len(vectors[live[0]]))
+	for _, i := range live {
+		vec.Add(mean, mean, vectors[i])
 	}
-	vec.Scale(mean, 1/float64(len(vectors)), mean)
-	best, bestD := 0, vec.SqDist(vectors[0], mean)
-	for i := 1; i < len(vectors); i++ {
+	vec.Scale(mean, 1/float64(len(live)), mean)
+	best, bestD := live[0], vec.SqDist(vectors[live[0]], mean)
+	for _, i := range live[1:] {
 		if d := vec.SqDist(vectors[i], mean); d < bestD {
 			best, bestD = i, d
 		}
@@ -318,10 +347,9 @@ func (g *Graph) occlusionPrune(base []float64, cands []resultheap.Item, r int) [
 }
 
 // ensureReachable BFSes from the navigating node, then attaches each
-// unreached vertex to its nearest reached neighbor (bidirectionally).
-func (g *Graph) ensureReachable() {
-	n := len(g.adj)
-	reached := make([]bool, n)
+// unreached live vertex to its nearest reached neighbor (bidirectionally).
+func (g *Graph) ensureReachable(live []int) {
+	reached := make([]bool, len(g.adj))
 	queue := []int{g.nav}
 	reached[g.nav] = true
 	var order []int
@@ -336,7 +364,7 @@ func (g *Graph) ensureReachable() {
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
+	for _, i := range live {
 		if reached[i] {
 			continue
 		}
@@ -358,11 +386,7 @@ func (g *Graph) ensureReachable() {
 }
 
 // Len returns the number of live vectors.
-func (g *Graph) Len() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.live
-}
+func (g *Graph) Len() int { return g.live }
 
 // Dim returns the vector dimension.
 func (g *Graph) Dim() int { return g.dim }
@@ -372,10 +396,10 @@ func (g *Graph) Dim() int { return g.dim }
 // parameters.
 func (g *Graph) Config() Config { return g.cfg }
 
-// Vector returns the stored vector for id (also valid for deleted ids,
-// whose rows remain as tombstones), or nil for out-of-range ids.
+// Vector returns the stored vector for a live id, or nil for a dead slot or
+// an out-of-range id.
 func (g *Graph) Vector(id int) []float64 {
-	if id < 0 || id >= g.data.Len() {
+	if id < 0 || id >= len(g.deleted) || g.deleted[id] {
 		return nil
 	}
 	return g.data.At(id)
@@ -383,21 +407,6 @@ func (g *Graph) Vector(id int) []float64 {
 
 // NavigatingNode returns the entry vertex id.
 func (g *Graph) NavigatingNode() int { return g.nav }
-
-// Delete tombstones an id; searches route through it but never return it.
-func (g *Graph) Delete(id int) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if id < 0 || id >= len(g.deleted) {
-		return fmt.Errorf("nsg: delete of unknown id %d", id)
-	}
-	if g.deleted[id] {
-		return fmt.Errorf("nsg: id %d already deleted", id)
-	}
-	g.deleted[id] = true
-	g.live--
-	return nil
-}
 
 // searchCtx is the pooled per-search working set: the visited set, both
 // beam heaps, the gathered-neighbor buffer with its blocked-kernel
@@ -433,8 +442,6 @@ func (g *Graph) searchInto(dst []resultheap.Item, q []float64, k, ef int, sc vec
 	if ef < k {
 		ef = k
 	}
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	if g.live == 0 {
 		return dst[:0]
 	}
@@ -517,8 +524,6 @@ type Stats struct {
 
 // Stats computes degree statistics.
 func (g *Graph) Stats() Stats {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	st := Stats{Nodes: g.live}
 	for i, del := range g.deleted {
 		if del {

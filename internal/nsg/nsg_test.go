@@ -97,26 +97,37 @@ func TestSelfQuery(t *testing.T) {
 	}
 }
 
+// TestDelete: a dead slot is never returned, holds no vector and no edge,
+// and no edge names it. A build with every row nil is an empty graph.
 func TestDelete(t *testing.T) {
 	g, d := buildGraph(t, 600)
-	items := g.SearchInto(nil, d.Queries[0], 5, 50)
-	victim := items[0].ID
-	if err := g.Delete(victim); err != nil {
+	victim := g.SearchInto(nil, d.Queries[0], 5, 50)[0].ID
+	vectors := append([][]float64(nil), d.Train...)
+	vectors[victim] = nil
+	g, err := Build(vectors, Config{Seed: 41})
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, it := range g.SearchInto(nil, d.Queries[0], 5, 50) {
 		if it.ID == victim {
-			t.Fatal("deleted id still returned")
+			t.Fatal("dead slot returned")
 		}
 	}
-	if err := g.Delete(victim); err == nil {
-		t.Fatal("expected error for double delete")
+	if g.Len() != 599 || g.Vector(victim) != nil || len(g.neighbors(victim)) != 0 || g.nav == victim {
+		t.Fatalf("Len %d, dead slot vector %v, %d edges, nav %d", g.Len(), g.Vector(victim), len(g.neighbors(victim)), g.nav)
 	}
-	if err := g.Delete(-1); err == nil {
-		t.Fatal("expected error for unknown id")
+	for _, nb := range g.nbrs {
+		if int(nb) == victim {
+			t.Fatal("an edge names the dead slot")
+		}
 	}
-	if g.Len() != 599 {
-		t.Fatalf("Len = %d", g.Len())
+
+	empty, err := Build(make([][]float64, 4), Config{Dim: d.Dim})
+	if err != nil || empty.Len() != 0 || len(empty.nbrs) != 0 || len(empty.SearchInto(nil, d.Queries[0], 5, 50)) != 0 {
+		t.Fatalf("all-nil build: %v, Len %d", err, empty.Len())
+	}
+	if _, err := Build(make([][]float64, 4), Config{}); err == nil {
+		t.Fatal("all-nil build with no dimension succeeded")
 	}
 }
 

@@ -15,12 +15,8 @@ import (
 
 const persistMagic = "NSGGO001"
 
-// Save writes the graph in the binary format. It takes the read lock so
-// the snapshot is consistent.
+// Save writes the graph in the binary format.
 func (g *Graph) Save(w io.Writer) error {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.WriteString(persistMagic); err != nil {
 		return fmt.Errorf("nsg: writing magic: %w", err)
@@ -81,7 +77,7 @@ func Load(r io.Reader, dim, n int) (*Graph, error) {
 	if head[4] != int64(dim) || head[5] != int64(n) {
 		return nil, fmt.Errorf("nsg: graph of %d vertices of dimension %d, want %d of %d", head[5], head[4], n, dim)
 	}
-	cfg := Config{R: int(head[0]), L: int(head[1]), KNN: int(head[2]), Seed: uint64(head[3])}
+	cfg := Config{Dim: dim, R: int(head[0]), L: int(head[1]), KNN: int(head[2]), Seed: uint64(head[3])}
 	nav, live := head[6], head[7]
 	if n <= 0 || nav < 0 || nav >= int64(n) || live < 0 || live > int64(n) {
 		return nil, fmt.Errorf("nsg: implausible header dim=%d n=%d nav=%d live=%d", dim, n, nav, live)

@@ -16,11 +16,18 @@ type Store struct {
 	Cfg TrainConfig
 }
 
-// Build trains a codebook on vectors and encodes all of them: the one-call
-// construction the data owner (and the on-demand rebuild path for old
-// database files) uses.
+// Build trains a codebook on the live (non-nil) vectors and encodes them:
+// the one-call construction the data owner, BuildPQ and a fold's retrain
+// use. A nil row is a dead position, whose code row stays zero. TrainedOn
+// counts positions, dead ones included, as the retrain rule does.
 func Build(vectors [][]float64, cfg TrainConfig) (*Store, error) {
-	book, err := Train(vectors, cfg)
+	live := make([][]float64, 0, len(vectors))
+	for _, v := range vectors {
+		if v != nil {
+			live = append(live, v)
+		}
+	}
+	book, err := Train(live, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -28,7 +35,7 @@ func Build(vectors [][]float64, cfg TrainConfig) (*Store, error) {
 		Book:      book,
 		Codes:     book.EncodeAll(vectors),
 		TrainedOn: len(vectors),
-		Cfg:       cfg.withDefaults(len(vectors)),
+		Cfg:       cfg.withDefaults(len(live)),
 	}, nil
 }
 

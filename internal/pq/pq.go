@@ -209,10 +209,11 @@ func (cb *Codebook) EncodeInto(dst []byte, v []float64) {
 // PQ build). Each subspace gets a kmeans.Searcher for the call — a point
 // starts from the centroid nearest in its first coordinate and evaluates
 // the few the triangle inequality leaves — and the codes are EncodeInto's.
-// The searchers are dropped on return: nothing is retained per subspace.
+// A nil vector's row stays zero. The searchers are dropped on return:
+// nothing is retained per subspace.
 func (cb *Codebook) EncodeAll(vectors [][]float64) *CodeStore {
 	for i, v := range vectors {
-		if len(v) != cb.dim {
+		if v != nil && len(v) != cb.dim {
 			panic(fmt.Sprintf("pq: encoding %d-dim vector %d with %d-dim codebook", len(v), i, cb.dim))
 		}
 	}
@@ -228,6 +229,9 @@ func (cb *Codebook) EncodeAll(vectors [][]float64) *CodeStore {
 		for j, s := range search {
 			o, w := cb.off[j], cb.width[j]
 			for i := lo; i < hi; i++ {
+				if vectors[i] == nil {
+					continue
+				}
 				sub := vectors[i][o : o+w]
 				best, _ := s.Nearest(sub, s.Guess(sub))
 				cs.Row(i)[j] = byte(best)

@@ -637,10 +637,13 @@ func (c *Coordinator) Insert(p *core.InsertPayload) (int, error) {
 // with the same degraded-write contract as Insert: one applying replica
 // makes the delete count (and advances the epoch floor, routing reads
 // around replicas that would resurrect the id), partial application
-// returns a *DegradedWriteError, total failure a *ShardError.
+// returns a *DegradedWriteError, total failure a *ShardError. Deletes
+// serialize with every other update: two unserialized deletes of one id
+// could each see one applying replica and advance the stripe's floor twice
+// for one write.
 func (c *Coordinator) Delete(gid int) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if gid < 0 || gid >= c.total {
 		return fmt.Errorf("shard: delete of unknown global id %d", gid)
 	}

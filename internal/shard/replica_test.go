@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -667,6 +668,84 @@ func TestStaleReplicaNeverServesResurrectedIds(t *testing.T) {
 	}
 	if _, err := coord.SearchBatch([]*core.QueryToken{tok}, k, opt); !errors.Is(err, ErrStaleReplica) {
 		t.Fatalf("batch err = %v, want chain containing ErrStaleReplica", err)
+	}
+}
+
+// gatedShard holds its first Delete until a second Delete has returned from
+// it, or until a timeout: the interleaving two unserialized deletes of one
+// id fall into when the first stalls on its second replica.
+type gatedShard struct {
+	Shard
+	entered chan struct{} // closed when the first Delete reaches the gate
+	passed  chan struct{} // closed when the second Delete has returned
+	calls   atomic.Int32
+}
+
+func (g *gatedShard) Delete(local int) error {
+	switch g.calls.Add(1) {
+	case 1:
+		close(g.entered)
+		select {
+		case <-g.passed:
+		case <-time.After(300 * time.Millisecond):
+		}
+	case 2:
+		defer close(g.passed)
+	}
+	return g.Shard.Delete(local)
+}
+
+// TestConcurrentDeletesOfOneID: two deletes of one global id on an RF=2
+// stripe serialize on the coordinator. Unserialized they interleave as
+// A→r0 ok, B→r0 already deleted, B→r1 ok, A→r1 already deleted: each sees
+// one applying replica, each advances the stripe's epoch floor, and the
+// floor ends two ahead of replicas that moved once, so every later read of
+// the stripe fails as stale. Serialized, one delete succeeds, the other
+// fails on every replica, and reads succeed.
+func TestConcurrentDeletesOfOneID(t *testing.T) {
+	const n, dim, k = 300, 16, 5
+	w := newWorld(t, n, dim)
+	sets := make([][]Shard, 2)
+	for r := 0; r < 2; r++ {
+		parts, err := w.server.Database().Split(2, index.Options{Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, p := range parts {
+			srv, err := core.NewServer(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sets[s] = append(sets[s], Local{Srv: srv})
+		}
+	}
+	// Global id 0 is local id 0 of stripe 0; its replica 1 is gated.
+	gate := &gatedShard{Shard: sets[0][1], entered: make(chan struct{}), passed: make(chan struct{})}
+	sets[0][1] = gate
+	coord, err := NewReplicated(sets, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	errA := make(chan error, 1)
+	go func() { errA <- coord.Delete(0) }()
+	<-gate.entered
+	errB := coord.Delete(0)
+	if a := <-errA; (a == nil) == (errB == nil) {
+		t.Fatalf("deletes of one id returned %v and %v, want exactly one success", a, errB)
+	}
+	tok, err := w.user.Query(w.queries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := coord.Search(tok, k, fullRecall(n, core.RefineDCE))
+	if err != nil {
+		t.Fatalf("search after the deletes: %v", err)
+	}
+	for _, id := range ids {
+		if id == 0 {
+			t.Fatal("deleted id 0 returned")
+		}
 	}
 }
 

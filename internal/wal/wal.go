@@ -547,6 +547,17 @@ func (l *Log) Checkpoint(b Barrier, write func(io.Writer) error) error {
 	if b.Name == "" {
 		b.Name = CheckpointName(b.Epoch, b.Gen)
 	}
+	// A closed or poisoned log writes no snapshot file: a fold that starts
+	// after Close must leave the directory as Close left it.
+	l.mu.Lock()
+	err := l.err
+	if err == nil && l.closed {
+		err = ErrClosed
+	}
+	l.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	if err := writeFileAtomicFS(l.fs, filepath.Join(l.dir, b.Name), write); err != nil {
 		return fmt.Errorf("wal: write checkpoint %s: %w", b.Name, err)
 	}

@@ -278,6 +278,18 @@ func TestCheckpointGCAndRecovery(t *testing.T) {
 	if _, err := l2.OpenCheckpoint(CheckpointName(20, 1)); err == nil {
 		t.Fatal("superseded checkpoint file survived the sweep")
 	}
+
+	// A closed log refuses a checkpoint before writing anything: a fold
+	// that starts after Close leaves the directory as Close left it.
+	l2.Close()
+	before, _ := os.ReadDir(dir)
+	b3 := Barrier{Epoch: 30, Gen: 3, Records: 30}
+	if err := l2.Checkpoint(b3, func(w io.Writer) error { _, e := w.Write([]byte("v3")); return e }); !errors.Is(err, ErrClosed) {
+		t.Fatalf("checkpoint on a closed log: %v, want ErrClosed", err)
+	}
+	if after, _ := os.ReadDir(dir); len(after) != len(before) {
+		t.Fatalf("checkpoint on a closed log left %d entries, %d before", len(after), len(before))
+	}
 }
 
 func (b Barrier) withName() Barrier {
