@@ -189,7 +189,7 @@ func sharded(nShards int) {
 	}
 
 	// Scatter-gather each query and cross-check against the unsharded
-	// server; batch the whole query set in one round trip per shard.
+	// server.
 	opt := core.SearchOptions{RatioK: 16, EfSearch: 160}
 	gt := data.GroundTruth(10)
 	toks := make([]*core.QueryToken, len(data.Queries))
@@ -216,17 +216,6 @@ func sharded(nShards int) {
 	}
 	fmt.Printf("scatter-gather Recall@10: %.3f (%d queries, %d/%d identical to unsharded)\n",
 		recall/float64(len(data.Queries)), len(data.Queries), agree, len(data.Queries))
-
-	// One round trip per shard for the whole batch; Parallelism rides in
-	// the options, so each remote shard fans its share across 4 workers.
-	bOpt := opt
-	bOpt.Parallelism = 4
-	batch, err := coord.SearchBatch(toks, 10, bOpt)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("batched the same %d queries in one round trip per shard (parallelism %d per shard)\n",
-		len(batch), bOpt.Parallelism)
 
 	// Throughput mode: a divide-effort coordinator hands every shard its
 	// 1/N share of the filter work, so the tier stops paying N× compute

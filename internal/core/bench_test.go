@@ -161,19 +161,3 @@ func BenchmarkSearch(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkSearchBatch measures the parallel query stream; each worker
-// holds its own pooled scratch.
-func BenchmarkSearchBatch(b *testing.B) {
-	w := getBenchWorld(b)
-	opt := SearchOptions{RatioK: 16, EfSearch: 160}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, errs := w.server.SearchShardBatch(w.toks, 10, opt)
-		if err := NewBatchError(errs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(w.toks)), "queries/op")
-}

@@ -24,12 +24,12 @@
 // The server type is constructed exclusively from ciphertexts; no API
 // exposes plaintext vectors, distances, or keys to it.
 //
-// Algorithm 2 has one body (Server.searchInto) and four exported entry
+// Algorithm 2 has one body (Server.searchInto) and three exported entry
 // points: Search returns ids; SearchInto appends them into a recycled
 // buffer and reports SearchStats; SearchShard additionally returns the
 // merge material of the active refine mode (a ShardResult) for a
-// scatter-gather coordinator; SearchShardBatch is SearchShard over many
-// tokens on SearchOptions.Parallelism workers, with per-query errors.
+// scatter-gather coordinator. A server answers concurrent calls in
+// parallel on its snapshot-isolated read path.
 package core
 
 import (

@@ -206,7 +206,7 @@ func checkCodes(t *testing.T, sp *snapshot, lo, hi int) {
 }
 
 // TestFilterPQErrors pins the wire-safe failure modes of the mode switch,
-// on both the single-query and the batch executor.
+// through Search and SearchShard.
 func TestFilterPQErrors(t *testing.T) {
 	data := clustered(78, 400, 8, 4)
 	w := newWorld(t, Params{Dim: 8, Beta: 0.5, Seed: 78}, data) // no PQ tier
@@ -222,11 +222,9 @@ func TestFilterPQErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "unknown filter distance mode") {
 		t.Fatalf("unknown mode: %v", err)
 	}
-	_, errs := w.server.SearchShardBatch([]*QueryToken{tok, tok}, 5, SearchOptions{FilterDist: FilterPQ, Parallelism: 2})
-	for i, err := range errs {
-		if err == nil || !strings.Contains(err.Error(), "no PQ store") {
-			t.Fatalf("batch query %d FilterPQ without a store: %v", i, err)
-		}
+	if _, err := w.server.SearchShard(tok, 5, SearchOptions{FilterDist: FilterPQ}); err == nil ||
+		!strings.Contains(err.Error(), "no PQ store") {
+		t.Fatalf("SearchShard FilterPQ without a store: %v", err)
 	}
 }
 

@@ -111,11 +111,8 @@ func (e *EncryptedDatabase) Save(w io.Writer) error {
 		}
 	}
 	// Bulk arena write with a running checksum, one record at a time.
-	// Tombstoned records are written as zeroed runs regardless of their
-	// in-memory bytes: the snapshot-safe Tombstone leaves dropped
-	// ciphertext material in the shared arena (zeroing it would tear
-	// older snapshots' reads), and that material must not outlive the
-	// deletion on disk.
+	// Dead records are written as zeroed runs regardless of their
+	// in-memory bytes, so no deleted ciphertext material can reach disk.
 	arena := e.DCE.Raw()
 	liveMask := e.DCE.LiveMask()
 	stride := 4 * ctDim

@@ -74,9 +74,8 @@ func TestEncryptedDatabaseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The arena comes back bit for bit, except that the tombstoned record's
-	// bytes — still in the snapshot store, whose Tombstone defers zeroing —
-	// must not have reached the file.
+	// The arena comes back bit for bit, except that the deleted record's
+	// bytes must not have reached the file.
 	orig := w.server.Database().DCE
 	stride := 4 * orig.CtDim()
 	for i, f := range edb2.DCE.Raw() {
@@ -286,4 +285,25 @@ func FuzzLoadEncryptedDatabase(f *testing.F) {
 			t.Fatalf("loaded %d live of %d records under an index of %d", edb.Live(), edb.Len(), edb.Index.Len())
 		}
 	})
+}
+
+func TestCorruptedDatabaseDetected(t *testing.T) {
+	data := clustered(65, 300, 8, 3)
+	w := newWorld(t, Params{Dim: 8, Beta: 0.3, Seed: 65}, data)
+	var buf bytes.Buffer
+	err := w.server.Database().Save(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	// Flip one byte inside the first ciphertext record (past magic+header).
+	corrupt := append([]byte(nil), raw...)
+	corrupt[64] ^= 0xFF
+	if _, err := LoadEncryptedDatabase(bytes.NewReader(corrupt)); err == nil {
+		t.Fatal("bit flip in ciphertext payload not detected")
+	}
+	// Unmodified stream still loads.
+	if _, err := LoadEncryptedDatabase(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("pristine stream failed to load: %v", err)
+	}
 }

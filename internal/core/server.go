@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -86,11 +85,6 @@ type SearchOptions struct {
 	// FilterExact). FilterPQ fails with a wire-safe error when the hosted
 	// database carries no PQ store.
 	FilterDist FilterDistMode
-	// Parallelism caps the worker count of SearchShardBatch; 0 means one
-	// worker per CPU. It rides inside the options so remote batch calls
-	// carry it over the wire and the scatter-gather coordinator forwards it
-	// to every shard.
-	Parallelism int
 }
 
 func (s SearchOptions) kPrime(k int) int {
@@ -111,15 +105,6 @@ func (s SearchOptions) ef(kPrime int) int {
 		return kPrime
 	}
 	return 50
-}
-
-// parallelism resolves the worker count of a batch: the Parallelism
-// option, else one worker per CPU.
-func (s SearchOptions) parallelism() int {
-	if s.Parallelism > 0 {
-		return s.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Partition returns a copy of the options with the filter effort divided
@@ -502,11 +487,10 @@ type ShardResult struct {
 	// Dists holds the filter-phase SAP distances parallel to IDs, the
 	// merge key when no refine runs (RefineNone only).
 	Dists []float64
-	// Recs holds copies of the DCE records [P1|P2|P3|P4] parallel to IDs
-	// (RefineDCE only); CtDim is their component length. Recs is how a
-	// result looks after crossing the wire: core.Server leaves it nil and
-	// sets Store, and transport copies the records out of Store into the
-	// response it encodes.
+	// Recs holds the DCE records [P1|P2|P3|P4] parallel to IDs (RefineDCE
+	// only); CtDim is their component length. Recs is how a result looks
+	// after crossing the wire: core.Server leaves it nil and sets Store,
+	// and transport encodes the records straight out of Store.
 	Recs  [][]float64
 	CtDim int
 	// Store is the DCE merge material of an in-process result (RefineDCE

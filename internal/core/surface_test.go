@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -14,70 +13,24 @@ import (
 	"ppanns/internal/transport"
 )
 
-// surface is one way a batch of queries reaches the one search body:
-// which method, in-process or over the wire, with merge material or not.
+// surface is one way a query reaches the one search body: which method,
+// in-process or over the wire, with merge material or not.
 type surface struct {
 	name  string
 	merge bool // results carry the refine mode's merge material
 	wire  bool // results crossed the wire: DCE material is Recs
-	run   func(toks []*core.QueryToken, k int, opt core.SearchOptions) ([]core.ShardResult, []error)
-}
-
-// each adapts a single-query method to the batch shape.
-func each(search func(*core.QueryToken, int, core.SearchOptions) (core.ShardResult, error)) func([]*core.QueryToken, int, core.SearchOptions) ([]core.ShardResult, []error) {
-	return func(toks []*core.QueryToken, k int, opt core.SearchOptions) ([]core.ShardResult, []error) {
-		rs, errs := make([]core.ShardResult, len(toks)), make([]error, len(toks))
-		for i, tok := range toks {
-			rs[i], errs[i] = search(tok, k, opt)
-		}
-		return rs, errs
-	}
+	run   func(tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error)
 }
 
 func surfaces(srv *core.Server, client *transport.Client) []surface {
-	local := shard.Local{Srv: srv}
 	return []surface{
-		{name: "server/single", merge: true, run: each(srv.SearchShard)},
-		{name: "server/batch", merge: true, run: srv.SearchShardBatch},
-		{name: "local/single", merge: true, run: each(local.SearchShard)},
-		{name: "local/batch", merge: true, run: func(toks []*core.QueryToken, k int, opt core.SearchOptions) ([]core.ShardResult, []error) {
-			rs, errs, _ := local.SearchShardBatch(toks, k, opt)
-			return rs, errs
-		}},
-		{name: "tcp/search", wire: true, run: each(func(tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error) {
+		{name: "server", merge: true, run: srv.SearchShard},
+		{name: "local", merge: true, run: shard.Local{Srv: srv}.SearchShard},
+		{name: "tcp/search", wire: true, run: func(tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error) {
 			ids, err := client.Search(tok, k, opt)
 			return core.ShardResult{IDs: ids}, err
-		})},
-		{name: "tcp/search+merge", merge: true, wire: true, run: each(client.SearchShard)},
-		{name: "tcp/searchbatch", wire: true, run: func(toks []*core.QueryToken, k int, opt core.SearchOptions) ([]core.ShardResult, []error) {
-			ids, err := client.SearchBatch(toks, k, opt)
-			rs, errs := make([]core.ShardResult, len(toks)), make([]error, len(toks))
-			var be *core.BatchError
-			if errors.As(err, &be) {
-				for _, qe := range be.Failed {
-					errs[qe.Query] = qe.Err
-				}
-			} else if err != nil {
-				for i := range errs {
-					errs[i] = err
-				}
-				return rs, errs
-			}
-			for i := range ids {
-				rs[i].IDs = ids[i]
-			}
-			return rs, errs
 		}},
-		{name: "tcp/searchbatch+merge", merge: true, wire: true, run: func(toks []*core.QueryToken, k int, opt core.SearchOptions) ([]core.ShardResult, []error) {
-			rs, errs, err := client.SearchShardBatch(toks, k, opt)
-			if err != nil {
-				rs, errs = make([]core.ShardResult, len(toks)), make([]error, len(toks))
-				for i := range errs {
-					errs[i] = err
-				}
-			}
-			return rs, errs
-		}},
+		{name: "tcp/search+merge", merge: true, wire: true, run: client.SearchShard},
 	}
 }
 
@@ -117,8 +70,8 @@ func checkMaterial(t *testing.T, edb *core.EncryptedDatabase, refine core.Refine
 }
 
 // TestSearchShardMatchesSearch drives every surviving search entry point —
-// SearchShard and SearchShardBatch on the server, through shard.Local, and
-// the search and searchbatch ops over TCP with Merge on and off — across
+// SearchShard on the server and through shard.Local, and the search op over
+// TCP with Merge on and off — across
 // refine mode × filter distance × backend, and asserts each returns the ids
 // Search returns, merge material consistent with them, one bad token
 // failing alone, and any k answered with an error or at most n ids from a
@@ -174,7 +127,7 @@ func TestSearchShardMatchesSearch(t *testing.T) {
 
 			for _, refine := range []core.RefineMode{core.RefineDCE, core.RefineNone} {
 				for _, filter := range []core.FilterDistMode{core.FilterExact, core.FilterPQ} {
-					opt := core.SearchOptions{RatioK: 8, Refine: refine, FilterDist: filter, Parallelism: 2}
+					opt := core.SearchOptions{RatioK: 8, Refine: refine, FilterDist: filter}
 					want := make([][]int, len(toks))
 					for i, tok := range toks {
 						if want[i], err = srv.Search(tok, k, opt); (err != nil) != (i == bad) {
@@ -183,22 +136,19 @@ func TestSearchShardMatchesSearch(t *testing.T) {
 					}
 					for _, sf := range surfaces(srv, client) {
 						where := fmt.Sprintf("%v/%v/%s", refine, filter, sf.name)
-						rs, errs := sf.run(toks, k, opt)
-						if len(rs) != len(toks) || len(errs) != len(toks) {
-							t.Fatalf("%s: %d results, %d errors for %d queries", where, len(rs), len(errs), len(toks))
-						}
-						for i := range toks {
+						for i, tok := range toks {
+							r, err := sf.run(tok, k, opt)
 							if i == bad {
-								if errs[i] == nil || rs[i].IDs != nil {
-									t.Fatalf("%s: bad query %d answered %v, err %v", where, i, rs[i].IDs, errs[i])
+								if err == nil || r.IDs != nil {
+									t.Fatalf("%s: bad query %d answered %v, err %v", where, i, r.IDs, err)
 								}
 								continue
 							}
-							if errs[i] != nil || !slices.Equal(rs[i].IDs, want[i]) {
-								t.Fatalf("%s: query %d = %v (err %v), Search = %v", where, i, rs[i].IDs, errs[i], want[i])
+							if err != nil || !slices.Equal(r.IDs, want[i]) {
+								t.Fatalf("%s: query %d = %v (err %v), Search = %v", where, i, r.IDs, err, want[i])
 							}
 							if sf.merge {
-								checkMaterial(t, edb, refine, sf.wire, rs[i])
+								checkMaterial(t, edb, refine, sf.wire, r)
 							}
 						}
 
@@ -208,16 +158,16 @@ func TestSearchShardMatchesSearch(t *testing.T) {
 						for _, kk := range []int{-1, 0, n, n + 1, 1 << 40} {
 							var before, after runtime.MemStats
 							runtime.ReadMemStats(&before)
-							rs, errs := sf.run(toks[:1], kk, opt)
+							r, err := sf.run(toks[0], kk, opt)
 							runtime.ReadMemStats(&after)
 							if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
 								t.Fatalf("%s: k=%d allocated %d bytes", where, kk, got)
 							}
-							switch got := len(rs[0].IDs); {
-							case kk <= 0 && errs[0] == nil:
+							switch got := len(r.IDs); {
+							case kk <= 0 && err == nil:
 								t.Fatalf("%s: k=%d accepted", where, kk)
-							case kk > 0 && (errs[0] != nil || got == 0 || got > n):
-								t.Fatalf("%s: k=%d returned %d ids, err %v", where, kk, got, errs[0])
+							case kk > 0 && (err != nil || got == 0 || got > n):
+								t.Fatalf("%s: k=%d returned %d ids, err %v", where, kk, got, err)
 							}
 						}
 					}

@@ -215,13 +215,11 @@ func (s *CiphertextStore) Append(ct *Ciphertext) int {
 }
 
 // Snapshot returns a copy-on-write clone for core's snapshot-publication
-// discipline. The liveness flags are copied, so Tombstone and Append on the
-// clone are invisible to the receiver; the arena is shared, which is safe
-// under that discipline because published stores are never mutated again —
-// appends only ever write past every published snapshot's length, and
-// snapshot deletes go through Tombstone, which flips only the (private)
-// liveness flag. Callers outside that discipline must not mutate both the
-// receiver and the clone.
+// discipline. The liveness flags are copied, so Append on the clone is
+// invisible to the receiver; the arena is shared, which is safe under that
+// discipline because published stores are never mutated again — appends
+// only ever write past every published snapshot's length. Callers outside
+// that discipline must not mutate both the receiver and the clone.
 func (s *CiphertextStore) Snapshot() *CiphertextStore {
 	return &CiphertextStore{
 		ctDim:   s.ctDim,
@@ -290,10 +288,10 @@ func (s *CiphertextStore) Reserve(records int) {
 
 // Compacted returns a store with a private arena holding the receiver's
 // records, with every id for which dead(id) reports true (or that is
-// already tombstoned) zeroed and marked dead — the ciphertext bytes are
-// actually dropped, unlike Tombstone. Ids are preserved, not renumbered:
-// dead records keep their (zeroed) slots so the id space stays aligned
-// with the filter index and the shard striping.
+// already dead) zeroed and marked dead — the ciphertext bytes are actually
+// dropped. Ids are preserved, not renumbered: dead records keep their
+// (zeroed) slots so the id space stays aligned with the filter index and
+// the shard striping.
 func (s *CiphertextStore) Compacted(dead func(id int) bool) *CiphertextStore {
 	n := s.Len()
 	ns := &CiphertextStore{
@@ -311,20 +309,6 @@ func (s *CiphertextStore) Compacted(dead func(id int) bool) *CiphertextStore {
 		ns.liveN++
 	}
 	return ns
-}
-
-// Tombstone marks id dead without touching its record: the snapshot-safe
-// delete for stores whose arena is shared with older snapshots (zeroing, as
-// Delete does, would tear concurrent reads on them). The ciphertext
-// material therefore survives in memory until the arena is next copied or
-// the snapshot chain is collected. Tombstoning a dead or out-of-range id is
-// a no-op.
-func (s *CiphertextStore) Tombstone(id int) {
-	if !s.Has(id) {
-		return
-	}
-	s.live[id] = false
-	s.liveN--
 }
 
 // Delete tombstones id and zeroes its record, dropping the ciphertext

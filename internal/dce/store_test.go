@@ -182,10 +182,9 @@ func TestEncryptRecordMatchesEncrypt(t *testing.T) {
 	}
 }
 
-// TestSnapshotTombstone covers the copy-on-write store primitives behind
+// TestSnapshotTombstone covers the copy-on-write store primitive behind
 // core's snapshot publication: a Snapshot shares the arena but owns its
-// liveness, and Tombstone drops a record from the live set without
-// touching the shared bytes older snapshots may still be reading.
+// liveness and length.
 func TestSnapshotTombstone(t *testing.T) {
 	const ctDim, n = 6, 5
 	s := NewCiphertextStoreN(ctDim, n)
@@ -197,29 +196,6 @@ func TestSnapshotTombstone(t *testing.T) {
 	}
 
 	snap := s.Snapshot()
-	snap.Tombstone(3)
-	if !s.Has(3) {
-		t.Fatal("Tombstone on the snapshot leaked into the receiver")
-	}
-	if snap.Has(3) {
-		t.Fatal("snapshot still reports the tombstoned id live")
-	}
-	if got, want := snap.Live(), s.Live()-1; got != want {
-		t.Fatalf("snapshot Live = %d, want %d", got, want)
-	}
-	// The shared bytes are intact — that is the point of Tombstone.
-	for j, v := range snap.Record(3) {
-		if v != float64(3*100+j+1) {
-			t.Fatalf("Tombstone zeroed shared arena byte %d", j)
-		}
-	}
-	// Tombstoning a dead or out-of-range id is a no-op.
-	snap.Tombstone(3)
-	snap.Tombstone(99)
-	if got, want := snap.Live(), n-1; got != want {
-		t.Fatalf("no-op tombstones changed Live to %d, want %d", got, want)
-	}
-
 	// Appending to the snapshot must be invisible to the receiver.
 	ct := &Ciphertext{
 		P1: make([]float64, ctDim), P2: make([]float64, ctDim),
@@ -234,8 +210,8 @@ func TestSnapshotTombstone(t *testing.T) {
 	}
 	// A second-generation snapshot sees the first's state.
 	snap2 := snap.Snapshot()
-	if snap2.Len() != n+1 || snap2.Has(3) {
-		t.Fatalf("second-generation snapshot inconsistent: len %d, Has(3) %v", snap2.Len(), snap2.Has(3))
+	if snap2.Len() != n+1 || !snap2.Has(n) {
+		t.Fatalf("second-generation snapshot inconsistent: len %d, Has(%d) %v", snap2.Len(), n, snap2.Has(n))
 	}
 }
 

@@ -66,7 +66,6 @@ func TestChaosFailoverZeroFailures(t *testing.T) {
 				// And a flaky application layer on top of the flaky wire.
 				f := NewFaulty(rm, uint64(2000+s))
 				f.Set("search", FaultSpec{ErrRate: 0.10})
-				f.Set("searchbatch", FaultSpec{ErrRate: 0.10})
 				sets[s][r] = f
 			} else {
 				sets[s][r] = rm
@@ -103,13 +102,13 @@ func TestChaosFailoverZeroFailures(t *testing.T) {
 			t.Fatalf("iter %d: chaos corrupted results:\ngot  %v\nwant %v", it, got, want[qi])
 		}
 		if it%10 == 5 {
-			results, err := coord.SearchBatch(toks[:4], k, opt)
-			if err != nil {
-				t.Fatalf("iter %d: batch failed under chaos: %v", it, err)
-			}
-			for i := range results {
-				if !sameIDs(results[i], want[i]) {
-					t.Fatalf("iter %d: chaos corrupted batch query %d:\ngot  %v\nwant %v", it, i, results[i], want[i])
+			for i, tok := range toks[:4] {
+				got, err := coord.Search(tok, k, opt)
+				if err != nil {
+					t.Fatalf("iter %d: query %d failed under chaos: %v", it, i, err)
+				}
+				if !sameIDs(got, want[i]) {
+					t.Fatalf("iter %d: chaos corrupted query %d:\ngot  %v\nwant %v", it, i, got, want[i])
 				}
 			}
 		}

@@ -281,7 +281,4 @@ func TestReplicatedChurnCompactionOverTCP(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if _, err := coord.SearchBatch(toks[:2], k, opt); err == nil || !errors.Is(err, ErrStaleReplica) {
-		t.Fatalf("batch err = %v, want chain containing ErrStaleReplica", err)
-	}
 }

@@ -38,10 +38,10 @@ type Options struct {
 	// duplicate work. Zero disables hedging.
 	HedgeAfter time.Duration
 	// AllowPartial turns a dead stripe (every replica failed) from a
-	// query-fatal ShardError into graceful degradation: Search/SearchBatch
-	// merge the surviving stripes' answers and return them alongside a
-	// *PartialError naming the dead stripes, so the caller chooses between
-	// best-effort results and strict completeness.
+	// query-fatal ShardError into graceful degradation: Search merges the
+	// surviving stripes' answers and returns them alongside a *PartialError
+	// naming the dead stripes, so the caller chooses between best-effort
+	// results and strict completeness.
 	AllowPartial bool
 	// Breaker tunes the per-replica circuit breakers (zero = defaults;
 	// see BreakerOptions).
@@ -59,9 +59,6 @@ type PartialError struct {
 	// failures, parallel.
 	Stripes []int
 	Errs    []error
-	// Failed lists per-query failures that were not stripe deaths
-	// (SearchBatch only): malformed tokens, merge mismatches.
-	Failed []core.QueryError
 }
 
 func (e *PartialError) Error() string {
@@ -331,8 +328,12 @@ func putScratch(sc *searchScratch) {
 // surfaces as a *ShardError, or, with Options.AllowPartial, degrades
 // gracefully: the surviving stripes' merged answer is returned alongside
 // a *PartialError naming the dead ones. Never a hang, and never a
-// silently partial answer.
+// silently partial answer. Like core.Server.Search it refuses k ≤ 0 before
+// any shard is asked.
 func (c *Coordinator) Search(tok *core.QueryToken, k int, opt core.SearchOptions) ([]int, error) {
+	if k <= 0 {
+		return nil, fmt.Errorf("shard: non-positive k %d", k)
+	}
 	sc := scratchPool.Get().(*searchScratch)
 	defer putScratch(sc)
 	sc.shards(len(c.stripes))
@@ -375,89 +376,6 @@ func (c *Coordinator) Search(tok *core.QueryToken, k int, opt core.SearchOptions
 		return ids, &PartialError{Stripes: dead, Errs: deadErrs}
 	}
 	return ids, nil
-}
-
-// SearchBatch answers a whole batch across all shards with one
-// SearchShardBatch call per shard — for remote shards one round trip per
-// shard per batch, not per query. Results are per-query in input order;
-// failed queries leave nil slots and are listed in a *core.BatchError,
-// wrapped per query in *ShardError when a specific shard caused the
-// failure.
-func (c *Coordinator) SearchBatch(toks []*core.QueryToken, k int, opt core.SearchOptions) ([][]int, error) {
-	if len(toks) == 0 {
-		return nil, nil
-	}
-	perShard := make([][]core.ShardResult, len(c.stripes))
-	perShardErrs := make([][]error, len(c.stripes))
-	shardErrs := make([]error, len(c.stripes))
-	sOpt := c.shardOpt(k, opt)
-	var wg sync.WaitGroup
-	for s, rs := range c.stripes {
-		wg.Add(1)
-		go func(s int, rs *ReplicaSet) {
-			defer wg.Done()
-			perShard[s], perShardErrs[s], shardErrs[s] = rs.searchBatch(toks, k, sOpt)
-		}(s, rs)
-	}
-	wg.Wait()
-
-	var dead []int
-	var deadErrs []error
-	if c.opts.AllowPartial {
-		for s, err := range shardErrs {
-			if err != nil {
-				dead = append(dead, s)
-				deadErrs = append(deadErrs, err)
-			}
-		}
-		if len(dead) == len(c.stripes) {
-			return nil, &ShardError{Shard: dead[0], Err: deadErrs[0]}
-		}
-	}
-
-	results := make([][]int, len(toks))
-	qErrs := make([]error, len(toks))
-	sc := scratchPool.Get().(*searchScratch)
-	defer putScratch(sc)
-	sc.shards(len(c.stripes))
-	gather := sc.results
-	for q := range toks {
-		var qErr error
-		for s := range c.stripes {
-			switch {
-			case shardErrs[s] != nil:
-				if c.opts.AllowPartial {
-					// Dead stripe in partial mode: contribute nothing,
-					// keep the slot for stripe-indexed Global remapping.
-					gather[s] = core.ShardResult{}
-					continue
-				}
-				qErr = &ShardError{Shard: s, Err: shardErrs[s]}
-			case perShardErrs[s][q] != nil:
-				qErr = &ShardError{Shard: s, Err: perShardErrs[s][q]}
-			default:
-				gather[s] = perShard[s][q]
-				continue
-			}
-			break
-		}
-		if qErr == nil {
-			results[q], qErr = c.merge(toks[q], k, opt.Refine, gather, sc)
-		}
-		qErrs[q] = qErr
-	}
-	be := core.NewBatchError(qErrs)
-	if len(dead) > 0 {
-		pe := &PartialError{Stripes: dead, Errs: deadErrs}
-		if be != nil {
-			pe.Failed = be.Failed
-		}
-		return results, pe
-	}
-	if be != nil {
-		return results, be
-	}
-	return results, nil
 }
 
 // mergeCmp orders candidates across shard result lists; one pooled
@@ -527,7 +445,9 @@ func (c *Coordinator) merge(tok *core.QueryToken, k int, mode core.RefineMode, r
 		if tok == nil || tok.Trapdoor == nil {
 			return nil, fmt.Errorf("shard: token lacks DCE trapdoor for merge")
 		}
-		ctDim := 0
+		// Every non-empty answer must be in the trapdoor's dimension: a
+		// remote shard's CtDim and records are whatever it chose to send.
+		ctDim := len(tok.Trapdoor.Q)
 		for s, r := range results {
 			if r.Store == nil && len(r.Recs) != len(r.IDs) {
 				return nil, &ShardError{Shard: s, Err: fmt.Errorf("shard: %d DCE records for %d ids", len(r.Recs), len(r.IDs))}
@@ -539,10 +459,8 @@ func (c *Coordinator) merge(tok *core.QueryToken, k int, mode core.RefineMode, r
 			if r.Store != nil {
 				d = r.Store.CtDim()
 			}
-			if ctDim == 0 {
-				ctDim = d
-			} else if d != ctDim {
-				return nil, &ShardError{Shard: s, Err: fmt.Errorf("shard: ciphertext dim %d, other shards %d", d, ctDim)}
+			if d != ctDim {
+				return nil, &ShardError{Shard: s, Err: fmt.Errorf("shard: ciphertext dim %d, trapdoor %d", d, ctDim)}
 			}
 			if r.Store != nil {
 				for _, local := range r.IDs {
@@ -557,9 +475,6 @@ func (c *Coordinator) merge(tok *core.QueryToken, k int, mode core.RefineMode, r
 					}
 				}
 			}
-		}
-		if ctDim != 0 && len(tok.Trapdoor.Q) != ctDim {
-			return nil, fmt.Errorf("shard: trapdoor has dim %d, shard ciphertexts %d", len(tok.Trapdoor.Q), ctDim)
 		}
 		sc.dce = dceMerge{ctDim: ctDim, q: tok.Trapdoor.Q}
 		cmp = &sc.dce

@@ -56,9 +56,8 @@ func NewFaulty(inner Shard, seed uint64) *Faulty {
 	return &Faulty{inner: inner, rng: rng.NewSeeded(seed), specs: make(map[string]FaultSpec)}
 }
 
-// Set installs the fault spec for one op ("search", "searchbatch",
-// "insert", "delete", "info") or for every op ("*"; an op-specific spec
-// wins over it).
+// Set installs the fault spec for one op ("search", "insert", "delete",
+// "info") or for every op ("*"; an op-specific spec wins over it).
 func (f *Faulty) Set(op string, spec FaultSpec) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -144,13 +143,6 @@ func (f *Faulty) SearchShardCancel(cancel <-chan struct{}, tok *core.QueryToken,
 		return sc.SearchShardCancel(cancel, tok, k, opt)
 	}
 	return f.inner.SearchShard(tok, k, opt)
-}
-
-func (f *Faulty) SearchShardBatch(toks []*core.QueryToken, k int, opt core.SearchOptions) ([]core.ShardResult, []error, error) {
-	if err := f.gate("searchbatch", nil); err != nil {
-		return nil, nil, err
-	}
-	return f.inner.SearchShardBatch(toks, k, opt)
 }
 
 func (f *Faulty) Insert(p *core.InsertPayload) (int, error) {

@@ -190,51 +190,6 @@ func (rs *ReplicaSet) search(tok *core.QueryToken, k int, opt core.SearchOptions
 	}
 }
 
-// searchBatch answers a whole batch from the stripe with sequential
-// failover: replicas are tried in round-robin order (breaker-admitted
-// first, then — if every admitted attempt failed — forced attempts on the
-// refused ones), and the first replica to answer the batch wholesale wins.
-// Batches are not hedged: a batch amortizes its round trip over many
-// queries, so duplicating it speculatively doubles real work, not just
-// tail latency. A stale answer (any result below the write floor) fails
-// the attempt like an error would.
-func (rs *ReplicaSet) searchBatch(toks []*core.QueryToken, k int, opt core.SearchOptions) ([]core.ShardResult, []error, error) {
-	n := len(rs.replicas)
-	start := int(rs.rr.Add(1)) % n
-	var errs []error
-	attempt := func(r int) ([]core.ShardResult, []error, error) {
-		fl := rs.floor.Load() // pre-read floor, as in searchOne
-		results, qerrs, err := rs.replicas[r].SearchShardBatch(toks, k, opt)
-		if err == nil {
-			for i := range results {
-				if (qerrs == nil || qerrs[i] == nil) && results[i].Epoch < fl {
-					err = fmt.Errorf("%w: query %d answered at epoch %d, floor %d", ErrStaleReplica, i, results[i].Epoch, fl)
-					break
-				}
-			}
-		}
-		rs.record(r, err)
-		return results, qerrs, err
-	}
-	tried := make([]bool, n)
-	for forced := 0; forced < 2; forced++ {
-		now := time.Now()
-		for i := 0; i < n; i++ {
-			r := (start + i) % n
-			if tried[r] || (forced == 0 && !rs.breakers[r].allow(now)) {
-				continue
-			}
-			tried[r] = true
-			results, qerrs, err := attempt(r)
-			if err == nil {
-				return results, qerrs, nil
-			}
-			errs = append(errs, fmt.Errorf("replica %d: %w", r, err))
-		}
-	}
-	return nil, nil, fmt.Errorf("shard: all %d replicas failed: %w", n, errors.Join(errs...))
-}
-
 // WriteOutcome is one replica's result for a fanned-out write. A nil Err
 // means the replica applied it.
 type WriteOutcome struct {
@@ -343,14 +298,6 @@ func (rm *Remote) SearchShardCancel(cancel <-chan struct{}, tok *core.QueryToken
 		return core.ShardResult{}, err
 	}
 	return c.SearchShardCancel(cancel, tok, k, opt)
-}
-
-func (rm *Remote) SearchShardBatch(toks []*core.QueryToken, k int, opt core.SearchOptions) ([]core.ShardResult, []error, error) {
-	c, err := rm.get()
-	if err != nil {
-		return nil, nil, err
-	}
-	return c.SearchShardBatch(toks, k, opt)
 }
 
 func (rm *Remote) Insert(p *core.InsertPayload) (int, error) {

@@ -464,21 +464,6 @@ func TestAllowPartialDeadStripe(t *testing.T) {
 		}
 	}
 
-	// Batch flavor: same contract, results kept.
-	toks := []*core.QueryToken{tok, tok}
-	results, err := coord.SearchBatch(toks, k, opt)
-	if !errors.As(err, &pe) {
-		t.Fatalf("batch err = %v, want *PartialError", err)
-	}
-	if len(pe.Stripes) != 1 || pe.Stripes[0] != 1 {
-		t.Fatalf("batch PartialError names stripes %v, want [1]", pe.Stripes)
-	}
-	for i, r := range results {
-		if !sameIDs(r, ids) {
-			t.Fatalf("batch query %d returned %v, single search %v", i, r, ids)
-		}
-	}
-
 	// Every stripe dead: no best-effort answer to give.
 	faults[0][0].Kill()
 	if _, err := coord.Search(tok, k, opt); err == nil || errors.As(err, &pe) {
@@ -586,10 +571,10 @@ func TestDegradedWriteAndReadYourWrites(t *testing.T) {
 	}
 }
 
-// TestKilledReplicaMidBatchEpochSafety covers the batch path under replica
+// TestKilledReplicaMidBatchEpochSafety covers a query stream under replica
 // death: deletes applied everywhere, then one replica of every stripe
-// killed mid-workload — the batch must succeed exactly (no failed queries)
-// and never return an id deleted before the batch started.
+// killed mid-workload — every query must succeed exactly and never return
+// an id deleted before the stream started.
 func TestKilledReplicaMidBatchEpochSafety(t *testing.T) {
 	const n, dim, k = 300, 16, 6
 	w := newWorld(t, n, dim)
@@ -608,31 +593,30 @@ func TestKilledReplicaMidBatchEpochSafety(t *testing.T) {
 		faults[s][0].Kill()
 	}
 
-	toks := make([]*core.QueryToken, len(w.queries))
+	dead := map[int]bool{}
+	for _, gid := range deleted {
+		dead[gid] = true
+	}
+	opt := fullRecall(n, core.RefineDCE)
 	for i, q := range w.queries {
 		tok, err := w.user.Query(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		toks[i] = tok
-	}
-	opt := fullRecall(n, core.RefineDCE)
-	want := w.searchAll(t, toks, k, opt)
-	got, err := coord.SearchBatch(toks, k, opt)
-	if err != nil {
-		t.Fatalf("batch with killed replicas: %v", err)
-	}
-	dead := map[int]bool{}
-	for _, gid := range deleted {
-		dead[gid] = true
-	}
-	for i := range toks {
-		if !sameIDs(got[i], want[i]) {
-			t.Fatalf("batch query %d:\nreplicated %v\nunsharded  %v", i, got[i], want[i])
+		want, err := w.server.Search(tok, k, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, id := range got[i] {
+		got, err := coord.Search(tok, k, opt)
+		if err != nil {
+			t.Fatalf("query %d with killed replicas: %v", i, err)
+		}
+		if !sameIDs(got, want) {
+			t.Fatalf("query %d:\nreplicated %v\nunsharded  %v", i, got, want)
+		}
+		for _, id := range got {
 			if dead[id] {
-				t.Fatalf("batch query %d returned id %d deleted before the batch: %v", i, id, got[i])
+				t.Fatalf("query %d returned id %d deleted before the stream: %v", i, id, got)
 			}
 		}
 	}
@@ -665,9 +649,6 @@ func TestStaleReplicaNeverServesResurrectedIds(t *testing.T) {
 	opt := fullRecall(n, core.RefineDCE)
 	if _, err := coord.Search(tok, k, opt); !errors.Is(err, ErrStaleReplica) {
 		t.Fatalf("search err = %v, want chain containing ErrStaleReplica", err)
-	}
-	if _, err := coord.SearchBatch([]*core.QueryToken{tok}, k, opt); !errors.Is(err, ErrStaleReplica) {
-		t.Fatalf("batch err = %v, want chain containing ErrStaleReplica", err)
 	}
 }
 

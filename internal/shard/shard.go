@@ -9,11 +9,13 @@
 // ciphertext records no matter which machine stores them, and SAP filter
 // distances are plain (encrypted-domain) distance values comparable across
 // shards. Each shard therefore answers with its local top-k plus the merge
-// material of the active refine mode (core.ShardResult), and the
-// coordinator re-runs the paper's Algorithm-2 heap selection — the same
-// resultheap comparators the refine phase uses — over the ≤ N·k returned
-// candidates. The merged result is exactly what an unsharded server would
-// return whenever the shard-local candidate sets cover the true top-k.
+// material of the active refine mode (core.ShardResult). Every shard's list
+// is already closest-first, so the coordinator k-way merges the N sorted
+// lists with the refine phase's comparison — SAP distances, or one DCE
+// comparison per head-to-head (k of them at 2 shards) — instead of
+// re-running Algorithm 2's heap over all N·k candidates. The merged result
+// is exactly what an unsharded server would return whenever the
+// shard-local candidate sets cover the true top-k.
 //
 // # Id remapping
 //
@@ -61,10 +63,6 @@ type Shard interface {
 	// SearchShard answers one query with local ids in refine order plus
 	// the merge material of the active refine mode.
 	SearchShard(tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error)
-	// SearchShardBatch is SearchShard over a whole batch — one round trip
-	// for remote shards. Result and error slices are parallel to toks;
-	// the final error is a shard-level failure voiding the whole call.
-	SearchShardBatch(toks []*core.QueryToken, k int, opt core.SearchOptions) ([]core.ShardResult, []error, error)
 	// Insert appends one encrypted vector and returns its local position.
 	Insert(p *core.InsertPayload) (int, error)
 	// Delete tombstones a local position.
@@ -85,12 +83,6 @@ type Local struct {
 // so the view stays valid for the life of the result.
 func (l Local) SearchShard(tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error) {
 	return l.Srv.SearchShard(tok, k, opt)
-}
-
-// SearchShardBatch fans the batch across the wrapped server's cores.
-func (l Local) SearchShardBatch(toks []*core.QueryToken, k int, opt core.SearchOptions) ([]core.ShardResult, []error, error) {
-	rs, errs := l.Srv.SearchShardBatch(toks, k, opt)
-	return rs, errs, nil
 }
 
 // Insert appends one encrypted vector.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ppanns/internal/core"
+	"ppanns/internal/dce"
 	"ppanns/internal/index"
 	"ppanns/internal/rng"
 	"ppanns/internal/transport"
@@ -41,19 +42,6 @@ func testData(seed uint64, n, dim, queries int) (train, qs [][]float64) {
 		qs[i] = vec.Add(nil, train[r.IntN(n)], rng.GaussianVec(r, dim, 0.3))
 	}
 	return train, qs
-}
-
-// searchAll answers every token on the unsharded reference server.
-func (w *world) searchAll(t *testing.T, toks []*core.QueryToken, k int, opt core.SearchOptions) [][]int {
-	t.Helper()
-	out := make([][]int, len(toks))
-	for i, tok := range toks {
-		var err error
-		if out[i], err = w.server.Search(tok, k, opt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return out
 }
 
 func newWorld(t *testing.T, n, dim int) *world {
@@ -160,66 +148,6 @@ func TestScatterGatherConformance(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestSearchBatchMatchesUnsharded(t *testing.T) {
-	const n, dim, k = 400, 16, 8
-	w := newWorld(t, n, dim)
-	coord, _ := localCoordinator(t, w, 2)
-	opt := fullRecall(n, core.RefineDCE)
-
-	toks := make([]*core.QueryToken, len(w.queries))
-	for i, q := range w.queries {
-		tok, err := w.user.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		toks[i] = tok
-	}
-	want := w.searchAll(t, toks, k, opt)
-	got, err := coord.SearchBatch(toks, k, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range toks {
-		if !sameIDs(got[i], want[i]) {
-			t.Fatalf("query %d:\nsharded   %v\nunsharded %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestSearchBatchPartialFailure(t *testing.T) {
-	const n, dim, k = 300, 16, 5
-	w := newWorld(t, n, dim)
-	coord, _ := localCoordinator(t, w, 2)
-	opt := fullRecall(n, core.RefineDCE)
-
-	good, err := w.user.Query(w.queries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad, err := w.user.QueryFilterOnly(w.queries[1]) // no trapdoor → DCE refine fails
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := coord.SearchBatch([]*core.QueryToken{good, bad, good}, k, opt)
-	var be *core.BatchError
-	if !errors.As(err, &be) {
-		t.Fatalf("err = %v, want *core.BatchError", err)
-	}
-	if len(be.Failed) != 1 || be.Failed[0].Query != 1 {
-		t.Fatalf("failed queries = %+v, want exactly query 1", be.Failed)
-	}
-	var se *ShardError
-	if !errors.As(be.Failed[0].Err, &se) {
-		t.Fatalf("query failure %v does not attribute a shard", be.Failed[0].Err)
-	}
-	if results[1] != nil {
-		t.Fatalf("failed query kept a result: %v", results[1])
-	}
-	if len(results[0]) != k || !sameIDs(results[0], results[2]) {
-		t.Fatalf("good queries lost results: %v / %v", results[0], results[2])
 	}
 }
 
@@ -463,27 +391,6 @@ func TestScatterGatherOverTransport(t *testing.T) {
 			}
 		}
 	}
-
-	// Batch path over the wire, one round trip per shard.
-	toks := make([]*core.QueryToken, 10)
-	for i := range toks {
-		tok, err := w.user.Query(w.queries[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		toks[i] = tok
-	}
-	opt := fullRecall(n, core.RefineDCE)
-	want := w.searchAll(t, toks, k, opt)
-	got, err := coord.SearchBatch(toks, k, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range toks {
-		if !sameIDs(got[i], want[i]) {
-			t.Fatalf("batch query %d:\nsharded   %v\nunsharded %v", i, got[i], want[i])
-		}
-	}
 }
 
 // TestKilledShardSurfacesError kills one shard's connections mid-
@@ -521,20 +428,46 @@ func TestKilledShardSurfacesError(t *testing.T) {
 	if !errors.As(err, &se) || !errors.Is(se.Err, transport.ErrClientBroken) {
 		t.Fatalf("err after kill = %v, want ShardError wrapping ErrClientBroken", err)
 	}
+}
 
-	// Batches attribute the dead shard per query.
-	_, err = coord.SearchBatch([]*core.QueryToken{tok, tok}, k, opt)
-	var be *core.BatchError
-	if !errors.As(err, &be) {
-		t.Fatalf("batch err = %v, want *core.BatchError", err)
-	}
-	if len(be.Failed) != 2 {
-		t.Fatalf("batch failed %d queries, want 2", len(be.Failed))
-	}
-	for _, qe := range be.Failed {
-		if !errors.As(qe.Err, &se) || se.Shard != 1 {
-			t.Fatalf("batch failure %v does not name shard 1", qe.Err)
-		}
+// forgedShard answers every search with one fixed result, whatever it was
+// asked — what a hostile remote shard can put on the wire.
+type forgedShard struct{ res core.ShardResult }
+
+func (f forgedShard) SearchShard(*core.QueryToken, int, core.SearchOptions) (core.ShardResult, error) {
+	return f.res, nil
+}
+func (forgedShard) Insert(*core.InsertPayload) (int, error) { return 0, errors.New("forged shard") }
+func (forgedShard) Delete(int) error                        { return errors.New("forged shard") }
+func (forgedShard) Info() (transport.Info, error) {
+	return transport.Info{Backend: "hnsw", N: 1, Live: 1, Dim: 3}, nil
+}
+
+// TestForgedShardAnswersRefused: shard answers come from an untrusted
+// server, so a merge of forged material must fail with an error, never
+// panic — DCE material in another dimension than the trapdoor, and
+// non-empty answers to a search with k ≤ 0.
+func TestForgedShardAnswersRefused(t *testing.T) {
+	tok := &core.QueryToken{SAP: make([]float64, 3), Trapdoor: &dce.Trapdoor{Q: make([]float64, 12)}}
+	for _, tc := range []struct {
+		name   string
+		res    core.ShardResult
+		k      int
+		refine core.RefineMode
+	}{
+		{"dce records of dim 0", core.ShardResult{IDs: []int{0}, Recs: [][]float64{nil}}, 5, core.RefineDCE},
+		{"answer to k=0", core.ShardResult{IDs: []int{0}, Dists: []float64{1}}, 0, core.RefineNone},
+		{"answer to k=-1", core.ShardResult{IDs: []int{0}, Dists: []float64{1}}, -1, core.RefineNone},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coord, err := NewCoordinator([]Shard{forgedShard{tc.res}, forgedShard{tc.res}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ids, err := coord.Search(tok, tc.k, core.SearchOptions{Refine: tc.refine}); err == nil {
+				t.Fatalf("forged answers merged into %v", ids)
+			}
+		})
 	}
 }
 

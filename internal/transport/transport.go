@@ -27,9 +27,8 @@
 // Streams are unframed gob: any stream-level failure (including deadline
 // expiries) poisons the client and fails every pending and future call
 // with ErrClientBroken; application errors inside intact frames do not.
-// The searchbatch op amortizes one round trip over a whole batch of
-// tokens, and search ops can return cross-shard merge material for the
-// scatter-gather tier (internal/shard).
+// A search op can return cross-shard merge material for the scatter-gather
+// tier (internal/shard).
 package transport
 
 import (
@@ -39,7 +38,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -171,31 +169,16 @@ type request struct {
 	// Seq is the multiplexing id (≥ 1): the server echoes it on the
 	// matching response.
 	Seq   uint64
-	Op    string // "search", "searchbatch", "insert", "delete", "len", "info"
+	Op    string // "search", "insert", "delete", "len", "info"
 	Token *wireToken
-	// Tokens carries a whole batch for "searchbatch", amortizing one round
-	// trip over every query in it.
-	Tokens []*wireToken
-	K      int
-	Opt    core.SearchOptions
-	// Merge asks "search"/"searchbatch" to return per-id merge material
+	K     int
+	Opt   core.SearchOptions
+	// Merge asks "search" to return per-id merge material
 	// (filter distances or DCE records) alongside the ids, so a
 	// scatter-gather coordinator can order results across shards.
 	Merge   bool
 	Payload *wireInsert
 	ID      int
-}
-
-// wireResult is one query's answer inside a "searchbatch" response: ids,
-// optional merge material, and the per-query error (batch queries fail
-// individually, never collectively).
-type wireResult struct {
-	IDs   []int
-	Dists []float64
-	Recs  [][]float64
-	CtDim int
-	Epoch uint64
-	Err   string
 }
 
 // response is the wire envelope for server→client replies.
@@ -212,8 +195,6 @@ type response struct {
 	Recs  [][]float64
 	CtDim int
 	Epoch uint64
-	// Batch carries per-query results for "searchbatch".
-	Batch []wireResult
 	ID    int
 	N     int
 	Live  int
@@ -369,17 +350,17 @@ func handleSafe(srv *core.Server, req *request) (resp *response) {
 	return handle(srv, req)
 }
 
-// wireRecs copies a result's DCE merge records out of the snapshot store
-// it borrows (nil under RefineNone). Copies, not arena views: the
-// response is encoded after the search has returned, and
-// CiphertextStore.Delete zeroes records in place.
+// wireRecs lists a result's DCE merge records as views into the snapshot
+// store it borrows (nil under RefineNone). Views are safe to encode after
+// the search has returned: a published store is never written within its
+// length.
 func wireRecs(r core.ShardResult) [][]float64 {
 	if r.Store == nil {
 		return nil
 	}
 	recs := make([][]float64, len(r.IDs))
 	for i, id := range r.IDs {
-		recs[i] = append([]float64(nil), r.Store.Record(id)...)
+		recs[i] = r.Store.Record(id)
 	}
 	return recs
 }
@@ -387,13 +368,6 @@ func wireRecs(r core.ShardResult) [][]float64 {
 // handle executes one decoded request against the server.
 func handle(srv *core.Server, req *request) *response {
 	var resp response
-	// Parallelism arrives from the wire; clamp it so a remote client can
-	// ask for up to all of this host's cores but can never make one
-	// request spawn more workers than that (the semaphore in serveConn
-	// bounds concurrent requests, not workers within one).
-	if max := runtime.GOMAXPROCS(0); req.Opt.Parallelism > max {
-		req.Opt.Parallelism = max
-	}
 	switch req.Op {
 	case "search":
 		if req.Merge {
@@ -410,23 +384,6 @@ func handle(srv *core.Server, req *request) *response {
 				resp.Err = err.Error()
 			} else {
 				resp.IDs = ids
-			}
-		}
-	case "searchbatch":
-		toks := make([]*core.QueryToken, len(req.Tokens))
-		for i, wt := range req.Tokens {
-			toks[i] = wt.token()
-		}
-		resp.Batch = make([]wireResult, len(toks))
-		rs, errs := srv.SearchShardBatch(toks, req.K, req.Opt)
-		for i, r := range rs {
-			switch {
-			case errs[i] != nil:
-				resp.Batch[i].Err = errs[i].Error()
-			case req.Merge:
-				resp.Batch[i] = wireResult{IDs: r.IDs, Dists: r.Dists, Recs: wireRecs(r), CtDim: r.CtDim, Epoch: r.Epoch}
-			default:
-				resp.Batch[i].IDs = r.IDs
 			}
 		}
 	case "insert":
@@ -771,63 +728,6 @@ func (c *Client) SearchShardCancel(cancel <-chan struct{}, tok *core.QueryToken,
 		return core.ShardResult{}, err
 	}
 	return core.ShardResult{IDs: resp.IDs, Dists: resp.Dists, Recs: resp.Recs, CtDim: resp.CtDim, Epoch: resp.Epoch}, nil
-}
-
-// searchBatch is the shared client body of the "searchbatch" op: one round
-// trip for the whole batch, per-query results and errors in input order.
-func (c *Client) searchBatch(toks []*core.QueryToken, k int, opt core.SearchOptions, merge bool) ([]core.ShardResult, []error, error) {
-	if len(toks) == 0 {
-		return nil, nil, nil
-	}
-	wts := make([]*wireToken, len(toks))
-	for i, tok := range toks {
-		wts[i] = toWireToken(tok)
-	}
-	resp, err := c.roundTrip(request{Op: "searchbatch", Tokens: wts, K: k, Opt: opt, Merge: merge})
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(resp.Batch) != len(toks) {
-		return nil, nil, fmt.Errorf("transport: server answered %d of %d batch queries", len(resp.Batch), len(toks))
-	}
-	results := make([]core.ShardResult, len(toks))
-	errs := make([]error, len(toks))
-	for i, wr := range resp.Batch {
-		if wr.Err != "" {
-			errs[i] = errors.New(wr.Err)
-			continue
-		}
-		results[i] = core.ShardResult{IDs: wr.IDs, Dists: wr.Dists, Recs: wr.Recs, CtDim: wr.CtDim, Epoch: wr.Epoch}
-	}
-	return results, errs, nil
-}
-
-// SearchBatch answers a whole batch of queries in a single round trip —
-// the server fans the batch across its cores, honoring
-// core.SearchOptions.Parallelism — and returns per-query results in input
-// order. Failed queries leave nil slots and the returned error is a
-// *core.BatchError listing them, so a single malformed token never voids
-// the rest of the batch. A transport-level failure voids the whole call.
-func (c *Client) SearchBatch(toks []*core.QueryToken, k int, opt core.SearchOptions) ([][]int, error) {
-	rs, errs, err := c.searchBatch(toks, k, opt, false)
-	if err != nil || rs == nil {
-		return nil, err
-	}
-	results := make([][]int, len(rs))
-	for i := range rs {
-		results[i] = rs[i].IDs
-	}
-	if be := core.NewBatchError(errs); be != nil {
-		return results, be
-	}
-	return results, nil
-}
-
-// SearchShardBatch is SearchShard over a whole batch in one round trip:
-// per-query ShardResults and errors in input order (parallel slices), plus
-// the transport-level error that voided the call, if any.
-func (c *Client) SearchShardBatch(toks []*core.QueryToken, k int, opt core.SearchOptions) ([]core.ShardResult, []error, error) {
-	return c.searchBatch(toks, k, opt, true)
 }
 
 // Insert ships one encrypted vector and returns its id.

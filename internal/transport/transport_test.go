@@ -202,7 +202,7 @@ func TestDialFailure(t *testing.T) {
 	}
 }
 
-func batchTokens(t *testing.T, user *core.User, d *dataset.Data, n int) []*core.QueryToken {
+func queryTokens(t *testing.T, user *core.User, d *dataset.Data, n int) []*core.QueryToken {
 	t.Helper()
 	toks := make([]*core.QueryToken, n)
 	for i := range toks {
@@ -213,151 +213,6 @@ func batchTokens(t *testing.T, user *core.User, d *dataset.Data, n int) []*core.
 		toks[i] = tok
 	}
 	return toks
-}
-
-// TestSearchBatchSingleRoundTrip pins the batch op's whole point: a batch
-// of m queries crosses the wire as one request envelope, not m. The test
-// server counts envelopes while answering with the real protocol.
-func TestSearchBatchSingleRoundTrip(t *testing.T) {
-	d := dataset.DeepLike(600, 10, 5)
-	owner, err := core.NewDataOwner(core.Params{Dim: d.Dim, Beta: 0.05, IndexOptions: index.Options{M: 12, EfConstruction: 100}, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	edb, err := owner.EncryptDatabase(d.Train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := core.NewServer(edb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	user, err := core.NewUser(owner.UserKey())
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-
-	var envelopes atomic.Int64
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		dec := gob.NewDecoder(conn)
-		enc := gob.NewEncoder(conn)
-		for {
-			var req request
-			if err := dec.Decode(&req); err != nil {
-				return
-			}
-			envelopes.Add(1)
-			if req.Op != "searchbatch" {
-				enc.Encode(&response{Proto: ProtoVersion, Seq: req.Seq, Err: "test server only answers searchbatch"})
-				continue
-			}
-			toks := make([]*core.QueryToken, len(req.Tokens))
-			for i, wt := range req.Tokens {
-				toks[i] = wt.token()
-			}
-			results, errs := srv.SearchShardBatch(toks, req.K, req.Opt)
-			resp := response{Proto: ProtoVersion, Seq: req.Seq, Batch: make([]wireResult, len(toks))}
-			for i := range toks {
-				if errs[i] != nil {
-					resp.Batch[i].Err = errs[i].Error()
-				} else {
-					resp.Batch[i].IDs = results[i].IDs
-				}
-			}
-			if err := enc.Encode(&resp); err != nil {
-				return
-			}
-		}
-	}()
-
-	client, err := Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	const m = 20
-	toks := batchTokens(t, user, d, m)
-	results, err := client.SearchBatch(toks, 5, core.SearchOptions{RatioK: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != m {
-		t.Fatalf("got %d results, want %d", len(results), m)
-	}
-	for i, ids := range results {
-		if len(ids) != 5 {
-			t.Fatalf("query %d returned %d ids", i, len(ids))
-		}
-	}
-	if got := envelopes.Load(); got != 1 {
-		t.Fatalf("batch of %d queries crossed the wire in %d envelopes, want 1", m, got)
-	}
-}
-
-// TestSearchBatchPartialFailureOverTCP maps per-query server failures onto
-// *core.BatchError exactly like the in-process SearchBatch: failed slots
-// nil and listed, good slots intact.
-func TestSearchBatchPartialFailureOverTCP(t *testing.T) {
-	_, user, d, addr := startWorld(t)
-	client, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	toks := batchTokens(t, user, d, 4)
-	badTok, err := user.QueryFilterOnly(d.Queries[0]) // no trapdoor → DCE refine fails
-	if err != nil {
-		t.Fatal(err)
-	}
-	toks[2] = badTok
-
-	results, err := client.SearchBatch(toks, 5, core.SearchOptions{RatioK: 8})
-	var be *core.BatchError
-	if !errors.As(err, &be) {
-		t.Fatalf("err = %v, want *core.BatchError", err)
-	}
-	if len(be.Failed) != 1 || be.Failed[0].Query != 2 {
-		t.Fatalf("failed = %+v, want exactly query 2", be.Failed)
-	}
-	if results[2] != nil {
-		t.Fatalf("failed query kept results: %v", results[2])
-	}
-	for _, i := range []int{0, 1, 3} {
-		if len(results[i]) != 5 {
-			t.Fatalf("good query %d lost its results: %v", i, results[i])
-		}
-	}
-
-	// The whole batch shares one stream message: per-query failures must
-	// not poison the connection.
-	if _, err := client.Len(); err != nil {
-		t.Fatalf("connection unusable after partial batch failure: %v", err)
-	}
-}
-
-func TestSearchBatchEmptyOverTCP(t *testing.T) {
-	_, _, _, addr := startWorld(t)
-	client, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	results, err := client.SearchBatch(nil, 5, core.SearchOptions{})
-	if err != nil || results != nil {
-		t.Fatalf("empty batch: %v, %v", results, err)
-	}
 }
 
 // TestClientPoisonedAfterStreamError is the regression test for the
@@ -558,7 +413,7 @@ func TestPipelinedConcurrentCalls(t *testing.T) {
 	}
 	defer client.Close()
 
-	toks := batchTokens(t, user, d, 8)
+	toks := queryTokens(t, user, d, 8)
 	opt := core.SearchOptions{RatioK: 8}
 	want := make([][]int, len(toks))
 	for i, tok := range toks {
@@ -683,6 +538,59 @@ func TestOtherGenerationRefused(t *testing.T) {
 		}
 		client.Close()
 		l.Close()
+	}
+}
+
+// TestRetiredSearchBatchOpRefused: builds before the batch API was retired
+// speak the same generation but may send a "searchbatch" request — a token
+// list, a Parallelism option and a merge flag. This server answers it with
+// an unknown-op error, and the connection keeps serving the next request.
+func TestRetiredSearchBatchOpRefused(t *testing.T) {
+	_, user, d, addr := startWorld(t)
+	tok, err := user.Query(d.Queries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	type peerOptions struct {
+		RatioK      int
+		Parallelism int
+	}
+	type peerRequest struct {
+		Proto  int
+		Seq    uint64
+		Op     string
+		Tokens []*wireToken
+		K      int
+		Opt    peerOptions
+		Merge  bool
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+	batch := peerRequest{Proto: ProtoVersion, Seq: 1, Op: "searchbatch", Tokens: []*wireToken{toWireToken(tok), toWireToken(tok)},
+		K: 5, Opt: peerOptions{RatioK: 8, Parallelism: 4}, Merge: true}
+	if err := enc.Encode(&batch); err != nil {
+		t.Fatal(err)
+	}
+	var resp response
+	if err := dec.Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if want := `transport: unknown op "searchbatch"`; resp.Seq != 1 || resp.Err != want || resp.IDs != nil {
+		t.Fatalf("searchbatch answered %+v, want Seq 1 and error %q", resp, want)
+	}
+	if err := enc.Encode(&peerRequest{Proto: ProtoVersion, Seq: 2, Op: "len"}); err != nil {
+		t.Fatal(err)
+	}
+	resp = response{}
+	if err := dec.Decode(&resp); err != nil {
+		t.Fatalf("connection dropped after the refused op: %v", err)
+	}
+	if resp.Seq != 2 || resp.Err != "" || resp.N != 600 {
+		t.Fatalf("len after the refused op answered %+v, want Seq 2 and N 600", resp)
 	}
 }
 

@@ -58,8 +58,7 @@ type IndexOptions = index.Options
 func Backends() []string { return index.Names() }
 
 // SearchOptions tunes a query: k′ (directly or via RatioK), the beam
-// width, the refine mode, the filter distance provider, and the worker
-// count of a batch.
+// width, the refine mode and the filter distance provider.
 type SearchOptions = core.SearchOptions
 
 // SearchStats reports a query's cost split between the filter and refine
@@ -113,10 +112,10 @@ type BuildStats = core.BuildStats
 type User = core.User
 
 // Server hosts the encrypted database and answers queries; it never holds
-// keys or plaintexts. It has four search methods over one body: Search
+// keys or plaintexts. It has three search methods over one body: Search
 // (ids), SearchInto (ids into a recycled buffer, plus SearchStats), and
-// SearchShard / SearchShardBatch (ids plus the material a scatter-gather
-// coordinator merges shards by, for one query or many).
+// SearchShard (ids plus the material a scatter-gather coordinator merges
+// shards by). Concurrent calls run in parallel.
 type Server = core.Server
 
 // UserKey is the key material the data owner hands an authorized user.
