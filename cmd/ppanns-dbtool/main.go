@@ -26,9 +26,10 @@
 // (and hedging, with -hedge); -partial returns best-effort results when a
 // whole stripe is down instead of failing the query.
 //
-// encrypt's -index flag selects the filter-index backend (hnsw, nsg, ivf,
-// or lsh); the choice is stored in the database file, and serve/query
-// report it.
+// encrypt's -index flag selects the filter-index backend (hnsw or ivf);
+// the choice is stored in the database file, and serve/query report it. A
+// database encrypted with -index nsg or lsh by an earlier build is refused
+// with a message to re-encrypt with hnsw or ivf.
 //
 // serve's -wal flag attaches a write-ahead log: every acknowledged
 // Insert/Delete is logged (durable per -wal-sync) and survives a crash.

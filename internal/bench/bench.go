@@ -83,7 +83,7 @@ func Registry() []Experiment {
 		{"overhead", "Sec. VII-B: overhead vs plaintext HNSW at recall 0.9", Overhead},
 		{"attack", "Sec. III: KPA attacks on ASPE variants (control: DCE)", Attack},
 		{"maintain", "Sec. V-D: index maintenance under churn", Maintain},
-		{"indexes", "Sec. V-A ablation: HNSW vs NSG vs IVF vs flat scan as filter backend", Indexes},
+		{"indexes", "Sec. V-A ablation: HNSW vs IVF vs LSH vs NSG vs flat scan as filter backend", Indexes},
 		{"tune", "PQ tier tuner: cheapest (M, k′) meeting the recall target", Tune},
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"ppanns/internal/dataset"
 	"ppanns/internal/dcpe"
 	"ppanns/internal/index"
+	"ppanns/internal/lsh"
+	"ppanns/internal/nsg"
 	"ppanns/internal/resultheap"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
@@ -13,11 +15,12 @@ import (
 
 // Indexes is the index-backend ablation: Section V-A notes the
 // privacy-preserving index can swap HNSW for other proximity graphs (NSG),
-// and the paper's survey names inverted files and linear scan as the
-// alternatives proximity graphs beat. This experiment runs the *filter
-// phase* over SAP ciphertexts with every backend registered in
-// internal/index (plus a flat-scan floor) and compares recall/QPS,
-// justifying the paper's choice of HNSW empirically.
+// and the paper's survey names inverted files, hashing and linear scan as
+// the alternatives proximity graphs beat. This experiment runs the *filter
+// phase* over SAP ciphertexts with a flat-scan floor, every serving backend
+// of internal/index, and two comparison points built straight from their
+// own packages — E2LSH (internal/lsh) and NSG (internal/nsg) — and
+// compares recall/QPS, justifying the paper's choice of HNSW empirically.
 func Indexes(cfg Config) error {
 	cfg = cfg.withDefaults()
 	names := cfg.Datasets
@@ -95,21 +98,87 @@ func Indexes(cfg Config) error {
 			return err
 		}
 
-		// Every registered backend through the same SecureIndex interface.
+		// Every serving backend through the same SecureIndex interface, with
+		// the search effort ef the comparison points below also get.
+		ef := 8 * cfg.K
 		for _, name := range index.Names() {
-			name := name
 			if err := run(name, func() (func([]float64) []resultheap.Item, error) {
 				ix, err := index.Build(name, encTrain, index.Options{Dim: d.Dim, Seed: cfg.Seed})
 				if err != nil {
 					return nil, err
 				}
-				return func(q []float64) []resultheap.Item { return ix.SearchInto(nil, q, cfg.K, 8*cfg.K) }, nil
+				return func(q []float64) []resultheap.Item { return ix.SearchInto(nil, q, cfg.K, ef) }, nil
 			}); err != nil {
 				return err
 			}
+		}
+
+		// E2LSH as a filter: the multi-probe candidate union, ranked by
+		// distance. Fewer, shorter hashes than the package defaults, because
+		// the filter wants recall (the DCE refine restores precision) and
+		// multi-probe makes short hashes cheap to widen: one extra bucket per
+		// 8 beam slots, clamped to [Hashes, 2·Hashes] (the probe generator
+		// emits at most 2·Hashes single-coordinate perturbations).
+		if err := run("lsh", func() (func([]float64) []resultheap.Item, error) {
+			const tables, hashes = 12, 8
+			ix, err := lsh.New(lsh.Config{Dim: d.Dim, Tables: tables, Hashes: hashes, W: calibrateW(encTrain, cfg.Seed), Seed: cfg.Seed})
+			if err != nil {
+				return nil, err
+			}
+			for id, v := range encTrain {
+				ix.Insert(id, v)
+			}
+			probes := min(max(ef/8, hashes), 2*hashes)
+			return func(q []float64) []resultheap.Item {
+				res := resultheap.NewMaxDistHeap(cfg.K + 1)
+				for _, id := range ix.Candidates(q, probes, 0) {
+					res.PushBounded(id, vec.SqDist(q, encTrain[id]), cfg.K)
+				}
+				return res.SortedAscending()
+			}, nil
+		}); err != nil {
+			return err
+		}
+
+		if err := run("nsg", func() (func([]float64) []resultheap.Item, error) {
+			g, err := nsg.Build(encTrain, nsg.Config{Seed: cfg.Seed})
+			if err != nil {
+				return nil, err
+			}
+			return func(q []float64) []resultheap.Item { return g.SearchInto(nil, q, cfg.K, ef) }, nil
+		}); err != nil {
+			return err
 		}
 	}
 	cfg.printf("\n(expected shape: graphs dominate IVF which dominates flat scan at matched recall,\n")
 	cfg.printf(" reproducing the survey result behind the paper's choice of HNSW)\n")
 	return nil
+}
+
+// calibrateW estimates an E2LSH quantization width from the data scale: W
+// is half the mean pairwise distance over a deterministic sample, which puts
+// near neighbors well inside one quantization cell while keeping far points
+// apart. E2LSH's fixed default (4) assumes unit-scale data and collapses on
+// SAP ciphertexts, whose coordinates are scaled by S≈1024.
+func calibrateW(vectors [][]float64, seed uint64) float64 {
+	if len(vectors) < 2 {
+		return 4
+	}
+	r := rng.NewSeeded(seed ^ 0x3a7)
+	const pairs = 512
+	var sum float64
+	var cnt int
+	for i := 0; i < pairs; i++ {
+		a := r.IntN(len(vectors))
+		b := r.IntN(len(vectors))
+		if a == b {
+			continue
+		}
+		sum += vec.Dist(vectors[a], vectors[b])
+		cnt++
+	}
+	if cnt == 0 || sum == 0 {
+		return 4
+	}
+	return sum / float64(cnt) / 2
 }

@@ -11,18 +11,15 @@ import (
 
 // Per-backend recall floors for the full filter-and-refine pipeline. The
 // exact DCE refine recovers most of what the approximate filter loses, so
-// these sit above the filter-only conformance floors; LSH keeps the
-// lowest bar because its candidate set, not its ranking, is the limit.
+// these sit above the filter-only conformance floors.
 var backendMinRecall = map[string]float64{
 	"hnsw": 0.90,
-	"nsg":  0.90,
 	"ivf":  0.80,
-	"lsh":  0.40,
 }
 
-// TestBackendsEndToEnd drives every registered filter-index backend
-// through the public pipeline: encrypt, search with DCE refine, save/load
-// round-trip, and updates.
+// TestBackendsEndToEnd drives every filter-index backend through the
+// public pipeline: encrypt, search with DCE refine, save/load round-trip,
+// and updates.
 func TestBackendsEndToEnd(t *testing.T) {
 	const n, dim, k = 1500, 12, 10
 	data := clustered(61, n, dim, 10)
@@ -228,9 +225,12 @@ func TestDimensionValidation(t *testing.T) {
 }
 
 // TestParamsUnknownBackend ensures backend selection fails fast at
-// parameter validation, not at encryption time.
+// parameter validation, not at encryption time — for a name that never
+// served and for the retired serving tags.
 func TestParamsUnknownBackend(t *testing.T) {
-	if _, err := NewDataOwner(Params{Dim: 4, Index: "btree"}); err == nil {
-		t.Fatal("expected error for unknown backend")
+	for _, name := range []string{"btree", "nsg", "lsh"} {
+		if _, err := NewDataOwner(Params{Dim: 4, Index: name}); err == nil {
+			t.Fatalf("expected error for backend %q", name)
+		}
 	}
 }

@@ -15,10 +15,9 @@ import (
 // exhaustiveOpt returns search options that make the filter phase return
 // every live candidate: k′ and the beam budget both exceed the database
 // size, so the candidate set is the whole live id space on every backend
-// (HNSW/NSG reach all connected nodes, IVF probes every list, LSH falls
-// back to the flat scan). With the full candidate set, the exact DCE refine
-// makes the result independent of which filter index produced it — the
-// lever the conformance tests below pull.
+// (HNSW reaches all connected nodes, IVF probes every list). With the full
+// candidate set, the exact DCE refine makes the result independent of which
+// filter index produced it — the lever the conformance tests below pull.
 func exhaustiveOpt(n int) SearchOptions {
 	return SearchOptions{KPrime: 2 * n, EfSearch: 16 * n}
 }
@@ -284,22 +283,16 @@ func TestChurnCompactionConformance(t *testing.T) {
 
 			// Independently rebuilt reference: Split(1) re-encodes the
 			// flushed database through a from-scratch index build with its
-			// own options, preserving ids. Skipped for LSH: its candidate
-			// set is determined by the hash functions themselves, so an
-			// independently drawn hash family legitimately differs — only a
-			// same-family rebuild (the Flush leg above, which runs the
-			// batch Rebuild) can be bit-identical.
-			if name != "lsh" {
-				parts, err := w.server.Database().Split(1, index.Options{Seed: 111})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref, err := NewServer(parts[0])
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResults(t, "rebuilt vs tiered", tiered, searchAll(t, ref, toks, k, total))
+			// own options, preserving ids.
+			parts, err := w.server.Database().Split(1, index.Options{Seed: 111})
+			if err != nil {
+				t.Fatal(err)
 			}
+			ref, err := NewServer(parts[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResults(t, "rebuilt vs tiered", tiered, searchAll(t, ref, toks, k, total))
 		})
 	}
 }

@@ -70,7 +70,7 @@ func TestUserQueryConcurrent(t *testing.T) {
 }
 
 // TestSnapshotIsolationUnderChurn is the concurrency conformance test of
-// the snapshot-publication serving model, run against every registered
+// the snapshot-publication serving model, run against every serving
 // filter-index backend: parallel lock-free searches race against a
 // scripted stream of interleaved Insert/Delete mutations, and every
 // result set must reflect exactly one published snapshot — each returned

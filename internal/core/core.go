@@ -17,9 +17,9 @@
 //     purely by DCE distance comparisons.
 //
 // The filter index is selected by name through internal/index — HNSW (the
-// paper's choice, and the default), NSG, IVF-Flat, or E2LSH — per the
-// observation in Section V-A that the privacy-preserving index can swap
-// HNSW for other proximity structures.
+// paper's choice, and the default) or IVF-Flat, the coarse quantizer of the
+// PQ tier — per the observation in Section V-A that the privacy-preserving
+// index can swap HNSW for other proximity structures.
 //
 // The server type is constructed exclusively from ciphertexts; no API
 // exposes plaintext vectors, distances, or keys to it.
@@ -54,9 +54,8 @@ type Params struct {
 	// ceiling is ≈0.5. See dcpe.BetaRange for the recommended range.
 	Beta float64
 
-	// Index selects the filter-phase backend by registry name: "hnsw"
-	// (default), "nsg", "ivf", or "lsh". See internal/index for the
-	// trade-offs each makes.
+	// Index selects the filter-phase backend by name: "hnsw" (default) or
+	// "ivf". See internal/index for the trade-offs each makes.
 	Index string
 	// IndexOptions carries backend-specific build and search options; Dim
 	// and Seed are filled in from this struct. The HNSW build parameters
@@ -99,7 +98,7 @@ func (p Params) withDefaults() (Params, error) {
 	if p.Index == "" {
 		p.Index = index.Default
 	}
-	if _, err := index.Lookup(p.Index); err != nil {
+	if err := index.Lookup(p.Index); err != nil {
 		return p, fmt.Errorf("core: %w", err)
 	}
 	return p, nil

@@ -26,8 +26,6 @@ func TestSeedFixesBytesOnAnyCoreCount(t *testing.T) {
 	}{
 		{"hnsw", Params{Dim: 12, Beta: 0.5, Seed: 91, Index: "hnsw"}},
 		{"ivf", Params{Dim: 12, Beta: 0.5, Seed: 92, Index: "ivf", PQ: true, PQM: 4}},
-		{"nsg", Params{Dim: 12, Beta: 0.5, Seed: 93, Index: "nsg"}},
-		{"lsh", Params{Dim: 12, Beta: 0.5, Seed: 94, Index: "lsh"}},
 		{"hnsw+pq", Params{Dim: 12, Beta: 0.5, Seed: 95, Index: "hnsw", PQ: true, PQM: 3}},
 	} {
 		params := c.params
@@ -162,15 +160,9 @@ func TestDatabaseGolden(t *testing.T) {
 		{"hnsw", Params{Dim: 8, Beta: 0.5, Seed: 61, Index: "hnsw"},
 			"5d578e82f49ad9e7e3e514263825084c6ec42f6d8284466efde4f460fd059a5d",
 			"8bede1ad55554f89fad9cf33980d304f8a37ac83b72110dd29014f455dc397bf"},
-		{"nsg", Params{Dim: 8, Beta: 0.5, Seed: 62, Index: "nsg"},
-			"3a5336576b6355bb7a1dd4f7a0ed7dce72e986160244c6490969103b6d12af88",
-			"f0860e065c30be18fe99706ccf11646b72d4b97f0a11e360716f39b94b1878b4"},
 		{"ivf", Params{Dim: 8, Beta: 0.5, Seed: 63, Index: "ivf"},
 			"0c594bbf0b8504b111681a5c162f483b274e646ca674c86cb3d3103e6a9d858c",
 			"ff94e983a146b1b58b7cd8e1814c59e69534ed6241c46e1ab3b0f2eb74d42d8c"},
-		{"lsh", Params{Dim: 8, Beta: 0.5, Seed: 64, Index: "lsh"},
-			"5980b4fd0ad95537d3551c0ea40756a2da55caac2827e0579f0feeb61f9e364e",
-			"27f630dcf9f045ade60001606661405f8baae0f648b059d32f7e65d287214380"},
 		{"hnsw+pq", Params{Dim: 8, Beta: 0.5, Seed: 65, Index: "hnsw", PQ: true, PQM: 4},
 			"1ffd87a5fb9c43c8d7001d3f1074a3676a9730259a7822f7be9e40b5efce73ca",
 			"adc0d24ab79e3d1f8362087cf0e39ddeab3ce0ba1cb403bdc2edc8e75645f746"},

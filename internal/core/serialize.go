@@ -184,7 +184,7 @@ func LoadEncryptedDatabase(r io.Reader) (*EncryptedDatabase, error) {
 		return nil, fmt.Errorf("core: reading backend tag: %w", err)
 	}
 	backend := string(nameBytes)
-	if _, err := index.Lookup(backend); err != nil {
+	if err := index.Lookup(backend); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	var head [3]int64

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"ppanns/internal/index"
@@ -161,9 +162,10 @@ func TestLoadEncryptedDatabaseGarbage(t *testing.T) {
 // an error — never a panic, never an allocation sized by a number the file
 // merely claims. The earlier format generations and an hnsw payload whose id
 // map is not the identity (which only pre-deterministic builds wrote) get
-// index.ErrOldFormat; a header that lies about the record count, or an
-// arena cut short, fails where the bytes run out; a PQ section or an index
-// payload whose header lies is refused before it sizes anything.
+// index.ErrOldFormat; a file tagged with a retired serving backend (nsg,
+// lsh) is told to re-encrypt; a header that lies about the record count, or
+// an arena cut short, fails where the bytes run out; a PQ section or an
+// index payload whose header lies is refused before it sizes anything.
 func TestLoadRefusals(t *testing.T) {
 	w := newWorld(t, Params{Dim: 8, Beta: 0.5, Seed: 35}, clustered(35, 60, 8, 3))
 	edb := w.server.Database()
@@ -174,6 +176,12 @@ func TestLoadRefusals(t *testing.T) {
 	valid := buf.Bytes()
 	withMagic := func(magic string) []byte {
 		return append([]byte(magic), valid[len(edbMagic):]...)
+	}
+	// The backend tag follows the magic as one length byte and the name.
+	withTag := func(tag string) []byte {
+		b := append([]byte(edbMagic), byte(len(tag)))
+		b = append(b, tag...)
+		return append(b, valid[len(edbMagic)+1+len(edb.Backend):]...)
 	}
 	// The hnsw payload follows the PQ flag: magic, int64 count, the map.
 	swapped := append([]byte(nil), valid...)
@@ -208,18 +216,19 @@ func TestLoadRefusals(t *testing.T) {
 		name string
 		blob []byte
 		old  bool
+		msg  string // a substring the error must carry, if set
 	}{
-		{"PPANNSD2", withMagic("PPANNSD2"), true},
-		{"PPANNSD3", withMagic("PPANNSD3"), true},
-		{"PPANNSD4", withMagic("PPANNSD4"), true},
-		{"hnsw map not the identity", swapped, true},
-		{"header claims 2^40 records", lying, false},
-		{"arena cut short", valid[:pqSectionOffset(edb)/2], false},
-		{"PQ section claims 2^33 records", pqLying, false},
-		{"hnsw graph claims dimension 2^31", payloadLying("hnsw", len("IDXHNSW1")+8+4*60+len("HNSWGO01"), 1<<31), false},
-		{"nsg graph claims 2^40 vertices", payloadLying("nsg", len("IDXNSG01")+len("NSGGO001")+5*8, 1<<40), false},
-		{"ivf index claims 2^30 lists", payloadLying("ivf", len("IDXIVF01")+8+len("IVFGO001")+8, 1<<30), false},
-		{"lsh payload claims 2^40 tables", payloadLying("lsh", len("IDXLSH01")+8, 1<<40), false},
+		{"PPANNSD2", withMagic("PPANNSD2"), true, ""},
+		{"PPANNSD3", withMagic("PPANNSD3"), true, ""},
+		{"PPANNSD4", withMagic("PPANNSD4"), true, ""},
+		{"hnsw map not the identity", swapped, true, ""},
+		{"tagged nsg", withTag("nsg"), false, `"nsg" no longer serves: re-encrypt with hnsw or ivf`},
+		{"tagged lsh", withTag("lsh"), false, `"lsh" no longer serves: re-encrypt with hnsw or ivf`},
+		{"header claims 2^40 records", lying, false, ""},
+		{"arena cut short", valid[:pqSectionOffset(edb)/2], false, ""},
+		{"PQ section claims 2^33 records", pqLying, false, ""},
+		{"hnsw graph claims dimension 2^31", payloadLying("hnsw", len("IDXHNSW1")+8+4*60+len("HNSWGO01"), 1<<31), false, ""},
+		{"ivf index claims 2^30 lists", payloadLying("ivf", len("IDXIVF01")+8+len("IVFGO001")+8, 1<<30), false, ""},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -232,6 +241,9 @@ func TestLoadRefusals(t *testing.T) {
 		if errors.Is(err, index.ErrOldFormat) != c.old {
 			t.Errorf("%s: err = %v; wraps ErrOldFormat = %v, want %v", c.name, err, !c.old, c.old)
 		}
+		if !strings.Contains(err.Error(), c.msg) {
+			t.Errorf("%s: err = %v, want it to say %q", c.name, err, c.msg)
+		}
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
 			t.Errorf("%s: refusing %d bytes allocated %d", c.name, len(c.blob), alloc)
 		}
@@ -239,8 +251,9 @@ func TestLoadRefusals(t *testing.T) {
 }
 
 // FuzzLoadEncryptedDatabase feeds LoadEncryptedDatabase mutations of one
-// small valid file per backend (hnsw also with a PQ tier) and of the same
-// bytes under the retired magics. Whatever arrives — in the header, the
+// small valid file per backend (hnsw also with a PQ tier), of the same
+// bytes under the retired magics, and of the ivf file tagged with the
+// retired backends (nsg, lsh). Whatever arrives — in the header, the
 // ciphertext section, the PQSTORE1 section or the index payload — the
 // loader returns an error or a database that hangs together: it never
 // panics, and nothing it allocates is sized by a count the input merely
@@ -250,9 +263,7 @@ func FuzzLoadEncryptedDatabase(f *testing.F) {
 	for _, params := range []Params{
 		{Dim: 4, Beta: 0.5, Seed: 37, Index: "hnsw"},
 		{Dim: 4, Beta: 0.5, Seed: 37, Index: "hnsw", PQ: true, PQM: 2},
-		{Dim: 4, Beta: 0.5, Seed: 37, Index: "nsg"},
 		{Dim: 4, Beta: 0.5, Seed: 37, Index: "ivf"},
-		{Dim: 4, Beta: 0.5, Seed: 37, Index: "lsh"},
 	} {
 		owner, err := NewDataOwner(params)
 		if err != nil {
@@ -270,6 +281,14 @@ func FuzzLoadEncryptedDatabase(f *testing.F) {
 		if params.Index == "hnsw" && !params.PQ {
 			for _, magic := range []string{"PPANNSD2", "PPANNSD3", "PPANNSD4"} {
 				f.Add(append([]byte(magic), buf.Bytes()[len(edbMagic):]...))
+			}
+		}
+		if params.Index == "ivf" {
+			// The backend tag follows the magic as one length byte and the name.
+			rest := buf.Bytes()[len(edbMagic)+1+len(params.Index):]
+			for _, tag := range []string{"nsg", "lsh"} {
+				b := append([]byte(edbMagic), byte(len(tag)))
+				f.Add(append(append(b, tag...), rest...))
 			}
 		}
 	}

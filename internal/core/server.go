@@ -456,7 +456,7 @@ func (s *Server) InFlight() int64 { return s.snap.Load().readers.Load() }
 // Dim returns the vector dimension of the hosted database.
 func (s *Server) Dim() int { return s.snap.Load().edb.Dim }
 
-// Backend returns the registry name of the filter-index backend.
+// Backend returns the name of the filter-index backend.
 func (s *Server) Backend() string { return s.snap.Load().edb.Backend }
 
 // Deleted reports whether an external id is tombstoned, in either tier and
@@ -537,7 +537,7 @@ func (s *Server) SearchInto(dst []int, tok *QueryToken, k int, opt SearchOptions
 // more ids than exist — so every allocation a request can cause here is
 // O(n), whatever k arrived from the wire. The beam width is not clamped
 // here: each backend bounds the effort it derives from it (IVF by its list
-// count, LSH by its probe generator, the graphs by their node count).
+// count, HNSW by its node count).
 //
 // The whole body runs lock-free against one immutable snapshot: it loads
 // the snapshot pointer once and never observes a concurrent mutation —
@@ -657,7 +657,7 @@ func (s *Server) searchInto(dst []int, tok *QueryToken, k int, opt SearchOptions
 // Insert adds one encrypted vector (Section V-D) and returns its external
 // id. Deletion tombstones are not reused; ids grow monotonically. Every
 // backend accepts inserts: they land in the delta tier, not the frozen
-// index, so batch-built backends (NSG) are as insertable as dynamic ones.
+// index, which a fold rebuilds.
 //
 // Insert is O(1)-ish: it appends the DCE ciphertext to the shared arena
 // (past every published snapshot's length), appends the SAP vector to the

@@ -133,8 +133,11 @@ func OpenServer(walDir string, o ServerOptions) (*Server, RecoveryStats, error) 
 	stats.DroppedSegments = rec.DroppedSegments
 
 	// Newest barrier whose snapshot file is present and loadable wins.
+	// loadErr keeps the refusal of the last checkpoint that failed to load,
+	// so a directory none of whose checkpoints loads says why.
 	var edb *EncryptedDatabase
 	var from *wal.Barrier
+	var loadErr error
 	for i := len(rec.Barriers) - 1; i >= 0 && edb == nil; i-- {
 		b := rec.Barriers[i]
 		rc, oerr := lg.OpenCheckpoint(b.Name)
@@ -146,6 +149,7 @@ func OpenServer(walDir string, o ServerOptions) (*Server, RecoveryStats, error) 
 		rc.Close()
 		if lerr != nil {
 			stats.SkippedCheckpoints++
+			loadErr = lerr
 			continue
 		}
 		if got := uint64(loaded.DCE.Len()); got != b.Records {
@@ -160,7 +164,11 @@ func OpenServer(walDir string, o ServerOptions) (*Server, RecoveryStats, error) 
 		if rec.Records == 0 && len(rec.Barriers) == 0 {
 			return nil, stats, fmt.Errorf("core: WAL dir %s holds no checkpoint and no log records; create the server with NewServerWith(ServerOptions{WALDir: ...}) first", walDir)
 		}
-		return nil, stats, fmt.Errorf("core: WAL dir %s has a log tail but no usable checkpoint (%d records, %d unusable barriers); the acknowledged writes cannot be anchored — restore the checkpoint file or re-clone from a replica", walDir, rec.Records, stats.SkippedCheckpoints)
+		err := fmt.Errorf("core: WAL dir %s has a log tail but no usable checkpoint (%d records, %d unusable barriers); the acknowledged writes cannot be anchored — restore the checkpoint file or re-clone from a replica", walDir, rec.Records, stats.SkippedCheckpoints)
+		if loadErr != nil {
+			err = fmt.Errorf("%w: %w", err, loadErr)
+		}
+		return nil, stats, err
 	}
 	stats.Checkpoint = from.Name
 	stats.CheckpointEpoch = from.Epoch

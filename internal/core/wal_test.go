@@ -356,6 +356,39 @@ func TestOpenServerTailWithoutCheckpoint(t *testing.T) {
 	}
 }
 
+// TestOpenServerRefusesRetiredBackend: a WAL directory whose checkpoints
+// carry a retired serving tag (nsg, lsh) is refused with the database
+// loader's re-encrypt message, not only with the generic missing-anchor
+// one.
+func TestOpenServerRefusesRetiredBackend(t *testing.T) {
+	dir := t.TempDir()
+	opts := ServerOptions{WALDir: dir, WALSync: wal.SyncPolicy{Every: 1}, CompactAt: -1}
+	w := newWALWorld(t, Params{Dim: 6, Beta: 0.3, Seed: 243}, clustered(243, 60, 6, 3), opts)
+	churnWAL(t, w, 6, 4, 244)
+	if err := w.server.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ckpts, err := filepath.Glob(filepath.Join(dir, "checkpoint-*"))
+	if err != nil || len(ckpts) == 0 {
+		t.Fatalf("no checkpoint files found: %v %v", ckpts, err)
+	}
+	// The backend tag follows the magic as one length byte and the name.
+	for _, c := range ckpts {
+		b, err := os.ReadFile(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tagged := append([]byte(edbMagic), 3, 'n', 's', 'g')
+		tagged = append(tagged, b[len(edbMagic)+1+len("hnsw"):]...)
+		if err := os.WriteFile(c, tagged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := OpenServer(dir, opts); err == nil || !strings.Contains(err.Error(), `"nsg" no longer serves: re-encrypt with hnsw or ivf`) {
+		t.Fatalf("OpenServer over nsg-tagged checkpoints: %v", err)
+	}
+}
+
 // TestOpenServerDoubleReplayIdempotence: recovering twice in a row — with
 // no writes in between — must land on the same epoch and results, proving
 // replay applies each record exactly once per recovery. It runs under every

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"ppanns/internal/resultheap"
@@ -11,9 +12,9 @@ import (
 	"ppanns/internal/vec"
 )
 
-// The conformance suite runs every registered backend through the same
+// The conformance suite runs every backend in Names() through the same
 // contract: build, search-recall sanity, byte-exact save/load round-trip,
-// and dead slots. A new backend only has to register itself to be covered.
+// and dead slots.
 
 func clustered(seed uint64, n, dim, clusters int) [][]float64 {
 	r := rng.NewSeeded(seed)
@@ -88,14 +89,11 @@ func searchIDs(ix SecureIndex, q []float64, k, ef int) []int {
 }
 
 // minRecall is the per-backend floor for recall@10 with generous search
-// effort. Graphs are near-exact at this scale; IVF loses a little at list
-// boundaries; LSH trades the most recall for its sub-linear probe count
-// (the paper's survey shape — and why the refine phase exists).
+// effort. The graph is near-exact at this scale; IVF loses a little at list
+// boundaries.
 var minRecall = map[string]float64{
 	"hnsw": 0.90,
-	"nsg":  0.90,
 	"ivf":  0.75,
-	"lsh":  0.40,
 }
 
 func TestConformance(t *testing.T) {
@@ -336,19 +334,24 @@ func TestHNSWPositionsAreGraphIDs(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	names := Names()
-	if len(names) < 4 {
-		t.Fatalf("expected ≥ 4 registered backends, have %v", names)
+	if names := Names(); !slices.Equal(names, []string{"hnsw", "ivf"}) {
+		t.Fatalf("Names() = %v, want [hnsw ivf]", names)
 	}
-	if !sort.StringsAreSorted(names) {
-		t.Fatalf("Names() not sorted: %v", names)
-	}
-	if _, err := Lookup("no-such-backend"); err == nil {
+	if err := Lookup("no-such-backend"); err == nil {
 		t.Fatal("expected error for unknown backend")
 	}
-	b, err := Lookup("")
-	if err != nil || b.Name != Default {
-		t.Fatalf("empty name resolved to %q, %v; want default %q", b.Name, err, Default)
+	if err := Lookup(""); err != nil {
+		t.Fatalf("empty name (the default %q) refused: %v", Default, err)
+	}
+	// The retired serving tags are refused with a re-encrypt message.
+	for _, name := range []string{"nsg", "lsh"} {
+		err := Lookup(name)
+		if err == nil || !strings.Contains(err.Error(), `"`+name+`"`) || !strings.Contains(err.Error(), "re-encrypt with hnsw or ivf") {
+			t.Fatalf("Lookup(%q) = %v, want a re-encrypt refusal naming the tag", name, err)
+		}
+		if _, err := Build(name, clustered(1, 20, 4, 2), Options{Dim: 4}); err == nil {
+			t.Fatalf("Build(%q) succeeded", name)
+		}
 	}
 	if _, err := Build("no-such-backend", nil, Options{Dim: 4}); err == nil {
 		t.Fatal("expected Build error for unknown backend")
@@ -362,7 +365,7 @@ func TestRegistry(t *testing.T) {
 }
 
 // TestConformanceFrozenViewStability covers the packed search
-// representations on every registered backend: repeated searches must
+// representations on every backend: repeated searches must
 // return the exact same ids in the exact same order, and a rebuild with
 // the top hit dead must never return it.
 func TestConformanceFrozenViewStability(t *testing.T) {
@@ -401,35 +404,5 @@ func TestConformanceFrozenViewStability(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestLSHBlockedScanMatchesScalar compares the LSH adapter's blocked
-// ranking scan against a scalar reference — one SqDist per candidate of the
-// same union — bit-for-bit, with a dead slot that must never be a
-// candidate.
-func TestLSHBlockedScanMatchesScalar(t *testing.T) {
-	data := clustered(93, 700, 10, 5)
-	queries := makeQueries(94, data, 24, 0.3)
-	live := slices.Clone(data)
-	live[11] = nil
-	ix, err := Build("lsh", live, Options{Dim: 10, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := ix.(*lshIndex)
-	res := resultheap.NewMaxDistHeap(11)
-	for qi, q := range queries {
-		res.Reset()
-		for _, id := range a.ix.CandidatesInto(nil, q, a.probesFor(60), 0) {
-			if id == 11 {
-				t.Fatalf("query %d: dead slot hashed", qi)
-			}
-			res.PushBounded(int(id), vec.SqDist(q, data[id]), 10)
-		}
-		scalar := res.SortedInto(nil)
-		if blocked := a.SearchInto(nil, q, 10, 60); !slices.Equal(blocked, scalar) {
-			t.Fatalf("query %d: blocked %v, scalar %v", qi, blocked, scalar)
-		}
 	}
 }

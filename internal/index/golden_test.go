@@ -22,8 +22,6 @@ import (
 var searchGolden = map[string]string{
 	"hnsw": "3ff3569b0509de33",
 	"ivf":  "5ddeb507e6e48de3",
-	"lsh":  "4b1dc9c61cf000fc",
-	"nsg":  "ab9471f9a65a7724",
 }
 
 // answerDigest hashes SearchInto and SearchIntoDist over the queries: per

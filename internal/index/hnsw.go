@@ -11,10 +11,6 @@ import (
 	"ppanns/internal/vec"
 )
 
-func init() {
-	Register(Backend{Name: "hnsw", Build: buildHNSW, Load: loadHNSW})
-}
-
 // hnswIndex adapts hnsw.Graph to SecureIndex. The bulk build gives vector i
 // graph id i, so positions — the external ids that index the ciphertext
 // arrays — are graph ids.
@@ -54,7 +50,7 @@ func (ix *hnswIndex) Vector(pos int) ([]float64, bool) {
 }
 
 // Rebuild reconstructs a fresh graph over vectors with the receiver's
-// build parameters, through the same bulk build as the registry Build.
+// build parameters, through the same bulk build as Build.
 func (ix *hnswIndex) Rebuild(vectors [][]float64) (SecureIndex, error) {
 	cfg := ix.g.Config()
 	return buildHNSW(vectors, Options{

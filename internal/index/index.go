@@ -3,18 +3,20 @@
 // index is not married to HNSW: any proximity structure built over the
 // DCPE/SAP ciphertexts can serve the filter phase, trading recall and build
 // cost differently. This package turns that observation into an interface
-// plus a name-keyed registry so `core` (and everything above it —
-// serialization, transport, CLI, benchmarks) selects a backend by name
-// instead of hard-wiring a concrete graph type.
+// so `core` (and everything above it — serialization, transport, CLI,
+// benchmarks) selects a backend by name instead of hard-wiring a concrete
+// graph type.
 //
-// Four backends register themselves in this package:
+// Two backends serve:
 //
 //	hnsw — hierarchical proximity graph (default)
-//	nsg  — navigating spreading-out graph
-//	ivf  — IVF-Flat inverted file
-//	lsh  — E2LSH multi-probe hashing
+//	ivf  — IVF-Flat inverted file, the coarse quantizer of the PQ tier
 //
-// All four follow one lifecycle (see SecureIndex): an index is an immutable
+// NSG and E2LSH are rows of the Section V-A ablation (internal/bench),
+// built there straight from internal/nsg and internal/lsh; a database
+// tagged with either is refused (see Lookup).
+//
+// Both follow one lifecycle (see SecureIndex): an index is an immutable
 // value, built or loaded once and then only read. External ids are vector
 // positions: every backend assigns ids 0..n-1 in build order, so callers
 // can index parallel ciphertext arrays directly with the ids a search
@@ -54,25 +56,22 @@ var ErrOldFormat = errors.New("written by an earlier format generation: re-encry
 type SecureIndex interface {
 	// SearchInto appends up to k live ids approximately closest to q,
 	// closest first, to dst[:0], reusing its capacity. ef is an advisory
-	// search-effort knob (beam width for graphs; probe budget for
-	// partition- and hash-based backends).
+	// search-effort knob (beam width for HNSW; probe budget for IVF).
 	SearchInto(dst []resultheap.Item, q []float64, k, ef int) []resultheap.Item
 	// SearchIntoDist is SearchInto with every candidate distance supplied
 	// by sc instead of computed from the stored vectors — the compressed
 	// (PQ) filter hook. Structural navigation that is not a candidate
-	// distance (IVF centroid probing, LSH bucket hashing, HNSW/NSG graph
-	// topology) still uses q exactly; every candidate the backend ranks is
-	// scored through sc. Ids passed to sc are external ids (vector
-	// positions), including the tombstones a graph loaded from an earlier
-	// file routes through, so the scanner's code arena must cover every
-	// position.
+	// distance (IVF centroid probing, HNSW graph topology) still uses q
+	// exactly; every candidate the backend ranks is scored through sc. Ids
+	// passed to sc are external ids (vector positions), including the
+	// tombstones a graph loaded from an earlier file routes through, so
+	// the scanner's code arena must cover every position.
 	SearchIntoDist(dst []resultheap.Item, q []float64, k, ef int, sc vec.BlockScanner) []resultheap.Item
 	// Rebuild constructs a fresh index of the same backend over vectors,
 	// using the receiver's build configuration (graph parameters, trained
-	// quantizers, hash projections, seed). Ids are assigned 0..len-1 in
-	// vectors order, nil rows dead; the receiver is not modified. This is
-	// the fold primitive. A vector set whose rows are all nil builds an
-	// empty index.
+	// quantizer, seed). Ids are assigned 0..len-1 in vectors order, nil
+	// rows dead; the receiver is not modified. This is the fold primitive.
+	// A vector set whose rows are all nil builds an empty index.
 	Rebuild(vectors [][]float64) (SecureIndex, error)
 	// Vector returns the stored (SAP-ciphertext) vector of a live id. The
 	// second result is false for dead slots and for ids the backend never
@@ -82,9 +81,8 @@ type SecureIndex interface {
 	Len() int
 	// Dim returns the vector dimension.
 	Dim() int
-	// Save writes the index (including search-time options) so the
-	// registered loader round-trips it byte-exactly into an equivalent
-	// index.
+	// Save writes the index (including search-time options) so Load
+	// round-trips it byte-exactly into an equivalent index.
 	Save(w io.Writer) error
 }
 
@@ -108,21 +106,6 @@ type Options struct {
 	Lists      int
 	TrainIters int
 	NProbe     int
-
-	// R, L and KNN are NSG's max out-degree, construction pool size and
-	// seeding-kNN width (defaults 32, 128, 48).
-	R   int
-	L   int
-	KNN int
-
-	// Tables, Hashes and W are E2LSH's L, K and quantization width
-	// (defaults 12, 8, and a width calibrated from the data scale);
-	// Probes fixes the multi-probe budget per table (default: derived
-	// from the search's ef, clamped to [Hashes, 2·Hashes]).
-	Tables int
-	Hashes int
-	W      float64
-	Probes int
 }
 
 func (o Options) validate() error {

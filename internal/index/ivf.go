@@ -11,10 +11,6 @@ import (
 	"ppanns/internal/vec"
 )
 
-func init() {
-	Register(Backend{Name: "ivf", Build: buildIVF, Load: loadIVF})
-}
-
 // ivfIndex adapts ivf.Index to SecureIndex. IVF assigns ids in build order,
 // which already matches vector positions, so no mapping is needed.
 type ivfIndex struct {

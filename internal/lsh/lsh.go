@@ -14,7 +14,6 @@ import (
 	"sort"
 	"sync"
 
-	"ppanns/internal/epochset"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
@@ -62,17 +61,6 @@ type Index struct {
 	mu     sync.RWMutex
 	tables []table
 	count  int
-	maxID  int // largest id ever inserted; sizes the pooled dedup table
-
-	candPool sync.Pool
-}
-
-// candCtx is the pooled candidate-collection scratch: an epoch-stamped
-// dedup set indexed by id (replacing the per-query map the old path
-// allocated) and the projection scratch.
-type candCtx struct {
-	vis     epochset.Set
-	scratch []int64
 }
 
 // New creates an empty LSH index.
@@ -153,9 +141,6 @@ func (ix *Index) Insert(id int, v []float64) {
 		tb.buckets[keys[t]] = append(tb.buckets[keys[t]], int32(id))
 	}
 	ix.count++
-	if id > ix.maxID {
-		ix.maxID = id
-	}
 	ix.mu.Unlock()
 }
 
@@ -194,52 +179,6 @@ func (ix *Index) Candidates(q []float64, probes, maxCandidates int) []int {
 		}
 	}
 	return out
-}
-
-// CandidatesInto is Candidates appending into dst (reusing its capacity)
-// and deduplicating with a pooled epoch-stamped table instead of a
-// per-query map, so a warm call's only allocations are the multi-probe
-// key scratch. Ids must be non-negative (every PP-ANNS adapter uses dense
-// vector positions). Candidate order is identical to Candidates: tables in
-// order, exact bucket before probes, first occurrence wins.
-func (ix *Index) CandidatesInto(dst []int32, q []float64, probes, maxCandidates int) []int32 {
-	if len(q) != ix.cfg.Dim {
-		panic(fmt.Sprintf("lsh: querying %d-dim vector in %d-dim index", len(q), ix.cfg.Dim))
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-
-	ctx, _ := ix.candPool.Get().(*candCtx)
-	if ctx == nil {
-		ctx = &candCtx{}
-	}
-	defer ix.candPool.Put(ctx)
-	ctx.vis.Grow(ix.maxID + 1)
-	ctx.vis.Next()
-
-	dst = dst[:0]
-	collect := func(tb *table, key uint64) {
-		for _, id := range tb.buckets[key] {
-			if !ctx.vis.Seen(int(id)) {
-				dst = append(dst, id)
-			}
-		}
-	}
-	ctx.scratch = ctx.scratch[:0]
-	for t := range ix.tables {
-		tb := &ix.tables[t]
-		ctx.scratch = ix.rawHashes(tb, q, ctx.scratch)
-		collect(tb, ix.key(ctx.scratch))
-		if probes > 0 {
-			for _, pk := range ix.probeKeys(tb, q, ctx.scratch, probes) {
-				collect(tb, pk)
-			}
-		}
-		if maxCandidates > 0 && len(dst) >= maxCandidates {
-			return dst[:maxCandidates]
-		}
-	}
-	return dst
 }
 
 // probeKeys implements simplified multi-probe LSH: for each projection it

@@ -7,12 +7,10 @@
 // navigating node (the medoid), and a spanning traversal guarantees every
 // vertex stays reachable. Search is a beam walk from the navigating node.
 // The graph is an immutable value (NSG is a batch-built index): Build packs
-// it into CSR form, and nothing writes to it after. A nil row given to
-// Build is a dead slot: it keeps its id and a zero row, and construction —
-// the seeding kNN graph, the medoid, the pools, the reverse edges, the
-// connectivity step — never sees it. Searches still skip tombstoned
-// vertices, because graphs written before dead slots left construction
-// route through them.
+// it into CSR form, and nothing writes to it after.
+//
+// The graph serves the Section V-A index ablation (internal/bench), which
+// builds it over SAP ciphertexts beside the serving backends.
 package nsg
 
 import (
@@ -29,15 +27,12 @@ import (
 
 // Config parameterizes construction.
 type Config struct {
-	// Dim is the vector dimension of a build with no live vector; any
-	// other build takes it from its vectors.
-	Dim int
-	// R is the maximum out-degree (default 24).
+	// R is the maximum out-degree (default 32).
 	R int
 	// L is the candidate pool size per node during construction
-	// (default 64).
+	// (default 128).
 	L int
-	// KNN is the neighbor count of the seeding kNN graph (default 32).
+	// KNN is the neighbor count of the seeding kNN graph (default 48).
 	KNN int
 	// Seed drives the auxiliary kNN construction.
 	Seed uint64
@@ -57,7 +52,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Graph is a built NSG index. Nothing writes to it after construction, so
-// any number of searches run on it concurrently, beside Save.
+// any number of searches run on it concurrently.
 type Graph struct {
 	cfg  Config
 	dim  int
@@ -72,78 +67,55 @@ type Graph struct {
 	offs []int32
 	nbrs []int32
 
-	deleted []bool
-	live    int
-
 	ctxPool sync.Pool
 }
 
 // neighbors returns vertex id's adjacency list.
 func (g *Graph) neighbors(id int) []int32 { return g.nbrs[g.offs[id]:g.offs[id+1]] }
 
-// Build constructs the graph over the live (non-nil) vectors. A vector set
-// whose rows are all nil builds a graph with no edge and no live vertex,
-// of dimension cfg.Dim.
+// Build constructs the graph over vectors, giving vector i vertex id i.
+// Every row must be a vector of one dimension.
 func Build(vectors [][]float64, cfg Config) (*Graph, error) {
 	if len(vectors) == 0 {
 		return nil, fmt.Errorf("nsg: empty data")
 	}
-	cfg = cfg.withDefaults()
+	dim := len(vectors[0])
+	for i, v := range vectors {
+		if len(v) == 0 || len(v) != dim {
+			return nil, fmt.Errorf("nsg: row %d has %d coordinates, row 0 has %d", i, len(v), dim)
+		}
+	}
 	n := len(vectors)
-	var live []int
-	for i, v := range vectors {
-		if v != nil {
-			live = append(live, i)
-		}
-	}
-	dim := cfg.Dim
-	if len(live) > 0 {
-		dim = len(vectors[live[0]])
-	}
-	if dim <= 0 {
-		return nil, fmt.Errorf("nsg: no live vector and no dimension")
-	}
-	cfg.Dim = dim
 	g := &Graph{
-		cfg:     cfg,
-		dim:     dim,
-		data:    vec.NewDataset(dim, n),
-		adj:     make([][]int32, n),
-		deleted: make([]bool, n),
-		live:    len(live),
+		cfg:  cfg.withDefaults(),
+		dim:  dim,
+		data: vec.NewDataset(dim, n),
+		adj:  make([][]int32, n),
 	}
-	for i, v := range vectors {
-		if v == nil {
-			g.data.AppendZero()
-			g.deleted[i] = true
-		} else {
-			g.data.Append(v)
-		}
+	for _, v := range vectors {
+		g.data.Append(v)
 	}
-	if len(live) > 0 {
-		if err := g.link(vectors, live); err != nil {
-			return nil, err
-		}
+	if err := g.link(vectors); err != nil {
+		return nil, err
 	}
 	g.offs, g.nbrs = vec.FlattenCSR(g.adj)
 	g.adj = nil
 	return g, nil
 }
 
-// link runs the NSG construction over the live ids.
-func (g *Graph) link(vectors [][]float64, live []int) error {
-	// Step 1: approximate kNN pools via an auxiliary HNSW, which holds the
-	// dead slots as dead slots of its own.
+// link runs the NSG construction.
+func (g *Graph) link(vectors [][]float64) error {
+	// Step 1: approximate kNN pools via an auxiliary HNSW.
 	aux, err := hnsw.Build(vectors, hnsw.Config{Dim: g.dim, M: 16, EfConstruction: 2 * g.cfg.L, Seed: g.cfg.Seed})
 	if err != nil {
 		return err
 	}
-	g.nav = medoid(vectors, live)
+	g.nav = medoid(vectors)
 
 	// Step 2: per-node candidate pools + MRNG pruning (parallel; every node
 	// writes its own list only).
-	par.Spans(runtime.GOMAXPROCS(0), len(live), 16, func(_, lo, hi int) {
-		for _, i := range live[lo:hi] {
+	par.Spans(runtime.GOMAXPROCS(0), len(vectors), 16, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
 			pool := aux.Search(vectors[i], g.cfg.L, 2*g.cfg.L)
 			cands := pool[:0]
 			for _, it := range pool {
@@ -161,9 +133,9 @@ func (g *Graph) link(vectors [][]float64, live []int) error {
 	// rule then thins), merged with the kNN pool, and re-prune. A second
 	// pass runs over the improved graph, whose longer edges widen the
 	// visited pools further.
-	g.refineFromNavigator(vectors, live, aux)
+	g.refineFromNavigator(vectors, aux)
 	g.insertReverseEdges()
-	g.refineFromNavigator(vectors, live, aux)
+	g.refineFromNavigator(vectors, aux)
 
 	// Step 4: reverse-edge insertion — for every selected edge (u, v) try
 	// to add (v, u), re-pruning v's list with the occlusion rule when it
@@ -173,14 +145,14 @@ func (g *Graph) link(vectors [][]float64, live []int) error {
 
 	// Step 5: connectivity — span unreachable vertices from the
 	// navigating node by attaching them to their nearest reached vertex.
-	g.ensureReachable(live)
+	g.ensureReachable()
 	return nil
 }
 
-// refineFromNavigator replaces each live node's adjacency with an
+// refineFromNavigator replaces each node's adjacency with an
 // occlusion-pruned selection over {nodes visited during a beam search
 // nav→v} ∪ {the kNN pool}, following the NSG construction.
-func (g *Graph) refineFromNavigator(vectors [][]float64, live []int, aux *hnsw.Graph) {
+func (g *Graph) refineFromNavigator(vectors [][]float64, aux *hnsw.Graph) {
 	n := len(vectors)
 	frozen := make([][]int32, n)
 	for i, lst := range g.adj {
@@ -188,12 +160,12 @@ func (g *Graph) refineFromNavigator(vectors [][]float64, live []int, aux *hnsw.G
 	}
 	workers := runtime.GOMAXPROCS(0)
 	visited := make([][]bool, workers)
-	par.Spans(workers, len(live), 16, func(w, lo, hi int) {
+	par.Spans(workers, n, 16, func(w, lo, hi int) {
 		if visited[w] == nil {
 			visited[w] = make([]bool, n)
 		}
 		seen := visited[w]
-		for _, i := range live[lo:hi] {
+		for i := lo; i < hi; i++ {
 			pool := g.collectVisited(frozen, vectors[i], seen)
 			// Merge the kNN pool (closest candidates) back in.
 			for _, it := range aux.Search(vectors[i], g.cfg.KNN, g.cfg.L) {
@@ -306,17 +278,17 @@ func sortItems(items []resultheap.Item) {
 	}
 }
 
-// medoid returns the live id whose vector is closest to the live mean.
-func medoid(vectors [][]float64, live []int) int {
-	mean := make([]float64, len(vectors[live[0]]))
-	for _, i := range live {
-		vec.Add(mean, mean, vectors[i])
+// medoid returns the id whose vector is closest to the mean.
+func medoid(vectors [][]float64) int {
+	mean := make([]float64, len(vectors[0]))
+	for _, v := range vectors {
+		vec.Add(mean, mean, v)
 	}
-	vec.Scale(mean, 1/float64(len(live)), mean)
-	best, bestD := live[0], vec.SqDist(vectors[live[0]], mean)
-	for _, i := range live[1:] {
-		if d := vec.SqDist(vectors[i], mean); d < bestD {
-			best, bestD = i, d
+	vec.Scale(mean, 1/float64(len(vectors)), mean)
+	best, bestD := 0, vec.SqDist(vectors[0], mean)
+	for i, v := range vectors[1:] {
+		if d := vec.SqDist(v, mean); d < bestD {
+			best, bestD = i+1, d
 		}
 	}
 	return best
@@ -347,8 +319,8 @@ func (g *Graph) occlusionPrune(base []float64, cands []resultheap.Item, r int) [
 }
 
 // ensureReachable BFSes from the navigating node, then attaches each
-// unreached live vertex to its nearest reached neighbor (bidirectionally).
-func (g *Graph) ensureReachable(live []int) {
+// unreached vertex to its nearest reached neighbor (bidirectionally).
+func (g *Graph) ensureReachable() {
 	reached := make([]bool, len(g.adj))
 	queue := []int{g.nav}
 	reached[g.nav] = true
@@ -364,7 +336,7 @@ func (g *Graph) ensureReachable(live []int) {
 			}
 		}
 	}
-	for _, i := range live {
+	for i := range g.adj {
 		if reached[i] {
 			continue
 		}
@@ -385,28 +357,8 @@ func (g *Graph) ensureReachable(live []int) {
 	}
 }
 
-// Len returns the number of live vectors.
-func (g *Graph) Len() int { return g.live }
-
-// Dim returns the vector dimension.
-func (g *Graph) Dim() int { return g.dim }
-
-// Config returns the build configuration (with defaults applied), so
-// callers can rebuild a graph over a new vector set with the same
-// parameters.
-func (g *Graph) Config() Config { return g.cfg }
-
-// Vector returns the stored vector for a live id, or nil for a dead slot or
-// an out-of-range id.
-func (g *Graph) Vector(id int) []float64 {
-	if id < 0 || id >= len(g.deleted) || g.deleted[id] {
-		return nil
-	}
-	return g.data.At(id)
-}
-
-// NavigatingNode returns the entry vertex id.
-func (g *Graph) NavigatingNode() int { return g.nav }
+// Len returns the number of vertices.
+func (g *Graph) Len() int { return g.data.Len() }
 
 // searchCtx is the pooled per-search working set: the visited set, both
 // beam heaps, the gathered-neighbor buffer with its blocked-kernel
@@ -420,30 +372,16 @@ type searchCtx struct {
 	items  []resultheap.Item
 }
 
-// SearchInto appends the (approximately) k closest live ids, closest first,
-// to dst[:0], using beam width ef. With a recycled dst a warm search is
+// SearchInto appends the (approximately) k closest ids, closest first, to
+// dst[:0], using beam width ef. With a recycled dst a warm search is
 // allocation-free: all scratch state is pooled, and the beam walks the CSR
 // adjacency with one blocked distance call per hop.
 func (g *Graph) SearchInto(dst []resultheap.Item, q []float64, k, ef int) []resultheap.Item {
-	return g.searchInto(dst, q, k, ef, nil)
-}
-
-// SearchIntoDist is SearchInto with every candidate distance supplied by sc
-// instead of computed from the stored vectors — the compressed (PQ) filter
-// path. Ids passed to sc are vector positions (NSG ids are positions).
-func (g *Graph) SearchIntoDist(dst []resultheap.Item, q []float64, k, ef int, sc vec.BlockScanner) []resultheap.Item {
-	return g.searchInto(dst, q, k, ef, sc)
-}
-
-func (g *Graph) searchInto(dst []resultheap.Item, q []float64, k, ef int, sc vec.BlockScanner) []resultheap.Item {
 	if len(q) != g.dim {
 		panic(fmt.Sprintf("nsg: querying %d-dim vector in %d-dim graph", len(q), g.dim))
 	}
 	if ef < k {
 		ef = k
-	}
-	if g.live == 0 {
-		return dst[:0]
 	}
 
 	ctx, _ := g.ctxPool.Get().(*searchCtx)
@@ -453,24 +391,17 @@ func (g *Graph) searchInto(dst []resultheap.Item, q []float64, k, ef int, sc vec
 			res:  resultheap.NewMaxDistHeap(ef + 1),
 		}
 	}
-	ctx.vis.Grow(len(g.deleted))
+	ctx.vis.Grow(g.Len())
 	ctx.vis.Next()
 	defer g.ctxPool.Put(ctx)
 
 	cand, res := ctx.cand, ctx.res
 	cand.Reset()
 	res.Reset()
-	var d0 float64
-	if sc != nil {
-		d0 = sc.Dist(int32(g.nav))
-	} else {
-		d0 = vec.SqDist(q, g.data.At(g.nav))
-	}
+	d0 := vec.SqDist(q, g.data.At(g.nav))
 	ctx.vis.Seen(g.nav)
 	cand.Push(g.nav, d0)
-	if !g.deleted[g.nav] {
-		res.Push(g.nav, d0)
-	}
+	res.Push(g.nav, d0)
 	gather := ctx.gather
 	for cand.Len() > 0 {
 		c := cand.Pop()
@@ -483,25 +414,13 @@ func (g *Graph) searchInto(dst []resultheap.Item, q []float64, k, ef int, sc vec
 				gather = append(gather, nb)
 			}
 		}
-		if sc != nil {
-			if cap(ctx.dists) < len(gather) {
-				ctx.dists = make([]float64, len(gather))
-			} else {
-				ctx.dists = ctx.dists[:len(gather)]
-			}
-			sc.DistBlock(ctx.dists, gather)
-		} else {
-			ctx.dists = g.data.SqDistBlock(ctx.dists, q, gather)
-		}
-		dists := ctx.dists
+		ctx.dists = g.data.SqDistBlock(ctx.dists, q, gather)
 		for j, nb := range gather {
 			id := int(nb)
-			d := dists[j]
+			d := ctx.dists[j]
 			if res.Len() < ef || d < res.Top().Dist {
 				cand.Push(id, d)
-				if !g.deleted[id] {
-					res.PushBounded(id, d, ef)
-				}
+				res.PushBounded(id, d, ef)
 			}
 		}
 	}
@@ -512,28 +431,4 @@ func (g *Graph) searchInto(dst []resultheap.Item, q []float64, k, ef int, sc vec
 		items = items[:k]
 	}
 	return append(dst[:0], items...)
-}
-
-// Stats describes the graph shape.
-type Stats struct {
-	Nodes     int
-	Deleted   int
-	Edges     int
-	AvgDegree float64
-}
-
-// Stats computes degree statistics.
-func (g *Graph) Stats() Stats {
-	st := Stats{Nodes: g.live}
-	for i, del := range g.deleted {
-		if del {
-			st.Deleted++
-			continue
-		}
-		st.Edges += len(g.neighbors(i))
-	}
-	if st.Nodes > 0 {
-		st.AvgDegree = float64(st.Edges) / float64(st.Nodes)
-	}
-	return st
 }

@@ -13,8 +13,8 @@
 //     encryption with tunable noise β) with a proximity index built over
 //     the DCPE ciphertexts, so the index structure reveals only
 //     approximate neighbor relations. HNSW (the paper's choice) is the
-//     default; NSG, IVF-Flat and E2LSH backends are selectable via
-//     Params.Index (see Backends).
+//     default; IVF-Flat, the coarse quantizer of the PQ tier, is
+//     selectable via Params.Index (see Backends).
 //   - Queries follow a filter-and-refine strategy: the index retrieves
 //     k′ > k candidates by approximate distance, then a max-heap driven
 //     purely by DCE comparisons selects the exact best k.
@@ -54,7 +54,9 @@ type Params = core.Params
 // ignored.
 type IndexOptions = index.Options
 
-// Backends lists the registered filter-index backends, sorted by name.
+// Backends lists the serving filter-index backends, sorted by name: hnsw
+// and ivf. A database tagged with any other name, such as the nsg or lsh
+// of the Section V-A ablation, is refused with a re-encrypt message.
 func Backends() []string { return index.Names() }
 
 // SearchOptions tunes a query: k′ (directly or via RatioK), the beam
