@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"ppanns/internal/index"
@@ -329,6 +332,43 @@ func TestOwnerValidation(t *testing.T) {
 	}
 	if _, err := owner.EncryptVector([]float64{1, 2, 3, 4}); err == nil {
 		t.Fatal("expected error for EncryptVector before EncryptDatabase")
+	}
+}
+
+// TestNonFiniteRefused: a NaN or ±Inf coordinate is refused by every entry
+// point that encrypts a plaintext, with an error naming the vector and the
+// coordinate — EncryptDatabase before it generates keys, so a NaN cannot
+// become an all-NaN record and an infinity cannot zero the DCE input scale.
+func TestNonFiniteRefused(t *testing.T) {
+	const dim = 6
+	data := clustered(17, 40, dim, 2)
+	w := newWorld(t, Params{Dim: dim, Beta: 0.5, Seed: 29}, data)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		v := append([]float64(nil), data[0]...)
+		v[3] = bad
+		coord := fmt.Sprintf("coordinate 3 is %v", bad)
+
+		owner, err := NewDataOwner(Params{Dim: dim, Beta: 0.5, Seed: 29})
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := append(append([][]float64(nil), data[:7]...), v)
+		_, err = owner.EncryptDatabase(db)
+		if err == nil || !strings.Contains(err.Error(), "vector 7: "+coord) {
+			t.Errorf("EncryptDatabase with %v: %v, want an error naming vector 7, %s", bad, err, coord)
+		}
+		if owner.UserKey() != nil {
+			t.Errorf("EncryptDatabase with %v generated keys before refusing", bad)
+		}
+		for name, call := range map[string]func() error{
+			"EncryptVector":   func() error { _, err := w.owner.EncryptVector(v); return err },
+			"Query":           func() error { _, err := w.user.Query(v); return err },
+			"QueryFilterOnly": func() error { _, err := w.user.QueryFilterOnly(v); return err },
+		} {
+			if err := call(); err == nil || !strings.Contains(err.Error(), coord) {
+				t.Errorf("%s with %v: %v, want an error naming %s", name, bad, err, coord)
+			}
+		}
 	}
 }
 

@@ -150,8 +150,13 @@ func TestBuildStats(t *testing.T) {
 // digests were re-captured once, when the DCE key file (generation 2)
 // started to carry the folded query matrix in place of M₁⁻¹, M₂⁻¹ and
 // M₃⁻¹; the database digests did not move with them.
+//
+// At d=8, M₃'s 16-row halves fit inside one panel of the block product
+// encryption runs on. The d=100 case (108 rows, past the panel boundary;
+// 300 records, not a multiple of the 16-record encryption block) was
+// captured at the commit before encryption became blockwise, so the block
+// path is held to the per-record bytes.
 func TestDatabaseGolden(t *testing.T) {
-	data := clustered(61, 300, 8, 4)
 	for _, c := range []struct {
 		name    string
 		params  Params
@@ -169,12 +174,15 @@ func TestDatabaseGolden(t *testing.T) {
 		{"ivf+pq", Params{Dim: 8, Beta: 0.5, Seed: 66, Index: "ivf", PQ: true, PQM: 4},
 			"9d7c0129b6728e0e01e1771b38cdfd7358f0c339436ab62da12577e75bf4f4fd",
 			"512429ce9993eb6338f752baf629dcfd2daefbf83382d159d0219ce760fb351a"},
+		{"hnsw d=100", Params{Dim: 100, Beta: 0.5, Seed: 67, Index: "hnsw"},
+			"ad23e34b12769e7892f04484600436e502a8f639648fdef76e5cedea795bd69e",
+			"be035b3a2a8ed66cc6cb3252ad0b08a984e17fc26e2e9beef41418246635cee6"},
 	} {
 		owner, err := NewDataOwner(c.params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		edb, err := owner.EncryptDatabase(data)
+		edb, err := owner.EncryptDatabase(clustered(61, 300, c.params.Dim, 4))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,14 +2,15 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
-	"sync"
 	"time"
 
 	"ppanns/internal/dce"
 	"ppanns/internal/dcpe"
 	"ppanns/internal/index"
 	"ppanns/internal/kmeans"
+	"ppanns/internal/par"
 	"ppanns/internal/pq"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
@@ -109,6 +110,9 @@ func (o *DataOwner) EncryptDatabase(vectors [][]float64) (*EncryptedDatabase, er
 		if len(v) != o.params.Dim {
 			return nil, fmt.Errorf("core: vector %d has dim %d, want %d", i, len(v), o.params.Dim)
 		}
+		if err := finite(v); err != nil {
+			return nil, fmt.Errorf("core: vector %d: %w", i, err)
+		}
 	}
 	var built BuildStats
 	stage := time.Now()
@@ -135,20 +139,21 @@ func (o *DataOwner) EncryptDatabase(vectors [][]float64) (*EncryptedDatabase, er
 
 	streams := rng.NewStreams(o.rnd)
 	workers := min(runtime.GOMAXPROCS(0), n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			enc := o.keys.DCE.NewEncryptor()
-			for i := w; i < n; i += workers {
-				r := streams.At(i)
-				sap[i] = o.keys.SAP.EncryptWith(r, vectors[i])
-				enc.EncryptRecord(r, vectors[i], store.Record(i))
-			}
-		}(w)
-	}
-	wg.Wait()
+	encs := make([]*dce.Encryptor, workers)
+	// Spans of 16 records, one DCE encryption block: each worker's
+	// Encryptor reads the key matrices once per span, not once per record.
+	par.Spans(workers, n, 16, func(w, lo, hi int) {
+		if encs[w] == nil {
+			encs[w] = o.keys.DCE.NewEncryptor()
+		}
+		rs, recs := make([]*rng.Rand, hi-lo), make([][]float64, hi-lo)
+		for i := lo; i < hi; i++ {
+			rs[i-lo] = streams.At(i)
+			sap[i] = o.keys.SAP.EncryptWith(rs[i-lo], vectors[i])
+			recs[i-lo] = store.Record(i)
+		}
+		encs[w].EncryptRecords(rs, vectors[lo:hi], recs)
+	})
 	built.Encrypt = lap()
 
 	idx, err := index.Build(o.params.Index, sap, o.params.indexOptions())
@@ -192,8 +197,23 @@ func (o *DataOwner) EncryptVector(v []float64) (*InsertPayload, error) {
 	if len(v) != o.params.Dim {
 		return nil, fmt.Errorf("core: vector has dim %d, want %d", len(v), o.params.Dim)
 	}
+	if err := finite(v); err != nil {
+		return nil, fmt.Errorf("core: vector: %w", err)
+	}
 	return &InsertPayload{
 		SAP: o.keys.SAP.Encrypt(v),
 		DCE: o.keys.DCE.Encrypt(v),
 	}, nil
+}
+
+// finite refuses a NaN or ±Inf coordinate, naming it. Unrefused, a NaN
+// encrypts into an all-NaN DCE record that every comparison ignores, and an
+// infinity zeroes the DCE input scale.
+func finite(v []float64) error {
+	for j, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("coordinate %d is %v", j, x)
+		}
+	}
+	return nil
 }

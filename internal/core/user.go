@@ -36,6 +36,9 @@ func (u *User) Query(q []float64) (*QueryToken, error) {
 	if len(q) != u.Dim() {
 		return nil, fmt.Errorf("core: query has dim %d, want %d", len(q), u.Dim())
 	}
+	if err := finite(q); err != nil {
+		return nil, fmt.Errorf("core: query: %w", err)
+	}
 	return &QueryToken{
 		SAP:      u.key.SAP.Encrypt(q),
 		Trapdoor: u.key.DCE.TrapGen(q),
@@ -48,6 +51,9 @@ func (u *User) Query(q []float64) (*QueryToken, error) {
 func (u *User) QueryFilterOnly(q []float64) (*QueryToken, error) {
 	if len(q) != u.Dim() {
 		return nil, fmt.Errorf("core: query has dim %d, want %d", len(q), u.Dim())
+	}
+	if err := finite(q); err != nil {
+		return nil, fmt.Errorf("core: query: %w", err)
 	}
 	return &QueryToken{SAP: u.key.SAP.Encrypt(q)}, nil
 }

@@ -77,6 +77,9 @@ type Key struct {
 
 	mu  sync.Mutex
 	rnd *rng.Rand
+	// single recycles the block-of-one Encryptors EncryptRecord runs on, so
+	// one-off encryption allocates no temporaries per record either.
+	single sync.Pool
 }
 
 // KeyGen generates a DCE key for d-dimensional vectors using randomness
@@ -232,46 +235,81 @@ func drawEncRand(r *rng.Rand) (rs encRand) {
 	return rs
 }
 
-// Encryptor encrypts records with one reusable set of temporaries: Enc
-// needs eight O(d) intermediates per vector, and a bulk-encryption worker
-// that keeps one Encryptor allocates none of them per record. It is not
-// safe for concurrent use; the key it wraps is.
+// encBlock is how many records an Encryptor encrypts per sweep of the key
+// matrices. At d=960 the two M₃ halves are 30 MB together, so a record
+// encrypted alone streams all of it from the last-level cache; a block of
+// 16 streams it once for the 16.
+const encBlock = 16
+
+// Encryptor encrypts records a block at a time with one reusable set of
+// temporaries. Steps 1–3 of Enc (pair transform, π₁, split) run record by
+// record into a panel of split halves; M₁, M₂, M_up and M_down each run
+// once for the whole block as a matrix.VecMulBlock, which reads the matrix
+// once rather than once per record; π₂ and step ii run record by record
+// again. Every record comes out with the bits it would have alone: the
+// block changes how often the key is read, not the arithmetic. A
+// bulk-encryption worker that keeps one Encryptor allocates no
+// temporaries per record. It is not safe for concurrent use; the key it
+// wraps is.
 type Encryptor struct {
 	k *Key
-	// check (p̌), hat (p̂), the padded halves p1/p2, enc and bar (p̄), and
-	// the two M₃ projections — all slices of one backing array.
-	check, hat, p1, p2, enc, bar, up, down []float64
+	// check (p̌) and hat (p̂) serve one record at a time.
+	check, hat []float64
+	// One row per record of a block: the split halves p1/p2, the M₁/M₂
+	// products enc1/enc2 (the two halves of a row of enc), p̄ (bar) and the
+	// two M₃ projections.
+	p1, p2, enc1, enc2, enc, bar, up, down [][]float64
+	// rs is each record's randomness, drawn before its block runs.
+	rs [encBlock]encRand
 }
 
 // NewEncryptor returns an Encryptor for the key.
-func (k *Key) NewEncryptor() *Encryptor {
+func (k *Key) NewEncryptor() *Encryptor { return k.newEncryptor(encBlock) }
+
+// newEncryptor returns an Encryptor whose blocks hold rows records.
+func (k *Key) newEncryptor(rows int) *Encryptor {
 	sub, bar, big := k.half+4, k.padDim+8, k.CiphertextDim()
-	buf := make([]float64, 2*k.padDim+2*sub+2*bar+2*big)
+	buf := make([]float64, 2*k.padDim+rows*(3*bar+2*big))
 	cut := func(n int) []float64 {
 		out := buf[:n:n]
 		buf = buf[n:]
 		return out
 	}
-	return &Encryptor{
-		k: k, check: cut(k.padDim), hat: cut(k.padDim), p1: cut(sub), p2: cut(sub),
-		enc: cut(bar), bar: cut(bar), up: cut(big), down: cut(big),
+	hdr := make([][]float64, 8*rows)
+	panel := func(n int) [][]float64 {
+		out := hdr[:rows:rows]
+		hdr = hdr[rows:]
+		for b := range out {
+			out[b] = cut(n)
+		}
+		return out
 	}
+	e := &Encryptor{
+		k: k, check: cut(k.padDim), hat: cut(k.padDim),
+		p1: panel(sub), p2: panel(sub), enc: panel(bar), bar: panel(bar),
+		up: panel(big), down: panel(big),
+	}
+	e.enc1, e.enc2 = hdr[:rows:rows], hdr[rows:]
+	for b, row := range e.enc {
+		e.enc1[b], e.enc2[b] = row[:sub:sub], row[sub:]
+	}
+	return e
 }
 
-// randomizeDB runs the four vector-randomization steps for a database
-// vector, leaving p̄ ∈ R^(padDim+8) in e.bar.
-func (e *Encryptor) randomizeDB(p []float64, rs *encRand) {
+// split runs vector-randomization steps 1–3 for database vector p, leaving
+// the halves p₁, p₂ ∈ R^(padDim/2+4) in row b of the block.
+func (e *Encryptor) split(b int, p []float64) {
 	k := e.k
 	k.pairTransform(e.check, p, +1) // step 1: p̌
 	k.pi1.Apply(e.hat, e.check)     // step 2: p̂ = π₁(p̌)
+	rs := &e.rs[b]
 	alpha1, alpha2 := rs[0], rs[1]
 	rp1, rp2, rp3 := rs[2], rs[3], rs[4]
 	normSq := k.scale * k.scale * vec.SqNorm(p)
 	gamma := (normSq - rp1*k.r1 - rp2*k.r2 - rp3*k.r3) / k.r4
 
 	// Step 3: split with cancelling randomness (Equation 2).
-	sub := k.half + 4
-	p1, p2 := e.p1, e.p2
+	p1, p2 := e.p1[b], e.p2[b]
 	copy(p1, e.hat[:k.half])
 	p1[k.half] = alpha1
 	p1[k.half+1] = -alpha1
@@ -282,11 +320,6 @@ func (e *Encryptor) randomizeDB(p []float64, rs *encRand) {
 	p2[k.half+1] = alpha2
 	p2[k.half+2] = rp3
 	p2[k.half+3] = gamma
-
-	// Step 4: matrix encryption + second permutation (Equation 4).
-	k.m1.VecMul(e.enc[:sub], p1)
-	k.m2.VecMul(e.enc[sub:], p2)
-	k.pi2.Apply(e.bar, e.enc)
 }
 
 // randomizeQuery runs vector-randomization steps 1–3 for a query vector,
@@ -332,52 +365,79 @@ func (k *Key) Encrypt(p []float64) *Ciphertext {
 }
 
 // EncryptRecord is Encrypt writing into a caller-provided flat record
-// [P1|P2|P3|P4] of length 4·CiphertextDim. The record's randomness comes
-// from the key's own sequential stream; bulk encryption, which must not
-// depend on the order workers reach that stream, uses an Encryptor with one
-// stream per record instead.
+// [P1|P2|P3|P4] of length 4·CiphertextDim: a block of one. The record's
+// randomness comes from the key's own sequential stream; bulk encryption,
+// which must not depend on the order workers reach that stream, uses an
+// Encryptor with one stream per record instead.
 func (k *Key) EncryptRecord(p []float64, rec []float64) {
+	e, ok := k.single.Get().(*Encryptor)
+	if !ok {
+		e = k.newEncryptor(1)
+	}
 	k.mu.Lock()
-	rs := drawEncRand(k.rnd)
+	e.rs[0] = drawEncRand(k.rnd)
 	k.mu.Unlock()
-	k.NewEncryptor().encrypt(p, rec, &rs)
+	e.encrypt([][]float64{p}, [][]float64{rec})
+	k.single.Put(e)
 }
 
-// EncryptRecord encrypts p into the flat record rec [P1|P2|P3|P4] of
-// length 4·CiphertextDim — typically a CiphertextStore record, so bulk
-// encryption fills the arena in place — drawing the record's randomness
-// from r.
-func (e *Encryptor) EncryptRecord(r *rng.Rand, p []float64, rec []float64) {
-	rs := drawEncRand(r)
-	e.encrypt(p, rec, &rs)
+// EncryptRecords encrypts ps[i] into the flat record recs[i] [P1|P2|P3|P4]
+// of length 4·CiphertextDim — typically a CiphertextStore record, so bulk
+// encryption fills the arena in place — drawing record i's randomness from
+// rs[i]. The records run in blocks of 16; what each gets is fixed by its
+// stream and vector alone, whatever block it shares.
+func (e *Encryptor) EncryptRecords(rs []*rng.Rand, ps, recs [][]float64) {
+	if len(rs) != len(ps) || len(recs) != len(ps) {
+		panic(fmt.Sprintf("dce: %d streams and %d records for %d vectors", len(rs), len(recs), len(ps)))
+	}
+	for lo := 0; lo < len(ps); lo += len(e.p1) {
+		hi := min(lo+len(e.p1), len(ps))
+		for i := lo; i < hi; i++ {
+			e.rs[i-lo] = drawEncRand(rs[i])
+		}
+		e.encrypt(ps[lo:hi], recs[lo:hi])
+	}
 }
 
-func (e *Encryptor) encrypt(p []float64, rec []float64, rs *encRand) {
+// encrypt runs Enc for one block of records, whose randomness is already in
+// e.rs.
+func (e *Encryptor) encrypt(ps, recs [][]float64) {
 	k := e.k
-	if len(p) != k.dim {
-		panic(fmt.Sprintf("dce: encrypting %d-dim vector with %d-dim key", len(p), k.dim))
-	}
 	big := k.CiphertextDim()
-	if len(rec) != 4*big {
-		panic(fmt.Sprintf("dce: record length %d, want %d", len(rec), 4*big))
+	for b, p := range ps {
+		if len(p) != k.dim {
+			panic(fmt.Sprintf("dce: encrypting %d-dim vector with %d-dim key", len(p), k.dim))
+		}
+		if len(recs[b]) != 4*big {
+			panic(fmt.Sprintf("dce: record length %d, want %d", len(recs[b]), 4*big))
+		}
+		e.split(b, p)
 	}
-	e.randomizeDB(p, rs)
+	n := len(ps)
 
-	// Matrix encryption step i (Equation 10): project onto both halves
-	// of M₃ and form the ±1 shifted copies.
-	up := k.mup.VecMul(e.up, e.bar)       // p̄ᵀ·M_up
-	down := k.mdown.VecMul(e.down, e.bar) // p̄ᵀ·M_down
+	// Step 4 (Equation 4): matrix encryption, then the second permutation.
+	k.m1.VecMulBlock(e.enc1[:n], e.p1[:n])
+	k.m2.VecMulBlock(e.enc2[:n], e.p2[:n])
+	for b, bar := range e.bar[:n] {
+		k.pi2.Apply(bar, e.enc[b])
+	}
 
-	rp := rs[5] // r_p ∈ R⁺
+	// Matrix encryption step i (Equation 10): project p̄ onto both halves
+	// of M₃.
+	k.mup.VecMulBlock(e.up[:n], e.bar[:n])     // p̄ᵀ·M_up
+	k.mdown.VecMulBlock(e.down[:n], e.bar[:n]) // p̄ᵀ·M_down
 
-	p1, p2, p3, p4 := rec[:big], rec[big:2*big], rec[2*big:3*big], rec[3*big:]
-	// Randomness step ii (Equation 13): shift, divide by the key vectors,
-	// scale by r_p.
-	for i := 0; i < big; i++ {
-		p1[i] = rp * (up[i] + 1) / k.kv1[i]
-		p2[i] = rp * (up[i] - 1) / k.kv2[i]
-		p3[i] = rp * (down[i] + 1) / k.kv3[i]
-		p4[i] = rp * (down[i] - 1) / k.kv4[i]
+	// Randomness step ii (Equation 13): shift by ±1, divide by the key
+	// vectors, scale by r_p ∈ R⁺.
+	for b, rec := range recs {
+		up, down, rp := e.up[b], e.down[b], e.rs[b][5]
+		p1, p2, p3, p4 := rec[:big], rec[big:2*big], rec[2*big:3*big], rec[3*big:]
+		for i := 0; i < big; i++ {
+			p1[i] = rp * (up[i] + 1) / k.kv1[i]
+			p2[i] = rp * (up[i] - 1) / k.kv2[i]
+			p3[i] = rp * (down[i] + 1) / k.kv3[i]
+			p4[i] = rp * (down[i] - 1) / k.kv4[i]
+		}
 	}
 }
 

@@ -241,39 +241,110 @@ func TestDistanceCompHalves(t *testing.T) {
 	}
 }
 
-// TestEncryptorStreamsAndScratch: an Encryptor's output is fixed by (key,
-// stream, vector) — reusing one across records leaks nothing from record
-// to record, so a worker's records equal those of fresh Encryptors — and
-// its ciphertexts answer comparisons like Encrypt's do.
+// refEncrypt is Enc for one record on its own, the body Encryptor ran
+// before it encrypted in blocks, drawing the record's randomness from r:
+// the oracle every block is held to bit for bit.
+func refEncrypt(k *Key, r *rng.Rand, p, rec []float64) {
+	rs := drawEncRand(r)
+	check := k.pairTransform(nil, p, +1)
+	hat := k.pi1.Apply(nil, check)
+	alpha1, alpha2 := rs[0], rs[1]
+	rp1, rp2, rp3 := rs[2], rs[3], rs[4]
+	normSq := k.scale * k.scale * vec.SqNorm(p)
+	gamma := (normSq - rp1*k.r1 - rp2*k.r2 - rp3*k.r3) / k.r4
+
+	sub := k.half + 4
+	p1, p2 := make([]float64, sub), make([]float64, sub)
+	copy(p1, hat[:k.half])
+	p1[k.half] = alpha1
+	p1[k.half+1] = -alpha1
+	p1[k.half+2] = rp1
+	p1[k.half+3] = rp2
+	copy(p2, hat[k.half:])
+	p2[k.half] = alpha2
+	p2[k.half+1] = alpha2
+	p2[k.half+2] = rp3
+	p2[k.half+3] = gamma
+
+	enc := make([]float64, 2*sub)
+	k.m1.VecMul(enc[:sub], p1)
+	k.m2.VecMul(enc[sub:], p2)
+	bar := k.pi2.Apply(nil, enc)
+	up := k.mup.VecMul(nil, bar)
+	down := k.mdown.VecMul(nil, bar)
+
+	rp := rs[5]
+	big := k.CiphertextDim()
+	c1, c2, c3, c4 := rec[:big], rec[big:2*big], rec[2*big:3*big], rec[3*big:]
+	for i := 0; i < big; i++ {
+		c1[i] = rp * (up[i] + 1) / k.kv1[i]
+		c2[i] = rp * (up[i] - 1) / k.kv2[i]
+		c3[i] = rp * (down[i] + 1) / k.kv3[i]
+		c4[i] = rp * (down[i] - 1) / k.kv4[i]
+	}
+}
+
+// TestEncryptorStreamsAndScratch: an Encryptor's output is fixed by
+// (key, stream, vector). Record i of any call, in a block of any length,
+// has the bits refEncrypt gives it alone from stream i — so one reused
+// Encryptor leaks nothing from block to block — and Key.EncryptRecord,
+// the block of one, has the bits refEncrypt gives from the key's own
+// stream. The ciphertexts answer comparisons like Encrypt's do. Dimensions
+// 100 and 129 put M₃'s halves (108 and 138 rows) past one 32-row panel of
+// the block product, 129 with a remainder that is not a multiple of four.
 func TestEncryptorStreamsAndScratch(t *testing.T) {
 	r := rng.NewSeeded(78)
-	for _, dim := range []int{1, 7, 10} {
-		k, err := KeyGen(r, dim)
+	for _, dim := range []int{1, 7, 10, 100, 129} {
+		seed := r.Uint64()
+		k, err := KeyGen(rng.NewSeeded(seed), dim)
 		if err != nil {
 			t.Fatal(err)
 		}
+		twin, _ := KeyGen(rng.NewSeeded(seed), dim)
 		streams := rng.NewStreams(r)
-		const n = 6
-		vecs := make([][]float64, n)
-		reused, fresh := NewCiphertextStoreN(k.CiphertextDim(), n), NewCiphertextStoreN(k.CiphertextDim(), n)
 		enc := k.NewEncryptor()
-		for i := range vecs {
-			vecs[i] = rng.Gaussian(r, nil, dim)
-			enc.EncryptRecord(streams.At(i), vecs[i], reused.Record(i))
-			k.NewEncryptor().EncryptRecord(streams.At(i), vecs[i], fresh.Record(i))
-			for j, v := range reused.Record(i) {
-				if v != fresh.Record(i)[j] {
-					t.Fatalf("dim=%d record %d float %d: reused scratch %v, fresh %v", dim, i, j, v, fresh.Record(i)[j])
+		first := 0
+		for _, n := range []int{1, 15, 16, 17} {
+			vecs := make([][]float64, n)
+			rs, recs := make([]*rng.Rand, n), make([][]float64, n)
+			store := NewCiphertextStoreN(k.CiphertextDim(), n)
+			for i := range vecs {
+				vecs[i] = rng.Gaussian(r, nil, dim)
+				rs[i], recs[i] = streams.At(first+i), store.Record(i)
+			}
+			enc.EncryptRecords(rs, vecs, recs)
+			want := make([]float64, 4*k.CiphertextDim())
+			for i, v := range vecs {
+				refEncrypt(k, streams.At(first+i), v, want)
+				for j, x := range recs[i] {
+					if math.Float64bits(x) != math.Float64bits(want[j]) {
+						t.Fatalf("dim=%d block of %d, record %d float %d: %v, per-record %v", dim, n, i, j, x, want[j])
+					}
 				}
 			}
-		}
-		q := rng.Gaussian(r, nil, dim)
-		tq := k.TrapGen(q)
-		for o := 0; o < n; o++ {
-			for p := 0; p < n; p++ {
-				do, dp := vec.SqDist(vecs[o], q), vec.SqDist(vecs[p], q)
-				if z := reused.DistanceComp(o, p, tq); o != p && (z < 0) != (do < dp) {
-					t.Fatalf("dim=%d: comparison (%d,%d) = %v, distances %v vs %v", dim, o, p, z, do, dp)
+			first += n
+
+			// The block of one draws from the key's stream, as refEncrypt
+			// does from the twin key's.
+			one := make([]float64, len(want))
+			k.EncryptRecord(vecs[0], one)
+			refEncrypt(twin, twin.rnd, vecs[0], want)
+			for j, x := range one {
+				if math.Float64bits(x) != math.Float64bits(want[j]) {
+					t.Fatalf("dim=%d EncryptRecord float %d: %v, per-record %v", dim, j, x, want[j])
+				}
+			}
+			if n != 17 {
+				continue
+			}
+			q := rng.Gaussian(r, nil, dim)
+			tq := k.TrapGen(q)
+			for o := 0; o < n; o++ {
+				for p := 0; p < n; p++ {
+					do, dp := vec.SqDist(vecs[o], q), vec.SqDist(vecs[p], q)
+					if z := store.DistanceComp(o, p, tq); o != p && (z < 0) != (do < dp) {
+						t.Fatalf("dim=%d: comparison (%d,%d) = %v, distances %v vs %v", dim, o, p, z, do, dp)
+					}
 				}
 			}
 		}

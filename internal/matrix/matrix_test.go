@@ -417,6 +417,43 @@ func FuzzVecMul(f *testing.F) {
 	})
 }
 
+// FuzzVecMulBlock holds every product of a block to the scalar loop, bit
+// for bit: block lengths 1–17, row counts on both sides of the panel
+// height and of its four-row steps, zero coefficients sprinkled in.
+func FuzzVecMulBlock(f *testing.F) {
+	f.Add(uint64(1), uint8(7), uint8(5), uint8(1), uint8(0))
+	f.Add(uint64(2), uint8(panelRows), uint8(33), uint8(16), uint8(3))
+	f.Add(uint64(3), uint8(panelRows+1), uint8(1), uint8(17), uint8(1))
+	f.Add(uint64(4), uint8(3*panelRows+6), uint8(200), uint8(15), uint8(2))
+	f.Fuzz(func(t *testing.T, seed uint64, rows, cols, block, zeroEvery uint8) {
+		if rows == 0 || cols == 0 {
+			return
+		}
+		r := rng.NewSeeded(seed)
+		m := gaussianMatrix(r, int(rows), int(cols))
+		n := 1 + int(block)%17
+		x, dst := make([][]float64, n), make([][]float64, n)
+		for b := range x {
+			x[b] = rng.Gaussian(r, nil, int(rows))
+			dst[b] = rng.Gaussian(r, nil, int(cols)) // stale contents are overwritten
+			if zeroEvery > 0 {
+				for i := b % int(zeroEvery); i < len(x[b]); i += int(zeroEvery) {
+					x[b][i] = 0
+				}
+			}
+		}
+		m.VecMulBlock(dst, x)
+		for b := range x {
+			want := refVecMul(m, x[b])
+			for j := range want {
+				if math.Float64bits(dst[b][j]) != math.Float64bits(want[j]) {
+					t.Fatalf("%dx%d block of %d, vector %d column %d: %v, scalar loop %v", rows, cols, n, b, j, dst[b][j], want[j])
+				}
+			}
+		}
+	})
+}
+
 func TestVecMulBitIdenticalToScalarLoop(t *testing.T) {
 	r := rng.NewSeeded(8)
 	for trial := 0; trial < 200; trial++ {
