@@ -41,7 +41,7 @@ func TestBackendsEndToEnd(t *testing.T) {
 
 			// Save/load round-trip must preserve search results exactly.
 			var buf bytes.Buffer
-			if err := w.server.Database().Save(&buf); err != nil {
+			if err := flushed(t, w.server).Save(&buf); err != nil {
 				t.Fatal(err)
 			}
 			edb2, err := LoadEncryptedDatabase(bytes.NewReader(buf.Bytes()))

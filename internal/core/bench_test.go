@@ -76,7 +76,7 @@ func BenchmarkRefine(b *testing.B) {
 	const k, kPrime = 10, 160
 	w := getBenchWorld(b)
 	tok := w.toks[0]
-	edb := w.server.Database()
+	edb := flushed(b, w.server)
 	items := edb.Index.SearchInto(nil, tok.SAP, kPrime, kPrime)
 	cands := make([]int, len(items))
 	for i, it := range items {

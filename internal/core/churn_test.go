@@ -284,7 +284,7 @@ func TestChurnCompactionConformance(t *testing.T) {
 			// Independently rebuilt reference: Split(1) re-encodes the
 			// flushed database through a from-scratch index build with its
 			// own options, preserving ids.
-			parts, err := w.server.Database().Split(1, index.Options{Seed: 111})
+			parts, err := flushed(t, w.server).Split(1, index.Options{Seed: 111})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -298,7 +298,7 @@ func TestChurnCompactionConformance(t *testing.T) {
 }
 
 // TestSaveFlushesDelta pins the serialization contract of the two-tier
-// write path: Database() — what Save callers go through — flushes the delta
+// write path: Flush — what Save callers go through — flushes the delta
 // tier, so a churned server round-trips through PPANNSD4 with nothing
 // pending and answers queries identically after the reload.
 func TestSaveFlushesDelta(t *testing.T) {
@@ -325,7 +325,7 @@ func TestSaveFlushesDelta(t *testing.T) {
 	want := searchAll(t, w.server, toks, k, n+7)
 
 	var buf bytes.Buffer
-	if err := w.server.Database().Save(&buf); err != nil {
+	if err := flushed(t, w.server).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadEncryptedDatabase(bytes.NewReader(buf.Bytes()))

@@ -33,6 +33,16 @@ func clustered(seed uint64, n, dim, clusters int) [][]float64 {
 	return out
 }
 
+// flushed is s.Flush() for a test that expects the flush to succeed.
+func flushed(t testing.TB, s *Server) *EncryptedDatabase {
+	t.Helper()
+	edb, err := s.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return edb
+}
+
 func newWorld(t *testing.T, params Params, data [][]float64) *testWorld {
 	t.Helper()
 	owner, err := NewDataOwner(params)

@@ -99,7 +99,7 @@ func TestSearchRejectsUnknownCandidateIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.server.Database().Index = &rogueIndex{SecureIndex: w.server.Database().Index, shift: len(data)}
+	flushed(t, w.server).Index = &rogueIndex{SecureIndex: flushed(t, w.server).Index, shift: len(data)}
 	_, err = w.server.Search(tok, 5, SearchOptions{RatioK: 8})
 	if err == nil {
 		t.Fatal("expected error for out-of-store candidate ids")
@@ -108,7 +108,7 @@ func TestSearchRejectsUnknownCandidateIDs(t *testing.T) {
 		t.Fatalf("error %q is not the wire-safe candidate rejection", err)
 	}
 	// Negative ids are rejected the same way, not by panicking.
-	w.server.Database().Index.(*rogueIndex).shift = -len(data)
+	flushed(t, w.server).Index.(*rogueIndex).shift = -len(data)
 	if _, err = w.server.Search(tok, 5, SearchOptions{RatioK: 8}); err == nil {
 		t.Fatal("expected error for negative candidate ids")
 	}

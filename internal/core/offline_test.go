@@ -32,7 +32,7 @@ func testOfflineCompacted(t *testing.T, params Params, n int) {
 			t.Fatal(err)
 		}
 	}
-	edb := w.server.Database()
+	edb := flushed(t, w.server)
 
 	compacted, err := edb.Compacted()
 	if err != nil {
@@ -141,7 +141,7 @@ func testOfflineCompacted(t *testing.T, params Params, n int) {
 	}
 
 	// Error contract: a database with no live records cannot be compacted.
-	all := w.server.Database()
+	all := flushed(t, w.server)
 	empty := &EncryptedDatabase{Dim: dim, Backend: all.Backend, Index: all.Index, DCE: all.DCE.Compacted(func(int) bool { return true })}
 	if _, err := empty.Compacted(); err == nil {
 		t.Fatal("expected error compacting a database with no live records")

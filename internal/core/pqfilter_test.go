@@ -271,7 +271,7 @@ func TestSplitCarriesPQ(t *testing.T) {
 	if err := w.server.Delete(5); err != nil {
 		t.Fatal(err)
 	}
-	edb := w.server.Database()
+	edb := flushed(t, w.server)
 	parts, err := edb.Split(shards, index.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package core
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -11,46 +10,66 @@ import (
 
 	"ppanns/internal/dce"
 	"ppanns/internal/dcpe"
+	"ppanns/internal/frame"
 	"ppanns/internal/index"
 	"ppanns/internal/pq"
 )
 
-// UserKey serialization rides on gob: the DCE and SAP keys implement
-// encoding.BinaryMarshaler.
+// userKeyMagic opens a user key file (Figure 1 step 0), generation 1:
+//
+//	magic "PPANNSU1" | SAP key (dcpe) | DCE key (dce)
+//
+// Each key is its package's own magic-led encoding in the frame package's
+// little-endian codec, sized by its own dimension. Files written by
+// builds that used gob carry no magic and are refused.
+const userKeyMagic = "PPANNSU1"
 
-type userKeyWire struct {
-	DCE []byte
-	SAP []byte
-}
+// maxUserKeyBytes bounds what LoadUserKey reads: a DCE key is three
+// matrices of at most frame.MaxLen bytes each, two quarter-size ones and
+// a few vectors, so four limits hold any key a build can write.
+const maxUserKeyBytes = 4 * frame.MaxLen
 
 // SaveUserKey writes the user's key material (Figure 1 step 0) to w.
 func SaveUserKey(w io.Writer, k *UserKey) error {
 	if k == nil || k.DCE == nil || k.SAP == nil {
 		return fmt.Errorf("core: incomplete user key")
 	}
-	dceBytes, err := k.DCE.MarshalBinary()
+	b, err := k.SAP.AppendBinary([]byte(userKeyMagic))
 	if err != nil {
 		return err
 	}
-	sapBytes, err := k.SAP.MarshalBinary()
-	if err != nil {
+	if b, err = k.DCE.AppendBinary(b); err != nil {
 		return err
 	}
-	return gob.NewEncoder(w).Encode(userKeyWire{DCE: dceBytes, SAP: sapBytes})
+	_, err = w.Write(b)
+	return err
 }
 
-// LoadUserKey reads key material written by SaveUserKey.
+// LoadUserKey reads key material written by SaveUserKey. The input is
+// read as it arrives, up to maxUserKeyBytes, so nothing is sized by what
+// the file claims; each key then checks its own lengths against the bytes
+// that are really there.
 func LoadUserKey(r io.Reader) (*UserKey, error) {
-	var wire userKeyWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("core: decoding user key: %w", err)
+	data, err := io.ReadAll(io.LimitReader(r, maxUserKeyBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("core: reading user key: %w", err)
 	}
-	k := &UserKey{DCE: new(dce.Key), SAP: new(dcpe.Key)}
-	if err := k.DCE.UnmarshalBinary(wire.DCE); err != nil {
+	if len(data) > maxUserKeyBytes {
+		return nil, fmt.Errorf("core: user key file exceeds %d bytes", maxUserKeyBytes)
+	}
+	fr := frame.NewReader(data)
+	if !fr.Magic(userKeyMagic) {
+		return nil, fmt.Errorf("core: not a user key file of this build (no %q magic; older builds wrote gob): re-key with ppanns-dbtool encrypt", userKeyMagic)
+	}
+	k := new(UserKey)
+	if k.SAP, err = dcpe.ReadKey(fr); err != nil {
 		return nil, err
 	}
-	if err := k.SAP.UnmarshalBinary(wire.SAP); err != nil {
+	if k.DCE, err = dce.ReadKey(fr); err != nil {
 		return nil, err
+	}
+	if err := fr.Done(); err != nil {
+		return nil, fmt.Errorf("core: user key: %w", err)
 	}
 	return k, nil
 }

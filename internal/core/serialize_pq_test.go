@@ -27,7 +27,7 @@ func TestPQDatabaseRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := w.server.Database().Save(&buf); err != nil {
+	if err := flushed(t, w.server).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	blob := buf.Bytes()
@@ -36,7 +36,7 @@ func TestPQDatabaseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := w.server.Database()
+	orig := flushed(t, w.server)
 	if edb2.PQ == nil {
 		t.Fatal("PQ tier lost across round-trip")
 	}

@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
 
+	"ppanns/internal/frame"
 	"ppanns/internal/index"
 	"ppanns/internal/pq"
 )
@@ -55,6 +57,86 @@ func TestUserKeyValidation(t *testing.T) {
 	if _, err := LoadUserKey(bytes.NewReader([]byte("garbage"))); err == nil {
 		t.Fatal("expected error for garbage input")
 	}
+	valid := userKeyBytes(t, 6, 72)
+	// A reloaded key saves to the same bytes: every field survived.
+	k, err := LoadUserKey(bytes.NewReader(valid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := SaveUserKey(&again, k); err != nil || !bytes.Equal(again.Bytes(), valid) {
+		t.Fatalf("a reloaded key saves differently (%v)", err)
+	}
+	sapLen := len(userKeyMagic) + 28
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"truncated", valid[:len(valid)-1], "truncated"},
+		{"trailing byte", append(append([]byte(nil), valid...), 0), "trailing"},
+		{"no SAP magic", append(append([]byte(userKeyMagic), 'x'), valid[len(userKeyMagic)+1:]...), "re-key with ppanns-dbtool encrypt"},
+		{"no DCE magic", append(append([]byte(nil), valid[:sapLen]...), valid[sapLen+1:]...), "re-key with ppanns-dbtool encrypt"},
+	} {
+		if _, err := LoadUserKey(bytes.NewReader(c.data)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+// userKeyBytes is the saved user key of a small seeded d-dimensional
+// database.
+func userKeyBytes(t testing.TB, dim int, seed uint64) []byte {
+	t.Helper()
+	owner, err := NewDataOwner(Params{Dim: dim, Beta: 0.5, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := owner.EncryptDatabase(clustered(seed, 20, dim, 2)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := SaveUserKey(&buf, owner.UserKey()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestGobUserKeyRefused: a user key file written by the last gob build
+// (testdata/userkey-gob.key, d=4) is refused with the fix in the message.
+func TestGobUserKeyRefused(t *testing.T) {
+	data, err := os.ReadFile("testdata/userkey-gob.key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadUserKey(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "re-key with ppanns-dbtool encrypt") {
+		t.Fatalf("a gob user key file loaded as %v, want the re-key message", err)
+	}
+}
+
+// FuzzLoadUserKey: a user key file is bytes off disk. Whatever they are,
+// LoadUserKey refuses them with an error or returns a key whose parts
+// have a dimension, without panicking and without allocating more than
+// frame.MaxLen + 64 KiB.
+func FuzzLoadUserKey(f *testing.F) {
+	for _, dim := range []int{1, 4} {
+		f.Add(userKeyBytes(f, dim, 73))
+	}
+	if gobKey, err := os.ReadFile("testdata/userkey-gob.key"); err == nil {
+		f.Add(gobKey)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		k, err := LoadUserKey(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > frame.MaxLen+64<<10 {
+			t.Fatalf("a %d-byte input allocated %d bytes", len(data), got)
+		}
+		if err == nil && (k.DCE.Dim() <= 0 || k.SAP.Dim() <= 0) {
+			t.Fatalf("loaded an implausible key: DCE dim %d, SAP dim %d", k.DCE.Dim(), k.SAP.Dim())
+		}
+	})
 }
 
 func TestEncryptedDatabaseRoundTrip(t *testing.T) {
@@ -66,7 +148,7 @@ func TestEncryptedDatabaseRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	err := w.server.Database().Save(&buf)
+	err := flushed(t, w.server).Save(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +159,7 @@ func TestEncryptedDatabaseRoundTrip(t *testing.T) {
 	}
 	// The arena comes back bit for bit, except that the deleted record's
 	// bytes must not have reached the file.
-	orig := w.server.Database().DCE
+	orig := flushed(t, w.server).DCE
 	stride := 4 * orig.CtDim()
 	for i, f := range edb2.DCE.Raw() {
 		want := orig.Raw()[i]
@@ -168,7 +250,7 @@ func TestLoadEncryptedDatabaseGarbage(t *testing.T) {
 // index payload whose header lies is refused before it sizes anything.
 func TestLoadRefusals(t *testing.T) {
 	w := newWorld(t, Params{Dim: 8, Beta: 0.5, Seed: 35}, clustered(35, 60, 8, 3))
-	edb := w.server.Database()
+	edb := flushed(t, w.server)
 	var buf bytes.Buffer
 	if err := edb.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -193,7 +275,7 @@ func TestLoadRefusals(t *testing.T) {
 	lying = binary.LittleEndian.AppendUint64(lying, uint64(edb.DCE.CtDim()))
 	lying = append(lying, make([]byte, 8)...)
 	// The PQSTORE1 header follows the PQ flag: magic, dim, m, k, then n.
-	withPQ := newWorld(t, Params{Dim: 8, Beta: 0.5, Seed: 36, PQ: true, PQM: 4}, clustered(36, 60, 8, 3)).server.Database()
+	withPQ := flushed(t, newWorld(t, Params{Dim: 8, Beta: 0.5, Seed: 36, PQ: true, PQM: 4}, clustered(36, 60, 8, 3)).server)
 	var pqBuf bytes.Buffer
 	if err := withPQ.Save(&pqBuf); err != nil {
 		t.Fatal(err)
@@ -203,7 +285,7 @@ func TestLoadRefusals(t *testing.T) {
 	// Each backend's payload follows the PQ flag; the lie sits at field
 	// bytes into it, behind a database header that tells the truth.
 	payloadLying := func(backend string, field int, v uint64) []byte {
-		e := newWorld(t, Params{Dim: 8, Beta: 0.5, Seed: 35, Index: backend}, clustered(35, 60, 8, 3)).server.Database()
+		e := flushed(t, newWorld(t, Params{Dim: 8, Beta: 0.5, Seed: 35, Index: backend}, clustered(35, 60, 8, 3)).server)
 		var b bytes.Buffer
 		if err := e.Save(&b); err != nil {
 			t.Fatal(err)
@@ -310,7 +392,7 @@ func TestCorruptedDatabaseDetected(t *testing.T) {
 	data := clustered(65, 300, 8, 3)
 	w := newWorld(t, Params{Dim: 8, Beta: 0.3, Seed: 65}, data)
 	var buf bytes.Buffer
-	err := w.server.Database().Save(&buf)
+	err := flushed(t, w.server).Save(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

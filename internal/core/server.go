@@ -329,9 +329,6 @@ type ServerOptions struct {
 	// every Nth write, on a background interval, or OS-buffered (zero
 	// value).
 	WALSync wal.SyncPolicy
-	// WALSegmentBytes caps a log segment before rotation; 0 selects the
-	// wal package default (16 MiB).
-	WALSegmentBytes int64
 	// walFS overrides the log's filesystem, for fault-injection tests.
 	walFS wal.FS
 }
@@ -403,22 +400,12 @@ func NewServerWith(edb *EncryptedDatabase, o ServerOptions) (*Server, error) {
 	return s, nil
 }
 
-// Database returns the published database state with the delta tier
-// flushed — what Save and Split should operate on once a server has
-// applied mutations. If the snapshot carries unflushed mutations this
-// compacts first (synchronously), so the returned database always has its
-// index and ciphertext store mutually consistent. The returned
-// value is immutable: callers may read it freely without locking but must
-// not mutate it. If compaction fails (a backend violating the rebuild
-// contract), the latest consistent pre-failure state is NOT reconstructed;
-// use Flush when the error matters.
-func (s *Server) Database() *EncryptedDatabase {
-	edb, _ := s.Flush()
-	return edb
-}
-
 // Flush compacts until the published snapshot is clean and returns its
-// database. On compaction failure it returns the current (possibly
+// database — what Save and Split should operate on once a server has
+// applied mutations, its index and ciphertext store mutually consistent.
+// The returned value is immutable: callers may read it freely without
+// locking but must not mutate it. On compaction failure (a backend
+// violating the rebuild contract) it returns the current (possibly
 // delta-carrying) database along with the error.
 func (s *Server) Flush() (*EncryptedDatabase, error) {
 	for {
@@ -696,7 +683,7 @@ func (s *Server) Insert(p *InsertPayload) (int, error) {
 	}
 	var lsn uint64
 	if s.wal != nil {
-		payload := appendInsertPayload(nil, uint64(edb.DCE.Len()), p.SAP, p.DCE, code)
+		payload := appendInsertPayload(nil, uint64(edb.DCE.Len()), p, code)
 		var werr error
 		lsn, werr = s.wal.Append(wal.KindInsert, cur.epoch+1, payload)
 		if werr != nil {

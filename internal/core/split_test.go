@@ -11,7 +11,7 @@ func TestSplitPartitionsStripe(t *testing.T) {
 	const n, dim, shards = 500, 8, 3
 	data := clustered(31, n, dim, 5)
 	w := newWorld(t, Params{Dim: dim, Beta: 0.3, Seed: 31}, data)
-	edb := w.server.Database()
+	edb := flushed(t, w.server)
 
 	// Tombstone a couple of ids before splitting so the stripe has holes.
 	for _, id := range []int{4, 7} {
@@ -84,13 +84,13 @@ func TestSplitPartitionsStripe(t *testing.T) {
 func TestSplitValidation(t *testing.T) {
 	data := clustered(32, 40, 6, 3)
 	w := newWorld(t, Params{Dim: 6, Beta: 0.3, Seed: 32}, data)
-	if _, err := w.server.Database().Split(0, index.Options{}); err == nil {
+	if _, err := flushed(t, w.server).Split(0, index.Options{}); err == nil {
 		t.Fatal("expected error for zero shard count")
 	}
-	if _, err := w.server.Database().Split(41, index.Options{}); err == nil {
+	if _, err := flushed(t, w.server).Split(41, index.Options{}); err == nil {
 		t.Fatal("expected error for more shards than vectors")
 	}
-	if parts, err := w.server.Database().Split(1, index.Options{}); err != nil || len(parts) != 1 {
+	if parts, err := flushed(t, w.server).Split(1, index.Options{}); err != nil || len(parts) != 1 {
 		t.Fatalf("single-shard split: %d parts, %v", len(parts), err)
 	}
 }

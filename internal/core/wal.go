@@ -1,74 +1,64 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"ppanns/internal/dce"
-	"ppanns/internal/pq"
+	"ppanns/internal/frame"
 	"ppanns/internal/wal"
 )
 
 // WAL payload codecs. The wal package frames, checksums and epoch-stamps
 // records; core owns what goes inside:
 //
-//	insert: [id u64] [SAP floats frame] [DCE ciphertext frame] [PQ code frame]
+//	insert: [id u64] [AppendInsert's payload] [PQ code: count u32, bytes]
 //	delete: [id u64]
 //
-// The insert payload carries the PQ code row the server committed — replay
-// re-appends the logged row verbatim rather than re-encoding, so a
-// recovered server is bit-identical to the never-crashed one even across
-// codebook retrains.
+// in the frame package's little-endian codec. The insert payload carries
+// the PQ code row the server committed — replay re-appends the logged row
+// verbatim rather than re-encoding, so a recovered server is bit-identical
+// to the never-crashed one even across codebook retrains. A zero-length
+// code row is the "database carries no PQ tier" marker.
 
 // appendInsertPayload encodes one insert record payload.
-func appendInsertPayload(dst []byte, id uint64, sap []float64, ct *dce.Ciphertext, code []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, id)
-	dst = dce.AppendFloatsFrame(dst, sap)
-	dst = dce.AppendCiphertextFrame(dst, ct)
-	return pq.AppendCodeFrame(dst, code)
+func appendInsertPayload(dst []byte, id uint64, p *InsertPayload, code []byte) []byte {
+	return frame.AppendBytes(AppendInsert(frame.AppendU64(dst, id), p), code)
 }
 
 // parseInsertPayload decodes an insert record payload. The SAP vector and
 // ciphertext own their storage; the code views p (callers append it into
-// an arena immediately).
-func parseInsertPayload(p []byte) (id uint64, sap []float64, ct dce.Ciphertext, code []byte, err error) {
-	if len(p) < 8 {
-		return 0, nil, dce.Ciphertext{}, nil, fmt.Errorf("core: wal insert payload of %d bytes", len(p))
+// an arena immediately), nil for the no-tier marker.
+func parseInsertPayload(b []byte) (id uint64, p *InsertPayload, code []byte, err error) {
+	r := frame.NewReader(b)
+	id = r.U64()
+	p = ReadInsert(r)
+	code = r.Bytes()
+	if r.Err() == nil && (p == nil || p.DCE == nil) {
+		r.Fail(fmt.Errorf("no ciphertext"))
 	}
-	id = binary.LittleEndian.Uint64(p)
-	p = p[8:]
-	if sap, p, err = dce.ParseFloatsFrame(p); err != nil {
-		return 0, nil, dce.Ciphertext{}, nil, fmt.Errorf("core: wal insert payload: %w", err)
+	if err := r.Done(); err != nil {
+		return 0, nil, nil, fmt.Errorf("core: wal insert payload: %w", err)
 	}
-	if ct, p, err = dce.ParseCiphertextFrame(p); err != nil {
-		return 0, nil, dce.Ciphertext{}, nil, fmt.Errorf("core: wal insert payload: %w", err)
-	}
-	if code, p, err = pq.ParseCodeFrame(p); err != nil {
-		return 0, nil, dce.Ciphertext{}, nil, fmt.Errorf("core: wal insert payload: %w", err)
-	}
-	if len(p) != 0 {
-		return 0, nil, dce.Ciphertext{}, nil, fmt.Errorf("core: wal insert payload has %d trailing bytes", len(p))
-	}
-	return id, sap, ct, code, nil
+	return id, p, code, nil
 }
 
 func appendDeletePayload(dst []byte, id uint64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, id)
+	return frame.AppendU64(dst, id)
 }
 
 func parseDeletePayload(p []byte) (uint64, error) {
-	if len(p) != 8 {
-		return 0, fmt.Errorf("core: wal delete payload of %d bytes, want 8", len(p))
+	r := frame.NewReader(p)
+	id := r.U64()
+	if err := r.Done(); err != nil {
+		return 0, fmt.Errorf("core: wal delete payload of %d bytes, want 8: %w", len(p), err)
 	}
-	return binary.LittleEndian.Uint64(p), nil
+	return id, nil
 }
 
 // walLogOptions maps the server options onto the wal package's.
 func walLogOptions(o ServerOptions) wal.Options {
 	return wal.Options{
-		Sync:         o.WALSync,
-		SegmentBytes: o.WALSegmentBytes,
-		FS:           o.walFS,
+		Sync: o.WALSync,
+		FS:   o.walFS,
 	}
 }
 
@@ -197,18 +187,18 @@ func OpenServer(walDir string, o ServerOptions) (*Server, RecoveryStats, error) 
 		}
 		switch kind {
 		case wal.KindInsert:
-			id, sap, ct, code, perr := parseInsertPayload(payload)
+			id, p, code, perr := parseInsertPayload(payload)
 			if perr != nil {
 				return perr
 			}
 			if want := uint64(cur.edb.DCE.Len()); id != want {
 				return fmt.Errorf("core: wal replay: insert record for id %d, next id is %d", id, want)
 			}
-			if len(sap) != cur.edb.Dim {
-				return fmt.Errorf("core: wal replay: insert dim %d, database dim %d", len(sap), cur.edb.Dim)
+			if len(p.SAP) != cur.edb.Dim {
+				return fmt.Errorf("core: wal replay: insert dim %d, database dim %d", len(p.SAP), cur.edb.Dim)
 			}
-			if d := cur.edb.DCE.CtDim(); len(ct.P1) != d {
-				return fmt.Errorf("core: wal replay: ciphertext dim %d, store dim %d", len(ct.P1), d)
+			if d := cur.edb.DCE.CtDim(); len(p.DCE.P1) != d {
+				return fmt.Errorf("core: wal replay: ciphertext dim %d, store dim %d", len(p.DCE.P1), d)
 			}
 			if cur.edb.PQ != nil {
 				if len(code) != cur.edb.PQ.Book.M() {
@@ -218,7 +208,7 @@ func OpenServer(walDir string, o ServerOptions) (*Server, RecoveryStats, error) 
 				return fmt.Errorf("core: wal replay: PQ code on a database without a PQ tier")
 			}
 			s.wmu.Lock()
-			s.publishInsert(cur, sap, &ct, code)
+			s.publishInsert(cur, p.SAP, p.DCE, code)
 			s.wmu.Unlock()
 		case wal.KindDelete:
 			id, perr := parseDeletePayload(payload)

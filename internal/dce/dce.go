@@ -181,6 +181,18 @@ type Ciphertext struct {
 	P1, P2, P3, P4 []float64
 }
 
+// CiphertextFromRecord views a flat record [P1|P2|P3|P4] as a ciphertext
+// whose components alias rec.
+func CiphertextFromRecord(rec []float64) Ciphertext {
+	d := len(rec) / 4
+	return Ciphertext{
+		P1: rec[0*d : 1*d : 1*d],
+		P2: rec[1*d : 2*d : 2*d],
+		P3: rec[2*d : 3*d : 3*d],
+		P4: rec[3*d : 4*d : 4*d],
+	}
+}
+
 // Trapdoor is T_q = q̄′ ∈ R^(2d+16) (Equation 15).
 type Trapdoor struct {
 	Q []float64
@@ -356,12 +368,8 @@ func (k *Key) Encrypt(p []float64) *Ciphertext {
 	big := k.CiphertextDim()
 	rec := make([]float64, 4*big)
 	k.EncryptRecord(p, rec)
-	return &Ciphertext{
-		P1: rec[0*big : 1*big : 1*big],
-		P2: rec[1*big : 2*big : 2*big],
-		P3: rec[2*big : 3*big : 3*big],
-		P4: rec[3*big : 4*big : 4*big],
-	}
+	ct := CiphertextFromRecord(rec)
+	return &ct
 }
 
 // EncryptRecord is Encrypt writing into a caller-provided flat record

@@ -1,105 +1,112 @@
 package dce
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"math"
 
+	"ppanns/internal/frame"
 	"ppanns/internal/matrix"
 	"ppanns/internal/rng"
 )
 
-// keyGeneration stamps the key file layout. Generation 1 had no stamp
-// (it decodes as 0) and carried M₁⁻¹, M₂⁻¹ and M₃⁻¹ where generation 2
-// carries the folded query matrix; nothing converts one into the other.
-const keyGeneration = 2
+// keyMagic opens a key encoding and names its generation: 1 and 2 were gob
+// (1 carried M₁⁻¹, M₂⁻¹ and M₃⁻¹ where 2 carries the folded query matrix),
+// 3 is the layout below. Nothing converts one generation into another.
+//
+// With p = d rounded up to even, s = p/2+4, b = p+8 and B = 2p+16, all in
+// the frame package's little-endian encoding:
+//
+//	magic "DCEKEY03" | d u32 | scale f64 | r₁ r₂ r₃ r₄ f64
+//	π₁ forward map: p × u32 | π₂ forward map: b × u32
+//	M₁, M₂: s×s f64 each | M_up, M_down: b×B f64 each
+//	kv₁ kv₂ kv₃ kv₄: B f64 each | Q: B×b f64
+//
+// Every size follows from d, so the encoding carries no other length.
+// Per-encryption randomness is re-seeded from crypto/rand on load (it only
+// needs freshness).
+const keyMagic = "DCEKEY03"
 
-// keyWire is the serialized form of a Key. Matrices travel as flat
-// row-major arrays, permutations as forward maps. Per-encryption randomness
-// is re-seeded from crypto/rand on load (it only needs freshness).
-type keyWire struct {
-	Gen         int
-	Dim, PadDim int
-	Scale       float64
-
-	M1, M2         []float64
-	Pi1, Pi2       []int
-	R1, R2, R3, R4 float64
-
-	MUp, MDown         []float64
-	KV1, KV2, KV3, KV4 []float64
-	Query              []float64
+// keyShape returns p, s, b and B for a d-dimensional key.
+func keyShape(dim int) (pad, sub, bar, big int) {
+	pad = dim + dim%2
+	return pad, pad/2 + 4, pad + 8, 2*pad + 16
 }
 
-// MarshalBinary encodes the secret key. Handle with the same care as the
-// key itself.
-func (k *Key) MarshalBinary() ([]byte, error) {
-	w := keyWire{
-		Gen: keyGeneration, Dim: k.dim, PadDim: k.padDim, Scale: k.scale,
-		M1: k.m1.Raw(), M2: k.m2.Raw(),
-		Pi1: k.pi1.Forward(), Pi2: k.pi2.Forward(),
-		R1: k.r1, R2: k.r2, R3: k.r3, R4: k.r4,
-		MUp: k.mup.Raw(), MDown: k.mdown.Raw(),
-		KV1: k.kv1, KV2: k.kv2, KV3: k.kv3, KV4: k.kv4,
-		Query: k.query.Raw(),
+// AppendBinary appends the secret key's encoding to b. Handle the bytes
+// with the same care as the key itself.
+func (k *Key) AppendBinary(b []byte) ([]byte, error) {
+	pad, sub, bar, big := keyShape(k.dim)
+	if 8*bar*big > frame.MaxLen {
+		return nil, fmt.Errorf("dce: a %d-dim key's %d-byte matrices exceed the %d-byte key file limit", k.dim, 8*bar*big, frame.MaxLen)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		return nil, fmt.Errorf("dce: encoding key: %w", err)
+	size := len(keyMagic) + 4 + 5*8 + 4*(pad+bar) + 8*(2*sub*sub+3*bar*big+4*big)
+	b = append(append(make([]byte, 0, len(b)+size), b...), keyMagic...)
+	b = frame.AppendU32(b, uint32(k.dim))
+	for _, x := range []float64{k.scale, k.r1, k.r2, k.r3, k.r4} {
+		b = frame.AppendF64(b, x)
 	}
-	return buf.Bytes(), nil
+	for _, p := range []*rng.Permutation{k.pi1, k.pi2} {
+		for _, j := range p.Forward() {
+			b = frame.AppendU32(b, uint32(j))
+		}
+	}
+	for _, run := range [][]float64{k.m1.Raw(), k.m2.Raw(), k.mup.Raw(), k.mdown.Raw(), k.kv1, k.kv2, k.kv3, k.kv4, k.query.Raw()} {
+		b = frame.AppendFloatRun(b, run)
+	}
+	return b, nil
 }
 
-// UnmarshalBinary decodes a key produced by MarshalBinary. Every shape is
-// checked against the header before the key is usable.
-func (k *Key) UnmarshalBinary(data []byte) error {
-	var w keyWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return fmt.Errorf("dce: decoding key: %w", err)
+// ReadKey decodes a key written by AppendBinary from r. The bytes are
+// untrusted: the dimension is checked before it sizes anything, and every
+// run it sizes is held to the bytes that remain before it is allocated.
+func ReadKey(r *frame.Reader) (*Key, error) {
+	if !r.Magic(keyMagic) {
+		return nil, fmt.Errorf("dce: not a generation-3 key (no %q magic; older builds wrote gob): re-key with ppanns-dbtool encrypt", keyMagic)
 	}
-	if w.Gen != keyGeneration {
-		return fmt.Errorf("dce: key file generation %d, this build reads %d: re-key with ppanns-dbtool encrypt", w.Gen, keyGeneration)
+	dim := int(r.U32())
+	scale := r.F64()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("dce: decoding key: %w", err)
 	}
-	if w.Dim <= 0 || w.PadDim != w.Dim+w.Dim%2 || w.Scale <= 0 {
-		return fmt.Errorf("dce: implausible key header dim=%d pad=%d scale=%g", w.Dim, w.PadDim, w.Scale)
+	if dim <= 0 || dim > frame.MaxLen || !(scale > 0) || math.IsInf(scale, 0) {
+		return nil, fmt.Errorf("dce: implausible key header dim=%d scale=%g", dim, scale)
 	}
-	sub := w.PadDim/2 + 4
-	bar := w.PadDim + 8
-	big := 2*w.PadDim + 16
+	pad, sub, bar, big := keyShape(dim)
+	k := &Key{dim: dim, padDim: pad, half: pad / 2, scale: scale}
+	k.r1, k.r2, k.r3, k.r4 = r.F64(), r.F64(), r.F64(), r.F64()
+	fwd1, fwd2 := readForward(r, pad), readForward(r, bar)
+	m1, m2 := r.FloatRun(sub*sub), r.FloatRun(sub*sub)
+	mup, mdown := r.FloatRun(bar*big), r.FloatRun(bar*big)
+	k.kv1, k.kv2, k.kv3, k.kv4 = r.FloatRun(big), r.FloatRun(big), r.FloatRun(big), r.FloatRun(big)
+	query := r.FloatRun(big * bar)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("dce: decoding %d-dim key: %w", dim, err)
+	}
+	// The runs were read to their exact sizes, so FromRaw cannot fail.
+	k.m1, _ = matrix.FromRaw(sub, sub, m1)
+	k.m2, _ = matrix.FromRaw(sub, sub, m2)
+	k.mup, _ = matrix.FromRaw(bar, big, mup)
+	k.mdown, _ = matrix.FromRaw(bar, big, mdown)
+	k.query, _ = matrix.FromRaw(big, bar, query)
 	var err error
-	mk := func(rows, cols int, raw []float64) *matrix.Dense {
-		if err != nil {
-			return nil
-		}
-		var m *matrix.Dense
-		m, err = matrix.FromRaw(rows, cols, raw)
-		return m
+	if k.pi1, err = rng.PermutationFromForward(fwd1); err != nil {
+		return nil, fmt.Errorf("dce: decoding π1: %w", err)
 	}
-	k.dim, k.padDim, k.half, k.scale = w.Dim, w.PadDim, w.PadDim/2, w.Scale
-	k.m1 = mk(sub, sub, w.M1)
-	k.m2 = mk(sub, sub, w.M2)
-	k.mup = mk(bar, big, w.MUp)
-	k.mdown = mk(bar, big, w.MDown)
-	k.query = mk(big, bar, w.Query)
-	if err != nil {
-		return fmt.Errorf("dce: decoding key matrices: %w", err)
+	if k.pi2, err = rng.PermutationFromForward(fwd2); err != nil {
+		return nil, fmt.Errorf("dce: decoding π2: %w", err)
 	}
-	if k.pi1, err = rng.PermutationFromForward(w.Pi1); err != nil {
-		return fmt.Errorf("dce: decoding π1: %w", err)
-	}
-	if k.pi2, err = rng.PermutationFromForward(w.Pi2); err != nil {
-		return fmt.Errorf("dce: decoding π2: %w", err)
-	}
-	if k.pi1.Len() != w.PadDim || k.pi2.Len() != bar {
-		return fmt.Errorf("dce: permutation sizes %d/%d do not match dims", k.pi1.Len(), k.pi2.Len())
-	}
-	for _, kv := range [][]float64{w.KV1, w.KV2, w.KV3, w.KV4} {
-		if len(kv) != big {
-			return fmt.Errorf("dce: key vector of length %d, want %d", len(kv), big)
-		}
-	}
-	k.r1, k.r2, k.r3, k.r4 = w.R1, w.R2, w.R3, w.R4
-	k.kv1, k.kv2, k.kv3, k.kv4 = w.KV1, w.KV2, w.KV3, w.KV4
 	k.rnd = rng.NewCrypto()
-	return nil
+	return k, nil
+}
+
+// readForward reads a permutation's n-entry forward map of u32s.
+func readForward(r *frame.Reader, n int) []int {
+	if !r.Want(n, 4) {
+		return nil
+	}
+	fwd := make([]int, n)
+	for i := range fwd {
+		fwd[i] = int(r.U32())
+	}
+	return fwd
 }

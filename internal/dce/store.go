@@ -161,14 +161,7 @@ func (s *CiphertextStore) View(id int) Ciphertext {
 	if !s.Has(id) {
 		return Ciphertext{}
 	}
-	rec := s.Record(id)
-	d := s.ctDim
-	return Ciphertext{
-		P1: rec[0*d : 1*d : 1*d],
-		P2: rec[1*d : 2*d : 2*d],
-		P3: rec[2*d : 3*d : 3*d],
-		P4: rec[3*d : 4*d : 4*d],
-	}
+	return CiphertextFromRecord(s.Record(id))
 }
 
 // grow ensures arena capacity for records more records, reallocating

@@ -1,38 +1,39 @@
 package dcpe
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"math"
 
+	"ppanns/internal/frame"
 	"ppanns/internal/rng"
 )
 
-type keyWire struct {
-	S, Beta float64
-	Dim     int
+// keyMagic opens the SAP key encoding, generation 1 (earlier builds wrote
+// gob). The layout, in the frame package's little-endian encoding:
+//
+//	magic "SAPKEY01" | d u32 | s f64 | β f64
+const keyMagic = "SAPKEY01"
+
+// AppendBinary appends the SAP secret key's encoding to b.
+func (k *Key) AppendBinary(b []byte) ([]byte, error) {
+	b = append(b, keyMagic...)
+	b = frame.AppendU32(b, uint32(k.dim))
+	b = frame.AppendF64(b, k.s)
+	return frame.AppendF64(b, k.beta), nil
 }
 
-// MarshalBinary encodes the SAP secret key.
-func (k *Key) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(keyWire{S: k.s, Beta: k.beta, Dim: k.dim}); err != nil {
-		return nil, fmt.Errorf("dcpe: encoding key: %w", err)
+// ReadKey decodes a key written by AppendBinary from r. The perturbation
+// stream is re-seeded from crypto/rand.
+func ReadKey(r *frame.Reader) (*Key, error) {
+	if !r.Magic(keyMagic) {
+		return nil, fmt.Errorf("dcpe: not a generation-1 SAP key (no %q magic; older builds wrote gob): re-key with ppanns-dbtool encrypt", keyMagic)
 	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalBinary decodes a key produced by MarshalBinary. The
-// perturbation stream is re-seeded from crypto/rand.
-func (k *Key) UnmarshalBinary(data []byte) error {
-	var w keyWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return fmt.Errorf("dcpe: decoding key: %w", err)
+	dim, s, beta := int(r.U32()), r.F64(), r.F64()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("dcpe: decoding key: %w", err)
 	}
-	if w.Dim <= 0 || w.S <= 0 || w.Beta < 0 {
-		return fmt.Errorf("dcpe: implausible key dim=%d s=%g beta=%g", w.Dim, w.S, w.Beta)
+	if dim <= 0 || !(s > 0) || !(beta >= 0) || math.IsInf(s, 0) || math.IsInf(beta, 0) {
+		return nil, fmt.Errorf("dcpe: implausible key dim=%d s=%g beta=%g", dim, s, beta)
 	}
-	k.s, k.beta, k.dim = w.S, w.Beta, w.Dim
-	k.rnd = rng.NewCrypto()
-	return nil
+	return &Key{s: s, beta: beta, dim: dim, rnd: rng.NewCrypto()}, nil
 }

@@ -31,7 +31,7 @@ func replicatedCompactingTCP(t *testing.T, w *world, stripes, rf, compactAt int,
 		srvs[s] = make([]*core.Server, rf)
 	}
 	for r := 0; r < rf; r++ {
-		parts, err := w.server.Database().Split(stripes, index.Options{Seed: 11})
+		parts, err := flushed(t, w.server).Split(stripes, index.Options{Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -109,7 +109,7 @@ func replicatedCoordinator(t *testing.T, w *world, stripes, rf int, opts Options
 		faults[s] = make([]*Faulty, rf)
 	}
 	for r := 0; r < rf; r++ {
-		parts, err := w.server.Database().Split(stripes, index.Options{Seed: 11})
+		parts, err := flushed(t, w.server).Split(stripes, index.Options{Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +296,7 @@ func replicatedRemoteCoordinator(t *testing.T, w *world, stripes, rf int, opts O
 	}
 	proxies := make([]*rproxy, stripes)
 	for r := 0; r < rf; r++ {
-		parts, err := w.server.Database().Split(stripes, index.Options{Seed: 11})
+		parts, err := flushed(t, w.server).Split(stripes, index.Options{Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -688,7 +688,7 @@ func TestConcurrentDeletesOfOneID(t *testing.T) {
 	w := newWorld(t, n, dim)
 	sets := make([][]Shard, 2)
 	for r := 0; r < 2; r++ {
-		parts, err := w.server.Database().Split(2, index.Options{Seed: 11})
+		parts, err := flushed(t, w.server).Split(2, index.Options{Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -737,7 +737,7 @@ func TestConcurrentDeletesOfOneID(t *testing.T) {
 func TestRemoteReconnectAfterPoison(t *testing.T) {
 	const n, dim, k = 300, 16, 5
 	w := newWorld(t, n, dim)
-	parts, err := w.server.Database().Split(1, index.Options{Seed: 11})
+	parts, err := flushed(t, w.server).Split(1, index.Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -809,7 +809,7 @@ func TestConstructionToleratesDeadReplica(t *testing.T) {
 		faults[s] = make([]*Faulty, 2)
 	}
 	for r := 0; r < 2; r++ {
-		parts, err := w.server.Database().Split(2, index.Options{Seed: 11})
+		parts, err := flushed(t, w.server).Split(2, index.Options{Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}

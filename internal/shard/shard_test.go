@@ -44,6 +44,16 @@ func testData(seed uint64, n, dim, queries int) (train, qs [][]float64) {
 	return train, qs
 }
 
+// flushed is s.Flush() for a test that expects the flush to succeed.
+func flushed(t testing.TB, s *core.Server) *core.EncryptedDatabase {
+	t.Helper()
+	edb, err := s.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return edb
+}
+
 func newWorld(t *testing.T, n, dim int) *world {
 	t.Helper()
 	train, qs := testData(11, n, dim, 20)
@@ -70,7 +80,7 @@ func newWorld(t *testing.T, n, dim int) *world {
 // coordinator over the parts.
 func localCoordinator(t *testing.T, w *world, shards int) (*Coordinator, []*core.Server) {
 	t.Helper()
-	parts, err := w.server.Database().Split(shards, index.Options{Seed: 11})
+	parts, err := flushed(t, w.server).Split(shards, index.Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +261,7 @@ func TestCoordinatorValidation(t *testing.T) {
 	}
 	const n, dim = 120, 16
 	w := newWorld(t, n, dim)
-	parts, err := w.server.Database().Split(2, index.Options{Seed: 11})
+	parts, err := flushed(t, w.server).Split(2, index.Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +340,7 @@ func (p *proxy) kill() {
 // coordinator of transport clients; shard 1 sits behind a severable proxy.
 func remoteCoordinator(t *testing.T, w *world, shards int) (*Coordinator, *proxy) {
 	t.Helper()
-	parts, err := w.server.Database().Split(shards, index.Options{Seed: 11})
+	parts, err := flushed(t, w.server).Split(shards, index.Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +503,7 @@ func TestDivideEffortRecall(t *testing.T) {
 	opt := core.SearchOptions{RatioK: 16}
 
 	for _, shards := range []int{2, 3} {
-		parts, err := w.server.Database().Split(shards, index.Options{Seed: 11})
+		parts, err := flushed(t, w.server).Split(shards, index.Options{Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}

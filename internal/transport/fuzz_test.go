@@ -1,0 +1,155 @@
+package transport
+
+import (
+	"bytes"
+	"encoding/gob"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"ppanns/internal/core"
+	"ppanns/internal/dce"
+	"ppanns/internal/frame"
+)
+
+// fuzzMessages returns a request of every op and a response of every op.
+func fuzzMessages() ([]*request, []*response) {
+	tok := &core.QueryToken{SAP: []float64{1, 2, 3}, Trapdoor: &dce.Trapdoor{Q: []float64{4, 5, 6, 7}}}
+	ct := dce.CiphertextFromRecord([]float64{1, 2, 3, 4, 5, 6, 7, 8})
+	store, err := dce.StoreFromRaw(2, []float64{1, 2, 3, 4, 5, 6, 7, 8, 8, 7, 6, 5, 4, 3, 2, 1}, []bool{true, true})
+	if err != nil {
+		panic(err)
+	}
+	reqs := []*request{
+		{op: opSearch, tok: tok, k: 5, opt: core.SearchOptions{RatioK: 8}},
+		{op: opSearchShard, tok: tok, k: 5, opt: core.SearchOptions{Refine: core.RefineNone}},
+		{op: opInsert, ins: &core.InsertPayload{SAP: []float64{1, 2, 3}, DCE: &ct}},
+		{op: opDelete, id: 3},
+		{op: opLen},
+		{op: opInfo},
+	}
+	resps := []*response{
+		{op: opError, err: "no"},
+		{op: opSearch, ids: []int{3, 1, 4}},
+		{op: opSearchShard, shard: core.ShardResult{IDs: []int{1, 0}, Epoch: 9, CtDim: 2, Store: store}},
+		{op: opSearchShard, shard: core.ShardResult{IDs: []int{3, 1}, Dists: []float64{0.5, 0.25}}},
+		{op: opInsert, id: 600},
+		{op: opDelete},
+		{op: opLen, n: 601, live: 599},
+		{op: opInfo, info: Info{Backend: "hnsw", N: 3, Live: 2, Dim: 3, Epoch: 4, Memory: core.MemoryStats{N: 3, SAP: 24, DCE: 256},
+			WAL: &core.WALStats{Dir: "w", Policy: "every=1", Segments: 1, Bytes: 99, Appended: 5, Synced: 5, Checkpoint: "c", CheckpointEpoch: 2, CheckpointGen: 1}}},
+	}
+	return reqs, resps
+}
+
+// fuzzSeeds returns a frame of every message fuzzMessages lists, the
+// stream a gob client opens with, and a header past the limit.
+func fuzzSeeds(t testing.TB) [][]byte {
+	reqs, resps := fuzzMessages()
+	var seeds [][]byte
+	for i, req := range reqs {
+		b, err := appendFrame(nil, req.op, uint64(i+1), func(b []byte) []byte { return appendRequest(b, req) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, b)
+	}
+	for i, resp := range resps {
+		b, err := appendFrame(nil, resp.op, uint64(i+1), func(b []byte) []byte { return appendResponse(b, resp) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, b)
+	}
+	var g bytes.Buffer
+	if err := gob.NewEncoder(&g).Encode(&gobRequest{Proto: 6, Seq: 1, Op: "len"}); err != nil {
+		t.Fatal(err)
+	}
+	huge := rawFrame(ProtoVersion, opLen, 1, nil)
+	huge[3] = 0x7f
+	return append(seeds, g.Bytes(), huge)
+}
+
+// decodeStream runs data through both decoders: every frame the server's
+// read loop would accept is decoded as a request, and as the response to
+// a call of every op.
+func decodeStream(data []byte) {
+	fr := newFrameReader(bytes.NewReader(data))
+	for {
+		op, _, p, err := fr.next()
+		if err != nil {
+			return
+		}
+		decodeRequest(op, p)
+		for _, want := range []byte{opSearch, opSearchShard, opInsert, opDelete, opLen, opInfo} {
+			decodeResponse(want, op, p)
+		}
+	}
+}
+
+// FuzzFrame: the bytes either decoder reads come from an untrusted peer.
+// Whatever they are, every frame is refused with an error or decoded —
+// no panic — and no input allocates more than frame.MaxLen + 64 KiB.
+func FuzzFrame(f *testing.F) {
+	for _, s := range fuzzSeeds(f) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		decodeStream(data)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > frame.MaxLen+64<<10 {
+			t.Fatalf("a %d-byte input allocated %d bytes", len(data), got)
+		}
+	})
+}
+
+// TestFrameRoundTrip: every op's request and response decode back to
+// what was encoded, so the codec is whole and the fuzzer starts from
+// inputs that reach the deep decoders.
+func TestFrameRoundTrip(t *testing.T) {
+	reqs, resps := fuzzMessages()
+	for _, req := range reqs {
+		b, err := appendFrame(nil, req.op, 7, func(b []byte) []byte { return appendRequest(b, req) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, seq, p, err := newFrameReader(bytes.NewReader(b)).next()
+		if err != nil || seq != 7 || op != req.op {
+			t.Fatalf("%s request: header op %d seq %d, %v", opName(req.op), op, seq, err)
+		}
+		got, err := decodeRequest(op, p)
+		if err != nil || !reflect.DeepEqual(got, req) {
+			t.Fatalf("%s request: decoded %+v, %v; want %+v", opName(req.op), got, err, req)
+		}
+	}
+	for _, resp := range resps {
+		b, err := appendFrame(nil, resp.op, 7, func(b []byte) []byte { return appendResponse(b, resp) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, _, p, err := newFrameReader(bytes.NewReader(b)).next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeResponse(resp.op, op, p)
+		if resp.op == opError {
+			if err == nil || err.Error() != resp.err {
+				t.Fatalf("error response decoded as %v", err)
+			}
+			continue
+		}
+		// A borrowed store arrives as copies of the result ids' records.
+		want := *resp
+		if st := want.shard.Store; st != nil {
+			for _, id := range want.shard.IDs {
+				want.shard.Recs = append(want.shard.Recs, st.Record(id))
+			}
+			want.shard.Store = nil
+		}
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s response: decoded %+v, %v; want %+v", opName(resp.op), got, err, want)
+		}
+	}
+}

@@ -35,7 +35,7 @@ func TestHandlerPanicRecovered(t *testing.T) {
 	defer client.Close()
 
 	withHandleHook(t, func(req *request) {
-		if req.Op == "search" {
+		if req.op == opSearch || req.op == opSearchShard {
 			panic("injected handler panic")
 		}
 	})
@@ -80,7 +80,7 @@ func TestCancelAbandonsCall(t *testing.T) {
 
 	const stall = 300 * time.Millisecond
 	withHandleHook(t, func(req *request) {
-		if req.Op == "search" {
+		if req.op == opSearch || req.op == opSearchShard {
 			time.Sleep(stall)
 		}
 	})

@@ -1,124 +1,90 @@
-// Package transport deploys the PP-ANNS roles across machines: a gob-over-
-// TCP protocol carrying query tokens to the cloud server and result ids
-// back — the deployment shape of the paper's Figure 1, where the only
-// user↔server traffic is one encrypted token up and k ids down.
+// Package transport deploys the PP-ANNS roles across machines: a framed
+// binary protocol over TCP carrying query tokens to the cloud server and
+// result ids back — the deployment shape of the paper's Figure 1, where the
+// only user↔server traffic is one encrypted token up and k ids down.
 //
-// # Multiplexed streams
+// Every message in either direction is one frame,
 //
-// Every request carries a client-assigned id (Seq ≥ 1) which the server
-// echoes on the matching response, so one connection multiplexes any number
-// of concurrent calls: the client pipelines requests from many goroutines
-// over a single gob stream and a demux goroutine routes each response to
-// the caller waiting on its Seq, while the server dispatches every decoded
-// request to its own handler goroutine (responses serialize on a write
-// mutex, so frames never interleave). A slow search therefore does not
-// block the queries behind it, and the scatter-gather tier keeps one
-// connection per shard regardless of concurrency. A response whose Seq has
-// no waiter — an abandoned call's late answer, a stray frame — is dropped.
+//	[len u32][proto u8][op u8][seq u64][payload: len bytes]
 //
-// # One generation
+// in the frame package's little-endian codec, each op's payload written
+// straight from the core types (appendRequest, appendResponse). The bytes
+// are untrusted on both sides: len is checked against frame.MaxLen before
+// anything is read, the payload buffer grows only as bytes arrive, and
+// every count inside is held to the bytes that remain.
 //
-// Both envelopes carry ProtoVersion on every frame and nothing is
-// negotiated: a server answers a request of another generation with an
-// error naming both and executes nothing; a client that decodes a response
-// of another generation poisons itself with ErrProtoMismatch. Any other
-// build — up to PR 23 they stamped nothing — is refused on its first call.
+// The server echoes each request's client-assigned seq (≥ 1), so one
+// connection multiplexes any number of concurrent calls: a client demux
+// goroutine routes each response to the caller waiting on its seq (and
+// drops one nobody waits for), and the server runs every request on its
+// own handler goroutine. A slow search does not block the queries behind
+// it, and the scatter-gather tier (internal/shard) keeps one connection
+// per shard.
 //
-// Streams are unframed gob: any stream-level failure (including deadline
-// expiries) poisons the client and fails every pending and future call
-// with ErrClientBroken; application errors inside intact frames do not.
-// A search op can return cross-shard merge material for the scatter-gather
-// tier (internal/shard).
+// Every frame carries ProtoVersion and nothing is negotiated: a frame of
+// another generation — the gob generations before 7 never form a frame of
+// this one — is refused with an error naming both; the server executes
+// nothing, the client poisons itself with ErrProtoMismatch. A payload that
+// fails to decode inside an intact frame fails only its own call; I/O
+// errors, an expired call deadline and refused frame headers poison the
+// client (ErrClientBroken).
 package transport
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ppanns/internal/core"
-	"ppanns/internal/dce"
+	"ppanns/internal/frame"
 )
 
-// ErrClientBroken marks a Client whose gob stream was poisoned by an
-// earlier failure (encode/decode error, expired deadline, or Close). The
-// stream carries no framing, so once an error interrupts it mid-message
-// there is no way to resynchronize; instead of silently pairing requests
-// with stale responses, every later call fails fast wrapping this error.
-// Dial a fresh Client to recover.
+// ErrClientBroken wraps every call on a Client poisoned by an earlier
+// stream failure: its stream is no longer known to be at a frame
+// boundary. Dial a fresh Client to recover.
 var ErrClientBroken = errors.New("transport: connection poisoned by an earlier stream error")
 
-// ErrProtoMismatch is the stream error of a Client whose server answered in
-// another protocol generation. Redialing the same server cannot help.
+// ErrProtoMismatch is the error of a frame stamped with another protocol
+// generation. Redialing the same peer cannot help.
 var ErrProtoMismatch = errors.New("transport: protocol generation mismatch")
 
-// wireToken is the on-the-wire query token: the SAP ciphertext and the DCE
-// trapdoor vector.
-type wireToken struct {
-	SAP []float64
-	Q   []float64
-}
-
-func toWireToken(tok *core.QueryToken) *wireToken {
-	if tok == nil {
-		return nil
-	}
-	wt := &wireToken{SAP: tok.SAP}
-	if tok.Trapdoor != nil {
-		wt.Q = tok.Trapdoor.Q
-	}
-	return wt
-}
-
-func (wt *wireToken) token() *core.QueryToken {
-	if wt == nil {
-		return nil
-	}
-	tok := &core.QueryToken{SAP: wt.SAP}
-	if wt.Q != nil {
-		tok.Trapdoor = &dce.Trapdoor{Q: wt.Q}
-	}
-	return tok
-}
-
-// wireInsert is the on-the-wire insert payload.
-type wireInsert struct {
-	SAP            []float64
-	P1, P2, P3, P4 []float64
-}
-
-func toWireInsert(p *core.InsertPayload) *wireInsert {
-	if p == nil {
-		return nil
-	}
-	wi := &wireInsert{SAP: p.SAP}
-	if p.DCE != nil {
-		wi.P1, wi.P2, wi.P3, wi.P4 = p.DCE.P1, p.DCE.P2, p.DCE.P3, p.DCE.P4
-	}
-	return wi
-}
-
-func (wi *wireInsert) payload() *core.InsertPayload {
-	if wi == nil {
-		return nil
-	}
-	p := &core.InsertPayload{SAP: wi.SAP}
-	if wi.P1 != nil {
-		p.DCE = &dce.Ciphertext{P1: wi.P1, P2: wi.P2, P3: wi.P3, P4: wi.P4}
-	}
-	return p
-}
-
 // ProtoVersion is the one protocol generation this package speaks, stamped
-// on every request and response. A peer that stamps nothing reads as 0.
-const ProtoVersion = 6
+// on every frame.
+const ProtoVersion = 7
+
+// headerLen is the frame header: len u32, proto u8, op u8, seq u64.
+const headerLen = 14
+
+// The ops. A response carries its request's op, or opError with the
+// message as a string payload.
+const (
+	opSearch      byte = 1 // k and options, token → ids
+	opSearchShard byte = 2 // as opSearch → ids and merge material
+	opInsert      byte = 3 // insert payload → id
+	opDelete      byte = 4 // id → nothing
+	opLen         byte = 5 // nothing → record counts
+	opInfo        byte = 6 // nothing → Info
+	opError       byte = 0xff
+)
+
+var opNames = map[byte]string{opSearch: "search", opSearchShard: "search-shard", opInsert: "insert",
+	opDelete: "delete", opLen: "len", opInfo: "info", opError: "error"}
+
+func opName(op byte) string {
+	if name, ok := opNames[op]; ok {
+		return name
+	}
+	return fmt.Sprintf("op %d", op)
+}
 
 // Info describes the server a client is connected to: which filter-index
 // backend it runs and its record counts — N includes tombstones, Live does
@@ -162,61 +128,207 @@ func ServerInfo(srv *core.Server) Info {
 	}
 }
 
-// request is the wire envelope for client→server calls.
+// request is a decoded client→server call.
 type request struct {
-	// Proto is the sender's ProtoVersion.
-	Proto int
-	// Seq is the multiplexing id (≥ 1): the server echoes it on the
-	// matching response.
-	Seq   uint64
-	Op    string // "search", "insert", "delete", "len", "info"
-	Token *wireToken
-	K     int
-	Opt   core.SearchOptions
-	// Merge asks "search" to return per-id merge material
-	// (filter distances or DCE records) alongside the ids, so a
-	// scatter-gather coordinator can order results across shards.
-	Merge   bool
-	Payload *wireInsert
-	ID      int
+	op  byte
+	tok *core.QueryToken // opSearch, opSearchShard
+	k   int
+	opt core.SearchOptions
+	ins *core.InsertPayload // opInsert
+	id  int                 // opDelete
 }
 
-// response is the wire envelope for server→client replies.
+// response is a server→client answer; which fields are set follows op.
 type response struct {
-	// Proto is the sender's ProtoVersion.
-	Proto int
-	// Seq echoes the request's multiplexing id.
-	Seq uint64
-	IDs []int
-	// Dists/Recs/CtDim carry the merge material of a Merge search; Epoch
-	// is the snapshot publication count that served it (read-your-writes
-	// staleness checks in the replica tier).
-	Dists []float64
-	Recs  [][]float64
-	CtDim int
-	Epoch uint64
-	ID    int
-	N     int
-	Live  int
-	Info  *Info
-	Err   string
+	op      byte   // the request's, or opError
+	err     string // opError
+	ids     []int  // opSearch
+	shard   core.ShardResult
+	id      int // opInsert
+	n, live int // opLen
+	info    Info
+}
+
+// appendRequest appends req's payload: core.AppendQuery's for the
+// searches, core.AppendInsert's for an insert, [id i64] for a delete and
+// nothing for len and info.
+func appendRequest(b []byte, req *request) []byte {
+	switch req.op {
+	case opSearch, opSearchShard:
+		return core.AppendQuery(b, req.tok, req.k, req.opt)
+	case opInsert:
+		return core.AppendInsert(b, req.ins)
+	case opDelete:
+		return frame.AppendInt(b, req.id)
+	}
+	return b
+}
+
+// decodeRequest decodes the payload of an op frame. Anything but the
+// exact layout of a known op is an error, which fails only this call.
+func decodeRequest(op byte, p []byte) (*request, error) {
+	req := &request{op: op}
+	r := frame.NewReader(p)
+	switch op {
+	case opSearch, opSearchShard:
+		req.tok, req.k, req.opt = core.ReadQuery(r)
+	case opInsert:
+		req.ins = core.ReadInsert(r)
+	case opDelete:
+		req.id = r.Int()
+	case opLen, opInfo:
+	default:
+		return nil, fmt.Errorf("transport: unknown %s", opName(op))
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("transport: malformed %s request: %w", opName(op), err)
+	}
+	return req, nil
+}
+
+// appendResponse appends resp's payload: the message for an error, the
+// ids for a search, core.AppendShardResult's for a search-shard, [id i64]
+// for an insert, nothing for a delete, [n live i64] for len and
+// appendInfo's for info.
+func appendResponse(b []byte, resp *response) []byte {
+	switch resp.op {
+	case opError:
+		return frame.AppendString(b, resp.err)
+	case opSearch:
+		return frame.AppendInts(b, resp.ids)
+	case opSearchShard:
+		return core.AppendShardResult(b, &resp.shard)
+	case opInsert:
+		return frame.AppendInt(b, resp.id)
+	case opLen:
+		return frame.AppendInt(frame.AppendInt(b, resp.n), resp.live)
+	case opInfo:
+		return appendInfo(b, &resp.info)
+	}
+	return b
+}
+
+// decodeResponse decodes the payload of a response frame of op got to a
+// call of op want. Anything but an error or the exact layout of want
+// fails the call; the stream itself is still at a frame boundary.
+func decodeResponse(want, got byte, p []byte) (resp response, err error) {
+	if got != want && got != opError {
+		return resp, fmt.Errorf("transport: %s call answered with a %s frame", opName(want), opName(got))
+	}
+	resp.op = got
+	r := frame.NewReader(p)
+	switch got {
+	case opError:
+		resp.err = r.String()
+	case opSearch:
+		resp.ids = r.Ints()
+	case opSearchShard:
+		resp.shard = core.ReadShardResult(r)
+	case opInsert:
+		resp.id = r.Int()
+	case opLen:
+		resp.n, resp.live = r.Int(), r.Int()
+	case opInfo:
+		resp.info = readInfo(r)
+	}
+	switch err := r.Done(); {
+	case err != nil:
+		return response{}, fmt.Errorf("transport: malformed %s response: %w", opName(got), err)
+	case got == opError:
+		return response{}, errors.New(resp.err)
+	}
+	return resp, nil
+}
+
+// appendInfo appends [Backend: count u32, bytes] [N Live Dim Delta
+// Tombstones i64] [Epoch u64], then core.AppendMemoryStats' and
+// core.AppendWALStats' payloads.
+func appendInfo(b []byte, in *Info) []byte {
+	b = frame.AppendString(b, in.Backend)
+	for _, v := range []int{in.N, in.Live, in.Dim, in.Delta, in.Tombstones} {
+		b = frame.AppendInt(b, v)
+	}
+	return core.AppendWALStats(core.AppendMemoryStats(frame.AppendU64(b, in.Epoch), &in.Memory), in.WAL)
+}
+
+// readInfo reads what appendInfo wrote.
+func readInfo(r *frame.Reader) Info {
+	in := Info{Backend: r.String()}
+	for _, p := range []*int{&in.N, &in.Live, &in.Dim, &in.Delta, &in.Tombstones} {
+		*p = r.Int()
+	}
+	in.Epoch = r.U64()
+	in.Memory = core.ReadMemoryStats(r)
+	in.WAL = core.ReadWALStats(r)
+	return in
+}
+
+// errFrameTooLong is a frame header claiming more than frame.MaxLen.
+var errFrameTooLong = fmt.Errorf("transport: frame exceeds the %d-byte limit", frame.MaxLen)
+
+// frameReader reads the frames of one stream, reusing one payload buffer.
+type frameReader struct {
+	r   *bufio.Reader
+	hdr [headerLen]byte
+	buf []byte
+}
+
+func newFrameReader(r io.Reader) *frameReader { return &frameReader{r: bufio.NewReader(r)} }
+
+// next reads one frame. The header is checked before anything else is
+// read (seq is returned even when it is refused); the payload lands in a
+// buffer that grows as its bytes arrive, so a header that lies about its
+// length costs at most about twice what the peer really sent. The payload
+// is valid until the next call.
+func (fr *frameReader) next() (op byte, seq uint64, payload []byte, err error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
+		return 0, 0, nil, err
+	}
+	n, proto := int(binary.LittleEndian.Uint32(fr.hdr[:])), fr.hdr[4]
+	op, seq = fr.hdr[5], binary.LittleEndian.Uint64(fr.hdr[6:])
+	if proto != ProtoVersion {
+		return op, seq, nil, fmt.Errorf("%w: frame stamped generation %d, this build speaks generation %d (generations before 7 spoke gob)", ErrProtoMismatch, proto, ProtoVersion)
+	}
+	if n > frame.MaxLen {
+		return op, seq, nil, fmt.Errorf("%w: its header claims %d", errFrameTooLong, n)
+	}
+	buf := fr.buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), 64<<10)))
+		}
+		m := min(n, cap(buf))
+		if _, err := io.ReadFull(fr.r, buf[len(buf):m]); err != nil {
+			return op, seq, nil, err
+		}
+		buf = buf[:m]
+	}
+	fr.buf = buf
+	return op, seq, buf, nil
+}
+
+// appendFrame overwrites b with one frame: the header, then the payload
+// pay appends. It fails if the payload exceeds frame.MaxLen.
+func appendFrame(b []byte, op byte, seq uint64, pay func([]byte) []byte) ([]byte, error) {
+	b = pay(frame.AppendU64(append(b[:0], 0, 0, 0, 0, ProtoVersion, op), seq))
+	if n := len(b) - headerLen; n > frame.MaxLen {
+		return b, fmt.Errorf("transport: a %d-byte %s payload exceeds the %d-byte frame limit", n, opName(op), frame.MaxLen)
+	}
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-headerLen))
+	return b, nil
 }
 
 // acceptBackoffMax caps the retry delay of the accept loop.
 const acceptBackoffMax = time.Second
 
 // maxInFlightPerConn bounds the handler goroutines one connection may have
-// running at once. Requests beyond it queue in the read loop (the client
-// keeps pipelining; the server just stops pulling new frames), so one
-// misbehaving client cannot grow goroutines without bound.
+// running at once; beyond it the read loop stops pulling new frames.
 const maxInFlightPerConn = 128
 
-// serverWriteTimeout bounds each response write. Without it a client that
-// pipelines requests and then stops reading would pin maxInFlightPerConn
-// handler goroutines (plus their response payloads) per connection
-// forever, every one blocked in Encode behind a full TCP send buffer.
-// Generous on purpose: it only needs to catch wedged peers, not pace
-// healthy ones.
+// serverWriteTimeout bounds each response write, so a client that
+// pipelines requests and stops reading cannot pin its handlers forever
+// behind a full TCP send buffer. Generous on purpose: it only needs to
+// catch wedged peers.
 const serverWriteTimeout = 2 * time.Minute
 
 // Serve accepts connections on l and answers requests against srv until
@@ -225,13 +337,10 @@ const serverWriteTimeout = 2 * time.Minute
 // (bounded by maxInFlightPerConn), so concurrent calls multiplexed over
 // one connection run in parallel against the server's lock-free read path.
 //
-// Transient Accept failures (ECONNABORTED on a connection reset before
-// accept, EMFILE under descriptor pressure, ...) must not kill the serving
-// tier permanently: the loop retries with exponential backoff from 5ms up
-// to one second, resetting after any successful accept, and only returns
-// once the listener itself is closed. Each failure is logged — the backoff
-// caps that at one line per second — so a permanently failing listener is
-// visible to the operator instead of spinning silently.
+// Transient Accept failures (ECONNABORTED, EMFILE, ...) do not kill the
+// serving tier: the loop logs each and retries with exponential backoff
+// from 5ms up to one second, and only returns once the listener itself is
+// closed.
 //
 // Closing the listener shuts the service down: Serve closes the
 // connections it accepted that are still open, waits for their handlers,
@@ -258,14 +367,7 @@ func Serve(l net.Listener, srv *core.Server) error {
 			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
-			if delay == 0 {
-				delay = 5 * time.Millisecond
-			} else {
-				delay *= 2
-				if delay > acceptBackoffMax {
-					delay = acceptBackoffMax
-				}
-			}
+			delay = min(max(2*delay, 5*time.Millisecond), acceptBackoffMax)
 			log.Printf("transport: accept: %v (retrying in %v)", err, delay)
 			time.Sleep(delay)
 			continue
@@ -286,62 +388,75 @@ func Serve(l net.Listener, srv *core.Server) error {
 }
 
 // serveConn multiplexes one connection: a single read loop decodes
-// requests and hands each to a handler goroutine; responses are encoded
+// requests and hands each to a handler goroutine; responses are written
 // under a write mutex so frames never interleave on the shared stream.
 func serveConn(conn net.Conn, srv *core.Server) {
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	var wmu sync.Mutex
-	var wg sync.WaitGroup
+	fr := newFrameReader(conn)
+	var (
+		wmu  sync.Mutex
+		wbuf []byte // the response being written; grows to fit
+		wg   sync.WaitGroup
+	)
+	reply := func(seq uint64, resp response) {
+		wmu.Lock()
+		defer wmu.Unlock()
+		var err error
+		wbuf, err = appendFrame(wbuf, resp.op, seq, func(b []byte) []byte { return appendResponse(b, &resp) })
+		if err != nil {
+			wbuf, _ = appendFrame(wbuf, opError, seq, func(b []byte) []byte { return frame.AppendString(b, err.Error()) })
+		}
+		conn.SetWriteDeadline(time.Now().Add(serverWriteTimeout))
+		if _, err := conn.Write(wbuf); err != nil {
+			// The stream is unrecoverable mid-frame; closing the
+			// connection also unblocks the read loop.
+			conn.Close()
+		}
+	}
 	sem := make(chan struct{}, maxInFlightPerConn)
 	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			break // client hung up (io.EOF) or sent garbage
+		op, seq, payload, err := fr.next()
+		if err != nil {
+			// A refused header leaves the stream at no frame boundary: say
+			// why, and drain the peer's bytes for a second so that closing
+			// does not reset the connection before it reads the refusal.
+			if errors.Is(err, ErrProtoMismatch) || errors.Is(err, errFrameTooLong) {
+				reply(seq, errorResponse(fmt.Sprintf("%v; nothing was executed", err)))
+				conn.SetReadDeadline(time.Now().Add(time.Second))
+				io.Copy(io.Discard, fr.r)
+			}
+			break // client hung up (io.EOF) or the stream broke
+		}
+		req, err := decodeRequest(op, payload)
+		if err != nil {
+			reply(seq, errorResponse(err.Error()))
+			continue
 		}
 		sem <- struct{}{}
 		wg.Add(1)
-		go func(req request) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			var resp *response
-			if req.Proto == ProtoVersion {
-				resp = handleSafe(srv, &req)
-			} else {
-				resp = &response{Err: fmt.Sprintf("transport: request stamped protocol generation %d (0: no stamp, a build at or before PR 23), this server speaks generation %d; nothing was executed", req.Proto, ProtoVersion)}
-			}
-			resp.Proto, resp.Seq = ProtoVersion, req.Seq
-			wmu.Lock()
-			conn.SetWriteDeadline(time.Now().Add(serverWriteTimeout))
-			err := enc.Encode(resp)
-			wmu.Unlock()
-			if err != nil {
-				// The stream is unrecoverable mid-message; closing the
-				// connection also unblocks the read loop.
-				conn.Close()
-			}
-		}(req)
+			reply(seq, handleSafe(srv, req))
+		}()
 	}
 	wg.Wait()
 	conn.Close()
 }
 
-// testHandleHook, when set, runs before every request is handled. Tests
-// use it to inject panics and stalls that no well-formed request can
-// otherwise produce (atomic so serving goroutines race-safely observe a
-// test's store).
+func errorResponse(msg string) response { return response{op: opError, err: msg} }
+
+// testHandleHook, when set, runs before every request is handled: tests
+// inject panics and stalls through it.
 var testHandleHook atomic.Pointer[func(*request)]
 
-// handleSafe is handle behind a recover(): a handler panic — a malformed
-// request tripping an invariant deep in the search stack — becomes an
-// error response on that one request instead of a crashed process or a
-// torn connection. The panic is logged with a stack so the bug stays
-// visible; the connection and every other multiplexed call on it survive.
-func handleSafe(srv *core.Server, req *request) (resp *response) {
+// handleSafe is handle behind a recover(): a handler panic becomes an
+// error response on that one request, logged with its stack, instead of
+// a crashed process or a torn connection.
+func handleSafe(srv *core.Server, req *request) (resp response) {
 	defer func() {
 		if r := recover(); r != nil {
-			log.Printf("transport: panic serving %q: %v\n%s", req.Op, r, debug.Stack())
-			resp = &response{Err: fmt.Sprintf("transport: internal error serving %q: %v", req.Op, r)}
+			log.Printf("transport: panic serving %s: %v\n%s", opName(req.op), r, debug.Stack())
+			resp = errorResponse(fmt.Sprintf("transport: internal error serving %s: %v", opName(req.op), r))
 		}
 	}()
 	if h := testHandleHook.Load(); h != nil {
@@ -350,68 +465,42 @@ func handleSafe(srv *core.Server, req *request) (resp *response) {
 	return handle(srv, req)
 }
 
-// wireRecs lists a result's DCE merge records as views into the snapshot
-// store it borrows (nil under RefineNone). Views are safe to encode after
-// the search has returned: a published store is never written within its
-// length.
-func wireRecs(r core.ShardResult) [][]float64 {
-	if r.Store == nil {
-		return nil
-	}
-	recs := make([][]float64, len(r.IDs))
-	for i, id := range r.IDs {
-		recs[i] = r.Store.Record(id)
-	}
-	return recs
-}
-
 // handle executes one decoded request against the server.
-func handle(srv *core.Server, req *request) *response {
-	var resp response
-	switch req.Op {
-	case "search":
-		if req.Merge {
-			r, err := srv.SearchShard(req.Token.token(), req.K, req.Opt)
-			if err != nil {
-				resp.Err = err.Error()
-			} else {
-				resp.IDs, resp.Dists, resp.Recs, resp.CtDim = r.IDs, r.Dists, wireRecs(r), r.CtDim
-				resp.Epoch = r.Epoch
-			}
-		} else {
-			ids, err := srv.Search(req.Token.token(), req.K, req.Opt)
-			if err != nil {
-				resp.Err = err.Error()
-			} else {
-				resp.IDs = ids
-			}
+func handle(srv *core.Server, req *request) response {
+	resp := response{op: req.op}
+	var err error
+	switch req.op {
+	case opSearch:
+		resp.ids, err = srv.Search(req.tok, req.k, req.opt)
+	case opSearchShard:
+		// Refuse before searching an answer that could not travel: k
+		// results (or every record, if fewer) of an id and a DCE record
+		// of 4·ctDim floats, or an id and a filter distance.
+		per := 8 + 32*(2*(srv.Dim()+srv.Dim()%2)+16)
+		if req.opt.Refine == core.RefineNone {
+			per = 16
 		}
-	case "insert":
-		id, err := srv.Insert(req.Payload.payload())
-		if err != nil {
-			resp.Err = err.Error()
-		} else {
-			resp.ID = id
+		if n := min(req.k, srv.Len()); n > (frame.MaxLen-64)/per {
+			return errorResponse(fmt.Sprintf("transport: a merge answer of %d results at %d bytes each exceeds the %d-byte frame limit", n, per, frame.MaxLen))
 		}
-	case "delete":
-		if err := srv.Delete(req.ID); err != nil {
-			resp.Err = err.Error()
-		}
-	case "len":
-		// CompactionStats reads one snapshot for all its counts, so N and
-		// Live can never be torn across a concurrent mutation. (Database()
-		// would flush the delta tier — an observability call must not
-		// trigger a compaction.)
+		resp.shard, err = srv.SearchShard(req.tok, req.k, req.opt)
+	case opInsert:
+		resp.id, err = srv.Insert(req.ins)
+	case opDelete:
+		err = srv.Delete(req.id)
+	case opLen:
+		// One snapshot's counts, never torn across a mutation; Flush
+		// would fold the delta tier, and an observability call must not
+		// trigger a compaction.
 		cs := srv.CompactionStats()
-		resp.N = cs.Len
-		resp.Live = cs.Live
-	case "info":
-		info := ServerInfo(srv)
-		resp.Info = &info
-	default:
-		resp.Err = fmt.Sprintf("transport: unknown op %q", req.Op)
+		resp.n, resp.live = cs.Len, cs.Live
+	case opInfo:
+		resp.info = ServerInfo(srv)
 	}
-	return &resp
+	if err != nil {
+		return errorResponse(err.Error())
+	}
+	return resp
 }
 
 // DialOptions configures a Client's deadlines. The zero value disables
@@ -421,43 +510,42 @@ type DialOptions struct {
 	DialTimeout time.Duration
 	// Timeout is the per-call deadline: a call not answered within it
 	// fails and poisons the client. The demux could drop the late
-	// response by its Seq instead, but a deadline expiry usually means
+	// response by its seq instead, but a deadline expiry usually means
 	// the connection is sick: fail every call fast; redial to recover.
 	Timeout time.Duration
-	// WriteTimeout bounds each request's encode onto the socket.
-	WriteTimeout time.Duration
-	// ReadTimeout bounds the silence while calls are pending: the demux
-	// loop must receive *some* response within it or the stream is
-	// declared dead. An idle connection (no calls in flight) never times
-	// out.
-	ReadTimeout time.Duration
 }
 
 // callResult is what the demux loop delivers to a waiting caller.
 type callResult struct {
-	resp *response
+	resp response
 	err  error
+}
+
+// pendingCall is a call awaiting its response: the op it sent, which is
+// the only op its answer may carry besides an error.
+type pendingCall struct {
+	op byte
+	ch chan callResult
 }
 
 // Client is a connection to a remote PP-ANNS server, safe for concurrent
 // use. Concurrent calls pipeline over the single connection: each is tagged
-// with a Seq id, and a demux goroutine routes responses — which the server
+// with a seq id, and a demux goroutine routes responses — which the server
 // may complete out of order — back to their callers.
 type Client struct {
 	conn net.Conn
 	opts DialOptions
 
-	encMu sync.Mutex // serializes request frames onto the stream
-	enc   *gob.Encoder
+	wmu  sync.Mutex // serializes request frames onto the connection
+	wbuf []byte     // the request being written; grows to fit
 
 	mu      sync.Mutex
 	seq     uint64
-	pending map[uint64]chan callResult
-	// broken records the first stream-level failure. The unframed gob
-	// stream cannot recover from a partial message, so once set every
-	// later call fails fast wrapping ErrClientBroken. Application errors
-	// (a response carrying Err) do not poison the stream — the message
-	// framing survived intact.
+	pending map[uint64]pendingCall
+	// broken records the first stream-level failure. Once set every later
+	// call fails fast wrapping ErrClientBroken. Errors inside intact
+	// frames (an error response, a payload that does not decode) fail
+	// only their own call.
 	broken error
 	closed bool
 }
@@ -469,22 +557,11 @@ func Dial(addr string) (*Client, error) {
 
 // DialWith is Dial with explicit deadline options.
 func DialWith(addr string, opts DialOptions) (*Client, error) {
-	var conn net.Conn
-	var err error
-	if opts.DialTimeout > 0 {
-		conn, err = net.DialTimeout("tcp", addr, opts.DialTimeout)
-	} else {
-		conn, err = net.Dial("tcp", addr)
-	}
+	conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	c := &Client{
-		conn:    conn,
-		opts:    opts,
-		enc:     gob.NewEncoder(conn),
-		pending: make(map[uint64]chan callResult),
-	}
+	c := &Client{conn: conn, opts: opts, pending: make(map[uint64]pendingCall)}
 	go c.demux()
 	return c, nil
 }
@@ -514,62 +591,31 @@ func (c *Client) fail(err error) {
 		c.broken = err
 	}
 	pend := c.pending
-	c.pending = make(map[uint64]chan callResult)
+	c.pending = make(map[uint64]pendingCall)
 	c.mu.Unlock()
 	c.conn.Close()
-	for _, ch := range pend {
-		ch <- callResult{err: err}
+	for _, pc := range pend {
+		pc.ch <- callResult{err: err}
 	}
 }
 
-// bumpReadDeadline refreshes (or, with pending == 0, clears) the read
-// deadline guarding the demux loop. Called after a request reaches the
-// wire, on every byte of response progress, and after every completed
-// response — never on mere registration — so the deadline bounds actual
-// silence from a server that owes us an answer. Caller holds c.mu.
-func (c *Client) bumpReadDeadline() {
-	if c.opts.ReadTimeout <= 0 {
-		return
-	}
-	if len(c.pending) == 0 {
-		c.conn.SetReadDeadline(time.Time{})
-	} else {
-		c.conn.SetReadDeadline(time.Now().Add(c.opts.ReadTimeout))
-	}
-}
-
-// progressReader feeds the demux decoder and counts any received byte as
-// liveness: each successful read while calls are pending re-arms the read
-// deadline, so ReadTimeout bounds true silence — a large response frame
-// that transfers slower than the timeout but keeps progressing never
-// trips it.
-type progressReader struct {
-	c *Client
-}
-
-func (r *progressReader) Read(p []byte) (int, error) {
-	n, err := r.c.conn.Read(p)
-	if n > 0 && r.c.opts.ReadTimeout > 0 {
-		r.c.mu.Lock()
-		r.c.bumpReadDeadline()
-		r.c.mu.Unlock()
-	}
-	return n, err
-}
-
-// demux is the Client's single reader: it decodes responses off the shared
-// stream and routes each to the caller registered under its Seq.
+// demux is the Client's single reader: it reads response frames off the
+// connection, decodes each for the call registered under its seq and
+// delivers it.
 func (c *Client) demux() {
-	dec := gob.NewDecoder(&progressReader{c: c})
+	fr := newFrameReader(c.conn)
 	for {
-		var resp response
-		if err := dec.Decode(&resp); err != nil {
+		op, seq, payload, err := fr.next()
+		if err != nil {
 			c.mu.Lock()
 			closed := c.closed
 			c.mu.Unlock()
 			switch {
 			case closed:
 				err = fmt.Errorf("transport: client closed")
+			case errors.Is(err, ErrProtoMismatch), errors.Is(err, errFrameTooLong):
+				// Whatever the frame says is not this generation's to
+				// read; deliver none of it.
 			case errors.Is(err, io.EOF):
 				err = fmt.Errorf("transport: server closed the connection")
 			default:
@@ -578,32 +624,26 @@ func (c *Client) demux() {
 			c.fail(err)
 			return
 		}
-		if resp.Proto != ProtoVersion {
-			// Whatever the frame says was written under another
-			// generation's meaning of its fields; deliver none of it.
-			c.fail(fmt.Errorf("%w: response stamped generation %d (0: no stamp, a build at or before PR 23), this client speaks generation %d", ErrProtoMismatch, resp.Proto, ProtoVersion))
-			return
-		}
 		c.mu.Lock()
-		ch, ok := c.pending[resp.Seq]
+		pc, ok := c.pending[seq]
 		if ok {
-			delete(c.pending, resp.Seq)
+			delete(c.pending, seq)
 		}
-		c.bumpReadDeadline()
 		c.mu.Unlock()
-		if ok {
-			ch <- callResult{resp: &resp}
+		if !ok {
+			// A response with no waiter (an abandoned call's late answer,
+			// a stray frame from a confused server) is dropped.
+			continue
 		}
-		// A response with no waiter (an abandoned call's late answer, a
-		// stray frame from a confused server) is dropped; the next decode
-		// either resynchronizes or fails and poisons the stream.
+		resp, err := decodeResponse(pc.op, op, payload)
+		pc.ch <- callResult{resp, err}
 	}
 }
 
 // ErrAbandoned is returned by cancellable calls whose cancel channel fired
 // before the response arrived. The call is abandoned locally — the request
 // stays in flight on the server and its response, when it comes, is
-// dropped by Seq — and the client remains healthy for subsequent calls.
+// dropped by seq — and the client remains healthy for subsequent calls.
 var ErrAbandoned = errors.New("transport: call abandoned by caller")
 
 // abandon unregisters a pending call without poisoning the stream. It
@@ -617,19 +657,14 @@ func (c *Client) abandon(seq uint64) bool {
 		return false
 	}
 	delete(c.pending, seq)
-	c.bumpReadDeadline()
 	return true
 }
 
-func (c *Client) roundTrip(req request) (response, error) {
-	return c.roundTripCancel(req, nil)
-}
-
-// roundTripCancel is roundTrip with an optional cancel channel: if cancel
-// is closed before the response arrives the call returns ErrAbandoned
-// without waiting and without poisoning the multiplexed stream (the hedged
-// -read loser path). A nil cancel never fires.
-func (c *Client) roundTripCancel(req request, cancel <-chan struct{}) (response, error) {
+// roundTrip sends req and waits for its response, the zero response with
+// any error. If cancel (nil never fires) is closed first the call returns
+// ErrAbandoned without waiting and without poisoning the multiplexed
+// stream (the hedged-read loser path).
+func (c *Client) roundTrip(req *request, cancel <-chan struct{}) (response, error) {
 	c.mu.Lock()
 	if c.broken != nil {
 		err := fmt.Errorf("%w (cause: %w)", ErrClientBroken, c.broken)
@@ -637,35 +672,27 @@ func (c *Client) roundTripCancel(req request, cancel <-chan struct{}) (response,
 		return response{}, err
 	}
 	c.seq++
-	req.Proto, req.Seq = ProtoVersion, c.seq
+	seq := c.seq
 	ch := make(chan callResult, 1)
-	c.pending[req.Seq] = ch
+	c.pending[seq] = pendingCall{op: req.op, ch: ch}
 	c.mu.Unlock()
 
-	c.encMu.Lock()
-	// The write deadline is armed under the write lock, immediately
-	// before the encode: set any earlier, time spent queued behind other
-	// writers would count against it (and would retarget the deadline of
-	// whichever Write is in progress), poisoning a healthy connection.
-	if c.opts.WriteTimeout > 0 {
-		c.conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
+	c.wmu.Lock()
+	var err error
+	c.wbuf, err = appendFrame(c.wbuf, req.op, seq, func(b []byte) []byte { return appendRequest(b, req) })
+	if err != nil {
+		// Nothing was written: only this call fails.
+		c.wmu.Unlock()
+		c.abandon(seq)
+		return response{}, err
 	}
-	err := c.enc.Encode(&req)
-	c.encMu.Unlock()
+	_, err = c.conn.Write(c.wbuf)
+	c.wmu.Unlock()
 	if err != nil {
 		err = fmt.Errorf("transport: send: %w", err)
 		c.fail(err)
 		return response{}, err
 	}
-	// Arm the read deadline only once the request has actually reached
-	// the wire — armed at registration it would count time spent queued
-	// behind other writers, and the server cannot answer a request it
-	// has not received. From here, every byte of response progress
-	// (progressReader) and every completed response re-arm it, so it
-	// bounds true silence.
-	c.mu.Lock()
-	c.bumpReadDeadline()
-	c.mu.Unlock()
 
 	var timeout <-chan time.Time
 	if c.opts.Timeout > 0 {
@@ -675,15 +702,16 @@ func (c *Client) roundTripCancel(req request, cancel <-chan struct{}) (response,
 	}
 	select {
 	case r := <-ch:
-		return finishCall(r)
+		return r.resp, r.err
 	case <-cancel:
-		if c.abandon(req.Seq) {
+		if c.abandon(seq) {
 			return response{}, ErrAbandoned
 		}
 		// The demux resolved the call in the same instant the cancel
 		// fired; its result (buffered, or the failure fail() delivered)
 		// is moments from the channel — return the real answer.
-		return finishCall(<-ch)
+		r := <-ch
+		return r.resp, r.err
 	case <-timeout:
 		err := fmt.Errorf("transport: call timed out after %v", c.opts.Timeout)
 		c.fail(err)
@@ -691,24 +719,10 @@ func (c *Client) roundTripCancel(req request, cancel <-chan struct{}) (response,
 	}
 }
 
-// finishCall unwraps a demux delivery into the roundTrip return contract.
-func finishCall(r callResult) (response, error) {
-	if r.err != nil {
-		return response{}, r.err
-	}
-	if r.resp.Err != "" {
-		return response{}, errors.New(r.resp.Err)
-	}
-	return *r.resp, nil
-}
-
 // Search sends an encrypted query token and returns result ids.
 func (c *Client) Search(tok *core.QueryToken, k int, opt core.SearchOptions) ([]int, error) {
-	resp, err := c.roundTrip(request{Op: "search", Token: toWireToken(tok), K: k, Opt: opt})
-	if err != nil {
-		return nil, err
-	}
-	return resp.IDs, nil
+	r, err := c.roundTrip(&request{op: opSearch, tok: tok, k: k, opt: opt}, nil)
+	return r.ids, err
 }
 
 // SearchShard is Search additionally returning the merge material a
@@ -723,54 +737,36 @@ func (c *Client) SearchShard(tok *core.QueryToken, k int, opt core.SearchOptions
 // abandons the call (ErrAbandoned) without poisoning the client, which is
 // how a hedged read discards its loser. A nil cancel never fires.
 func (c *Client) SearchShardCancel(cancel <-chan struct{}, tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error) {
-	resp, err := c.roundTripCancel(request{Op: "search", Token: toWireToken(tok), K: k, Opt: opt, Merge: true}, cancel)
-	if err != nil {
-		return core.ShardResult{}, err
-	}
-	return core.ShardResult{IDs: resp.IDs, Dists: resp.Dists, Recs: resp.Recs, CtDim: resp.CtDim, Epoch: resp.Epoch}, nil
+	r, err := c.roundTrip(&request{op: opSearchShard, tok: tok, k: k, opt: opt}, cancel)
+	return r.shard, err
 }
 
 // Insert ships one encrypted vector and returns its id.
 func (c *Client) Insert(p *core.InsertPayload) (int, error) {
-	resp, err := c.roundTrip(request{Op: "insert", Payload: toWireInsert(p)})
-	if err != nil {
-		return 0, err
-	}
-	return resp.ID, nil
+	r, err := c.roundTrip(&request{op: opInsert, ins: p}, nil)
+	return r.id, err
 }
 
 // Delete removes an id on the server.
 func (c *Client) Delete(id int) error {
-	_, err := c.roundTrip(request{Op: "delete", ID: id})
+	_, err := c.roundTrip(&request{op: opDelete, id: id}, nil)
 	return err
 }
 
 // Len returns the server-side vector count (tombstones included).
 func (c *Client) Len() (int, error) {
-	resp, err := c.roundTrip(request{Op: "len"})
-	if err != nil {
-		return 0, err
-	}
-	return resp.N, nil
+	r, err := c.roundTrip(&request{op: opLen}, nil)
+	return r.n, err
 }
 
 // Live returns the server-side count of non-tombstoned vectors.
 func (c *Client) Live() (int, error) {
-	resp, err := c.roundTrip(request{Op: "len"})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Live, nil
+	r, err := c.roundTrip(&request{op: opLen}, nil)
+	return r.live, err
 }
 
 // Info returns the server's backend name, shape and write-path state.
 func (c *Client) Info() (Info, error) {
-	resp, err := c.roundTrip(request{Op: "info"})
-	if err != nil {
-		return Info{}, err
-	}
-	if resp.Info == nil {
-		return Info{}, fmt.Errorf("transport: server sent no info")
-	}
-	return *resp.Info, nil
+	r, err := c.roundTrip(&request{op: opInfo}, nil)
+	return r.info, err
 }

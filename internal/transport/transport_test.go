@@ -1,10 +1,14 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,7 +17,9 @@ import (
 
 	"ppanns/internal/core"
 	"ppanns/internal/dataset"
+	"ppanns/internal/frame"
 	"ppanns/internal/index"
+	"ppanns/internal/rng"
 )
 
 // startWorld spins up a server on a loopback listener and returns the
@@ -215,10 +221,10 @@ func queryTokens(t *testing.T, user *core.User, d *dataset.Data, n int) []*core.
 	return toks
 }
 
-// TestClientPoisonedAfterStreamError is the regression test for the
-// desynced-gob-stream bug: after a garbled response the client must refuse
-// further calls with ErrClientBroken instead of pairing requests with
-// stale or misaligned responses.
+// TestClientPoisonedAfterStreamError: after a garbled response — bytes
+// that are no frame of this generation — the client must refuse further
+// calls with ErrClientBroken instead of pairing requests with stale or
+// misaligned responses.
 func TestClientPoisonedAfterStreamError(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -234,7 +240,7 @@ func TestClientPoisonedAfterStreamError(t *testing.T) {
 		// a crashed or misbehaving server mid-stream.
 		buf := make([]byte, 4096)
 		conn.Read(buf)
-		conn.Write([]byte("this is not gob"))
+		conn.Write([]byte("this is not a frame"))
 		time.Sleep(10 * time.Second)
 		conn.Close()
 	}()
@@ -459,145 +465,43 @@ func TestPipelinedConcurrentCalls(t *testing.T) {
 	}
 }
 
-// TestOtherGenerationRefused: there is one protocol generation and nothing
-// to negotiate. A hand-rolled gob peer that stamps generation 5 (the last
-// one before this build's) or none at all (every build up to PR 23) is
-// refused on its first call, as client and as server, with an error naming
-// both generations; nothing is executed or delivered across the mismatch;
-// and a same-generation client of the same listener never notices.
-func TestOtherGenerationRefused(t *testing.T) {
-	owner, _, d, addr := startWorld(t)
-	payload, err := owner.EncryptVector(d.Train[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	wi := toWireInsert(payload)
-	for _, stamp := range []int{5, 0} {
-		names := []string{fmt.Sprintf("generation %d", stamp), fmt.Sprintf("generation %d", ProtoVersion)}
-
-		// As a client of the real server: an insert that must not happen.
-		type peerRequest struct {
-			Proto   int
-			Seq     uint64
-			Op      string
-			Payload *wireInsert
-		}
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := gob.NewEncoder(conn).Encode(&peerRequest{Proto: stamp, Seq: 7, Op: "insert", Payload: wi}); err != nil {
-			t.Fatal(err)
-		}
-		var resp response
-		if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
-			t.Fatal(err)
-		}
-		conn.Close()
-		if resp.Seq != 7 || resp.Proto != ProtoVersion || !strings.Contains(resp.Err, names[0]) || !strings.Contains(resp.Err, names[1]) {
-			t.Fatalf("stamp %d as client: answered %+v, want an error naming both generations", stamp, resp)
-		}
-		client, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n, err := client.Len(); err != nil || n != 600 {
-			t.Fatalf("stamp %d: same-generation client sees Len = %d, %v — the refused insert ran, or the listener suffered", stamp, n, err)
-		}
-		client.Close()
-
-		// As the server: it answers everything, stamped its own way.
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
-			for {
-				var req request
-				if dec.Decode(&req) != nil || enc.Encode(&response{Proto: stamp, Seq: req.Seq, N: 42}) != nil {
-					return
-				}
-			}
-		}()
-		client, err = Dial(l.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := client.Len()
-		if n != 0 || !errors.Is(err, ErrProtoMismatch) || !strings.Contains(err.Error(), names[0]) || !strings.Contains(err.Error(), names[1]) {
-			t.Fatalf("stamp %d as server: Len = %d, %v, want ErrProtoMismatch naming both generations", stamp, n, err)
-		}
-		if _, err := client.Len(); !errors.Is(err, ErrClientBroken) || !errors.Is(err, ErrProtoMismatch) {
-			t.Fatalf("stamp %d as server: second call err = %v, want a poisoned client that says why", stamp, err)
-		}
-		client.Close()
-		l.Close()
-	}
+// rawFrame builds one frame by hand, as a peer other than Client would.
+func rawFrame(proto, op byte, seq uint64, payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	b = append(b, proto, op)
+	b = binary.LittleEndian.AppendUint64(b, seq)
+	return append(b, payload...)
 }
 
-// TestRetiredSearchBatchOpRefused: builds before the batch API was retired
-// speak the same generation but may send a "searchbatch" request — a token
-// list, a Parallelism option and a merge flag. This server answers it with
-// an unknown-op error, and the connection keeps serving the next request.
-func TestRetiredSearchBatchOpRefused(t *testing.T) {
-	_, user, d, addr := startWorld(t)
-	tok, err := user.Query(d.Queries[0])
-	if err != nil {
-		t.Fatal(err)
+// readRawFrame reads one frame off conn by hand.
+func readRawFrame(t *testing.T, conn net.Conn) (proto, op byte, seq uint64, payload []byte) {
+	t.Helper()
+	var hdr [headerLen]byte
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		t.Fatalf("reading a frame header: %v", err)
 	}
-	type peerOptions struct {
-		RatioK      int
-		Parallelism int
+	payload = make([]byte, binary.LittleEndian.Uint32(hdr[:]))
+	if _, err := io.ReadFull(conn, payload); err != nil {
+		t.Fatalf("reading a frame payload: %v", err)
 	}
-	type peerRequest struct {
-		Proto  int
-		Seq    uint64
-		Op     string
-		Tokens []*wireToken
-		K      int
-		Opt    peerOptions
-		Merge  bool
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	batch := peerRequest{Proto: ProtoVersion, Seq: 1, Op: "searchbatch", Tokens: []*wireToken{toWireToken(tok), toWireToken(tok)},
-		K: 5, Opt: peerOptions{RatioK: 8, Parallelism: 4}, Merge: true}
-	if err := enc.Encode(&batch); err != nil {
-		t.Fatal(err)
-	}
-	var resp response
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if want := `transport: unknown op "searchbatch"`; resp.Seq != 1 || resp.Err != want || resp.IDs != nil {
-		t.Fatalf("searchbatch answered %+v, want Seq 1 and error %q", resp, want)
-	}
-	if err := enc.Encode(&peerRequest{Proto: ProtoVersion, Seq: 2, Op: "len"}); err != nil {
-		t.Fatal(err)
-	}
-	resp = response{}
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatalf("connection dropped after the refused op: %v", err)
-	}
-	if resp.Seq != 2 || resp.Err != "" || resp.N != 600 {
-		t.Fatalf("len after the refused op answered %+v, want Seq 2 and N 600", resp)
-	}
+	return hdr[4], hdr[5], binary.LittleEndian.Uint64(hdr[6:]), payload
 }
 
-// TestStrayFrameDropped: Seq 0 is never assigned, so a response carrying it
-// has no waiter; the demux drops it and still delivers the real answer that
-// follows on the same stream.
-func TestStrayFrameDropped(t *testing.T) {
+// errorText decodes an opError payload.
+func errorText(t *testing.T, payload []byte) string {
+	t.Helper()
+	r := frame.NewReader(payload)
+	msg := r.String()
+	if err := r.Done(); err != nil {
+		t.Fatalf("error payload: %v", err)
+	}
+	return msg
+}
+
+// fakeServer accepts one connection on a fresh listener and hands it to
+// serve; it returns the listener's address.
+func fakeServer(t *testing.T, serve func(conn net.Conn)) string {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -609,24 +513,391 @@ func TestStrayFrameDropped(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
+		serve(conn)
+	}()
+	return l.Addr().String()
+}
+
+// TestOtherGenerationRefused: there is one protocol generation and nothing
+// to negotiate. A peer whose frames stamp generation 6 (the last one before
+// this build's) or 0 is refused on its first call, as client and as
+// server, with an error naming both generations; nothing is executed or
+// delivered across the mismatch; and a same-generation client of the same
+// listener never notices.
+func TestOtherGenerationRefused(t *testing.T) {
+	owner, _, d, addr := startWorld(t)
+	payload, err := owner.EncryptVector(d.Train[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert := core.AppendInsert(nil, payload)
+	for _, stamp := range []byte{6, 0} {
+		names := []string{fmt.Sprintf("generation %d", stamp), fmt.Sprintf("generation %d", ProtoVersion)}
+
+		// As a client of the real server: an insert that must not happen.
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(rawFrame(stamp, opInsert, 7, insert)); err != nil {
+			t.Fatal(err)
+		}
+		proto, op, seq, p := readRawFrame(t, conn)
+		msg := errorText(t, p)
+		if proto != ProtoVersion || op != opError || seq != 7 || !strings.Contains(msg, names[0]) || !strings.Contains(msg, names[1]) {
+			t.Fatalf("stamp %d as client: answered proto %d op %d seq %d %q, want an error naming both generations", stamp, proto, op, seq, msg)
+		}
+		conn.Close()
+		client, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := client.Len(); err != nil || n != 600 {
+			t.Fatalf("stamp %d: same-generation client sees Len = %d, %v — the refused insert ran, or the listener suffered", stamp, n, err)
+		}
+		client.Close()
+
+		// As the server: it answers everything, stamped its own way.
+		faddr := fakeServer(t, func(conn net.Conn) {
+			for {
+				var hdr [headerLen]byte
+				if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+					return
+				}
+				seq := binary.LittleEndian.Uint64(hdr[6:])
+				if _, err := conn.Write(rawFrame(stamp, opLen, seq, frame.AppendInt(frame.AppendInt(nil, 42), 42))); err != nil {
+					return
+				}
+			}
+		})
+		client, err = Dial(faddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := client.Len()
+		if n != 0 || !errors.Is(err, ErrProtoMismatch) || !strings.Contains(err.Error(), names[0]) || !strings.Contains(err.Error(), names[1]) {
+			t.Fatalf("stamp %d as server: Len = %d, %v, want ErrProtoMismatch naming both generations", stamp, n, err)
+		}
+		if _, err := client.Len(); !errors.Is(err, ErrClientBroken) || !errors.Is(err, ErrProtoMismatch) {
+			t.Fatalf("stamp %d as server: second call err = %v, want a poisoned client that says why", stamp, err)
+		}
+		client.Close()
+	}
+}
+
+// gobInsert, gobRequest and gobResponse are the envelopes of the gob
+// protocol generations before 7, as those clients and servers encoded
+// them.
+type gobInsert struct {
+	SAP            []float64
+	P1, P2, P3, P4 []float64
+}
+
+type gobRequest struct {
+	Proto   int
+	Seq     uint64
+	Op      string
+	K       int
+	Payload *gobInsert
+	ID      int
+}
+
+type gobResponse struct {
+	Proto int
+	Seq   uint64
+	IDs   []int
+	ID    int
+	N     int
+	Live  int
+	Err   string
+}
+
+// TestGobPeerRefused: a peer of a gob generation is refused in both
+// directions and nothing it sends executes. Its bytes never form a frame
+// of this generation, so the refusal is a header refusal: the server says
+// why and closes the connection; the client poisons itself.
+func TestGobPeerRefused(t *testing.T) {
+	owner, _, d, addr := startWorld(t)
+	p, err := owner.EncryptVector(d.Train[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := &gobInsert{SAP: p.SAP, P1: p.DCE.P1, P2: p.DCE.P2, P3: p.DCE.P3, P4: p.DCE.P4}
+	if err := gob.NewEncoder(conn).Encode(&gobRequest{Proto: 6, Seq: 1, Op: "insert", Payload: ins}); err != nil {
+		t.Fatal(err)
+	}
+	proto, op, _, payload := readRawFrame(t, conn)
+	if msg := errorText(t, payload); proto != ProtoVersion || op != opError ||
+		!strings.Contains(msg, fmt.Sprintf("generation %d", ProtoVersion)) || !strings.Contains(msg, "nothing was executed") {
+		t.Fatalf("gob client answered proto %d op %d %q, want a refusal naming generation %d", proto, op, msg, ProtoVersion)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("the server kept the gob peer's connection open")
+	}
+	conn.Close()
+	client, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if n, err := client.Len(); err != nil || n != 600 {
+		t.Fatalf("Len after the gob insert = %d, %v: it must not have run", n, err)
+	}
+
+	// As the server: a gob server reads a request the way it always did
+	// and answers in gob.
+	faddr := fakeServer(t, func(conn net.Conn) {
+		var req gobRequest
+		gob.NewDecoder(conn).Decode(&req) // fails on a frame: it answers anyway
+		gob.NewEncoder(conn).Encode(&gobResponse{Proto: 6, Seq: 1, N: 42, Live: 42})
+		io.Copy(io.Discard, conn)
+	})
+	gc, err := Dial(faddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gc.Close()
+	if n, err := gc.Len(); err == nil || n == 42 {
+		t.Fatalf("Len from a gob server = %d, %v, want a refusal", n, err)
+	}
+	if gc.Broken() == nil {
+		t.Fatal("a gob answer left the client unpoisoned")
+	}
+}
+
+// TestMalformedPayloadFailsOnlyItsCall: frames are self-delimiting, so a
+// payload that does not decode inside an intact frame fails its own call
+// and the stream stays usable, on both sides.
+func TestMalformedPayloadFailsOnlyItsCall(t *testing.T) {
+	_, user, d, addr := startWorld(t)
+	tok, err := user.Query(d.Queries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Server side: a search whose token is cut short, then a len.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	search := core.AppendQuery(nil, tok, 5, core.SearchOptions{})
+	if _, err := conn.Write(rawFrame(ProtoVersion, opSearch, 1, search[:len(search)-3])); err != nil {
+		t.Fatal(err)
+	}
+	if _, op, seq, p := readRawFrame(t, conn); op != opError || seq != 1 || !strings.Contains(errorText(t, p), "malformed search request") {
+		t.Fatalf("cut-short search answered op %d seq %d %q", op, seq, p)
+	}
+	if _, err := conn.Write(rawFrame(ProtoVersion, opLen, 2, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if _, op, seq, p := readRawFrame(t, conn); op != opLen || seq != 2 || binary.LittleEndian.Uint64(p) != 600 {
+		t.Fatalf("len after the malformed search answered op %d seq %d %v", op, seq, p)
+	}
+
+	// Client side: the first answer's payload is three bytes short of a
+	// len answer, the second is whole.
+	calls := 0
+	faddr := fakeServer(t, func(conn net.Conn) {
 		for {
-			var req request
-			if dec.Decode(&req) != nil ||
-				enc.Encode(&response{Proto: ProtoVersion, N: 13}) != nil ||
-				enc.Encode(&response{Proto: ProtoVersion, Seq: req.Seq, N: 42}) != nil {
+			var hdr [headerLen]byte
+			if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+				return
+			}
+			calls++
+			body := frame.AppendInt(frame.AppendInt(nil, 42), 42)
+			if calls == 1 {
+				body = body[:len(body)-3]
+			}
+			if _, err := conn.Write(rawFrame(ProtoVersion, opLen, binary.LittleEndian.Uint64(hdr[6:]), body)); err != nil {
 				return
 			}
 		}
-	}()
+	})
+	client, err := Dial(faddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.Len(); err == nil || !strings.Contains(err.Error(), "malformed len response") {
+		t.Fatalf("a cut-short answer gave %v", err)
+	}
+	if client.Broken() != nil {
+		t.Fatalf("a malformed payload poisoned the client: %v", client.Broken())
+	}
+	if n, err := client.Len(); err != nil || n != 42 {
+		t.Fatalf("the next call = %d, %v, want 42", n, err)
+	}
+}
+
+// TestOversizedFrameRefused: a header claiming more than frame.MaxLen is
+// refused before anything is allocated — by the server, which says why
+// and closes, and by the client, which poisons itself.
+func TestOversizedFrameRefused(t *testing.T) {
+	huge := binary.LittleEndian.AppendUint32(nil, frame.MaxLen+1)
+	huge = binary.LittleEndian.AppendUint64(append(huge, ProtoVersion, opLen), 1)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err := newFrameReader(bytes.NewReader(huge)).next()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errFrameTooLong) {
+		t.Fatalf("reading an oversized header: %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("refusing an oversized header allocated %d bytes", got)
+	}
+
+	_, _, _, addr := startWorld(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(huge); err != nil {
+		t.Fatal(err)
+	}
+	if _, op, _, p := readRawFrame(t, conn); op != opError || !strings.Contains(errorText(t, p), fmt.Sprintf("%d-byte limit", frame.MaxLen)) {
+		t.Fatalf("oversized request answered op %d %q", op, p)
+	}
+
+	faddr := fakeServer(t, func(conn net.Conn) {
+		io.ReadFull(conn, make([]byte, headerLen))
+		conn.Write(huge)
+		io.Copy(io.Discard, conn)
+	})
+	client, err := Dial(faddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.Len(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d-byte limit", frame.MaxLen)) {
+		t.Fatalf("oversized answer gave %v", err)
+	}
+	if client.Broken() == nil {
+		t.Fatal("an oversized answer left the client unpoisoned")
+	}
+}
+
+// TestMergeAnswerOverLimitRefused: a search-shard whose answer could not
+// fit in one frame is refused with an error naming the limit before the
+// search runs — a nil token, which the search would refuse, shows the
+// order — and the client stays healthy. At d=256 a result's DCE record is
+// 16 896 bytes, so 4 000 of them are just past frame.MaxLen.
+func TestMergeAnswerOverLimitRefused(t *testing.T) {
+	const n, dim = 4000, 256
+	r := rng.NewSeeded(7)
+	data := make([][]float64, n)
+	for i := range data {
+		data[i] = rng.Gaussian(r, nil, dim)
+	}
+	owner, err := core.NewDataOwner(core.Params{Dim: dim, Beta: 1, Seed: 7, Index: "ivf"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edb, err := owner.EncryptDatabase(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := core.NewServer(edb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	user, err := core.NewUser(owner.UserKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go Serve(l, srv)
 	client, err := Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	tok, err := user.Query(data[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := fmt.Sprintf("%d-byte frame limit", frame.MaxLen)
+	for _, tk := range []*core.QueryToken{tok, nil} {
+		if _, err := client.SearchShard(tk, n, core.SearchOptions{}); err == nil || !strings.Contains(err.Error(), limit) {
+			t.Fatalf("a merge answer of every record: %v, want an error naming the frame limit", err)
+		}
+	}
+	// Filter distances are 16 bytes a result: every record fits.
+	if res, err := client.SearchShard(tok, n, core.SearchOptions{Refine: core.RefineNone}); err != nil || len(res.IDs) != n {
+		t.Fatalf("RefineNone merge search of every record: %d ids, %v", len(res.IDs), err)
+	}
+	if res, err := client.SearchShard(tok, 10, core.SearchOptions{}); err != nil || len(res.IDs) != 10 {
+		t.Fatalf("k=10 merge search: %d ids, %v", len(res.IDs), err)
+	}
+	if client.Broken() != nil {
+		t.Fatalf("a refused merge search poisoned the client: %v", client.Broken())
+	}
+}
+
+// TestRetiredSearchBatchOpRefused: an op this generation does not assign
+// — a batch search, as earlier builds had — is answered with an
+// unknown-op error, and the connection keeps serving the next request.
+func TestRetiredSearchBatchOpRefused(t *testing.T) {
+	_, user, d, addr := startWorld(t)
+	tok, err := user.Query(d.Queries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const opSearchBatch = 7
+	batch := core.AppendQuery(core.AppendQuery(nil, tok, 5, core.SearchOptions{RatioK: 8}), tok, 5, core.SearchOptions{RatioK: 8})
+	if _, err := conn.Write(rawFrame(ProtoVersion, opSearchBatch, 1, batch)); err != nil {
+		t.Fatal(err)
+	}
+	if _, op, seq, p := readRawFrame(t, conn); op != opError || seq != 1 || errorText(t, p) != "transport: unknown op 7" {
+		t.Fatalf("batch search answered op %d seq %d %q, want seq 1 and an unknown-op error", op, seq, p)
+	}
+	if _, err := conn.Write(rawFrame(ProtoVersion, opLen, 2, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if _, op, seq, p := readRawFrame(t, conn); op != opLen || seq != 2 || binary.LittleEndian.Uint64(p) != 600 {
+		t.Fatalf("len after the refused op answered op %d seq %d %v, want seq 2 and N 600", op, seq, p)
+	}
+}
+
+// TestStrayFrameDropped: seq 0 is never assigned, so a response carrying it
+// has no waiter; the demux drops it and still delivers the real answer that
+// follows on the same stream.
+func TestStrayFrameDropped(t *testing.T) {
+	counts := func(n int) []byte { return frame.AppendInt(frame.AppendInt(nil, n), n) }
+	addr := fakeServer(t, func(conn net.Conn) {
+		for {
+			var hdr [headerLen]byte
+			if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+				return
+			}
+			seq := binary.LittleEndian.Uint64(hdr[6:])
+			if _, err := conn.Write(append(rawFrame(ProtoVersion, opLen, 0, counts(13)), rawFrame(ProtoVersion, opLen, seq, counts(42))...)); err != nil {
+				return
+			}
+		}
+	})
+	client, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
 	for i := 0; i < 3; i++ {
 		if n, err := client.Len(); err != nil || n != 42 {
-			t.Fatalf("call %d: Len = %d, %v, want the Seq-matched 42", i, n, err)
+			t.Fatalf("call %d: Len = %d, %v, want the seq-matched 42", i, n, err)
 		}
 	}
 	if client.Broken() != nil {
@@ -676,46 +947,6 @@ func TestCallTimeoutOnStalledServer(t *testing.T) {
 	}
 	if _, err := client.Len(); !errors.Is(err, ErrClientBroken) {
 		t.Fatalf("call after timeout: err = %v, want ErrClientBroken", err)
-	}
-}
-
-// TestReadTimeoutOnSilentServer is the stream-level flavor: with a read
-// deadline configured and a call pending, prolonged silence must poison
-// the stream and fail the pending call even without a per-call timeout.
-func TestReadTimeoutOnSilentServer(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	stop := make(chan struct{})
-	t.Cleanup(func() { close(stop) })
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		buf := make([]byte, 1<<16)
-		conn.Read(buf)
-		<-stop
-	}()
-
-	client, err := DialWith(l.Addr().String(), DialOptions{ReadTimeout: 150 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	start := time.Now()
-	if _, err := client.Len(); err == nil {
-		t.Fatal("expected read-deadline error from silent server")
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("deadline expiry took %v", elapsed)
-	}
-	if client.Broken() == nil {
-		t.Fatal("read deadline did not poison the client")
 	}
 }
 
