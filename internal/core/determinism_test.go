@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"ppanns/internal/index"
 )
 
 // TestSeedFixesBytesOnAnyCoreCount is the determinism contract of set-up:
@@ -200,6 +202,130 @@ func TestDatabaseGolden(t *testing.T) {
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256(key.Bytes())); got != c.key {
 			t.Errorf("%s: user key digest %s, want %s", c.name, got, c.key)
+		}
+	}
+}
+
+// TestRelayoutGolden pins the bytes of the three re-layouts — the serving
+// tier's fold, Split and offline Compacted — against digests captured at
+// commit dccedca, before the three were rebuilt around one gather. Each
+// case runs a seeded delete+insert script on a server that never compacts
+// by itself, flushes it twice (fold1 after a small script; fold2 after
+// inserting more than the base's n records, so ivf+pq's 2× retrain rule
+// fires there and not at fold1), then splits the fold2 database into two
+// stripes with Seed 5 and compacts it offline. Every digest is the SHA-256
+// of the PPANNSD5 Save bytes.
+func TestRelayoutGolden(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		params Params
+		want   []string // fold1, fold2, stripe 0, stripe 1, compacted
+	}{
+		{"hnsw", Params{Dim: 8, Beta: 0.5, Seed: 71, Index: "hnsw"}, []string{
+			"013f30fce56d06e72622c53b773065dd38fd09d6390ec6faef02baec4b517460",
+			"0b2f5717969128022bc6192ccb01c8e598517bd58058fb0a1d1ebdb55252f89d",
+			"bdd2acef7379bdd7372baa9dfac2d15cc26c10595dbc8053dcd7c92c5be4b155",
+			"fa9328b8f6fc2f38e3689ca8ccae06f140070160357e11a0a1eaf92a6841cedc",
+			"fe2b0fe8866398c66a97bcb92b9905b15e188fab3d55ff680793dfb9e1b2f5d8"}},
+		{"ivf", Params{Dim: 8, Beta: 0.5, Seed: 72, Index: "ivf"}, []string{
+			"c8be4500cc4f5c73a06021b95b918928449d2fe95b23f687bd1b751a1bac9c06",
+			"296b2ad5937eae760dd595905878049ac2b229cc4a033fbcd65cd443a25f9220",
+			"9bea7444f98169b0ca8dccad27215848e41b418cf2f321ca9f6215a51ae36c8e",
+			"d840bd49ec8c2211166f7a05086a71b39c0e479b8766e41ff27c6556cdb37d72",
+			"3345e6e3eda82216f36cbcd95b3d5e74ad233b98a5a1fad86ca95d13fc0f4d56"}},
+		{"ivf+pq", Params{Dim: 8, Beta: 0.5, Seed: 73, Index: "ivf", PQ: true, PQM: 4}, []string{
+			"af7fafea50c7150d38efa6200a621395d197d3de6eda691b08e48062ca91dc12",
+			"22a688de7b032ea8305907b2321bf37f8c88dfbed5b30ffac4b703490e87d22f",
+			"ee555c7b74a323d292561b8f83087810a48cc03b490939c2988b82309b9dd614",
+			"f9482ea47a7b544c0958a6361a6099d0228933df6004c0d784a96db198cc85ee",
+			"a06c6813b4f43839b8de1fad89b471831dcc4c1abb61a3ac73b6d1232f36c95c"}},
+	} {
+		owner, err := NewDataOwner(c.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 300
+		edb, err := owner.EncryptDatabase(clustered(71, n, c.params.Dim, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewServerWith(edb, ServerOptions{CompactAt: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		extra := clustered(72, n+40, c.params.Dim, 4)
+		insert := func(vs [][]float64) {
+			for _, v := range vs {
+				p, err := owner.EncryptVector(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := srv.Insert(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var got []string
+		digest := func(e *EncryptedDatabase) {
+			var buf bytes.Buffer
+			if err := e.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())))
+		}
+		flush := func() *EncryptedDatabase {
+			e, err := srv.Flush()
+			if err != nil {
+				t.Fatal(err)
+			}
+			digest(e)
+			return e
+		}
+
+		// fold1: main-tier deletes, then a delta tier with deletes in it.
+		for k := 0; k < 30; k++ {
+			if err := srv.Delete(5*k + 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		insert(extra[:40])
+		for _, id := range []int{n + 3, n + 17, n + 31} {
+			if err := srv.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if e := flush(); e.PQ != nil && e.PQ.TrainedOn != n {
+			t.Fatalf("%s: fold1 retrained PQ (TrainedOn %d)", c.name, e.PQ.TrainedOn)
+		}
+		// fold2: 300 more positions (640 ≥ 2·300) and deletes on both tiers.
+		insert(extra[40:])
+		for k := 0; k < 30; k++ {
+			if err := srv.Delete(n + 11*k + 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		folded := flush()
+		if folded.PQ != nil && folded.PQ.TrainedOn != 2*n+40 {
+			t.Fatalf("%s: fold2 did not retrain PQ (TrainedOn %d)", c.name, folded.PQ.TrainedOn)
+		}
+
+		stripes, err := folded.Split(2, index.Options{Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range stripes {
+			digest(s)
+		}
+		compacted, err := folded.Compacted()
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest(compacted)
+
+		for i, name := range []string{"fold1", "fold2", "stripe 0", "stripe 1", "compacted"} {
+			if got[i] != c.want[i] {
+				t.Errorf("%s %s: digest %s, want %s", c.name, name, got[i], c.want[i])
+			}
 		}
 	}
 }
