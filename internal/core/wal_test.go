@@ -673,7 +673,7 @@ func TestFoldDropsDeadSlots(t *testing.T) {
 				t.Fatal(err)
 			}
 			total := edb.DCE.Len()
-			g, err := hnsw.Load(bytes.NewReader(payloadBuf.Bytes()[16+4*total:]), dim, total, nil)
+			g, err := hnsw.Load(bytes.NewReader(payloadBuf.Bytes()[16+4*total:]), dim, total)
 			if err != nil {
 				t.Fatal(err)
 			}

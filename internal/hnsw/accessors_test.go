@@ -26,7 +26,7 @@ func TestNeighborsAccessor(t *testing.T) {
 			t.Fatalf("node %d has no layer-0 neighbors", i)
 		}
 		if len(nbs) > 16 {
-			t.Fatalf("node %d exceeds MMax0: %d", i, len(nbs))
+			t.Fatalf("node %d exceeds the layer-0 cap 2·M: %d", i, len(nbs))
 		}
 		for _, nb := range nbs {
 			if nb < 0 || nb >= 300 {
@@ -54,23 +54,6 @@ func TestEntryPointAccessor(t *testing.T) {
 	g = buildGraph(t, [][]float64{{1, 2}}, Config{Dim: 2, Seed: 33})
 	if g.EntryPoint() != 0 {
 		t.Fatal("a single node must be the entry point")
-	}
-}
-
-func TestSkipKeepPruned(t *testing.T) {
-	data := clusteredData(34, 800, 8, 5)
-	strict := buildGraph(t, data, Config{Dim: 8, M: 10, Seed: 34, SkipKeepPruned: true})
-	relaxed := buildGraph(t, data, Config{Dim: 8, M: 10, Seed: 34})
-	// Without the keep-pruned top-up, nodes carry no more (usually fewer)
-	// edges.
-	if strict.Stats().Edges > relaxed.Stats().Edges {
-		t.Fatalf("SkipKeepPruned produced more edges (%d) than default (%d)",
-			strict.Stats().Edges, relaxed.Stats().Edges)
-	}
-	// Search must still work.
-	res := strict.Search(data[0], 5, 50)
-	if len(res) != 5 || res[0].ID != 0 {
-		t.Fatalf("strict graph self-query = %+v", res)
 	}
 }
 

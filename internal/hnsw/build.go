@@ -34,6 +34,7 @@ import (
 	"ppanns/internal/par"
 	"ppanns/internal/resultheap"
 	"ppanns/internal/rng"
+	"ppanns/internal/vec"
 )
 
 // batchShare bounds a batch to 1/batchShare of the nodes already linked.
@@ -120,7 +121,7 @@ func drawLevels(seed uint64, mL float64, n int) []int {
 // maxLinks is the adjacency cap of a layer.
 func (g *Graph) maxLinks(layer int) int {
 	if layer == 0 {
-		return g.cfg.MMax0
+		return 2 * g.cfg.M
 	}
 	return g.cfg.M
 }
@@ -133,7 +134,7 @@ func (g *Graph) carveNodes(levels []int) [][][]int32 {
 	layers, links := 0, 0
 	for _, lv := range levels {
 		layers += lv + 1
-		links += g.cfg.MMax0 + lv*g.cfg.M
+		links += (2 + lv) * g.cfg.M
 	}
 	heads := make([][]int32, layers)
 	arena := make([]int32, links)
@@ -242,7 +243,7 @@ func (b *builder) insertBatch(ctxs []*searchCtx, ids []int32) {
 // the graph) stay empty until a later node links to it.
 func (b *builder) link(ctx *searchCtx, id, entry, top int) {
 	v := b.data.At(id)
-	ep, epDist := entry, b.cfg.Distance(v, b.data.At(entry))
+	ep, epDist := entry, vec.SqDist(v, b.data.At(entry))
 	for l := top; l > b.level(id); l-- {
 		ep, epDist = b.greedyDescend(ctx, v, ep, epDist, l)
 	}
@@ -348,26 +349,25 @@ func (b *builder) searchLayer(ctx *searchCtx, q []float64, ep int, epDist float6
 // appending at most m ids to dst[:0]. Candidates are drawn closest first,
 // and only as many as the selection consumes. A candidate is kept when it
 // is closer to the base than to any already-kept neighbor; when fewer than
-// m survive and KeepPruned is active, the closest pruned candidates fill
-// the remaining slots. dst may be the list being replaced: the heap holds
+// m survive, the closest pruned candidates fill the remaining slots
+// (keepPrunedConnections). dst may be the list being replaced: the heap holds
 // ids by value.
 func (b *builder) selectNeighbors(ctx *searchCtx, dst []int32, m int) []int32 {
 	dst = dst[:0]
 	pruned := ctx.pruned[:0]
-	dist := b.cfg.Distance
 	for cand := ctx.cand; cand.Len() > 0 && len(dst) < m; {
 		c := cand.Pop()
 		good := true
 		cv := b.data.At(c.ID)
 		for _, s := range dst {
-			if dist(cv, b.data.At(int(s))) < c.Dist {
+			if vec.SqDist(cv, b.data.At(int(s))) < c.Dist {
 				good = false
 				break
 			}
 		}
 		if good {
 			dst = append(dst, int32(c.ID))
-		} else if !b.cfg.SkipKeepPruned {
+		} else {
 			pruned = append(pruned, c)
 		}
 	}

@@ -165,7 +165,7 @@ func TestSaveLoadAfterDeletingEntry(t *testing.T) {
 	if g.Stats().MaxLevel >= top || g.Deleted(g.EntryPoint()) {
 		t.Fatalf("max level %d (full build %d), entry %d dead=%v", g.Stats().MaxLevel, top, g.EntryPoint(), g.Deleted(g.EntryPoint()))
 	}
-	g2, err := Load(bytes.NewReader(saveBytes(t, g)), 8, 500, nil)
+	g2, err := Load(bytes.NewReader(saveBytes(t, g)), 8, 500)
 	if err != nil {
 		t.Fatalf("graph built without its top level does not load: %v", err)
 	}
@@ -211,7 +211,7 @@ func TestSaveLoadFuzzedMutations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g2, err := Load(bytes.NewReader(saveBytes(t, g)), 6, n, nil)
+		g2, err := Load(bytes.NewReader(saveBytes(t, g)), 6, n)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -5,7 +5,6 @@ import (
 
 	"ppanns/internal/resultheap"
 	"ppanns/internal/rng"
-	"ppanns/internal/vec"
 )
 
 // liveSearch is the query walk over the build's lists, with greedyDescend
@@ -80,18 +79,5 @@ func TestFrozenSearchMatchesLockedExactly(t *testing.T) {
 	b, queries := frozenTestGraph(t, 600, 24, Config{M: 8, EfConstruction: 60, Seed: 5}, 3, 77, 450, 599)
 	for qi, q := range queries {
 		sameItems(t, qi, b.Search(q, 10, 40), b.liveSearch(q, 10, 40))
-	}
-}
-
-// TestFrozenSearchMatchesLockedCustomDistance covers the non-default-metric
-// path, where hops fall back to per-neighbor DistanceFunc calls.
-func TestFrozenSearchMatchesLockedCustomDistance(t *testing.T) {
-	ip := func(a, b []float64) float64 { return -vec.Dot(a, b) }
-	b, queries := frozenTestGraph(t, 300, 16, Config{M: 8, EfConstruction: 60, Seed: 6, Distance: ip})
-	if b.blockDist {
-		t.Fatal("custom distance must disable the blocked kernel")
-	}
-	for qi, q := range queries {
-		sameItems(t, qi, b.Search(q, 5, 30), b.liveSearch(q, 5, 30))
 	}
 }

@@ -15,10 +15,9 @@
 // stay vector positions), holds a zero vector, is never linked and is never
 // the entry point.
 //
-// The graph is metric-agnostic: it stores opaque float64 vectors and ranks
-// by a caller-supplied distance. The PP-ANNS scheme instantiates it over
-// DCPE/SAP ciphertexts; the plaintext baseline instantiates it over raw
-// vectors.
+// The graph stores opaque float64 vectors and ranks them by squared
+// Euclidean distance. The PP-ANNS scheme instantiates it over DCPE/SAP
+// ciphertexts; the plaintext baseline instantiates it over raw vectors.
 package hnsw
 
 import (
@@ -31,30 +30,18 @@ import (
 	"ppanns/internal/vec"
 )
 
-// DistanceFunc ranks vectors; smaller is closer. The default is squared
-// Euclidean distance.
-type DistanceFunc func(a, b []float64) float64
-
 // Config holds HNSW build parameters. The paper's evaluation uses M = 40
 // and EfConstruction = 600.
 type Config struct {
 	// Dim is the vector dimension (required).
 	Dim int
 	// M is the maximum number of bidirectional links per node on layers
-	// above 0. Defaults to 16.
+	// above 0; layer 0 allows 2·M. Defaults to 16.
 	M int
-	// MMax0 is the link cap on layer 0. Defaults to 2·M.
-	MMax0 int
 	// EfConstruction is the beam width used while inserting. Defaults to 200.
 	EfConstruction int
 	// Seed drives level assignment and is independent of data.
 	Seed uint64
-	// Distance is the metric; defaults to vec.SqDist.
-	Distance DistanceFunc
-	// KeepPruned tops up a node's neighbor list with the closest pruned
-	// candidates when the diversity heuristic selects fewer than M.
-	// Defaults to true (set SkipKeepPruned to disable).
-	SkipKeepPruned bool
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -64,14 +51,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.M <= 0 {
 		c.M = 16
 	}
-	if c.MMax0 <= 0 {
-		c.MMax0 = 2 * c.M
-	}
 	if c.EfConstruction <= 0 {
 		c.EfConstruction = 200
-	}
-	if c.Distance == nil {
-		c.Distance = vec.SqDist
 	}
 	return c, nil
 }
@@ -91,9 +72,6 @@ func (l *csrLayer) neighbors(id int) []int32 { return l.nbrs[l.offs[id]:l.offs[i
 type Graph struct {
 	cfg Config
 	mL  float64
-	// blockDist marks the default metric, whose hops run the blocked arena
-	// kernel instead of per-neighbor DistanceFunc calls.
-	blockDist bool
 
 	data     *vec.Dataset
 	levels   []int32 // per id: its top layer
@@ -108,17 +86,15 @@ type Graph struct {
 
 // newGraph creates an empty graph with room for capHint vectors.
 func newGraph(cfg Config, capHint int) (*Graph, error) {
-	blockDist := cfg.Distance == nil
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	return &Graph{
-		cfg:       cfg,
-		mL:        1 / math.Log(float64(cfg.M)),
-		blockDist: blockDist,
-		data:      vec.NewDataset(cfg.Dim, capHint),
-		entry:     -1,
+		cfg:   cfg,
+		mL:    1 / math.Log(float64(cfg.M)),
+		data:  vec.NewDataset(cfg.Dim, capHint),
+		entry: -1,
 	}, nil
 }
 
@@ -173,20 +149,20 @@ func newSearchCtx() *searchCtx {
 }
 
 // pairDist is the single-candidate distance of this search: the bound
-// scanner when one is active, else the configured metric over the stored
+// scanner when one is active, else the squared distance to the stored
 // vector.
 func (g *Graph) pairDist(ctx *searchCtx, q []float64, id int) float64 {
 	if ctx.sc != nil {
 		return ctx.sc.Dist(int32(id))
 	}
-	return g.cfg.Distance(q, g.data.At(id))
+	return vec.SqDist(q, g.data.At(id))
 }
 
 // hopDists fills ctx.dists with each gathered id's distance to the query:
-// the bound scanner's blocked LUT scan when one is active, the blocked
-// arena kernel for the default metric, or per-neighbor DistanceFunc calls.
+// the bound scanner's blocked LUT scan when one is active, else the blocked
+// arena kernel.
 func (g *Graph) hopDists(ctx *searchCtx, q []float64, ids []int32) []float64 {
-	if ctx.sc == nil && g.blockDist {
+	if ctx.sc == nil {
 		ctx.dists = g.data.SqDistBlock(ctx.dists, q, ids)
 		return ctx.dists
 	}
@@ -195,14 +171,7 @@ func (g *Graph) hopDists(ctx *searchCtx, q []float64, ids []int32) []float64 {
 	} else {
 		ctx.dists = ctx.dists[:len(ids)]
 	}
-	if ctx.sc != nil {
-		ctx.sc.DistBlock(ctx.dists, ids)
-	} else {
-		dist := g.cfg.Distance
-		for j, nb := range ids {
-			ctx.dists[j] = dist(q, g.data.At(int(nb)))
-		}
-	}
+	ctx.sc.DistBlock(ctx.dists, ids)
 	return ctx.dists
 }
 

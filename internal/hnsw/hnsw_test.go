@@ -169,17 +169,6 @@ func TestEfSearchTradeoff(t *testing.T) {
 	}
 }
 
-func TestCustomDistance(t *testing.T) {
-	// Negative inner product as distance (MIPS-style) must be honored.
-	ip := func(a, b []float64) float64 { return -vec.Dot(a, b) }
-	data := [][]float64{{1, 0}, {0, 1}, {10, 10}}
-	g := buildGraph(t, data, Config{Dim: 2, Distance: ip, Seed: 4})
-	res := g.Search([]float64{1, 1}, 1, 10)
-	if res[0].ID != 2 {
-		t.Fatalf("custom distance ignored: top = %d", res[0].ID)
-	}
-}
-
 // TestConcurrentBuildAndSearch: builds share nothing — each draws its own
 // levels — so graphs built side by side from one seed are byte-identical,
 // and each answers self-queries while the others are still building.
@@ -337,7 +326,7 @@ func TestStats(t *testing.T) {
 		t.Fatalf("implausible graph shape: %+v", st)
 	}
 	if st.AvgDegree > float64(2*10) {
-		t.Fatalf("layer-0 degree %f exceeds MMax0", st.AvgDegree)
+		t.Fatalf("layer-0 degree %f exceeds the layer-0 cap 2·M", st.AvgDegree)
 	}
 	g = buildGraph(t, withDead(data, 3), Config{Dim: 8, M: 10, Seed: 12})
 	if st = g.Stats(); st.Nodes != 999 || st.Deleted != 1 {

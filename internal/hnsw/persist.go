@@ -12,8 +12,8 @@ import (
 
 // Binary graph format: a fixed magic/version header, build parameters, the
 // flat vector store, then per-node levels, tombstones and adjacency lists.
-// All integers are little-endian. The distance function is not part of the
-// file — the loader supplies it (metrics are code, not data).
+// All integers are little-endian. Two header slots are fixed: the layer-0
+// link cap, always 2·M, and a retired option flag, always 0.
 
 const persistMagic = "HNSWGO01"
 
@@ -24,9 +24,8 @@ func (g *Graph) Save(w io.Writer) error {
 		return fmt.Errorf("hnsw: writing magic: %w", err)
 	}
 	head := []int64{
-		int64(g.cfg.Dim), int64(g.cfg.M), int64(g.cfg.MMax0),
-		int64(g.cfg.EfConstruction), int64(g.cfg.Seed),
-		int64(boolByte(g.cfg.SkipKeepPruned)),
+		int64(g.cfg.Dim), int64(g.cfg.M), int64(2 * g.cfg.M),
+		int64(g.cfg.EfConstruction), int64(g.cfg.Seed), 0,
 		int64(len(g.levels)), int64(g.entry), int64(g.maxLevel), int64(g.size),
 	}
 	if err := binary.Write(bw, binary.LittleEndian, head); err != nil {
@@ -56,11 +55,10 @@ func (g *Graph) Save(w io.Writer) error {
 }
 
 // Load reads a graph of n nodes of dimension dim previously written by
-// Save; dist supplies the metric (nil for squared Euclidean). The bytes are
-// untrusted: a header that disagrees with dim and n is refused before it
-// sizes anything, and the adjacency is packed into the CSR layers as its
-// bytes arrive.
-func Load(r io.Reader, dim, n int, dist DistanceFunc) (*Graph, error) {
+// Save. The bytes are untrusted: a header that disagrees with dim and n,
+// or with Save's fixed slots, is refused before it sizes anything, and the
+// adjacency is packed into the CSR layers as its bytes arrive.
+func Load(r io.Reader, dim, n int) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	magic := make([]byte, len(persistMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -76,14 +74,14 @@ func Load(r io.Reader, dim, n int, dist DistanceFunc) (*Graph, error) {
 	cfg := Config{
 		Dim:            int(head[0]),
 		M:              int(head[1]),
-		MMax0:          int(head[2]),
 		EfConstruction: int(head[3]),
 		Seed:           uint64(head[4]),
-		SkipKeepPruned: head[5] != 0,
-		Distance:       dist,
 	}
 	if head[0] != int64(dim) || head[6] != int64(n) {
 		return nil, fmt.Errorf("hnsw: graph of %d nodes of dimension %d, want %d of %d", head[6], head[0], n, dim)
+	}
+	if head[2] != 2*head[1] || head[5] != 0 {
+		return nil, fmt.Errorf("hnsw: header slots %d and %d, want 2·M = %d and 0", head[2], head[5], 2*head[1])
 	}
 	// Build draws no level above 53 (U ≥ 2⁻⁵³, M ≥ 2), so a deeper header
 	// is a lie.

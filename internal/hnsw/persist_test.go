@@ -2,6 +2,7 @@ package hnsw
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sync"
 	"testing"
 	"time"
@@ -18,7 +19,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := g.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := Load(&buf, 12, 800, nil)
+	g2, err := Load(&buf, 12, 800)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,18 +47,27 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not an index")), 4, 0, nil); err == nil {
+	if _, err := Load(bytes.NewReader([]byte("not an index")), 4, 0); err == nil {
 		t.Fatal("expected error for bad magic")
 	}
 	var empty bytes.Buffer
-	if _, err := Load(&empty, 4, 0, nil); err == nil {
+	if _, err := Load(&empty, 4, 0); err == nil {
 		t.Fatal("expected error for empty stream")
 	}
 	// A graph is refused by a caller expecting another shape.
 	raw := saveBytes(t, buildGraph(t, clusteredData(24, 50, 6, 2), Config{Dim: 6, Seed: 24}))
 	for _, shape := range [][2]int{{6, 49}, {6, 51}, {5, 50}, {7, 50}} {
-		if _, err := Load(bytes.NewReader(raw), shape[0], shape[1], nil); err == nil {
+		if _, err := Load(bytes.NewReader(raw), shape[0], shape[1]); err == nil {
 			t.Fatalf("a graph of 50 6-dim nodes loaded as %d of dimension %d", shape[1], shape[0])
+		}
+	}
+	// Save writes 2·M and 0 into header slots 2 and 5; any other value is
+	// refused.
+	for _, slot := range []int{2, 5} {
+		forged := bytes.Clone(raw)
+		binary.LittleEndian.PutUint64(forged[len(persistMagic)+8*slot:], 7)
+		if _, err := Load(bytes.NewReader(forged), 6, 50); err == nil {
+			t.Fatalf("a graph with header slot %d = 7 loaded", slot)
 		}
 	}
 }
@@ -70,7 +80,7 @@ func TestLoadRejectsTruncated(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	for _, cut := range []int{10, len(raw) / 2, len(raw) - 3} {
-		if _, err := Load(bytes.NewReader(raw[:cut]), 6, 100, nil); err == nil {
+		if _, err := Load(bytes.NewReader(raw[:cut]), 6, 100); err == nil {
 			t.Fatalf("expected error for stream truncated at %d", cut)
 		}
 	}
@@ -85,7 +95,7 @@ func TestSaveLoadEmptyGraph(t *testing.T) {
 	if err := g.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := Load(&buf, 4, 0, nil)
+	g2, err := Load(&buf, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

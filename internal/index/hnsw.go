@@ -116,7 +116,7 @@ func loadHNSW(r io.Reader, dim, n int) (SecureIndex, error) {
 			return nil, fmt.Errorf("index: hnsw payload maps position %d to graph id %d: %w", pos, gid, ErrOldFormat)
 		}
 	}
-	g, err := hnsw.Load(br, dim, n, nil)
+	g, err := hnsw.Load(br, dim, n)
 	if err != nil {
 		return nil, err
 	}
