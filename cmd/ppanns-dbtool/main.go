@@ -196,7 +196,7 @@ func runSplit(args []string) error {
 	outPrefix := fs.String("out", "shard-", "output file prefix (writes <prefix><i>.ppanns)")
 	m := fs.Int("m", 16, "HNSW M for the per-shard index rebuilds")
 	efc := fs.Int("efc", 200, "HNSW efConstruction for the per-shard index rebuilds")
-	seed := fs.Uint64("seed", 0, "per-shard index build seed (0 = nondeterministic)")
+	seed := fs.Uint64("seed", 0, "per-shard index build seed: a non-zero seed is decorrelated per shard (shard s builds with seed+s+1); 0 builds every shard with seed 0")
 	fs.Parse(args)
 
 	f, err := os.Open(*dbIn)

@@ -89,7 +89,7 @@ func BenchmarkRefine(b *testing.B) {
 	// whole database so its heap spread matches what encryption produced.
 	scattered := make([]*dce.Ciphertext, edb.DCE.Len())
 	for id := range scattered {
-		view := edb.DCE.View(id)
+		view := dce.CiphertextFromRecord(edb.DCE.Record(id))
 		scattered[id] = &dce.Ciphertext{
 			P1: append([]float64(nil), view.P1...),
 			P2: append([]float64(nil), view.P2...),

@@ -164,19 +164,11 @@ type EncryptedDatabase struct {
 // leaves it. This is the on-demand path for databases built (or saved)
 // without one; cfg zero values select the documented pq defaults.
 func (e *EncryptedDatabase) BuildPQ(cfg pq.TrainConfig) error {
-	n := e.DCE.Len()
-	vecs := make([][]float64, n)
-	for id := 0; id < n; id++ {
-		if !e.DCE.Has(id) {
-			continue
-		}
-		v, ok := e.Index.Vector(id)
-		if !ok {
-			return fmt.Errorf("core: building PQ: index has no vector for id %d", id)
-		}
-		vecs[id] = v
+	_, vecs, err := e.gather(identity(e.DCE.Len()), e.Index.Vector, nil)
+	var store *pq.Store
+	if err == nil {
+		store, err = pq.Build(vecs, cfg)
 	}
-	store, err := pq.Build(vecs, cfg)
 	if err != nil {
 		return fmt.Errorf("core: building PQ: %w", err)
 	}

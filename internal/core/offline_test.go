@@ -142,7 +142,7 @@ func testOfflineCompacted(t *testing.T, params Params, n int) {
 
 	// Error contract: a database with no live records cannot be compacted.
 	all := flushed(t, w.server)
-	empty := &EncryptedDatabase{Dim: dim, Backend: all.Backend, Index: all.Index, DCE: all.DCE.Compacted(func(int) bool { return true })}
+	empty := &EncryptedDatabase{Dim: dim, Backend: all.Backend, Index: all.Index, DCE: all.DCE.Gather(slices.Repeat([]int{-1}, all.Len()))}
 	if _, err := empty.Compacted(); err == nil {
 		t.Fatal("expected error compacting a database with no live records")
 	}

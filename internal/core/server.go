@@ -955,6 +955,16 @@ func (s *Server) compactOnce() error {
 	return err
 }
 
+// compactFold is the fold: the gather (relayout.go) over the identity map
+// of the base snapshot's [0, n), pending tombstones dead, with each live
+// position's SAP vector taken from the frozen index (main tier) or the
+// snapshot (delta tier) and the index Rebuilt under the serving
+// configuration; then foldPQ's 2× retrain rule. The rebuilt index and the
+// private arenas hold each dead id as an empty slot: the id space never
+// shifts (shard striping and user-visible ids depend on stable positions),
+// and no dead vector or ciphertext survives the fold. The old chain keeps
+// serving in-flight readers. The checkpoint capture, the pre-graft and the
+// swap graft follow.
 func (s *Server) compactFold() error {
 	start := time.Now()
 	base := s.snap.Load()
@@ -964,45 +974,25 @@ func (s *Server) compactFold() error {
 	edb := base.edb
 	n := edb.DCE.Len()
 
-	// Gather every live position's SAP vector — main tier from the frozen
-	// index, delta tier from the snapshot — and nil for every dead one. The
-	// rebuilt index holds a dead id as an empty slot: the id space never
-	// shifts (shard striping and user-visible ids depend on stable
-	// positions), and no dead vector survives the fold.
-	dead := func(id int) bool { return !edb.DCE.Has(id) || base.tombed(id) }
-	vecs := make([][]float64, n)
-	for g := 0; g < n; g++ {
-		switch {
-		case dead(g):
-		case g >= base.frozen:
-			vecs[g] = base.deltaSAP[g-base.frozen]
-		default:
-			v, ok := edb.Index.Vector(g)
-			if !ok {
-				return fmt.Errorf("core: compaction: index has no vector for id %d", g)
-			}
-			vecs[g] = v
-		}
+	ids := identity(n)
+	for t := range base.tombs {
+		ids[t] = -1
 	}
-	idx, err := edb.Index.Rebuild(vecs)
+	row := func(g int) ([]float64, bool) {
+		if g >= base.frozen {
+			return base.deltaSAP[g-base.frozen], true
+		}
+		return edb.Index.Vector(g)
+	}
+	folded, vecs, err := edb.gather(ids, row, edb.Index.Rebuild)
 	if err != nil {
-		return fmt.Errorf("core: compaction rebuild: %w", err)
+		return fmt.Errorf("core: compaction: %w", err)
 	}
-	// Repack the ciphertext arena: tombstoned records' bytes are dropped
-	// (zeroed), and the new arena is private — the old chain keeps
-	// serving in-flight readers.
-	store := edb.DCE.Compacted(dead)
-	if idx.Len() != store.Live() {
-		return fmt.Errorf("core: compaction left index with %d live ids, store with %d", idx.Len(), store.Live())
+	pqRetrained, err := foldPQ(folded, vecs)
+	if err != nil {
+		return fmt.Errorf("core: compaction: %w", err)
 	}
-	var pqs *pq.Store
-	var pqRetrained bool
-	if edb.PQ != nil {
-		pqs, pqRetrained, err = foldPQ(edb.PQ, vecs, func() *pq.CodeStore { return edb.PQ.Codes.Compacted(dead) })
-		if err != nil {
-			return fmt.Errorf("core: compaction: %w", err)
-		}
-	}
+	idx, store, pqs := folded.Index, folded.DCE, folded.PQ
 	// graftCode carries id g's code into the folded arena: copied from the
 	// serving store when the codebook was reused, re-encoded from the
 	// delta-tier SAP vector when a retrain replaced it (old codes are
@@ -1050,7 +1040,7 @@ func (s *Server) compactFold() error {
 	// immutable once visible in a published snapshot, so they are safe to
 	// copy here; the locked section below then carries only the handful
 	// of records that land while this loop runs. The reservation pulls
-	// the repacked arena's first regrowth (a full-arena copy — Compacted
+	// the repacked arena's first regrowth (a full-arena copy — Gather
 	// allocates it exactly full) out of the writers' critical section.
 	pre := s.snap.Load()
 	preN := pre.edb.DCE.Len()

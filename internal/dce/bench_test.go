@@ -51,7 +51,7 @@ func BenchmarkDistanceComp(b *testing.B) {
 		scattered := make([]*Ciphertext, nPoints)
 		for i := 0; i < nPoints; i++ {
 			key.EncryptRecord(rng.Gaussian(r, nil, dim), store.Record(i))
-			view := store.View(i)
+			view := CiphertextFromRecord(store.Record(i))
 			scattered[i] = scatteredCiphertext(&view)
 		}
 		tq := key.TrapGen(rng.Gaussian(r, nil, dim))

@@ -473,9 +473,3 @@ func (k *Key) TrapGen(q []float64) *Trapdoor {
 func DistanceComp(co, cp *Ciphertext, tq *Trapdoor) float64 {
 	return distCompKernel(co.P1, co.P2, cp.P3, cp.P4, tq.Q)
 }
-
-// Closer reports whether dist(o, q) < dist(p, q), i.e. whether candidate o
-// beats candidate p for query q.
-func Closer(co, cp *Ciphertext, tq *Trapdoor) bool {
-	return DistanceComp(co, cp, tq) < 0
-}

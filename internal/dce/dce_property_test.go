@@ -37,8 +37,8 @@ func TestScaleInvariance(t *testing.T) {
 		if math.Abs(do-dp) <= 1e-9*(do+dp+1) {
 			continue
 		}
-		a := Closer(k1.Encrypt(o), k1.Encrypt(p), k1.TrapGen(q))
-		b := Closer(k2.Encrypt(o), k2.Encrypt(p), k2.TrapGen(q))
+		a := closer(k1.Encrypt(o), k1.Encrypt(p), k1.TrapGen(q))
+		b := closer(k2.Encrypt(o), k2.Encrypt(p), k2.TrapGen(q))
 		if a != b {
 			t.Fatalf("scale changed a comparison outcome (trial %d)", trial)
 		}
@@ -64,8 +64,8 @@ func TestTranslationConsistency(t *testing.T) {
 		if math.Abs(do-dp) <= 1e-9*(do+dp+1) {
 			return true
 		}
-		plain := Closer(k.Encrypt(o), k.Encrypt(p), k.TrapGen(q))
-		shifted := Closer(
+		plain := closer(k.Encrypt(o), k.Encrypt(p), k.TrapGen(q))
+		shifted := closer(
 			k.Encrypt(vec.Add(nil, o, offset)),
 			k.Encrypt(vec.Add(nil, p, offset)),
 			k.TrapGen(vec.Add(nil, q, offset)))
@@ -163,7 +163,7 @@ func TestKeySerializeRoundTrip(t *testing.T) {
 			if math.Abs(do-dp) <= 1e-9*(do+dp+1) {
 				continue
 			}
-			if Closer(k.Encrypt(o), k2.Encrypt(p), k2.TrapGen(q)) != (do < dp) {
+			if closer(k.Encrypt(o), k2.Encrypt(p), k2.TrapGen(q)) != (do < dp) {
 				t.Fatal("cross-key comparison wrong after round trip")
 			}
 		}

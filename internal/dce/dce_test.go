@@ -32,10 +32,11 @@ func checkComparison(t *testing.T, k *Key, o, p, q []float64) {
 	if (z < 0) != (do < dp) {
 		t.Fatalf("DistanceComp sign wrong: z=%g, dist(o,q)=%g, dist(p,q)=%g", z, do, dp)
 	}
-	if Closer(co, cp, tq) != (do < dp) {
-		t.Fatal("Closer disagrees with DistanceComp")
-	}
 }
+
+// closer reports whether o beats p for the trapdoor's query: the sign of
+// DistanceComp.
+func closer(co, cp *Ciphertext, tq *Trapdoor) bool { return DistanceComp(co, cp, tq) < 0 }
 
 func TestKeyGenValidation(t *testing.T) {
 	r := rng.NewSeeded(1)
@@ -204,7 +205,7 @@ func TestTransitivityOnRanking(t *testing.T) {
 	for i := 0; i < n; i++ {
 		best := i
 		for j := i + 1; j < n; j++ {
-			if Closer(cts[order[j]], cts[order[best]], tq) {
+			if closer(cts[order[j]], cts[order[best]], tq) {
 				best = j
 			}
 		}
@@ -236,7 +237,7 @@ func TestEncryptionIsRandomized(t *testing.T) {
 	o := rng.Gaussian(r, nil, dim)
 	co := k.Encrypt(o)
 	tq := k.TrapGen(q)
-	if Closer(co, a, tq) != Closer(co, b, tq) {
+	if closer(co, a, tq) != closer(co, b, tq) {
 		t.Fatal("re-encryption changed a comparison result")
 	}
 }

@@ -115,7 +115,7 @@ func TestStoreArenaAlignment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		store := NewCiphertextStore(k.CiphertextDim(), 3)
+		store := NewCiphertextStoreN(k.CiphertextDim(), 0)
 		for i := 0; i < 5; i++ {
 			store.Append(k.Encrypt(rng.Gaussian(r, nil, dim)))
 		}

@@ -40,7 +40,7 @@ func TestPreparedQueryBitIdentical(t *testing.T) {
 					t.Fatalf("dim=%d o=%d p=%d: Comp = %v, DistanceCompQ = %v", dim, o, id, got, want)
 				}
 				// And the sign agrees with the pointer-API ground truth.
-				view1, view2 := store.View(o), store.View(int(id))
+				view1, view2 := CiphertextFromRecord(store.Record(o)), CiphertextFromRecord(store.Record(int(id)))
 				if (DistanceComp(&view1, &view2, tq) < 0) != (want < 0) {
 					t.Fatalf("dim=%d o=%d p=%d: arena and pointer kernels disagree on sign", dim, o, id)
 				}

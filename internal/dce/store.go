@@ -18,9 +18,9 @@ import (
 // contiguous ranges plus the (hot) trapdoor instead of chasing five
 // pointers across scattered heap objects.
 //
-// Records are addressed by id (0..Len()-1). Deleting a record zeroes it —
-// dropping the ciphertext material — and tombstones the id; ids are never
-// reused. All views are slices into the arena: cheap, copy-free, and
+// Records are addressed by id (0..Len()-1). A dead record is a zeroed,
+// tombstoned slot — Gather leaves one where its id map says so — and ids
+// are never reused. All views are slices into the arena: cheap, copy-free, and
 // invalidated by the next Append (callers must not retain them across
 // mutations).
 //
@@ -41,24 +41,6 @@ type CiphertextStore struct {
 
 // recordStride is the in-memory record stride for a component length.
 func recordStride(ctDim int) int { return vec.PadStride(4 * ctDim) }
-
-// NewCiphertextStore returns an empty store for ciphertexts of component
-// length ctDim, with capacity preallocated for capHint records.
-func NewCiphertextStore(ctDim, capHint int) *CiphertextStore {
-	if ctDim <= 0 {
-		panic(fmt.Sprintf("dce: non-positive ciphertext dimension %d", ctDim))
-	}
-	if capHint < 0 {
-		capHint = 0
-	}
-	st := recordStride(ctDim)
-	return &CiphertextStore{
-		ctDim:   ctDim,
-		strideF: st,
-		arena:   vec.AlignedFloats(st * capHint)[:0],
-		live:    make([]bool, 0, capHint),
-	}
-}
 
 // NewCiphertextStoreN returns a store holding n live, zero-filled records.
 // It exists for bulk encryption: workers fill disjoint Record(i) views in
@@ -87,7 +69,7 @@ func NewCiphertextStoreN(ctDim, n int) *CiphertextStore {
 // StoreFromRaw builds a store from a compact flat arena (4·ctDim floats
 // per record, as Raw returns). len(live) is the record count; len(arena)
 // must equal 4·ctDim·len(live). Records with live[i] == false are
-// tombstones (their floats should be zero, as Delete leaves them). The
+// tombstones (their floats should be zero, as Gather leaves them). The
 // records are repacked into an aligned padded arena, so the input is not
 // retained.
 func StoreFromRaw(ctDim int, arena []float64, live []bool) (*CiphertextStore, error) {
@@ -152,16 +134,6 @@ func (s *CiphertextStore) O12(id int) []float64 {
 func (s *CiphertextStore) P34(id int) []float64 {
 	base := id*s.strideF + 2*s.ctDim
 	return s.arena[base : base+2*s.ctDim]
-}
-
-// View adapts record id to the pointer Ciphertext API without copying: the
-// four components are slices into the arena. The zero Ciphertext is
-// returned for tombstoned or out-of-range ids.
-func (s *CiphertextStore) View(id int) Ciphertext {
-	if !s.Has(id) {
-		return Ciphertext{}
-	}
-	return CiphertextFromRecord(s.Record(id))
 }
 
 // grow ensures arena capacity for records more records, reallocating
@@ -279,47 +251,32 @@ func (s *CiphertextStore) Reserve(records int) {
 	}
 }
 
-// Compacted returns a store with a private arena holding the receiver's
-// records, with every id for which dead(id) reports true (or that is
-// already dead) zeroed and marked dead — the ciphertext bytes are actually
-// dropped. Ids are preserved, not renumbered: dead records keep their
-// (zeroed) slots so the id space stays aligned with the filter index and
-// the shard striping.
-func (s *CiphertextStore) Compacted(dead func(id int) bool) *CiphertextStore {
-	n := s.Len()
+// Gather returns a store with a private arena whose record j is a copy of
+// the receiver's record ids[j], or a zeroed dead slot when ids[j] < 0 or
+// names no live record. It is the one way records are copied between
+// stores: a fold keeps ids (the identity map, dead ids −1), offline
+// compaction renumbers them densely, and Split takes a stripe. The arena
+// is allocated exactly full.
+func (s *CiphertextStore) Gather(ids []int) *CiphertextStore {
 	ns := &CiphertextStore{
 		ctDim:   s.ctDim,
 		strideF: s.strideF,
-		arena:   vec.AlignedFloats(s.strideF * n),
-		live:    make([]bool, n),
+		arena:   vec.AlignedFloats(s.strideF * len(ids)),
+		live:    make([]bool, len(ids)),
 	}
-	for id := 0; id < n; id++ {
-		if !s.live[id] || (dead != nil && dead(id)) {
+	for j, id := range ids {
+		if !s.Has(id) {
 			continue
 		}
-		copy(ns.arena[id*ns.strideF:], s.Record(id))
-		ns.live[id] = true
+		copy(ns.arena[j*ns.strideF:], s.Record(id))
+		ns.live[j] = true
 		ns.liveN++
 	}
 	return ns
 }
 
-// Delete tombstones id and zeroes its record, dropping the ciphertext
-// material. Deleting a dead or out-of-range id is a no-op.
-func (s *CiphertextStore) Delete(id int) {
-	if !s.Has(id) {
-		return
-	}
-	rec := s.Record(id)
-	for i := range rec {
-		rec[i] = 0
-	}
-	s.live[id] = false
-	s.liveN--
-}
-
 // Raw returns the compact flat arena representation (Len()·4·CtDim floats,
-// no record padding; Delete-zeroed records are zero), the layout the bulk
+// no record padding; dead records are zero), the layout the bulk
 // serialization path writes. When records are padded in memory this is a
 // copy; when 4·ctDim is already a cache-line multiple (every even ctDim,
 // i.e. every real DCE key) it is the backing arena itself, which callers
@@ -353,11 +310,6 @@ func (s *CiphertextStore) DistanceCompQ(o, p int, q []float64) float64 {
 	o12 := s.O12(o)
 	p34 := s.P34(p)
 	return distCompKernel(o12[:d], o12[d:], p34[:d], p34[d:], q)
-}
-
-// Closer reports whether dist(o, q) < dist(p, q) for records o and p.
-func (s *CiphertextStore) Closer(o, p int, tq *Trapdoor) bool {
-	return s.DistanceComp(o, p, tq) < 0
 }
 
 // DistanceCompHalves evaluates Z_{o,p,q} from o's [P1|P2] half and p's

@@ -17,7 +17,7 @@ func storeWorld(t *testing.T, dim, n int) (*Key, *CiphertextStore, []*Ciphertext
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := NewCiphertextStore(k.CiphertextDim(), n)
+	store := NewCiphertextStoreN(k.CiphertextDim(), 0)
 	cts := make([]*Ciphertext, n)
 	for i := 0; i < n; i++ {
 		v := rng.Gaussian(r, nil, dim)
@@ -46,7 +46,7 @@ func TestStoreMatchesPointerDistanceComp(t *testing.T) {
 
 func TestStoreViewsShareArena(t *testing.T) {
 	_, store, cts, _, _ := storeWorld(t, 6, 3)
-	view := store.View(1)
+	view := CiphertextFromRecord(store.Record(1))
 	for i := range view.P1 {
 		if view.P1[i] != cts[1].P1[i] || view.P4[i] != cts[1].P4[i] {
 			t.Fatalf("view component mismatch at %d", i)
@@ -55,7 +55,7 @@ func TestStoreViewsShareArena(t *testing.T) {
 	// Views alias the arena, not copies.
 	store.Record(1)[0] = 42
 	if view.P1[0] != 42 {
-		t.Fatal("View does not alias the arena")
+		t.Fatal("the record view does not alias the arena")
 	}
 	d := store.CtDim()
 	o12, p34 := store.O12(1), store.P34(1)
@@ -64,28 +64,36 @@ func TestStoreViewsShareArena(t *testing.T) {
 	}
 }
 
-func TestStoreDeleteTombstones(t *testing.T) {
+// TestStoreGather covers the one way records are copied between stores:
+// row j of the result is source record ids[j], and a negative, out-of-range
+// or dead source id leaves a zeroed dead slot. The arena is private.
+func TestStoreGather(t *testing.T) {
 	_, store, _, _, _ := storeWorld(t, 5, 4)
-	if store.Live() != 4 || store.Len() != 4 {
-		t.Fatalf("fresh store live=%d len=%d", store.Live(), store.Len())
+	g := store.Gather([]int{2, -1, 0, 99, 2})
+	if g.Len() != 5 || g.Live() != 3 || store.Len() != 4 || store.Live() != 4 {
+		t.Fatalf("gathered len=%d live=%d, source len=%d live=%d", g.Len(), g.Live(), store.Len(), store.Live())
 	}
-	store.Delete(2)
-	if store.Has(2) || store.Live() != 3 || store.Len() != 4 {
-		t.Fatalf("after delete: has=%v live=%d len=%d", store.Has(2), store.Live(), store.Len())
-	}
-	for _, f := range store.Record(2) {
-		if f != 0 {
-			t.Fatal("deleted record not zeroed")
+	for j, id := range []int{2, -1, 0, 99, 2} {
+		if g.Has(j) != (id == 0 || id == 2) {
+			t.Fatalf("row %d (source %d): live %v", j, id, g.Has(j))
+		}
+		for c, f := range g.Record(j) {
+			want := 0.0
+			if g.Has(j) {
+				want = store.Record(id)[c]
+			}
+			if f != want {
+				t.Fatalf("row %d (source %d) float %d = %v, want %v", j, id, c, f, want)
+			}
 		}
 	}
-	if ct := store.View(2); ct.P1 != nil {
-		t.Fatal("View of tombstone should be zero")
+	// A dead source record gathers as a dead slot too.
+	if gg := g.Gather([]int{1, 3, 4}); gg.Live() != 1 || !gg.Has(2) {
+		t.Fatalf("regather of dead slots: live %d, Has(2) %v", gg.Live(), gg.Has(2))
 	}
-	store.Delete(2) // idempotent
-	store.Delete(99)
-	store.Delete(-1)
-	if store.Live() != 3 {
-		t.Fatal("no-op deletes changed live count")
+	g.Record(0)[0] = 42
+	if store.Record(2)[0] == 42 {
+		t.Fatal("Gather shares its arena with the source")
 	}
 }
 
@@ -116,16 +124,13 @@ func TestStoreSignAgainstPlainDistances(t *testing.T) {
 			if got, want := store.DistanceComp(o, p, tq) < 0, do < dp; got != want {
 				t.Fatalf("sign wrong for pair (%d,%d)", o, p)
 			}
-			if store.Closer(o, p, tq) != (do < dp) {
-				t.Fatalf("Closer wrong for pair (%d,%d)", o, p)
-			}
 		}
 	}
 }
 
 func TestStoreFromRawRoundTrip(t *testing.T) {
-	_, store, _, _, tq := storeWorld(t, 7, 5)
-	store.Delete(3)
+	_, full, _, _, tq := storeWorld(t, 7, 5)
+	store := full.Gather([]int{0, 1, 2, -1, 4})
 	arena := append([]float64(nil), store.Raw()...)
 	live := append([]bool(nil), store.LiveMask()...)
 	clone, err := StoreFromRaw(store.CtDim(), arena, live)
@@ -153,7 +158,7 @@ func TestStoreAppendMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	s := NewCiphertextStore(8, 1)
+	s := NewCiphertextStoreN(8, 0)
 	s.Append(&Ciphertext{P1: make([]float64, 3), P2: make([]float64, 8), P3: make([]float64, 8), P4: make([]float64, 8)})
 }
 
@@ -174,7 +179,7 @@ func TestEncryptRecordMatchesEncrypt(t *testing.T) {
 	store := NewCiphertextStoreN(big, 1)
 	store.Record(0) // must not panic
 	k.EncryptRecord(rng.Gaussian(r, nil, 10), store.Record(0))
-	view := store.View(0)
+	view := CiphertextFromRecord(store.Record(0))
 	q := rng.Gaussian(r, nil, 10)
 	tq := k.TrapGen(q)
 	if store.DistanceComp(0, 0, tq) != DistanceComp(&view, &view, tq) {

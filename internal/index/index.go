@@ -92,7 +92,8 @@ type SecureIndex interface {
 type Options struct {
 	// Dim is the vector dimension (required).
 	Dim int
-	// Seed makes construction deterministic when non-zero.
+	// Seed fixes construction: one seed and one input give one index.
+	// 0 is a seed like any other.
 	Seed uint64
 
 	// M and EfConstruction are the HNSW build parameters (defaults 16

@@ -145,7 +145,7 @@ func TestBuildDeterminism(t *testing.T) {
 }
 
 func TestCodeStoreSnapshotDiscipline(t *testing.T) {
-	s := NewCodeStore(2, 4)
+	s := NewCodeStoreN(2, 0)
 	s.AppendRow([]byte{1, 2})
 	s.AppendRow([]byte{3, 4})
 	pub := s.Snapshot()
@@ -159,32 +159,19 @@ func TestCodeStoreSnapshotDiscipline(t *testing.T) {
 		t.Fatalf("rows corrupted after Extend: ext.Row(2)=%v pub.Row(1)=%v", ext.Row(2), pub.Row(1))
 	}
 
-	// Compacted zeroes dead ids in a private arena, preserving ids.
-	comp := ext.Compacted(func(id int) bool { return id == 1 })
-	if comp.Len() != 3 {
-		t.Fatalf("Compacted len = %d, want 3", comp.Len())
+	// Gather copies row ids[j] to row j in a private arena, zero at -1.
+	g := ext.Gather([]int{2, -1, 0})
+	if g.Len() != 3 {
+		t.Fatalf("Gather len = %d, want 3", g.Len())
 	}
-	if !bytes.Equal(comp.Row(0), []byte{1, 2}) || !bytes.Equal(comp.Row(1), []byte{0, 0}) ||
-		!bytes.Equal(comp.Row(2), []byte{5, 6}) {
-		t.Fatalf("Compacted rows wrong: %v %v %v", comp.Row(0), comp.Row(1), comp.Row(2))
+	if !bytes.Equal(g.Row(0), []byte{5, 6}) || !bytes.Equal(g.Row(1), []byte{0, 0}) ||
+		!bytes.Equal(g.Row(2), []byte{1, 2}) {
+		t.Fatalf("Gather rows wrong: %v %v %v", g.Row(0), g.Row(1), g.Row(2))
 	}
 	// ...and must not share backing with the source.
-	comp.Row(0)[0] = 99
+	g.Row(2)[0] = 99
 	if ext.Row(0)[0] != 1 {
-		t.Fatal("Compacted shares its arena with the source")
-	}
-}
-
-func TestStoreFromRawValidation(t *testing.T) {
-	if _, err := StoreFromRaw(0, nil); err == nil {
-		t.Fatal("expected error for non-positive width")
-	}
-	if _, err := StoreFromRaw(4, make([]byte, 7)); err == nil {
-		t.Fatal("expected error for ragged arena")
-	}
-	cs, err := StoreFromRaw(2, []byte{1, 2, 3, 4})
-	if err != nil || cs.Len() != 2 {
-		t.Fatalf("StoreFromRaw: %v, len %d", err, cs.Len())
+		t.Fatal("Gather shares its arena with the source")
 	}
 }
 

@@ -12,8 +12,8 @@ const gatherPad = 8
 // addressed by the same ids as the DCE ciphertext arena. It follows the
 // same snapshot-publication discipline as dce.CiphertextStore: published
 // stores are never mutated, Extend appends past every published length
-// under a shared backing, and Compacted produces a private arena with dead
-// rows zeroed in place (ids preserved, never renumbered).
+// under a shared backing, and Gather copies rows by an id map into a
+// private arena, zero at every dead slot.
 //
 // Tombstoned ids keep their (stale) codes: the filter index never visits
 // deleted points and the serving tier re-checks tombstones on merge, so a
@@ -26,18 +26,6 @@ type CodeStore struct {
 // alloc returns a code arena of length n with gather slack in capacity.
 func alloc(n int) []byte { return make([]byte, n, n+gatherPad) }
 
-// NewCodeStore returns an empty store for M-byte codes with capacity
-// preallocated for capHint rows.
-func NewCodeStore(m, capHint int) *CodeStore {
-	if m <= 0 {
-		panic(fmt.Sprintf("pq: non-positive code width %d", m))
-	}
-	if capHint < 0 {
-		capHint = 0
-	}
-	return &CodeStore{m: m, codes: alloc(m * capHint)[:0]}
-}
-
 // NewCodeStoreN returns a store holding n zero-filled rows, for bulk
 // encoding: workers fill disjoint Row(i) views in place.
 func NewCodeStoreN(m, n int) *CodeStore {
@@ -48,21 +36,6 @@ func NewCodeStoreN(m, n int) *CodeStore {
 		panic(fmt.Sprintf("pq: negative store size %d", n))
 	}
 	return &CodeStore{m: m, codes: alloc(m * n)}
-}
-
-// StoreFromRaw builds a store from a compact code arena (n rows of m
-// bytes, as Raw returns). The bytes are copied into an arena with gather
-// slack, so the input is not retained.
-func StoreFromRaw(m int, codes []byte) (*CodeStore, error) {
-	if m <= 0 {
-		return nil, fmt.Errorf("pq: non-positive code width %d", m)
-	}
-	if len(codes)%m != 0 {
-		return nil, fmt.Errorf("pq: code arena of %d bytes is not a multiple of m=%d", len(codes), m)
-	}
-	arena := alloc(len(codes))
-	copy(arena, codes)
-	return &CodeStore{m: m, codes: arena}, nil
 }
 
 // M returns the code width in bytes.
@@ -129,17 +102,15 @@ func (s *CodeStore) Extend(code []byte) *CodeStore {
 // reallocate (compaction grafts under the writer mutex).
 func (s *CodeStore) Reserve(rows int) { s.grow(rows) }
 
-// Compacted returns a store with a private arena holding the receiver's
-// rows, with every id for which dead(id) reports true zeroed. Ids are
-// preserved, matching dce.CiphertextStore.Compacted.
-func (s *CodeStore) Compacted(dead func(id int) bool) *CodeStore {
-	n := s.Len()
-	ns := &CodeStore{m: s.m, codes: alloc(n * s.m)}
-	for id := 0; id < n; id++ {
-		if dead != nil && dead(id) {
-			continue
+// Gather returns a store with a private arena whose row j is a copy of the
+// receiver's row ids[j], or zero when ids[j] < 0 (a dead slot), matching
+// dce.CiphertextStore.Gather.
+func (s *CodeStore) Gather(ids []int) *CodeStore {
+	ns := &CodeStore{m: s.m, codes: alloc(len(ids) * s.m)}
+	for j, id := range ids {
+		if id >= 0 {
+			copy(ns.codes[j*s.m:], s.Row(id))
 		}
-		copy(ns.codes[id*s.m:], s.Row(id))
 	}
 	return ns
 }
