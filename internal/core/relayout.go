@@ -157,13 +157,13 @@ func (e *EncryptedDatabase) Split(n int, opts index.Options) ([]*EncryptedDataba
 		if o.Seed != 0 {
 			o.Seed = opts.Seed + uint64(s) + 1
 		}
-		var err error
-		shards[s], _, err = e.gather(ids, e.Index.Vector, func(vecs [][]float64) (index.SecureIndex, error) {
+		shard, _, err := e.gather(ids, e.Index.Vector, func(vecs [][]float64) (index.SecureIndex, error) {
 			return index.Build(e.Backend, vecs, o)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: shard %d: %w", s, err)
 		}
+		shards[s] = shard
 	}
 	return shards, nil
 }

@@ -20,8 +20,8 @@ import (
 //
 // Records are addressed by id (0..Len()-1). A dead record is a zeroed,
 // tombstoned slot — Gather leaves one where its id map says so — and ids
-// are never reused. All views are slices into the arena: cheap, copy-free, and
-// invalidated by the next Append (callers must not retain them across
+// are never reused. All views are slices into the arena: cheap, copy-free,
+// and invalidated by the next Append (callers must not retain them across
 // mutations).
 //
 // The arena base is 64-byte aligned and the record stride is 4·ctDim
