@@ -26,7 +26,7 @@ func NewDeployment(p Params, vectors [][]float64) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	server, err := core.NewServerWith(edb, core.ServerOptions{CompactAt: p.CompactAt})
+	server, err := core.NewServer(edb)
 	if err != nil {
 		return nil, err
 	}

@@ -49,9 +49,6 @@ func NewOursFromData(data [][]float64, params core.Params, opt core.SearchOption
 // Name implements System.
 func (o *Ours) Name() string { return "PP-ANNS" }
 
-// SetOptions replaces the search options (for sweeps over RatioK/ef).
-func (o *Ours) SetOptions(opt core.SearchOptions) { o.opt = opt }
-
 // Search implements System. User time is token generation; server time is
 // the whole filter-and-refine search; the single round ships the token up
 // and k ids down — the paper's minimal-interaction property.

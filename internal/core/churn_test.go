@@ -59,7 +59,7 @@ func sameResults(t *testing.T, label string, want, got [][]int) {
 func TestDeltaAccountingAcrossCompaction(t *testing.T) {
 	const n, dim = 200, 8
 	data := clustered(101, n, dim, 4)
-	w := newWorld(t, Params{Dim: dim, Beta: 0.3, Seed: 101, CompactAt: -1}, data)
+	w := newWorldWith(t, Params{Dim: dim, Beta: 0.3, Seed: 101}, ServerOptions{CompactAt: -1}, data)
 
 	// Main-tier delete: pending tombstone.
 	if err := w.server.Delete(5); err != nil {
@@ -166,7 +166,7 @@ func TestChurnCompactionConformance(t *testing.T) {
 	for _, name := range index.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			w := newWorld(t, Params{Dim: dim, Beta: 0.3, Seed: 111, Index: name, CompactAt: 32}, base)
+			w := newWorldWith(t, Params{Dim: dim, Beta: 0.3, Seed: 111, Index: name}, ServerOptions{CompactAt: 32}, base)
 
 			toks := make([]*QueryToken, 6)
 			for i := range toks {
@@ -304,7 +304,7 @@ func TestChurnCompactionConformance(t *testing.T) {
 func TestSaveFlushesDelta(t *testing.T) {
 	const n, dim, k = 250, 8, 8
 	data := clustered(121, n, dim, 4)
-	w := newWorld(t, Params{Dim: dim, Beta: 0.3, Seed: 121, CompactAt: -1}, data)
+	w := newWorldWith(t, Params{Dim: dim, Beta: 0.3, Seed: 121}, ServerOptions{CompactAt: -1}, data)
 
 	for i := 0; i < 7; i++ {
 		payload, err := w.owner.EncryptVector(data[i*3])

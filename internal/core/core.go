@@ -70,13 +70,6 @@ type Params struct {
 	PQ  bool
 	PQM int
 
-	// CompactAt bounds the serving tier's delta tier: when the delta
-	// record count or the pending tombstone count reaches it, a
-	// background compaction folds them into the main index. 0 selects
-	// core.DefaultCompactAt; negative disables automatic compaction
-	// (Server.Compact only).
-	CompactAt int
-
 	// Seed makes key generation and index construction deterministic when
 	// non-zero (tests and experiments); 0 draws from crypto/rand.
 	Seed uint64

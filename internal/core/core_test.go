@@ -45,6 +45,12 @@ func flushed(t testing.TB, s *Server) *EncryptedDatabase {
 
 func newWorld(t *testing.T, params Params, data [][]float64) *testWorld {
 	t.Helper()
+	return newWorldWith(t, params, ServerOptions{}, data)
+}
+
+// newWorldWith is newWorld with explicit serving-tier options.
+func newWorldWith(t *testing.T, params Params, opts ServerOptions, data [][]float64) *testWorld {
+	t.Helper()
 	owner, err := NewDataOwner(params)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +63,7 @@ func newWorld(t *testing.T, params Params, data [][]float64) *testWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	server, err := NewServerWith(edb, ServerOptions{CompactAt: params.CompactAt})
+	server, err := NewServerWith(edb, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func TestPQChurnConformance(t *testing.T) {
 	for _, name := range index.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			w := newWorld(t, Params{Dim: dim, Beta: 0.3, Seed: 75, Index: name, PQ: true, PQM: 4, CompactAt: -1}, base)
+			w := newWorldWith(t, Params{Dim: dim, Beta: 0.3, Seed: 75, Index: name, PQ: true, PQM: 4}, ServerOptions{CompactAt: -1}, base)
 			sp := w.server.snap.Load()
 			if sp.edb.PQ == nil || sp.edb.PQ.TrainedOn != n {
 				t.Fatalf("initial PQ store missing or mis-provenanced: %+v", sp.edb.PQ)

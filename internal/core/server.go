@@ -193,11 +193,6 @@ type snapshot struct {
 	epoch uint64
 	// gen counts compactions folded into this snapshot.
 	gen uint64
-	// readers counts in-flight searches pinned to this snapshot. The
-	// refcount is not needed for reclamation (the GC handles that); it
-	// exists so tests and operators can observe snapshot drain — e.g.
-	// assert that superseded epochs quiesce instead of leaking searches.
-	readers atomic.Int64
 }
 
 // tombed reports whether id has a pending tombstone.
@@ -303,8 +298,8 @@ func (sp *snapshot) filterInto(ts *tierScratch, dst []resultheap.Item, q []float
 	return dst
 }
 
-// DefaultCompactAt is the delta-tier bound used when ServerOptions (or
-// Params.CompactAt) is zero: once the delta or the pending-tombstone set
+// DefaultCompactAt is the delta-tier bound used when
+// ServerOptions.CompactAt is zero: once the delta or the pending-tombstone set
 // reaches this many entries, a background compaction folds them into the
 // main index.
 const DefaultCompactAt = 1024
@@ -435,11 +430,6 @@ func (s *Server) Live() int { return s.snap.Load().live() }
 // that compacted but missed a write must still read as stale.
 func (s *Server) Epoch() uint64 { return s.snap.Load().epoch }
 
-// InFlight returns the number of searches currently running against the
-// published snapshot. Searches pinned to superseded snapshots are not
-// counted; the value is a point-in-time observation for diagnostics.
-func (s *Server) InFlight() int64 { return s.snap.Load().readers.Load() }
-
 // Dim returns the vector dimension of the hosted database.
 func (s *Server) Dim() int { return s.snap.Load().edb.Dim }
 
@@ -540,8 +530,6 @@ func (s *Server) searchInto(dst []int, tok *QueryToken, k int, opt SearchOptions
 		return dst[:0], st, fmt.Errorf("core: non-positive k %d", k)
 	}
 	sp := s.snap.Load()
-	sp.readers.Add(1)
-	defer sp.readers.Add(-1)
 	edb := sp.edb
 	st.Epoch = sp.epoch
 	// Dimension checks up front: the index and comparison backends panic

@@ -121,7 +121,7 @@ func (b *contractBreaker) Rebuild(vectors [][]float64) (index.SecureIndex, error
 func TestCompactionContractViolationLeavesSnapshotUntouched(t *testing.T) {
 	const n, dim = 200, 6
 	data := clustered(34, n, dim, 3)
-	w := newWorld(t, Params{Dim: dim, Beta: 0.3, Seed: 34, CompactAt: -1}, data)
+	w := newWorldWith(t, Params{Dim: dim, Beta: 0.3, Seed: 34}, ServerOptions{CompactAt: -1}, data)
 	breaker := &contractBreaker{SecureIndex: w.server.snap.Load().edb.Index, breakRebuild: true}
 	w.server.snap.Load().edb.Index = breaker
 

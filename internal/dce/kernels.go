@@ -1,71 +1,19 @@
 package dce
 
-import (
-	"fmt"
-	"sync/atomic"
+import "ppanns/internal/simd"
 
-	"ppanns/internal/simd"
-)
-
-// kernelTable is one dispatch variant of the DCE comparison kernel. As in
-// internal/vec, every variant MUST evaluate element-for-element in the same
-// order as the scalar reference below — eight independent accumulator
-// lanes, a sequential remainder folded into lane 0, the reduce8 tree — so
-// exchanging variants never flips the sign of a comparison: results are
+// The DCE comparison kernel, Σᵢ (o1ᵢ·p3ᵢ − o2ᵢ·p4ᵢ)·qᵢ — the paper's
+// DistanceComp inner product. As in internal/vec, the AVX2 body in
+// kernels_amd64.s MUST evaluate element-for-element in the same order as
+// the scalar reference below — eight independent accumulator lanes, a
+// sequential remainder folded into lane 0, the reduce8 tree — so the
+// variant never flips the sign of a comparison: results are
 // bit-identical, not merely close. (A sign flip on a near-tie would change
 // refine rankings between machines, which the conformance suite forbids.)
-type kernelTable struct {
-	name string
-	// distComp computes Σᵢ (o1ᵢ·p3ᵢ − o2ᵢ·p4ᵢ)·qᵢ — the paper's
-	// DistanceComp inner product.
-	distComp func(o1, o2, p3, p4, q []float64) float64
-}
 
-var scalarKernelTable = kernelTable{name: simd.Scalar, distComp: distCompScalar}
-
-// kernelVariants and the registration/selection machinery mirror
-// internal/vec: arch files append via package-level var initializers,
-// init() activates simd.Pick().
-var kernelVariants = []*kernelTable{&scalarKernelTable}
-
-func registerKernel(k *kernelTable) struct{} {
-	kernelVariants = append(kernelVariants, k)
-	return struct{}{}
-}
-
-var activeKernels atomic.Pointer[kernelTable]
-
-func init() {
-	if err := SetKernel(simd.Pick()); err != nil {
-		activeKernels.Store(&scalarKernelTable)
-	}
-}
-
-// KernelVariants lists the kernel variant names linked into this binary and
-// usable on this machine, scalar first.
-func KernelVariants() []string {
-	out := make([]string, len(kernelVariants))
-	for i, k := range kernelVariants {
-		out[i] = k.name
-	}
-	return out
-}
-
-// ActiveKernel returns the name of the currently dispatched variant.
-func ActiveKernel() string { return activeKernels.Load().name }
-
-// SetKernel activates the named kernel variant for every subsequent DCE
-// comparison. Runtime form of the PPANNS_KERNEL override; safe to call
-// while searches run because every variant computes identical bits.
-func SetKernel(name string) error {
-	for _, k := range kernelVariants {
-		if k.name == name {
-			activeKernels.Store(k)
-			return nil
-		}
-	}
-	return fmt.Errorf("dce: unknown or unavailable kernel %q (have %v)", name, KernelVariants())
-}
+// ActiveKernel returns the name of the variant the kernel runs:
+// simd.Kernel, fixed at init.
+func ActiveKernel() string { return simd.Kernel() }
 
 // reduce8 is the fixed eight-lane combination tree shared with
 // internal/vec (see the comment there); keep it in lockstep with the

@@ -14,9 +14,10 @@ import "ppanns/internal/simd"
 //go:noescape
 func distCompPairAVX2(o1, o2, p3, p4, q []float64) float64
 
-var _ = func() struct{} {
-	if !simd.HasAVX2() {
-		return struct{}{}
+// distCompKernel computes Σᵢ (o1ᵢ·p3ᵢ − o2ᵢ·p4ᵢ)·qᵢ.
+func distCompKernel(o1, o2, p3, p4, q []float64) float64 {
+	if simd.UseAVX2() {
+		return distCompPairAVX2(o1, o2, p3, p4, q)
 	}
-	return registerKernel(&kernelTable{name: simd.AVX2, distComp: distCompPairAVX2})
-}()
+	return distCompScalar(o1, o2, p3, p4, q)
+}

@@ -320,10 +320,3 @@ func DistanceCompHalves(o12, p34, q []float64) float64 {
 	d := len(q)
 	return distCompKernel(o12[:d], o12[d:], p34[:d], p34[d:], q)
 }
-
-// distCompKernel computes Σᵢ (o1ᵢ·p3ᵢ − o2ᵢ·p4ᵢ)·qᵢ through the active
-// kernel variant; every variant is bit-identical to the scalar reference
-// in kernels.go.
-func distCompKernel(o1, o2, p3, p4, q []float64) float64 {
-	return activeKernels.Load().distComp(o1, o2, p3, p4, q)
-}

@@ -21,9 +21,10 @@ package hnsw
 // to a fixed small share of the graph built so far (and to single points
 // while the graph is tiny). The schedule depends on the live count only.
 //
-// The lists the batches write are scratch: each node's lists are carved
-// at their layer's full capacity so they grow in place, and Build packs
-// them into the graph's CSR layers and drops them.
+// The batches write the graph's own layers, carved with slack: each node's
+// slot holds its layer's full link capacity, so its list grows in place,
+// and the searches walk those layers with the query walk (Graph.descend
+// and Graph.beam). Build ends by packing every layer tight.
 
 import (
 	"fmt"
@@ -32,20 +33,12 @@ import (
 	"slices"
 
 	"ppanns/internal/par"
-	"ppanns/internal/resultheap"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
 
 // batchShare bounds a batch to 1/batchShare of the nodes already linked.
 const batchShare = 16
-
-// builder is the scratch of one Build: the graph under construction plus
-// its per-node adjacency lists, one per layer 0..level.
-type builder struct {
-	*Graph
-	nodes [][][]int32
-}
 
 // Build constructs a graph over vectors in one seed-deterministic parallel
 // pass: vector i receives graph id i, every level is drawn up front from
@@ -56,16 +49,17 @@ type builder struct {
 // The result — adjacency, entry point, Save bytes — does not depend on
 // the worker count. Scratch lives for the duration of the call only.
 func Build(vectors [][]float64, cfg Config) (*Graph, error) {
-	b, err := newBuilder(vectors, cfg)
+	g, err := buildLists(vectors, cfg)
 	if err != nil {
 		return nil, err
 	}
-	b.pack()
-	return b.Graph, nil
+	g.pack()
+	return g, nil
 }
 
-// newBuilder lays out the graph over vectors and links every live point.
-func newBuilder(vectors [][]float64, cfg Config) (*builder, error) {
+// buildLists lays out the graph over vectors and links every live point,
+// leaving its layers unpacked.
+func buildLists(vectors [][]float64, cfg Config) (*Graph, error) {
 	n := len(vectors)
 	g, err := newGraph(cfg, n)
 	if err != nil {
@@ -87,7 +81,7 @@ func newBuilder(vectors [][]float64, cfg Config) (*builder, error) {
 			live = append(live, int32(i))
 		}
 	}
-	b := &builder{Graph: g, nodes: g.carveNodes(levels)}
+	g.carve(levels)
 	g.size = len(live)
 
 	ctxs := make([]*searchCtx, min(runtime.GOMAXPROCS(0), len(live)))
@@ -97,10 +91,10 @@ func newBuilder(vectors [][]float64, cfg Config) (*builder, error) {
 	}
 	for lo := 0; lo < len(live); {
 		hi := min(lo+max(1, lo/batchShare), len(live))
-		b.insertBatch(ctxs, live[lo:hi])
+		g.insertBatch(ctxs, live[lo:hi])
 		lo = hi
 	}
-	return b, nil
+	return g, nil
 }
 
 // drawLevels draws n levels, in id order, from the stream cfg.Seed fixes:
@@ -126,81 +120,67 @@ func (g *Graph) maxLinks(layer int) int {
 	return g.cfg.M
 }
 
-// carveNodes lays out one node per level with every adjacency list empty
-// and carved, at its layer's full capacity, from a single arena — so a
-// bulk build allocates three slices instead of several per node, and lists
-// grow in place up to their cap.
-func (g *Graph) carveNodes(levels []int) [][][]int32 {
-	layers, links := 0, 0
-	for _, lv := range levels {
-		layers += lv + 1
-		links += (2 + lv) * g.cfg.M
+// carve sets every node's level and lays out one layer per level up to
+// the tallest, every list empty: a node on a layer gets a slot of the
+// layer's full link capacity, a node below it an empty slot.
+func (g *Graph) carve(levels []int) {
+	n := len(levels)
+	g.levels = make([]int32, n)
+	top := 0
+	for id, lv := range levels {
+		g.levels[id] = int32(lv)
+		top = max(top, lv)
 	}
-	heads := make([][]int32, layers)
-	arena := make([]int32, links)
-	nodes := make([][][]int32, len(levels))
-	for i, lv := range levels {
-		nb := heads[: lv+1 : lv+1]
-		heads = heads[lv+1:]
-		for l := range nb {
-			c := g.maxLinks(l)
-			nb[l] = arena[:0:c]
-			arena = arena[c:]
+	g.layers = make([]csrLayer, top+1)
+	for l := range g.layers {
+		offs := make([]int32, n+1)
+		for id, lv := range levels {
+			offs[id+1] = offs[id]
+			if lv >= l {
+				offs[id+1] += int32(g.maxLinks(l))
+			}
 		}
-		nodes[i] = nb
+		ends := slices.Clone(offs[:n])
+		g.layers[l] = csrLayer{offs: offs, ends: ends, nbrs: make([]int32, offs[n])}
 	}
-	return nodes
 }
 
-// pack flattens the lists into the graph's CSR layers and levels.
-func (b *builder) pack() {
-	n := len(b.nodes)
-	b.levels = make([]int32, n)
-	for id, lists := range b.nodes {
-		b.levels[id] = int32(len(lists) - 1)
-	}
-	b.layers = make([]csrLayer, b.maxLevel+1)
-	for l := range b.layers {
+// pack moves every layer's lists, in id order, into exact-size arrays.
+func (g *Graph) pack() {
+	for l := range g.layers {
+		lay := &g.layers[l]
+		n := len(lay.ends)
 		offs := make([]int32, n+1)
-		for id := range b.nodes {
-			offs[id+1] = offs[id] + int32(len(b.neighborsAt(id, l)))
+		for id := range n {
+			offs[id+1] = offs[id] + int32(len(lay.neighbors(id)))
 		}
 		nbrs := make([]int32, offs[n])
-		for id := range b.nodes {
-			copy(nbrs[offs[id]:], b.neighborsAt(id, l))
+		for id := range n {
+			copy(nbrs[offs[id]:], lay.neighbors(id))
 		}
-		b.layers[l] = csrLayer{offs: offs, nbrs: nbrs}
+		*lay = packed(offs, nbrs)
 	}
 }
 
 // level is node id's top layer.
-func (b *builder) level(id int) int { return len(b.nodes[id]) - 1 }
-
-// neighborsAt returns id's list at a layer (empty when the node's level is
-// below the layer).
-func (b *builder) neighborsAt(id, layer int) []int32 {
-	if layer >= len(b.nodes[id]) {
-		return nil
-	}
-	return b.nodes[id][layer]
-}
+func (g *Graph) level(id int) int { return int(g.levels[id]) }
 
 // insertBatch links the nodes ids — live, ascending, with levels set and
-// empty lists — into the graph. The builder supplies one scratch context
+// empty lists — into the graph. The caller supplies one scratch context
 // per worker, each with a visited set covering every node. Every unit of
 // parallel work writes one node only — its own in the search phase, its
 // target in the merge phase.
-func (b *builder) insertBatch(ctxs []*searchCtx, ids []int32) {
-	if b.entry < 0 {
-		b.entry, b.maxLevel = int(ids[0]), b.level(int(ids[0]))
+func (g *Graph) insertBatch(ctxs []*searchCtx, ids []int32) {
+	if g.entry < 0 {
+		g.entry, g.maxLevel = int(ids[0]), g.level(int(ids[0]))
 		ids = ids[1:]
 	}
-	entry, top := b.entry, b.maxLevel
+	entry, top := g.entry, g.maxLevel
 
 	// Search and out-lists: reads the graph linked so far, writes node id
 	// only.
 	par.Spans(len(ctxs), len(ids), 1, func(w, a, _ int) {
-		b.link(ctxs[w], int(ids[a]), entry, top)
+		g.link(ctxs[w], int(ids[a]), entry, top)
 	})
 
 	// Backlinks, layer by layer: one key per chosen (target, source) edge,
@@ -208,9 +188,10 @@ func (b *builder) insertBatch(ctxs []*searchCtx, ids []int32) {
 	// merge per target.
 	keys, starts := ctxs[0].keys, ctxs[0].starts
 	for l := 0; l <= top; l++ {
+		lay := &g.layers[l]
 		keys = keys[:0]
 		for _, id := range ids {
-			for _, nb := range b.neighborsAt(int(id), l) {
+			for _, nb := range lay.neighbors(int(id)) {
 				keys = append(keys, uint64(nb)<<32|uint64(id))
 			}
 		}
@@ -224,7 +205,7 @@ func (b *builder) insertBatch(ctxs []*searchCtx, ids []int32) {
 		starts = append(starts, int32(len(keys)))
 		par.Spans(len(ctxs), len(starts)-1, 32, func(w, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				b.mergeBacklinks(ctxs[w], l, keys[starts[i]:starts[i+1]])
+				g.mergeBacklinks(ctxs[w], l, keys[starts[i]:starts[i+1]])
 			}
 		})
 	}
@@ -232,27 +213,28 @@ func (b *builder) insertBatch(ctxs []*searchCtx, ids []int32) {
 
 	// Promote the entry point to the batch's tallest node, lowest id first.
 	for _, id := range ids {
-		if lv := b.level(int(id)); lv > b.maxLevel {
-			b.entry, b.maxLevel = int(id), lv
+		if lv := g.level(int(id)); lv > g.maxLevel {
+			g.entry, g.maxLevel = int(id), lv
 		}
 	}
 }
 
-// link searches the graph for node id's neighborhood and writes its
-// out-lists on every layer up to top; layers above top (a node taller than
-// the graph) stay empty until a later node links to it.
-func (b *builder) link(ctx *searchCtx, id, entry, top int) {
-	v := b.data.At(id)
-	ep, epDist := entry, vec.SqDist(v, b.data.At(entry))
-	for l := top; l > b.level(id); l-- {
-		ep, epDist = b.greedyDescend(ctx, v, ep, epDist, l)
+// link searches the graph for node id's neighborhood, with the query walk,
+// and writes its out-lists on every layer up to top; layers above top (a
+// node taller than the graph) stay empty until a later node links to it.
+func (g *Graph) link(ctx *searchCtx, id, entry, top int) {
+	v := g.data.At(id)
+	ep, epDist := entry, vec.SqDist(v, g.data.At(entry))
+	for l := top; l > g.level(id); l-- {
+		ep, epDist = g.descend(ctx, v, ep, epDist, &g.layers[l])
 	}
-	for l := min(b.level(id), top); l >= 0; l-- {
+	for l := min(g.level(id), top); l >= 0; l-- {
 		ctx.next() // fresh visited set per layer
-		res := b.searchLayer(ctx, v, ep, epDist, b.cfg.EfConstruction, l)
+		lay := &g.layers[l]
+		res := g.beam(ctx, v, ep, epDist, g.cfg.EfConstruction, lay)
 		ctx.cand.Load(res.Items())
 		ep, epDist = ctx.cand.Top().ID, ctx.cand.Top().Dist
-		b.nodes[id][l] = b.selectNeighbors(ctx, b.nodes[id][l], b.cfg.M)
+		lay.setList(id, g.selectNeighbors(ctx, lay.list(id), g.cfg.M))
 	}
 }
 
@@ -260,88 +242,30 @@ func (b *builder) link(ctx *searchCtx, id, entry, top int) {
 // order) to the target's layer-l list. When the list overflows, sources and
 // current links are ranked by distance to the target and re-selected with
 // the diversity heuristic.
-func (b *builder) mergeBacklinks(ctx *searchCtx, l int, keys []uint64) {
+func (g *Graph) mergeBacklinks(ctx *searchCtx, l int, keys []uint64) {
 	target := int(keys[0] >> 32)
-	lst := &b.nodes[target][l]
-	maxLinks := b.maxLinks(l)
-	if len(*lst)+len(keys) <= maxLinks {
+	lay := &g.layers[l]
+	lst := lay.list(target)
+	maxLinks := g.maxLinks(l)
+	if len(lst)+len(keys) <= maxLinks {
 		for _, k := range keys {
-			*lst = append(*lst, int32(uint32(k)))
+			lst = append(lst, int32(uint32(k)))
 		}
+		lay.setList(target, lst)
 		return
 	}
 	ids := ctx.ids[:0]
 	for _, k := range keys {
 		ids = append(ids, int32(uint32(k)))
 	}
-	ids = append(ids, *lst...)
+	ids = append(ids, lst...)
 	ctx.ids = ids
-	dists := b.hopDists(ctx, b.data.At(target), ids)
+	dists := g.hopDists(ctx, g.data.At(target), ids)
 	ctx.cand.Reset()
 	for j, id := range ids {
 		ctx.cand.Push(int(id), dists[j])
 	}
-	*lst = b.selectNeighbors(ctx, *lst, maxLinks)
-}
-
-// greedyDescend walks one layer of the lists greedily towards q, returning
-// the closest node found and its distance: the walk Graph.descend makes
-// over the CSR layers.
-func (b *builder) greedyDescend(ctx *searchCtx, q []float64, ep int, epDist float64, layer int) (int, float64) {
-	for {
-		improved := false
-		nbrs := b.neighborsAt(ep, layer)
-		dists := b.hopDists(ctx, q, nbrs)
-		for j, nb := range nbrs {
-			if d := dists[j]; d < epDist {
-				epDist, ep = d, int(nb)
-				improved = true
-			}
-		}
-		if !improved {
-			return ep, epDist
-		}
-	}
-}
-
-// searchLayer is the beam search of the HNSW paper (Algorithm 2) over the
-// lists at one layer: starting from ep, it maintains a candidate min-heap
-// and a bounded result max-heap of width ef, both reused from ctx. Each hop
-// gathers its unvisited neighbors and evaluates them with one blocked
-// kernel call, then replays admission in neighbor order — the walk
-// Graph.beam makes over layer 0's CSR. The returned heap is ctx-owned:
-// consume it before the next searchLayer call on the same ctx.
-func (b *builder) searchLayer(ctx *searchCtx, q []float64, ep int, epDist float64, ef, layer int) *resultheap.MaxDistHeap {
-	cand, res := ctx.cand, ctx.res
-	cand.Reset()
-	res.Reset()
-	ctx.seen(ep)
-	cand.Push(ep, epDist)
-	res.Push(ep, epDist)
-	gather := ctx.buf
-	for cand.Len() > 0 {
-		c := cand.Pop()
-		if res.Len() >= ef && c.Dist > res.Top().Dist {
-			break
-		}
-		gather = gather[:0]
-		for _, nb := range b.neighborsAt(c.ID, layer) {
-			if !ctx.seen(int(nb)) {
-				gather = append(gather, nb)
-			}
-		}
-		dists := b.hopDists(ctx, q, gather)
-		for j, nb := range gather {
-			id := int(nb)
-			d := dists[j]
-			if res.Len() < ef || d < res.Top().Dist {
-				cand.Push(id, d)
-				res.PushBounded(id, d, ef)
-			}
-		}
-	}
-	ctx.buf = gather
-	return res
+	lay.setList(target, g.selectNeighbors(ctx, lst, maxLinks))
 }
 
 // selectNeighbors applies the diversity heuristic (HNSW Algorithm 4) to the
@@ -352,15 +276,15 @@ func (b *builder) searchLayer(ctx *searchCtx, q []float64, ep int, epDist float6
 // m survive, the closest pruned candidates fill the remaining slots
 // (keepPrunedConnections). dst may be the list being replaced: the heap holds
 // ids by value.
-func (b *builder) selectNeighbors(ctx *searchCtx, dst []int32, m int) []int32 {
+func (g *Graph) selectNeighbors(ctx *searchCtx, dst []int32, m int) []int32 {
 	dst = dst[:0]
 	pruned := ctx.pruned[:0]
 	for cand := ctx.cand; cand.Len() > 0 && len(dst) < m; {
 		c := cand.Pop()
 		good := true
-		cv := b.data.At(c.ID)
+		cv := g.data.At(c.ID)
 		for _, s := range dst {
-			if vec.SqDist(cv, b.data.At(int(s))) < c.Dist {
+			if vec.SqDist(cv, g.data.At(int(s))) < c.Dist {
 				good = false
 				break
 			}

@@ -55,13 +55,13 @@ func insertOneByOne(t *testing.T, data [][]float64, cfg Config) *Graph {
 	}
 	g.dead = make([]bool, len(data))
 	g.size = len(data)
-	b := &builder{Graph: g, nodes: g.carveNodes(drawLevels(g.cfg.Seed, g.mL, len(data)))}
+	g.carve(drawLevels(g.cfg.Seed, g.mL, len(data)))
 	ctx := newSearchCtx()
 	ctx.vis.Grow(len(data))
 	for id := range data {
-		b.insertBatch([]*searchCtx{ctx}, []int32{int32(id)})
+		g.insertBatch([]*searchCtx{ctx}, []int32{int32(id)})
 	}
-	b.pack()
+	g.pack()
 	return g
 }
 
@@ -118,9 +118,9 @@ func TestBuildRecallAndEquivalence(t *testing.T) {
 		t.Fatalf("bulk-built graph recall@%d = %.3f, want >= 0.95", k, rec)
 	}
 
-	b := packedBuild(t, withDead(data, g.EntryPoint(), 7, 1234, n-1), Config{Dim: dim, M: 16, EfConstruction: 200, Seed: 33})
-	for qi, q := range queries {
-		sameItems(t, qi, b.Search(q, k, 60), b.liveSearch(q, k, 60))
+	lists, csr := listsAndPacked(t, withDead(data, g.EntryPoint(), 7, 1234, n-1), queries, Config{Dim: dim, M: 16, EfConstruction: 200, Seed: 33}, k, 60)
+	for qi := range queries {
+		sameItems(t, qi, csr[qi], lists[qi])
 	}
 }
 

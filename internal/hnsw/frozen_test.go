@@ -7,54 +7,37 @@ import (
 	"ppanns/internal/rng"
 )
 
-// liveSearch is the query walk over the build's lists, with greedyDescend
-// and searchLayer — the walks the build runs — in place of the CSR walks.
-// It masks no tombstone: no list names a dead slot, so none is reachable.
-// It is the reference the CSR layers are held to.
-func (b *builder) liveSearch(q []float64, k, ef int) []resultheap.Item {
-	ef = max(ef, k)
-	if b.size == 0 {
-		return nil
-	}
-	ctx := newSearchCtx()
-	ctx.vis.Grow(len(b.nodes))
-	ctx.next()
-	ep := b.entry
-	epDist := b.pairDist(ctx, q, ep)
-	for l := b.maxLevel; l > 0; l-- {
-		ep, epDist = b.greedyDescend(ctx, q, ep, epDist, l)
-	}
-	ctx.next()
-	items := b.searchLayer(ctx, q, ep, epDist, ef, 0).SortedInto(nil)
-	return items[:min(k, len(items))]
-}
-
-// packedBuild builds and packs a graph but keeps the builder, so a test can
-// walk the lists the CSR layers were packed from.
-func packedBuild(t *testing.T, data [][]float64, cfg Config) *builder {
+// listsAndPacked builds a graph over data and answers every query twice
+// with the same walk: first over the layers Build links in (each slot at
+// its layer's full link capacity), then over the packed CSR layers. The
+// first answers are the reference the packing is held to.
+func listsAndPacked(t *testing.T, data, queries [][]float64, cfg Config, k, ef int) (lists, csr [][]resultheap.Item) {
 	t.Helper()
-	b, err := newBuilder(data, cfg)
+	g, err := buildLists(data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.pack()
-	return b
+	for _, q := range queries {
+		lists = append(lists, g.Search(q, k, ef))
+	}
+	g.pack()
+	for _, q := range queries {
+		csr = append(csr, g.Search(q, k, ef))
+	}
+	return lists, csr
 }
 
-func frozenTestGraph(t *testing.T, n, dim int, cfg Config, dead ...int) (*builder, [][]float64) {
-	t.Helper()
-	cfg.Dim = dim
+func frozenTestData(n, dim int, dead ...int) (data, queries [][]float64) {
 	r := rng.NewSeeded(777)
-	data := make([][]float64, n)
+	data = make([][]float64, n)
 	for i := range data {
 		data[i] = rng.Gaussian(r, nil, dim)
 	}
-	b := packedBuild(t, withDead(data, dead...), cfg)
-	queries := make([][]float64, 32)
+	queries = make([][]float64, 32)
 	for i := range queries {
 		queries[i] = rng.Gaussian(r, nil, dim)
 	}
-	return b, queries
+	return withDead(data, dead...), queries
 }
 
 // sameItems fails the test unless the CSR walk returned exactly what the
@@ -76,8 +59,9 @@ func sameItems(t *testing.T, qi int, csr, lists []resultheap.Item) {
 // CSR walk must return the exact same ids in the exact same order, with
 // bit-identical distances, as the walk over the lists it was packed from.
 func TestFrozenSearchMatchesLockedExactly(t *testing.T) {
-	b, queries := frozenTestGraph(t, 600, 24, Config{M: 8, EfConstruction: 60, Seed: 5}, 3, 77, 450, 599)
-	for qi, q := range queries {
-		sameItems(t, qi, b.Search(q, 10, 40), b.liveSearch(q, 10, 40))
+	data, queries := frozenTestData(600, 24, 3, 77, 450, 599)
+	lists, csr := listsAndPacked(t, data, queries, Config{Dim: 24, M: 8, EfConstruction: 60, Seed: 5}, 10, 40)
+	for qi := range queries {
+		sameItems(t, qi, csr[qi], lists[qi])
 	}
 }

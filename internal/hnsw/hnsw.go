@@ -11,9 +11,11 @@
 // A graph is an immutable value. Build or Load constructs it and ends by
 // packing the adjacency into CSR layers — per layer, one offsets array plus
 // one flat neighbor array — which searches, Save and the accessors read with
-// no lock. A nil row given to Build is a dead slot: it keeps its id (so ids
-// stay vector positions), holds a zero vector, is never linked and is never
-// the entry point.
+// no lock. Build links its points with the same descent and beam a search
+// runs, over layers carved with room for each list to grow. A nil row
+// given to Build is a dead slot: it keeps its id (so ids stay vector
+// positions), holds a zero vector, is never linked and is never the entry
+// point.
 //
 // The graph stores opaque float64 vectors and ranks them by squared
 // Euclidean distance. The PP-ANNS scheme instantiates it over DCPE/SAP
@@ -58,14 +60,27 @@ func (c Config) withDefaults() (Config, error) {
 }
 
 // csrLayer is one layer's adjacency in compressed-sparse-row form: node
-// id's neighbor list is nbrs[offs[id]:offs[id+1]] (empty when the node's
-// level is below the layer).
+// id's neighbor list is nbrs[offs[id]:ends[id]] (empty when the node's
+// level is below the layer). A packed layer's lists sit back to back, so
+// ends is offs[1:]; while Build links, node id's slot runs on to
+// offs[id+1] at the layer's full link capacity and its list grows in place.
 type csrLayer struct {
-	offs []int32
-	nbrs []int32
+	offs, ends []int32
+	nbrs       []int32
 }
 
-func (l *csrLayer) neighbors(id int) []int32 { return l.nbrs[l.offs[id]:l.offs[id+1]] }
+// packed is the layer whose list id is nbrs[offs[id]:offs[id+1]].
+func packed(offs, nbrs []int32) csrLayer {
+	return csrLayer{offs: offs, ends: offs[1:], nbrs: nbrs}
+}
+
+func (l *csrLayer) neighbors(id int) []int32 { return l.nbrs[l.offs[id]:l.ends[id]] }
+
+// list is id's list with its slot's spare capacity, for appending in place.
+func (l *csrLayer) list(id int) []int32 { return l.nbrs[l.offs[id]:l.ends[id]:l.offs[id+1]] }
+
+// setList records lst, a list grown from list(id), as id's list.
+func (l *csrLayer) setList(id int, lst []int32) { l.ends[id] = l.offs[id] + int32(len(lst)) }
 
 // Graph is an HNSW index. Nothing writes to it once Build or Load returns,
 // so any number of searches run on it concurrently, beside Save.
@@ -227,10 +242,10 @@ func (g *Graph) searchInto(dst []resultheap.Item, q []float64, k, ef int, sc vec
 	ep := g.entry
 	epDist := g.pairDist(ctx, q, ep)
 	for l := g.maxLevel; l > 0; l-- {
-		ep, epDist = g.descend(ctx, q, ep, epDist, l)
+		ep, epDist = g.descend(ctx, q, ep, epDist, &g.layers[l])
 	}
 	ctx.next()
-	res := g.beam(ctx, q, ep, epDist, ef)
+	res := g.beam(ctx, q, ep, epDist, ef, &g.layers[0])
 	ctx.items = res.SortedInto(ctx.items)
 	items := ctx.items
 	if len(items) > k {
@@ -240,9 +255,9 @@ func (g *Graph) searchInto(dst []resultheap.Item, q []float64, k, ef int, sc vec
 }
 
 // descend walks one layer greedily towards q, returning the closest node
-// found and its distance: one blocked distance call per hop.
-func (g *Graph) descend(ctx *searchCtx, q []float64, ep int, epDist float64, layer int) (int, float64) {
-	lay := &g.layers[layer]
+// found and its distance: one blocked distance call per hop. Searches and
+// Build's linking both descend with it.
+func (g *Graph) descend(ctx *searchCtx, q []float64, ep int, epDist float64, lay *csrLayer) (int, float64) {
 	for {
 		improved := false
 		nbrs := lay.neighbors(ep)
@@ -259,14 +274,16 @@ func (g *Graph) descend(ctx *searchCtx, q []float64, ep int, epDist float64, lay
 	}
 }
 
-// beam is the beam search of the HNSW paper (Algorithm 2) on layer 0, with
-// tombstones kept out of the result set: from ep it maintains a candidate
-// min-heap and a bounded result max-heap of width ef, both reused from ctx.
-// Each hop gathers its unvisited neighbors and evaluates them with one
-// blocked kernel call, then replays admission in neighbor order. The
-// returned heap is ctx-owned.
-func (g *Graph) beam(ctx *searchCtx, q []float64, ep int, epDist float64, ef int) *resultheap.MaxDistHeap {
-	offs, nbrs := g.layers[0].offs, g.layers[0].nbrs
+// beam is the beam search of the HNSW paper (Algorithm 2) on one layer,
+// with tombstones kept out of the result set: from ep it maintains a
+// candidate min-heap and a bounded result max-heap of width ef, both reused
+// from ctx. Each hop gathers its unvisited neighbors and evaluates them
+// with one blocked kernel call, then replays admission in neighbor order.
+// Searches run it on layer 0; Build runs it on every layer a new node
+// joins, where the tombstone check never fires (no list names a dead slot).
+// The returned heap is ctx-owned: consume it before the next walk on ctx.
+func (g *Graph) beam(ctx *searchCtx, q []float64, ep int, epDist float64, ef int, lay *csrLayer) *resultheap.MaxDistHeap {
+	offs, ends, nbrs := lay.offs, lay.ends, lay.nbrs
 	dead := g.dead
 	cand, res := ctx.cand, ctx.res
 	cand.Reset()
@@ -283,7 +300,7 @@ func (g *Graph) beam(ctx *searchCtx, q []float64, ep int, epDist float64, ef int
 			break
 		}
 		gather = gather[:0]
-		for _, nb := range nbrs[offs[c.ID]:offs[c.ID+1]] {
+		for _, nb := range nbrs[offs[c.ID]:ends[c.ID]] {
 			if !ctx.seen(int(nb)) {
 				gather = append(gather, nb)
 			}

@@ -107,7 +107,7 @@ func Load(r io.Reader, dim, n int) (*Graph, error) {
 	g.dead = make([]bool, n)
 	g.layers = make([]csrLayer, maxLevel+1)
 	for l := range g.layers {
-		g.layers[l].offs = make([]int32, n+1)
+		g.layers[l] = packed(make([]int32, n+1), nil)
 	}
 	for i := 0; i < n; i++ {
 		var level int32

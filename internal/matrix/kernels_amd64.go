@@ -4,10 +4,9 @@ package matrix
 
 import "ppanns/internal/simd"
 
-// useAVX2 selects the assembly loop bodies: the machine has AVX2 and
-// PPANNS_KERNEL does not force the scalar reference. Both bodies compute
-// the same bits, so the choice is about speed only.
-var useAVX2 = simd.Pick() == simd.AVX2
+// The wrappers run the assembly loop bodies when simd.UseAVX2: the machine
+// has AVX2 and PPANNS_KERNEL does not force the scalar reference. Both
+// bodies compute the same bits, so the choice is about speed only.
 
 //go:noescape
 func axpy4AVX2(dst, r0, r1, r2, r3 []float64, a0, a1, a2, a3 float64)
@@ -16,7 +15,7 @@ func axpy4AVX2(dst, r0, r1, r2, r3 []float64, a0, a1, a2, a3 float64)
 func dot8AVX2(a, b []float64) float64
 
 func axpy4(dst, r0, r1, r2, r3 []float64, a0, a1, a2, a3 float64) {
-	if useAVX2 {
+	if simd.UseAVX2() {
 		axpy4AVX2(dst, r0, r1, r2, r3, a0, a1, a2, a3)
 		return
 	}
@@ -24,7 +23,7 @@ func axpy4(dst, r0, r1, r2, r3 []float64, a0, a1, a2, a3 float64) {
 }
 
 func dot8(a, b []float64) float64 {
-	if useAVX2 {
+	if simd.UseAVX2() {
 		return dot8AVX2(a, b)
 	}
 	return dot8Scalar(a, b)

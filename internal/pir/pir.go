@@ -72,9 +72,6 @@ func NewServer(blocks [][]byte) (*Server, error) {
 	return &Server{blocks: padded, blockSize: size}, nil
 }
 
-// NumBlocks returns the database size in blocks.
-func (s *Server) NumBlocks() int { return len(s.blocks) }
-
 // BlockSize returns the padded block size in bytes.
 func (s *Server) BlockSize() int { return s.blockSize }
 

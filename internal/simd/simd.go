@@ -1,12 +1,11 @@
-// Package simd detects the CPU vector features the dispatched distance
-// kernels can use and resolves the PPANNS_KERNEL override.
+// Package simd detects the CPU vector features the distance kernels can use
+// and resolves, once at init, the one kernel variant every package runs.
 //
-// The package deliberately owns no kernels itself: internal/vec and
-// internal/dce each keep a dispatch table of their own kernel variants and
-// consult this package once, at init, to pick the active entry. That keeps
-// feature detection (one CPUID dance, one environment read) in one place
-// while the kernels stay next to the scalar references they must match
-// bit-for-bit.
+// The package owns no kernels itself: internal/vec, internal/dce and
+// internal/matrix keep their assembly next to the scalar references they
+// must match bit for bit, and each kernel wrapper branches on UseAVX2 with
+// direct calls. There is no runtime switch: the variant is fixed for the
+// life of the process by the CPU and the PPANNS_KERNEL environment variable.
 //
 // Detection is written against raw CPUID/XGETBV (no external cpu-feature
 // dependency): AVX2 is reported only when the instruction set is present
@@ -19,53 +18,36 @@ import (
 	"strings"
 )
 
-// Kernel variant names shared by every dispatch table. Packages register
-// their variants under these names so the PPANNS_KERNEL override, the test
-// forcing hooks and the bench reports all speak one vocabulary.
+// Kernel variant names, the vocabulary of PPANNS_KERNEL and of the bench
+// reports.
 const (
 	Scalar = "scalar"
 	AVX2   = "avx2"
+)
+
+var (
+	kernel  = pick(os.Getenv("PPANNS_KERNEL"))
+	useAVX2 = kernel == AVX2
 )
 
 // HasAVX2 reports whether AVX2 kernels are safe to run: the CPU advertises
 // AVX2 and the OS saves YMM state across context switches.
 func HasAVX2() bool { return hasAVX2 }
 
-// Available lists the kernel variant names usable on this machine, best
-// last. The scalar reference is always available.
-func Available() []string {
-	out := []string{Scalar}
-	if hasAVX2 {
-		out = append(out, AVX2)
-	}
-	return out
-}
+// Kernel returns the variant every kernel runs in this process.
+func Kernel() string { return kernel }
 
-// Best returns the fastest available variant name.
-func Best() string {
-	if hasAVX2 {
-		return AVX2
-	}
-	return Scalar
-}
+// UseAVX2 reports whether the kernels run their AVX2 bodies.
+func UseAVX2() bool { return useAVX2 }
 
-// Override returns the normalized PPANNS_KERNEL environment value ("" when
-// unset). "scalar" forces the reference kernels everywhere; any other value
-// names a SIMD variant to prefer.
-func Override() string {
-	return strings.ToLower(strings.TrimSpace(os.Getenv("PPANNS_KERNEL")))
-}
-
-// Pick resolves the variant a dispatch table should activate at init:
-// the PPANNS_KERNEL override when it names an available variant, the best
-// available one when unset. An override naming an unavailable or unknown
-// variant degrades to scalar — the escape hatch must never select a kernel
-// the machine cannot run.
-func Pick() string {
-	switch o := Override(); o {
-	case "":
-		return Best()
-	case AVX2:
+// pick resolves a PPANNS_KERNEL value to a variant: unset (or blank) picks
+// the best variant this machine runs, "scalar" forces the reference
+// kernels, "avx2" requests AVX2 and falls back to scalar where it is
+// missing. Any other name means scalar — the escape hatch must never
+// select a kernel the machine cannot run.
+func pick(env string) string {
+	switch strings.ToLower(strings.TrimSpace(env)) {
+	case "", AVX2:
 		if hasAVX2 {
 			return AVX2
 		}

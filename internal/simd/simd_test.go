@@ -2,61 +2,46 @@ package simd
 
 import (
 	"os"
-	"slices"
 	"testing"
 )
 
+// TestAvailableAlwaysIncludesScalar: the variant resolved at init is one
+// this machine can run — scalar, or AVX2 only where HasAVX2 — and it is
+// what pick makes of this process's PPANNS_KERNEL.
 func TestAvailableAlwaysIncludesScalar(t *testing.T) {
-	av := Available()
-	if len(av) == 0 || av[0] != Scalar {
-		t.Fatalf("Available() = %v, want scalar first", av)
+	switch Kernel() {
+	case Scalar:
+	case AVX2:
+		if !HasAVX2() {
+			t.Fatal("Kernel() = avx2 on a machine without AVX2")
+		}
+	default:
+		t.Fatalf("Kernel() = %q, want scalar or avx2", Kernel())
 	}
-	if HasAVX2() != slices.Contains(av, AVX2) {
-		t.Fatalf("HasAVX2() = %v inconsistent with Available() = %v", HasAVX2(), av)
+	if UseAVX2() != (Kernel() == AVX2) {
+		t.Fatalf("UseAVX2() = %v with Kernel() = %q", UseAVX2(), Kernel())
 	}
-	if !slices.Contains(av, Best()) {
-		t.Fatalf("Best() = %q not in Available() = %v", Best(), av)
+	if want := pick(os.Getenv("PPANNS_KERNEL")); Kernel() != want {
+		t.Fatalf("Kernel() = %q, pick of PPANNS_KERNEL = %q", Kernel(), want)
 	}
 }
 
 func TestPickHonorsOverride(t *testing.T) {
-	setenv := func(v string) {
-		t.Helper()
-		if err := os.Setenv("PPANNS_KERNEL", v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	old, had := os.LookupEnv("PPANNS_KERNEL")
-	t.Cleanup(func() {
-		if had {
-			os.Setenv("PPANNS_KERNEL", old)
-		} else {
-			os.Unsetenv("PPANNS_KERNEL")
-		}
-	})
-
-	setenv("")
-	if got := Pick(); got != Best() {
-		t.Fatalf("Pick() with empty override = %q, want Best() = %q", got, Best())
-	}
-	setenv("scalar")
-	if got := Pick(); got != Scalar {
-		t.Fatalf("Pick() with scalar override = %q", got)
-	}
-	setenv(" SCALAR ")
-	if got := Pick(); got != Scalar {
-		t.Fatalf("Pick() should normalize case/space, got %q", got)
-	}
-	setenv("avx2")
-	want := Scalar
+	best := Scalar
 	if HasAVX2() {
-		want = AVX2
+		best = AVX2
 	}
-	if got := Pick(); got != want {
-		t.Fatalf("Pick() with avx2 override = %q, want %q", got, want)
-	}
-	setenv("no-such-kernel")
-	if got := Pick(); got != Scalar {
-		t.Fatalf("Pick() with unknown override = %q, want scalar fallback", got)
+	for _, c := range []struct{ env, want string }{
+		{"", best},
+		{"  ", best},
+		{"scalar", Scalar},
+		{" SCALAR ", Scalar},
+		{"avx2", best},
+		{"AVX2", best},
+		{"no-such-kernel", Scalar},
+	} {
+		if got := pick(c.env); got != c.want {
+			t.Fatalf("pick(%q) = %q, want %q", c.env, got, c.want)
+		}
 	}
 }

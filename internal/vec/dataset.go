@@ -106,7 +106,7 @@ func (d *Dataset) AppendZero() (int, []float64) {
 
 // SqDistBlock computes dst[j] = SqDist(q, At(ids[j])) for every id in one
 // pass over the flat backing array, reusing dst's capacity. Results are
-// bit-identical to per-row SqDist calls (every dispatched variant matches
+// bit-identical to per-row SqDist calls (both kernel variants match
 // the scalar reference's element order); the win is structural: one call
 // evaluates a whole gathered neighbor or candidate list, the row
 // addressing stays inside the kernel, and q stays hot in registers/L1
@@ -120,7 +120,7 @@ func (d *Dataset) SqDistBlock(dst []float64, q []float64, ids []int32) []float64
 	} else {
 		dst = dst[:len(ids)]
 	}
-	activeKernels.Load().sqDistBlock(dst, d.data, d.stride, d.dim, q, ids)
+	sqDistBlockKernel(dst, d.data, d.stride, d.dim, q, ids)
 	return dst
 }
 

@@ -2,8 +2,6 @@ package vec
 
 import (
 	"bytes"
-	"encoding/binary"
-	"math"
 	"testing"
 )
 
@@ -47,89 +45,5 @@ func FuzzReadIvecs(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = ReadIvecs(bytes.NewReader(data), 1000)
-	})
-}
-
-// fuzzFloats decodes raw bytes into a deterministic float64 slice of
-// length n starting at element offset off, replacing NaN with a finite
-// stand-in (NaN compares unequal to itself, which would flag every variant
-// as "divergent" without testing anything).
-func fuzzFloats(data []byte, n, off int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		var bits uint64
-		for b := 0; b < 8; b++ {
-			idx := (off + i) * 8
-			if idx+b < len(data) {
-				bits |= uint64(data[idx+b]) << (8 * b)
-			} else {
-				bits |= uint64(off+i+b) << (8 * b) // deterministic filler
-			}
-		}
-		v := math.Float64frombits(bits)
-		if math.IsNaN(v) {
-			v = float64(i) * 0.5
-		}
-		out[i] = v
-	}
-	return out
-}
-
-// FuzzSqDistKernelEquivalence feeds arbitrary bit patterns (infinities and
-// denormals included), arbitrary lengths and slice offsets to every linked
-// kernel variant and requires bit-identical results against the scalar
-// reference — the fuzz form of the kernel conformance suite, including the
-// padded-stride block path with fuzzer-chosen ids.
-func FuzzSqDistKernelEquivalence(f *testing.F) {
-	seed := make([]byte, 64)
-	binary.LittleEndian.PutUint64(seed, math.Float64bits(1.5))
-	f.Add(uint16(13), uint8(1), seed)
-	f.Add(uint16(96), uint8(0), []byte{})
-	f.Add(uint16(8), uint8(3), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xF0, 0x7F}) // +Inf element
-	f.Fuzz(func(t *testing.T, dimRaw uint16, offRaw uint8, data []byte) {
-		dim := int(dimRaw) % 257
-		off := int(offRaw) % 4
-		a := fuzzFloats(data, dim+off, 0)[off:]
-		b := fuzzFloats(data, dim+off, dim)[off:]
-		want := sqDistScalar(a, b)
-		wantBits := math.Float64bits(want)
-		for _, k := range kernelVariants {
-			if got := k.sqDist(a, b); math.Float64bits(got) != wantBits && !(math.IsNaN(got) && math.IsNaN(want)) {
-				t.Fatalf("%s: sqDist(dim=%d off=%d) = %v (%#x), scalar %v (%#x)",
-					k.name, dim, off, got, math.Float64bits(got), want, wantBits)
-			}
-		}
-		if dim == 0 {
-			return
-		}
-		// Block path: rows strided through a padded arena, ids derived from
-		// the fuzz bytes (duplicates and reorderings included).
-		stride := PadStride(dim)
-		const rows = 5
-		arena := AlignedFloats(stride * rows)
-		flat := fuzzFloats(data, dim*rows, 7)
-		for r := 0; r < rows; r++ {
-			copy(arena[r*stride:r*stride+dim], flat[r*dim:(r+1)*dim])
-		}
-		ids := make([]int32, 1+len(data)%7)
-		for i := range ids {
-			if i < len(data) {
-				ids[i] = int32(data[i]) % rows
-			}
-		}
-		wantB := make([]float64, len(ids))
-		sqDistBlockScalar(wantB, arena, stride, dim, a, ids)
-		gotB := make([]float64, len(ids))
-		for _, k := range kernelVariants {
-			for i := range gotB {
-				gotB[i] = 0
-			}
-			k.sqDistBlock(gotB, arena, stride, dim, a, ids)
-			for j := range ids {
-				if math.Float64bits(gotB[j]) != math.Float64bits(wantB[j]) && !(math.IsNaN(gotB[j]) && math.IsNaN(wantB[j])) {
-					t.Fatalf("%s: sqDistBlock(dim=%d)[%d] = %v, scalar %v", k.name, dim, j, gotB[j], wantB[j])
-				}
-			}
-		}
 	})
 }

@@ -19,14 +19,25 @@ func sqDistBlockAVX2(dst, data []float64, stride, dim int, q []float64, ids []in
 //go:noescape
 func pqScanBlockAVX2(dst []float64, codes []byte, m int, lut []float64, ids []int32)
 
-var _ = func() struct{} {
-	if !simd.HasAVX2() {
-		return struct{}{}
+func sqDistKernel(a, b []float64) float64 {
+	if simd.UseAVX2() {
+		return sqDistPairAVX2(a, b)
 	}
-	return registerKernel(&kernelTable{
-		name:        simd.AVX2,
-		sqDist:      sqDistPairAVX2,
-		sqDistBlock: sqDistBlockAVX2,
-		pqScanBlock: pqScanBlockAVX2,
-	})
-}()
+	return sqDistScalar(a, b)
+}
+
+func sqDistBlockKernel(dst, data []float64, stride, dim int, q []float64, ids []int32) {
+	if simd.UseAVX2() {
+		sqDistBlockAVX2(dst, data, stride, dim, q, ids)
+		return
+	}
+	sqDistBlockScalar(dst, data, stride, dim, q, ids)
+}
+
+func pqScanBlockKernel(dst []float64, codes []byte, m int, lut []float64, ids []int32) {
+	if simd.UseAVX2() {
+		pqScanBlockAVX2(dst, codes, m, lut, ids)
+		return
+	}
+	pqScanBlockScalar(dst, codes, m, lut, ids)
+}

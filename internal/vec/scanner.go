@@ -20,13 +20,13 @@ type BlockScanner interface {
 }
 
 // PQScanBlock computes dst[j] = Σ_m lut[m·256 + codes[ids[j]·m + m]] — the
-// blocked PQ LUT scan — through the active kernel variant. Every variant
+// blocked PQ LUT scan — through the process's kernel variant. Each variant
 // accumulates each point's M lookups sequentially in subspace order, so
 // results are bit-identical across variants. codes must carry the pq
 // package's gather slack (the AVX2 variant reads up to three bytes past
 // the final referenced code).
 func PQScanBlock(dst []float64, codes []byte, m int, lut []float64, ids []int32) {
-	activeKernels.Load().pqScanBlock(dst, codes, m, lut, ids)
+	pqScanBlockKernel(dst, codes, m, lut, ids)
 }
 
 // pqScanBlockScalar is the reference LUT-scan kernel: one sequential

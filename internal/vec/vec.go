@@ -26,8 +26,8 @@ func Dot(a, b []float64) float64 {
 }
 
 // SqDist returns the squared Euclidean distance between a and b, the
-// distance the paper's dist(p,q) denotes. The call dispatches to the
-// active kernel variant (see kernels.go): the scalar reference unrolls
+// distance the paper's dist(p,q) denotes. The call runs the process's
+// kernel variant (see kernels.go): the scalar reference unrolls
 // eight-wide with independent accumulators so the floating-point add chain
 // pipelines, and the SIMD variants reproduce its lane structure exactly —
 // proximity-graph search evaluates this kernel thousands of times per
@@ -38,7 +38,7 @@ func SqDist(a, b []float64) float64 {
 	}
 	if len(a) < 8 {
 		// Below one vector step every variant is the sequential remainder
-		// loop plus a reduction of zeros: same bits, no dispatch.
+		// loop plus a reduction of zeros: same bits, no kernel call.
 		return sqDistTail(0, a, b, 0)
 	}
 	return sqDistKernel(a, b)
@@ -46,8 +46,8 @@ func SqDist(a, b []float64) float64 {
 
 // SqDistRows computes dst[j] = SqDist(q, row j) for the len(dst) rows of a
 // contiguous block (row j at rows[j·len(q):]) — a centroid table, say —
-// bit-identical to per-row SqDist calls, with the length check and the
-// kernel dispatch paid once for the block.
+// bit-identical to per-row SqDist calls, with the length check paid once
+// for the block.
 func SqDistRows(dst, rows, q []float64) {
 	w := len(q)
 	if len(rows) != len(dst)*w {
@@ -59,19 +59,9 @@ func SqDistRows(dst, rows, q []float64) {
 		}
 		return
 	}
-	sqDist := activeKernels.Load().sqDist
 	for j := range dst {
-		dst[j] = sqDist(q, rows[j*w:(j+1)*w])
+		dst[j] = sqDistKernel(q, rows[j*w:(j+1)*w])
 	}
-}
-
-// sqDistKernel is the bounds-check-hoisted body of SqDist. Every caller
-// that must produce bit-identical distances (the blocked Dataset scan, the
-// frozen-view graph walks) goes through the one dispatched kernel table,
-// and every variant in that table reproduces the scalar reference's
-// element order, so distances are identical everywhere by construction.
-func sqDistKernel(a, b []float64) float64 {
-	return activeKernels.Load().sqDist(a, b)
 }
 
 // Dist returns the Euclidean distance between a and b.

@@ -30,14 +30,6 @@ type Injector struct {
 	dead    bool
 }
 
-// Written returns the total payload bytes that reached the underlying
-// files.
-func (in *Injector) Written() int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.written
-}
-
 // Syncs returns how many Sync calls completed successfully — the group-
 // commit tests use it to check fsync amortization.
 func (in *Injector) Syncs() int {

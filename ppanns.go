@@ -144,7 +144,7 @@ func NewUser(k *UserKey) (*User, error) { return core.NewUser(k) }
 func NewServer(edb *EncryptedDatabase) (*Server, error) { return core.NewServer(edb) }
 
 // ServerOptions tunes the serving tier's write path (delta-tier compaction
-// triggers). See Params.CompactAt for the deployment-level knob.
+// triggers, the WAL).
 type ServerOptions = core.ServerOptions
 
 // NewServerWith is NewServer with explicit write-path options.
