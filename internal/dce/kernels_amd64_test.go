@@ -24,10 +24,14 @@ func dceRandFloats(r *rng.Rand, n int, scale float64) []float64 {
 	return out
 }
 
-// TestAVX2KernelBitIdentical holds the AVX2 pair kernel to the scalar
-// reference, by direct calls, across all loop shapes and unaligned slice
-// offsets — whatever PPANNS_KERNEL selects for the process.
-func TestAVX2KernelBitIdentical(t *testing.T) {
+// TestDCEKernelVariantsBitIdentical holds the AVX2 pair kernel to the
+// scalar reference, by direct calls, across all loop shapes and unaligned
+// slice offsets — whatever PPANNS_KERNEL selects for the process.
+func TestDCEKernelVariantsBitIdentical(t *testing.T) {
+	t.Run(simd.AVX2, testAVX2KernelBitIdentical)
+}
+
+func testAVX2KernelBitIdentical(t *testing.T) {
 	if !simd.HasAVX2() {
 		t.Skip("no AVX2 on this machine")
 	}

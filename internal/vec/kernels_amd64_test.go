@@ -26,11 +26,15 @@ func sameBits(got, want float64) bool {
 	return math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want)
 }
 
-// TestAVX2KernelsBitIdentical compares the AVX2 pair and block kernels
+// TestKernelVariantsBitIdentical compares the AVX2 pair and block kernels
 // against the scalar references across all loop shapes, deliberately
 // misaligned slices, and padded-stride arenas with shuffled, duplicated
 // ids.
-func TestAVX2KernelsBitIdentical(t *testing.T) {
+func TestKernelVariantsBitIdentical(t *testing.T) {
+	t.Run(simd.AVX2, testAVX2KernelsBitIdentical)
+}
+
+func testAVX2KernelsBitIdentical(t *testing.T) {
 	if !simd.HasAVX2() {
 		t.Skip("no AVX2 on this machine")
 	}
@@ -86,10 +90,14 @@ func pqTestCodes(r *rng.Rand, n, m, k int) []byte {
 	return codes
 }
 
-// TestAVX2PQScanBitIdentical compares the AVX2 LUT scan against the
-// scalar reference across code widths, id-set shapes (including the 4-lane
-// remainder cases), duplicated and shuffled ids, and partial-K LUTs.
-func TestAVX2PQScanBitIdentical(t *testing.T) {
+// TestPQScanKernelVariantsBitIdentical compares the AVX2 LUT scan against
+// the scalar reference across code widths, id-set shapes (including the
+// 4-lane remainder cases), duplicated and shuffled ids, and partial-K LUTs.
+func TestPQScanKernelVariantsBitIdentical(t *testing.T) {
+	t.Run(simd.AVX2, testAVX2PQScanBitIdentical)
+}
+
+func testAVX2PQScanBitIdentical(t *testing.T) {
 	if !simd.HasAVX2() {
 		t.Skip("no AVX2 on this machine")
 	}
