@@ -213,32 +213,38 @@ func TestDatabaseGolden(t *testing.T) {
 // by itself, flushes it twice (fold1 after a small script; fold2 after
 // inserting more than the base's n records, so ivf+pq's 2× retrain rule
 // fires there and not at fold1), then splits the fold2 database into two
-// stripes with Seed 5 and compacts it offline. Every digest is the SHA-256
-// of the PPANNSD5 Save bytes.
+// stripes with Seed 5 and compacts it offline. Every digest but the last is
+// the SHA-256 of the PPANNSD5 Save bytes; the last is the SHA-256 of
+// AppendInsert over every insert payload of the script, in order — the
+// bytes the wire and the WAL carry for an insert — captured before the
+// payload's ciphertext became one flat record.
 func TestRelayoutGolden(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		params Params
-		want   []string // fold1, fold2, stripe 0, stripe 1, compacted
+		want   []string // fold1, fold2, stripe 0, stripe 1, compacted, inserts
 	}{
 		{"hnsw", Params{Dim: 8, Beta: 0.5, Seed: 71, Index: "hnsw"}, []string{
 			"013f30fce56d06e72622c53b773065dd38fd09d6390ec6faef02baec4b517460",
 			"0b2f5717969128022bc6192ccb01c8e598517bd58058fb0a1d1ebdb55252f89d",
 			"bdd2acef7379bdd7372baa9dfac2d15cc26c10595dbc8053dcd7c92c5be4b155",
 			"fa9328b8f6fc2f38e3689ca8ccae06f140070160357e11a0a1eaf92a6841cedc",
-			"fe2b0fe8866398c66a97bcb92b9905b15e188fab3d55ff680793dfb9e1b2f5d8"}},
+			"fe2b0fe8866398c66a97bcb92b9905b15e188fab3d55ff680793dfb9e1b2f5d8",
+			"e300125312fdd2ef2abb16a58daa5de87441d90a176a942a726669bc2bcdfde2"}},
 		{"ivf", Params{Dim: 8, Beta: 0.5, Seed: 72, Index: "ivf"}, []string{
 			"c8be4500cc4f5c73a06021b95b918928449d2fe95b23f687bd1b751a1bac9c06",
 			"296b2ad5937eae760dd595905878049ac2b229cc4a033fbcd65cd443a25f9220",
 			"9bea7444f98169b0ca8dccad27215848e41b418cf2f321ca9f6215a51ae36c8e",
 			"d840bd49ec8c2211166f7a05086a71b39c0e479b8766e41ff27c6556cdb37d72",
-			"3345e6e3eda82216f36cbcd95b3d5e74ad233b98a5a1fad86ca95d13fc0f4d56"}},
+			"3345e6e3eda82216f36cbcd95b3d5e74ad233b98a5a1fad86ca95d13fc0f4d56",
+			"73b91d08cf005e36664f553ef0011885cdd877b6f755299a4da9c09f537e01a0"}},
 		{"ivf+pq", Params{Dim: 8, Beta: 0.5, Seed: 73, Index: "ivf", PQ: true, PQM: 4}, []string{
 			"af7fafea50c7150d38efa6200a621395d197d3de6eda691b08e48062ca91dc12",
 			"22a688de7b032ea8305907b2321bf37f8c88dfbed5b30ffac4b703490e87d22f",
 			"ee555c7b74a323d292561b8f83087810a48cc03b490939c2988b82309b9dd614",
 			"f9482ea47a7b544c0958a6361a6099d0228933df6004c0d784a96db198cc85ee",
-			"a06c6813b4f43839b8de1fad89b471831dcc4c1abb61a3ac73b6d1232f36c95c"}},
+			"a06c6813b4f43839b8de1fad89b471831dcc4c1abb61a3ac73b6d1232f36c95c",
+			"515177e184b05fdb3786641906cda1d14d388a9def7aebdfa00518e40d195bd0"}},
 	} {
 		owner, err := NewDataOwner(c.params)
 		if err != nil {
@@ -254,12 +260,14 @@ func TestRelayoutGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		extra := clustered(72, n+40, c.params.Dim, 4)
+		inserts := sha256.New()
 		insert := func(vs [][]float64) {
 			for _, v := range vs {
 				p, err := owner.EncryptVector(v)
 				if err != nil {
 					t.Fatal(err)
 				}
+				inserts.Write(AppendInsert(nil, p))
 				if _, err := srv.Insert(p); err != nil {
 					t.Fatal(err)
 				}
@@ -321,8 +329,9 @@ func TestRelayoutGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		digest(compacted)
+		got = append(got, fmt.Sprintf("%x", inserts.Sum(nil)))
 
-		for i, name := range []string{"fold1", "fold2", "stripe 0", "stripe 1", "compacted"} {
+		for i, name := range []string{"fold1", "fold2", "stripe 0", "stripe 1", "compacted", "inserts"} {
 			if got[i] != c.want[i] {
 				t.Errorf("%s %s: digest %s, want %s", c.name, name, got[i], c.want[i])
 			}
