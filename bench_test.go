@@ -1,8 +1,8 @@
-// Benchmarks mapping one-to-one onto the paper's tables and figures (see
-// DESIGN.md §2 for the experiment index). Each BenchmarkFigN measures the
-// kernel its figure plots at laptop scale; the full sweeps that print the
-// figures live in cmd/ppanns-bench. Ablations and scheme micro-benchmarks
-// follow the figure benches.
+// Benchmarks mapping one-to-one onto the paper's tables and figures (the
+// experiment index is the README's "Reproducing the paper's evaluation").
+// Each BenchmarkFigN measures the kernel its figure plots at laptop scale;
+// the full sweeps that print the figures live in cmd/ppanns-bench.
+// Ablations and scheme micro-benchmarks follow the figure benches.
 package ppanns_test
 
 import (
@@ -123,7 +123,7 @@ func BenchmarkFig4FilterBeta(b *testing.B) {
 			user, _ := ppanns.NewUser(owner.UserKey())
 			toks := make([]*ppanns.QueryToken, len(data.Queries))
 			for i, q := range data.Queries {
-				toks[i], _ = user.QueryFilterOnly(q)
+				toks[i], _ = user.Query(q)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -365,10 +365,10 @@ func BenchmarkAblationRefine(b *testing.B) {
 
 // fixtureCiphertexts re-encrypts the candidate vectors so the ablation can
 // compare refine strategies outside the server.
-func fixtureCiphertexts(b *testing.B, f *fixture, ids []int) []*dce.Ciphertext {
+func fixtureCiphertexts(b *testing.B, f *fixture, ids []int) [][]float64 {
 	b.Helper()
 	key := f.owner.UserKey().DCE
-	cts := make([]*dce.Ciphertext, len(ids))
+	cts := make([][]float64, len(ids))
 	for i, id := range ids {
 		cts[i] = key.Encrypt(f.data.Train[id])
 	}
@@ -385,7 +385,7 @@ func BenchmarkAblationLinearScanDCE(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cts := make([]*dce.Ciphertext, len(data.Train))
+	cts := make([][]float64, len(data.Train))
 	for i, v := range data.Train {
 		cts[i] = key.Encrypt(v)
 	}

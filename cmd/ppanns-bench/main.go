@@ -8,8 +8,9 @@
 //	ppanns-bench -list               # list experiment ids
 //
 // Scales default to laptop size; -n/-queries grow them and -full lifts the
-// caps protecting the 960-dimensional and AME-heavy pieces. Shapes, not
-// absolute numbers, are the reproduction target (EXPERIMENTS.md).
+// caps protecting the 960-dimensional and AME-heavy pieces. The corpora are
+// synthetic stand-ins, so shapes, not absolute numbers, are the
+// reproduction target (README, "Reproducing the paper's evaluation").
 package main
 
 import (

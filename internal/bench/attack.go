@@ -121,7 +121,7 @@ func Attack(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	cts := make([]*dce.Ciphertext, len(known))
+	cts := make([][]float64, len(known))
 	for i, p := range known {
 		cts[i] = dceKey.Encrypt(p)
 	}

@@ -7,9 +7,10 @@
 // "overhead", "attack", "maintain", "indexes", "tune") and dispatched by
 // cmd/ppanns-bench. Performance is not measured here: the standing
 // benchmark is benchmark/ (see BENCHMARK.json).
-// Absolute numbers differ from the paper's C++/Xeon testbed; the shapes —
-// who wins, by what order of magnitude, how curves bend — are the
-// reproduction target (see EXPERIMENTS.md).
+// The corpora are synthetic stand-ins and absolute numbers differ from the
+// paper's C++/Xeon testbed; the shapes — who wins, by what order of
+// magnitude, how curves bend — are the reproduction target (README,
+// "Reproducing the paper's evaluation").
 package bench
 
 import (
@@ -202,10 +203,19 @@ func (d *deployment) measure(k int, opt core.SearchOptions) (point, error) {
 	}, nil
 }
 
-// sweep measures a recall/QPS curve over efSearch values.
+// sweep measures a recall/QPS curve over efSearch values. The index raises
+// any ef below the call's k′ (opt.KPrime, else opt.RatioK·k) to k′, so the
+// sweep skips those: each would repeat the k′ point.
 func (d *deployment) sweep(k int, opt core.SearchOptions, efs []int) ([]point, error) {
+	kPrime := opt.KPrime
+	if kPrime <= 0 {
+		kPrime = opt.RatioK * k
+	}
 	pts := make([]point, 0, len(efs))
 	for _, ef := range efs {
+		if ef < kPrime {
+			continue
+		}
 		o := opt
 		o.EfSearch = ef
 		p, err := d.measure(k, o)
@@ -217,7 +227,8 @@ func (d *deployment) sweep(k int, opt core.SearchOptions, efs []int) ([]point, e
 	return pts, nil
 }
 
-// defaultEfs is the beam-width sweep the recall/QPS curves use.
+// defaultEfs is the beam-width sweep the recall/QPS curves use; sweep
+// drops the widths below its call's k′.
 func defaultEfs(k int) []int {
 	base := []int{1, 2, 4, 8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512}
 	efs := make([]int, 0, len(base))

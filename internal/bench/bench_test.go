@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -105,6 +106,39 @@ func TestFig4Tiny(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "beta=0") {
 		t.Fatalf("fig4 output malformed:\n%s", buf.String())
+	}
+}
+
+// TestFig6SweepsKPrime holds Figure 6's refined rows to a real sweep: the
+// DCE row's recall at k′ = 16k must exceed its recall at k′ = k. A sweep
+// of ef at a fixed k′ above it prints one point five times and fails here.
+func TestFig6SweepsKPrime(t *testing.T) {
+	var buf bytes.Buffer
+	cfg := tinyCfg(&buf)
+	cfg.Datasets = []string{"deep"}
+	if err := Fig6(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var recalls []float64
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if !strings.HasPrefix(line, "HNSW-dce ") {
+			continue
+		}
+		for _, cell := range strings.Split(line, " | ")[1:] {
+			var knob string
+			var w int
+			var r float64
+			if _, err := fmt.Sscanf(cell, "%2s=%d r=%f", &knob, &w, &r); err != nil {
+				t.Fatalf("fig6 DCE cell %q: %v", cell, err)
+			}
+			recalls = append(recalls, r)
+		}
+	}
+	if len(recalls) != 5 {
+		t.Fatalf("fig6 DCE row has %d points, want 5:\n%s", len(recalls), buf.String())
+	}
+	if recalls[4] <= recalls[0] {
+		t.Fatalf("fig6 DCE recall %.3f at k'=16k does not exceed %.3f at k'=k:\n%s", recalls[4], recalls[0], buf.String())
 	}
 }
 

@@ -27,7 +27,7 @@ func Table1(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	cfg.printf("# Table I — dataset statistics (synthetic stand-ins; see DESIGN.md §3)\n")
+	cfg.printf("# Table I — dataset statistics (synthetic stand-ins; see the README, \"Reproducing the paper's evaluation\")\n")
 	cfg.printf("%-12s %6s %9s %9s %10s %10s %12s\n",
 		"dataset", "dim", "#vectors", "#queries", "max|x|", "mean‖x‖", "β∈[√M,2M√d]")
 	for _, d := range ds {
@@ -143,33 +143,40 @@ func Fig6(cfg Config) error {
 		cfg.printf("\n## %s (n=%d, β=%.3g, k=%d)\n", d.Name, len(d.Train), beta, cfg.K)
 		gt := d.GroundTruth(cfg.K)
 		// row prints a scheme's recall and latency per query over its first
-		// n queries, at each beam width.
-		row := func(name string, n int, search func(i, ef int) ([]int, error)) error {
-			cfg.printf("%-14s", name)
-			for _, ef := range []int{cfg.K, cfg.K * 2, cfg.K * 4, cfg.K * 8, cfg.K * 16} {
+		// n queries at each width k·{1,2,4,8,16} of the knob it sweeps.
+		row := func(name, knob string, n int, search func(i, w int) ([]int, error)) error {
+			cfg.printf("%-16s", name)
+			for _, w := range []int{cfg.K, cfg.K * 2, cfg.K * 4, cfg.K * 8, cfg.K * 16} {
 				got := make([][]int, n)
 				start := time.Now()
 				for i := range got {
 					var err error
-					if got[i], err = search(i, ef); err != nil {
+					if got[i], err = search(i, w); err != nil {
 						return err
 					}
 				}
 				lat := time.Since(start) / time.Duration(n)
-				cfg.printf(" | ef=%-4d r=%.3f lat=%-10v", ef, dataset.MeanRecall(got, gt[:n]), lat.Round(time.Microsecond))
+				cfg.printf(" | %s=%-4d r=%.3f lat=%-10v", knob, w, dataset.MeanRecall(got, gt[:n]), lat.Round(time.Microsecond))
 			}
 			cfg.printf("\n")
 			return nil
 		}
-		for _, mode := range []core.RefineMode{core.RefineNone, core.RefineDCE} {
-			if err := row("HNSW-"+mode.String(), len(dep.tokens), func(i, ef int) ([]int, error) {
-				return dep.server.Search(dep.tokens[i], cfg.K, core.SearchOptions{RatioK: 16, EfSearch: ef, Refine: mode})
-			}); err != nil {
-				return err
-			}
+		// Filter-only answers with the filter's top k, so k′ = k and the
+		// beam is its knob. The refined rows sweep k′, the candidates they
+		// refine, with the beam at k′: the index raises any narrower beam
+		// to k′, so an ef sweep below it would print one point five times.
+		if err := row("HNSW-"+core.RefineNone.String(), "ef", len(dep.tokens), func(i, ef int) ([]int, error) {
+			return dep.server.Search(dep.tokens[i], cfg.K, core.SearchOptions{KPrime: cfg.K, EfSearch: ef, Refine: core.RefineNone})
+		}); err != nil {
+			return err
 		}
-		if err := row("HNSW-ame", len(tds), func(i, ef int) ([]int, error) {
-			ids, _, err := hnswAME.Search(dep.tokens[i], tds[i], cfg.K, 16*cfg.K, ef)
+		if err := row("HNSW-"+core.RefineDCE.String(), "k'", len(dep.tokens), func(i, kPrime int) ([]int, error) {
+			return dep.server.Search(dep.tokens[i], cfg.K, core.SearchOptions{KPrime: kPrime, EfSearch: kPrime})
+		}); err != nil {
+			return err
+		}
+		if err := row("HNSW-ame", "k'", len(tds), func(i, kPrime int) ([]int, error) {
+			ids, _, err := hnswAME.Search(dep.tokens[i], tds[i], cfg.K, kPrime, kPrime)
 			return ids, err
 		}); err != nil {
 			return err
@@ -500,8 +507,10 @@ func Overhead(cfg Config) error {
 		if err != nil {
 			return err
 		}
+		// The index raises a beam narrower than k′ = 16k to k′, so the
+		// search for the recall target starts there.
 		var ours point
-		for _, ef := range []int{4 * cfg.K, 8 * cfg.K, 16 * cfg.K, 32 * cfg.K, 64 * cfg.K} {
+		for _, ef := range []int{16 * cfg.K, 32 * cfg.K, 64 * cfg.K} {
 			ours, err = dep.measure(cfg.K, core.SearchOptions{RatioK: 16, EfSearch: ef})
 			if err != nil {
 				return err

@@ -140,7 +140,7 @@ func mustToken(t *testing.T, w *testWorld, q []float64) *QueryToken {
 
 // TestFailedInsertLeavesDatabaseIntact is the regression test for the
 // validate-before-mutate Insert fix: an insert rejected for a short DCE
-// component must not grow any server-side array or desync the index.
+// record must not grow any server-side array or desync the index.
 func TestFailedInsertLeavesDatabaseIntact(t *testing.T) {
 	const n, dim = 300, 8
 	data := clustered(71, n, dim, 4)
@@ -150,9 +150,9 @@ func TestFailedInsertLeavesDatabaseIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload.DCE.P3 = payload.DCE.P3[:len(payload.DCE.P3)-1]
+	payload.DCE = payload.DCE[:len(payload.DCE)-1]
 	if _, err := w.server.Insert(payload); err == nil {
-		t.Fatal("expected error for a short DCE component")
+		t.Fatal("expected error for a short DCE record")
 	}
 	if w.server.Len() != n {
 		t.Fatalf("failed insert grew database: Len = %d, want %d", w.server.Len(), n)
@@ -198,9 +198,14 @@ func TestDimensionValidation(t *testing.T) {
 	if _, err := w.server.Search(badSAP, 3, SearchOptions{}); err == nil {
 		t.Fatal("expected error for wrong-dimension SAP token")
 	}
-	badTrap := &QueryToken{SAP: tok.SAP, Trapdoor: &dce.Trapdoor{Q: make([]float64, 3)}}
-	if _, err := w.server.Search(badTrap, 3, SearchOptions{}); err == nil {
-		t.Fatal("expected error for wrong-dimension trapdoor")
+	// Off by a few and off by one, either way: the refine phase checks the
+	// trapdoor's length once, before its first comparison.
+	ctDim := len(tok.Trapdoor.Q)
+	for _, n := range []int{3, ctDim - 1, ctDim + 1} {
+		badTrap := &QueryToken{SAP: tok.SAP, Trapdoor: &dce.Trapdoor{Q: make([]float64, n)}}
+		if _, err := w.server.Search(badTrap, 3, SearchOptions{}); err == nil {
+			t.Fatalf("expected error for a trapdoor of %d floats (ciphertexts %d)", n, ctDim)
+		}
 	}
 
 	payload, err := w.owner.EncryptVector(data[0])
@@ -215,9 +220,9 @@ func TestDimensionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload2.DCE.P1 = payload2.DCE.P1[:3]
+	payload2.DCE = payload2.DCE[:3]
 	if _, err := w.server.Insert(payload2); err == nil {
-		t.Fatal("expected error for mismatched DCE ciphertext components")
+		t.Fatal("expected error for a DCE record of the wrong length")
 	}
 	if w.server.Len() != 200 {
 		t.Fatalf("failed inserts mutated database: Len = %d", w.server.Len())

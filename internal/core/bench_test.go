@@ -1,11 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"ppanns/internal/dce"
-	"ppanns/internal/resultheap"
-)
+import "testing"
 
 // benchWorld builds a deployment once per benchmark binary.
 type benchWorld struct {
@@ -53,25 +48,8 @@ func getBenchWorld(b *testing.B) *benchWorld {
 	return w
 }
 
-// naiveDistanceComp replicates the seed's DistanceComp — the straight,
-// un-unrolled loop — so the pointer-baseline below measures the actual
-// pre-arena hot path, not today's kernel on yesterday's layout.
-func naiveDistanceComp(co, cp *dce.Ciphertext, tq *dce.Trapdoor) float64 {
-	q := tq.Q
-	var z float64
-	o1, o2 := co.P1, co.P2
-	p3, p4 := cp.P3, cp.P4
-	for i, qv := range q {
-		z += (o1[i]*p3[i] - o2[i]*p4[i]) * qv
-	}
-	return z
-}
-
 // BenchmarkRefine isolates the refine phase over a fixed candidate set:
-// the pre-arena baseline (naive kernel over pointer-per-ciphertext
-// components, comparator closure, fresh heap per query) against the flat
-// arena with its unrolled kernel and pooled heap, with and without
-// trapdoor-scaled operand precomputation.
+// the pooled heap comparing records in place in the flat arena.
 func BenchmarkRefine(b *testing.B) {
 	const k, kPrime = 10, 160
 	w := getBenchWorld(b)
@@ -83,45 +61,14 @@ func BenchmarkRefine(b *testing.B) {
 		cands[i] = it.ID
 	}
 
-	// Pre-arena layout: one pointer ciphertext with four separately
-	// allocated components per point, in a dense id-indexed slice exactly
-	// like the old EncryptedDatabase.DCE field — materialized for the
-	// whole database so its heap spread matches what encryption produced.
-	scattered := make([]*dce.Ciphertext, edb.DCE.Len())
-	for id := range scattered {
-		view := dce.CiphertextFromRecord(edb.DCE.Record(id))
-		scattered[id] = &dce.Ciphertext{
-			P1: append([]float64(nil), view.P1...),
-			P2: append([]float64(nil), view.P2...),
-			P3: append([]float64(nil), view.P3...),
-			P4: append([]float64(nil), view.P4...),
-		}
-	}
-
-	b.Run("pointer-baseline", func(b *testing.B) {
-		b.ReportAllocs()
-		farther := func(a, c int) bool {
-			return naiveDistanceComp(scattered[a], scattered[c], tok.Trapdoor) > 0
-		}
-		for i := 0; i < b.N; i++ {
-			h := resultheap.NewCompareHeap(k, farther)
-			for _, id := range cands {
-				h.Offer(id)
-			}
-			_ = h.SortedAscending()
-		}
-	})
 	b.Run("arena", func(b *testing.B) {
 		b.ReportAllocs()
 		sc := getScratch()
 		defer putScratch(sc)
-		if err := edb.DCE.PrepareQuery(&sc.pq, tok.Trapdoor.Q); err != nil {
-			b.Fatal(err)
-		}
 		cmp := &sc.dce
 		var dst []int
 		for i := 0; i < b.N; i++ {
-			*cmp = dceComparator{pq: &sc.pq, cands: cands}
+			*cmp = dceComparator{store: edb.DCE, tq: tok.Trapdoor, cands: cands}
 			dst, _ = refineScratch(sc, cands, k, cmp, dst)
 		}
 	})

@@ -60,20 +60,11 @@ func ReadQuery(r *frame.Reader) (tok *QueryToken, k int, o SearchOptions) {
 //
 // A nil payload (or ciphertext) is written empty and reads back nil.
 func AppendInsert(b []byte, p *InsertPayload) []byte {
-	var sap []float64
-	var ct dce.Ciphertext
+	var sap, rec []float64
 	if p != nil {
-		sap = p.SAP
-		if p.DCE != nil {
-			ct = *p.DCE
-		}
+		sap, rec = p.SAP, p.DCE
 	}
-	b = frame.AppendFloats(b, sap)
-	b = frame.AppendU32(b, uint32(len(ct.P1)+len(ct.P2)+len(ct.P3)+len(ct.P4)))
-	for _, comp := range [4][]float64{ct.P1, ct.P2, ct.P3, ct.P4} {
-		b = frame.AppendFloatRun(b, comp)
-	}
-	return b
+	return frame.AppendFloats(frame.AppendFloats(b, sap), rec)
 }
 
 // ReadInsert reads what AppendInsert wrote. The payload owns its storage.
@@ -86,12 +77,7 @@ func ReadInsert(r *frame.Reader) *InsertPayload {
 	if sap == nil && rec == nil {
 		return nil
 	}
-	p := &InsertPayload{SAP: sap}
-	if rec != nil {
-		ct := dce.CiphertextFromRecord(rec)
-		p.DCE = &ct
-	}
-	return p
+	return &InsertPayload{SAP: sap, DCE: rec}
 }
 
 // AppendShardResult appends a search's merge answer:

@@ -178,8 +178,9 @@ func (e *EncryptedDatabase) Len() int { return e.DCE.Len() }
 func (e *EncryptedDatabase) Live() int { return e.DCE.Live() }
 
 // InsertPayload carries the ciphertexts of one new vector from the data
-// owner to the server (Section V-D insertion).
+// owner to the server (Section V-D insertion): the SAP vector and the DCE
+// record [P1|P2|P3|P4].
 type InsertPayload struct {
 	SAP []float64
-	DCE *dce.Ciphertext
+	DCE []float64
 }

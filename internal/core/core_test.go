@@ -315,12 +315,15 @@ func TestSearchValidation(t *testing.T) {
 	if _, err := w.server.Search(tok, 5, SearchOptions{Refine: RefineMode(1)}); err == nil {
 		t.Fatal("expected error for the unassigned refine mode 1")
 	}
-	filterTok, _ := w.user.QueryFilterOnly(data[0])
+	filterTok := &QueryToken{SAP: tok.SAP}
 	if _, err := w.server.Search(filterTok, 5, SearchOptions{Refine: RefineDCE}); err == nil {
 		t.Fatal("expected error for DCE refine without trapdoor")
 	}
 	if _, err := w.server.Search(filterTok, 5, SearchOptions{Refine: RefineNone}); err != nil {
 		t.Fatalf("filter-only search with filter-only token failed: %v", err)
+	}
+	if _, err := w.server.Search(tok, 5, SearchOptions{Refine: RefineNone}); err != nil {
+		t.Fatalf("filter-only search with a full token failed: %v", err)
 	}
 }
 
@@ -377,9 +380,8 @@ func TestNonFiniteRefused(t *testing.T) {
 			t.Errorf("EncryptDatabase with %v generated keys before refusing", bad)
 		}
 		for name, call := range map[string]func() error{
-			"EncryptVector":   func() error { _, err := w.owner.EncryptVector(v); return err },
-			"Query":           func() error { _, err := w.user.Query(v); return err },
-			"QueryFilterOnly": func() error { _, err := w.user.QueryFilterOnly(v); return err },
+			"EncryptVector": func() error { _, err := w.owner.EncryptVector(v); return err },
+			"Query":         func() error { _, err := w.user.Query(v); return err },
 		} {
 			if err := call(); err == nil || !strings.Contains(err.Error(), coord) {
 				t.Errorf("%s with %v: %v, want an error naming %s", name, bad, err, coord)

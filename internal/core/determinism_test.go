@@ -216,8 +216,8 @@ func TestDatabaseGolden(t *testing.T) {
 // stripes with Seed 5 and compacts it offline. Every digest but the last is
 // the SHA-256 of the PPANNSD5 Save bytes; the last is the SHA-256 of
 // AppendInsert over every insert payload of the script, in order — the
-// bytes the wire and the WAL carry for an insert — captured before the
-// payload's ciphertext became one flat record.
+// bytes the wire and the WAL carry for an insert — captured at commit
+// 31ac28f, while the payload's ciphertext was still four slices.
 func TestRelayoutGolden(t *testing.T) {
 	for _, c := range []struct {
 		name   string

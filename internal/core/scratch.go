@@ -21,7 +21,6 @@ type searchScratch struct {
 	sorted []int
 	tier   tierScratch
 	heap   resultheap.CompareHeap
-	pq     dce.PreparedQuery
 	pqsc   pq.Scanner
 	dce    dceComparator
 }
@@ -43,24 +42,24 @@ func putScratch(sc *searchScratch) {
 	// Drop per-query references (trapdoors, the ciphertext store) so a
 	// pooled scratch never pins another tenant's query material; the flat
 	// buffers are the point of the pool and stay.
-	sc.pq.Reset()
 	sc.pqsc.Reset()
 	sc.dce = dceComparator{}
 	scratchPool.Put(sc)
 }
 
 // dceComparator implements resultheap.Comparator over candidate positions
-// (indexes into cands), backed by the pooled PreparedQuery — the store
-// binding and trapdoor validation are paid exactly once per query, before
-// the heap starts comparing. A pooled struct pointer costs no allocation
-// where a per-search closure would.
+// (indexes into cands): it compares their records in the snapshot's store
+// against the query's trapdoor, whose dimension searchInto has checked. A
+// pooled struct pointer costs no allocation where a per-search closure
+// would.
 type dceComparator struct {
-	pq    *dce.PreparedQuery
+	store *dce.CiphertextStore
+	tq    *dce.Trapdoor
 	cands []int
 }
 
 func (c *dceComparator) Farther(a, b int) bool {
-	return c.pq.Comp(c.cands[a], c.cands[b]) > 0
+	return c.store.DistanceComp(c.cands[a], c.cands[b], c.tq) > 0
 }
 
 // refineScratch runs Algorithm 2's bounded max-heap selection over

@@ -600,11 +600,10 @@ func (s *Server) searchInto(dst []int, tok *QueryToken, k int, opt SearchOptions
 		if tok.Trapdoor == nil {
 			return dst[:0], st, fmt.Errorf("core: token lacks DCE trapdoor for refine")
 		}
-		// PrepareQuery validates the trapdoor dimension once; every heap
-		// comparison then runs against the prepared binding with no
-		// per-call setup.
-		if err := edb.DCE.PrepareQuery(&sc.pq, tok.Trapdoor.Q); err != nil {
-			return dst[:0], st, fmt.Errorf("core: %w", err)
+		// The trapdoor dimension is checked once here; every heap
+		// comparison then runs the kernel with no per-call check.
+		if d := edb.DCE.CtDim(); len(tok.Trapdoor.Q) != d {
+			return dst[:0], st, fmt.Errorf("core: trapdoor has dim %d, ciphertexts %d", len(tok.Trapdoor.Q), d)
 		}
 		// A filter backend out of step with the ciphertext store must
 		// surface as a wire-safe error, never as an out-of-range panic in
@@ -615,7 +614,7 @@ func (s *Server) searchInto(dst []int, tok *QueryToken, k int, opt SearchOptions
 			}
 		}
 		cmp := &sc.dce
-		*cmp = dceComparator{pq: &sc.pq, cands: cands}
+		*cmp = dceComparator{store: edb.DCE, tq: tok.Trapdoor, cands: cands}
 		dst, st.Comparisons = refineScratch(sc, cands, k, cmp, dst)
 		if mm != nil {
 			// Zero-copy: the snapshot's store is immutable once published,
@@ -657,10 +656,9 @@ func (s *Server) Insert(p *InsertPayload) (int, error) {
 		s.wmu.Unlock()
 		return 0, fmt.Errorf("core: insert payload has dim %d, want %d", len(p.SAP), edb.Dim)
 	}
-	if ctDim := edb.DCE.CtDim(); len(p.DCE.P1) != ctDim || len(p.DCE.P2) != ctDim ||
-		len(p.DCE.P3) != ctDim || len(p.DCE.P4) != ctDim {
+	if ctDim := edb.DCE.CtDim(); len(p.DCE) != 4*ctDim {
 		s.wmu.Unlock()
-		return 0, fmt.Errorf("core: insert DCE ciphertext components do not match stored dimension %d", ctDim)
+		return 0, fmt.Errorf("core: insert DCE ciphertext of %d floats, want 4·%d", len(p.DCE), ctDim)
 	}
 	var code []byte
 	if edb.PQ != nil {
@@ -695,12 +693,12 @@ func (s *Server) Insert(p *InsertPayload) (int, error) {
 // (nil when the database carries no PQ tier — replay passes the logged row
 // here so recovered code arenas are byte-identical). Caller holds wmu and
 // has validated dimensions against cur.
-func (s *Server) publishInsert(cur *snapshot, sapIn []float64, ct *dce.Ciphertext, code []byte) int {
+func (s *Server) publishInsert(cur *snapshot, sapIn, rec []float64, code []byte) int {
 	edb := cur.edb
 	pos := edb.DCE.Len()
 	// The arena append writes past every published snapshot's length —
 	// invisible to in-flight readers; likewise the SAP and PQ-code appends.
-	store := edb.DCE.Extend(ct)
+	store := edb.DCE.Extend(rec)
 	sap := append([]float64(nil), sapIn...)
 	var pqStore *pq.Store
 	if edb.PQ != nil {

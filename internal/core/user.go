@@ -44,16 +44,3 @@ func (u *User) Query(q []float64) (*QueryToken, error) {
 		Trapdoor: u.key.DCE.TrapGen(q),
 	}, nil
 }
-
-// QueryFilterOnly encrypts a query with just the SAP ciphertext — used by
-// the filter-only ablation and by parameter-tuning sweeps that never reach
-// the refine phase.
-func (u *User) QueryFilterOnly(q []float64) (*QueryToken, error) {
-	if len(q) != u.Dim() {
-		return nil, fmt.Errorf("core: query has dim %d, want %d", len(q), u.Dim())
-	}
-	if err := finite(q); err != nil {
-		return nil, fmt.Errorf("core: query: %w", err)
-	}
-	return &QueryToken{SAP: u.key.SAP.Encrypt(q)}, nil
-}

@@ -197,8 +197,8 @@ func OpenServer(walDir string, o ServerOptions) (*Server, RecoveryStats, error) 
 			if len(p.SAP) != cur.edb.Dim {
 				return fmt.Errorf("core: wal replay: insert dim %d, database dim %d", len(p.SAP), cur.edb.Dim)
 			}
-			if d := cur.edb.DCE.CtDim(); len(p.DCE.P1) != d {
-				return fmt.Errorf("core: wal replay: ciphertext dim %d, store dim %d", len(p.DCE.P1), d)
+			if d := cur.edb.DCE.CtDim(); len(p.DCE) != 4*d {
+				return fmt.Errorf("core: wal replay: ciphertext of %d floats, store dim %d", len(p.DCE), d)
 			}
 			if cur.edb.PQ != nil {
 				if len(code) != cur.edb.PQ.Book.M() {

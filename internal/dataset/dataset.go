@@ -4,7 +4,8 @@
 // brute-force ground truth, and recall computation.
 //
 // The real corpora are public downloads the offline build cannot fetch;
-// the generators below are the documented substitution (DESIGN.md §3).
+// the generators below are the documented substitution (README,
+// "Reproducing the paper's evaluation").
 // Each produces a clustered distribution — the property proximity graphs
 // and LSH depend on — with the source dataset's characteristic value range
 // and intrinsic structure:
@@ -19,7 +20,7 @@
 //   - Deep-like: ℓ2-normalized CNN-embedding-style mixture (Deep1M/Deep1B
 //     features are unit-normalized).
 //
-// Real fvecs/bvecs corpora can be substituted via FromFvecs.
+// A real fvecs corpus can be substituted via FromFvecs.
 package dataset
 
 import (

@@ -10,35 +10,8 @@ import (
 // benchSink defeats dead-code elimination of benchmarked comparisons.
 var benchSink float64
 
-// scatteredCiphertext rebuilds ct with four separately allocated component
-// slices — the pre-arena memory layout, kept here as the benchmark
-// baseline the flat store is measured against.
-func scatteredCiphertext(ct *Ciphertext) *Ciphertext {
-	return &Ciphertext{
-		P1: append([]float64(nil), ct.P1...),
-		P2: append([]float64(nil), ct.P2...),
-		P3: append([]float64(nil), ct.P3...),
-		P4: append([]float64(nil), ct.P4...),
-	}
-}
-
-// naiveDistanceComp is the seed implementation of DistanceComp — a
-// straight-line loop with no unrolling — kept as the kernel baseline.
-func naiveDistanceComp(co, cp *Ciphertext, tq *Trapdoor) float64 {
-	q := tq.Q
-	var z float64
-	o1, o2 := co.P1, co.P2
-	p3, p4 := cp.P3, cp.P4
-	for i, qv := range q {
-		z += (o1[i]*p3[i] - o2[i]*p4[i]) * qv
-	}
-	return z
-}
-
-// BenchmarkDistanceComp compares one secure comparison across layouts and
-// kernels: the seed's naive loop over pointer-per-ciphertext scattered
-// components (the old hot path), the unrolled kernel on the same scattered
-// layout, and the flat arena store.
+// BenchmarkDistanceComp times one secure comparison between two records of
+// the flat arena store.
 func BenchmarkDistanceComp(b *testing.B) {
 	for _, dim := range []int{96, 128, 960} {
 		r := rng.NewSeeded(41)
@@ -48,34 +21,13 @@ func BenchmarkDistanceComp(b *testing.B) {
 		}
 		const nPoints = 256 // enough records that repeated pairs don't all sit in L1
 		store := NewCiphertextStoreN(key.CiphertextDim(), nPoints)
-		scattered := make([]*Ciphertext, nPoints)
 		for i := 0; i < nPoints; i++ {
-			key.EncryptRecord(rng.Gaussian(r, nil, dim), store.Record(i))
-			view := CiphertextFromRecord(store.Record(i))
-			scattered[i] = scatteredCiphertext(&view)
+			copy(store.Record(i), key.Encrypt(rng.Gaussian(r, nil, dim)))
 		}
 		tq := key.TrapGen(rng.Gaussian(r, nil, dim))
 
-		// Every variant accumulates into the sink so the compiler cannot
-		// elide the comparison after inlining.
-		b.Run(fmt.Sprintf("pointer-naive/d=%d", dim), func(b *testing.B) {
-			b.ReportAllocs()
-			var z float64
-			for i := 0; i < b.N; i++ {
-				o, p := i%nPoints, (i*7+1)%nPoints
-				z += naiveDistanceComp(scattered[o], scattered[p], tq)
-			}
-			benchSink = z
-		})
-		b.Run(fmt.Sprintf("pointer/d=%d", dim), func(b *testing.B) {
-			b.ReportAllocs()
-			var z float64
-			for i := 0; i < b.N; i++ {
-				o, p := i%nPoints, (i*7+1)%nPoints
-				z += DistanceComp(scattered[o], scattered[p], tq)
-			}
-			benchSink = z
-		})
+		// The sum goes to the sink so the compiler cannot elide the
+		// comparison after inlining.
 		b.Run(fmt.Sprintf("arena/d=%d", dim), func(b *testing.B) {
 			b.ReportAllocs()
 			var z float64
@@ -101,11 +53,10 @@ func BenchmarkDCEKeyGen(b *testing.B) {
 	})
 }
 
-// BenchmarkEncrypt measures per-vector encryption into a fresh ciphertext
-// vs in place into an arena record at d=128, and at d=960 bulk encryption
-// through one Encryptor in ns per record: one record per call, which
-// streams the 30 MB of M₃ for each, against blocks of 16, which stream it
-// once for the 16.
+// BenchmarkEncrypt measures per-vector encryption into a fresh record at
+// d=128, and at d=960 bulk encryption through one Encryptor in ns per
+// record: one record per call, which streams the 30 MB of M₃ for each,
+// against blocks of 16, which stream it once for the 16.
 func BenchmarkEncrypt(b *testing.B) {
 	const dim = 128
 	r := rng.NewSeeded(43)
@@ -118,14 +69,6 @@ func BenchmarkEncrypt(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			key.Encrypt(v)
-		}
-	})
-	b.Run("record", func(b *testing.B) {
-		rec := make([]float64, 4*key.CiphertextDim())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			key.EncryptRecord(v, rec)
 		}
 	})
 

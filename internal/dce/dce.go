@@ -6,7 +6,7 @@
 // The scheme has four operations mirroring the paper:
 //
 //	KeyGen(1^ζ, d)            → Key
-//	Enc(p, SK)                → Ciphertext  (database vectors)
+//	Enc(p, SK)                → Ciphertext  (database vectors, one record)
 //	TrapGen(q, SK)            → Trapdoor    (query vectors)
 //	DistanceComp(Co, Cp, Tq)  → sign of dist(o,q) − dist(p,q)
 //
@@ -18,7 +18,9 @@
 // transformation (Equations 8–15) then hides p̄ behind the split halves of a
 // secret matrix M₃ ∈ R^(2d+16)×(2d+16) and four key vectors kv₁..kv₄ with
 // kv₁◦kv₃ = kv₂◦kv₄, yielding four ciphertext vectors per database point and
-// one trapdoor vector per query.
+// one trapdoor vector per query. A ciphertext is held as one flat record
+// [P1|P2|P3|P4] of 4·(2d+16) floats, the form CiphertextStore keeps and
+// the wire carries.
 //
 // The query side is linear in what its randomization places: steps 1–3 put
 // q, β₁, β₂ and r₁..r₄ into x = [q₁; q₂] ∈ R^(d+8), and everything after
@@ -77,7 +79,7 @@ type Key struct {
 
 	mu  sync.Mutex
 	rnd *rng.Rand
-	// single recycles the block-of-one Encryptors EncryptRecord runs on, so
+	// single recycles the block-of-one Encryptors Encrypt runs on, so
 	// one-off encryption allocates no temporaries per record either.
 	single sync.Pool
 }
@@ -171,27 +173,8 @@ func (k *Key) Dim() int { return k.dim }
 func (k *Key) Scale() float64 { return k.scale }
 
 // CiphertextDim returns the length of each of the four ciphertext component
-// vectors (2d+16 after padding), so total ciphertext size is 4× this.
+// vectors (2d+16 after padding), so a record holds 4× this.
 func (k *Key) CiphertextDim() int { return 2*k.padDim + 16 }
-
-// Ciphertext is C_DCE(p) = (p̄′₁, p̄′₂, p̄′₃, p̄′₄), four vectors of length
-// 2d+16 (Equation 13). Components are exported for serialization; treat
-// them as opaque.
-type Ciphertext struct {
-	P1, P2, P3, P4 []float64
-}
-
-// CiphertextFromRecord views a flat record [P1|P2|P3|P4] as a ciphertext
-// whose components alias rec.
-func CiphertextFromRecord(rec []float64) Ciphertext {
-	d := len(rec) / 4
-	return Ciphertext{
-		P1: rec[0*d : 1*d : 1*d],
-		P2: rec[1*d : 2*d : 2*d],
-		P3: rec[2*d : 3*d : 3*d],
-		P4: rec[3*d : 4*d : 4*d],
-	}
-}
 
 // Trapdoor is T_q = q̄′ ∈ R^(2d+16) (Equation 15).
 type Trapdoor struct {
@@ -362,22 +345,13 @@ func (k *Key) randomizeQuery(q []float64) []float64 {
 }
 
 // Encrypt is the paper's Enc(p, SK): it encrypts one database vector into
-// its four-component ciphertext. The components share one contiguous
-// backing array (the CiphertextStore record layout).
-func (k *Key) Encrypt(p []float64) *Ciphertext {
-	big := k.CiphertextDim()
-	rec := make([]float64, 4*big)
-	k.EncryptRecord(p, rec)
-	ct := CiphertextFromRecord(rec)
-	return &ct
-}
-
-// EncryptRecord is Encrypt writing into a caller-provided flat record
-// [P1|P2|P3|P4] of length 4·CiphertextDim: a block of one. The record's
-// randomness comes from the key's own sequential stream; bulk encryption,
-// which must not depend on the order workers reach that stream, uses an
-// Encryptor with one stream per record instead.
-func (k *Key) EncryptRecord(p []float64, rec []float64) {
+// a fresh flat record C_DCE(p) = [p̄′₁|p̄′₂|p̄′₃|p̄′₄] of length
+// 4·CiphertextDim (Equation 13), as a block of one. The record's randomness
+// comes from the key's own sequential stream; bulk encryption, which must
+// not depend on the order workers reach that stream, uses an Encryptor
+// with one stream per record instead.
+func (k *Key) Encrypt(p []float64) []float64 {
+	rec := make([]float64, 4*k.CiphertextDim())
 	e, ok := k.single.Get().(*Encryptor)
 	if !ok {
 		e = k.newEncryptor(1)
@@ -387,6 +361,7 @@ func (k *Key) EncryptRecord(p []float64, rec []float64) {
 	k.mu.Unlock()
 	e.encrypt([][]float64{p}, [][]float64{rec})
 	k.single.Put(e)
+	return rec
 }
 
 // EncryptRecords encrypts ps[i] into the flat record recs[i] [P1|P2|P3|P4]
@@ -468,8 +443,8 @@ func (k *Key) TrapGen(q []float64) *Trapdoor {
 }
 
 // DistanceComp evaluates Z_{o,p,q} = (ō′₁◦p̄′₃ − ō′₂◦p̄′₄)ᵀ·q̄′
-// = 2·r_o·r_p·r_q·(dist(o,q) − dist(p,q)). Its sign answers the comparison:
-// negative means dist(o,q) < dist(p,q).
-func DistanceComp(co, cp *Ciphertext, tq *Trapdoor) float64 {
-	return distCompKernel(co.P1, co.P2, cp.P3, cp.P4, tq.Q)
+// = 2·r_o·r_p·r_q·(dist(o,q) − dist(p,q)) from the records o and p. Its
+// sign answers the comparison: negative means dist(o,q) < dist(p,q).
+func DistanceComp(o, p []float64, tq *Trapdoor) float64 {
+	return DistanceCompHalves(o[:len(o)/2], p[len(p)/2:], tq.Q)
 }

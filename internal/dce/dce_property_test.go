@@ -91,11 +91,12 @@ func TestCiphertextStatistics(t *testing.T) {
 	for _, p := range [][]float64{vec.Ones(dim), vec.Scale(nil, -1, vec.Ones(dim))} {
 		ct := k.Encrypt(p)
 		var sum, sumSq float64
-		for _, v := range ct.P1 {
+		p1 := ct[:k.CiphertextDim()]
+		for _, v := range p1 {
 			sum += v
 			sumSq += v * v
 		}
-		n := float64(len(ct.P1))
+		n := float64(len(p1))
 		mean := sum / n
 		sd := math.Sqrt(sumSq/n - mean*mean)
 		if sd == 0 || math.Abs(mean) > sd {
@@ -147,8 +148,8 @@ func TestKeySerializeRoundTrip(t *testing.T) {
 					t.Fatalf("dim %d: trapdoor coordinate %d differs after a round trip", dim, i)
 				}
 			}
-			for i := range c1.P1 {
-				if c1.P1[i] != c2.P1[i] || c1.P2[i] != c2.P2[i] || c1.P3[i] != c2.P3[i] || c1.P4[i] != c2.P4[i] {
+			for i := range c1 {
+				if c1[i] != c2[i] {
 					t.Fatalf("dim %d: ciphertext coordinate %d differs after a round trip", dim, i)
 				}
 			}

@@ -36,7 +36,7 @@ func checkComparison(t *testing.T, k *Key, o, p, q []float64) {
 
 // closer reports whether o beats p for the trapdoor's query: the sign of
 // DistanceComp.
-func closer(co, cp *Ciphertext, tq *Trapdoor) bool { return DistanceComp(co, cp, tq) < 0 }
+func closer(co, cp []float64, tq *Trapdoor) bool { return DistanceComp(co, cp, tq) < 0 }
 
 func TestKeyGenValidation(t *testing.T) {
 	r := rng.NewSeeded(1)
@@ -67,11 +67,8 @@ func TestCiphertextShapes(t *testing.T) {
 			t.Fatalf("dim %d: CiphertextDim = %d, want %d", dim, k.CiphertextDim(), want)
 		}
 		p := rng.Gaussian(r, nil, dim)
-		ct := k.Encrypt(p)
-		for _, comp := range [][]float64{ct.P1, ct.P2, ct.P3, ct.P4} {
-			if len(comp) != want {
-				t.Fatalf("dim %d: component length %d, want %d", dim, len(comp), want)
-			}
+		if ct := k.Encrypt(p); len(ct) != 4*want {
+			t.Fatalf("dim %d: record length %d, want 4×%d", dim, len(ct), want)
 		}
 		tq := k.TrapGen(p)
 		if len(tq.Q) != want {
@@ -192,7 +189,7 @@ func TestTransitivityOnRanking(t *testing.T) {
 	tq := k.TrapGen(q)
 	const n = 30
 	pts := make([][]float64, n)
-	cts := make([]*Ciphertext, n)
+	cts := make([][]float64, n)
 	for i := range pts {
 		pts[i] = rng.Gaussian(r, nil, dim)
 		cts[i] = k.Encrypt(pts[i])
@@ -230,7 +227,7 @@ func TestEncryptionIsRandomized(t *testing.T) {
 	p := rng.Gaussian(r, nil, dim)
 	a := k.Encrypt(p)
 	b := k.Encrypt(p)
-	if vec.ApproxEqual(a.P1, b.P1, 1e-12) {
+	if vec.ApproxEqual(a, b, 1e-12) {
 		t.Fatal("two encryptions of the same vector produced identical ciphertexts")
 	}
 	q := rng.Gaussian(r, nil, dim)

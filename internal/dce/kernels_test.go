@@ -22,7 +22,7 @@ func TestStoreArenaAlignment(t *testing.T) {
 		}
 		store := NewCiphertextStoreN(k.CiphertextDim(), 0)
 		for i := 0; i < 5; i++ {
-			store.Append(k.Encrypt(rng.Gaussian(r, nil, dim)))
+			store.AppendRecord(k.Encrypt(rng.Gaussian(r, nil, dim)))
 		}
 		if store.Stride()%8 != 0 {
 			t.Fatalf("dim %d: stride %d not a multiple of 8 floats", dim, store.Stride())
@@ -68,32 +68,72 @@ func TestDCEKernelRegistryShape(t *testing.T) {
 }
 
 // TestDCEPublicSurfaceMatchesScalar drives the public comparison surface —
-// DistanceCompQ, the prepared pair path and the cross-store
-// DistanceCompHalves — on the variant this process runs and holds each to
-// the scalar reference bit for bit. The forced-scalar CI leg runs it on
-// the other variant.
+// DistanceComp on two records, CiphertextStore.DistanceComp and the
+// cross-store DistanceCompHalves — on the variant this process runs and
+// holds each to the scalar reference bit for bit. The forced-scalar CI leg
+// runs it on the other variant.
 func TestDCEPublicSurfaceMatchesScalar(t *testing.T) {
 	_, store, _, _, tq := storeWorld(t, 13, 9)
-	q := tq.Q
-	d := len(q)
-	ref := func(o, p int) float64 {
-		o12, p34 := store.O12(o), store.P34(p)
-		return distCompScalar(o12[:d], o12[d:], p34[:d], p34[d:], q)
-	}
-	var pq PreparedQuery
-	if err := store.PrepareQuery(&pq, q); err != nil {
-		t.Fatal(err)
-	}
 	for _, c := range []struct {
 		name      string
 		got, want float64
 	}{
-		{"pair", store.DistanceCompQ(1, 6, q), ref(1, 6)},
-		{"prepared", pq.Comp(3, 5), ref(3, 5)},
-		{"halves", DistanceCompHalves(store.O12(2), store.P34(8), q), ref(2, 8)},
+		{"records", DistanceComp(store.Record(1), store.Record(6), tq), scalarComp(store, 1, 6, tq)},
+		{"store", store.DistanceComp(3, 5, tq), scalarComp(store, 3, 5, tq)},
+		{"halves", DistanceCompHalves(store.O12(2), store.P34(8), tq.Q), scalarComp(store, 2, 8, tq)},
 	} {
 		if math.Float64bits(c.got) != math.Float64bits(c.want) {
 			t.Fatalf("%s on %s: %v, scalar reference %v", c.name, ActiveKernel(), c.got, c.want)
+		}
+	}
+}
+
+// scalarComp is distCompScalar on the store's records o and p.
+func scalarComp(s *CiphertextStore, o, p int, tq *Trapdoor) float64 {
+	d := len(tq.Q)
+	o12, p34 := s.O12(o), s.P34(p)
+	return distCompScalar(o12[:d], o12[d:], p34[:d], p34[d:], tq.Q)
+}
+
+// TestDistanceCompEntryPointsBitIdentical is the property test of the three
+// comparison entry points: across random dimensions (odd and even, so
+// ciphertext strides vary) and random record pairs, each must return the
+// scalar reference's value bit for bit — not approximately: the refine
+// heap must order candidates the same way whichever entry point compares
+// them — and the sign must answer the plaintext comparison.
+func TestDistanceCompEntryPointsBitIdentical(t *testing.T) {
+	r := rng.NewSeeded(321)
+	for _, dim := range []int{2, 3, 7, 16, 31, 96} {
+		key, err := KeyGen(r, dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 24
+		vecs := make([][]float64, n)
+		store := NewCiphertextStoreN(key.CiphertextDim(), n)
+		for i := range vecs {
+			vecs[i] = rng.Gaussian(r, nil, dim)
+			copy(store.Record(i), key.Encrypt(vecs[i]))
+		}
+		q := rng.Gaussian(r, nil, dim)
+		tq := key.TrapGen(q)
+		for o := 0; o < n; o += 3 {
+			for i := 0; i < n; i++ {
+				p := (i * 7) % n
+				want := scalarComp(store, o, p, tq)
+				for name, got := range map[string]float64{
+					"records": DistanceComp(store.Record(o), store.Record(p), tq),
+					"store":   store.DistanceComp(o, p, tq),
+					"halves":  DistanceCompHalves(store.O12(o), store.P34(p), tq.Q),
+				} {
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("dim=%d o=%d p=%d: %s = %v, scalar reference %v", dim, o, p, name, got, want)
+					}
+				}
+				if do, dp := vec.SqDist(vecs[o], q), vec.SqDist(vecs[p], q); o != p && (want < 0) != (do < dp) {
+					t.Fatalf("dim=%d o=%d p=%d: comparison %v, distances %v vs %v", dim, o, p, want, do, dp)
+				}
+			}
 		}
 	}
 }

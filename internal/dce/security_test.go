@@ -43,8 +43,8 @@ func TestChosenPlaintextMomentsOverlap(t *testing.T) {
 	meansA := make([]float64, trials)
 	meansB := make([]float64, trials)
 	for i := 0; i < trials; i++ {
-		ma, _ := componentMoments(k.Encrypt(pa).P1)
-		mb, _ := componentMoments(k.Encrypt(pb).P1)
+		ma, _ := componentMoments(k.Encrypt(pa)[:k.CiphertextDim()])
+		mb, _ := componentMoments(k.Encrypt(pb)[:k.CiphertextDim()])
 		meansA[i], meansB[i] = ma, mb
 	}
 	// A perfect classifier would fully order one set above the other.
@@ -161,7 +161,7 @@ func TestCiphertextComponentsUncorrelatedWithPlaintext(t *testing.T) {
 	for i := 0; i < samples; i++ {
 		p := rng.Gaussian(r, nil, dim)
 		xs[i] = p[0]
-		ys[i] = k.Encrypt(p).P1[0]
+		ys[i] = k.Encrypt(p)[0]
 	}
 	corr := pearson(xs, ys)
 	// Null-hypothesis bound ≈ 3/√samples ≈ 0.15; allow slack since P1 is

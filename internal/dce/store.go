@@ -21,7 +21,7 @@ import (
 // Records are addressed by id (0..Len()-1). A dead record is a zeroed,
 // tombstoned slot — Gather leaves one where its id map says so — and ids
 // are never reused. All views are slices into the arena: cheap, copy-free,
-// and invalidated by the next Append (callers must not retain them across
+// and invalidated by the next AppendRecord (callers must not retain them across
 // mutations).
 //
 // The arena base is 64-byte aligned and the record stride is 4·ctDim
@@ -44,7 +44,8 @@ func recordStride(ctDim int) int { return vec.PadStride(4 * ctDim) }
 
 // NewCiphertextStoreN returns a store holding n live, zero-filled records.
 // It exists for bulk encryption: workers fill disjoint Record(i) views in
-// place (EncryptRecord), so no per-point allocation or copying happens.
+// place (Encryptor.EncryptRecords), so no per-point allocation or copying
+// happens.
 func NewCiphertextStoreN(ctDim, n int) *CiphertextStore {
 	if ctDim <= 0 {
 		panic(fmt.Sprintf("dce: non-positive ciphertext dimension %d", ctDim))
@@ -155,32 +156,8 @@ func (s *CiphertextStore) grow(records int) {
 	s.arena = na
 }
 
-// Append copies ct into a fresh record and returns its id. Component
-// lengths must equal CtDim.
-func (s *CiphertextStore) Append(ct *Ciphertext) int {
-	d := s.ctDim
-	if len(ct.P1) != d || len(ct.P2) != d || len(ct.P3) != d || len(ct.P4) != d {
-		panic(fmt.Sprintf("dce: appending ciphertext with component lengths %d/%d/%d/%d to store of dim %d",
-			len(ct.P1), len(ct.P2), len(ct.P3), len(ct.P4), d))
-	}
-	s.grow(1)
-	base := len(s.arena)
-	s.arena = s.arena[:base+s.strideF]
-	rec := s.arena[base:]
-	copy(rec[0*d:], ct.P1)
-	copy(rec[1*d:], ct.P2)
-	copy(rec[2*d:], ct.P3)
-	copy(rec[3*d:], ct.P4)
-	for i := 4 * d; i < s.strideF; i++ {
-		rec[i] = 0
-	}
-	s.live = append(s.live, true)
-	s.liveN++
-	return len(s.live) - 1
-}
-
 // Snapshot returns a copy-on-write clone for core's snapshot-publication
-// discipline. The liveness flags are copied, so Append on the clone is
+// discipline. The liveness flags are copied, so AppendRecord on the clone is
 // invisible to the receiver; the arena is shared, which is safe under that
 // discipline because published stores are never mutated again — appends
 // only ever write past every published snapshot's length. Callers outside
@@ -195,15 +172,16 @@ func (s *CiphertextStore) Snapshot() *CiphertextStore {
 	}
 }
 
-// Extend appends ct and returns a new store header covering the extended
-// arena, leaving the receiver's view unchanged: the O(1) append for core's
-// delta tier, where the receiver is a published snapshot. The arena AND the
-// liveness mask backings are shared — the new record is written past the
-// receiver's length, which is safe only under the single-writer append
-// discipline (all Extends on one chain are serialized, published stores are
-// never re-extended from two snapshots, and deletes on the chain never
-// touch store flags). The new record's id is the receiver's Len().
-func (s *CiphertextStore) Extend(ct *Ciphertext) *CiphertextStore {
+// Extend appends the record rec and returns a new store header covering
+// the extended arena, leaving the receiver's view unchanged: the O(1)
+// append for core's delta tier, where the receiver is a published
+// snapshot. The arena AND the liveness mask backings are shared — the new
+// record is written past the receiver's length, which is safe only under
+// the single-writer append discipline (all Extends on one chain are
+// serialized, published stores are never re-extended from two snapshots,
+// and deletes on the chain never touch store flags). The new record's id
+// is the receiver's Len().
+func (s *CiphertextStore) Extend(rec []float64) *CiphertextStore {
 	ns := &CiphertextStore{
 		ctDim:   s.ctDim,
 		strideF: s.strideF,
@@ -211,14 +189,12 @@ func (s *CiphertextStore) Extend(ct *Ciphertext) *CiphertextStore {
 		live:    s.live,
 		liveN:   s.liveN,
 	}
-	ns.Append(ct)
+	ns.AppendRecord(rec)
 	return ns
 }
 
-// AppendRecord appends a full logical record (4·CtDim floats, as Record
-// returns) in place and returns its id. The compaction graft uses it to
-// carry records written after a rebuild's base snapshot into the rebuilt
-// (private) store without round-tripping through Ciphertext views.
+// AppendRecord copies a full logical record (4·CtDim floats, as Record
+// returns) into a fresh slot and returns its id.
 func (s *CiphertextStore) AppendRecord(rec []float64) int {
 	if len(rec) != 4*s.ctDim {
 		panic(fmt.Sprintf("dce: appending record of %d floats to store of dim %d (want %d)",
@@ -297,25 +273,17 @@ func (s *CiphertextStore) Raw() []float64 {
 // serialization path. Callers must not modify it.
 func (s *CiphertextStore) LiveMask() []bool { return s.live }
 
-// DistanceComp is the arena-resident form of the package-level
-// DistanceComp: it evaluates Z_{o,p,q} for records o and p without
-// materializing Ciphertext values.
+// DistanceComp is the package-level DistanceComp for the store's records
+// o and p, read in place.
 func (s *CiphertextStore) DistanceComp(o, p int, tq *Trapdoor) float64 {
-	return s.DistanceCompQ(o, p, tq.Q)
-}
-
-// DistanceCompQ is DistanceComp taking the raw trapdoor vector.
-func (s *CiphertextStore) DistanceCompQ(o, p int, q []float64) float64 {
-	d := s.ctDim
-	o12 := s.O12(o)
-	p34 := s.P34(p)
-	return distCompKernel(o12[:d], o12[d:], p34[:d], p34[d:], q)
+	return DistanceCompHalves(s.O12(o), s.P34(p), tq.Q)
 }
 
 // DistanceCompHalves evaluates Z_{o,p,q} from o's [P1|P2] half and p's
 // [P3|P4] half (each 2·len(q) floats), without requiring both records to
-// live in the same store. The scatter-gather merge uses it to compare
-// candidates returned by different shards against one trapdoor.
+// live in the same store: the one kernel call behind both DistanceComps,
+// and the scatter-gather merge's comparison of candidates returned by
+// different shards.
 func DistanceCompHalves(o12, p34, q []float64) float64 {
 	d := len(q)
 	return distCompKernel(o12[:d], o12[d:], p34[:d], p34[d:], q)

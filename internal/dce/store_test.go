@@ -9,8 +9,8 @@ import (
 )
 
 // storeWorld builds a key, a store of n encrypted Gaussian vectors, the
-// matching standalone ciphertexts, and one trapdoor.
-func storeWorld(t *testing.T, dim, n int) (*Key, *CiphertextStore, []*Ciphertext, []float64, *Trapdoor) {
+// matching standalone records, and one trapdoor.
+func storeWorld(t *testing.T, dim, n int) (*Key, *CiphertextStore, [][]float64, []float64, *Trapdoor) {
 	t.Helper()
 	r := rng.NewSeeded(101)
 	k, err := KeyGen(r, dim)
@@ -18,13 +18,11 @@ func storeWorld(t *testing.T, dim, n int) (*Key, *CiphertextStore, []*Ciphertext
 		t.Fatal(err)
 	}
 	store := NewCiphertextStoreN(k.CiphertextDim(), 0)
-	cts := make([]*Ciphertext, n)
+	cts := make([][]float64, n)
 	for i := 0; i < n; i++ {
-		v := rng.Gaussian(r, nil, dim)
-		ct := k.Encrypt(v)
-		cts[i] = ct
-		if id := store.Append(ct); id != i {
-			t.Fatalf("Append returned id %d, want %d", id, i)
+		cts[i] = k.Encrypt(rng.Gaussian(r, nil, dim))
+		if id := store.AppendRecord(cts[i]); id != i {
+			t.Fatalf("AppendRecord returned id %d, want %d", id, i)
 		}
 	}
 	q := rng.Gaussian(r, nil, dim)
@@ -38,7 +36,7 @@ func TestStoreMatchesPointerDistanceComp(t *testing.T) {
 			want := DistanceComp(cts[o], cts[p], tq)
 			got := store.DistanceComp(o, p, tq)
 			if got != want {
-				t.Fatalf("store.DistanceComp(%d,%d) = %g, pointer API %g", o, p, got, want)
+				t.Fatalf("store.DistanceComp(%d,%d) = %g, on the records %g", o, p, got, want)
 			}
 		}
 	}
@@ -46,15 +44,15 @@ func TestStoreMatchesPointerDistanceComp(t *testing.T) {
 
 func TestStoreViewsShareArena(t *testing.T) {
 	_, store, cts, _, _ := storeWorld(t, 6, 3)
-	view := CiphertextFromRecord(store.Record(1))
-	for i := range view.P1 {
-		if view.P1[i] != cts[1].P1[i] || view.P4[i] != cts[1].P4[i] {
-			t.Fatalf("view component mismatch at %d", i)
+	view := store.Record(1)
+	for i := range view {
+		if view[i] != cts[1][i] {
+			t.Fatalf("view mismatch at %d", i)
 		}
 	}
 	// Views alias the arena, not copies.
 	store.Record(1)[0] = 42
-	if view.P1[0] != 42 {
+	if view[0] != 42 {
 		t.Fatal("the record view does not alias the arena")
 	}
 	d := store.CtDim()
@@ -108,7 +106,7 @@ func TestStoreSignAgainstPlainDistances(t *testing.T) {
 	store := NewCiphertextStoreN(k.CiphertextDim(), n)
 	for i := range vecs {
 		vecs[i] = rng.Gaussian(r, nil, dim)
-		k.EncryptRecord(vecs[i], store.Record(i))
+		copy(store.Record(i), k.Encrypt(vecs[i]))
 	}
 	q := rng.Gaussian(r, nil, dim)
 	tq := k.TrapGen(q)
@@ -159,31 +157,35 @@ func TestStoreAppendMismatchPanics(t *testing.T) {
 		}
 	}()
 	s := NewCiphertextStoreN(8, 0)
-	s.Append(&Ciphertext{P1: make([]float64, 3), P2: make([]float64, 8), P3: make([]float64, 8), P4: make([]float64, 8)})
+	s.AppendRecord(make([]float64, 4*8-5))
 }
 
 func TestEncryptRecordMatchesEncrypt(t *testing.T) {
-	// Encrypt draws fresh randomness per call, so byte equality is not
-	// testable; instead check the record layout: Encrypt's components must
-	// tile one backing array exactly like EncryptRecord's.
-	r := rng.NewSeeded(77)
-	k, err := KeyGen(r, 10)
+	// Key.Encrypt draws from the key's own stream; handed that same stream,
+	// the bulk path (Encryptor.EncryptRecords into a store record) must
+	// write the same bits, and the store must compare the record as
+	// DistanceComp does.
+	k, err := KeyGen(rng.NewSeeded(77), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct := k.Encrypt(rng.Gaussian(r, nil, 10))
-	big := k.CiphertextDim()
-	if len(ct.P1) != big || len(ct.P2) != big || len(ct.P3) != big || len(ct.P4) != big {
-		t.Fatalf("component lengths %d/%d/%d/%d, want %d", len(ct.P1), len(ct.P2), len(ct.P3), len(ct.P4), big)
+	twin, _ := KeyGen(rng.NewSeeded(77), 10)
+	r := rng.NewSeeded(78)
+	v := rng.Gaussian(r, nil, 10)
+	rec := k.Encrypt(v)
+	if len(rec) != 4*k.CiphertextDim() {
+		t.Fatalf("record length %d, want %d", len(rec), 4*k.CiphertextDim())
 	}
-	store := NewCiphertextStoreN(big, 1)
-	store.Record(0) // must not panic
-	k.EncryptRecord(rng.Gaussian(r, nil, 10), store.Record(0))
-	view := CiphertextFromRecord(store.Record(0))
-	q := rng.Gaussian(r, nil, 10)
-	tq := k.TrapGen(q)
-	if store.DistanceComp(0, 0, tq) != DistanceComp(&view, &view, tq) {
-		t.Fatal("record encryption disagrees with its own view")
+	store := NewCiphertextStoreN(twin.CiphertextDim(), 1)
+	twin.NewEncryptor().EncryptRecords([]*rng.Rand{twin.rnd}, [][]float64{v}, [][]float64{store.Record(0)})
+	for j, x := range store.Record(0) {
+		if math.Float64bits(x) != math.Float64bits(rec[j]) {
+			t.Fatalf("float %d: EncryptRecords %v, Encrypt %v", j, x, rec[j])
+		}
+	}
+	tq := k.TrapGen(rng.Gaussian(r, nil, 10))
+	if store.DistanceComp(0, 0, tq) != DistanceComp(rec, rec, tq) {
+		t.Fatal("the store record disagrees with the record it copies")
 	}
 }
 
@@ -202,11 +204,7 @@ func TestSnapshotTombstone(t *testing.T) {
 
 	snap := s.Snapshot()
 	// Appending to the snapshot must be invisible to the receiver.
-	ct := &Ciphertext{
-		P1: make([]float64, ctDim), P2: make([]float64, ctDim),
-		P3: make([]float64, ctDim), P4: make([]float64, ctDim),
-	}
-	id := snap.Append(ct)
+	id := snap.AppendRecord(make([]float64, 4*ctDim))
 	if id != n {
 		t.Fatalf("snapshot append landed at %d, want %d", id, n)
 	}
@@ -237,7 +235,7 @@ func TestDistanceCompHalves(t *testing.T) {
 	}
 	for o := 0; o < n; o++ {
 		for p := 0; p < n; p++ {
-			want := s.DistanceCompQ(o, p, q)
+			want := s.DistanceComp(o, p, &Trapdoor{Q: q})
 			got := DistanceCompHalves(s.O12(o), s.P34(p), q)
 			if got != want {
 				t.Fatalf("DistanceCompHalves(%d, %d) = %g, in-store %g", o, p, got, want)
@@ -292,9 +290,8 @@ func refEncrypt(k *Key, r *rng.Rand, p, rec []float64) {
 // TestEncryptorStreamsAndScratch: an Encryptor's output is fixed by
 // (key, stream, vector). Record i of any call, in a block of any length,
 // has the bits refEncrypt gives it alone from stream i — so one reused
-// Encryptor leaks nothing from block to block — and Key.EncryptRecord,
-// the block of one, has the bits refEncrypt gives from the key's own
-// stream. The ciphertexts answer comparisons like Encrypt's do. Dimensions
+// Encryptor leaks nothing from block to block — and Key.Encrypt, the block
+// of one, has the bits refEncrypt gives from the key's own stream. The ciphertexts answer comparisons like Encrypt's do. Dimensions
 // 100 and 129 put M₃'s halves (108 and 138 rows) past one 32-row panel of
 // the block product, 129 with a remainder that is not a multiple of four.
 func TestEncryptorStreamsAndScratch(t *testing.T) {
@@ -331,12 +328,11 @@ func TestEncryptorStreamsAndScratch(t *testing.T) {
 
 			// The block of one draws from the key's stream, as refEncrypt
 			// does from the twin key's.
-			one := make([]float64, len(want))
-			k.EncryptRecord(vecs[0], one)
+			one := k.Encrypt(vecs[0])
 			refEncrypt(twin, twin.rnd, vecs[0], want)
 			for j, x := range one {
 				if math.Float64bits(x) != math.Float64bits(want[j]) {
-					t.Fatalf("dim=%d EncryptRecord float %d: %v, per-record %v", dim, j, x, want[j])
+					t.Fatalf("dim=%d Encrypt float %d: %v, per-record %v", dim, j, x, want[j])
 				}
 			}
 			if n != 17 {

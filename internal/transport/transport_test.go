@@ -626,7 +626,8 @@ func TestGobPeerRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins := &gobInsert{SAP: p.SAP, P1: p.DCE.P1, P2: p.DCE.P2, P3: p.DCE.P3, P4: p.DCE.P4}
+	c := len(p.DCE) / 4
+	ins := &gobInsert{SAP: p.SAP, P1: p.DCE[:c], P2: p.DCE[c : 2*c], P3: p.DCE[2*c : 3*c], P4: p.DCE[3*c:]}
 	if err := gob.NewEncoder(conn).Encode(&gobRequest{Proto: 6, Seq: 1, Op: "insert", Payload: ins}); err != nil {
 		t.Fatal(err)
 	}

@@ -119,32 +119,6 @@ func TestFvecsEmpty(t *testing.T) {
 	}
 }
 
-func TestIvecsRoundTripManual(t *testing.T) {
-	// 2 vectors of dim 2: [7,8] and [9,10].
-	raw := []byte{
-		2, 0, 0, 0, 7, 0, 0, 0, 8, 0, 0, 0,
-		2, 0, 0, 0, 9, 0, 0, 0, 10, 0, 0, 0,
-	}
-	got, err := ReadIvecs(bytes.NewReader(raw), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0][0] != 7 || got[1][1] != 10 {
-		t.Fatalf("ReadIvecs = %v", got)
-	}
-}
-
-func TestBvecs(t *testing.T) {
-	raw := []byte{3, 0, 0, 0, 1, 2, 255}
-	got, err := ReadBvecs(bytes.NewReader(raw), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 1 || !ApproxEqual(got.At(0), []float64{1, 2, 255}, 0) {
-		t.Fatalf("ReadBvecs = %v", got.At(0))
-	}
-}
-
 func TestBadDimHeader(t *testing.T) {
 	raw := []byte{0xFF, 0xFF, 0xFF, 0xFF} // dim = -1
 	if _, err := ReadFvecs(bytes.NewReader(raw), 0); err == nil {

@@ -38,12 +38,3 @@ func FuzzReadFvecs(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadIvecs checks the ivecs parser for panics.
-func FuzzReadIvecs(f *testing.F) {
-	f.Add([]byte{2, 0, 0, 0, 7, 0, 0, 0, 8, 0, 0, 0})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = ReadIvecs(bytes.NewReader(data), 1000)
-	})
-}

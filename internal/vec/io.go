@@ -9,12 +9,11 @@ import (
 	"os"
 )
 
-// The fvecs/ivecs/bvecs formats used by the standard ANN benchmark corpora
-// (Sift1M, Gist, Deep1B, ...) store each vector as a little-endian int32
-// dimension header followed by dim elements (float32, int32 or uint8).
-// These readers let the experiment harness consume the real corpora when
-// they are available; the synthetic generators in internal/dataset are the
-// offline substitute.
+// The fvecs format used by the standard ANN benchmark corpora (Sift1M,
+// Gist, Deep1B, ...) stores each vector as a little-endian int32 dimension
+// header followed by dim float32 elements. ppanns-dbtool reads and writes
+// it; the synthetic generators in internal/dataset stand in for the
+// corpora themselves.
 
 // ReadFvecs parses an fvecs stream into a Dataset, converting float32
 // elements to float64. maxVectors <= 0 means read everything.
@@ -47,66 +46,6 @@ func ReadFvecs(r io.Reader, maxVectors int) (*Dataset, error) {
 		return nil, fmt.Errorf("vec: empty fvecs stream")
 	}
 	return ds, nil
-}
-
-// ReadBvecs parses a bvecs stream (uint8 elements) into a Dataset.
-// maxVectors <= 0 means read everything.
-func ReadBvecs(r io.Reader, maxVectors int) (*Dataset, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var ds *Dataset
-	for n := 0; maxVectors <= 0 || n < maxVectors; n++ {
-		dim, err := readDimHeader(br)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("vec: bvecs vector %d: %w", n, err)
-		}
-		if ds == nil {
-			ds = NewDataset(dim, 1024)
-		} else if dim != ds.Dim() {
-			return nil, fmt.Errorf("vec: bvecs vector %d has dim %d, want %d", n, dim, ds.Dim())
-		}
-		_, row := ds.AppendZero()
-		buf := make([]byte, dim)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("vec: bvecs vector %d body: %w", n, err)
-		}
-		for i := 0; i < dim; i++ {
-			row[i] = float64(buf[i])
-		}
-	}
-	if ds == nil {
-		return nil, fmt.Errorf("vec: empty bvecs stream")
-	}
-	return ds, nil
-}
-
-// ReadIvecs parses an ivecs stream (int32 elements), the format the
-// benchmark corpora use for ground-truth neighbor lists.
-// maxVectors <= 0 means read everything.
-func ReadIvecs(r io.Reader, maxVectors int) ([][]int32, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var out [][]int32
-	for n := 0; maxVectors <= 0 || n < maxVectors; n++ {
-		dim, err := readDimHeader(br)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("vec: ivecs vector %d: %w", n, err)
-		}
-		row := make([]int32, dim)
-		buf := make([]byte, 4*dim)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("vec: ivecs vector %d body: %w", n, err)
-		}
-		for i := 0; i < dim; i++ {
-			row[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
-		}
-		out = append(out, row)
-	}
-	return out, nil
 }
 
 // WriteFvecs writes the dataset in fvecs format (float64 narrowed to

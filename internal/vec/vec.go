@@ -1,6 +1,6 @@
 // Package vec provides the dense float64 vector math and dataset container
-// used by every scheme and index in the library, plus readers and writers for
-// the standard ANN-benchmark file formats (fvecs/ivecs/bvecs).
+// used by every scheme and index in the library, plus a reader and writer
+// for the standard ANN-benchmark fvecs file format.
 //
 // Vectors are plain []float64 slices; the Dataset type stores n vectors of a
 // fixed dimension in one flat backing array for cache locality, which is the
