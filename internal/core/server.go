@@ -602,8 +602,8 @@ func (s *Server) searchInto(dst []int, tok *QueryToken, k int, opt SearchOptions
 		}
 		// The trapdoor dimension is checked once here; every heap
 		// comparison then runs the kernel with no per-call check.
-		if d := edb.DCE.CtDim(); len(tok.Trapdoor.Q) != d {
-			return dst[:0], st, fmt.Errorf("core: trapdoor has dim %d, ciphertexts %d", len(tok.Trapdoor.Q), d)
+		if err := edb.DCE.CheckTrapdoor(tok.Trapdoor); err != nil {
+			return dst[:0], st, fmt.Errorf("core: %w", err)
 		}
 		// A filter backend out of step with the ciphertext store must
 		// surface as a wire-safe error, never as an out-of-range panic in

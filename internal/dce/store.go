@@ -273,6 +273,17 @@ func (s *CiphertextStore) Raw() []float64 {
 // serialization path. Callers must not modify it.
 func (s *CiphertextStore) LiveMask() []bool { return s.live }
 
+// CheckTrapdoor reports whether tq can be compared against the store's
+// records: its Q must hold exactly CtDim floats. The comparison entry
+// points do no per-call check, so the refine phase calls this once before
+// its first comparison.
+func (s *CiphertextStore) CheckTrapdoor(tq *Trapdoor) error {
+	if len(tq.Q) != s.ctDim {
+		return fmt.Errorf("dce: trapdoor has dim %d, ciphertexts %d", len(tq.Q), s.ctDim)
+	}
+	return nil
+}
+
 // DistanceComp is the package-level DistanceComp for the store's records
 // o and p, read in place.
 func (s *CiphertextStore) DistanceComp(o, p int, tq *Trapdoor) float64 {

@@ -351,3 +351,27 @@ func TestEncryptorStreamsAndScratch(t *testing.T) {
 		}
 	}
 }
+
+// TestPrepareQueryValidatesDimension holds the store's one trapdoor check:
+// a Q one float short or one float long is refused, and a trapdoor the
+// key generated for the store's records is accepted.
+func TestPrepareQueryValidatesDimension(t *testing.T) {
+	r := rng.NewSeeded(322)
+	key, err := KeyGen(r, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewCiphertextStoreN(key.CiphertextDim(), 1)
+	copy(store.Record(0), key.Encrypt(rng.Gaussian(r, nil, 8)))
+	for _, n := range []int{key.CiphertextDim() - 1, key.CiphertextDim() + 1} {
+		if err := store.CheckTrapdoor(&Trapdoor{Q: make([]float64, n)}); err == nil {
+			t.Fatalf("expected dimension error for a trapdoor of %d floats", n)
+		}
+	}
+	if err := store.CheckTrapdoor(&Trapdoor{Q: make([]float64, key.CiphertextDim())}); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.CheckTrapdoor(key.TrapGen(rng.Gaussian(r, nil, 8))); err != nil {
+		t.Fatal(err)
+	}
+}
