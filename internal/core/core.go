@@ -115,9 +115,11 @@ func (p Params) rand() *rng.Rand {
 	return rng.NewSeeded(p.Seed)
 }
 
-// UserKey is the authorized key material handed from the data owner to the
-// user (Figure 1 step 0): everything needed to encrypt queries, nothing
-// more.
+// UserKey is the key material the data owner hands an authorized user
+// (Figure 1 step 0). It is the owner's whole key, not a query-only part:
+// the same *dce.Key and *dcpe.Key EncryptDatabase encrypted the records
+// with (DataOwner.UserKey returns them, and SaveUserKey writes all of
+// them), so it can encrypt records as well as queries.
 type UserKey struct {
 	DCE *dce.Key
 	SAP *dcpe.Key

@@ -159,7 +159,12 @@ func TestBuildStats(t *testing.T) {
 // encryption runs on. The d=100 case (108 rows, past the panel boundary;
 // 300 records, not a multiple of the 16-record encryption block) was
 // captured at the commit before encryption became blockwise, so the block
-// path is held to the per-record bytes.
+// path is held to the per-record bytes. The d=300 case (B = 616: ten
+// 64-column LU panels and ten 64-row solve blocks, the last of each cut
+// short; M₃'s 308-row halves in nine full 32-row VecMulBlock panels and a
+// short one) was captured at commit da5e522, before the four-destination
+// panel kernel went under VecMulBlock, Factorize and the LU solves, so
+// that kernel is held to the bytes of the one-destination loops.
 func TestDatabaseGolden(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -181,6 +186,9 @@ func TestDatabaseGolden(t *testing.T) {
 		{"hnsw d=100", Params{Dim: 100, Beta: 0.5, Seed: 67, Index: "hnsw"},
 			"ad23e34b12769e7892f04484600436e502a8f639648fdef76e5cedea795bd69e",
 			"32c3d44eb3db23fd15623916499e94c24e253a28f70f823993a35b5b84ea9e49"},
+		{"hnsw d=300", Params{Dim: 300, Beta: 0.5, Seed: 68, Index: "hnsw"},
+			"5db7ba74cb4086d0f6db19beff742e292a7309f40f7015a1bf6b2ee870eda960",
+			"f7c91092a0943d4afb826d8260c46fd94be9f2ea7b2135537a484db354c95d6d"},
 	} {
 		owner, err := NewDataOwner(c.params)
 		if err != nil {

@@ -240,9 +240,10 @@ const encBlock = 16
 // temporaries. Steps 1–3 of Enc (pair transform, π₁, split) run record by
 // record into a panel of split halves; M₁, M₂, M_up and M_down each run
 // once for the whole block as a matrix.VecMulBlock, which reads the matrix
-// once rather than once per record; π₂ and step ii run record by record
-// again. Every record comes out with the bits it would have alone: the
-// block changes how often the key is read, not the arithmetic. A
+// once rather than once per record, and each row of it once per four
+// records; π₂ and step ii run record by record again. Every record comes
+// out with the bits it would have alone: the block and its groups of four
+// change how often the key is read, not the arithmetic. A
 // bulk-encryption worker that keeps one Encryptor allocates no
 // temporaries per record. It is not safe for concurrent use; the key it
 // wraps is.

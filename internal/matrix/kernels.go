@@ -1,11 +1,64 @@
 package matrix
 
-// The two inner loops every product, factorization and solve in this
-// package is built from: axpy4 (with axpyRows around it) and dot8. Each
-// fixes its floating-point association once, so a result never depends on
-// which body ran it (the Go references below or the AVX2 assembly of
-// kernels_amd64.s), how the work was blocked, or how many goroutines
-// shared it.
+import "slices"
+
+// The inner loops every product, factorization and solve in this package is
+// built from: axpyPanel4 (with axpyRows4 and axpyRowsEach around it), axpy4
+// (with axpyRows around it) and dot8. Each fixes its floating-point
+// association once, so a result never depends on which body ran it (the Go
+// references below or the AVX2 assembly of kernels_amd64.s), how the work
+// was blocked, or how many goroutines shared it.
+//
+// axpyPanel4 is the one the dense products run on: four destination rows
+// take the same source rows, so each source load serves four destinations.
+// Every destination element still accumulates its terms one at a time in
+// source-row order, each product and sum rounded on its own, which is
+// exactly what axpyRows gives it. axpyRows and axpy4 are the remainder
+// path: fewer than four destinations, the triangular diagonal blocks of the
+// LU, and any four-destination block that holds a zero coefficient (which
+// axpyRows skips, and the panel kernel would not).
+
+// axpyRowsEach runs axpyRows(dst(i), c[i·cs : i·cs+rows], src, stride) for
+// every i in [lo,hi): the destinations share src, and four at a time go
+// through axpyRows4, the last one to three alone. mayZero is axpyRows4's.
+func axpyRowsEach(lo, hi int, dst func(i int) []float64, c []float64, cs, rows int, src []float64, stride int, mayZero bool) {
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		axpyRows4(&[4][]float64{dst(i), dst(i + 1), dst(i + 2), dst(i + 3)}, c[i*cs:], cs, rows, src, stride, mayZero)
+	}
+	for ; i < hi; i++ {
+		axpyRows(dst(i), c[i*cs:i*cs+rows], src, stride)
+	}
+}
+
+// axpyRows4 applies axpyRows to four destinations of one length n that
+// share the source rows, destination q taking coefficient row
+// c[q·cs : q·cs+rows]:
+//
+//	d[q][j] += Σ_p c[q·cs + p] · src[p·stride + j]	(p < rows)
+//
+// as one axpyPanel4 call. The kernel adds every term, where axpyRows skips
+// the zero ones, so a caller that cannot rule zeros out sets mayZero: the
+// block is then scanned, and one that holds a zero runs through axpyRows
+// destination by destination. Either way every element gets axpyRows' bits.
+func axpyRows4(d *[4][]float64, c []float64, cs, rows int, src []float64, stride int, mayZero bool) {
+	if rows == 0 {
+		return
+	}
+	if mayZero && (slices.Contains(c[:rows], 0) || slices.Contains(c[cs:cs+rows], 0) ||
+		slices.Contains(c[2*cs:2*cs+rows], 0) || slices.Contains(c[3*cs:3*cs+rows], 0)) {
+		for q := range d {
+			axpyRows(d[q], c[q*cs:q*cs+rows], src, stride)
+		}
+		return
+	}
+	n := len(d[0])
+	_ = c[3*cs+rows-1]
+	if n > 0 {
+		_ = src[(rows-1)*stride+n-1] // the kernel reads every source row in full
+	}
+	axpyPanel4(d[0], d[1][:n], d[2][:n], d[3][:n], c, cs, rows, src, stride)
+}
 
 // axpyRows adds a linear combination of rows to dst:
 //
@@ -60,6 +113,30 @@ func axpy4Scalar(dst, r0, r1, r2, r3 []float64, a0, a1, a2, a3 float64) {
 		s += float64(a2 * r2[j])
 		s += float64(a3 * r3[j])
 		dst[j] = s
+	}
+}
+
+// axpyPanel4Scalar is the reference body of axpyPanel4. Each of the four
+// destinations d_q takes every term of its combination, zero or not,
+//
+//	d_q[j] += Σ_p c[q·cs + p] · src[p·stride + j]	(p < rows)
+//
+// one term at a time in p order, by axpy4Scalar steps of four rows and
+// axpy1 for the rest: the bits axpyRows gives a row with no zero
+// coefficient. The destinations must share one length, and every source
+// row must be at least that long.
+func axpyPanel4Scalar(d0, d1, d2, d3, c []float64, cs, rows int, src []float64, stride int) {
+	for q, d := range [4][]float64{d0, d1, d2, d3} {
+		a, n := c[q*cs:q*cs+rows], len(d)
+		p := 0
+		for ; p+4 <= rows; p += 4 {
+			b := p * stride
+			axpy4Scalar(d, src[b:b+n], src[b+stride:b+stride+n], src[b+2*stride:b+2*stride+n], src[b+3*stride:b+3*stride+n],
+				a[p], a[p+1], a[p+2], a[p+3])
+		}
+		for ; p < rows; p++ {
+			axpy1(d, a[p], src[p*stride:p*stride+n])
+		}
 	}
 }
 

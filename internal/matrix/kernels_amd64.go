@@ -9,10 +9,21 @@ import "ppanns/internal/simd"
 // bodies compute the same bits, so the choice is about speed only.
 
 //go:noescape
+func axpyPanel4AVX2(d0, d1, d2, d3, c []float64, cs, rows int, src []float64, stride int)
+
+//go:noescape
 func axpy4AVX2(dst, r0, r1, r2, r3 []float64, a0, a1, a2, a3 float64)
 
 //go:noescape
 func dot8AVX2(a, b []float64) float64
+
+func axpyPanel4(d0, d1, d2, d3, c []float64, cs, rows int, src []float64, stride int) {
+	if simd.UseAVX2() {
+		axpyPanel4AVX2(d0, d1, d2, d3, c, cs, rows, src, stride)
+		return
+	}
+	axpyPanel4Scalar(d0, d1, d2, d3, c, cs, rows, src, stride)
+}
 
 func axpy4(dst, r0, r1, r2, r3 []float64, a0, a1, a2, a3 float64) {
 	if simd.UseAVX2() {

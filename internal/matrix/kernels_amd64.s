@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// AVX2 bodies of the two inner loops in kernels.go. Like the distance
+// AVX2 bodies of the inner loops in kernels.go. Like the distance
 // kernels in internal/vec they use no FMA: every product and every sum is
 // rounded on its own (VMULPD then VADDPD), in the order the Go loops use,
 // so the two are interchangeable bit for bit.
@@ -83,6 +83,153 @@ axpy1:
 	JMP    axpy1
 
 axpydone:
+	VZEROUPPER
+	RET
+
+// PANEL8 adds the broadcast coefficient at coef times the source columns
+// in Y8/Y9 to one destination's eight columns in lo/hi, clobbering Y10,
+// Y12 and Y13.
+#define PANEL8(coef, lo, hi) \
+	VBROADCASTSD coef, Y10   \
+	VMULPD       Y8, Y10, Y12 \
+	VMULPD       Y9, Y10, Y13 \
+	VADDPD       Y12, lo, lo  \
+	VADDPD       Y13, hi, hi
+
+// PANEL4 is PANEL8 on four columns (source in Y8).
+#define PANEL4(coef, acc) \
+	VBROADCASTSD coef, Y10   \
+	VMULPD       Y8, Y10, Y12 \
+	VADDPD       Y12, acc, acc
+
+// PANEL1 is PANEL8 on one column (source in lane 0 of X8).
+#define PANEL1(coef, acc) \
+	VMULSD coef, X8, X12 \
+	VADDSD X12, acc, acc
+
+// func axpyPanel4AVX2(d0, d1, d2, d3, c []float64, cs, rows int, src []float64, stride int)
+//
+// For each group of columns the four destinations are loaded once and held
+// in registers while the source rows pass under them in p order: eight
+// columns in Y0..Y7 (two registers per destination), then four in Y0, Y2,
+// Y4, Y6, then one at a time in X0, X2, X4, X6. Each source load serves the
+// four destinations, each product and sum rounded on its own.
+//
+// DI, SI, R8, R9: the destinations; DX: their length; R10, R11: the first
+// coefficient row and its end; R14, R15: cs and 3·cs in bytes, the offsets
+// of the other three rows; R12: src; R13: the stride in bytes; CX: the
+// column; AX, BX: the source row and the coefficient of the inner loop.
+TEXT ·axpyPanel4AVX2(SB), NOSPLIT, $0-168
+	MOVQ d0_base+0(FP), DI
+	MOVQ d0_len+8(FP), DX
+	MOVQ d1_base+24(FP), SI
+	MOVQ d2_base+48(FP), R8
+	MOVQ d3_base+72(FP), R9
+	MOVQ c_base+96(FP), R10
+	MOVQ cs+120(FP), R14
+	MOVQ rows+128(FP), R11
+	MOVQ src_base+136(FP), R12
+	MOVQ stride+160(FP), R13
+	LEAQ (R10)(R11*8), R11
+	SHLQ $3, R14
+	LEAQ (R14)(R14*2), R15
+	SHLQ $3, R13
+	XORQ CX, CX
+	CMPQ R10, R11
+	JEQ  paneldone
+
+panel8:
+	LEAQ    8(CX), AX
+	CMPQ    AX, DX
+	JG      panel4
+	VMOVUPD (DI)(CX*8), Y0
+	VMOVUPD 32(DI)(CX*8), Y1
+	VMOVUPD (SI)(CX*8), Y2
+	VMOVUPD 32(SI)(CX*8), Y3
+	VMOVUPD (R8)(CX*8), Y4
+	VMOVUPD 32(R8)(CX*8), Y5
+	VMOVUPD (R9)(CX*8), Y6
+	VMOVUPD 32(R9)(CX*8), Y7
+	LEAQ    (R12)(CX*8), AX
+	MOVQ    R10, BX
+
+panel8row:
+	VMOVUPD (AX), Y8
+	VMOVUPD 32(AX), Y9
+	PANEL8((BX), Y0, Y1)
+	PANEL8((BX)(R14*1), Y2, Y3)
+	PANEL8((BX)(R14*2), Y4, Y5)
+	PANEL8((BX)(R15*1), Y6, Y7)
+	ADDQ    R13, AX
+	ADDQ    $8, BX
+	CMPQ    BX, R11
+	JL      panel8row
+	VMOVUPD Y0, (DI)(CX*8)
+	VMOVUPD Y1, 32(DI)(CX*8)
+	VMOVUPD Y2, (SI)(CX*8)
+	VMOVUPD Y3, 32(SI)(CX*8)
+	VMOVUPD Y4, (R8)(CX*8)
+	VMOVUPD Y5, 32(R8)(CX*8)
+	VMOVUPD Y6, (R9)(CX*8)
+	VMOVUPD Y7, 32(R9)(CX*8)
+	ADDQ    $8, CX
+	JMP     panel8
+
+panel4:
+	LEAQ    4(CX), AX
+	CMPQ    AX, DX
+	JG      panel1
+	VMOVUPD (DI)(CX*8), Y0
+	VMOVUPD (SI)(CX*8), Y2
+	VMOVUPD (R8)(CX*8), Y4
+	VMOVUPD (R9)(CX*8), Y6
+	LEAQ    (R12)(CX*8), AX
+	MOVQ    R10, BX
+
+panel4row:
+	VMOVUPD (AX), Y8
+	PANEL4((BX), Y0)
+	PANEL4((BX)(R14*1), Y2)
+	PANEL4((BX)(R14*2), Y4)
+	PANEL4((BX)(R15*1), Y6)
+	ADDQ    R13, AX
+	ADDQ    $8, BX
+	CMPQ    BX, R11
+	JL      panel4row
+	VMOVUPD Y0, (DI)(CX*8)
+	VMOVUPD Y2, (SI)(CX*8)
+	VMOVUPD Y4, (R8)(CX*8)
+	VMOVUPD Y6, (R9)(CX*8)
+	ADDQ    $4, CX
+
+panel1:
+	CMPQ   CX, DX
+	JGE    paneldone
+	VMOVSD (DI)(CX*8), X0
+	VMOVSD (SI)(CX*8), X2
+	VMOVSD (R8)(CX*8), X4
+	VMOVSD (R9)(CX*8), X6
+	LEAQ   (R12)(CX*8), AX
+	MOVQ   R10, BX
+
+panel1row:
+	VMOVSD (AX), X8
+	PANEL1((BX), X0)
+	PANEL1((BX)(R14*1), X2)
+	PANEL1((BX)(R14*2), X4)
+	PANEL1((BX)(R15*1), X6)
+	ADDQ   R13, AX
+	ADDQ   $8, BX
+	CMPQ   BX, R11
+	JL     panel1row
+	VMOVSD X0, (DI)(CX*8)
+	VMOVSD X2, (SI)(CX*8)
+	VMOVSD X4, (R8)(CX*8)
+	VMOVSD X6, (R9)(CX*8)
+	INCQ   CX
+	JMP    panel1
+
+paneldone:
 	VZEROUPPER
 	RET
 

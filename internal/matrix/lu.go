@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"ppanns/internal/par"
 	"ppanns/internal/rng"
@@ -12,11 +13,15 @@ import (
 // LU holds an LU factorization with partial pivoting of a square matrix:
 // P·A = L·U, stored compactly with L's unit diagonal implied and L's
 // multipliers negated, so that every elimination and substitution step is
-// the same "add a combination of rows" update (axpyRows).
+// the same "add a combination of rows" update (axpyRows, or axpyRowsEach
+// for many rows that combine the same ones).
 type LU struct {
 	lu    *Dense
 	pivot []int
-	sign  int
+	// hasZero records whether any stored factor is zero, so the solves
+	// scan their coefficient blocks for the zeros axpyRows skips only when
+	// there can be one.
+	hasZero bool
 }
 
 // pivotTol is the smallest pivot magnitude (relative to the matrix scale)
@@ -39,21 +44,22 @@ const (
 // The elimination is right-looking and cache-blocked: a panel of luBlock
 // columns is factorized with partial pivoting, the rows of U beside it are
 // finished, and the trailing submatrix takes the whole panel's update in
-// one pass, row spans in parallel. Every element still receives its
-// updates one pivot at a time in pivot order, so pivots and factors are
-// those of the unblocked algorithm bit for bit, on any number of cores.
+// one pass, row spans in parallel. The panel itself is factorized the same
+// way, recursively: its left half, then the right half's update by it,
+// then the right half, down to luLeaf columns eliminated one pivot at a
+// time. Every element still receives its updates one pivot at a time in
+// pivot order, so pivots and factors are those of the unblocked algorithm
+// bit for bit, on any number of cores.
 func Factorize(a *Dense) (*LU, error) {
 	if a.rows != a.cols {
 		return nil, fmt.Errorf("matrix: LU of non-square %dx%d: %w", a.rows, a.cols, ErrSingular)
 	}
 	n := a.rows
-	lu := a.Clone()
-	pivot := make([]int, n)
-	sign := 1
+	f := &LU{lu: a.Clone(), pivot: make([]int, n)}
 
 	// Matrix scale for the relative pivot test.
 	var scale float64
-	for _, v := range lu.data {
+	for _, v := range f.lu.data {
 		if av := math.Abs(v); av > scale {
 			scale = av
 		}
@@ -64,53 +70,78 @@ func Factorize(a *Dense) (*LU, error) {
 
 	for k0 := 0; k0 < n; k0 += luBlock {
 		k1 := min(k0+luBlock, n)
-		// Panel: eliminate columns k0..k1 below the diagonal, updating the
-		// panel's own columns only.
-		for k := k0; k < k1; k++ {
-			p := k
-			max := math.Abs(lu.At(k, k))
-			for i := k + 1; i < n; i++ {
-				if v := math.Abs(lu.At(i, k)); v > max {
-					max, p = v, i
-				}
-			}
-			if max < pivotTol*scale {
-				return nil, fmt.Errorf("matrix: pivot %g below tolerance at step %d: %w", max, k, ErrSingular)
-			}
-			pivot[k] = p
-			if p != k {
-				rk, rp := lu.Row(k), lu.Row(p)
-				for j := range rk {
-					rk[j], rp[j] = rp[j], rk[j]
-				}
-				sign = -sign
-			}
-			rk := lu.Row(k)
-			inv := 1 / rk[k]
-			for i := k + 1; i < n; i++ {
-				ri := lu.Row(i)
-				f := -(ri[k] * inv)
-				ri[k] = f
-				if f != 0 {
-					axpy1(ri[k+1:k1], f, rk[k+1:k1])
-				}
-			}
+		if err := f.factorPanel(k0, k1, pivotTol*scale); err != nil {
+			return nil, err
 		}
-		if k1 == n {
-			break
-		}
-		// Rows of U beside the panel: row r takes the panel rows above it.
-		for r := k0 + 1; r < k1; r++ {
-			axpyRows(lu.Row(r)[k1:], lu.Row(r)[k0:r], lu.data[k0*n+k1:], n)
-		}
-		// Trailing submatrix: every row below takes all panel rows.
-		par.Spans(runtime.GOMAXPROCS(0), n-k1, luRows, func(_, lo, hi int) {
-			for i := k1 + lo; i < k1+hi; i++ {
-				axpyRows(lu.Row(i)[k1:], lu.Row(i)[k0:k1], lu.data[k0*n+k1:], n)
-			}
-		})
+		f.update(k0, k1, n)
 	}
-	return &LU{lu: lu, pivot: pivot, sign: sign}, nil
+	f.hasZero = slices.Contains(f.lu.data, 0)
+	return f, nil
+}
+
+// luLeaf is the widest panel factorPanel eliminates one pivot at a time.
+const luLeaf = 8
+
+// factorPanel eliminates columns [k0,k1) below the diagonal, pivoting
+// whole rows but updating only the panel's own columns. The columns must
+// already hold every update from the pivots before k0.
+func (f *LU) factorPanel(k0, k1 int, tol float64) error {
+	if k1-k0 > luLeaf {
+		m := k0 + (k1-k0)/2
+		if err := f.factorPanel(k0, m, tol); err != nil {
+			return err
+		}
+		f.update(k0, m, k1)
+		return f.factorPanel(m, k1, tol)
+	}
+	lu, n := f.lu, f.lu.rows
+	for k := k0; k < k1; k++ {
+		p := k
+		max := math.Abs(lu.At(k, k))
+		for i := k + 1; i < n; i++ {
+			if v := math.Abs(lu.At(i, k)); v > max {
+				max, p = v, i
+			}
+		}
+		if max < tol {
+			return fmt.Errorf("matrix: pivot %g below tolerance at step %d: %w", max, k, ErrSingular)
+		}
+		f.pivot[k] = p
+		if p != k {
+			rk, rp := lu.Row(k), lu.Row(p)
+			for j := range rk {
+				rk[j], rp[j] = rp[j], rk[j]
+			}
+		}
+		rk := lu.Row(k)
+		inv := 1 / rk[k]
+		for i := k + 1; i < n; i++ {
+			ri := lu.Row(i)
+			m := -(ri[k] * inv)
+			ri[k] = m
+			if m != 0 {
+				axpy1(ri[k+1:k1], m, rk[k+1:k1])
+			}
+		}
+	}
+	return nil
+}
+
+// update applies the pivots [k0,k1) to columns [k1,c1): each row of U
+// beside them takes the pivot rows above it, and every row from k1 on takes
+// all of them, four rows of a luRows span at a time, spans in parallel.
+func (f *LU) update(k0, k1, c1 int) {
+	lu, n := f.lu, f.lu.rows
+	if k1 == c1 {
+		return
+	}
+	for r := k0 + 1; r < k1; r++ {
+		axpyRows(lu.Row(r)[k1:c1], lu.Row(r)[k0:r], lu.data[k0*n+k1:], n)
+	}
+	par.Spans(runtime.GOMAXPROCS(0), n-k1, luRows, func(_, lo, hi int) {
+		axpyRowsEach(k1+lo, k1+hi, func(i int) []float64 { return lu.Row(i)[k1:c1] },
+			lu.data[k0:], n, k1-k0, lu.data[k0*n+k1:], n, true)
+	})
 }
 
 // Solve solves A·x = b in place of a fresh slice and returns x: SolveMat
@@ -223,6 +254,13 @@ func (f *LU) SolveMat(b *Dense) *Dense {
 // substitute overwrites the permuted right-hand sides in s (row i at
 // s[i·w:], w columns) with −U⁻¹·L⁻¹ of them. Rows above from must be zero
 // on entry; the forward substitution skips them.
+//
+// Both substitutions run in row blocks of luBlock. A block first takes the
+// solved blocks before it (forward) or after it (backward) through
+// axpyRowsEach, four of its rows sharing each load of a solved row, and
+// then its own triangle row by row through axpyRows. A row still takes its
+// terms one at a time, in the same order whatever w is, so a column of the
+// result does not depend on the other columns solved with it.
 func (f *LU) substitute(s []float64, w, from int) {
 	n := f.lu.rows
 	lu := f.lu.data
@@ -233,9 +271,7 @@ func (f *LU) substitute(s []float64, w, from int) {
 	for i0 := from; i0 < n; i0 += luBlock {
 		i1 := min(i0+luBlock, n)
 		for j0 := from; j0 < i0; j0 += luBlock {
-			for i := i0; i < i1; i++ {
-				axpyRows(row(i), lu[i*n+j0:i*n+j0+luBlock], s[j0*w:], w)
-			}
+			axpyRowsEach(i0, i1, row, lu[j0:], n, luBlock, s[j0*w:], w, f.hasZero)
 		}
 		for i := i0 + 1; i < i1; i++ {
 			axpyRows(row(i), lu[i*n+i0:i*n+i], s[i0*w:], w)
@@ -249,9 +285,7 @@ func (f *LU) substitute(s []float64, w, from int) {
 		i0 := max(i1-luBlock, 0)
 		for j0 := i1; j0 < n; j0 += luBlock {
 			j1 := min(j0+luBlock, n)
-			for i := i0; i < i1; i++ {
-				axpyRows(row(i), lu[i*n+j0:i*n+j1], s[j0*w:], w)
-			}
+			axpyRowsEach(i0, i1, row, lu[j0:], n, j1-j0, s[j0*w:], w, f.hasZero)
 		}
 		for i := i1 - 1; i >= i0; i-- {
 			ri := row(i)
@@ -297,17 +331,15 @@ func RandomInvertible(r *rng.Rand, n int) (*Dense, *Dense) {
 // probability 1 and almost always well conditioned, so the loop virtually
 // never iterates more than once.
 func RandomFactored(r *rng.Rand, n int) (*Dense, *LU) {
-	for attempt := 0; ; attempt++ {
+	const attempts = 32
+	for range attempts {
 		m := NewDense(n, n)
 		for i := range m.data {
 			m.data[i] = r.NormFloat64()
 		}
-		f, err := Factorize(m)
-		if err == nil {
+		if f, err := Factorize(m); err == nil {
 			return m, f
 		}
-		if attempt > 32 {
-			panic("matrix: could not sample an invertible matrix after 32 attempts")
-		}
 	}
+	panic(fmt.Sprintf("matrix: could not sample an invertible matrix after %d attempts", attempts))
 }

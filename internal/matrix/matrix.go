@@ -116,20 +116,20 @@ func (m *Dense) VecMul(dst, x []float64) []float64 {
 	return dst
 }
 
-// panelRows is the height of the row panels VecMulBlock sweeps A in. It is
-// a multiple of four, so a panel cut falls between axpyRows' four-row
-// steps; 32 rows of a d = 960 M₃ half (≈ 500 KB) stay in L2 while every
-// vector of a block passes over them.
+// panelRows is the height of the row panels VecMulBlock sweeps A in: 32
+// rows of a d = 960 M₃ half (≈ 500 KB) stay in L2 while every vector of a
+// block passes over them.
 const panelRows = 32
 
 // VecMulBlock stores the row-vector products x[b]ᵀ·A into dst[b] (length
 // cols) for every vector of the block. This is the operation DCE's
 // encryption uses (p̄ᵀM). A is swept once per block, one panel of rows at a
-// time, every vector of the block running against a panel before the next
-// is read: a block of B vectors streams A once, not B times. Entry j of
-// each product still accumulates x[b][i]·A[i][j] in i order, each product
-// and sum rounded on its own, so the panel cut and the block length change
-// the speed and not the bits.
+// time, the block's vectors running against a panel four at a time
+// (axpyRows4: each load of a panel row serves four products) before the
+// next panel is read: a block of B vectors streams A once, not B times.
+// Entry j of each product still accumulates x[b][i]·A[i][j] in i order,
+// each product and sum rounded on its own, so the panel cut, the block
+// length and the grouping change the speed and not the bits.
 func (m *Dense) VecMulBlock(dst, x [][]float64) {
 	if len(dst) != len(x) {
 		panic(fmt.Sprintf("matrix: VecMulBlock with %d destinations for %d vectors", len(dst), len(x)))
@@ -143,11 +143,21 @@ func (m *Dense) VecMulBlock(dst, x [][]float64) {
 		}
 		clear(dst[b])
 	}
+	// pack holds four vectors' coefficients for one panel, row after row.
+	var pack [4 * panelRows]float64
 	for lo := 0; lo < m.rows; lo += panelRows {
 		hi := min(lo+panelRows, m.rows)
 		panel := m.data[lo*m.cols : hi*m.cols]
-		for b, xb := range x {
-			axpyRows(dst[b], xb[lo:hi], panel, m.cols)
+		rows := hi - lo
+		b := 0
+		for ; b+4 <= len(x); b += 4 {
+			for q := range 4 {
+				copy(pack[q*rows:(q+1)*rows], x[b+q][lo:hi])
+			}
+			axpyRows4((*[4][]float64)(dst[b:b+4]), pack[:], rows, rows, panel, m.cols, true)
+		}
+		for ; b < len(x); b++ {
+			axpyRows(dst[b], x[b][lo:hi], panel, m.cols)
 		}
 	}
 }
@@ -158,9 +168,7 @@ func Mul(a, b *Dense) *Dense {
 		panic(fmt.Sprintf("matrix: product of %dx%d and %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	c := NewDense(a.rows, b.cols)
-	for i := 0; i < a.rows; i++ {
-		axpyRows(c.Row(i), a.Row(i), b.data, b.cols)
-	}
+	axpyRowsEach(0, a.rows, c.Row, a.data, a.cols, a.cols, b.data, b.cols, true)
 	return c
 }
 

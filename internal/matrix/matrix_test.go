@@ -256,12 +256,20 @@ func maxRowSum(a, b *Dense) float64 {
 // block boundary, that the blocked factorization reproduces the unblocked
 // one bit for bit (pivots and factors), that A·A⁻¹ is the identity and
 // A·X = B for SolveMat's X to 1e-9·n in the max-row-sum norm, and that
-// none of them depends on GOMAXPROCS.
+// none of them depends on GOMAXPROCS. Two sizes run again on a matrix with
+// signed zeros, whose zero multipliers the unblocked loop skips.
 func TestBlockedLUMatchesUnblocked(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	r := rng.NewSeeded(6)
-	for _, n := range []int{1, 2, 7, 63, 64, 65, 200, 484} {
+	for _, c := range []struct {
+		n      int
+		sparse bool
+	}{{1, false}, {2, false}, {7, false}, {63, false}, {64, false}, {65, false}, {200, false}, {484, false}, {65, true}, {200, true}} {
+		n := c.n
 		a := gaussianMatrix(r, n, n)
+		if c.sparse {
+			signedZeros(r, a, true)
+		}
 		// The shape KeyGen solves for: half as many right-hand sides as
 		// rows, more than one panel of them from n=120 on.
 		rhs := gaussianMatrix(r, n, n/2+4)
@@ -287,7 +295,7 @@ func TestBlockedLUMatchesUnblocked(t *testing.T) {
 					if j < i {
 						want = -want // multipliers are stored negated
 					}
-					if got := f.lu.At(i, j); got != want {
+					if got := f.lu.At(i, j); math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("n=%d procs=%d: factor (%d,%d) = %v, reference %v", n, procs, i, j, got, want)
 					}
 				}
@@ -355,14 +363,95 @@ func TestInverseGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := sha256.New()
-		var buf [8]byte
-		for _, v := range inv.data {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
-		}
-		if got := fmt.Sprintf("%x", h.Sum(nil)); got != c.want {
+		if got := bitsDigest(inv.data); got != c.want {
 			t.Errorf("n=%d: inverse digest %s, want %s", c.n, got, c.want)
+		}
+	}
+}
+
+// bitsDigest is the SHA-256 of the values' little-endian bits.
+func bitsDigest(data []float64) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, v := range data {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// signedZeros sets about a third of m's entries to +0 or −0. With unit set
+// (m square), every fifth row becomes a row of the identity whose zeros are
+// −0, and the diagonal is kept away from zero: the factors and solves then
+// meet zero coefficients, which axpyRows skips, in front of entries that
+// hold −0 and take no other term, so a zero term that is not skipped shows
+// in the bits (−0 + +0 is +0).
+func signedZeros(r *rng.Rand, m *Dense, unit bool) *Dense {
+	negZero := math.Copysign(0, -1)
+	for i := range m.data {
+		switch r.IntN(6) {
+		case 0:
+			m.data[i] = 0
+		case 1:
+			m.data[i] = negZero
+		}
+	}
+	if unit {
+		for i := 0; i < m.rows; i++ {
+			if i%5 == 2 {
+				for j := range m.Row(i) {
+					m.Set(i, j, negZero)
+				}
+			}
+			m.Set(i, i, 1+math.Abs(m.At(i, i)))
+		}
+	}
+	return m
+}
+
+// TestSolveMatMatchesSolve holds SolveMat to its promise that X equals
+// Solve column by column, bit for bit, at sizes on both sides of the row
+// blocks and of the right-hand-side panels, on Gaussian matrices and on
+// ones with signed zeros. The sparse n=200, 129-column solve is also pinned
+// to a digest captured at commit da5e522, before the four-destination panel
+// kernel went under the solves, so its zero fallback is held to the
+// one-destination loops.
+func TestSolveMatMatchesSolve(t *testing.T) {
+	const sparseDigest = "6936d9f1d0ac37a93161af11cb8d155bcb3efa7f67229e0041b1a44e199d2a79"
+	r := rng.NewSeeded(13)
+	for _, sparse := range []bool{false, true} {
+		for _, n := range []int{1, 63, 64, 65, 130, 200} {
+			a := gaussianMatrix(r, n, n)
+			if sparse {
+				signedZeros(r, a, true)
+			}
+			f, err := Factorize(a)
+			if err != nil {
+				t.Fatalf("n=%d sparse=%v: %v", n, sparse, err)
+			}
+			for _, cols := range []int{1, 63, 64, 65, 129} {
+				b := gaussianMatrix(r, n, cols)
+				if sparse {
+					signedZeros(r, b, false)
+				}
+				x := f.SolveMat(b)
+				col := make([]float64, n)
+				for j := 0; j < cols; j++ {
+					for i := range col {
+						col[i] = b.At(i, j)
+					}
+					for i, v := range f.Solve(col) {
+						if math.Float64bits(v) != math.Float64bits(x.At(i, j)) {
+							t.Fatalf("n=%d sparse=%v cols=%d: Solve(B column %d)[%d] = %v, SolveMat %v", n, sparse, cols, j, i, v, x.At(i, j))
+						}
+					}
+				}
+				if sparse && n == 200 && cols == 129 {
+					if got := bitsDigest(x.data); got != sparseDigest {
+						t.Errorf("sparse n=200: SolveMat digest %s, want %s", got, sparseDigest)
+					}
+				}
+			}
 		}
 	}
 }
@@ -418,19 +507,29 @@ func FuzzVecMul(f *testing.F) {
 }
 
 // FuzzVecMulBlock holds every product of a block to the scalar loop, bit
-// for bit: block lengths 1–17, row counts on both sides of the panel
-// height and of its four-row steps, zero coefficients sprinkled in.
+// for bit: block lengths 1–17 (the vectors run four at a time, the last one
+// to three alone), row counts on both sides of the panel height and of its
+// four-row steps, zero coefficients sprinkled in. With zeros, A[0][0] is
+// +Inf, so a zero coefficient that is not skipped turns an entry to NaN.
 func FuzzVecMulBlock(f *testing.F) {
 	f.Add(uint64(1), uint8(7), uint8(5), uint8(1), uint8(0))
 	f.Add(uint64(2), uint8(panelRows), uint8(33), uint8(16), uint8(3))
 	f.Add(uint64(3), uint8(panelRows+1), uint8(1), uint8(17), uint8(1))
 	f.Add(uint64(4), uint8(3*panelRows+6), uint8(200), uint8(15), uint8(2))
+	// Blocks of 4, 5 and 8 vectors: one four-vector group, one and a
+	// remainder of one, two.
+	f.Add(uint64(5), uint8(2*panelRows+3), uint8(37), uint8(3), uint8(0))
+	f.Add(uint64(6), uint8(panelRows-1), uint8(9), uint8(4), uint8(3))
+	f.Add(uint64(7), uint8(70), uint8(64), uint8(7), uint8(5))
 	f.Fuzz(func(t *testing.T, seed uint64, rows, cols, block, zeroEvery uint8) {
 		if rows == 0 || cols == 0 {
 			return
 		}
 		r := rng.NewSeeded(seed)
 		m := gaussianMatrix(r, int(rows), int(cols))
+		if zeroEvery > 0 {
+			m.data[0] = math.Inf(1)
+		}
 		n := 1 + int(block)%17
 		x, dst := make([][]float64, n), make([][]float64, n)
 		for b := range x {
@@ -506,5 +605,35 @@ func BenchmarkRandomInvertible(b *testing.B) {
 	r := rng.NewSeeded(10)
 	for i := 0; i < b.N; i++ {
 		RandomInvertible(r, 512)
+	}
+}
+
+// BenchmarkVecMulBlock is DCE encryption's product at d=960: one 968×1936
+// half of M₃ against a block of one vector and of sixteen, ns per block.
+func BenchmarkVecMulBlock(b *testing.B) {
+	r := rng.NewSeeded(11)
+	m := gaussianMatrix(r, 968, 1936)
+	for _, block := range []int{1, 16} {
+		b.Run(fmt.Sprintf("968x1936/block%d", block), func(b *testing.B) {
+			x, dst := make([][]float64, block), make([][]float64, block)
+			for i := range x {
+				x[i], dst[i] = rng.Gaussian(r, nil, 968), make([]float64, 1936)
+			}
+			for i := 0; i < b.N; i++ {
+				m.VecMulBlock(dst, x)
+			}
+		})
+	}
+}
+
+// BenchmarkSolveMat is DCE key generation's solve at d=960: the 968
+// right-hand sides of the folded query matrix against a 1936² factorization.
+func BenchmarkSolveMat(b *testing.B) {
+	r := rng.NewSeeded(12)
+	_, f := RandomFactored(r, 1936)
+	rhs := gaussianMatrix(r, 1936, 968)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.SolveMat(rhs)
 	}
 }
