@@ -182,7 +182,8 @@ func (ix *Index) Lists() int { return len(ix.centroids) }
 // safe. Every vector lands in the list a full scan of the centroids would
 // choose; the points are assigned in parallel by a kmeans.Searcher, each
 // starting from the list the receiver holds its id in (a fold keeps ids, so
-// that is usually the answer already) and the lists are filled in id order.
+// that is usually the answer already), or below kmeans.WideRow dimensions
+// by that full scan itself, and the lists are filled in id order.
 // A receiver with no lists (built with no live vector) has no quantizer to
 // share, so its Rebuild trains one.
 func (ix *Index) Rebuild(vectors [][]float64) (*Index, error) {
@@ -198,7 +199,10 @@ func (ix *Index) Rebuild(vectors [][]float64) (*Index, error) {
 	for _, c := range ix.centroids {
 		flat = append(flat, c...)
 	}
-	search := kmeans.NewSearcher(flat, ix.dim)
+	var search *kmeans.Searcher
+	if ix.dim >= kmeans.WideRow {
+		search = kmeans.NewSearcher(flat, ix.dim)
+	}
 
 	assign := make([]int, len(vectors))
 	for i := range assign {
@@ -214,6 +218,10 @@ func (ix *Index) Rebuild(vectors [][]float64) (*Index, error) {
 	par.Spans(runtime.GOMAXPROCS(0), len(vectors), 256, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if vectors[i] == nil {
+				continue
+			}
+			if search == nil {
+				assign[i], _ = kmeans.NearestFlat(flat, ix.dim, vectors[i])
 				continue
 			}
 			guess := assign[i]

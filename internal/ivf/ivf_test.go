@@ -235,7 +235,8 @@ func TestBuildGolden(t *testing.T) {
 // a one-at-a-time nearest-centroid insert would have — the full scan's
 // choice, in id order — whether the ids are the receiver's own (a fold: the guess is
 // the old list), renumbered (an offline compaction: the guess is wrong) or
-// new, on one core and four. Tombstones do not carry over.
+// new, on one core and four, at d = 96 and at d = 3. Tombstones do not
+// carry over.
 func TestRebuildMatchesAdd(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	built, d := buildIndex(t, 1500)
@@ -255,7 +256,8 @@ func TestRebuildMatchesAdd(t *testing.T) {
 			shrunk = append(shrunk, v)
 		}
 	}
-	for name, vectors := range map[string][][]float64{"same ids": d.Train, "dead slots": dead, "grown": grown, "renumbered": shrunk} {
+	check := func(ix *Index, name string, vectors [][]float64) {
+		t.Helper()
 		want := make([][]int32, ix.Lists())
 		live := 0
 		for i, v := range vectors {
@@ -287,6 +289,20 @@ func TestRebuildMatchesAdd(t *testing.T) {
 			}
 		}
 	}
+	for name, vectors := range map[string][][]float64{"same ids": d.Train, "dead slots": dead, "grown": grown, "renumbered": shrunk} {
+		check(ix, name, vectors)
+	}
+	// Below kmeans.WideRow dimensions every centroid is scanned.
+	short := make([][]float64, len(grown))
+	for i, v := range grown {
+		short[i] = v[:3:3]
+	}
+	narrow, err := Build(short[:1000], Config{Dim: 3, Seed: 33})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short[5] = nil
+	check(narrow, "d=3", short)
 	if ix.Len() != 1497 {
 		t.Fatalf("Rebuild changed its receiver: %d live", ix.Len())
 	}

@@ -3,17 +3,21 @@
 // k-ANNS index families the paper surveys in Sections I and VIII) and the
 // per-subspace quantizer of the PQ tier.
 //
-// Nothing here scans every centroid for every point. Wherever a block of
-// points meets a block of centroids — a Lloyd reassignment, a k-means++
-// pick, PQ encoding, an IVF fold — the nearest centroid comes from a
-// Searcher, which rules centroids out by the triangle inequality from a
-// guess (the point's previous centroid, in Lloyd) and evaluates the few
-// that are left. The pruning is exact: index and distance are NearestFlat's
-// bit for bit, lowest index on ties, so centroids, assignments, codes and
-// lists are the bytes a full scan would have produced. On data with no
-// cluster structure nothing can be ruled out and a search degenerates to
-// the full scan, which is the only fallback there is. NearestFlat itself
-// remains as that fallback, the single-point path and the test oracle.
+// Wherever a block of points meets a block of centroids — a Lloyd
+// reassignment, a k-means++ update, PQ encoding, an IVF fold — the nearest
+// centroid comes from one of two searches, picked by the row width alone.
+// Rows narrower than WideRow (every PQ subspace here) go through the block
+// kernel: the points stored transposed, one per vector lane, every centroid
+// offered to every point. At such widths a distance costs about what the
+// branch on its outcome does, so scanning all K beats ruling centroids out.
+// Wider rows (IVF) go through a Searcher, which rules centroids out by the
+// triangle inequality from a guess (the point's previous centroid, in
+// Lloyd) and evaluates the few that are left; on data with no cluster
+// structure it degenerates to the full scan. Both are exact: index and
+// distance are NearestFlat's bit for bit, lowest index on ties, so
+// centroids, assignments, codes and lists are the bytes a full scan
+// produces. NearestFlat itself remains as the single-point path and the
+// test oracle.
 package kmeans
 
 import (
@@ -73,6 +77,8 @@ func (s *Stats) Add(o Stats) {
 // run on GOMAXPROCS workers; everything whose floating-point order could
 // show (centroid sums, the D² total and pick) is accumulated in index
 // order on one, so the result is a function of (data, cfg) alone.
+// Stats.DistEvals is n·K·Iters for rows narrower than WideRow; for wider
+// ones it counts what the pruned searches evaluated.
 func Fit(data [][]float64, cfg Config) (*Result, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("kmeans: empty data")
@@ -92,25 +98,46 @@ func Fit(data [][]float64, cfg Config) (*Result, error) {
 	}
 	r := rng.NewSeeded(cfg.Seed ^ 0x43a9)
 
+	// Rows narrower than WideRow go through the block kernel, on a copy of
+	// the points stored transposed: coordinate j of point i at
+	// cols[j*n+i].
+	n := len(data)
+	var cols []float64
+	if dim < WideRow {
+		cols = make([]float64, dim*n)
+		for i, v := range data {
+			for j, x := range v[:dim] {
+				cols[j*n+i] = x
+			}
+		}
+	}
+
 	// Seeding leaves every point on its nearest seed: iteration 0's
 	// assignment.
 	var evals atomic.Int64
-	cents, assign := seedPlusPlus(r, data, cfg.K, &evals)
+	cents, assign := seedPlusPlus(r, data, cols, cfg.K, &evals)
 	next := make([]float64, len(cents))
 	counts := make([]int, cfg.K)
-	// members lists the points centroid by centroid; centroid c's end at
-	// ends[c].
-	ends := make([]int, cfg.K)
-	members := make([]int32, len(data))
 	var search Searcher
+	var dist []float64
+	if cols != nil {
+		dist = make([]float64, n)
+	}
 
 	var iters int
 	for iters = 0; iters < cfg.MaxIters; iters++ {
-		// Assignment step (parallel), from each point's previous centroid.
-		if iters > 0 {
+		// Assignment step (parallel): every centroid offered to every
+		// point for short rows, a pruned search from each point's previous
+		// centroid for wide ones.
+		if iters > 0 && cols != nil {
+			sweep(n, dim, func(lo, hi int) {
+				NearestBlock(assign[lo:hi], dist[lo:hi], cols[lo:], n, dim, cents)
+			})
+			evals.Add(int64(n * cfg.K))
+		} else if iters > 0 {
 			search.Reset(cents, dim)
 			evals.Add(int64(cfg.K * (cfg.K - 1)))
-			sweep(len(data), dim, func(lo, hi int) {
+			sweep(n, dim, func(lo, hi int) {
 				span := 0
 				for i := lo; i < hi; i++ {
 					c, _, e := search.nearest(data[i], assign[i])
@@ -121,40 +148,23 @@ func Fit(data [][]float64, cfg Config) (*Result, error) {
 			})
 		}
 
-		// Update step. A centroid sums its own points in index order —
-		// the order of the serial loop over all points — so the centroids
-		// spread over the workers and the sums do not show it.
+		// Update step, in index order: each centroid sums its points in
+		// the order they come.
+		clear(next)
 		clear(counts)
-		for _, c := range assign {
+		for i, c := range assign {
+			row := next[c*dim : (c+1)*dim]
+			vec.Add(row, row, data[i])
 			counts[c]++
 		}
-		end := 0
-		for c, n := range counts {
-			end += n
-			ends[c] = end - n
-		}
-		for i, c := range assign {
-			members[ends[c]] = int32(i)
-			ends[c]++
-		}
-		par.Spans(runtime.GOMAXPROCS(0), cfg.K, max(1, (1<<16)*cfg.K/(len(data)*dim)), func(_, lo, hi int) {
-			for c := lo; c < hi; c++ {
-				row := next[c*dim : (c+1)*dim]
-				clear(row)
-				for _, i := range members[ends[c]-counts[c] : ends[c]] {
-					vec.Add(row, row, data[i])
-				}
-				if counts[c] > 0 {
-					vec.Scale(row, 1/float64(counts[c]), row)
-				}
-			}
-		})
 		var moved float64
-		for c := range counts {
+		for c, m := range counts {
 			row := next[c*dim : (c+1)*dim]
-			if counts[c] == 0 {
+			if m == 0 {
 				// Re-seed an empty cluster on a random point.
-				copy(row, data[r.IntN(len(data))])
+				copy(row, data[r.IntN(n)])
+			} else {
+				vec.Scale(row, 1/float64(m), row)
 			}
 			moved += vec.Dist(row, cents[c*dim:(c+1)*dim])
 		}
@@ -174,64 +184,28 @@ func Fit(data [][]float64, cfg Config) (*Result, error) {
 // sweep runs fn over n points of w elements in fixed spans on GOMAXPROCS
 // workers. The callers write per-point state only, so nothing of the split
 // shows. A span is cut by the work in it, not by a point count: a pruned
-// point costs tens of nanoseconds, and a fan-out is only worth its hand-off
-// above a few thousand of those.
+// point or a seed offered to a short one costs nanoseconds to tens of them,
+// and a fan-out is only worth its hand-off above a few thousand of those.
 func sweep(n, w int, fn func(lo, hi int)) {
 	par.Spans(runtime.GOMAXPROCS(0), n, max(256, (1<<16)/w), func(_, lo, hi int) { fn(lo, hi) })
 }
 
 // NearestFlat returns the index of the row of the contiguous K×w block
 // cents closest to v, and its squared distance, by scanning every row: what
-// a Searcher's answer is defined by, its fallback where nothing can be
-// ruled out, and the single-vector path of PQ encoding. Distances are those
-// of vec.SqDist bit for bit, ties go to the lowest index. Rows shorter than
-// one vector step (the PQ subspaces) are scanned by a sequential loop
-// inlined here — no call and no dispatch per row; longer rows take one
+// the block kernel and a Searcher's answers are defined by, and the
+// single-point path of PQ encoding. Distances are those of vec.SqDist bit
+// for bit, ties go to the lowest index. Rows narrower than WideRow (the PQ
+// subspaces) are scanned by the block kernel's sequential reference on a
+// block of one point — no call and no dispatch per row; wider rows take one
 // kernel call each, over a block that stays in L1 while the points stream
 // past it.
 func NearestFlat(cents []float64, w int, v []float64) (int, float64) {
-	best, bestD := 0, math.Inf(1)
-	if w < 8 {
-		// The sequential loop over at most seven elements, unrolled: w is
-		// fixed for the scan, so the branches below predict perfectly and
-		// a row costs little more than its arithmetic.
-		var q [7]float64
-		copy(q[:], v[:w])
-		for c := 0; len(cents) >= w; c++ {
-			row := cents[:w]
-			cents = cents[w:]
-			t := q[0] - row[0]
-			d := t * t
-			if w > 1 {
-				t = q[1] - row[1]
-				d += t * t
-				if w > 2 {
-					t = q[2] - row[2]
-					d += t * t
-					if w > 3 {
-						t = q[3] - row[3]
-						d += t * t
-						if w > 4 {
-							t = q[4] - row[4]
-							d += t * t
-							if w > 5 {
-								t = q[5] - row[5]
-								d += t * t
-								if w > 6 {
-									t = q[6] - row[6]
-									d += t * t
-								}
-							}
-						}
-					}
-				}
-			}
-			if d < bestD {
-				best, bestD = c, d
-			}
-		}
-		return best, bestD
+	if w < WideRow {
+		best, idx := [1]float64{math.Inf(1)}, [1]int{}
+		nearestBlockScalar(best[:], idx[:], v, 1, w, cents, 0)
+		return idx[0], best[0]
 	}
+	best, bestD := 0, math.Inf(1)
 	for c := 0; len(cents) >= w; c++ {
 		if d := vec.SqDist(cents[:w], v); d < bestD {
 			best, bestD = c, d
@@ -292,42 +266,52 @@ func NearestN(centroids [][]float64, v []float64, n int) []int {
 // seedPlusPlus implements k-means++ (D² sampling), returning the K×dim
 // seed block and every point's nearest seed, lowest index on ties. The pick
 // is serial; the distance update after each pick runs over the points in
-// parallel, and offers the new seed only to the points it can win: those
-// whose current seed lies within reach of it.
-func seedPlusPlus(r *rng.Rand, data [][]float64, k int, evals *atomic.Int64) ([]float64, []int) {
-	dim := len(data[0])
+// parallel. With cols — the points transposed, for rows narrower than
+// WideRow — each new seed is offered to every point through the block
+// kernel; wider rows are offered it only where it can win: at points whose
+// current seed lies within reach of it.
+func seedPlusPlus(r *rng.Rand, data [][]float64, cols []float64, k int, evals *atomic.Int64) ([]float64, []int) {
+	n, dim := len(data), len(data[0])
 	cents := make([]float64, 0, k*dim)
-	cents = append(cents, data[r.IntN(len(data))]...)
-	assign := make([]int, len(data))
-	d2 := make([]float64, len(data))
+	cents = append(cents, data[r.IntN(n)]...)
+	assign := make([]int, n)
+	d2 := make([]float64, n)
 	for i := range d2 {
 		d2[i] = math.Inf(1)
 	}
 	// far[s] is what seed s's points must be nearer than to be out of the
 	// newest seed's reach: reach inverted on the seed–seed distance.
-	far := make([]float64, k)
+	var far []float64
+	if cols == nil {
+		far = make([]float64, k)
+	}
 	for j := 0; ; j++ {
-		c := cents[j*dim:]
-		var q [7]float64
-		copy(q[:], c)
-		vec.SqDistRows(far[:j], cents[:j*dim], c)
-		for s, d := range far[:j] {
-			far[s] = (d - reachFloor) / reachFactor
-		}
-		evals.Add(int64(j))
-		sweep(len(data), dim, func(lo, hi int) {
-			span := 0
-			for i := lo; i < hi; i++ {
-				if d2[i] < far[assign[i]] {
-					continue
-				}
-				span++
-				if d := sqDist(&q, c, data[i]); d < d2[i] {
-					d2[i], assign[i] = d, j
-				}
+		c := cents[j*dim : (j+1)*dim]
+		if cols != nil {
+			sweep(n, dim, func(lo, hi int) {
+				nearestBlock(d2[lo:hi], assign[lo:hi], cols[lo:], n, dim, c, j)
+			})
+			evals.Add(int64(n))
+		} else {
+			vec.SqDistRows(far[:j], cents[:j*dim], c)
+			for s, d := range far[:j] {
+				far[s] = (d - reachFloor) / reachFactor
 			}
-			evals.Add(int64(span))
-		})
+			evals.Add(int64(j))
+			sweep(n, dim, func(lo, hi int) {
+				span := 0
+				for i := lo; i < hi; i++ {
+					if d2[i] < far[assign[i]] {
+						continue
+					}
+					span++
+					if d := vec.SqDist(data[i], c); d < d2[i] {
+						d2[i], assign[i] = d, j
+					}
+				}
+				evals.Add(int64(span))
+			})
+		}
 		if j == k-1 {
 			return cents, assign
 		}
@@ -337,7 +321,7 @@ func seedPlusPlus(r *rng.Rand, data [][]float64, k int, evals *atomic.Int64) ([]
 		}
 		var pick int
 		if total <= 0 {
-			pick = r.IntN(len(data))
+			pick = r.IntN(n)
 		} else {
 			pick = weightedPick(d2, r.Float64()*total)
 		}

@@ -286,13 +286,15 @@ func fitFullScan(data [][]float64, cfg Config) *Result {
 	return &Result{Flat: cents, Assign: assign, Stats: Stats{Iters: iters, DistEvals: evals}}
 }
 
-// TestFitMatchesFullScan: the pruned Fit returns the full-scan Lloyd's
-// centroid bits, assignment and iteration count — on separated clusters, on
-// structureless data, at widths on both sides of the kernel cut-off, through
-// empty-cluster re-seeds (duplicate points make duplicate seeds, and a tie
-// leaves the higher one empty), early stops, K = 1 and K = n, on one core
-// and four (two cases are large enough to fan out) — and evaluates fewer
-// distances doing it.
+// TestFitMatchesFullScan: Fit returns the full-scan Lloyd's centroid bits,
+// assignment and iteration count — on separated clusters, on structureless
+// data, at widths on both sides of the WideRow cut, through empty-cluster
+// re-seeds (duplicate points make duplicate seeds, and a tie leaves the
+// higher one empty), early stops, K = 1 and K = n, on one core and four
+// (two cases are large enough to fan out). Wide rows evaluate fewer
+// distances doing it; short rows evaluate exactly n per seed and n·K per
+// later iteration, n·K·Iters in all: the block kernel offers every centroid
+// to every point.
 func TestFitMatchesFullScan(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	r := rng.NewSeeded(77)
@@ -320,9 +322,9 @@ func TestFitMatchesFullScan(t *testing.T) {
 		fewEvals bool
 	}{
 		{name: "clustered", data: clustered, cfg: Config{K: 30, MaxIters: 12, Seed: 1}, fewEvals: true},
-		{name: "short rows", data: short, cfg: Config{K: 64, MaxIters: 8, Seed: 2}, fewEvals: true},
+		{name: "short rows", data: short, cfg: Config{K: 64, MaxIters: 8, Seed: 2}},
 		{name: "wide, several spans", data: wide, cfg: Config{K: 50, MaxIters: 6, Seed: 8}, fewEvals: true},
-		{name: "short rows, several spans", data: long, cfg: Config{K: 64, MaxIters: 4, Seed: 9}, fewEvals: true},
+		{name: "short rows, several spans", data: long, cfg: Config{K: 64, MaxIters: 4, Seed: 9}},
 		{name: "structureless", data: gauss(700, 24), cfg: Config{K: 40, MaxIters: 6, Seed: 3}},
 		{name: "early stop", data: clustered, cfg: Config{K: 12, MaxIters: 50, Tol: 0.5, Seed: 4}},
 		{name: "duplicates", data: dups, cfg: Config{K: 20, MaxIters: 5, Seed: 5}, reseeds: true},
@@ -371,6 +373,9 @@ func TestFitMatchesFullScan(t *testing.T) {
 			if c.fewEvals && got.DistEvals*4 > want.DistEvals {
 				t.Errorf("%s: %d distance evaluations, full scan %d: nothing was pruned", c.name, got.DistEvals, want.DistEvals)
 			}
+			if n := int64(len(c.data)); len(c.data[0]) < WideRow && got.DistEvals != n*int64(cfg.K*got.Iters) {
+				t.Errorf("%s: %d distance evaluations, want n·K·Iters = %d", c.name, got.DistEvals, n*int64(cfg.K*got.Iters))
+			}
 		}
 	}
 }
@@ -378,7 +383,11 @@ func TestFitMatchesFullScan(t *testing.T) {
 var sinkNearest int
 
 // BenchmarkNearestCentroid is the PQ training and encoding inner loop at
-// its usual shape: 256 centroids of a 3-element subspace.
+// its usual shape: 256 centroids of a 3-element subspace. flat and per-row
+// find one point's nearest centroid; block offers all 256 centroids to a
+// transposed block of 256 points, and seed-sweep one centroid to 8192
+// points — a k-means++ update at PQ's sample size. The block cases offer
+// to a running best, as seeding does, and report ns/point.
 func BenchmarkNearestCentroid(b *testing.B) {
 	const w, k = 3, 256
 	r := rng.NewSeeded(1)
@@ -394,6 +403,22 @@ func BenchmarkNearestCentroid(b *testing.B) {
 			sinkNearest, _ = oldNearest(cents, w, v)
 		}
 	})
+	for _, c := range []struct {
+		name string
+		n, k int
+	}{{"block", 256, k}, {"seed-sweep", 8192, 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			pts := rng.Gaussian(r, nil, c.n*w)
+			idx, dist := make([]int, c.n), make([]float64, c.n)
+			NearestBlock(idx, dist, pts, c.n, w, cents[:c.k*w])
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				nearestBlock(dist, idx, pts, c.n, w, cents[:c.k*w], 0)
+			}
+			sinkNearest = idx[0]
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.n), "ns/point")
+		})
+	}
 }
 
 // sapLike returns n deep-like (d = 96) vectors under SAP encryption at the

@@ -26,18 +26,22 @@ const (
 	listLen = 32
 )
 
-func reach(d float64) float64 { return d*reachFactor + reachFloor }
+func reach(d float64) float64 { return float64(d*reachFactor) + reachFloor }
 
 // Searcher finds the nearest row of one K×w centroid block without scanning
-// the block. Each centroid keeps its nearest neighbours sorted by centre–
-// centre distance; from a guess a, only a centroid b with d(a,b) ≤ 2·d(x,a)
-// can be as close to x as a, so the search walks a's list up to that radius,
-// moves to the first b that is closer (or as close with a lower index) and
-// returns when a whole radius finds none. Every centroid it skips is
-// strictly farther in the computed distances too — the radius is widened by
-// more than they can err, see reach — so index and distance are NearestFlat's
-// bit for bit, from any guess. Where nothing can be ruled out (the radius
-// covers the list) the answer is the full scan's.
+// the block: the search for rows of WideRow floats or more, where a
+// distance costs far more than the branch on it. Narrower rows go through
+// the block kernel (NearestBlock); a Searcher answers them too, one
+// vec.SqDist call per row. Each centroid keeps its nearest neighbours
+// sorted by centre–centre distance; from a guess a, only a centroid b with
+// d(a,b) ≤ 2·d(x,a) can be as close to x as a, so the search walks a's
+// list up to that radius, moves to the first b that is closer (or as close
+// with a lower index) and returns when a whole radius finds none. Every
+// centroid it skips is strictly farther in the computed distances too —
+// the radius is widened by more than they can err, see reach — so index
+// and distance are NearestFlat's bit for bit, from any guess. Where nothing
+// can be ruled out (the radius covers the list) the answer is the full
+// scan's.
 //
 // A Searcher is read-only once built and may be shared by goroutines.
 type Searcher struct {
@@ -154,10 +158,8 @@ func (s *Searcher) Nearest(v []float64, guess int) (int, float64) {
 // nearest is Nearest, also counting the distances it evaluated.
 func (s *Searcher) nearest(v []float64, guess int) (best int, bestD float64, evals int) {
 	w := s.w
-	var q [7]float64
-	copy(q[:], v)
 	a := guess
-	da := sqDist(&q, v, s.cents[a*w:(a+1)*w])
+	da := vec.SqDist(s.cents[a*w:(a+1)*w], v)
 	evals = 1
 walk:
 	for da < math.Inf(1) {
@@ -167,7 +169,7 @@ walk:
 				return a, da, evals
 			}
 			b := int(e & s.idMask)
-			db := sqDist(&q, v, s.cents[b*w:(b+1)*w])
+			db := vec.SqDist(s.cents[b*w:(b+1)*w], v)
 			evals++
 			if db < da || db == da && b < a {
 				a, da = b, db
@@ -181,48 +183,4 @@ walk:
 	}
 	best, bestD = NearestFlat(s.cents, w, v)
 	return best, bestD, evals + s.k
-}
-
-// sqDist is the squared distance between a fixed vector and row in the bits
-// NearestFlat computes: its sequential loop below one vector step (q holds a
-// copy of the fixed vector then), the kernel from there on.
-func sqDist(q *[7]float64, fixed, row []float64) float64 {
-	if len(row) >= 8 {
-		return vec.SqDist(row, fixed)
-	}
-	return sqDistShort(q, row, len(row))
-}
-
-// sqDistShort is the sequential squared distance over w < 8 elements,
-// unrolled: w is fixed for a scan, so the branches predict perfectly and a
-// row costs little more than its arithmetic. NearestFlat carries the same
-// arithmetic inline: as a call per row its scan is half again as slow.
-func sqDistShort(q *[7]float64, row []float64, w int) float64 {
-	t := q[0] - row[0]
-	d := t * t
-	if w > 1 {
-		t = q[1] - row[1]
-		d += t * t
-		if w > 2 {
-			t = q[2] - row[2]
-			d += t * t
-			if w > 3 {
-				t = q[3] - row[3]
-				d += t * t
-				if w > 4 {
-					t = q[4] - row[4]
-					d += t * t
-					if w > 5 {
-						t = q[5] - row[5]
-						d += t * t
-						if w > 6 {
-							t = q[6] - row[6]
-							d += t * t
-						}
-					}
-				}
-			}
-		}
-	}
-	return d
 }

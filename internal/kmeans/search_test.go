@@ -108,10 +108,11 @@ func TestNearestNonFinite(t *testing.T) {
 	}
 }
 
-// FuzzNearestMatchesFlat drives the same comparison from raw bytes: the
-// centroids and the point are whatever float64s the bytes spell (NaNs,
-// infinities and denormals included), snapped to a coarse grid on request
-// so that duplicates and exact ties are common.
+// FuzzNearestMatchesFlat drives the same comparison from raw bytes — and,
+// below WideRow, the block kernel's: the centroids and the point are
+// whatever float64s the bytes spell (NaNs, infinities and denormals
+// included), snapped to a coarse grid on request so that duplicates and
+// exact ties are common.
 func FuzzNearestMatchesFlat(f *testing.F) {
 	seedBytes := func(vals ...float64) []byte {
 		var b []byte
@@ -142,6 +143,14 @@ func FuzzNearestMatchesFlat(f *testing.F) {
 			vals[i] = x + float64(i/cycle) // a cycle on, the values differ
 		}
 		checkNearest(t, vals[w:], w, vals[:w], int(guess)%k, 0, k-1)
+		if w < WideRow {
+			// The point in nine lanes: a group of eight and a tail.
+			points := make([][]float64, 9)
+			for p := range points {
+				points[p] = vals[:w]
+			}
+			checkBlock(t, vals[w:], w, points, 0, nil, nil)
+		}
 	})
 }
 

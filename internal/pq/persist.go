@@ -92,9 +92,15 @@ func Load(r io.Reader, dim, n int) (*Store, error) {
 	if m <= 0 || m > int64(dim) || k <= 0 || k > LUTStride || trainedOn < 0 {
 		return nil, fmt.Errorf("pq: implausible header dim=%d m=%d k=%d n=%d", dim, m, k, n)
 	}
+	// The training config is outside the checksum and drives a fold's
+	// retrain: refuse one Build could not have written.
 	cfg := TrainConfig{
 		M: int(head[5]), K: int(head[6]), MaxSample: int(head[7]),
 		Iters: int(head[8]), Seed: uint64(head[9]),
+	}
+	if head[5] != m || head[6] != k || head[7] < k || head[8] < 1 || head[8] > maxIters {
+		return nil, fmt.Errorf("pq: implausible training config M=%d K=%d MaxSample=%d Iters=%d for a codebook of m=%d k=%d",
+			head[5], head[6], head[7], head[8], m, k)
 	}
 	// Rebuild the subspace layout to know each centroid block's width: the
 	// blocks hold k·dim floats in all.

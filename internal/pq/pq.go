@@ -43,11 +43,17 @@ type TrainConfig struct {
 	// 8192.
 	MaxSample int
 	// Iters bounds the Lloyd iterations per subspace (default 8 — PQ
-	// codebooks converge fast and the encode pass dominates anyway).
+	// codebooks converge fast and the encode pass dominates anyway), at
+	// most maxIters.
 	Iters int
 	// Seed drives subsampling and k-means++ seeding.
 	Seed uint64
 }
+
+// maxIters is the most Lloyd iterations per subspace Train runs. Tol never
+// stops a run on SAP ciphertexts, so every run goes to Iters: a ceiling
+// keeps a retrain from a loaded store's config bounded.
+const maxIters = 64
 
 func (c TrainConfig) withDefaults(n int) TrainConfig {
 	if c.M <= 0 {
@@ -96,6 +102,9 @@ func Train(vectors [][]float64, cfg TrainConfig) (*Codebook, error) {
 	if cfg.M > dim {
 		return nil, fmt.Errorf("pq: M=%d exceeds dim=%d", cfg.M, dim)
 	}
+	if cfg.Iters > maxIters {
+		return nil, fmt.Errorf("pq: %d Lloyd iterations, at most %d", cfg.Iters, maxIters)
+	}
 
 	sample := vectors
 	if len(sample) > cfg.MaxSample {
@@ -111,9 +120,10 @@ func Train(vectors [][]float64, cfg TrainConfig) (*Codebook, error) {
 	// per worker: at PQ's shape (a few thousand short points) a run is too
 	// small to fan out itself, and its serial parts — the D² total and
 	// pick of every seeding — then overlap with another subspace's. Each
-	// is clustered on a packed copy of its columns: k-means sweeps the
-	// points dozens of times, and w floats out of every dim would drag the
-	// whole sample through the cache on each sweep.
+	// is clustered on a packed copy of its columns: Fit reads the rows in
+	// every update step (and, at widths under kmeans.WideRow, copies them
+	// transposed once for the block kernel's sweeps), and w floats out of
+	// every dim would drag the whole sample through the cache each time.
 	workers := min(runtime.GOMAXPROCS(0), cfg.M)
 	sub := make([][]float64, workers*len(sample))
 	cols := make([]float64, workers*len(sample)*cb.width[0])
@@ -206,11 +216,13 @@ func (cb *Codebook) EncodeInto(dst []byte, v []float64) {
 
 // EncodeAll encodes every vector into a fresh code store, across
 // GOMAXPROCS workers (encoding a million points is the expensive half of a
-// PQ build). Each subspace gets a kmeans.Searcher for the call — a point
-// starts from the centroid nearest in its first coordinate and evaluates
-// the few the triangle inequality leaves — and the codes are EncodeInto's.
-// A nil vector's row stays zero. The searchers are dropped on return:
-// nothing is retained per subspace.
+// PQ build), into the codes EncodeInto writes. A span of points goes
+// through one subspace at a time. Subspaces narrower than kmeans.WideRow —
+// every one at the usual shapes — copy the span's columns transposed into
+// the worker's scratch and offer all K centroids to every point through
+// the block kernel; wider ones get a kmeans.Searcher for the call, from
+// which a point starts at the centroid nearest in its first coordinate. A
+// nil vector's row stays zero. Nothing is retained per subspace.
 func (cb *Codebook) EncodeAll(vectors [][]float64) *CodeStore {
 	for i, v := range vectors {
 		if v != nil && len(v) != cb.dim {
@@ -221,20 +233,47 @@ func (cb *Codebook) EncodeAll(vectors [][]float64) *CodeStore {
 	workers := runtime.GOMAXPROCS(0)
 	search := make([]*kmeans.Searcher, cb.m)
 	par.Spans(workers, cb.m, 1, func(_, j, _ int) {
-		search[j] = kmeans.NewSearcher(cb.cents[j], cb.width[j])
+		if cb.width[j] >= kmeans.WideRow {
+			search[j] = kmeans.NewSearcher(cb.cents[j], cb.width[j])
+		}
 	})
-	// A span of points goes through one subspace at a time, so that the
-	// subspace's lists and centroids stay in cache for the whole span.
-	par.Spans(workers, len(vectors), 256, func(_, lo, hi int) {
+	const span = 256
+	cols := make([]float64, workers*span*(kmeans.WideRow-1))
+	dist := make([]float64, workers*span)
+	idx := make([]int, workers*span)
+	zero := make([]float64, cb.dim)
+	par.Spans(workers, len(vectors), span, func(worker, lo, hi int) {
+		n := hi - lo
 		for j, s := range search {
 			o, w := cb.off[j], cb.width[j]
-			for i := lo; i < hi; i++ {
-				if vectors[i] == nil {
-					continue
+			if s != nil {
+				for i := lo; i < hi; i++ {
+					if vectors[i] == nil {
+						continue
+					}
+					sub := vectors[i][o : o+w]
+					best, _ := s.Nearest(sub, s.Guess(sub))
+					cs.Row(i)[j] = byte(best)
 				}
-				sub := vectors[i][o : o+w]
-				best, _ := s.Nearest(sub, s.Guess(sub))
-				cs.Row(i)[j] = byte(best)
+				continue
+			}
+			// Coordinate t of point lo+i at pts[t*n+i]; a nil vector is
+			// encoded as zeros, and its code not written.
+			pts := cols[worker*span*(kmeans.WideRow-1):][:w*n]
+			for i, v := range vectors[lo:hi] {
+				if v == nil {
+					v = zero
+				}
+				for t, x := range v[o : o+w] {
+					pts[t*n+i] = x
+				}
+			}
+			codes := idx[worker*span:][:n]
+			kmeans.NearestBlock(codes, dist[worker*span:], pts, n, w, cb.cents[j])
+			for i, c := range codes {
+				if vectors[lo+i] != nil {
+					cs.Row(lo + i)[j] = byte(c)
+				}
 			}
 		}
 	})

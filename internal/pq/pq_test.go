@@ -32,6 +32,9 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := Train(randVecs(1, 50, 4), TrainConfig{M: 8}); err == nil {
 		t.Fatal("expected error for M > dim")
 	}
+	if _, err := Train(randVecs(1, 50, 4), TrainConfig{M: 2, K: 4, Iters: maxIters + 1}); err == nil {
+		t.Fatalf("expected error for Iters = %d", maxIters+1)
+	}
 }
 
 func TestSubspaceLayout(t *testing.T) {
@@ -293,9 +296,10 @@ func TestBuildGolden(t *testing.T) {
 	}
 }
 
-// TestEncodeAllMatchesEncodeInto: the pruned bulk encoder writes the codes
+// TestEncodeAllMatchesEncodeInto: the bulk encoder writes the codes
 // of the full-scan single-vector path, on training and on unseen vectors, at
-// ragged subspace widths, on one core and four.
+// ragged subspace widths, on one core and four, and leaves a nil vector's
+// row zero.
 func TestEncodeAllMatchesEncodeInto(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, c := range []struct{ dim, m, k int }{{24, 8, 64}, {20, 3, 0}, {64, 4, 32}, {5, 5, 7}} {
@@ -305,12 +309,16 @@ func TestEncodeAllMatchesEncodeInto(t *testing.T) {
 			t.Fatal(err)
 		}
 		vecs := append(randVecs(22, 700, c.dim), train[:300]...)
+		vecs[3], vecs[257], vecs[999] = nil, nil, nil // dead rows stay zero
 		want := make([]byte, c.m)
 		for _, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
 			codes := book.EncodeAll(vecs)
 			for i, v := range vecs {
-				book.EncodeInto(want, v)
+				clear(want)
+				if v != nil {
+					book.EncodeInto(want, v)
+				}
 				if !bytes.Equal(codes.Row(i), want) {
 					t.Fatalf("dim=%d m=%d GOMAXPROCS=%d: vector %d encoded %v, EncodeInto %v", c.dim, c.m, procs, i, codes.Row(i), want)
 				}

@@ -1,9 +1,9 @@
 // Package simd detects the CPU vector features the distance kernels can use
 // and resolves, once at init, the one kernel variant every package runs.
 //
-// The package owns no kernels itself: internal/vec, internal/dce and
-// internal/matrix keep their assembly next to the scalar references they
-// must match bit for bit, and each kernel wrapper branches on UseAVX2 with
+// The package owns no kernels itself: internal/vec, internal/dce,
+// internal/matrix and internal/kmeans keep their assembly next to the
+// scalar references they must match bit for bit, and each kernel wrapper branches on UseAVX2 with
 // direct calls. There is no runtime switch: the variant is fixed for the
 // life of the process by the CPU and the PPANNS_KERNEL environment variable.
 //
