@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,9 +15,68 @@ import (
 	"ppanns/internal/index"
 )
 
+// contentDigest is the SHA-256 of what a database holds, independent of how
+// a file lays it out: Dim, Backend and the DCE component length, the live
+// mask and every DCE record, every id's Index.Vector, the PQ tier's
+// centroids, codes, TrainedOn and config, and the ids and filter distances
+// Index.SearchInto returns for the SAP rows of the first eight live ids.
+// The golden tests pin it beside the Save bytes, so a change of file
+// layout shows up as moved byte digests over an unmoved content digest.
+func contentDigest(e *EncryptedDatabase) string {
+	h := sha256.New()
+	put := func(vs ...uint64) {
+		for _, v := range vs {
+			h.Write(binary.LittleEndian.AppendUint64(nil, v))
+		}
+	}
+	floats := func(fs []float64) {
+		put(uint64(len(fs)))
+		for _, f := range fs {
+			put(math.Float64bits(f))
+		}
+	}
+	put(uint64(e.Dim), uint64(len(e.Backend)))
+	h.Write([]byte(e.Backend))
+	put(uint64(e.DCE.CtDim()), uint64(e.DCE.Len()))
+	var probes [][]float64
+	for id := 0; id < e.DCE.Len(); id++ {
+		live := e.DCE.Has(id)
+		v, ok := e.Index.Vector(id)
+		put(b2u(live), b2u(ok))
+		floats(e.DCE.Record(id))
+		floats(v)
+		if ok && len(probes) < 8 {
+			probes = append(probes, v)
+		}
+	}
+	if e.PQ != nil {
+		c := e.PQ.Cfg
+		put(uint64(e.PQ.TrainedOn), uint64(c.M), uint64(c.K), uint64(c.MaxSample), uint64(c.Iters), c.Seed)
+		for _, block := range e.PQ.Book.Centroids() {
+			floats(block)
+		}
+		for id := 0; id < e.PQ.Codes.Len(); id++ {
+			h.Write(e.PQ.Codes.Row(id))
+		}
+	}
+	for _, q := range probes {
+		for _, it := range e.Index.SearchInto(nil, q, 10, 50) {
+			put(uint64(it.ID), math.Float64bits(it.Dist))
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // TestSeedFixesBytesOnAnyCoreCount is the determinism contract of set-up:
 // one seed gives one database — keys, SAP and DCE ciphertexts, filter
-// index, PQ tier — byte for byte in the PPANNSD5 file, whether
+// index, PQ tier — byte for byte in the database file, whether
 // EncryptDatabase ran on one core or four. Every stage is parallel (per-
 // record streams, blocked key inversion, batched HNSW build, k-means
 // assignment, PQ encoding), so each is a way this could fail.
@@ -55,8 +116,8 @@ func TestSeedFixesBytesOnAnyCoreCount(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.HasPrefix(db, []byte("PPANNSD5")) {
-					t.Fatalf("SaveTo wrote %q, want a PPANNSD5 file", db[:8])
+				if !bytes.HasPrefix(db, []byte(edbMagic)) {
+					t.Fatalf("SaveTo wrote %q, want a %s file", db[:8], edbMagic)
 				}
 				var key bytes.Buffer
 				if err := SaveUserKey(&key, owner.UserKey()); err != nil {
@@ -144,16 +205,19 @@ func TestBuildStats(t *testing.T) {
 }
 
 // TestDatabaseGolden pins seed → bytes against committed values: the
-// SHA-256 of the PPANNSD5 file and of the user key for one small seeded
-// build per backend (hnsw and ivf also with the PQ tier). The test above
-// compares two builds of one commit with each other, so a format drift
-// between commits is invisible to it. Database digests recorded at commit
-// 84fd674, before the compatibility readers were removed. The user-key
-// digests were re-captured once, when the DCE key file (generation 2)
-// started to carry the folded query matrix in place of M₁⁻¹, M₂⁻¹ and
-// M₃⁻¹, and again when the key files left gob for their own magic-led
-// layouts (PPANNSU1 around SAPKEY01 and DCEKEY03), holding the same key
-// material; the database digests moved with neither.
+// SHA-256 of the database file and of the user key for one small seeded
+// build per backend (hnsw and ivf also with the PQ tier), and the
+// contentDigest of the database as built and as loaded back. The test
+// above compares two builds of one commit with each other, so a format
+// drift between commits is invisible to it. The content digests were
+// recorded at commit 183fd19, over PPANNSD5, and the database digests
+// re-captured when the file became PPANNSD6 (one frame stream under one
+// CRC32): the same content in the new layout. The user-key digests were
+// re-captured once, when the DCE key file (generation 2) started to carry
+// the folded query matrix in place of M₁⁻¹, M₂⁻¹ and M₃⁻¹, and again when
+// the key files left gob for their own magic-led layouts (PPANNSU1 around
+// SAPKEY01 and DCEKEY03), holding the same key material; the database
+// digests moved with neither.
 //
 // At d=8, M₃'s 16-row halves fit inside one panel of the block product
 // encryption runs on. The d=100 case (108 rows, past the panel boundary;
@@ -167,28 +231,34 @@ func TestBuildStats(t *testing.T) {
 // that kernel is held to the bytes of the one-destination loops.
 func TestDatabaseGolden(t *testing.T) {
 	for _, c := range []struct {
-		name    string
-		params  Params
-		db, key string
+		name             string
+		params           Params
+		db, key, content string
 	}{
 		{"hnsw", Params{Dim: 8, Beta: 0.5, Seed: 61, Index: "hnsw"},
-			"5d578e82f49ad9e7e3e514263825084c6ec42f6d8284466efde4f460fd059a5d",
-			"ebd35e52fdfa74db6592741df1d5b392db10613e475b2c84bf91d19cedc633f0"},
+			"ac44d618d1953d273b2bf378707418ecb6b3ba0bd0d4ae1621b3f4c432f07ff9",
+			"ebd35e52fdfa74db6592741df1d5b392db10613e475b2c84bf91d19cedc633f0",
+			"cdd2182c58eba5cf3d1e630e95e4b9cc726d4724da647f0efc802da3c5fc3a8c"},
 		{"ivf", Params{Dim: 8, Beta: 0.5, Seed: 63, Index: "ivf"},
-			"0c594bbf0b8504b111681a5c162f483b274e646ca674c86cb3d3103e6a9d858c",
-			"237b34ae1d1d4aa3ecda867b00d52c94605cd3220486b96724c79fb602f76b0e"},
+			"4b95e3d4aec6da3f7b05b600b2ede6ba13727cef93fe924b4decfc67dd678496",
+			"237b34ae1d1d4aa3ecda867b00d52c94605cd3220486b96724c79fb602f76b0e",
+			"6211644de130a0a77bbad64a4e4a4820a590e3318669cb934b09e93e63243e38"},
 		{"hnsw+pq", Params{Dim: 8, Beta: 0.5, Seed: 65, Index: "hnsw", PQ: true, PQM: 4},
-			"1ffd87a5fb9c43c8d7001d3f1074a3676a9730259a7822f7be9e40b5efce73ca",
-			"659f3b009ba55b33aa0504889ea3256a48b05ef181aae0f8082425c264ccf884"},
+			"3c022f4b34e80090fb24cc6b89e528e0f5b03de7f11611f0cd156ba0bb336733",
+			"659f3b009ba55b33aa0504889ea3256a48b05ef181aae0f8082425c264ccf884",
+			"f4bac5aeaa1f3faf88058a98232e464e03c0a21c0db36c59edecfd97c44792d3"},
 		{"ivf+pq", Params{Dim: 8, Beta: 0.5, Seed: 66, Index: "ivf", PQ: true, PQM: 4},
-			"9d7c0129b6728e0e01e1771b38cdfd7358f0c339436ab62da12577e75bf4f4fd",
-			"11b500f9b3965bcf2aba27d5e9e297c170f868c07fb87c18e4e6c4c58f1d16c3"},
+			"23f24f4e20020fade085d6f06d0971930831cc0baf561a5795ed3da3cb027d62",
+			"11b500f9b3965bcf2aba27d5e9e297c170f868c07fb87c18e4e6c4c58f1d16c3",
+			"252d6d7c018062f1a82224f8223adf8d08e0211c7c089212cec753e4d5a01cfc"},
 		{"hnsw d=100", Params{Dim: 100, Beta: 0.5, Seed: 67, Index: "hnsw"},
-			"ad23e34b12769e7892f04484600436e502a8f639648fdef76e5cedea795bd69e",
-			"32c3d44eb3db23fd15623916499e94c24e253a28f70f823993a35b5b84ea9e49"},
+			"f0177d9e9210363004a65e2e7e9551c7fa6ed18bf4931a8dc6b262d8014930e1",
+			"32c3d44eb3db23fd15623916499e94c24e253a28f70f823993a35b5b84ea9e49",
+			"9512e7050efb7ed3d82acb2b3f5b07a5319f67b64ef24aee416c12c014d02f33"},
 		{"hnsw d=300", Params{Dim: 300, Beta: 0.5, Seed: 68, Index: "hnsw"},
-			"5db7ba74cb4086d0f6db19beff742e292a7309f40f7015a1bf6b2ee870eda960",
-			"f7c91092a0943d4afb826d8260c46fd94be9f2ea7b2135537a484db354c95d6d"},
+			"d824f14eb5bb77bd2d9110b50c776337f24723deed94975e214662b2d39d650a",
+			"f7c91092a0943d4afb826d8260c46fd94be9f2ea7b2135537a484db354c95d6d",
+			"fa01866a072c276bff80e19d2a81d840ace4b072d54b6dd65ec07b7172d18c79"},
 	} {
 		owner, err := NewDataOwner(c.params)
 		if err != nil {
@@ -211,6 +281,15 @@ func TestDatabaseGolden(t *testing.T) {
 		if got := fmt.Sprintf("%x", sha256.Sum256(key.Bytes())); got != c.key {
 			t.Errorf("%s: user key digest %s, want %s", c.name, got, c.key)
 		}
+		loaded, err := LoadEncryptedDatabase(bytes.NewReader(db.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range []*EncryptedDatabase{edb, loaded} {
+			if got := contentDigest(e); got != c.content {
+				t.Errorf("%s: content digest %s, want %s", c.name, got, c.content)
+			}
+		}
 	}
 }
 
@@ -222,37 +301,63 @@ func TestDatabaseGolden(t *testing.T) {
 // inserting more than the base's n records, so ivf+pq's 2× retrain rule
 // fires there and not at fold1), then splits the fold2 database into two
 // stripes with Seed 5 and compacts it offline. Every digest but the last is
-// the SHA-256 of the PPANNSD5 Save bytes; the last is the SHA-256 of
-// AppendInsert over every insert payload of the script, in order — the
-// bytes the wire and the WAL carry for an insert — captured at commit
-// 31ac28f, while the payload's ciphertext was still four slices.
+// the SHA-256 of the Save bytes, re-captured when the file became PPANNSD6;
+// the last is the SHA-256 of AppendInsert over every insert payload of the
+// script, in order — the bytes the wire and the WAL carry for an insert —
+// captured at commit 31ac28f, while the payload's ciphertext was still
+// four slices. Beside them sits the contentDigest of each of the five
+// databases, recorded at commit 183fd19 over PPANNSD5, which must also
+// survive a Save and a load.
 func TestRelayoutGolden(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		params Params
 		want   []string // fold1, fold2, stripe 0, stripe 1, compacted, inserts
+		// content digests of fold1, fold2, stripe 0, stripe 1, compacted
+		content []string
 	}{
 		{"hnsw", Params{Dim: 8, Beta: 0.5, Seed: 71, Index: "hnsw"}, []string{
-			"013f30fce56d06e72622c53b773065dd38fd09d6390ec6faef02baec4b517460",
-			"0b2f5717969128022bc6192ccb01c8e598517bd58058fb0a1d1ebdb55252f89d",
-			"bdd2acef7379bdd7372baa9dfac2d15cc26c10595dbc8053dcd7c92c5be4b155",
-			"fa9328b8f6fc2f38e3689ca8ccae06f140070160357e11a0a1eaf92a6841cedc",
-			"fe2b0fe8866398c66a97bcb92b9905b15e188fab3d55ff680793dfb9e1b2f5d8",
-			"e300125312fdd2ef2abb16a58daa5de87441d90a176a942a726669bc2bcdfde2"}},
+			"425cefc05de3ada7d46735bc99e8940f53e622a3eb5000d133d2e9f48ddebc99",
+			"295c049082dd889a90fdbae69bd4c676357a25ceeda7be08f5d58ec657ee7afc",
+			"e74a353a39e50b6ceb1d5554504706300670311a117304790a87dbe8de47c98b",
+			"f8cdd929ffbc2edbc3d243c07b9d30999ed668c2a55f6f6fcba024d0e9e4f9a8",
+			"4bc57a8fc613ab2e9a675ae82c8aaf1a4e6fabc95093fb6e2843b37d53ca379a",
+			"e300125312fdd2ef2abb16a58daa5de87441d90a176a942a726669bc2bcdfde2"},
+			[]string{
+				"b3052fa6bababf29f881ada0ce975643dd97b64a5d95fb9eafb05ca36b413f90",
+				"4308ff4df5ce6f7bdab82e09df9ec146815a17a62e01a7b5a792c6ceb5dfe5ab",
+				"cbe75cc9e13e5be7f1d8cc678a8d5f00d7a06eefc3cb5780e0ed1db8626eadab",
+				"63a83d339bc147d326f4c84661bb80333e4d58e3fedcbed9e0524e35016afd10",
+				"b31787e9a862cf80366eda4bd4e48a735f952e127f3fb5f0489a35cbcfecd7cc",
+			}},
 		{"ivf", Params{Dim: 8, Beta: 0.5, Seed: 72, Index: "ivf"}, []string{
-			"c8be4500cc4f5c73a06021b95b918928449d2fe95b23f687bd1b751a1bac9c06",
-			"296b2ad5937eae760dd595905878049ac2b229cc4a033fbcd65cd443a25f9220",
-			"9bea7444f98169b0ca8dccad27215848e41b418cf2f321ca9f6215a51ae36c8e",
-			"d840bd49ec8c2211166f7a05086a71b39c0e479b8766e41ff27c6556cdb37d72",
-			"3345e6e3eda82216f36cbcd95b3d5e74ad233b98a5a1fad86ca95d13fc0f4d56",
-			"73b91d08cf005e36664f553ef0011885cdd877b6f755299a4da9c09f537e01a0"}},
+			"790eb973549321e43f063c8fe6e803805dccca4eeb08ec47a9c40c8057f43f27",
+			"dcf3a12f6dc2b1c60753294894a9b05ce54725c95a5384b52f739e3929d5436e",
+			"57efe3c6f1db30f3efb74b1e47cffcb4a6f4a8938691509415ea561758df3496",
+			"b10ae1b3c1c4c79554ba540dcc0d32fd6bca91f84f233a4acd7af8e132c1dfc1",
+			"05bacfd93e60114442dea9112fe21dfe7731d678f04111ab2b47b185667beb34",
+			"73b91d08cf005e36664f553ef0011885cdd877b6f755299a4da9c09f537e01a0"},
+			[]string{
+				"1ebe1ae62f38262c981e8c4c8238860c4af5e29b26224a903dc107059ec3c639",
+				"90e193e73b8b56ff6e54bea5363a13eb8dbfae88174b31e4d88b704286e00e58",
+				"86fd870208c03e3a9869d8ae33ce4abfea3d70c846d7fcea4831b07c3c80c009",
+				"f633a4bd88c3353f54554182d3eccc18032562d01b64f0dee1617c2f671d6b30",
+				"486d818ea35fb258a1bf01b346f02bec1fc00857564c907eff08e561091ccc6d",
+			}},
 		{"ivf+pq", Params{Dim: 8, Beta: 0.5, Seed: 73, Index: "ivf", PQ: true, PQM: 4}, []string{
-			"af7fafea50c7150d38efa6200a621395d197d3de6eda691b08e48062ca91dc12",
-			"22a688de7b032ea8305907b2321bf37f8c88dfbed5b30ffac4b703490e87d22f",
-			"ee555c7b74a323d292561b8f83087810a48cc03b490939c2988b82309b9dd614",
-			"f9482ea47a7b544c0958a6361a6099d0228933df6004c0d784a96db198cc85ee",
-			"a06c6813b4f43839b8de1fad89b471831dcc4c1abb61a3ac73b6d1232f36c95c",
-			"515177e184b05fdb3786641906cda1d14d388a9def7aebdfa00518e40d195bd0"}},
+			"aeb259a7e65d98f052bff7337f3cad1595d816a1d23b757d49edc23274889167",
+			"10536a163d4fe9b44d00be59dff6963681c949268909df198416bae6e56aa73c",
+			"381d5a49430165c53522bc206299290add1b587ee2c048964e7dc521ab5a76ac",
+			"40a9229053a6010aaaefd53e4655878bc937f2b935a579eeab3862e869389760",
+			"0a0c32ce3519831e65799382c50461535128c70c215b42a9356803fd7aef0215",
+			"515177e184b05fdb3786641906cda1d14d388a9def7aebdfa00518e40d195bd0"},
+			[]string{
+				"d9cbebbe70b2db5cf0b1dafcb43f76db35977eabd0f6f9ec594e578dd1747fde",
+				"d5bfa3dbd9bff0b6a9fad111a0438a0e96996cc2fa865a9ca76787b27606583a",
+				"a164873fe8b96e035d85368df5f93cb79b0961086e5b28a6f0d37cd665187321",
+				"39ad3e5c19932793761da79a58fcc3eea0a90da6a796c5265bd9ca7799cbeb82",
+				"bc8805d414dd059e62ee6f2d12ba866235335db5e59d507c57f0691188c7fc8e",
+			}},
 	} {
 		owner, err := NewDataOwner(c.params)
 		if err != nil {
@@ -281,13 +386,21 @@ func TestRelayoutGolden(t *testing.T) {
 				}
 			}
 		}
-		var got []string
+		var got, content []string
 		digest := func(e *EncryptedDatabase) {
 			var buf bytes.Buffer
 			if err := e.Save(&buf); err != nil {
 				t.Fatal(err)
 			}
 			got = append(got, fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())))
+			loaded, err := LoadEncryptedDatabase(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := contentDigest(e), contentDigest(loaded); a != b {
+				t.Errorf("%s: content digest %s after a round trip, %s before", c.name, b, a)
+			}
+			content = append(content, contentDigest(e))
 		}
 		flush := func() *EncryptedDatabase {
 			e, err := srv.Flush()
@@ -342,6 +455,9 @@ func TestRelayoutGolden(t *testing.T) {
 		for i, name := range []string{"fold1", "fold2", "stripe 0", "stripe 1", "compacted", "inserts"} {
 			if got[i] != c.want[i] {
 				t.Errorf("%s %s: digest %s, want %s", c.name, name, got[i], c.want[i])
+			}
+			if i < len(content) && content[i] != c.content[i] {
+				t.Errorf("%s %s: content digest %s, want %s", c.name, name, content[i], c.content[i])
 			}
 		}
 	}

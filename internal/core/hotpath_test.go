@@ -23,11 +23,28 @@ func TestSearchIntoZeroAlloc(t *testing.T) {
 		name   string
 		params Params
 		opt    SearchOptions
+		delta  bool // 20 inserts and a tombstone pending beside the index
 	}{
-		{"hnsw exact", Params{Dim: 10, Beta: 0.3, Seed: 81}, SearchOptions{RatioK: 8, EfSearch: 80}},
-		{"hnsw+pq", Params{Dim: 10, Beta: 0.3, Seed: 81, PQ: true, PQM: 5}, SearchOptions{RatioK: 8, EfSearch: 80, FilterDist: FilterPQ}},
+		{"hnsw exact", Params{Dim: 10, Beta: 0.3, Seed: 81}, SearchOptions{RatioK: 8, EfSearch: 80}, false},
+		{"hnsw+pq", Params{Dim: 10, Beta: 0.3, Seed: 81, PQ: true, PQM: 5}, SearchOptions{RatioK: 8, EfSearch: 80, FilterDist: FilterPQ}, false},
+		{"hnsw exact, delta", Params{Dim: 10, Beta: 0.3, Seed: 81}, SearchOptions{RatioK: 8, EfSearch: 80}, true},
+		{"hnsw+pq, delta", Params{Dim: 10, Beta: 0.3, Seed: 81, PQ: true, PQM: 5}, SearchOptions{RatioK: 8, EfSearch: 80, FilterDist: FilterPQ}, true},
 	} {
-		w := newWorld(t, c.params, data)
+		w := newWorldWith(t, c.params, ServerOptions{CompactAt: -1}, data)
+		if c.delta {
+			for _, v := range makeQueries(83, data, 20, 0.3) {
+				p, err := w.owner.EncryptVector(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := w.server.Insert(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.server.Delete(7); err != nil {
+				t.Fatal(err)
+			}
+		}
 		toks := make([]*QueryToken, len(queries))
 		for i, q := range queries {
 			tok, err := w.user.Query(q)

@@ -6,16 +6,15 @@ import (
 	"testing"
 )
 
-// pqSectionOffset computes where the PQ flag byte sits in a PPANNSD5 blob:
-// right after the arena checksum, before the PQ section / index payload.
+// pqSectionOffset computes where the PQ flag byte sits in a database file:
+// right after the ciphertext section, before the PQ and index sections.
 func pqSectionOffset(e *EncryptedDatabase) int {
 	return len(edbMagic) + 1 + len(e.Backend) + 3*8 + // magic, tag, header
-		e.DCE.Len() + // presence bitmap
-		e.DCE.Len()*4*e.DCE.CtDim()*8 + // arena
-		4 // crc
+		e.DCE.Len() + // presence bytes
+		e.DCE.Len()*4*e.DCE.CtDim()*8 // ciphertexts
 }
 
-// TestPQDatabaseRoundTrip proves the PPANNSD5 format carries the
+// TestPQDatabaseRoundTrip proves the database file carries the
 // compressed tier faithfully: codes, codebook provenance and FilterPQ
 // search results all survive a save/load cycle, and a corrupted PQ
 // section fails the load instead of skewing filter distances.
@@ -79,11 +78,11 @@ func TestPQDatabaseRoundTrip(t *testing.T) {
 	if blob[off] != 1 {
 		t.Fatalf("PQ flag byte at %d is %d, want 1", off, blob[off])
 	}
-	// A flipped byte inside the PQ section must fail the CRC at load.
+	// A flipped byte inside the PQ section must fail the checksum at load.
 	bad := append([]byte(nil), blob...)
 	bad[off+200] ^= 0x20
 	if _, err := LoadEncryptedDatabase(bytes.NewReader(bad)); err == nil ||
-		!strings.Contains(err.Error(), "PQ") {
+		!strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("corrupted PQ section loaded: %v", err)
 	}
 	// A corrupt flag byte must be rejected, not treated as a mode.

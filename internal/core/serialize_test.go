@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -157,17 +159,18 @@ func TestEncryptedDatabaseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The arena comes back bit for bit, except that the deleted record's
+	// The records come back bit for bit, except that the deleted record's
 	// bytes must not have reached the file.
 	orig := flushed(t, w.server).DCE
-	stride := 4 * orig.CtDim()
-	for i, f := range edb2.DCE.Raw() {
-		want := orig.Raw()[i]
-		if !orig.Has(i / stride) {
-			want = 0
-		}
-		if math.Float64bits(f) != math.Float64bits(want) {
-			t.Fatalf("arena float %d (record %d) is %x after the round trip, want %x", i, i/stride, math.Float64bits(f), math.Float64bits(want))
+	for id := 0; id < orig.Len(); id++ {
+		for j, f := range edb2.DCE.Record(id) {
+			want := orig.Record(id)[j]
+			if !orig.Has(id) {
+				want = 0
+			}
+			if math.Float64bits(f) != math.Float64bits(want) {
+				t.Fatalf("record %d float %d is %x after the round trip, want %x", id, j, math.Float64bits(f), math.Float64bits(want))
+			}
 		}
 	}
 	if edb2.PQ != nil {
@@ -242,20 +245,15 @@ func TestLoadEncryptedDatabaseGarbage(t *testing.T) {
 
 // TestLoadRefusals: what LoadEncryptedDatabase will not read, it refuses with
 // an error — never a panic, never an allocation sized by a number the file
-// merely claims. The earlier format generations and an hnsw payload whose id
-// map is not the identity (which only pre-deterministic builds wrote) get
-// index.ErrOldFormat; a file tagged with a retired serving backend (nsg,
-// lsh) is told to re-encrypt; a header that lies about the record count, or
-// an arena cut short, fails where the bytes run out; a PQ section or an
-// index payload whose header lies is refused before it sizes anything.
+// merely claims. The earlier format generations get index.ErrOldFormat; a
+// file tagged with a retired serving backend (nsg, lsh) is told to
+// re-encrypt; a header that lies about the record count, or an arena cut
+// short, fails where the bytes run out; a PQ or index section whose header
+// lies is refused before it sizes anything.
 func TestLoadRefusals(t *testing.T) {
 	w := newWorld(t, Params{Dim: 8, Beta: 0.5, Seed: 35}, clustered(35, 60, 8, 3))
 	edb := flushed(t, w.server)
-	var buf bytes.Buffer
-	if err := edb.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := saveBytes(t, edb)
 	withMagic := func(magic string) []byte {
 		return append([]byte(magic), valid[len(edbMagic):]...)
 	}
@@ -265,33 +263,22 @@ func TestLoadRefusals(t *testing.T) {
 		b = append(b, tag...)
 		return append(b, valid[len(edbMagic)+1+len(edb.Backend):]...)
 	}
-	// The hnsw payload follows the PQ flag: magic, int64 count, the map.
-	swapped := append([]byte(nil), valid...)
-	m := pqSectionOffset(edb) + 1 + len("IDXHNSW1") + 8
-	copy(swapped[m:m+8], []byte{1, 0, 0, 0, 0, 0, 0, 0})
 	// 45 bytes: a plausible header claiming 2^40 records, then 8 of them.
 	lying := append([]byte(nil), valid[:len(edbMagic)+1+len(edb.Backend)+8]...)
 	lying = binary.LittleEndian.AppendUint64(lying, 1<<40)
 	lying = binary.LittleEndian.AppendUint64(lying, uint64(edb.DCE.CtDim()))
 	lying = append(lying, make([]byte, 8)...)
-	// The PQSTORE1 header follows the PQ flag: magic, dim, m, k, then n.
+	// The PQ section follows the PQ flag: m, then k.
 	withPQ := flushed(t, newWorld(t, Params{Dim: 8, Beta: 0.5, Seed: 36, PQ: true, PQM: 4}, clustered(36, 60, 8, 3)).server)
-	var pqBuf bytes.Buffer
-	if err := withPQ.Save(&pqBuf); err != nil {
-		t.Fatal(err)
-	}
-	pqLying := pqBuf.Bytes()
-	binary.LittleEndian.PutUint64(pqLying[pqSectionOffset(withPQ)+1+len("PQSTORE1")+3*8:], 1<<33)
-	// Each backend's payload follows the PQ flag; the lie sits at field
+	pqLying := saveBytes(t, withPQ)
+	binary.LittleEndian.PutUint64(pqLying[pqSectionOffset(withPQ)+1+8:], 1<<33)
+	// Each backend's section follows the PQ flag; the lie sits at field
 	// bytes into it, behind a database header that tells the truth.
-	payloadLying := func(backend string, field int, v uint64) []byte {
+	sectionLying := func(backend string, field int, v uint64) []byte {
 		e := flushed(t, newWorld(t, Params{Dim: 8, Beta: 0.5, Seed: 35, Index: backend}, clustered(35, 60, 8, 3)).server)
-		var b bytes.Buffer
-		if err := e.Save(&b); err != nil {
-			t.Fatal(err)
-		}
-		binary.LittleEndian.PutUint64(b.Bytes()[pqSectionOffset(e)+1+field:], v)
-		return b.Bytes()
+		b := saveBytes(t, e)
+		binary.LittleEndian.PutUint64(b[pqSectionOffset(e)+1+field:], v)
+		return b
 	}
 
 	for _, c := range []struct {
@@ -303,14 +290,14 @@ func TestLoadRefusals(t *testing.T) {
 		{"PPANNSD2", withMagic("PPANNSD2"), true, ""},
 		{"PPANNSD3", withMagic("PPANNSD3"), true, ""},
 		{"PPANNSD4", withMagic("PPANNSD4"), true, ""},
-		{"hnsw map not the identity", swapped, true, ""},
+		{"PPANNSD5", withMagic("PPANNSD5"), true, "re-encrypt"},
 		{"tagged nsg", withTag("nsg"), false, `"nsg" no longer serves: re-encrypt with hnsw or ivf`},
 		{"tagged lsh", withTag("lsh"), false, `"lsh" no longer serves: re-encrypt with hnsw or ivf`},
 		{"header claims 2^40 records", lying, false, ""},
 		{"arena cut short", valid[:pqSectionOffset(edb)/2], false, ""},
-		{"PQ section claims 2^33 records", pqLying, false, ""},
-		{"hnsw graph claims dimension 2^31", payloadLying("hnsw", len("IDXHNSW1")+8+4*60+len("HNSWGO01"), 1<<31), false, ""},
-		{"ivf index claims 2^30 lists", payloadLying("ivf", len("IDXIVF01")+8+len("IVFGO001")+8, 1<<30), false, ""},
+		{"PQ section claims 2^33 centroids", pqLying, false, "implausible"},
+		{"hnsw graph claims 2^31 levels", sectionLying("hnsw", 4*8, 1<<31), false, "implausible"},
+		{"ivf index claims 2^30 lists", sectionLying("ivf", 0, 1<<30), false, "truncated"},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -332,22 +319,60 @@ func TestLoadRefusals(t *testing.T) {
 	}
 }
 
+// TestD5FileRefused: a database file the last PPANNSD5 build wrote
+// (testdata/db-d5.ppanns: hnsw, d=2, 10 records) is refused as an earlier
+// generation, with the fix in the message.
+func TestD5FileRefused(t *testing.T) {
+	data, err := os.ReadFile("testdata/db-d5.ppanns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadEncryptedDatabase(bytes.NewReader(data)); !errors.Is(err, index.ErrOldFormat) || !strings.Contains(err.Error(), "re-encrypt") {
+		t.Fatalf("a PPANNSD5 file loaded as %v, want ErrOldFormat with the re-encrypt message", err)
+	}
+}
+
+// saveBytes is e's database file.
+func saveBytes(t testing.TB, e *EncryptedDatabase) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := e.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// resealed is blob with its last four bytes replaced by the CRC32 of the
+// rest: a database file whose trailer matches whatever else it holds.
+func resealed(blob []byte) []byte {
+	if len(blob) < 4 {
+		return blob
+	}
+	body := blob[:len(blob)-4]
+	return binary.LittleEndian.AppendUint32(slices.Clone(body), crc32.ChecksumIEEE(body))
+}
+
 // FuzzLoadEncryptedDatabase feeds LoadEncryptedDatabase mutations of one
-// small valid file per backend (hnsw also with a PQ tier), of the same
-// bytes under the retired magics, and of the ivf file tagged with the
-// retired backends (nsg, lsh). Whatever arrives — in the header, the
-// ciphertext section, the PQSTORE1 section or the index payload — the
-// loader returns an error or a database that hangs together: it never
-// panics, and nothing it allocates is sized by a count the input merely
-// claims.
+// small valid file per backend (ivf also with a PQ tier, hnsw also with a
+// PQ tier and tombstones), of the same bytes under the retired magics, and
+// of the ivf file tagged with the retired backends (nsg, lsh). Each input
+// is resealed — its last four bytes replaced by the CRC32 of the rest — so
+// a mutation anywhere reaches the section decoders and the cross-checks
+// instead of stopping at the checksum. Whatever arrives, the loader returns
+// an error or a database that hangs together: it never panics, and nothing
+// it allocates is sized by a count the input merely claims.
 func FuzzLoadEncryptedDatabase(f *testing.F) {
 	data := clustered(37, 24, 4, 2)
-	for _, params := range []Params{
-		{Dim: 4, Beta: 0.5, Seed: 37, Index: "hnsw"},
-		{Dim: 4, Beta: 0.5, Seed: 37, Index: "hnsw", PQ: true, PQM: 2},
-		{Dim: 4, Beta: 0.5, Seed: 37, Index: "ivf"},
+	for _, c := range []struct {
+		params Params
+		dead   []int
+	}{
+		{Params{Dim: 4, Beta: 0.5, Seed: 37, Index: "hnsw"}, nil},
+		{Params{Dim: 4, Beta: 0.5, Seed: 37, Index: "ivf"}, nil},
+		{Params{Dim: 4, Beta: 0.5, Seed: 37, Index: "ivf", PQ: true, PQM: 2}, nil},
+		{Params{Dim: 4, Beta: 0.5, Seed: 37, Index: "hnsw", PQ: true, PQM: 2}, []int{0, 5, 23}},
 	} {
-		owner, err := NewDataOwner(params)
+		owner, err := NewDataOwner(c.params)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -355,35 +380,46 @@ func FuzzLoadEncryptedDatabase(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := edb.Save(&buf); err != nil {
-			f.Fatal(err)
+		if c.dead != nil {
+			srv, err := NewServer(edb)
+			if err != nil {
+				f.Fatal(err)
+			}
+			for _, id := range c.dead {
+				if err := srv.Delete(id); err != nil {
+					f.Fatal(err)
+				}
+			}
+			edb = flushed(f, srv)
 		}
-		f.Add(buf.Bytes())
-		if params.Index == "hnsw" && !params.PQ {
-			for _, magic := range []string{"PPANNSD2", "PPANNSD3", "PPANNSD4"} {
-				f.Add(append([]byte(magic), buf.Bytes()[len(edbMagic):]...))
+		blob := saveBytes(f, edb)
+		f.Add(blob)
+		if c.params.Index == "hnsw" && c.dead == nil {
+			for _, magic := range []string{"PPANNSD2", "PPANNSD3", "PPANNSD4", "PPANNSD5"} {
+				f.Add(resealed(append([]byte(magic), blob[len(edbMagic):]...)))
 			}
 		}
-		if params.Index == "ivf" {
+		if c.params.Index == "ivf" && !c.params.PQ {
 			// The backend tag follows the magic as one length byte and the name.
-			rest := buf.Bytes()[len(edbMagic)+1+len(params.Index):]
+			rest := blob[len(edbMagic)+1+len(c.params.Index):]
 			for _, tag := range []string{"nsg", "lsh"} {
 				b := append([]byte(edbMagic), byte(len(tag)))
-				f.Add(append(append(b, tag...), rest...))
+				f.Add(resealed(append(append(b, tag...), rest...)))
 			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		edb, err := LoadEncryptedDatabase(bytes.NewReader(blob))
+		edb, err := LoadEncryptedDatabase(bytes.NewReader(resealed(blob)))
 		if err != nil {
 			return
 		}
-		if edb.Len() != len(edb.DCE.LiveMask()) || len(edb.DCE.Raw()) != edb.Len()*4*edb.DCE.CtDim() {
-			t.Fatalf("loaded %d records over an arena of %d floats and %d presence flags", edb.Len(), len(edb.DCE.Raw()), len(edb.DCE.LiveMask()))
-		}
-		if edb.Index.Len() != edb.Live() || (edb.PQ != nil && edb.PQ.Codes.Len() != edb.Len()) {
+		if edb.Len() != len(edb.DCE.LiveMask()) || edb.Index.Len() != edb.Live() || (edb.PQ != nil && edb.PQ.Codes.Len() != edb.Len()) {
 			t.Fatalf("loaded %d live of %d records under an index of %d", edb.Live(), edb.Len(), edb.Index.Len())
+		}
+		for id := 0; id < edb.Len(); id++ {
+			if _, ok := edb.Index.Vector(id); ok != edb.DCE.Has(id) || len(edb.DCE.Record(id)) != 4*edb.DCE.CtDim() {
+				t.Fatalf("record %d: live %v in the index, %v in the ciphertext store", id, ok, edb.DCE.Has(id))
+			}
 		}
 	})
 }
@@ -406,5 +442,88 @@ func TestCorruptedDatabaseDetected(t *testing.T) {
 	// Unmodified stream still loads.
 	if _, err := LoadEncryptedDatabase(bytes.NewReader(raw)); err != nil {
 		t.Fatalf("pristine stream failed to load: %v", err)
+	}
+}
+
+// fileSection is a named byte range [lo, hi) of a database file.
+type fileSection struct {
+	name   string
+	lo, hi int
+}
+
+// fileSections splits blob, e's database file, into its sections.
+func fileSections(e *EncryptedDatabase, blob []byte) []fileSection {
+	var out []fileSection
+	at := 0
+	add := func(name string, size int) {
+		out = append(out, fileSection{name, at, at + size})
+		at += size
+	}
+	n, dim := e.Len(), e.Dim
+	add("header", len(edbMagic)+1+len(e.Backend)+3*8)
+	add("presence bytes", n)
+	add("ciphertexts", n*4*e.DCE.CtDim()*8)
+	add("PQ flag", 1)
+	if e.PQ != nil {
+		add("PQ header", 3*8)
+		add("PQ config", 3*8)
+		add("PQ centroids", e.PQ.Book.K()*dim*8)
+		add("PQ codes", n*e.PQ.Book.M())
+	}
+	switch e.Backend {
+	case "ivf":
+		nlist := int(binary.LittleEndian.Uint64(blob[at:]))
+		add("ivf header", 8)
+		add("ivf centroids", nlist*dim*8)
+		add("SAP rows", n*dim*8)
+		add("lists", len(blob)-4-at)
+	default:
+		add("hnsw header", 5*8)
+		add("SAP rows", n*dim*8)
+		add("adjacency", len(blob)-4-at)
+	}
+	add("trailer", 4)
+	return out
+}
+
+// TestCorruptByteAnywhereRefused: one CRC32 covers the whole file, so a
+// byte flipped anywhere — in the header, the presence bytes, a record, the
+// PQ tier, the SAP rows the filter ranks by, a link, a list, or the
+// trailer itself — fails the load, on hnsw, ivf and ivf+pq databases
+// carrying tombstones after a fold.
+func TestCorruptByteAnywhereRefused(t *testing.T) {
+	data := clustered(67, 300, 8, 4)
+	for _, params := range []Params{
+		{Dim: 8, Beta: 0.5, Seed: 67, Index: "hnsw"},
+		{Dim: 8, Beta: 0.5, Seed: 68, Index: "ivf"},
+		{Dim: 8, Beta: 0.5, Seed: 69, Index: "ivf", PQ: true, PQM: 4},
+	} {
+		w := newWorld(t, params, data)
+		for id := 3; id < 300; id += 29 {
+			if err := w.server.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		edb := flushed(t, w.server)
+		blob := saveBytes(t, edb)
+		if _, err := LoadEncryptedDatabase(bytes.NewReader(blob)); err != nil {
+			t.Fatal(err)
+		}
+		sections := fileSections(edb, blob)
+		if end := sections[len(sections)-1].hi; end != len(blob) {
+			t.Fatalf("%s: the sections end at byte %d of %d", params.Index, end, len(blob))
+		}
+		for _, s := range sections {
+			if s.hi <= s.lo {
+				t.Fatalf("%s: section %s is empty", params.Index, s.name)
+			}
+			for _, at := range []int{s.lo, (s.lo + s.hi) / 2, s.hi - 1} {
+				bad := slices.Clone(blob)
+				bad[at] ^= 0x10
+				if _, err := LoadEncryptedDatabase(bytes.NewReader(bad)); err == nil {
+					t.Errorf("%s (PQ %v): a flipped byte %d of the %s loaded", params.Index, params.PQ, at-s.lo, s.name)
+				}
+			}
+		}
 	}
 }

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -273,11 +274,10 @@ func (sp *snapshot) filterInto(ts *tierScratch, dst []resultheap.Item, q []float
 		}
 		ts.delta = append(ts.delta, resultheap.Item{ID: id, Dist: d})
 	}
-	sort.Slice(ts.delta, func(a, b int) bool {
-		if ts.delta[a].Dist != ts.delta[b].Dist {
-			return ts.delta[a].Dist < ts.delta[b].Dist
-		}
-		return ts.delta[a].ID < ts.delta[b].ID
+	// (Dist, ID) is a total order, so any sort gives one answer;
+	// slices.SortFunc, unlike sort.Slice, allocates nothing.
+	slices.SortFunc(ts.delta, func(a, b resultheap.Item) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
 	})
 	if len(ts.delta) > kPrime {
 		ts.delta = ts.delta[:kPrime]

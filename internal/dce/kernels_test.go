@@ -12,7 +12,7 @@ import (
 // TestStoreArenaAlignment pins the layout satellite: the record stride is
 // padded to a 64-byte boundary, the arena base is cache-line aligned, so
 // every record starts on a cache line; and the padding stays out of the
-// wire format (Raw returns the compact logical layout).
+// file format (Save writes the compact logical layout).
 func TestStoreArenaAlignment(t *testing.T) {
 	for _, dim := range []int{3, 6, 13, 96} {
 		r := rng.NewSeeded(uint64(433 + dim))
@@ -35,15 +35,11 @@ func TestStoreArenaAlignment(t *testing.T) {
 				t.Fatalf("dim %d: record %d base not 64-byte aligned", dim, id)
 			}
 		}
-		// The compact wire layout is stride-free: exactly 4·ctDim floats per
-		// record, round-tripping through StoreFromRaw bit-for-bit.
-		raw := store.Raw()
-		if len(raw) != 4*store.CtDim()*store.Len() {
-			t.Fatalf("dim %d: Raw len %d, want %d", dim, len(raw), 4*store.CtDim()*store.Len())
-		}
-		back, err := StoreFromRaw(store.CtDim(), append([]float64(nil), raw...), append([]bool(nil), store.LiveMask()...))
-		if err != nil {
-			t.Fatal(err)
+		// The file layout is stride-free: exactly 4·ctDim floats per
+		// record, round-tripping through Save and LoadStore bit-for-bit.
+		back, size := saveLoad(t, store)
+		if want := 8*4*store.CtDim()*store.Len() + 4; size != want {
+			t.Fatalf("dim %d: saved %d bytes, want %d", dim, size, want)
 		}
 		for id := 0; id < store.Len(); id++ {
 			a, b := store.Record(id), back.Record(id)

@@ -3,6 +3,7 @@ package dce
 import (
 	"fmt"
 
+	"ppanns/internal/frame"
 	"ppanns/internal/vec"
 )
 
@@ -28,9 +29,9 @@ import (
 // rounded up to a cache-line multiple (pad floats stay zero), so every
 // record — and, since ctDim is even for every real DCE key, every
 // component — starts on a cache-line boundary and SIMD loads never split a
-// line at a record edge. The padding is purely an in-memory layout: Raw and
-// StoreFromRaw speak the compact 4·ctDim-per-record representation, which
-// keeps the PPANNSD5 on-disk bytes independent of it.
+// line at a record edge. The padding is purely an in-memory layout: Save
+// and LoadStore speak the compact 4·ctDim-per-record representation, which
+// keeps the database file's bytes independent of it.
 type CiphertextStore struct {
 	ctDim   int
 	strideF int // record stride in float64s: PadStride(4·ctDim)
@@ -65,34 +66,6 @@ func NewCiphertextStoreN(ctDim, n int) *CiphertextStore {
 		s.live[i] = true
 	}
 	return s
-}
-
-// StoreFromRaw builds a store from a compact flat arena (4·ctDim floats
-// per record, as Raw returns). len(live) is the record count; len(arena)
-// must equal 4·ctDim·len(live). Records with live[i] == false are
-// tombstones (their floats should be zero, as Gather leaves them). The
-// records are repacked into an aligned padded arena, so the input is not
-// retained.
-func StoreFromRaw(ctDim int, arena []float64, live []bool) (*CiphertextStore, error) {
-	if ctDim <= 0 {
-		return nil, fmt.Errorf("dce: non-positive ciphertext dimension %d", ctDim)
-	}
-	if len(arena) != 4*ctDim*len(live) {
-		return nil, fmt.Errorf("dce: arena length %d does not match %d records of dim %d", len(arena), len(live), ctDim)
-	}
-	st := recordStride(ctDim)
-	rec := 4 * ctDim
-	packed := vec.AlignedFloats(st * len(live))
-	for i := range live {
-		copy(packed[i*st:i*st+rec], arena[i*rec:(i+1)*rec])
-	}
-	s := &CiphertextStore{ctDim: ctDim, strideF: st, arena: packed, live: live}
-	for _, l := range live {
-		if l {
-			s.liveN++
-		}
-	}
-	return s, nil
 }
 
 // CtDim returns the component length of every ciphertext in the store.
@@ -251,22 +224,35 @@ func (s *CiphertextStore) Gather(ids []int) *CiphertextStore {
 	return ns
 }
 
-// Raw returns the compact flat arena representation (Len()·4·CtDim floats,
-// no record padding; dead records are zero), the layout the bulk
-// serialization path writes. When records are padded in memory this is a
-// copy; when 4·ctDim is already a cache-line multiple (every even ctDim,
-// i.e. every real DCE key) it is the backing arena itself, which callers
-// must not resize.
-func (s *CiphertextStore) Raw() []float64 {
-	rec := 4 * s.ctDim
-	if s.strideF == rec {
-		return s.arena
+// Save writes every record's 4·CtDim floats, pad excluded, in id order:
+// the database file's ciphertext section. A dead record is written as
+// zeros whatever its bytes in memory, so no deleted ciphertext reaches
+// disk and the section's length follows from Len alone.
+func (s *CiphertextStore) Save(e *frame.Encoder) {
+	zero := make([]float64, 4*s.ctDim)
+	for id, live := range s.live {
+		if live {
+			e.FloatRun(s.Record(id))
+		} else {
+			e.FloatRun(zero)
+		}
 	}
-	out := make([]float64, s.Len()*rec)
-	for i := 0; i < s.Len(); i++ {
-		copy(out[i*rec:], s.Record(i))
+}
+
+// LoadStore reads the len(live) records Save wrote into a store of
+// component length ctDim whose liveness is live, which it keeps. The
+// arena grows as the records arrive (vec.ExtendAligned), so a record
+// count the input does not back costs at most twice what did arrive.
+func LoadStore(d *frame.Decoder, ctDim int, live []bool) *CiphertextStore {
+	s := &CiphertextStore{ctDim: ctDim, strideF: recordStride(ctDim), live: live}
+	for id := 0; id < len(live) && d.Err() == nil; id++ {
+		s.arena = vec.ExtendAligned(s.arena, s.strideF, s.strideF*len(live))
+		d.FloatRun(s.Record(id))
+		if live[id] {
+			s.liveN++
+		}
 	}
-	return out
+	return s
 }
 
 // LiveMask exposes the per-record liveness flags, used by the bulk

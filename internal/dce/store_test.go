@@ -1,9 +1,12 @@
 package dce
 
 import (
+	"bytes"
 	"math"
+	"slices"
 	"testing"
 
+	"ppanns/internal/frame"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
@@ -126,27 +129,51 @@ func TestStoreSignAgainstPlainDistances(t *testing.T) {
 	}
 }
 
-func TestStoreFromRawRoundTrip(t *testing.T) {
-	_, full, _, _, tq := storeWorld(t, 7, 5)
-	store := full.Gather([]int{0, 1, 2, -1, 4})
-	arena := append([]float64(nil), store.Raw()...)
-	live := append([]bool(nil), store.LiveMask()...)
-	clone, err := StoreFromRaw(store.CtDim(), arena, live)
-	if err != nil {
+// saveLoad round-trips store through Save and LoadStore and returns the
+// loaded store and the number of bytes saved.
+func saveLoad(t *testing.T, store *CiphertextStore) (*CiphertextStore, int) {
+	t.Helper()
+	var buf bytes.Buffer
+	e := frame.NewEncoder(&buf)
+	store.Save(e)
+	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if clone.Len() != store.Len() || clone.Live() != store.Live() || clone.CtDim() != store.CtDim() {
+	d := frame.NewDecoder(bytes.NewReader(buf.Bytes()))
+	back := LoadStore(d, store.CtDim(), slices.Clone(store.LiveMask()))
+	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	return back, buf.Len()
+}
+
+// TestStoreSaveLoadRoundTrip: a store with a dead record comes back with
+// the same shape and comparisons, the dead record as zeros whatever its
+// bytes were in memory; a record the input does not hold fails the load.
+func TestStoreSaveLoadRoundTrip(t *testing.T) {
+	_, full, _, _, tq := storeWorld(t, 7, 5)
+	store := full.Snapshot()
+	store.live[3], store.liveN = false, store.liveN-1
+	clone, _ := saveLoad(t, store)
+	if clone.Len() != store.Len() || clone.Live() != store.Live() || clone.CtDim() != store.CtDim() || clone.Has(3) {
 		t.Fatalf("clone shape %d/%d/%d, want %d/%d/%d",
 			clone.Len(), clone.Live(), clone.CtDim(), store.Len(), store.Live(), store.CtDim())
 	}
-	if clone.DistanceComp(0, 1, tq) != store.DistanceComp(0, 1, tq) {
-		t.Fatal("clone comparisons differ")
+	if clone.DistanceComp(0, 1, tq) != store.DistanceComp(0, 1, tq) || !vec.Aligned(clone.arena) {
+		t.Fatal("clone comparisons differ, or its arena is not aligned")
 	}
-	if _, err := StoreFromRaw(7, make([]float64, 10), make([]bool, 2)); err == nil {
-		t.Fatal("expected error for mismatched arena length")
+	for _, f := range clone.Record(3) {
+		if f != 0 {
+			t.Fatal("a dead record's bytes reached the file")
+		}
 	}
-	if _, err := StoreFromRaw(0, nil, nil); err == nil {
-		t.Fatal("expected error for zero ctDim")
+	var buf bytes.Buffer
+	e := frame.NewEncoder(&buf)
+	store.Save(e)
+	e.Close()
+	d := frame.NewDecoder(bytes.NewReader(buf.Bytes()))
+	if LoadStore(d, store.CtDim(), make([]bool, 6)); d.Err() == nil {
+		t.Fatal("a sixth record loaded from a five-record input")
 	}
 }
 

@@ -1,16 +1,22 @@
 // Package frame is the one binary codec at every trust boundary: the wire
-// protocol (internal/transport), the key files (dce, dcpe, core's user key)
-// and the write-ahead log's payloads all write little-endian integers,
-// floats, float runs, byte runs and strings with the Append functions and
-// read them back with a Reader.
+// protocol (internal/transport), the key files (dce, dcpe, core's user
+// key), the write-ahead log's payloads and the database file all write
+// little-endian integers, floats, runs and strings in one layout. Frames
+// that sit in memory whole are built with the Append functions and read
+// with a Reader, whose views alias the frame. The database file, too large
+// to hold twice, streams through an Encoder and a Decoder instead: the
+// same primitives, staged a chunk at a time, under one CRC32 of every byte
+// that the Decoder checks against the Encoder's trailer.
 //
-// The bytes a Reader decodes are untrusted — they come from the cloud
-// server, from a client, or from a file after a crash — so every length is
-// checked against the bytes that remain and against MaxLen before anything
-// is allocated. A lying length fails with an error; it never sizes an
-// allocation. The layouts themselves are deliberately dumb (no tags, no
-// varints): each caller documents its own, and sizes that follow from a
-// header it has already checked are read without a count.
+// The bytes a Reader or a Decoder decodes are untrusted — they come from
+// the cloud server, from a client, or from a file after a crash. A Reader
+// checks every length against the bytes that remain and against MaxLen
+// before anything is allocated; a Decoder cannot see the bytes ahead, so
+// its callers allocate their runs as the bytes arrive. Either way a lying
+// length fails with an error; it never sizes an allocation. The layouts
+// themselves are deliberately dumb (no tags, no varints): each caller
+// documents its own, and sizes that follow from a header it has already
+// checked are read without a count.
 package frame
 
 import (

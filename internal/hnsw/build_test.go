@@ -5,19 +5,43 @@ import (
 	"runtime"
 	"testing"
 
+	"ppanns/internal/frame"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
 
 // saveBytes is the graph's persisted form, the strictest equality there is:
-// vectors, levels, tombstones, every adjacency list in order, entry point.
+// build parameters, vectors, levels, every adjacency list in order, entry
+// point — written as a stream of its own, trailer included.
 func saveBytes(t testing.TB, g *Graph) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := g.Save(&buf); err != nil {
+	e := frame.NewEncoder(&buf)
+	g.Save(e)
+	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// liveOf is g's liveness, as a database file's presence bytes state it.
+func liveOf(g *Graph) []bool {
+	live := make([]bool, g.IDs())
+	for id := range live {
+		live[id] = !g.Deleted(id)
+	}
+	return live
+}
+
+// loadBytes reads a stream saveBytes wrote: the section for the ids live
+// marks, then the trailer.
+func loadBytes(b []byte, dim int, live []bool) (*Graph, error) {
+	d := frame.NewDecoder(bytes.NewReader(b))
+	g, err := Load(d, dim, live)
+	if err == nil {
+		err = d.Done()
+	}
+	return g, err
 }
 
 // TestBuildDeterministicAcrossWorkers is the bulk build's contract: the
@@ -165,7 +189,7 @@ func TestSaveLoadAfterDeletingEntry(t *testing.T) {
 	if g.Stats().MaxLevel >= top || g.Deleted(g.EntryPoint()) {
 		t.Fatalf("max level %d (full build %d), entry %d dead=%v", g.Stats().MaxLevel, top, g.EntryPoint(), g.Deleted(g.EntryPoint()))
 	}
-	g2, err := Load(bytes.NewReader(saveBytes(t, g)), 8, 500)
+	g2, err := loadBytes(saveBytes(t, g), 8, liveOf(g))
 	if err != nil {
 		t.Fatalf("graph built without its top level does not load: %v", err)
 	}
@@ -211,7 +235,7 @@ func TestSaveLoadFuzzedMutations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g2, err := Load(bytes.NewReader(saveBytes(t, g)), 6, n)
+		g2, err := loadBytes(saveBytes(t, g), 6, liveOf(g))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

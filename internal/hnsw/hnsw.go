@@ -127,8 +127,7 @@ func (g *Graph) Dim() int { return g.cfg.Dim }
 // callers can construct a fresh graph with the same parameters.
 func (g *Graph) Config() Config { return g.cfg }
 
-// Vector returns the stored vector for id: the zero vector for a dead slot
-// Build made, the retained row for a tombstone a loaded file carries.
+// Vector returns the stored vector for id: the zero vector at a dead slot.
 func (g *Graph) Vector(id int) []float64 { return g.data.At(id) }
 
 // searchCtx holds per-walk scratch state: the visited set, both beam-search

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"ppanns/internal/frame"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
@@ -195,8 +196,9 @@ func TestConcurrentBuildAndSearch(t *testing.T) {
 				}
 			}
 			var buf bytes.Buffer
-			if err := g.Save(&buf); err != nil {
-				t.Error(err)
+			e := frame.NewEncoder(&buf)
+			if g.Save(e); e.Close() != nil {
+				t.Error(e.Close())
 			}
 			saved[w] = buf.Bytes()
 		}(w)

@@ -1,106 +1,78 @@
 package hnsw
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"slices"
 
+	"ppanns/internal/frame"
 	"ppanns/internal/vec"
 )
 
-// Binary graph format: a fixed magic/version header, build parameters, the
-// flat vector store, then per-node levels, tombstones and adjacency lists.
-// All integers are little-endian. Two header slots are fixed: the layer-0
-// link cap, always 2·M, and a retired option flag, always 0.
+// The graph's section of a database file, for n ids of dimension dim
+// whose liveness the file's presence bytes state (none of the three is
+// stored here):
+//
+//	M, EfConstruction: int64 | Seed: u64 | entry, maxLevel: int64
+//	vectors: n rows of dim f64 (a dead slot's row is zero)
+//	per live id, in id order: level i32, then for each layer 0..level
+//	  the neighbor count i32 and the neighbor ids i32
+//
+// A dead slot has level 0 and no links, so it carries no node record.
 
-const persistMagic = "HNSWGO01"
-
-// Save writes the graph in the binary index format.
-func (g *Graph) Save(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.WriteString(persistMagic); err != nil {
-		return fmt.Errorf("hnsw: writing magic: %w", err)
-	}
-	head := []int64{
-		int64(g.cfg.Dim), int64(g.cfg.M), int64(2 * g.cfg.M),
-		int64(g.cfg.EfConstruction), int64(g.cfg.Seed), 0,
-		int64(len(g.levels)), int64(g.entry), int64(g.maxLevel), int64(g.size),
-	}
-	if err := binary.Write(bw, binary.LittleEndian, head); err != nil {
-		return fmt.Errorf("hnsw: writing header: %w", err)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.data.Raw()); err != nil {
-		return fmt.Errorf("hnsw: writing vectors: %w", err)
-	}
+// Save writes the graph's section.
+func (g *Graph) Save(e *frame.Encoder) {
+	e.Int(g.cfg.M)
+	e.Int(g.cfg.EfConstruction)
+	e.U64(g.cfg.Seed)
+	e.Int(g.entry)
+	e.Int(g.maxLevel)
+	g.data.Save(e)
 	for id, level := range g.levels {
-		if err := binary.Write(bw, binary.LittleEndian, level); err != nil {
-			return err
+		if g.dead[id] {
+			continue
 		}
-		if err := bw.WriteByte(boolByte(g.dead[id])); err != nil {
-			return err
-		}
+		e.U32(uint32(level))
 		for l := 0; l <= int(level); l++ {
 			lst := g.layers[l].neighbors(id)
-			if err := binary.Write(bw, binary.LittleEndian, int32(len(lst))); err != nil {
-				return err
-			}
-			if err := binary.Write(bw, binary.LittleEndian, lst); err != nil {
-				return err
-			}
+			e.U32(uint32(len(lst)))
+			e.Int32Run(lst)
 		}
 	}
-	return bw.Flush()
 }
 
-// Load reads a graph of n nodes of dimension dim previously written by
-// Save. The bytes are untrusted: a header that disagrees with dim and n,
-// or with Save's fixed slots, is refused before it sizes anything, and the
-// adjacency is packed into the CSR layers as its bytes arrive.
-func Load(r io.Reader, dim, n int) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	magic := make([]byte, len(persistMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("hnsw: reading magic: %w", err)
-	}
-	if string(magic) != persistMagic {
-		return nil, fmt.Errorf("hnsw: bad magic %q", magic)
-	}
-	head := make([]int64, 10)
-	if err := binary.Read(br, binary.LittleEndian, head); err != nil {
+// Load reads a section Save wrote for len(live) ids of dimension dim,
+// live[id] false at every dead slot. The bytes are untrusted: the header
+// is checked before it sizes anything, the adjacency is packed into the
+// CSR layers as its bytes arrive, no list may exceed its layer's link cap
+// or name a dead slot, and the entry point must be a live node of the top
+// level.
+func Load(d *frame.Decoder, dim int, live []bool) (*Graph, error) {
+	n := len(live)
+	cfg := Config{Dim: dim, M: d.Int(), EfConstruction: d.Int(), Seed: d.U64()}
+	entry, maxLevel := d.Int(), d.Int()
+	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("hnsw: reading header: %w", err)
 	}
-	cfg := Config{
-		Dim:            int(head[0]),
-		M:              int(head[1]),
-		EfConstruction: int(head[3]),
-		Seed:           uint64(head[4]),
-	}
-	if head[0] != int64(dim) || head[6] != int64(n) {
-		return nil, fmt.Errorf("hnsw: graph of %d nodes of dimension %d, want %d of %d", head[6], head[0], n, dim)
-	}
-	if head[2] != 2*head[1] || head[5] != 0 {
-		return nil, fmt.Errorf("hnsw: header slots %d and %d, want 2·M = %d and 0", head[2], head[5], 2*head[1])
+	size := 0
+	for _, ok := range live {
+		if ok {
+			size++
+		}
 	}
 	// Build draws no level above 53 (U ≥ 2⁻⁵³, M ≥ 2), so a deeper header
 	// is a lie.
-	entry, maxLevel, size := head[7], head[8], head[9]
-	if entry < -1 || entry >= int64(n) || maxLevel < 0 || maxLevel > 64 || size < 0 || size > int64(n) || (entry < 0) != (size == 0) {
-		return nil, fmt.Errorf("hnsw: implausible header n=%d entry=%d maxLevel=%d size=%d", n, entry, maxLevel, size)
+	if cfg.M < 2 || cfg.EfConstruction < 1 || entry < -1 || entry >= n || maxLevel < 0 || maxLevel > 64 || (entry < 0) != (size == 0) {
+		return nil, fmt.Errorf("hnsw: implausible header M=%d efConstruction=%d entry=%d maxLevel=%d for %d live of %d ids",
+			cfg.M, cfg.EfConstruction, entry, maxLevel, size, n)
 	}
 	g, err := newGraph(cfg, 0)
 	if err != nil {
 		return nil, err
 	}
-	g.entry, g.maxLevel, g.size = int(entry), int(maxLevel), int(size)
-
-	raw := make([]float64, n*dim)
-	if err := binary.Read(br, binary.LittleEndian, raw); err != nil {
+	g.entry, g.maxLevel, g.size = entry, maxLevel, size
+	g.data = vec.LoadDataset(d, dim, n)
+	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("hnsw: reading vectors: %w", err)
-	}
-	if g.data, err = vec.DatasetFromRaw(dim, raw); err != nil {
-		return nil, err
 	}
 
 	g.levels = make([]int32, n)
@@ -109,54 +81,41 @@ func Load(r io.Reader, dim, n int) (*Graph, error) {
 	for l := range g.layers {
 		g.layers[l] = packed(make([]int32, n+1), nil)
 	}
-	for i := 0; i < n; i++ {
-		var level int32
-		if err := binary.Read(br, binary.LittleEndian, &level); err != nil {
-			return nil, fmt.Errorf("hnsw: reading node %d: %w", i, err)
+	for id := 0; id < n && d.Err() == nil; id++ {
+		g.dead[id] = !live[id]
+		level := 0
+		if live[id] {
+			level = int(int32(d.U32()))
+			if level < 0 || level > maxLevel {
+				d.Fail(fmt.Errorf("hnsw: node %d has level %d beyond max %d", id, level, maxLevel))
+			}
 		}
-		delByte, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("hnsw: reading node %d tombstone: %w", i, err)
-		}
-		if level < 0 || int64(level) > maxLevel {
-			return nil, fmt.Errorf("hnsw: node %d has level %d beyond max %d", i, level, maxLevel)
-		}
-		g.levels[i], g.dead[i] = level, delByte != 0
+		g.levels[id] = int32(level)
 		for l := range g.layers {
 			lay := &g.layers[l]
-			if l <= int(level) {
-				var cnt int32
-				if err := binary.Read(br, binary.LittleEndian, &cnt); err != nil {
-					return nil, fmt.Errorf("hnsw: reading adjacency of node %d: %w", i, err)
-				}
-				if cnt < 0 || int(cnt) > n {
-					return nil, fmt.Errorf("hnsw: node %d layer %d has %d neighbors", i, l, cnt)
+			if l <= level && live[id] {
+				cnt := int(int32(d.U32()))
+				if cnt < 0 || cnt > g.maxLinks(l) {
+					d.Fail(fmt.Errorf("hnsw: node %d layer %d has %d neighbors, at most %d", id, l, cnt, g.maxLinks(l)))
+					break
 				}
 				at := len(lay.nbrs)
-				lay.nbrs = slices.Grow(lay.nbrs, int(cnt))[:at+int(cnt)]
-				lst := lay.nbrs[at:]
-				if err := binary.Read(br, binary.LittleEndian, lst); err != nil {
-					return nil, fmt.Errorf("hnsw: reading adjacency of node %d: %w", i, err)
-				}
-				for _, nb := range lst {
-					if nb < 0 || int(nb) >= n {
-						return nil, fmt.Errorf("hnsw: node %d references out-of-range id %d", i, nb)
+				lay.nbrs = slices.Grow(lay.nbrs, cnt)[:at+cnt]
+				d.Int32Run(lay.nbrs[at:])
+				for _, nb := range lay.nbrs[at:] {
+					if nb < 0 || int(nb) >= n || !live[nb] {
+						d.Fail(fmt.Errorf("hnsw: node %d links id %d, which is out of range or dead", id, nb))
 					}
 				}
 			}
-			lay.offs[i+1] = int32(len(lay.nbrs))
+			lay.offs[id+1] = int32(len(lay.nbrs))
 		}
 	}
-	// The entry point is a live node of the top level.
-	if entry >= 0 && (g.levels[entry] != int32(maxLevel) || g.dead[entry]) || entry < 0 && maxLevel != 0 {
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("hnsw: reading adjacency: %w", err)
+	}
+	if entry >= 0 && (!live[entry] || g.levels[entry] != int32(maxLevel)) || entry < 0 && maxLevel != 0 {
 		return nil, fmt.Errorf("hnsw: entry point %d is not a live node of the max level %d", entry, maxLevel)
 	}
 	return g, nil
-}
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -3,10 +3,12 @@ package hnsw
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"sync"
 	"testing"
 	"time"
 
+	"ppanns/internal/frame"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
@@ -15,16 +17,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	data := clusteredData(21, 800, 12, 6)
 	g := buildGraph(t, withDead(data, 5), Config{Dim: 12, M: 10, EfConstruction: 120, Seed: 21})
 
-	var buf bytes.Buffer
-	if err := g.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := Load(&buf, 12, 800)
+	g2, err := loadBytes(saveBytes(t, g), 12, liveOf(g))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2.Len() != g.Len() || g2.Dim() != g.Dim() {
-		t.Fatalf("loaded shape %d/%d, want %d/%d", g2.Len(), g2.Dim(), g.Len(), g.Dim())
+	if g2.Len() != g.Len() || g2.Dim() != g.Dim() || g2.Config() != g.Config() {
+		t.Fatalf("loaded shape %d/%d/%+v, want %d/%d/%+v", g2.Len(), g2.Dim(), g2.Config(), g.Len(), g.Dim(), g.Config())
 	}
 	if !g2.Deleted(5) {
 		t.Fatal("tombstone lost in round trip")
@@ -46,41 +44,60 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// resealed patches the int64 header word at word of a saved graph and
+// gives the stream a trailer that matches, so the patch reaches Load's
+// own checks.
+func resealed(raw []byte, word int, v int64) []byte {
+	b := bytes.Clone(raw[:len(raw)-4])
+	binary.LittleEndian.PutUint64(b[8*word:], uint64(v))
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not an index")), 4, 0); err == nil {
-		t.Fatal("expected error for bad magic")
+	if _, err := loadBytes([]byte("not an index"), 4, nil); err == nil {
+		t.Fatal("expected error for garbage")
 	}
-	var empty bytes.Buffer
-	if _, err := Load(&empty, 4, 0); err == nil {
+	if _, err := loadBytes(nil, 4, nil); err == nil {
 		t.Fatal("expected error for empty stream")
 	}
 	// A graph is refused by a caller expecting another shape.
-	raw := saveBytes(t, buildGraph(t, clusteredData(24, 50, 6, 2), Config{Dim: 6, Seed: 24}))
-	for _, shape := range [][2]int{{6, 49}, {6, 51}, {5, 50}, {7, 50}} {
-		if _, err := Load(bytes.NewReader(raw), shape[0], shape[1]); err == nil {
-			t.Fatalf("a graph of 50 6-dim nodes loaded as %d of dimension %d", shape[1], shape[0])
+	g := buildGraph(t, withDead(clusteredData(24, 50, 6, 2), 9), Config{Dim: 6, Seed: 24})
+	raw := saveBytes(t, g)
+	live := liveOf(g)
+	revived := liveOf(g)
+	revived[9] = true
+	for _, c := range []struct {
+		name string
+		dim  int
+		live []bool
+	}{
+		{"49 ids", 6, live[:49]},
+		{"51 ids", 6, append(liveOf(g), true)},
+		{"dimension 5", 5, live},
+		{"dimension 7", 7, live},
+		{"dead slot 9 live", 6, revived},
+	} {
+		if _, err := loadBytes(raw, c.dim, c.live); err == nil {
+			t.Errorf("%s: a graph of 50 6-dim nodes, one dead, loaded", c.name)
 		}
 	}
-	// Save writes 2·M and 0 into header slots 2 and 5; any other value is
-	// refused.
-	for _, slot := range []int{2, 5} {
-		forged := bytes.Clone(raw)
-		binary.LittleEndian.PutUint64(forged[len(persistMagic)+8*slot:], 7)
-		if _, err := Load(bytes.NewReader(forged), 6, 50); err == nil {
-			t.Fatalf("a graph with header slot %d = 7 loaded", slot)
+	// Header words M, EfConstruction, Seed, entry, maxLevel: a value Build
+	// cannot leave is refused.
+	for _, c := range []struct {
+		word int
+		v    int64
+	}{{0, 1}, {0, -16}, {1, 0}, {3, 50}, {3, 9}, {3, -1}, {4, 65}} {
+		if _, err := loadBytes(resealed(raw, c.word, c.v), 6, live); err == nil {
+			t.Errorf("a graph with header word %d = %d loaded", c.word, c.v)
 		}
 	}
 }
 
 func TestLoadRejectsTruncated(t *testing.T) {
 	g := buildGraph(t, clusteredData(22, 100, 6, 3), Config{Dim: 6, Seed: 22})
-	var buf bytes.Buffer
-	if err := g.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := saveBytes(t, g)
 	for _, cut := range []int{10, len(raw) / 2, len(raw) - 3} {
-		if _, err := Load(bytes.NewReader(raw[:cut]), 6, 100); err == nil {
+		if _, err := loadBytes(raw[:cut], 6, liveOf(g)); err == nil {
 			t.Fatalf("expected error for stream truncated at %d", cut)
 		}
 	}
@@ -91,11 +108,7 @@ func TestSaveLoadEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := g.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := Load(&buf, 4, 0)
+	g2, err := loadBytes(saveBytes(t, g), 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +141,11 @@ func TestSaveDoesNotBlockSearches(t *testing.T) {
 	g := buildGraph(t, data, Config{Dim: 8, Seed: 25})
 	w := &stallWriter{started: make(chan struct{}), release: make(chan struct{})}
 	saved := make(chan error, 1)
-	go func() { saved <- g.Save(w) }()
+	go func() {
+		e := frame.NewEncoder(w)
+		g.Save(e)
+		saved <- e.Close()
+	}()
 	<-w.started
 	searched := make(chan int, 1)
 	go func() { searched <- len(g.SearchInto(nil, data[7], 5, 20)) }()

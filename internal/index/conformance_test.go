@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"ppanns/internal/frame"
 	"ppanns/internal/resultheap"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
@@ -27,6 +28,40 @@ func clustered(seed uint64, n, dim, clusters int) [][]float64 {
 		out[i] = vec.Add(nil, centers[r.IntN(clusters)], rng.GaussianVec(r, dim, 1))
 	}
 	return out
+}
+
+// saveSection writes ix's section as a stream of its own, trailer
+// included.
+func saveSection(t testing.TB, ix SecureIndex) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	e := frame.NewEncoder(&buf)
+	ix.Save(e)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// liveMask is the liveness of positions 0..n-1 of ix, as a database
+// file's presence bytes state it.
+func liveMask(ix SecureIndex, n int) []bool {
+	live := make([]bool, n)
+	for id := range live {
+		_, live[id] = ix.Vector(id)
+	}
+	return live
+}
+
+// loadSection reads a stream saveSection wrote: the named backend's
+// section for the positions live marks, then the trailer.
+func loadSection(name string, b []byte, dim int, live []bool) (SecureIndex, error) {
+	d := frame.NewDecoder(bytes.NewReader(b))
+	ix, err := Load(name, d, dim, live)
+	if err == nil {
+		err = d.Done()
+	}
+	return ix, err
 }
 
 func makeQueries(seed uint64, data [][]float64, n int, noise float64) [][]float64 {
@@ -172,21 +207,18 @@ func TestConformance(t *testing.T) {
 			}
 
 			// Save/load round-trip must reproduce results exactly.
-			var buf bytes.Buffer
-			if err := ix.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			ix2, err := Load(name, bytes.NewReader(buf.Bytes()), dim, n)
+			saved, live := saveSection(t, ix), liveMask(ix, n)
+			ix2, err := loadSection(name, saved, dim, live)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if ix2.Len() != ix.Len() || ix2.Dim() != ix.Dim() {
 				t.Fatalf("round-trip changed shape: %d/%d vs %d/%d", ix2.Len(), ix2.Dim(), ix.Len(), ix.Dim())
 			}
-			// The payload is refused by a database of another shape.
+			// The section is refused by a database of another shape.
 			for _, shape := range [][2]int{{dim, n - 1}, {dim, n + 1}, {dim + 1, n}} {
-				if _, err := Load(name, bytes.NewReader(buf.Bytes()), shape[0], shape[1]); err == nil {
-					t.Fatalf("a payload of %d %d-dim vectors loaded as %d of dimension %d", n, dim, shape[1], shape[0])
+				if _, err := loadSection(name, saved, shape[0], liveMask(ix, shape[1])); err == nil {
+					t.Fatalf("a section of %d %d-dim vectors loaded as %d of dimension %d", n, dim, shape[1], shape[0])
 				}
 			}
 			for qi, q := range queries {
@@ -259,11 +291,7 @@ func TestConformance(t *testing.T) {
 				if empty.Len() != 0 || len(empty.SearchInto(nil, q, k, ef)) != 0 {
 					t.Fatalf("%s over all-nil rows: Len %d", how, empty.Len())
 				}
-				var buf bytes.Buffer
-				if err := empty.Save(&buf); err != nil {
-					t.Fatal(err)
-				}
-				if loaded, err := Load(name, &buf, dim, len(allDead)); err != nil || loaded.Len() != 0 {
+				if loaded, err := loadSection(name, saveSection(t, empty), dim, make([]bool, len(allDead))); err != nil || loaded.Len() != 0 {
 					t.Fatalf("%s over all-nil rows does not round-trip: %v", how, err)
 				}
 			}
@@ -290,8 +318,7 @@ func (s posScanner) DistBlock(dst []float64, ids []int32) {
 // SearchInto and SearchIntoDist return are the graph's own and are positions
 // in the corpus, and the ids the graph hands a scanner are positions too —
 // through a build with a dead slot and a save/load. That is what lets the
-// adapter carry no id map and the loader insist the payload's is the
-// identity.
+// adapter carry no id map.
 func TestHNSWPositionsAreGraphIDs(t *testing.T) {
 	const n, dim, k, ef = 620, 10, 10, 80
 	all := clustered(95, n, dim, 5)
@@ -302,11 +329,7 @@ func TestHNSWPositionsAreGraphIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load("hnsw", &buf, dim, n)
+	loaded, err := loadSection("hnsw", saveSection(t, ix), dim, liveMask(ix, n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +382,7 @@ func TestRegistry(t *testing.T) {
 	if _, err := Build("hnsw", nil, Options{}); err == nil {
 		t.Fatal("expected Build error for missing dimension")
 	}
-	if _, err := Load("no-such-backend", bytes.NewReader(nil), 4, 0); err == nil {
+	if _, err := Load("no-such-backend", frame.NewDecoder(bytes.NewReader(nil)), 4, nil); err == nil {
 		t.Fatal("expected Load error for unknown backend")
 	}
 }

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -74,11 +73,7 @@ func TestSearchGolden(t *testing.T) {
 			if ix, err = ix.Rebuild(live); err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if err := ix.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := Load(name, &buf, dim, n)
+			loaded, err := loadSection(name, saveSection(t, ix), dim, liveMask(ix, n))
 			if err != nil {
 				t.Fatal(err)
 			}

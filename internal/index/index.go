@@ -26,17 +26,17 @@ package index
 import (
 	"errors"
 	"fmt"
-	"io"
 
+	"ppanns/internal/frame"
 	"ppanns/internal/resultheap"
 	"ppanns/internal/vec"
 )
 
-// ErrOldFormat is wrapped by every refusal of bytes an earlier format
-// generation wrote: database files before PPANNSD5 (core) and hnsw payloads
-// whose id map is not the identity (arrival-order parallel builds). There
-// is one reader per format.
-var ErrOldFormat = errors.New("written by an earlier format generation: re-encrypt, or load and re-save with a build at or before PR 23")
+// ErrOldFormat is wrapped by every refusal of a database file an earlier
+// format generation wrote (core reads PPANNSD6 only). No build reads one
+// generation and writes the next, so the fix is to encrypt the vectors
+// again.
+var ErrOldFormat = errors.New("written by an earlier format generation: re-encrypt the vectors with this build")
 
 // SecureIndex is the filter-phase index over SAP ciphertexts. Ids are
 // vector positions, 0..n-1 in build order.
@@ -63,9 +63,8 @@ type SecureIndex interface {
 	// (PQ) filter hook. Structural navigation that is not a candidate
 	// distance (IVF centroid probing, HNSW graph topology) still uses q
 	// exactly; every candidate the backend ranks is scored through sc. Ids
-	// passed to sc are external ids (vector positions), including the
-	// tombstones a graph loaded from an earlier file routes through, so
-	// the scanner's code arena must cover every position.
+	// passed to sc are external ids (vector positions), so the scanner's
+	// code arena must cover every position.
 	SearchIntoDist(dst []resultheap.Item, q []float64, k, ef int, sc vec.BlockScanner) []resultheap.Item
 	// Rebuild constructs a fresh index of the same backend over vectors,
 	// using the receiver's build configuration (graph parameters, trained
@@ -81,9 +80,9 @@ type SecureIndex interface {
 	Len() int
 	// Dim returns the vector dimension.
 	Dim() int
-	// Save writes the index (including search-time options) so Load
-	// round-trips it byte-exactly into an equivalent index.
-	Save(w io.Writer) error
+	// Save writes the index's section of a database file, so Load
+	// round-trips it into an index that saves the same bytes.
+	Save(e *frame.Encoder)
 }
 
 // Options carries per-backend build and search parameters. Zero values
@@ -100,13 +99,6 @@ type Options struct {
 	// and 200; the paper's evaluation uses 40 and 600).
 	M              int
 	EfConstruction int
-
-	// Lists is IVF's nlist (default √n clamped to [16, 4096]);
-	// TrainIters bounds quantizer training (default 20); NProbe fixes
-	// the probed-list count per query (default derived from ef).
-	Lists      int
-	TrainIters int
-	NProbe     int
 }
 
 func (o Options) validate() error {

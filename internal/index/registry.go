@@ -2,7 +2,8 @@ package index
 
 import (
 	"fmt"
-	"io"
+
+	"ppanns/internal/frame"
 )
 
 // Default is the backend used when no name is given: HNSW, the paper's
@@ -42,17 +43,17 @@ func Build(name string, vectors [][]float64, opts Options) (SecureIndex, error) 
 	return buildHNSW(vectors, opts)
 }
 
-// Load reads a payload written by the named backend's Save ("" = Default)
-// for a database of n records of dimension dim. The payload's bytes are
-// untrusted, and the dimension and record count come from the database
-// that carries it: Load refuses a payload whose header disagrees with
-// either before it sizes anything.
-func Load(name string, r io.Reader, dim, n int) (SecureIndex, error) {
+// Load reads a section written by the named backend's Save ("" = Default)
+// for a database of len(live) records of dimension dim, live[id] false at
+// every dead slot. The section's bytes are untrusted; the dimension and
+// the liveness come from the database file that carries it, which states
+// them once for every section.
+func Load(name string, d *frame.Decoder, dim int, live []bool) (SecureIndex, error) {
 	if err := Lookup(name); err != nil {
 		return nil, err
 	}
 	if name == "ivf" {
-		return loadIVF(r, dim, n)
+		return loadIVF(d, dim, live)
 	}
-	return loadHNSW(r, dim, n)
+	return loadHNSW(d, dim, live)
 }

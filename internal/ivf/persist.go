@@ -1,152 +1,91 @@
 package ivf
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
-	"slices"
 
+	"ppanns/internal/frame"
 	"ppanns/internal/vec"
 )
 
-// Binary index format: magic, dim/nlist/n/live header, centroid matrix,
-// flat vector store, tombstone bytes, then one length-prefixed member list
-// per inverted list. All integers are little-endian.
+// The index's section of a database file, for n ids of dimension dim
+// whose liveness the file's presence bytes state (none of the three is
+// stored here):
+//
+//	nlist: int64 | centroids: nlist rows of dim f64
+//	vectors: n rows of dim f64 (a dead slot's row is zero)
+//	per list: the member count i32 and the member ids i32, in id order
 
-const persistMagic = "IVFGO001"
-
-// Save writes the index in the binary format.
-func (ix *Index) Save(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.WriteString(persistMagic); err != nil {
-		return fmt.Errorf("ivf: writing magic: %w", err)
-	}
-	n := len(ix.deleted)
-	head := []int64{int64(ix.dim), int64(len(ix.centroids)), int64(n), int64(ix.live)}
-	for _, v := range head {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return fmt.Errorf("ivf: writing header: %w", err)
-		}
-	}
+// Save writes the index's section.
+func (ix *Index) Save(e *frame.Encoder) {
+	e.Int(len(ix.centroids))
 	for _, c := range ix.centroids {
-		if err := binary.Write(bw, binary.LittleEndian, c); err != nil {
-			return fmt.Errorf("ivf: writing centroids: %w", err)
-		}
+		e.FloatRun(c)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, ix.data.Raw()); err != nil {
-		return fmt.Errorf("ivf: writing vectors: %w", err)
-	}
-	for _, d := range ix.deleted {
-		b := byte(0)
-		if d {
-			b = 1
-		}
-		if err := bw.WriteByte(b); err != nil {
-			return err
-		}
-	}
+	ix.data.Save(e)
 	for c := range ix.centroids {
 		lst := ix.list(c)
-		if err := binary.Write(bw, binary.LittleEndian, int32(len(lst))); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, lst); err != nil {
-			return err
-		}
+		e.U32(uint32(len(lst)))
+		e.Int32Run(lst)
 	}
-	return bw.Flush()
 }
 
-// Load reads an index of n vectors of dimension dim previously written by
-// Save. The bytes are untrusted: a header that disagrees with dim and n is
-// refused before it sizes anything, the centroids (whose count n does not
-// bound) are allocated as their bytes arrive, and the lists must hold every
-// live id exactly once. A listed tombstone — files written before dead
-// slots left the lists carry them — is dropped from its list.
-func Load(r io.Reader, dim, n int) (*Index, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	magic := make([]byte, len(persistMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("ivf: reading magic: %w", err)
+// Load reads a section Save wrote for len(live) ids of dimension dim,
+// live[id] false at every dead slot. The bytes are untrusted: the
+// centroids, whose count n does not bound, are allocated as their bytes
+// arrive, and the lists must hold every live id exactly once, in id order
+// within a list, and no dead one.
+func Load(d *frame.Decoder, dim int, live []bool) (*Index, error) {
+	n := len(live)
+	ix := &Index{dim: dim, deleted: make([]bool, n)}
+	for id, ok := range live {
+		ix.deleted[id] = !ok
+		if ok {
+			ix.live++
+		}
 	}
-	if string(magic) != persistMagic {
-		return nil, fmt.Errorf("ivf: bad magic %q", magic)
-	}
-	head := make([]int64, 4)
-	if err := binary.Read(br, binary.LittleEndian, head); err != nil {
+	nlist := d.Int()
+	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("ivf: reading header: %w", err)
 	}
-	if head[0] != int64(dim) || head[2] != int64(n) {
-		return nil, fmt.Errorf("ivf: index of %d vectors of dimension %d, want %d of %d", head[2], head[0], n, dim)
+	if nlist < 0 || nlist > math.MaxInt32 || nlist == 0 && ix.live != 0 {
+		return nil, fmt.Errorf("ivf: implausible header: %d lists over %d live ids", nlist, ix.live)
 	}
-	nlist, live := head[1], head[3]
-	if nlist < 0 || nlist > math.MaxInt32 || live < 0 || live > int64(n) || nlist == 0 && live != 0 {
-		return nil, fmt.Errorf("ivf: implausible header nlist=%d n=%d live=%d", nlist, n, live)
-	}
-	ix := &Index{dim: dim, deleted: make([]bool, n), live: int(live)}
-	for len(ix.centroids) < int(nlist) {
+	for len(ix.centroids) < nlist && d.Err() == nil {
 		c := make([]float64, dim)
-		if err := binary.Read(br, binary.LittleEndian, c); err != nil {
-			return nil, fmt.Errorf("ivf: reading centroids: %w", err)
-		}
+		d.FloatRun(c)
 		ix.centroids = append(ix.centroids, c)
 	}
-	raw := make([]float64, n*dim)
-	if err := binary.Read(br, binary.LittleEndian, raw); err != nil {
-		return nil, fmt.Errorf("ivf: reading vectors: %w", err)
-	}
-	ds, err := vec.DatasetFromRaw(dim, raw)
-	if err != nil {
-		return nil, err
-	}
-	ix.data = ds
-	tombs := make([]byte, n)
-	if _, err := io.ReadFull(br, tombs); err != nil {
-		return nil, fmt.Errorf("ivf: reading tombstones: %w", err)
-	}
-	dead := 0
-	for i, b := range tombs {
-		ix.deleted[i] = b != 0
-		if ix.deleted[i] {
-			dead++
-		}
-	}
-	if dead != n-int(live) {
-		return nil, fmt.Errorf("ivf: header counts %d live vectors, tombstones leave %d", live, n-dead)
+	ix.data = vec.LoadDataset(d, dim, n)
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("ivf: reading centroids and vectors: %w", err)
 	}
 	ix.offs = make([]int32, nlist+1)
-	ix.ids = make([]int32, 0, live)
+	ix.ids = make([]int32, ix.live)
 	listed := make([]bool, n)
-	lst := make([]int32, 0, min(n, 1<<12))
-	for c := range ix.centroids {
-		var cnt int32
-		if err := binary.Read(br, binary.LittleEndian, &cnt); err != nil {
-			return nil, fmt.Errorf("ivf: reading list %d: %w", c, err)
+	for c := 0; c < nlist && d.Err() == nil; c++ {
+		cnt := int(int32(d.U32()))
+		at := int(ix.offs[c])
+		if cnt < 0 || cnt > ix.live-at {
+			d.Fail(fmt.Errorf("ivf: list %d claims %d members, %d live ids are left", c, cnt, ix.live-at))
+			break
 		}
-		if cnt < 0 || int(cnt) > n {
-			return nil, fmt.Errorf("ivf: list %d has %d members", c, cnt)
-		}
-		lst = slices.Grow(lst[:0], int(cnt))[:cnt]
-		if err := binary.Read(br, binary.LittleEndian, lst); err != nil {
-			return nil, err
-		}
-		for _, id := range lst {
-			if id < 0 || int(id) >= n || listed[id] {
-				return nil, fmt.Errorf("ivf: list %d holds id %d out of range or twice", c, id)
+		lst := ix.ids[at : at+cnt]
+		d.Int32Run(lst)
+		for j, id := range lst {
+			if id < 0 || int(id) >= n || !live[id] || listed[id] || j > 0 && id < lst[j-1] {
+				d.Fail(fmt.Errorf("ivf: list %d holds id %d out of range, dead, twice or out of order", c, id))
+				break
 			}
 			listed[id] = true
-			if !ix.deleted[id] {
-				ix.ids = append(ix.ids, id)
-			}
 		}
-		ix.offs[c+1] = int32(len(ix.ids))
+		ix.offs[c+1] = int32(at + cnt)
 	}
-	for id, ok := range listed {
-		if !ok && !ix.deleted[id] {
-			return nil, fmt.Errorf("ivf: live id %d is in no list", id)
-		}
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("ivf: reading lists: %w", err)
+	}
+	if int(ix.offs[nlist]) != ix.live {
+		return nil, fmt.Errorf("ivf: the lists hold %d of %d live ids", ix.offs[nlist], ix.live)
 	}
 	return ix, nil
 }

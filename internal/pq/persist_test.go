@@ -3,24 +3,59 @@ package pq
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+
+	"ppanns/internal/frame"
 )
 
-// storeHeader returns the PQSTORE1 magic and a header declaring the given
-// shape, with zero provenance fields.
-func storeHeader(dim, m, k, n int64) []byte {
-	b := []byte(storeMagic)
-	for _, v := range []int64{dim, m, k, n, 0, 0, 0, 0, 0, 0} {
+// saveStream is the stream an Encoder writes around s's section: the
+// section, then the CRC32 trailer.
+func saveStream(t testing.TB, s *Store) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	e := frame.NewEncoder(&buf)
+	s.Save(e)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// loadStream reads a whole stream: the section for a database of n
+// records of dimension dim, then the trailer.
+func loadStream(b []byte, dim, n int) (*Store, error) {
+	d := frame.NewDecoder(bytes.NewReader(b))
+	s, err := Load(d, dim, n)
+	if err == nil {
+		err = d.Done()
+	}
+	return s, err
+}
+
+// sealed appends a trailer that matches section, so a patched section
+// reaches Load's own checks instead of failing the checksum.
+func sealed(section []byte) []byte {
+	return binary.LittleEndian.AppendUint32(slices.Clone(section), crc32.ChecksumIEEE(section))
+}
+
+// storeHeader is a section header: m, k, TrainedOn, MaxSample, Iters and
+// Seed.
+func storeHeader(m, k, trainedOn, maxSample, iters int64) []byte {
+	var b []byte
+	for _, v := range []int64{m, k, trainedOn, maxSample, iters, 0} {
 		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
 	return b
 }
 
-// TestLoadRefusesLyingHeaders: a header that disagrees with the database it
-// is loaded for is refused before it sizes anything — not after trying to
-// allocate what it claims.
+// TestLoadRefusesLyingHeaders: a header that does not fit the database it
+// is loaded for is refused before it sizes anything, and a code arena
+// the input does not hold fails at end of input — not after trying to
+// allocate what the caller's record count would take.
 func TestLoadRefusesLyingHeaders(t *testing.T) {
 	for _, c := range []struct {
 		name     string
@@ -28,18 +63,17 @@ func TestLoadRefusesLyingHeaders(t *testing.T) {
 		dim, n   int
 		wantText string
 	}{
-		// 120 bytes: dim 4, m 1, k 1 and one zero centroid block, claiming
-		// 2^33 code rows (8 GiB) for a database of 10 records.
-		{"n = 2^33", append(storeHeader(4, 1, 1, 1<<33), make([]byte, 4*8)...), 4, 10, "rows"},
-		// 88 bytes claiming dim 2^31 with 256 centroids: 4 TiB of
-		// centroid floats for a database of dimension 4.
-		{"dim = 2^31", storeHeader(1<<31, 1, 256, 0), 4, 0, "dimension"},
-		{"m > dim", storeHeader(4, 5, 1, 10), 4, 10, "implausible"},
-		{"k > 256", storeHeader(4, 1, 257, 10), 4, 10, "implausible"},
+		// dim 4, m 1, k 1 and one centroid, then no code for any of the
+		// 2^33 rows (8 GiB) the caller declares.
+		{"n = 2^33", sealed(append(storeHeader(1, 1, 0, 8, 8), make([]byte, 4*8)...)), 4, 1 << 33, "truncated"},
+		{"m > dim", sealed(storeHeader(5, 1, 10, 8, 8)), 4, 10, "implausible"},
+		{"m = 0", sealed(storeHeader(0, 1, 10, 8, 8)), 4, 10, "implausible"},
+		{"k > 256", sealed(storeHeader(1, 257, 10, 300, 8)), 4, 10, "implausible"},
+		{"TrainedOn < 0", sealed(storeHeader(1, 1, -1, 8, 8)), 4, 10, "implausible"},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := Load(bytes.NewReader(c.blob), c.dim, c.n)
+		_, err := loadStream(c.blob, c.dim, c.n)
 		runtime.ReadMemStats(&after)
 		if err == nil || !strings.Contains(err.Error(), c.wantText) {
 			t.Errorf("%s: err = %v, want one mentioning %q", c.name, err, c.wantText)
@@ -50,9 +84,8 @@ func TestLoadRefusesLyingHeaders(t *testing.T) {
 	}
 }
 
-// TestLoadRefusesRetrainConfig: the training config rides in header words
-// 5–9, outside the checksum, and a fold's retrain runs it. A config Build
-// could not have written — another M or K than the codebook's, a sample
+// TestLoadRefusesRetrainConfig: a fold's retrain runs the training config
+// the section carries. One Build could not have written — a sample
 // smaller than K, Iters outside [1, maxIters] — is refused at load, not
 // found out by a retrain that fails or runs 2⁴⁰ Lloyd iterations.
 func TestLoadRefusesRetrainConfig(t *testing.T) {
@@ -60,39 +93,36 @@ func TestLoadRefusesRetrainConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := store.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(bytes.NewReader(buf.Bytes()), 6, 40); err != nil {
+	b := saveStream(t, store)
+	if _, err := loadStream(b, 6, 40); err != nil {
 		t.Fatalf("unpatched store: %v", err)
 	}
-	// Words M, K, MaxSample, Iters.
-	const m, k, sample, iters = 5, 6, 7, 8
+	section := b[:len(b)-4]
+	// Words MaxSample, Iters.
+	const sample, iters = 3, 4
 	for _, c := range []struct {
 		name  string
 		patch map[int]int64
 	}{
-		{"M 999, MaxSample 3, Iters 2^40", map[int]int64{m: 999, sample: 3, iters: 1 << 40}},
-		{"M ≠ m", map[int]int64{m: 3}},
-		{"K ≠ k", map[int]int64{k: 16}},
+		{"MaxSample 3, Iters 2^40", map[int]int64{sample: 3, iters: 1 << 40}},
 		{"MaxSample < K", map[int]int64{sample: 7}},
 		{"Iters 0", map[int]int64{iters: 0}},
 		{"Iters 65", map[int]int64{iters: maxIters + 1}},
 		{"Iters 2^40", map[int]int64{iters: 1 << 40}},
 	} {
-		blob := bytes.Clone(buf.Bytes())
+		blob := bytes.Clone(section)
 		for word, v := range c.patch {
-			binary.LittleEndian.PutUint64(blob[len(storeMagic)+8*word:], uint64(v))
+			binary.LittleEndian.PutUint64(blob[8*word:], uint64(v))
 		}
-		if _, err := Load(bytes.NewReader(blob), 6, 40); err == nil || !strings.Contains(err.Error(), "training config") {
+		if _, err := loadStream(sealed(blob), 6, 40); err == nil || !strings.Contains(err.Error(), "training config") {
 			t.Errorf("%s: err = %v, want a refused training config", c.name, err)
 		}
 	}
 }
 
-// FuzzLoad feeds Load mutations of small valid stores, under the shape each
-// was saved with or any other small one. Whatever arrives, Load returns an
+// FuzzLoad feeds Load mutations of small valid sections, under the shape
+// each was saved with or any other small one, each sealed with a matching
+// trailer so the mutation reaches Load. Whatever arrives, Load returns an
 // error or a store of exactly the caller's shape whose code arena is the
 // code bytes it consumed and whose training config Build could have
 // written — never a panic, and nothing sized by a count the input merely
@@ -103,15 +133,11 @@ func FuzzLoad(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := store.Save(&buf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes(), uint8(c.dim), uint8(c.n))
+		b := saveStream(f, store)
+		f.Add(b[:len(b)-4], uint8(c.dim), uint8(c.n))
 	}
-	f.Fuzz(func(t *testing.T, blob []byte, dim, n uint8) {
-		r := bytes.NewReader(blob)
-		s, err := Load(r, int(dim), int(n))
+	f.Fuzz(func(t *testing.T, section []byte, dim, n uint8) {
+		s, err := loadStream(sealed(section), int(dim), int(n))
 		if err != nil {
 			return
 		}
@@ -122,10 +148,9 @@ func FuzzLoad(f *testing.F) {
 		if c := s.Cfg; c.M != s.Book.M() || c.K != s.Book.K() || c.MaxSample < c.K || c.Iters < 1 || c.Iters > maxIters {
 			t.Fatalf("loaded training config %+v for a codebook of m=%d k=%d", c, s.Book.M(), s.Book.K())
 		}
-		fixed := len(storeMagic) + 10*8 + 8*s.Book.K()*s.Book.Dim() + 4
-		if consumed := len(blob) - r.Len(); s.Codes.Len()*s.Codes.M() != consumed-fixed {
-			t.Fatalf("%d rows of %d code bytes from %d bytes consumed past %d of header, centroids and checksum",
-				s.Codes.Len(), s.Codes.M(), consumed, fixed)
+		if fixed := 6*8 + 8*s.Book.K()*s.Book.Dim(); s.Codes.Len()*s.Codes.M() != len(section)-fixed {
+			t.Fatalf("%d rows of %d code bytes from a %d-byte section with %d bytes of header and centroids",
+				s.Codes.Len(), s.Codes.M(), len(section), fixed)
 		}
 	})
 }

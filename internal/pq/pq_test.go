@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"runtime"
 	"strings"
@@ -12,6 +13,7 @@ import (
 
 	"ppanns/internal/dataset"
 	"ppanns/internal/dcpe"
+	"ppanns/internal/frame"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
@@ -196,13 +198,8 @@ func TestPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	blob := buf.Bytes()
-
-	got, err := Load(bytes.NewReader(blob), 9, 350)
+	blob := saveStream(t, orig)
+	got, err := loadStream(blob, 9, 350)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,33 +222,33 @@ func TestPersistRoundTrip(t *testing.T) {
 		}
 	}
 
-	// One flipped code byte must surface as a CRC failure, not skewed
-	// distances.
+	// One flipped code byte must surface as a checksum failure, not
+	// skewed distances.
 	bad := append([]byte(nil), blob...)
 	bad[len(bad)-10] ^= 0x40
-	if _, err := Load(bytes.NewReader(bad), 9, 350); err == nil || !strings.Contains(err.Error(), "corrupted") {
+	if _, err := loadStream(bad, 9, 350); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("corrupted store loaded: %v", err)
 	}
 	// Truncation and garbage must error cleanly.
-	if _, err := Load(bytes.NewReader(blob[:len(blob)/2]), 9, 350); err == nil {
+	if _, err := loadStream(blob[:len(blob)/2], 9, 350); err == nil {
 		t.Fatal("truncated store loaded")
 	}
-	if _, err := Load(strings.NewReader("NOTAPQST0RE"), 9, 350); err == nil {
-		t.Fatal("garbage magic loaded")
+	if _, err := loadStream([]byte("NOTAPQST0RE"), 9, 350); err == nil {
+		t.Fatal("garbage loaded")
 	}
-	// A store of another database's shape is refused, whichever way it
+	// A section read for another database's shape fails, whichever way it
 	// differs.
-	if _, err := Load(bytes.NewReader(blob), 10, 350); err == nil {
+	if _, err := loadStream(blob, 10, 350); err == nil {
 		t.Fatal("store loaded under the wrong dimension")
 	}
-	if _, err := Load(bytes.NewReader(blob), 9, 349); err == nil {
+	if _, err := loadStream(blob, 9, 349); err == nil {
 		t.Fatal("store loaded under the wrong record count")
 	}
 }
 
 func TestSaveIncompleteStore(t *testing.T) {
-	var buf bytes.Buffer
-	if err := (&Store{}).Save(&buf); err == nil {
+	e := frame.NewEncoder(io.Discard)
+	if (&Store{}).Save(e); e.Close() == nil {
 		t.Fatal("expected error saving incomplete store")
 	}
 }

@@ -15,10 +15,9 @@ import (
 // fuzzMessages returns a request of every op and a response of every op.
 func fuzzMessages() ([]*request, []*response) {
 	tok := &core.QueryToken{SAP: []float64{1, 2, 3}, Trapdoor: &dce.Trapdoor{Q: []float64{4, 5, 6, 7}}}
-	store, err := dce.StoreFromRaw(2, []float64{1, 2, 3, 4, 5, 6, 7, 8, 8, 7, 6, 5, 4, 3, 2, 1}, []bool{true, true})
-	if err != nil {
-		panic(err)
-	}
+	store := dce.NewCiphertextStoreN(2, 0)
+	store.AppendRecord([]float64{1, 2, 3, 4, 5, 6, 7, 8})
+	store.AppendRecord([]float64{8, 7, 6, 5, 4, 3, 2, 1})
 	reqs := []*request{
 		{op: opSearch, tok: tok, k: 5, opt: core.SearchOptions{RatioK: 8}},
 		{op: opSearchShard, tok: tok, k: 5, opt: core.SearchOptions{Refine: core.RefineNone}},

@@ -32,6 +32,20 @@ func AlignedFloats(n int) []float64 {
 	return buf[off : off+n]
 }
 
+// ExtendAligned returns s lengthened by n floats. A full s moves to a
+// fresh, zeroed AlignedFloats arena of twice its length, but never past
+// limit floats (limit ≥ len(s)+n): a loader that knows the final size
+// from a header lengthens its arena as the rows arrive and ends with one
+// exactly full, and a header that overstates the size costs at most twice
+// what did arrive.
+func ExtendAligned(s []float64, n, limit int) []float64 {
+	if len(s)+n > cap(s) {
+		grown := AlignedFloats(min(limit, max(2*len(s), len(s)+n, 16*n)))
+		s = grown[:copy(grown, s)]
+	}
+	return s[:len(s)+n]
+}
+
 // Aligned reports whether the slice's base address sits on a cache-line
 // boundary. Alignment tests use it to pin the arena allocation contract.
 func Aligned(s []float64) bool {

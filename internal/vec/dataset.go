@@ -1,14 +1,19 @@
 package vec
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+
+	"ppanns/internal/frame"
+)
 
 // Dataset stores n vectors of fixed dimension dim in a single flat backing
 // array. Rows are padded to a cache-line multiple (stride = PadStride(dim)
 // float64s) and the arena base is 64-byte aligned, so row i starts exactly
 // at data[i*stride] on a cache-line boundary and a SIMD kernel's vector
 // loads never split a line across rows. The pad floats are always zero and
-// never leave the package: At, Raw and the serialization paths all speak
-// the compact dim-length representation.
+// never leave the package: At, Save and LoadDataset all speak the compact
+// dim-length representation.
 type Dataset struct {
 	dim    int
 	stride int // row stride in float64s: PadStride(dim)
@@ -58,49 +63,24 @@ func (d *Dataset) At(i int) []float64 {
 	return d.data[i*d.stride : i*d.stride+d.dim : i*d.stride+d.dim]
 }
 
-// grow ensures capacity for rows more rows, reallocating aligned storage
-// when needed (append would lose the 64-byte base alignment).
-func (d *Dataset) grow(rows int) {
-	need := len(d.data) + rows*d.stride
-	if need <= cap(d.data) {
-		return
-	}
-	newCap := 2 * cap(d.data)
-	if newCap < need {
-		newCap = need
-	}
-	nd := AlignedFloats(newCap)[:len(d.data)]
-	copy(nd, d.data)
-	d.data = nd
-}
-
 // Append copies v into the dataset and returns its index.
 func (d *Dataset) Append(v []float64) int {
 	if len(v) != d.dim {
 		panic(fmt.Sprintf("vec: appending %d-dim vector to %d-dim dataset", len(v), d.dim))
 	}
-	d.grow(1)
-	n := d.Len()
-	d.data = d.data[:len(d.data)+d.stride]
-	row := d.data[n*d.stride:]
+	n, row := d.AppendZero()
 	copy(row, v)
-	for i := d.dim; i < d.stride; i++ {
-		row[i] = 0
-	}
 	return n
 }
 
 // AppendZero appends an all-zero vector and returns both its index and a
 // writable view of the new row, avoiding a copy when the caller fills it in
-// place.
+// place. The arena grows by ExtendAligned, so its base stays 64-byte
+// aligned (append would lose the alignment).
 func (d *Dataset) AppendZero() (int, []float64) {
-	d.grow(1)
 	n := d.Len()
-	d.data = d.data[:len(d.data)+d.stride]
-	row := d.data[n*d.stride:]
-	for i := range row {
-		row[i] = 0
-	}
+	d.data = ExtendAligned(d.data, d.stride, math.MaxInt)
+	clear(d.data[n*d.stride:])
 	return n, d.At(n)
 }
 
@@ -152,38 +132,21 @@ func (d *Dataset) Slices() [][]float64 {
 	return out
 }
 
-// Raw returns the compact flat representation (length Len()*Dim(), no row
-// padding), the layout the serialization code writes. When rows are padded
-// in memory this is a copy; when dim is already a cache-line multiple it is
-// the backing array itself.
-func (d *Dataset) Raw() []float64 {
-	if d.stride == d.dim {
-		return d.data
+// Save writes every row's dim floats, pad excluded, in id order.
+func (d *Dataset) Save(e *frame.Encoder) {
+	for i := range d.Len() {
+		e.FloatRun(d.At(i))
 	}
-	n := d.Len()
-	out := make([]float64, n*d.dim)
-	for i := 0; i < n; i++ {
-		copy(out[i*d.dim:], d.At(i))
-	}
-	return out
 }
 
-// DatasetFromRaw builds a dataset from a compact flat array (row i at
-// raw[i*dim:(i+1)*dim], as Raw returns). len(raw) must be a multiple of
-// dim. The data is repacked into an aligned padded arena, so the input is
-// not retained.
-func DatasetFromRaw(dim int, raw []float64) (*Dataset, error) {
-	if dim <= 0 {
-		return nil, fmt.Errorf("vec: non-positive dimension %d", dim)
+// LoadDataset reads the n rows Save wrote into a dataset of dimension
+// dim. The arena grows as the rows arrive (ExtendAligned), so a row count
+// the input does not back costs at most twice what did arrive.
+func LoadDataset(dec *frame.Decoder, dim, n int) *Dataset {
+	d := NewDataset(dim, 0)
+	for i := 0; i < n && dec.Err() == nil; i++ {
+		d.data = ExtendAligned(d.data, d.stride, d.stride*n)
+		dec.FloatRun(d.At(i))
 	}
-	if len(raw)%dim != 0 {
-		return nil, fmt.Errorf("vec: raw length %d is not a multiple of dim %d", len(raw), dim)
-	}
-	n := len(raw) / dim
-	stride := PadStride(dim)
-	data := AlignedFloats(n * stride)
-	for i := 0; i < n; i++ {
-		copy(data[i*stride:i*stride+dim], raw[i*dim:(i+1)*dim])
-	}
-	return &Dataset{dim: dim, stride: stride, data: data}, nil
+	return d
 }

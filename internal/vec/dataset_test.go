@@ -3,6 +3,8 @@ package vec
 import (
 	"bytes"
 	"testing"
+
+	"ppanns/internal/frame"
 )
 
 func TestDatasetBasics(t *testing.T) {
@@ -53,16 +55,32 @@ func TestDatasetFromSlicesAndClone(t *testing.T) {
 	}
 }
 
-func TestDatasetFromRaw(t *testing.T) {
-	ds, err := DatasetFromRaw(2, []float64{1, 2, 3, 4})
-	if err != nil || ds.Len() != 2 {
-		t.Fatalf("DatasetFromRaw: %v, len %d", err, ds.Len())
+// TestDatasetSaveLoad: Save writes the rows without their pad, and
+// LoadDataset reads them back into an aligned, padded arena; rows the
+// input does not hold fail the decoder instead of loading as zeros.
+func TestDatasetSaveLoad(t *testing.T) {
+	ds := DatasetFromSlices([][]float64{{1, 2, 3}, {4, 5, 6}, {-7, 8.5, 0}})
+	var buf bytes.Buffer
+	e := frame.NewEncoder(&buf)
+	ds.Save(e)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := DatasetFromRaw(3, []float64{1, 2, 3, 4}); err == nil {
-		t.Fatal("expected error for mismatched raw length")
+	if want := 3*3*8 + 4; buf.Len() != want {
+		t.Fatalf("saved %d bytes, want %d", buf.Len(), want)
 	}
-	if _, err := DatasetFromRaw(0, nil); err == nil {
-		t.Fatal("expected error for zero dim")
+	d := frame.NewDecoder(bytes.NewReader(buf.Bytes()))
+	back := LoadDataset(d, 3, 3)
+	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if back.Len() != 3 || !Aligned(back.data) || !ApproxEqual(back.At(2), ds.At(2), 0) {
+		t.Fatalf("loaded %d rows, aligned %v, row 2 %v", back.Len(), Aligned(back.data), back.At(2))
+	}
+	d = frame.NewDecoder(bytes.NewReader(buf.Bytes()))
+	LoadDataset(d, 3, 4)
+	if d.Err() == nil {
+		t.Fatal("a fourth row loaded from a three-row input")
 	}
 }
 
