@@ -82,23 +82,21 @@ func ReadInsert(r *frame.Reader) *InsertPayload {
 
 // AppendShardResult appends a search's merge answer:
 //
-//	[epoch u64] [ids: count u32, i64s] [dists: count u32, f64s]
+//	[epoch u64] [ids: count u32, i64s]
 //	[ctDim u32] [the ids' DCE records: len(ids) × 4·ctDim f64s]
 //
-// with ctDim 0 when the result borrows no store (RefineNone). The records
-// are written straight out of the snapshot store — safe after the search
-// has returned, since a published store is never written within its
-// length.
+// with ctDim 0 when there are no records. The records are written straight
+// out of the views in Recs — for a local answer, the snapshot's arena,
+// which a published store never writes within its length.
 func AppendShardResult(b []byte, res *ShardResult) []byte {
 	b = frame.AppendU64(b, res.Epoch)
 	b = frame.AppendInts(b, res.IDs)
-	b = frame.AppendFloats(b, res.Dists)
-	if res.Store == nil {
+	if len(res.Recs) == 0 {
 		return frame.AppendU32(b, 0)
 	}
-	b = frame.AppendU32(b, uint32(res.Store.CtDim()))
-	for _, id := range res.IDs {
-		b = frame.AppendFloatRun(b, res.Store.Record(id))
+	b = frame.AppendU32(b, uint32(len(res.Recs[0])/4))
+	for _, rec := range res.Recs {
+		b = frame.AppendFloatRun(b, rec)
 	}
 	return b
 }
@@ -109,7 +107,6 @@ func ReadShardResult(r *frame.Reader) ShardResult {
 	var res ShardResult
 	res.Epoch = r.U64()
 	res.IDs = r.Ints()
-	res.Dists = r.Floats()
 	ctDim := int(r.U32())
 	if ctDim == 0 || r.Err() != nil {
 		return res
@@ -129,7 +126,6 @@ func ReadShardResult(r *frame.Reader) ShardResult {
 	for i := range res.Recs {
 		res.Recs[i] = arena[i*rec : (i+1)*rec : (i+1)*rec]
 	}
-	res.CtDim = ctDim
 	return res
 }
 

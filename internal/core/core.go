@@ -24,11 +24,11 @@
 // The server type is constructed exclusively from ciphertexts; no API
 // exposes plaintext vectors, distances, or keys to it.
 //
-// Algorithm 2 has one body (Server.searchInto) and three exported entry
+// Algorithm 2 has one body (snapshot.search) and three exported entry
 // points: Search returns ids; SearchInto appends them into a recycled
-// buffer and reports SearchStats; SearchShard additionally returns the
-// merge material of the active refine mode (a ShardResult) for a
-// scatter-gather coordinator. A server answers concurrent calls in
+// buffer and reports SearchStats; SearchShard additionally returns each
+// result's DCE record (a ShardResult) for a scatter-gather coordinator,
+// and refuses the filter-only mode. A server answers concurrent calls in
 // parallel on its snapshot-isolated read path.
 package core
 
@@ -42,13 +42,15 @@ import (
 	"ppanns/internal/rng"
 )
 
+// sapScale is DCPE's scaling factor s, the paper's 1024. SAP ordering does
+// not depend on it, so it is not a parameter.
+const sapScale = 1024
+
 // Params configures the scheme. Zero values select the documented defaults.
 type Params struct {
 	// Dim is the vector dimension (required).
 	Dim int
 
-	// S is DCPE's scaling factor; the paper uses 1024 (the default).
-	S float64
 	// Beta is DCPE's perturbation bound β. 0 means no noise (no index
 	// privacy); the paper tunes it per dataset so the filter-only recall
 	// ceiling is ≈0.5. See dcpe.BetaRange for the recommended range.
@@ -78,12 +80,6 @@ type Params struct {
 func (p Params) withDefaults() (Params, error) {
 	if p.Dim <= 0 {
 		return p, fmt.Errorf("core: non-positive dimension %d", p.Dim)
-	}
-	if p.S == 0 {
-		p.S = 1024
-	}
-	if p.S < 0 {
-		return p, fmt.Errorf("core: negative DCPE scaling factor %g", p.S)
 	}
 	if p.Beta < 0 {
 		return p, fmt.Errorf("core: negative beta %g", p.Beta)

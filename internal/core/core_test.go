@@ -144,9 +144,6 @@ func TestParamsValidation(t *testing.T) {
 	if _, err := NewDataOwner(Params{Dim: 4, Beta: -1}); err == nil {
 		t.Fatal("expected error for negative beta")
 	}
-	if _, err := NewDataOwner(Params{Dim: 4, S: -5}); err == nil {
-		t.Fatal("expected error for negative S")
-	}
 }
 
 func TestEndToEndHighRecall(t *testing.T) {

@@ -83,7 +83,7 @@ func (o *DataOwner) generateKeys(maxAbs float64) error {
 	if err != nil {
 		return fmt.Errorf("core: DCE keygen: %w", err)
 	}
-	sapKey, err := dcpe.KeyGen(rng.Derive(r, 2), o.params.Dim, o.params.S, o.params.Beta)
+	sapKey, err := dcpe.KeyGen(rng.Derive(r, 2), o.params.Dim, sapScale, o.params.Beta)
 	if err != nil {
 		return fmt.Errorf("core: SAP keygen: %w", err)
 	}

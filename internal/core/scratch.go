@@ -49,7 +49,7 @@ func putScratch(sc *searchScratch) {
 
 // dceComparator implements resultheap.Comparator over candidate positions
 // (indexes into cands): it compares their records in the snapshot's store
-// against the query's trapdoor, whose dimension searchInto has checked. A
+// against the query's trapdoor, whose dimension search has checked. A
 // pooled struct pointer costs no allocation where a per-search closure
 // would.
 type dceComparator struct {

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ppanns/internal/dce"
 	"ppanns/internal/pq"
 	"ppanns/internal/resultheap"
 	"ppanns/internal/vec"
@@ -25,7 +24,8 @@ const (
 	// per comparison.
 	RefineDCE RefineMode = 0
 	// RefineNone skips refinement and returns the filter phase's top-k —
-	// the HNSW(filter) ablation of Figure 6.
+	// the HNSW(filter) ablation of Figure 6. Search and SearchInto serve
+	// it; SearchShard refuses it, having no DCE records to merge by.
 	RefineNone RefineMode = 2
 )
 
@@ -448,11 +448,11 @@ func (s *Server) Search(tok *QueryToken, k int, opt SearchOptions) ([]int, error
 }
 
 // ShardResult is one server's contribution to a scatter-gather search
-// (see internal/shard): the result ids in refine order plus the per-id
-// material a coordinator needs to merge candidates across shards. Because
-// DCE query tokens are position-independent, the returned ciphertext
-// records compare correctly against records from any other shard of the
-// same deployment.
+// (see internal/shard): the result ids in refine order plus the DCE record
+// of each, which a coordinator compares across shards with the same kernel
+// the refine phase ran. Because DCE query tokens are position-independent,
+// the records compare correctly against records from any other shard of
+// the same deployment.
 type ShardResult struct {
 	// IDs are the result ids, closest first (server-local positions).
 	IDs []int
@@ -461,39 +461,31 @@ type ShardResult struct {
 	// for read-your-writes consistency: a replica answering below the
 	// coordinator's write floor is stale and the read fails over.
 	Epoch uint64
-	// Dists holds the filter-phase SAP distances parallel to IDs, the
-	// merge key when no refine runs (RefineNone only).
-	Dists []float64
-	// Recs holds the DCE records [P1|P2|P3|P4] parallel to IDs (RefineDCE
-	// only); CtDim is their component length. Recs is how a result looks
-	// after crossing the wire: core.Server leaves it nil and sets Store,
-	// and transport encodes the records straight out of Store.
-	Recs  [][]float64
-	CtDim int
-	// Store is the DCE merge material of an in-process result (RefineDCE
-	// only): the serving snapshot's ciphertext store, addressed by the
-	// local ids in IDs. The snapshot discipline makes this a zero-copy
-	// borrow that stays valid indefinitely — published stores are never
-	// mutated — at the cost of pinning the snapshot in memory while the
-	// result is held. Nil on a result that came over the wire (see Recs).
-	Store *dce.CiphertextStore
+	// Recs[i] is the DCE record [P1|P2|P3|P4] of IDs[i]: a view into the
+	// serving snapshot's arena in process — published records are never
+	// written again, so the view stays valid for as long as it is held —
+	// and a view into the frame's arena off the wire.
+	Recs [][]float64
 }
 
-// SearchShard answers a query like Search and additionally returns the
-// merge material for the active refine mode, so a scatter-gather
-// coordinator can order this server's results against other shards'. The
-// DCE merge material is a borrow of the snapshot's store (ShardResult.Store),
-// never a copy: immutable snapshots make it safe for as long as the caller
-// holds it.
+// SearchShard answers a query like Search and additionally returns each
+// result's DCE record, so a scatter-gather coordinator can order this
+// server's results against other shards'. Only the paper's scheme has
+// records to merge by: the filter-only mode is refused.
 func (s *Server) SearchShard(tok *QueryToken, k int, opt SearchOptions) (ShardResult, error) {
-	var res ShardResult
-	ids, st, err := s.searchInto(nil, tok, k, opt, &res)
+	if opt.Refine != RefineDCE {
+		return ShardResult{}, fmt.Errorf("core: a merge answer needs the DCE refine, not %v", opt.Refine)
+	}
+	sp := s.snap.Load()
+	ids, st, err := sp.search(nil, tok, k, opt)
 	if err != nil {
 		return ShardResult{}, err
 	}
-	res.IDs = ids
-	res.Epoch = st.Epoch
-	return res, nil
+	recs := make([][]float64, len(ids))
+	for i, id := range ids {
+		recs[i] = sp.edb.DCE.Record(id)
+	}
+	return ShardResult{IDs: ids, Epoch: st.Epoch, Recs: recs}, nil
 }
 
 // SearchInto is Search plus cost accounting, appending the result ids into
@@ -502,12 +494,10 @@ func (s *Server) SearchShard(tok *QueryToken, k int, opt SearchOptions) (ShardRe
 // internal pool, so with a recycled dst a steady-state search performs zero
 // allocations.
 func (s *Server) SearchInto(dst []int, tok *QueryToken, k int, opt SearchOptions) ([]int, SearchStats, error) {
-	return s.searchInto(dst, tok, k, opt, nil)
+	return s.snap.Load().search(dst, tok, k, opt)
 }
 
-// searchInto is the shared search body. When mm is non-nil it captures,
-// for every returned id, the cross-shard merge material of the active
-// refine mode (SAP distances, or the DCE store view).
+// search is the shared search body of Server.SearchInto and SearchShard.
 //
 // k, k′ and dst are sized only after the request has been validated and k
 // and k′ clamped to the snapshot's record count — a query cannot return
@@ -516,12 +506,11 @@ func (s *Server) SearchInto(dst []int, tok *QueryToken, k int, opt SearchOptions
 // here: each backend bounds the effort it derives from it (IVF by its list
 // count, HNSW by its node count).
 //
-// The whole body runs lock-free against one immutable snapshot: it loads
-// the snapshot pointer once and never observes a concurrent mutation —
-// writers publish whole new snapshots instead of touching this one. The
+// The whole body runs lock-free against one immutable snapshot, which
+// writers never touch — they publish whole new snapshots instead. The
 // filter phase searches both tiers (filterInto); the refine phase is
 // tier-blind, because the DCE store spans both tiers in one id space.
-func (s *Server) searchInto(dst []int, tok *QueryToken, k int, opt SearchOptions, mm *ShardResult) ([]int, SearchStats, error) {
+func (sp *snapshot) search(dst []int, tok *QueryToken, k int, opt SearchOptions) ([]int, SearchStats, error) {
 	var st SearchStats
 	if tok == nil || tok.SAP == nil {
 		return dst[:0], st, fmt.Errorf("core: query token missing SAP ciphertext")
@@ -529,7 +518,6 @@ func (s *Server) searchInto(dst []int, tok *QueryToken, k int, opt SearchOptions
 	if k <= 0 {
 		return dst[:0], st, fmt.Errorf("core: non-positive k %d", k)
 	}
-	sp := s.snap.Load()
 	edb := sp.edb
 	st.Epoch = sp.epoch
 	// Dimension checks up front: the index and comparison backends panic
@@ -588,14 +576,6 @@ func (s *Server) searchInto(dst []int, tok *QueryToken, k int, opt SearchOptions
 			cands = cands[:k]
 		}
 		dst = append(dst[:0], cands...)
-		if mm != nil {
-			// cands is a prefix of the filter items, so the merge keys
-			// are their (comparable across shards) SAP distances.
-			mm.Dists = make([]float64, len(dst))
-			for i := range dst {
-				mm.Dists[i] = sc.items[i].Dist
-			}
-		}
 	case RefineDCE:
 		if tok.Trapdoor == nil {
 			return dst[:0], st, fmt.Errorf("core: token lacks DCE trapdoor for refine")
@@ -616,11 +596,6 @@ func (s *Server) searchInto(dst []int, tok *QueryToken, k int, opt SearchOptions
 		cmp := &sc.dce
 		*cmp = dceComparator{store: edb.DCE, tq: tok.Trapdoor, cands: cands}
 		dst, st.Comparisons = refineScratch(sc, cands, k, cmp, dst)
-		if mm != nil {
-			// Zero-copy: the snapshot's store is immutable once published,
-			// so the borrow stays valid for as long as the caller holds it.
-			mm.CtDim, mm.Store = edb.DCE.CtDim(), edb.DCE
-		}
 	default:
 		return dst[:0], st, fmt.Errorf("core: unknown refine mode %d", opt.Refine)
 	}
@@ -652,20 +627,17 @@ func (s *Server) Insert(p *InsertPayload) (int, error) {
 	s.wmu.Lock()
 	cur := s.snap.Load()
 	edb := cur.edb
-	if len(p.SAP) != edb.Dim {
-		s.wmu.Unlock()
-		return 0, fmt.Errorf("core: insert payload has dim %d, want %d", len(p.SAP), edb.Dim)
-	}
-	if ctDim := edb.DCE.CtDim(); len(p.DCE) != 4*ctDim {
-		s.wmu.Unlock()
-		return 0, fmt.Errorf("core: insert DCE ciphertext of %d floats, want 4·%d", len(p.DCE), ctDim)
-	}
 	var code []byte
-	if edb.PQ != nil {
+	if edb.PQ != nil && len(p.SAP) == edb.Dim {
 		// Encode server-side with the published codebook so the code arena
-		// keeps covering every id; the delta tier then scans codes too.
+		// keeps covering every id; the delta tier then scans codes too. A
+		// vector of another dimension is not encoded: checkInsert refuses it.
 		code = make([]byte, edb.PQ.Book.M())
 		edb.PQ.Book.EncodeInto(code, p.SAP)
+	}
+	if err := cur.checkInsert(p, code); err != nil {
+		s.wmu.Unlock()
+		return 0, fmt.Errorf("core: %w", err)
 	}
 	var lsn uint64
 	if s.wal != nil {
@@ -686,6 +658,29 @@ func (s *Server) Insert(p *InsertPayload) (int, error) {
 	}
 	s.maybeCompact()
 	return pos, nil
+}
+
+// checkInsert refuses an insert that does not fit the snapshot's database:
+// a SAP vector of another dimension, a DCE record other than 4·ctDim
+// floats, or a PQ code row other than the codebook's M bytes (any row at
+// all without a PQ tier). Insert checks the row it encoded, WAL replay the
+// row the log carries.
+func (sp *snapshot) checkInsert(p *InsertPayload, code []byte) error {
+	edb := sp.edb
+	if len(p.SAP) != edb.Dim {
+		return fmt.Errorf("insert payload has dim %d, want %d", len(p.SAP), edb.Dim)
+	}
+	if ctDim := edb.DCE.CtDim(); len(p.DCE) != 4*ctDim {
+		return fmt.Errorf("insert DCE ciphertext of %d floats, want 4·%d", len(p.DCE), ctDim)
+	}
+	if edb.PQ == nil {
+		if code != nil {
+			return fmt.Errorf("insert PQ code on a database without a PQ tier")
+		}
+	} else if len(code) != edb.PQ.Book.M() {
+		return fmt.Errorf("insert PQ code of %d bytes, codebook M=%d", len(code), edb.PQ.Book.M())
+	}
+	return nil
 }
 
 // publishInsert appends a validated insert to the delta tier and publishes
@@ -736,14 +731,9 @@ func (s *Server) publishInsert(cur *snapshot, sapIn, rec []float64, code []byte)
 func (s *Server) Delete(pos int) error {
 	s.wmu.Lock()
 	cur := s.snap.Load()
-	edb := cur.edb
-	if pos < 0 || pos >= edb.DCE.Len() {
+	if err := cur.checkDelete(pos); err != nil {
 		s.wmu.Unlock()
-		return fmt.Errorf("core: delete of unknown id %d", pos)
-	}
-	if !edb.DCE.Has(pos) || cur.tombed(pos) {
-		s.wmu.Unlock()
-		return fmt.Errorf("core: id %d already deleted", pos)
+		return fmt.Errorf("core: %w", err)
 	}
 	var lsn uint64
 	if s.wal != nil {
@@ -762,6 +752,18 @@ func (s *Server) Delete(pos int) error {
 		}
 	}
 	s.maybeCompact()
+	return nil
+}
+
+// checkDelete refuses a delete of an id that is not live in the snapshot:
+// one never assigned, compacted away, or pending in tombs.
+func (sp *snapshot) checkDelete(pos int) error {
+	if pos < 0 || pos >= sp.edb.DCE.Len() {
+		return fmt.Errorf("delete of unknown id %d", pos)
+	}
+	if sp.deadAt(pos) {
+		return fmt.Errorf("id %d already deleted", pos)
+	}
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"net"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"ppanns/internal/core"
@@ -18,7 +19,7 @@ import (
 type surface struct {
 	name  string
 	merge bool // results carry the refine mode's merge material
-	wire  bool // results crossed the wire: DCE material is Recs
+	wire  bool // results crossed the wire: the records are copies
 	run   func(tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error)
 }
 
@@ -34,48 +35,33 @@ func surfaces(srv *core.Server, client *transport.Client) []surface {
 	}
 }
 
-// checkMaterial asserts a result's merge material is the active refine
-// mode's, parallel to its ids, and addresses the records the server holds.
-func checkMaterial(t *testing.T, edb *core.EncryptedDatabase, refine core.RefineMode, wire bool, r core.ShardResult) {
+// checkMaterial asserts a result carries one DCE record per id, each the
+// record the server holds for it — in process a view into the snapshot's
+// arena, over the wire a copy.
+func checkMaterial(t *testing.T, edb *core.EncryptedDatabase, wire bool, r core.ShardResult) {
 	t.Helper()
-	switch refine {
-	case core.RefineDCE:
-		if r.CtDim != edb.DCE.CtDim() {
-			t.Fatalf("CtDim %d, want %d", r.CtDim, edb.DCE.CtDim())
+	if len(r.Recs) != len(r.IDs) {
+		t.Fatalf("%d DCE records for %d ids", len(r.Recs), len(r.IDs))
+	}
+	for i, id := range r.IDs {
+		stored := edb.DCE.Record(id)
+		if !slices.Equal(r.Recs[i], stored) {
+			t.Fatalf("Recs[%d] is not the stored record of id %d", i, id)
 		}
-		if !wire {
-			if r.Store == nil || r.Recs != nil {
-				t.Fatalf("in-process DCE material must be the store view (Store %v, %d Recs)", r.Store != nil, len(r.Recs))
-			}
-			for _, id := range r.IDs {
-				if !r.Store.Has(id) {
-					t.Fatalf("Store has no live record for id %d", id)
-				}
-			}
-			return
-		}
-		if r.Store != nil || len(r.Recs) != len(r.IDs) {
-			t.Fatalf("wire DCE material must be %d record copies (Store %v, %d Recs)", len(r.IDs), r.Store != nil, len(r.Recs))
-		}
-		for i, id := range r.IDs {
-			if !slices.Equal(r.Recs[i], edb.DCE.Record(id)) {
-				t.Fatalf("Recs[%d] is not the stored record of id %d", i, id)
-			}
-		}
-	case core.RefineNone:
-		if len(r.Dists) != len(r.IDs) || !slices.IsSorted(r.Dists) {
-			t.Fatalf("filter distances %v for %d ids", r.Dists, len(r.IDs))
+		if view := &r.Recs[i][0] == &stored[0]; view == wire {
+			t.Fatalf("Recs[%d] is a view into the arena: %v, want %v", i, view, !wire)
 		}
 	}
 }
 
 // TestSearchShardMatchesSearch drives every surviving search entry point —
-// SearchShard on the server and through shard.Local, and the search op over
-// TCP with Merge on and off — across
-// refine mode × filter distance × backend, and asserts each returns the ids
-// Search returns, merge material consistent with them, one bad token
-// failing alone, and any k answered with an error or at most n ids from a
-// bounded amount of memory.
+// SearchShard on the server and through shard.Local, and the search and
+// search-shard ops over TCP — across refine mode × filter distance ×
+// backend, and asserts each returns the ids Search returns, merge material
+// consistent with them, one bad token failing alone, and any k answered
+// with an error or at most n ids from a bounded amount of memory. The
+// merge surfaces refuse the filter-only mode, which has no records to
+// merge by; the ids surfaces serve it.
 func TestSearchShardMatchesSearch(t *testing.T) {
 	const n, dim, k = 300, 8, 5
 	data := core.Clustered(33, n, dim, 4)
@@ -136,6 +122,14 @@ func TestSearchShardMatchesSearch(t *testing.T) {
 					}
 					for _, sf := range surfaces(srv, client) {
 						where := fmt.Sprintf("%v/%v/%s", refine, filter, sf.name)
+						if sf.merge && refine != core.RefineDCE {
+							for i, tok := range toks {
+								if r, err := sf.run(tok, k, opt); err == nil || !strings.Contains(err.Error(), "filter-only") || r.IDs != nil {
+									t.Fatalf("%s: query %d answered %v, err %v; want the filter-only refusal", where, i, r.IDs, err)
+								}
+							}
+							continue
+						}
 						for i, tok := range toks {
 							r, err := sf.run(tok, k, opt)
 							if i == bad {
@@ -148,7 +142,7 @@ func TestSearchShardMatchesSearch(t *testing.T) {
 								t.Fatalf("%s: query %d = %v (err %v), Search = %v", where, i, r.IDs, err, want[i])
 							}
 							if sf.merge {
-								checkMaterial(t, edb, refine, sf.wire, r)
+								checkMaterial(t, edb, sf.wire, r)
 							}
 						}
 

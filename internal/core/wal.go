@@ -194,18 +194,8 @@ func OpenServer(walDir string, o ServerOptions) (*Server, RecoveryStats, error) 
 			if want := uint64(cur.edb.DCE.Len()); id != want {
 				return fmt.Errorf("core: wal replay: insert record for id %d, next id is %d", id, want)
 			}
-			if len(p.SAP) != cur.edb.Dim {
-				return fmt.Errorf("core: wal replay: insert dim %d, database dim %d", len(p.SAP), cur.edb.Dim)
-			}
-			if d := cur.edb.DCE.CtDim(); len(p.DCE) != 4*d {
-				return fmt.Errorf("core: wal replay: ciphertext of %d floats, store dim %d", len(p.DCE), d)
-			}
-			if cur.edb.PQ != nil {
-				if len(code) != cur.edb.PQ.Book.M() {
-					return fmt.Errorf("core: wal replay: PQ code of %d bytes, codebook M=%d", len(code), cur.edb.PQ.Book.M())
-				}
-			} else if code != nil {
-				return fmt.Errorf("core: wal replay: PQ code on a database without a PQ tier")
+			if err := cur.checkInsert(p, code); err != nil {
+				return fmt.Errorf("core: wal replay at epoch %d: %w", epoch, err)
 			}
 			s.wmu.Lock()
 			s.publishInsert(cur, p.SAP, p.DCE, code)
@@ -216,8 +206,8 @@ func OpenServer(walDir string, o ServerOptions) (*Server, RecoveryStats, error) 
 				return perr
 			}
 			pos := int(id)
-			if pos < 0 || pos >= cur.edb.DCE.Len() || !cur.edb.DCE.Has(pos) || cur.tombed(pos) {
-				return fmt.Errorf("core: wal replay: delete of id %d not live at epoch %d", id, cur.epoch)
+			if err := cur.checkDelete(pos); err != nil {
+				return fmt.Errorf("core: wal replay at epoch %d: %w", epoch, err)
 			}
 			s.wmu.Lock()
 			s.publishDelete(cur, pos)

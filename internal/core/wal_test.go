@@ -355,6 +355,63 @@ func TestOpenServerTailWithoutCheckpoint(t *testing.T) {
 	}
 }
 
+// TestOpenServerRefusesBadLoggedMutation: replay holds every logged
+// mutation to the checks Insert and Delete apply, so a log carrying an
+// insert of the wrong dimension, or a delete of an id an earlier record
+// deleted, is refused by OpenServer with the live path's reason.
+func TestOpenServerRefusesBadLoggedMutation(t *testing.T) {
+	const n, dim = 60, 6
+	for _, tc := range []struct {
+		name string
+		kind wal.Kind
+		// payload builds the forged record from a valid insert payload.
+		payload func(p *InsertPayload) []byte
+		want    string
+	}{
+		{"wrong-dimension insert", wal.KindInsert, func(p *InsertPayload) []byte {
+			p.SAP = append(p.SAP, 0)
+			return appendInsertPayload(nil, n, p, nil)
+		}, "insert payload has dim 7, want 6"},
+		{"delete of a dead id", wal.KindDelete, func(*InsertPayload) []byte {
+			return appendDeletePayload(nil, 5)
+		}, "id 5 already deleted"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := ServerOptions{WALDir: dir, WALSync: wal.SyncPolicy{Every: 1}, CompactAt: -1}
+			w := newWALWorld(t, Params{Dim: dim, Beta: 0.3, Seed: 245}, clustered(245, n, dim, 3), opts)
+			if err := w.server.Delete(5); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.server.Close(); err != nil {
+				t.Fatal(err)
+			}
+			p, err := w.owner.EncryptVector(w.data[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			lg, _, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lsn, err := lg.Append(tc.kind, 2, tc.payload(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := lg.Commit(lsn); err != nil {
+				t.Fatal(err)
+			}
+			if err := lg.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = OpenServer(dir, opts)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("OpenServer = %v, want a refusal saying %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // TestOpenServerRefusesRetiredBackend: a WAL directory whose checkpoints
 // carry a retired serving tag (nsg, lsh) is refused with the database
 // loader's re-encrypt message, not only with the generic missing-anchor

@@ -173,8 +173,12 @@ func (k *Key) Dim() int { return k.dim }
 func (k *Key) Scale() float64 { return k.scale }
 
 // CiphertextDim returns the length of each of the four ciphertext component
-// vectors (2d+16 after padding), so a record holds 4× this.
-func (k *Key) CiphertextDim() int { return 2*k.padDim + 16 }
+// vectors of a d-dimensional key (2d+16, d padded to even), so a record
+// holds 4× this.
+func CiphertextDim(dim int) int { return 2*(dim+dim%2) + 16 }
+
+// CiphertextDim returns CiphertextDim of the key's dimension.
+func (k *Key) CiphertextDim() int { return CiphertextDim(k.dim) }
 
 // Trapdoor is T_q = q̄′ ∈ R^(2d+16) (Equation 15).
 type Trapdoor struct {

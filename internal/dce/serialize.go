@@ -29,7 +29,7 @@ const keyMagic = "DCEKEY03"
 // keyShape returns p, s, b and B for a d-dimensional key.
 func keyShape(dim int) (pad, sub, bar, big int) {
 	pad = dim + dim%2
-	return pad, pad/2 + 4, pad + 8, 2*pad + 16
+	return pad, pad/2 + 4, pad + 8, CiphertextDim(dim)
 }
 
 // AppendBinary appends the secret key's encoding to b. Handle the bytes

@@ -278,9 +278,7 @@ func (s *CiphertextStore) DistanceComp(o, p int, tq *Trapdoor) float64 {
 
 // DistanceCompHalves evaluates Z_{o,p,q} from o's [P1|P2] half and p's
 // [P3|P4] half (each 2·len(q) floats), without requiring both records to
-// live in the same store: the one kernel call behind both DistanceComps,
-// and the scatter-gather merge's comparison of candidates returned by
-// different shards.
+// live in the same store: the one kernel call behind both DistanceComps.
 func DistanceCompHalves(o12, p34, q []float64) float64 {
 	d := len(q)
 	return distCompKernel(o12[:d], o12[d:], p34[:d], p34[d:], q)

@@ -77,9 +77,11 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Uniform returns a float64 uniformly distributed in [lo, hi).
+// Uniform returns a float64 uniformly distributed in [lo, hi). The product
+// is rounded on its own before the sum (the float64 conversion forbids a
+// fused multiply-add), so a seed draws the same bits on every architecture.
 func Uniform(r *Rand, lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // UniformNonZero returns a float64 uniformly distributed over

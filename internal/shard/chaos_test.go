@@ -77,7 +77,7 @@ func TestChaosFailoverZeroFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opt := fullRecall(n, core.RefineDCE)
+	opt := fullRecall(n)
 	toks := make([]*core.QueryToken, len(w.queries))
 	want := make([][]int, len(w.queries))
 	for i, q := range w.queries {

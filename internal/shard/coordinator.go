@@ -280,18 +280,15 @@ func (c *Coordinator) shardOpt(k int, opt core.SearchOptions) core.SearchOptions
 }
 
 // searchScratch is the pooled per-search working set of the coordinator:
-// the scatter's result and error slots, the merge's cursors, and the
-// per-mode merge comparators. Pooling it (plus comparator state instead
-// of closures) keeps the steady-state scatter-gather path down to the
-// few allocations that escape to the caller — on a host where search is
-// compute-bound, a dozen small per-query allocations are measurable
-// against a single server that makes none.
+// the scatter's result and error slots and the merge's cursors. Pooling it
+// keeps the steady-state scatter-gather path down to the few allocations
+// that escape to the caller — on a host where search is compute-bound, a
+// dozen small per-query allocations are measurable against a single server
+// that makes none.
 type searchScratch struct {
 	results []core.ShardResult
 	errs    []error
 	cursors []int
-	dce     dceMerge
-	none    distMerge
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
@@ -309,30 +306,36 @@ func (sc *searchScratch) shards(n int) {
 
 func putScratch(sc *searchScratch) {
 	// Drop per-query references so a pooled scratch never pins a
-	// snapshot store, wire records, or trapdoor material while idle.
+	// snapshot arena or wire records while idle.
 	for i := range sc.results {
 		sc.results[i] = core.ShardResult{}
 	}
 	for i := range sc.errs {
 		sc.errs[i] = nil
 	}
-	sc.dce = dceMerge{}
 	scratchPool.Put(sc)
 }
 
 // Search answers a k-ANNS query across all stripes: one concurrent
 // scatter (each stripe picks a healthy replica, failing over and
-// optionally hedging; see ReplicaSet.search), then a comparator-driven
-// merge of the shard-local top-k sets into the global top-k, returned as
-// global ids closest-first. A dead stripe — every replica failed —
-// surfaces as a *ShardError, or, with Options.AllowPartial, degrades
-// gracefully: the surviving stripes' merged answer is returned alongside
-// a *PartialError naming the dead ones. Never a hang, and never a
-// silently partial answer. Like core.Server.Search it refuses k ≤ 0 before
-// any shard is asked.
+// optionally hedging; see ReplicaSet.search), then a merge of the
+// shard-local top-k sets into the global top-k by DCE comparisons,
+// returned as global ids closest-first. A dead stripe — every replica
+// failed — surfaces as a *ShardError, or, with Options.AllowPartial,
+// degrades gracefully: the surviving stripes' merged answer is returned
+// alongside a *PartialError naming the dead ones. Never a hang, and never
+// a silently partial answer. Before any shard is asked it refuses k ≤ 0,
+// as core.Server.Search does, and any refine mode but RefineDCE: the
+// filter-only ablation has no records to merge by.
 func (c *Coordinator) Search(tok *core.QueryToken, k int, opt core.SearchOptions) ([]int, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("shard: non-positive k %d", k)
+	}
+	if opt.Refine != core.RefineDCE {
+		return nil, fmt.Errorf("shard: a sharded search merges by the DCE refine, not %v", opt.Refine)
+	}
+	if tok == nil || tok.Trapdoor == nil {
+		return nil, fmt.Errorf("shard: token lacks DCE trapdoor for merge")
 	}
 	sc := scratchPool.Get().(*searchScratch)
 	defer putScratch(sc)
@@ -368,7 +371,7 @@ func (c *Coordinator) Search(tok *core.QueryToken, k int, opt core.SearchOptions
 		// indistinguishable from "no neighbors". Fail loudly instead.
 		return nil, &ShardError{Shard: dead[0], Err: deadErrs[0]}
 	}
-	ids, err := c.merge(tok, k, opt.Refine, results, sc)
+	ids, err := c.merge(tok.Trapdoor, k, results, sc.cursors)
 	if err != nil {
 		return nil, err
 	}
@@ -378,109 +381,28 @@ func (c *Coordinator) Search(tok *core.QueryToken, k int, opt core.SearchOptions
 	return ids, nil
 }
 
-// mergeCmp orders candidates across shard result lists; one pooled
-// implementation per refine mode (closures here would put an allocation
-// on every merge).
-type mergeCmp interface {
-	closer(results []core.ShardResult, s1, i1, s2, i2 int) bool
-}
-
-// distMerge orders by the SAP filter distances (RefineNone).
-type distMerge struct{}
-
-func (*distMerge) closer(results []core.ShardResult, s1, i1, s2, i2 int) bool {
-	return results[s1].Dists[i1] < results[s2].Dists[i2]
-}
-
-// dceMerge orders by secure DCE comparisons over record halves, resolved
-// lazily per comparison — snapshot-store views for in-process shards,
-// slices of the wire copies for remote ones.
-type dceMerge struct {
-	ctDim int
-	q     []float64
-}
-
-func (m *dceMerge) o12(r *core.ShardResult, i int) []float64 {
-	if r.Store != nil {
-		return r.Store.O12(r.IDs[i])
-	}
-	return r.Recs[i][:2*m.ctDim]
-}
-
-func (m *dceMerge) p34(r *core.ShardResult, i int) []float64 {
-	if r.Store != nil {
-		return r.Store.P34(r.IDs[i])
-	}
-	return r.Recs[i][2*m.ctDim:]
-}
-
-func (m *dceMerge) closer(results []core.ShardResult, s1, i1, s2, i2 int) bool {
-	return dce.DistanceCompHalves(m.o12(&results[s1], i1), m.p34(&results[s2], i2), m.q) < 0
-}
-
 // merge folds per-shard results into the global top-k, remapping local
-// ids to global ones and ordering with the same comparator the refine
-// phase used — SAP distances for the filter-only mode, DCE record
-// comparisons for the paper's scheme (straight out of the shards' snapshot
-// stores when they were borrowed in-process, over the wire copies
-// otherwise).
+// ids to global ones and ordering by the DCE comparison the refine phase
+// ran, on the same record halves, so a merged answer keeps its bits.
 //
 // Every shard returns its list closest-first, so the global top-k is a
 // k-way merge of sorted lists: k steps of (shards−1) head-to-head
 // comparisons each, instead of pushing all shards·k candidates through a
 // selection heap. With secure comparisons as the unit of cost, a 2-shard
 // merge spends exactly k of them.
-func (c *Coordinator) merge(tok *core.QueryToken, k int, mode core.RefineMode, results []core.ShardResult, sc *searchScratch) ([]int, error) {
-	var cmp mergeCmp
-	switch mode {
-	case core.RefineNone:
-		for s, r := range results {
-			if len(r.Dists) != len(r.IDs) {
-				return nil, &ShardError{Shard: s, Err: fmt.Errorf("shard: %d filter distances for %d ids", len(r.Dists), len(r.IDs))}
+func (c *Coordinator) merge(tq *dce.Trapdoor, k int, results []core.ShardResult, cursors []int) ([]int, error) {
+	// A remote shard's records are whatever it chose to send: every one
+	// must be in the trapdoor's dimension.
+	want := 4 * len(tq.Q)
+	for s, r := range results {
+		if len(r.Recs) != len(r.IDs) {
+			return nil, &ShardError{Shard: s, Err: fmt.Errorf("shard: %d DCE records for %d ids", len(r.Recs), len(r.IDs))}
+		}
+		for i, rec := range r.Recs {
+			if len(rec) != want {
+				return nil, &ShardError{Shard: s, Err: fmt.Errorf("shard: record %d has %d floats, want %d", i, len(rec), want)}
 			}
 		}
-		cmp = &sc.none
-
-	case core.RefineDCE:
-		if tok == nil || tok.Trapdoor == nil {
-			return nil, fmt.Errorf("shard: token lacks DCE trapdoor for merge")
-		}
-		// Every non-empty answer must be in the trapdoor's dimension: a
-		// remote shard's CtDim and records are whatever it chose to send.
-		ctDim := len(tok.Trapdoor.Q)
-		for s, r := range results {
-			if r.Store == nil && len(r.Recs) != len(r.IDs) {
-				return nil, &ShardError{Shard: s, Err: fmt.Errorf("shard: %d DCE records for %d ids", len(r.Recs), len(r.IDs))}
-			}
-			if len(r.IDs) == 0 {
-				continue
-			}
-			d := r.CtDim
-			if r.Store != nil {
-				d = r.Store.CtDim()
-			}
-			if d != ctDim {
-				return nil, &ShardError{Shard: s, Err: fmt.Errorf("shard: ciphertext dim %d, trapdoor %d", d, ctDim)}
-			}
-			if r.Store != nil {
-				for _, local := range r.IDs {
-					if !r.Store.Has(local) {
-						return nil, &ShardError{Shard: s, Err: fmt.Errorf("shard: result id %d has no live record in the snapshot store", local)}
-					}
-				}
-			} else {
-				for i, rec := range r.Recs {
-					if len(rec) != 4*ctDim {
-						return nil, &ShardError{Shard: s, Err: fmt.Errorf("shard: record %d has %d floats, want %d", i, len(rec), 4*ctDim)}
-					}
-				}
-			}
-		}
-		sc.dce = dceMerge{ctDim: ctDim, q: tok.Trapdoor.Q}
-		cmp = &sc.dce
-
-	default:
-		return nil, fmt.Errorf("shard: unknown refine mode %d", mode)
 	}
 
 	total := 0
@@ -495,7 +417,6 @@ func (c *Coordinator) merge(tok *core.QueryToken, k int, mode core.RefineMode, r
 	}
 	// k-way merge over the sorted per-shard lists; ties resolve to the
 	// lowest shard index, keeping results deterministic.
-	cursors := sc.cursors[:len(results)]
 	for i := range cursors {
 		cursors[i] = 0
 	}
@@ -506,7 +427,7 @@ func (c *Coordinator) merge(tok *core.QueryToken, k int, mode core.RefineMode, r
 			if cursors[s] >= len(results[s].IDs) {
 				continue
 			}
-			if best == -1 || cmp.closer(results, s, cursors[s], best, cursors[best]) {
+			if best == -1 || dce.DistanceComp(results[s].Recs[cursors[s]], results[best].Recs[cursors[best]], tq) < 0 {
 				best = s
 			}
 		}

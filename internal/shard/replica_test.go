@@ -144,7 +144,7 @@ func healthOf(c *Coordinator, stripe, replica int) BreakerState {
 // server and the coordinator at full recall and requires identical ids.
 func assertConformance(t *testing.T, w *world, coord *Coordinator, k int, phase string) {
 	t.Helper()
-	opt := fullRecall(len(w.train), core.RefineDCE)
+	opt := fullRecall(len(w.train))
 	for qi, q := range w.queries {
 		tok, err := w.user.Query(q)
 		if err != nil {
@@ -198,7 +198,7 @@ func TestReplicatedKilledReplicaConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := fullRecall(n, core.RefineDCE)
+	opt := fullRecall(n)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if _, err := coord.Search(tok, k, opt); err != nil {
@@ -357,7 +357,7 @@ func TestReplicatedKilledReplicaOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := fullRecall(n, core.RefineDCE)
+	opt := fullRecall(n)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if _, err := coord.Search(tok, k, opt); err != nil {
@@ -390,7 +390,7 @@ func TestHedgedReadsCutStragglerLatency(t *testing.T) {
 		faults[s][0].Set("search", FaultSpec{Delay: stall})
 	}
 
-	opt := fullRecall(n, core.RefineDCE)
+	opt := fullRecall(n)
 	const queries = 6
 	start := time.Now()
 	for qi := 0; qi < queries; qi++ {
@@ -436,7 +436,7 @@ func TestAllowPartialDeadStripe(t *testing.T) {
 	const n, dim, k = 300, 16, 6
 	w := newWorld(t, n, dim)
 	coord, faults := replicatedCoordinator(t, w, 2, 1, Options{Breaker: fastBreaker, AllowPartial: true})
-	opt := fullRecall(n, core.RefineDCE)
+	opt := fullRecall(n)
 	tok, err := w.user.Query(w.queries[0])
 	if err != nil {
 		t.Fatal(err)
@@ -524,7 +524,7 @@ func TestDegradedWriteAndReadYourWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := fullRecall(n+1, core.RefineDCE)
+	opt := fullRecall(n + 1)
 	for i := 0; i < 4; i++ {
 		ids, err := coord.Search(tok, k, opt)
 		if err != nil {
@@ -597,7 +597,7 @@ func TestKilledReplicaMidBatchEpochSafety(t *testing.T) {
 	for _, gid := range deleted {
 		dead[gid] = true
 	}
-	opt := fullRecall(n, core.RefineDCE)
+	opt := fullRecall(n)
 	for i, q := range w.queries {
 		tok, err := w.user.Query(q)
 		if err != nil {
@@ -646,7 +646,7 @@ func TestStaleReplicaNeverServesResurrectedIds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := fullRecall(n, core.RefineDCE)
+	opt := fullRecall(n)
 	if _, err := coord.Search(tok, k, opt); !errors.Is(err, ErrStaleReplica) {
 		t.Fatalf("search err = %v, want chain containing ErrStaleReplica", err)
 	}
@@ -719,7 +719,7 @@ func TestConcurrentDeletesOfOneID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, err := coord.Search(tok, k, fullRecall(n, core.RefineDCE))
+	ids, err := coord.Search(tok, k, fullRecall(n))
 	if err != nil {
 		t.Fatalf("search after the deletes: %v", err)
 	}
@@ -759,7 +759,7 @@ func TestRemoteReconnectAfterPoison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := fullRecall(n, core.RefineDCE)
+	opt := fullRecall(n)
 	if _, err := rm.SearchShard(tok, k, opt); err != nil {
 		t.Fatalf("search before kill: %v", err)
 	}
@@ -850,7 +850,7 @@ func TestConstructionToleratesDeadReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := fullRecall(n, core.RefineDCE)
+	opt := fullRecall(n)
 	deadline := time.Now().Add(5 * time.Second)
 	for healthOf(coord, 0, 0) != BreakerClosed || healthOf(coord, 1, 0) != BreakerClosed {
 		if _, err := coord.Search(tok, k, opt); err != nil {

@@ -4,18 +4,17 @@
 // query token out to all of them concurrently, and merges the per-shard
 // top-k into the global top-k.
 //
-// The scheme supports this for free: search is read-only, and both query
-// token halves are position-independent — a DCE trapdoor compares
-// ciphertext records no matter which machine stores them, and SAP filter
-// distances are plain (encrypted-domain) distance values comparable across
-// shards. Each shard therefore answers with its local top-k plus the merge
-// material of the active refine mode (core.ShardResult). Every shard's list
-// is already closest-first, so the coordinator k-way merges the N sorted
-// lists with the refine phase's comparison — SAP distances, or one DCE
+// The scheme supports this for free: search is read-only, and a DCE
+// trapdoor is position-independent — it compares ciphertext records no
+// matter which machine stores them. Each shard therefore answers with its
+// local top-k plus each result's DCE record (core.ShardResult). Every
+// shard's list is already closest-first, so the coordinator k-way merges
+// the N sorted lists with the refine phase's comparison — one DCE
 // comparison per head-to-head (k of them at 2 shards) — instead of
 // re-running Algorithm 2's heap over all N·k candidates. The merged result
 // is exactly what an unsharded server would return whenever the
-// shard-local candidate sets cover the true top-k.
+// shard-local candidate sets cover the true top-k. The filter-only
+// ablation (core.RefineNone) has no records to merge by and is refused.
 //
 // # Id remapping
 //
@@ -61,7 +60,7 @@ func (m Mapping) Count(shard, total int) int {
 // server speaking the wire protocol) satisfy it.
 type Shard interface {
 	// SearchShard answers one query with local ids in refine order plus
-	// the merge material of the active refine mode.
+	// their DCE records.
 	SearchShard(tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error)
 	// Insert appends one encrypted vector and returns its local position.
 	Insert(p *core.InsertPayload) (int, error)
@@ -77,10 +76,9 @@ type Local struct {
 	Srv *core.Server
 }
 
-// SearchShard answers one query against the wrapped server. The DCE merge
-// material is a borrow of the snapshot's ciphertext store
-// (core.ShardResult.Store), not record copies — the snapshot is immutable,
-// so the view stays valid for the life of the result.
+// SearchShard answers one query against the wrapped server. The records
+// are views into the snapshot's ciphertext arena, not copies — the
+// snapshot is immutable, so they stay valid for the life of the result.
 func (l Local) SearchShard(tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error) {
 	return l.Srv.SearchShard(tok, k, opt)
 }

@@ -104,8 +104,8 @@ func localCoordinator(t *testing.T, w *world, shards int) (*Coordinator, []*core
 // fullRecall makes both the unsharded filter and every shard filter
 // exhaustive, so the sharded and unsharded candidate sets each contain the
 // true top-k and the conformance comparison is deterministic.
-func fullRecall(n int, mode core.RefineMode) core.SearchOptions {
-	return core.SearchOptions{KPrime: n, EfSearch: n, Refine: mode}
+func fullRecall(n int) core.SearchOptions {
+	return core.SearchOptions{KPrime: n, EfSearch: n}
 }
 
 func sameIDs(a, b []int) bool {
@@ -122,8 +122,8 @@ func sameIDs(a, b []int) bool {
 
 // TestScatterGatherConformance is the acceptance test of the sharded tier:
 // a scatter-gather search over ≥2 shards returns exactly the same ids in
-// exactly the same order as the unsharded server, in both refine modes,
-// including after deletions.
+// exactly the same order as the unsharded server, including after
+// deletions.
 func TestScatterGatherConformance(t *testing.T) {
 	const n, dim, k = 500, 16, 10
 	w := newWorld(t, n, dim)
@@ -138,24 +138,22 @@ func TestScatterGatherConformance(t *testing.T) {
 		if coord.Len() != n {
 			t.Fatalf("%d shards: coordinator Len = %d, want %d", shards, coord.Len(), n)
 		}
-		for _, mode := range []core.RefineMode{core.RefineDCE, core.RefineNone} {
-			opt := fullRecall(n, mode)
-			for qi, q := range w.queries {
-				tok, err := w.user.Query(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := w.server.Search(tok, k, opt)
-				if err != nil {
-					t.Fatalf("%d shards, %v, query %d (unsharded): %v", shards, mode, qi, err)
-				}
-				got, err := coord.Search(tok, k, opt)
-				if err != nil {
-					t.Fatalf("%d shards, %v, query %d: %v", shards, mode, qi, err)
-				}
-				if !sameIDs(got, want) {
-					t.Fatalf("%d shards, %v, query %d:\nsharded   %v\nunsharded %v", shards, mode, qi, got, want)
-				}
+		opt := fullRecall(n)
+		for qi, q := range w.queries {
+			tok, err := w.user.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := w.server.Search(tok, k, opt)
+			if err != nil {
+				t.Fatalf("%d shards, query %d (unsharded): %v", shards, qi, err)
+			}
+			got, err := coord.Search(tok, k, opt)
+			if err != nil {
+				t.Fatalf("%d shards, query %d: %v", shards, qi, err)
+			}
+			if !sameIDs(got, want) {
+				t.Fatalf("%d shards, query %d:\nsharded   %v\nunsharded %v", shards, qi, got, want)
 			}
 		}
 	}
@@ -194,7 +192,7 @@ func TestInsertDeleteRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := fullRecall(n+7, core.RefineDCE)
+	opt := fullRecall(n + 7)
 	ids, err := coord.Search(tok, 2, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -381,24 +379,22 @@ func TestScatterGatherOverTransport(t *testing.T) {
 	w := newWorld(t, n, dim)
 	coord, _ := remoteCoordinator(t, w, 2)
 
-	for _, mode := range []core.RefineMode{core.RefineDCE, core.RefineNone} {
-		opt := fullRecall(n, mode)
-		for qi, q := range w.queries[:10] {
-			tok, err := w.user.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := w.server.Search(tok, k, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := coord.Search(tok, k, opt)
-			if err != nil {
-				t.Fatalf("%v query %d: %v", mode, qi, err)
-			}
-			if !sameIDs(got, want) {
-				t.Fatalf("%v query %d:\nsharded   %v\nunsharded %v", mode, qi, got, want)
-			}
+	opt := fullRecall(n)
+	for qi, q := range w.queries[:10] {
+		tok, err := w.user.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := w.server.Search(tok, k, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := coord.Search(tok, k, opt)
+		if err != nil {
+			t.Fatalf("query %d: %v", qi, err)
+		}
+		if !sameIDs(got, want) {
+			t.Fatalf("query %d:\nsharded   %v\nunsharded %v", qi, got, want)
 		}
 	}
 }
@@ -411,7 +407,7 @@ func TestKilledShardSurfacesError(t *testing.T) {
 	const n, dim, k = 300, 16, 5
 	w := newWorld(t, n, dim)
 	coord, px := remoteCoordinator(t, w, 2)
-	opt := fullRecall(n, core.RefineDCE)
+	opt := fullRecall(n)
 
 	tok, err := w.user.Query(w.queries[0])
 	if err != nil {
@@ -455,10 +451,12 @@ func (forgedShard) Info() (transport.Info, error) {
 
 // TestForgedShardAnswersRefused: shard answers come from an untrusted
 // server, so a merge of forged material must fail with an error, never
-// panic — DCE material in another dimension than the trapdoor, and
-// non-empty answers to a search with k ≤ 0.
+// panic — DCE records in another dimension than the trapdoor, fewer
+// records than ids, and well-formed answers to a search with k ≤ 0 or in
+// the filter-only mode, which has no records to merge by.
 func TestForgedShardAnswersRefused(t *testing.T) {
 	tok := &core.QueryToken{SAP: make([]float64, 3), Trapdoor: &dce.Trapdoor{Q: make([]float64, 12)}}
+	good := core.ShardResult{IDs: []int{0}, Recs: [][]float64{make([]float64, 48)}}
 	for _, tc := range []struct {
 		name   string
 		res    core.ShardResult
@@ -466,8 +464,11 @@ func TestForgedShardAnswersRefused(t *testing.T) {
 		refine core.RefineMode
 	}{
 		{"dce records of dim 0", core.ShardResult{IDs: []int{0}, Recs: [][]float64{nil}}, 5, core.RefineDCE},
-		{"answer to k=0", core.ShardResult{IDs: []int{0}, Dists: []float64{1}}, 0, core.RefineNone},
-		{"answer to k=-1", core.ShardResult{IDs: []int{0}, Dists: []float64{1}}, -1, core.RefineNone},
+		{"dce records of another dim", core.ShardResult{IDs: []int{0}, Recs: [][]float64{make([]float64, 44)}}, 5, core.RefineDCE},
+		{"fewer records than ids", core.ShardResult{IDs: []int{0, 1}, Recs: good.Recs}, 5, core.RefineDCE},
+		{"answer to k=0", good, 0, core.RefineDCE},
+		{"answer to k=-1", good, -1, core.RefineDCE},
+		{"answer to filter-only", good, 5, core.RefineNone},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			coord, err := NewCoordinator([]Shard{forgedShard{tc.res}, forgedShard{tc.res}})
@@ -478,6 +479,14 @@ func TestForgedShardAnswersRefused(t *testing.T) {
 				t.Fatalf("forged answers merged into %v", ids)
 			}
 		})
+	}
+	// Each case differs from an answer that merges in what it names only.
+	coord, err := NewCoordinator([]Shard{forgedShard{good}, forgedShard{good}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids, err := coord.Search(tok, 5, core.SearchOptions{}); err != nil || !sameIDs(ids, []int{0, 1}) {
+		t.Fatalf("well-formed answers merged into %v, %v; want [0 1]", ids, err)
 	}
 }
 

@@ -15,12 +15,9 @@ import (
 // fuzzMessages returns a request of every op and a response of every op.
 func fuzzMessages() ([]*request, []*response) {
 	tok := &core.QueryToken{SAP: []float64{1, 2, 3}, Trapdoor: &dce.Trapdoor{Q: []float64{4, 5, 6, 7}}}
-	store := dce.NewCiphertextStoreN(2, 0)
-	store.AppendRecord([]float64{1, 2, 3, 4, 5, 6, 7, 8})
-	store.AppendRecord([]float64{8, 7, 6, 5, 4, 3, 2, 1})
 	reqs := []*request{
-		{op: opSearch, tok: tok, k: 5, opt: core.SearchOptions{RatioK: 8}},
-		{op: opSearchShard, tok: tok, k: 5, opt: core.SearchOptions{Refine: core.RefineNone}},
+		{op: opSearch, tok: tok, k: 5, opt: core.SearchOptions{RatioK: 8, Refine: core.RefineNone}},
+		{op: opSearchShard, tok: tok, k: 5, opt: core.SearchOptions{EfSearch: 40}},
 		{op: opInsert, ins: &core.InsertPayload{SAP: []float64{1, 2, 3}, DCE: []float64{1, 2, 3, 4, 5, 6, 7, 8}}},
 		{op: opDelete, id: 3},
 		{op: opLen},
@@ -29,8 +26,8 @@ func fuzzMessages() ([]*request, []*response) {
 	resps := []*response{
 		{op: opError, err: "no"},
 		{op: opSearch, ids: []int{3, 1, 4}},
-		{op: opSearchShard, shard: core.ShardResult{IDs: []int{1, 0}, Epoch: 9, CtDim: 2, Store: store}},
-		{op: opSearchShard, shard: core.ShardResult{IDs: []int{3, 1}, Dists: []float64{0.5, 0.25}}},
+		{op: opSearchShard, shard: core.ShardResult{IDs: []int{1, 0}, Epoch: 9, Recs: [][]float64{{8, 7, 6, 5, 4, 3, 2, 1}, {1, 2, 3, 4, 5, 6, 7, 8}}}},
+		{op: opSearchShard, shard: core.ShardResult{Epoch: 3}},
 		{op: opInsert, id: 600},
 		{op: opDelete},
 		{op: opLen, n: 601, live: 599},
@@ -138,16 +135,8 @@ func TestFrameRoundTrip(t *testing.T) {
 			}
 			continue
 		}
-		// A borrowed store arrives as copies of the result ids' records.
-		want := *resp
-		if st := want.shard.Store; st != nil {
-			for _, id := range want.shard.IDs {
-				want.shard.Recs = append(want.shard.Recs, st.Record(id))
-			}
-			want.shard.Store = nil
-		}
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s response: decoded %+v, %v; want %+v", opName(resp.op), got, err, want)
+		if err != nil || !reflect.DeepEqual(got, *resp) {
+			t.Fatalf("%s response: decoded %+v, %v; want %+v", opName(resp.op), got, err, *resp)
 		}
 	}
 }

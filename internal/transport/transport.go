@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"ppanns/internal/core"
+	"ppanns/internal/dce"
 	"ppanns/internal/frame"
 )
 
@@ -59,7 +60,7 @@ var ErrProtoMismatch = errors.New("transport: protocol generation mismatch")
 
 // ProtoVersion is the one protocol generation this package speaks, stamped
 // on every frame.
-const ProtoVersion = 7
+const ProtoVersion = 8
 
 // headerLen is the frame header: len u32, proto u8, op u8, seq u64.
 const headerLen = 14
@@ -475,11 +476,8 @@ func handle(srv *core.Server, req *request) response {
 	case opSearchShard:
 		// Refuse before searching an answer that could not travel: k
 		// results (or every record, if fewer) of an id and a DCE record
-		// of 4·ctDim floats, or an id and a filter distance.
-		per := 8 + 32*(2*(srv.Dim()+srv.Dim()%2)+16)
-		if req.opt.Refine == core.RefineNone {
-			per = 16
-		}
+		// of 4·ctDim floats.
+		per := 8 + 32*dce.CiphertextDim(srv.Dim())
 		if n := min(req.k, srv.Len()); n > (frame.MaxLen-64)/per {
 			return errorResponse(fmt.Sprintf("transport: a merge answer of %d results at %d bytes each exceeds the %d-byte frame limit", n, per, frame.MaxLen))
 		}
@@ -727,8 +725,7 @@ func (c *Client) Search(tok *core.QueryToken, k int, opt core.SearchOptions) ([]
 
 // SearchShard is Search additionally returning the merge material a
 // scatter-gather coordinator needs (see core.Server.SearchShard): copies of
-// the result ids' DCE records under RefineDCE, their filter distances under
-// RefineNone.
+// the result ids' DCE records. The filter-only mode is refused.
 func (c *Client) SearchShard(tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error) {
 	return c.SearchShardCancel(nil, tok, k, opt)
 }

@@ -46,7 +46,9 @@ import (
 
 // Params configures a deployment. See core.Params for field documentation;
 // the zero value of every optional field selects a sensible default
-// (S=1024, Index="hnsw", IndexOptions.M=16, IndexOptions.EfConstruction=200).
+// (Index="hnsw", IndexOptions.M=16, IndexOptions.EfConstruction=200). DCPE's
+// scaling factor is the paper's s=1024, fixed: SAP ordering does not
+// depend on it.
 type Params = core.Params
 
 // IndexOptions carries backend-specific build and search options for
@@ -116,8 +118,9 @@ type User = core.User
 // Server hosts the encrypted database and answers queries; it never holds
 // keys or plaintexts. It has three search methods over one body: Search
 // (ids), SearchInto (ids into a recycled buffer, plus SearchStats), and
-// SearchShard (ids plus the material a scatter-gather coordinator merges
-// shards by). Concurrent calls run in parallel.
+// SearchShard (ids plus their DCE records, which a scatter-gather
+// coordinator merges shards by; it refuses the filter-only RefineNone).
+// Concurrent calls run in parallel.
 type Server = core.Server
 
 // UserKey is the key material the data owner hands an authorized user.
