@@ -300,8 +300,13 @@ func runServe(args []string) error {
 		}
 		opts := ppanns.ServerOptions{WALDir: *walDir, WALSync: pol}
 		// An already-populated directory is authoritative — recover from
-		// it; a fresh one is seeded from the -db file.
-		if rec, err := wal.Inspect(*walDir); err == nil && (rec.Records > 0 || len(rec.Barriers) > 0) {
+		// it; a fresh one is seeded from the -db file; one the log refuses
+		// says why.
+		rec, err := wal.Inspect(*walDir)
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("serve: %w", err)
+		}
+		if err == nil && (rec.Records > 0 || len(rec.Barriers) > 0) {
 			srv, stats, err := ppanns.OpenServer(*walDir, opts)
 			if err != nil {
 				return err
@@ -371,7 +376,7 @@ func runRecover(args []string) error {
 	fmt.Printf("checkpoint:  %s (epoch %d, generation %d)\n", stats.Checkpoint, stats.CheckpointEpoch, stats.CheckpointGen)
 	fmt.Printf("replayed:    %d records → epoch %d\n", stats.Replayed, stats.Epoch)
 	if stats.Truncated != "" {
-		fmt.Printf("repaired:    %s (%d bytes, %d segments dropped)\n", stats.Truncated, stats.TruncatedBytes, stats.DroppedSegments)
+		fmt.Printf("repaired:    %s (%d bytes)\n", stats.Truncated, stats.TruncatedBytes)
 	}
 	if stats.SkippedCheckpoints > 0 {
 		fmt.Printf("warning:     %d unusable checkpoint(s) skipped\n", stats.SkippedCheckpoints)

@@ -96,10 +96,9 @@ type RecoveryStats struct {
 	Replayed int
 	Epoch    uint64
 	// Truncated describes the torn-tail repair performed, empty when the
-	// log was clean; TruncatedBytes and DroppedSegments quantify it.
-	Truncated       string
-	TruncatedBytes  int64
-	DroppedSegments int
+	// log was clean; TruncatedBytes quantifies it.
+	Truncated      string
+	TruncatedBytes int64
 	// SkippedCheckpoints counts barrier records whose snapshot file was
 	// missing or unreadable (e.g. a crash between snapshot rename and
 	// barrier append can never cause this, but a manually damaged dir
@@ -120,7 +119,6 @@ func OpenServer(walDir string, o ServerOptions) (*Server, RecoveryStats, error) 
 	}
 	stats.Truncated = rec.Truncated
 	stats.TruncatedBytes = rec.TruncatedBytes
-	stats.DroppedSegments = rec.DroppedSegments
 
 	// Newest barrier whose snapshot file is present and loadable wins.
 	// loadErr keeps the refusal of the last checkpoint that failed to load,

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -263,6 +265,54 @@ func TestOpenServerEmptyDir(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "NewServerWith") {
 		t.Fatalf("error does not point at NewServerWith: %v", err)
+	}
+}
+
+// TestOpenServerRefusesOldGenerationLog: a WAL directory whose segments
+// were written by log generation 1 is refused with the way forward, and
+// every segment and checkpoint file is left byte for byte as it was.
+func TestOpenServerRefusesOldGenerationLog(t *testing.T) {
+	dir := t.TempDir()
+	opts := ServerOptions{WALDir: dir, WALSync: wal.SyncPolicy{Every: 1}, CompactAt: -1}
+	w := newWALWorld(t, Params{Dim: 6, Beta: 0.3, Seed: 233}, clustered(233, 60, 6, 3), opts)
+	churnWAL(t, w, 6, 4, 234)
+	if err := w.server.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments: %v %v", segs, err)
+	}
+	for _, seg := range segs {
+		var seq uint64
+		if _, err := fmt.Sscanf(filepath.Base(seg), "wal-%016x.seg", &seq); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(seg, binary.LittleEndian.AppendUint64([]byte("PPWALSG1"), seq), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files := func() map[string]string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := map[string]string{}
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m[e.Name()] = string(b)
+		}
+		return m
+	}
+	before := files()
+	if _, _, err := OpenServer(dir, opts); err == nil || !strings.Contains(err.Error(), "checkpoint with the previous build") {
+		t.Fatalf("OpenServer over a generation-1 log: %v", err)
+	}
+	if after := files(); !maps.Equal(after, before) {
+		t.Fatal("a refused log directory changed")
 	}
 }
 

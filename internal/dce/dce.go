@@ -305,8 +305,8 @@ func (e *Encryptor) split(b int, p []float64) {
 	rs := &e.rs[b]
 	alpha1, alpha2 := rs[0], rs[1]
 	rp1, rp2, rp3 := rs[2], rs[3], rs[4]
-	normSq := k.scale * k.scale * vec.SqNorm(p)
-	gamma := (normSq - rp1*k.r1 - rp2*k.r2 - rp3*k.r3) / k.r4
+	normSq := float64(k.scale * k.scale * vec.SqNorm(p))
+	gamma := (normSq - float64(rp1*k.r1) - float64(rp2*k.r2) - float64(rp3*k.r3)) / k.r4
 
 	// Step 3: split with cancelling randomness (Equation 2).
 	p1, p2 := e.p1[b], e.p2[b]

@@ -31,7 +31,7 @@ func reduce8(s0, s1, s2, s3, s4, s5, s6, s7 float64) float64 {
 // reproduces exactly this loop, so variants cannot drift on odd ctDims.
 func distCompTail(z0 float64, o1, o2, p3, p4, q []float64, i int) float64 {
 	for ; i < len(q); i++ {
-		z0 += (o1[i]*p3[i] - o2[i]*p4[i]) * q[i]
+		z0 += float64((float64(o1[i]*p3[i]) - float64(o2[i]*p4[i])) * q[i])
 	}
 	return z0
 }
@@ -48,14 +48,14 @@ func distCompScalar(o1, o2, p3, p4, q []float64) float64 {
 	var z0, z1, z2, z3, z4, z5, z6, z7 float64
 	i := 0
 	for ; i+8 <= n; i += 8 {
-		z0 += (o1[i]*p3[i] - o2[i]*p4[i]) * q[i]
-		z1 += (o1[i+1]*p3[i+1] - o2[i+1]*p4[i+1]) * q[i+1]
-		z2 += (o1[i+2]*p3[i+2] - o2[i+2]*p4[i+2]) * q[i+2]
-		z3 += (o1[i+3]*p3[i+3] - o2[i+3]*p4[i+3]) * q[i+3]
-		z4 += (o1[i+4]*p3[i+4] - o2[i+4]*p4[i+4]) * q[i+4]
-		z5 += (o1[i+5]*p3[i+5] - o2[i+5]*p4[i+5]) * q[i+5]
-		z6 += (o1[i+6]*p3[i+6] - o2[i+6]*p4[i+6]) * q[i+6]
-		z7 += (o1[i+7]*p3[i+7] - o2[i+7]*p4[i+7]) * q[i+7]
+		z0 += float64((float64(o1[i]*p3[i]) - float64(o2[i]*p4[i])) * q[i])
+		z1 += float64((float64(o1[i+1]*p3[i+1]) - float64(o2[i+1]*p4[i+1])) * q[i+1])
+		z2 += float64((float64(o1[i+2]*p3[i+2]) - float64(o2[i+2]*p4[i+2])) * q[i+2])
+		z3 += float64((float64(o1[i+3]*p3[i+3]) - float64(o2[i+3]*p4[i+3])) * q[i+3])
+		z4 += float64((float64(o1[i+4]*p3[i+4]) - float64(o2[i+4]*p4[i+4])) * q[i+4])
+		z5 += float64((float64(o1[i+5]*p3[i+5]) - float64(o2[i+5]*p4[i+5])) * q[i+5])
+		z6 += float64((float64(o1[i+6]*p3[i+6]) - float64(o2[i+6]*p4[i+6])) * q[i+6])
+		z7 += float64((float64(o1[i+7]*p3[i+7]) - float64(o2[i+7]*p4[i+7])) * q[i+7])
 	}
 	z0 = distCompTail(z0, o1, o2, p3, p4, q, i)
 	return reduce8(z0, z1, z2, z3, z4, z5, z6, z7)

@@ -1,22 +1,26 @@
 // Package frame is the one binary codec at every trust boundary: the wire
-// protocol (internal/transport), the key files (dce, dcpe, core's user
-// key), the write-ahead log's payloads and the database file all write
+// protocol (internal/transport), the write-ahead log (internal/wal), the
+// key files (dce, dcpe, core's user key) and the database file all write
 // little-endian integers, floats, runs and strings in one layout. Frames
 // that sit in memory whole are built with the Append functions and read
-// with a Reader, whose views alias the frame. The database file, too large
-// to hold twice, streams through an Encoder and a Decoder instead: the
-// same primitives, staged a chunk at a time, under one CRC32 of every byte
-// that the Decoder checks against the Encoder's trailer.
+// with a Reader, whose views alias the frame. The wire's messages and the
+// log's records travel in one envelope (envelope.go): a length, a
+// generation, a tag, a word, the payload and a CRC32C, written by
+// AppendEnvelope and read by an EnvelopeReader. The database file, too
+// large to hold twice, streams through an Encoder and a Decoder instead:
+// the same primitives, staged a chunk at a time, under one CRC32 of every
+// byte that the Decoder checks against the Encoder's trailer.
 //
-// The bytes a Reader or a Decoder decodes are untrusted — they come from
-// the cloud server, from a client, or from a file after a crash. A Reader
-// checks every length against the bytes that remain and against MaxLen
-// before anything is allocated; a Decoder cannot see the bytes ahead, so
-// its callers allocate their runs as the bytes arrive. Either way a lying
-// length fails with an error; it never sizes an allocation. The layouts
-// themselves are deliberately dumb (no tags, no varints): each caller
-// documents its own, and sizes that follow from a header it has already
-// checked are read without a count.
+// The bytes a Reader, an EnvelopeReader or a Decoder decodes are untrusted
+// — they come from the cloud server, from a client, or from a file after a
+// crash. A Reader checks every length against the bytes that remain and
+// against MaxLen before anything is allocated; an EnvelopeReader and a
+// Decoder cannot see the bytes ahead, so they (and a Decoder's callers)
+// grow what they allocate as the bytes arrive. Either way a lying length
+// fails with an error; it never sizes an allocation. The layouts
+// themselves are deliberately dumb (no varints): each caller documents its
+// own, and sizes that follow from a header it has already checked are read
+// without a count.
 package frame
 
 import (
@@ -26,7 +30,7 @@ import (
 	"math"
 )
 
-// MaxLen is the hard limit on one length: a transport frame, one count
+// MaxLen is the hard limit on one length: an envelope's payload, one count
 // inside it, one run of a key file. 64 MiB holds a d=960 DCE key's largest
 // matrix (15 MiB) and a merge answer of ≈1 000 d=960 records.
 const MaxLen = 64 << 20

@@ -43,14 +43,14 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	reqs, resps := fuzzMessages()
 	var seeds [][]byte
 	for i, req := range reqs {
-		b, err := appendFrame(nil, req.op, uint64(i+1), func(b []byte) []byte { return appendRequest(b, req) })
+		b, err := frame.AppendEnvelope(nil, ProtoVersion, req.op, uint64(i+1), func(b []byte) []byte { return appendRequest(b, req) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		seeds = append(seeds, b)
 	}
 	for i, resp := range resps {
-		b, err := appendFrame(nil, resp.op, uint64(i+1), func(b []byte) []byte { return appendResponse(b, resp) })
+		b, err := frame.AppendEnvelope(nil, ProtoVersion, resp.op, uint64(i+1), func(b []byte) []byte { return appendResponse(b, resp) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,13 +65,30 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	return append(seeds, g.Bytes(), huge)
 }
 
+// resealed is a copy of data with the CRC of every whole envelope in it
+// recomputed, as a peer that checksums honestly would have written it.
+func resealed(data []byte) []byte {
+	data = bytes.Clone(data)
+	for at := 0; at+frame.EnvelopeOverhead <= len(data); {
+		r := frame.NewReader(data[at:])
+		n, gen, tag, word := r.U32(), r.U8(), r.U8(), r.U64()
+		if n > frame.MaxLen || int(n) > len(data)-at-frame.EnvelopeOverhead {
+			break
+		}
+		body := data[at+frame.EnvelopeOverhead-4 : at+frame.EnvelopeOverhead-4+int(n)]
+		env, _ := frame.AppendEnvelope(nil, gen, tag, word, func(b []byte) []byte { return append(b, body...) })
+		at += copy(data[at:], env)
+	}
+	return data
+}
+
 // decodeStream runs data through both decoders: every frame the server's
 // read loop would accept is decoded as a request, and as the response to
 // a call of every op.
 func decodeStream(data []byte) {
-	fr := newFrameReader(bytes.NewReader(data))
+	fr := frame.NewEnvelopeReader(bytes.NewReader(data), ProtoVersion)
 	for {
-		op, _, p, err := fr.next()
+		op, _, p, err := fr.Next()
 		if err != nil {
 			return
 		}
@@ -84,12 +101,15 @@ func decodeStream(data []byte) {
 
 // FuzzFrame: the bytes either decoder reads come from an untrusted peer.
 // Whatever they are, every frame is refused with an error or decoded —
-// no panic — and no input allocates more than frame.MaxLen + 64 KiB.
+// no panic — and no input allocates more than frame.MaxLen + 64 KiB. Each
+// input is resealed first, so a mutation reaches the op decoders instead
+// of stopping at the checksum.
 func FuzzFrame(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		data = resealed(data)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		decodeStream(data)
@@ -106,11 +126,11 @@ func FuzzFrame(f *testing.F) {
 func TestFrameRoundTrip(t *testing.T) {
 	reqs, resps := fuzzMessages()
 	for _, req := range reqs {
-		b, err := appendFrame(nil, req.op, 7, func(b []byte) []byte { return appendRequest(b, req) })
+		b, err := frame.AppendEnvelope(nil, ProtoVersion, req.op, 7, func(b []byte) []byte { return appendRequest(b, req) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		op, seq, p, err := newFrameReader(bytes.NewReader(b)).next()
+		op, seq, p, err := frame.NewEnvelopeReader(bytes.NewReader(b), ProtoVersion).Next()
 		if err != nil || seq != 7 || op != req.op {
 			t.Fatalf("%s request: header op %d seq %d, %v", opName(req.op), op, seq, err)
 		}
@@ -120,11 +140,11 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 	}
 	for _, resp := range resps {
-		b, err := appendFrame(nil, resp.op, 7, func(b []byte) []byte { return appendResponse(b, resp) })
+		b, err := frame.AppendEnvelope(nil, ProtoVersion, resp.op, 7, func(b []byte) []byte { return appendResponse(b, resp) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		op, _, p, err := newFrameReader(bytes.NewReader(b)).next()
+		op, _, p, err := frame.NewEnvelopeReader(bytes.NewReader(b), ProtoVersion).Next()
 		if err != nil {
 			t.Fatal(err)
 		}

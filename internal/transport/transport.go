@@ -3,15 +3,16 @@
 // result ids back — the deployment shape of the paper's Figure 1, where the
 // only user↔server traffic is one encrypted token up and k ids down.
 //
-// Every message in either direction is one frame,
+// Every message in either direction is one frame envelope,
 //
-//	[len u32][proto u8][op u8][seq u64][payload: len bytes]
+//	[len u32][proto u8][op u8][seq u64][payload: len bytes][crc32c u32]
 //
-// in the frame package's little-endian codec, each op's payload written
-// straight from the core types (appendRequest, appendResponse). The bytes
-// are untrusted on both sides: len is checked against frame.MaxLen before
-// anything is read, the payload buffer grows only as bytes arrive, and
-// every count inside is held to the bytes that remain.
+// each op's payload written straight from the core types (appendRequest,
+// appendResponse) in the frame package's little-endian codec. The bytes
+// are untrusted on both sides: the envelope reader checks the generation
+// and then len against frame.MaxLen before anything else is read, grows
+// the payload buffer only as bytes arrive and verifies the CRC, and every
+// count inside is held to the bytes that remain.
 //
 // The server echoes each request's client-assigned seq (≥ 1), so one
 // connection multiplexes any number of concurrent calls: a client demux
@@ -24,22 +25,20 @@
 // Every frame carries ProtoVersion and nothing is negotiated: a frame of
 // another generation — the gob generations before 7 never form a frame of
 // this one — is refused with an error naming both; the server executes
-// nothing, the client poisons itself with ErrProtoMismatch. A payload that
-// fails to decode inside an intact frame fails only its own call; I/O
-// errors, an expired call deadline and refused frame headers poison the
-// client (ErrClientBroken).
+// nothing, the client poisons itself with ErrProtoMismatch. A frame whose
+// checksum fails, or whose header claims more than frame.MaxLen, is
+// refused the same way. A payload that fails to decode inside an intact
+// frame fails only its own call; I/O errors, an expired call deadline and
+// refused frames poison the client (ErrClientBroken).
 package transport
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net"
 	"runtime/debug"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,14 +55,11 @@ var ErrClientBroken = errors.New("transport: connection poisoned by an earlier s
 
 // ErrProtoMismatch is the error of a frame stamped with another protocol
 // generation. Redialing the same peer cannot help.
-var ErrProtoMismatch = errors.New("transport: protocol generation mismatch")
+var ErrProtoMismatch = frame.ErrGeneration
 
 // ProtoVersion is the one protocol generation this package speaks, stamped
 // on every frame.
-const ProtoVersion = 8
-
-// headerLen is the frame header: len u32, proto u8, op u8, seq u64.
-const headerLen = 14
+const ProtoVersion = 9
 
 // The ops. A response carries its request's op, or opError with the
 // message as a string payload.
@@ -264,61 +260,6 @@ func readInfo(r *frame.Reader) Info {
 	return in
 }
 
-// errFrameTooLong is a frame header claiming more than frame.MaxLen.
-var errFrameTooLong = fmt.Errorf("transport: frame exceeds the %d-byte limit", frame.MaxLen)
-
-// frameReader reads the frames of one stream, reusing one payload buffer.
-type frameReader struct {
-	r   *bufio.Reader
-	hdr [headerLen]byte
-	buf []byte
-}
-
-func newFrameReader(r io.Reader) *frameReader { return &frameReader{r: bufio.NewReader(r)} }
-
-// next reads one frame. The header is checked before anything else is
-// read (seq is returned even when it is refused); the payload lands in a
-// buffer that grows as its bytes arrive, so a header that lies about its
-// length costs at most about twice what the peer really sent. The payload
-// is valid until the next call.
-func (fr *frameReader) next() (op byte, seq uint64, payload []byte, err error) {
-	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
-		return 0, 0, nil, err
-	}
-	n, proto := int(binary.LittleEndian.Uint32(fr.hdr[:])), fr.hdr[4]
-	op, seq = fr.hdr[5], binary.LittleEndian.Uint64(fr.hdr[6:])
-	if proto != ProtoVersion {
-		return op, seq, nil, fmt.Errorf("%w: frame stamped generation %d, this build speaks generation %d (generations before 7 spoke gob)", ErrProtoMismatch, proto, ProtoVersion)
-	}
-	if n > frame.MaxLen {
-		return op, seq, nil, fmt.Errorf("%w: its header claims %d", errFrameTooLong, n)
-	}
-	buf := fr.buf[:0]
-	for len(buf) < n {
-		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), 64<<10)))
-		}
-		m := min(n, cap(buf))
-		if _, err := io.ReadFull(fr.r, buf[len(buf):m]); err != nil {
-			return op, seq, nil, err
-		}
-		buf = buf[:m]
-	}
-	fr.buf = buf
-	return op, seq, buf, nil
-}
-
-// appendFrame overwrites b with one frame: the header, then the payload
-// pay appends. It fails if the payload exceeds frame.MaxLen.
-func appendFrame(b []byte, op byte, seq uint64, pay func([]byte) []byte) ([]byte, error) {
-	b = pay(frame.AppendU64(append(b[:0], 0, 0, 0, 0, ProtoVersion, op), seq))
-	if n := len(b) - headerLen; n > frame.MaxLen {
-		return b, fmt.Errorf("transport: a %d-byte %s payload exceeds the %d-byte frame limit", n, opName(op), frame.MaxLen)
-	}
-	binary.LittleEndian.PutUint32(b, uint32(len(b)-headerLen))
-	return b, nil
-}
-
 // acceptBackoffMax caps the retry delay of the accept loop.
 const acceptBackoffMax = time.Second
 
@@ -392,7 +333,7 @@ func Serve(l net.Listener, srv *core.Server) error {
 // requests and hands each to a handler goroutine; responses are written
 // under a write mutex so frames never interleave on the shared stream.
 func serveConn(conn net.Conn, srv *core.Server) {
-	fr := newFrameReader(conn)
+	fr := frame.NewEnvelopeReader(conn, ProtoVersion)
 	var (
 		wmu  sync.Mutex
 		wbuf []byte // the response being written; grows to fit
@@ -402,9 +343,10 @@ func serveConn(conn net.Conn, srv *core.Server) {
 		wmu.Lock()
 		defer wmu.Unlock()
 		var err error
-		wbuf, err = appendFrame(wbuf, resp.op, seq, func(b []byte) []byte { return appendResponse(b, &resp) })
+		wbuf, err = frame.AppendEnvelope(wbuf[:0], ProtoVersion, resp.op, seq, func(b []byte) []byte { return appendResponse(b, &resp) })
 		if err != nil {
-			wbuf, _ = appendFrame(wbuf, opError, seq, func(b []byte) []byte { return frame.AppendString(b, err.Error()) })
+			msg := fmt.Sprintf("transport: %s answer: %v", opName(resp.op), err)
+			wbuf, _ = frame.AppendEnvelope(wbuf[:0], ProtoVersion, opError, seq, func(b []byte) []byte { return frame.AppendString(b, msg) })
 		}
 		conn.SetWriteDeadline(time.Now().Add(serverWriteTimeout))
 		if _, err := conn.Write(wbuf); err != nil {
@@ -415,15 +357,15 @@ func serveConn(conn net.Conn, srv *core.Server) {
 	}
 	sem := make(chan struct{}, maxInFlightPerConn)
 	for {
-		op, seq, payload, err := fr.next()
+		op, seq, payload, err := fr.Next()
 		if err != nil {
-			// A refused header leaves the stream at no frame boundary: say
+			// A refused frame leaves the stream at no trusted boundary: say
 			// why, and drain the peer's bytes for a second so that closing
 			// does not reset the connection before it reads the refusal.
-			if errors.Is(err, ErrProtoMismatch) || errors.Is(err, errFrameTooLong) {
+			if errors.Is(err, frame.ErrEnvelope) {
 				reply(seq, errorResponse(fmt.Sprintf("%v; nothing was executed", err)))
 				conn.SetReadDeadline(time.Now().Add(time.Second))
-				io.Copy(io.Discard, fr.r)
+				io.Copy(io.Discard, conn)
 			}
 			break // client hung up (io.EOF) or the stream broke
 		}
@@ -601,9 +543,9 @@ func (c *Client) fail(err error) {
 // connection, decodes each for the call registered under its seq and
 // delivers it.
 func (c *Client) demux() {
-	fr := newFrameReader(c.conn)
+	fr := frame.NewEnvelopeReader(c.conn, ProtoVersion)
 	for {
-		op, seq, payload, err := fr.next()
+		op, seq, payload, err := fr.Next()
 		if err != nil {
 			c.mu.Lock()
 			closed := c.closed
@@ -611,9 +553,9 @@ func (c *Client) demux() {
 			switch {
 			case closed:
 				err = fmt.Errorf("transport: client closed")
-			case errors.Is(err, ErrProtoMismatch), errors.Is(err, errFrameTooLong):
+			case errors.Is(err, frame.ErrEnvelope):
 				// Whatever the frame says is not this generation's to
-				// read; deliver none of it.
+				// read, or not what the server sent; deliver none of it.
 			case errors.Is(err, io.EOF):
 				err = fmt.Errorf("transport: server closed the connection")
 			default:
@@ -677,8 +619,9 @@ func (c *Client) roundTrip(req *request, cancel <-chan struct{}) (response, erro
 
 	c.wmu.Lock()
 	var err error
-	c.wbuf, err = appendFrame(c.wbuf, req.op, seq, func(b []byte) []byte { return appendRequest(b, req) })
+	c.wbuf, err = frame.AppendEnvelope(c.wbuf[:0], ProtoVersion, req.op, seq, func(b []byte) []byte { return appendRequest(b, req) })
 	if err != nil {
+		err = fmt.Errorf("transport: %s request: %w", opName(req.op), err)
 		// Nothing was written: only this call fails.
 		c.wmu.Unlock()
 		c.abandon(seq)

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -466,27 +465,29 @@ func TestPipelinedConcurrentCalls(t *testing.T) {
 	}
 }
 
-// rawFrame builds one frame by hand, as a peer other than Client would.
+// rawFrame builds one frame of any generation, as a peer other than
+// Client would.
 func rawFrame(proto, op byte, seq uint64, payload []byte) []byte {
-	b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-	b = append(b, proto, op)
-	b = binary.LittleEndian.AppendUint64(b, seq)
-	return append(b, payload...)
+	b, err := frame.AppendEnvelope(nil, proto, op, seq, func(b []byte) []byte { return append(b, payload...) })
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
-// readRawFrame reads one frame off conn by hand.
-func readRawFrame(t *testing.T, conn net.Conn) (proto, op byte, seq uint64, payload []byte) {
+// readRawFrame reads the one frame of this generation the peer has sent
+// on conn.
+func readRawFrame(t *testing.T, conn net.Conn) (op byte, seq uint64, payload []byte) {
 	t.Helper()
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		t.Fatalf("reading a frame header: %v", err)
+	op, seq, payload, err := frame.NewEnvelopeReader(conn, ProtoVersion).Next()
+	if err != nil {
+		t.Fatalf("reading a frame: %v", err)
 	}
-	payload = make([]byte, binary.LittleEndian.Uint32(hdr[:]))
-	if _, err := io.ReadFull(conn, payload); err != nil {
-		t.Fatalf("reading a frame payload: %v", err)
-	}
-	return hdr[4], hdr[5], binary.LittleEndian.Uint64(hdr[6:]), payload
+	return op, seq, payload
 }
+
+// readCount reads the first count of a len answer.
+func readCount(p []byte) int { return frame.NewReader(p).Int() }
 
 // errorText decodes an opError payload.
 func errorText(t *testing.T, payload []byte) string {
@@ -520,8 +521,8 @@ func fakeServer(t *testing.T, serve func(conn net.Conn)) string {
 }
 
 // TestOtherGenerationRefused: there is one protocol generation and nothing
-// to negotiate. A peer whose frames stamp generation 7 (the last one before
-// this build's) or 0 is refused on its first call, as client and as
+// to negotiate. A peer whose frames stamp generation 8 (the last one before
+// this build's, which framed without a checksum) or 0 is refused on its first call, as client and as
 // server, with an error naming both generations; nothing is executed or
 // delivered across the mismatch; and a same-generation client of the same
 // listener never notices.
@@ -532,7 +533,7 @@ func TestOtherGenerationRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	insert := core.AppendInsert(nil, payload)
-	for _, stamp := range []byte{7, 0} {
+	for _, stamp := range []byte{8, 0} {
 		names := []string{fmt.Sprintf("generation %d", stamp), fmt.Sprintf("generation %d", ProtoVersion)}
 
 		// As a client of the real server: an insert that must not happen.
@@ -543,10 +544,10 @@ func TestOtherGenerationRefused(t *testing.T) {
 		if _, err := conn.Write(rawFrame(stamp, opInsert, 7, insert)); err != nil {
 			t.Fatal(err)
 		}
-		proto, op, seq, p := readRawFrame(t, conn)
+		op, seq, p := readRawFrame(t, conn)
 		msg := errorText(t, p)
-		if proto != ProtoVersion || op != opError || seq != 7 || !strings.Contains(msg, names[0]) || !strings.Contains(msg, names[1]) {
-			t.Fatalf("stamp %d as client: answered proto %d op %d seq %d %q, want an error naming both generations", stamp, proto, op, seq, msg)
+		if op != opError || seq != 7 || !strings.Contains(msg, names[0]) || !strings.Contains(msg, names[1]) {
+			t.Fatalf("stamp %d as client: answered op %d seq %d %q, want an error naming both generations", stamp, op, seq, msg)
 		}
 		conn.Close()
 		client, err := Dial(addr)
@@ -560,12 +561,12 @@ func TestOtherGenerationRefused(t *testing.T) {
 
 		// As the server: it answers everything, stamped its own way.
 		faddr := fakeServer(t, func(conn net.Conn) {
+			fr := frame.NewEnvelopeReader(conn, ProtoVersion)
 			for {
-				var hdr [headerLen]byte
-				if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+				_, seq, _, err := fr.Next()
+				if err != nil {
 					return
 				}
-				seq := binary.LittleEndian.Uint64(hdr[6:])
 				if _, err := conn.Write(rawFrame(stamp, opLen, seq, frame.AppendInt(frame.AppendInt(nil, 42), 42))); err != nil {
 					return
 				}
@@ -632,10 +633,10 @@ func TestGobPeerRefused(t *testing.T) {
 	if err := gob.NewEncoder(conn).Encode(&gobRequest{Proto: 6, Seq: 1, Op: "insert", Payload: ins}); err != nil {
 		t.Fatal(err)
 	}
-	proto, op, _, payload := readRawFrame(t, conn)
-	if msg := errorText(t, payload); proto != ProtoVersion || op != opError ||
+	op, _, payload := readRawFrame(t, conn)
+	if msg := errorText(t, payload); op != opError ||
 		!strings.Contains(msg, fmt.Sprintf("generation %d", ProtoVersion)) || !strings.Contains(msg, "nothing was executed") {
-		t.Fatalf("gob client answered proto %d op %d %q, want a refusal naming generation %d", proto, op, msg, ProtoVersion)
+		t.Fatalf("gob client answered op %d %q, want a refusal naming generation %d", op, msg, ProtoVersion)
 	}
 	if _, err := conn.Read(make([]byte, 1)); err == nil {
 		t.Fatal("the server kept the gob peer's connection open")
@@ -690,13 +691,13 @@ func TestMalformedPayloadFailsOnlyItsCall(t *testing.T) {
 	if _, err := conn.Write(rawFrame(ProtoVersion, opSearch, 1, search[:len(search)-3])); err != nil {
 		t.Fatal(err)
 	}
-	if _, op, seq, p := readRawFrame(t, conn); op != opError || seq != 1 || !strings.Contains(errorText(t, p), "malformed search request") {
+	if op, seq, p := readRawFrame(t, conn); op != opError || seq != 1 || !strings.Contains(errorText(t, p), "malformed search request") {
 		t.Fatalf("cut-short search answered op %d seq %d %q", op, seq, p)
 	}
 	if _, err := conn.Write(rawFrame(ProtoVersion, opLen, 2, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if _, op, seq, p := readRawFrame(t, conn); op != opLen || seq != 2 || binary.LittleEndian.Uint64(p) != 600 {
+	if op, seq, p := readRawFrame(t, conn); op != opLen || seq != 2 || readCount(p) != 600 {
 		t.Fatalf("len after the malformed search answered op %d seq %d %v", op, seq, p)
 	}
 
@@ -704,9 +705,10 @@ func TestMalformedPayloadFailsOnlyItsCall(t *testing.T) {
 	// len answer, the second is whole.
 	calls := 0
 	faddr := fakeServer(t, func(conn net.Conn) {
+		fr := frame.NewEnvelopeReader(conn, ProtoVersion)
 		for {
-			var hdr [headerLen]byte
-			if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			_, seq, _, err := fr.Next()
+			if err != nil {
 				return
 			}
 			calls++
@@ -714,7 +716,7 @@ func TestMalformedPayloadFailsOnlyItsCall(t *testing.T) {
 			if calls == 1 {
 				body = body[:len(body)-3]
 			}
-			if _, err := conn.Write(rawFrame(ProtoVersion, opLen, binary.LittleEndian.Uint64(hdr[6:]), body)); err != nil {
+			if _, err := conn.Write(rawFrame(ProtoVersion, opLen, seq, body)); err != nil {
 				return
 			}
 		}
@@ -739,14 +741,13 @@ func TestMalformedPayloadFailsOnlyItsCall(t *testing.T) {
 // refused before anything is allocated — by the server, which says why
 // and closes, and by the client, which poisons itself.
 func TestOversizedFrameRefused(t *testing.T) {
-	huge := binary.LittleEndian.AppendUint32(nil, frame.MaxLen+1)
-	huge = binary.LittleEndian.AppendUint64(append(huge, ProtoVersion, opLen), 1)
+	huge := append(frame.AppendU32(nil, frame.MaxLen+1), rawFrame(ProtoVersion, opLen, 1, nil)[4:]...)
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, _, err := newFrameReader(bytes.NewReader(huge)).next()
+	_, _, _, err := frame.NewEnvelopeReader(bytes.NewReader(huge), ProtoVersion).Next()
 	runtime.ReadMemStats(&after)
-	if !errors.Is(err, errFrameTooLong) {
+	if !errors.Is(err, frame.ErrEnvelope) {
 		t.Fatalf("reading an oversized header: %v", err)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
@@ -762,12 +763,12 @@ func TestOversizedFrameRefused(t *testing.T) {
 	if _, err := conn.Write(huge); err != nil {
 		t.Fatal(err)
 	}
-	if _, op, _, p := readRawFrame(t, conn); op != opError || !strings.Contains(errorText(t, p), fmt.Sprintf("%d-byte limit", frame.MaxLen)) {
+	if op, _, p := readRawFrame(t, conn); op != opError || !strings.Contains(errorText(t, p), fmt.Sprintf("%d-byte limit", frame.MaxLen)) {
 		t.Fatalf("oversized request answered op %d %q", op, p)
 	}
 
 	faddr := fakeServer(t, func(conn net.Conn) {
-		io.ReadFull(conn, make([]byte, headerLen))
+		frame.NewEnvelopeReader(conn, ProtoVersion).Next()
 		conn.Write(huge)
 		io.Copy(io.Discard, conn)
 	})
@@ -781,6 +782,70 @@ func TestOversizedFrameRefused(t *testing.T) {
 	}
 	if client.Broken() == nil {
 		t.Fatal("an oversized answer left the client unpoisoned")
+	}
+}
+
+// TestFlippedBitRefused: every frame carries a CRC, so one flipped payload
+// bit is refused in both directions like a frame of another generation —
+// the server names the checksum, executes nothing and closes; the client
+// poisons itself and delivers nothing.
+func TestFlippedBitRefused(t *testing.T) {
+	owner, _, d, addr := startWorld(t)
+	payload, err := owner.EncryptVector(d.Train[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := func(b []byte) []byte {
+		b[len(b)-5] ^= 0x10 // the payload's last byte
+		return b
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(flipped(rawFrame(ProtoVersion, opInsert, 7, core.AppendInsert(nil, payload)))); err != nil {
+		t.Fatal(err)
+	}
+	if op, seq, p := readRawFrame(t, conn); op != opError || seq != 7 ||
+		!strings.Contains(errorText(t, p), "checksum") || !strings.Contains(errorText(t, p), "nothing was executed") {
+		t.Fatalf("a flipped insert answered op %d seq %d %q, want a checksum refusal", op, seq, p)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("the server kept the connection open after a checksum failure")
+	}
+	client, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if n, err := client.Len(); err != nil || n != 600 {
+		t.Fatalf("Len after the flipped insert = %d, %v: it must not have run", n, err)
+	}
+
+	faddr := fakeServer(t, func(conn net.Conn) {
+		fr := frame.NewEnvelopeReader(conn, ProtoVersion)
+		for {
+			_, seq, _, err := fr.Next()
+			if err != nil {
+				return
+			}
+			if _, err := conn.Write(flipped(rawFrame(ProtoVersion, opLen, seq, frame.AppendInt(frame.AppendInt(nil, 42), 42)))); err != nil {
+				return
+			}
+		}
+	})
+	fc, err := Dial(faddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+	if n, err := fc.Len(); n != 0 || err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("a flipped answer gave Len = %d, %v, want a checksum refusal", n, err)
+	}
+	if _, err := fc.Len(); !errors.Is(err, ErrClientBroken) || !errors.Is(err, frame.ErrEnvelope) {
+		t.Fatalf("second call after a flipped answer: %v, want a poisoned client that says why", err)
 	}
 }
 
@@ -860,13 +925,13 @@ func TestRetiredSearchBatchOpRefused(t *testing.T) {
 	if _, err := conn.Write(rawFrame(ProtoVersion, opSearchBatch, 1, batch)); err != nil {
 		t.Fatal(err)
 	}
-	if _, op, seq, p := readRawFrame(t, conn); op != opError || seq != 1 || errorText(t, p) != "transport: unknown op 7" {
+	if op, seq, p := readRawFrame(t, conn); op != opError || seq != 1 || errorText(t, p) != "transport: unknown op 7" {
 		t.Fatalf("batch search answered op %d seq %d %q, want seq 1 and an unknown-op error", op, seq, p)
 	}
 	if _, err := conn.Write(rawFrame(ProtoVersion, opLen, 2, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if _, op, seq, p := readRawFrame(t, conn); op != opLen || seq != 2 || binary.LittleEndian.Uint64(p) != 600 {
+	if op, seq, p := readRawFrame(t, conn); op != opLen || seq != 2 || readCount(p) != 600 {
 		t.Fatalf("len after the refused op answered op %d seq %d %v, want seq 2 and N 600", op, seq, p)
 	}
 }
@@ -877,12 +942,12 @@ func TestRetiredSearchBatchOpRefused(t *testing.T) {
 func TestStrayFrameDropped(t *testing.T) {
 	counts := func(n int) []byte { return frame.AppendInt(frame.AppendInt(nil, n), n) }
 	addr := fakeServer(t, func(conn net.Conn) {
+		fr := frame.NewEnvelopeReader(conn, ProtoVersion)
 		for {
-			var hdr [headerLen]byte
-			if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			_, seq, _, err := fr.Next()
+			if err != nil {
 				return
 			}
-			seq := binary.LittleEndian.Uint64(hdr[6:])
 			if _, err := conn.Write(append(rawFrame(ProtoVersion, opLen, 0, counts(13)), rawFrame(ProtoVersion, opLen, seq, counts(42))...)); err != nil {
 				return
 			}

@@ -37,7 +37,7 @@ func reduce8(s0, s1, s2, s3, s4, s5, s6, s7 float64) float64 {
 func sqDistTail(s0 float64, a, b []float64, i int) float64 {
 	for ; i < len(a); i++ {
 		d := a[i] - b[i]
-		s0 += d * d
+		s0 += float64(d * d)
 	}
 	return s0
 }
@@ -60,14 +60,14 @@ func sqDistScalar(a, b []float64) float64 {
 		d5 := a[i+5] - b[i+5]
 		d6 := a[i+6] - b[i+6]
 		d7 := a[i+7] - b[i+7]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-		s4 += d4 * d4
-		s5 += d5 * d5
-		s6 += d6 * d6
-		s7 += d7 * d7
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
+		s4 += float64(d4 * d4)
+		s5 += float64(d5 * d5)
+		s6 += float64(d6 * d6)
+		s7 += float64(d7 * d7)
 	}
 	s0 = sqDistTail(s0, a, b, i)
 	return reduce8(s0, s1, s2, s3, s4, s5, s6, s7)

@@ -20,7 +20,7 @@ func Dot(a, b []float64) float64 {
 	}
 	var s float64
 	for i, av := range a {
-		s += av * b[i]
+		s += float64(av * b[i])
 	}
 	return s
 }
@@ -71,7 +71,7 @@ func Dist(a, b []float64) float64 { return math.Sqrt(SqDist(a, b)) }
 func SqNorm(a []float64) float64 {
 	var s float64
 	for _, v := range a {
-		s += v * v
+		s += float64(v * v)
 	}
 	return s
 }
@@ -138,7 +138,7 @@ func Scale(dst []float64, s float64, a []float64) []float64 {
 func AXPY(dst []float64, s float64, x, a []float64) []float64 {
 	dst = ensure(dst, len(a))
 	for i, av := range a {
-		dst[i] = av + s*x[i]
+		dst[i] = av + float64(s*x[i])
 	}
 	return dst
 }

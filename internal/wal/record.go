@@ -1,9 +1,9 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+
+	"ppanns/internal/frame"
 )
 
 // Kind tags a log record.
@@ -40,49 +40,25 @@ func (k Kind) String() string {
 	}
 }
 
-// Record frame, little-endian:
-//
-//	[ payload len u32 | kind u8 | epoch u64 | payload | crc32c u32 ]
-//
-// The CRC (Castagnoli) covers everything before it — length, kind, epoch,
-// and payload — so a record is self-validating: a torn tail, a bit flip,
-// or a bogus length all fail the checksum (or the plausibility checks that
-// guard the length field) and recovery truncates at the record boundary.
-// The epoch lives in the frame rather than the payload so the log can
-// filter replay and garbage-collect segments without parsing payloads.
+// Segment files are named wal-<seq>.seg and hold a stream of frame
+// envelopes of generation logGen. The first is the segment header: tag 0,
+// the word the segment's sequence number — cross-checked against the file
+// name, so a misrenamed or half-created file reads as corrupt rather than
+// splicing foreign records into the log — and the payload segMagic. Every
+// later envelope is one record: the tag its Kind, the word its epoch, the
+// payload core's. The CRC covers the header fields and the payload, so a
+// torn tail, a bit flip or a lying length fails it (or the length bound
+// before it) and recovery truncates at the record boundary. The epoch
+// lives in the envelope rather than the payload so the log can filter
+// replay and garbage-collect segments without parsing payloads.
 const (
-	recHeaderSize  = 4 + 1 + 8
-	recTrailerSize = 4
-	recOverhead    = recHeaderSize + recTrailerSize
+	logGen        = 2
+	segMagic      = "PPWALSG2"
+	segHeaderSize = int64(frame.EnvelopeOverhead + len(segMagic))
 
-	// maxPayload bounds the length field during scanning: anything
-	// larger is treated as corruption rather than attempted as an
-	// allocation. One insert record is ~bytes(8·dim) for the SAP plus
-	// 32·ctDim for the DCE record — far below this at any real
-	// dimensionality.
-	maxPayload = 1 << 30
-)
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// appendRecord appends the framed record to dst and returns it.
-func appendRecord(dst []byte, kind Kind, epoch uint64, payload []byte) []byte {
-	base := len(dst)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = append(dst, byte(kind))
-	dst = binary.LittleEndian.AppendUint64(dst, epoch)
-	dst = append(dst, payload...)
-	crc := crc32.Checksum(dst[base:], castagnoli)
-	return binary.LittleEndian.AppendUint32(dst, crc)
-}
-
-// Segment files are named wal-<seq>.seg and start with a 16-byte header:
-// an 8-byte magic and the segment's sequence number, cross-checked against
-// the file name so a misrenamed or half-created file reads as corrupt
-// rather than splicing foreign records into the log.
-const (
-	segMagic      = "PPWALSG1"
-	segHeaderSize = 16
+	// oldSegMagic opens every segment of log generation 1. Such a log is
+	// refused, never read as a torn header and removed.
+	oldSegMagic = "PPWALSG1"
 )
 
 func segName(seq uint64) string { return fmt.Sprintf("wal-%016x.seg", seq) }
@@ -96,9 +72,7 @@ func parseSegName(name string) (uint64, bool) {
 }
 
 func segHeader(seq uint64) []byte {
-	h := make([]byte, segHeaderSize)
-	copy(h, segMagic)
-	binary.LittleEndian.PutUint64(h[8:], seq)
+	h, _ := frame.AppendEnvelope(nil, logGen, 0, seq, func(b []byte) []byte { return append(b, segMagic...) })
 	return h
 }
 
@@ -132,28 +106,17 @@ func isCheckpointName(name string) bool {
 	return name == CheckpointName(e, g)
 }
 
-// encode serializes the barrier payload (the epoch rides in the frame).
+// encode serializes the barrier payload (the epoch rides in the envelope):
+// [Gen u64][Records u64][Name: count u32, bytes].
 func (b *Barrier) encode() []byte {
-	p := make([]byte, 0, 8+8+2+len(b.Name))
-	p = binary.LittleEndian.AppendUint64(p, b.Gen)
-	p = binary.LittleEndian.AppendUint64(p, b.Records)
-	p = binary.LittleEndian.AppendUint16(p, uint16(len(b.Name)))
-	return append(p, b.Name...)
+	return frame.AppendString(frame.AppendU64(frame.AppendU64(nil, b.Gen), b.Records), b.Name)
 }
 
 func decodeBarrier(epoch uint64, p []byte) (Barrier, error) {
-	if len(p) < 18 {
-		return Barrier{}, fmt.Errorf("wal: barrier payload of %d bytes", len(p))
+	r := frame.NewReader(p)
+	b := Barrier{Epoch: epoch, Gen: r.U64(), Records: r.U64(), Name: r.String()}
+	if err := r.Done(); err != nil {
+		return Barrier{}, fmt.Errorf("barrier payload: %w", err)
 	}
-	b := Barrier{
-		Epoch:   epoch,
-		Gen:     binary.LittleEndian.Uint64(p),
-		Records: binary.LittleEndian.Uint64(p[8:]),
-	}
-	n := int(binary.LittleEndian.Uint16(p[16:]))
-	if len(p) != 18+n {
-		return Barrier{}, fmt.Errorf("wal: barrier payload length %d, want %d", len(p), 18+n)
-	}
-	b.Name = string(p[18 : 18+n])
 	return b, nil
 }

@@ -1,28 +1,32 @@
 // Package wal implements the per-server write-ahead log behind the serving
-// tier's durable write path: CRC32C self-framed records in rotating segment
-// files, a configurable sync policy with group commit, and checkpoint
+// tier's durable write path: records in rotating segment files, each one
+// frame envelope (a CRC32C-checked length, kind and epoch around core's
+// payload), a configurable sync policy with group commit, and checkpoint
 // barriers that bound recovery work and let sealed segments be garbage-
 // collected.
 //
 // The contract with core.Server: every acknowledged Insert/Delete is
 // appended (and, per the sync policy, fsynced) before the acknowledgment,
 // and recovery = load the newest checkpoint snapshot + replay every record
-// with a later epoch. A torn or corrupt tail — the expected residue of a
-// crash mid-write — is truncated at the last whole record, never treated as
-// fatal.
+// with a later epoch. A torn or corrupt tail of the last segment — the
+// expected residue of a crash mid-write — is truncated at the last whole
+// record, never treated as fatal. Rotation fsyncs a segment before it
+// creates the next, so bad bytes in any earlier segment mean acknowledged
+// writes were lost: that log is refused, as is a log of the previous
+// generation, before anything in the directory is changed.
 package wal
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"path/filepath"
 	"strings"
 	"sync"
 	"time"
+
+	"ppanns/internal/frame"
 )
 
 // ErrClosed is returned by operations on a closed log.
@@ -104,9 +108,6 @@ type Recovery struct {
 	Truncated string
 	// TruncatedBytes is how many trailing bytes were discarded.
 	TruncatedBytes int64
-	// DroppedSegments counts segment files discarded because they sat
-	// after the torn point or had corrupt headers.
-	DroppedSegments int
 }
 
 // Log is an append-only record log over rotating segment files. Appends
@@ -147,10 +148,12 @@ type Log struct {
 	tickerWG   sync.WaitGroup
 }
 
-// Open opens (creating if needed) the log in dir, scanning every segment,
-// truncating the first torn or CRC-failing tail record, and dropping
-// segments stranded after the torn point. It returns the log positioned
-// for appending plus a Recovery describing what was found.
+// Open opens (creating if needed) the log in dir, scanning every segment
+// and truncating the last one at its first torn or CRC-failing record (or
+// removing it, when its header is torn). It returns the log positioned for
+// appending plus a Recovery describing what was found. A log of another
+// generation, or one with bad bytes before its last segment, is refused
+// with the directory untouched.
 func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	opts = opts.withDefaults()
 	fs := opts.FS
@@ -209,69 +212,64 @@ func Inspect(dir string) (*Recovery, error) {
 	return rec, err
 }
 
-// scanDir scans segments in seq order. With repair=true it truncates the
-// segment containing the first invalid record and removes later segments
-// and leftover temp files; with repair=false it only reports. barrierSeq
-// is the seq of the segment holding the newest barrier (0 when none).
+// errCorrupt wraps every point where a segment's bytes stop being the log.
+var errCorrupt = errors.New("wal: corrupt segment")
+
+// scanDir scans segments in seq order, read-only. Then, with repair=true,
+// it truncates the last segment at its first invalid record (removing it
+// if its header is invalid) and removes leftover temp files; with
+// repair=false it only reports. barrierSeq is the seq of the segment
+// holding the newest barrier (0 when none).
 func scanDir(fs FS, dir string, repair bool) (segs []segMeta, rec *Recovery, barrierSeq uint64, err error) {
 	names, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("wal: list dir: %w", err)
 	}
-	var segNames []string
+	var segNames, temps []string
 	for _, n := range names {
 		if _, ok := parseSegName(n); ok {
 			segNames = append(segNames, n)
-		} else if repair && strings.HasSuffix(n, ".tmp") {
-			fs.Remove(filepath.Join(dir, n))
+		} else if strings.HasSuffix(n, ".tmp") {
+			temps = append(temps, n)
 		}
 	}
 	// ReadDir sorts lexically; the fixed-width hex seq makes that seq order.
 
 	rec = &Recovery{}
-	torn := false
-	for _, name := range segNames {
-		if torn {
-			// Everything after the torn point is unreachable by
-			// recovery: records there may depend on lost ones.
-			if repair {
-				fs.Remove(filepath.Join(dir, name))
-			}
-			rec.DroppedSegments++
-			continue
-		}
+	cut := int64(-1) // the last segment's valid length, when it is torn
+	for i, name := range segNames {
 		seq, _ := parseSegName(name)
-		path := filepath.Join(dir, name)
-		sm, barriers, serr := scanSegment(fs, path, seq)
-		if serr != nil {
-			return nil, nil, 0, serr
+		size, err := fs.Size(filepath.Join(dir, name))
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("wal: stat %s: %w", name, err)
 		}
-		size, serr := fs.Size(path)
-		if serr != nil {
-			return nil, nil, 0, fmt.Errorf("wal: stat %s: %w", name, serr)
-		}
-		if sm.bytes < segHeaderSize {
-			// Header never made it to disk: the file holds no
-			// records, drop it entirely.
-			torn = true
-			rec.Truncated = fmt.Sprintf("segment %s: corrupt header, file dropped", name)
-			rec.TruncatedBytes += size
-			if repair {
-				fs.Remove(path)
+		sm := segMeta{seq: seq, name: name}
+		var barriers []Barrier
+		sm.bytes, err = readSegment(fs, dir, name, seq, size, func(kind Kind, epoch uint64, p []byte) error {
+			if kind == KindBarrier {
+				b, _ := decodeBarrier(epoch, p) // readSegment decoded it once
+				barriers = append(barriers, b)
 			}
-			rec.DroppedSegments++
+			sm.records++
+			sm.maxEpoch = max(sm.maxEpoch, epoch)
+			return nil
+		})
+		switch {
+		case err == nil:
+		case !errors.Is(err, errCorrupt):
+			return nil, nil, 0, err
+		case i < len(segNames)-1:
+			return nil, nil, 0, fmt.Errorf("%w; a later segment exists, so acknowledged writes after this point were lost: refusing to repair the log", err)
+		case sm.bytes == 0:
+			cut = 0
+			rec.Truncated = fmt.Sprintf("segment %s: corrupt header, file dropped", name)
+			rec.TruncatedBytes = size
 			continue
-		}
-		if sm.bytes < size {
-			torn = true
+		default:
+			cut = sm.bytes
 			rec.Truncated = fmt.Sprintf("segment %s: torn or corrupt record at offset %d, %d trailing bytes truncated",
 				name, sm.bytes, size-sm.bytes)
-			rec.TruncatedBytes += size - sm.bytes
-			if repair {
-				if terr := fs.Truncate(path, sm.bytes); terr != nil {
-					return nil, nil, 0, fmt.Errorf("wal: truncate torn tail of %s: %w", name, terr)
-				}
-			}
+			rec.TruncatedBytes = size - sm.bytes
 		}
 		segs = append(segs, sm)
 		rec.Segments++
@@ -282,67 +280,69 @@ func scanDir(fs FS, dir string, repair bool) (segs []segMeta, rec *Recovery, bar
 		}
 		rec.Barriers = append(rec.Barriers, barriers...)
 	}
+	if !repair {
+		return segs, rec, barrierSeq, nil
+	}
+	for _, n := range temps {
+		fs.Remove(filepath.Join(dir, n))
+	}
+	if cut < 0 {
+		return segs, rec, barrierSeq, nil
+	}
+	last := segNames[len(segNames)-1]
+	if cut == 0 {
+		fs.Remove(filepath.Join(dir, last))
+	} else if err := fs.Truncate(filepath.Join(dir, last), cut); err != nil {
+		return nil, nil, 0, fmt.Errorf("wal: truncate torn tail of %s: %w", last, err)
+	}
 	return segs, rec, barrierSeq, nil
 }
 
-// scanSegment validates one segment file, returning its metadata (bytes =
-// length of the valid prefix) and the barriers it contains. Corruption is
-// not an error: it just bounds sm.bytes.
-func scanSegment(fs FS, path string, wantSeq uint64) (segMeta, []Barrier, error) {
-	f, err := fs.Open(path)
+// readSegment reads the segment file name, at most limit bytes of it: the
+// header envelope, then every record, handed to fn in log order. It
+// returns the length of the prefix of whole, valid envelopes; where the
+// bytes stop being the log before limit, the error wraps errCorrupt and
+// names the offset. A segment of the previous log generation, a read
+// error and fn's error come back as they are.
+func readSegment(fs FS, dir, name string, seq uint64, limit int64, fn func(Kind, uint64, []byte) error) (valid int64, err error) {
+	f, err := fs.Open(filepath.Join(dir, name))
 	if err != nil {
-		return segMeta{}, nil, fmt.Errorf("wal: open segment %s: %w", filepath.Base(path), err)
+		return 0, fmt.Errorf("wal: open segment %s: %w", name, err)
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-
-	sm := segMeta{seq: wantSeq, name: filepath.Base(path)}
-	hdr := make([]byte, segHeaderSize)
-	if _, err := io.ReadFull(r, hdr); err != nil ||
-		string(hdr[:8]) != segMagic ||
-		binary.LittleEndian.Uint64(hdr[8:]) != wantSeq {
-		return sm, nil, nil // sm.bytes = 0 → corrupt header
+	br := bufio.NewReaderSize(io.LimitReader(f, limit), 64<<10)
+	if p, _ := br.Peek(len(oldSegMagic)); string(p) == oldSegMagic {
+		return 0, fmt.Errorf("wal: segment %s was written by log generation 1, which this build does not read: checkpoint with the previous build (ppanns-dbtool recover <dir> <out.ppanns>) and start this build from that database in a fresh directory", name)
 	}
-	sm.bytes = segHeaderSize
-
-	var barriers []Barrier
-	var buf []byte
+	er := frame.NewEnvelopeReader(br, logGen)
 	for {
-		head := make([]byte, recHeaderSize)
-		if _, err := io.ReadFull(r, head); err != nil {
-			return sm, barriers, nil // clean EOF or torn header
-		}
-		plen := binary.LittleEndian.Uint32(head)
-		kind := Kind(head[4])
-		epoch := binary.LittleEndian.Uint64(head[5:])
-		if plen > maxPayload || !kind.valid() {
-			return sm, barriers, nil
-		}
-		need := int(plen) + recTrailerSize
-		if cap(buf) < need {
-			buf = make([]byte, need)
-		}
-		body := buf[:need]
-		if _, err := io.ReadFull(r, body); err != nil {
-			return sm, barriers, nil // torn payload
-		}
-		crc := crc32.Checksum(head, castagnoli)
-		crc = crc32.Update(crc, castagnoli, body[:plen])
-		if crc != binary.LittleEndian.Uint32(body[plen:]) {
-			return sm, barriers, nil // corrupt record
-		}
-		if kind == KindBarrier {
-			b, berr := decodeBarrier(epoch, body[:plen])
-			if berr != nil {
-				return sm, barriers, nil
+		tag, word, p, err := er.Next()
+		var bad error
+		switch kind := Kind(tag); {
+		case err == io.EOF && valid > 0:
+			return valid, nil
+		case err == io.EOF || err == io.ErrUnexpectedEOF || errors.Is(err, frame.ErrEnvelope):
+			bad = err
+		case err != nil:
+			return valid, fmt.Errorf("wal: read segment %s: %w", name, err)
+		case valid == 0:
+			if tag != 0 || word != seq || string(p) != segMagic {
+				bad = errors.New("not the header of this segment")
 			}
-			barriers = append(barriers, b)
+		case !kind.valid():
+			bad = fmt.Errorf("a record of unknown kind %d", tag)
+		case kind == KindBarrier:
+			_, bad = decodeBarrier(word, p)
 		}
-		sm.bytes += int64(recHeaderSize + need)
-		sm.records++
-		if epoch > sm.maxEpoch {
-			sm.maxEpoch = epoch
+		if bad != nil {
+			return valid, fmt.Errorf("%w %s at offset %d: %w", errCorrupt, name, valid, bad)
 		}
+		if valid > 0 {
+			if err := fn(Kind(tag), word, p); err != nil {
+				return valid, err
+			}
+		}
+		valid += int64(frame.EnvelopeOverhead + len(p))
 	}
 }
 
@@ -420,8 +420,15 @@ func (l *Log) poisonLocked(err error) {
 // Append frames and writes one record to the active segment, returning its
 // LSN for Commit. The write lands in the OS buffer; durability is
 // Commit's job. Safe for concurrent use.
+//
+// A payload over frame.MaxLen is refused with an error before anything is
+// written; the log stays healthy.
 func (l *Log) Append(kind Kind, epoch uint64, payload []byte) (uint64, error) {
-	frame := appendRecord(make([]byte, 0, recOverhead+len(payload)), kind, epoch, payload)
+	rec, err := frame.AppendEnvelope(make([]byte, 0, frame.EnvelopeOverhead+len(payload)), logGen, byte(kind), epoch,
+		func(b []byte) []byte { return append(b, payload...) })
+	if err != nil {
+		return 0, fmt.Errorf("wal: %s record: %w", kind, err)
+	}
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -436,11 +443,11 @@ func (l *Log) Append(kind Kind, epoch uint64, payload []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	if _, err := l.f.Write(frame); err != nil {
+	if _, err := l.f.Write(rec); err != nil {
 		l.poisonLocked(fmt.Errorf("wal: append: %w", err))
 		return 0, l.err
 	}
-	l.activeBytes += int64(len(frame))
+	l.activeBytes += int64(len(rec))
 	if epoch > l.activeMaxEpoch {
 		l.activeMaxEpoch = epoch
 	}
@@ -638,57 +645,24 @@ func (l *Log) OpenCheckpoint(name string) (io.ReadCloser, error) {
 // Replay streams every valid mutation record with epoch > afterEpoch, in
 // log order, to fn. Barrier records are skipped. The payload slice is
 // reused between calls; fn must not retain it. Replay reads exactly the
-// byte ranges validated at Open, so it is deterministic even if appends
-// have since started — but the intended sequence is Open → Replay → serve.
+// byte ranges validated at Open, through the reader Open used (so every
+// CRC is checked again), and is deterministic even if appends have since
+// started — but the intended sequence is Open → Replay → serve.
 func (l *Log) Replay(afterEpoch uint64, fn func(kind Kind, epoch uint64, payload []byte) error) error {
 	for _, sm := range l.replaySegs {
 		if sm.maxEpoch <= afterEpoch {
 			continue
 		}
-		if err := l.replaySegment(sm, afterEpoch, fn); err != nil {
+		if _, err := readSegment(l.fs, l.dir, sm.name, sm.seq, sm.bytes, func(kind Kind, epoch uint64, p []byte) error {
+			if kind == KindBarrier || epoch <= afterEpoch {
+				return nil
+			}
+			return fn(kind, epoch, p)
+		}); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func (l *Log) replaySegment(sm segMeta, afterEpoch uint64, fn func(Kind, uint64, []byte) error) error {
-	f, err := l.fs.Open(filepath.Join(l.dir, sm.name))
-	if err != nil {
-		return fmt.Errorf("wal: replay open %s: %w", sm.name, err)
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(io.LimitReader(f, sm.bytes), 1<<16)
-	if _, err := io.CopyN(io.Discard, r, segHeaderSize); err != nil {
-		return fmt.Errorf("wal: replay %s: %w", sm.name, err)
-	}
-	var buf []byte
-	head := make([]byte, recHeaderSize)
-	for {
-		if _, err := io.ReadFull(r, head); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return fmt.Errorf("wal: replay %s: %w", sm.name, err)
-		}
-		plen := int(binary.LittleEndian.Uint32(head))
-		kind := Kind(head[4])
-		epoch := binary.LittleEndian.Uint64(head[5:])
-		if cap(buf) < plen+recTrailerSize {
-			buf = make([]byte, plen+recTrailerSize)
-		}
-		body := buf[:plen+recTrailerSize]
-		if _, err := io.ReadFull(r, body); err != nil {
-			return fmt.Errorf("wal: replay %s: %w", sm.name, err)
-		}
-		// The prefix was CRC-validated at Open; no need to re-verify.
-		if kind == KindBarrier || epoch <= afterEpoch {
-			continue
-		}
-		if err := fn(kind, epoch, body[:plen]); err != nil {
-			return err
-		}
-	}
 }
 
 // Stats is a point-in-time summary of the log, for Server.WALStats and the

@@ -1,21 +1,93 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"ppanns/internal/frame"
 )
 
 // payload builds a distinguishable payload for record i.
 func payload(i int) []byte {
 	return []byte(fmt.Sprintf("record-%04d-payload", i))
+}
+
+// record is one record envelope as Append writes it.
+func record(kind Kind, epoch uint64, p []byte) []byte {
+	b, err := frame.AppendEnvelope(nil, logGen, byte(kind), epoch, func(b []byte) []byte { return append(b, p...) })
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// oldSegment is segment seq as log generation 1 wrote it, holding an
+// insert record per epoch: the header [PPWALSG1][seq u64], then per record
+// [len u32][kind u8][epoch u64][payload][crc32c u32].
+func oldSegment(seq uint64, epochs ...uint64) []byte {
+	b := binary.LittleEndian.AppendUint64([]byte(oldSegMagic), seq)
+	for _, e := range epochs {
+		at, p := len(b), payload(int(e))
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(p)))
+		b = binary.LittleEndian.AppendUint64(append(b, byte(KindInsert)), e)
+		b = append(b, p...)
+		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[at:], crc32.MakeTable(crc32.Castagnoli)))
+	}
+	return b
+}
+
+// lyingTail is a segment of two records followed by the 24-byte start of
+// a third whose length claims just under frame.MaxLen: the residue of a
+// crash, or of a hostile file.
+func lyingTail() []byte {
+	b := append(segHeader(1), record(KindInsert, 1, payload(0))...)
+	b = append(b, record(KindInsert, 2, payload(1))...)
+	tail := record(KindInsert, 3, payload(2))[:24]
+	copy(tail, frame.AppendU32(nil, frame.MaxLen-1))
+	return append(b, tail...)
+}
+
+// dirFiles maps every file in dir to its bytes.
+func dirFiles(t testing.TB, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(b)
+	}
+	return files
+}
+
+// sameFiles fails t unless dir holds exactly the files of want.
+func sameFiles(t testing.TB, dir string, want map[string]string) {
+	t.Helper()
+	got := dirFiles(t, dir)
+	if len(got) != len(want) {
+		t.Fatalf("the directory holds %d files, %d before", len(got), len(want))
+	}
+	for name, b := range want {
+		if got[name] != b {
+			t.Fatalf("%s changed", name)
+		}
+	}
 }
 
 // appendN appends n insert records with epochs base+1..base+n, committing
@@ -152,7 +224,7 @@ func TestTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn := appendRecord(nil, KindInsert, 99, []byte("lost-to-the-crash"))
+	torn := record(KindInsert, 99, []byte("lost-to-the-crash"))
 	if _, err := f.Write(torn[:len(torn)-7]); err != nil {
 		t.Fatal(err)
 	}
@@ -185,49 +257,122 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 }
 
-func TestCorruptRecordMidSegmentDropsLaterSegments(t *testing.T) {
+// TestCorruptSealedSegmentRefused: rotation fsyncs a segment before it
+// creates the next, so a crash tears only the last one. A flipped byte in
+// an earlier segment means acknowledged writes were lost there: Open and
+// Inspect refuse the log, naming the segment and the offset, and change no
+// file.
+func TestCorruptSealedSegmentRefused(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(dir, Options{SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	appendN(t, l, 0, 30) // several segments
-	before := l.Stats()
+	if n := l.Stats().Segments; n < 3 {
+		t.Fatalf("%d segments, want at least 3", n)
+	}
 	l.Close()
 
-	// Flip one payload byte in the middle of the SECOND segment.
+	// Flip one payload byte of the first record of the SECOND segment.
 	name := filepath.Join(dir, segName(2))
 	data, err := os.ReadFile(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[segHeaderSize+recHeaderSize+3] ^= 0x40
+	data[segHeaderSize+frame.EnvelopeOverhead] ^= 0x40
 	if err := os.WriteFile(name, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	before := dirFiles(t, dir)
 
-	l2, rec, err := Open(dir, Options{SegmentBytes: 256})
+	where := fmt.Sprintf("%s at offset %d", segName(2), segHeaderSize)
+	if _, err := Inspect(dir); err == nil || !strings.Contains(err.Error(), where) {
+		t.Fatalf("Inspect = %v, want a refusal naming %s", err, where)
+	}
+	if _, _, err := Open(dir, Options{SegmentBytes: 256}); err == nil || !strings.Contains(err.Error(), where) {
+		t.Fatalf("Open = %v, want a refusal naming %s", err, where)
+	}
+	sameFiles(t, dir, before)
+}
+
+// TestOldGenerationLogRefused: a log of generation 1 is refused by Open
+// and Inspect with the way forward, before anything is truncated or
+// removed — read as this generation, its first segment would be a torn
+// header, and Open would delete it.
+func TestOldGenerationLogRefused(t *testing.T) {
+	dir := t.TempDir()
+	for name, b := range map[string][]byte{
+		segName(1):                oldSegment(1, 1, 2),
+		segName(2):                oldSegment(2, 3),
+		CheckpointName(0, 0):      []byte("snapshot"),
+		"checkpoint-x.ppanns.tmp": []byte("half a snapshot"),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := dirFiles(t, dir)
+	const want = "checkpoint with the previous build"
+	if _, err := Inspect(dir); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Inspect = %v, want a refusal saying %q", err, want)
+	}
+	if _, _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open = %v, want a refusal saying %q", err, want)
+	}
+	sameFiles(t, dir, before)
+}
+
+// TestLyingLengthAllocatesLittle: a torn tail whose length field claims
+// just under frame.MaxLen is read as the bytes arrive, so Inspect and Open
+// each allocate far less than the claim, and Open truncates it.
+func TestLyingLengthAllocatesLittle(t *testing.T) {
+	dir := t.TempDir()
+	seg := lyingTail()
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var rec *Recovery
+	var err error
+	if got := allocated(func() { rec, err = Inspect(dir) }); err != nil || got >= 1<<20 {
+		t.Fatalf("Inspect allocated %d bytes, %v", got, err)
+	}
+	if rec.Records != 2 || rec.TruncatedBytes != 24 {
+		t.Fatalf("inspect = %+v, want 2 records and a 24-byte torn tail", rec)
+	}
+	var l *Log
+	if got := allocated(func() { l, rec, err = Open(dir, Options{}) }); err != nil || got >= 1<<20 {
+		t.Fatalf("Open allocated %d bytes, %v", got, err)
+	}
+	defer l.Close()
+	if rec.Records != 2 || rec.TruncatedBytes != 24 {
+		t.Fatalf("recovery = %+v, want 2 records and a 24-byte torn tail", rec)
+	}
+}
+
+// TestAppendRefusesOversizedPayload: a payload over frame.MaxLen, which no
+// scan would read back, is refused before anything is written, and the log
+// stays healthy.
+func TestAppendRefusesOversizedPayload(t *testing.T) {
+	l, _, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l2.Close()
-	if rec.Truncated == "" || !strings.Contains(rec.Truncated, segName(2)) {
-		t.Fatalf("expected truncation report naming %s, got %+v", segName(2), rec)
+	defer l.Close()
+	if _, err := l.Append(KindInsert, 1, make([]byte, frame.MaxLen+1)); err == nil {
+		t.Fatal("an oversized payload was appended")
 	}
-	if rec.DroppedSegments != before.Segments-2 {
-		t.Fatalf("dropped %d segments, want %d", rec.DroppedSegments, before.Segments-2)
+	if st := l.Stats(); st.Appended != 0 || st.Bytes != segHeaderSize || l.Err() != nil {
+		t.Fatalf("after the refusal: %+v, err %v", st, l.Err())
 	}
-	// Replay yields the intact prefix: all of segment 1, nothing at or
-	// after the corrupt record.
-	rows := collect(t, l2, 0)
-	if len(rows) >= 30 || len(rows) == 0 {
-		t.Fatalf("replayed %d records, want a strict non-empty prefix of 30", len(rows))
-	}
-	for i, r := range rows {
-		if r.epoch != uint64(i+1) {
-			t.Fatalf("replay gap at %d: %+v", i, r)
-		}
-	}
+	appendN(t, l, 0, 1)
 }
 
 func TestCheckpointGCAndRecovery(t *testing.T) {
@@ -537,6 +682,63 @@ func TestInspectDoesNotRepair(t *testing.T) {
 	if after.Size() != sizeBefore.Size()+3 {
 		t.Fatal("Inspect modified the segment file")
 	}
+}
+
+// FuzzSegment: a segment file is untrusted after a crash. Whatever it
+// holds, Inspect and Open neither panic nor allocate by a length field's
+// claim, they agree, a refusal leaves the file as it was, every record
+// Replay yields was counted by Open, and a second Open finds the repaired
+// log clean.
+func FuzzSegment(f *testing.F) {
+	clean := append(segHeader(1), record(KindInsert, 1, payload(0))...)
+	clean = append(clean, record(KindBarrier, 1, (&Barrier{Gen: 1, Records: 5, Name: CheckpointName(1, 1)}).encode())...)
+	clean = append(clean, record(KindDelete, 2, frame.AppendU64(nil, 3))...)
+	for _, seed := range [][]byte{clean, clean[:len(clean)-7], oldSegment(1, 1, 2), lyingTail()} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, segName(1))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		irec, ierr := Inspect(dir)
+		l, rec, err := Open(dir, Options{})
+		runtime.ReadMemStats(&after)
+		if got, bound := after.TotalAlloc-before.TotalAlloc, 8*uint64(len(data))+1<<20; got > bound {
+			t.Fatalf("a %d-byte segment allocated %d bytes, over %d", len(data), got, bound)
+		}
+		if (ierr == nil) != (err == nil) {
+			t.Fatalf("Inspect: %v; Open: %v", ierr, err)
+		}
+		if err != nil {
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, data) {
+				t.Fatalf("a refused segment changed: %v", err)
+			}
+			return
+		}
+		if irec.Records != rec.Records || irec.Truncated != rec.Truncated {
+			t.Fatalf("Inspect %+v, Open %+v", irec, rec)
+		}
+		replayed := 0
+		if err := l.Replay(0, func(Kind, uint64, []byte) error { replayed++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		if replayed > rec.Records-len(rec.Barriers) {
+			t.Fatalf("replayed %d records, Open counted %d and %d barriers", replayed, rec.Records, len(rec.Barriers))
+		}
+		l2, rec2, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l2.Close()
+		if rec2.Truncated != "" || rec2.Records != rec.Records {
+			t.Fatalf("second Open found %+v after %+v", rec2, rec)
+		}
+	})
 }
 
 func TestBarrierCodec(t *testing.T) {
