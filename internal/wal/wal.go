@@ -149,11 +149,11 @@ type Log struct {
 }
 
 // Open opens (creating if needed) the log in dir, scanning every segment
-// and truncating the last one at its first torn or CRC-failing record (or
-// removing it, when its header is torn). It returns the log positioned for
-// appending plus a Recovery describing what was found. A log of another
-// generation, or one with bad bytes before its last segment, is refused
-// with the directory untouched.
+// and truncating the last one at its first torn or CRC-failing record
+// (or removing it durably, when its header is torn). It returns the log
+// positioned for appending plus a Recovery describing what was found. A
+// log of another generation, or one with bad bytes before its last
+// segment, is refused with the directory untouched.
 func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	opts = opts.withDefaults()
 	fs := opts.FS
@@ -289,11 +289,17 @@ func scanDir(fs FS, dir string, repair bool) (segs []segMeta, rec *Recovery, bar
 	if cut < 0 {
 		return segs, rec, barrierSeq, nil
 	}
-	last := segNames[len(segNames)-1]
-	if cut == 0 {
-		fs.Remove(filepath.Join(dir, last))
-	} else if err := fs.Truncate(filepath.Join(dir, last), cut); err != nil {
-		return nil, nil, 0, fmt.Errorf("wal: truncate torn tail of %s: %w", last, err)
+	// Removing a torn last segment makes the sealed one before it active
+	// again; the removal must be durable before anything is appended there,
+	// or a crash could bring it back over that segment's new tail.
+	last := filepath.Join(dir, segNames[len(segNames)-1])
+	if cut > 0 {
+		err = fs.Truncate(last, cut)
+	} else if err = fs.Remove(last); err == nil {
+		err = fs.SyncDir(dir)
+	}
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("wal: repair torn %s: %w", filepath.Base(last), err)
 	}
 	return segs, rec, barrierSeq, nil
 }

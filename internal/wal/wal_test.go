@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -241,6 +242,98 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rec3.Records != 10 || rec3.Truncated != "" {
+		t.Fatalf("post-repair recovery = %+v", rec3)
+	}
+}
+
+// opFS records the removals, directory syncs and append-opens it passes
+// on; a non-nil syncErr fails every SyncDir.
+type opFS struct {
+	FS
+	ops     []string
+	syncErr error
+}
+
+func (f *opFS) Remove(name string) error {
+	f.ops = append(f.ops, "remove "+filepath.Base(name))
+	return f.FS.Remove(name)
+}
+
+func (f *opFS) SyncDir(dir string) error {
+	f.ops = append(f.ops, "syncdir")
+	if f.syncErr != nil {
+		return f.syncErr
+	}
+	return f.FS.SyncDir(dir)
+}
+
+func (f *opFS) Append(name string) (File, error) {
+	f.ops = append(f.ops, "append "+filepath.Base(name))
+	return f.FS.Append(name)
+}
+
+// TestTornHeaderRemovalDurable: a torn header in the last segment N is
+// repaired by removing N, which makes the sealed segment N-1 active
+// again. The removal must reach the directory before N-1 is reopened for
+// appending; otherwise a crash could bring N back over an N-1 with a torn
+// tail, a log Open refuses. When the directory sync fails, Open fails and
+// appends nothing.
+func TestTornHeaderRemovalDurable(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 0, 30)
+	n := l.Stats().Segments
+	l.Close()
+	if n < 3 {
+		t.Fatalf("%d segments, want at least 3", n)
+	}
+	last, prev := segName(uint64(n)), segName(uint64(n-1))
+	size, err := OSFS.Size(filepath.Join(dir, last))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastRecs := 0
+	if _, err := readSegment(OSFS, dir, last, uint64(n), size, func(Kind, uint64, []byte) error { lastRecs++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	const want = 30
+	if err := os.WriteFile(filepath.Join(dir, last), segHeader(uint64(n))[:10], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	failing := &opFS{FS: OSFS, syncErr: errors.New("sync refused")}
+	if _, _, err := Open(dir, Options{FS: failing}); err == nil || !strings.Contains(err.Error(), "sync refused") {
+		t.Fatalf("Open with a failing directory sync = %v, want its error", err)
+	}
+	if slices.Contains(failing.ops, "append "+prev) {
+		t.Fatalf("Open reopened %s although the removal was not made durable: %v", prev, failing.ops)
+	}
+
+	// Put the torn segment back, as the failed sync may have left it.
+	if err := os.WriteFile(filepath.Join(dir, last), segHeader(uint64(n))[:10], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs := &opFS{FS: OSFS}
+	l2, rec, err := Open(dir, Options{FS: fs, SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(rec.Truncated, "corrupt header") || rec.Records != want-lastRecs {
+		t.Fatalf("recovery = %+v, want the torn header of %s dropped and %d records", rec, last, want-lastRecs)
+	}
+	if got := []string{"remove " + last, "syncdir", "append " + prev}; !slices.Equal(fs.ops, got) {
+		t.Fatalf("repair ran %v, want %v", fs.ops, got)
+	}
+	appendN(t, l2, 100, 3)
+	l2.Close()
+	_, rec3, err := Open(dir, Options{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec3.Truncated != "" || rec3.Records != want-lastRecs+3 {
 		t.Fatalf("post-repair recovery = %+v", rec3)
 	}
 }
