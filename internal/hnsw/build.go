@@ -33,6 +33,7 @@ import (
 	"slices"
 
 	"ppanns/internal/par"
+	"ppanns/internal/resultheap"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
@@ -86,7 +87,7 @@ func buildLists(vectors [][]float64, cfg Config) (*Graph, error) {
 
 	ctxs := make([]*searchCtx, min(runtime.GOMAXPROCS(0), len(live)))
 	for i := range ctxs {
-		ctxs[i] = newSearchCtx()
+		ctxs[i] = new(searchCtx)
 		ctxs[i].vis.Grow(n)
 	}
 	for lo := 0; lo < len(live); {
@@ -231,10 +232,9 @@ func (g *Graph) link(ctx *searchCtx, id, entry, top int) {
 	for l := min(g.level(id), top); l >= 0; l-- {
 		ctx.next() // fresh visited set per layer
 		lay := &g.layers[l]
-		res := g.beam(ctx, v, ep, epDist, g.cfg.EfConstruction, lay)
-		ctx.cand.Load(res.Items())
-		ep, epDist = ctx.cand.Top().ID, ctx.cand.Top().Dist
-		lay.setList(id, g.selectNeighbors(ctx, lay.list(id), g.cfg.M))
+		cands := g.beam(ctx, v, ep, epDist, g.cfg.EfConstruction, lay)
+		ep, epDist = int(cands[0].ID), cands[0].Dist
+		lay.setList(id, g.selectNeighbors(ctx, lay.list(id), cands, g.cfg.M))
 	}
 }
 
@@ -261,28 +261,31 @@ func (g *Graph) mergeBacklinks(ctx *searchCtx, l int, keys []uint64) {
 	ids = append(ids, lst...)
 	ctx.ids = ids
 	dists := g.hopDists(ctx, g.data.At(target), ids)
-	ctx.cand.Reset()
-	for j, id := range ids {
-		ctx.cand.Push(int(id), dists[j])
+	pool := &ctx.pool // ranks them by binary insertion, equals in arrival order
+	pool.Reset(ids[0], dists[0])
+	for j := 1; j < len(ids); j++ {
+		pool.Offer(ids[j], dists[j], len(ids))
 	}
-	lay.setList(target, g.selectNeighbors(ctx, lst, maxLinks))
+	lay.setList(target, g.selectNeighbors(ctx, lst, pool.Cands(), maxLinks))
 }
 
-// selectNeighbors applies the diversity heuristic (HNSW Algorithm 4) to the
-// candidates loaded into ctx.cand (keyed by distance to the base vector),
-// appending at most m ids to dst[:0]. Candidates are drawn closest first,
-// and only as many as the selection consumes. A candidate is kept when it
-// is closer to the base than to any already-kept neighbor; when fewer than
-// m survive, the closest pruned candidates fill the remaining slots
-// (keepPrunedConnections). dst may be the list being replaced: the heap holds
+// selectNeighbors applies the diversity heuristic (HNSW Algorithm 4) to
+// cands (ascending by distance to the base vector), appending at most m
+// ids to dst[:0]. Candidates are read closest first, and only as many as
+// the selection consumes. A candidate is kept when it is closer to the
+// base than to any already-kept neighbor; when fewer than m survive, the
+// closest pruned candidates fill the remaining slots
+// (keepPrunedConnections). dst may be the list being replaced: cands holds
 // ids by value.
-func (g *Graph) selectNeighbors(ctx *searchCtx, dst []int32, m int) []int32 {
+func (g *Graph) selectNeighbors(ctx *searchCtx, dst []int32, cands []resultheap.Cand, m int) []int32 {
 	dst = dst[:0]
 	pruned := ctx.pruned[:0]
-	for cand := ctx.cand; cand.Len() > 0 && len(dst) < m; {
-		c := cand.Pop()
+	for _, c := range cands {
+		if len(dst) >= m {
+			break
+		}
 		good := true
-		cv := g.data.At(c.ID)
+		cv := g.data.At(int(c.ID))
 		for _, s := range dst {
 			if vec.SqDist(cv, g.data.At(int(s))) < c.Dist {
 				good = false
@@ -290,7 +293,7 @@ func (g *Graph) selectNeighbors(ctx *searchCtx, dst []int32, m int) []int32 {
 			}
 		}
 		if good {
-			dst = append(dst, int32(c.ID))
+			dst = append(dst, c.ID)
 		} else {
 			pruned = append(pruned, c)
 		}
@@ -299,7 +302,7 @@ func (g *Graph) selectNeighbors(ctx *searchCtx, dst []int32, m int) []int32 {
 		if len(dst) >= m {
 			break
 		}
-		dst = append(dst, int32(c.ID))
+		dst = append(dst, c.ID)
 	}
 	ctx.pruned = pruned
 	return dst

@@ -80,7 +80,7 @@ func insertOneByOne(t *testing.T, data [][]float64, cfg Config) *Graph {
 	g.dead = make([]bool, len(data))
 	g.size = len(data)
 	g.carve(drawLevels(g.cfg.Seed, g.mL, len(data)))
-	ctx := newSearchCtx()
+	ctx := new(searchCtx)
 	ctx.vis.Grow(len(data))
 	for id := range data {
 		g.insertBatch([]*searchCtx{ctx}, []int32{int32(id)})

@@ -130,22 +130,21 @@ func (g *Graph) Config() Config { return g.cfg }
 // Vector returns the stored vector for id: the zero vector at a dead slot.
 func (g *Graph) Vector(id int) []float64 { return g.data.At(id) }
 
-// searchCtx holds per-walk scratch state: the visited set, both beam-search
-// heaps, the gathered-neighbor buffer, the blocked-kernel output, the
-// drained result slice and the linking scratch. Query searches pool theirs
-// across searches (after warm-up a search touches no allocator at all); a
-// bulk build owns one per worker and drops them when it returns.
+// searchCtx holds per-walk scratch state: the visited set, the beam's
+// candidate pool, the gathered-neighbor buffer and the blocked-kernel
+// output, and the linking scratch. Query searches pool theirs across
+// searches (after warm-up a search touches no allocator at all); a bulk
+// build owns one per worker and drops them when it returns. Every buffer
+// grows by append, to what a walk touched, never to its beam width.
 type searchCtx struct {
 	vis   epochset.Set
-	cand  *resultheap.MinDistHeap
-	res   *resultheap.MaxDistHeap
+	pool  resultheap.Pool
 	buf   []int32
 	dists []float64 // blocked-kernel output, parallel to the gathered buf
-	items []resultheap.Item
 	// Linking scratch: the diversity heuristic's rejected candidates, a
 	// backlink merge's id list, and a batch's sorted (target, source)
 	// backlink keys with the start of each target's run.
-	pruned []resultheap.Item
+	pruned []resultheap.Cand
 	ids    []int32
 	keys   []uint64
 	starts []int32
@@ -153,13 +152,6 @@ type searchCtx struct {
 	// (SearchIntoDist — the PQ filter path). Ids passed to it are graph
 	// ids. Build always runs with sc nil.
 	sc vec.BlockScanner
-}
-
-func newSearchCtx() *searchCtx {
-	return &searchCtx{
-		cand: resultheap.NewMinDistHeap(64),
-		res:  resultheap.NewMaxDistHeap(64),
-	}
 }
 
 // pairDist is the single-candidate distance of this search: the bound
@@ -209,7 +201,7 @@ func (g *Graph) SearchInto(dst []resultheap.Item, q []float64, k, ef int) []resu
 
 // SearchIntoDist is SearchInto with every candidate distance supplied by sc
 // instead of computed from the stored vectors — the compressed (PQ) filter
-// path. Traversal order, heap admission and result ranking all run on the
+// path. Traversal order, pool admission and result ranking all run on the
 // scanner's distances; the graph structure is walked unchanged. Ids passed
 // to sc are graph ids.
 func (g *Graph) SearchIntoDist(dst []resultheap.Item, q []float64, k, ef int, sc vec.BlockScanner) []resultheap.Item {
@@ -228,7 +220,7 @@ func (g *Graph) searchInto(dst []resultheap.Item, q []float64, k, ef int, sc vec
 	}
 	ctx, _ := g.ctxPool.Get().(*searchCtx)
 	if ctx == nil {
-		ctx = newSearchCtx()
+		ctx = new(searchCtx)
 	}
 	ctx.vis.Grow(len(g.levels))
 	ctx.next()
@@ -244,13 +236,8 @@ func (g *Graph) searchInto(dst []resultheap.Item, q []float64, k, ef int, sc vec
 		ep, epDist = g.descend(ctx, q, ep, epDist, &g.layers[l])
 	}
 	ctx.next()
-	res := g.beam(ctx, q, ep, epDist, ef, &g.layers[0])
-	ctx.items = res.SortedInto(ctx.items)
-	items := ctx.items
-	if len(items) > k {
-		items = items[:k]
-	}
-	return append(dst[:0], items...)
+	g.beam(ctx, q, ep, epDist, ef, &g.layers[0])
+	return ctx.pool.AppendItems(dst, k)
 }
 
 // descend walks one layer greedily towards q, returning the closest node
@@ -274,50 +261,39 @@ func (g *Graph) descend(ctx *searchCtx, q []float64, ep int, epDist float64, lay
 }
 
 // beam is the beam search of the HNSW paper (Algorithm 2) on one layer,
-// with tombstones kept out of the result set: from ep it maintains a
-// candidate min-heap and a bounded result max-heap of width ef, both reused
-// from ctx. Each hop gathers its unvisited neighbors and evaluates them
-// with one blocked kernel call, then replays admission in neighbor order.
-// Searches run it on layer 0; Build runs it on every layer a new node
-// joins, where the tombstone check never fires (no list names a dead slot).
-// The returned heap is ctx-owned: consume it before the next walk on ctx.
-func (g *Graph) beam(ctx *searchCtx, q []float64, ep int, epDist float64, ef int, lay *csrLayer) *resultheap.MaxDistHeap {
+// over ctx.pool: from ep it expands the closest unexpanded candidate of a
+// pool of width ef until every pooled candidate is expanded. Each hop
+// gathers its unvisited neighbors and evaluates them with one blocked
+// kernel call, then offers them to the pool in neighbor order. Searches
+// run it on layer 0; Build runs it on every layer a new node joins. No
+// list names a dead slot and the entry point is live (Build never links a
+// dead slot, Load refuses a graph that does), so a walk never meets one.
+// It returns the pool's candidates, closest first; they are ctx-owned:
+// consume them before the next walk on ctx.
+func (g *Graph) beam(ctx *searchCtx, q []float64, ep int, epDist float64, ef int, lay *csrLayer) []resultheap.Cand {
 	offs, ends, nbrs := lay.offs, lay.ends, lay.nbrs
-	dead := g.dead
-	cand, res := ctx.cand, ctx.res
-	cand.Reset()
-	res.Reset()
+	pool := &ctx.pool
+	pool.Reset(int32(ep), epDist)
 	ctx.seen(ep)
-	cand.Push(ep, epDist)
-	if !dead[ep] {
-		res.Push(ep, epDist)
-	}
 	gather := ctx.buf
-	for cand.Len() > 0 {
-		c := cand.Pop()
-		if res.Len() >= ef && c.Dist > res.Top().Dist {
+	for {
+		c, ok := pool.Expand()
+		if !ok {
 			break
 		}
 		gather = gather[:0]
-		for _, nb := range nbrs[offs[c.ID]:ends[c.ID]] {
+		for _, nb := range nbrs[offs[c]:ends[c]] {
 			if !ctx.seen(int(nb)) {
 				gather = append(gather, nb)
 			}
 		}
 		dists := g.hopDists(ctx, q, gather)
 		for j, nb := range gather {
-			id := int(nb)
-			d := dists[j]
-			if res.Len() < ef || d < res.Top().Dist {
-				cand.Push(id, d)
-				if !dead[id] {
-					res.PushBounded(id, d, ef)
-				}
-			}
+			pool.Offer(nb, dists[j], ef)
 		}
 	}
 	ctx.buf = gather
-	return res
+	return pool.Cands()
 }
 
 // Neighbors returns a copy of id's adjacency list at the given layer (nil

@@ -160,13 +160,14 @@ func (g *Graph) refineFromNavigator(vectors [][]float64, aux *hnsw.Graph) {
 	}
 	workers := runtime.GOMAXPROCS(0)
 	visited := make([][]bool, workers)
+	beams := make([]resultheap.Pool, workers)
 	par.Spans(workers, n, 16, func(w, lo, hi int) {
 		if visited[w] == nil {
 			visited[w] = make([]bool, n)
 		}
 		seen := visited[w]
 		for i := lo; i < hi; i++ {
-			pool := g.collectVisited(frozen, vectors[i], seen)
+			pool := g.collectVisited(&beams[w], frozen, vectors[i], seen)
 			// Merge the kNN pool (closest candidates) back in.
 			for _, it := range aux.Search(vectors[i], g.cfg.KNN, g.cfg.L) {
 				if !seen[it.ID] {
@@ -190,40 +191,31 @@ func (g *Graph) refineFromNavigator(vectors [][]float64, aux *hnsw.Graph) {
 }
 
 // collectVisited beam-searches the frozen graph from the navigating node
-// towards q and returns every node whose distance was evaluated. The
-// visited scratch must be all-false on entry and is reset via the returned
-// pool by the caller.
-func (g *Graph) collectVisited(frozen [][]int32, q []float64, visited []bool) []resultheap.Item {
+// towards q, over beam with width L, and returns every node whose distance
+// was evaluated. The visited scratch must be all-false on entry and is
+// reset via the returned pool by the caller.
+func (g *Graph) collectVisited(beam *resultheap.Pool, frozen [][]int32, q []float64, visited []bool) []resultheap.Item {
 	var pool []resultheap.Item
-	cand := resultheap.NewMinDistHeap(g.cfg.L + 1)
-	res := resultheap.NewMaxDistHeap(g.cfg.L + 1)
 	mark := func(id int, d float64) {
 		visited[id] = true
 		pool = append(pool, resultheap.Item{ID: id, Dist: d})
 	}
 	d0 := vec.SqDist(q, g.data.At(g.nav))
 	mark(g.nav, d0)
-	cand.Push(g.nav, d0)
-	res.Push(g.nav, d0)
-	for cand.Len() > 0 {
-		c := cand.Pop()
-		if res.Len() >= g.cfg.L && c.Dist > res.Top().Dist {
+	beam.Reset(int32(g.nav), d0)
+	for {
+		c, ok := beam.Expand()
+		if !ok {
 			break
 		}
-		for _, nb := range frozen[c.ID] {
+		for _, nb := range frozen[c] {
 			id := int(nb)
 			if visited[id] {
 				continue
 			}
 			d := vec.SqDist(q, g.data.At(id))
 			mark(id, d)
-			if res.Len() < g.cfg.L || d < res.Top().Dist {
-				cand.Push(id, d)
-				res.Push(id, d)
-				if res.Len() > g.cfg.L {
-					res.Pop()
-				}
-			}
+			beam.Offer(nb, d, g.cfg.L)
 		}
 	}
 	return pool
@@ -360,16 +352,15 @@ func (g *Graph) ensureReachable() {
 // Len returns the number of vertices.
 func (g *Graph) Len() int { return g.data.Len() }
 
-// searchCtx is the pooled per-search working set: the visited set, both
-// beam heaps, the gathered-neighbor buffer with its blocked-kernel
-// output, and the drained result slice. A warm search allocates nothing.
+// searchCtx is the pooled per-search working set: the visited set, the
+// beam's candidate pool, and the gathered-neighbor buffer with its
+// blocked-kernel output. Each grows by append, to what a search touched,
+// never to its beam width. A warm search allocates nothing.
 type searchCtx struct {
 	vis    epochset.Set
-	cand   *resultheap.MinDistHeap
-	res    *resultheap.MaxDistHeap
+	pool   resultheap.Pool
 	gather []int32
 	dists  []float64
-	items  []resultheap.Item
 }
 
 // SearchInto appends the (approximately) k closest ids, closest first, to
@@ -386,49 +377,32 @@ func (g *Graph) SearchInto(dst []resultheap.Item, q []float64, k, ef int) []resu
 
 	ctx, _ := g.ctxPool.Get().(*searchCtx)
 	if ctx == nil {
-		ctx = &searchCtx{
-			cand: resultheap.NewMinDistHeap(ef + 1),
-			res:  resultheap.NewMaxDistHeap(ef + 1),
-		}
+		ctx = new(searchCtx)
 	}
 	ctx.vis.Grow(g.Len())
 	ctx.vis.Next()
 	defer g.ctxPool.Put(ctx)
 
-	cand, res := ctx.cand, ctx.res
-	cand.Reset()
-	res.Reset()
-	d0 := vec.SqDist(q, g.data.At(g.nav))
+	pool := &ctx.pool
+	pool.Reset(int32(g.nav), vec.SqDist(q, g.data.At(g.nav)))
 	ctx.vis.Seen(g.nav)
-	cand.Push(g.nav, d0)
-	res.Push(g.nav, d0)
 	gather := ctx.gather
-	for cand.Len() > 0 {
-		c := cand.Pop()
-		if res.Len() >= ef && c.Dist > res.Top().Dist {
+	for {
+		c, ok := pool.Expand()
+		if !ok {
 			break
 		}
 		gather = gather[:0]
-		for _, nb := range g.neighbors(c.ID) {
+		for _, nb := range g.neighbors(int(c)) {
 			if !ctx.vis.Seen(int(nb)) {
 				gather = append(gather, nb)
 			}
 		}
 		ctx.dists = g.data.SqDistBlock(ctx.dists, q, gather)
 		for j, nb := range gather {
-			id := int(nb)
-			d := ctx.dists[j]
-			if res.Len() < ef || d < res.Top().Dist {
-				cand.Push(id, d)
-				res.PushBounded(id, d, ef)
-			}
+			pool.Offer(nb, ctx.dists[j], ef)
 		}
 	}
 	ctx.gather = gather
-	ctx.items = res.SortedInto(ctx.items)
-	items := ctx.items
-	if len(items) > k {
-		items = items[:k]
-	}
-	return append(dst[:0], items...)
+	return pool.AppendItems(dst, k)
 }

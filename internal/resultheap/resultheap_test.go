@@ -2,6 +2,7 @@ package resultheap
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -9,18 +10,95 @@ import (
 	"ppanns/internal/rng"
 )
 
-func TestMinDistHeapOrdering(t *testing.T) {
-	h := NewMinDistHeap(8)
-	dists := []float64{5, 1, 4, 2, 3}
-	for i, d := range dists {
-		h.Push(i, d)
+// TestPoolOrdering: a pool keeps its entries ascending however they
+// arrive, bounded by ef, and expands them closest first.
+func TestPoolOrdering(t *testing.T) {
+	var p Pool
+	p.Reset(0, 5)
+	for i, d := range []float64{1, 4, 2, 3, 0.5, 6} {
+		p.Offer(int32(i+1), d, 4)
 	}
 	var got []float64
-	for h.Len() > 0 {
-		got = append(got, h.Pop().Dist)
+	for _, c := range p.Cands() {
+		got = append(got, c.Dist)
 	}
-	if !sort.Float64sAreSorted(got) {
-		t.Fatalf("min-heap drained out of order: %v", got)
+	if want := []float64{0.5, 1, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("pool holds %v, want %v", got, want)
+	}
+	for _, want := range []int32{5, 1, 3, 4} {
+		if id, ok := p.Expand(); !ok || id != want {
+			t.Fatalf("Expand = %d, %v; want %d", id, ok, want)
+		}
+	}
+	if _, ok := p.Expand(); ok {
+		t.Fatal("Expand found an entry in a fully expanded pool")
+	}
+}
+
+// TestPoolTieRule pins how a pool settles equal distances: an entry lands
+// after every entry of equal distance, so equals keep arrival order, and a
+// full pool refuses a candidate equal to its worst entry.
+func TestPoolTieRule(t *testing.T) {
+	var p Pool
+	p.Reset(0, 2)
+	for i, d := range []float64{1, 2, 1, 3, 2} {
+		p.Offer(int32(i+1), d, 5)
+	}
+	p.Offer(9, 3, 5) // equal to the worst of a full pool: refused
+	p.Offer(8, 2, 5) // lands after the 2s, displacing the 3
+	var ids []int32
+	for _, c := range p.Cands() {
+		ids = append(ids, c.ID)
+	}
+	if want := []int32{1, 3, 0, 2, 5}; !slices.Equal(ids[:5], want) || len(ids) != 5 {
+		t.Fatalf("pool ids %v, want %v", ids, want)
+	}
+	p.Reset(0, 2)
+	p.Offer(8, 2, 5)
+	if ids := p.Cands(); ids[0].ID != 0 || ids[1].ID != 8 {
+		t.Fatalf("equal distance did not keep arrival order: %v", ids)
+	}
+}
+
+// TestPoolExpandAfterInsertAhead: a candidate that lands ahead of the
+// entries already expanded is the next one expanded, and expanded entries
+// it pushes back are never expanded again.
+func TestPoolExpandAfterInsertAhead(t *testing.T) {
+	var p Pool
+	p.Reset(0, 1)
+	p.Offer(1, 2, 8)
+	p.Offer(2, 3, 8)
+	var order []int32
+	for id, ok := p.Expand(); ok; id, ok = p.Expand() {
+		order = append(order, id)
+		if id == 1 {
+			p.Offer(3, 0.5, 8) // ahead of 0 and 1, both expanded
+			p.Offer(4, 2.5, 8) // between 1 and 2
+		}
+	}
+	if want := []int32{0, 1, 3, 4, 2}; !slices.Equal(order, want) {
+		t.Fatalf("expansion order %v, want %v", order, want)
+	}
+}
+
+// TestPoolGrowsByAppend: an absurd ef sizes nothing; the pool holds what
+// it was offered, and Reset keeps the storage.
+func TestPoolGrowsByAppend(t *testing.T) {
+	var p Pool
+	p.Reset(0, 3)
+	p.Offer(1, 1, 1<<40)
+	p.Offer(2, 2, 1<<40)
+	if n := len(p.Cands()); n != 3 || cap(p.Cands()) > 8 {
+		t.Fatalf("pool of 3 offers has len %d cap %d", n, cap(p.Cands()))
+	}
+	items := p.AppendItems(nil, 1<<40)
+	if len(items) != 3 || items[0] != (Item{ID: 1, Dist: 1}) || items[2] != (Item{ID: 0, Dist: 3}) {
+		t.Fatalf("AppendItems = %v", items)
+	}
+	before := &p.Cands()[0]
+	p.Reset(7, 1)
+	if &p.Cands()[0] != before || len(p.Cands()) != 1 {
+		t.Fatal("Reset did not keep the pool's storage")
 	}
 }
 
@@ -61,19 +139,14 @@ func TestHeapPropertyRandom(t *testing.T) {
 	f := func(seed uint64, count uint8) bool {
 		r := rng.NewSeeded(seed)
 		n := int(count%100) + 1
-		min := NewMinDistHeap(n)
 		max := NewMaxDistHeap(n)
 		vals := make([]float64, n)
 		for i := range vals {
 			vals[i] = r.Float64()
-			min.Push(i, vals[i])
 			max.Push(i, vals[i])
 		}
 		sort.Float64s(vals)
 		for i := 0; i < n; i++ {
-			if min.Pop().Dist != vals[i] {
-				return false
-			}
 			if max.Pop().Dist != vals[n-1-i] {
 				return false
 			}
@@ -86,7 +159,7 @@ func TestHeapPropertyRandom(t *testing.T) {
 }
 
 func TestResetKeepsStorage(t *testing.T) {
-	h := NewMinDistHeap(4)
+	h := NewMaxDistHeap(4)
 	h.Push(1, 1)
 	h.Reset()
 	if h.Len() != 0 {
@@ -269,34 +342,5 @@ func TestMaxDistHeapSortedInto(t *testing.T) {
 	}
 	if &got[0] != &buf[:1][0] {
 		t.Fatal("SortedInto did not reuse dst capacity")
-	}
-}
-
-// TestMinDistHeapLoad: a loaded heap pops its items closest first, owns a
-// copy of them, and replaces whatever it held.
-func TestMinDistHeapLoad(t *testing.T) {
-	r := rng.NewSeeded(31)
-	h := NewMinDistHeap(4)
-	h.Push(99, -1) // must not survive Load
-	for _, n := range []int{0, 1, 2, 5, 6, 200} {
-		items := make([]Item, n)
-		for i := range items {
-			items[i] = Item{ID: i, Dist: float64(r.IntN(50))} // duplicates on purpose
-		}
-		h.Load(items)
-		if h.Len() != n {
-			t.Fatalf("n=%d: Len = %d after Load", n, h.Len())
-		}
-		for i := range items {
-			items[i].Dist = -5 // the heap holds a copy
-		}
-		prev := math.Inf(-1)
-		for h.Len() > 0 {
-			it := h.Pop()
-			if it.Dist < prev || it.Dist < 0 {
-				t.Fatalf("n=%d: popped %v after %v", n, it.Dist, prev)
-			}
-			prev = it.Dist
-		}
 	}
 }
