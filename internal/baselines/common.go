@@ -23,6 +23,9 @@ import (
 	"encoding/binary"
 	"math"
 	"time"
+
+	"ppanns/internal/resultheap"
+	"ppanns/internal/vec"
 )
 
 // Costs is the per-query cost split.
@@ -76,38 +79,15 @@ func decodeVector(b []byte, dim int) []float64 {
 // topKByDistance selects the k closest candidate ids to q among cands
 // (plaintext refine on the user side, shared by all baselines).
 func topKByDistance(data map[int][]float64, cands []int, q []float64, k int) []int {
-	type pair struct {
-		id int
-		d  float64
-	}
-	best := make([]pair, 0, k+1)
+	var best resultheap.Pool
 	for _, id := range cands {
-		v, ok := data[id]
-		if !ok {
-			continue
-		}
-		var d float64
-		for i, x := range v {
-			diff := x - q[i]
-			d += diff * diff
-		}
-		if len(best) == k && d >= best[len(best)-1].d {
-			continue
-		}
-		pos := 0
-		for pos < len(best) && best[pos].d <= d {
-			pos++
-		}
-		best = append(best, pair{})
-		copy(best[pos+1:], best[pos:])
-		best[pos] = pair{id: id, d: d}
-		if len(best) > k {
-			best = best[:k]
+		if v, ok := data[id]; ok {
+			best.Offer(int32(id), vec.SqDist(v, q), k)
 		}
 	}
-	out := make([]int, len(best))
-	for i, p := range best {
-		out[i] = p.id
+	out := make([]int, len(best.Cands()))
+	for i, c := range best.Cands() {
+		out[i] = int(c.ID)
 	}
 	return out
 }

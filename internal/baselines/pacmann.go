@@ -8,6 +8,7 @@ import (
 	"ppanns/internal/hnsw"
 	"ppanns/internal/pir"
 	"ppanns/internal/rng"
+	"ppanns/internal/vec"
 )
 
 // PACMANN is the PACM-ANN baseline [45]: the search runs on the *user*,
@@ -168,11 +169,7 @@ func (p *PACMANN) Search(q []float64, k int) ([]int, Costs, error) {
 				nbs = append(nbs, nb)
 			}
 		}
-		var dist float64
-		for i, x := range v {
-			d := x - q[i]
-			dist += d * d
-		}
+		dist := vec.SqDist(v, q)
 		c.UserTime += time.Since(startU)
 		return &known{vec: v, nbs: nbs, dist: dist}, nil
 	}

@@ -82,17 +82,11 @@ func Indexes(cfg Config) error {
 
 		if err := run("flat-scan", func() (func([]float64) []resultheap.Item, error) {
 			return func(q []float64) []resultheap.Item {
-				res := resultheap.NewMaxDistHeap(cfg.K + 1)
+				var res resultheap.Pool
 				for id, v := range encTrain {
-					dd := vec.SqDist(q, v)
-					if res.Len() < cfg.K {
-						res.Push(id, dd)
-					} else if dd < res.Top().Dist {
-						res.Pop()
-						res.Push(id, dd)
-					}
+					res.Offer(int32(id), vec.SqDist(q, v), cfg.K)
 				}
-				return res.SortedAscending()
+				return res.AppendItems(nil, cfg.K)
 			}, nil
 		}); err != nil {
 			return err
@@ -130,11 +124,11 @@ func Indexes(cfg Config) error {
 			}
 			probes := min(max(ef/8, hashes), 2*hashes)
 			return func(q []float64) []resultheap.Item {
-				res := resultheap.NewMaxDistHeap(cfg.K + 1)
+				var res resultheap.Pool
 				for _, id := range ix.Candidates(q, probes, 0) {
-					res.PushBounded(id, vec.SqDist(q, encTrain[id]), cfg.K)
+					res.Offer(int32(id), vec.SqDist(q, encTrain[id]), cfg.K)
 				}
-				return res.SortedAscending()
+				return res.AppendItems(nil, cfg.K)
 			}, nil
 		}); err != nil {
 			return err

@@ -26,12 +26,12 @@ type searchScratch struct {
 }
 
 // tierScratch is the filter phase's two-tier staging area: the main-tier
-// index results (pre-masking) and the delta-tier scan results, merged by
-// snapshot.filterInto. Pooled alongside the rest of the search scratch so
+// index results (pre-masking) and the top-k′ pool snapshot.filterInto
+// merges both tiers in. Pooled alongside the rest of the search scratch so
 // the tiered filter allocates nothing in steady state.
 type tierScratch struct {
-	main  []resultheap.Item
-	delta []resultheap.Item
+	main []resultheap.Item
+	pool resultheap.Pool
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -220,10 +218,13 @@ func (sp *snapshot) live() int { return sp.edb.DCE.Live() - len(sp.tombs) }
 // filterInto runs the filter phase over both tiers: a k′-ANNS on the
 // frozen main index plus an exact scan of the delta segment, tombstones
 // masked, merged closest-first into dst. On a clean snapshot this is
-// exactly the index search. The merge happens on the filter phase's native
-// keys — squared L2 over SAP ciphertexts, or the PQ scanner's asymmetric
-// distances when one is bound — so a merged list is ordered identically to
-// what a single index over both tiers would return. When psc is non-nil it
+// exactly the index search. The merge is one top-k′ pool on the filter
+// phase's native keys — squared L2 over SAP ciphertexts, or the PQ
+// scanner's asymmetric distances when one is bound — so a merged list is
+// ordered identically to what a single index over both tiers would
+// return. The pool takes the main-tier answer in order, then the delta
+// tier in id order, and keeps equals in arrival order: a tie goes to the
+// main tier, and inside the delta to the lower id. When psc is non-nil it
 // supplies every candidate distance in both tiers (the code arena spans
 // them in one id space, exactly like the DCE store).
 func (sp *snapshot) filterInto(ts *tierScratch, dst []resultheap.Item, q []float64, kPrime, ef int, psc *pq.Scanner) []resultheap.Item {
@@ -245,22 +246,16 @@ func (sp *snapshot) filterInto(ts *tierScratch, dst []resultheap.Item, q []float
 	} else {
 		ts.main = sp.edb.Index.SearchInto(ts.main[:0], q, kMain, efMain)
 	}
-	if sp.mainDead > 0 {
-		kept := ts.main[:0]
-		for _, it := range ts.main {
-			if !sp.tombed(it.ID) {
-				kept = append(kept, it)
-			}
+	pool := &ts.pool
+	pool.Reset()
+	for _, it := range ts.main {
+		if sp.mainDead == 0 || !sp.tombed(it.ID) {
+			pool.Offer(int32(it.ID), it.Dist, kPrime)
 		}
-		ts.main = kept
-	}
-	if len(ts.main) > kPrime {
-		ts.main = ts.main[:kPrime]
 	}
 	// Delta tier: exact distances over the (small) mutable segment.
 	// Delta ids can only be dead via tombs — store flags change at
 	// compaction, which empties the delta.
-	ts.delta = ts.delta[:0]
 	for i, v := range sp.deltaSAP {
 		id := sp.frozen + i
 		if sp.tombed(id) {
@@ -272,30 +267,9 @@ func (sp *snapshot) filterInto(ts *tierScratch, dst []resultheap.Item, q []float
 		} else {
 			d = vec.SqDist(q, v)
 		}
-		ts.delta = append(ts.delta, resultheap.Item{ID: id, Dist: d})
+		pool.Offer(int32(id), d, kPrime)
 	}
-	// (Dist, ID) is a total order, so any sort gives one answer;
-	// slices.SortFunc, unlike sort.Slice, allocates nothing.
-	slices.SortFunc(ts.delta, func(a, b resultheap.Item) int {
-		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
-	})
-	if len(ts.delta) > kPrime {
-		ts.delta = ts.delta[:kPrime]
-	}
-	// Merge, closest first; ties go to the main tier (lower ids — delta
-	// ids are always the larger).
-	dst = dst[:0]
-	i, j := 0, 0
-	for len(dst) < kPrime && (i < len(ts.main) || j < len(ts.delta)) {
-		if j >= len(ts.delta) || (i < len(ts.main) && ts.main[i].Dist <= ts.delta[j].Dist) {
-			dst = append(dst, ts.main[i])
-			i++
-		} else {
-			dst = append(dst, ts.delta[j])
-			j++
-		}
-	}
-	return dst
+	return pool.AppendItems(dst, kPrime)
 }
 
 // DefaultCompactAt is the delta-tier bound used when

@@ -27,9 +27,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 
+	"ppanns/internal/resultheap"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
@@ -85,7 +85,7 @@ func SIFTLike(n, queries int, seed uint64) *Data {
 		c := centers[r.IntN(k)]
 		v := make([]float64, spec.Dim)
 		for j := range v {
-			x := c[j] + r.NormFloat64()*25
+			x := c[j] + float64(r.NormFloat64()*25)
 			// SIFT coordinates are small non-negative counts capped at 255.
 			v[j] = math.Round(clamp(x, 0, 255))
 		}
@@ -114,7 +114,7 @@ func GISTLike(n, queries int, seed uint64) *Data {
 		v := make([]float64, spec.Dim)
 		for i := range v {
 			// GIST values are small and non-negative.
-			v[i] = clamp(0.1+0.08*vec.Dot(embed[i], z)+0.01*r.NormFloat64(), 0, 1.5)
+			v[i] = clamp(0.1+float64(0.08*vec.Dot(embed[i], z))+float64(0.01*r.NormFloat64()), 0, 1.5)
 		}
 		return v
 	}
@@ -134,7 +134,7 @@ func GloVeLike(n, queries int, seed uint64) *Data {
 		c := centers[r.IntN(k)]
 		// Per-point scale mixing produces the heavy-tailed norm profile of
 		// word embeddings.
-		scale := 0.4 + r.ExpFloat64()*0.4
+		scale := 0.4 + float64(r.ExpFloat64()*0.4)
 		return vec.AXPY(nil, scale, rng.GaussianVec(r, spec.Dim, 1), c)
 	}
 	return build(spec, sample)
@@ -267,28 +267,13 @@ func (d *Data) GroundTruth(k int) [][]int {
 
 // ExactKNN returns the exact k nearest ids of q in data, closest first.
 func ExactKNN(data [][]float64, q []float64, k int) []int {
-	type pair struct {
-		id int
-		d  float64
-	}
-	// Bounded selection: keep a slice as a simple max-at-end structure.
-	best := make([]pair, 0, k+1)
+	var best resultheap.Pool
 	for i, v := range data {
-		dist := vec.SqDist(v, q)
-		if len(best) == k && dist >= best[len(best)-1].d {
-			continue
-		}
-		pos := sort.Search(len(best), func(j int) bool { return best[j].d > dist })
-		best = append(best, pair{})
-		copy(best[pos+1:], best[pos:])
-		best[pos] = pair{id: i, d: dist}
-		if len(best) > k {
-			best = best[:k]
-		}
+		best.Offer(int32(i), vec.SqDist(v, q), k)
 	}
-	ids := make([]int, len(best))
-	for i, p := range best {
-		ids[i] = p.id
+	ids := make([]int, len(best.Cands()))
+	for i, c := range best.Cands() {
+		ids[i] = int(c.ID)
 	}
 	return ids
 }

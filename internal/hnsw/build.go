@@ -262,9 +262,9 @@ func (g *Graph) mergeBacklinks(ctx *searchCtx, l int, keys []uint64) {
 	ctx.ids = ids
 	dists := g.hopDists(ctx, g.data.At(target), ids)
 	pool := &ctx.pool // ranks them by binary insertion, equals in arrival order
-	pool.Reset(ids[0], dists[0])
-	for j := 1; j < len(ids); j++ {
-		pool.Offer(ids[j], dists[j], len(ids))
+	pool.Reset()
+	for j, id := range ids {
+		pool.Offer(id, dists[j], len(ids))
 	}
 	lay.setList(target, g.selectNeighbors(ctx, lst, pool.Cands(), maxLinks))
 }

@@ -273,7 +273,8 @@ func (g *Graph) descend(ctx *searchCtx, q []float64, ep int, epDist float64, lay
 func (g *Graph) beam(ctx *searchCtx, q []float64, ep int, epDist float64, ef int, lay *csrLayer) []resultheap.Cand {
 	offs, ends, nbrs := lay.offs, lay.ends, lay.nbrs
 	pool := &ctx.pool
-	pool.Reset(int32(ep), epDist)
+	pool.Reset()
+	pool.Offer(int32(ep), epDist, ef)
 	ctx.seen(ep)
 	gather := ctx.buf
 	for {

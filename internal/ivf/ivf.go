@@ -55,14 +55,12 @@ type Index struct {
 	ctxPool sync.Pool
 }
 
-// searchCtx is the pooled per-search scratch: probe list, blocked-kernel
-// output, result heap and drain buffer.
+// searchCtx is the pooled per-search scratch: the probe pick and the
+// result, each a top-k pool, and the blocked-kernel output.
 type searchCtx struct {
-	probes     []int
-	probeDists []float64
-	dists      []float64
-	res        *resultheap.MaxDistHeap
-	items      []resultheap.Item
+	probes resultheap.Pool
+	res    resultheap.Pool
+	dists  []float64
 }
 
 // Build trains the quantizer on the live vectors and populates the lists.
@@ -261,15 +259,18 @@ func (ix *Index) searchInto(dst []resultheap.Item, q []float64, k, nprobe int, s
 	nprobe = min(max(nprobe, 1), len(ix.centroids))
 	ctx, _ := ix.ctxPool.Get().(*searchCtx)
 	if ctx == nil {
-		ctx = &searchCtx{res: resultheap.NewMaxDistHeap(k + 1)}
+		ctx = new(searchCtx)
 	}
 	defer ix.ctxPool.Put(ctx)
-	ctx.probes, ctx.probeDists = kmeans.NearestNInto(ctx.probes, ctx.probeDists, ix.centroids, q, nprobe)
+	ctx.probes.Reset()
+	for c, cent := range ix.centroids {
+		ctx.probes.Offer(int32(c), vec.SqDist(cent, q), nprobe)
+	}
 
-	res := ctx.res
+	res := &ctx.res
 	res.Reset()
-	for _, c := range ctx.probes {
-		lst := ix.list(c)
+	for _, p := range ctx.probes.Cands() {
+		lst := ix.list(int(p.ID))
 		if sc != nil {
 			if cap(ctx.dists) < len(lst) {
 				ctx.dists = make([]float64, len(lst))
@@ -281,9 +282,8 @@ func (ix *Index) searchInto(dst []resultheap.Item, q []float64, k, nprobe int, s
 			ctx.dists = ix.data.SqDistBlock(ctx.dists, q, lst)
 		}
 		for j, id := range lst {
-			res.PushBounded(int(id), ctx.dists[j], k)
+			res.Offer(id, ctx.dists[j], k)
 		}
 	}
-	ctx.items = res.SortedInto(ctx.items)
-	return append(dst[:0], ctx.items...)
+	return res.AppendItems(dst, k)
 }

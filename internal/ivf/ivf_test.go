@@ -71,6 +71,33 @@ func TestResultsSorted(t *testing.T) {
 	}
 }
 
+// TestProbesNearestCentroids: a search scans the nprobe lists whose
+// centroids are closest to the query, all of them when nprobe exceeds the
+// list count, and of two equidistant centroids the lower-numbered one.
+// Each list holds one member, at its centroid, so the answer names the
+// lists probed.
+func TestProbesNearestCentroids(t *testing.T) {
+	probed := func(cents [][]float64, q []float64, nprobe int) []int {
+		ix := &Index{dim: 2, centroids: cents}
+		ix.populate(cents, []int{0, 1, 2, 3}[:len(cents)])
+		var ids []int
+		for _, it := range ix.SearchInto(nil, q, len(cents), nprobe) {
+			ids = append(ids, it.ID)
+		}
+		return ids
+	}
+	cents := [][]float64{{0, 0}, {10, 0}, {1, 0}, {5, 0}}
+	if got, want := probed(cents, []float64{0.4, 0}, 3), []int{0, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("nprobe=3 scanned lists %v, want %v", got, want)
+	}
+	if got, want := probed(cents, []float64{0, 0}, 10), []int{0, 2, 3, 1}; !slices.Equal(got, want) {
+		t.Fatalf("nprobe=10 over 4 lists scanned %v, want %v", got, want)
+	}
+	if got, want := probed([][]float64{{0, 0}, {0.8, 0}}, []float64{0.4, 0}, 1), []int{0}; !slices.Equal(got, want) {
+		t.Fatalf("nprobe=1 between equidistant centroids scanned %v, want %v", got, want)
+	}
+}
+
 // TestAddAndDelete: a vector added by a rebuild over the grown set is
 // found at the next position; a rebuild with nil there holds it in no list
 // and no row. A rebuild with every row nil is empty, and an empty index

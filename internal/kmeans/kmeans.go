@@ -227,42 +227,6 @@ func Nearest(centroids [][]float64, v []float64) int {
 	return best
 }
 
-// NearestNInto is NearestN writing the winning indexes into dst (whose
-// capacity is reused) and using dists as the parallel distance scratch, so
-// per-query probing on a pooled buffer allocates nothing. Both slices are
-// returned re-sliced to the result length.
-func NearestNInto(dst []int, dists []float64, centroids [][]float64, v []float64, n int) ([]int, []float64) {
-	dst = dst[:0]
-	dists = dists[:0]
-	for c, cent := range centroids {
-		d := vec.SqDist(cent, v)
-		if len(dst) == n && d >= dists[len(dists)-1] {
-			continue
-		}
-		pos := 0
-		for pos < len(dst) && dists[pos] <= d {
-			pos++
-		}
-		dst = append(dst, 0)
-		dists = append(dists, 0)
-		copy(dst[pos+1:], dst[pos:])
-		copy(dists[pos+1:], dists[pos:])
-		dst[pos] = c
-		dists[pos] = d
-		if len(dst) > n {
-			dst = dst[:n]
-			dists = dists[:n]
-		}
-	}
-	return dst, dists
-}
-
-// NearestN returns the indexes of the n closest centroids, closest first.
-func NearestN(centroids [][]float64, v []float64, n int) []int {
-	idx, _ := NearestNInto(nil, nil, centroids, v, n)
-	return idx
-}
-
 // seedPlusPlus implements k-means++ (D² sampling), returning the K×dim
 // seed block and every point's nearest seed, lowest index on ties. The pick
 // is serial; the distance update after each pick runs over the points in

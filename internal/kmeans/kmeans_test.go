@@ -98,20 +98,6 @@ func TestAssignmentsAreNearest(t *testing.T) {
 	}
 }
 
-func TestNearestN(t *testing.T) {
-	cents := [][]float64{{0, 0}, {10, 0}, {1, 0}, {5, 0}}
-	got := NearestN(cents, []float64{0.4, 0}, 3)
-	want := []int{0, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("NearestN = %v, want %v", got, want)
-		}
-	}
-	if n := len(NearestN(cents, []float64{0, 0}, 10)); n != 4 {
-		t.Fatalf("NearestN overflow len = %d", n)
-	}
-}
-
 func TestDeterministic(t *testing.T) {
 	data, _ := separated(4, 3, 30, 5)
 	a, err := Fit(data, Config{K: 3, Seed: 9})

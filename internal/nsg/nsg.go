@@ -202,7 +202,8 @@ func (g *Graph) collectVisited(beam *resultheap.Pool, frozen [][]int32, q []floa
 	}
 	d0 := vec.SqDist(q, g.data.At(g.nav))
 	mark(g.nav, d0)
-	beam.Reset(int32(g.nav), d0)
+	beam.Reset()
+	beam.Offer(int32(g.nav), d0, g.cfg.L)
 	for {
 		c, ok := beam.Expand()
 		if !ok {
@@ -384,7 +385,8 @@ func (g *Graph) SearchInto(dst []resultheap.Item, q []float64, k, ef int) []resu
 	defer g.ctxPool.Put(ctx)
 
 	pool := &ctx.pool
-	pool.Reset(int32(g.nav), vec.SqDist(q, g.data.At(g.nav)))
+	pool.Reset()
+	pool.Offer(int32(g.nav), vec.SqDist(q, g.data.At(g.nav)), ef)
 	ctx.vis.Seen(g.nav)
 	gather := ctx.gather
 	for {

@@ -1,6 +1,7 @@
 package resultheap
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -14,7 +15,7 @@ import (
 // arrive, bounded by ef, and expands them closest first.
 func TestPoolOrdering(t *testing.T) {
 	var p Pool
-	p.Reset(0, 5)
+	p.Offer(0, 5, 4)
 	for i, d := range []float64{1, 4, 2, 3, 0.5, 6} {
 		p.Offer(int32(i+1), d, 4)
 	}
@@ -40,7 +41,7 @@ func TestPoolOrdering(t *testing.T) {
 // full pool refuses a candidate equal to its worst entry.
 func TestPoolTieRule(t *testing.T) {
 	var p Pool
-	p.Reset(0, 2)
+	p.Offer(0, 2, 5)
 	for i, d := range []float64{1, 2, 1, 3, 2} {
 		p.Offer(int32(i+1), d, 5)
 	}
@@ -53,7 +54,8 @@ func TestPoolTieRule(t *testing.T) {
 	if want := []int32{1, 3, 0, 2, 5}; !slices.Equal(ids[:5], want) || len(ids) != 5 {
 		t.Fatalf("pool ids %v, want %v", ids, want)
 	}
-	p.Reset(0, 2)
+	p.Reset()
+	p.Offer(0, 2, 5)
 	p.Offer(8, 2, 5)
 	if ids := p.Cands(); ids[0].ID != 0 || ids[1].ID != 8 {
 		t.Fatalf("equal distance did not keep arrival order: %v", ids)
@@ -65,7 +67,7 @@ func TestPoolTieRule(t *testing.T) {
 // it pushes back are never expanded again.
 func TestPoolExpandAfterInsertAhead(t *testing.T) {
 	var p Pool
-	p.Reset(0, 1)
+	p.Offer(0, 1, 8)
 	p.Offer(1, 2, 8)
 	p.Offer(2, 3, 8)
 	var order []int32
@@ -85,7 +87,7 @@ func TestPoolExpandAfterInsertAhead(t *testing.T) {
 // it was offered, and Reset keeps the storage.
 func TestPoolGrowsByAppend(t *testing.T) {
 	var p Pool
-	p.Reset(0, 3)
+	p.Offer(0, 3, 1<<40)
 	p.Offer(1, 1, 1<<40)
 	p.Offer(2, 2, 1<<40)
 	if n := len(p.Cands()); n != 3 || cap(p.Cands()) > 8 {
@@ -96,78 +98,51 @@ func TestPoolGrowsByAppend(t *testing.T) {
 		t.Fatalf("AppendItems = %v", items)
 	}
 	before := &p.Cands()[0]
-	p.Reset(7, 1)
+	p.Reset()
+	p.Offer(7, 1, 1)
 	if &p.Cands()[0] != before || len(p.Cands()) != 1 {
 		t.Fatal("Reset did not keep the pool's storage")
 	}
 }
 
-func TestMaxDistHeapOrdering(t *testing.T) {
-	h := NewMaxDistHeap(8)
-	dists := []float64{5, 1, 4, 2, 3}
-	for i, d := range dists {
-		h.Push(i, d)
-	}
-	var got []float64
-	for h.Len() > 0 {
-		got = append(got, h.Pop().Dist)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] > got[i-1] {
-			t.Fatalf("max-heap drained out of order: %v", got)
-		}
-	}
-}
-
-func TestMaxDistHeapSortedAscending(t *testing.T) {
-	h := NewMaxDistHeap(8)
-	for i, d := range []float64{9, 7, 8, 1, 3} {
-		h.Push(i, d)
-	}
-	got := h.SortedAscending()
-	for i := 1; i < len(got); i++ {
-		if got[i].Dist < got[i-1].Dist {
-			t.Fatalf("SortedAscending out of order: %v", got)
-		}
-	}
-	if h.Len() != 0 {
-		t.Fatal("SortedAscending did not drain the heap")
-	}
-}
-
-func TestHeapPropertyRandom(t *testing.T) {
+// TestPoolTopKMatchesStableSort: a pool used as a plain top-k holds what
+// a stable sort by distance (equals in arrival order) cut to its width
+// holds, ids and distance bits alike, whatever order the offers come in
+// and however many of them tie.
+func TestPoolTopKMatchesStableSort(t *testing.T) {
+	var p Pool
 	f := func(seed uint64, count uint8) bool {
 		r := rng.NewSeeded(seed)
-		n := int(count%100) + 1
-		max := NewMaxDistHeap(n)
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = r.Float64()
-			max.Push(i, vals[i])
+		n := int(count)%100 + 1
+		offers := make([]Item, n)
+		for i := range offers {
+			d := r.Float64()
+			if i > 0 && r.IntN(3) == 0 {
+				d = offers[r.IntN(i)].Dist // a forced duplicate
+			}
+			offers[i] = Item{ID: i, Dist: d}
 		}
-		sort.Float64s(vals)
-		for i := 0; i < n; i++ {
-			if max.Pop().Dist != vals[n-1-i] {
+		want := slices.Clone(offers)
+		slices.SortStableFunc(want, func(a, b Item) int { return cmp.Compare(a.Dist, b.Dist) })
+		for _, width := range []int{1, 7, n, n + 5} {
+			p.Reset()
+			for _, o := range offers {
+				p.Offer(int32(o.ID), o.Dist, width)
+			}
+			got, w := p.Cands(), want[:min(width, n)]
+			if len(got) != len(w) {
 				return false
+			}
+			for i := range w {
+				if int(got[i].ID) != w[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(w[i].Dist) {
+					return false
+				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestResetKeepsStorage(t *testing.T) {
-	h := NewMaxDistHeap(4)
-	h.Push(1, 1)
-	h.Reset()
-	if h.Len() != 0 {
-		t.Fatal("Reset left items behind")
-	}
-	h.Push(2, 2)
-	if h.Top().ID != 2 {
-		t.Fatal("heap unusable after Reset")
 	}
 }
 
@@ -324,21 +299,6 @@ func TestCompareHeapResetReuse(t *testing.T) {
 	got = h.SortedInto(buf)
 	if len(got) != 2 || got[0] != 2 || got[1] != 4 {
 		t.Fatalf("second selection = %v", got)
-	}
-	if &got[0] != &buf[:1][0] {
-		t.Fatal("SortedInto did not reuse dst capacity")
-	}
-}
-
-func TestMaxDistHeapSortedInto(t *testing.T) {
-	h := NewMaxDistHeap(4)
-	for i, d := range []float64{3, 1, 4, 1.5} {
-		h.Push(i, d)
-	}
-	buf := make([]Item, 0, 8)
-	got := h.SortedInto(buf)
-	if len(got) != 4 || got[0].Dist != 1 || got[3].Dist != 4 {
-		t.Fatalf("SortedInto = %v", got)
 	}
 	if &got[0] != &buf[:1][0] {
 		t.Fatal("SortedInto did not reuse dst capacity")
