@@ -101,11 +101,13 @@ func (k *Key) extend(r *rng.Rand, u []float64) []float64 {
 	for i := k.dim + 2; i < k.ext; i++ {
 		x[i] = r.NormFloat64()
 	}
+	// The float64 conversions here and in comparisonForm forbid fusing a
+	// product into a sum, so every architecture rounds alike.
 	var sq float64
 	for i, v := range u {
 		sv := k.scale * v
 		x[1+i] = ru * sv
-		sq += sv * sv
+		sq += float64(sv * sv)
 	}
 	x[0] = ru * sq
 	x[k.dim+1] = ru
@@ -156,7 +158,7 @@ func (k *Key) comparisonForm(q []float64) *matrix.Dense {
 	Q.Set(0, c, 1)  // + ‖o‖²
 	Q.Set(c, 0, -1) // − ‖p‖²
 	for i, v := range q {
-		sv := k.scale * v
+		sv := float64(k.scale * v)
 		Q.Set(1+i, c, -2*sv) // − 2oᵀq
 		Q.Set(c, 1+i, 2*sv)  // + 2pᵀq
 	}

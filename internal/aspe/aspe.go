@@ -163,7 +163,9 @@ type LeakOptions struct {
 // apply their transform to that same core, modelling the enhanced schemes'
 // observable output.
 func LeakedValue(v Variant, p, q []float64, qr QueryRand, opt LeakOptions) float64 {
-	core := qr.R1*D(p, q) + qr.R2
+	// The float64 conversions forbid fusing a product into a sum, so every
+	// architecture rounds alike.
+	core := float64(qr.R1*D(p, q)) + qr.R2
 	switch v {
 	case Linear:
 		return core
@@ -177,7 +179,7 @@ func LeakedValue(v Variant, p, q []float64, qr QueryRand, opt LeakOptions) float
 		return math.Log(arg)
 	case Square:
 		t := D(p, q) + qr.R2
-		return qr.R1*t*t + qr.R3
+		return float64(qr.R1*t*t) + qr.R3
 	default:
 		panic(fmt.Sprintf("aspe: unknown variant %d", v))
 	}

@@ -88,9 +88,11 @@ func SquareFeatureDim(d int) int { return 2 + 3*d + d*(d-1)/2 }
 func squareFeatures(p []float64) []float64 {
 	d := len(p)
 	out := make([]float64, 0, SquareFeatureDim(d))
+	// The float64 conversions here and in squareCoeff forbid fusing a
+	// product into a sum, so every architecture rounds alike.
 	var sq float64
 	for _, v := range p {
-		sq += v * v
+		sq += float64(v * v)
 	}
 	out = append(out, sq*sq) // ‖p‖⁴
 	for _, v := range p {    // ‖p‖²·p
@@ -120,7 +122,7 @@ func squareCoeff(q []float64, qr QueryRand) []float64 {
 	}
 	for _, v := range q {
 		// 4r₁q_i² from (pᵀq)² plus 2r₁r₂ absorbed from the ‖p‖² term.
-		out = append(out, 4*qr.R1*v*v+2*qr.R1*qr.R2)
+		out = append(out, float64(4*qr.R1*v*v)+float64(2*qr.R1*qr.R2))
 	}
 	for i := 0; i < d; i++ {
 		for j := i + 1; j < d; j++ {
@@ -130,7 +132,7 @@ func squareCoeff(q []float64, qr QueryRand) []float64 {
 	for _, v := range q {
 		out = append(out, -4*qr.R1*qr.R2*v)
 	}
-	out = append(out, qr.R1*qr.R2*qr.R2+qr.R3)
+	out = append(out, float64(qr.R1*qr.R2*qr.R2)+qr.R3)
 	return out
 }
 

@@ -848,7 +848,7 @@ func (s *Server) MemoryStats() MemoryStats {
 		DeltaBytes: s.deltaBytes(sp),
 	}
 	if sp.edb.PQ != nil && m.N > 0 {
-		m.PQCodes = float64(sp.edb.PQ.Codes.SizeBytes()) / float64(m.N)
+		m.PQCodes = float64(len(sp.edb.PQ.Codes.Raw())) / float64(m.N)
 		m.PQBook = float64(sp.edb.PQ.Book.SizeBytes()) / float64(m.N)
 	}
 	return m
@@ -962,14 +962,14 @@ func (s *Server) compactFold() error {
 	var codeBuf []byte
 	graftCode := func(from *snapshot, g int) {
 		if !pqRetrained {
-			pqs.Codes.AppendRow(from.edb.PQ.Codes.Row(g))
+			pqs.Codes.Append(from.edb.PQ.Codes.Row(g))
 			return
 		}
 		if codeBuf == nil {
 			codeBuf = make([]byte, pqs.Book.M())
 		}
 		pqs.Book.EncodeInto(codeBuf, from.deltaSAP[g-base.frozen])
-		pqs.Codes.AppendRow(codeBuf)
+		pqs.Codes.Append(codeBuf)
 	}
 
 	// Capture the checkpoint state before any grafting: the folded index,
@@ -981,12 +981,7 @@ func (s *Server) compactFold() error {
 	if s.wal != nil {
 		var ckptPQ *pq.Store
 		if pqs != nil {
-			ckptPQ = &pq.Store{
-				Book:      pqs.Book,
-				Codes:     pqs.Codes.Snapshot(),
-				TrainedOn: pqs.TrainedOn,
-				Cfg:       pqs.Cfg,
-			}
+			ckptPQ = pqs.Snapshot()
 		}
 		ckptEDB = &EncryptedDatabase{
 			Dim:     edb.Dim,

@@ -2,65 +2,48 @@ package dce
 
 import (
 	"fmt"
+	"slices"
 
 	"ppanns/internal/frame"
 	"ppanns/internal/vec"
 )
 
-// CiphertextStore is a flat-arena backing for DCE ciphertexts. Instead of
-// four separately allocated component slices behind a pointer per point,
-// every point owns one contiguous record
+// CiphertextStore holds the DCE ciphertexts: every point owns one
+// contiguous record
 //
 //	[ P1 | P2 | P3 | P4 ]   (4·ctDim float64s)
 //
-// inside a single backing array. DistanceComp(o, p, q) reads o's first two
-// components and p's last two, so the layout puts each side's operands on
-// adjacent cache lines: the refine phase's O(k′ log k) comparisons walk two
-// contiguous ranges plus the (hot) trapdoor instead of chasing five
-// pointers across scattered heap objects.
+// in one vec.Rows arena, at the padded stride vec.PadStride(4·ctDim).
+// DistanceComp(o, p, q) reads o's first two components and p's last two,
+// so the layout puts each side's operands on adjacent cache lines: the
+// refine phase's O(k′ log k) comparisons walk two contiguous ranges plus
+// the (hot) trapdoor. Since ctDim is even for every real DCE key, every
+// component starts on a cache-line boundary. The padding is purely an
+// in-memory layout: Save and LoadStore speak the compact 4·ctDim-per-record
+// representation, which keeps the database file's bytes independent of it.
 //
-// Records are addressed by id (0..Len()-1). A dead record is a zeroed,
-// tombstoned slot — Gather leaves one where its id map says so — and ids
-// are never reused. All views are slices into the arena: cheap, copy-free,
-// and invalidated by the next AppendRecord (callers must not retain them across
-// mutations).
-//
-// The arena base is 64-byte aligned and the record stride is 4·ctDim
-// rounded up to a cache-line multiple (pad floats stay zero), so every
-// record — and, since ctDim is even for every real DCE key, every
-// component — starts on a cache-line boundary and SIMD loads never split a
-// line at a record edge. The padding is purely an in-memory layout: Save
-// and LoadStore speak the compact 4·ctDim-per-record representation, which
-// keeps the database file's bytes independent of it.
+// Records are addressed by id (0..Len()-1). A dead record is a tombstoned
+// slot — Gather leaves it zeroed — and ids are never reused. Beside the
+// arena the store keeps a liveness mask; both follow the copy-on-write
+// publication discipline documented on vec.Rows. Views are slices into the
+// arena (callers must not retain them across mutations).
 type CiphertextStore struct {
-	ctDim   int
-	strideF int // record stride in float64s: PadStride(4·ctDim)
-	arena   []float64
-	live    []bool
-	liveN   int
+	ctDim int
+	rows  vec.Rows[float64]
+	live  []bool
+	liveN int
 }
-
-// recordStride is the in-memory record stride for a component length.
-func recordStride(ctDim int) int { return vec.PadStride(4 * ctDim) }
 
 // NewCiphertextStoreN returns a store holding n live, zero-filled records.
 // It exists for bulk encryption: workers fill disjoint Record(i) views in
 // place (Encryptor.EncryptRecords), so no per-point allocation or copying
 // happens.
 func NewCiphertextStoreN(ctDim, n int) *CiphertextStore {
-	if ctDim <= 0 {
-		panic(fmt.Sprintf("dce: non-positive ciphertext dimension %d", ctDim))
-	}
-	if n < 0 {
-		panic(fmt.Sprintf("dce: negative store size %d", n))
-	}
-	st := recordStride(ctDim)
 	s := &CiphertextStore{
-		ctDim:   ctDim,
-		strideF: st,
-		arena:   vec.AlignedFloats(st * n),
-		live:    make([]bool, n),
-		liveN:   n,
+		ctDim: ctDim,
+		rows:  *vec.NewRows[float64](4*ctDim, vec.PadStride(4*ctDim), n),
+		live:  make([]bool, n),
+		liveN: n,
 	}
 	for i := range s.live {
 		s.live[i] = true
@@ -82,105 +65,50 @@ func (s *CiphertextStore) Has(id int) bool {
 	return id >= 0 && id < len(s.live) && s.live[id]
 }
 
-// stride returns the in-memory record stride in float64s (≥ 4·ctDim; the
+// Stride returns the in-memory record stride in float64s (≥ 4·ctDim; the
 // excess is cache-line padding).
-func (s *CiphertextStore) stride() int { return s.strideF }
-
-// Stride is the exported form of stride, for the alignment tests.
-func (s *CiphertextStore) Stride() int { return s.strideF }
+func (s *CiphertextStore) Stride() int { return s.rows.Stride() }
 
 // Record returns the full mutable logical record [P1|P2|P3|P4] of id
 // (4·CtDim floats, pad excluded) as a view into the arena.
-func (s *CiphertextStore) Record(id int) []float64 {
-	base := id * s.strideF
-	return s.arena[base : base+4*s.ctDim : base+4*s.ctDim]
-}
+func (s *CiphertextStore) Record(id int) []float64 { return s.rows.Row(id) }
 
 // O12 returns the [P1|P2] half of id's record — the operands a point
 // contributes when it is the "o" side of DistanceComp.
-func (s *CiphertextStore) O12(id int) []float64 {
-	base := id * s.strideF
-	return s.arena[base : base+2*s.ctDim]
-}
+func (s *CiphertextStore) O12(id int) []float64 { return s.rows.Row(id)[:2*s.ctDim] }
 
 // P34 returns the [P3|P4] half of id's record — the operands a point
 // contributes when it is the "p" side of DistanceComp.
-func (s *CiphertextStore) P34(id int) []float64 {
-	base := id*s.strideF + 2*s.ctDim
-	return s.arena[base : base+2*s.ctDim]
-}
+func (s *CiphertextStore) P34(id int) []float64 { return s.rows.Row(id)[2*s.ctDim:] }
 
-// grow ensures arena capacity for records more records, reallocating
-// aligned storage when needed (append would lose the 64-byte base
-// alignment). Published snapshots sharing the old arena are unaffected: a
-// reallocation gives this store a private copy, and an in-place extension
-// only writes past every published snapshot's length.
-func (s *CiphertextStore) grow(records int) {
-	need := len(s.arena) + records*s.strideF
-	if need <= cap(s.arena) {
-		return
-	}
-	newCap := 2 * cap(s.arena)
-	if newCap < need {
-		newCap = need
-	}
-	na := vec.AlignedFloats(newCap)[:len(s.arena)]
-	copy(na, s.arena)
-	s.arena = na
-}
-
-// Snapshot returns a copy-on-write clone for core's snapshot-publication
-// discipline. The liveness flags are copied, so AppendRecord on the clone is
-// invisible to the receiver; the arena is shared, which is safe under that
-// discipline because published stores are never mutated again — appends
-// only ever write past every published snapshot's length. Callers outside
-// that discipline must not mutate both the receiver and the clone.
+// Snapshot returns a clone for core's snapshot publication: it shares the
+// arena and owns a copy of the liveness flags, so AppendRecord on the
+// clone is invisible to the receiver.
 func (s *CiphertextStore) Snapshot() *CiphertextStore {
 	return &CiphertextStore{
-		ctDim:   s.ctDim,
-		strideF: s.strideF,
-		arena:   s.arena,
-		live:    append([]bool(nil), s.live...),
-		liveN:   s.liveN,
+		ctDim: s.ctDim,
+		rows:  *s.rows.Snapshot(),
+		live:  append([]bool(nil), s.live...),
+		liveN: s.liveN,
 	}
 }
 
-// Extend appends the record rec and returns a new store header covering
-// the extended arena, leaving the receiver's view unchanged: the O(1)
-// append for core's delta tier, where the receiver is a published
-// snapshot. The arena AND the liveness mask backings are shared — the new
-// record is written past the receiver's length, which is safe only under
-// the single-writer append discipline (all Extends on one chain are
-// serialized, published stores are never re-extended from two snapshots,
-// and deletes on the chain never touch store flags). The new record's id
-// is the receiver's Len().
+// Extend appends the record rec and returns a new store header, leaving
+// the receiver's view unchanged: the O(1) append for core's delta tier,
+// where the receiver is a published snapshot. The arena and the liveness
+// mask backings are both shared under the vec.Rows discipline (deletes on
+// the chain never touch store flags). The new record's id is the
+// receiver's Len().
 func (s *CiphertextStore) Extend(rec []float64) *CiphertextStore {
-	ns := &CiphertextStore{
-		ctDim:   s.ctDim,
-		strideF: s.strideF,
-		arena:   s.arena,
-		live:    s.live,
-		liveN:   s.liveN,
-	}
+	ns := *s
 	ns.AppendRecord(rec)
-	return ns
+	return &ns
 }
 
 // AppendRecord copies a full logical record (4·CtDim floats, as Record
 // returns) into a fresh slot and returns its id.
 func (s *CiphertextStore) AppendRecord(rec []float64) int {
-	if len(rec) != 4*s.ctDim {
-		panic(fmt.Sprintf("dce: appending record of %d floats to store of dim %d (want %d)",
-			len(rec), s.ctDim, 4*s.ctDim))
-	}
-	s.grow(1)
-	base := len(s.arena)
-	s.arena = s.arena[:base+s.strideF]
-	dst := s.arena[base:]
-	copy(dst, rec)
-	for i := len(rec); i < s.strideF; i++ {
-		dst[i] = 0
-	}
+	s.rows.Append(rec)
 	s.live = append(s.live, true)
 	s.liveN++
 	return len(s.live) - 1
@@ -192,12 +120,8 @@ func (s *CiphertextStore) AppendRecord(rec []float64) int {
 // the reservation the first graft would double it — a full-arena copy —
 // inside the writers' critical section.
 func (s *CiphertextStore) Reserve(records int) {
-	s.grow(records)
-	if need := len(s.live) + records; need > cap(s.live) {
-		nl := make([]bool, len(s.live), need)
-		copy(nl, s.live)
-		s.live = nl
-	}
+	s.rows.Reserve(records)
+	s.live = slices.Grow(s.live, records)
 }
 
 // Gather returns a store with a private arena whose record j is a copy of
@@ -207,19 +131,16 @@ func (s *CiphertextStore) Reserve(records int) {
 // compaction renumbers them densely, and Split takes a stripe. The arena
 // is allocated exactly full.
 func (s *CiphertextStore) Gather(ids []int) *CiphertextStore {
-	ns := &CiphertextStore{
-		ctDim:   s.ctDim,
-		strideF: s.strideF,
-		arena:   vec.AlignedFloats(s.strideF * len(ids)),
-		live:    make([]bool, len(ids)),
-	}
+	ns := &CiphertextStore{ctDim: s.ctDim, rows: *s.rows.Gather(ids), live: make([]bool, len(ids))}
 	for j, id := range ids {
-		if !s.Has(id) {
-			continue
+		if s.Has(id) {
+			ns.live[j] = true
+			ns.liveN++
+		} else {
+			// vec.Rows.Gather copies a dead source record like any
+			// other; no deleted ciphertext may survive into the copy.
+			clear(ns.rows.Row(j))
 		}
-		copy(ns.arena[j*ns.strideF:], s.Record(id))
-		ns.live[j] = true
-		ns.liveN++
 	}
 	return ns
 }
@@ -240,14 +161,14 @@ func (s *CiphertextStore) Save(e *frame.Encoder) {
 }
 
 // LoadStore reads the len(live) records Save wrote into a store of
-// component length ctDim whose liveness is live, which it keeps. The
-// arena grows as the records arrive (vec.ExtendAligned), so a record
-// count the input does not back costs at most twice what did arrive.
+// component length ctDim whose liveness is live, which it keeps. The arena
+// grows as the records arrive, under len(live) (vec.Rows.AppendZero), so a
+// record count the input does not back costs at most twice what did
+// arrive.
 func LoadStore(d *frame.Decoder, ctDim int, live []bool) *CiphertextStore {
-	s := &CiphertextStore{ctDim: ctDim, strideF: recordStride(ctDim), live: live}
+	s := &CiphertextStore{ctDim: ctDim, rows: *vec.NewRows[float64](4*ctDim, vec.PadStride(4*ctDim), 0), live: live}
 	for id := 0; id < len(live) && d.Err() == nil; id++ {
-		s.arena = vec.ExtendAligned(s.arena, s.strideF, s.strideF*len(live))
-		d.FloatRun(s.Record(id))
+		d.FloatRun(s.rows.AppendZero(len(live)))
 		if live[id] {
 			s.liveN++
 		}

@@ -98,6 +98,42 @@ func TestStoreGather(t *testing.T) {
 	}
 }
 
+// TestStoreGatherZeroesDeadBytes: a dead record is not always zero in
+// memory — LoadStore keeps what a crafted file holds for one — and Gather
+// still leaves a zeroed dead slot where the id map names it.
+func TestStoreGatherZeroesDeadBytes(t *testing.T) {
+	const ctDim = 4
+	var buf bytes.Buffer
+	e := frame.NewEncoder(&buf)
+	for i := range 2 {
+		rec := make([]float64, 4*ctDim)
+		for c := range rec {
+			rec[c] = float64(i*100 + c + 1)
+		}
+		e.FloatRun(rec)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d := frame.NewDecoder(bytes.NewReader(buf.Bytes()))
+	loaded := LoadStore(d, ctDim, []bool{true, false})
+	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Has(1) || loaded.Record(1)[0] == 0 {
+		t.Fatalf("crafted dead record: live %v, first float %v", loaded.Has(1), loaded.Record(1)[0])
+	}
+	g := loaded.Gather([]int{1, 0})
+	if g.Live() != 1 || g.Has(0) || !g.Has(1) || g.Record(1)[0] != 1 {
+		t.Fatalf("gathered live %d, Has(0) %v, Has(1) %v, record 1 starts %v", g.Live(), g.Has(0), g.Has(1), g.Record(1)[0])
+	}
+	for c, f := range g.Record(0) {
+		if f != 0 {
+			t.Fatalf("dead slot float %d = %v, want 0", c, f)
+		}
+	}
+}
+
 func TestStoreSignAgainstPlainDistances(t *testing.T) {
 	dim, n := 9, 12
 	r := rng.NewSeeded(303)
@@ -159,7 +195,7 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("clone shape %d/%d/%d, want %d/%d/%d",
 			clone.Len(), clone.Live(), clone.CtDim(), store.Len(), store.Live(), store.CtDim())
 	}
-	if clone.DistanceComp(0, 1, tq) != store.DistanceComp(0, 1, tq) || !vec.Aligned(clone.arena) {
+	if clone.DistanceComp(0, 1, tq) != store.DistanceComp(0, 1, tq) || !vec.Aligned(clone.rows.Raw()) {
 		t.Fatal("clone comparisons differ, or its arena is not aligned")
 	}
 	for _, f := range clone.Record(3) {

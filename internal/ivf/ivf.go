@@ -38,8 +38,10 @@ type Config struct {
 // Index is an IVF-Flat index. Nothing writes to it after construction, so
 // any number of searches run on it concurrently, beside Save.
 type Index struct {
-	dim       int
-	centroids [][]float64
+	dim int
+	// cents is the quantizer: nlist centroid rows of dim floats, the flat
+	// block k-means returns.
+	cents []float64
 	// trained is the k-means work Build spent on the quantizer; zero for
 	// an index that was loaded.
 	trained kmeans.Stats
@@ -56,7 +58,8 @@ type Index struct {
 }
 
 // searchCtx is the pooled per-search scratch: the probe pick and the
-// result, each a top-k pool, and the blocked-kernel output.
+// result, each a top-k pool, and the blocked-kernel output (the centroid
+// distances, then each probed list's).
 type searchCtx struct {
 	probes resultheap.Pool
 	res    resultheap.Pool
@@ -100,7 +103,7 @@ func Build(vectors [][]float64, cfg Config) (*Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		ix.centroids, ix.trained = res.Centroids, res.Stats
+		ix.cents, ix.trained = res.Flat, res.Stats
 		for j, i := range liveIDs {
 			assign[i] = res.Assign[j]
 		}
@@ -113,7 +116,7 @@ func Build(vectors [][]float64, cfg Config) (*Index, error) {
 // assign[i] and every nil row a dead slot: ids are positions and every
 // list is in id order.
 func (ix *Index) populate(vectors [][]float64, assign []int) {
-	nlist := len(ix.centroids)
+	nlist := ix.Lists()
 	ix.offs = make([]int32, nlist+1)
 	ix.deleted = make([]bool, len(vectors))
 	for i, v := range vectors {
@@ -171,7 +174,7 @@ func (ix *Index) Vector(id int) []float64 {
 }
 
 // Lists returns nlist.
-func (ix *Index) Lists() int { return len(ix.centroids) }
+func (ix *Index) Lists() int { return len(ix.cents) / ix.dim }
 
 // Rebuild returns a new index over vectors (ids are positions, nil rows
 // dead slots) sharing the receiver's trained quantizer: the fold primitive
@@ -185,7 +188,7 @@ func (ix *Index) Lists() int { return len(ix.centroids) }
 // A receiver with no lists (built with no live vector) has no quantizer to
 // share, so its Rebuild trains one.
 func (ix *Index) Rebuild(vectors [][]float64) (*Index, error) {
-	if len(ix.centroids) == 0 {
+	if len(ix.cents) == 0 {
 		return Build(vectors, Config{Dim: ix.dim})
 	}
 	for _, v := range vectors {
@@ -193,20 +196,16 @@ func (ix *Index) Rebuild(vectors [][]float64) (*Index, error) {
 			panic(fmt.Sprintf("ivf: rebuilding a %d-dim index over a %d-dim vector", ix.dim, len(v)))
 		}
 	}
-	flat := make([]float64, 0, len(ix.centroids)*ix.dim)
-	for _, c := range ix.centroids {
-		flat = append(flat, c...)
-	}
 	var search *kmeans.Searcher
 	if ix.dim >= kmeans.WideRow {
-		search = kmeans.NewSearcher(flat, ix.dim)
+		search = kmeans.NewSearcher(ix.cents, ix.dim)
 	}
 
 	assign := make([]int, len(vectors))
 	for i := range assign {
 		assign[i] = -1
 	}
-	for c := range ix.centroids {
+	for c := range ix.Lists() {
 		for _, id := range ix.list(c) {
 			if int(id) < len(assign) {
 				assign[id] = c
@@ -219,7 +218,7 @@ func (ix *Index) Rebuild(vectors [][]float64) (*Index, error) {
 				continue
 			}
 			if search == nil {
-				assign[i], _ = kmeans.NearestFlat(flat, ix.dim, vectors[i])
+				assign[i], _ = kmeans.NearestFlat(ix.cents, ix.dim, vectors[i])
 				continue
 			}
 			guess := assign[i]
@@ -230,7 +229,7 @@ func (ix *Index) Rebuild(vectors [][]float64) (*Index, error) {
 		}
 	})
 
-	fresh := &Index{dim: ix.dim, centroids: ix.centroids}
+	fresh := &Index{dim: ix.dim, cents: ix.cents}
 	fresh.populate(vectors, assign)
 	return fresh, nil
 }
@@ -252,19 +251,30 @@ func (ix *Index) SearchIntoDist(dst []resultheap.Item, q []float64, k, nprobe in
 	return ix.searchInto(dst, q, k, nprobe, sc)
 }
 
+// fit sizes the distance buffer to n, reusing its capacity.
+func (ctx *searchCtx) fit(n int) {
+	if cap(ctx.dists) < n {
+		ctx.dists = make([]float64, n)
+	}
+	ctx.dists = ctx.dists[:n]
+}
+
 func (ix *Index) searchInto(dst []resultheap.Item, q []float64, k, nprobe int, sc vec.BlockScanner) []resultheap.Item {
 	if len(q) != ix.dim {
 		panic(fmt.Sprintf("ivf: querying %d-dim vector in %d-dim index", len(q), ix.dim))
 	}
-	nprobe = min(max(nprobe, 1), len(ix.centroids))
+	nlist := ix.Lists()
+	nprobe = min(max(nprobe, 1), nlist)
 	ctx, _ := ix.ctxPool.Get().(*searchCtx)
 	if ctx == nil {
 		ctx = new(searchCtx)
 	}
 	defer ix.ctxPool.Put(ctx)
 	ctx.probes.Reset()
-	for c, cent := range ix.centroids {
-		ctx.probes.Offer(int32(c), vec.SqDist(cent, q), nprobe)
+	ctx.fit(nlist)
+	vec.SqDistRows(ctx.dists, ix.cents, q)
+	for c, d := range ctx.dists {
+		ctx.probes.Offer(int32(c), d, nprobe)
 	}
 
 	res := &ctx.res
@@ -272,11 +282,7 @@ func (ix *Index) searchInto(dst []resultheap.Item, q []float64, k, nprobe int, s
 	for _, p := range ctx.probes.Cands() {
 		lst := ix.list(int(p.ID))
 		if sc != nil {
-			if cap(ctx.dists) < len(lst) {
-				ctx.dists = make([]float64, len(lst))
-			} else {
-				ctx.dists = ctx.dists[:len(lst)]
-			}
+			ctx.fit(len(lst))
 			sc.DistBlock(ctx.dists, lst)
 		} else {
 			ctx.dists = ix.data.SqDistBlock(ctx.dists, q, lst)

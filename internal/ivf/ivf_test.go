@@ -78,7 +78,7 @@ func TestResultsSorted(t *testing.T) {
 // lists probed.
 func TestProbesNearestCentroids(t *testing.T) {
 	probed := func(cents [][]float64, q []float64, nprobe int) []int {
-		ix := &Index{dim: 2, centroids: cents}
+		ix := &Index{dim: 2, cents: slices.Concat(cents...)}
 		ix.populate(cents, []int{0, 1, 2, 3}[:len(cents)])
 		var ids []int
 		for _, it := range ix.SearchInto(nil, q, len(cents), nprobe) {
@@ -206,11 +206,9 @@ func TestSearchIntoAllocationFree(t *testing.T) {
 func (ix *Index) digest() string {
 	h := sha256.New()
 	var b [8]byte
-	for _, c := range ix.centroids {
-		for _, v := range c {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			h.Write(b[:])
-		}
+	for _, v := range ix.cents {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
 	}
 	for c := 0; c < ix.Lists(); c++ {
 		lst := ix.list(c)
@@ -292,7 +290,7 @@ func TestRebuildMatchesAdd(t *testing.T) {
 				continue
 			}
 			live++
-			c := kmeans.Nearest(ix.centroids, v)
+			c, _ := kmeans.NearestFlat(ix.cents, ix.dim, v)
 			want[c] = append(want[c], int32(i))
 		}
 		for _, procs := range []int{1, 4} {

@@ -18,12 +18,10 @@ import (
 
 // Save writes the index's section.
 func (ix *Index) Save(e *frame.Encoder) {
-	e.Int(len(ix.centroids))
-	for _, c := range ix.centroids {
-		e.FloatRun(c)
-	}
+	e.Int(ix.Lists())
+	e.FloatRun(ix.cents)
 	ix.data.Save(e)
-	for c := range ix.centroids {
+	for c := range ix.Lists() {
 		lst := ix.list(c)
 		e.U32(uint32(len(lst)))
 		e.Int32Run(lst)
@@ -32,9 +30,9 @@ func (ix *Index) Save(e *frame.Encoder) {
 
 // Load reads a section Save wrote for len(live) ids of dimension dim,
 // live[id] false at every dead slot. The bytes are untrusted: the
-// centroids, whose count n does not bound, are allocated as their bytes
-// arrive, and the lists must hold every live id exactly once, in id order
-// within a list, and no dead one.
+// centroids, whose count n does not bound, grow as their rows arrive, under
+// nlist (vec.Rows.AppendZero), and the lists must hold every live id
+// exactly once, in id order within a list, and no dead one.
 func Load(d *frame.Decoder, dim int, live []bool) (*Index, error) {
 	n := len(live)
 	ix := &Index{dim: dim, deleted: make([]bool, n)}
@@ -51,11 +49,11 @@ func Load(d *frame.Decoder, dim int, live []bool) (*Index, error) {
 	if nlist < 0 || nlist > math.MaxInt32 || nlist == 0 && ix.live != 0 {
 		return nil, fmt.Errorf("ivf: implausible header: %d lists over %d live ids", nlist, ix.live)
 	}
-	for len(ix.centroids) < nlist && d.Err() == nil {
-		c := make([]float64, dim)
-		d.FloatRun(c)
-		ix.centroids = append(ix.centroids, c)
+	cents := vec.NewRows[float64](dim, dim, 0)
+	for c := 0; c < nlist && d.Err() == nil; c++ {
+		d.FloatRun(cents.AppendZero(nlist))
 	}
+	ix.cents = cents.Raw()
 	ix.data = vec.LoadDataset(d, dim, n)
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("ivf: reading centroids and vectors: %w", err)

@@ -49,8 +49,6 @@ type Config struct {
 
 // Result is a fitted clustering.
 type Result struct {
-	// Centroids are the rows of Flat.
-	Centroids [][]float64
 	// Flat is the contiguous K×dim centroid block.
 	Flat []float64
 	// Assign maps each input row to its centroid index.
@@ -174,11 +172,7 @@ func Fit(data [][]float64, cfg Config) (*Result, error) {
 			break
 		}
 	}
-	rows := make([][]float64, cfg.K)
-	for c := range rows {
-		rows[c] = cents[c*dim : (c+1)*dim : (c+1)*dim]
-	}
-	return &Result{Centroids: rows, Flat: cents, Assign: assign, Stats: Stats{Iters: iters, DistEvals: evals.Load()}}, nil
+	return &Result{Flat: cents, Assign: assign, Stats: Stats{Iters: iters, DistEvals: evals.Load()}}, nil
 }
 
 // sweep runs fn over n points of w elements in fixed spans on GOMAXPROCS
@@ -213,18 +207,6 @@ func NearestFlat(cents []float64, w int, v []float64) (int, float64) {
 		cents = cents[w:]
 	}
 	return best, bestD
-}
-
-// Nearest returns the index of the centroid closest to v, for search-time
-// probing over centroid rows.
-func Nearest(centroids [][]float64, v []float64) int {
-	best, bestD := 0, math.Inf(1)
-	for c, cent := range centroids {
-		if d := vec.SqDist(cent, v); d < bestD {
-			best, bestD = c, d
-		}
-	}
-	return best
 }
 
 // seedPlusPlus implements k-means++ (D² sampling), returning the K×dim

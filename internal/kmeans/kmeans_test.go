@@ -49,8 +49,8 @@ func TestRecoverSeparatedClusters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Centroids) != k {
-		t.Fatalf("%d centroids", len(res.Centroids))
+	if len(res.Flat) != k*len(data[0]) {
+		t.Fatalf("%d centroid floats", len(res.Flat))
 	}
 	// Points with the same true label must share an assignment almost
 	// always (purity check).
@@ -85,12 +85,12 @@ func TestAssignmentsAreNearest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dim := len(data[0])
 	for i, a := range res.Assign {
-		if got := Nearest(res.Centroids, data[i]); got != a {
+		if got, dg := NearestFlat(res.Flat, dim, data[i]); got != a {
 			// Lloyd's last update can shift a centroid slightly; allow
 			// distance ties only.
-			da := vec.SqDist(data[i], res.Centroids[a])
-			dg := vec.SqDist(data[i], res.Centroids[got])
+			da := vec.SqDist(data[i], res.Flat[a*dim:(a+1)*dim])
 			if dg < da*(1-1e-9) && da-dg > 1e-9 {
 				t.Fatalf("point %d assigned %d but nearest is %d (%g vs %g)", i, a, got, da, dg)
 			}
@@ -108,10 +108,8 @@ func TestDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Centroids {
-		if !vec.ApproxEqual(a.Centroids[i], b.Centroids[i], 0) {
-			t.Fatal("same seed produced different clusterings")
-		}
+	if !vec.ApproxEqual(a.Flat, b.Flat, 0) {
+		t.Fatal("same seed produced different clusterings")
 	}
 }
 
@@ -121,8 +119,8 @@ func TestKEqualsN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Centroids) != len(data) {
-		t.Fatalf("%d centroids for k=n", len(res.Centroids))
+	if len(res.Flat) != len(data)*len(data[0]) {
+		t.Fatalf("%d centroid floats for k=n", len(res.Flat))
 	}
 }
 

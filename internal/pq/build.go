@@ -53,4 +53,4 @@ func (s *Store) Snapshot() *Store {
 
 // SizeBytes returns the total in-memory footprint: centroid tables plus
 // the code arena.
-func (s *Store) SizeBytes() int { return s.Book.SizeBytes() + s.Codes.SizeBytes() }
+func (s *Store) SizeBytes() int { return s.Book.SizeBytes() + len(s.Codes.Raw()) }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ppanns/internal/frame"
+	"ppanns/internal/vec"
 )
 
 // The PQ section of a database file, for a database of n records of
@@ -22,8 +23,8 @@ func (s *Store) Save(e *frame.Encoder) {
 		e.Fail(fmt.Errorf("pq: saving incomplete store"))
 		return
 	}
-	if s.Codes.M() != s.Book.M() {
-		e.Fail(fmt.Errorf("pq: code width %d does not match codebook M %d", s.Codes.M(), s.Book.M()))
+	if s.Codes.Width() != s.Book.M() {
+		e.Fail(fmt.Errorf("pq: code width %d does not match codebook M %d", s.Codes.Width(), s.Book.M()))
 		return
 	}
 	for _, v := range []int{s.Book.M(), s.Book.K(), s.TrainedOn, s.Cfg.MaxSample, s.Cfg.Iters} {
@@ -33,7 +34,7 @@ func (s *Store) Save(e *frame.Encoder) {
 	for _, block := range s.Book.Centroids() {
 		e.FloatRun(block)
 	}
-	e.ByteRun(s.Codes.codes)
+	e.ByteRun(s.Codes.Raw())
 }
 
 // Load reads a section Save wrote for a database of n records of
@@ -59,11 +60,9 @@ func Load(d *frame.Decoder, dim, n int) (*Store, error) {
 		book.cents[j] = make([]float64, k*book.width[j])
 		d.FloatRun(book.cents[j])
 	}
-	codes := &CodeStore{m: m, codes: alloc(0)}
-	for len(codes.codes) < n*m && d.Err() == nil {
-		grown := alloc(min(n*m, max(2*len(codes.codes), 64*m)))
-		d.ByteRun(grown[copy(grown, codes.codes):])
-		codes.codes = grown
+	codes := vec.NewRows[byte](m, m, 0)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		d.ByteRun(codes.AppendZero(n))
 	}
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("pq: reading the section: %w", err)

@@ -141,16 +141,16 @@ func FuzzLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if s.Book.Dim() != int(dim) || s.Codes.Len() != int(n) || s.Codes.M() != s.Book.M() {
+		if s.Book.Dim() != int(dim) || s.Codes.Len() != int(n) || s.Codes.Width() != s.Book.M() {
 			t.Fatalf("loaded dim %d, %d rows of %d bytes, M %d; caller said dim %d, %d rows",
-				s.Book.Dim(), s.Codes.Len(), s.Codes.M(), s.Book.M(), dim, n)
+				s.Book.Dim(), s.Codes.Len(), s.Codes.Width(), s.Book.M(), dim, n)
 		}
 		if c := s.Cfg; c.M != s.Book.M() || c.K != s.Book.K() || c.MaxSample < c.K || c.Iters < 1 || c.Iters > maxIters {
 			t.Fatalf("loaded training config %+v for a codebook of m=%d k=%d", c, s.Book.M(), s.Book.K())
 		}
-		if fixed := 6*8 + 8*s.Book.K()*s.Book.Dim(); s.Codes.Len()*s.Codes.M() != len(section)-fixed {
+		if fixed := 6*8 + 8*s.Book.K()*s.Book.Dim(); s.Codes.Len()*s.Codes.Width() != len(section)-fixed {
 			t.Fatalf("%d rows of %d code bytes from a %d-byte section with %d bytes of header and centroids",
-				s.Codes.Len(), s.Codes.M(), len(section), fixed)
+				s.Codes.Len(), s.Codes.Width(), len(section), fixed)
 		}
 	})
 }

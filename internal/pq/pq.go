@@ -229,7 +229,7 @@ func (cb *Codebook) EncodeAll(vectors [][]float64) *CodeStore {
 			panic(fmt.Sprintf("pq: encoding %d-dim vector %d with %d-dim codebook", len(v), i, cb.dim))
 		}
 	}
-	cs := NewCodeStoreN(cb.m, len(vectors))
+	cs := vec.NewRows[byte](cb.m, cb.m, len(vectors))
 	workers := runtime.GOMAXPROCS(0)
 	search := make([]*kmeans.Searcher, cb.m)
 	par.Spans(workers, cb.m, 1, func(_, j, _ int) {

@@ -149,37 +149,6 @@ func TestBuildDeterminism(t *testing.T) {
 	}
 }
 
-func TestCodeStoreSnapshotDiscipline(t *testing.T) {
-	s := NewCodeStoreN(2, 0)
-	s.AppendRow([]byte{1, 2})
-	s.AppendRow([]byte{3, 4})
-	pub := s.Snapshot()
-
-	// Extend must not change any published view's length or rows.
-	ext := pub.Extend([]byte{5, 6})
-	if pub.Len() != 2 || s.Len() != 2 || ext.Len() != 3 {
-		t.Fatalf("lengths after Extend: pub=%d s=%d ext=%d", pub.Len(), s.Len(), ext.Len())
-	}
-	if !bytes.Equal(ext.Row(2), []byte{5, 6}) || !bytes.Equal(pub.Row(1), []byte{3, 4}) {
-		t.Fatalf("rows corrupted after Extend: ext.Row(2)=%v pub.Row(1)=%v", ext.Row(2), pub.Row(1))
-	}
-
-	// Gather copies row ids[j] to row j in a private arena, zero at -1.
-	g := ext.Gather([]int{2, -1, 0})
-	if g.Len() != 3 {
-		t.Fatalf("Gather len = %d, want 3", g.Len())
-	}
-	if !bytes.Equal(g.Row(0), []byte{5, 6}) || !bytes.Equal(g.Row(1), []byte{0, 0}) ||
-		!bytes.Equal(g.Row(2), []byte{1, 2}) {
-		t.Fatalf("Gather rows wrong: %v %v %v", g.Row(0), g.Row(1), g.Row(2))
-	}
-	// ...and must not share backing with the source.
-	g.Row(2)[0] = 99
-	if ext.Row(0)[0] != 1 {
-		t.Fatal("Gather shares its arena with the source")
-	}
-}
-
 func TestNeedsRetrain(t *testing.T) {
 	s := &Store{TrainedOn: 100}
 	for n, want := range map[int]bool{100: false, 199: false, 200: true, 500: true} {

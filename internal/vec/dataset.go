@@ -7,30 +7,21 @@ import (
 	"ppanns/internal/frame"
 )
 
-// Dataset stores n vectors of fixed dimension dim in a single flat backing
-// array. Rows are padded to a cache-line multiple (stride = PadStride(dim)
-// float64s) and the arena base is 64-byte aligned, so row i starts exactly
-// at data[i*stride] on a cache-line boundary and a SIMD kernel's vector
-// loads never split a line across rows. The pad floats are always zero and
-// never leave the package: At, Save and LoadDataset all speak the compact
-// dim-length representation.
+// Dataset stores n vectors of fixed dimension dim in a Rows arena at the
+// padded stride PadStride(dim), so row i starts on a cache-line boundary
+// and a SIMD kernel's vector loads never split a line across rows. The pad
+// floats never leave the package: At, Save and LoadDataset all speak the
+// compact dim-length representation.
 type Dataset struct {
-	dim    int
-	stride int // row stride in float64s: PadStride(dim)
-	data   []float64
+	rows Rows[float64]
 }
 
 // NewDataset returns an empty dataset of the given dimension with capacity
 // for capHint vectors.
 func NewDataset(dim, capHint int) *Dataset {
-	if dim <= 0 {
-		panic(fmt.Sprintf("vec: non-positive dataset dimension %d", dim))
-	}
-	if capHint < 0 {
-		capHint = 0
-	}
-	stride := PadStride(dim)
-	return &Dataset{dim: dim, stride: stride, data: AlignedFloats(stride * capHint)[:0]}
+	d := &Dataset{rows: *NewRows[float64](dim, PadStride(dim), 0)}
+	d.rows.Reserve(capHint)
+	return d
 }
 
 // DatasetFromSlices builds a dataset by copying the given vectors, which must
@@ -47,41 +38,28 @@ func DatasetFromSlices(vectors [][]float64) *Dataset {
 }
 
 // Dim returns the vector dimension.
-func (d *Dataset) Dim() int { return d.dim }
+func (d *Dataset) Dim() int { return d.rows.width }
 
 // Stride returns the in-memory row stride in float64s (Dim rounded up to a
 // cache line). The kernel dispatch and the alignment tests use it; row
 // addressing outside this package should go through At.
-func (d *Dataset) Stride() int { return d.stride }
+func (d *Dataset) Stride() int { return d.rows.stride }
 
 // Len returns the number of vectors stored.
-func (d *Dataset) Len() int { return len(d.data) / d.stride }
+func (d *Dataset) Len() int { return d.rows.Len() }
 
 // At returns vector i as a slice view into the backing array. The caller
 // must not grow it; writes alter the dataset.
-func (d *Dataset) At(i int) []float64 {
-	return d.data[i*d.stride : i*d.stride+d.dim : i*d.stride+d.dim]
-}
+func (d *Dataset) At(i int) []float64 { return d.rows.Row(i) }
 
 // Append copies v into the dataset and returns its index.
-func (d *Dataset) Append(v []float64) int {
-	if len(v) != d.dim {
-		panic(fmt.Sprintf("vec: appending %d-dim vector to %d-dim dataset", len(v), d.dim))
-	}
-	n, row := d.AppendZero()
-	copy(row, v)
-	return n
-}
+func (d *Dataset) Append(v []float64) int { return d.rows.Append(v) }
 
 // AppendZero appends an all-zero vector and returns both its index and a
 // writable view of the new row, avoiding a copy when the caller fills it in
-// place. The arena grows by ExtendAligned, so its base stays 64-byte
-// aligned (append would lose the alignment).
+// place.
 func (d *Dataset) AppendZero() (int, []float64) {
-	n := d.Len()
-	d.data = ExtendAligned(d.data, d.stride, math.MaxInt)
-	clear(d.data[n*d.stride:])
-	return n, d.At(n)
+	return d.Len(), d.rows.AppendZero(math.MaxInt)
 }
 
 // SqDistBlock computes dst[j] = SqDist(q, At(ids[j])) for every id in one
@@ -92,15 +70,15 @@ func (d *Dataset) AppendZero() (int, []float64) {
 // addressing stays inside the kernel, and q stays hot in registers/L1
 // across rows. Graph hops and inverted-list scans are the intended callers.
 func (d *Dataset) SqDistBlock(dst []float64, q []float64, ids []int32) []float64 {
-	if len(q) != d.dim {
-		panic(fmt.Sprintf("vec: block sqdist of %d-dim query on %d-dim dataset", len(q), d.dim))
+	if len(q) != d.Dim() {
+		panic(fmt.Sprintf("vec: block sqdist of %d-dim query on %d-dim dataset", len(q), d.Dim()))
 	}
 	if cap(dst) < len(ids) {
 		dst = make([]float64, len(ids), len(ids)+len(ids)/2+8)
 	} else {
 		dst = dst[:len(ids)]
 	}
-	sqDistBlockKernel(dst, d.data, d.stride, d.dim, q, ids)
+	sqDistBlockKernel(dst, d.rows.data, d.rows.stride, d.rows.width, q, ids)
 	return dst
 }
 
@@ -140,13 +118,12 @@ func (d *Dataset) Save(e *frame.Encoder) {
 }
 
 // LoadDataset reads the n rows Save wrote into a dataset of dimension
-// dim. The arena grows as the rows arrive (ExtendAligned), so a row count
-// the input does not back costs at most twice what did arrive.
+// dim. The arena grows as the rows arrive, under n (Rows.AppendZero), so a
+// row count the input does not back costs at most twice what did arrive.
 func LoadDataset(dec *frame.Decoder, dim, n int) *Dataset {
 	d := NewDataset(dim, 0)
 	for i := 0; i < n && dec.Err() == nil; i++ {
-		d.data = ExtendAligned(d.data, d.stride, d.stride*n)
-		dec.FloatRun(d.At(i))
+		dec.FloatRun(d.rows.AppendZero(n))
 	}
 	return d
 }

@@ -74,8 +74,8 @@ func TestDatasetSaveLoad(t *testing.T) {
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != 3 || !Aligned(back.data) || !ApproxEqual(back.At(2), ds.At(2), 0) {
-		t.Fatalf("loaded %d rows, aligned %v, row 2 %v", back.Len(), Aligned(back.data), back.At(2))
+	if back.Len() != 3 || !Aligned(back.rows.Raw()) || !ApproxEqual(back.At(2), ds.At(2), 0) {
+		t.Fatalf("loaded %d rows, aligned %v, row 2 %v", back.Len(), Aligned(back.rows.Raw()), back.At(2))
 	}
 	d = frame.NewDecoder(bytes.NewReader(buf.Bytes()))
 	LoadDataset(d, 3, 4)

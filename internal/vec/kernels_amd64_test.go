@@ -58,7 +58,7 @@ func testAVX2KernelsBitIdentical(t *testing.T) {
 		// shuffled with duplicates, including the last row.
 		stride := PadStride(dim)
 		rows := 17
-		data := AlignedFloats(stride * rows)
+		data := NewRows[float64](stride, stride, rows).Raw()
 		for i := range data {
 			data[i] = (r.Float64() - 0.5) * 2e3
 		}
@@ -188,7 +188,7 @@ func FuzzSqDistKernelEquivalence(f *testing.F) {
 		// the fuzz bytes (duplicates and reorderings included).
 		stride := PadStride(dim)
 		const rows = 5
-		arena := AlignedFloats(stride * rows)
+		arena := NewRows[float64](stride, stride, rows).Raw()
 		flat := fuzzFloats(data, dim*rows, 7)
 		for r := 0; r < rows; r++ {
 			copy(arena[r*stride:r*stride+dim], flat[r*dim:(r+1)*dim])
@@ -251,7 +251,7 @@ func BenchmarkSqDistBlockKernels(b *testing.B) {
 	for _, dim := range []int{96, 960} {
 		stride := PadStride(dim)
 		const rows = 256
-		data := AlignedFloats(stride * rows)
+		data := NewRows[float64](stride, stride, rows).Raw()
 		for i := range data {
 			data[i] = r.Float64()
 		}

@@ -38,7 +38,7 @@ func TestKernelRankingInvariance(t *testing.T) {
 		return order
 	}
 	want := make([]float64, rows)
-	sqDistBlockScalar(want, d.data, d.stride, dim, q, ids)
+	sqDistBlockScalar(want, d.rows.Raw(), d.Stride(), dim, q, ids)
 	wantOrder := rank(want)
 	for i, id := range rank(d.SqDistBlock(nil, q, ids)) {
 		if id != wantOrder[i] {
@@ -58,12 +58,15 @@ func TestKernelRegistryShape(t *testing.T) {
 	}
 }
 
-// TestDatasetAlignment asserts the layout contract the block kernels and
-// the 64-byte satellite rely on: padded stride, cache-line-aligned base,
-// and therefore aligned row starts.
+// TestDatasetAlignment asserts the layout contract the block kernels rely
+// on: padded stride, cache-line-aligned base, and therefore aligned row
+// starts. TestRowsDiscipline covers the arena's allocations.
 func TestDatasetAlignment(t *testing.T) {
 	for _, dim := range []int{1, 7, 8, 13, 96, 100, 960} {
 		d := NewDataset(dim, 3)
+		if got := d.rows.cap(); got != 3 {
+			t.Fatalf("dim %d: a capacity hint of 3 rows allocated %d", dim, got)
+		}
 		if d.Stride()%cacheLineFloats != 0 {
 			t.Fatalf("dim %d: stride %d not a multiple of %d", dim, d.Stride(), cacheLineFloats)
 		}
@@ -78,11 +81,6 @@ func TestDatasetAlignment(t *testing.T) {
 			if !Aligned(d.At(i)) {
 				t.Fatalf("dim %d: row %d base not 64-byte aligned", dim, i)
 			}
-		}
-	}
-	for _, n := range []int{1, 5, 8, 100} {
-		if s := AlignedFloats(n); len(s) != n || !Aligned(s) {
-			t.Fatalf("AlignedFloats(%d): len %d aligned %v", n, len(s), Aligned(s))
 		}
 	}
 }

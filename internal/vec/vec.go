@@ -2,9 +2,10 @@
 // used by every scheme and index in the library, plus a reader and writer
 // for the standard ANN-benchmark fvecs file format.
 //
-// Vectors are plain []float64 slices; the Dataset type stores n vectors of a
-// fixed dimension in one flat backing array for cache locality, which is the
-// layout proximity-graph search is sensitive to.
+// Vectors are plain []float64 slices. Rows is the one row arena of the
+// server's stores, with their copy-on-write publication discipline; the
+// Dataset type keeps n vectors of a fixed dimension in one, for the cache
+// locality proximity-graph search is sensitive to.
 package vec
 
 import (
