@@ -52,7 +52,6 @@ import (
 	"time"
 
 	"ppanns"
-	"ppanns/internal/bench"
 	"ppanns/internal/core"
 	"ppanns/internal/dataset"
 	"ppanns/internal/shard"
@@ -60,6 +59,10 @@ import (
 	"ppanns/internal/vec"
 	"ppanns/internal/wal"
 )
+
+// dialOpts bounds query's connects and calls, so a stalled server
+// surfaces as an error instead of a hang.
+var dialOpts = transport.DialOptions{DialTimeout: 5 * time.Second, Timeout: 10 * time.Second}
 
 func main() {
 	if len(os.Args) < 2 {
@@ -150,10 +153,9 @@ func runEncrypt(args []string) error {
 	b := *beta
 	if b < 0 {
 		// Calibrate like the paper: filter-phase ceiling ≈ 0.5.
-		d := &dataset.Data{Name: "input", Dim: ds.Dim(), Train: vectors, Queries: vectors[:min(50, len(vectors))]}
-		b, err = bench.CalibrateBeta(d, 10, 0.5, 42)
+		b, err = core.CalibrateBeta(vectors, vectors[:min(50, len(vectors))], 10, 0.5, 42)
 		if err != nil {
-			return err
+			return fmt.Errorf("encrypt: %w (pass -beta)", err)
 		}
 		fmt.Printf("calibrated β = %.4g\n", b)
 	}
@@ -512,7 +514,7 @@ func runQuery(args []string) error {
 		return queryReplicated(user, qs, *addrs, *k, *ratio, fd, *hedge, *partial)
 	}
 
-	client, err := transport.Dial(*addr)
+	client, err := transport.DialWith(*addr, dialOpts)
 	if err != nil {
 		return err
 	}
@@ -553,7 +555,7 @@ func queryReplicated(user *ppanns.User, qs *vec.Dataset, addrs string, k, ratio 
 			if a == "" {
 				continue
 			}
-			rm := shard.NewRemote(a, transport.DialOptions{DialTimeout: 5 * time.Second})
+			rm := shard.NewRemote(a, dialOpts)
 			closers = append(closers, rm)
 			replicas = append(replicas, rm)
 		}

@@ -8,7 +8,8 @@ import (
 
 // Deployment wires the three roles together in one process — the shape the
 // quickstart example and most tests want. Production deployments split the
-// roles across machines (see examples/clientserver and internal/transport).
+// roles across machines: ppanns-dbtool serves each role from the command
+// line, and examples/clientserver runs them over TCP.
 type Deployment struct {
 	Owner  *DataOwner
 	User   *User

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"ppanns"
-	"ppanns/internal/bench"
+	"ppanns/internal/core"
 	"ppanns/internal/dataset"
 )
 
@@ -27,7 +27,7 @@ func main() {
 	// Step 1: β calibration (the paper tunes β per dataset so an attacker
 	// watching only the filter phase guesses true neighbors ≈50% of the
 	// time).
-	beta, err := bench.CalibrateBeta(data, k, 0.5, 33)
+	beta, err := core.CalibrateBeta(data.Train, data.Queries, k, 0.5, 33)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,36 +29,6 @@ func TestRegistryAndLookup(t *testing.T) {
 	}
 }
 
-func TestCalibrateBeta(t *testing.T) {
-	d := dataset.DeepLike(1500, 20, 3)
-	beta, err := CalibrateBeta(d, 10, 0.5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if beta <= 0 {
-		t.Fatalf("calibrated beta = %g", beta)
-	}
-	// The proxy recall at the calibrated beta must be near the target.
-	r, err := sapRecallProxy(d, 10, beta, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r < 0.3 || r > 0.7 {
-		t.Fatalf("proxy recall at calibrated beta = %.3f, want ≈0.5", r)
-	}
-	// Monotonicity: smaller beta ⇒ higher recall.
-	rLow, err := sapRecallProxy(d, 10, beta/4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rLow < r {
-		t.Fatalf("recall not monotone in beta: %.3f at β/4 vs %.3f at β", rLow, r)
-	}
-	if _, err := CalibrateBeta(d, 10, 1.5, 3); err == nil {
-		t.Fatal("expected error for target outside (0,1)")
-	}
-}
-
 func TestTable1Output(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := tinyCfg(&buf)

@@ -2,76 +2,13 @@ package bench
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"ppanns/internal/dataset"
 	"ppanns/internal/dcpe"
 	"ppanns/internal/pq"
 	"ppanns/internal/rng"
-	"ppanns/internal/vec"
 )
-
-// CalibrateBeta finds the β at which exact k-NN in SAP-ciphertext space
-// reaches the target Recall@k against plaintext ground truth — the paper's
-// procedure of choosing β "so that the upper bound of recall in the filter
-// phase is around 0.5" (Section VII-A), evaluated with a brute-force proxy
-// instead of a full HNSW build so the calibration runs in milliseconds.
-//
-// The proxy is an upper bound on the filter-phase recall: the graph search
-// can only lose additional recall on top of the DCPE noise, so a β
-// calibrated at 0.5 by the proxy lands the full filter phase at or just
-// below 0.5, matching the paper's operating point.
-func CalibrateBeta(data *dataset.Data, k int, target float64, seed uint64) (float64, error) {
-	if target <= 0 || target >= 1 {
-		return 0, fmt.Errorf("bench: recall target %g outside (0,1)", target)
-	}
-	maxAbs := vec.MaxAbs(data.Train)
-	lo, hi := 0.0, 2*maxAbs*math.Sqrt(float64(data.Dim))
-	// Recall is monotone decreasing in β; bisect.
-	for iter := 0; iter < 12 && hi-lo > 1e-3*hi; iter++ {
-		mid := (lo + hi) / 2
-		r, err := sapRecallProxy(data, k, mid, seed)
-		if err != nil {
-			return 0, err
-		}
-		if r > target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2, nil
-}
-
-// sapRecallProxy measures Recall@k of exact k-NN in SAP space.
-func sapRecallProxy(data *dataset.Data, k int, beta float64, seed uint64) (float64, error) {
-	key, err := dcpe.KeyGen(rng.NewSeeded(seed^0xca1b), data.Dim, 1024, beta)
-	if err != nil {
-		return 0, err
-	}
-	// Bound the proxy's work on large corpora.
-	n := len(data.Train)
-	if n > 4000 {
-		n = 4000
-	}
-	nq := len(data.Queries)
-	if nq > 25 {
-		nq = 25
-	}
-	encTrain := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		encTrain[i] = key.Encrypt(data.Train[i])
-	}
-	var recall float64
-	for qi := 0; qi < nq; qi++ {
-		q := data.Queries[qi]
-		want := dataset.ExactKNN(data.Train[:n], q, k)
-		got := dataset.ExactKNN(encTrain, key.Encrypt(q), k)
-		recall += dataset.Recall(got, want)
-	}
-	return recall / float64(nq), nil
-}
 
 // TunedPQ is one operating point of the compressed filter tier: M bytes per
 // code, an over-fetch k′, and the two-phase recall the proxy measured there.
@@ -83,7 +20,7 @@ type TunedPQ struct {
 
 // CalibratePQ picks the cheapest (M, k′) at which PQ-filtered search with
 // exact refine reaches the target Recall@k — the compressed tier's
-// counterpart of CalibrateBeta. Like the β calibration it runs a bounded
+// counterpart of core.CalibrateBeta. Like the β calibration it runs a bounded
 // brute-force proxy instead of a full index build: vectors are SAP-encrypted
 // at the given β, a codebook is trained per candidate M, each query's top-k′
 // by asymmetric PQ distance is refined to top-k by exact distance, and the

@@ -48,7 +48,7 @@ func Fig4(cfg Config) error {
 	}
 	cfg.printf("# Figure 4 — effect of β on filter-phase search (k'=k=%d)\n", cfg.K)
 	for _, d := range ds {
-		cal, err := CalibrateBeta(d, cfg.K, 0.5, cfg.Seed)
+		cal, err := core.CalibrateBeta(d.Train, d.Queries, cfg.K, 0.5, cfg.Seed)
 		if err != nil {
 			return err
 		}
@@ -81,7 +81,7 @@ func Fig5(cfg Config) error {
 	}
 	cfg.printf("# Figure 5 — effect of Ratio_k (k'=Ratio_k·k, k=%d)\n", cfg.K)
 	for _, d := range ds {
-		beta, err := CalibrateBeta(d, cfg.K, 0.5, cfg.Seed)
+		beta, err := core.CalibrateBeta(d.Train, d.Queries, cfg.K, 0.5, cfg.Seed)
 		if err != nil {
 			return err
 		}
@@ -118,7 +118,7 @@ func Fig6(cfg Config) error {
 	}
 	cfg.printf("# Figure 6 — HNSW-DCE vs HNSW-AME vs HNSW(filter), latency per query\n")
 	for _, d := range ds {
-		beta, err := CalibrateBeta(d, cfg.K, 0.5, cfg.Seed)
+		beta, err := core.CalibrateBeta(d.Train, d.Queries, cfg.K, 0.5, cfg.Seed)
 		if err != nil {
 			return err
 		}
@@ -217,7 +217,7 @@ func Fig7(cfg Config) error {
 	}
 	cfg.printf("# Figure 7 — QPS vs baselines (k=%d); PIR-based baselines use %d queries\n", cfg.K, baselineQueries(cfg))
 	for _, d := range ds {
-		beta, err := CalibrateBeta(d, cfg.K, 0.5, cfg.Seed)
+		beta, err := core.CalibrateBeta(d.Train, d.Queries, cfg.K, 0.5, cfg.Seed)
 		if err != nil {
 			return err
 		}
@@ -376,7 +376,7 @@ func Fig9(cfg Config) error {
 	}
 	cfg.printf("# Figure 9 — cost split at target Recall@%d ≈ 0.9\n", cfg.K)
 	for _, d := range ds {
-		beta, err := CalibrateBeta(d, cfg.K, 0.5, cfg.Seed)
+		beta, err := core.CalibrateBeta(d.Train, d.Queries, cfg.K, 0.5, cfg.Seed)
 		if err != nil {
 			return err
 		}
@@ -429,7 +429,7 @@ func Fig10(cfg Config) error {
 			if err != nil {
 				return err
 			}
-			beta, err := CalibrateBeta(d, cfg.K, 0.5, cfg.Seed)
+			beta, err := core.CalibrateBeta(d.Train, d.Queries, cfg.K, 0.5, cfg.Seed)
 			if err != nil {
 				return err
 			}
@@ -467,7 +467,7 @@ func Overhead(cfg Config) error {
 	cfg.printf("%-12s %12s %12s %12s %12s %10s\n",
 		"dataset", "plain r", "plain ms/q", "ours r", "ours ms/q", "overhead")
 	for _, d := range ds {
-		beta, err := CalibrateBeta(d, cfg.K, 0.5, cfg.Seed)
+		beta, err := core.CalibrateBeta(d.Train, d.Queries, cfg.K, 0.5, cfg.Seed)
 		if err != nil {
 			return err
 		}

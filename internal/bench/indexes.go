@@ -3,6 +3,7 @@ package bench
 import (
 	"time"
 
+	"ppanns/internal/core"
 	"ppanns/internal/dataset"
 	"ppanns/internal/dcpe"
 	"ppanns/internal/index"
@@ -33,7 +34,7 @@ func Indexes(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		beta, err := CalibrateBeta(d, cfg.K, 0.5, cfg.Seed)
+		beta, err := core.CalibrateBeta(d.Train, d.Queries, cfg.K, 0.5, cfg.Seed)
 		if err != nil {
 			return err
 		}

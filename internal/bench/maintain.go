@@ -25,7 +25,7 @@ func Maintain(cfg Config) error {
 		base := total.Train[:cfg.N]
 		pool := total.Train[cfg.N:]
 
-		beta, err := CalibrateBeta(total, cfg.K, 0.5, cfg.Seed)
+		beta, err := core.CalibrateBeta(total.Train, total.Queries, cfg.K, 0.5, cfg.Seed)
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"time"
 
+	"ppanns/internal/dataset"
 	"ppanns/internal/dce"
 	"ppanns/internal/dcpe"
 	"ppanns/internal/index"
@@ -216,4 +217,67 @@ func finite(v []float64) error {
 		}
 	}
 	return nil
+}
+
+// CalibrateBeta finds the β at which exact k-NN in SAP-ciphertext space
+// reaches the target Recall@k against plaintext ground truth — the paper's
+// procedure of choosing β "so that the upper bound of recall in the filter
+// phase is around 0.5" (Section VII-A), evaluated with a brute-force proxy
+// instead of a full index build so the calibration runs in milliseconds.
+//
+// The proxy is an upper bound on the filter-phase recall: the index search
+// can only lose additional recall on top of the DCPE noise, so a β
+// calibrated at 0.5 by the proxy lands the full filter phase at or just
+// below 0.5, matching the paper's operating point. When no β in the search
+// bracket brings the proxy down to the target — k at or above the corpus
+// size makes every β perfect — it returns an error, not a guess.
+func CalibrateBeta(train, queries [][]float64, k int, target float64, seed uint64) (float64, error) {
+	if target <= 0 || target >= 1 {
+		return 0, fmt.Errorf("core: recall target %g outside (0,1)", target)
+	}
+	if len(train) == 0 || len(queries) == 0 {
+		return 0, fmt.Errorf("core: calibrating β needs vectors and queries (have %d and %d)", len(train), len(queries))
+	}
+	lo, hi := 0.0, 2*vec.MaxAbs(train)*math.Sqrt(float64(len(train[0])))
+	reached := false
+	// Recall is monotone decreasing in β; bisect.
+	for iter := 0; iter < 12 && hi-lo > 1e-3*hi; iter++ {
+		mid := (lo + hi) / 2
+		r, err := sapRecallProxy(train, queries, k, mid, seed)
+		if err != nil {
+			return 0, err
+		}
+		if r > target {
+			lo = mid
+		} else {
+			hi, reached = mid, true
+		}
+	}
+	if !reached {
+		return 0, fmt.Errorf("core: no β up to %.4g brings filter recall@%d down to %g over %d vectors; choose β by hand",
+			hi, k, target, len(train))
+	}
+	return (lo + hi) / 2, nil
+}
+
+// sapRecallProxy measures Recall@k of exact k-NN in SAP space over at most
+// 4000 vectors and 25 queries.
+func sapRecallProxy(train, queries [][]float64, k int, beta float64, seed uint64) (float64, error) {
+	key, err := dcpe.KeyGen(rng.NewSeeded(seed^0xca1b), len(train[0]), 1024, beta)
+	if err != nil {
+		return 0, err
+	}
+	train = train[:min(len(train), 4000)]
+	queries = queries[:min(len(queries), 25)]
+	encTrain := make([][]float64, len(train))
+	for i, v := range train {
+		encTrain[i] = key.Encrypt(v)
+	}
+	var recall float64
+	for _, q := range queries {
+		want := dataset.ExactKNN(train, q, k)
+		got := dataset.ExactKNN(encTrain, key.Encrypt(q), k)
+		recall += dataset.Recall(got, want)
+	}
+	return recall / float64(len(queries)), nil
 }
