@@ -519,9 +519,11 @@ func runQuery(args []string) error {
 		return err
 	}
 	defer client.Close()
-	if info, err := client.Info(); err == nil {
-		fmt.Printf("server: %d vectors, %s index\n", info.N, info.Backend)
+	info, err := client.Info()
+	if err != nil {
+		return fmt.Errorf("info: %w", err)
 	}
+	fmt.Printf("server: %d vectors, %s index\n", info.N, info.Backend)
 
 	for i := 0; i < qs.Len(); i++ {
 		tok, err := user.Query(qs.At(i))

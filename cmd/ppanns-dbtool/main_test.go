@@ -49,6 +49,8 @@ func stalledListener(t *testing.T) string {
 
 // TestQueryStalledServer holds both query paths to their deadlines: a
 // server that accepts and never answers fails the query, it does not hang.
+// A single server fails on the call that timed out, the first Info, not on
+// a later call over the connection that timeout poisoned.
 func TestQueryStalledServer(t *testing.T) {
 	saved := dialOpts
 	dialOpts = transport.DialOptions{DialTimeout: 200 * time.Millisecond, Timeout: 200 * time.Millisecond}
@@ -84,6 +86,9 @@ func TestQueryStalledServer(t *testing.T) {
 			case err := <-done:
 				if err == nil {
 					t.Fatal("query against a stalled server succeeded")
+				}
+				if target[0] == "-addr" && (!strings.HasPrefix(err.Error(), "info: ") || strings.Contains(err.Error(), "poison")) {
+					t.Fatalf("query against a stalled server: %v, want the info call's timeout", err)
 				}
 			case <-time.After(2 * time.Second):
 				t.Fatal("query against a stalled server still blocked after 2s")

@@ -124,8 +124,12 @@ func KeyGenScaled(r *rng.Rand, dim int, scale float64) (*Key, error) {
 
 	big := 2*pad + 16
 	m3, m3LU := matrix.RandomFactored(r, big)
-	k.mup = m3.SubMatrix(0, pad+8, 0, big)
-	k.mdown = m3.SubMatrix(pad+8, big, 0, big)
+	// M_up and M_down are the upper and lower row halves of M₃: views of
+	// its rows, not copies. The split is clipped so neither can grow into
+	// the other.
+	raw, split := m3.Raw(), (pad+8)*big
+	k.mup, _ = matrix.FromRaw(pad+8, big, raw[:split:split])
+	k.mdown, _ = matrix.FromRaw(pad+8, big, raw[split:])
 
 	k.kv1 = make([]float64, big)
 	k.kv2 = make([]float64, big)

@@ -53,13 +53,18 @@ func TestStoreArenaAlignment(t *testing.T) {
 }
 
 // TestDCEKernelRegistryShape pins what ActiveKernel reports: simd's one
-// variant, which is scalar or — only on a machine with AVX2 — avx2.
+// variant, which is scalar, avx2 only on a machine with AVX2, or avx512
+// only on one with usable AVX-512F.
 func TestDCEKernelRegistryShape(t *testing.T) {
 	if got := ActiveKernel(); got != simd.Kernel() {
 		t.Fatalf("ActiveKernel() = %q, simd.Kernel() = %q", got, simd.Kernel())
 	}
-	if got := ActiveKernel(); got != simd.Scalar && (got != simd.AVX2 || !simd.HasAVX2()) {
-		t.Fatalf("ActiveKernel() = %q with HasAVX2() = %v", got, simd.HasAVX2())
+	switch got := ActiveKernel(); {
+	case got == simd.Scalar:
+	case got == simd.AVX2 && simd.HasAVX2():
+	case got == simd.AVX512 && simd.HasAVX512():
+	default:
+		t.Fatalf("ActiveKernel() = %q with HasAVX2() = %v, HasAVX512() = %v", got, simd.HasAVX2(), simd.HasAVX512())
 	}
 }
 

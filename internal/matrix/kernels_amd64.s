@@ -2,10 +2,12 @@
 
 #include "textflag.h"
 
-// AVX2 bodies of the inner loops in kernels.go. Like the distance
-// kernels in internal/vec they use no FMA: every product and every sum is
-// rounded on its own (VMULPD then VADDPD), in the order the Go loops use,
-// so the two are interchangeable bit for bit.
+// AVX2 bodies of the inner loops in kernels.go, and an AVX-512F body of
+// the panel kernel (axpyPanel4AVX512) that every dense product runs on.
+// Like the distance kernels in internal/vec they use no FMA and no embedded
+// rounding: every product and every sum is rounded on its own (VMULPD then
+// VADDPD), in the order the Go loops use, so the bodies and the references
+// are interchangeable bit for bit.
 //
 // Go assembler operand order: "VADDPD A, B, C" computes C = B + A.
 
@@ -231,6 +233,102 @@ panel1row:
 
 paneldone:
 	VZEROUPPER
+	RET
+
+// PANEL16 is PANEL8 on sixteen columns: the source in Z8/Z9, the
+// destination in lo/hi, clobbering Z10, Z12 and Z13.
+#define PANEL16(coef, lo, hi) \
+	VBROADCASTSD coef, Z10    \
+	VMULPD       Z8, Z10, Z12 \
+	VMULPD       Z9, Z10, Z13 \
+	VADDPD       Z12, lo, lo  \
+	VADDPD       Z13, hi, hi
+
+// func axpyPanel4AVX512(d0, d1, d2, d3, c []float64, cs, rows int, src []float64, stride int)
+//
+// axpyPanel4AVX2 with a sixteen-column step in front: the four
+// destinations' sixteen columns sit in Z0..Z7 (two registers each) while
+// the source rows pass under them in p order, each row in Z8/Z9 and each
+// coefficient broadcast once. The columns left over, fewer than sixteen,
+// are handed to axpyPanel4AVX2 by a tail call with every destination, its
+// length and the source advanced past the columns done, so its 8-, 4- and
+// 1-column steps finish the row. Registers as in axpyPanel4AVX2.
+TEXT ·axpyPanel4AVX512(SB), NOSPLIT, $0-168
+	MOVQ d0_base+0(FP), DI
+	MOVQ d0_len+8(FP), DX
+	MOVQ d1_base+24(FP), SI
+	MOVQ d2_base+48(FP), R8
+	MOVQ d3_base+72(FP), R9
+	MOVQ c_base+96(FP), R10
+	MOVQ cs+120(FP), R14
+	MOVQ rows+128(FP), R11
+	MOVQ src_base+136(FP), R12
+	MOVQ stride+160(FP), R13
+	LEAQ (R10)(R11*8), R11
+	SHLQ $3, R14
+	LEAQ (R14)(R14*2), R15
+	SHLQ $3, R13
+	XORQ CX, CX
+	CMPQ R10, R11
+	JEQ  panel16ret
+
+panel16:
+	LEAQ    16(CX), AX
+	CMPQ    AX, DX
+	JG      panel16rest
+	VMOVUPD (DI)(CX*8), Z0
+	VMOVUPD 64(DI)(CX*8), Z1
+	VMOVUPD (SI)(CX*8), Z2
+	VMOVUPD 64(SI)(CX*8), Z3
+	VMOVUPD (R8)(CX*8), Z4
+	VMOVUPD 64(R8)(CX*8), Z5
+	VMOVUPD (R9)(CX*8), Z6
+	VMOVUPD 64(R9)(CX*8), Z7
+	LEAQ    (R12)(CX*8), AX
+	MOVQ    R10, BX
+
+panel16row:
+	VMOVUPD (AX), Z8
+	VMOVUPD 64(AX), Z9
+	PANEL16((BX), Z0, Z1)
+	PANEL16((BX)(R14*1), Z2, Z3)
+	PANEL16((BX)(R14*2), Z4, Z5)
+	PANEL16((BX)(R15*1), Z6, Z7)
+	ADDQ    R13, AX
+	ADDQ    $8, BX
+	CMPQ    BX, R11
+	JL      panel16row
+	VMOVUPD Z0, (DI)(CX*8)
+	VMOVUPD Z1, 64(DI)(CX*8)
+	VMOVUPD Z2, (SI)(CX*8)
+	VMOVUPD Z3, 64(SI)(CX*8)
+	VMOVUPD Z4, (R8)(CX*8)
+	VMOVUPD Z5, 64(R8)(CX*8)
+	VMOVUPD Z6, (R9)(CX*8)
+	VMOVUPD Z7, 64(R9)(CX*8)
+	ADDQ    $16, CX
+	JMP     panel16
+
+panel16rest:
+	VZEROUPPER
+	CMPQ CX, DX
+	JEQ  panel16ret
+	SUBQ CX, DX
+	SHLQ $3, CX
+	ADDQ CX, DI
+	ADDQ CX, SI
+	ADDQ CX, R8
+	ADDQ CX, R9
+	ADDQ CX, R12
+	MOVQ DI, d0_base+0(FP)
+	MOVQ DX, d0_len+8(FP)
+	MOVQ SI, d1_base+24(FP)
+	MOVQ R8, d2_base+48(FP)
+	MOVQ R9, d3_base+72(FP)
+	MOVQ R12, src_base+136(FP)
+	JMP  ·axpyPanel4AVX2(SB)
+
+panel16ret:
 	RET
 
 // DOT8 accumulates one 4-lane group of products at byte offset off from

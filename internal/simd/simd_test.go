@@ -6,8 +6,9 @@ import (
 )
 
 // TestAvailableAlwaysIncludesScalar: the variant resolved at init is one
-// this machine can run — scalar, or AVX2 only where HasAVX2 — and it is
-// what pick makes of this process's PPANNS_KERNEL.
+// this machine can run — scalar, AVX2 only where HasAVX2, AVX-512 only
+// where HasAVX512 — and it is what pick makes of this process's
+// PPANNS_KERNEL.
 func TestAvailableAlwaysIncludesScalar(t *testing.T) {
 	switch Kernel() {
 	case Scalar:
@@ -15,33 +16,57 @@ func TestAvailableAlwaysIncludesScalar(t *testing.T) {
 		if !HasAVX2() {
 			t.Fatal("Kernel() = avx2 on a machine without AVX2")
 		}
+	case AVX512:
+		if !HasAVX512() || !HasAVX2() {
+			t.Fatalf("Kernel() = avx512 with HasAVX512() = %v, HasAVX2() = %v", HasAVX512(), HasAVX2())
+		}
 	default:
-		t.Fatalf("Kernel() = %q, want scalar or avx2", Kernel())
+		t.Fatalf("Kernel() = %q, want scalar, avx2 or avx512", Kernel())
 	}
-	if UseAVX2() != (Kernel() == AVX2) {
+	if UseAVX2() != (Kernel() == AVX2 || Kernel() == AVX512) {
 		t.Fatalf("UseAVX2() = %v with Kernel() = %q", UseAVX2(), Kernel())
 	}
-	if want := pick(os.Getenv("PPANNS_KERNEL")); Kernel() != want {
+	if UseAVX512() != (Kernel() == AVX512) {
+		t.Fatalf("UseAVX512() = %v with Kernel() = %q", UseAVX512(), Kernel())
+	}
+	if HasAVX512() && !HasAVX2() {
+		t.Fatal("HasAVX512() without HasAVX2()")
+	}
+	if want := pick(os.Getenv("PPANNS_KERNEL"), HasAVX2(), HasAVX512()); Kernel() != want {
 		t.Fatalf("Kernel() = %q, pick of PPANNS_KERNEL = %q", Kernel(), want)
 	}
 }
 
+// TestPickHonorsOverride pins the pick table on each kind of host: unset,
+// blank and "avx512" select the best variant the host runs, "avx2" the
+// AVX2 bodies even where AVX-512 is usable, and "scalar" or any unknown
+// name the references. No name selects a variant the host lacks.
 func TestPickHonorsOverride(t *testing.T) {
-	best := Scalar
-	if HasAVX2() {
-		best = AVX2
+	hosts := []struct {
+		name         string
+		avx2, avx512 bool
+		best, avx2As string
+	}{
+		{"avx512 host", true, true, AVX512, AVX2},
+		{"avx2 host", true, false, AVX2, AVX2},
+		{"scalar host", false, false, Scalar, Scalar},
 	}
-	for _, c := range []struct{ env, want string }{
-		{"", best},
-		{"  ", best},
-		{"scalar", Scalar},
-		{" SCALAR ", Scalar},
-		{"avx2", best},
-		{"AVX2", best},
-		{"no-such-kernel", Scalar},
-	} {
-		if got := pick(c.env); got != c.want {
-			t.Fatalf("pick(%q) = %q, want %q", c.env, got, c.want)
+	for _, h := range hosts {
+		for _, c := range []struct{ env, want string }{
+			{"", h.best},
+			{"  ", h.best},
+			{"avx512", h.best},
+			{" AVX512 ", h.best},
+			{"avx2", h.avx2As},
+			{"AVX2", h.avx2As},
+			{"scalar", Scalar},
+			{" SCALAR ", Scalar},
+			{"avx-512", Scalar},
+			{"no-such-kernel", Scalar},
+		} {
+			if got := pick(c.env, h.avx2, h.avx512); got != c.want {
+				t.Fatalf("%s: pick(%q) = %q, want %q", h.name, c.env, got, c.want)
+			}
 		}
 	}
 }
