@@ -125,8 +125,8 @@ func KeyGenScaled(r *rng.Rand, dim int, scale float64) (*Key, error) {
 	big := 2*pad + 16
 	m3, m3LU := matrix.RandomFactored(r, big)
 	// M_up and M_down are the upper and lower row halves of M₃: views of
-	// its rows, not copies. The split is clipped so neither can grow into
-	// the other.
+	// its rows, not copies. The upper view's capacity ends at the split, so
+	// it cannot grow into the lower one.
 	raw, split := m3.Raw(), (pad+8)*big
 	k.mup, _ = matrix.FromRaw(pad+8, big, raw[:split:split])
 	k.mdown, _ = matrix.FromRaw(pad+8, big, raw[split:])

@@ -6,8 +6,9 @@ import "slices"
 // built from: axpyPanel4 (with axpyRows4 and axpyRowsEach around it), axpy4
 // (with axpyRows around it) and dot8. Each fixes its floating-point
 // association once, so a result never depends on which body ran it (the Go
-// references below or the AVX2 assembly of kernels_amd64.s), how the work
-// was blocked, or how many goroutines shared it.
+// references below, the AVX2 assembly of kernels_amd64.s, or its AVX-512
+// body of axpyPanel4), how the work was blocked, or how many goroutines
+// shared it.
 //
 // axpyPanel4 is the one the dense products run on: four destination rows
 // take the same source rows, so each source load serves four destinations.

@@ -180,16 +180,3 @@ func Identity(n int) *Dense {
 	}
 	return m
 }
-
-// SubMatrix returns the block of m covering rows [r0,r1) and columns
-// [c0,c1) as a copy.
-func (m *Dense) SubMatrix(r0, r1, c0, c1 int) *Dense {
-	if r0 < 0 || r1 > m.rows || c0 < 0 || c1 > m.cols || r0 >= r1 || c0 >= c1 {
-		panic(fmt.Sprintf("matrix: invalid submatrix [%d:%d, %d:%d] of %dx%d", r0, r1, c0, c1, m.rows, m.cols))
-	}
-	s := NewDense(r1-r0, c1-c0)
-	for i := r0; i < r1; i++ {
-		copy(s.Row(i-r0), m.Row(i)[c0:c1])
-	}
-	return s
-}

@@ -121,15 +121,6 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestSubMatrix(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
-	s := m.SubMatrix(1, 3, 0, 2)
-	want := FromRows([][]float64{{4, 5}, {7, 8}})
-	if !vec.ApproxEqual(s.Raw(), want.Raw(), 0) {
-		t.Fatalf("SubMatrix = %v", s.Raw())
-	}
-}
-
 func TestFromRaw(t *testing.T) {
 	m, err := FromRaw(2, 2, []float64{1, 2, 3, 4})
 	if err != nil || m.At(1, 0) != 3 {
