@@ -7,7 +7,9 @@
 // Like the distance kernels in internal/vec they use no FMA and no embedded
 // rounding: every product and every sum is rounded on its own (VMULPD then
 // VADDPD), in the order the Go loops use, so the bodies and the references
-// are interchangeable bit for bit.
+// are interchangeable bit for bit. The AVX-512 body runs only where
+// internal/simd found AVX-512F usable (the OS saves opmask and ZMM state),
+// and it hands its last columns, fewer than sixteen, to the AVX2 body.
 //
 // Go assembler operand order: "VADDPD A, B, C" computes C = B + A.
 
