@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"time"
 
 	"ppanns/internal/dataset"
@@ -30,9 +31,13 @@ type DataOwner struct {
 }
 
 // BuildStats says where one EncryptDatabase call spent its time, stage by
-// stage — each stage is timed in place, so the four add up to the call less
-// its validation and none can come out negative — and what its k-means runs
-// (the IVF quantizer, the PQ subspaces) did.
+// stage, and what its k-means runs (the IVF quantizer, the PQ subspaces)
+// did. Each stage is timed in place, so none can come out negative. The
+// stages run on two concurrent branches after the SAP encryption they all
+// need: key generation and encryption on one, which therefore add up to no
+// more than the call, and the index and the PQ tier side by side on the
+// other, each of which fits inside the call on its own. Stages of
+// different branches overlap, so the four do not add up to the call.
 type BuildStats struct {
 	// KeyGen is key generation, which only an owner's first call pays.
 	KeyGen time.Duration
@@ -72,37 +77,25 @@ func (o *DataOwner) Params() Params { return o.params }
 // It is nil until EncryptDatabase has run.
 func (o *DataOwner) UserKey() *UserKey { return o.keys }
 
-// generateKeys creates the DCE and SAP keys, with the DCE input scale set
-// from the observed coordinate range.
-func (o *DataOwner) generateKeys(maxAbs float64) error {
-	scale := 1.0
-	if maxAbs > 0 {
-		scale = 1 / maxAbs
-	}
-	r := o.params.rand()
-	dceKey, err := dce.KeyGenScaled(rng.Derive(r, 1), o.params.Dim, scale)
-	if err != nil {
-		return fmt.Errorf("core: DCE keygen: %w", err)
-	}
-	sapKey, err := dcpe.KeyGen(rng.Derive(r, 2), o.params.Dim, sapScale, o.params.Beta)
-	if err != nil {
-		return fmt.Errorf("core: SAP keygen: %w", err)
-	}
-	o.keys = &UserKey{DCE: dceKey, SAP: sapKey}
-	o.rnd = rng.Derive(r, 4)
-	return nil
-}
-
 // EncryptDatabase encrypts every vector under SAP and DCE, builds the
 // selected filter index over the SAP ciphertexts, and returns the complete
 // server-side state: the paper's B1/B2 steps of Figure 3.
 //
-// Every stage runs on GOMAXPROCS workers and none lets the worker count
-// show: record i draws all its randomness (SAP, then DCE) from its own
-// stream, derived from one base drawn here, and the index and PQ builds are
-// functions of their seed and input. A seeded owner therefore
-// produces the same bytes on any number of cores. EncryptVector keeps
-// drawing from the keys' sequential streams.
+// The filter side never reads the DCE key or a DCE record, so the call is a
+// small dependency graph. The SAP key and the SAP encryption of every
+// record come first. Then two branches run at once: the DCE key (on an
+// owner's first call) and the DCE encryption of every record on the
+// calling goroutine, and the filter index on a goroutine of its own, with
+// the PQ tier (Params.PQ) beside it on another. The DCE input scale follows from the observed
+// coordinate range, which is why keys wait for the first call.
+//
+// Every stage runs on GOMAXPROCS workers and none lets the worker count or
+// the overlap show: record i draws all its randomness (SAP, then DCE) from
+// its own stream, derived from one base drawn here and kept between the
+// two encryptions, and the index and PQ builds are functions of their seed
+// and input. A seeded owner therefore produces the same bytes on any
+// number of cores. EncryptVector keeps drawing from the keys' sequential
+// streams.
 func (o *DataOwner) EncryptDatabase(vectors [][]float64) (*EncryptedDatabase, error) {
 	if len(vectors) == 0 {
 		return nil, fmt.Errorf("core: empty database")
@@ -117,76 +110,130 @@ func (o *DataOwner) EncryptDatabase(vectors [][]float64) (*EncryptedDatabase, er
 	}
 	var built BuildStats
 	stage := time.Now()
-	// lap returns the time since the previous stage ended.
+	// lap returns the time since the previous stage of this goroutine ended.
 	lap := func() time.Duration {
 		now := time.Now()
 		d := now.Sub(stage)
 		stage = now
 		return d
 	}
-	if o.keys == nil {
-		if err := o.generateKeys(vec.MaxAbs(vectors)); err != nil {
-			return nil, err
+
+	// The keys' streams are derived in a fixed order (DCE, SAP, then the
+	// records' base), whichever key is generated first.
+	var dceKey *dce.Key
+	var sapKey *dcpe.Key
+	var dceRand, rnd *rng.Rand
+	if o.keys != nil {
+		dceKey, sapKey, rnd = o.keys.DCE, o.keys.SAP, o.rnd
+	} else {
+		r := o.params.rand()
+		dceRand = rng.Derive(r, 1)
+		var err error
+		if sapKey, err = dcpe.KeyGen(rng.Derive(r, 2), o.params.Dim, sapScale, o.params.Beta); err != nil {
+			return nil, fmt.Errorf("core: SAP keygen: %w", err)
 		}
+		rnd = rng.Derive(r, 4)
 	}
 	built.KeyGen = lap()
 
 	n := len(vectors)
-	sap := make([][]float64, n)
+	workers := min(runtime.GOMAXPROCS(0), n)
+	sap, rs := make([][]float64, n), rng.NewStreams(rnd).First(n)
+	par.Spans(workers, n, 64, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sap[i] = sapKey.EncryptWith(rs[i], vectors[i])
+		}
+	})
+	built.Encrypt = lap()
+
+	// The filter branch: the index, and the PQ tier beside it. Each
+	// goroutine writes only its own results.
+	var (
+		wg              sync.WaitGroup
+		idx             index.SecureIndex
+		idxErr, pqErr   error
+		pqStore         *pq.Store
+		idxTime, pqTime time.Duration
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		t := time.Now()
+		idx, idxErr = index.Build(o.params.Index, sap, o.params.indexOptions())
+		idxTime = time.Since(t)
+	}()
+	if o.params.PQ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t := time.Now()
+			// Trained on the SAP ciphertexts the server stores anyway; the
+			// owner building it here just saves the server the one-time cost.
+			pqStore, pqErr = pq.Build(sap, pq.TrainConfig{M: o.params.PQM, Seed: o.params.Seed ^ 0x4bd})
+			pqTime = time.Since(t)
+		}()
+	}
+
+	// The DCE branch, on this goroutine.
+	if dceKey == nil {
+		scale := 1.0
+		if maxAbs := vec.MaxAbs(vectors); maxAbs > 0 {
+			scale = 1 / maxAbs
+		}
+		k, err := dce.KeyGenScaled(dceRand, o.params.Dim, scale)
+		if err != nil {
+			wg.Wait()
+			return nil, fmt.Errorf("core: DCE keygen: %w", err)
+		}
+		dceKey = k
+		built.KeyGen += lap()
+	}
 	// DCE ciphertexts are encrypted straight into the flat arena store:
 	// workers fill disjoint records in place, so the encrypted database is
 	// born cache-friendly with no per-point ciphertext allocation.
-	store := dce.NewCiphertextStoreN(o.keys.DCE.CiphertextDim(), n)
-
-	streams := rng.NewStreams(o.rnd)
-	workers := min(runtime.GOMAXPROCS(0), n)
-	encs := make([]*dce.Encryptor, workers)
+	store := dce.NewCiphertextStoreN(dceKey.CiphertextDim(), n)
+	encs, recs := make([]*dce.Encryptor, workers), make([][]float64, n)
 	// Spans of 16 records, one DCE encryption block: each worker's
 	// Encryptor reads the key matrices once per span, not once per record.
 	par.Spans(workers, n, 16, func(w, lo, hi int) {
 		if encs[w] == nil {
-			encs[w] = o.keys.DCE.NewEncryptor()
+			encs[w] = dceKey.NewEncryptor()
 		}
-		rs, recs := make([]*rng.Rand, hi-lo), make([][]float64, hi-lo)
 		for i := lo; i < hi; i++ {
-			rs[i-lo] = streams.At(i)
-			sap[i] = o.keys.SAP.EncryptWith(rs[i-lo], vectors[i])
-			recs[i-lo] = store.Record(i)
+			recs[i] = store.Record(i)
 		}
-		encs[w].EncryptRecords(rs, vectors[lo:hi], recs)
+		encs[w].EncryptRecords(rs[lo:hi], vectors[lo:hi], recs[lo:hi])
 	})
-	built.Encrypt = lap()
+	built.Encrypt += lap()
+	wg.Wait()
 
-	idx, err := index.Build(o.params.Index, sap, o.params.indexOptions())
-	if err != nil {
-		return nil, fmt.Errorf("core: building %s index: %w", o.params.Index, err)
+	if o.keys == nil {
+		o.keys, o.rnd = &UserKey{DCE: dceKey, SAP: sapKey}, rnd
 	}
-	built.Index = lap()
+	if idxErr != nil {
+		return nil, fmt.Errorf("core: building %s index: %w", o.params.Index, idxErr)
+	}
+	if pqErr != nil {
+		return nil, fmt.Errorf("core: building PQ tier: %w", pqErr)
+	}
+	built.Index, built.PQ = idxTime, pqTime
+
 	var work kmeans.Stats
 	if t, ok := idx.(interface{ Trained() kmeans.Stats }); ok {
 		work = t.Trained()
 	}
-
-	edb := &EncryptedDatabase{
-		Dim:     o.params.Dim,
-		Backend: o.params.Index,
-		Index:   idx,
-		DCE:     store,
-	}
-	if o.params.PQ {
-		// Trained on the SAP ciphertexts the server stores anyway; the
-		// owner building it here just saves the server the one-time cost.
-		pqStore, err := pq.Build(sap, pq.TrainConfig{M: o.params.PQM, Seed: o.params.Seed ^ 0x4bd})
-		if err != nil {
-			return nil, fmt.Errorf("core: building PQ tier: %w", err)
-		}
-		edb.PQ = pqStore
-		built.PQ = lap()
+	if pqStore != nil {
 		work.Add(pqStore.Book.Trained())
 	}
 	built.KMeansIters, built.DistEvals = work.Iters, work.DistEvals
 	o.built = built
-	return edb, nil
+	return &EncryptedDatabase{
+		Dim:     o.params.Dim,
+		Backend: o.params.Index,
+		Index:   idx,
+		DCE:     store,
+		PQ:      pqStore,
+	}, nil
 }
 
 // EncryptVector produces the ciphertext payload for inserting one new

@@ -11,9 +11,15 @@ import "ppanns/internal/simd"
 // bit-identical, not merely close. (A sign flip on a near-tie would change
 // refine rankings between machines, which the conformance suite forbids.)
 
-// ActiveKernel returns the name of the variant the kernel runs:
-// simd.Kernel, fixed at init.
-func ActiveKernel() string { return simd.Kernel() }
+// ActiveKernel returns the name of the body the kernel runs: avx2 wherever
+// simd.UseAVX2 holds, scalar elsewhere. This package has no 512-bit body,
+// so under simd's avx512 variant it runs, and names, its AVX2 body.
+func ActiveKernel() string {
+	if simd.UseAVX2() {
+		return simd.AVX2
+	}
+	return simd.Scalar
+}
 
 // reduce8 is the fixed eight-lane combination tree shared with
 // internal/vec (see the comment there); keep it in lockstep with the

@@ -17,7 +17,9 @@ import "slices"
 // exactly what axpyRows gives it. axpyRows and axpy4 are the remainder
 // path: fewer than four destinations, the triangular diagonal blocks of the
 // LU, and any four-destination block that holds a zero coefficient (which
-// axpyRows skips, and the panel kernel would not).
+// axpyRows skips, and the panel kernel would not) — except in VecMulBlock,
+// whose destinations start at +0 and whose finite panels take the zero
+// terms with the same bits.
 
 // axpyRowsEach runs axpyRows(dst(i), c[i·cs : i·cs+rows], src, stride) for
 // every i in [lo,hi): the destinations share src, and four at a time go

@@ -544,6 +544,37 @@ func FuzzVecMulBlock(f *testing.F) {
 	})
 }
 
+// TestVecMulBlockNonFinitePanels puts +Inf and NaN in later panels than
+// the first, behind finite ones, with zero coefficients in every group of
+// four on their rows: each panel's finiteness is its own, so a zero term
+// against panel 1's +Inf or panel 3's NaN must still be skipped while the
+// finite panels 0 and 2 run their zeros through the panel kernel.
+func TestVecMulBlockNonFinitePanels(t *testing.T) {
+	r := rng.NewSeeded(12)
+	const rows, cols = 3*panelRows + 7, 37
+	m := gaussianMatrix(r, rows, cols)
+	m.Set(panelRows+5, 3, math.Inf(1))
+	m.Set(3*panelRows+2, 30, math.NaN())
+	x, dst := make([][]float64, 9), make([][]float64, 9)
+	for b := range x {
+		x[b], dst[b] = rng.Gaussian(r, nil, rows), make([]float64, cols)
+		for i := range x[b] {
+			if (i+b)%3 == 0 {
+				x[b][i] = 0
+			}
+		}
+	}
+	m.VecMulBlock(dst, x)
+	for b := range x {
+		want := refVecMul(m, x[b])
+		for j := range want {
+			if math.Float64bits(dst[b][j]) != math.Float64bits(want[j]) {
+				t.Fatalf("vector %d column %d: %v, scalar loop %v", b, j, dst[b][j], want[j])
+			}
+		}
+	}
+}
+
 func TestVecMulBitIdenticalToScalarLoop(t *testing.T) {
 	r := rng.NewSeeded(8)
 	for trial := 0; trial < 200; trial++ {

@@ -204,11 +204,13 @@ func TestPermutationSizeMismatchPanics(t *testing.T) {
 	p.Apply(nil, []float64{1, 2})
 }
 
+// TestStreams: stream i is a function of the base and i, the same from At
+// and from First, and no two streams of a family start alike.
 func TestStreams(t *testing.T) {
-	a, b := NewStreams(NewSeeded(5)), NewStreams(NewSeeded(5))
+	a, b := NewStreams(NewSeeded(5)), NewStreams(NewSeeded(5)).First(2000)
 	seen := map[uint64]int{}
 	for i := 0; i < 2000; i++ {
-		x, y := a.At(i), b.At(i)
+		x, y := a.At(i), b[i]
 		first := x.Uint64()
 		if first != y.Uint64() || x.Uint64() != y.Uint64() {
 			t.Fatalf("stream %d is not a function of (base, index)", i)

@@ -11,9 +11,15 @@ import "ppanns/internal/simd"
 // bit-identical — callers that freeze distances into graphs or compare
 // results across machines never observe a variant-dependent float.
 
-// ActiveKernel returns the name of the variant the kernels run:
-// simd.Kernel, fixed at init.
-func ActiveKernel() string { return simd.Kernel() }
+// ActiveKernel returns the name of the body the kernels run: avx2 wherever
+// simd.UseAVX2 holds, scalar elsewhere. This package has no 512-bit body,
+// so under simd's avx512 variant it runs, and names, its AVX2 bodies.
+func ActiveKernel() string {
+	if simd.UseAVX2() {
+		return simd.AVX2
+	}
+	return simd.Scalar
+}
 
 // reduce8 combines the eight accumulator lanes with the fixed association
 // every variant reproduces: the two four-lane halves are added pairwise
