@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -67,6 +69,94 @@ func TestUserQueryConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestUserTokensOwnStream: two Users made from one seeded key emit the
+// same tokens whether they are queried one after the other or from two
+// goroutines in either order, because each draws from a stream forked from
+// the key when it was made; and the two Users' tokens for one query differ.
+func TestUserTokensOwnStream(t *testing.T) {
+	const n, dim, queries = 48, 10, 20
+	data := clustered(23, n, dim, 3)
+	qs := make([][]float64, queries)
+	r := rng.NewSeeded(29)
+	for i := range qs {
+		qs[i] = rng.GaussianVec(r, dim, 6)
+	}
+	// users returns two Users of a fresh owner with one seed, made in
+	// order, and run queries them as the schedule says.
+	users := func() [2]*User {
+		owner, err := NewDataOwner(Params{Dim: dim, Beta: 0.5, Seed: 23, Index: "hnsw"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := owner.EncryptDatabase(data); err != nil {
+			t.Fatal(err)
+		}
+		var us [2]*User
+		for i := range us {
+			if us[i], err = NewUser(owner.UserKey()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return us
+	}
+	tokens := func(u *User) []*QueryToken {
+		out := make([]*QueryToken, len(qs))
+		for i, q := range qs {
+			tok, err := u.Query(q)
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			out[i] = tok
+		}
+		return out
+	}
+	same := func(a, b *QueryToken) bool {
+		return slices.Equal(bits(a.SAP), bits(b.SAP)) && slices.Equal(bits(a.Trapdoor.Q), bits(b.Trapdoor.Q))
+	}
+
+	us := users()
+	want := [2][]*QueryToken{tokens(us[0]), tokens(us[1])}
+	for i := range qs {
+		if slices.Equal(bits(want[0][i].SAP), bits(want[1][i].SAP)) || slices.Equal(bits(want[0][i].Trapdoor.Q), bits(want[1][i].Trapdoor.Q)) {
+			t.Fatalf("query %d: both users' tokens share a part", i)
+		}
+	}
+	for _, schedule := range []string{"second first", "concurrent"} {
+		us := users()
+		var got [2][]*QueryToken
+		if schedule == "second first" {
+			got[1], got[0] = tokens(us[1]), tokens(us[0])
+		} else {
+			var wg sync.WaitGroup
+			for u := range us {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[u] = tokens(us[u])
+				}()
+			}
+			wg.Wait()
+		}
+		for u := range us {
+			for i := range qs {
+				if got[u] == nil || !same(got[u][i], want[u][i]) {
+					t.Fatalf("%s: user %d query %d: the token differs from the one queried in order", schedule, u, i)
+				}
+			}
+		}
+	}
+}
+
+// bits returns the IEEE bits of v.
+func bits(v []float64) []uint64 {
+	out := make([]uint64, len(v))
+	for i, x := range v {
+		out[i] = math.Float64bits(x)
+	}
+	return out
 }
 
 // TestSnapshotIsolationUnderChurn is the concurrency conformance test of

@@ -1,19 +1,29 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+
+	"ppanns/internal/rng"
+)
 
 // User is the query party: it holds the authorized key material and
 // encrypts queries. Per property P3, this is the user's entire computational
 // role — O(d²) work per query, no participation in the search itself.
 //
-// A User is safe for concurrent Query calls: the SAP and DCE keys each draw
-// a token's randomness from their own stream under their own lock, and
-// nothing else in Query is shared. Which call gets which draws then depends
-// on the schedule, so only a user that queries from one goroutine gets the
-// same tokens from the same seed. Tokens are immutable and can be shared
-// freely; the serving side is fully concurrent.
+// Every User draws its tokens' randomness from a stream of its own, forked
+// from the key once, when NewUser makes it. So the tokens a User emits
+// depend on the key's seed, on how many Users the key made before it and
+// on the order of its own Query calls, never on what other Users of the
+// key do or when. A User is safe for concurrent Query calls: each call
+// takes a stream of its own from the User's under a lock held for two
+// draws, so which call gets which stream then depends on the schedule.
+// Tokens are immutable and can be shared freely; the serving side is fully
+// concurrent.
 type User struct {
 	key *UserKey
+	mu  sync.Mutex
+	rnd *rng.Rand
 }
 
 // NewUser creates a user from the owner-authorized key.
@@ -24,7 +34,7 @@ func NewUser(key *UserKey) (*User, error) {
 	if key.DCE.Dim() != key.SAP.Dim() {
 		return nil, fmt.Errorf("core: key dimension mismatch %d vs %d", key.DCE.Dim(), key.SAP.Dim())
 	}
-	return &User{key: key}, nil
+	return &User{key: key, rnd: key.DCE.Fork()}, nil
 }
 
 // Dim returns the query dimension.
@@ -39,8 +49,11 @@ func (u *User) Query(q []float64) (*QueryToken, error) {
 	if err := finite(q); err != nil {
 		return nil, fmt.Errorf("core: query: %w", err)
 	}
+	u.mu.Lock()
+	r := rng.Derive(u.rnd, 0x70c)
+	u.mu.Unlock()
 	return &QueryToken{
-		SAP:      u.key.SAP.Encrypt(q),
-		Trapdoor: u.key.DCE.TrapGen(q),
+		SAP:      u.key.SAP.EncryptWith(r, q),
+		Trapdoor: u.key.DCE.TrapGenWith(r, q),
 	}, nil
 }

@@ -189,20 +189,24 @@ type Trapdoor struct {
 	Q []float64
 }
 
-// randScalars draws n per-encryption random scalars under the key's lock.
-// signed selects ±[lo,hi) vs positive-only.
-func (k *Key) randScalars(n int, signed bool) []float64 {
-	out := make([]float64, n)
+// queryRand is one trapdoor's randomness: β₁ and β₂ (step 3), then r_q.
+type queryRand [3]float64
+
+// drawQueryRand draws a trapdoor's randomness from r: β₁, β₂ ∈ ±[lo,hi),
+// then r_q ∈ [lo,hi).
+func drawQueryRand(r *rng.Rand) queryRand {
+	b1 := rng.UniformNonZero(r, randLo, randHi)
+	b2 := rng.UniformNonZero(r, randLo, randHi)
+	return queryRand{b1, b2, rng.Uniform(r, randLo, randHi)}
+}
+
+// Fork returns a stream derived from the key's own, drawn under its lock.
+// A party that takes one and passes it to TrapGenWith gets trapdoors that
+// do not depend on the order other callers reach the key.
+func (k *Key) Fork() *rng.Rand {
 	k.mu.Lock()
-	for i := range out {
-		if signed {
-			out[i] = rng.UniformNonZero(k.rnd, randLo, randHi)
-		} else {
-			out[i] = rng.Uniform(k.rnd, randLo, randHi)
-		}
-	}
-	k.mu.Unlock()
-	return out
+	defer k.mu.Unlock()
+	return rng.Derive(k.rnd, 0xf0c)
 }
 
 // pairTransform computes the paper's step 1: p̌ from p (database side,
@@ -329,10 +333,9 @@ func (e *Encryptor) split(b int, p []float64) {
 // randomizeQuery runs vector-randomization steps 1–3 for a query vector,
 // returning x = [q₁; q₂] ∈ R^(padDim+8). Step 4 — q̄ = Π₂·[M₁⁻¹q₁; M₂⁻¹q₂]
 // — is folded into the key's query matrix with the rest of Equation 15.
-func (k *Key) randomizeQuery(q []float64) []float64 {
+func (k *Key) randomizeQuery(q []float64, rs queryRand) []float64 {
 	check := k.pairTransform(nil, q, -1) // step 1: q̌ (note the global minus)
 	hat := k.pi1.Apply(nil, check)       // step 2
-	rs := k.randScalars(2, true)         // β₁, β₂
 	beta1, beta2 := rs[0], rs[1]
 
 	// Step 3 (Equation 3): the query side carries the shared key scalars
@@ -423,31 +426,45 @@ func (e *Encryptor) encrypt(ps, recs [][]float64) {
 	// vectors, scale by r_p ∈ R⁺.
 	for b, rec := range recs {
 		up, down, rp := e.up[b], e.down[b], e.rs[b][5]
-		p1, p2, p3, p4 := rec[:big], rec[big:2*big], rec[2*big:3*big], rec[3*big:]
-		for i := 0; i < big; i++ {
-			p1[i] = rp * (up[i] + 1) / k.kv1[i]
-			p2[i] = rp * (up[i] - 1) / k.kv2[i]
-			p3[i] = rp * (down[i] + 1) / k.kv3[i]
-			p4[i] = rp * (down[i] - 1) / k.kv4[i]
-		}
+		shiftDivKernel(rec[:big], up, k.kv1, rp, 1)
+		shiftDivKernel(rec[big:2*big], up, k.kv2, rp, -1)
+		shiftDivKernel(rec[2*big:3*big], down, k.kv3, rp, 1)
+		shiftDivKernel(rec[3*big:], down, k.kv4, rp, -1)
 	}
 }
 
 // TrapGen is the paper's TrapGen(q, SK): it produces the trapdoor for a
-// query vector.
+// query vector, its randomness drawn from the key's own sequential stream
+// under the key's lock. It is safe for concurrent use; which call gets
+// which draws then depends on the schedule.
 func (k *Key) TrapGen(q []float64) *Trapdoor {
+	k.mu.Lock()
+	rs := drawQueryRand(k.rnd)
+	k.mu.Unlock()
+	return k.trapGen(q, rs)
+}
+
+// TrapGenWith is TrapGen drawing the trapdoor's randomness from r instead
+// of the key's stream and taking no lock, the twin of
+// dcpe.Key.EncryptWith: a user with a stream of its own gets the same
+// trapdoors from it whatever other users of the key do.
+func (k *Key) TrapGenWith(r *rng.Rand, q []float64) *Trapdoor {
+	return k.trapGen(q, drawQueryRand(r))
+}
+
+// trapGen builds the trapdoor of q from its randomness rs.
+func (k *Key) trapGen(q []float64, rs queryRand) *Trapdoor {
 	if len(q) != k.dim {
 		panic(fmt.Sprintf("dce: trapdoor for %d-dim vector with %d-dim key", len(q), k.dim))
 	}
-	x := k.randomizeQuery(q)
-	rq := k.randScalars(1, false)[0]
+	x := k.randomizeQuery(q, rs)
 
 	// Equation 15: q̄′ = r_q · (M₃⁻¹ [q̄; −q̄]) ◦ (kv₂◦kv₄), q̄ = Π₂·B·x with
 	// B = blockdiag(M₁⁻¹, M₂⁻¹). Everything between x and r_q is fixed by
 	// the key, so it re-associates to r_q · Q·x with
 	// Q = diag(kv₂◦kv₄)·M₃⁻¹·[Π₂B; −Π₂B], folded at KeyGen.
 	out := k.query.MulVec(nil, x)
-	vec.Scale(out, rq, out)
+	vec.Scale(out, rs[2], out) // r_q
 	return &Trapdoor{Q: out}
 }
 

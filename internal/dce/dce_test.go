@@ -371,11 +371,12 @@ func TestTrapGenMatchesEquation15(t *testing.T) {
 			q := rng.Gaussian(qr, nil, dim)
 			got := folded.TrapGen(q).Q
 
-			x := long.randomizeQuery(q)
+			rs := drawQueryRand(long.rnd)
+			x := long.randomizeQuery(q, rs)
 			enc := append(inv1.MulVec(nil, x[:sub]), inv2.MulVec(nil, x[sub:])...)
 			bar := long.pi2.Apply(nil, enc)
 			w := inv3.MulVec(nil, append(bar, vec.Scale(nil, -1, bar)...))
-			rq := long.randScalars(1, false)[0]
+			rq := rs[2]
 			want := make([]float64, big)
 			for i := range want {
 				want[i] = rq * w[i] * long.kv2[i] * long.kv4[i]

@@ -42,6 +42,18 @@ func distCompTail(z0 float64, o1, o2, p3, p4, q []float64, i int) float64 {
 	return z0
 }
 
+// shiftDivScalar is the reference of randomness step ii (Equation 13),
+// dst[i] = rp·(src[i]+s)/kv[i] with s = ±1: the sum, the product and the
+// quotient each rounded on its own, the order the AVX2 body keeps lane by
+// lane. x−1 and x+(−1) are one IEEE operation, so one body serves both
+// signs.
+func shiftDivScalar(dst, src, kv []float64, rp, s float64) {
+	src, kv = src[:len(dst)], kv[:len(dst)]
+	for i := range dst {
+		dst[i] = rp * (src[i] + s) / kv[i]
+	}
+}
+
 // distCompScalar is the reference DistanceComp kernel: eight-wide unrolling
 // with independent accumulators so the multiply/add chains pipeline (and so
 // the lane structure matches a two-register AVX2 loop bit-for-bit).

@@ -14,10 +14,25 @@ import "ppanns/internal/simd"
 //go:noescape
 func distCompPairAVX2(o1, o2, p3, p4, q []float64) float64
 
+//go:noescape
+func shiftDivAVX2(dst, src, kv []float64, rp, s float64)
+
 // distCompKernel computes Σᵢ (o1ᵢ·p3ᵢ − o2ᵢ·p4ᵢ)·qᵢ.
 func distCompKernel(o1, o2, p3, p4, q []float64) float64 {
 	if simd.UseAVX2() {
 		return distCompPairAVX2(o1, o2, p3, p4, q)
 	}
 	return distCompScalar(o1, o2, p3, p4, q)
+}
+
+// shiftDivKernel sets dst[i] = rp·(src[i]+s)/kv[i]: the AVX2 body over the
+// first len(dst)&^3 elements when simd.UseAVX2, the reference over the
+// rest.
+func shiftDivKernel(dst, src, kv []float64, rp, s float64) {
+	n := 0
+	if simd.UseAVX2() {
+		n = len(dst) &^ 3
+		shiftDivAVX2(dst[:n], src[:n], kv[:n], rp, s)
+	}
+	shiftDivScalar(dst[n:], src[n:], kv[n:], rp, s)
 }

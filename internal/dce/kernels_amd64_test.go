@@ -51,6 +51,67 @@ func testAVX2KernelBitIdentical(t *testing.T) {
 	}
 }
 
+// stepIIFloats are the values randomness step ii must carry as the Go loop
+// does: ±1 (a sum of ±0), signed zeros, subnormals, the normal range's
+// edges, infinities, NaNs with distinct payloads, and divisors whose
+// quotients round (3, 7, 0.1).
+var stepIIFloats = []float64{
+	1, -1, 0, math.Copysign(0, -1), 5e-324, -1e-310, 2.2250738585072014e-308,
+	1.7976931348623157e308, -1.7976931348623157e308, 3, -7, 0.1,
+	math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0xfff8000000000003),
+}
+
+// stepIIRow returns n values behind a start off elements into its backing
+// array, every third one from stepIIFloats and the rest random.
+func stepIIRow(r *rng.Rand, n, off int) []float64 {
+	row := dceRandFloats(r, n+off, 20)[off:]
+	for i := range row {
+		if r.IntN(3) == 0 {
+			row[i] = stepIIFloats[r.IntN(len(stepIIFloats))]
+		}
+	}
+	return row
+}
+
+// TestShiftDivBitIdentical holds the AVX2 body of randomness step ii, by
+// direct calls, and shiftDivKernel as this process runs it to the Go loop
+// on bits, at every length from 0 to 80 behind offsets 0, 1 and 3, for
+// both shifts and for scales r_p that round, overflow and underflow.
+func TestShiftDivBitIdentical(t *testing.T) {
+	r := rng.NewSeeded(467)
+	for n := 0; n <= 80; n++ {
+		for _, off := range []int{0, 1, 3} {
+			src, kv := stepIIRow(r, n, off), stepIIRow(r, n, (off+2)%4)
+			for _, rp := range []float64{1, 0.3 + r.Float64(), 1e300, 5e-324} {
+				for _, shift := range []float64{1, -1} {
+					want := make([]float64, n)
+					for i := range want {
+						want[i] = rp * (src[i] + shift) / kv[i]
+					}
+					check := func(body string, got []float64, upTo int) {
+						t.Helper()
+						for i := range upTo {
+							if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+								t.Fatalf("%s n=%d off=%d rp=%v s=%v element %d: %v·(%v+s)/%v = %v (%#x), Go loop %v (%#x)",
+									body, n, off, rp, shift, i, rp, src[i], kv[i], got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+							}
+						}
+					}
+					got := make([]float64, n)
+					shiftDivKernel(got, src, kv, rp, shift)
+					check("shiftDivKernel", got, n)
+					if simd.HasAVX2() {
+						m := n &^ 3
+						clear(got)
+						shiftDivAVX2(got[:m], src[:m], kv[:m], rp, shift)
+						check("shiftDivAVX2", got, m)
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkDistCompKernels measures the pair kernel per variant, side by
 // side, at the paper's padded-SIFT ctDim and a small dimension.
 func BenchmarkDistCompKernels(b *testing.B) {

@@ -31,7 +31,7 @@ func NearestBlock(idx []int, dist []float64, pts []float64, stride, w int, cents
 // point p centroid base+c, at distance d, whenever d < best[p] — strictly,
 // so ties keep the lower index and a NaN distance never wins. The distance
 // is NearestFlat's sequential loop over the w < WideRow coordinates, lane
-// by lane in the AVX2 body, every product and sum rounded on its own.
+// by lane in the vector bodies, every product and sum rounded on its own.
 func nearestBlock(best []float64, idx []int, pts []float64, stride, w int, cents []float64, base int) {
 	if w < 1 || w >= WideRow {
 		panic(fmt.Sprintf("kmeans: block kernel on rows of %d floats", w))

@@ -7,14 +7,33 @@ import "ppanns/internal/simd"
 //go:noescape
 func nearestBlockAVX2(best []float64, idx []int, pts []float64, stride, w int, cents []float64, base int)
 
-// nearestBlockKernel runs nearestBlockVector when simd.UseAVX2 and the
-// reference otherwise: both compute the same bits.
+//go:noescape
+func nearestBlockAVX512(best []float64, idx []int, pts []float64, stride, w int, cents []float64, base int)
+
+// nearestBlockKernel runs nearestBlockVector512 when simd.UseAVX512,
+// nearestBlockVector when simd.UseAVX2 and the reference otherwise: all
+// three compute the same bits.
 func nearestBlockKernel(best []float64, idx []int, pts []float64, stride, w int, cents []float64, base int) {
-	if simd.UseAVX2() {
+	switch {
+	case simd.UseAVX512():
+		nearestBlockVector512(best, idx, pts, stride, w, cents, base)
+	case simd.UseAVX2():
 		nearestBlockVector(best, idx, pts, stride, w, cents, base)
-		return
+	default:
+		nearestBlockScalar(best, idx, pts, stride, w, cents, base)
 	}
-	nearestBlockScalar(best, idx, pts, stride, w, cents, base)
+}
+
+// nearestBlockVector512 runs the 512-bit body over the points in groups of
+// sixteen and the last one to fifteen points through nearestBlockVector.
+func nearestBlockVector512(best []float64, idx []int, pts []float64, stride, w int, cents []float64, base int) {
+	n := len(best) &^ 15
+	if n > 0 {
+		nearestBlockAVX512(best[:n], idx[:n], pts, stride, w, cents, base)
+	}
+	if n < len(best) {
+		nearestBlockVector(best[n:], idx[n:], pts[n:], stride, w, cents, base)
+	}
 }
 
 // nearestBlockVector runs the AVX2 body over the points in groups of four

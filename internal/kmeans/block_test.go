@@ -2,6 +2,7 @@ package kmeans
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ppanns/internal/rng"
@@ -11,7 +12,8 @@ import (
 type blockFunc func(best []float64, idx []int, pts []float64, stride, w int, cents []float64, base int)
 
 // blockBodies are the block kernel's bodies under test: the Go reference
-// here, the AVX2 body where the machine runs it (block_amd64_test.go).
+// here, the AVX2 and 512-bit bodies where the machine runs them
+// (block_amd64_test.go).
 var blockBodies = map[string]blockFunc{"reference": nearestBlockScalar}
 
 // checkBlock offers the rows of cents, numbered from base, to points laid
@@ -76,18 +78,17 @@ func checkBlock(t *testing.T, cents []float64, w int, points [][]float64, base i
 }
 
 // TestNearestBlock holds the block kernel to the per-row scan at every width
-// it serves, at centroid counts around its eight- and four-point steps
-// (which are the point counts' business: 1 to 17 covers both groups and
-// every tail), with numbered offers continuing a running state, on integer
-// grids where ties are everywhere, with duplicate centroids, points on a
-// centroid or exactly between two, and NaN and ±Inf in points and
-// centroids.
+// it serves, at point counts 1 to 40 (none, one and two sixteen-point
+// groups, each followed by every eight-, four- and one-point tail), with
+// numbered offers continuing a running state, on integer grids where ties
+// are everywhere, with duplicate centroids, points on a centroid or exactly
+// between two, and NaN and ±Inf in points and centroids.
 func TestNearestBlock(t *testing.T) {
 	r := rng.NewSeeded(41)
 	nan, inf := math.NaN(), math.Inf(1)
 	for w := 1; w < WideRow; w++ {
 		for _, k := range []int{1, 7, 8, 9, 255, 256} {
-			for n := 1; n <= 17; n++ {
+			for n := 1; n <= 40; n++ {
 				grid := n%2 == 0
 				cents := rng.Gaussian(r, nil, k*w)
 				if grid {
@@ -137,10 +138,11 @@ func TestNearestBlock(t *testing.T) {
 	}
 }
 
-// blockAround returns 12 points — a group of eight and one of four — with v
-// in the lane the trial picks and the rest near random rows of cents.
+// blockAround returns 28 points — a group of sixteen, one of eight and one
+// of four — with v in the lane the trial picks and the rest near random
+// rows of cents.
 func blockAround(r *rng.Rand, cents []float64, w int, v []float64, trial int) [][]float64 {
-	points := make([][]float64, 12)
+	points := make([][]float64, 28)
 	for p := range points {
 		points[p] = rng.Gaussian(r, nil, w)
 		c := r.IntN(len(cents) / w)
@@ -148,7 +150,7 @@ func blockAround(r *rng.Rand, cents []float64, w int, v []float64, trial int) []
 			points[p][j] += cents[c*w+j]
 		}
 	}
-	points[trial%12] = v
+	points[trial%28] = v
 	return points
 }
 
@@ -227,5 +229,33 @@ func TestNearestBlockNonFinite(t *testing.T) {
 			checkBlock(t, tiny, w, blockAround(r, tiny, w, tiny[4*w:5*w], trial+4), 0, nil, nil)
 			checkBlock(t, tiny, w, blockAround(r, tiny, w, make([]float64, w), trial+5), 0, nil, nil)
 		}
+	}
+}
+
+// BenchmarkNearestBlock is one Lloyd sweep of PQ training through each
+// body the machine runs: 256 centroids of a three-column subspace offered
+// to the 8192-point training sample, from a running best.
+func BenchmarkNearestBlock(b *testing.B) {
+	const n, w, k = 8192, 3, 256
+	r := rng.NewSeeded(1)
+	cents := rng.Gaussian(r, nil, k*w)
+	pts := rng.Gaussian(r, nil, n*w)
+	names := make([]string, 0, len(blockBodies))
+	for name := range blockBodies {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		body := blockBodies[name]
+		b.Run(name, func(b *testing.B) {
+			idx, dist := make([]int, n), make([]float64, n)
+			NearestBlock(idx, dist, pts, n, w, cents)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				body(dist, idx, pts, n, w, cents, 0)
+			}
+			sinkNearest = idx[0]
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
+		})
 	}
 }

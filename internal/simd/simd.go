@@ -10,9 +10,12 @@
 //
 // The variants are ordered scalar < avx2 < avx512, each running every body
 // of the one below it that it has no body of its own for. Under avx512
-// UseAVX2 stays true, so the one kernel with a 512-bit body (matrix's
-// four-destination panel under every dense product) runs it, and every
-// other kernel runs its AVX2 body.
+// UseAVX2 stays true, so the two kernels with a 512-bit body — matrix's
+// four-destination panel under every dense product, and kmeans' block
+// kernel under PQ training, PQ encoding and k-means++ on short rows — run
+// it, and every other kernel runs its AVX2 body. The one-row loops of vec
+// and dce wait on their add chains, not on instruction throughput, so a
+// wider register would not speed them up.
 //
 // Detection is written against raw CPUID/XGETBV (no external cpu-feature
 // dependency): a variant is reported only when the instruction set is

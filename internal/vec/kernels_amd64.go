@@ -19,6 +19,9 @@ func sqDistBlockAVX2(dst, data []float64, stride, dim int, q []float64, ids []in
 //go:noescape
 func pqScanBlockAVX2(dst []float64, codes []byte, m int, lut []float64, ids []int32)
 
+//go:noescape
+func addAVX2(dst, a, b []float64)
+
 func sqDistKernel(a, b []float64) float64 {
 	if simd.UseAVX2() {
 		return sqDistPairAVX2(a, b)
@@ -40,4 +43,16 @@ func pqScanBlockKernel(dst []float64, codes []byte, m int, lut []float64, ids []
 		return
 	}
 	pqScanBlockScalar(dst, codes, m, lut, ids)
+}
+
+// addVector adds the first len(a)&^3 elements of a and b into dst by the
+// AVX2 body when simd.UseAVX2, and returns how many it added: Add's loop
+// does the rest.
+func addVector(dst, a, b []float64) int {
+	if !simd.UseAVX2() {
+		return 0
+	}
+	n := len(a) &^ 3
+	addAVX2(dst[:n], a[:n], b[:n])
+	return n
 }

@@ -211,6 +211,66 @@ func FuzzSqDistKernelEquivalence(f *testing.F) {
 	})
 }
 
+// specialFloats are the values an element-wise body must pass through as
+// the Go loop does: signed zeros, subnormals, the normal range's edges,
+// infinities and NaNs with distinct payloads (where both operands are NaN,
+// the payload shows which one the body returned).
+var specialFloats = []float64{
+	0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+	1, -1, 0.1, 1.7976931348623157e308, -1.7976931348623157e308,
+	math.Inf(1), math.Inf(-1), math.NaN(),
+	math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000002),
+}
+
+// specialRow returns n values behind a start off elements into its backing
+// array, every third one a special float and the rest random.
+func specialRow(r *rng.Rand, n, off int) []float64 {
+	row := randFloats(r, n+off, 2e3)[off:]
+	for i := range row {
+		if r.IntN(3) == 0 {
+			row[i] = specialFloats[r.IntN(len(specialFloats))]
+		}
+	}
+	return row
+}
+
+// TestAddBitIdentical holds the AVX2 body of Add, by direct calls, and Add
+// as this process runs it to the Go loop on bits, at every length from 0
+// to 80 behind offsets 0, 1 and 3, with dst a fresh slice and dst = a.
+func TestAddBitIdentical(t *testing.T) {
+	r := rng.NewSeeded(463)
+	for n := 0; n <= 80; n++ {
+		for _, off := range []int{0, 1, 3} {
+			a, b := specialRow(r, n, off), specialRow(r, n, (off+1)%4)
+			want := make([]float64, n)
+			for i := range want {
+				want[i] = a[i] + b[i]
+			}
+			check := func(body string, got []float64, upTo int) {
+				t.Helper()
+				for i := range upTo {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s n=%d off=%d element %d: %v + %v = %v (%#x), Go loop %v (%#x)",
+							body, n, off, i, a[i], b[i], got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+					}
+				}
+			}
+			check("Add", Add(nil, a, b), n)
+			inPlace := append(make([]float64, off), a...)[off:]
+			check("Add in place", Add(inPlace, inPlace, b), n)
+			if simd.HasAVX2() {
+				m := n &^ 3
+				got := make([]float64, m)
+				addAVX2(got, a[:m], b[:m])
+				check("addAVX2", got, m)
+				copy(inPlace, a)
+				addAVX2(inPlace[:m], inPlace[:m], b[:m])
+				check("addAVX2 in place", inPlace, m)
+			}
+		}
+	}
+}
+
 // variantNames lists the kernel variants this machine runs, scalar first:
 // the per-variant benchmarks run each side by side.
 func variantNames() []string {
