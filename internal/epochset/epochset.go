@@ -7,6 +7,8 @@
 // copy-pasted into every search context.
 package epochset
 
+import "slices"
+
 // Set is a reusable visited-id set over dense non-negative ids. The zero
 // value is ready for use after Grow.
 type Set struct {
@@ -44,4 +46,25 @@ func (s *Set) Seen(id int) bool {
 	}
 	s.tags[id] = s.epoch
 	return false
+}
+
+// Unseen appends to dst, in order, each id of ids not yet visited this
+// round, and marks every id visited: Seen over a neighbor list, so an id
+// listed twice is appended once. It writes every id and advances past the
+// fresh ones by a 0/1 of the stamp compare, so the gather takes no branch
+// that depends on which ids were seen.
+func (s *Set) Unseen(dst, ids []int32) []int32 {
+	n := len(dst)
+	dst = slices.Grow(dst, len(ids))[:n+len(ids)]
+	tags, epoch := s.tags, s.epoch
+	for _, id := range ids {
+		fresh := 0
+		if tags[id] != epoch {
+			fresh = 1
+		}
+		tags[id] = epoch
+		dst[n] = id
+		n += fresh
+	}
+	return dst[:n]
 }

@@ -25,6 +25,28 @@ package hnsw
 // slot holds its layer's full link capacity, so its list grows in place,
 // and the searches walk those layers with the query walk (Graph.descend
 // and Graph.beam). Build ends by packing every layer tight.
+//
+// Beside every list slot the build remembers two things, and pack drops
+// both: the entry's distance to the list's owner, the value it was ranked
+// by, and what the last selection of the list learned of the entry — kept,
+// pruned by the kept entry at list position p (the first one found closer
+// to it than the owner), or appended as a backlink and never checked.
+// A backlink merge computes no distance to the target: a source's distance
+// is the one beside the target in the source's own list (batch sources are
+// never merge targets, so that list is not being written), and a member's
+// is the one beside it. SqDist(a, b) and SqDist(b, a) have the same bits —
+// a−b is exactly −(b−a), the lanes add in a fixed order, and every kernel
+// body equals the reference — so the ranking is the one a fresh kernel
+// call gives. When the list overflows, the re-selection skips the checks
+// whose answers the memory holds. The pool is fed sources first, then the
+// list, and keeps equal distances in arrival order, so the entries the
+// last selection kept reach the new walk in their old order, with their
+// old distances. For a candidate from the old list and a kept entry the
+// last selection also kept: if the candidate was kept, it was checked
+// against that entry and was not closer to it; if it was pruned by
+// position p, it was not closer to every kept entry before p and was
+// closer to the entry at p. Those answers are what the checks would
+// compute again. Every other pair is computed.
 
 import (
 	"fmt"
@@ -50,7 +72,7 @@ const batchShare = 16
 // The result — adjacency, entry point, Save bytes — does not depend on
 // the worker count. Scratch lives for the duration of the call only.
 func Build(vectors [][]float64, cfg Config) (*Graph, error) {
-	g, err := buildLists(vectors, cfg)
+	g, _, err := buildLists(vectors, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -59,12 +81,12 @@ func Build(vectors [][]float64, cfg Config) (*Graph, error) {
 }
 
 // buildLists lays out the graph over vectors and links every live point,
-// leaving its layers unpacked.
-func buildLists(vectors [][]float64, cfg Config) (*Graph, error) {
+// leaving its layers unpacked. It also returns what the linking computed.
+func buildLists(vectors [][]float64, cfg Config) (*Graph, buildCounts, error) {
 	n := len(vectors)
 	g, err := newGraph(cfg, n)
 	if err != nil {
-		return nil, err
+		return nil, buildCounts{}, err
 	}
 	levels := drawLevels(g.cfg.Seed, g.mL, n)
 	g.dead = make([]bool, n)
@@ -76,7 +98,7 @@ func buildLists(vectors [][]float64, cfg Config) (*Graph, error) {
 			g.dead[i] = true
 			levels[i] = 0
 		case len(v) != g.cfg.Dim:
-			return nil, fmt.Errorf("hnsw: vector %d has dim %d, want %d", i, len(v), g.cfg.Dim)
+			return nil, buildCounts{}, fmt.Errorf("hnsw: vector %d has dim %d, want %d", i, len(v), g.cfg.Dim)
 		default:
 			g.data.Append(v)
 			live = append(live, int32(i))
@@ -95,7 +117,26 @@ func buildLists(vectors [][]float64, cfg Config) (*Graph, error) {
 		g.insertBatch(ctxs, live[lo:hi])
 		lo = hi
 	}
-	return g, nil
+	var counts buildCounts
+	for _, ctx := range ctxs {
+		counts.add(ctx.counts)
+	}
+	return g, counts, nil
+}
+
+// buildCounts is the work a build did: the rows its walks evaluated, the
+// diversity checks it computed selecting a new node's lists and
+// re-selecting overflowing ones, and the re-selection checks it answered
+// from the lists' memory instead. Each worker counts its own.
+type buildCounts struct {
+	beamRows, linkChecks, mergeChecks, mergeKnown int
+}
+
+func (c *buildCounts) add(o buildCounts) {
+	c.beamRows += o.beamRows
+	c.linkChecks += o.linkChecks
+	c.mergeChecks += o.mergeChecks
+	c.mergeKnown += o.mergeKnown
 }
 
 // drawLevels draws n levels, in id order, from the stream cfg.Seed fixes:
@@ -123,7 +164,8 @@ func (g *Graph) maxLinks(layer int) int {
 
 // carve sets every node's level and lays out one layer per level up to
 // the tallest, every list empty: a node on a layer gets a slot of the
-// layer's full link capacity, a node below it an empty slot.
+// layer's full link capacity, a node below it an empty slot, and the
+// build's memory runs beside every slot.
 func (g *Graph) carve(levels []int) {
 	n := len(levels)
 	g.levels = make([]int32, n)
@@ -142,11 +184,15 @@ func (g *Graph) carve(levels []int) {
 			}
 		}
 		ends := slices.Clone(offs[:n])
-		g.layers[l] = csrLayer{offs: offs, ends: ends, nbrs: make([]int32, offs[n])}
+		g.layers[l] = csrLayer{
+			offs: offs, ends: ends, nbrs: make([]int32, offs[n]),
+			dist: make([]float64, offs[n]), dom: make([]int32, offs[n]),
+		}
 	}
 }
 
-// pack moves every layer's lists, in id order, into exact-size arrays.
+// pack moves every layer's lists, in id order, into exact-size arrays, and
+// drops the build's memory.
 func (g *Graph) pack() {
 	for l := range g.layers {
 		lay := &g.layers[l]
@@ -234,76 +280,149 @@ func (g *Graph) link(ctx *searchCtx, id, entry, top int) {
 		lay := &g.layers[l]
 		cands := g.beam(ctx, v, ep, epDist, g.cfg.EfConstruction, lay)
 		ep, epDist = int(cands[0].ID), cands[0].Dist
-		lay.setList(id, g.selectNeighbors(ctx, lay.list(id), cands, g.cfg.M))
+		g.selectNeighbors(ctx, lay, id, cands, g.cfg.M, prior{})
 	}
 }
 
 // mergeBacklinks adds the sources of keys (all sharing one target, in id
-// order) to the target's layer-l list. When the list overflows, sources and
-// current links are ranked by distance to the target and re-selected with
-// the diversity heuristic.
+// order) to the target's layer-l list, each with the distance beside the
+// target in its own list. When the list overflows, sources and current
+// links are ranked by distance to the target and re-selected with the
+// diversity heuristic, which the list's memory spares the checks it has
+// made before.
 func (g *Graph) mergeBacklinks(ctx *searchCtx, l int, keys []uint64) {
 	target := int(keys[0] >> 32)
 	lay := &g.layers[l]
-	lst := lay.list(target)
-	maxLinks := g.maxLinks(l)
-	if len(lst)+len(keys) <= maxLinks {
-		for _, k := range keys {
-			lst = append(lst, int32(uint32(k)))
+	off, end := int(lay.offs[target]), int(lay.ends[target])
+	if end+len(keys) <= int(lay.offs[target+1]) {
+		for j, k := range keys {
+			src := int(uint32(k))
+			lay.nbrs[end+j] = int32(src)
+			lay.dist[end+j] = lay.linkDist(src, target)
+			lay.dom[end+j] = appendedEntry
 		}
-		lay.setList(target, lst)
+		lay.ends[target] += int32(len(keys))
 		return
 	}
+	// The pool ranks positions in ids, sources first, then the list.
 	ids := ctx.ids[:0]
-	for _, k := range keys {
-		ids = append(ids, int32(uint32(k)))
-	}
-	ids = append(ids, lst...)
-	ctx.ids = ids
-	dists := g.hopDists(ctx, g.data.At(target), ids)
-	pool := &ctx.pool // ranks them by binary insertion, equals in arrival order
+	width := len(keys) + end - off
+	pool := &ctx.pool // ranks by binary insertion, equals in arrival order
 	pool.Reset()
-	for j, id := range ids {
-		pool.Offer(id, dists[j], len(ids))
+	for _, k := range keys {
+		src := int32(uint32(k))
+		pool.Offer(int32(len(ids)), lay.linkDist(int(src), target), width)
+		ids = append(ids, src)
 	}
-	lay.setList(target, g.selectNeighbors(ctx, lst, pool.Cands(), maxLinks))
+	for j := off; j < end; j++ {
+		pool.Offer(int32(len(ids)), lay.dist[j], width)
+		ids = append(ids, lay.nbrs[j])
+	}
+	ctx.ids = ids
+	ctx.oldDom = append(ctx.oldDom[:0], lay.dom[off:end]...)
+	g.selectNeighbors(ctx, lay, target, pool.Cands(), g.maxLinks(l), prior{ids, len(keys), ctx.oldDom})
+}
+
+// linkDist is the distance src's list holds for its link to target.
+func (l *csrLayer) linkDist(src, target int) float64 {
+	off := int(l.offs[src])
+	for j, nb := range l.neighbors(src) {
+		if int(nb) == target {
+			return l.dist[off+j]
+		}
+	}
+	panic("hnsw: a backlink whose source does not link to its target")
+}
+
+// prior is what a re-selection knows of its candidates: candidate c is
+// node ids[c.ID], the merge's sources first, and ids[nsrc:] is the list
+// being replaced, with dom its memory of the last selection. The zero
+// prior is a fresh selection, whose candidates are the nodes c.ID.
+type prior struct {
+	ids  []int32
+	nsrc int
+	dom  []int32
+}
+
+// prunedCand is a candidate the heuristic pruned: its node, its distance
+// to the owner, and the position in the new list of the kept entry found
+// closer to it.
+type prunedCand struct {
+	dist     float64
+	node, by int32
 }
 
 // selectNeighbors applies the diversity heuristic (HNSW Algorithm 4) to
-// cands (ascending by distance to the base vector), appending at most m
-// ids to dst[:0]. Candidates are read closest first, and only as many as
-// the selection consumes. A candidate is kept when it is closer to the
-// base than to any already-kept neighbor; when fewer than m survive, the
-// closest pruned candidates fill the remaining slots
-// (keepPrunedConnections). dst may be the list being replaced: cands holds
-// ids by value.
-func (g *Graph) selectNeighbors(ctx *searchCtx, dst []int32, cands []resultheap.Cand, m int) []int32 {
-	dst = dst[:0]
+// cands (ascending by distance to node id) and writes at most m of them as
+// id's layer list, each with its distance and what the walk learned of it.
+// Candidates are read closest first, and only as many as the selection
+// consumes. A candidate is kept when it is closer to the owner than to any
+// already-kept neighbor; when fewer than m survive, the closest pruned
+// candidates fill the remaining slots (keepPrunedConnections). A check old
+// answers (see the file comment) is not computed again. The list written
+// may be one the candidates came from: cands and old hold their values by
+// copy.
+func (g *Graph) selectNeighbors(ctx *searchCtx, lay *csrLayer, id int, cands []resultheap.Cand, m int, old prior) {
+	off := int(lay.offs[id])
+	nbrs, dist, dom := lay.nbrs[off:], lay.dist[off:], lay.dom[off:]
+	kept := 0
+	keptOld := ctx.keptOld[:0] // per kept entry: its old position, if the old list kept it too
 	pruned := ctx.pruned[:0]
+	checks, known := 0, 0
 	for _, c := range cands {
-		if len(dst) >= m {
+		if kept >= m {
 			break
 		}
-		good := true
-		cv := g.data.At(int(c.ID))
-		for _, s := range dst {
+		node, was := c.ID, int32(appendedEntry) // was: the candidate's old dom
+		if old.ids != nil {
+			node = old.ids[c.ID]
+			if j := int(c.ID) - old.nsrc; j >= 0 {
+				was = old.dom[j]
+			}
+		}
+		by := int32(keptEntry)
+		cv := g.data.At(int(node))
+		for i, s := range nbrs[:kept] {
+			if p := keptOld[i]; p >= 0 && was != appendedEntry {
+				if was == keptEntry || p < was {
+					known++ // not closer
+					continue
+				}
+				if p == was {
+					known++ // closer
+					by = int32(i)
+					break
+				}
+			}
+			checks++
 			if vec.SqDist(cv, g.data.At(int(s))) < c.Dist {
-				good = false
+				by = int32(i)
 				break
 			}
 		}
-		if good {
-			dst = append(dst, c.ID)
-		} else {
-			pruned = append(pruned, c)
+		if by != keptEntry {
+			pruned = append(pruned, prunedCand{c.Dist, node, by})
+			continue
 		}
-	}
-	for _, c := range pruned {
-		if len(dst) >= m {
-			break
+		nbrs[kept], dist[kept], dom[kept] = node, c.Dist, keptEntry
+		p := int32(-1)
+		if was == keptEntry {
+			p = c.ID - int32(old.nsrc)
 		}
-		dst = append(dst, c.ID)
+		keptOld = append(keptOld, p)
+		kept++
 	}
-	ctx.pruned = pruned
-	return dst
+	n := kept
+	for _, c := range pruned[:min(len(pruned), m-kept)] {
+		nbrs[n], dist[n], dom[n] = c.node, c.dist, c.by
+		n++
+	}
+	lay.ends[id] = int32(off + n)
+	ctx.pruned, ctx.keptOld = pruned, keptOld
+	if old.ids == nil {
+		ctx.counts.linkChecks += checks
+	} else {
+		ctx.counts.mergeChecks += checks
+		ctx.counts.mergeKnown += known
+	}
 }

@@ -2,6 +2,8 @@ package hnsw
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"runtime"
 	"testing"
 
@@ -245,15 +247,77 @@ func TestSaveLoadFuzzedMutations(t *testing.T) {
 	}
 }
 
-// BenchmarkHNSWBuild is the bulk build at the benchmark's embed-deep shape
-// (n = 8000, d = 96, default M and efConstruction) on GOMAXPROCS workers.
+// BenchmarkHNSWBuild is the bulk build at the standing benchmark's shapes,
+// default M and efConstruction, on GOMAXPROCS workers: deep (n = 8000,
+// d = 96, embed-deep's index) and gist (n = 1500, d = 960, wire-gist's).
+// Beside the time it reports the build's work per op: the rows its walks
+// evaluated, the diversity checks it computed selecting new nodes' lists
+// and re-selecting overflowing ones, and the re-selection checks the
+// lists' memory answered.
 func BenchmarkHNSWBuild(b *testing.B) {
-	data := clusteredData(36, 8000, 96, 40)
-	cfg := Config{Dim: 96, Seed: 36}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Build(data, cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name             string
+		n, dim, clusters int
+		seed             uint64
+	}{
+		{"deep", 8000, 96, 40, 36},
+		{"gist", 1500, 960, 40, 37},
+	} {
+		data := clusteredData(c.seed, c.n, c.dim, c.clusters)
+		cfg := Config{Dim: c.dim, Seed: c.seed}
+		b.Run(c.name, func(b *testing.B) {
+			var counts buildCounts
+			for i := 0; i < b.N; i++ {
+				g, cs, err := buildLists(data, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				g.pack()
+				counts = cs
+			}
+			b.ReportMetric(float64(counts.beamRows), "beam_rows/op")
+			b.ReportMetric(float64(counts.linkChecks), "link_checks/op")
+			b.ReportMetric(float64(counts.mergeChecks), "merge_checks/op")
+			b.ReportMetric(float64(counts.mergeKnown), "merge_known/op")
+		})
+	}
+}
+
+// buildGolden holds the SHA-256 (first 16 hex digits) of the Save bytes of
+// two seeded builds, recorded before the build remembered its lists'
+// distances and what their selections learned. Both shapes overflow lists
+// on layers 0 and 1, so every merge path — append, re-select, computed and
+// remembered checks — shapes them.
+var buildGolden = map[string]string{
+	"deep-d96-n3000": "572f7ee507c63a55",
+	"gist-d960-n400": "3acfc5e643c06688",
+}
+
+// TestBuildGolden pins the bytes of two seeded builds, and that both
+// re-selected lists with checks computed and checks remembered.
+func TestBuildGolden(t *testing.T) {
+	for _, c := range []struct {
+		name                string
+		n, dim, clusters, m int
+		ef                  int
+		seed                uint64
+	}{
+		{"deep-d96-n3000", 3000, 96, 24, 16, 100, 51},
+		{"gist-d960-n400", 400, 960, 6, 8, 64, 52},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g, counts, err := buildLists(clusteredData(c.seed, c.n, c.dim, c.clusters), Config{Dim: c.dim, M: c.m, EfConstruction: c.ef, Seed: c.seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if counts.mergeChecks == 0 || counts.mergeKnown == 0 {
+				t.Fatalf("merges computed %d checks and remembered %d; the shape must do both", counts.mergeChecks, counts.mergeKnown)
+			}
+			g.pack()
+			sum := sha256.Sum256(saveBytes(t, g))
+			if got := hex.EncodeToString(sum[:8]); got != buildGolden[c.name] {
+				t.Fatalf("Save digest %s, want %s", got, buildGolden[c.name])
+			}
+		})
 	}
 }

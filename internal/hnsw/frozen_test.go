@@ -13,7 +13,7 @@ import (
 // first answers are the reference the packing is held to.
 func listsAndPacked(t *testing.T, data, queries [][]float64, cfg Config, k, ef int) (lists, csr [][]resultheap.Item) {
 	t.Helper()
-	g, err := buildLists(data, cfg)
+	g, _, err := buildLists(data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,20 @@ func (c Config) withDefaults() (Config, error) {
 type csrLayer struct {
 	offs, ends []int32
 	nbrs       []int32
+	// Build's memory of its lists, parallel to nbrs and dropped by pack:
+	// each entry's distance to the list's owner, and what the last
+	// selection of the list learned of it — keptEntry, appendedEntry, or
+	// the list position of the first kept entry found closer to it than
+	// the owner.
+	dist []float64
+	dom  []int32
 }
+
+// The dom values that are not list positions.
+const (
+	keptEntry     = -1 // the last selection kept it
+	appendedEntry = -2 // appended as a backlink, never checked
+)
 
 // packed is the layer whose list id is nbrs[offs[id]:offs[id+1]].
 func packed(offs, nbrs []int32) csrLayer {
@@ -75,12 +88,6 @@ func packed(offs, nbrs []int32) csrLayer {
 }
 
 func (l *csrLayer) neighbors(id int) []int32 { return l.nbrs[l.offs[id]:l.ends[id]] }
-
-// list is id's list with its slot's spare capacity, for appending in place.
-func (l *csrLayer) list(id int) []int32 { return l.nbrs[l.offs[id]:l.ends[id]:l.offs[id+1]] }
-
-// setList records lst, a list grown from list(id), as id's list.
-func (l *csrLayer) setList(id int, lst []int32) { l.ends[id] = l.offs[id] + int32(len(lst)) }
 
 // Graph is an HNSW index. Nothing writes to it once Build or Load returns,
 // so any number of searches run on it concurrently, beside Save.
@@ -141,13 +148,18 @@ type searchCtx struct {
 	pool  resultheap.Pool
 	buf   []int32
 	dists []float64 // blocked-kernel output, parallel to the gathered buf
-	// Linking scratch: the diversity heuristic's rejected candidates, a
-	// backlink merge's id list, and a batch's sorted (target, source)
-	// backlink keys with the start of each target's run.
-	pruned []resultheap.Cand
-	ids    []int32
-	keys   []uint64
-	starts []int32
+	// Linking scratch: the diversity heuristic's rejected candidates and
+	// the old-list position of each entry it kept, a backlink merge's
+	// candidate ids and the memory of the list it replaces, a batch's
+	// sorted (target, source) backlink keys with the start of each
+	// target's run, and this worker's share of the build's work counts.
+	pruned  []prunedCand
+	keptOld []int32
+	ids     []int32
+	oldDom  []int32
+	keys    []uint64
+	starts  []int32
+	counts  buildCounts
 	// sc, when non-nil, supplies every candidate distance of this search
 	// (SearchIntoDist — the PQ filter path). Ids passed to it are graph
 	// ids. Build always runs with sc nil.
@@ -166,9 +178,10 @@ func (g *Graph) pairDist(ctx *searchCtx, q []float64, id int) float64 {
 
 // hopDists fills ctx.dists with each gathered id's distance to the query:
 // the bound scanner's blocked LUT scan when one is active, else the blocked
-// arena kernel.
+// arena kernel, whose rows it counts.
 func (g *Graph) hopDists(ctx *searchCtx, q []float64, ids []int32) []float64 {
 	if ctx.sc == nil {
+		ctx.counts.beamRows += len(ids)
 		ctx.dists = g.data.SqDistBlock(ctx.dists, q, ids)
 		return ctx.dists
 	}
@@ -182,8 +195,6 @@ func (g *Graph) hopDists(ctx *searchCtx, q []float64, ids []int32) []float64 {
 }
 
 func (c *searchCtx) next() { c.vis.Next() }
-
-func (c *searchCtx) seen(id int) bool { return c.vis.Seen(id) }
 
 // Search returns the ids of the (approximately) k closest live vectors to
 // q, closest first, exploring with beam width ef (ef is raised to k when
@@ -275,19 +286,14 @@ func (g *Graph) beam(ctx *searchCtx, q []float64, ep int, epDist float64, ef int
 	pool := &ctx.pool
 	pool.Reset()
 	pool.Offer(int32(ep), epDist, ef)
-	ctx.seen(ep)
+	ctx.vis.Seen(ep)
 	gather := ctx.buf
 	for {
 		c, ok := pool.Expand()
 		if !ok {
 			break
 		}
-		gather = gather[:0]
-		for _, nb := range nbrs[offs[c]:ends[c]] {
-			if !ctx.seen(int(nb)) {
-				gather = append(gather, nb)
-			}
-		}
+		gather = ctx.vis.Unseen(gather[:0], nbrs[offs[c]:ends[c]])
 		dists := g.hopDists(ctx, q, gather)
 		for j, nb := range gather {
 			pool.Offer(nb, dists[j], ef)

@@ -196,7 +196,7 @@ func poolQueries(data [][]float64, seed uint64, dim int) [][]float64 {
 func TestPoolMatchesHeapBeam(t *testing.T) {
 	const dim = 12
 	data := clusteredData(51, 1500, dim, 8)
-	g, err := buildLists(data, Config{Dim: dim, M: 5, EfConstruction: 48, Seed: 51})
+	g, _, err := buildLists(data, Config{Dim: dim, M: 5, EfConstruction: 48, Seed: 51})
 	if err != nil {
 		t.Fatal(err)
 	}

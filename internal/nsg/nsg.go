@@ -394,12 +394,7 @@ func (g *Graph) SearchInto(dst []resultheap.Item, q []float64, k, ef int) []resu
 		if !ok {
 			break
 		}
-		gather = gather[:0]
-		for _, nb := range g.neighbors(int(c)) {
-			if !ctx.vis.Seen(int(nb)) {
-				gather = append(gather, nb)
-			}
-		}
+		gather = ctx.vis.Unseen(gather[:0], g.neighbors(int(c)))
 		ctx.dists = g.data.SqDistBlock(ctx.dists, q, gather)
 		for j, nb := range gather {
 			pool.Offer(nb, ctx.dists[j], ef)

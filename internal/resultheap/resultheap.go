@@ -12,6 +12,11 @@
 //     distance value, so the heap cannot store keys.
 package resultheap
 
+import (
+	"math"
+	"unsafe"
+)
+
 // Item is an (id, dist) pair: a search answer.
 type Item struct {
 	ID   int
@@ -37,6 +42,12 @@ type Cand struct {
 // width ef expands, in the same order. The pool grows only by append, so
 // an absurd ef costs nothing up front. The zero Pool is empty; Reset
 // empties it again and keeps the storage.
+//
+// Distances are ranked by their IEEE bit patterns, which order every
+// value ≥ +0 as the floats do and put a NaN after +Inf. Every caller
+// offers sums of squares (squared distances, PQ table sums, merges of
+// those), which are never negative, so that is their float order; a
+// negative distance or −0 is outside the contract and sorts after NaN.
 type Pool struct {
 	c    []Cand
 	next int // every entry before next is expanded
@@ -52,25 +63,47 @@ func (p *Pool) Reset() {
 // always enters; at ef it displaces the worst entry iff it is strictly
 // closer. A pool of width 0 admits nothing.
 func (p *Pool) Offer(id int32, dist float64, ef int) {
-	n := len(p.c)
-	if n >= ef && (n == 0 || dist >= p.c[n-1].Dist) {
+	key := math.Float64bits(dist)
+	c := p.c
+	n := len(c)
+	if n >= ef && (n == 0 || distBits(&c[n-1]) <= key) {
 		return
 	}
-	lo, hi := 0, n
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if p.c[m].Dist <= dist {
-			lo = m + 1
-		} else {
-			hi = m
-		}
+	// It lands after every entry at or below key. The search halves a
+	// window that always holds that position; each step turns an integer
+	// compare into 0 or 1 and moves by a mask of it, so no branch depends
+	// on the distances (a float compare, or this one as an if, compiles to
+	// a conditional jump).
+	lo := 0
+	for size := n; size > 1; {
+		half := size >> 1
+		lo += half & -oneIf(distBits(&c[lo+half]) <= key)
+		size -= half
+	}
+	if n > 0 {
+		lo += oneIf(distBits(&c[lo]) <= key)
 	}
 	if n < ef {
-		p.c = append(p.c, Cand{})
+		c = append(c, Cand{})
+		p.c = c
 	}
-	copy(p.c[lo+1:], p.c[lo:len(p.c)-1])
-	p.c[lo] = Cand{Dist: dist, ID: id}
+	copy(c[lo+1:], c[lo:len(c)-1])
+	c[lo] = Cand{Dist: dist, ID: id}
 	p.next = min(p.next, lo)
+}
+
+// distBits is the bit pattern of c.Dist as one integer load: through
+// math.Float64bits, a value read from the slice can detour through a stack
+// slot on its way to the compare.
+func distBits(c *Cand) uint64 { return *(*uint64)(unsafe.Pointer(&c.Dist)) }
+
+// oneIf is 1 when b holds, else 0, by a SETcc.
+func oneIf(b bool) int {
+	i := 0
+	if b {
+		i = 1
+	}
+	return i
 }
 
 // Expand marks the closest unexpanded entry expanded and returns its id;

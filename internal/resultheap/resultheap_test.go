@@ -108,16 +108,25 @@ func TestPoolGrowsByAppend(t *testing.T) {
 // TestPoolTopKMatchesStableSort: a pool used as a plain top-k holds what
 // a stable sort by distance (equals in arrival order) cut to its width
 // holds, ids and distance bits alike, whatever order the offers come in
-// and however many of them tie.
+// and however many of them tie — +0 and +Inf included, and runs where a
+// handful of values are all there is.
 func TestPoolTopKMatchesStableSort(t *testing.T) {
 	var p Pool
 	f := func(seed uint64, count uint8) bool {
 		r := rng.NewSeeded(seed)
 		n := int(count)%100 + 1
+		dense := r.IntN(2) == 0 // draw from four values only
 		offers := make([]Item, n)
 		for i := range offers {
 			d := r.Float64()
-			if i > 0 && r.IntN(3) == 0 {
+			switch {
+			case dense:
+				d = []float64{0, 0.5, 2, math.Inf(1)}[r.IntN(4)]
+			case r.IntN(8) == 0:
+				d = 0
+			case r.IntN(8) == 0:
+				d = math.Inf(1)
+			case i > 0 && r.IntN(3) == 0:
 				d = offers[r.IntN(i)].Dist // a forced duplicate
 			}
 			offers[i] = Item{ID: i, Dist: d}
@@ -143,6 +152,31 @@ func TestPoolTopKMatchesStableSort(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPoolNaNSortsLast pins where a NaN distance goes: after +Inf, in
+// arrival order among NaNs, and a full pool whose worst is finite refuses
+// one.
+func TestPoolNaNSortsLast(t *testing.T) {
+	var p Pool
+	nan := math.NaN()
+	for i, d := range []float64{nan, math.Inf(1), 3, nan, 0, 1} {
+		p.Offer(int32(i), d, 10)
+	}
+	want := []int32{4, 5, 2, 1, 0, 3}
+	for i, c := range p.Cands() {
+		if c.ID != want[i] {
+			t.Fatalf("rank %d holds id %d (dist %v), want id %d", i, c.ID, c.Dist, want[i])
+		}
+	}
+	p.Reset()
+	for i, d := range []float64{2, 1} {
+		p.Offer(int32(i), d, 2)
+	}
+	p.Offer(9, nan, 2)
+	if got := p.Cands(); got[0].ID != 1 || got[1].ID != 0 {
+		t.Fatalf("a full pool admitted a NaN: %+v", got)
 	}
 }
 

@@ -10,12 +10,14 @@
 //
 // The variants are ordered scalar < avx2 < avx512, each running every body
 // of the one below it that it has no body of its own for. Under avx512
-// UseAVX2 stays true, so the two kernels with a 512-bit body — matrix's
-// four-destination panel under every dense product, and kmeans' block
-// kernel under PQ training, PQ encoding and k-means++ on short rows — run
-// it, and every other kernel runs its AVX2 body. The one-row loops of vec
-// and dce wait on their add chains, not on instruction throughput, so a
-// wider register would not speed them up.
+// UseAVX2 stays true, so the three kernels with a 512-bit body — matrix's
+// four-destination panel under every dense product, kmeans' block kernel
+// under PQ training, PQ encoding and k-means++ on short rows, and vec's
+// block distance kernel under every graph hop and list scan — run it, and
+// every other kernel runs its AVX2 body. The one-row loops of vec and dce
+// wait on their add chains, not on instruction throughput, so a wider
+// register alone would not speed them up; vec's block body gains by
+// keeping four rows, four add chains, in flight.
 //
 // Detection is written against raw CPUID/XGETBV (no external cpu-feature
 // dependency): a variant is reported only when the instruction set is

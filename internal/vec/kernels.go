@@ -3,19 +3,26 @@ package vec
 import "ppanns/internal/simd"
 
 // The distance kernels. Each has a scalar reference here and an AVX2 body
-// in kernels_amd64.s; the wrappers in kernels_amd64.go branch on
-// simd.UseAVX2 with direct calls. Every AVX2 body MUST evaluate
-// element-for-element in the same order as its reference: eight independent
-// accumulator lanes (lane = i mod 8), a sequential remainder folded into
-// lane 0, and the reduce8 combination tree. That makes the two variants
-// bit-identical — callers that freeze distances into graphs or compare
-// results across machines never observe a variant-dependent float.
+// in kernels_amd64.s; the block kernel also has an AVX-512 body that keeps
+// four rows in flight. The wrappers in kernels_amd64.go branch on
+// simd.UseAVX512 and simd.UseAVX2 with direct calls. Every vector body MUST
+// evaluate element-for-element in the same order as its reference: eight
+// independent accumulator lanes (lane = i mod 8), a sequential remainder
+// folded into lane 0, and the reduce8 combination tree. That makes the
+// variants bit-identical — callers that freeze distances into graphs or
+// compare results across machines never observe a variant-dependent float.
 
-// ActiveKernel returns the name of the body the kernels run: avx2 wherever
-// simd.UseAVX2 holds, scalar elsewhere. This package has no 512-bit body,
-// so under simd's avx512 variant it runs, and names, its AVX2 bodies.
+// ActiveKernel returns the name of the widest body the kernels run: avx512
+// wherever simd.UseAVX512 holds, where the block kernel (every graph hop
+// and list scan) runs its four-row 512-bit body at dimensions that are a
+// multiple of 8; the pair kernel, the PQ scan, Add and the block kernel at
+// other dimensions keep their AVX2 bodies. It is avx2 wherever only
+// simd.UseAVX2 holds, and scalar elsewhere.
 func ActiveKernel() string {
-	if simd.UseAVX2() {
+	switch {
+	case simd.UseAVX512():
+		return simd.AVX512
+	case simd.UseAVX2():
 		return simd.AVX2
 	}
 	return simd.Scalar

@@ -27,11 +27,67 @@ func sameBits(got, want float64) bool {
 }
 
 // TestKernelVariantsBitIdentical compares the AVX2 pair and block kernels
-// against the scalar references across all loop shapes, deliberately
-// misaligned slices, and padded-stride arenas with shuffled, duplicated
-// ids.
+// and the AVX-512 block kernel against the scalar references across all
+// loop shapes, deliberately misaligned slices, and padded-stride arenas
+// with shuffled, duplicated ids.
 func TestKernelVariantsBitIdentical(t *testing.T) {
 	t.Run(simd.AVX2, testAVX2KernelsBitIdentical)
+	t.Run(simd.AVX512, testAVX512BlockBitIdentical)
+}
+
+// testAVX512BlockBitIdentical holds the four-row block body to the
+// reference at every dim it runs for (multiples of 8, 0 included), 0 to 13
+// rows (every count of leftover rows, behind zero to three groups of
+// four), strides tight, padded and odd, and rows of finite values, of
+// signed zeros and subnormals, and of ±Inf and NaN.
+func testAVX512BlockBitIdentical(t *testing.T) {
+	if !simd.HasAVX512() {
+		t.Skip("no usable AVX-512F on this machine")
+	}
+	r := rng.NewSeeded(419)
+	finite := specialFloats[:6] // ±0 and subnormals
+	for _, dim := range []int{0, 8, 16, 96, 200, 960} {
+		for _, stride := range []int{dim, PadStride(dim), dim + 5} {
+			const rows = 16
+			data := randFloats(r, stride*rows+dim, 2e3)
+			for row := range rows {
+				x := data[row*stride : row*stride+dim]
+				for i := range x {
+					switch {
+					case row%4 == 1 && r.IntN(3) == 0:
+						x[i] = finite[r.IntN(len(finite))]
+					case row%4 == 3 && r.IntN(3) == 0:
+						x[i] = specialFloats[r.IntN(len(specialFloats))]
+					}
+				}
+				if row%4 == 2 && dim > 0 {
+					x[r.IntN(dim)] = specialFloats[r.IntN(len(specialFloats))]
+				}
+			}
+			q := randFloats(r, dim, 2e3)
+			for i := range q {
+				if r.IntN(5) == 0 {
+					q[i] = finite[r.IntN(len(finite))]
+				}
+			}
+			for n := 0; n <= 13; n++ {
+				ids := make([]int32, n)
+				for j := range ids {
+					ids[j] = int32(r.IntN(rows))
+				}
+				want := make([]float64, n)
+				got := make([]float64, n)
+				sqDistBlockScalar(want, data, stride, dim, q, ids)
+				sqDistBlockAVX512(got, data, stride, dim, q, ids)
+				for j := range ids {
+					if !sameBits(got[j], want[j]) {
+						t.Fatalf("dim=%d stride=%d rows=%d row %d (id %d): %v (%#x) vs scalar %v (%#x)",
+							dim, stride, n, j, ids[j], got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+					}
+				}
+			}
+		}
+	}
 }
 
 func testAVX2KernelsBitIdentical(t *testing.T) {
@@ -274,7 +330,10 @@ func TestAddBitIdentical(t *testing.T) {
 // variantNames lists the kernel variants this machine runs, scalar first:
 // the per-variant benchmarks run each side by side.
 func variantNames() []string {
-	if simd.HasAVX2() {
+	switch {
+	case simd.HasAVX512():
+		return []string{simd.Scalar, simd.AVX2, simd.AVX512}
+	case simd.HasAVX2():
 		return []string{simd.Scalar, simd.AVX2}
 	}
 	return []string{simd.Scalar}
@@ -289,7 +348,10 @@ func BenchmarkSqDistKernels(b *testing.B) {
 		c := randFloats(r, dim, 100)
 		for _, name := range variantNames() {
 			sqDist := sqDistScalar
-			if name == simd.AVX2 {
+			switch name {
+			case simd.AVX512:
+				continue // the pair kernel has no 512-bit body
+			case simd.AVX2:
 				sqDist = sqDistPairAVX2
 			}
 			b.Run(fmt.Sprintf("%s/d=%d", name, dim), func(b *testing.B) {
@@ -305,7 +367,8 @@ func BenchmarkSqDistKernels(b *testing.B) {
 }
 
 // BenchmarkSqDistBlockKernels measures the block kernel per variant over a
-// padded arena at the filter phase's typical candidate-block size.
+// padded arena at the filter phase's typical candidate-block size; both
+// dims are multiples of 8, so the avx512 rows run the four-row body.
 func BenchmarkSqDistBlockKernels(b *testing.B) {
 	r := rng.NewSeeded(423)
 	for _, dim := range []int{96, 960} {
@@ -323,7 +386,10 @@ func BenchmarkSqDistBlockKernels(b *testing.B) {
 		dst := make([]float64, len(ids))
 		for _, name := range variantNames() {
 			block := sqDistBlockScalar
-			if name == simd.AVX2 {
+			switch name {
+			case simd.AVX512:
+				block = sqDistBlockAVX512
+			case simd.AVX2:
 				block = sqDistBlockAVX2
 			}
 			b.Run(fmt.Sprintf("%s/d=%d", name, dim), func(b *testing.B) {
@@ -351,7 +417,10 @@ func BenchmarkPQScanBlockKernels(b *testing.B) {
 	dst := make([]float64, len(ids))
 	for _, name := range variantNames() {
 		scan := pqScanBlockScalar
-		if name == simd.AVX2 {
+		switch name {
+		case simd.AVX512:
+			continue // the LUT scan has no 512-bit body
+		case simd.AVX2:
 			scan = pqScanBlockAVX2
 		}
 		b.Run("variant="+name, func(b *testing.B) {

@@ -47,13 +47,16 @@ func TestKernelRankingInvariance(t *testing.T) {
 	}
 }
 
-// TestKernelRegistryShape pins what ActiveKernel reports: the body that
-// runs, which is avx2 exactly where simd.UseAVX2 holds — under simd's
-// avx512 variant too, since this package has no 512-bit body — and scalar
-// elsewhere, never avx512.
+// TestKernelRegistryShape pins what ActiveKernel reports: the widest body
+// that runs, which is avx512 exactly where simd.UseAVX512 holds (the block
+// kernel's 512-bit body), avx2 where only simd.UseAVX2 does, and scalar
+// elsewhere — never a body the machine cannot run.
 func TestKernelRegistryShape(t *testing.T) {
 	want := simd.Scalar
-	if simd.UseAVX2() {
+	switch {
+	case simd.UseAVX512():
+		want = simd.AVX512
+	case simd.UseAVX2():
 		want = simd.AVX2
 	}
 	if got := ActiveKernel(); got != want {
@@ -61,6 +64,9 @@ func TestKernelRegistryShape(t *testing.T) {
 	}
 	if ActiveKernel() == simd.AVX2 && !simd.HasAVX2() {
 		t.Fatalf("ActiveKernel() = avx2 without usable AVX2")
+	}
+	if ActiveKernel() == simd.AVX512 && !simd.HasAVX512() {
+		t.Fatalf("ActiveKernel() = avx512 without usable AVX-512F")
 	}
 }
 
