@@ -426,10 +426,21 @@ func (e *Encryptor) encrypt(ps, recs [][]float64) {
 	// vectors, scale by r_p ∈ R⁺.
 	for b, rec := range recs {
 		up, down, rp := e.up[b], e.down[b], e.rs[b][5]
-		shiftDivKernel(rec[:big], up, k.kv1, rp, 1)
-		shiftDivKernel(rec[big:2*big], up, k.kv2, rp, -1)
-		shiftDivKernel(rec[2*big:3*big], down, k.kv3, rp, 1)
-		shiftDivKernel(rec[3*big:], down, k.kv4, rp, -1)
+		shiftDiv(rec[:big], up, k.kv1, rp, 1)
+		shiftDiv(rec[big:2*big], up, k.kv2, rp, -1)
+		shiftDiv(rec[2*big:3*big], down, k.kv3, rp, 1)
+		shiftDiv(rec[3*big:], down, k.kv4, rp, -1)
+	}
+}
+
+// shiftDiv is randomness step ii (Equation 13), dst[i] = rp·(src[i]+s)/kv[i]
+// with s = ±1: the sum, the product and the quotient each rounded on its
+// own. x−1 and x+(−1) are one IEEE operation, so one loop serves both
+// signs.
+func shiftDiv(dst, src, kv []float64, rp, s float64) {
+	src, kv = src[:len(dst)], kv[:len(dst)]
+	for i := range dst {
+		dst[i] = rp * (src[i] + s) / kv[i]
 	}
 }
 

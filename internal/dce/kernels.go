@@ -11,9 +11,10 @@ import "ppanns/internal/simd"
 // bit-identical, not merely close. (A sign flip on a near-tie would change
 // refine rankings between machines, which the conformance suite forbids.)
 
-// ActiveKernel returns the name of the body the kernel runs: avx2 wherever
-// simd.UseAVX2 holds, scalar elsewhere. This package has no 512-bit body,
-// so under simd's avx512 variant it runs, and names, its AVX2 body.
+// ActiveKernel returns the name of the body the comparison kernel runs:
+// avx2 (distCompPairAVX2) wherever simd.UseAVX2 holds, scalar elsewhere.
+// This package has no 512-bit body, so under simd's avx512 variant it runs,
+// and names, its AVX2 body.
 func ActiveKernel() string {
 	if simd.UseAVX2() {
 		return simd.AVX2
@@ -40,18 +41,6 @@ func distCompTail(z0 float64, o1, o2, p3, p4, q []float64, i int) float64 {
 		z0 += float64((float64(o1[i]*p3[i]) - float64(o2[i]*p4[i])) * q[i])
 	}
 	return z0
-}
-
-// shiftDivScalar is the reference of randomness step ii (Equation 13),
-// dst[i] = rp·(src[i]+s)/kv[i] with s = ±1: the sum, the product and the
-// quotient each rounded on its own, the order the AVX2 body keeps lane by
-// lane. x−1 and x+(−1) are one IEEE operation, so one body serves both
-// signs.
-func shiftDivScalar(dst, src, kv []float64, rp, s float64) {
-	src, kv = src[:len(dst)], kv[:len(dst)]
-	for i := range dst {
-		dst[i] = rp * (src[i] + s) / kv[i]
-	}
 }
 
 // distCompScalar is the reference DistanceComp kernel: eight-wide unrolling

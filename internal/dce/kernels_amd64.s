@@ -85,33 +85,3 @@ dcreduce:
 	VMOVSD     X0, ret+120(FP)
 	VZEROUPPER
 	RET
-
-// func shiftDivAVX2(dst, src, kv []float64, rp, s float64)
-//
-// Randomness step ii over len(dst) elements, a multiple of four:
-// dst[i] = rp·(src[i]+s)/kv[i], four lanes per step. VADDPD, VMULPD and
-// VDIVPD each round correctly, in the Go loop's order, so every lane is
-// shiftDivScalar's bits.
-TEXT ·shiftDivAVX2(SB), NOSPLIT, $0-88
-	MOVQ         dst_base+0(FP), DI
-	MOVQ         dst_len+8(FP), DX
-	MOVQ         src_base+24(FP), SI
-	MOVQ         kv_base+48(FP), R8
-	VBROADCASTSD rp+72(FP), Y1
-	VBROADCASTSD s+80(FP), Y2
-	XORQ         CX, CX
-
-shiftdiv4:
-	CMPQ    CX, DX
-	JGE     shiftdivdone
-	VMOVUPD (SI)(CX*8), Y0
-	VADDPD  Y2, Y0, Y0
-	VMULPD  Y0, Y1, Y0
-	VDIVPD  (R8)(CX*8), Y0, Y0
-	VMOVUPD Y0, (DI)(CX*8)
-	ADDQ    $4, CX
-	JMP     shiftdiv4
-
-shiftdivdone:
-	VZEROUPPER
-	RET

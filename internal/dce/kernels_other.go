@@ -9,8 +9,3 @@ package dce
 func distCompKernel(o1, o2, p3, p4, q []float64) float64 {
 	return distCompScalar(o1, o2, p3, p4, q)
 }
-
-// shiftDivKernel sets dst[i] = rp·(src[i]+s)/kv[i].
-func shiftDivKernel(dst, src, kv []float64, rp, s float64) {
-	shiftDivScalar(dst, src, kv, rp, s)
-}

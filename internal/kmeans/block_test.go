@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"ppanns/internal/kerneltest"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
@@ -82,10 +83,11 @@ func checkBlock(t *testing.T, cents []float64, w int, points [][]float64, base i
 // groups, each followed by every eight-, four- and one-point tail), with
 // numbered offers continuing a running state, on integer grids where ties
 // are everywhere, with duplicate centroids, points on a centroid or exactly
-// between two, and NaN and ±Inf in points and centroids.
+// between two, and kerneltest's special values in points and centroids.
 func TestNearestBlock(t *testing.T) {
 	r := rng.NewSeeded(41)
 	nan, inf := math.NaN(), math.Inf(1)
+	specials := kerneltest.Specials
 	for w := 1; w < WideRow; w++ {
 		for _, k := range []int{1, 7, 8, 9, 255, 256} {
 			for n := 1; n <= 40; n++ {
@@ -116,12 +118,12 @@ func TestNearestBlock(t *testing.T) {
 							cents[((c+1)%k)*w+j] = v[j] + 1
 						}
 					case p%5 == 3:
-						v[r.IntN(w)] = []float64{nan, inf, -inf}[p%3]
+						v[r.IntN(w)] = specials[r.IntN(len(specials))]
 					}
 					points[p] = v
 				}
 				if n%4 == 3 {
-					cents[r.IntN(k)*w+r.IntN(w)] = []float64{nan, inf, -inf}[n%3]
+					cents[r.IntN(k)*w+r.IntN(w)] = specials[r.IntN(len(specials))]
 				}
 				checkBlock(t, cents, w, points, 0, nil, nil)
 
@@ -203,10 +205,9 @@ func TestNearestBlockClusters(t *testing.T) {
 // is, a point with no finite distance keeps index 0 and +Inf, and
 // differences whose squares underflow compare as NearestFlat compares them.
 func TestNearestBlockNonFinite(t *testing.T) {
-	nan, inf := math.NaN(), math.Inf(1)
 	for _, w := range []int{1, 3, 7} {
 		r := rng.NewSeeded(uint64(w))
-		for trial, bad := range []float64{nan, inf, -inf, 1e200, -1e200, 1e-170, 5e-324} {
+		for trial, bad := range append([]float64{1e200, -1e200, 1e-170}, kerneltest.Specials...) {
 			const k = 9
 			cents := rng.Gaussian(r, nil, k*w)
 			v := rng.Gaussian(r, nil, w)

@@ -5,10 +5,14 @@ import "slices"
 // The inner loops every product, factorization and solve in this package is
 // built from: axpyPanel4 (with axpyRows4 and axpyRowsEach around it), axpy4
 // (with axpyRows around it) and dot8. Each fixes its floating-point
-// association once, so a result never depends on which body ran it (the Go
-// references below, the AVX2 assembly of kernels_amd64.s, or its AVX-512
-// body of axpyPanel4), how the work was blocked, or how many goroutines
-// shared it.
+// association once, so neither how the work was blocked nor how many
+// goroutines shared it changes a result. Nor does which body ran it — the
+// Go references below, the AVX2 assembly of axpyPanel4 and dot8 in
+// kernels_amd64.s, or its AVX-512 body of axpyPanel4 — on any input without
+// a NaN: every product and sum is rounded on its own in the same order.
+// Where two NaN inputs of different payloads meet, the bodies may return
+// either payload. No NaN reaches these loops: the owner and the user refuse
+// non-finite vectors and queries, and keys are drawn finite.
 //
 // axpyPanel4 is the one the dense products run on: four destination rows
 // take the same source rows, so each source load serves four destinations.
@@ -103,11 +107,11 @@ func axpy1(dst []float64, a float64, r []float64) {
 	}
 }
 
-// axpy4Scalar is the reference body of axpy4, four axpy1 steps fused:
+// axpy4 is four axpy1 steps fused:
 // dst[j] = (((dst[j] + a0·r0[j]) + a1·r1[j]) + a2·r2[j]) + a3·r3[j], every
 // product and sum rounded on its own (the conversions forbid fusing them
 // on architectures that would). The rows must be at least as long as dst.
-func axpy4Scalar(dst, r0, r1, r2, r3 []float64, a0, a1, a2, a3 float64) {
+func axpy4(dst, r0, r1, r2, r3 []float64, a0, a1, a2, a3 float64) {
 	n := len(dst)
 	r0, r1, r2, r3 = r0[:n], r1[:n], r2[:n], r3[:n]
 	for j := range dst {
@@ -124,7 +128,7 @@ func axpy4Scalar(dst, r0, r1, r2, r3 []float64, a0, a1, a2, a3 float64) {
 //
 //	d_q[j] += Σ_p c[q·cs + p] · src[p·stride + j]	(p < rows)
 //
-// one term at a time in p order, by axpy4Scalar steps of four rows and
+// one term at a time in p order, by axpy4 steps of four rows and
 // axpy1 for the rest: the bits axpyRows gives a row with no zero
 // coefficient. The destinations must share one length, and every source
 // row must be at least that long.
@@ -134,7 +138,7 @@ func axpyPanel4Scalar(d0, d1, d2, d3, c []float64, cs, rows int, src []float64, 
 		p := 0
 		for ; p+4 <= rows; p += 4 {
 			b := p * stride
-			axpy4Scalar(d, src[b:b+n], src[b+stride:b+stride+n], src[b+2*stride:b+2*stride+n], src[b+3*stride:b+3*stride+n],
+			axpy4(d, src[b:b+n], src[b+stride:b+stride+n], src[b+2*stride:b+2*stride+n], src[b+3*stride:b+3*stride+n],
 				a[p], a[p+1], a[p+2], a[p+3])
 		}
 		for ; p < rows; p++ {

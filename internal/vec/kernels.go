@@ -14,9 +14,10 @@ import "ppanns/internal/simd"
 
 // ActiveKernel returns the name of the widest body the kernels run: avx512
 // wherever simd.UseAVX512 holds, where the block kernel (every graph hop
-// and list scan) runs its four-row 512-bit body at dimensions that are a
-// multiple of 8; the pair kernel, the PQ scan, Add and the block kernel at
-// other dimensions keep their AVX2 bodies. It is avx2 wherever only
+// and list scan) runs sqDistBlockAVX512, its four-row body, at dimensions
+// that are a multiple of 8; the pair kernel (sqDistPairAVX2), the PQ scan
+// (pqScanBlockAVX2) and the block kernel at other dimensions
+// (sqDistBlockAVX2) keep their AVX2 bodies. It is avx2 wherever only
 // simd.UseAVX2 holds, and scalar elsewhere.
 func ActiveKernel() string {
 	switch {

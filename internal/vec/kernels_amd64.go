@@ -4,7 +4,8 @@ package vec
 
 import "ppanns/internal/simd"
 
-// The assembly kernels replicate the scalar reference lane-for-lane (see
+// The assembly bodies — sqDistPairAVX2, sqDistBlockAVX2, sqDistBlockAVX512
+// and pqScanBlockAVX2 — replicate the scalar references lane-for-lane (see
 // kernels.go): in the AVX2 bodies two YMM accumulators carry lanes 0..3
 // and 4..7, in the AVX-512 block body one ZMM accumulator per row carries
 // all eight; the remainder folds into lane 0 with scalar VEX ops (the
@@ -23,9 +24,6 @@ func sqDistBlockAVX512(dst, data []float64, stride, dim int, q []float64, ids []
 
 //go:noescape
 func pqScanBlockAVX2(dst []float64, codes []byte, m int, lut []float64, ids []int32)
-
-//go:noescape
-func addAVX2(dst, a, b []float64)
 
 func sqDistKernel(a, b []float64) float64 {
 	if simd.UseAVX2() {
@@ -51,16 +49,4 @@ func pqScanBlockKernel(dst []float64, codes []byte, m int, lut []float64, ids []
 		return
 	}
 	pqScanBlockScalar(dst, codes, m, lut, ids)
-}
-
-// addVector adds the first len(a)&^3 elements of a and b into dst by the
-// AVX2 body when simd.UseAVX2, and returns how many it added: Add's loop
-// does the rest.
-func addVector(dst, a, b []float64) int {
-	if !simd.UseAVX2() {
-		return 0
-	}
-	n := len(a) &^ 3
-	addAVX2(dst[:n], a[:n], b[:n])
-	return n
 }

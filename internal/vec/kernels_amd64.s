@@ -244,40 +244,3 @@ chunk1cond:
 rowsdone:
 	VZEROUPPER
 	RET
-
-// func addAVX2(dst, a, b []float64)
-//
-// dst[i] = a[i] + b[i] for the len(a) elements, a multiple of four: eight
-// per step in two YMM registers, then one step of four. Each lane is one
-// correctly rounded VADDPD, the Go loop's bits. Every step loads a and b
-// before it stores, so dst may be a or b itself.
-TEXT ·addAVX2(SB), NOSPLIT, $0-72
-	MOVQ dst_base+0(FP), DI
-	MOVQ a_base+24(FP), SI
-	MOVQ a_len+32(FP), DX
-	MOVQ b_base+48(FP), R8
-	XORQ CX, CX
-
-add8:
-	LEAQ    8(CX), AX
-	CMPQ    AX, DX
-	JG      add4
-	VMOVUPD (SI)(CX*8), Y0
-	VMOVUPD 32(SI)(CX*8), Y1
-	VADDPD  (R8)(CX*8), Y0, Y0
-	VADDPD  32(R8)(CX*8), Y1, Y1
-	VMOVUPD Y0, (DI)(CX*8)
-	VMOVUPD Y1, 32(DI)(CX*8)
-	MOVQ    AX, CX
-	JMP     add8
-
-add4:
-	CMPQ    CX, DX
-	JGE     adddone
-	VMOVUPD (SI)(CX*8), Y0
-	VADDPD  (R8)(CX*8), Y0, Y0
-	VMOVUPD Y0, (DI)(CX*8)
-
-adddone:
-	VZEROUPPER
-	RET

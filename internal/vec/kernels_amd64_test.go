@@ -8,6 +8,7 @@ import (
 	"math"
 	"testing"
 
+	"ppanns/internal/kerneltest"
 	"ppanns/internal/rng"
 	"ppanns/internal/simd"
 )
@@ -20,16 +21,11 @@ import (
 // ctDim neighborhood, and a large odd size.
 var kernelTestDims = []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 63, 64, 95, 96, 100, 127, 128, 208, 401, 960}
 
-// sameBits reports whether got and want are the same float64, NaN
-// payloads aside.
-func sameBits(got, want float64) bool {
-	return math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want)
-}
-
 // TestKernelVariantsBitIdentical compares the AVX2 pair and block kernels
 // and the AVX-512 block kernel against the scalar references across all
-// loop shapes, deliberately misaligned slices, and padded-stride arenas
-// with shuffled, duplicated ids.
+// loop shapes, deliberately misaligned slices, and tight, padded and odd
+// strides with shuffled, duplicated ids, on random rows and on rows mixed
+// with kerneltest's special values (NaN payloads aside).
 func TestKernelVariantsBitIdentical(t *testing.T) {
 	t.Run(simd.AVX2, testAVX2KernelsBitIdentical)
 	t.Run(simd.AVX512, testAVX512BlockBitIdentical)
@@ -45,9 +41,9 @@ func testAVX512BlockBitIdentical(t *testing.T) {
 		t.Skip("no usable AVX-512F on this machine")
 	}
 	r := rng.NewSeeded(419)
-	finite := specialFloats[:6] // ±0 and subnormals
+	tiny, specials := kerneltest.Specials[:kerneltest.Tiny], kerneltest.Specials
 	for _, dim := range []int{0, 8, 16, 96, 200, 960} {
-		for _, stride := range []int{dim, PadStride(dim), dim + 5} {
+		for _, stride := range kerneltest.Strides(dim) {
 			const rows = 16
 			data := randFloats(r, stride*rows+dim, 2e3)
 			for row := range rows {
@@ -55,21 +51,16 @@ func testAVX512BlockBitIdentical(t *testing.T) {
 				for i := range x {
 					switch {
 					case row%4 == 1 && r.IntN(3) == 0:
-						x[i] = finite[r.IntN(len(finite))]
+						x[i] = tiny[r.IntN(len(tiny))]
 					case row%4 == 3 && r.IntN(3) == 0:
-						x[i] = specialFloats[r.IntN(len(specialFloats))]
+						x[i] = specials[r.IntN(len(specials))]
 					}
 				}
 				if row%4 == 2 && dim > 0 {
-					x[r.IntN(dim)] = specialFloats[r.IntN(len(specialFloats))]
+					x[r.IntN(dim)] = specials[r.IntN(len(specials))]
 				}
 			}
-			q := randFloats(r, dim, 2e3)
-			for i := range q {
-				if r.IntN(5) == 0 {
-					q[i] = finite[r.IntN(len(finite))]
-				}
-			}
+			q := kerneltest.Row(r, dim, 0, 2e3, tiny)
 			for n := 0; n <= 13; n++ {
 				ids := make([]int32, n)
 				for j := range ids {
@@ -80,7 +71,7 @@ func testAVX512BlockBitIdentical(t *testing.T) {
 				sqDistBlockScalar(want, data, stride, dim, q, ids)
 				sqDistBlockAVX512(got, data, stride, dim, q, ids)
 				for j := range ids {
-					if !sameBits(got[j], want[j]) {
+					if !kerneltest.SameBits(got[j], want[j]) {
 						t.Fatalf("dim=%d stride=%d rows=%d row %d (id %d): %v (%#x) vs scalar %v (%#x)",
 							dim, stride, n, j, ids[j], got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
 					}
@@ -96,37 +87,37 @@ func testAVX2KernelsBitIdentical(t *testing.T) {
 	}
 	r := rng.NewSeeded(411)
 	for _, dim := range kernelTestDims {
-		for off := 0; off < 4; off++ {
-			// Slice at an offset so the data is NOT 32-byte aligned
-			// for most off values — the kernels use unaligned loads
-			// and must not care.
-			a := randFloats(r, dim+off, 2e3)[off:]
-			b := randFloats(r, dim+off, 2e3)[off:]
-			want := sqDistScalar(a, b)
-			if got := sqDistPairAVX2(a, b); !sameBits(got, want) {
-				t.Fatalf("sqDist dim=%d off=%d: %v vs scalar %v", dim, off, got, want)
+		for _, vals := range [][]float64{nil, kerneltest.Specials} {
+			// Rows start at offsets that are not 32-byte aligned; the
+			// kernels use unaligned loads and must not care.
+			for _, off := range kerneltest.Offsets {
+				a := kerneltest.Row(r, dim, off, 2e3, vals)
+				b := kerneltest.Row(r, dim, off, 2e3, vals)
+				want := sqDistScalar(a, b)
+				if got := sqDistPairAVX2(a, b); !kerneltest.SameBits(got, want) {
+					t.Fatalf("sqDist dim=%d off=%d specials=%v: %v vs scalar %v", dim, off, vals != nil, got, want)
+				}
 			}
-		}
-		if dim == 0 {
-			continue
-		}
-		// Block form over a padded arena: stride > dim, ids
-		// shuffled with duplicates, including the last row.
-		stride := PadStride(dim)
-		rows := 17
-		data := NewRows[float64](stride, stride, rows).Raw()
-		for i := range data {
-			data[i] = (r.Float64() - 0.5) * 2e3
-		}
-		q := randFloats(r, dim, 2e3)
-		ids := []int32{0, 16, 3, 3, 9, 1, 16, 0, 12, 7}
-		want := make([]float64, len(ids))
-		got := make([]float64, len(ids))
-		sqDistBlockScalar(want, data, stride, dim, q, ids)
-		sqDistBlockAVX2(got, data, stride, dim, q, ids)
-		for j := range ids {
-			if !sameBits(got[j], want[j]) {
-				t.Fatalf("sqDistBlock dim=%d id=%d: %v vs scalar %v", dim, ids[j], got[j], want[j])
+			if dim == 0 {
+				continue
+			}
+			// Block form at every stride, ids shuffled with duplicates,
+			// the last row included.
+			for _, stride := range kerneltest.Strides(dim) {
+				const rows = 17
+				data := kerneltest.Row(r, stride*rows, 0, 2e3, vals)
+				q := kerneltest.Row(r, dim, 0, 2e3, vals)
+				ids := []int32{0, 16, 3, 3, 9, 1, 16, 0, 12, 7}
+				want := make([]float64, len(ids))
+				got := make([]float64, len(ids))
+				sqDistBlockScalar(want, data, stride, dim, q, ids)
+				sqDistBlockAVX2(got, data, stride, dim, q, ids)
+				for j := range ids {
+					if !kerneltest.SameBits(got[j], want[j]) {
+						t.Fatalf("sqDistBlock dim=%d stride=%d specials=%v id=%d: %v vs scalar %v",
+							dim, stride, vals != nil, ids[j], got[j], want[j])
+					}
+				}
 			}
 		}
 	}
@@ -148,7 +139,8 @@ func pqTestCodes(r *rng.Rand, n, m, k int) []byte {
 
 // TestPQScanKernelVariantsBitIdentical compares the AVX2 LUT scan against
 // the scalar reference across code widths, id-set shapes (including the
-// 4-lane remainder cases), duplicated and shuffled ids, and partial-K LUTs.
+// 4-lane remainder cases), duplicated and shuffled ids, partial-K LUTs and
+// LUTs mixed with kerneltest's special values.
 func TestPQScanKernelVariantsBitIdentical(t *testing.T) {
 	t.Run(simd.AVX2, testAVX2PQScanBitIdentical)
 }
@@ -162,7 +154,7 @@ func testAVX2PQScanBitIdentical(t *testing.T) {
 		for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 64, 257} {
 			for _, k := range []int{1, 3, 256} {
 				codes := pqTestCodes(r, n, m, k)
-				lut := randFloats(r, m*256, 2e3)
+				lut := kerneltest.Row(r, m*256, 0, 2e3, kerneltest.Specials)
 				ids := make([]int32, 0, 2*n)
 				for i := 0; i < n; i++ {
 					ids = append(ids, int32(i))
@@ -180,7 +172,7 @@ func testAVX2PQScanBitIdentical(t *testing.T) {
 				pqScanBlockScalar(want, codes, m, lut, ids)
 				pqScanBlockAVX2(got, codes, m, lut, ids)
 				for j := range want {
-					if !sameBits(got[j], want[j]) {
+					if !kerneltest.SameBits(got[j], want[j]) {
 						t.Fatalf("m=%d n=%d k=%d id=%d: %v vs scalar %v", m, n, k, ids[j], got[j], want[j])
 					}
 				}
@@ -233,7 +225,7 @@ func FuzzSqDistKernelEquivalence(f *testing.F) {
 		off := int(offRaw) % 4
 		a := fuzzFloats(data, dim+off, 0)[off:]
 		b := fuzzFloats(data, dim+off, dim)[off:]
-		if got, want := sqDistPairAVX2(a, b), sqDistScalar(a, b); !sameBits(got, want) {
+		if got, want := sqDistPairAVX2(a, b), sqDistScalar(a, b); !kerneltest.SameBits(got, want) {
 			t.Fatalf("sqDist(dim=%d off=%d) = %v (%#x), scalar %v (%#x)",
 				dim, off, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
@@ -260,71 +252,11 @@ func FuzzSqDistKernelEquivalence(f *testing.F) {
 		got := make([]float64, len(ids))
 		sqDistBlockAVX2(got, arena, stride, dim, a, ids)
 		for j := range ids {
-			if !sameBits(got[j], want[j]) {
+			if !kerneltest.SameBits(got[j], want[j]) {
 				t.Fatalf("sqDistBlock(dim=%d)[%d] = %v, scalar %v", dim, j, got[j], want[j])
 			}
 		}
 	})
-}
-
-// specialFloats are the values an element-wise body must pass through as
-// the Go loop does: signed zeros, subnormals, the normal range's edges,
-// infinities and NaNs with distinct payloads (where both operands are NaN,
-// the payload shows which one the body returned).
-var specialFloats = []float64{
-	0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
-	1, -1, 0.1, 1.7976931348623157e308, -1.7976931348623157e308,
-	math.Inf(1), math.Inf(-1), math.NaN(),
-	math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000002),
-}
-
-// specialRow returns n values behind a start off elements into its backing
-// array, every third one a special float and the rest random.
-func specialRow(r *rng.Rand, n, off int) []float64 {
-	row := randFloats(r, n+off, 2e3)[off:]
-	for i := range row {
-		if r.IntN(3) == 0 {
-			row[i] = specialFloats[r.IntN(len(specialFloats))]
-		}
-	}
-	return row
-}
-
-// TestAddBitIdentical holds the AVX2 body of Add, by direct calls, and Add
-// as this process runs it to the Go loop on bits, at every length from 0
-// to 80 behind offsets 0, 1 and 3, with dst a fresh slice and dst = a.
-func TestAddBitIdentical(t *testing.T) {
-	r := rng.NewSeeded(463)
-	for n := 0; n <= 80; n++ {
-		for _, off := range []int{0, 1, 3} {
-			a, b := specialRow(r, n, off), specialRow(r, n, (off+1)%4)
-			want := make([]float64, n)
-			for i := range want {
-				want[i] = a[i] + b[i]
-			}
-			check := func(body string, got []float64, upTo int) {
-				t.Helper()
-				for i := range upTo {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%s n=%d off=%d element %d: %v + %v = %v (%#x), Go loop %v (%#x)",
-							body, n, off, i, a[i], b[i], got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-					}
-				}
-			}
-			check("Add", Add(nil, a, b), n)
-			inPlace := append(make([]float64, off), a...)[off:]
-			check("Add in place", Add(inPlace, inPlace, b), n)
-			if simd.HasAVX2() {
-				m := n &^ 3
-				got := make([]float64, m)
-				addAVX2(got, a[:m], b[:m])
-				check("addAVX2", got, m)
-				copy(inPlace, a)
-				addAVX2(inPlace[:m], inPlace[:m], b[:m])
-				check("addAVX2 in place", inPlace, m)
-			}
-		}
-	}
 }
 
 // variantNames lists the kernel variants this machine runs, scalar first:

@@ -14,5 +14,3 @@ func sqDistBlockKernel(dst, data []float64, stride, dim int, q []float64, ids []
 func pqScanBlockKernel(dst []float64, codes []byte, m int, lut []float64, ids []int32) {
 	pqScanBlockScalar(dst, codes, m, lut, ids)
 }
-
-func addVector(dst, a, b []float64) int { return 0 }

@@ -87,19 +87,12 @@ func Clone(a []float64) []float64 {
 	return c
 }
 
-// Add stores a+b into dst and returns dst; dst may be a or b and may be
-// nil, in which case a new slice is allocated. Each element is one rounded
-// sum, whatever body computes it: rows of four or more take the AVX2 body
-// (k-means sums its IVF rows here), shorter ones (PQ's three-float
-// subspaces) only this loop.
+// Add stores a+b into dst and returns dst; dst may alias a or b and may be
+// nil, in which case a new slice is allocated.
 func Add(dst, a, b []float64) []float64 {
 	dst = ensure(dst, len(a))
-	i := 0
-	if len(a) >= 4 {
-		i = addVector(dst, a, b)
-	}
-	for ; i < len(a); i++ {
-		dst[i] = a[i] + b[i]
+	for i, av := range a {
+		dst[i] = av + b[i]
 	}
 	return dst
 }
