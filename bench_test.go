@@ -137,13 +137,13 @@ func BenchmarkFig4FilterBeta(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5RatioK measures the full filter-and-refine search across
-// Figure 5's Ratio_k axis.
-func BenchmarkFig5RatioK(b *testing.B) {
+// BenchmarkFig5Ratio measures the full filter-and-refine search across
+// Figure 5's Ratio_k axis: k′ = Ratio_k·k.
+func BenchmarkFig5Ratio(b *testing.B) {
 	f := mainFixture(b)
 	for _, ratio := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("ratio=%d", ratio), func(b *testing.B) {
-			f.search(b, ppanns.SearchOptions{RatioK: ratio, EfSearch: 4 * ratio * benchK})
+			f.search(b, ppanns.SearchOptions{KPrime: ratio * benchK, EfSearch: 4 * ratio * benchK})
 		})
 	}
 }
@@ -155,7 +155,7 @@ func BenchmarkFig6RefineScheme(b *testing.B) {
 	f := buildFixture(b, 800)
 	for _, mode := range []ppanns.RefineMode{ppanns.RefineNone, ppanns.RefineDCE} {
 		b.Run(mode.String(), func(b *testing.B) {
-			f.search(b, ppanns.SearchOptions{RatioK: 16, EfSearch: 160, Refine: mode})
+			f.search(b, ppanns.SearchOptions{KPrime: 16 * benchK, EfSearch: 160, Refine: mode})
 		})
 	}
 	hnswAME, err := baselines.NewHNSWAME(f.server, f.data.Train, 7)
@@ -189,7 +189,7 @@ func BenchmarkFig7Baselines(b *testing.B) {
 
 	ours, err := baselines.NewOursFromData(data.Train, core.Params{
 		Dim: data.Dim, Beta: 0.3, IndexOptions: ppanns.IndexOptions{EfConstruction: 150}, Seed: 13,
-	}, core.SearchOptions{RatioK: 16, EfSearch: 160})
+	}, core.SearchOptions{KPrime: 16 * benchK, EfSearch: 160})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func BenchmarkFig9CostSplit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tok := f.tokens[i%len(f.tokens)]
-		_, st, err := f.server.SearchInto(nil, tok, benchK, ppanns.SearchOptions{RatioK: 16, EfSearch: 160})
+		_, st, err := f.server.SearchInto(nil, tok, benchK, ppanns.SearchOptions{KPrime: 16 * benchK, EfSearch: 160})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func BenchmarkFig10Scalability(b *testing.B) {
 	for _, n := range []int{1000, 2000, 4000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			f := buildFixture(b, n)
-			f.search(b, ppanns.SearchOptions{RatioK: 16, EfSearch: 160})
+			f.search(b, ppanns.SearchOptions{KPrime: 16 * benchK, EfSearch: 160})
 		})
 	}
 }
@@ -302,7 +302,7 @@ func BenchmarkOverheadVsPlaintext(b *testing.B) {
 		}
 	})
 	b.Run("ppanns", func(b *testing.B) {
-		f.search(b, ppanns.SearchOptions{RatioK: 16, EfSearch: 160})
+		f.search(b, ppanns.SearchOptions{KPrime: 16 * benchK, EfSearch: 160})
 	})
 }
 
@@ -332,7 +332,7 @@ func BenchmarkMaintainInsertDelete(b *testing.B) {
 func BenchmarkAblationRefine(b *testing.B) {
 	f := mainFixture(b)
 	tok := f.tokens[0]
-	// Materialize one candidate list via the filter phase at RatioK=16.
+	// Materialize one candidate list via the filter phase at k′ = 16k.
 	ids, err := f.server.Search(tok, 16*benchK, ppanns.SearchOptions{KPrime: 16 * benchK, EfSearch: 160, Refine: ppanns.RefineNone})
 	if err != nil {
 		b.Fatal(err)

@@ -477,7 +477,7 @@ func runQuery(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:7070", "server address")
 	addrs := fs.String("addrs", "", `replicated topology: stripes split by ';', replicas by ',' (overrides -addr)`)
 	k := fs.Int("k", 10, "neighbors per query")
-	ratio := fs.Int("ratio", 16, "Ratio_k (k' = ratio·k)")
+	ratio := fs.Int("ratio", 16, "Ratio_k: each query asks for k' = ratio·k filter candidates")
 	limit := fs.Int("limit", 10, "max queries to run (0 = all)")
 	hedge := fs.Duration("hedge", 0, "with -addrs: hedge reads to a sibling replica after this budget (0 = off)")
 	partial := fs.Bool("partial", false, "with -addrs: return best-effort results when a whole stripe is down")
@@ -534,7 +534,7 @@ func runQuery(args []string) error {
 		if err != nil {
 			return err
 		}
-		ids, err := client.Search(tok, *k, core.SearchOptions{RatioK: *ratio, FilterDist: fd})
+		ids, err := client.Search(tok, *k, core.SearchOptions{KPrime: *ratio * *k, FilterDist: fd})
 		if err != nil {
 			return err
 		}
@@ -581,7 +581,7 @@ func queryReplicated(user *ppanns.User, qs *vec.Dataset, addrs string, k, ratio 
 		if err != nil {
 			return err
 		}
-		ids, err := coord.Search(tok, k, core.SearchOptions{RatioK: ratio, FilterDist: fd})
+		ids, err := coord.Search(tok, k, core.SearchOptions{KPrime: ratio * k, FilterDist: fd})
 		var pe *shard.PartialError
 		switch {
 		case errors.As(err, &pe):

@@ -67,7 +67,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ids, err := client.Search(tok, 10, core.SearchOptions{RatioK: 16, EfSearch: 160})
+		ids, err := client.Search(tok, 10, core.SearchOptions{KPrime: 160, EfSearch: 160})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -66,7 +66,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	before, err := server.Search(tok, k, ppanns.SearchOptions{RatioK: 16})
+	before, err := server.Search(tok, k, ppanns.SearchOptions{KPrime: 16 * k})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func main() {
 	fmt.Printf("recovered:    checkpoint %s (epoch %d) + %d replayed → epoch %d\n",
 		stats.Checkpoint, stats.CheckpointEpoch, stats.Replayed, stats.Epoch)
 
-	after, err := recovered.Search(tok, k, ppanns.SearchOptions{RatioK: 16})
+	after, err := recovered.Search(tok, k, ppanns.SearchOptions{KPrime: 16 * k})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func main() {
 	gt := data.GroundTruth(k)
 	var recall float64
 	for i, q := range data.Queries {
-		ids, err := dep.Search(q, k, ppanns.SearchOptions{RatioK: 16, EfSearch: 160})
+		ids, err := dep.Search(q, k, ppanns.SearchOptions{KPrime: 16 * k, EfSearch: 160})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	got, err := dep.Search(novel, 1, ppanns.SearchOptions{RatioK: 8})
+	got, err := dep.Search(novel, 1, ppanns.SearchOptions{KPrime: 8})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func main() {
 		got := make([][]int, len(data.Queries))
 		start := time.Now()
 		for i, q := range data.Queries {
-			ids, err := dep.Search(q, k, ppanns.SearchOptions{RatioK: ratio, EfSearch: 4 * ratio * k})
+			ids, err := dep.Search(q, k, ppanns.SearchOptions{KPrime: ratio * k, EfSearch: 4 * ratio * k})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -39,7 +39,7 @@ func main() {
 	measure := func() float64 {
 		var recall float64
 		for _, q := range data.Queries {
-			got, err := dep.Search(q, k, ppanns.SearchOptions{RatioK: 16, EfSearch: 160})
+			got, err := dep.Search(q, k, ppanns.SearchOptions{KPrime: 16 * k, EfSearch: 160})
 			if err != nil {
 				log.Fatal(err)
 			}

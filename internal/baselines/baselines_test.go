@@ -162,7 +162,7 @@ func TestOurs(t *testing.T) {
 	w := newWorld(t, 2000, 20, 10)
 	sys, err := NewOursFromData(w.data.Train, core.Params{
 		Dim: w.data.Dim, Beta: 0.05, IndexOptions: index.Options{M: 12, EfConstruction: 150}, Seed: 7,
-	}, core.SearchOptions{RatioK: 8, EfSearch: 150})
+	}, core.SearchOptions{KPrime: 80, EfSearch: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestCostShapesAcrossSystems(t *testing.T) {
 
 	ours, err := NewOursFromData(w.data.Train, core.Params{
 		Dim: w.data.Dim, Beta: 0.05, IndexOptions: index.Options{M: 12, EfConstruction: 120}, Seed: 8,
-	}, core.SearchOptions{RatioK: 8, EfSearch: 120})
+	}, core.SearchOptions{KPrime: 80, EfSearch: 120})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -204,16 +204,12 @@ func (d *deployment) measure(k int, opt core.SearchOptions) (point, error) {
 }
 
 // sweep measures a recall/QPS curve over efSearch values. The index raises
-// any ef below the call's k′ (opt.KPrime, else opt.RatioK·k) to k′, so the
-// sweep skips those: each would repeat the k′ point.
+// any ef below the call's k′ (opt.KPrime) to k′, so the sweep skips those:
+// each would repeat the k′ point.
 func (d *deployment) sweep(k int, opt core.SearchOptions, efs []int) ([]point, error) {
-	kPrime := opt.KPrime
-	if kPrime <= 0 {
-		kPrime = opt.RatioK * k
-	}
 	pts := make([]point, 0, len(efs))
 	for _, ef := range efs {
-		if ef < kPrime {
+		if ef < opt.KPrime {
 			continue
 		}
 		o := opt

@@ -145,7 +145,7 @@ func TestDeploymentMeasure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := dep.measure(5, searchOpts(8, 80))
+	p, err := dep.measure(5, searchOpts(5, 8, 80))
 	if err != nil {
 		t.Fatal(err)
 	}

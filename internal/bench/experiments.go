@@ -93,7 +93,7 @@ func Fig5(cfg Config) error {
 		}
 		cfg.printf("\n## %s (n=%d, β=%.3g)\n", d.Name, len(d.Train), beta)
 		for _, ratio := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
-			pts, err := dep.sweep(cfg.K, core.SearchOptions{RatioK: ratio}, defaultEfs(cfg.K*min(ratio, 16)))
+			pts, err := dep.sweep(cfg.K, core.SearchOptions{KPrime: ratio * cfg.K}, defaultEfs(cfg.K*min(ratio, 16)))
 			if err != nil {
 				return err
 			}
@@ -259,7 +259,7 @@ type systemEntry struct {
 func buildAllSystems(d *dataset.Data, beta float64, cfg Config) ([]systemEntry, error) {
 	ours, err := baselines.NewOursFromData(d.Train, core.Params{
 		Dim: d.Dim, Beta: beta, Seed: cfg.Seed,
-	}, core.SearchOptions{RatioK: 16, EfSearch: 16 * cfg.K})
+	}, core.SearchOptions{KPrime: 16 * cfg.K, EfSearch: 16 * cfg.K})
 	if err != nil {
 		return nil, err
 	}
@@ -439,7 +439,7 @@ func Fig10(cfg Config) error {
 			if err != nil {
 				return err
 			}
-			p, err := dep.measure(cfg.K, core.SearchOptions{RatioK: 16, EfSearch: 16 * cfg.K})
+			p, err := dep.measure(cfg.K, core.SearchOptions{KPrime: 16 * cfg.K, EfSearch: 16 * cfg.K})
 			if err != nil {
 				return err
 			}
@@ -511,7 +511,7 @@ func Overhead(cfg Config) error {
 		// search for the recall target starts there.
 		var ours point
 		for _, ef := range []int{16 * cfg.K, 32 * cfg.K, 64 * cfg.K} {
-			ours, err = dep.measure(cfg.K, core.SearchOptions{RatioK: 16, EfSearch: ef})
+			ours, err = dep.measure(cfg.K, core.SearchOptions{KPrime: 16 * cfg.K, EfSearch: ef})
 			if err != nil {
 				return err
 			}

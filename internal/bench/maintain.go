@@ -61,7 +61,7 @@ func Maintain(cfg Config) error {
 				if err != nil {
 					return 0, err
 				}
-				got, err := server.Search(tok, cfg.K, core.SearchOptions{RatioK: 16, EfSearch: 16 * cfg.K})
+				got, err := server.Search(tok, cfg.K, core.SearchOptions{KPrime: 16 * cfg.K, EfSearch: 16 * cfg.K})
 				if err != nil {
 					return 0, err
 				}

@@ -33,7 +33,7 @@ func TestBackendsEndToEnd(t *testing.T) {
 				t.Fatalf("Backend() = %q, want %q", got, name)
 			}
 
-			opt := SearchOptions{RatioK: 16, EfSearch: 250}
+			opt := SearchOptions{KPrime: 16 * k, EfSearch: 250}
 			recall := w.measureRecall(t, queries, k, opt)
 			if floor := backendMinRecall[name]; recall < floor {
 				t.Fatalf("end-to-end recall = %.3f, want ≥ %.2f", recall, floor)
@@ -96,7 +96,7 @@ func TestBackendsEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := w.server.Search(tok, 1, SearchOptions{RatioK: 8})
+			got, err := w.server.Search(tok, 1, SearchOptions{KPrime: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +170,7 @@ func TestFailedInsertLeavesDatabaseIntact(t *testing.T) {
 	if id != n {
 		t.Fatalf("insert after failed insert: id = %d, want %d", id, n)
 	}
-	got, err := w.server.Search(mustToken(t, w, data[1]), 2, SearchOptions{RatioK: 8})
+	got, err := w.server.Search(mustToken(t, w, data[1]), 2, SearchOptions{KPrime: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func BenchmarkRefine(b *testing.B) {
 // rework.
 func BenchmarkSearch(b *testing.B) {
 	w := getBenchWorld(b)
-	opt := SearchOptions{RatioK: 16, EfSearch: 160}
+	opt := SearchOptions{KPrime: 160, EfSearch: 160}
 
 	b.Run("alloc", func(b *testing.B) {
 		b.ReportAllocs()

@@ -125,7 +125,7 @@ func TestDeltaAccountingAcrossCompaction(t *testing.T) {
 	}
 	// The surviving delta insert is still the best answer for its vector,
 	// and the id space keeps growing past the fold.
-	top, err := w.server.Search(mustToken(t, w, v2), 1, SearchOptions{RatioK: 8})
+	top, err := w.server.Search(mustToken(t, w, v2), 1, SearchOptions{KPrime: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestChurnCompactionConformance(t *testing.T) {
 					var dst []int
 					for rep := 0; !done.Load(); rep++ {
 						var err error
-						dst, _, err = w.server.SearchInto(dst[:0], toks[(s+rep)%len(toks)], k, SearchOptions{RatioK: 8})
+						dst, _, err = w.server.SearchInto(dst[:0], toks[(s+rep)%len(toks)], k, SearchOptions{KPrime: 8 * k})
 						if err != nil {
 							errCh <- fmt.Errorf("searcher %d: %v", s, err)
 							return

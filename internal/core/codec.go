@@ -17,12 +17,12 @@ import (
 
 // AppendQuery appends a search request:
 //
-//	[k i64] [KPrime RatioK EfSearch Refine FilterDist i64]
+//	[k i64] [KPrime EfSearch Refine FilterDist i64]
 //	[SAP: count u32, f64s] [trapdoor: count u32, f64s]
 //
 // A nil token (or trapdoor) is written empty and reads back nil.
 func AppendQuery(b []byte, tok *QueryToken, k int, o SearchOptions) []byte {
-	for _, v := range []int{k, o.KPrime, o.RatioK, o.EfSearch, int(o.Refine), int(o.FilterDist)} {
+	for _, v := range []int{k, o.KPrime, o.EfSearch, int(o.Refine), int(o.FilterDist)} {
 		b = frame.AppendInt(b, v)
 	}
 	var sap, q []float64
@@ -39,7 +39,6 @@ func AppendQuery(b []byte, tok *QueryToken, k int, o SearchOptions) []byte {
 func ReadQuery(r *frame.Reader) (tok *QueryToken, k int, o SearchOptions) {
 	k = r.Int()
 	o.KPrime = r.Int()
-	o.RatioK = r.Int()
 	o.EfSearch = r.Int()
 	o.Refine = RefineMode(r.Int())
 	o.FilterDist = FilterDistMode(r.Int())

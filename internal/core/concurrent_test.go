@@ -235,7 +235,7 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 						tok := toks[(s+rep)%len(toks)]
 						var st SearchStats
 						var err error
-						dst, st, err = w.server.SearchInto(dst[:0], tok, 5, SearchOptions{RatioK: 8})
+						dst, st, err = w.server.SearchInto(dst[:0], tok, 5, SearchOptions{KPrime: 40})
 						if err != nil {
 							errCh <- fmt.Errorf("searcher %d: %v", s, err)
 							return

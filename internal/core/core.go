@@ -143,28 +143,10 @@ type EncryptedDatabase struct {
 	// PQ is the compressed filter tier: a product-quantization codebook
 	// plus one M-byte code per position, trained server-side on the SAP
 	// ciphertexts (no new leakage — the codes are a lossy function of data
-	// the server already stores). Nil unless built with Params.PQ, loaded
-	// from a database file carrying a PQ section, or built on demand via
-	// BuildPQ. When present it covers every position [0, Len).
+	// the server already stores). Nil unless built with Params.PQ or
+	// loaded from a database file carrying a PQ section. When present it
+	// covers every position [0, Len).
 	PQ *pq.Store
-}
-
-// BuildPQ trains a PQ codebook over the stored SAP ciphertexts of the live
-// records and encodes every live position, attaching the compressed filter
-// tier to the database. A dead position's code row is zero, as a fold
-// leaves it. This is the on-demand path for databases built (or saved)
-// without one; cfg zero values select the documented pq defaults.
-func (e *EncryptedDatabase) BuildPQ(cfg pq.TrainConfig) error {
-	_, vecs, err := e.gather(identity(e.DCE.Len()), e.Index.Vector, nil)
-	var store *pq.Store
-	if err == nil {
-		store, err = pq.Build(vecs, cfg)
-	}
-	if err != nil {
-		return fmt.Errorf("core: building PQ: %w", err)
-	}
-	e.PQ = store
-	return nil
 }
 
 // Len returns the number of vectors in the encrypted database, including

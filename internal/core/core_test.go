@@ -151,7 +151,7 @@ func TestEndToEndHighRecall(t *testing.T) {
 	data := clustered(1, n, dim, 20)
 	w := newWorld(t, Params{Dim: dim, Beta: 0.5, IndexOptions: index.Options{M: 12, EfConstruction: 150}, Seed: 42}, data)
 	queries := makeQueries(2, data, 40, 0.3)
-	recall := w.measureRecall(t, queries, k, SearchOptions{RatioK: 8, EfSearch: 120})
+	recall := w.measureRecall(t, queries, k, SearchOptions{KPrime: 8 * k, EfSearch: 120})
 	if recall < 0.9 {
 		t.Fatalf("end-to-end recall = %.3f, want ≥ 0.9", recall)
 	}
@@ -164,8 +164,8 @@ func TestRefineImprovesOverFilterOnly(t *testing.T) {
 	data := clustered(3, n, dim, 15)
 	w := newWorld(t, Params{Dim: dim, Beta: 2.0, IndexOptions: index.Options{M: 12, EfConstruction: 150}, Seed: 7}, data)
 	queries := makeQueries(4, data, 40, 0.3)
-	filterOnly := w.measureRecall(t, queries, k, SearchOptions{RatioK: 16, EfSearch: 200, Refine: RefineNone})
-	refined := w.measureRecall(t, queries, k, SearchOptions{RatioK: 16, EfSearch: 200, Refine: RefineDCE})
+	filterOnly := w.measureRecall(t, queries, k, SearchOptions{KPrime: 16 * k, EfSearch: 200, Refine: RefineNone})
+	refined := w.measureRecall(t, queries, k, SearchOptions{KPrime: 16 * k, EfSearch: 200, Refine: RefineDCE})
 	if refined <= filterOnly {
 		t.Fatalf("refine did not improve recall: filter-only %.3f vs refined %.3f", filterOnly, refined)
 	}
@@ -183,7 +183,7 @@ func TestResultsOrderedByTrueDistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := w.server.Search(tok, k, SearchOptions{RatioK: 8})
+	got, err := w.server.Search(tok, k, SearchOptions{KPrime: 8 * k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestSearchStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, st, err := w.server.SearchInto(nil, tok, 5, SearchOptions{RatioK: 8})
+	ids, st, err := w.server.SearchInto(nil, tok, 5, SearchOptions{KPrime: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestInsertThenFindable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := w.server.Search(tok, 1, SearchOptions{RatioK: 8})
+	got, err := w.server.Search(tok, 1, SearchOptions{KPrime: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestDeleteExcludedFromResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := w.server.Search(tok, k, SearchOptions{RatioK: 8})
+	before, err := w.server.Search(tok, k, SearchOptions{KPrime: 8 * k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestDeleteExcludedFromResults(t *testing.T) {
 	if !w.server.Deleted(before[0]) {
 		t.Fatal("Deleted() bookkeeping wrong")
 	}
-	after, err := w.server.Search(tok, k, SearchOptions{RatioK: 8})
+	after, err := w.server.Search(tok, k, SearchOptions{KPrime: 8 * k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,19 +396,19 @@ func TestServerValidation(t *testing.T) {
 	}
 }
 
-func TestRatioKMonotonicRecall(t *testing.T) {
-	// Figure 5's shape: recall ceiling grows with Ratio_k.
+func TestKPrimeMonotonicRecall(t *testing.T) {
+	// Figure 5's shape: recall ceiling grows with Ratio_k = k′/k.
 	const n, dim, k = 2000, 12, 10
 	data := clustered(14, n, dim, 12)
 	w := newWorld(t, Params{Dim: dim, Beta: 2.5, IndexOptions: index.Options{M: 12, EfConstruction: 150}, Seed: 27}, data)
 	queries := makeQueries(15, data, 30, 0.3)
-	rec1 := w.measureRecall(t, queries, k, SearchOptions{RatioK: 1, EfSearch: 250})
-	rec16 := w.measureRecall(t, queries, k, SearchOptions{RatioK: 16, EfSearch: 250})
+	rec1 := w.measureRecall(t, queries, k, SearchOptions{KPrime: k, EfSearch: 250})
+	rec16 := w.measureRecall(t, queries, k, SearchOptions{KPrime: 16 * k, EfSearch: 250})
 	if rec16 < rec1 {
-		t.Fatalf("recall fell as RatioK grew: %.3f (1) vs %.3f (16)", rec1, rec16)
+		t.Fatalf("recall fell as Ratio_k grew: %.3f (1) vs %.3f (16)", rec1, rec16)
 	}
 	if rec16-rec1 < 0.02 {
-		t.Logf("warning: RatioK effect small (%.3f vs %.3f); beta may be low", rec1, rec16)
+		t.Logf("warning: Ratio_k effect small (%.3f vs %.3f); beta may be low", rec1, rec16)
 	}
 }
 
@@ -424,7 +424,7 @@ func TestConcurrentSearches(t *testing.T) {
 				done <- err
 				return
 			}
-			_, err = w.server.Search(tok, 5, SearchOptions{RatioK: 4})
+			_, err = w.server.Search(tok, 5, SearchOptions{KPrime: 20})
 			done <- err
 		}(q)
 	}

@@ -50,8 +50,9 @@ func contentDigest(e *EncryptedDatabase) string {
 		}
 	}
 	if e.PQ != nil {
+		// The two training words Save writes: a sample of 8192, 8 iterations.
 		c := e.PQ.Cfg
-		put(uint64(e.PQ.TrainedOn), uint64(c.M), uint64(c.K), uint64(c.MaxSample), uint64(c.Iters), c.Seed)
+		put(uint64(e.PQ.TrainedOn), uint64(c.M), uint64(e.PQ.Book.K()), 8192, 8, c.Seed)
 		for _, block := range e.PQ.Book.Centroids() {
 			floats(block)
 		}

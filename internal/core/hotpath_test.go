@@ -25,10 +25,10 @@ func TestSearchIntoZeroAlloc(t *testing.T) {
 		opt    SearchOptions
 		delta  bool // 20 inserts and a tombstone pending beside the index
 	}{
-		{"hnsw exact", Params{Dim: 10, Beta: 0.3, Seed: 81}, SearchOptions{RatioK: 8, EfSearch: 80}, false},
-		{"hnsw+pq", Params{Dim: 10, Beta: 0.3, Seed: 81, PQ: true, PQM: 5}, SearchOptions{RatioK: 8, EfSearch: 80, FilterDist: FilterPQ}, false},
-		{"hnsw exact, delta", Params{Dim: 10, Beta: 0.3, Seed: 81}, SearchOptions{RatioK: 8, EfSearch: 80}, true},
-		{"hnsw+pq, delta", Params{Dim: 10, Beta: 0.3, Seed: 81, PQ: true, PQM: 5}, SearchOptions{RatioK: 8, EfSearch: 80, FilterDist: FilterPQ}, true},
+		{"hnsw exact", Params{Dim: 10, Beta: 0.3, Seed: 81}, SearchOptions{KPrime: 40, EfSearch: 80}, false},
+		{"hnsw+pq", Params{Dim: 10, Beta: 0.3, Seed: 81, PQ: true, PQM: 5}, SearchOptions{KPrime: 40, EfSearch: 80, FilterDist: FilterPQ}, false},
+		{"hnsw exact, delta", Params{Dim: 10, Beta: 0.3, Seed: 81}, SearchOptions{KPrime: 40, EfSearch: 80}, true},
+		{"hnsw+pq, delta", Params{Dim: 10, Beta: 0.3, Seed: 81, PQ: true, PQM: 5}, SearchOptions{KPrime: 40, EfSearch: 80, FilterDist: FilterPQ}, true},
 	} {
 		w := newWorldWith(t, c.params, ServerOptions{CompactAt: -1}, data)
 		if c.delta {
@@ -117,7 +117,7 @@ func TestSearchRejectsUnknownCandidateIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	flushed(t, w.server).Index = &rogueIndex{SecureIndex: flushed(t, w.server).Index, shift: len(data)}
-	_, err = w.server.Search(tok, 5, SearchOptions{RatioK: 8})
+	_, err = w.server.Search(tok, 5, SearchOptions{KPrime: 40})
 	if err == nil {
 		t.Fatal("expected error for out-of-store candidate ids")
 	}
@@ -126,7 +126,7 @@ func TestSearchRejectsUnknownCandidateIDs(t *testing.T) {
 	}
 	// Negative ids are rejected the same way, not by panicking.
 	flushed(t, w.server).Index.(*rogueIndex).shift = -len(data)
-	if _, err = w.server.Search(tok, 5, SearchOptions{RatioK: 8}); err == nil {
+	if _, err = w.server.Search(tok, 5, SearchOptions{KPrime: 40}); err == nil {
 		t.Fatal("expected error for negative candidate ids")
 	}
 }

@@ -9,9 +9,8 @@ func TestSearchOptionsKPrime(t *testing.T) {
 		want int
 	}{
 		{SearchOptions{}, 10, 80},           // default 8·k
-		{SearchOptions{RatioK: 4}, 10, 40},  // ratio
-		{SearchOptions{KPrime: 25}, 10, 25}, // explicit wins
-		{SearchOptions{KPrime: 3, RatioK: 9}, 10, 3},
+		{SearchOptions{KPrime: 25}, 10, 25}, // explicit
+		{SearchOptions{KPrime: -3}, 10, 80}, // non-positive: the default
 	}
 	for i, c := range cases {
 		if got := c.opt.kPrime(c.k); got != c.want {

@@ -49,7 +49,8 @@ type BuildStats struct {
 	PQ time.Duration
 	// KMeansIters is the Lloyd iterations run, summed over every k-means
 	// run of the build; a run stops at its bound (20 for the IVF quantizer,
-	// 8 per PQ subspace) unless kmeans.Config.Tol stops it first.
+	// 8 per PQ subspace) or sooner, at the first iteration that moved no
+	// centroid.
 	KMeansIters int
 	// DistEvals is the squared distances those runs evaluated, seeding
 	// included; scanning every centroid for every point would have taken

@@ -22,7 +22,7 @@ func TestPQFilterConformance(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			w := newWorld(t, Params{Dim: dim, Beta: 0.5, Seed: 71, Index: name, PQ: true, PQM: 6}, data)
-			opt := SearchOptions{RatioK: 16, EfSearch: 250}
+			opt := SearchOptions{KPrime: 16 * k, EfSearch: 250}
 			exact := w.measureRecall(t, queries, k, opt)
 			opt.FilterDist = FilterPQ
 			pqr := w.measureRecall(t, queries, k, opt)
@@ -45,7 +45,7 @@ func TestPQRefineOrdering(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			w := newWorld(t, Params{Dim: dim, Beta: 0.4, Seed: 73, Index: name, PQ: true, PQM: 5}, data)
-			opt := SearchOptions{RatioK: 12, EfSearch: 200, FilterDist: FilterPQ}
+			opt := SearchOptions{KPrime: 12 * k, EfSearch: 200, FilterDist: FilterPQ}
 			for qi, q := range queries {
 				tok, err := w.user.Query(q)
 				if err != nil {
@@ -157,7 +157,7 @@ func TestPQChurnConformance(t *testing.T) {
 			// And the compressed read path must still work over the result.
 			queries := makeQueries(77, base, 10, 0.3)
 			all := append(append([][]float64(nil), base...), fresh...)
-			opt := SearchOptions{RatioK: 12, EfSearch: 200, FilterDist: FilterPQ}
+			opt := SearchOptions{KPrime: 12 * k, EfSearch: 200, FilterDist: FilterPQ}
 			var recall float64
 			for _, q := range queries {
 				tok, err := w.user.Query(q)
@@ -306,7 +306,7 @@ func TestSplitCarriesPQ(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := srv.Search(tok, 3, SearchOptions{RatioK: 12, EfSearch: 100, FilterDist: FilterPQ})
+		got, err := srv.Search(tok, 3, SearchOptions{KPrime: 36, EfSearch: 100, FilterDist: FilterPQ})
 		if err != nil || len(got) == 0 {
 			t.Fatalf("shard %d FilterPQ search: %v, %v", s, got, err)
 		}

@@ -9,8 +9,8 @@ import (
 )
 
 // gather is the one re-layout of a database. The serving tier's fold,
-// offline Compacted, Split and BuildPQ differ only in their id map and
-// their index step, and all four run through it.
+// offline Compacted and Split differ only in their id map and their index
+// step, and all three run through it.
 //
 // Position j of the result holds source position ids[j]. When ids[j] < 0
 // or names a dead record, position j is a dead slot: a nil row, a zeroed
@@ -22,8 +22,7 @@ import (
 // the ciphertext records and, when the source carries a PQ tier, the code
 // rows under the shared codebook, into private arenas; retraining is the
 // caller's step (foldPQ). The result is checked once: the index must hold
-// exactly the live records of the store. With a nil build only the rows
-// are gathered, and the database is nil.
+// exactly the live records of the store.
 func (e *EncryptedDatabase) gather(ids []int, row func(id int) ([]float64, bool),
 	build func(vecs [][]float64) (index.SecureIndex, error)) (*EncryptedDatabase, [][]float64, error) {
 	vecs := make([][]float64, len(ids))
@@ -37,9 +36,6 @@ func (e *EncryptedDatabase) gather(ids []int, row func(id int) ([]float64, bool)
 			return nil, nil, fmt.Errorf("%s index has no vector for id %d", e.Backend, id)
 		}
 		vecs[j] = v
-	}
-	if build == nil {
-		return nil, vecs, nil
 	}
 	idx, err := build(vecs)
 	if err != nil {

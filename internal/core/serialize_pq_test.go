@@ -50,7 +50,7 @@ func TestPQDatabaseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := SearchOptions{RatioK: 12, EfSearch: 150, FilterDist: FilterPQ}
+	opt := SearchOptions{KPrime: 60, EfSearch: 150, FilterDist: FilterPQ}
 	for _, q := range makeQueries(82, data, 10, 0.3) {
 		tok, err := w.user.Query(q)
 		if err != nil {

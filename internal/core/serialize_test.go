@@ -14,7 +14,6 @@ import (
 
 	"ppanns/internal/frame"
 	"ppanns/internal/index"
-	"ppanns/internal/pq"
 )
 
 func TestUserKeyRoundTrip(t *testing.T) {
@@ -41,7 +40,7 @@ func TestUserKeyRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := w.server.Search(tok, 5, SearchOptions{RatioK: 8})
+		got, err := w.server.Search(tok, 5, SearchOptions{KPrime: 40})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,11 +191,11 @@ func TestEncryptedDatabaseRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := w.server.Search(tok, 5, SearchOptions{RatioK: 8})
+		a, err := w.server.Search(tok, 5, SearchOptions{KPrime: 40})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := server2.Search(tok, 5, SearchOptions{RatioK: 8})
+		b, err := server2.Search(tok, 5, SearchOptions{KPrime: 40})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,21 +215,6 @@ func TestEncryptedDatabaseRoundTrip(t *testing.T) {
 	}
 	if _, err := server2.Insert(payload); err != nil {
 		t.Fatal(err)
-	}
-	// The on-demand path adds the PQ tier the file did not carry.
-	if err := edb2.BuildPQ(pq.TrainConfig{M: 4}); err != nil {
-		t.Fatal(err)
-	}
-	server3, err := NewServer(edb2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tok, err := w.user.Query(data[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := server3.Search(tok, 5, SearchOptions{RatioK: 12, FilterDist: FilterPQ}); err != nil || len(got) == 0 {
-		t.Fatalf("FilterPQ after on-demand BuildPQ: %v, %v", got, err)
 	}
 }
 

@@ -70,12 +70,10 @@ func (m FilterDistMode) String() string {
 
 // SearchOptions tunes one search call.
 type SearchOptions struct {
-	// KPrime is k′, the filter phase's candidate count. Defaults to
-	// RatioK·k; if RatioK is also zero, to 8·k. Like k it is capped at the
+	// KPrime is k′, the filter phase's candidate count; Figure 5's
+	// Ratio_k is KPrime/k. Defaults to 8·k. Like k it is capped at the
 	// database's record count.
 	KPrime int
-	// RatioK sets k′ = RatioK·k (Figure 5's knob).
-	RatioK int
 	// EfSearch is the HNSW beam width; defaults to max(KPrime, 50).
 	EfSearch int
 	// Refine selects the comparison scheme (default RefineDCE).
@@ -89,9 +87,6 @@ type SearchOptions struct {
 func (s SearchOptions) kPrime(k int) int {
 	if s.KPrime > 0 {
 		return s.KPrime
-	}
-	if s.RatioK > 0 {
-		return s.RatioK * k
 	}
 	return 8 * k
 }
@@ -130,7 +125,6 @@ func (s SearchOptions) Partition(n, k int) SearchOptions {
 	}
 	out := s
 	out.KPrime = share
-	out.RatioK = 0
 	out.EfSearch = efShare
 	return out
 }
@@ -518,7 +512,7 @@ func (sp *snapshot) search(dst []int, tok *QueryToken, k int, opt SearchOptions)
 	var psc *pq.Scanner
 	if opt.FilterDist == FilterPQ {
 		if edb.PQ == nil {
-			return dst[:0], st, fmt.Errorf("core: FilterPQ requested but database carries no PQ store (build with Params.PQ or BuildPQ)")
+			return dst[:0], st, fmt.Errorf("core: FilterPQ requested but database carries no PQ store (build with Params.PQ)")
 		}
 		psc = &sc.pqsc
 		psc.Prepare(edb.PQ.Book, edb.PQ.Codes, tok.SAP)

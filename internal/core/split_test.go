@@ -71,7 +71,7 @@ func TestSplitPartitionsStripe(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shard %d: %v", s, err)
 		}
-		ids, err := srv.Search(mustToken(t, w, data[0]), 3, SearchOptions{RatioK: 8})
+		ids, err := srv.Search(mustToken(t, w, data[0]), 3, SearchOptions{KPrime: 24})
 		if err != nil {
 			t.Fatalf("shard %d search: %v", s, err)
 		}
@@ -148,7 +148,7 @@ func TestCompactionContractViolationLeavesSnapshotUntouched(t *testing.T) {
 	if cs.Generation != 0 || cs.Delta != 1 || cs.LastError == "" {
 		t.Fatalf("failed compaction stats = %+v, want generation 0, delta 1, recorded error", cs)
 	}
-	if _, err := w.server.Search(mustToken(t, w, data[0]), 3, SearchOptions{RatioK: 8}); err != nil {
+	if _, err := w.server.Search(mustToken(t, w, data[0]), 3, SearchOptions{KPrime: 24}); err != nil {
 		t.Fatalf("Search after failed compaction: %v", err)
 	}
 	// The server is not wedged: with the backend behaving again, the same

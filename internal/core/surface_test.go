@@ -113,7 +113,7 @@ func TestSearchShardMatchesSearch(t *testing.T) {
 
 			for _, refine := range []core.RefineMode{core.RefineDCE, core.RefineNone} {
 				for _, filter := range []core.FilterDistMode{core.FilterExact, core.FilterPQ} {
-					opt := core.SearchOptions{RatioK: 8, Refine: refine, FilterDist: filter}
+					opt := core.SearchOptions{KPrime: 8 * k, Refine: refine, FilterDist: filter}
 					want := make([][]int, len(toks))
 					for i, tok := range toks {
 						if want[i], err = srv.Search(tok, k, opt); (err != nil) != (i == bad) {

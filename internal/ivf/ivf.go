@@ -21,16 +21,20 @@ import (
 	"ppanns/internal/vec"
 )
 
+// The quantizer's recipe: nlist is √n over the n live vectors, held to
+// [minLists, maxLists] and to n itself, trained by at most trainIters
+// Lloyd iterations.
+const (
+	minLists   = 16
+	maxLists   = 4096
+	trainIters = 20
+)
+
 // Config parameterizes index construction.
 type Config struct {
 	// Dim is the vector dimension of a build with no live vector; any
 	// other build takes it from its vectors.
 	Dim int
-	// Lists is nlist, the number of inverted lists (default √n capped to
-	// [16, 4096]).
-	Lists int
-	// TrainIters bounds the k-means iterations (default 20).
-	TrainIters int
 	// Seed drives quantizer training.
 	Seed uint64
 }
@@ -90,16 +94,8 @@ func Build(vectors [][]float64, cfg Config) (*Index, error) {
 	}
 	assign := make([]int, len(vectors))
 	if len(live) > 0 {
-		nlist := cfg.Lists
-		if nlist <= 0 {
-			nlist = min(max(isqrt(len(live)), 16), 4096)
-		}
-		nlist = min(nlist, len(live))
-		iters := cfg.TrainIters
-		if iters <= 0 {
-			iters = 20
-		}
-		res, err := kmeans.Fit(live, kmeans.Config{K: nlist, MaxIters: iters, Seed: cfg.Seed})
+		nlist := min(max(isqrt(len(live)), minLists), maxLists, len(live))
+		res, err := kmeans.Fit(live, kmeans.Config{K: nlist, MaxIters: trainIters, Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}

@@ -225,8 +225,7 @@ func (ix *Index) digest() string {
 // TestBuildGolden pins the quantizer and the lists to what the full-scan
 // k-means produced before the pruned search replaced it (digests recorded at
 // that commit), on raw and on SAP-scaled corpora, on one core and four. The
-// deep case runs the default recipe (√n lists, 20 iterations); its digest
-// was recorded when that recipe stopped being configurable.
+// deep case's digest was recorded later, at commit 67d8c42.
 func TestBuildGolden(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	sift := dataset.SIFTLike(2500, 0, 8).Train

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 
 	"ppanns/internal/par"
@@ -35,14 +36,11 @@ import (
 type Config struct {
 	// K is the number of centroids (required).
 	K int
-	// MaxIters bounds Lloyd iterations (default 25).
+	// MaxIters bounds Lloyd iterations (default 25). A run stops sooner at
+	// Lloyd's fixed point: an iteration that moved no centroid, after
+	// which every further one would repeat it bit for bit. Result.Iters
+	// says what a run did.
 	MaxIters int
-	// Tol stops a run once the centroids' mean movement in one iteration —
-	// an absolute distance, in the data's own units — falls below it
-	// (default 1e-4). It is not scaled to the data: on SAP ciphertexts
-	// (s = 1024) movements stay far above the default and every run goes
-	// to MaxIters; Result.Iters says what a run did.
-	Tol float64
 	// Seed drives k-means++ seeding.
 	Seed uint64
 }
@@ -86,9 +84,6 @@ func Fit(data [][]float64, cfg Config) (*Result, error) {
 	}
 	if cfg.MaxIters <= 0 {
 		cfg.MaxIters = 25
-	}
-	if cfg.Tol <= 0 {
-		cfg.Tol = 1e-4
 	}
 	dim := len(data[0])
 	if dim == 0 {
@@ -155,7 +150,7 @@ func Fit(data [][]float64, cfg Config) (*Result, error) {
 			vec.Add(row, row, data[i])
 			counts[c]++
 		}
-		var moved float64
+		moved := false
 		for c, m := range counts {
 			row := next[c*dim : (c+1)*dim]
 			if m == 0 {
@@ -164,10 +159,10 @@ func Fit(data [][]float64, cfg Config) (*Result, error) {
 			} else {
 				vec.Scale(row, 1/float64(m), row)
 			}
-			moved += vec.Dist(row, cents[c*dim:(c+1)*dim])
+			moved = moved || !slices.Equal(row, cents[c*dim:(c+1)*dim])
 		}
 		cents, next = next, cents
-		if moved/float64(cfg.K) < cfg.Tol {
+		if !moved {
 			iters++
 			break
 		}

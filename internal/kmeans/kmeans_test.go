@@ -3,6 +3,7 @@ package kmeans
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ppanns/internal/dataset"
@@ -251,7 +252,7 @@ func fitFullScan(data [][]float64, cfg Config) *Result {
 			vec.Add(row, row, data[i])
 			counts[c]++
 		}
-		var moved float64
+		moved := false
 		for c := range counts {
 			row := next[c*dim : (c+1)*dim]
 			if counts[c] == 0 {
@@ -259,10 +260,12 @@ func fitFullScan(data [][]float64, cfg Config) *Result {
 			} else {
 				vec.Scale(row, 1/float64(counts[c]), row)
 			}
-			moved += vec.Dist(row, cents[c*dim:(c+1)*dim])
+			if !slices.Equal(row, cents[c*dim:(c+1)*dim]) {
+				moved = true
+			}
 		}
 		cents, next = next, cents
-		if moved/float64(cfg.K) < cfg.Tol {
+		if !moved {
 			iters++
 			break
 		}
@@ -274,7 +277,7 @@ func fitFullScan(data [][]float64, cfg Config) *Result {
 // assignment and iteration count — on separated clusters, on structureless
 // data, at widths on both sides of the WideRow cut, through empty-cluster
 // re-seeds (duplicate points make duplicate seeds, and a tie leaves the
-// higher one empty), early stops, K = 1 and K = n, on one core and four
+// higher one empty), K = 1 and K = n, on one core and four
 // (two cases are large enough to fan out). Wide rows evaluate fewer
 // distances doing it; short rows evaluate exactly n per seed and n·K per
 // later iteration, n·K·Iters in all: the block kernel offers every centroid
@@ -310,15 +313,11 @@ func TestFitMatchesFullScan(t *testing.T) {
 		{name: "wide, several spans", data: wide, cfg: Config{K: 50, MaxIters: 6, Seed: 8}, fewEvals: true},
 		{name: "short rows, several spans", data: long, cfg: Config{K: 64, MaxIters: 4, Seed: 9}},
 		{name: "structureless", data: gauss(700, 24), cfg: Config{K: 40, MaxIters: 6, Seed: 3}},
-		{name: "early stop", data: clustered, cfg: Config{K: 12, MaxIters: 50, Tol: 0.5, Seed: 4}},
 		{name: "duplicates", data: dups, cfg: Config{K: 20, MaxIters: 5, Seed: 5}, reseeds: true},
 		{name: "k=1", data: short, cfg: Config{K: 1, MaxIters: 3, Seed: 6}},
 		{name: "k=n", data: short[:50], cfg: Config{K: 50, MaxIters: 3, Seed: 7}},
 	} {
 		cfg := c.cfg
-		if cfg.Tol == 0 {
-			cfg.Tol = 1e-4
-		}
 		want := fitFullScan(c.data, cfg)
 		if c.reseeds {
 			counts := make([]int, cfg.K)
@@ -361,6 +360,52 @@ func TestFitMatchesFullScan(t *testing.T) {
 				t.Errorf("%s: %d distance evaluations, want n·K·Iters = %d", c.name, got.DistEvals, n*int64(cfg.K*got.Iters))
 			}
 		}
+	}
+}
+
+// TestFitStopsAtFixedPoint: a run on clustered data settles before
+// MaxIters, at the first iteration that moved no centroid. Raising MaxIters
+// by 10 changes nothing, bit for bit; capping the run one iteration short
+// leaves the same centroids (the last iteration moved none), and two short
+// changes them (the one before it moved some).
+func TestFitStopsAtFixedPoint(t *testing.T) {
+	clustered, _ := separated(8, 12, 80, 16)
+	cfg := Config{K: 20, MaxIters: 50, Seed: 4}
+	got, err := Fit(clustered, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Iters >= cfg.MaxIters || got.Iters < 3 {
+		t.Fatalf("%d iterations of %d: want a run that settles after a few", got.Iters, cfg.MaxIters)
+	}
+	fit := func(maxIters int) *Result {
+		t.Helper()
+		c := cfg
+		c.MaxIters = maxIters
+		r, err := Fit(clustered, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	sameFlat := func(a, b *Result) bool {
+		for i, v := range a.Flat {
+			if math.Float64bits(v) != math.Float64bits(b.Flat[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	more := fit(cfg.MaxIters + 10)
+	if more.Iters != got.Iters || !sameFlat(more, got) || !slices.Equal(more.Assign, got.Assign) {
+		t.Errorf("MaxIters %d: %d iterations or its centroids or assignment differ from MaxIters %d's %d",
+			cfg.MaxIters+10, more.Iters, cfg.MaxIters, got.Iters)
+	}
+	if !sameFlat(fit(got.Iters-1), got) {
+		t.Errorf("capped at %d iterations the centroids differ: iteration %d moved some, yet the run went on", got.Iters-1, got.Iters)
+	}
+	if sameFlat(fit(got.Iters-2), got) {
+		t.Errorf("capped at %d iterations the centroids are the same: the run did not stop at its first fixed point", got.Iters-2)
 	}
 }
 

@@ -12,14 +12,14 @@ type Store struct {
 	// that it is reused and only the codes are folded.
 	TrainedOn int
 	// Cfg is the training configuration (with defaults resolved), retained
-	// so retrains reproduce the original training economics and seed.
+	// so retrains keep the original M and seed.
 	Cfg TrainConfig
 }
 
 // Build trains a codebook on the live (non-nil) vectors and encodes them:
-// the one-call construction the data owner, BuildPQ and a fold's retrain
-// use. A nil row is a dead position, whose code row stays zero. TrainedOn
-// counts positions, dead ones included, as the retrain rule does.
+// the one-call construction the data owner and a fold's retrain use. A nil
+// row is a dead position, whose code row stays zero. TrainedOn counts
+// positions, dead ones included, as the retrain rule does.
 func Build(vectors [][]float64, cfg TrainConfig) (*Store, error) {
 	live := make([][]float64, 0, len(vectors))
 	for _, v := range vectors {
@@ -35,7 +35,7 @@ func Build(vectors [][]float64, cfg TrainConfig) (*Store, error) {
 		Book:      book,
 		Codes:     book.EncodeAll(vectors),
 		TrainedOn: len(vectors),
-		Cfg:       cfg.withDefaults(len(live)),
+		Cfg:       cfg.withDefaults(),
 	}, nil
 }
 

@@ -10,12 +10,14 @@ import (
 // The PQ section of a database file, for a database of n records of
 // dimension dim (both stated by the file's header, not here):
 //
-//	m, k, TrainedOn, Cfg.MaxSample, Cfg.Iters: int64 | Cfg.Seed: u64
+//	m, k, TrainedOn, 8192, 8: int64 | Cfg.Seed: u64
 //	centroids: subspace by subspace, k rows of its width (k·dim f64)
 //	codes: n rows of m bytes
 //
-// The training config's M and K are the codebook's m and k, so they are
-// not stored again.
+// The training config's M is the codebook's m, so it is not stored again.
+// The two training words are the recipe's sample size and iteration bound,
+// both constants: they keep the section's layout until the next database
+// format drops them.
 
 // Save writes the store's section.
 func (s *Store) Save(e *frame.Encoder) {
@@ -27,7 +29,7 @@ func (s *Store) Save(e *frame.Encoder) {
 		e.Fail(fmt.Errorf("pq: code width %d does not match codebook M %d", s.Codes.Width(), s.Book.M()))
 		return
 	}
-	for _, v := range []int{s.Book.M(), s.Book.K(), s.TrainedOn, s.Cfg.MaxSample, s.Cfg.Iters} {
+	for _, v := range []int{s.Book.M(), s.Book.K(), s.TrainedOn, sampleSize, trainIters} {
 		e.Int(v)
 	}
 	e.U64(s.Cfg.Seed)
@@ -41,8 +43,8 @@ func (s *Store) Save(e *frame.Encoder) {
 // dimension dim. The bytes are untrusted, so the shape must fit dim before
 // it sizes anything: the centroids are then bounded by dim and the code
 // arena, which grows as its bytes arrive, by n — both paid for by the
-// ciphertext section the caller has already read. A training config Build
-// could not have written is refused: a fold's retrain runs it.
+// ciphertext section the caller has already read. Training words other
+// than the constants Save writes are refused.
 func Load(d *frame.Decoder, dim, n int) (*Store, error) {
 	m, k, trainedOn, maxSample, iters := d.Int(), d.Int(), d.Int(), d.Int(), d.Int()
 	seed := d.U64()
@@ -52,8 +54,8 @@ func Load(d *frame.Decoder, dim, n int) (*Store, error) {
 	if m <= 0 || m > dim || k <= 0 || k > LUTStride || trainedOn < 0 {
 		return nil, fmt.Errorf("pq: implausible header dim=%d m=%d k=%d TrainedOn=%d", dim, m, k, trainedOn)
 	}
-	if maxSample < k || iters < 1 || iters > maxIters {
-		return nil, fmt.Errorf("pq: implausible training config MaxSample=%d Iters=%d for a codebook of k=%d", maxSample, iters, k)
+	if maxSample != sampleSize || iters != trainIters {
+		return nil, fmt.Errorf("pq: training config sample=%d iters=%d, want %d and %d", maxSample, iters, sampleSize, trainIters)
 	}
 	book := newCodebook(dim, m, k)
 	for j := 0; j < m && d.Err() == nil; j++ {
@@ -71,6 +73,6 @@ func Load(d *frame.Decoder, dim, n int) (*Store, error) {
 		Book:      book,
 		Codes:     codes,
 		TrainedOn: trainedOn,
-		Cfg:       TrainConfig{M: m, K: k, MaxSample: maxSample, Iters: iters, Seed: seed},
+		Cfg:       TrainConfig{M: m, Seed: seed},
 	}, nil
 }

@@ -42,11 +42,11 @@ func sealed(section []byte) []byte {
 	return binary.LittleEndian.AppendUint32(slices.Clone(section), crc32.ChecksumIEEE(section))
 }
 
-// storeHeader is a section header: m, k, TrainedOn, MaxSample, Iters and
-// Seed.
-func storeHeader(m, k, trainedOn, maxSample, iters int64) []byte {
+// storeHeader is a section header: m, k, TrainedOn, the two training
+// words Save writes, and Seed.
+func storeHeader(m, k, trainedOn int64) []byte {
 	var b []byte
-	for _, v := range []int64{m, k, trainedOn, maxSample, iters, 0} {
+	for _, v := range []int64{m, k, trainedOn, sampleSize, trainIters, 0} {
 		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
 	return b
@@ -65,11 +65,11 @@ func TestLoadRefusesLyingHeaders(t *testing.T) {
 	}{
 		// dim 4, m 1, k 1 and one centroid, then no code for any of the
 		// 2^33 rows (8 GiB) the caller declares.
-		{"n = 2^33", sealed(append(storeHeader(1, 1, 0, 8, 8), make([]byte, 4*8)...)), 4, 1 << 33, "truncated"},
-		{"m > dim", sealed(storeHeader(5, 1, 10, 8, 8)), 4, 10, "implausible"},
-		{"m = 0", sealed(storeHeader(0, 1, 10, 8, 8)), 4, 10, "implausible"},
-		{"k > 256", sealed(storeHeader(1, 257, 10, 300, 8)), 4, 10, "implausible"},
-		{"TrainedOn < 0", sealed(storeHeader(1, 1, -1, 8, 8)), 4, 10, "implausible"},
+		{"n = 2^33", sealed(append(storeHeader(1, 1, 0), make([]byte, 4*8)...)), 4, 1 << 33, "truncated"},
+		{"m > dim", sealed(storeHeader(5, 1, 10)), 4, 10, "implausible"},
+		{"m = 0", sealed(storeHeader(0, 1, 10)), 4, 10, "implausible"},
+		{"k > 256", sealed(storeHeader(1, 257, 10)), 4, 10, "implausible"},
+		{"TrainedOn < 0", sealed(storeHeader(1, 1, -1)), 4, 10, "implausible"},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -84,12 +84,11 @@ func TestLoadRefusesLyingHeaders(t *testing.T) {
 	}
 }
 
-// TestLoadRefusesRetrainConfig: a fold's retrain runs the training config
-// the section carries. One Build could not have written — a sample
-// smaller than K, Iters outside [1, maxIters] — is refused at load, not
-// found out by a retrain that fails or runs 2⁴⁰ Lloyd iterations.
+// TestLoadRefusesRetrainConfig: the section's two training words are the
+// constants Save writes (a sample of 8192, 8 iterations); any other value
+// is refused at load.
 func TestLoadRefusesRetrainConfig(t *testing.T) {
-	store, err := Build(randVecs(3, 40, 6), TrainConfig{M: 2, K: 8, Seed: 1})
+	store, err := Build(randVecs(3, 40, 6), TrainConfig{M: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,17 +97,18 @@ func TestLoadRefusesRetrainConfig(t *testing.T) {
 		t.Fatalf("unpatched store: %v", err)
 	}
 	section := b[:len(b)-4]
-	// Words MaxSample, Iters.
+	// The sample and iteration words.
 	const sample, iters = 3, 4
 	for _, c := range []struct {
 		name  string
 		patch map[int]int64
 	}{
-		{"MaxSample 3, Iters 2^40", map[int]int64{sample: 3, iters: 1 << 40}},
-		{"MaxSample < K", map[int]int64{sample: 7}},
-		{"Iters 0", map[int]int64{iters: 0}},
-		{"Iters 65", map[int]int64{iters: maxIters + 1}},
-		{"Iters 2^40", map[int]int64{iters: 1 << 40}},
+		{"sample 3, iters 2^40", map[int]int64{sample: 3, iters: 1 << 40}},
+		{"sample 8191", map[int]int64{sample: sampleSize - 1}},
+		{"sample 0", map[int]int64{sample: 0}},
+		{"iters 0", map[int]int64{iters: 0}},
+		{"iters 9", map[int]int64{iters: trainIters + 1}},
+		{"iters 2^40", map[int]int64{iters: 1 << 40}},
 	} {
 		blob := bytes.Clone(section)
 		for word, v := range c.patch {
@@ -124,12 +124,12 @@ func TestLoadRefusesRetrainConfig(t *testing.T) {
 // each was saved with or any other small one, each sealed with a matching
 // trailer so the mutation reaches Load. Whatever arrives, Load returns an
 // error or a store of exactly the caller's shape whose code arena is the
-// code bytes it consumed and whose training config Build could have
-// written — never a panic, and nothing sized by a count the input merely
-// claims.
+// code bytes it consumed and whose two training words are the constants
+// Build writes — never a panic, and nothing sized by a count the input
+// merely claims.
 func FuzzLoad(f *testing.F) {
-	for _, c := range []struct{ n, dim, m, k int }{{12, 4, 2, 4}, {30, 5, 5, 8}, {2, 3, 1, 1}} {
-		store, err := Build(randVecs(uint64(c.n), c.n, c.dim), TrainConfig{M: c.m, K: c.k, Seed: 1})
+	for _, c := range []struct{ n, dim, m int }{{12, 4, 2}, {30, 5, 5}, {2, 3, 1}} {
+		store, err := Build(randVecs(uint64(c.n), c.n, c.dim), TrainConfig{M: c.m, Seed: 1})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -145,8 +145,11 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("loaded dim %d, %d rows of %d bytes, M %d; caller said dim %d, %d rows",
 				s.Book.Dim(), s.Codes.Len(), s.Codes.Width(), s.Book.M(), dim, n)
 		}
-		if c := s.Cfg; c.M != s.Book.M() || c.K != s.Book.K() || c.MaxSample < c.K || c.Iters < 1 || c.Iters > maxIters {
-			t.Fatalf("loaded training config %+v for a codebook of m=%d k=%d", c, s.Book.M(), s.Book.K())
+		if s.Cfg.M != s.Book.M() {
+			t.Fatalf("loaded training config %+v for a codebook of m=%d", s.Cfg, s.Book.M())
+		}
+		if sample, iters := binary.LittleEndian.Uint64(section[24:]), binary.LittleEndian.Uint64(section[32:]); sample != sampleSize || iters != trainIters {
+			t.Fatalf("loaded a section whose training words are %d and %d", sample, iters)
 		}
 		if fixed := 6*8 + 8*s.Book.K()*s.Book.Dim(); s.Codes.Len()*s.Codes.Width() != len(section)-fixed {
 			t.Fatalf("%d rows of %d code bytes from a %d-byte section with %d bytes of header and centroids",

@@ -29,47 +29,29 @@ import (
 // scan kernel's index arithmetic — lut[m·256 + code] — never depends on K.
 const LUTStride = 256
 
+// The training recipe: LUTStride centroids per subspace (one byte of
+// code), clamped to the training set; a seeded sample of sampleSize
+// vectors from corpora larger than that, which loses nothing at PQ's
+// granularity and keeps million-vector training in seconds; and at most
+// trainIters Lloyd iterations per subspace — PQ codebooks converge fast
+// and the encode pass dominates anyway.
+const (
+	sampleSize = 8192
+	trainIters = 8
+)
+
 // TrainConfig parameterizes codebook training.
 type TrainConfig struct {
 	// M is the number of subquantizers (bytes per encoded point). It must
 	// divide into dim sensibly: 1 ≤ M ≤ dim. Default 16.
 	M int
-	// K is the number of centroids per subspace, at most 256 (one byte of
-	// code). Defaults to 256, clamped to the training-set size.
-	K int
-	// MaxSample bounds the training set: corpora larger than this are
-	// subsampled (seeded) before clustering, which loses nothing at PQ's
-	// granularity and keeps million-vector training in seconds. Default
-	// 8192.
-	MaxSample int
-	// Iters bounds the Lloyd iterations per subspace (default 8 — PQ
-	// codebooks converge fast and the encode pass dominates anyway), at
-	// most maxIters.
-	Iters int
 	// Seed drives subsampling and k-means++ seeding.
 	Seed uint64
 }
 
-// maxIters is the most Lloyd iterations per subspace Train runs. Tol never
-// stops a run on SAP ciphertexts, so every run goes to Iters: a ceiling
-// keeps a retrain from a loaded store's config bounded.
-const maxIters = 64
-
-func (c TrainConfig) withDefaults(n int) TrainConfig {
+func (c TrainConfig) withDefaults() TrainConfig {
 	if c.M <= 0 {
 		c.M = 16
-	}
-	if c.K <= 0 || c.K > LUTStride {
-		c.K = LUTStride
-	}
-	if c.MaxSample <= 0 {
-		c.MaxSample = 8192
-	}
-	if c.Iters <= 0 {
-		c.Iters = 8
-	}
-	if c.K > n {
-		c.K = n
 	}
 	return c
 }
@@ -98,24 +80,21 @@ func Train(vectors [][]float64, cfg TrainConfig) (*Codebook, error) {
 		return nil, fmt.Errorf("pq: empty training set")
 	}
 	dim := len(vectors[0])
-	cfg = cfg.withDefaults(len(vectors))
+	cfg = cfg.withDefaults()
 	if cfg.M > dim {
 		return nil, fmt.Errorf("pq: M=%d exceeds dim=%d", cfg.M, dim)
 	}
-	if cfg.Iters > maxIters {
-		return nil, fmt.Errorf("pq: %d Lloyd iterations, at most %d", cfg.Iters, maxIters)
-	}
 
 	sample := vectors
-	if len(sample) > cfg.MaxSample {
+	if len(sample) > sampleSize {
 		r := rng.NewSeeded(cfg.Seed ^ 0x9a7c)
-		sample = make([][]float64, cfg.MaxSample)
+		sample = make([][]float64, sampleSize)
 		for i := range sample {
 			sample[i] = vectors[r.IntN(len(vectors))]
 		}
 	}
 
-	cb := newCodebook(dim, cfg.M, cfg.K)
+	cb := newCodebook(dim, cfg.M, min(LUTStride, len(vectors)))
 	// The subspaces are independent problems and train side by side, one
 	// per worker: at PQ's shape (a few thousand short points) a run is too
 	// small to fan out itself, and its serial parts — the D² total and
@@ -138,7 +117,7 @@ func Train(vectors [][]float64, cfg TrainConfig) (*Codebook, error) {
 			copy(rows[i], v[o:o+w])
 		}
 		runs[m], errs[m] = kmeans.Fit(rows, kmeans.Config{
-			K: cfg.K, MaxIters: cfg.Iters, Seed: cfg.Seed + uint64(m)*0x9e37,
+			K: cb.k, MaxIters: trainIters, Seed: cfg.Seed + uint64(m)*0x9e37,
 		})
 	})
 	for m, res := range runs {

@@ -34,9 +34,6 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := Train(randVecs(1, 50, 4), TrainConfig{M: 8}); err == nil {
 		t.Fatal("expected error for M > dim")
 	}
-	if _, err := Train(randVecs(1, 50, 4), TrainConfig{M: 2, K: 4, Iters: maxIters + 1}); err == nil {
-		t.Fatalf("expected error for Iters = %d", maxIters+1)
-	}
 }
 
 func TestSubspaceLayout(t *testing.T) {
@@ -61,7 +58,7 @@ func TestSubspaceLayout(t *testing.T) {
 func TestEncodeNearestCentroid(t *testing.T) {
 	const n, dim = 300, 10
 	vecs := randVecs(2, n, dim)
-	store, err := Build(vecs, TrainConfig{M: 4, K: 16, Seed: 2})
+	store, err := Build(vecs, TrainConfig{M: 4, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +87,7 @@ func TestEncodeNearestCentroid(t *testing.T) {
 func TestScannerADTConsistency(t *testing.T) {
 	const n, dim = 400, 13 // 13 % M != 0 exercises the ragged layout
 	vecs := randVecs(3, n, dim)
-	store, err := Build(vecs, TrainConfig{M: 4, K: 32, Seed: 3})
+	store, err := Build(vecs, TrainConfig{M: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +125,11 @@ func TestScannerADTConsistency(t *testing.T) {
 // and codes (the compactor's retrain rule depends on it).
 func TestBuildDeterminism(t *testing.T) {
 	vecs := randVecs(5, 500, 8)
-	a, err := Build(vecs, TrainConfig{M: 4, K: 16, Seed: 9})
+	a, err := Build(vecs, TrainConfig{M: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(vecs, TrainConfig{M: 4, K: 16, Seed: 9})
+	b, err := Build(vecs, TrainConfig{M: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +160,7 @@ func TestNeedsRetrain(t *testing.T) {
 
 func TestPersistRoundTrip(t *testing.T) {
 	vecs := randVecs(6, 350, 9)
-	orig, err := Build(vecs, TrainConfig{M: 3, K: 32, Seed: 11})
+	orig, err := Build(vecs, TrainConfig{M: 3, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +169,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Book.Dim() != 9 || got.Book.M() != 3 || got.Book.K() != 32 {
+	if got.Book.Dim() != 9 || got.Book.M() != 3 || got.Book.K() != LUTStride {
 		t.Fatalf("loaded shape dim=%d m=%d k=%d", got.Book.Dim(), got.Book.M(), got.Book.K())
 	}
 	if got.TrainedOn != orig.TrainedOn || got.Cfg != orig.Cfg {
@@ -222,25 +219,25 @@ func TestSaveIncompleteStore(t *testing.T) {
 	}
 }
 
-// TestBuildGolden pins codebooks and codes to what the per-row nearest-
-// centroid loops produced before the flat routine replaced them (digests
-// recorded at that commit), at subspace widths on both sides of the inline
-// path's w < 8 cut-off — and on one core and four: training and encoding
-// are parallel, and must not show it.
+// TestBuildGolden pins codebooks and codes at subspace widths on both
+// sides of the inline path's w < 8 cut-off — and on one core and four:
+// training and encoding are parallel, and must not show it. The w = 7
+// digests are what the per-row nearest-centroid loops produced before the
+// flat routine replaced them; the other two were recorded later.
 func TestBuildGolden(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, c := range []struct {
-		seed         uint64
-		n, dim, m, k int
-		book, codes  string
+		seed        uint64
+		n, dim, m   int
+		book, codes string
 	}{
-		{5, 2000, 24, 8, 64, "b8f05bc2d287c58d", "412277d085438bcd"}, // w = 3
-		{6, 1500, 20, 3, 0, "47dcace0a0f56db1", "bcfd129b0db874b1"},  // w = 7, 7, 6
-		{7, 900, 64, 4, 32, "0217cc80072a4f11", "192cd30ab6c05c9e"},  // w = 16
+		{5, 2000, 24, 8, "9a9f4438552ca4cc", "dab7a54bdf191662"}, // w = 3
+		{6, 1500, 20, 3, "47dcace0a0f56db1", "bcfd129b0db874b1"}, // w = 7, 7, 6
+		{7, 900, 64, 4, "2d7e6397e72cab16", "79c339b6c13ddd0a"},  // w = 16
 	} {
 		for _, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
-			st, err := Build(randVecs(c.seed, c.n, c.dim), TrainConfig{M: c.m, K: c.k, Seed: c.seed + 100})
+			st, err := Build(randVecs(c.seed, c.n, c.dim), TrainConfig{M: c.m, Seed: c.seed + 100})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,9 +265,9 @@ func TestBuildGolden(t *testing.T) {
 // row zero.
 func TestEncodeAllMatchesEncodeInto(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, c := range []struct{ dim, m, k int }{{24, 8, 64}, {20, 3, 0}, {64, 4, 32}, {5, 5, 7}} {
+	for _, c := range []struct{ dim, m int }{{24, 8}, {20, 3}, {64, 4}, {5, 5}} {
 		train := randVecs(21, 1200, c.dim)
-		book, err := Train(train, TrainConfig{M: c.m, K: c.k, Seed: 21})
+		book, err := Train(train, TrainConfig{M: c.m, Seed: 21})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +294,7 @@ func TestEncodeAllMatchesEncodeInto(t *testing.T) {
 // the per-row vec.SqDist it was before SqDistRows filled it.
 func TestFillLUTMatchesSqDist(t *testing.T) {
 	for _, c := range []struct{ dim, m int }{{24, 8}, {20, 3}, {64, 4}} {
-		st, err := Build(randVecs(11, 400, c.dim), TrainConfig{M: c.m, K: 32, Seed: 11})
+		st, err := Build(randVecs(11, 400, c.dim), TrainConfig{M: c.m, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}

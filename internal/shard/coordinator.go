@@ -127,15 +127,9 @@ type Coordinator struct {
 	total int // global ids ever assigned, tombstones included
 }
 
-// NewCoordinator wires a coordinator over its shards with default options
-// (full per-shard effort; see NewCoordinatorWith).
-func NewCoordinator(shards []Shard) (*Coordinator, error) {
-	return NewCoordinatorWith(shards, Options{})
-}
-
-// NewCoordinatorWith is NewCoordinator with explicit Options: the
+// NewCoordinatorWith wires a coordinator over its shards: the
 // unreplicated special case (every stripe a single replica) of
-// NewReplicated.
+// NewReplicated. The zero Options give every shard the full filter effort.
 func NewCoordinatorWith(shards []Shard, opts Options) (*Coordinator, error) {
 	stripes := make([][]Shard, len(shards))
 	for s, sh := range shards {

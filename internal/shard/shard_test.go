@@ -94,7 +94,7 @@ func localCoordinator(t *testing.T, w *world, shards int) (*Coordinator, []*core
 		srvs[s] = srv
 		shs[s] = Local{Srv: srv}
 	}
-	coord, err := NewCoordinator(shs)
+	coord, err := NewCoordinatorWith(shs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestMappingRoundTrip(t *testing.T) {
 }
 
 func TestCoordinatorValidation(t *testing.T) {
-	if _, err := NewCoordinator(nil); err == nil {
+	if _, err := NewCoordinatorWith(nil, Options{}); err == nil {
 		t.Fatal("expected error for zero shards")
 	}
 	const n, dim = 120, 16
@@ -280,7 +280,7 @@ func TestCoordinatorValidation(t *testing.T) {
 	if _, err := shs[1].Insert(payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewCoordinator(shs); err == nil {
+	if _, err := NewCoordinatorWith(shs, Options{}); err == nil {
 		t.Fatal("expected error for a non-striped partition")
 	}
 }
@@ -367,7 +367,7 @@ func remoteCoordinator(t *testing.T, w *world, shards int) (*Coordinator, *proxy
 		t.Cleanup(func() { client.Close() })
 		shs[s] = client
 	}
-	coord, err := NewCoordinator(shs)
+	coord, err := NewCoordinatorWith(shs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +471,7 @@ func TestForgedShardAnswersRefused(t *testing.T) {
 		{"answer to filter-only", good, 5, core.RefineNone},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			coord, err := NewCoordinator([]Shard{forgedShard{tc.res}, forgedShard{tc.res}})
+			coord, err := NewCoordinatorWith([]Shard{forgedShard{tc.res}, forgedShard{tc.res}}, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -481,7 +481,7 @@ func TestForgedShardAnswersRefused(t *testing.T) {
 		})
 	}
 	// Each case differs from an answer that merges in what it names only.
-	coord, err := NewCoordinator([]Shard{forgedShard{good}, forgedShard{good}})
+	coord, err := NewCoordinatorWith([]Shard{forgedShard{good}, forgedShard{good}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +509,7 @@ func TestShardErrorFormatting(t *testing.T) {
 func TestDivideEffortRecall(t *testing.T) {
 	const n, dim, k = 500, 16, 10
 	w := newWorld(t, n, dim)
-	opt := core.SearchOptions{RatioK: 16}
+	opt := core.SearchOptions{KPrime: 16 * k}
 
 	for _, shards := range []int{2, 3} {
 		parts, err := flushed(t, w.server).Split(shards, index.Options{Seed: 11})
@@ -570,10 +570,10 @@ func TestDivideEffortRecall(t *testing.T) {
 // TestPartitionOptions pins the per-shard effort arithmetic DivideEffort
 // relies on.
 func TestPartitionOptions(t *testing.T) {
-	opt := core.SearchOptions{RatioK: 16}
+	opt := core.SearchOptions{KPrime: 160}
 	p := opt.Partition(2, 10)
-	if p.KPrime != 80 || p.EfSearch != 80 || p.RatioK != 0 {
-		t.Fatalf("Partition(2, 10) of RatioK=16: %+v", p)
+	if p.KPrime != 80 || p.EfSearch != 80 {
+		t.Fatalf("Partition(2, 10) of KPrime=160: %+v", p)
 	}
 	// The per-shard share floors at k: every shard must still produce a
 	// full local top-k for the merge to select from.

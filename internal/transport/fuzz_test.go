@@ -16,7 +16,7 @@ import (
 func fuzzMessages() ([]*request, []*response) {
 	tok := &core.QueryToken{SAP: []float64{1, 2, 3}, Trapdoor: &dce.Trapdoor{Q: []float64{4, 5, 6, 7}}}
 	reqs := []*request{
-		{op: opSearch, tok: tok, k: 5, opt: core.SearchOptions{RatioK: 8, Refine: core.RefineNone}},
+		{op: opSearch, tok: tok, k: 5, opt: core.SearchOptions{KPrime: 40, Refine: core.RefineNone}},
 		{op: opSearchShard, tok: tok, k: 5, opt: core.SearchOptions{EfSearch: 40}},
 		{op: opInsert, ins: &core.InsertPayload{SAP: []float64{1, 2, 3}, DCE: []float64{1, 2, 3, 4, 5, 6, 7, 8}}},
 		{op: opDelete, id: 3},

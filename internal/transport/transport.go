@@ -59,7 +59,7 @@ var ErrProtoMismatch = frame.ErrGeneration
 
 // ProtoVersion is the one protocol generation this package speaks, stamped
 // on every frame.
-const ProtoVersion = 9
+const ProtoVersion = 10
 
 // The ops. A response carries its request's op, or opError with the
 // message as a string payload.

@@ -66,7 +66,7 @@ func TestSearchOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids, err := client.Search(tok, 5, core.SearchOptions{RatioK: 8})
+		ids, err := client.Search(tok, 5, core.SearchOptions{KPrime: 40})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestInsertDeleteLenOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Search(tok, 5, core.SearchOptions{RatioK: 8}); err != nil {
+	if _, err := client.Search(tok, 5, core.SearchOptions{KPrime: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -164,7 +164,7 @@ func TestConcurrentClients(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := client.Search(tok, 3, core.SearchOptions{RatioK: 4}); err != nil {
+				if _, err := client.Search(tok, 3, core.SearchOptions{KPrime: 12}); err != nil {
 					errs <- err
 					return
 				}
@@ -289,7 +289,7 @@ func TestApplicationErrorsDoNotPoison(t *testing.T) {
 	if client.Broken() != nil {
 		t.Fatalf("application error poisoned the client: %v", client.Broken())
 	}
-	if _, err := client.Search(tok, 5, core.SearchOptions{RatioK: 8}); err != nil {
+	if _, err := client.Search(tok, 5, core.SearchOptions{KPrime: 40}); err != nil {
 		t.Fatalf("client unusable after application error: %v", err)
 	}
 }
@@ -379,7 +379,7 @@ func TestSearchShardOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := core.SearchOptions{RatioK: 8}
+	opt := core.SearchOptions{KPrime: 40}
 	want, err := client.Search(tok, 5, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -420,7 +420,7 @@ func TestPipelinedConcurrentCalls(t *testing.T) {
 	defer client.Close()
 
 	toks := queryTokens(t, user, d, 8)
-	opt := core.SearchOptions{RatioK: 8}
+	opt := core.SearchOptions{KPrime: 40}
 	want := make([][]int, len(toks))
 	for i, tok := range toks {
 		if want[i], err = client.Search(tok, 5, opt); err != nil {
@@ -521,11 +521,12 @@ func fakeServer(t *testing.T, serve func(conn net.Conn)) string {
 }
 
 // TestOtherGenerationRefused: there is one protocol generation and nothing
-// to negotiate. A peer whose frames stamp generation 8 (the last one before
-// this build's, which framed without a checksum) or 0 is refused on its first call, as client and as
-// server, with an error naming both generations; nothing is executed or
-// delivered across the mismatch; and a same-generation client of the same
-// listener never notices.
+// to negotiate. A peer whose frames stamp generation 9 (the last one before
+// this build's, whose search request carried a Ratio_k word), 8 (which
+// framed without a checksum) or 0 is refused on its first call, as client
+// and as server, with an error naming both generations; nothing is
+// executed or delivered across the mismatch; and a same-generation client
+// of the same listener never notices.
 func TestOtherGenerationRefused(t *testing.T) {
 	owner, _, d, addr := startWorld(t)
 	payload, err := owner.EncryptVector(d.Train[0])
@@ -533,7 +534,7 @@ func TestOtherGenerationRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	insert := core.AppendInsert(nil, payload)
-	for _, stamp := range []byte{8, 0} {
+	for _, stamp := range []byte{9, 8, 0} {
 		names := []string{fmt.Sprintf("generation %d", stamp), fmt.Sprintf("generation %d", ProtoVersion)}
 
 		// As a client of the real server: an insert that must not happen.
@@ -921,7 +922,7 @@ func TestRetiredSearchBatchOpRefused(t *testing.T) {
 	}
 	defer conn.Close()
 	const opSearchBatch = 7
-	batch := core.AppendQuery(core.AppendQuery(nil, tok, 5, core.SearchOptions{RatioK: 8}), tok, 5, core.SearchOptions{RatioK: 8})
+	batch := core.AppendQuery(core.AppendQuery(nil, tok, 5, core.SearchOptions{KPrime: 40}), tok, 5, core.SearchOptions{KPrime: 40})
 	if _, err := conn.Write(rawFrame(ProtoVersion, opSearchBatch, 1, batch)); err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@
 //	user, _  := ppanns.NewUser(owner.UserKey())      // authorized key
 //
 //	tok, _ := user.Query(q)
-//	ids, _ := server.Search(tok, 10, ppanns.SearchOptions{RatioK: 8})
+//	ids, _ := server.Search(tok, 10, ppanns.SearchOptions{KPrime: 80})
 //
 // The Server type is constructed from ciphertexts only; no API path exposes
 // plaintexts or keys to it. See README.md for a quickstart and the
@@ -40,7 +40,6 @@ package ppanns
 import (
 	"ppanns/internal/core"
 	"ppanns/internal/index"
-	"ppanns/internal/pq"
 	"ppanns/internal/wal"
 )
 
@@ -61,8 +60,9 @@ type IndexOptions = index.Options
 // of the Section V-A ablation, is refused with a re-encrypt message.
 func Backends() []string { return index.Names() }
 
-// SearchOptions tunes a query: k′ (directly or via RatioK), the beam
-// width, the refine mode and the filter distance provider.
+// SearchOptions tunes a query: k′ (KPrime, default 8·k; the paper's
+// Ratio_k is KPrime/k), the beam width, the refine mode and the filter
+// distance provider.
 type SearchOptions = core.SearchOptions
 
 // SearchStats reports a query's cost split between the filter and refine
@@ -76,22 +76,13 @@ type FilterDistMode = core.FilterDistMode
 // Filter distance modes: exact SAP distances over the DCPE ciphertexts
 // (the default), or the product-quantized compressed tier — M table
 // lookups per candidate instead of a d-dimensional scan. FilterPQ
-// requires a database built with Params.PQ or upgraded via
-// EncryptedDatabase.BuildPQ, and pairs with an over-fetched
+// requires a database built with Params.PQ, and pairs with an over-fetched
 // SearchOptions.KPrime to absorb the quantization error; the refine
 // phase stays exact either way.
 const (
 	FilterExact = core.FilterExact
 	FilterPQ    = core.FilterPQ
 )
-
-// PQConfig configures codebook training for the compressed filter tier:
-// M subquantizers (must divide into Dim reasonably; ≤256 centroids each),
-// sampling and iteration budgets, and the training seed. The zero value
-// of every field selects a sensible default. Used with
-// EncryptedDatabase.BuildPQ to add a PQ tier to a database built or saved
-// without one; Params.PQ/PQM build the tier at encryption time instead.
-type PQConfig = pq.TrainConfig
 
 // RefineMode selects the refine-phase comparison scheme.
 type RefineMode = core.RefineMode

@@ -23,7 +23,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	gt := data.GroundTruth(k)
 	var recall float64
 	for i, q := range data.Queries {
-		ids, err := dep.Search(q, k, ppanns.SearchOptions{RatioK: 16, EfSearch: 160})
+		ids, err := dep.Search(q, k, ppanns.SearchOptions{KPrime: 16 * k, EfSearch: 160})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, err := dep.Server.Search(tok, k, ppanns.SearchOptions{RatioK: 16})
+	ids, err := dep.Server.Search(tok, k, ppanns.SearchOptions{KPrime: 16 * k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestRefineModesExposed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []ppanns.RefineMode{ppanns.RefineNone, ppanns.RefineDCE} {
-		ids, err := dep.Search(data.Queries[0], 5, ppanns.SearchOptions{RatioK: 8, Refine: mode})
+		ids, err := dep.Search(data.Queries[0], 5, ppanns.SearchOptions{KPrime: 40, Refine: mode})
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
