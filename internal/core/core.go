@@ -34,6 +34,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"ppanns/internal/dce"
 	"ppanns/internal/dcpe"
@@ -81,8 +82,8 @@ func (p Params) withDefaults() (Params, error) {
 	if p.Dim <= 0 {
 		return p, fmt.Errorf("core: non-positive dimension %d", p.Dim)
 	}
-	if p.Beta < 0 {
-		return p, fmt.Errorf("core: negative beta %g", p.Beta)
+	if !(p.Beta >= 0) || math.IsInf(p.Beta, 0) {
+		return p, fmt.Errorf("core: beta (β) must be non-negative and finite, got %g", p.Beta)
 	}
 	if p.Index == "" {
 		p.Index = index.Default

@@ -144,6 +144,14 @@ func TestParamsValidation(t *testing.T) {
 	if _, err := NewDataOwner(Params{Dim: 4, Beta: -1}); err == nil {
 		t.Fatal("expected error for negative beta")
 	}
+	// The SAP key loader refuses a NaN or infinite β, so the owner must not
+	// accept one: it would write a key its own user cannot load.
+	for _, beta := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := NewDataOwner(Params{Dim: 4, Beta: beta})
+		if err == nil || !strings.Contains(err.Error(), "beta") {
+			t.Fatalf("beta %g: error %v, want one naming beta", beta, err)
+		}
+	}
 }
 
 func TestEndToEndHighRecall(t *testing.T) {

@@ -174,16 +174,6 @@ func ByName(name string, n, queries int, seed uint64) (*Data, error) {
 	}
 }
 
-// All returns the four Table-I stand-ins at the given scale.
-func All(n, queries int, seed uint64) []*Data {
-	return []*Data{
-		SIFTLike(n, queries, seed),
-		GISTLike(n, queries, seed),
-		GloVeLike(n, queries, seed),
-		DeepLike(n, queries, seed),
-	}
-}
-
 // FromFvecs wraps externally loaded corpora (e.g. the real Sift1M files).
 // Every shape mismatch a loader can produce — nil or empty sides, train and
 // query files of different dimensionality — is rejected here with a

@@ -125,13 +125,6 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestAll(t *testing.T) {
-	ds := All(50, 5, 8)
-	if len(ds) != 4 {
-		t.Fatalf("All returned %d datasets", len(ds))
-	}
-}
-
 func TestExactKNN(t *testing.T) {
 	data := [][]float64{{0, 0}, {1, 0}, {2, 0}, {3, 0}}
 	got := ExactKNN(data, []float64{1.4, 0}, 2)

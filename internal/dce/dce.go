@@ -36,6 +36,7 @@ package dce
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"ppanns/internal/matrix"
@@ -101,8 +102,8 @@ func KeyGenScaled(r *rng.Rand, dim int, scale float64) (*Key, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("dce: non-positive dimension %d", dim)
 	}
-	if scale <= 0 {
-		return nil, fmt.Errorf("dce: non-positive input scale %g", scale)
+	if !(scale > 0) || math.IsInf(scale, 0) {
+		return nil, fmt.Errorf("dce: input scale must be positive and finite, got %g", scale)
 	}
 	pad := dim
 	if pad%2 == 1 {

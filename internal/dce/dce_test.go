@@ -49,6 +49,13 @@ func TestKeyGenValidation(t *testing.T) {
 	if _, err := KeyGenScaled(r, 4, -1); err == nil {
 		t.Fatal("expected error for negative scale")
 	}
+	// ReadKey refuses a NaN or infinite scale, so KeyGenScaled must not
+	// make one.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := KeyGenScaled(r, 4, v); err == nil {
+			t.Fatalf("expected error for scale %g", v)
+		}
+	}
 }
 
 func TestCiphertextShapes(t *testing.T) {

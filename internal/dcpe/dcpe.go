@@ -42,11 +42,11 @@ func KeyGen(r *rng.Rand, dim int, s, beta float64) (*Key, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("dcpe: non-positive dimension %d", dim)
 	}
-	if s <= 0 {
-		return nil, fmt.Errorf("dcpe: scaling factor must be positive, got %g", s)
+	if !(s > 0) || math.IsInf(s, 0) {
+		return nil, fmt.Errorf("dcpe: scaling factor must be positive and finite, got %g", s)
 	}
-	if beta < 0 {
-		return nil, fmt.Errorf("dcpe: beta must be non-negative, got %g", beta)
+	if !(beta >= 0) || math.IsInf(beta, 0) {
+		return nil, fmt.Errorf("dcpe: beta must be non-negative and finite, got %g", beta)
 	}
 	return &Key{s: s, beta: beta, dim: dim, rnd: rng.Derive(r, 0xdc9e)}, nil
 }
@@ -104,11 +104,4 @@ func (k *Key) EncryptWith(r *rng.Rand, p []float64) []float64 {
 		out[i] = float64(k.s*p[i]) + float64(c*u) // Line 5: C = s·p + λ
 	}
 	return out
-}
-
-// ApproxSqDist returns the squared distance between two ciphertexts divided
-// by s², i.e. the server-visible approximation of dist(p, q) expressed in
-// plaintext units. The filter phase ranks candidates with this quantity.
-func (k *Key) ApproxSqDist(cp, cq []float64) float64 {
-	return vec.SqDist(cp, cq) / (k.s * k.s)
 }

@@ -1,37 +1,32 @@
 package matrix
 
-import "slices"
-
 // The inner loops every product, factorization and solve in this package is
-// built from: axpyPanel4 (with axpyRows4 and axpyRowsEach around it), axpy4
-// (with axpyRows around it) and dot8. Each fixes its floating-point
-// association once, so neither how the work was blocked nor how many
-// goroutines shared it changes a result. Nor does which body ran it — the
-// Go references below, the AVX2 assembly of axpyPanel4 and dot8 in
-// kernels_amd64.s, or its AVX-512 body of axpyPanel4 — on any input without
-// a NaN: every product and sum is rounded on its own in the same order.
-// Where two NaN inputs of different payloads meet, the bodies may return
-// either payload. No NaN reaches these loops: the owner and the user refuse
-// non-finite vectors and queries, and keys are drawn finite.
+// built from: axpyPanel4 (with axpyRows4 and axpyRowsEach around it),
+// axpyRows (axpy4 and axpy1) and dot8. One contract holds for all of them:
+// every term is added, each product and sum rounded on its own, in one
+// fixed order (one term at a time in row order for the axpy loops, dot8's
+// eight lanes for an inner product); inputs are finite. A zero coefficient
+// is a term like any other. So neither how the work was blocked nor how
+// many goroutines shared it changes a result, and nor does which body ran
+// it: the Go references below, the AVX2 assembly of axpyPanel4 and dot8 in
+// kernels_amd64.s, or the AVX-512 body of axpyPanel4. The owner and the
+// user refuse non-finite vectors and queries, and keys are drawn finite.
+// (The bodies agree on infinities too; only where two NaNs of different
+// payloads meet may they return either payload.)
 //
 // axpyPanel4 is the one the dense products run on: four destination rows
 // take the same source rows, so each source load serves four destinations.
-// Every destination element still accumulates its terms one at a time in
-// source-row order, each product and sum rounded on its own, which is
-// exactly what axpyRows gives it. axpyRows and axpy4 are the remainder
-// path: fewer than four destinations, the triangular diagonal blocks of the
-// LU, and any four-destination block that holds a zero coefficient (which
-// axpyRows skips, and the panel kernel would not) — except in VecMulBlock,
-// whose destinations start at +0 and whose finite panels take the zero
-// terms with the same bits.
+// Its reference is axpyRows on each destination. axpyRows alone is the
+// remainder path: fewer than four destinations and the triangular diagonal
+// blocks of the LU.
 
 // axpyRowsEach runs axpyRows(dst(i), c[i·cs : i·cs+rows], src, stride) for
 // every i in [lo,hi): the destinations share src, and four at a time go
-// through axpyRows4, the last one to three alone. mayZero is axpyRows4's.
-func axpyRowsEach(lo, hi int, dst func(i int) []float64, c []float64, cs, rows int, src []float64, stride int, mayZero bool) {
+// through axpyRows4, the last one to three alone.
+func axpyRowsEach(lo, hi int, dst func(i int) []float64, c []float64, cs, rows int, src []float64, stride int) {
 	i := lo
 	for ; i+4 <= hi; i += 4 {
-		axpyRows4(&[4][]float64{dst(i), dst(i + 1), dst(i + 2), dst(i + 3)}, c[i*cs:], cs, rows, src, stride, mayZero)
+		axpyRows4(&[4][]float64{dst(i), dst(i + 1), dst(i + 2), dst(i + 3)}, c[i*cs:], cs, rows, src, stride)
 	}
 	for ; i < hi; i++ {
 		axpyRows(dst(i), c[i*cs:i*cs+rows], src, stride)
@@ -44,19 +39,9 @@ func axpyRowsEach(lo, hi int, dst func(i int) []float64, c []float64, cs, rows i
 //
 //	d[q][j] += Σ_p c[q·cs + p] · src[p·stride + j]	(p < rows)
 //
-// as one axpyPanel4 call. The kernel adds every term, where axpyRows skips
-// the zero ones, so a caller that cannot rule zeros out sets mayZero: the
-// block is then scanned, and one that holds a zero runs through axpyRows
-// destination by destination. Either way every element gets axpyRows' bits.
-func axpyRows4(d *[4][]float64, c []float64, cs, rows int, src []float64, stride int, mayZero bool) {
+// as one axpyPanel4 call.
+func axpyRows4(d *[4][]float64, c []float64, cs, rows int, src []float64, stride int) {
 	if rows == 0 {
-		return
-	}
-	if mayZero && (slices.Contains(c[:rows], 0) || slices.Contains(c[cs:cs+rows], 0) ||
-		slices.Contains(c[2*cs:2*cs+rows], 0) || slices.Contains(c[3*cs:3*cs+rows], 0)) {
-		for q := range d {
-			axpyRows(d[q], c[q*cs:q*cs+rows], src, stride)
-		}
 		return
 	}
 	n := len(d[0])
@@ -74,28 +59,17 @@ func axpyRows4(d *[4][]float64, c []float64, cs, rows int, src []float64, stride
 // with the terms added one at a time in p order — exactly what a loop of
 // single-row updates does — so blocking rows four at a time (one load and
 // one store of dst per four rows instead of per row) changes the speed and
-// not the bits. Zero coefficients are skipped, as the single-row loops this
-// replaces did.
+// not the bits.
 func axpyRows(dst, coef, src []float64, stride int) {
 	n := len(dst)
 	p := 0
 	for ; p+4 <= len(coef); p += 4 {
-		a0, a1, a2, a3 := coef[p], coef[p+1], coef[p+2], coef[p+3]
-		if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
-			for q := p; q < p+4; q++ {
-				if coef[q] != 0 {
-					axpy1(dst, coef[q], src[q*stride:q*stride+n])
-				}
-			}
-			continue
-		}
 		b := p * stride
-		axpy4(dst, src[b:b+n], src[b+stride:b+stride+n], src[b+2*stride:b+2*stride+n], src[b+3*stride:b+3*stride+n], a0, a1, a2, a3)
+		axpy4(dst, src[b:b+n], src[b+stride:b+stride+n], src[b+2*stride:b+2*stride+n], src[b+3*stride:b+3*stride+n],
+			coef[p], coef[p+1], coef[p+2], coef[p+3])
 	}
 	for ; p < len(coef); p++ {
-		if coef[p] != 0 {
-			axpy1(dst, coef[p], src[p*stride:p*stride+n])
-		}
+		axpy1(dst, coef[p], src[p*stride:p*stride+n])
 	}
 }
 
@@ -123,28 +97,14 @@ func axpy4(dst, r0, r1, r2, r3 []float64, a0, a1, a2, a3 float64) {
 	}
 }
 
-// axpyPanel4Scalar is the reference body of axpyPanel4. Each of the four
-// destinations d_q takes every term of its combination, zero or not,
-//
-//	d_q[j] += Σ_p c[q·cs + p] · src[p·stride + j]	(p < rows)
-//
-// one term at a time in p order, by axpy4 steps of four rows and
-// axpy1 for the rest: the bits axpyRows gives a row with no zero
-// coefficient. The destinations must share one length, and every source
-// row must be at least that long.
+// axpyPanel4Scalar is the reference body of axpyPanel4: axpyRows on each
+// of the four destinations, which must share one length; every source row
+// must be at least that long.
 func axpyPanel4Scalar(d0, d1, d2, d3, c []float64, cs, rows int, src []float64, stride int) {
-	for q, d := range [4][]float64{d0, d1, d2, d3} {
-		a, n := c[q*cs:q*cs+rows], len(d)
-		p := 0
-		for ; p+4 <= rows; p += 4 {
-			b := p * stride
-			axpy4(d, src[b:b+n], src[b+stride:b+stride+n], src[b+2*stride:b+2*stride+n], src[b+3*stride:b+3*stride+n],
-				a[p], a[p+1], a[p+2], a[p+3])
-		}
-		for ; p < rows; p++ {
-			axpy1(d, a[p], src[p*stride:p*stride+n])
-		}
-	}
+	axpyRows(d0, c[:rows], src, stride)
+	axpyRows(d1, c[cs:cs+rows], src, stride)
+	axpyRows(d2, c[2*cs:2*cs+rows], src, stride)
+	axpyRows(d3, c[3*cs:3*cs+rows], src, stride)
 }
 
 // dot8Scalar is the reference body of dot8, the inner product with the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 
 	"ppanns/internal/par"
 	"ppanns/internal/rng"
@@ -18,10 +17,6 @@ import (
 type LU struct {
 	lu    *Dense
 	pivot []int
-	// hasZero records whether any stored factor is zero, so the solves
-	// scan their coefficient blocks for the zeros axpyRows skips only when
-	// there can be one.
-	hasZero bool
 }
 
 // pivotTol is the smallest pivot magnitude (relative to the matrix scale)
@@ -75,7 +70,6 @@ func Factorize(a *Dense) (*LU, error) {
 		}
 		f.update(k0, k1, n)
 	}
-	f.hasZero = slices.Contains(f.lu.data, 0)
 	return f, nil
 }
 
@@ -119,9 +113,7 @@ func (f *LU) factorPanel(k0, k1 int, tol float64) error {
 			ri := lu.Row(i)
 			m := -(ri[k] * inv)
 			ri[k] = m
-			if m != 0 {
-				axpy1(ri[k+1:k1], m, rk[k+1:k1])
-			}
+			axpy1(ri[k+1:k1], m, rk[k+1:k1])
 		}
 	}
 	return nil
@@ -140,7 +132,7 @@ func (f *LU) update(k0, k1, c1 int) {
 	}
 	par.Spans(runtime.GOMAXPROCS(0), n-k1, luRows, func(_, lo, hi int) {
 		axpyRowsEach(k1+lo, k1+hi, func(i int) []float64 { return lu.Row(i)[k1:c1] },
-			lu.data[k0:], n, k1-k0, lu.data[k0*n+k1:], n, true)
+			lu.data[k0:], n, k1-k0, lu.data[k0*n+k1:], n)
 	})
 }
 
@@ -156,15 +148,14 @@ func (f *LU) Solve(b []float64) []float64 {
 	for i, p := range f.rowPerm() {
 		x[i] = b[p]
 	}
-	f.substitute(x, 1, 0)
+	f.substitute(x, 1)
 	for i := range x {
 		x[i] = -x[i]
 	}
 	return x
 }
 
-// invPanel is the number of columns one task of Inverse or SolveMat solves
-// for.
+// invPanel is the number of columns one task of SolveMat solves for.
 const invPanel = 64
 
 // rowPerm returns perm with (P·B)[i] = B[perm[i]] for the factorization's
@@ -180,54 +171,15 @@ func (f *LU) rowPerm() []int {
 	return perm
 }
 
-// panels calls body once per panel [c0,c1) of invPanel columns out of
-// [0,cols), in parallel, each with a worker-private n×invPanel scratch
-// block. Panels share nothing, so the result does not depend on how many
-// run at once.
-func (f *LU) panels(cols int, body func(s []float64, c0, c1 int)) {
-	n := f.lu.rows
-	scratch := make([][]float64, runtime.GOMAXPROCS(0))
-	par.Spans(len(scratch), cols, invPanel, func(worker, c0, c1 int) {
-		if scratch[worker] == nil {
-			scratch[worker] = make([]float64, n*invPanel)
-		}
-		body(scratch[worker], c0, c1)
-	})
-}
+// Inverse returns A⁻¹ from the factorization: SolveMat of the identity.
+func (f *LU) Inverse() *Dense { return f.SolveMat(Identity(f.lu.rows)) }
 
-// Inverse returns A⁻¹ from the factorization.
-//
-// With P·A = L·U, A⁻¹ = U⁻¹·L⁻¹·P, and column j of L⁻¹ ends up as column
-// perm[j] of the inverse. The columns are solved for in panels of invPanel,
-// each in a contiguous scratch block: a forward substitution that starts at
-// the panel's first row (L⁻¹ is lower triangular, so everything above is
-// zero), a back substitution, both in row blocks of luBlock so that the
-// rows being combined stay in L1, and a scatter into place.
-func (f *LU) Inverse() *Dense {
-	n := f.lu.rows
-	perm := f.rowPerm()
-	inv := NewDense(n, n)
-	f.panels(n, func(s []float64, c0, c1 int) {
-		w := c1 - c0
-		clear(s[:n*w])
-		for c := c0; c < c1; c++ {
-			s[c*w+c-c0] = 1
-		}
-		f.substitute(s[:n*w], w, c0)
-		for i := 0; i < n; i++ {
-			out, ri := inv.Row(i), s[i*w:(i+1)*w]
-			for j, v := range ri {
-				out[perm[c0+j]] = -v
-			}
-		}
-	})
-	return inv
-}
-
-// SolveMat returns X with A·X = B, for any number of right-hand sides: the
-// rows of B are permuted by P, its columns solved for in panels by the same
-// blocked substitutions as Inverse, and copied out. A column of X does not
-// depend on the panel it was solved in, so X equals Solve column by column.
+// SolveMat returns X with A·X = B, for any number of right-hand sides. The
+// columns are solved for in panels of invPanel, in parallel, each in a
+// worker-private n×invPanel scratch block: the rows of B permuted by P are
+// copied in, run through the blocked substitutions, and copied out. A
+// column of X does not depend on the panel it was solved in, nor on how
+// many panels ran at once, so X equals Solve column by column.
 func (f *LU) SolveMat(b *Dense) *Dense {
 	n := f.lu.rows
 	if b.rows != n {
@@ -235,12 +187,16 @@ func (f *LU) SolveMat(b *Dense) *Dense {
 	}
 	perm := f.rowPerm()
 	x := NewDense(n, b.cols)
-	f.panels(b.cols, func(s []float64, c0, c1 int) {
-		w := c1 - c0
+	scratch := make([][]float64, runtime.GOMAXPROCS(0))
+	par.Spans(len(scratch), b.cols, invPanel, func(worker, c0, c1 int) {
+		if scratch[worker] == nil {
+			scratch[worker] = make([]float64, n*invPanel)
+		}
+		s, w := scratch[worker][:n*(c1-c0)], c1-c0
 		for i, p := range perm {
 			copy(s[i*w:(i+1)*w], b.Row(p)[c0:c1])
 		}
-		f.substitute(s[:n*w], w, 0)
+		f.substitute(s, w)
 		for i := 0; i < n; i++ {
 			out, ri := x.Row(i)[c0:c1], s[i*w:(i+1)*w]
 			for j, v := range ri {
@@ -252,8 +208,7 @@ func (f *LU) SolveMat(b *Dense) *Dense {
 }
 
 // substitute overwrites the permuted right-hand sides in s (row i at
-// s[i·w:], w columns) with −U⁻¹·L⁻¹ of them. Rows above from must be zero
-// on entry; the forward substitution skips them.
+// s[i·w:], w columns) with −U⁻¹·L⁻¹ of them.
 //
 // Both substitutions run in row blocks of luBlock. A block first takes the
 // solved blocks before it (forward) or after it (backward) through
@@ -261,17 +216,17 @@ func (f *LU) SolveMat(b *Dense) *Dense {
 // then its own triangle row by row through axpyRows. A row still takes its
 // terms one at a time, in the same order whatever w is, so a column of the
 // result does not depend on the other columns solved with it.
-func (f *LU) substitute(s []float64, w, from int) {
+func (f *LU) substitute(s []float64, w int) {
 	n := f.lu.rows
 	lu := f.lu.data
 	row := func(i int) []float64 { return s[i*w : (i+1)*w] }
 
 	// Forward: row i of L⁻¹·b is b_i plus the (negated) multipliers of row
-	// i times the rows above, from `from` on.
-	for i0 := from; i0 < n; i0 += luBlock {
+	// i times the rows above.
+	for i0 := 0; i0 < n; i0 += luBlock {
 		i1 := min(i0+luBlock, n)
-		for j0 := from; j0 < i0; j0 += luBlock {
-			axpyRowsEach(i0, i1, row, lu[j0:], n, luBlock, s[j0*w:], w, f.hasZero)
+		for j0 := 0; j0 < i0; j0 += luBlock {
+			axpyRowsEach(i0, i1, row, lu[j0:], n, luBlock, s[j0*w:], w)
 		}
 		for i := i0 + 1; i < i1; i++ {
 			axpyRows(row(i), lu[i*n+i0:i*n+i], s[i0*w:], w)
@@ -285,7 +240,7 @@ func (f *LU) substitute(s []float64, w, from int) {
 		i0 := max(i1-luBlock, 0)
 		for j0 := i1; j0 < n; j0 += luBlock {
 			j1 := min(j0+luBlock, n)
-			axpyRowsEach(i0, i1, row, lu[j0:], n, j1-j0, s[j0*w:], w, f.hasZero)
+			axpyRowsEach(i0, i1, row, lu[j0:], n, j1-j0, s[j0*w:], w)
 		}
 		for i := i1 - 1; i >= i0; i-- {
 			ri := row(i)

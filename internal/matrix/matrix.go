@@ -8,7 +8,6 @@ package matrix
 import (
 	"errors"
 	"fmt"
-	"slices"
 )
 
 // ErrSingular is returned when a factorization or solve meets a pivot too
@@ -131,16 +130,6 @@ const panelRows = 32
 // Entry j of each product still accumulates x[b][i]·A[i][j] in i order,
 // each product and sum rounded on its own, so the panel cut, the block
 // length and the grouping change the speed and not the bits.
-//
-// The one-destination loops skip zero coefficients, and the panel kernel
-// adds them. Here the two agree wherever the panel is finite: every
-// destination starts at +0, a sum that starts at +0 never becomes −0, and
-// adding ±0 to anything but −0 leaves it as it was. Only 0·±Inf or 0·NaN
-// would differ, so a group whose coefficients hold a zero takes the kernel
-// once its panel is known to be finite, and the zero-skipping loops
-// otherwise. A panel is checked the first time one of its groups holds a
-// zero, at most once per call, so a block without zeros never reads a
-// panel twice.
 func (m *Dense) VecMulBlock(dst, x [][]float64) {
 	if len(dst) != len(x) {
 		panic(fmt.Sprintf("matrix: VecMulBlock with %d destinations for %d vectors", len(dst), len(x)))
@@ -160,31 +149,17 @@ func (m *Dense) VecMulBlock(dst, x [][]float64) {
 		hi := min(lo+panelRows, m.rows)
 		panel := m.data[lo*m.cols : hi*m.cols]
 		rows := hi - lo
-		checked, finite := false, false
 		b := 0
 		for ; b+4 <= len(x); b += 4 {
 			for q := range 4 {
 				copy(pack[q*rows:(q+1)*rows], x[b+q][lo:hi])
 			}
-			mayZero := slices.Contains(pack[:4*rows], 0)
-			if mayZero && !checked {
-				checked, finite = true, allFinite(panel)
-			}
-			axpyRows4((*[4][]float64)(dst[b:b+4]), pack[:], rows, rows, panel, m.cols, mayZero && !finite)
+			axpyRows4((*[4][]float64)(dst[b:b+4]), pack[:], rows, rows, panel, m.cols)
 		}
 		for ; b < len(x); b++ {
 			axpyRows(dst[b], x[b][lo:hi], panel, m.cols)
 		}
 	}
-}
-
-// allFinite reports whether s surely holds no ±Inf and no NaN: its sum of
-// squares, one vectorized dot8, is then finite. A sum that overflows
-// answers no for finite entries too, which only costs the caller its
-// slower exact path.
-func allFinite(s []float64) bool {
-	q := dot8(s, s)
-	return q-q == 0 // Inf−Inf and NaN−NaN are NaN
 }
 
 // Mul returns the matrix product A·B.
@@ -193,7 +168,7 @@ func Mul(a, b *Dense) *Dense {
 		panic(fmt.Sprintf("matrix: product of %dx%d and %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	c := NewDense(a.rows, b.cols)
-	axpyRowsEach(0, a.rows, c.Row, a.data, a.cols, a.cols, b.data, b.cols, true)
+	axpyRowsEach(0, a.rows, c.Row, a.data, a.cols, a.cols, b.data, b.cols)
 	return c
 }
 

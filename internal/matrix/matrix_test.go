@@ -162,8 +162,8 @@ func TestBilinearInvariance(t *testing.T) {
 // The unblocked algorithms the blocked ones replaced, kept as oracles.
 
 // refFactorize is row-at-a-time Gaussian elimination with partial pivoting,
-// returning the compact factors (L's multipliers positive), pivots, and
-// whether the matrix was accepted.
+// every multiplier applied, zero or not, returning the compact factors (L's
+// multipliers positive), pivots, and whether the matrix was accepted.
 func refFactorize(a *Dense) (*Dense, []int, bool) {
 	n := a.rows
 	lu := a.Clone()
@@ -196,9 +196,6 @@ func refFactorize(a *Dense) (*Dense, []int, bool) {
 		for i := k + 1; i < n; i++ {
 			f := lu.At(i, k) * inv
 			lu.Set(i, k, f)
-			if f == 0 {
-				continue
-			}
 			ri, rk := lu.Row(i), lu.Row(k)
 			for j := k + 1; j < n; j++ {
 				ri[j] -= f * rk[j]
@@ -208,13 +205,11 @@ func refFactorize(a *Dense) (*Dense, []int, bool) {
 	return lu, pivot, true
 }
 
-// refVecMul is the scalar xᵀ·A loop VecMul used to be.
+// refVecMul is the scalar xᵀ·A loop VecMul used to be, every term added,
+// zero coefficients included.
 func refVecMul(m *Dense, x []float64) []float64 {
 	dst := make([]float64, m.cols)
 	for i, xv := range x {
-		if xv == 0 {
-			continue
-		}
 		for j, v := range m.Row(i) {
 			dst[j] += xv * v
 		}
@@ -248,7 +243,7 @@ func maxRowSum(a, b *Dense) float64 {
 // one bit for bit (pivots and factors), that A·A⁻¹ is the identity and
 // A·X = B for SolveMat's X to 1e-9·n in the max-row-sum norm, and that
 // none of them depends on GOMAXPROCS. Two sizes run again on a matrix with
-// signed zeros, whose zero multipliers the unblocked loop skips.
+// signed zeros, whose zero multipliers both sides apply.
 func TestBlockedLUMatchesUnblocked(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	r := rng.NewSeeded(6)
@@ -374,9 +369,8 @@ func bitsDigest(data []float64) string {
 // signedZeros sets about a third of m's entries to +0 or −0. With unit set
 // (m square), every fifth row becomes a row of the identity whose zeros are
 // −0, and the diagonal is kept away from zero: the factors and solves then
-// meet zero coefficients, which axpyRows skips, in front of entries that
-// hold −0 and take no other term, so a zero term that is not skipped shows
-// in the bits (−0 + +0 is +0).
+// meet zero coefficients in front of entries that hold −0 and take no other
+// term, so a zero term that is skipped shows in the bits (−0 + +0 is +0).
 func signedZeros(r *rng.Rand, m *Dense, unit bool) *Dense {
 	negZero := math.Copysign(0, -1)
 	for i := range m.data {
@@ -404,11 +398,10 @@ func signedZeros(r *rng.Rand, m *Dense, unit bool) *Dense {
 // Solve column by column, bit for bit, at sizes on both sides of the row
 // blocks and of the right-hand-side panels, on Gaussian matrices and on
 // ones with signed zeros. The sparse n=200, 129-column solve is also pinned
-// to a digest captured at commit da5e522, before the four-destination panel
-// kernel went under the solves, so its zero fallback is held to the
-// one-destination loops.
+// to a digest, captured when every zero term came to be added, so a solve
+// that skips one fails it.
 func TestSolveMatMatchesSolve(t *testing.T) {
-	const sparseDigest = "6936d9f1d0ac37a93161af11cb8d155bcb3efa7f67229e0041b1a44e199d2a79"
+	const sparseDigest = "2b17bde164368d6d7be8f213b2ed899fcf8a1ba4c21394b632670a0e287eebf4"
 	r := rng.NewSeeded(13)
 	for _, sparse := range []bool{false, true} {
 		for _, n := range []int{1, 63, 64, 65, 130, 200} {
@@ -467,7 +460,7 @@ func TestBlockedLUSingular(t *testing.T) {
 
 // FuzzVecMul holds the row-blocked VecMul to the scalar loop it replaced,
 // bit for bit, over shapes that straddle the four-row block and inputs
-// with zeros (which the old loop skipped) sprinkled in.
+// with zeros sprinkled in.
 func FuzzVecMul(f *testing.F) {
 	f.Add(uint64(1), uint8(7), uint8(5), uint8(0))
 	f.Add(uint64(2), uint8(64), uint8(33), uint8(3))
@@ -501,7 +494,8 @@ func FuzzVecMul(f *testing.F) {
 // for bit: block lengths 1–17 (the vectors run four at a time, the last one
 // to three alone), row counts on both sides of the panel height and of its
 // four-row steps, zero coefficients sprinkled in. With zeros, A[0][0] is
-// +Inf, so a zero coefficient that is not skipped turns an entry to NaN.
+// +Inf, so a zero coefficient on row 0 turns column 0 to NaN on both sides,
+// and one that is skipped leaves it finite.
 func FuzzVecMulBlock(f *testing.F) {
 	f.Add(uint64(1), uint8(7), uint8(5), uint8(1), uint8(0))
 	f.Add(uint64(2), uint8(panelRows), uint8(33), uint8(16), uint8(3))
@@ -546,9 +540,9 @@ func FuzzVecMulBlock(f *testing.F) {
 
 // TestVecMulBlockNonFinitePanels puts +Inf and NaN in later panels than
 // the first, behind finite ones, with zero coefficients in every group of
-// four on their rows: each panel's finiteness is its own, so a zero term
-// against panel 1's +Inf or panel 3's NaN must still be skipped while the
-// finite panels 0 and 2 run their zeros through the panel kernel.
+// four on their rows: every panel runs every term through the panel kernel
+// or the one-row loop, so a zero term against panel 1's +Inf is NaN, as it
+// is in the scalar loop.
 func TestVecMulBlockNonFinitePanels(t *testing.T) {
 	r := rng.NewSeeded(12)
 	const rows, cols = 3*panelRows + 7, 37

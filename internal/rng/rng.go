@@ -135,32 +135,14 @@ func GaussianVec(r *Rand, n int, sigma float64) []float64 {
 	return v
 }
 
-// Permutation is a permutation of {0..n-1} together with its inverse, so it
-// can be applied in both directions in O(n).
+// Permutation is a permutation of {0..n-1}, applied in O(n).
 type Permutation struct {
 	fwd []int // fwd[i] = destination index of source element i
-	inv []int // inv[fwd[i]] = i
 }
 
 // NewPermutation samples a uniformly random permutation of size n.
 func NewPermutation(r *Rand, n int) *Permutation {
-	fwd := r.Perm(n)
-	inv := make([]int, n)
-	for i, j := range fwd {
-		inv[j] = i
-	}
-	return &Permutation{fwd: fwd, inv: inv}
-}
-
-// IdentityPermutation returns the identity permutation of size n.
-func IdentityPermutation(n int) *Permutation {
-	fwd := make([]int, n)
-	inv := make([]int, n)
-	for i := range fwd {
-		fwd[i] = i
-		inv[i] = i
-	}
-	return &Permutation{fwd: fwd, inv: inv}
+	return &Permutation{fwd: r.Perm(n)}
 }
 
 // Len returns the permutation size.
@@ -182,35 +164,18 @@ func (p *Permutation) Apply(dst, src []float64) []float64 {
 	return dst
 }
 
-// ApplyInverse writes the inverse permutation of src into dst and returns
-// dst. dst may be nil and must not alias src.
-func (p *Permutation) ApplyInverse(dst, src []float64) []float64 {
-	if len(src) != len(p.inv) {
-		panic(fmt.Sprintf("rng: permutation size %d applied to vector of size %d", len(p.inv), len(src)))
-	}
-	if dst == nil {
-		dst = make([]float64, len(src))
-	}
-	for i, j := range p.inv {
-		dst[j] = src[i]
-	}
-	return dst
-}
-
 // Forward returns the underlying forward mapping (read-only).
 func (p *Permutation) Forward() []int { return p.fwd }
 
 // PermutationFromForward reconstructs a Permutation from a forward mapping,
 // validating that it is a bijection. Used when deserializing keys.
 func PermutationFromForward(fwd []int) (*Permutation, error) {
-	inv := make([]int, len(fwd))
 	seen := make([]bool, len(fwd))
 	for i, j := range fwd {
 		if j < 0 || j >= len(fwd) || seen[j] {
 			return nil, fmt.Errorf("rng: invalid permutation: element %d maps to %d", i, j)
 		}
 		seen[j] = true
-		inv[j] = i
 	}
-	return &Permutation{fwd: append([]int(nil), fwd...), inv: inv}, nil
+	return &Permutation{fwd: append([]int(nil), fwd...)}, nil
 }

@@ -117,15 +117,6 @@ func Mul(dst, a, b []float64) []float64 {
 	return dst
 }
 
-// Div stores the element-wise quotient a/b into dst and returns dst.
-func Div(dst, a, b []float64) []float64 {
-	dst = ensure(dst, len(a))
-	for i, av := range a {
-		dst[i] = av / b[i]
-	}
-	return dst
-}
-
 // Scale stores s·a into dst and returns dst.
 func Scale(dst []float64, s float64, a []float64) []float64 {
 	dst = ensure(dst, len(a))

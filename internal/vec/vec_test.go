@@ -62,9 +62,6 @@ func TestElementwiseOps(t *testing.T) {
 	if got := Mul(nil, a, b); !ApproxEqual(got, []float64{4, 10, 18}, 0) {
 		t.Fatalf("Mul = %v", got)
 	}
-	if got := Div(nil, b, a); !ApproxEqual(got, []float64{4, 2.5, 2}, 0) {
-		t.Fatalf("Div = %v", got)
-	}
 	if got := Scale(nil, 2, a); !ApproxEqual(got, []float64{2, 4, 6}, 0) {
 		t.Fatalf("Scale = %v", got)
 	}
@@ -87,27 +84,6 @@ func TestHadamardIdentity6(t *testing.T) {
 			Mul(nil, Sub(nil, a, ones), Sub(nil, b, ones)))
 		if !ApproxEqual(lhs, rhs, 1e-12) {
 			t.Fatalf("identity (6) violated: %v vs %v", lhs, rhs)
-		}
-	}
-}
-
-func TestHadamardIdentity7(t *testing.T) {
-	// Equation 7 of the paper: (a◦b)/(c◦d) = (a/c)◦(b/d).
-	r := rng.NewSeeded(3)
-	for trial := 0; trial < 100; trial++ {
-		n := 9
-		a := rng.Gaussian(r, nil, n)
-		b := rng.Gaussian(r, nil, n)
-		c := make([]float64, n)
-		d := make([]float64, n)
-		for i := range c {
-			c[i] = rng.UniformNonZero(r, 0.5, 2)
-			d[i] = rng.UniformNonZero(r, 0.5, 2)
-		}
-		lhs := Div(nil, Mul(nil, a, b), Mul(nil, c, d))
-		rhs := Mul(nil, Div(nil, a, c), Div(nil, b, d))
-		if !ApproxEqual(lhs, rhs, 1e-12) {
-			t.Fatalf("identity (7) violated: %v vs %v", lhs, rhs)
 		}
 	}
 }
