@@ -132,7 +132,7 @@ func runEncrypt(args []string) error {
 	in := fs.String("in", "", "input fvecs database (required)")
 	dbOut := fs.String("db", "db.ppanns", "encrypted database output")
 	keyOut := fs.String("key", "user.key", "user key output")
-	beta := fs.Float64("beta", -1, "DCPE β (default: calibrate for filter recall ≈ 0.5)")
+	beta := fs.Float64("beta", 0, "DCPE β (default: calibrate for filter recall ≈ 0.5)")
 	backend := fs.String("index", "hnsw", fmt.Sprintf("filter-index backend (%s)", strings.Join(ppanns.Backends(), " | ")))
 	m := fs.Int("m", 16, "HNSW M")
 	efc := fs.Int("efc", 200, "HNSW efConstruction")
@@ -150,9 +150,12 @@ func runEncrypt(args []string) error {
 	vectors := ds.Slices()
 	fmt.Printf("loaded %d %d-dim vectors from %s\n", len(vectors), ds.Dim(), *in)
 
-	b := *beta
-	if b < 0 {
-		// Calibrate like the paper: filter-phase ceiling ≈ 0.5.
+	b, given := *beta, false
+	fs.Visit(func(f *flag.Flag) { given = given || f.Name == "beta" })
+	if !given {
+		// Calibrate like the paper: filter-phase ceiling ≈ 0.5. A given β,
+		// negative or not finite included, goes to NewDataOwner, which
+		// refuses what it cannot use.
 		b, err = core.CalibrateBeta(vectors, vectors[:min(50, len(vectors))], 10, 0.5, 42)
 		if err != nil {
 			return fmt.Errorf("encrypt: %w (pass -beta)", err)

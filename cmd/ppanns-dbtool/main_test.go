@@ -111,3 +111,20 @@ func TestEncryptRefusesUncalibratedBeta(t *testing.T) {
 		t.Fatalf("encrypt of 5 vectors without -beta: err = %v, want one saying to pass -beta", err)
 	}
 }
+
+// TestEncryptRefusesGivenBadBeta: a -beta that was given is used, never
+// replaced by a calibrated one, so a negative or infinite β is refused
+// (by NewDataOwner) instead of silently calibrating.
+func TestEncryptRefusesGivenBadBeta(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "forty.fvecs")
+	if err := writeFvecs(in, dataset.DeepLike(40, 1, 1).Train); err != nil {
+		t.Fatal(err)
+	}
+	for _, beta := range []string{"-5", "-1", "-Inf", "+Inf", "NaN"} {
+		err := runEncrypt([]string{"-in", in, "-db", filepath.Join(dir, "db"), "-key", filepath.Join(dir, "key"), "-seed", "3", "-beta", beta})
+		if err == nil || !strings.Contains(err.Error(), "non-negative and finite") {
+			t.Errorf("encrypt -beta %s: err = %v, want the refusal of a negative or non-finite β", beta, err)
+		}
+	}
+}

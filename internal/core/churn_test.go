@@ -204,6 +204,7 @@ func TestChurnCompactionConformance(t *testing.T) {
 				liveIDs[i] = i
 			}
 			inserts := 0
+			inserted := map[int][]float64{} // the SAP row of every insert, for checkColumns
 			for m := 0; m < mutations; m++ {
 				if m%3 != 2 {
 					payload, err := w.owner.EncryptVector(fresh[inserts])
@@ -214,6 +215,7 @@ func TestChurnCompactionConformance(t *testing.T) {
 					if err != nil {
 						t.Fatalf("mutation %d (insert): %v", m, err)
 					}
+					inserted[id] = payload.SAP
 					liveIDs = append(liveIDs, id)
 					inserts++
 				} else {
@@ -255,6 +257,7 @@ func TestChurnCompactionConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				inserted[id] = payload.SAP
 				liveIDs = append(liveIDs, id)
 			}
 			if err := w.server.Delete(liveIDs[0]); err != nil {
@@ -268,6 +271,10 @@ func TestChurnCompactionConformance(t *testing.T) {
 			}
 			total := w.server.Len()
 			tiered := searchAll(t, w.server, toks, k, total)
+			// The folds grafted the inserts that landed mid-rebuild: the SAP
+			// column must still hold every insert's own row.
+			sp := w.server.snap.Load()
+			checkColumns(t, "tiered", sp.edb, sp.frozen, sp.clean(), inserted)
 
 			// Flush: same results from the compacted single-tier state.
 			if _, err := w.server.Flush(); err != nil {

@@ -41,6 +41,7 @@ import (
 	"ppanns/internal/index"
 	"ppanns/internal/pq"
 	"ppanns/internal/rng"
+	"ppanns/internal/vec"
 )
 
 // sapScale is DCPE's scaling factor s, the paper's 1024. SAP ordering does
@@ -129,18 +130,24 @@ type QueryToken struct {
 	Trapdoor *dce.Trapdoor
 }
 
-// EncryptedDatabase is the server-side state: the filter index over SAP
-// ciphertexts (which owns the C_SAP vectors) plus the DCE ciphertexts in a
-// flat arena store.
+// EncryptedDatabase is the server-side state: three columns over the id
+// space [0, Len) — the C_SAP vectors, the DCE ciphertexts and, optionally,
+// the PQ codes — plus the filter index over the SAP vectors.
 //
-// External ids (what users see, and what index the DCE store) are the data
+// External ids (what users see, and what index every column) are the data
 // owner's vector positions; every index backend returns
 // positions from Search, keeping any internal id remapping to itself.
 type EncryptedDatabase struct {
 	Dim     int
 	Backend string
 	Index   index.SecureIndex
-	DCE     *dce.CiphertextStore
+	// SAP is the C_SAP column: row id is id's SAP ciphertext, a zero row
+	// at a dead slot. On a built or loaded database it is the index's own
+	// row arena (Index.Rows()), not a copy; a server appends inserts past
+	// the index's rows, copy-on-write, so the column keeps spanning
+	// [0, Len) while the index covers the prefix it was built over.
+	SAP *vec.Dataset
+	DCE *dce.CiphertextStore
 	// PQ is the compressed filter tier: a product-quantization codebook
 	// plus one M-byte code per position, trained server-side on the SAP
 	// ciphertexts (no new leakage — the codes are a lossy function of data

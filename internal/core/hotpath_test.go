@@ -6,6 +6,7 @@ import (
 
 	"ppanns/internal/index"
 	"ppanns/internal/resultheap"
+	"ppanns/internal/vec"
 )
 
 // TestSearchIntoZeroAlloc pins the hot-path guarantee: once the scratch
@@ -94,12 +95,8 @@ type rogueIndex struct {
 	shift int
 }
 
-func (r *rogueIndex) Search(q []float64, k, ef int) []resultheap.Item {
-	return r.SearchInto(nil, q, k, ef)
-}
-
-func (r *rogueIndex) SearchInto(dst []resultheap.Item, q []float64, k, ef int) []resultheap.Item {
-	dst = r.SecureIndex.SearchInto(dst, q, k, ef)
+func (r *rogueIndex) SearchIntoDist(dst []resultheap.Item, q []float64, k, ef int, sc vec.BlockScanner) []resultheap.Item {
+	dst = r.SecureIndex.SearchIntoDist(dst, q, k, ef, sc)
 	for i := range dst {
 		dst[i].ID += r.shift
 	}

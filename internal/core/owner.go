@@ -232,6 +232,7 @@ func (o *DataOwner) EncryptDatabase(vectors [][]float64) (*EncryptedDatabase, er
 		Dim:     o.params.Dim,
 		Backend: o.params.Index,
 		Index:   idx,
+		SAP:     idx.Rows(),
 		DCE:     store,
 		PQ:      pqStore,
 	}, nil

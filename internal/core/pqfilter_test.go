@@ -178,9 +178,8 @@ func TestPQChurnConformance(t *testing.T) {
 }
 
 // checkCodes verifies that rows [lo, hi) of the snapshot's code arena are
-// the codebook's encoding of the corresponding SAP vectors — frozen ids
-// from the index, delta-tier ids from the snapshot's delta arena (skipping
-// tombstoned ids, whose rows may be zeroed by a fold).
+// the codebook's encoding of the corresponding rows of the SAP column
+// (skipping tombstoned ids, whose rows may be zeroed by a fold).
 func checkCodes(t *testing.T, sp *snapshot, lo, hi int) {
 	t.Helper()
 	code := make([]byte, sp.edb.PQ.Book.M())
@@ -188,17 +187,7 @@ func checkCodes(t *testing.T, sp *snapshot, lo, hi int) {
 		if sp.deadAt(id) {
 			continue
 		}
-		var v []float64
-		if id >= sp.frozen {
-			v = sp.deltaSAP[id-sp.frozen]
-		} else {
-			var ok bool
-			v, ok = sp.edb.Index.Vector(id)
-			if !ok {
-				t.Fatalf("index lost vector %d", id)
-			}
-		}
-		sp.edb.PQ.Book.EncodeInto(code, v)
+		sp.edb.PQ.Book.EncodeInto(code, sp.edb.SAP.At(id))
 		if !bytes.Equal(code, sp.edb.PQ.Codes.Row(id)) {
 			t.Fatalf("code row %d diverges from the codebook's encoding", id)
 		}

@@ -16,26 +16,22 @@ import (
 // or names a dead record, position j is a dead slot: a nil row, a zeroed
 // ciphertext record and a zeroed PQ code row. gather writes -1 into ids at
 // every such position, so the map the stores copy by is the one the rows
-// were gathered by. row supplies the SAP vector of a live source position.
+// were gathered by. The rows come from the SAP column.
 //
-// build makes the filter index over the gathered rows. gather then copies
-// the ciphertext records and, when the source carries a PQ tier, the code
-// rows under the shared codebook, into private arenas; retraining is the
-// caller's step (foldPQ). The result is checked once: the index must hold
-// exactly the live records of the store.
-func (e *EncryptedDatabase) gather(ids []int, row func(id int) ([]float64, bool),
-	build func(vecs [][]float64) (index.SecureIndex, error)) (*EncryptedDatabase, [][]float64, error) {
+// build makes the filter index over the gathered rows, and its row arena
+// is the result's SAP column. gather then copies the ciphertext records
+// and, when the source carries a PQ tier, the code rows under the shared
+// codebook, into private arenas; retraining is the caller's step (foldPQ).
+// The result is checked once: the index must hold exactly the live records
+// of the store.
+func (e *EncryptedDatabase) gather(ids []int, build func(vecs [][]float64) (index.SecureIndex, error)) (*EncryptedDatabase, [][]float64, error) {
 	vecs := make([][]float64, len(ids))
 	for j, id := range ids {
 		if id < 0 || !e.DCE.Has(id) {
 			ids[j] = -1
 			continue
 		}
-		v, ok := row(id)
-		if !ok {
-			return nil, nil, fmt.Errorf("%s index has no vector for id %d", e.Backend, id)
-		}
-		vecs[j] = v
+		vecs[j] = e.SAP.At(id)
 	}
 	idx, err := build(vecs)
 	if err != nil {
@@ -45,20 +41,11 @@ func (e *EncryptedDatabase) gather(ids []int, row func(id int) ([]float64, bool)
 	if idx.Len() != store.Live() {
 		return nil, nil, fmt.Errorf("%s index holds %d live vectors, ciphertext store %d", e.Backend, idx.Len(), store.Live())
 	}
-	ne := &EncryptedDatabase{Dim: e.Dim, Backend: e.Backend, Index: idx, DCE: store}
+	ne := &EncryptedDatabase{Dim: e.Dim, Backend: e.Backend, Index: idx, SAP: idx.Rows(), DCE: store}
 	if e.PQ != nil {
 		ne.PQ = &pq.Store{Book: e.PQ.Book, Codes: e.PQ.Codes.Gather(ids), TrainedOn: e.PQ.TrainedOn, Cfg: e.PQ.Cfg}
 	}
 	return ne, vecs, nil
-}
-
-// identity returns the id map 0, 1, …, n-1.
-func identity(n int) []int {
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	return ids
 }
 
 // foldPQ is the PQ step of a compaction, online or offline: vecs are the
@@ -101,7 +88,7 @@ func (e *EncryptedDatabase) Compacted() (*EncryptedDatabase, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("core: offline compaction: database has no live records")
 	}
-	ne, vecs, err := e.gather(ids, e.Index.Vector, e.Index.Rebuild)
+	ne, vecs, err := e.gather(ids, e.Index.Rebuild)
 	if err == nil {
 		_, err = foldPQ(ne, vecs)
 	}
@@ -122,8 +109,8 @@ func (e *EncryptedDatabase) Compacted() (*EncryptedDatabase, error) {
 // Shard s is the gather over the map local ↦ local·n + s. A tombstoned id
 // keeps its slot as a dead one, so local ids stay dense and the arithmetic
 // mapping never shifts. Each shard gets its stripe of the ciphertext arena
-// and a freshly built filter index over the stripe's SAP vectors,
-// recovered from the source index via SecureIndex.Vector. When present,
+// and a freshly built filter index over the stripe's rows of the SAP
+// column. When present,
 // the PQ code rows are gathered too, under the shared codebook: it was fit
 // on the full corpus, so it is never retrained here, and PQ distances stay
 // comparable across stripes.
@@ -153,7 +140,7 @@ func (e *EncryptedDatabase) Split(n int, opts index.Options) ([]*EncryptedDataba
 		if o.Seed != 0 {
 			o.Seed = opts.Seed + uint64(s) + 1
 		}
-		shard, _, err := e.gather(ids, e.Index.Vector, func(vecs [][]float64) (index.SecureIndex, error) {
+		shard, _, err := e.gather(ids, func(vecs [][]float64) (index.SecureIndex, error) {
 			return index.Build(e.Backend, vecs, o)
 		})
 		if err != nil {

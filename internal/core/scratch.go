@@ -6,6 +6,7 @@ import (
 	"ppanns/internal/dce"
 	"ppanns/internal/pq"
 	"ppanns/internal/resultheap"
+	"ppanns/internal/vec"
 )
 
 // searchScratch is the per-search working set, pooled so the steady-state
@@ -21,17 +22,21 @@ type searchScratch struct {
 	sorted []int
 	tier   tierScratch
 	heap   resultheap.CompareHeap
+	exact  vec.Exact
 	pqsc   pq.Scanner
 	dce    dceComparator
 }
 
 // tierScratch is the filter phase's two-tier staging area: the main-tier
-// index results (pre-masking) and the top-k′ pool snapshot.filterInto
-// merges both tiers in. Pooled alongside the rest of the search scratch so
-// the tiered filter allocates nothing in steady state.
+// index results (pre-masking), the live delta ids with their distances,
+// and the top-k′ pool snapshot.filterInto merges both tiers in. Pooled
+// alongside the rest of the search scratch so the tiered filter allocates
+// nothing in steady state.
 type tierScratch struct {
-	main []resultheap.Item
-	pool resultheap.Pool
+	main  []resultheap.Item
+	ids   []int32
+	dists []float64
+	pool  resultheap.Pool
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
@@ -42,6 +47,7 @@ func putScratch(sc *searchScratch) {
 	// Drop per-query references (trapdoors, the ciphertext store) so a
 	// pooled scratch never pins another tenant's query material; the flat
 	// buffers are the point of the pool and stay.
+	sc.exact.Reset()
 	sc.pqsc.Reset()
 	sc.dce = dceComparator{}
 	scratchPool.Put(sc)

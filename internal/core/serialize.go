@@ -196,7 +196,7 @@ func LoadEncryptedDatabase(r io.Reader) (*EncryptedDatabase, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: loading %s index: %w", backend, err)
 	}
-	e.Index = idx
+	e.Index, e.SAP = idx, idx.Rows()
 	if err := d.Done(); err != nil {
 		return nil, fmt.Errorf("core: database file: %w", err)
 	}

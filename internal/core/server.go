@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -156,22 +157,19 @@ type SearchStats struct {
 //
 // The database state is LSM-shaped. Ids [0, frozen) are the main tier,
 // covered by the frozen filter index edb.Index; ids [frozen, edb.Len())
-// are the delta tier, whose SAP ciphertexts live in deltaSAP and are
-// brute-force scanned at query time. The DCE ciphertext store spans both
-// tiers in one arena (main prefix, delta suffix), so the refine phase —
-// and every consumer of DCE records downstream of it — is tier-blind.
-// Pending deletes from either tier sit in tombs until a compaction folds
-// delta and tombstones into a rebuilt main index (see compactOnce).
+// are the delta tier, brute-force scanned at query time. Every column of
+// edb — the SAP rows, the DCE ciphertexts and the PQ codes — spans both
+// tiers in one arena (main prefix, delta suffix), so one distance provider
+// scores candidates of either tier, and the refine phase — and every
+// consumer of DCE records downstream of it — is tier-blind. Pending
+// deletes from either tier sit in tombs until a compaction folds delta and
+// tombstones into a rebuilt main index (see compactOnce).
 type snapshot struct {
 	edb *EncryptedDatabase
 	// frozen is the main-tier size: edb.Index covers exactly the ids
 	// [0, frozen), with a dead slot at each id a fold dropped (pending
 	// tombstones are masked at query time, not applied to the index).
 	frozen int
-	// deltaSAP holds the delta tier's SAP ciphertexts: deltaSAP[i] is the
-	// vector of id frozen+i. Appended to under the writer mutex with the
-	// same append-only discipline as the ciphertext arena.
-	deltaSAP [][]float64
 	// tombs is the set of ids deleted since the last compaction, covering
 	// both tiers; nil means none. Never mutated once published — Delete
 	// publishes a fresh set.
@@ -197,8 +195,11 @@ func (sp *snapshot) tombed(id int) bool {
 // clean reports whether the snapshot has no delta tier and no pending
 // tombstones — i.e. edb alone is the complete, consistent database.
 func (sp *snapshot) clean() bool {
-	return len(sp.deltaSAP) == 0 && len(sp.tombs) == 0
+	return sp.delta() == 0 && len(sp.tombs) == 0
 }
+
+// delta is the delta tier's record count.
+func (sp *snapshot) delta() int { return sp.edb.Len() - sp.frozen }
 
 // deadAt reports whether id is deleted in this snapshot, in either
 // representation: compacted away in the store, or pending in tombs.
@@ -210,23 +211,19 @@ func (sp *snapshot) deadAt(id int) bool {
 func (sp *snapshot) live() int { return sp.edb.DCE.Live() - len(sp.tombs) }
 
 // filterInto runs the filter phase over both tiers: a k′-ANNS on the
-// frozen main index plus an exact scan of the delta segment, tombstones
-// masked, merged closest-first into dst. On a clean snapshot this is
-// exactly the index search. The merge is one top-k′ pool on the filter
-// phase's native keys — squared L2 over SAP ciphertexts, or the PQ
-// scanner's asymmetric distances when one is bound — so a merged list is
-// ordered identically to what a single index over both tiers would
-// return. The pool takes the main-tier answer in order, then the delta
-// tier in id order, and keeps equals in arrival order: a tie goes to the
-// main tier, and inside the delta to the lower id. When psc is non-nil it
-// supplies every candidate distance in both tiers (the code arena spans
-// them in one id space, exactly like the DCE store).
-func (sp *snapshot) filterInto(ts *tierScratch, dst []resultheap.Item, q []float64, kPrime, ef int, psc *pq.Scanner) []resultheap.Item {
+// frozen main index plus a scan of the delta segment, tombstones masked,
+// merged closest-first into dst. On a clean snapshot this is exactly the
+// index search. Every candidate distance in both tiers comes from dist,
+// the query's one distance provider — squared L2 over the SAP column, or
+// the PQ scanner's asymmetric distances over the code arena; both columns
+// span the id space. The merge is one top-k′ pool on those keys, so a
+// merged list is ordered identically to what a single index over both
+// tiers would return. The pool takes the main-tier answer in order, then
+// the delta tier in id order, and keeps equals in arrival order: a tie
+// goes to the main tier, and inside the delta to the lower id.
+func (sp *snapshot) filterInto(ts *tierScratch, dst []resultheap.Item, q []float64, kPrime, ef int, dist vec.BlockScanner) []resultheap.Item {
 	if sp.clean() {
-		if psc != nil {
-			return sp.edb.Index.SearchIntoDist(dst, q, kPrime, ef, psc)
-		}
-		return sp.edb.Index.SearchInto(dst, q, kPrime, ef)
+		return sp.edb.Index.SearchIntoDist(dst, q, kPrime, ef, dist)
 	}
 	// Main tier: over-fetch by the pending main-tier tombstone count so
 	// masking cannot leave the pool short of live candidates.
@@ -235,11 +232,7 @@ func (sp *snapshot) filterInto(ts *tierScratch, dst []resultheap.Item, q []float
 	if efMain < kMain {
 		efMain = kMain
 	}
-	if psc != nil {
-		ts.main = sp.edb.Index.SearchIntoDist(ts.main[:0], q, kMain, efMain, psc)
-	} else {
-		ts.main = sp.edb.Index.SearchInto(ts.main[:0], q, kMain, efMain)
-	}
+	ts.main = sp.edb.Index.SearchIntoDist(ts.main[:0], q, kMain, efMain, dist)
 	pool := &ts.pool
 	pool.Reset()
 	for _, it := range ts.main {
@@ -247,21 +240,19 @@ func (sp *snapshot) filterInto(ts *tierScratch, dst []resultheap.Item, q []float
 			pool.Offer(int32(it.ID), it.Dist, kPrime)
 		}
 	}
-	// Delta tier: exact distances over the (small) mutable segment.
-	// Delta ids can only be dead via tombs — store flags change at
-	// compaction, which empties the delta.
-	for i, v := range sp.deltaSAP {
-		id := sp.frozen + i
-		if sp.tombed(id) {
-			continue
+	// Delta tier: one block scan of the live ids of the (small) mutable
+	// segment. Delta ids can only be dead via tombs — store flags change
+	// at compaction, which empties the delta.
+	ts.ids = ts.ids[:0]
+	for id := sp.frozen; id < sp.edb.Len(); id++ {
+		if !sp.tombed(id) {
+			ts.ids = append(ts.ids, int32(id))
 		}
-		var d float64
-		if psc != nil {
-			d = psc.Dist(int32(id)) // inserts are PQ-encoded on arrival
-		} else {
-			d = vec.SqDist(q, v)
-		}
-		pool.Offer(int32(id), d, kPrime)
+	}
+	ts.dists = slices.Grow(ts.dists[:0], len(ts.ids))[:len(ts.ids)]
+	dist.DistBlock(ts.dists, ts.ids)
+	for j, id := range ts.ids {
+		pool.Offer(id, ts.dists[j], kPrime)
 	}
 	return pool.AppendItems(dst, kPrime)
 }
@@ -304,7 +295,7 @@ type ServerOptions struct {
 // Reads are lock-free: Search and every accessor load the current snapshot
 // and never block, regardless of concurrent mutations. Insert and Delete
 // serialize among themselves on a writer mutex and are O(delta): an insert
-// appends to the delta tier (ciphertext arena, SAP list), a delete adds a
+// appends to the delta tier (the SAP, DCE and PQ columns), a delete adds a
 // pending tombstone — neither clones the frozen filter index. Writers
 // publish the result atomically; a failed mutation publishes nothing, so
 // there is no window in which the index and ciphertext store can be
@@ -347,7 +338,7 @@ func NewServer(edb *EncryptedDatabase) (*Server, error) {
 
 // NewServerWith is NewServer with explicit write-path options.
 func NewServerWith(edb *EncryptedDatabase, o ServerOptions) (*Server, error) {
-	if edb == nil || edb.Index == nil || edb.DCE == nil || edb.DCE.Len() == 0 {
+	if edb == nil || edb.Index == nil || edb.DCE == nil || edb.DCE.Len() == 0 || edb.SAP == nil || edb.SAP.Len() != edb.DCE.Len() {
 		return nil, fmt.Errorf("core: incomplete encrypted database")
 	}
 	if o.CompactAt == 0 {
@@ -506,21 +497,25 @@ func (sp *snapshot) search(dst []int, tok *QueryToken, k int, opt SearchOptions)
 	defer putScratch(sc)
 
 	// Filter phase (Algorithm 2 line 1): k′-ANNS over SAP ciphertexts,
-	// both tiers merged. With FilterPQ the asymmetric distance table is
-	// computed once here; every candidate the walk touches then costs M
-	// byte-indexed lookups instead of a dim-float memory sweep.
-	var psc *pq.Scanner
-	if opt.FilterDist == FilterPQ {
+	// both tiers merged, every distance from one provider. With FilterPQ
+	// the asymmetric distance table is computed once here; every candidate
+	// the walk touches then costs M byte-indexed lookups instead of a
+	// dim-float memory sweep.
+	var dist vec.BlockScanner
+	switch opt.FilterDist {
+	case FilterExact:
+		dist = sc.exact.Bind(edb.SAP, tok.SAP)
+	case FilterPQ:
 		if edb.PQ == nil {
 			return dst[:0], st, fmt.Errorf("core: FilterPQ requested but database carries no PQ store (build with Params.PQ)")
 		}
-		psc = &sc.pqsc
-		psc.Prepare(edb.PQ.Book, edb.PQ.Codes, tok.SAP)
-	} else if opt.FilterDist != FilterExact {
+		sc.pqsc.Prepare(edb.PQ.Book, edb.PQ.Codes, tok.SAP)
+		dist = &sc.pqsc
+	default:
 		return dst[:0], st, fmt.Errorf("core: unknown filter distance mode %d", opt.FilterDist)
 	}
 	start := time.Now()
-	sc.items = sp.filterInto(&sc.tier, sc.items[:0], tok.SAP, kPrime, ef, psc)
+	sc.items = sp.filterInto(&sc.tier, sc.items[:0], tok.SAP, kPrime, ef, dist)
 	st.FilterTime = time.Since(start)
 	st.Candidates = len(sc.items)
 	if len(sc.items) == 0 {
@@ -576,11 +571,11 @@ func (sp *snapshot) search(dst []int, tok *QueryToken, k int, opt SearchOptions)
 // backend accepts inserts: they land in the delta tier, not the frozen
 // index, which a fold rebuilds.
 //
-// Insert is O(1)-ish: it appends the DCE ciphertext to the shared arena
-// (past every published snapshot's length), appends the SAP vector to the
-// delta list, and publishes a new snapshot — no index clone, no work
-// proportional to the database size. A failed insert (validation, or a WAL
-// append failure) publishes nothing.
+// Insert is O(1)-ish: it appends the SAP vector, the DCE ciphertext and
+// the PQ code to their column arenas (past every published snapshot's
+// length) and publishes a new snapshot — no index clone, no work
+// proportional to the database size beyond an arena's doubling. A failed
+// insert (validation, or a WAL append failure) publishes nothing.
 //
 // With a WAL attached the insert is append-then-ack: the encrypted payload
 // (SAP + DCE record + PQ code row) is logged before the snapshot publishes,
@@ -659,10 +654,10 @@ func (sp *snapshot) checkInsert(p *InsertPayload, code []byte) error {
 func (s *Server) publishInsert(cur *snapshot, sapIn, rec []float64, code []byte) int {
 	edb := cur.edb
 	pos := edb.DCE.Len()
-	// The arena append writes past every published snapshot's length —
-	// invisible to in-flight readers; likewise the SAP and PQ-code appends.
+	// Each column append writes past every published snapshot's length —
+	// invisible to in-flight readers and to the index, whose rows end at
+	// the main tier.
 	store := edb.DCE.Extend(rec)
-	sap := append([]float64(nil), sapIn...)
 	var pqStore *pq.Store
 	if edb.PQ != nil {
 		pqStore = &pq.Store{
@@ -677,11 +672,11 @@ func (s *Server) publishInsert(cur *snapshot, sapIn, rec []float64, code []byte)
 			Dim:     edb.Dim,
 			Backend: edb.Backend,
 			Index:   edb.Index,
+			SAP:     edb.SAP.Extend(sapIn),
 			DCE:     store,
 			PQ:      pqStore,
 		},
 		frozen:   cur.frozen,
-		deltaSAP: append(cur.deltaSAP, sap),
 		tombs:    cur.tombs,
 		mainDead: cur.mainDead,
 		epoch:    cur.epoch + 1,
@@ -750,7 +745,6 @@ func (s *Server) publishDelete(cur *snapshot, pos int) {
 	s.snap.Store(&snapshot{
 		edb:      cur.edb,
 		frozen:   cur.frozen,
-		deltaSAP: cur.deltaSAP,
 		tombs:    tombs,
 		mainDead: mainDead,
 		epoch:    cur.epoch + 1,
@@ -794,7 +788,7 @@ func (s *Server) CompactionStats() CompactionStats {
 		Len:        sp.edb.DCE.Len(),
 		Live:       sp.live(),
 		Frozen:     sp.frozen,
-		Delta:      len(sp.deltaSAP),
+		Delta:      sp.delta(),
 		Tombstones: len(sp.tombs),
 		Compacting: s.compacting.Load(),
 	}
@@ -807,12 +801,6 @@ func (s *Server) CompactionStats() CompactionStats {
 	}
 	s.statMu.Unlock()
 	return cs
-}
-
-// deltaBytes estimates the delta tier's footprint: the padded ciphertext
-// records plus the SAP vectors.
-func (s *Server) deltaBytes(sp *snapshot) int {
-	return len(sp.deltaSAP) * 8 * (sp.edb.DCE.Stride() + sp.edb.Dim)
 }
 
 // MemoryStats is the published snapshot's memory footprint split by
@@ -839,7 +827,7 @@ func (s *Server) MemoryStats() MemoryStats {
 		N:          sp.edb.DCE.Len(),
 		SAP:        float64(8 * vec.PadStride(sp.edb.Dim)),
 		DCE:        float64(8 * sp.edb.DCE.Stride()),
-		DeltaBytes: s.deltaBytes(sp),
+		DeltaBytes: sp.delta() * 8 * (sp.edb.DCE.Stride() + sp.edb.SAP.Stride()),
 	}
 	if sp.edb.PQ != nil && m.N > 0 {
 		m.PQCodes = float64(len(sp.edb.PQ.Codes.Raw())) / float64(m.N)
@@ -851,7 +839,7 @@ func (s *Server) MemoryStats() MemoryStats {
 // overThreshold reports whether the snapshot's pending write state has
 // outgrown the configured compaction trigger.
 func (s *Server) overThreshold(sp *snapshot) bool {
-	return s.compactAt >= 0 && (len(sp.deltaSAP) >= s.compactAt || len(sp.tombs) >= s.compactAt)
+	return s.compactAt >= 0 && (sp.delta() >= s.compactAt || len(sp.tombs) >= s.compactAt)
 }
 
 // maybeCompact starts the background compactor if the pending write state
@@ -912,15 +900,13 @@ func (s *Server) compactOnce() error {
 }
 
 // compactFold is the fold: the gather (relayout.go) over the identity map
-// of the base snapshot's [0, n), pending tombstones dead, with each live
-// position's SAP vector taken from the frozen index (main tier) or the
-// snapshot (delta tier) and the index Rebuilt under the serving
-// configuration; then foldPQ's 2× retrain rule. The rebuilt index and the
-// private arenas hold each dead id as an empty slot: the id space never
-// shifts (shard striping and user-visible ids depend on stable positions),
-// and no dead vector or ciphertext survives the fold. The old chain keeps
-// serving in-flight readers. The checkpoint capture, the pre-graft and the
-// swap graft follow.
+// of the base snapshot's [0, n), pending tombstones dead, with the index
+// Rebuilt under the serving configuration; then foldPQ's 2× retrain rule.
+// The rebuilt index and the private arenas hold each dead id as an empty
+// slot: the id space never shifts (shard striping and user-visible ids
+// depend on stable positions), and no dead vector or ciphertext survives
+// the fold. The old chain keeps serving in-flight readers. The checkpoint
+// capture, the pre-graft and the swap graft follow.
 func (s *Server) compactFold() error {
 	start := time.Now()
 	base := s.snap.Load()
@@ -930,17 +916,14 @@ func (s *Server) compactFold() error {
 	edb := base.edb
 	n := edb.DCE.Len()
 
-	ids := identity(n)
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
 	for t := range base.tombs {
 		ids[t] = -1
 	}
-	row := func(g int) ([]float64, bool) {
-		if g >= base.frozen {
-			return base.deltaSAP[g-base.frozen], true
-		}
-		return edb.Index.Vector(g)
-	}
-	folded, vecs, err := edb.gather(ids, row, edb.Index.Rebuild)
+	folded, vecs, err := edb.gather(ids, edb.Index.Rebuild)
 	if err != nil {
 		return fmt.Errorf("core: compaction: %w", err)
 	}
@@ -950,9 +933,9 @@ func (s *Server) compactFold() error {
 	}
 	idx, store, pqs := folded.Index, folded.DCE, folded.PQ
 	// graftCode carries id g's code into the folded arena: copied from the
-	// serving store when the codebook was reused, re-encoded from the
-	// delta-tier SAP vector when a retrain replaced it (old codes are
-	// meaningless under a new codebook).
+	// serving store when the codebook was reused, re-encoded from the SAP
+	// column when a retrain replaced it (old codes are meaningless under a
+	// new codebook).
 	var codeBuf []byte
 	graftCode := func(from *snapshot, g int) {
 		if !pqRetrained {
@@ -962,7 +945,7 @@ func (s *Server) compactFold() error {
 		if codeBuf == nil {
 			codeBuf = make([]byte, pqs.Book.M())
 		}
-		pqs.Book.EncodeInto(codeBuf, from.deltaSAP[g-base.frozen])
+		pqs.Book.EncodeInto(codeBuf, from.edb.SAP.At(g))
 		pqs.Codes.Append(codeBuf)
 	}
 
@@ -981,6 +964,7 @@ func (s *Server) compactFold() error {
 			Dim:     edb.Dim,
 			Backend: edb.Backend,
 			Index:   idx,
+			SAP:     folded.SAP,
 			DCE:     store.Snapshot(),
 			PQ:      ckptPQ,
 		}
@@ -990,17 +974,24 @@ func (s *Server) compactFold() error {
 	// Records past the base snapshot's length are append-only and
 	// immutable once visible in a published snapshot, so they are safe to
 	// copy here; the locked section below then carries only the handful
-	// of records that land while this loop runs. The reservation pulls
-	// the repacked arena's first regrowth (a full-arena copy — Gather
-	// allocates it exactly full) out of the writers' critical section.
+	// of records that land while this loop runs. The reservations pull
+	// the repacked arenas' first regrowth (a full-arena copy — Gather and
+	// the index build allocate them exactly full) out of the writers'
+	// critical section. The SAP reservation moves the rebuilt index's own
+	// row arena, which nothing reads until the swap publishes it, so the
+	// column and the index keep sharing one array; the grafts then append
+	// to a clone of its header, past the index's rows.
 	pre := s.snap.Load()
 	preN := pre.edb.DCE.Len()
 	store.Reserve(preN - n + 64)
+	folded.SAP.Reserve(preN - n + 64)
+	sap := *folded.SAP
 	if pqs != nil {
 		pqs.Codes.Reserve(preN - n + 64)
 	}
 	for g := n; g < preN; g++ {
 		store.AppendRecord(pre.edb.DCE.Record(g))
+		sap.Append(pre.edb.SAP.At(g))
 		if pqs != nil {
 			graftCode(pre, g)
 		}
@@ -1015,11 +1006,11 @@ func (s *Server) compactFold() error {
 	curN := cur.edb.DCE.Len()
 	for g := preN; g < curN; g++ {
 		store.AppendRecord(cur.edb.DCE.Record(g))
+		sap.Append(cur.edb.SAP.At(g))
 		if pqs != nil {
 			graftCode(cur, g)
 		}
 	}
-	deltaSAP := append([][]float64(nil), cur.deltaSAP[n-base.frozen:]...)
 	var tombs map[int]struct{}
 	mainDead := 0
 	for t := range cur.tombs {
@@ -1039,11 +1030,11 @@ func (s *Server) compactFold() error {
 			Dim:     edb.Dim,
 			Backend: edb.Backend,
 			Index:   idx,
+			SAP:     &sap,
 			DCE:     store,
 			PQ:      pqs,
 		},
 		frozen:   n,
-		deltaSAP: deltaSAP,
 		tombs:    tombs,
 		mainDead: mainDead,
 		epoch:    cur.epoch, // representation change, not a mutation

@@ -9,6 +9,7 @@ import (
 	"ppanns/internal/index"
 	"ppanns/internal/pq"
 	"ppanns/internal/resultheap"
+	"ppanns/internal/vec"
 )
 
 // TestTierMergeTieRule pins how the filter phase merges the tiers at equal
@@ -56,13 +57,14 @@ func TestTierMergeTieRule(t *testing.T) {
 			}
 			var psc pq.Scanner
 			psc.Prepare(sp.edb.PQ.Book, sp.edb.PQ.Codes, tok.SAP)
+			var exact vec.Exact
 			for _, mode := range []struct {
 				name string
-				psc  *pq.Scanner
-			}{{"exact", nil}, {"pq", &psc}} {
+				dist vec.BlockScanner
+			}{{"exact", exact.Bind(sp.edb.SAP, tok.SAP)}, {"pq", &psc}} {
 				var ts tierScratch
 				filter := func(kPrime int) []resultheap.Item {
-					return sp.filterInto(&ts, nil, tok.SAP, kPrime, n+1, mode.psc)
+					return sp.filterInto(&ts, nil, tok.SAP, kPrime, n+1, mode.dist)
 				}
 				items := filter(n + 1)
 				at := slices.IndexFunc(items, func(it resultheap.Item) bool { return it.ID == main })

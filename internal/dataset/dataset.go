@@ -19,8 +19,6 @@
 //     (word embeddings are norm-heterogeneous);
 //   - Deep-like: ℓ2-normalized CNN-embedding-style mixture (Deep1M/Deep1B
 //     features are unit-normalized).
-//
-// A real fvecs corpus can be substituted via FromFvecs.
 package dataset
 
 import (
@@ -172,35 +170,6 @@ func ByName(name string, n, queries int, seed uint64) (*Data, error) {
 	default:
 		return nil, fmt.Errorf("dataset: unknown dataset %q", name)
 	}
-}
-
-// FromFvecs wraps externally loaded corpora (e.g. the real Sift1M files).
-// Every shape mismatch a loader can produce — nil or empty sides, train and
-// query files of different dimensionality — is rejected here with a
-// descriptive error, instead of surfacing as an index-build panic or a
-// wrong-dimension search failure long after the files were read.
-func FromFvecs(name string, train, queries *vec.Dataset) (*Data, error) {
-	if train == nil || queries == nil {
-		return nil, fmt.Errorf("dataset: %s: nil %s corpus", name, missingSide(train))
-	}
-	if train.Len() == 0 {
-		return nil, fmt.Errorf("dataset: %s: train corpus is empty", name)
-	}
-	if queries.Len() == 0 {
-		return nil, fmt.Errorf("dataset: %s: query corpus is empty", name)
-	}
-	if train.Dim() != queries.Dim() {
-		return nil, fmt.Errorf("dataset: %s: train vectors are %d-dimensional but query vectors are %d-dimensional; the corpora do not belong together",
-			name, train.Dim(), queries.Dim())
-	}
-	return &Data{Name: name, Dim: train.Dim(), Train: train.Slices(), Queries: queries.Slices()}, nil
-}
-
-func missingSide(train *vec.Dataset) string {
-	if train == nil {
-		return "train"
-	}
-	return "query"
 }
 
 func build(spec Spec, sample func() []float64) *Data {

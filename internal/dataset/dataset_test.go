@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"ppanns/internal/vec"
@@ -202,39 +201,5 @@ func TestDeterministicGeneration(t *testing.T) {
 	c := GloVeLike(100, 5, 12)
 	if vec.ApproxEqual(a.Train[0], c.Train[0], 1e-9) {
 		t.Fatal("different seeds produced identical data")
-	}
-}
-
-func TestFromFvecsValidation(t *testing.T) {
-	mk := func(n, dim int) *vec.Dataset {
-		ds := vec.NewDataset(dim, n)
-		for i := 0; i < n; i++ {
-			ds.Append(make([]float64, dim))
-		}
-		return ds
-	}
-	if _, err := FromFvecs("ok", mk(4, 8), mk(2, 8)); err != nil {
-		t.Fatalf("matched corpora rejected: %v", err)
-	}
-	cases := []struct {
-		name    string
-		train   *vec.Dataset
-		queries *vec.Dataset
-		want    string
-	}{
-		{"nil-train", nil, mk(2, 8), "nil train"},
-		{"nil-queries", mk(4, 8), nil, "nil query"},
-		{"empty-train", mk(0, 8), mk(2, 8), "train corpus is empty"},
-		{"empty-queries", mk(4, 8), mk(0, 8), "query corpus is empty"},
-		{"dim-mismatch", mk(4, 8), mk(2, 16), "8-dimensional"},
-	}
-	for _, tc := range cases {
-		_, err := FromFvecs(tc.name, tc.train, tc.queries)
-		if err == nil {
-			t.Fatalf("%s: accepted", tc.name)
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("%s: error %q lacks %q", tc.name, err, tc.want)
-		}
 	}
 }

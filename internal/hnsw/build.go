@@ -270,15 +270,15 @@ func (g *Graph) insertBatch(ctxs []*searchCtx, ids []int32) {
 // and writes its out-lists on every layer up to top; layers above top (a
 // node taller than the graph) stay empty until a later node links to it.
 func (g *Graph) link(ctx *searchCtx, id, entry, top int) {
-	v := g.data.At(id)
-	ep, epDist := entry, vec.SqDist(v, g.data.At(entry))
+	ctx.sc = ctx.exact.Bind(g.data, g.data.At(id))
+	ep, epDist := entry, ctx.sc.Dist(int32(entry))
 	for l := top; l > g.level(id); l-- {
-		ep, epDist = g.descend(ctx, v, ep, epDist, &g.layers[l])
+		ep, epDist = g.descend(ctx, ep, epDist, &g.layers[l])
 	}
 	for l := min(g.level(id), top); l >= 0; l-- {
 		ctx.next() // fresh visited set per layer
 		lay := &g.layers[l]
-		cands := g.beam(ctx, v, ep, epDist, g.cfg.EfConstruction, lay)
+		cands := g.beam(ctx, ep, epDist, g.cfg.EfConstruction, lay)
 		ep, epDist = int(cands[0].ID), cands[0].Dist
 		g.selectNeighbors(ctx, lay, id, cands, g.cfg.M, prior{})
 	}

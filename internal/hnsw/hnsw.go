@@ -25,6 +25,7 @@ package hnsw
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"ppanns/internal/epochset"
@@ -102,8 +103,6 @@ type Graph struct {
 	entry    int
 	maxLevel int
 	size     int // live node count
-
-	ctxPool sync.Pool
 }
 
 // newGraph creates an empty graph with room for capHint vectors.
@@ -127,15 +126,16 @@ func (g *Graph) Len() int { return g.size }
 // dense: Build numbers its vectors 0..n-1.
 func (g *Graph) IDs() int { return len(g.levels) }
 
-// Dim returns the vector dimension.
-func (g *Graph) Dim() int { return g.cfg.Dim }
-
 // Config returns the build configuration (with defaults applied), so
 // callers can construct a fresh graph with the same parameters.
 func (g *Graph) Config() Config { return g.cfg }
 
 // Vector returns the stored vector for id: the zero vector at a dead slot.
 func (g *Graph) Vector(id int) []float64 { return g.data.At(id) }
+
+// Rows returns the stored vectors: row id holds id's vector, a zero row at
+// a dead slot. Callers must treat it as read-only.
+func (g *Graph) Rows() *vec.Dataset { return g.data }
 
 // searchCtx holds per-walk scratch state: the visited set, the beam's
 // candidate pool, the gathered-neighbor buffer and the blocked-kernel
@@ -160,36 +160,19 @@ type searchCtx struct {
 	keys    []uint64
 	starts  []int32
 	counts  buildCounts
-	// sc, when non-nil, supplies every candidate distance of this search
-	// (SearchIntoDist — the PQ filter path). Ids passed to it are graph
-	// ids. Build always runs with sc nil.
-	sc vec.BlockScanner
+	// sc supplies every distance of the walk: a search's own exact
+	// scanner, the caller's (SearchIntoDist), or, in Build, the exact
+	// scanner bound to the node being linked. Ids passed to it are graph
+	// ids.
+	sc    vec.BlockScanner
+	exact vec.Exact
 }
 
-// pairDist is the single-candidate distance of this search: the bound
-// scanner when one is active, else the squared distance to the stored
-// vector.
-func (g *Graph) pairDist(ctx *searchCtx, q []float64, id int) float64 {
-	if ctx.sc != nil {
-		return ctx.sc.Dist(int32(id))
-	}
-	return vec.SqDist(q, g.data.At(id))
-}
-
-// hopDists fills ctx.dists with each gathered id's distance to the query:
-// the bound scanner's blocked LUT scan when one is active, else the blocked
-// arena kernel, whose rows it counts.
-func (g *Graph) hopDists(ctx *searchCtx, q []float64, ids []int32) []float64 {
-	if ctx.sc == nil {
-		ctx.counts.beamRows += len(ids)
-		ctx.dists = g.data.SqDistBlock(ctx.dists, q, ids)
-		return ctx.dists
-	}
-	if cap(ctx.dists) < len(ids) {
-		ctx.dists = make([]float64, len(ids))
-	} else {
-		ctx.dists = ctx.dists[:len(ids)]
-	}
+// hopDists fills ctx.dists with each gathered id's distance to the query
+// through the bound scanner, and counts the rows.
+func (g *Graph) hopDists(ctx *searchCtx, ids []int32) []float64 {
+	ctx.counts.beamRows += len(ids)
+	ctx.dists = slices.Grow(ctx.dists[:0], len(ids))[:len(ids)]
 	ctx.sc.DistBlock(ctx.dists, ids)
 	return ctx.dists
 }
@@ -200,26 +183,43 @@ func (c *searchCtx) next() { c.vis.Next() }
 // q, closest first, exploring with beam width ef (ef is raised to k when
 // smaller). It is the HNSW search of the paper's filter phase.
 func (g *Graph) Search(q []float64, k, ef int) []resultheap.Item {
-	return g.searchInto(nil, q, k, ef, nil)
+	return g.SearchInto(nil, q, k, ef)
 }
 
 // SearchInto is Search appending the results into dst (reusing its
-// capacity). With a recycled dst the whole search is allocation-free after
-// the context pool has warmed up.
+// capacity), with the exact distances to the stored vectors. With a
+// recycled dst the whole search is allocation-free after the context pool
+// has warmed up.
 func (g *Graph) SearchInto(dst []resultheap.Item, q []float64, k, ef int) []resultheap.Item {
-	return g.searchInto(dst, q, k, ef, nil)
+	ctx := ctxPool.Get().(*searchCtx)
+	defer putCtx(ctx)
+	return g.searchInto(ctx, dst, q, k, ef, ctx.exact.Bind(g.data, q))
 }
 
 // SearchIntoDist is SearchInto with every candidate distance supplied by sc
-// instead of computed from the stored vectors — the compressed (PQ) filter
-// path. Traversal order, pool admission and result ranking all run on the
-// scanner's distances; the graph structure is walked unchanged. Ids passed
-// to sc are graph ids.
+// instead of computed from the stored vectors: the PQ filter path, or an
+// exact scanner over rows that extend the graph's own. Traversal order,
+// pool admission and result ranking all run on the scanner's distances;
+// the graph structure is walked unchanged. Ids passed to sc are graph ids.
 func (g *Graph) SearchIntoDist(dst []resultheap.Item, q []float64, k, ef int, sc vec.BlockScanner) []resultheap.Item {
-	return g.searchInto(dst, q, k, ef, sc)
+	ctx := ctxPool.Get().(*searchCtx)
+	defer putCtx(ctx)
+	return g.searchInto(ctx, dst, q, k, ef, sc)
 }
 
-func (g *Graph) searchInto(dst []resultheap.Item, q []float64, k, ef int, sc vec.BlockScanner) []resultheap.Item {
+// ctxPool holds the query walks' contexts. A context fits any graph: its
+// visited set grows to the graph it walks.
+var ctxPool = sync.Pool{New: func() any { return new(searchCtx) }}
+
+// putCtx returns ctx to the pool, dropping the scanner bindings so the
+// pool does not pin a query or a scanner's arenas.
+func putCtx(ctx *searchCtx) {
+	ctx.sc = nil
+	ctx.exact.Reset()
+	ctxPool.Put(ctx)
+}
+
+func (g *Graph) searchInto(ctx *searchCtx, dst []resultheap.Item, q []float64, k, ef int, sc vec.BlockScanner) []resultheap.Item {
 	if len(q) != g.cfg.Dim {
 		panic(fmt.Sprintf("hnsw: searching %d-dim query in %d-dim graph", len(q), g.cfg.Dim))
 	}
@@ -229,36 +229,28 @@ func (g *Graph) searchInto(dst []resultheap.Item, q []float64, k, ef int, sc vec
 	if g.size == 0 {
 		return dst[:0]
 	}
-	ctx, _ := g.ctxPool.Get().(*searchCtx)
-	if ctx == nil {
-		ctx = new(searchCtx)
-	}
 	ctx.vis.Grow(len(g.levels))
 	ctx.next()
 	ctx.sc = sc
-	defer func() {
-		ctx.sc = nil // don't pin the scanner's arenas through the pool
-		g.ctxPool.Put(ctx)
-	}()
 
 	ep := g.entry
-	epDist := g.pairDist(ctx, q, ep)
+	epDist := sc.Dist(int32(ep))
 	for l := g.maxLevel; l > 0; l-- {
-		ep, epDist = g.descend(ctx, q, ep, epDist, &g.layers[l])
+		ep, epDist = g.descend(ctx, ep, epDist, &g.layers[l])
 	}
 	ctx.next()
-	g.beam(ctx, q, ep, epDist, ef, &g.layers[0])
+	g.beam(ctx, ep, epDist, ef, &g.layers[0])
 	return ctx.pool.AppendItems(dst, k)
 }
 
 // descend walks one layer greedily towards q, returning the closest node
 // found and its distance: one blocked distance call per hop. Searches and
 // Build's linking both descend with it.
-func (g *Graph) descend(ctx *searchCtx, q []float64, ep int, epDist float64, lay *csrLayer) (int, float64) {
+func (g *Graph) descend(ctx *searchCtx, ep int, epDist float64, lay *csrLayer) (int, float64) {
 	for {
 		improved := false
 		nbrs := lay.neighbors(ep)
-		dists := g.hopDists(ctx, q, nbrs)
+		dists := g.hopDists(ctx, nbrs)
 		for j, nb := range nbrs {
 			if d := dists[j]; d < epDist {
 				epDist, ep = d, int(nb)
@@ -281,7 +273,7 @@ func (g *Graph) descend(ctx *searchCtx, q []float64, ep int, epDist float64, lay
 // dead slot, Load refuses a graph that does), so a walk never meets one.
 // It returns the pool's candidates, closest first; they are ctx-owned:
 // consume them before the next walk on ctx.
-func (g *Graph) beam(ctx *searchCtx, q []float64, ep int, epDist float64, ef int, lay *csrLayer) []resultheap.Cand {
+func (g *Graph) beam(ctx *searchCtx, ep int, epDist float64, ef int, lay *csrLayer) []resultheap.Cand {
 	offs, ends, nbrs := lay.offs, lay.ends, lay.nbrs
 	pool := &ctx.pool
 	pool.Reset()
@@ -294,7 +286,7 @@ func (g *Graph) beam(ctx *searchCtx, q []float64, ep int, epDist float64, ef int
 			break
 		}
 		gather = ctx.vis.Unseen(gather[:0], nbrs[offs[c]:ends[c]])
-		dists := g.hopDists(ctx, q, gather)
+		dists := g.hopDists(ctx, gather)
 		for j, nb := range gather {
 			pool.Offer(nb, dists[j], ef)
 		}

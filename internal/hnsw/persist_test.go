@@ -21,8 +21,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2.Len() != g.Len() || g2.Dim() != g.Dim() || g2.Config() != g.Config() {
-		t.Fatalf("loaded shape %d/%d/%+v, want %d/%d/%+v", g2.Len(), g2.Dim(), g2.Config(), g.Len(), g.Dim(), g.Config())
+	if g2.Len() != g.Len() || g2.Rows().Dim() != g.Rows().Dim() || g2.Config() != g.Config() {
+		t.Fatalf("loaded shape %d/%d/%+v, want %d/%d/%+v", g2.Len(), g2.Rows().Dim(), g2.Config(), g.Len(), g.Rows().Dim(), g.Config())
 	}
 	if !g2.Deleted(5) {
 		t.Fatal("tombstone lost in round trip")

@@ -163,8 +163,8 @@ func checkEveryLayer(t *testing.T, g *Graph, queries [][]float64) (ties int) {
 				})
 				ctx.sc = countingScanner{data: g.data, q: q, evals: &gotEvals}
 				ctx.next()
-				got := g.beam(ctx, q, ep, epDist, ef, lay)
-				ctx.sc = nil
+				got := g.beam(ctx, ep, epDist, ef, lay)
+				ctx.sc = ctx.exact.Bind(g.data, q)
 				sameAnswer(t, fmt.Sprintf("query %d layer %d ef %d", qi, l, ef), got, gotEvals, want, wantEvals)
 				for i := 1; i < len(got); i++ {
 					if got[i].Dist == got[i-1].Dist {
@@ -173,7 +173,7 @@ func checkEveryLayer(t *testing.T, g *Graph, queries [][]float64) (ties int) {
 				}
 			}
 			ctx.next()
-			ep, epDist = g.descend(ctx, q, ep, epDist, lay)
+			ep, epDist = g.descend(ctx, ep, epDist, lay)
 		}
 	}
 	return ties
@@ -250,7 +250,7 @@ func TestSearchIntoDistMatchesHeapBeam(t *testing.T) {
 			ctx.vis.Grow(g.IDs())
 			ep, epDist := g.entry, sc.Dist(int32(g.entry))
 			for l := g.maxLevel; l > 0; l-- {
-				ep, epDist = g.descend(ctx, q, ep, epDist, &g.layers[l])
+				ep, epDist = g.descend(ctx, ep, epDist, &g.layers[l])
 			}
 			want, _ := refBeam(g, ep, epDist, ef, &g.layers[0], func(ids []int32) []float64 {
 				d := make([]float64, len(ids))

@@ -146,7 +146,7 @@ func TestConformance(t *testing.T) {
 			if got := ix.Len(); got != n {
 				t.Fatalf("Len = %d, want %d", got, n)
 			}
-			if got := ix.Dim(); got != dim {
+			if got := ix.Rows().Dim(); got != dim {
 				t.Fatalf("Dim = %d, want %d", got, dim)
 			}
 
@@ -212,8 +212,8 @@ func TestConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ix2.Len() != ix.Len() || ix2.Dim() != ix.Dim() {
-				t.Fatalf("round-trip changed shape: %d/%d vs %d/%d", ix2.Len(), ix2.Dim(), ix.Len(), ix.Dim())
+			if ix2.Len() != ix.Len() || ix2.Rows().Dim() != ix.Rows().Dim() {
+				t.Fatalf("round-trip changed shape: %d/%d vs %d/%d", ix2.Len(), ix2.Rows().Dim(), ix.Len(), ix.Rows().Dim())
 			}
 			// The section is refused by a database of another shape.
 			for _, shape := range [][2]int{{dim, n - 1}, {dim, n + 1}, {dim + 1, n}} {

@@ -35,8 +35,9 @@ func (ix *hnswIndex) SearchIntoDist(dst []resultheap.Item, q []float64, k, ef in
 	return ix.g.SearchIntoDist(dst, q, k, ef, sc)
 }
 
+func (ix *hnswIndex) Rows() *vec.Dataset { return ix.g.Rows() }
+
 func (ix *hnswIndex) Len() int { return ix.g.Len() }
-func (ix *hnswIndex) Dim() int { return ix.g.Dim() }
 
 func (ix *hnswIndex) Vector(pos int) ([]float64, bool) {
 	if ix.g.Deleted(pos) {

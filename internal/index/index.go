@@ -59,12 +59,13 @@ type SecureIndex interface {
 	// search-effort knob (beam width for HNSW; probe budget for IVF).
 	SearchInto(dst []resultheap.Item, q []float64, k, ef int) []resultheap.Item
 	// SearchIntoDist is SearchInto with every candidate distance supplied
-	// by sc instead of computed from the stored vectors — the compressed
-	// (PQ) filter hook. Structural navigation that is not a candidate
-	// distance (IVF centroid probing, HNSW graph topology) still uses q
-	// exactly; every candidate the backend ranks is scored through sc. Ids
-	// passed to sc are external ids (vector positions), so the scanner's
-	// code arena must cover every position.
+	// by sc: core's filter passes its one distance provider, an exact
+	// scanner over the database's SAP column or the PQ scanner over its
+	// code arena, both spanning every id. Structural navigation that is
+	// not a candidate distance (IVF centroid probing, HNSW graph topology)
+	// still uses q exactly; every candidate the backend ranks is scored
+	// through sc. Ids passed to sc are external ids (vector positions).
+	// SearchInto is SearchIntoDist with the exact scanner over Rows.
 	SearchIntoDist(dst []resultheap.Item, q []float64, k, ef int, sc vec.BlockScanner) []resultheap.Item
 	// Rebuild constructs a fresh index of the same backend over vectors,
 	// using the receiver's build configuration (graph parameters, trained
@@ -76,10 +77,14 @@ type SecureIndex interface {
 	// second result is false for dead slots and for ids the backend never
 	// assigned. Callers must treat the returned slice as read-only.
 	Vector(id int) ([]float64, bool)
+	// Rows returns the stored vectors as the index's own row arena: row id
+	// holds id's vector, a zero row at a dead slot. Core's SAP column is
+	// this arena on a built or loaded database. Callers must not write its
+	// rows or append to it; the holder of an index nothing else has seen
+	// yet may Reserve room past them, which moves the arena, not a row.
+	Rows() *vec.Dataset
 	// Len returns the number of live vectors.
 	Len() int
-	// Dim returns the vector dimension.
-	Dim() int
 	// Save writes the index's section of a database file, so Load
 	// round-trips it into an index that saves the same bytes.
 	Save(e *frame.Encoder)

@@ -43,8 +43,9 @@ func (a *ivfIndex) SearchIntoDist(dst []resultheap.Item, q []float64, k, ef int,
 	return a.ix.SearchIntoDist(dst, q, k, a.probesFor(ef), sc)
 }
 
+func (a *ivfIndex) Rows() *vec.Dataset { return a.ix.Rows() }
+
 func (a *ivfIndex) Len() int { return a.ix.Len() }
-func (a *ivfIndex) Dim() int { return a.ix.Dim() }
 
 func (a *ivfIndex) Vector(id int) ([]float64, bool) {
 	v := a.ix.Vector(id)

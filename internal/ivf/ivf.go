@@ -13,6 +13,7 @@ package ivf
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"ppanns/internal/kmeans"
@@ -57,17 +58,17 @@ type Index struct {
 	data    *vec.Dataset
 	deleted []bool
 	live    int
-
-	ctxPool sync.Pool
 }
 
 // searchCtx is the pooled per-search scratch: the probe pick and the
-// result, each a top-k pool, and the blocked-kernel output (the centroid
-// distances, then each probed list's).
+// result, each a top-k pool, the blocked-kernel output (the centroid
+// distances, then each probed list's), and the exact scanner SearchInto
+// binds.
 type searchCtx struct {
 	probes resultheap.Pool
 	res    resultheap.Pool
 	dists  []float64
+	exact  vec.Exact
 }
 
 // Build trains the quantizer on the live vectors and populates the lists.
@@ -157,9 +158,6 @@ func isqrt(n int) int {
 // Len returns the number of live vectors.
 func (ix *Index) Len() int { return ix.live }
 
-// Dim returns the vector dimension.
-func (ix *Index) Dim() int { return ix.dim }
-
 // Vector returns the stored vector for a live id, or nil for a dead slot
 // or an out-of-range id.
 func (ix *Index) Vector(id int) []float64 {
@@ -168,6 +166,10 @@ func (ix *Index) Vector(id int) []float64 {
 	}
 	return ix.data.At(id)
 }
+
+// Rows returns the stored vectors: row id holds id's vector, a zero row at
+// a dead slot. Callers must treat it as read-only.
+func (ix *Index) Rows() *vec.Dataset { return ix.data }
 
 // Lists returns nlist.
 func (ix *Index) Lists() int { return len(ix.cents) / ix.dim }
@@ -231,43 +233,46 @@ func (ix *Index) Rebuild(vectors [][]float64) (*Index, error) {
 }
 
 // SearchInto scans the nprobe closest lists and appends the k nearest live
-// ids, closest first, to dst[:0]. Scratch state is pooled and each probed
-// list is evaluated with one blocked distance call over its id span, so a
-// warm search with a recycled dst allocates nothing.
+// ids, closest first, to dst[:0], with the exact distances to the stored
+// vectors. Scratch state is pooled and each probed list is evaluated with
+// one blocked distance call over its id span, so a warm search with a
+// recycled dst allocates nothing.
 func (ix *Index) SearchInto(dst []resultheap.Item, q []float64, k, nprobe int) []resultheap.Item {
-	return ix.searchInto(dst, q, k, nprobe, nil)
+	ctx := ctxPool.Get().(*searchCtx)
+	defer putCtx(ctx)
+	return ix.searchInto(ctx, dst, q, k, nprobe, ctx.exact.Bind(ix.data, q))
 }
 
 // SearchIntoDist is SearchInto with member distances supplied by sc instead
-// of computed from the stored vectors — the compressed (PQ) filter path.
-// Coarse-quantizer probing still scores centroids against q exactly; every
-// list member is ranked through sc. Ids passed to sc are vector positions
-// (IVF ids are positions).
+// of computed from the stored vectors: the PQ filter path, or an exact
+// scanner over rows that extend the index's own. Coarse-quantizer probing
+// still scores centroids against q exactly; every list member is ranked
+// through sc. Ids passed to sc are vector positions (IVF ids are
+// positions).
 func (ix *Index) SearchIntoDist(dst []resultheap.Item, q []float64, k, nprobe int, sc vec.BlockScanner) []resultheap.Item {
-	return ix.searchInto(dst, q, k, nprobe, sc)
+	ctx := ctxPool.Get().(*searchCtx)
+	defer putCtx(ctx)
+	return ix.searchInto(ctx, dst, q, k, nprobe, sc)
 }
 
-// fit sizes the distance buffer to n, reusing its capacity.
-func (ctx *searchCtx) fit(n int) {
-	if cap(ctx.dists) < n {
-		ctx.dists = make([]float64, n)
-	}
-	ctx.dists = ctx.dists[:n]
+// ctxPool holds the searches' contexts, which fit any index.
+var ctxPool = sync.Pool{New: func() any { return new(searchCtx) }}
+
+// putCtx returns ctx to the pool with its scanner unbound, so the pool
+// does not pin a query.
+func putCtx(ctx *searchCtx) {
+	ctx.exact.Reset()
+	ctxPool.Put(ctx)
 }
 
-func (ix *Index) searchInto(dst []resultheap.Item, q []float64, k, nprobe int, sc vec.BlockScanner) []resultheap.Item {
+func (ix *Index) searchInto(ctx *searchCtx, dst []resultheap.Item, q []float64, k, nprobe int, sc vec.BlockScanner) []resultheap.Item {
 	if len(q) != ix.dim {
 		panic(fmt.Sprintf("ivf: querying %d-dim vector in %d-dim index", len(q), ix.dim))
 	}
 	nlist := ix.Lists()
 	nprobe = min(max(nprobe, 1), nlist)
-	ctx, _ := ix.ctxPool.Get().(*searchCtx)
-	if ctx == nil {
-		ctx = new(searchCtx)
-	}
-	defer ix.ctxPool.Put(ctx)
 	ctx.probes.Reset()
-	ctx.fit(nlist)
+	ctx.dists = slices.Grow(ctx.dists[:0], nlist)[:nlist]
 	vec.SqDistRows(ctx.dists, ix.cents, q)
 	for c, d := range ctx.dists {
 		ctx.probes.Offer(int32(c), d, nprobe)
@@ -277,12 +282,8 @@ func (ix *Index) searchInto(dst []resultheap.Item, q []float64, k, nprobe int, s
 	res.Reset()
 	for _, p := range ctx.probes.Cands() {
 		lst := ix.list(int(p.ID))
-		if sc != nil {
-			ctx.fit(len(lst))
-			sc.DistBlock(ctx.dists, lst)
-		} else {
-			ctx.dists = ix.data.SqDistBlock(ctx.dists, q, lst)
-		}
+		ctx.dists = slices.Grow(ctx.dists[:0], len(lst))[:len(lst)]
+		sc.DistBlock(ctx.dists, lst)
 		for j, id := range lst {
 			res.Offer(id, ctx.dists[j], k)
 		}

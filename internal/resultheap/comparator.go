@@ -67,9 +67,6 @@ func (h *CompareHeap) Len() int { return len(h.ids) }
 // Comparisons returns how many times the comparator has been invoked.
 func (h *CompareHeap) Comparisons() int { return h.calls }
 
-// Top returns the farthest id currently held.
-func (h *CompareHeap) Top() int { return h.ids[0] }
-
 func (h *CompareHeap) fartherCounted(a, b int) bool {
 	h.calls++
 	return h.cmp.Farther(a, b)

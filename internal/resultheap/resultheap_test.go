@@ -240,8 +240,8 @@ func TestCompareHeapRejectsFarther(t *testing.T) {
 	if h.Offer(2) {
 		t.Fatal("heap admitted a candidate farther than its top")
 	}
-	if h.Top() != 1 {
-		t.Fatalf("top = %d, want 1", h.Top())
+	if got := h.SortedAscending(); !slices.Equal(got, []int{0, 1}) {
+		t.Fatalf("heap holds %v, want [0 1]", got)
 	}
 }
 

@@ -1,8 +1,8 @@
 package vec
 
 import (
-	"fmt"
 	"math"
+	"slices"
 
 	"ppanns/internal/frame"
 )
@@ -55,6 +55,19 @@ func (d *Dataset) At(i int) []float64 { return d.rows.Row(i) }
 // Append copies v into the dataset and returns its index.
 func (d *Dataset) Append(v []float64) int { return d.rows.Append(v) }
 
+// Reserve makes room for n more appends, so that they cannot move the
+// arena (Rows.Reserve).
+func (d *Dataset) Reserve(n int) { d.rows.Reserve(n) }
+
+// Extend appends v to a clone of the header and returns the clone: the
+// copy-on-write append of Rows.Extend. The receiver keeps its Len and its
+// rows.
+func (d *Dataset) Extend(v []float64) *Dataset {
+	ns := *d
+	ns.rows.Append(v)
+	return &ns
+}
+
 // AppendZero appends an all-zero vector and returns both its index and a
 // writable view of the new row, avoiding a copy when the caller fills it in
 // place.
@@ -63,22 +76,13 @@ func (d *Dataset) AppendZero() (int, []float64) {
 }
 
 // SqDistBlock computes dst[j] = SqDist(q, At(ids[j])) for every id in one
-// pass over the flat backing array, reusing dst's capacity. Results are
-// bit-identical to per-row SqDist calls (both kernel variants match
-// the scalar reference's element order); the win is structural: one call
-// evaluates a whole gathered neighbor or candidate list, the row
-// addressing stays inside the kernel, and q stays hot in registers/L1
-// across rows. Graph hops and inverted-list scans are the intended callers.
+// pass over the flat backing array, reusing dst's capacity: the exact
+// scanner's DistBlock (see Exact), bit-identical to per-row SqDist calls.
+// One call evaluates a whole gathered neighbor or candidate list, the row
+// addressing stays inside the kernel, and q stays hot in registers/L1.
 func (d *Dataset) SqDistBlock(dst []float64, q []float64, ids []int32) []float64 {
-	if len(q) != d.Dim() {
-		panic(fmt.Sprintf("vec: block sqdist of %d-dim query on %d-dim dataset", len(q), d.Dim()))
-	}
-	if cap(dst) < len(ids) {
-		dst = make([]float64, len(ids), len(ids)+len(ids)/2+8)
-	} else {
-		dst = dst[:len(ids)]
-	}
-	sqDistBlockKernel(dst, d.rows.data, d.rows.stride, d.rows.width, q, ids)
+	dst = slices.Grow(dst[:0], len(ids))[:len(ids)]
+	(&Exact{}).Bind(d, q).DistBlock(dst, ids)
 	return dst
 }
 

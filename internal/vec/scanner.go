@@ -1,8 +1,11 @@
 package vec
 
-// BlockScanner supplies candidate distances for a filter-phase search from
-// something other than the index's own stored vectors — in practice a
-// per-query PQ asymmetric distance table over the compressed code arena
+import "fmt"
+
+// BlockScanner is the filter phase's one distance provider: a search takes
+// every candidate distance from it, in both tiers. Two implementations
+// serve: Exact, the squared L2 over a Dataset's rows, and a per-query PQ
+// asymmetric distance table over the compressed code arena
 // (internal/pq.Scanner). It is defined here, at the bottom of the import
 // graph, so every index backend can accept one without importing pq.
 //
@@ -18,6 +21,37 @@ type BlockScanner interface {
 	// Dist returns the distance of a single id to the prepared query.
 	Dist(id int32) float64
 }
+
+// Exact is the exact BlockScanner: the squared Euclidean distance of each
+// row of a Dataset to a bound query. DistBlock runs the blocked kernel of
+// Dataset.SqDistBlock and Dist runs SqDist, which give the same bits. A
+// search binds one from its pooled scratch, so binding allocates nothing.
+type Exact struct {
+	rows *Dataset
+	q    []float64
+}
+
+// Bind points the scanner at rows and q and returns it.
+func (s *Exact) Bind(rows *Dataset, q []float64) *Exact {
+	if len(q) != rows.Dim() {
+		panic(fmt.Sprintf("vec: exact scan of %d-dim query on %d-dim dataset", len(q), rows.Dim()))
+	}
+	s.rows, s.q = rows, q
+	return s
+}
+
+// Reset drops the binding, so a pooled scanner pins neither the rows nor
+// the query between searches.
+func (s *Exact) Reset() { s.rows, s.q = nil, nil }
+
+// DistBlock writes SqDist(q, rows.At(ids[j])) into dst[j].
+func (s *Exact) DistBlock(dst []float64, ids []int32) {
+	r := &s.rows.rows
+	sqDistBlockKernel(dst, r.data, r.stride, r.width, s.q, ids)
+}
+
+// Dist returns SqDist(q, rows.At(id)).
+func (s *Exact) Dist(id int32) float64 { return SqDist(s.q, s.rows.At(int(id))) }
 
 // PQScanBlock computes dst[j] = Σ_m lut[m·256 + codes[ids[j]·m + m]] — the
 // blocked PQ LUT scan — through the process's kernel variant. Each variant

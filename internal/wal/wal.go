@@ -708,9 +708,6 @@ func (l *Log) Stats() Stats {
 	return st
 }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Err returns the sticky error, if the log has been poisoned by a failed
 // write or fsync.
 func (l *Log) Err() error {
