@@ -292,7 +292,7 @@ func BenchmarkFig10Scalability(b *testing.B) {
 func BenchmarkOverheadVsPlaintext(b *testing.B) {
 	f := mainFixture(b)
 	b.Run("plaintext-hnsw", func(b *testing.B) {
-		g, err := hnsw.Build(f.data.Train, hnsw.Config{Dim: f.data.Dim, M: 16, EfConstruction: 200, Seed: 7})
+		g, err := hnsw.Build(vec.DatasetFromSlices(f.data.Train), nil, hnsw.Config{M: 16, EfConstruction: 200, Seed: 7})
 		if err != nil {
 			b.Fatal(err)
 		}

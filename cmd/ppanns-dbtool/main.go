@@ -109,6 +109,9 @@ func runGen(args []string) error {
 	nq := fs.Int("nq", 100, "query count (with -queries)")
 	seed := fs.Uint64("seed", 42, "generation seed")
 	fs.Parse(args)
+	if *queriesOut != "" && *nq < 1 {
+		return fmt.Errorf("gen: -queries needs -nq ≥ 1, got %d", *nq)
+	}
 
 	d, err := dataset.ByName(*name, *n, *nq, *seed)
 	if err != nil {

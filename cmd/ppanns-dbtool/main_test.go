@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"net"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -126,5 +127,31 @@ func TestEncryptRefusesGivenBadBeta(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "non-negative and finite") {
 			t.Errorf("encrypt -beta %s: err = %v, want the refusal of a negative or non-finite β", beta, err)
 		}
+	}
+}
+
+// TestGenRefusesBadCounts: gen refuses a database of no vectors or a
+// negative count, and a query file of no queries, with an error and no
+// file written, instead of panicking.
+func TestGenRefusesBadCounts(t *testing.T) {
+	dir := t.TempDir()
+	out, queries := filepath.Join(dir, "data.fvecs"), filepath.Join(dir, "q.fvecs")
+	for _, args := range [][]string{
+		{"-n", "0"},
+		{"-n", "-5"},
+		{"-n", "10", "-nq", "-1"},
+		{"-n", "10", "-queries", queries, "-nq", "0"},
+	} {
+		if err := runGen(append([]string{"-out", out, "-dataset", "deep"}, args...)); err == nil {
+			t.Errorf("gen %v succeeded", args)
+		}
+		for _, f := range []string{out, queries} {
+			if _, err := os.Stat(f); err == nil {
+				t.Fatalf("gen %v wrote %s", args, f)
+			}
+		}
+	}
+	if err := runGen([]string{"-out", out, "-dataset", "deep", "-n", "10", "-queries", queries, "-nq", "1"}); err != nil {
+		t.Fatalf("gen of 10 vectors and 1 query: %v", err)
 	}
 }

@@ -36,7 +36,7 @@ type PACMANN struct {
 // PACMANNConfig parameterizes construction.
 type PACMANNConfig struct {
 	// Graph holds HNSW build parameters for the server-side proximity
-	// graph (Dim is overwritten from the data).
+	// graph.
 	Graph hnsw.Config
 	// Degree is the fixed out-degree stored per block; adjacency is
 	// truncated or padded to it. Defaults to Graph.M (or 16).
@@ -53,11 +53,10 @@ func NewPACMANN(data [][]float64, cfg PACMANNConfig) (*PACMANN, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("pacmann: empty database")
 	}
-	cfg.Graph.Dim = len(data[0])
 	if cfg.Graph.Seed == 0 {
 		cfg.Graph.Seed = cfg.Seed ^ 0x9aC
 	}
-	g, err := hnsw.Build(data, cfg.Graph)
+	g, err := hnsw.Build(vec.DatasetFromSlices(data), nil, cfg.Graph)
 	if err != nil {
 		return nil, err
 	}

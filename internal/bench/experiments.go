@@ -473,7 +473,7 @@ func Overhead(cfg Config) error {
 		}
 		// Plaintext HNSW at the recall target, built the way the scheme
 		// builds its filter index.
-		g, err := hnsw.Build(d.Train, hnsw.Config{Dim: d.Dim, M: 16, EfConstruction: 200, Seed: cfg.Seed})
+		g, err := hnsw.Build(vec.DatasetFromSlices(d.Train), nil, hnsw.Config{M: 16, EfConstruction: 200, Seed: cfg.Seed})
 		if err != nil {
 			return err
 		}

@@ -98,7 +98,7 @@ func Indexes(cfg Config) error {
 		ef := 8 * cfg.K
 		for _, name := range index.Names() {
 			if err := run(name, func() (func([]float64) []resultheap.Item, error) {
-				ix, err := index.Build(name, encTrain, index.Options{Dim: d.Dim, Seed: cfg.Seed})
+				ix, err := index.BuildOver(name, vec.DatasetFromSlices(encTrain), nil, index.Options{Seed: cfg.Seed})
 				if err != nil {
 					return nil, err
 				}

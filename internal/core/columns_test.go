@@ -7,6 +7,7 @@ import (
 
 	"ppanns/internal/dataset"
 	"ppanns/internal/index"
+	"ppanns/internal/vec"
 )
 
 // TestColumnsSpanIDSpace pins the column layout the filter reads through
@@ -185,18 +186,19 @@ type midRebuildIndex struct {
 	during func()
 }
 
-func (m *midRebuildIndex) Rebuild(vectors [][]float64) (index.SecureIndex, error) {
+func (m *midRebuildIndex) Rebuild(rows *vec.Dataset, live []bool) (index.SecureIndex, error) {
 	if m.during != nil {
 		m.during()
 		m.during = nil
 	}
-	return m.SecureIndex.Rebuild(vectors)
+	return m.SecureIndex.Rebuild(rows, live)
 }
 
 // TestFoldGraftsMidRebuildInserts pins the fold's graft of the SAP column:
 // inserts that land while the index is rebuilt keep their own SAP rows and
-// PQ codes in the folded snapshot's delta tier, and each is its own nearest
-// neighbour under both filter modes. The PQ codes are grafted as they are,
+// PQ codes in the folded snapshot's delta tier, the grafted column still
+// shares one row arena with the rebuilt index, and each insert is its own
+// nearest neighbour under both filter modes. The PQ codes are grafted as they are,
 // and, when the fold retrains the codebook (the id space has doubled since
 // training), re-encoded from the SAP column.
 func TestFoldGraftsMidRebuildInserts(t *testing.T) {
@@ -243,6 +245,9 @@ func TestFoldGraftsMidRebuildInserts(t *testing.T) {
 					t.Fatalf("codebook retrained: %v, want %v", retrained, want)
 				}
 				checkColumns(t, "folded", sp.edb, sp.frozen, sp.clean(), inserted)
+				if v, ok := sp.edb.Index.Vector(0); !ok || &v[0] != &sp.edb.SAP.At(0)[0] {
+					t.Fatal("the folded index and the SAP column hold different row arenas")
+				}
 				checkCodes(t, sp, 0, sp.edb.Len())
 				for id := folded - 2; id < folded+mid; id++ {
 					tok := mustToken(t, w, data[id])

@@ -61,10 +61,11 @@ type Params struct {
 	// Index selects the filter-phase backend by name: "hnsw" (default) or
 	// "ivf". See internal/index for the trade-offs each makes.
 	Index string
-	// IndexOptions carries backend-specific build and search options; Dim
-	// and Seed are filled in from this struct. The HNSW build parameters
-	// live there (IndexOptions.M and EfConstruction: the paper uses 40 and
-	// 600, the defaults are a laptop-scale 16 and 200).
+	// IndexOptions carries backend-specific build options; a zero Seed is
+	// derived from this struct's, and the dimension is the SAP column's.
+	// The HNSW build parameters live there (IndexOptions.M and
+	// EfConstruction: the paper uses 40 and 600, the defaults are a
+	// laptop-scale 16 and 200).
 	IndexOptions index.Options
 
 	// PQ attaches the compressed filter tier at encryption time: a
@@ -96,10 +97,9 @@ func (p Params) withDefaults() (Params, error) {
 }
 
 // indexOptions assembles the effective backend options: the explicit
-// IndexOptions, with Dim/Seed supplied from the scheme parameters.
+// IndexOptions, with a zero Seed derived from the scheme's.
 func (p Params) indexOptions() index.Options {
 	opts := p.IndexOptions
-	opts.Dim = p.Dim
 	if opts.Seed == 0 {
 		opts.Seed = p.Seed ^ 0x9d5
 	}
@@ -142,10 +142,11 @@ type EncryptedDatabase struct {
 	Backend string
 	Index   index.SecureIndex
 	// SAP is the C_SAP column: row id is id's SAP ciphertext, a zero row
-	// at a dead slot. On a built or loaded database it is the index's own
-	// row arena (Index.Rows()), not a copy; a server appends inserts past
-	// the index's rows, copy-on-write, so the column keeps spanning
-	// [0, Len) while the index covers the prefix it was built over.
+	// at a dead slot. It is the database's one SAP row arena: the index
+	// holds only topology and reads the rows of the column it was built
+	// over or loaded with, in place. A server appends inserts past the
+	// index's rows, copy-on-write, so the column keeps spanning [0, Len)
+	// while the index covers the prefix it was built over.
 	SAP *vec.Dataset
 	DCE *dce.CiphertextStore
 	// PQ is the compressed filter tier: a product-quantization codebook

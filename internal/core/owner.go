@@ -84,11 +84,12 @@ func (o *DataOwner) UserKey() *UserKey { return o.keys }
 //
 // The filter side never reads the DCE key or a DCE record, so the call is a
 // small dependency graph. The SAP key and the SAP encryption of every
-// record come first. Then two branches run at once: the DCE key (on an
-// owner's first call) and the DCE encryption of every record on the
-// calling goroutine, and the filter index on a goroutine of its own, with
-// the PQ tier (Params.PQ) beside it on another. The DCE input scale follows from the observed
-// coordinate range, which is why keys wait for the first call.
+// record, written in place into the SAP column, come first. Then two
+// branches run at once: the DCE key (on an owner's first call) and the
+// DCE encryption of every record on the calling goroutine, and the filter
+// index over the SAP column on a goroutine of its own, with the PQ tier
+// (Params.PQ) beside it on another. The DCE input scale follows from the
+// observed coordinate range, which is why keys wait for the first call.
 //
 // Every stage runs on GOMAXPROCS workers and none lets the worker count or
 // the overlap show: record i draws all its randomness (SAP, then DCE) from
@@ -139,10 +140,10 @@ func (o *DataOwner) EncryptDatabase(vectors [][]float64) (*EncryptedDatabase, er
 
 	n := len(vectors)
 	workers := min(runtime.GOMAXPROCS(0), n)
-	sap, rs := make([][]float64, n), rng.NewStreams(rnd).First(n)
+	sap, rs := vec.ZeroDataset(o.params.Dim, n), rng.NewStreams(rnd).First(n)
 	par.Spans(workers, n, 64, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			sap[i] = sapKey.EncryptWith(rs[i], vectors[i])
+			sapKey.EncryptWith(sap.At(i), rs[i], vectors[i])
 		}
 	})
 	built.Encrypt = lap()
@@ -160,7 +161,7 @@ func (o *DataOwner) EncryptDatabase(vectors [][]float64) (*EncryptedDatabase, er
 	go func() {
 		defer wg.Done()
 		t := time.Now()
-		idx, idxErr = index.Build(o.params.Index, sap, o.params.indexOptions())
+		idx, idxErr = index.BuildOver(o.params.Index, sap, nil, o.params.indexOptions())
 		idxTime = time.Since(t)
 	}()
 	if o.params.PQ {
@@ -170,7 +171,7 @@ func (o *DataOwner) EncryptDatabase(vectors [][]float64) (*EncryptedDatabase, er
 			t := time.Now()
 			// Trained on the SAP ciphertexts the server stores anyway; the
 			// owner building it here just saves the server the one-time cost.
-			pqStore, pqErr = pq.Build(sap, pq.TrainConfig{M: o.params.PQM, Seed: o.params.Seed ^ 0x4bd})
+			pqStore, pqErr = pq.Build(sap.Slices(), pq.TrainConfig{M: o.params.PQM, Seed: o.params.Seed ^ 0x4bd})
 			pqTime = time.Since(t)
 		}()
 	}
@@ -232,7 +233,7 @@ func (o *DataOwner) EncryptDatabase(vectors [][]float64) (*EncryptedDatabase, er
 		Dim:     o.params.Dim,
 		Backend: o.params.Index,
 		Index:   idx,
-		SAP:     idx.Rows(),
+		SAP:     sap,
 		DCE:     store,
 		PQ:      pqStore,
 	}, nil

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"ppanns/internal/index"
 	"ppanns/internal/pq"
+	"ppanns/internal/vec"
 )
 
 // gather is the one re-layout of a database. The serving tier's fold,
@@ -13,51 +13,54 @@ import (
 // step, and all three run through it.
 //
 // Position j of the result holds source position ids[j]. When ids[j] < 0
-// or names a dead record, position j is a dead slot: a nil row, a zeroed
-// ciphertext record and a zeroed PQ code row. gather writes -1 into ids at
-// every such position, so the map the stores copy by is the one the rows
-// were gathered by. The rows come from the SAP column.
+// or names a dead record, position j is a dead slot: a zeroed SAP row, a
+// zeroed ciphertext record and a zeroed PQ code row. gather writes -1 into
+// ids at every such position, so the map every column copies by is the
+// one the liveness was read by.
 //
-// build makes the filter index over the gathered rows, and its row arena
-// is the result's SAP column. gather then copies the ciphertext records
-// and, when the source carries a PQ tier, the code rows under the shared
-// codebook, into private arenas; retraining is the caller's step (foldPQ).
-// The result is checked once: the index must hold exactly the live records
-// of the store.
-func (e *EncryptedDatabase) gather(ids []int, build func(vecs [][]float64) (index.SecureIndex, error)) (*EncryptedDatabase, [][]float64, error) {
-	vecs := make([][]float64, len(ids))
+// gather copies the SAP rows, the ciphertext records and, when the source
+// carries a PQ tier, the code rows under the shared codebook, into
+// private arenas, and build makes the filter index over the gathered SAP
+// column, which the index reads in place; retraining is the caller's step
+// (foldPQ). The result is checked once: the index must hold exactly the
+// live records of the store.
+func (e *EncryptedDatabase) gather(ids []int, build func(rows *vec.Dataset, live []bool) (index.SecureIndex, error)) (*EncryptedDatabase, error) {
 	for j, id := range ids {
 		if id < 0 || !e.DCE.Has(id) {
 			ids[j] = -1
-			continue
 		}
-		vecs[j] = e.SAP.At(id)
 	}
-	idx, err := build(vecs)
+	sap, store := e.SAP.Gather(ids), e.DCE.Gather(ids)
+	idx, err := build(sap, store.LiveMask())
 	if err != nil {
-		return nil, nil, fmt.Errorf("building %s index: %w", e.Backend, err)
+		return nil, fmt.Errorf("building %s index: %w", e.Backend, err)
 	}
-	store := e.DCE.Gather(ids)
 	if idx.Len() != store.Live() {
-		return nil, nil, fmt.Errorf("%s index holds %d live vectors, ciphertext store %d", e.Backend, idx.Len(), store.Live())
+		return nil, fmt.Errorf("%s index holds %d live vectors, ciphertext store %d", e.Backend, idx.Len(), store.Live())
 	}
-	ne := &EncryptedDatabase{Dim: e.Dim, Backend: e.Backend, Index: idx, SAP: idx.Rows(), DCE: store}
+	ne := &EncryptedDatabase{Dim: e.Dim, Backend: e.Backend, Index: idx, SAP: sap, DCE: store}
 	if e.PQ != nil {
 		ne.PQ = &pq.Store{Book: e.PQ.Book, Codes: e.PQ.Codes.Gather(ids), TrainedOn: e.PQ.TrainedOn, Cfg: e.PQ.Cfg}
 	}
-	return ne, vecs, nil
+	return ne, nil
 }
 
-// foldPQ is the PQ step of a compaction, online or offline: vecs are the
-// rows ne was gathered from. The gathered codes under the shared codebook
-// stand until the id space has outgrown the codebook's training set
-// (NeedsRetrain's deterministic doubling rule). Then the whole tier
-// retrains on the live rows of vecs under the retained config, dead rows
-// zero, and old codes mean nothing. With no live row there is nothing to
-// train on, and the codebook is kept.
-func foldPQ(ne *EncryptedDatabase, vecs [][]float64) (retrained bool, err error) {
-	if ne.PQ == nil || !ne.PQ.NeedsRetrain(len(vecs)) || !slices.ContainsFunc(vecs, func(v []float64) bool { return v != nil }) {
+// foldPQ is the PQ step of a compaction, online or offline, on a gathered
+// database ne. The gathered codes under the shared codebook stand until
+// the id space has outgrown the codebook's training set (NeedsRetrain's
+// deterministic doubling rule). Then the whole tier retrains on the live
+// rows of ne's SAP column under the retained config, dead rows zero, and
+// old codes mean nothing. With no live row there is nothing to train on,
+// and the codebook is kept.
+func foldPQ(ne *EncryptedDatabase) (retrained bool, err error) {
+	if ne.PQ == nil || !ne.PQ.NeedsRetrain(ne.Len()) || ne.Live() == 0 {
 		return false, nil
+	}
+	vecs := make([][]float64, ne.Len())
+	for id := range vecs {
+		if ne.DCE.Has(id) {
+			vecs[id] = ne.SAP.At(id)
+		}
 	}
 	if ne.PQ, err = pq.Build(vecs, ne.PQ.Cfg); err != nil {
 		return false, fmt.Errorf("PQ retrain: %w", err)
@@ -88,9 +91,9 @@ func (e *EncryptedDatabase) Compacted() (*EncryptedDatabase, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("core: offline compaction: database has no live records")
 	}
-	ne, vecs, err := e.gather(ids, e.Index.Rebuild)
+	ne, err := e.gather(ids, e.Index.Rebuild)
 	if err == nil {
-		_, err = foldPQ(ne, vecs)
+		_, err = foldPQ(ne)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: offline compaction: %w", err)
@@ -108,18 +111,16 @@ func (e *EncryptedDatabase) Compacted() (*EncryptedDatabase, error) {
 //
 // Shard s is the gather over the map local ↦ local·n + s. A tombstoned id
 // keeps its slot as a dead one, so local ids stay dense and the arithmetic
-// mapping never shifts. Each shard gets its stripe of the ciphertext arena
-// and a freshly built filter index over the stripe's rows of the SAP
-// column. When present,
-// the PQ code rows are gathered too, under the shared codebook: it was fit
-// on the full corpus, so it is never retrained here, and PQ distances stay
-// comparable across stripes.
+// mapping never shifts. Each shard gets its stripe of the SAP column and of
+// the ciphertext arena, and a freshly built filter index over its SAP
+// stripe. When present, the PQ code rows are gathered too, under the
+// shared codebook: it was fit on the full corpus, so it is never retrained
+// here, and PQ distances stay comparable across stripes.
 //
 // opts configures the per-shard index builds; zero values select the
-// backend's documented defaults, and Dim is filled in from the database.
-// A non-zero Seed is decorrelated per shard (shard s builds with
-// Seed+s+1); Seed 0 builds every shard with seed 0. The source database is
-// not modified.
+// backend's documented defaults. A non-zero Seed is decorrelated per shard
+// (shard s builds with Seed+s+1); Seed 0 builds every shard with seed 0.
+// The source database is not modified.
 func (e *EncryptedDatabase) Split(n int, opts index.Options) ([]*EncryptedDatabase, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: non-positive shard count %d", n)
@@ -128,7 +129,6 @@ func (e *EncryptedDatabase) Split(n int, opts index.Options) ([]*EncryptedDataba
 	if n > total {
 		return nil, fmt.Errorf("core: cannot split %d vectors across %d shards", total, n)
 	}
-	opts.Dim = e.Dim
 
 	shards := make([]*EncryptedDatabase, n)
 	for s := range shards {
@@ -140,8 +140,8 @@ func (e *EncryptedDatabase) Split(n int, opts index.Options) ([]*EncryptedDataba
 		if o.Seed != 0 {
 			o.Seed = opts.Seed + uint64(s) + 1
 		}
-		shard, _, err := e.gather(ids, func(vecs [][]float64) (index.SecureIndex, error) {
-			return index.Build(e.Backend, vecs, o)
+		shard, err := e.gather(ids, func(rows *vec.Dataset, live []bool) (index.SecureIndex, error) {
+			return index.BuildOver(e.Backend, rows, live, o)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: shard %d: %w", s, err)

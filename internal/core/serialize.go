@@ -192,11 +192,11 @@ func LoadEncryptedDatabase(r io.Reader) (*EncryptedDatabase, error) {
 	case flag != 0:
 		return nil, fmt.Errorf("core: corrupt PQ flag byte %d", flag)
 	}
-	idx, err := index.Load(backend, d, dim, live)
+	idx, sap, err := index.Load(backend, d, dim, live)
 	if err != nil {
 		return nil, fmt.Errorf("core: loading %s index: %w", backend, err)
 	}
-	e.Index, e.SAP = idx, idx.Rows()
+	e.Index, e.SAP = idx, sap
 	if err := d.Done(); err != nil {
 		return nil, fmt.Errorf("core: database file: %w", err)
 	}

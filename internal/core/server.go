@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ppanns/internal/pq"
 	"ppanns/internal/resultheap"
 	"ppanns/internal/vec"
 	"ppanns/internal/wal"
@@ -657,25 +656,15 @@ func (s *Server) publishInsert(cur *snapshot, sapIn, rec []float64, code []byte)
 	// Each column append writes past every published snapshot's length —
 	// invisible to in-flight readers and to the index, whose rows end at
 	// the main tier.
-	store := edb.DCE.Extend(rec)
-	var pqStore *pq.Store
+	next := *edb
+	next.SAP, next.DCE = edb.SAP.Extend(sapIn), edb.DCE.Extend(rec)
 	if edb.PQ != nil {
-		pqStore = &pq.Store{
-			Book:      edb.PQ.Book,
-			Codes:     edb.PQ.Codes.Extend(code),
-			TrainedOn: edb.PQ.TrainedOn,
-			Cfg:       edb.PQ.Cfg,
-		}
+		pqs := *edb.PQ
+		pqs.Codes = edb.PQ.Codes.Extend(code)
+		next.PQ = &pqs
 	}
 	s.snap.Store(&snapshot{
-		edb: &EncryptedDatabase{
-			Dim:     edb.Dim,
-			Backend: edb.Backend,
-			Index:   edb.Index,
-			SAP:     edb.SAP.Extend(sapIn),
-			DCE:     store,
-			PQ:      pqStore,
-		},
+		edb:      &next,
 		frozen:   cur.frozen,
 		tombs:    cur.tombs,
 		mainDead: cur.mainDead,
@@ -923,15 +912,15 @@ func (s *Server) compactFold() error {
 	for t := range base.tombs {
 		ids[t] = -1
 	}
-	folded, vecs, err := edb.gather(ids, edb.Index.Rebuild)
+	folded, err := edb.gather(ids, edb.Index.Rebuild)
 	if err != nil {
 		return fmt.Errorf("core: compaction: %w", err)
 	}
-	pqRetrained, err := foldPQ(folded, vecs)
+	pqRetrained, err := foldPQ(folded)
 	if err != nil {
 		return fmt.Errorf("core: compaction: %w", err)
 	}
-	idx, store, pqs := folded.Index, folded.DCE, folded.PQ
+	store, pqs := folded.DCE, folded.PQ
 	// graftCode carries id g's code into the folded arena: copied from the
 	// serving store when the codebook was reused, re-encoded from the SAP
 	// column when a retrain replaced it (old codes are meaningless under a
@@ -956,18 +945,12 @@ func (s *Server) compactFold() error {
 	// bit-stable while the checkpoint file is written after the swap.
 	var ckptEDB *EncryptedDatabase
 	if s.wal != nil {
-		var ckptPQ *pq.Store
+		ckpt := *folded
+		ckpt.DCE = store.Snapshot()
 		if pqs != nil {
-			ckptPQ = pqs.Snapshot()
+			ckpt.PQ = pqs.Snapshot()
 		}
-		ckptEDB = &EncryptedDatabase{
-			Dim:     edb.Dim,
-			Backend: edb.Backend,
-			Index:   idx,
-			SAP:     folded.SAP,
-			DCE:     store.Snapshot(),
-			PQ:      ckptPQ,
-		}
+		ckptEDB = &ckpt
 	}
 
 	// Pre-graft the bulk of the post-snapshot tail with no locks held.
@@ -977,10 +960,10 @@ func (s *Server) compactFold() error {
 	// of records that land while this loop runs. The reservations pull
 	// the repacked arenas' first regrowth (a full-arena copy — Gather and
 	// the index build allocate them exactly full) out of the writers'
-	// critical section. The SAP reservation moves the rebuilt index's own
-	// row arena, which nothing reads until the swap publishes it, so the
-	// column and the index keep sharing one array; the grafts then append
-	// to a clone of its header, past the index's rows.
+	// critical section. The rebuilt index holds the gathered column's
+	// header itself, and nothing reads either until the swap publishes
+	// them, so the SAP reservation moves the one arena under both; the
+	// grafts then append to a clone of the header, past the index's rows.
 	pre := s.snap.Load()
 	preN := pre.edb.DCE.Len()
 	store.Reserve(preN - n + 64)
@@ -1025,15 +1008,9 @@ func (s *Server) compactFold() error {
 			mainDead++
 		}
 	}
+	folded.SAP = &sap
 	s.snap.Store(&snapshot{
-		edb: &EncryptedDatabase{
-			Dim:     edb.Dim,
-			Backend: edb.Backend,
-			Index:   idx,
-			SAP:     &sap,
-			DCE:     store,
-			PQ:      pqs,
-		},
+		edb:      folded,
 		frozen:   n,
 		tombs:    tombs,
 		mainDead: mainDead,

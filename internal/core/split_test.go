@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"ppanns/internal/index"
+	"ppanns/internal/vec"
 )
 
 func TestSplitPartitionsStripe(t *testing.T) {
@@ -95,21 +97,21 @@ func TestSplitValidation(t *testing.T) {
 	}
 }
 
-// contractBreaker wraps a SecureIndex, shorting the id space from Rebuild
-// — the backend misbehavior a compaction must reject without publishing
-// anything.
+// contractBreaker wraps a SecureIndex, dropping the last record from
+// Rebuild's live set — the backend misbehavior a compaction must reject
+// without publishing anything.
 type contractBreaker struct {
 	index.SecureIndex
 	breakRebuild bool
 }
 
-func (b *contractBreaker) Rebuild(vectors [][]float64) (index.SecureIndex, error) {
-	if b.breakRebuild && len(vectors) > 1 {
-		// Drop the last vector: the rebuilt index's id space no longer
-		// matches the ciphertext store.
-		vectors = vectors[:len(vectors)-1]
+func (b *contractBreaker) Rebuild(rows *vec.Dataset, live []bool) (index.SecureIndex, error) {
+	if b.breakRebuild && len(live) > 1 {
+		// Mark the last record dead: the rebuilt index's live set no
+		// longer matches the ciphertext store.
+		live = append(slices.Clone(live[:len(live)-1]), false)
 	}
-	return b.SecureIndex.Rebuild(vectors)
+	return b.SecureIndex.Rebuild(rows, live)
 }
 
 // TestCompactionContractViolationLeavesSnapshotUntouched pins the payoff

@@ -53,7 +53,7 @@ func (u *User) Query(q []float64) (*QueryToken, error) {
 	r := rng.Derive(u.rnd, 0x70c)
 	u.mu.Unlock()
 	return &QueryToken{
-		SAP:      u.key.SAP.EncryptWith(r, q),
+		SAP:      u.key.SAP.EncryptWith(nil, r, q),
 		Trapdoor: u.key.DCE.TrapGenWith(r, q),
 	}, nil
 }

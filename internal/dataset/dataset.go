@@ -156,8 +156,11 @@ func DeepLike(n, queries int, seed uint64) *Data {
 }
 
 // ByName builds one of the four Table-I stand-ins ("sift", "gist",
-// "glove", "deep") at the given scale.
+// "glove", "deep") at the given scale: n ≥ 1 vectors and queries ≥ 0.
 func ByName(name string, n, queries int, seed uint64) (*Data, error) {
+	if n < 1 || queries < 0 {
+		return nil, fmt.Errorf("dataset: %d vectors and %d queries: want at least one vector and no negative count", n, queries)
+	}
 	switch name {
 	case "sift", "sift-like":
 		return SIFTLike(n, queries, seed), nil

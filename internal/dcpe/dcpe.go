@@ -76,21 +76,23 @@ func BetaRange(maxAbs float64, dim int) (lo, hi float64) {
 func (k *Key) Encrypt(p []float64) []float64 {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return k.EncryptWith(k.rnd, p)
+	return k.EncryptWith(nil, k.rnd, p)
 }
 
 // EncryptWith is Encrypt drawing the perturbation from r instead of the
 // key's stream and taking no lock: bulk encryption gives every record its
-// own stream so the ciphertexts do not depend on worker scheduling.
-func (k *Key) EncryptWith(r *rng.Rand, p []float64) []float64 {
+// own stream so the ciphertexts do not depend on worker scheduling. It
+// writes the ciphertext into dst, which must hold Dim floats, or into a
+// fresh slice when dst is nil, and returns it.
+func (k *Key) EncryptWith(dst []float64, r *rng.Rand, p []float64) []float64 {
 	if len(p) != k.dim {
 		panic(fmt.Sprintf("dcpe: encrypting %d-dim vector with %d-dim key", len(p), k.dim))
 	}
 	if k.beta == 0 {
-		return vec.Scale(nil, k.s, p)
+		return vec.Scale(dst, k.s, p)
 	}
 	// The output doubles as the buffer for u until its norm is known.
-	out := rng.Gaussian(r, nil, k.dim) // Line 1: u ← N(0_d, I_d)
+	out := rng.Gaussian(r, dst, k.dim) // Line 1: u ← N(0_d, I_d)
 	xp := r.Float64()                  // Line 2: x′ ← U(0, 1)
 
 	// Line 3: x ← (sβ/4)·x′^(1/d); Line 4: λ = x·u/‖u‖.

@@ -221,7 +221,7 @@ func TestEncryptWithStream(t *testing.T) {
 	streams := rng.NewStreams(r)
 	for i := 0; i < 50; i++ {
 		p := rng.Gaussian(r, nil, dim)
-		a, b := k.EncryptWith(streams.At(i), p), k.EncryptWith(streams.At(i), p)
+		a, b := k.EncryptWith(nil, streams.At(i), p), k.EncryptWith(nil, streams.At(i), p)
 		if !vec.ApproxEqual(a, b, 0) {
 			t.Fatalf("record %d: same stream, different ciphertexts", i)
 		}

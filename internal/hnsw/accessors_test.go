@@ -8,7 +8,7 @@ import (
 
 func TestVectorAccessor(t *testing.T) {
 	data := clusteredData(31, 100, 6, 3)
-	g := buildGraph(t, data, Config{Dim: 6, Seed: 31})
+	g := buildGraph(t, data, Config{Seed: 31})
 	for i := 0; i < 10; i++ {
 		if !vec.ApproxEqual(g.Vector(i), data[i], 0) {
 			t.Fatalf("Vector(%d) does not match inserted data", i)
@@ -18,7 +18,7 @@ func TestVectorAccessor(t *testing.T) {
 
 func TestNeighborsAccessor(t *testing.T) {
 	data := clusteredData(32, 300, 6, 3)
-	g := buildGraph(t, data, Config{Dim: 6, M: 8, Seed: 32})
+	g := buildGraph(t, data, Config{M: 8, Seed: 32})
 	// Every node must have layer-0 neighbors, all in range, none self.
 	for i := 0; i < 300; i++ {
 		nbs := g.Neighbors(i, 0)
@@ -44,14 +44,14 @@ func TestNeighborsAccessor(t *testing.T) {
 }
 
 func TestEntryPointAccessor(t *testing.T) {
-	g, err := Build(nil, Config{Dim: 2, Seed: 33})
+	g, err := Build(vec.ZeroDataset(2, 0), nil, Config{Seed: 33})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.EntryPoint() != -1 {
 		t.Fatal("empty graph entry point should be -1")
 	}
-	g = buildGraph(t, [][]float64{{1, 2}}, Config{Dim: 2, Seed: 33})
+	g = buildGraph(t, [][]float64{{1, 2}}, Config{Seed: 33})
 	if g.EntryPoint() != 0 {
 		t.Fatal("a single node must be the entry point")
 	}
@@ -61,7 +61,7 @@ func TestLevelZeroProbability(t *testing.T) {
 	// With M=16, ~93.75% of nodes are level 0; Stats.MaxLevel for a
 	// thousand nodes should be small but positive.
 	data := clusteredData(35, 2000, 4, 4)
-	g := buildGraph(t, data, Config{Dim: 4, M: 16, Seed: 35})
+	g := buildGraph(t, data, Config{M: 16, Seed: 35})
 	st := g.Stats()
 	if st.MaxLevel < 1 || st.MaxLevel > 8 {
 		t.Fatalf("MaxLevel = %d for 2000 nodes at M=16", st.MaxLevel)

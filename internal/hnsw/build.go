@@ -63,16 +63,18 @@ import (
 // batchShare bounds a batch to 1/batchShare of the nodes already linked.
 const batchShare = 16
 
-// Build constructs a graph over vectors in one seed-deterministic parallel
-// pass: vector i receives graph id i, every level is drawn up front from
-// cfg.Seed in id order, and the live points are linked in fixed-schedule
-// batches across GOMAXPROCS workers. A nil vector is a dead slot: its id
-// is held by a zero row that no list names. Its level is still drawn, so
+// Build constructs a graph over the rows of data in one seed-deterministic
+// parallel pass: row i receives graph id i, every level is drawn up front
+// from cfg.Seed in id order, and the live points are linked in
+// fixed-schedule batches across GOMAXPROCS workers. The graph keeps data
+// as its rows and never writes them. live[i] false makes id i a dead slot,
+// which no list names, and whose row should be zero (Save writes it); a
+// nil live makes every row live. A dead slot's level is still drawn, so
 // the levels of the other ids do not depend on which slots are dead.
 // The result — adjacency, entry point, Save bytes — does not depend on
 // the worker count. Scratch lives for the duration of the call only.
-func Build(vectors [][]float64, cfg Config) (*Graph, error) {
-	g, _, err := buildLists(vectors, cfg)
+func Build(data *vec.Dataset, live []bool, cfg Config) (*Graph, error) {
+	g, _, err := buildLists(data, live, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -80,41 +82,36 @@ func Build(vectors [][]float64, cfg Config) (*Graph, error) {
 	return g, nil
 }
 
-// buildLists lays out the graph over vectors and links every live point,
+// buildLists lays out the graph over data and links every live point,
 // leaving its layers unpacked. It also returns what the linking computed.
-func buildLists(vectors [][]float64, cfg Config) (*Graph, buildCounts, error) {
-	n := len(vectors)
-	g, err := newGraph(cfg, n)
-	if err != nil {
-		return nil, buildCounts{}, err
+func buildLists(data *vec.Dataset, live []bool, cfg Config) (*Graph, buildCounts, error) {
+	n := data.Len()
+	if live != nil && len(live) != n {
+		return nil, buildCounts{}, fmt.Errorf("hnsw: liveness of %d ids for %d rows", len(live), n)
 	}
+	g := newGraph(cfg, data)
 	levels := drawLevels(g.cfg.Seed, g.mL, n)
 	g.dead = make([]bool, n)
-	live := make([]int32, 0, n)
-	for i, v := range vectors {
-		switch {
-		case v == nil:
-			g.data.AppendZero()
+	ids := make([]int32, 0, n)
+	for i := range n {
+		if live != nil && !live[i] {
 			g.dead[i] = true
 			levels[i] = 0
-		case len(v) != g.cfg.Dim:
-			return nil, buildCounts{}, fmt.Errorf("hnsw: vector %d has dim %d, want %d", i, len(v), g.cfg.Dim)
-		default:
-			g.data.Append(v)
-			live = append(live, int32(i))
+			continue
 		}
+		ids = append(ids, int32(i))
 	}
 	g.carve(levels)
-	g.size = len(live)
+	g.size = len(ids)
 
-	ctxs := make([]*searchCtx, min(runtime.GOMAXPROCS(0), len(live)))
+	ctxs := make([]*searchCtx, min(runtime.GOMAXPROCS(0), len(ids)))
 	for i := range ctxs {
 		ctxs[i] = new(searchCtx)
 		ctxs[i].vis.Grow(n)
 	}
-	for lo := 0; lo < len(live); {
-		hi := min(lo+max(1, lo/batchShare), len(live))
-		g.insertBatch(ctxs, live[lo:hi])
+	for lo := 0; lo < len(ids); {
+		hi := min(lo+max(1, lo/batchShare), len(ids))
+		g.insertBatch(ctxs, ids[lo:hi])
 		lo = hi
 	}
 	var counts buildCounts

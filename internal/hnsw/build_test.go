@@ -39,7 +39,7 @@ func liveOf(g *Graph) []bool {
 // marks, then the trailer.
 func loadBytes(b []byte, dim int, live []bool) (*Graph, error) {
 	d := frame.NewDecoder(bytes.NewReader(b))
-	g, err := Load(d, dim, live)
+	g, _, err := Load(d, dim, live)
 	if err == nil {
 		err = d.Done()
 	}
@@ -50,12 +50,12 @@ func loadBytes(b []byte, dim int, live []bool) (*Graph, error) {
 // graph is a function of (seed, vectors), whatever GOMAXPROCS is.
 func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	data := clusteredData(31, 3000, 16, 8)
-	cfg := Config{Dim: 16, M: 12, EfConstruction: 80, Seed: 31}
+	cfg := Config{M: 12, EfConstruction: 80, Seed: 31}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var want []byte
 	for _, procs := range []int{1, 4, 3} {
 		runtime.GOMAXPROCS(procs)
-		g, err := Build(data, cfg)
+		g, err := build(data, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,13 +72,7 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 // levels Build draws: the classic sequential HNSW construction.
 func insertOneByOne(t *testing.T, data [][]float64, cfg Config) *Graph {
 	t.Helper()
-	g, err := newGraph(cfg, len(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range data {
-		g.data.Append(v)
-	}
+	g := newGraph(cfg, vec.DatasetFromSlices(data))
 	g.dead = make([]bool, len(data))
 	g.size = len(data)
 	g.carve(drawLevels(g.cfg.Seed, g.mL, len(data)))
@@ -97,8 +91,8 @@ func insertOneByOne(t *testing.T, data [][]float64, cfg Config) *Graph {
 // insertion does.
 func TestBuildMatchesSequentialInserts(t *testing.T) {
 	data := clusteredData(32, 2*batchShare, 8, 3)
-	cfg := Config{Dim: 8, M: 6, EfConstruction: 40, Seed: 32}
-	bulk, err := Build(data, cfg)
+	cfg := Config{M: 6, EfConstruction: 40, Seed: 32}
+	bulk, err := build(data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +108,7 @@ func TestBuildMatchesSequentialInserts(t *testing.T) {
 func TestBuildRecallAndEquivalence(t *testing.T) {
 	const n, dim, k = 4000, 16, 10
 	data := clusteredData(33, n, dim, 12)
-	g, err := Build(data, Config{Dim: dim, M: 16, EfConstruction: 200, Seed: 33})
+	g, err := build(data, Config{M: 16, EfConstruction: 200, Seed: 33})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,21 +138,21 @@ func TestBuildRecallAndEquivalence(t *testing.T) {
 		t.Fatalf("bulk-built graph recall@%d = %.3f, want >= 0.95", k, rec)
 	}
 
-	lists, csr := listsAndPacked(t, withDead(data, g.EntryPoint(), 7, 1234, n-1), queries, Config{Dim: dim, M: 16, EfConstruction: 200, Seed: 33}, k, 60)
+	lists, csr := listsAndPacked(t, withDead(data, g.EntryPoint(), 7, 1234, n-1), queries, Config{M: 16, EfConstruction: 200, Seed: 33}, k, 60)
 	for qi := range queries {
 		sameItems(t, qi, csr[qi], lists[qi])
 	}
 }
 
 func TestBuildEdgeCases(t *testing.T) {
-	g, err := Build(nil, Config{Dim: 4})
+	g, err := Build(vec.ZeroDataset(4, 0), nil, Config{})
 	if err != nil || g.Len() != 0 || g.EntryPoint() != -1 {
 		t.Fatalf("empty build: %v, len %d, entry %d", err, g.Len(), g.EntryPoint())
 	}
-	if _, err := Build([][]float64{{1, 2}, {1, 2, 3}}, Config{Dim: 2}); err == nil {
-		t.Fatal("expected an error for a vector of the wrong dimension")
+	if _, err := Build(vec.ZeroDataset(2, 2), []bool{true}, Config{}); err == nil {
+		t.Fatal("expected an error for a liveness of the wrong length")
 	}
-	one, err := Build([][]float64{{1, 2}}, Config{Dim: 2})
+	one, err := build([][]float64{{1, 2}}, Config{})
 	if err != nil || one.Len() != 1 || one.EntryPoint() != 0 {
 		t.Fatalf("single-vector build: %v, len %d, entry %d", err, one.Len(), one.EntryPoint())
 	}
@@ -169,8 +163,8 @@ func TestBuildEdgeCases(t *testing.T) {
 // round-trips through Save and Load.
 func TestSaveLoadAfterDeletingEntry(t *testing.T) {
 	data := clusteredData(35, 500, 8, 4)
-	cfg := Config{Dim: 8, M: 8, EfConstruction: 60, Seed: 35}
-	full, err := Build(data, cfg)
+	cfg := Config{M: 8, EfConstruction: 60, Seed: 35}
+	full, err := build(data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +178,7 @@ func TestSaveLoadAfterDeletingEntry(t *testing.T) {
 			dead = append(dead, id)
 		}
 	}
-	g, err := Build(withDead(data, dead...), cfg)
+	g, err := build(withDead(data, dead...), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +212,8 @@ func TestSaveLoadFuzzedMutations(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		r := rng.NewSeeded(seed)
 		data := clusteredData(seed, n, 6, 3)
-		cfg := Config{Dim: 6, M: 4, EfConstruction: 30, Seed: seed}
-		full, err := Build(data, cfg)
+		cfg := Config{M: 4, EfConstruction: 30, Seed: seed}
+		full, err := build(data, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,11 +223,12 @@ func TestSaveLoadFuzzedMutations(t *testing.T) {
 		for len(dead) < n-int(seed-1)*n/8 {
 			dead[r.IntN(n)] = true
 		}
-		var ids []int
+		rows, live := column(data)
 		for id := range dead {
-			ids = append(ids, id)
+			live[id] = false
+			clear(rows.At(id))
 		}
-		g, err := Build(withDead(data, ids...), cfg)
+		g, err := Build(rows, live, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,11 +259,12 @@ func BenchmarkHNSWBuild(b *testing.B) {
 		{"gist", 1500, 960, 40, 37},
 	} {
 		data := clusteredData(c.seed, c.n, c.dim, c.clusters)
-		cfg := Config{Dim: c.dim, Seed: c.seed}
+		cfg := Config{Seed: c.seed}
 		b.Run(c.name, func(b *testing.B) {
 			var counts buildCounts
 			for i := 0; i < b.N; i++ {
-				g, cs, err := buildLists(data, cfg)
+				rows, live := column(data)
+				g, cs, err := buildLists(rows, live, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -306,7 +302,8 @@ func TestBuildGolden(t *testing.T) {
 		{"gist-d960-n400", 400, 960, 6, 8, 64, 52},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			g, counts, err := buildLists(clusteredData(c.seed, c.n, c.dim, c.clusters), Config{Dim: c.dim, M: c.m, EfConstruction: c.ef, Seed: c.seed})
+			rows, live := column(clusteredData(c.seed, c.n, c.dim, c.clusters))
+			g, counts, err := buildLists(rows, live, Config{M: c.m, EfConstruction: c.ef, Seed: c.seed})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,7 +13,8 @@ import (
 // first answers are the reference the packing is held to.
 func listsAndPacked(t *testing.T, data, queries [][]float64, cfg Config, k, ef int) (lists, csr [][]resultheap.Item) {
 	t.Helper()
-	g, _, err := buildLists(data, cfg)
+	rows, live := column(data)
+	g, _, err := buildLists(rows, live, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func sameItems(t *testing.T, qi int, csr, lists []resultheap.Item) {
 // bit-identical distances, as the walk over the lists it was packed from.
 func TestFrozenSearchMatchesLockedExactly(t *testing.T) {
 	data, queries := frozenTestData(600, 24, 3, 77, 450, 599)
-	lists, csr := listsAndPacked(t, data, queries, Config{Dim: 24, M: 8, EfConstruction: 60, Seed: 5}, 10, 40)
+	lists, csr := listsAndPacked(t, data, queries, Config{M: 8, EfConstruction: 60, Seed: 5}, 10, 40)
 	for qi := range queries {
 		sameItems(t, qi, csr[qi], lists[qi])
 	}

@@ -12,14 +12,14 @@
 // packing the adjacency into CSR layers — per layer, one offsets array plus
 // one flat neighbor array — which searches, Save and the accessors read with
 // no lock. Build links its points with the same descent and beam a search
-// runs, over layers carved with room for each list to grow. A nil row
-// given to Build is a dead slot: it keeps its id (so ids stay vector
-// positions), holds a zero vector, is never linked and is never the entry
-// point.
+// runs, over layers carved with room for each list to grow. A dead slot
+// given to Build keeps its id (so ids stay vector positions) but is never
+// linked and is never the entry point.
 //
-// The graph stores opaque float64 vectors and ranks them by squared
-// Euclidean distance. The PP-ANNS scheme instantiates it over DCPE/SAP
-// ciphertexts; the plaintext baseline instantiates it over raw vectors.
+// The graph is topology over rows it does not own: a vec.Dataset of opaque
+// float64 vectors, which it ranks by squared Euclidean distance and never
+// writes. The PP-ANNS scheme builds it over core's column of DCPE/SAP
+// ciphertexts; the plaintext baseline builds it over raw vectors.
 package hnsw
 
 import (
@@ -33,11 +33,9 @@ import (
 	"ppanns/internal/vec"
 )
 
-// Config holds HNSW build parameters. The paper's evaluation uses M = 40
-// and EfConstruction = 600.
+// Config holds HNSW build parameters; the dimension is the rows'. The
+// paper's evaluation uses M = 40 and EfConstruction = 600.
 type Config struct {
-	// Dim is the vector dimension (required).
-	Dim int
 	// M is the maximum number of bidirectional links per node on layers
 	// above 0; layer 0 allows 2·M. Defaults to 16.
 	M int
@@ -47,17 +45,14 @@ type Config struct {
 	Seed uint64
 }
 
-func (c Config) withDefaults() (Config, error) {
-	if c.Dim <= 0 {
-		return c, fmt.Errorf("hnsw: non-positive dimension %d", c.Dim)
-	}
+func (c Config) withDefaults() Config {
 	if c.M <= 0 {
 		c.M = 16
 	}
 	if c.EfConstruction <= 0 {
 		c.EfConstruction = 200
 	}
-	return c, nil
+	return c
 }
 
 // csrLayer is one layer's adjacency in compressed-sparse-row form: node
@@ -96,27 +91,19 @@ type Graph struct {
 	cfg Config
 	mL  float64
 
-	data     *vec.Dataset
-	levels   []int32 // per id: its top layer
-	dead     []bool  // per id: a dead slot (tombstone)
+	data     *vec.Dataset // the rows Build was given or Load read; never written
+	levels   []int32      // per id: its top layer
+	dead     []bool       // per id: a dead slot (tombstone)
 	layers   []csrLayer
 	entry    int
 	maxLevel int
 	size     int // live node count
 }
 
-// newGraph creates an empty graph with room for capHint vectors.
-func newGraph(cfg Config, capHint int) (*Graph, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	return &Graph{
-		cfg:   cfg,
-		mL:    1 / math.Log(float64(cfg.M)),
-		data:  vec.NewDataset(cfg.Dim, capHint),
-		entry: -1,
-	}, nil
+// newGraph creates an empty graph over data's rows.
+func newGraph(cfg Config, data *vec.Dataset) *Graph {
+	cfg = cfg.withDefaults()
+	return &Graph{cfg: cfg, mL: 1 / math.Log(float64(cfg.M)), data: data, entry: -1}
 }
 
 // Len returns the number of live vectors.
@@ -130,12 +117,9 @@ func (g *Graph) IDs() int { return len(g.levels) }
 // callers can construct a fresh graph with the same parameters.
 func (g *Graph) Config() Config { return g.cfg }
 
-// Vector returns the stored vector for id: the zero vector at a dead slot.
+// Vector returns id's row of the graph's data: the zero vector at a dead
+// slot. Callers must treat it as read-only.
 func (g *Graph) Vector(id int) []float64 { return g.data.At(id) }
-
-// Rows returns the stored vectors: row id holds id's vector, a zero row at
-// a dead slot. Callers must treat it as read-only.
-func (g *Graph) Rows() *vec.Dataset { return g.data }
 
 // searchCtx holds per-walk scratch state: the visited set, the beam's
 // candidate pool, the gathered-neighbor buffer and the blocked-kernel
@@ -220,8 +204,8 @@ func putCtx(ctx *searchCtx) {
 }
 
 func (g *Graph) searchInto(ctx *searchCtx, dst []resultheap.Item, q []float64, k, ef int, sc vec.BlockScanner) []resultheap.Item {
-	if len(q) != g.cfg.Dim {
-		panic(fmt.Sprintf("hnsw: searching %d-dim query in %d-dim graph", len(q), g.cfg.Dim))
+	if len(q) != g.data.Dim() {
+		panic(fmt.Sprintf("hnsw: searching %d-dim query in %d-dim graph", len(q), g.data.Dim()))
 	}
 	if ef < k {
 		ef = k

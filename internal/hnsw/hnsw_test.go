@@ -3,6 +3,7 @@ package hnsw
 import (
 	"bytes"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -69,9 +70,29 @@ func recallOf(got []int, want []int) float64 {
 	return float64(hit) / float64(len(want))
 }
 
+// column lays vectors out as Build takes them, at the dimension of the
+// first live row: a nil row is a dead slot held by a zero row.
+func column(vectors [][]float64) (*vec.Dataset, []bool) {
+	dim := len(vectors[slices.IndexFunc(vectors, func(v []float64) bool { return v != nil })])
+	rows, live := vec.ZeroDataset(dim, len(vectors)), make([]bool, len(vectors))
+	for i, v := range vectors {
+		if v != nil {
+			copy(rows.At(i), v)
+			live[i] = true
+		}
+	}
+	return rows, live
+}
+
+// build is Build over column(vectors).
+func build(vectors [][]float64, cfg Config) (*Graph, error) {
+	rows, live := column(vectors)
+	return Build(rows, live, cfg)
+}
+
 func buildGraph(t *testing.T, data [][]float64, cfg Config) *Graph {
 	t.Helper()
-	g, err := Build(data, cfg)
+	g, err := build(data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,13 +100,14 @@ func buildGraph(t *testing.T, data [][]float64, cfg Config) *Graph {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := Build(nil, Config{Dim: 0}); err == nil {
-		t.Fatal("expected error for dim 0")
+	g, err := Build(vec.ZeroDataset(4, 0), nil, Config{})
+	if err != nil || g.Config() != (Config{M: 16, EfConstruction: 200}) {
+		t.Fatalf("zero config: %v, %+v, want the defaults M=16 efConstruction=200", err, g.Config())
 	}
 }
 
 func TestEmptyGraphSearch(t *testing.T) {
-	g, err := Build(nil, Config{Dim: 4})
+	g, err := Build(vec.ZeroDataset(4, 0), nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +117,7 @@ func TestEmptyGraphSearch(t *testing.T) {
 }
 
 func TestSingleAndFewNodes(t *testing.T) {
-	g := buildGraph(t, [][]float64{{0, 0}, {1, 1}, {5, 5}}, Config{Dim: 2, Seed: 1})
+	g := buildGraph(t, [][]float64{{0, 0}, {1, 1}, {5, 5}}, Config{Seed: 1})
 	res := g.Search([]float64{0.9, 0.9}, 2, 10)
 	if len(res) != 2 || res[0].ID != 1 || res[1].ID != 0 {
 		t.Fatalf("search = %+v", res)
@@ -105,7 +127,7 @@ func TestSingleAndFewNodes(t *testing.T) {
 func TestRecallOnClusteredData(t *testing.T) {
 	const n, dim, k = 4000, 24, 10
 	data := clusteredData(42, n, dim, 30)
-	g := buildGraph(t, data, Config{Dim: dim, M: 16, EfConstruction: 200, Seed: 7})
+	g := buildGraph(t, data, Config{M: 16, EfConstruction: 200, Seed: 7})
 	r := rng.NewSeeded(9)
 	var recall float64
 	const queries = 50
@@ -126,7 +148,7 @@ func TestRecallOnClusteredData(t *testing.T) {
 
 func TestSearchResultsSorted(t *testing.T) {
 	data := clusteredData(3, 500, 8, 5)
-	g := buildGraph(t, data, Config{Dim: 8, Seed: 2})
+	g := buildGraph(t, data, Config{Seed: 2})
 	q := data[17]
 	res := g.Search(q, 20, 50)
 	for i := 1; i < len(res); i++ {
@@ -143,7 +165,7 @@ func TestEfSearchTradeoff(t *testing.T) {
 	// Larger ef must not reduce recall (on average).
 	const n, dim, k = 3000, 16, 10
 	data := clusteredData(5, n, dim, 20)
-	g := buildGraph(t, data, Config{Dim: dim, M: 12, EfConstruction: 150, Seed: 3})
+	g := buildGraph(t, data, Config{M: 12, EfConstruction: 150, Seed: 3})
 	r := rng.NewSeeded(11)
 	queries := make([][]float64, 30)
 	for i := range queries {
@@ -176,7 +198,7 @@ func TestEfSearchTradeoff(t *testing.T) {
 func TestConcurrentBuildAndSearch(t *testing.T) {
 	const n, dim, builders = 2000, 12, 4
 	data := clusteredData(6, n, dim, 10)
-	cfg := Config{Dim: dim, M: 12, EfConstruction: 100, Seed: 5}
+	cfg := Config{M: 12, EfConstruction: 100, Seed: 5}
 	saved := make([][]byte, builders)
 	hits := make([]int, builders)
 	var wg sync.WaitGroup
@@ -184,7 +206,7 @@ func TestConcurrentBuildAndSearch(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			g, err := Build(data, cfg)
+			g, err := build(data, cfg)
 			if err != nil {
 				t.Error(err)
 				return
@@ -239,7 +261,7 @@ func TestDelete(t *testing.T) {
 			ids = append(ids, id)
 		}
 	}
-	g := buildGraph(t, withDead(data, ids...), Config{Dim: dim, M: 12, EfConstruction: 120, Seed: 6})
+	g := buildGraph(t, withDead(data, ids...), Config{M: 12, EfConstruction: 120, Seed: 6})
 	if g.Len() != n-200 || g.IDs() != n {
 		t.Fatalf("Len/IDs = %d/%d, want %d/%d", g.Len(), g.IDs(), n-200, n)
 	}
@@ -265,7 +287,7 @@ func TestDelete(t *testing.T) {
 
 // TestDeleteErrors: dead-slot bookkeeping, and a dead slot holds no vector.
 func TestDeleteErrors(t *testing.T) {
-	g := buildGraph(t, [][]float64{nil, {1, 1}}, Config{Dim: 2, Seed: 8})
+	g := buildGraph(t, [][]float64{nil, {1, 1}}, Config{Seed: 8})
 	if !g.Deleted(0) || g.Deleted(1) || !g.Deleted(5) || !g.Deleted(-1) {
 		t.Fatal("Deleted() bookkeeping wrong")
 	}
@@ -280,7 +302,10 @@ func TestDeleteErrors(t *testing.T) {
 // TestDeleteAll: a vector set with every row nil builds an empty graph over
 // its ids.
 func TestDeleteAll(t *testing.T) {
-	g := buildGraph(t, [][]float64{nil, nil, nil}, Config{Dim: 2, Seed: 9})
+	g, err := Build(vec.ZeroDataset(2, 3), make([]bool, 3), Config{Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if g.Len() != 0 || g.IDs() != 3 {
 		t.Fatalf("Len/IDs = %d/%d, want 0/3", g.Len(), g.IDs())
 	}
@@ -297,7 +322,7 @@ func TestDeleteAll(t *testing.T) {
 // other ids keep the levels the seed drew for them.
 func TestDeleteEntryPoint(t *testing.T) {
 	data := clusteredData(10, 300, 8, 4)
-	cfg := Config{Dim: 8, Seed: 10}
+	cfg := Config{Seed: 10}
 	full := buildGraph(t, data, cfg)
 	dead := full.EntryPoint()
 	g := buildGraph(t, withDead(data, dead), cfg)
@@ -319,7 +344,7 @@ func TestDeleteEntryPoint(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	data := clusteredData(12, 1000, 8, 8)
-	g := buildGraph(t, data, Config{Dim: 8, M: 10, Seed: 12})
+	g := buildGraph(t, data, Config{M: 10, Seed: 12})
 	st := g.Stats()
 	if st.Nodes != 1000 || st.Deleted != 0 {
 		t.Fatalf("Stats nodes=%d deleted=%d", st.Nodes, st.Deleted)
@@ -330,7 +355,7 @@ func TestStats(t *testing.T) {
 	if st.AvgDegree > float64(2*10) {
 		t.Fatalf("layer-0 degree %f exceeds the layer-0 cap 2·M", st.AvgDegree)
 	}
-	g = buildGraph(t, withDead(data, 3), Config{Dim: 8, M: 10, Seed: 12})
+	g = buildGraph(t, withDead(data, 3), Config{M: 10, Seed: 12})
 	if st = g.Stats(); st.Nodes != 999 || st.Deleted != 1 {
 		t.Fatalf("Stats nodes=%d deleted=%d with one dead slot", st.Nodes, st.Deleted)
 	}
@@ -350,7 +375,7 @@ func TestLevelDistribution(t *testing.T) {
 }
 
 func TestDimMismatchPanics(t *testing.T) {
-	g := buildGraph(t, [][]float64{{0, 0}}, Config{Dim: 2, Seed: 14})
+	g := buildGraph(t, [][]float64{{0, 0}}, Config{Seed: 14})
 	for name, fn := range map[string]func(){
 		"Search":     func() { g.Search([]float64{1, 2, 3}, 1, 1) },
 		"SearchInto": func() { g.SearchInto(nil, []float64{1}, 1, 1) },
@@ -374,7 +399,7 @@ func TestGraphConnectivity(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		dead = append(dead, i*7)
 	}
-	g := buildGraph(t, withDead(data, dead...), Config{Dim: 8, M: 12, Seed: 15})
+	g := buildGraph(t, withDead(data, dead...), Config{M: 12, Seed: 15})
 	for l := range g.layers {
 		for _, nb := range g.layers[l].nbrs {
 			if g.Deleted(int(nb)) {

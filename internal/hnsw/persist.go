@@ -41,17 +41,18 @@ func (g *Graph) Save(e *frame.Encoder) {
 }
 
 // Load reads a section Save wrote for len(live) ids of dimension dim,
-// live[id] false at every dead slot. The bytes are untrusted: the header
-// is checked before it sizes anything, the adjacency is packed into the
-// CSR layers as its bytes arrive, no list may exceed its layer's link cap
-// or name a dead slot, and the entry point must be a live node of the top
-// level.
-func Load(d *frame.Decoder, dim int, live []bool) (*Graph, error) {
+// live[id] false at every dead slot, and returns the graph and the rows
+// the section carries, which the graph keeps as its data. The bytes are
+// untrusted: the header is checked before it sizes anything, the
+// adjacency is packed into the CSR layers as its bytes arrive, no list may
+// exceed its layer's link cap or name a dead slot, and the entry point
+// must be a live node of the top level.
+func Load(d *frame.Decoder, dim int, live []bool) (*Graph, *vec.Dataset, error) {
 	n := len(live)
-	cfg := Config{Dim: dim, M: d.Int(), EfConstruction: d.Int(), Seed: d.U64()}
+	cfg := Config{M: d.Int(), EfConstruction: d.Int(), Seed: d.U64()}
 	entry, maxLevel := d.Int(), d.Int()
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("hnsw: reading header: %w", err)
+		return nil, nil, fmt.Errorf("hnsw: reading header: %w", err)
 	}
 	size := 0
 	for _, ok := range live {
@@ -61,19 +62,15 @@ func Load(d *frame.Decoder, dim int, live []bool) (*Graph, error) {
 	}
 	// Build draws no level above 53 (U ≥ 2⁻⁵³, M ≥ 2), so a deeper header
 	// is a lie.
-	if cfg.M < 2 || cfg.EfConstruction < 1 || entry < -1 || entry >= n || maxLevel < 0 || maxLevel > 64 || (entry < 0) != (size == 0) {
-		return nil, fmt.Errorf("hnsw: implausible header M=%d efConstruction=%d entry=%d maxLevel=%d for %d live of %d ids",
-			cfg.M, cfg.EfConstruction, entry, maxLevel, size, n)
+	if dim < 1 || cfg.M < 2 || cfg.EfConstruction < 1 || entry < -1 || entry >= n || maxLevel < 0 || maxLevel > 64 || (entry < 0) != (size == 0) {
+		return nil, nil, fmt.Errorf("hnsw: implausible header dim=%d M=%d efConstruction=%d entry=%d maxLevel=%d for %d live of %d ids",
+			dim, cfg.M, cfg.EfConstruction, entry, maxLevel, size, n)
 	}
-	g, err := newGraph(cfg, 0)
-	if err != nil {
-		return nil, err
+	g := newGraph(cfg, vec.LoadDataset(d, dim, n))
+	if err := d.Err(); err != nil {
+		return nil, nil, fmt.Errorf("hnsw: reading vectors: %w", err)
 	}
 	g.entry, g.maxLevel, g.size = entry, maxLevel, size
-	g.data = vec.LoadDataset(d, dim, n)
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("hnsw: reading vectors: %w", err)
-	}
 
 	g.levels = make([]int32, n)
 	g.dead = make([]bool, n)
@@ -112,10 +109,10 @@ func Load(d *frame.Decoder, dim int, live []bool) (*Graph, error) {
 		}
 	}
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("hnsw: reading adjacency: %w", err)
+		return nil, nil, fmt.Errorf("hnsw: reading adjacency: %w", err)
 	}
 	if entry >= 0 && (!live[entry] || g.levels[entry] != int32(maxLevel)) || entry < 0 && maxLevel != 0 {
-		return nil, fmt.Errorf("hnsw: entry point %d is not a live node of the max level %d", entry, maxLevel)
+		return nil, nil, fmt.Errorf("hnsw: entry point %d is not a live node of the max level %d", entry, maxLevel)
 	}
-	return g, nil
+	return g, g.data, nil
 }

@@ -15,14 +15,14 @@ import (
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	data := clusteredData(21, 800, 12, 6)
-	g := buildGraph(t, withDead(data, 5), Config{Dim: 12, M: 10, EfConstruction: 120, Seed: 21})
+	g := buildGraph(t, withDead(data, 5), Config{M: 10, EfConstruction: 120, Seed: 21})
 
 	g2, err := loadBytes(saveBytes(t, g), 12, liveOf(g))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2.Len() != g.Len() || g2.Rows().Dim() != g.Rows().Dim() || g2.Config() != g.Config() {
-		t.Fatalf("loaded shape %d/%d/%+v, want %d/%d/%+v", g2.Len(), g2.Rows().Dim(), g2.Config(), g.Len(), g.Rows().Dim(), g.Config())
+	if g2.Len() != g.Len() || g2.Config() != g.Config() {
+		t.Fatalf("loaded shape %d/%+v, want %d/%+v", g2.Len(), g2.Config(), g.Len(), g.Config())
 	}
 	if !g2.Deleted(5) {
 		t.Fatal("tombstone lost in round trip")
@@ -61,7 +61,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Fatal("expected error for empty stream")
 	}
 	// A graph is refused by a caller expecting another shape.
-	g := buildGraph(t, withDead(clusteredData(24, 50, 6, 2), 9), Config{Dim: 6, Seed: 24})
+	g := buildGraph(t, withDead(clusteredData(24, 50, 6, 2), 9), Config{Seed: 24})
 	raw := saveBytes(t, g)
 	live := liveOf(g)
 	revived := liveOf(g)
@@ -94,7 +94,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 func TestLoadRejectsTruncated(t *testing.T) {
-	g := buildGraph(t, clusteredData(22, 100, 6, 3), Config{Dim: 6, Seed: 22})
+	g := buildGraph(t, clusteredData(22, 100, 6, 3), Config{Seed: 22})
 	raw := saveBytes(t, g)
 	for _, cut := range []int{10, len(raw) / 2, len(raw) - 3} {
 		if _, err := loadBytes(raw[:cut], 6, liveOf(g)); err == nil {
@@ -104,7 +104,7 @@ func TestLoadRejectsTruncated(t *testing.T) {
 }
 
 func TestSaveLoadEmptyGraph(t *testing.T) {
-	g, err := Build(nil, Config{Dim: 4, Seed: 23})
+	g, err := Build(vec.ZeroDataset(4, 0), nil, Config{Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func (w *stallWriter) Write(p []byte) (int, error) {
 // served from that graph.
 func TestSaveDoesNotBlockSearches(t *testing.T) {
 	data := clusteredData(25, 300, 8, 3)
-	g := buildGraph(t, data, Config{Dim: 8, Seed: 25})
+	g := buildGraph(t, data, Config{Seed: 25})
 	w := &stallWriter{started: make(chan struct{}), release: make(chan struct{})}
 	saved := make(chan error, 1)
 	go func() {

@@ -196,7 +196,8 @@ func poolQueries(data [][]float64, seed uint64, dim int) [][]float64 {
 func TestPoolMatchesHeapBeam(t *testing.T) {
 	const dim = 12
 	data := clusteredData(51, 1500, dim, 8)
-	g, _, err := buildLists(data, Config{Dim: dim, M: 5, EfConstruction: 48, Seed: 51})
+	rows, live := column(data)
+	g, _, err := buildLists(rows, live, Config{M: 5, EfConstruction: 48, Seed: 51})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestPoolTiesKeepArrivalOrder(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		data = append(data, base...)
 	}
-	g, err := Build(data, Config{Dim: dim, M: 4, EfConstruction: 24, Seed: 53})
+	g, err := build(data, Config{M: 4, EfConstruction: 24, Seed: 53})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestPoolTiesKeepArrivalOrder(t *testing.T) {
 func TestSearchIntoDistMatchesHeapBeam(t *testing.T) {
 	const dim, k = 10, 8
 	data := clusteredData(55, 1200, dim, 6)
-	g := buildGraph(t, data, Config{Dim: dim, M: 6, EfConstruction: 40, Seed: 55})
+	g := buildGraph(t, data, Config{M: 6, EfConstruction: 40, Seed: 55})
 	for qi, q := range poolQueries(data, 56, dim) {
 		for _, ef := range []int{k, 30, 200} {
 			var gotEvals, wantEvals int

@@ -30,6 +30,25 @@ func clustered(seed uint64, n, dim, clusters int) [][]float64 {
 	return out
 }
 
+// column lays vectors out as BuildOver takes them: a nil row is a dead
+// slot held by a zero row.
+func column(dim int, vectors [][]float64) (*vec.Dataset, []bool) {
+	rows, live := vec.ZeroDataset(dim, len(vectors)), make([]bool, len(vectors))
+	for i, v := range vectors {
+		if v != nil {
+			copy(rows.At(i), v)
+			live[i] = true
+		}
+	}
+	return rows, live
+}
+
+// rebuild is ix.Rebuild over column(dim, vectors).
+func rebuild(ix SecureIndex, dim int, vectors [][]float64) (SecureIndex, error) {
+	rows, live := column(dim, vectors)
+	return ix.Rebuild(rows, live)
+}
+
 // saveSection writes ix's section as a stream of its own, trailer
 // included.
 func saveSection(t testing.TB, ix SecureIndex) []byte {
@@ -57,7 +76,7 @@ func liveMask(ix SecureIndex, n int) []bool {
 // section for the positions live marks, then the trailer.
 func loadSection(name string, b []byte, dim int, live []bool) (SecureIndex, error) {
 	d := frame.NewDecoder(bytes.NewReader(b))
-	ix, err := Load(name, d, dim, live)
+	ix, _, err := Load(name, d, dim, live)
 	if err == nil {
 		err = d.Done()
 	}
@@ -146,8 +165,8 @@ func TestConformance(t *testing.T) {
 			if got := ix.Len(); got != n {
 				t.Fatalf("Len = %d, want %d", got, n)
 			}
-			if got := ix.Rows().Dim(); got != dim {
-				t.Fatalf("Dim = %d, want %d", got, dim)
+			if v, _ := ix.Vector(0); len(v) != dim {
+				t.Fatalf("Vector(0) has %d floats, want %d", len(v), dim)
 			}
 
 			// The beam width can arrive from the wire. On a fresh index —
@@ -212,8 +231,8 @@ func TestConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ix2.Len() != ix.Len() || ix2.Rows().Dim() != ix.Rows().Dim() {
-				t.Fatalf("round-trip changed shape: %d/%d vs %d/%d", ix2.Len(), ix2.Rows().Dim(), ix.Len(), ix.Rows().Dim())
+			if !bytes.Equal(saveSection(t, ix2), saved) {
+				t.Fatal("round-trip changed the section's bytes")
 			}
 			// The section is refused by a database of another shape.
 			for _, shape := range [][2]int{{dim, n - 1}, {dim, n + 1}, {dim + 1, n}} {
@@ -237,7 +256,7 @@ func TestConformance(t *testing.T) {
 			// newcomer is found at the next position, and the receiver is
 			// left as it was.
 			novel := vec.Scale(nil, 40, vec.Ones(dim)) // far from every cluster
-			grown, err := ix.Rebuild(append(slices.Clone(data), novel))
+			grown, err := rebuild(ix, dim, append(slices.Clone(data), novel))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,7 +276,7 @@ func TestConformance(t *testing.T) {
 			}
 			dead := slices.Clone(data)
 			dead[top[0]] = nil
-			rebuilt, err := ix.Rebuild(dead)
+			rebuilt, err := rebuild(ix, dim, dead)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -276,13 +295,13 @@ func TestConformance(t *testing.T) {
 				t.Fatal("a dead slot moved its neighbour's vector")
 			}
 
-			// Every row nil: an empty index, from Build (a stripe whose every
-			// record is dead) and from Rebuild (a fold after deleting
+			// Every row dead: an empty index, from a build (a stripe whose
+			// every record is dead) and from Rebuild (a fold after deleting
 			// everything), and it round-trips.
 			allDead := make([][]float64, 8)
 			for how, build := range map[string]func() (SecureIndex, error){
 				"build":   func() (SecureIndex, error) { return Build(name, allDead, Options{Dim: dim, Seed: 42}) },
-				"rebuild": func() (SecureIndex, error) { return ix.Rebuild(allDead) },
+				"rebuild": func() (SecureIndex, error) { return rebuild(ix, dim, allDead) },
 			} {
 				empty, err := build()
 				if err != nil {
@@ -293,6 +312,48 @@ func TestConformance(t *testing.T) {
 				}
 				if loaded, err := loadSection(name, saveSection(t, empty), dim, make([]bool, len(allDead))); err != nil || loaded.Len() != 0 {
 					t.Fatalf("%s over all-nil rows does not round-trip: %v", how, err)
+				}
+			}
+		})
+	}
+}
+
+// TestBuildMatchesBuildOver: Build over slices with nil rows is BuildOver
+// over the column of the same rows and liveness, down to the Save bytes
+// and the answers, for every backend; an all-dead set builds an empty
+// index of dimension Options.Dim through both.
+func TestBuildMatchesBuildOver(t *testing.T) {
+	const n, dim, k, ef = 700, 10, 10, 80
+	data := clustered(61, n, dim, 5)
+	queries := makeQueries(62, data, 20, 0.3)
+	holed := slices.Clone(data)
+	for id := 3; id < n; id += 41 {
+		holed[id] = nil
+	}
+	opts := Options{Dim: dim, Seed: 63}
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			for how, vectors := range map[string][][]float64{"dead slots": holed, "all dead": make([][]float64, 9)} {
+				wrapped, err := Build(name, vectors, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows, live := column(dim, vectors)
+				over, err := BuildOver(name, rows, live, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				saved := saveSection(t, over)
+				if !bytes.Equal(saveSection(t, wrapped), saved) {
+					t.Fatalf("%s: Build and BuildOver save different sections", how)
+				}
+				if _, err := loadSection(name, saved, dim, live); err != nil {
+					t.Fatalf("%s: the section does not load at dimension %d: %v", how, dim, err)
+				}
+				for qi, q := range queries {
+					if a, b := wrapped.SearchInto(nil, q, k, ef), over.SearchInto(nil, q, k, ef); !slices.Equal(a, b) {
+						t.Fatalf("%s query %d: Build answers %v, BuildOver %v", how, qi, a, b)
+					}
 				}
 			}
 		})
@@ -382,7 +443,7 @@ func TestRegistry(t *testing.T) {
 	if _, err := Build("hnsw", nil, Options{}); err == nil {
 		t.Fatal("expected Build error for missing dimension")
 	}
-	if _, err := Load("no-such-backend", frame.NewDecoder(bytes.NewReader(nil)), 4, nil); err == nil {
+	if _, _, err := Load("no-such-backend", frame.NewDecoder(bytes.NewReader(nil)), 4, nil); err == nil {
 		t.Fatal("expected Load error for unknown backend")
 	}
 }
@@ -415,7 +476,7 @@ func TestConformanceFrozenViewStability(t *testing.T) {
 			victim := first[0][0].ID
 			live := slices.Clone(data)
 			live[victim] = nil
-			rebuilt, err := ix.Rebuild(live)
+			rebuilt, err := rebuild(ix, 12, live)
 			if err != nil {
 				t.Fatal(err)
 			}

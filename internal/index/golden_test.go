@@ -70,7 +70,7 @@ func TestSearchGolden(t *testing.T) {
 			for _, id := range []int{0, 17, 450, n - 1} {
 				live[id] = nil
 			}
-			if ix, err = ix.Rebuild(live); err != nil {
+			if ix, err = rebuild(ix, dim, live); err != nil {
 				t.Fatal(err)
 			}
 			loaded, err := loadSection(name, saveSection(t, ix), dim, liveMask(ix, n))

@@ -14,9 +14,8 @@ type hnswIndex struct {
 	g *hnsw.Graph
 }
 
-func buildHNSW(vectors [][]float64, opts Options) (SecureIndex, error) {
-	g, err := hnsw.Build(vectors, hnsw.Config{
-		Dim:            opts.Dim,
+func buildHNSW(rows *vec.Dataset, live []bool, opts Options) (SecureIndex, error) {
+	g, err := hnsw.Build(rows, live, hnsw.Config{
 		M:              opts.M,
 		EfConstruction: opts.EfConstruction,
 		Seed:           opts.Seed,
@@ -35,8 +34,6 @@ func (ix *hnswIndex) SearchIntoDist(dst []resultheap.Item, q []float64, k, ef in
 	return ix.g.SearchIntoDist(dst, q, k, ef, sc)
 }
 
-func (ix *hnswIndex) Rows() *vec.Dataset { return ix.g.Rows() }
-
 func (ix *hnswIndex) Len() int { return ix.g.Len() }
 
 func (ix *hnswIndex) Vector(pos int) ([]float64, bool) {
@@ -46,12 +43,11 @@ func (ix *hnswIndex) Vector(pos int) ([]float64, bool) {
 	return ix.g.Vector(pos), true
 }
 
-// Rebuild reconstructs a fresh graph over vectors with the receiver's
-// build parameters, through the same bulk build as Build.
-func (ix *hnswIndex) Rebuild(vectors [][]float64) (SecureIndex, error) {
+// Rebuild reconstructs a fresh graph over rows with the receiver's build
+// parameters, through the same bulk build as BuildOver.
+func (ix *hnswIndex) Rebuild(rows *vec.Dataset, live []bool) (SecureIndex, error) {
 	cfg := ix.g.Config()
-	return buildHNSW(vectors, Options{
-		Dim:            cfg.Dim,
+	return buildHNSW(rows, live, Options{
 		Seed:           cfg.Seed,
 		M:              cfg.M,
 		EfConstruction: cfg.EfConstruction,
@@ -60,10 +56,10 @@ func (ix *hnswIndex) Rebuild(vectors [][]float64) (SecureIndex, error) {
 
 func (ix *hnswIndex) Save(e *frame.Encoder) { ix.g.Save(e) }
 
-func loadHNSW(d *frame.Decoder, dim int, live []bool) (SecureIndex, error) {
-	g, err := hnsw.Load(d, dim, live)
+func loadHNSW(d *frame.Decoder, dim int, live []bool) (SecureIndex, *vec.Dataset, error) {
+	g, rows, err := hnsw.Load(d, dim, live)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &hnswIndex{g: g}, nil
+	return &hnswIndex{g: g}, rows, nil
 }

@@ -17,15 +17,15 @@
 // tagged with either is refused (see Lookup).
 //
 // Both follow one lifecycle (see SecureIndex): an index is an immutable
-// value, built or loaded once and then only read. External ids are vector
-// positions: every backend assigns ids 0..n-1 in build order, so callers
-// can index parallel ciphertext arrays directly with the ids a search
-// returns. A nil row in the vectors a build is given is a dead slot.
+// value, built or loaded once and then only read, and it holds topology
+// only, over a column of rows it is given and does not own. External ids
+// are row positions: every backend assigns ids 0..n-1 in row order, so
+// callers can index parallel ciphertext arrays directly with the ids a
+// search returns.
 package index
 
 import (
 	"errors"
-	"fmt"
 
 	"ppanns/internal/frame"
 	"ppanns/internal/resultheap"
@@ -38,21 +38,22 @@ import (
 // again.
 var ErrOldFormat = errors.New("written by an earlier format generation: re-encrypt the vectors with this build")
 
-// SecureIndex is the filter-phase index over SAP ciphertexts. Ids are
-// vector positions, 0..n-1 in build order.
+// SecureIndex is the filter-phase index over SAP ciphertexts. Ids are row
+// positions, 0..n-1, of the column it was built over.
 //
 // # Lifecycle
 //
-// An index is built (Build, Rebuild) or loaded (Load), published, and then
-// read with no lock: nothing writes to it after construction, so searches
-// run concurrently with any number of other searches and beside a Save
-// (the conformance suite verifies it). Deletion is a construction input: a
-// nil row in the vectors is a dead slot, which keeps its id — positions
-// never shift — but holds no vector, and which no backend links, lists or
-// hashes. core.Server's writers append to the delta tier beside the
-// published index, and a fold Rebuilds a private index over both tiers
-// with nil at every dead id and publishes the result atomically (see
-// core's snapshot documentation).
+// An index holds topology only. BuildOver and Rebuild are given a column
+// (*vec.Dataset) and Load returns the one it read; the index reads its
+// rows in place and never writes, appends to or copies them. It is built
+// or loaded, published, and then read with no lock, so searches run
+// concurrently with one another and beside a Save (the conformance suite
+// verifies it). Deletion is a construction input: live[id] false is a
+// dead slot, which keeps its id — positions never shift — but which no
+// backend links or lists. core owns the column: its writers append
+// inserts past the index's rows, copy-on-write, and a fold gathers a
+// fresh column, Rebuilds a private index over it and publishes both
+// atomically (see core's snapshot documentation).
 type SecureIndex interface {
 	// SearchInto appends up to k live ids approximately closest to q,
 	// closest first, to dst[:0], reusing its capacity. ef is an advisory
@@ -64,37 +65,34 @@ type SecureIndex interface {
 	// code arena, both spanning every id. Structural navigation that is
 	// not a candidate distance (IVF centroid probing, HNSW graph topology)
 	// still uses q exactly; every candidate the backend ranks is scored
-	// through sc. Ids passed to sc are external ids (vector positions).
-	// SearchInto is SearchIntoDist with the exact scanner over Rows.
+	// through sc. Ids passed to sc are external ids (row positions).
+	// SearchInto is SearchIntoDist with the exact scanner over the index's
+	// column.
 	SearchIntoDist(dst []resultheap.Item, q []float64, k, ef int, sc vec.BlockScanner) []resultheap.Item
-	// Rebuild constructs a fresh index of the same backend over vectors,
-	// using the receiver's build configuration (graph parameters, trained
-	// quantizer, seed). Ids are assigned 0..len-1 in vectors order, nil
-	// rows dead; the receiver is not modified. This is the fold primitive.
-	// A vector set whose rows are all nil builds an empty index.
-	Rebuild(vectors [][]float64) (SecureIndex, error)
-	// Vector returns the stored (SAP-ciphertext) vector of a live id. The
-	// second result is false for dead slots and for ids the backend never
+	// Rebuild constructs a fresh index of the same backend over rows and
+	// live, as BuildOver takes them, using the receiver's build
+	// configuration (graph parameters, trained quantizer, seed); the
+	// receiver is not modified. This is the fold primitive. A column with
+	// no live row builds an empty index.
+	Rebuild(rows *vec.Dataset, live []bool) (SecureIndex, error)
+	// Vector returns a live id's row of the index's column. The second
+	// result is false for dead slots and for ids the backend never
 	// assigned. Callers must treat the returned slice as read-only.
 	Vector(id int) ([]float64, bool)
-	// Rows returns the stored vectors as the index's own row arena: row id
-	// holds id's vector, a zero row at a dead slot. Core's SAP column is
-	// this arena on a built or loaded database. Callers must not write its
-	// rows or append to it; the holder of an index nothing else has seen
-	// yet may Reserve room past them, which moves the arena, not a row.
-	Rows() *vec.Dataset
 	// Len returns the number of live vectors.
 	Len() int
-	// Save writes the index's section of a database file, so Load
+	// Save writes the index's section of a database file — its column's
+	// rows where the section has them, and its topology — so Load
 	// round-trips it into an index that saves the same bytes.
 	Save(e *frame.Encoder)
 }
 
-// Options carries per-backend build and search parameters. Zero values
-// select each backend's documented defaults; fields for other backends are
-// ignored, so one Options value can configure any backend choice.
+// Options carries per-backend build parameters. Zero values select each
+// backend's documented defaults; fields for other backends are ignored,
+// so one Options value can configure any backend choice.
 type Options struct {
-	// Dim is the vector dimension (required).
+	// Dim is the vector dimension of the slices Build is given (required
+	// there); BuildOver takes its column's.
 	Dim int
 	// Seed fixes construction: one seed and one input give one index.
 	// 0 is a seed like any other.
@@ -104,11 +102,4 @@ type Options struct {
 	// and 200; the paper's evaluation uses 40 and 600).
 	M              int
 	EfConstruction int
-}
-
-func (o Options) validate() error {
-	if o.Dim <= 0 {
-		return fmt.Errorf("index: non-positive dimension %d", o.Dim)
-	}
-	return nil
 }

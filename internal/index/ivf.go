@@ -14,8 +14,8 @@ type ivfIndex struct {
 	ix *ivf.Index
 }
 
-func buildIVF(vectors [][]float64, opts Options) (SecureIndex, error) {
-	ix, err := ivf.Build(vectors, ivf.Config{Dim: opts.Dim, Seed: opts.Seed})
+func buildIVF(rows *vec.Dataset, live []bool, opts Options) (SecureIndex, error) {
+	ix, err := ivf.Build(rows, live, ivf.Config{Seed: opts.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -43,8 +43,6 @@ func (a *ivfIndex) SearchIntoDist(dst []resultheap.Item, q []float64, k, ef int,
 	return a.ix.SearchIntoDist(dst, q, k, a.probesFor(ef), sc)
 }
 
-func (a *ivfIndex) Rows() *vec.Dataset { return a.ix.Rows() }
-
 func (a *ivfIndex) Len() int { return a.ix.Len() }
 
 func (a *ivfIndex) Vector(id int) ([]float64, bool) {
@@ -56,8 +54,8 @@ func (a *ivfIndex) Vector(id int) ([]float64, bool) {
 // quantizer: assignments are recomputed per vector, but k-means training —
 // the expensive part of a cold build — is not repeated. Dead slots are in
 // no list.
-func (a *ivfIndex) Rebuild(vectors [][]float64) (SecureIndex, error) {
-	ix, err := a.ix.Rebuild(vectors)
+func (a *ivfIndex) Rebuild(rows *vec.Dataset, live []bool) (SecureIndex, error) {
+	ix, err := a.ix.Rebuild(rows, live)
 	if err != nil {
 		return nil, err
 	}
@@ -69,10 +67,10 @@ func (a *ivfIndex) Trained() kmeans.Stats { return a.ix.Trained() }
 
 func (a *ivfIndex) Save(e *frame.Encoder) { a.ix.Save(e) }
 
-func loadIVF(d *frame.Decoder, dim int, live []bool) (SecureIndex, error) {
-	ix, err := ivf.Load(d, dim, live)
+func loadIVF(d *frame.Decoder, dim int, live []bool) (SecureIndex, *vec.Dataset, error) {
+	ix, rows, err := ivf.Load(d, dim, live)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &ivfIndex{ix: ix}, nil
+	return &ivfIndex{ix: ix}, rows, nil
 }

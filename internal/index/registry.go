@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ppanns/internal/frame"
+	"ppanns/internal/vec"
 )
 
 // Default is the backend used when no name is given: HNSW, the paper's
@@ -28,29 +29,47 @@ func Lookup(name string) error {
 	return fmt.Errorf("index: unknown backend %q (have %v)", name, Names())
 }
 
-// Build constructs the named backend over the vectors ("" = Default); a
-// nil row is a dead slot (see SecureIndex).
-func Build(name string, vectors [][]float64, opts Options) (SecureIndex, error) {
+// BuildOver constructs the named backend ("" = Default) over the column
+// rows, which the index keeps and never writes: row i is id i, live[i]
+// false makes id i a dead slot, whose row should be zero, and a nil live
+// makes every row live (see SecureIndex). The dimension is the column's.
+func BuildOver(name string, rows *vec.Dataset, live []bool, opts Options) (SecureIndex, error) {
 	if err := Lookup(name); err != nil {
 		return nil, err
 	}
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
 	if name == "ivf" {
-		return buildIVF(vectors, opts)
+		return buildIVF(rows, live, opts)
 	}
-	return buildHNSW(vectors, opts)
+	return buildHNSW(rows, live, opts)
+}
+
+// Build is BuildOver over a fresh column of opts.Dim holding the vectors,
+// where a nil row is a dead slot held by a zero row. It stays for the
+// benchmark harness, which builds from slices, and leaves with the
+// harness's next change.
+func Build(name string, vectors [][]float64, opts Options) (SecureIndex, error) {
+	if opts.Dim <= 0 {
+		return nil, fmt.Errorf("index: non-positive dimension %d", opts.Dim)
+	}
+	rows, live := vec.ZeroDataset(opts.Dim, len(vectors)), make([]bool, len(vectors))
+	for i, v := range vectors {
+		if live[i] = v != nil; live[i] && len(v) != opts.Dim {
+			return nil, fmt.Errorf("index: vector %d has dim %d, want %d", i, len(v), opts.Dim)
+		}
+		copy(rows.At(i), v)
+	}
+	return BuildOver(name, rows, live, opts)
 }
 
 // Load reads a section written by the named backend's Save ("" = Default)
 // for a database of len(live) records of dimension dim, live[id] false at
-// every dead slot. The section's bytes are untrusted; the dimension and
-// the liveness come from the database file that carries it, which states
-// them once for every section.
-func Load(name string, d *frame.Decoder, dim int, live []bool) (SecureIndex, error) {
+// every dead slot, and returns the index and the column of rows the
+// section carries, which the index keeps. The section's bytes are
+// untrusted; the dimension and the liveness come from the database file
+// that carries it, which states them once for every section.
+func Load(name string, d *frame.Decoder, dim int, live []bool) (SecureIndex, *vec.Dataset, error) {
 	if err := Lookup(name); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if name == "ivf" {
 		return loadIVF(d, dim, live)

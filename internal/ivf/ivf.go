@@ -6,8 +6,9 @@
 // SAP ciphertexts.
 //
 // An index is an immutable value: built (Build, Rebuild) or loaded (Load)
-// once and then only read, with no lock. A nil row in the vectors is a dead
-// slot: it keeps its id and a zero row, and no list holds it.
+// once and then only read, with no lock. It is topology over rows it does
+// not own: the lists name ids of a vec.Dataset the index keeps but never
+// writes. A dead slot keeps its id and its row, and no list holds it.
 package ivf
 
 import (
@@ -33,9 +34,6 @@ const (
 
 // Config parameterizes index construction.
 type Config struct {
-	// Dim is the vector dimension of a build with no live vector; any
-	// other build takes it from its vectors.
-	Dim int
 	// Seed drives quantizer training.
 	Seed uint64
 }
@@ -55,7 +53,7 @@ type Index struct {
 	// are ids[offs[c]:offs[c+1]], so a probe scans one contiguous id span.
 	offs    []int32
 	ids     []int32
-	data    *vec.Dataset
+	data    *vec.Dataset // the rows Build was given or Load read; never written
 	deleted []bool
 	live    int
 }
@@ -71,32 +69,30 @@ type searchCtx struct {
 	exact  vec.Exact
 }
 
-// Build trains the quantizer on the live vectors and populates the lists.
-// A vector set whose rows are all nil builds an index with no lists, of
-// dimension cfg.Dim.
-func Build(vectors [][]float64, cfg Config) (*Index, error) {
-	if len(vectors) == 0 {
+// Build trains the quantizer on the live rows of data and populates the
+// lists. live[i] false makes id i a dead slot, whose row should be zero
+// (Save writes it); a nil live makes every row live. A build with no live
+// row has no lists.
+func Build(data *vec.Dataset, live []bool, cfg Config) (*Index, error) {
+	if data.Len() == 0 {
 		return nil, fmt.Errorf("ivf: empty data")
 	}
-	var live [][]float64
+	if live != nil && len(live) != data.Len() {
+		return nil, fmt.Errorf("ivf: liveness of %d ids for %d rows", len(live), data.Len())
+	}
+	var rows [][]float64
 	var liveIDs []int
-	for i, v := range vectors {
-		if v != nil {
-			live = append(live, v)
+	for i := range data.Len() {
+		if live == nil || live[i] {
+			rows = append(rows, data.At(i))
 			liveIDs = append(liveIDs, i)
 		}
 	}
-	ix := &Index{dim: cfg.Dim}
-	if len(live) > 0 {
-		ix.dim = len(live[0])
-	}
-	if ix.dim <= 0 {
-		return nil, fmt.Errorf("ivf: no live vector and no dimension")
-	}
-	assign := make([]int, len(vectors))
-	if len(live) > 0 {
-		nlist := min(max(isqrt(len(live)), minLists), maxLists, len(live))
-		res, err := kmeans.Fit(live, kmeans.Config{K: nlist, MaxIters: trainIters, Seed: cfg.Seed})
+	ix := &Index{dim: data.Dim()}
+	assign := make([]int, data.Len())
+	if len(rows) > 0 {
+		nlist := min(max(isqrt(len(rows)), minLists), maxLists, len(rows))
+		res, err := kmeans.Fit(rows, kmeans.Config{K: nlist, MaxIters: trainIters, Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
@@ -105,19 +101,21 @@ func Build(vectors [][]float64, cfg Config) (*Index, error) {
 			assign[i] = res.Assign[j]
 		}
 	}
-	ix.populate(vectors, assign)
+	ix.populate(data, live, assign)
 	return ix, nil
 }
 
-// populate fills an empty index with vectors, live vector i in list
-// assign[i] and every nil row a dead slot: ids are positions and every
-// list is in id order.
-func (ix *Index) populate(vectors [][]float64, assign []int) {
+// populate fills an empty index over data, live row i in list assign[i]
+// and every other a dead slot: ids are positions and every list is in id
+// order.
+func (ix *Index) populate(data *vec.Dataset, live []bool, assign []int) {
 	nlist := ix.Lists()
+	n := data.Len()
+	ix.data = data
 	ix.offs = make([]int32, nlist+1)
-	ix.deleted = make([]bool, len(vectors))
-	for i, v := range vectors {
-		if v == nil {
+	ix.deleted = make([]bool, n)
+	for i := range n {
+		if live != nil && !live[i] {
 			ix.deleted[i] = true
 			continue
 		}
@@ -129,15 +127,11 @@ func (ix *Index) populate(vectors [][]float64, assign []int) {
 	}
 	next := append([]int32(nil), ix.offs[:nlist]...)
 	ix.ids = make([]int32, ix.live)
-	ix.data = vec.NewDataset(ix.dim, len(vectors))
-	for i, v := range vectors {
-		if v == nil {
-			ix.data.AppendZero()
-			continue
+	for i, dead := range ix.deleted {
+		if !dead {
+			ix.ids[next[assign[i]]] = int32(i)
+			next[assign[i]]++
 		}
-		ix.data.Append(v)
-		ix.ids[next[assign[i]]] = int32(i)
-		next[assign[i]]++
 	}
 }
 
@@ -158,8 +152,8 @@ func isqrt(n int) int {
 // Len returns the number of live vectors.
 func (ix *Index) Len() int { return ix.live }
 
-// Vector returns the stored vector for a live id, or nil for a dead slot
-// or an out-of-range id.
+// Vector returns a live id's row of the index's data, or nil for a dead
+// slot or an out-of-range id. Callers must treat it as read-only.
 func (ix *Index) Vector(id int) []float64 {
 	if id < 0 || id >= len(ix.deleted) || ix.deleted[id] {
 		return nil
@@ -167,39 +161,36 @@ func (ix *Index) Vector(id int) []float64 {
 	return ix.data.At(id)
 }
 
-// Rows returns the stored vectors: row id holds id's vector, a zero row at
-// a dead slot. Callers must treat it as read-only.
-func (ix *Index) Rows() *vec.Dataset { return ix.data }
-
 // Lists returns nlist.
 func (ix *Index) Lists() int { return len(ix.cents) / ix.dim }
 
-// Rebuild returns a new index over vectors (ids are positions, nil rows
-// dead slots) sharing the receiver's trained quantizer: the fold primitive
-// of compaction, which re-populates from scratch without paying for
-// k-means training again. The centroids are immutable, so sharing them is
-// safe. Every vector lands in the list a full scan of the centroids would
-// choose; the points are assigned in parallel by a kmeans.Searcher, each
-// starting from the list the receiver holds its id in (a fold keeps ids, so
-// that is usually the answer already), or below kmeans.WideRow dimensions
-// by that full scan itself, and the lists are filled in id order.
-// A receiver with no lists (built with no live vector) has no quantizer to
-// share, so its Rebuild trains one.
-func (ix *Index) Rebuild(vectors [][]float64) (*Index, error) {
-	if len(ix.cents) == 0 {
-		return Build(vectors, Config{Dim: ix.dim})
+// Rebuild returns a new index over data and live, as Build takes them,
+// sharing the receiver's trained quantizer: the fold primitive of
+// compaction, which re-populates from scratch without paying for k-means
+// training again. The centroids are immutable, so sharing them is safe.
+// Every live row lands in the list a full scan of the centroids would
+// choose; the rows are assigned in parallel by a kmeans.Searcher, each
+// starting from the list the receiver holds its id in (a fold keeps ids,
+// so that is usually the answer already), or below kmeans.WideRow
+// dimensions by that full scan itself, and the lists are filled in id
+// order. A receiver with no lists (built with no live vector) has no
+// quantizer to share, so its Rebuild trains one.
+func (ix *Index) Rebuild(data *vec.Dataset, live []bool) (*Index, error) {
+	if data.Dim() != ix.dim {
+		panic(fmt.Sprintf("ivf: rebuilding a %d-dim index over %d-dim rows", ix.dim, data.Dim()))
 	}
-	for _, v := range vectors {
-		if v != nil && len(v) != ix.dim {
-			panic(fmt.Sprintf("ivf: rebuilding a %d-dim index over a %d-dim vector", ix.dim, len(v)))
-		}
+	if len(ix.cents) == 0 {
+		return Build(data, live, Config{})
+	}
+	if live != nil && len(live) != data.Len() {
+		return nil, fmt.Errorf("ivf: liveness of %d ids for %d rows", len(live), data.Len())
 	}
 	var search *kmeans.Searcher
 	if ix.dim >= kmeans.WideRow {
 		search = kmeans.NewSearcher(ix.cents, ix.dim)
 	}
 
-	assign := make([]int, len(vectors))
+	assign := make([]int, data.Len())
 	for i := range assign {
 		assign[i] = -1
 	}
@@ -210,25 +201,26 @@ func (ix *Index) Rebuild(vectors [][]float64) (*Index, error) {
 			}
 		}
 	}
-	par.Spans(runtime.GOMAXPROCS(0), len(vectors), 256, func(_, lo, hi int) {
+	par.Spans(runtime.GOMAXPROCS(0), len(assign), 256, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if vectors[i] == nil {
+			if live != nil && !live[i] {
 				continue
 			}
+			v := data.At(i)
 			if search == nil {
-				assign[i], _ = kmeans.NearestFlat(ix.cents, ix.dim, vectors[i])
+				assign[i], _ = kmeans.NearestFlat(ix.cents, ix.dim, v)
 				continue
 			}
 			guess := assign[i]
 			if guess < 0 {
-				guess = search.Guess(vectors[i])
+				guess = search.Guess(v)
 			}
-			assign[i], _ = search.Nearest(vectors[i], guess)
+			assign[i], _ = search.Nearest(v, guess)
 		}
 	})
 
 	fresh := &Index{dim: ix.dim, cents: ix.cents}
-	fresh.populate(vectors, assign)
+	fresh.populate(data, live, assign)
 	return fresh, nil
 }
 

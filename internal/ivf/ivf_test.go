@@ -16,10 +16,35 @@ import (
 	"ppanns/internal/vec"
 )
 
+// column lays vectors out as Build takes them: a nil row is a dead slot
+// held by a zero row.
+func column(dim int, vectors [][]float64) (*vec.Dataset, []bool) {
+	rows, live := vec.ZeroDataset(dim, len(vectors)), make([]bool, len(vectors))
+	for i, v := range vectors {
+		if v != nil {
+			copy(rows.At(i), v)
+			live[i] = true
+		}
+	}
+	return rows, live
+}
+
+// build is Build over column(dim, vectors).
+func build(dim int, vectors [][]float64, cfg Config) (*Index, error) {
+	rows, live := column(dim, vectors)
+	return Build(rows, live, cfg)
+}
+
+// rebuild is Rebuild over column(ix.dim, vectors).
+func (ix *Index) rebuild(vectors [][]float64) (*Index, error) {
+	rows, live := column(ix.dim, vectors)
+	return ix.Rebuild(rows, live)
+}
+
 func buildIndex(t *testing.T, n int) (*Index, *dataset.Data) {
 	t.Helper()
 	d := dataset.DeepLike(n, 20, 31)
-	ix, err := Build(d.Train, Config{Seed: 31})
+	ix, err := build(d.Dim, d.Train, Config{Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,8 +52,11 @@ func buildIndex(t *testing.T, n int) (*Index, *dataset.Data) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := Build(nil, Config{}); err == nil {
+	if _, err := Build(vec.ZeroDataset(4, 0), nil, Config{}); err == nil {
 		t.Fatal("expected error for empty data")
+	}
+	if _, err := Build(vec.ZeroDataset(4, 2), []bool{true}, Config{}); err == nil {
+		t.Fatal("expected error for a liveness of the wrong length")
 	}
 }
 
@@ -79,7 +107,7 @@ func TestResultsSorted(t *testing.T) {
 func TestProbesNearestCentroids(t *testing.T) {
 	probed := func(cents [][]float64, q []float64, nprobe int) []int {
 		ix := &Index{dim: 2, cents: slices.Concat(cents...)}
-		ix.populate(cents, []int{0, 1, 2, 3}[:len(cents)])
+		ix.populate(vec.DatasetFromSlices(cents), nil, []int{0, 1, 2, 3}[:len(cents)])
 		var ids []int
 		for _, it := range ix.SearchInto(nil, q, len(cents), nprobe) {
 			ids = append(ids, it.ID)
@@ -107,7 +135,7 @@ func TestAddAndDelete(t *testing.T) {
 	r := rng.NewSeeded(7)
 	novel := vec.Normalize(rng.GaussianVec(r, d.Dim, 1))
 	grown := append(append([][]float64(nil), d.Train...), novel)
-	ix, err := built.Rebuild(grown)
+	ix, err := built.rebuild(grown)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +145,7 @@ func TestAddAndDelete(t *testing.T) {
 		t.Fatalf("inserted vector not found: %+v", items)
 	}
 	grown[id] = nil
-	gone, err := ix.Rebuild(grown)
+	gone, err := ix.rebuild(grown)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,18 +160,15 @@ func TestAddAndDelete(t *testing.T) {
 		t.Fatalf("Len = %d, %d, built %d", ix.Len(), gone.Len(), built.Len())
 	}
 
-	empty, err := gone.Rebuild(make([][]float64, 3))
+	empty, err := gone.rebuild(make([][]float64, 3))
 	if err != nil || empty.Len() != 0 || len(empty.SearchInto(nil, novel, 1, 8)) != 0 {
 		t.Fatalf("all-nil rebuild: %v, Len %d", err, empty.Len())
 	}
-	bare, err := Build(make([][]float64, 3), Config{Dim: d.Dim})
+	bare, err := build(d.Dim, make([][]float64, 3), Config{})
 	if err != nil || bare.Lists() != 0 || bare.Len() != 0 {
 		t.Fatalf("all-nil build: %v, %d lists, Len %d", err, bare.Lists(), bare.Len())
 	}
-	if _, err := Build(make([][]float64, 3), Config{}); err == nil {
-		t.Fatal("all-nil build with no dimension succeeded")
-	}
-	refilled, err := bare.Rebuild(d.Train)
+	refilled, err := bare.rebuild(d.Train)
 	if err != nil || refilled.Len() != 500 || refilled.Lists() == 0 {
 		t.Fatalf("rebuilding an empty index: %v, Len %d", err, refilled.Len())
 	}
@@ -155,7 +180,7 @@ func TestAddAndDelete(t *testing.T) {
 func TestDimMismatchPanics(t *testing.T) {
 	ix, _ := buildIndex(t, 200)
 	for name, fn := range map[string]func(){
-		"Rebuild": func() { ix.Rebuild([][]float64{make([]float64, 3)}) },
+		"Rebuild": func() { ix.Rebuild(vec.ZeroDataset(3, 1), nil) },
 		"Search":  func() { ix.SearchInto(nil, make([]float64, 3), 1, 1) },
 	} {
 		func() {
@@ -246,7 +271,7 @@ func TestBuildGolden(t *testing.T) {
 	} {
 		for _, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
-			ix, err := Build(c.data, c.cfg)
+			ix, err := build(len(c.data[0]), c.data, c.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -270,7 +295,7 @@ func TestRebuildMatchesAdd(t *testing.T) {
 	for _, id := range []int{3, 700, 1499} {
 		dead[id] = nil
 	}
-	ix, err := built.Rebuild(dead)
+	ix, err := built.rebuild(dead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +321,7 @@ func TestRebuildMatchesAdd(t *testing.T) {
 		}
 		for _, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
-			got, err := ix.Rebuild(vectors)
+			got, err := ix.rebuild(vectors)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -323,7 +348,7 @@ func TestRebuildMatchesAdd(t *testing.T) {
 	for i, v := range grown {
 		short[i] = v[:3:3]
 	}
-	narrow, err := Build(short[:1000], Config{Dim: 3, Seed: 33})
+	narrow, err := build(3, short[:1000], Config{Seed: 33})
 	if err != nil {
 		t.Fatal(err)
 	}

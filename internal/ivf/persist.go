@@ -29,11 +29,12 @@ func (ix *Index) Save(e *frame.Encoder) {
 }
 
 // Load reads a section Save wrote for len(live) ids of dimension dim,
-// live[id] false at every dead slot. The bytes are untrusted: the
-// centroids, whose count n does not bound, grow as their rows arrive, under
-// nlist (vec.Rows.AppendZero), and the lists must hold every live id
-// exactly once, in id order within a list, and no dead one.
-func Load(d *frame.Decoder, dim int, live []bool) (*Index, error) {
+// live[id] false at every dead slot, and returns the index and the rows
+// the section carries, which the index keeps as its data. The bytes are
+// untrusted: the centroids, whose count n does not bound, grow as their
+// rows arrive, under nlist (vec.Rows.AppendZero), and the lists must hold
+// every live id exactly once, in id order within a list, and no dead one.
+func Load(d *frame.Decoder, dim int, live []bool) (*Index, *vec.Dataset, error) {
 	n := len(live)
 	ix := &Index{dim: dim, deleted: make([]bool, n)}
 	for id, ok := range live {
@@ -44,10 +45,10 @@ func Load(d *frame.Decoder, dim int, live []bool) (*Index, error) {
 	}
 	nlist := d.Int()
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("ivf: reading header: %w", err)
+		return nil, nil, fmt.Errorf("ivf: reading header: %w", err)
 	}
 	if nlist < 0 || nlist > math.MaxInt32 || nlist == 0 && ix.live != 0 {
-		return nil, fmt.Errorf("ivf: implausible header: %d lists over %d live ids", nlist, ix.live)
+		return nil, nil, fmt.Errorf("ivf: implausible header: %d lists over %d live ids", nlist, ix.live)
 	}
 	cents := vec.NewRows[float64](dim, dim, 0)
 	for c := 0; c < nlist && d.Err() == nil; c++ {
@@ -56,7 +57,7 @@ func Load(d *frame.Decoder, dim int, live []bool) (*Index, error) {
 	ix.cents = cents.Raw()
 	ix.data = vec.LoadDataset(d, dim, n)
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("ivf: reading centroids and vectors: %w", err)
+		return nil, nil, fmt.Errorf("ivf: reading centroids and vectors: %w", err)
 	}
 	ix.offs = make([]int32, nlist+1)
 	ix.ids = make([]int32, ix.live)
@@ -80,10 +81,10 @@ func Load(d *frame.Decoder, dim int, live []bool) (*Index, error) {
 		ix.offs[c+1] = int32(at + cnt)
 	}
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("ivf: reading lists: %w", err)
+		return nil, nil, fmt.Errorf("ivf: reading lists: %w", err)
 	}
 	if int(ix.offs[nlist]) != ix.live {
-		return nil, fmt.Errorf("ivf: the lists hold %d of %d live ids", ix.offs[nlist], ix.live)
+		return nil, nil, fmt.Errorf("ivf: the lists hold %d of %d live ids", ix.offs[nlist], ix.live)
 	}
-	return ix, nil
+	return ix, ix.data, nil
 }

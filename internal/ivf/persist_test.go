@@ -42,7 +42,7 @@ func TestLoadChecksLists(t *testing.T) {
 		{"negative", []int32{-1, 0, 1}, false},
 	} {
 		d := frame.NewDecoder(bytes.NewReader(handSection(t, len(live), c.list)))
-		ix, err := Load(d, 2, live)
+		ix, _, err := Load(d, 2, live)
 		if err == nil {
 			err = d.Done()
 		}

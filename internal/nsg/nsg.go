@@ -106,7 +106,7 @@ func Build(vectors [][]float64, cfg Config) (*Graph, error) {
 // link runs the NSG construction.
 func (g *Graph) link(vectors [][]float64) error {
 	// Step 1: approximate kNN pools via an auxiliary HNSW.
-	aux, err := hnsw.Build(vectors, hnsw.Config{Dim: g.dim, M: 16, EfConstruction: 2 * g.cfg.L, Seed: g.cfg.Seed})
+	aux, err := hnsw.Build(vec.DatasetFromSlices(vectors), nil, hnsw.Config{M: 16, EfConstruction: 2 * g.cfg.L, Seed: g.cfg.Seed})
 	if err != nil {
 		return err
 	}

@@ -21,9 +21,9 @@ var ErrStaleReplica = errors.New("shard: replica behind the stripe's write floor
 // searchCanceller is the optional Shard extension the hedged-read path
 // uses to abandon a losing attempt: closing cancel releases the call
 // without waiting for (or poisoning) the underlying connection.
-// *transport.Client, *Remote and *Faulty implement it; plain Local does
-// not need to — an in-process search cannot be abandoned midway, its
-// result is simply discarded.
+// *transport.Client and *Remote implement it (and so does the tests'
+// fault-injecting wrapper); plain Local does not need to — an in-process
+// search cannot be abandoned midway, its result is simply discarded.
 type searchCanceller interface {
 	SearchShardCancel(cancel <-chan struct{}, tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error)
 }

@@ -24,6 +24,12 @@ func NewDataset(dim, capHint int) *Dataset {
 	return d
 }
 
+// ZeroDataset returns a dataset of n zero vectors of dimension dim,
+// allocated exactly full.
+func ZeroDataset(dim, n int) *Dataset {
+	return &Dataset{rows: *NewRows[float64](dim, PadStride(dim), n)}
+}
+
 // DatasetFromSlices builds a dataset by copying the given vectors, which must
 // all share the same dimension.
 func DatasetFromSlices(vectors [][]float64) *Dataset {
@@ -67,6 +73,10 @@ func (d *Dataset) Extend(v []float64) *Dataset {
 	ns.rows.Append(v)
 	return &ns
 }
+
+// Gather returns a dataset with an exactly full arena of its own whose
+// row j is a copy of row ids[j], or zero where ids[j] is −1 (Rows.Gather).
+func (d *Dataset) Gather(ids []int) *Dataset { return &Dataset{rows: *d.rows.Gather(ids)} }
 
 // AppendZero appends an all-zero vector and returns both its index and a
 // writable view of the new row, avoiding a copy when the caller fills it in

@@ -50,7 +50,7 @@ import (
 // depend on it.
 type Params = core.Params
 
-// IndexOptions carries backend-specific build and search options for
+// IndexOptions carries backend-specific build parameters for
 // Params.IndexOptions. Fields for backends other than the selected one are
 // ignored.
 type IndexOptions = index.Options
@@ -121,8 +121,10 @@ type UserKey = core.UserKey
 // phase plus the DCE trapdoor for the refine phase.
 type QueryToken = core.QueryToken
 
-// EncryptedDatabase is the server-side state: DCPE ciphertexts indexed by
-// an HNSW graph, plus DCE ciphertexts for exact refinement.
+// EncryptedDatabase is the server-side state: three columns over the id
+// space — the DCPE/SAP ciphertexts, the DCE ciphertexts for exact
+// refinement and, optionally, the PQ codes — plus the filter index (hnsw
+// or ivf) over the SAP column.
 type EncryptedDatabase = core.EncryptedDatabase
 
 // InsertPayload carries one new encrypted vector from owner to server.
