@@ -142,11 +142,12 @@ type EncryptedDatabase struct {
 	Backend string
 	Index   index.SecureIndex
 	// SAP is the C_SAP column: row id is id's SAP ciphertext, a zero row
-	// at a dead slot. It is the database's one SAP row arena: the index
-	// holds only topology and reads the rows of the column it was built
-	// over or loaded with, in place. A server appends inserts past the
-	// index's rows, copy-on-write, so the column keeps spanning [0, Len)
-	// while the index covers the prefix it was built over.
+	// at a dead slot. It is the database's one SAP row arena, which Save
+	// writes once, in a section of its own: the index holds only topology
+	// and reads the rows of the column it was built over or loaded with,
+	// in place. A server appends inserts past the index's rows,
+	// copy-on-write, so the column keeps spanning [0, Len) while the index
+	// covers the prefix it was built over.
 	SAP *vec.Dataset
 	DCE *dce.CiphertextStore
 	// PQ is the compressed filter tier: a product-quantization codebook

@@ -50,7 +50,8 @@ func contentDigest(e *EncryptedDatabase) string {
 		}
 	}
 	if e.PQ != nil {
-		// The two training words Save writes: a sample of 8192, 8 iterations.
+		// The recipe's constant training words, a sample of 8192 and 8
+		// iterations, which PPANNSD6 files carried.
 		c := e.PQ.Cfg
 		put(uint64(e.PQ.TrainedOn), uint64(c.M), uint64(e.PQ.Book.K()), 8192, 8, c.Seed)
 		for _, block := range e.PQ.Book.Centroids() {
@@ -218,7 +219,11 @@ func TestBuildStats(t *testing.T) {
 // drift between commits is invisible to it. The content digests were
 // recorded at commit 183fd19, over PPANNSD5, and the database digests
 // re-captured when the file became PPANNSD6 (one frame stream under one
-// CRC32): the same content in the new layout. The user-key digests were
+// CRC32) and again when it became PPANNSD7 (each column written once, the
+// index sections topology only, the constant header and PQ words
+// dropped): the same content in the new layout. The PPANNSD7 digests are
+// those of commit 70d2083's PPANNSD6 files with their sections moved into
+// the new order and the dropped words cut out. The user-key digests were
 // re-captured once, when the DCE key file (generation 2) started to carry
 // the folded query matrix in place of M₁⁻¹, M₂⁻¹ and M₃⁻¹, and again when
 // the key files left gob for their own magic-led layouts (PPANNSU1 around
@@ -252,31 +257,31 @@ func TestDatabaseGolden(t *testing.T) {
 		zeros            bool // clip the data at zero
 	}{
 		{"hnsw", Params{Dim: 8, Beta: 0.5, Seed: 61, Index: "hnsw"},
-			"ac44d618d1953d273b2bf378707418ecb6b3ba0bd0d4ae1621b3f4c432f07ff9",
+			"beeed5bbea192044e2319dd7ff2be67d459f8b539a76c8240bc726ae9a8c0a1d",
 			"ebd35e52fdfa74db6592741df1d5b392db10613e475b2c84bf91d19cedc633f0",
 			"cdd2182c58eba5cf3d1e630e95e4b9cc726d4724da647f0efc802da3c5fc3a8c", false},
 		{"ivf", Params{Dim: 8, Beta: 0.5, Seed: 63, Index: "ivf"},
-			"4b95e3d4aec6da3f7b05b600b2ede6ba13727cef93fe924b4decfc67dd678496",
+			"3e40ec7d092abe986ca157430a1ce06e5b299f0cc3e4f7735bf2fa6669f18d93",
 			"237b34ae1d1d4aa3ecda867b00d52c94605cd3220486b96724c79fb602f76b0e",
 			"6211644de130a0a77bbad64a4e4a4820a590e3318669cb934b09e93e63243e38", false},
 		{"hnsw+pq", Params{Dim: 8, Beta: 0.5, Seed: 65, Index: "hnsw", PQ: true, PQM: 4},
-			"3c022f4b34e80090fb24cc6b89e528e0f5b03de7f11611f0cd156ba0bb336733",
+			"e81beed2edc508d7fd5e2608754db0843e3464077aa39797eb5ad776879eb535",
 			"659f3b009ba55b33aa0504889ea3256a48b05ef181aae0f8082425c264ccf884",
 			"f4bac5aeaa1f3faf88058a98232e464e03c0a21c0db36c59edecfd97c44792d3", false},
 		{"ivf+pq", Params{Dim: 8, Beta: 0.5, Seed: 66, Index: "ivf", PQ: true, PQM: 4},
-			"23f24f4e20020fade085d6f06d0971930831cc0baf561a5795ed3da3cb027d62",
+			"21884aea0aad2d698170cc94d144e11393b36762485f4a95819f3b7d53e13e56",
 			"11b500f9b3965bcf2aba27d5e9e297c170f868c07fb87c18e4e6c4c58f1d16c3",
 			"252d6d7c018062f1a82224f8223adf8d08e0211c7c089212cec753e4d5a01cfc", false},
 		{"hnsw d=100", Params{Dim: 100, Beta: 0.5, Seed: 67, Index: "hnsw"},
-			"f0177d9e9210363004a65e2e7e9551c7fa6ed18bf4931a8dc6b262d8014930e1",
+			"cd19b74a19202ec40a145d853d01cf9364f9867fe38f9e28cbae43bd024afa23",
 			"32c3d44eb3db23fd15623916499e94c24e253a28f70f823993a35b5b84ea9e49",
 			"9512e7050efb7ed3d82acb2b3f5b07a5319f67b64ef24aee416c12c014d02f33", false},
 		{"hnsw d=300", Params{Dim: 300, Beta: 0.5, Seed: 68, Index: "hnsw"},
-			"d824f14eb5bb77bd2d9110b50c776337f24723deed94975e214662b2d39d650a",
+			"df3f105ec90d9f1469bbaff4e8aeefb47960ba32f4bd01a8f3d711383efcfc7e",
 			"f7c91092a0943d4afb826d8260c46fd94be9f2ea7b2135537a484db354c95d6d",
 			"fa01866a072c276bff80e19d2a81d840ace4b072d54b6dd65ec07b7172d18c79", false},
 		{"ivf+pq d=100 zeros", Params{Dim: 100, Beta: 0.5, Seed: 69, Index: "ivf", PQ: true, PQM: 4},
-			"804079061d20f891e453563eb6f1d186ad789574576dc169501e19bddbb89587",
+			"1946f0486f528189e73c1c01b48118b303d0b0abbed42302ecd172ec9da2c356",
 			"014e8b2d533ac9bba29015e811c93d04920f44a0a03e7fb849b1afcd3900c100",
 			"fd60d343e8ddfa41343a7a05663e4f7827c06c41625df0ac9a91121292d0c46b", true},
 	} {
@@ -343,7 +348,9 @@ func clipAtZero(data [][]float64) float64 {
 // inserting more than the base's n records, so ivf+pq's 2× retrain rule
 // fires there and not at fold1), then splits the fold2 database into two
 // stripes with Seed 5 and compacts it offline. Every digest but the last is
-// the SHA-256 of the Save bytes, re-captured when the file became PPANNSD6;
+// the SHA-256 of the Save bytes, re-captured when the file became PPANNSD6
+// and again when it became PPANNSD7 (as TestDatabaseGolden's were: commit
+// 70d2083's files with their sections moved and the dropped words cut);
 // the last is the SHA-256 of AppendInsert over every insert payload of the
 // script, in order — the bytes the wire and the WAL carry for an insert —
 // captured at commit 31ac28f, while the payload's ciphertext was still
@@ -359,11 +366,11 @@ func TestRelayoutGolden(t *testing.T) {
 		content []string
 	}{
 		{"hnsw", Params{Dim: 8, Beta: 0.5, Seed: 71, Index: "hnsw"}, []string{
-			"425cefc05de3ada7d46735bc99e8940f53e622a3eb5000d133d2e9f48ddebc99",
-			"295c049082dd889a90fdbae69bd4c676357a25ceeda7be08f5d58ec657ee7afc",
-			"e74a353a39e50b6ceb1d5554504706300670311a117304790a87dbe8de47c98b",
-			"f8cdd929ffbc2edbc3d243c07b9d30999ed668c2a55f6f6fcba024d0e9e4f9a8",
-			"4bc57a8fc613ab2e9a675ae82c8aaf1a4e6fabc95093fb6e2843b37d53ca379a",
+			"d4499ec9c75d8006a045122a752914f0dff8ca059543c061ce4621fb92d3a54f",
+			"615845dd678e31d8630646175455d019cebbea856a7200d25ecb5b73c9cf9173",
+			"f6d19e7dda3e3e24128632ff1290d41946561057f825b6074316d29c76874213",
+			"0e724feb6776fb4f9c646850dca9c558d7e64aef9a560dad0e7d80c49f80e414",
+			"38f9748d9436bdd6f9c12cdd5d0972f874a8e7baaf7327ec68bfc8a992beeeb2",
 			"e300125312fdd2ef2abb16a58daa5de87441d90a176a942a726669bc2bcdfde2"},
 			[]string{
 				"b3052fa6bababf29f881ada0ce975643dd97b64a5d95fb9eafb05ca36b413f90",
@@ -373,11 +380,11 @@ func TestRelayoutGolden(t *testing.T) {
 				"b31787e9a862cf80366eda4bd4e48a735f952e127f3fb5f0489a35cbcfecd7cc",
 			}},
 		{"ivf", Params{Dim: 8, Beta: 0.5, Seed: 72, Index: "ivf"}, []string{
-			"790eb973549321e43f063c8fe6e803805dccca4eeb08ec47a9c40c8057f43f27",
-			"dcf3a12f6dc2b1c60753294894a9b05ce54725c95a5384b52f739e3929d5436e",
-			"57efe3c6f1db30f3efb74b1e47cffcb4a6f4a8938691509415ea561758df3496",
-			"b10ae1b3c1c4c79554ba540dcc0d32fd6bca91f84f233a4acd7af8e132c1dfc1",
-			"05bacfd93e60114442dea9112fe21dfe7731d678f04111ab2b47b185667beb34",
+			"75d098402a718b5804038cab1a770c24ac61b0ead014f25f8669286e15ed20f0",
+			"9813d3b408b8a1defed16db67f9e9189b08cba1040d518b1735224812c6c2594",
+			"6745a3ee42a2b0f4f6e415497a14a83d4445a35953882cc5e816a8f956173587",
+			"d5ddb145efb323e4d513a4de90bff64121dad59230153a620864a25d6406c42d",
+			"f9cf905c783ddb3d6eabd812988c7552fa3825d942c1ccbd7c2c5fb1ef111f4f",
 			"73b91d08cf005e36664f553ef0011885cdd877b6f755299a4da9c09f537e01a0"},
 			[]string{
 				"1ebe1ae62f38262c981e8c4c8238860c4af5e29b26224a903dc107059ec3c639",
@@ -387,11 +394,11 @@ func TestRelayoutGolden(t *testing.T) {
 				"486d818ea35fb258a1bf01b346f02bec1fc00857564c907eff08e561091ccc6d",
 			}},
 		{"ivf+pq", Params{Dim: 8, Beta: 0.5, Seed: 73, Index: "ivf", PQ: true, PQM: 4}, []string{
-			"aeb259a7e65d98f052bff7337f3cad1595d816a1d23b757d49edc23274889167",
-			"10536a163d4fe9b44d00be59dff6963681c949268909df198416bae6e56aa73c",
-			"381d5a49430165c53522bc206299290add1b587ee2c048964e7dc521ab5a76ac",
-			"40a9229053a6010aaaefd53e4655878bc937f2b935a579eeab3862e869389760",
-			"0a0c32ce3519831e65799382c50461535128c70c215b42a9356803fd7aef0215",
+			"515d85cafb1d63ae9c7afaa43b1a19582d646ea489233f3fc49d270a69478291",
+			"00fb401e0c87d64bd2931feef7fe670518747772b190e3513479cf993f8fd4f6",
+			"14f8f2e64afd278808382aa2da9559d4928da4cd892c0f98678750a094e58b01",
+			"7ca9456f5d5474a12667f82948732a7e6b1927131890b9f28a7d7ccf7937ece9",
+			"e33f524ec47e1f7e273388afc93d7dd4b77c36223b4fcf2281c3899bf83ffc6c",
 			"515177e184b05fdb3786641906cda1d14d388a9def7aebdfa00518e40d195bd0"},
 			[]string{
 				"d9cbebbe70b2db5cf0b1dafcb43f76db35977eabd0f6f9ec594e578dd1747fde",

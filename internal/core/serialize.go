@@ -10,6 +10,7 @@ import (
 	"ppanns/internal/frame"
 	"ppanns/internal/index"
 	"ppanns/internal/pq"
+	"ppanns/internal/vec"
 )
 
 // userKeyMagic opens a user key file (Figure 1 step 0), generation 1:
@@ -71,23 +72,25 @@ func LoadUserKey(r io.Reader) (*UserKey, error) {
 	return k, nil
 }
 
-// The database file, PPANNSD6, is one internal/frame stream:
+// The database file, PPANNSD7, is one internal/frame stream:
 //
-//	magic "PPANNSD6" | backend tag: length u8, name
-//	dim, n, ctDim: int64 — stated once; no section repeats them
+//	magic "PPANNSD7" | backend tag: length u8, name
+//	dim, n: int64 — stated once; no section repeats them
 //	presence: n bytes, 1 live, 0 dead — the one statement of liveness
-//	ciphertexts: n records of 4·ctDim f64 (a dead record's are zeros)
+//	ciphertexts: n records of 4·ctDim f64, ctDim = dce.CiphertextDim(dim)
+//	SAP rows: n rows of dim f64
 //	PQ flag u8 | the PQ section when it is 1 (internal/pq)
-//	the backend's index section (internal/hnsw, internal/ivf)
+//	the backend's index section, topology only (internal/hnsw, internal/ivf)
 //	CRC32 of every byte before it: u32
 //
-// The sections come in this order so that every run the record count
-// scales is allocated after the ciphertext section has paid for n. There
-// is one reader; files of the earlier generations (PPANNSD2–5) are refused
-// with index.ErrOldFormat.
-const edbMagic = "PPANNSD6"
+// Each column is written once, in its own section, and a dead id's
+// ciphertext and SAP row are zeros. The sections come in this order so
+// that every run the record count scales is allocated after the
+// ciphertext section has paid for n. There is one reader; files of the
+// earlier generations (PPANNSD2–6) are refused with index.ErrOldFormat.
+const edbMagic = "PPANNSD7"
 
-// Save writes the encrypted database as a PPANNSD6 file. One CRC32 covers
+// Save writes the encrypted database as a PPANNSD7 file. One CRC32 covers
 // every byte, so storage corruption anywhere — a record, a SAP row, a
 // link — fails the load instead of silently moving an answer.
 func (e *EncryptedDatabase) Save(w io.Writer) error {
@@ -99,6 +102,9 @@ func (e *EncryptedDatabase) Save(w io.Writer) error {
 		return fmt.Errorf("core: backend name %q too long", backend)
 	}
 	live := e.DCE.LiveMask()
+	if e.SAP == nil || e.SAP.Len() != len(live) || e.SAP.Dim() != e.Dim {
+		return fmt.Errorf("core: the SAP column does not hold %d rows of dimension %d", len(live), e.Dim)
+	}
 	for id, ok := range live {
 		if _, indexed := e.Index.Vector(id); indexed != ok {
 			return fmt.Errorf("core: record %d: live %v in the ciphertext store, %v in the index", id, ok, indexed)
@@ -110,11 +116,11 @@ func (e *EncryptedDatabase) Save(w io.Writer) error {
 	enc.ByteRun([]byte(backend))
 	enc.Int(e.Dim)
 	enc.Int(len(live))
-	enc.Int(e.DCE.CtDim())
 	for _, ok := range live {
 		enc.U8(boolByte(ok))
 	}
 	e.DCE.Save(enc)
+	e.SAP.Save(enc)
 	enc.U8(boolByte(e.PQ != nil))
 	if e.PQ != nil {
 		e.PQ.Save(enc)
@@ -132,12 +138,11 @@ func boolByte(b bool) uint8 {
 
 // LoadEncryptedDatabase reads a database written by Save. The bytes are
 // untrusted — a file on disk, a checkpoint after a crash — so every header
-// field is checked against the others before it sizes anything, and the
-// runs that scale with the record count are allocated as their bytes
-// arrive: a file that lies about its size fails at end of input. The PQ
-// and index sections are read for the dimension and the liveness the
-// header and the presence bytes state, and the trailer must match every
-// byte read.
+// field is checked before it sizes anything, and the runs that scale with
+// the record count are allocated as their bytes arrive: a file that lies
+// about its size fails at end of input. The PQ and index sections are read
+// for the dimension, the SAP column and the liveness the sections before
+// them state, and the trailer must match every byte read.
 func LoadEncryptedDatabase(r io.Reader) (*EncryptedDatabase, error) {
 	d := frame.NewDecoder(r)
 	magic := make([]byte, len(edbMagic))
@@ -147,14 +152,14 @@ func LoadEncryptedDatabase(r io.Reader) (*EncryptedDatabase, error) {
 	}
 	switch string(magic) {
 	case edbMagic:
-	case "PPANNSD2", "PPANNSD3", "PPANNSD4", "PPANNSD5":
+	case "PPANNSD2", "PPANNSD3", "PPANNSD4", "PPANNSD5", "PPANNSD6":
 		return nil, fmt.Errorf("core: %s database: %w", magic, index.ErrOldFormat)
 	default:
 		return nil, fmt.Errorf("core: bad magic %q", magic)
 	}
 	tag := make([]byte, d.U8())
 	d.ByteRun(tag)
-	dim, n, ctDim := d.Int(), d.Int(), d.Int()
+	dim, n := d.Int(), d.Int()
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("core: reading header: %w", err)
 	}
@@ -162,11 +167,9 @@ func LoadEncryptedDatabase(r io.Reader) (*EncryptedDatabase, error) {
 	if err := index.Lookup(backend); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	// The DCE component length is a function of the dimension (2·d+16, d
-	// rounded up to even: dce.Key.CiphertextDim), and n records of 4·ctDim
-	// floats must be addressable.
-	if dim <= 0 || dim > math.MaxInt32 || ctDim != 2*(dim+dim%2)+16 || n <= 0 || n > math.MaxInt/(8*4*ctDim) {
-		return nil, fmt.Errorf("core: implausible header dim=%d n=%d ctDim=%d", dim, n, ctDim)
+	// n records of 4·ctDim floats must be addressable.
+	if dim <= 0 || dim > math.MaxInt32 || n <= 0 || n > math.MaxInt/(8*4*dce.CiphertextDim(dim)) {
+		return nil, fmt.Errorf("core: implausible header dim=%d n=%d", dim, n)
 	}
 	live := make([]bool, 0, min(n, 1<<16))
 	for len(live) < n && d.Err() == nil {
@@ -176,9 +179,10 @@ func LoadEncryptedDatabase(r io.Reader) (*EncryptedDatabase, error) {
 		}
 		live = append(live, b == 1)
 	}
-	e := &EncryptedDatabase{Dim: dim, Backend: backend, DCE: dce.LoadStore(d, ctDim, live)}
+	e := &EncryptedDatabase{Dim: dim, Backend: backend, DCE: dce.LoadStore(d, dce.CiphertextDim(dim), live)}
+	e.SAP = vec.LoadDataset(d, dim, n)
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("core: reading the ciphertext section: %w", err)
+		return nil, fmt.Errorf("core: reading the ciphertext and SAP sections: %w", err)
 	}
 	switch flag := d.U8(); {
 	case d.Err() != nil:
@@ -192,11 +196,11 @@ func LoadEncryptedDatabase(r io.Reader) (*EncryptedDatabase, error) {
 	case flag != 0:
 		return nil, fmt.Errorf("core: corrupt PQ flag byte %d", flag)
 	}
-	idx, sap, err := index.Load(backend, d, dim, live)
+	idx, err := index.Load(backend, d, e.SAP, live)
 	if err != nil {
 		return nil, fmt.Errorf("core: loading %s index: %w", backend, err)
 	}
-	e.Index, e.SAP = idx, sap
+	e.Index = idx
 	if err := d.Done(); err != nil {
 		return nil, fmt.Errorf("core: database file: %w", err)
 	}

@@ -7,11 +7,13 @@ import (
 )
 
 // pqSectionOffset computes where the PQ flag byte sits in a database file:
-// right after the ciphertext section, before the PQ and index sections.
+// right after the ciphertext and SAP sections, before the PQ and index
+// sections.
 func pqSectionOffset(e *EncryptedDatabase) int {
-	return len(edbMagic) + 1 + len(e.Backend) + 3*8 + // magic, tag, header
+	return len(edbMagic) + 1 + len(e.Backend) + 2*8 + // magic, tag, header
 		e.DCE.Len() + // presence bytes
-		e.DCE.Len()*4*e.DCE.CtDim()*8 // ciphertexts
+		e.DCE.Len()*4*e.DCE.CtDim()*8 + // ciphertexts
+		e.DCE.Len()*e.Dim*8 // SAP rows
 }
 
 // TestPQDatabaseRoundTrip proves the database file carries the

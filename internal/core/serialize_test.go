@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -14,6 +17,7 @@ import (
 
 	"ppanns/internal/frame"
 	"ppanns/internal/index"
+	"ppanns/internal/vec"
 )
 
 func TestUserKeyRoundTrip(t *testing.T) {
@@ -140,81 +144,85 @@ func FuzzLoadUserKey(f *testing.F) {
 	})
 }
 
+// TestEncryptedDatabaseRoundTrip: on hnsw, ivf+PQ and hnsw+PQ, each with a
+// tombstoned id, a saved database loads back record for record (the
+// deleted record's bytes never reach the file), answers as the original
+// does, accepts inserts, and saves to the very bytes it was loaded from, so
+// every section is read back where it was written.
 func TestEncryptedDatabaseRoundTrip(t *testing.T) {
 	data := clustered(33, 400, 8, 4)
-	w := newWorld(t, Params{Dim: 8, Beta: 0.5, Seed: 33}, data)
-	// Tombstone one id so presence bytes are exercised.
-	if err := w.server.Delete(7); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	err := flushed(t, w.server).Save(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	edb2, err := LoadEncryptedDatabase(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The records come back bit for bit, except that the deleted record's
-	// bytes must not have reached the file.
-	orig := flushed(t, w.server).DCE
-	for id := 0; id < orig.Len(); id++ {
-		for j, f := range edb2.DCE.Record(id) {
-			want := orig.Record(id)[j]
-			if !orig.Has(id) {
-				want = 0
-			}
-			if math.Float64bits(f) != math.Float64bits(want) {
-				t.Fatalf("record %d float %d is %x after the round trip, want %x", id, j, math.Float64bits(f), math.Float64bits(want))
-			}
-		}
-	}
-	if edb2.PQ != nil {
-		t.Fatal("a database saved without a PQ tier loaded with one")
-	}
-	server2, err := NewServer(edb2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if server2.Len() != 400 {
-		t.Fatalf("loaded Len = %d", server2.Len())
-	}
-	if !server2.Deleted(7) {
-		t.Fatal("tombstone lost")
-	}
 	queries := makeQueries(34, data, 15, 0.3)
-	for _, q := range queries {
-		tok, err := w.user.Query(q)
+	for _, params := range []Params{
+		{Dim: 8, Beta: 0.5, Seed: 33, Index: "hnsw"},
+		{Dim: 8, Beta: 0.5, Seed: 33, Index: "ivf", PQ: true, PQM: 4},
+		{Dim: 8, Beta: 0.5, Seed: 33, Index: "hnsw", PQ: true, PQM: 4},
+	} {
+		name := fmt.Sprintf("%s (PQ %v)", params.Index, params.PQ)
+		w := newWorld(t, params, data)
+		// Tombstone one id so presence bytes are exercised.
+		if err := w.server.Delete(7); err != nil {
+			t.Fatal(err)
+		}
+		orig := flushed(t, w.server)
+		blob := saveBytes(t, orig)
+		edb2, err := LoadEncryptedDatabase(bytes.NewReader(blob))
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := w.server.Search(tok, 5, SearchOptions{KPrime: 40})
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(saveBytes(t, edb2), blob) {
+			t.Fatalf("%s: a loaded database saves other bytes than it was loaded from", name)
 		}
-		b, err := server2.Search(tok, 5, SearchOptions{KPrime: 40})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("result counts differ: %d vs %d", len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("rank %d differs after round trip: %d vs %d", i, a[i], b[i])
+		// The records come back bit for bit, except that the deleted
+		// record's bytes must not have reached the file.
+		for id := 0; id < orig.Len(); id++ {
+			for j, f := range edb2.DCE.Record(id) {
+				want := orig.DCE.Record(id)[j]
+				if !orig.DCE.Has(id) {
+					want = 0
+				}
+				if math.Float64bits(f) != math.Float64bits(want) {
+					t.Fatalf("%s: record %d float %d is %x after the round trip, want %x", name, id, j, math.Float64bits(f), math.Float64bits(want))
+				}
 			}
 		}
-	}
-	// Loaded database must accept inserts.
-	payload, err := w.owner.EncryptVector(data[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := server2.Insert(payload); err != nil {
-		t.Fatal(err)
+		if (edb2.PQ != nil) != params.PQ {
+			t.Fatalf("%s: loaded with a PQ tier %v", name, edb2.PQ != nil)
+		}
+		server2, err := NewServer(edb2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if server2.Len() != 400 {
+			t.Fatalf("%s: loaded Len = %d", name, server2.Len())
+		}
+		if !server2.Deleted(7) {
+			t.Fatalf("%s: tombstone lost", name)
+		}
+		for _, q := range queries {
+			tok, err := w.user.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := w.server.Search(tok, 5, SearchOptions{KPrime: 40})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := server2.Search(tok, 5, SearchOptions{KPrime: 40})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(a, b) {
+				t.Fatalf("%s: answers %v before the round trip, %v after", name, a, b)
+			}
+		}
+		// Loaded database must accept inserts.
+		payload, err := w.owner.EncryptVector(data[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := server2.Insert(payload); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -225,6 +233,34 @@ func TestLoadEncryptedDatabaseGarbage(t *testing.T) {
 	if _, err := LoadEncryptedDatabase(bytes.NewReader(nil)); err == nil {
 		t.Fatal("expected error for empty stream")
 	}
+}
+
+// TestSaveRefusesMisSizedSAP: the file writes the SAP column once, for
+// every id, so Save refuses a database whose column is missing, short,
+// long or of another dimension instead of writing a file no loader reads.
+func TestSaveRefusesMisSizedSAP(t *testing.T) {
+	edb := flushed(t, newWorld(t, Params{Dim: 8, Beta: 0.5, Seed: 38}, clustered(38, 40, 8, 2)).server)
+	for name, sap := range map[string]*vec.Dataset{
+		"nil":         nil,
+		"39 rows":     edb.SAP.Gather(seqIDs(39)),
+		"41 rows":     edb.SAP.Gather(append(seqIDs(40), -1)),
+		"dimension 9": vec.ZeroDataset(9, 40),
+	} {
+		bad := *edb
+		bad.SAP = sap
+		if err := bad.Save(io.Discard); err == nil || !strings.Contains(err.Error(), "SAP column") {
+			t.Errorf("%s: Save = %v, want a refused SAP column", name, err)
+		}
+	}
+}
+
+// seqIDs is the ids 0..n-1.
+func seqIDs(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
 }
 
 // TestLoadRefusals: what LoadEncryptedDatabase will not read, it refuses with
@@ -247,10 +283,9 @@ func TestLoadRefusals(t *testing.T) {
 		b = append(b, tag...)
 		return append(b, valid[len(edbMagic)+1+len(edb.Backend):]...)
 	}
-	// 45 bytes: a plausible header claiming 2^40 records, then 8 of them.
+	// 37 bytes: a plausible header claiming 2^40 records, then 8 of them.
 	lying := append([]byte(nil), valid[:len(edbMagic)+1+len(edb.Backend)+8]...)
 	lying = binary.LittleEndian.AppendUint64(lying, 1<<40)
-	lying = binary.LittleEndian.AppendUint64(lying, uint64(edb.DCE.CtDim()))
 	lying = append(lying, make([]byte, 8)...)
 	// The PQ section follows the PQ flag: m, then k.
 	withPQ := flushed(t, newWorld(t, Params{Dim: 8, Beta: 0.5, Seed: 36, PQ: true, PQM: 4}, clustered(36, 60, 8, 3)).server)
@@ -275,6 +310,7 @@ func TestLoadRefusals(t *testing.T) {
 		{"PPANNSD3", withMagic("PPANNSD3"), true, ""},
 		{"PPANNSD4", withMagic("PPANNSD4"), true, ""},
 		{"PPANNSD5", withMagic("PPANNSD5"), true, "re-encrypt"},
+		{"PPANNSD6", withMagic("PPANNSD6"), true, "re-encrypt"},
 		{"tagged nsg", withTag("nsg"), false, `"nsg" no longer serves: re-encrypt with hnsw or ivf`},
 		{"tagged lsh", withTag("lsh"), false, `"lsh" no longer serves: re-encrypt with hnsw or ivf`},
 		{"header claims 2^40 records", lying, false, ""},
@@ -303,17 +339,47 @@ func TestLoadRefusals(t *testing.T) {
 	}
 }
 
-// TestD5FileRefused: a database file the last PPANNSD5 build wrote
-// (testdata/db-d5.ppanns: hnsw, d=2, 10 records) is refused as an earlier
-// generation, with the fix in the message.
-func TestD5FileRefused(t *testing.T) {
-	data, err := os.ReadFile("testdata/db-d5.ppanns")
+// TestOldFormatFilesRefused: database files the last builds of earlier
+// generations wrote (testdata/db-d5.ppanns: PPANNSD5, hnsw, d=2, 10
+// records; testdata/db-d6.ppanns: PPANNSD6, hnsw+PQ, d=2, 10 records) are
+// refused as an earlier generation, with the fix in the message — by
+// LoadEncryptedDatabase, and by OpenServer over a WAL directory whose only
+// checkpoint is the PPANNSD6 file.
+func TestOldFormatFilesRefused(t *testing.T) {
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, index.ErrOldFormat) || !strings.Contains(err.Error(), "re-encrypt") {
+			t.Errorf("%s: err = %v, want ErrOldFormat with the re-encrypt message", what, err)
+		}
+	}
+	for _, file := range []string{"testdata/db-d5.ppanns", "testdata/db-d6.ppanns"} {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = LoadEncryptedDatabase(bytes.NewReader(data))
+		refused(file, err)
+	}
+
+	d6, err := os.ReadFile("testdata/db-d6.ppanns")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadEncryptedDatabase(bytes.NewReader(data)); !errors.Is(err, index.ErrOldFormat) || !strings.Contains(err.Error(), "re-encrypt") {
-		t.Fatalf("a PPANNSD5 file loaded as %v, want ErrOldFormat with the re-encrypt message", err)
+	dir := t.TempDir()
+	opts := ServerOptions{WALDir: dir, CompactAt: -1}
+	w := newWALWorld(t, Params{Dim: 2, Beta: 0.5, Seed: 6}, clustered(6, 10, 2, 2), opts)
+	if err := w.server.Close(); err != nil {
+		t.Fatal(err)
 	}
+	ckpts, err := filepath.Glob(filepath.Join(dir, "checkpoint-*"))
+	if err != nil || len(ckpts) != 1 {
+		t.Fatalf("want one checkpoint file, found %v (%v)", ckpts, err)
+	}
+	if err := os.WriteFile(ckpts[0], d6, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = OpenServer(dir, opts)
+	refused("OpenServer over a PPANNSD6 checkpoint", err)
 }
 
 // saveBytes is e's database file.
@@ -379,7 +445,7 @@ func FuzzLoadEncryptedDatabase(f *testing.F) {
 		blob := saveBytes(f, edb)
 		f.Add(blob)
 		if c.params.Index == "hnsw" && c.dead == nil {
-			for _, magic := range []string{"PPANNSD2", "PPANNSD3", "PPANNSD4", "PPANNSD5"} {
+			for _, magic := range []string{"PPANNSD2", "PPANNSD3", "PPANNSD4", "PPANNSD5", "PPANNSD6"} {
 				f.Add(resealed(append([]byte(magic), blob[len(edbMagic):]...)))
 			}
 		}
@@ -397,8 +463,8 @@ func FuzzLoadEncryptedDatabase(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if edb.Len() != len(edb.DCE.LiveMask()) || edb.Index.Len() != edb.Live() || (edb.PQ != nil && edb.PQ.Codes.Len() != edb.Len()) {
-			t.Fatalf("loaded %d live of %d records under an index of %d", edb.Live(), edb.Len(), edb.Index.Len())
+		if edb.Len() != len(edb.DCE.LiveMask()) || edb.Index.Len() != edb.Live() || edb.SAP.Len() != edb.Len() || (edb.PQ != nil && edb.PQ.Codes.Len() != edb.Len()) {
+			t.Fatalf("loaded %d live of %d records under an index of %d and %d SAP rows", edb.Live(), edb.Len(), edb.Index.Len(), edb.SAP.Len())
 		}
 		for id := 0; id < edb.Len(); id++ {
 			if _, ok := edb.Index.Vector(id); ok != edb.DCE.Has(id) || len(edb.DCE.Record(id)) != 4*edb.DCE.CtDim() {
@@ -444,13 +510,14 @@ func fileSections(e *EncryptedDatabase, blob []byte) []fileSection {
 		at += size
 	}
 	n, dim := e.Len(), e.Dim
-	add("header", len(edbMagic)+1+len(e.Backend)+3*8)
+	add("header", len(edbMagic)+1+len(e.Backend)+2*8)
 	add("presence bytes", n)
 	add("ciphertexts", n*4*e.DCE.CtDim()*8)
+	add("SAP rows", n*dim*8)
 	add("PQ flag", 1)
 	if e.PQ != nil {
 		add("PQ header", 3*8)
-		add("PQ config", 3*8)
+		add("PQ seed", 8)
 		add("PQ centroids", e.PQ.Book.K()*dim*8)
 		add("PQ codes", n*e.PQ.Book.M())
 	}
@@ -459,11 +526,9 @@ func fileSections(e *EncryptedDatabase, blob []byte) []fileSection {
 		nlist := int(binary.LittleEndian.Uint64(blob[at:]))
 		add("ivf header", 8)
 		add("ivf centroids", nlist*dim*8)
-		add("SAP rows", n*dim*8)
 		add("lists", len(blob)-4-at)
 	default:
 		add("hnsw header", 5*8)
-		add("SAP rows", n*dim*8)
 		add("adjacency", len(blob)-4-at)
 	}
 	add("trailer", 4)

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"ppanns/internal/dataset"
@@ -228,4 +230,52 @@ func probeDigest(t *testing.T, srv *Server, toks []*QueryToken, mode FilterDistM
 		h.Write(b)
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestTokenGolden pins the user side: the SHA-256 over the bits of 32
+// probe tokens from one seeded User — each token's SAP ciphertext, then
+// its trapdoor — on the served golden's sets and seed. The owner encrypts
+// the set's vectors first, since the DCE key's input scale follows from
+// them. The digests were captured at commit 70d2083 and hold under every
+// kernel variant and core count, so a change to the token path (key
+// layout, SAP encryption, trapdoor generation, the user's streams) that
+// moves a bit shows here before it shows in a served answer.
+func TestTokenGolden(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		data *dataset.Data
+		beta float64
+		want string
+	}{
+		{"deep", dataset.DeepLike(2000, 32+60, 91), 0.5, "afd2b5285e4712acab6d36ebc61fab6880285b7cd9bbcb3124a35d9224ddd28e"},
+		{"gist", dataset.GISTLike(300, 32+60, 92), 4.1, "123cdf75d82be8f896597c1d12ede0f7c8b6f576daa8cbd97651cccf509f5754"},
+	} {
+		owner, err := NewDataOwner(Params{Dim: c.data.Dim, Beta: c.beta, Seed: 93})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := owner.EncryptDatabase(c.data.Train); err != nil {
+			t.Fatal(err)
+		}
+		user, err := NewUser(owner.UserKey())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var b []byte
+		for _, q := range c.data.Queries[:32] {
+			tok, err := user.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b = b[:0]
+			for _, f := range slices.Concat(tok.SAP, tok.Trapdoor.Q) {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+			}
+			h.Write(b)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != c.want {
+			t.Errorf("%s: token digest %s, want %s", c.name, got, c.want)
+		}
+	}
 }

@@ -229,7 +229,7 @@ func OpenServer(walDir string, o ServerOptions) (*Server, RecoveryStats, error) 
 }
 
 // walCheckpoint persists the folded database as the log's new recovery
-// base: the PPANNSD6 snapshot goes through the atomic-persist path, a
+// base: the PPANNSD7 snapshot goes through the atomic-persist path, a
 // barrier record marks it durable, and sealed segments wholly behind it
 // are garbage-collected. Called by compactFold with cmu held (checkpoints
 // are serialized); concurrent Insert/Delete appends are safe throughout.

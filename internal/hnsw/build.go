@@ -67,9 +67,9 @@ const batchShare = 16
 // parallel pass: row i receives graph id i, every level is drawn up front
 // from cfg.Seed in id order, and the live points are linked in
 // fixed-schedule batches across GOMAXPROCS workers. The graph keeps data
-// as its rows and never writes them. live[i] false makes id i a dead slot,
-// which no list names, and whose row should be zero (Save writes it); a
-// nil live makes every row live. A dead slot's level is still drawn, so
+// as its rows, and live as its liveness, and never writes either. live[i]
+// false makes id i a dead slot, which no list names, and whose row should
+// be zero; a nil live makes every row live. A dead slot's level is still drawn, so
 // the levels of the other ids do not depend on which slots are dead.
 // The result — adjacency, entry point, Save bytes — does not depend on
 // the worker count. Scratch lives for the duration of the call only.
@@ -89,13 +89,11 @@ func buildLists(data *vec.Dataset, live []bool, cfg Config) (*Graph, buildCounts
 	if live != nil && len(live) != n {
 		return nil, buildCounts{}, fmt.Errorf("hnsw: liveness of %d ids for %d rows", len(live), n)
 	}
-	g := newGraph(cfg, data)
+	g := newGraph(cfg, data, live)
 	levels := drawLevels(g.cfg.Seed, g.mL, n)
-	g.dead = make([]bool, n)
 	ids := make([]int32, 0, n)
 	for i := range n {
 		if live != nil && !live[i] {
-			g.dead[i] = true
 			levels[i] = 0
 			continue
 		}

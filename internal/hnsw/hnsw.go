@@ -91,19 +91,19 @@ type Graph struct {
 	cfg Config
 	mL  float64
 
-	data     *vec.Dataset // the rows Build was given or Load read; never written
+	data     *vec.Dataset // the rows Build or Load was given; never written
+	live     []bool       // their liveness, likewise (nil = all live)
 	levels   []int32      // per id: its top layer
-	dead     []bool       // per id: a dead slot (tombstone)
 	layers   []csrLayer
 	entry    int
 	maxLevel int
 	size     int // live node count
 }
 
-// newGraph creates an empty graph over data's rows.
-func newGraph(cfg Config, data *vec.Dataset) *Graph {
+// newGraph creates an empty graph over data's rows and liveness.
+func newGraph(cfg Config, data *vec.Dataset, live []bool) *Graph {
 	cfg = cfg.withDefaults()
-	return &Graph{cfg: cfg, mL: 1 / math.Log(float64(cfg.M)), data: data, entry: -1}
+	return &Graph{cfg: cfg, mL: 1 / math.Log(float64(cfg.M)), data: data, live: live, entry: -1}
 }
 
 // Len returns the number of live vectors.
@@ -298,7 +298,9 @@ func (g *Graph) Neighbors(id, layer int) []int {
 func (g *Graph) EntryPoint() int { return g.entry }
 
 // Deleted reports whether id is a dead slot (or not an id at all).
-func (g *Graph) Deleted(id int) bool { return id < 0 || id >= len(g.dead) || g.dead[id] }
+func (g *Graph) Deleted(id int) bool {
+	return id < 0 || id >= len(g.levels) || g.live != nil && !g.live[id]
+}
 
 // Stats summarizes graph shape for diagnostics and tests.
 type Stats struct {
@@ -313,8 +315,8 @@ type Stats struct {
 func (g *Graph) Stats() Stats {
 	st := Stats{Nodes: g.size, MaxLevel: g.maxLevel}
 	var deg0 int
-	for id, dead := range g.dead {
-		if dead {
+	for id := range g.levels {
+		if g.Deleted(id) {
 			st.Deleted++
 			continue
 		}

@@ -8,12 +8,11 @@ import (
 	"ppanns/internal/vec"
 )
 
-// The graph's section of a database file, for n ids of dimension dim
-// whose liveness the file's presence bytes state (none of the three is
-// stored here):
+// The graph's section of a database file: its topology alone. The rows,
+// the id count and the liveness are the file's to state, once for every
+// section, so none of them is stored here:
 //
 //	M, EfConstruction: int64 | Seed: u64 | entry, maxLevel: int64
-//	vectors: n rows of dim f64 (a dead slot's row is zero)
 //	per live id, in id order: level i32, then for each layer 0..level
 //	  the neighbor count i32 and the neighbor ids i32
 //
@@ -26,9 +25,8 @@ func (g *Graph) Save(e *frame.Encoder) {
 	e.U64(g.cfg.Seed)
 	e.Int(g.entry)
 	e.Int(g.maxLevel)
-	g.data.Save(e)
 	for id, level := range g.levels {
-		if g.dead[id] {
+		if g.Deleted(id) {
 			continue
 		}
 		e.U32(uint32(level))
@@ -40,19 +38,22 @@ func (g *Graph) Save(e *frame.Encoder) {
 	}
 }
 
-// Load reads a section Save wrote for len(live) ids of dimension dim,
-// live[id] false at every dead slot, and returns the graph and the rows
-// the section carries, which the graph keeps as its data. The bytes are
+// Load reads a section Save wrote for a graph over rows, one id per row,
+// whose liveness is live (live[id] false at every dead slot), and returns
+// the graph, which keeps rows and live as Build does. The bytes are
 // untrusted: the header is checked before it sizes anything, the
 // adjacency is packed into the CSR layers as its bytes arrive, no list may
 // exceed its layer's link cap or name a dead slot, and the entry point
 // must be a live node of the top level.
-func Load(d *frame.Decoder, dim int, live []bool) (*Graph, *vec.Dataset, error) {
+func Load(d *frame.Decoder, rows *vec.Dataset, live []bool) (*Graph, error) {
 	n := len(live)
+	if rows.Len() != n {
+		return nil, fmt.Errorf("hnsw: liveness of %d ids for %d rows", n, rows.Len())
+	}
 	cfg := Config{M: d.Int(), EfConstruction: d.Int(), Seed: d.U64()}
 	entry, maxLevel := d.Int(), d.Int()
 	if err := d.Err(); err != nil {
-		return nil, nil, fmt.Errorf("hnsw: reading header: %w", err)
+		return nil, fmt.Errorf("hnsw: reading header: %w", err)
 	}
 	size := 0
 	for _, ok := range live {
@@ -62,24 +63,19 @@ func Load(d *frame.Decoder, dim int, live []bool) (*Graph, *vec.Dataset, error) 
 	}
 	// Build draws no level above 53 (U ≥ 2⁻⁵³, M ≥ 2), so a deeper header
 	// is a lie.
-	if dim < 1 || cfg.M < 2 || cfg.EfConstruction < 1 || entry < -1 || entry >= n || maxLevel < 0 || maxLevel > 64 || (entry < 0) != (size == 0) {
-		return nil, nil, fmt.Errorf("hnsw: implausible header dim=%d M=%d efConstruction=%d entry=%d maxLevel=%d for %d live of %d ids",
-			dim, cfg.M, cfg.EfConstruction, entry, maxLevel, size, n)
+	if cfg.M < 2 || cfg.EfConstruction < 1 || entry < -1 || entry >= n || maxLevel < 0 || maxLevel > 64 || (entry < 0) != (size == 0) {
+		return nil, fmt.Errorf("hnsw: implausible header M=%d efConstruction=%d entry=%d maxLevel=%d for %d live of %d ids",
+			cfg.M, cfg.EfConstruction, entry, maxLevel, size, n)
 	}
-	g := newGraph(cfg, vec.LoadDataset(d, dim, n))
-	if err := d.Err(); err != nil {
-		return nil, nil, fmt.Errorf("hnsw: reading vectors: %w", err)
-	}
+	g := newGraph(cfg, rows, live)
 	g.entry, g.maxLevel, g.size = entry, maxLevel, size
 
 	g.levels = make([]int32, n)
-	g.dead = make([]bool, n)
 	g.layers = make([]csrLayer, maxLevel+1)
 	for l := range g.layers {
 		g.layers[l] = packed(make([]int32, n+1), nil)
 	}
 	for id := 0; id < n && d.Err() == nil; id++ {
-		g.dead[id] = !live[id]
 		level := 0
 		if live[id] {
 			level = int(int32(d.U32()))
@@ -109,10 +105,10 @@ func Load(d *frame.Decoder, dim int, live []bool) (*Graph, *vec.Dataset, error) 
 		}
 	}
 	if err := d.Err(); err != nil {
-		return nil, nil, fmt.Errorf("hnsw: reading adjacency: %w", err)
+		return nil, fmt.Errorf("hnsw: reading adjacency: %w", err)
 	}
 	if entry >= 0 && (!live[entry] || g.levels[entry] != int32(maxLevel)) || entry < 0 && maxLevel != 0 {
-		return nil, nil, fmt.Errorf("hnsw: entry point %d is not a live node of the max level %d", entry, maxLevel)
+		return nil, fmt.Errorf("hnsw: entry point %d is not a live node of the max level %d", entry, maxLevel)
 	}
-	return g, g.data, nil
+	return g, nil
 }

@@ -17,7 +17,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	data := clusteredData(21, 800, 12, 6)
 	g := buildGraph(t, withDead(data, 5), Config{M: 10, EfConstruction: 120, Seed: 21})
 
-	g2, err := loadBytes(saveBytes(t, g), 12, liveOf(g))
+	g2, err := loadBytes(saveBytes(t, g), g.data, liveOf(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,10 +54,11 @@ func resealed(raw []byte, word int, v int64) []byte {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := loadBytes([]byte("not an index"), 4, nil); err == nil {
+	empty := vec.ZeroDataset(4, 0)
+	if _, err := loadBytes([]byte("not an index"), empty, nil); err == nil {
 		t.Fatal("expected error for garbage")
 	}
-	if _, err := loadBytes(nil, 4, nil); err == nil {
+	if _, err := loadBytes(nil, empty, nil); err == nil {
 		t.Fatal("expected error for empty stream")
 	}
 	// A graph is refused by a caller expecting another shape.
@@ -66,18 +67,19 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	live := liveOf(g)
 	revived := liveOf(g)
 	revived[9] = true
+	rows49, rows51 := g.data.Gather(seq(49)), g.data.Gather(append(seq(50), -1))
 	for _, c := range []struct {
 		name string
-		dim  int
+		rows *vec.Dataset
 		live []bool
 	}{
-		{"49 ids", 6, live[:49]},
-		{"51 ids", 6, append(liveOf(g), true)},
-		{"dimension 5", 5, live},
-		{"dimension 7", 7, live},
-		{"dead slot 9 live", 6, revived},
+		{"49 ids", rows49, live[:49]},
+		{"51 ids", rows51, append(liveOf(g), true)},
+		{"49 rows", rows49, live},
+		{"51 rows", rows51, live},
+		{"dead slot 9 live", g.data, revived},
 	} {
-		if _, err := loadBytes(raw, c.dim, c.live); err == nil {
+		if _, err := loadBytes(raw, c.rows, c.live); err == nil {
 			t.Errorf("%s: a graph of 50 6-dim nodes, one dead, loaded", c.name)
 		}
 	}
@@ -87,7 +89,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		word int
 		v    int64
 	}{{0, 1}, {0, -16}, {1, 0}, {3, 50}, {3, 9}, {3, -1}, {4, 65}} {
-		if _, err := loadBytes(resealed(raw, c.word, c.v), 6, live); err == nil {
+		if _, err := loadBytes(resealed(raw, c.word, c.v), g.data, live); err == nil {
 			t.Errorf("a graph with header word %d = %d loaded", c.word, c.v)
 		}
 	}
@@ -97,7 +99,7 @@ func TestLoadRejectsTruncated(t *testing.T) {
 	g := buildGraph(t, clusteredData(22, 100, 6, 3), Config{Seed: 22})
 	raw := saveBytes(t, g)
 	for _, cut := range []int{10, len(raw) / 2, len(raw) - 3} {
-		if _, err := loadBytes(raw[:cut], 6, liveOf(g)); err == nil {
+		if _, err := loadBytes(raw[:cut], g.data, liveOf(g)); err == nil {
 			t.Fatalf("expected error for stream truncated at %d", cut)
 		}
 	}
@@ -108,7 +110,7 @@ func TestSaveLoadEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := loadBytes(saveBytes(t, g), 4, nil)
+	g2, err := loadBytes(saveBytes(t, g), g.data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,4 +164,13 @@ func TestSaveDoesNotBlockSearches(t *testing.T) {
 	if err := <-saved; err != nil {
 		t.Fatal(err)
 	}
+}
+
+// seq is the ids 0..n-1.
+func seq(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
 }

@@ -62,21 +62,12 @@ func saveSection(t testing.TB, ix SecureIndex) []byte {
 	return buf.Bytes()
 }
 
-// liveMask is the liveness of positions 0..n-1 of ix, as a database
-// file's presence bytes state it.
-func liveMask(ix SecureIndex, n int) []bool {
-	live := make([]bool, n)
-	for id := range live {
-		_, live[id] = ix.Vector(id)
-	}
-	return live
-}
-
 // loadSection reads a stream saveSection wrote: the named backend's
-// section for the positions live marks, then the trailer.
-func loadSection(name string, b []byte, dim int, live []bool) (SecureIndex, error) {
+// section over column(dim, vectors), then the trailer.
+func loadSection(name string, b []byte, dim int, vectors [][]float64) (SecureIndex, error) {
+	rows, live := column(dim, vectors)
 	d := frame.NewDecoder(bytes.NewReader(b))
-	ix, _, err := Load(name, d, dim, live)
+	ix, err := Load(name, d, rows, live)
 	if err == nil {
 		err = d.Done()
 	}
@@ -226,19 +217,24 @@ func TestConformance(t *testing.T) {
 			}
 
 			// Save/load round-trip must reproduce results exactly.
-			saved, live := saveSection(t, ix), liveMask(ix, n)
-			ix2, err := loadSection(name, saved, dim, live)
+			saved := saveSection(t, ix)
+			ix2, err := loadSection(name, saved, dim, data)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(saveSection(t, ix2), saved) {
 				t.Fatal("round-trip changed the section's bytes")
 			}
-			// The section is refused by a database of another shape.
-			for _, shape := range [][2]int{{dim, n - 1}, {dim, n + 1}, {dim + 1, n}} {
-				if _, err := loadSection(name, saved, shape[0], liveMask(ix, shape[1])); err == nil {
-					t.Fatalf("a section of %d %d-dim vectors loaded as %d of dimension %d", n, dim, shape[1], shape[0])
+			// The section is refused over a column of another length, and
+			// over liveness of another length than the column's.
+			for _, vectors := range [][][]float64{data[:n-1], append(slices.Clone(data), data[0])} {
+				if _, err := loadSection(name, saved, dim, vectors); err == nil {
+					t.Fatalf("a section of %d ids loaded over %d", n, len(vectors))
 				}
+			}
+			rows, _ := column(dim, data)
+			if _, err := Load(name, frame.NewDecoder(bytes.NewReader(saved)), rows, make([]bool, n+1)); err == nil {
+				t.Fatalf("a section loaded over %d rows with liveness of %d ids", n, n+1)
 			}
 			for qi, q := range queries {
 				a, b := searchIDs(ix, q, k, ef), searchIDs(ix2, q, k, ef)
@@ -310,7 +306,7 @@ func TestConformance(t *testing.T) {
 				if empty.Len() != 0 || len(empty.SearchInto(nil, q, k, ef)) != 0 {
 					t.Fatalf("%s over all-nil rows: Len %d", how, empty.Len())
 				}
-				if loaded, err := loadSection(name, saveSection(t, empty), dim, make([]bool, len(allDead))); err != nil || loaded.Len() != 0 {
+				if loaded, err := loadSection(name, saveSection(t, empty), dim, allDead); err != nil || loaded.Len() != 0 {
 					t.Fatalf("%s over all-nil rows does not round-trip: %v", how, err)
 				}
 			}
@@ -347,7 +343,7 @@ func TestBuildMatchesBuildOver(t *testing.T) {
 				if !bytes.Equal(saveSection(t, wrapped), saved) {
 					t.Fatalf("%s: Build and BuildOver save different sections", how)
 				}
-				if _, err := loadSection(name, saved, dim, live); err != nil {
+				if _, err := loadSection(name, saved, dim, vectors); err != nil {
 					t.Fatalf("%s: the section does not load at dimension %d: %v", how, dim, err)
 				}
 				for qi, q := range queries {
@@ -390,7 +386,7 @@ func TestHNSWPositionsAreGraphIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := loadSection("hnsw", saveSection(t, ix), dim, liveMask(ix, n))
+	loaded, err := loadSection("hnsw", saveSection(t, ix), dim, live)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +439,7 @@ func TestRegistry(t *testing.T) {
 	if _, err := Build("hnsw", nil, Options{}); err == nil {
 		t.Fatal("expected Build error for missing dimension")
 	}
-	if _, _, err := Load("no-such-backend", frame.NewDecoder(bytes.NewReader(nil)), 4, nil); err == nil {
+	if _, err := Load("no-such-backend", frame.NewDecoder(bytes.NewReader(nil)), vec.ZeroDataset(4, 0), nil); err == nil {
 		t.Fatal("expected Load error for unknown backend")
 	}
 }

@@ -73,7 +73,7 @@ func TestSearchGolden(t *testing.T) {
 			if ix, err = rebuild(ix, dim, live); err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := loadSection(name, saveSection(t, ix), dim, liveMask(ix, n))
+			loaded, err := loadSection(name, saveSection(t, ix), dim, live)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -56,10 +56,10 @@ func (ix *hnswIndex) Rebuild(rows *vec.Dataset, live []bool) (SecureIndex, error
 
 func (ix *hnswIndex) Save(e *frame.Encoder) { ix.g.Save(e) }
 
-func loadHNSW(d *frame.Decoder, dim int, live []bool) (SecureIndex, *vec.Dataset, error) {
-	g, rows, err := hnsw.Load(d, dim, live)
+func loadHNSW(d *frame.Decoder, rows *vec.Dataset, live []bool) (SecureIndex, error) {
+	g, err := hnsw.Load(d, rows, live)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return &hnswIndex{g: g}, rows, nil
+	return &hnswIndex{g: g}, nil
 }

@@ -33,9 +33,9 @@ import (
 )
 
 // ErrOldFormat is wrapped by every refusal of a database file an earlier
-// format generation wrote (core reads PPANNSD6 only). No build reads one
-// generation and writes the next, so the fix is to encrypt the vectors
-// again.
+// format generation wrote (core reads PPANNSD7 only; PPANNSD2–6 are
+// refused). No build reads one generation and writes the next, so the fix
+// is to encrypt the vectors again.
 var ErrOldFormat = errors.New("written by an earlier format generation: re-encrypt the vectors with this build")
 
 // SecureIndex is the filter-phase index over SAP ciphertexts. Ids are row
@@ -43,17 +43,18 @@ var ErrOldFormat = errors.New("written by an earlier format generation: re-encry
 //
 // # Lifecycle
 //
-// An index holds topology only. BuildOver and Rebuild are given a column
-// (*vec.Dataset) and Load returns the one it read; the index reads its
-// rows in place and never writes, appends to or copies them. It is built
-// or loaded, published, and then read with no lock, so searches run
-// concurrently with one another and beside a Save (the conformance suite
-// verifies it). Deletion is a construction input: live[id] false is a
-// dead slot, which keeps its id — positions never shift — but which no
-// backend links or lists. core owns the column: its writers append
-// inserts past the index's rows, copy-on-write, and a fold gathers a
-// fresh column, Rebuilds a private index over it and publishes both
-// atomically (see core's snapshot documentation).
+// An index holds topology only. BuildOver, Rebuild and Load are given a
+// column (*vec.Dataset) and its liveness; the index reads both in place
+// and never writes, appends to or copies them. It is built or loaded,
+// published, and then read with no lock, so searches run concurrently
+// with one another and beside a Save (the conformance suite verifies it).
+// Deletion is a construction input: live[id] false is a dead slot, which
+// keeps its id — positions never shift — but which no backend links or
+// lists. core owns the column and the liveness: its writers append inserts
+// past the index's rows, copy-on-write, record deletes beside them and
+// never flip a flag the index holds, and a fold gathers a fresh column,
+// Rebuilds a private index over it and publishes both atomically (see
+// core's snapshot documentation).
 type SecureIndex interface {
 	// SearchInto appends up to k live ids approximately closest to q,
 	// closest first, to dst[:0], reusing its capacity. ef is an advisory
@@ -81,9 +82,10 @@ type SecureIndex interface {
 	Vector(id int) ([]float64, bool)
 	// Len returns the number of live vectors.
 	Len() int
-	// Save writes the index's section of a database file — its column's
-	// rows where the section has them, and its topology — so Load
-	// round-trips it into an index that saves the same bytes.
+	// Save writes the index's section of a database file: its topology
+	// alone, no row and no liveness flag, which the file states once for
+	// every section. Load over the same column and liveness round-trips
+	// it into an index that saves the same bytes.
 	Save(e *frame.Encoder)
 }
 

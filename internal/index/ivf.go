@@ -67,10 +67,10 @@ func (a *ivfIndex) Trained() kmeans.Stats { return a.ix.Trained() }
 
 func (a *ivfIndex) Save(e *frame.Encoder) { a.ix.Save(e) }
 
-func loadIVF(d *frame.Decoder, dim int, live []bool) (SecureIndex, *vec.Dataset, error) {
-	ix, rows, err := ivf.Load(d, dim, live)
+func loadIVF(d *frame.Decoder, rows *vec.Dataset, live []bool) (SecureIndex, error) {
+	ix, err := ivf.Load(d, rows, live)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return &ivfIndex{ix: ix}, rows, nil
+	return &ivfIndex{ix: ix}, nil
 }

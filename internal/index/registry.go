@@ -62,17 +62,17 @@ func Build(name string, vectors [][]float64, opts Options) (SecureIndex, error) 
 }
 
 // Load reads a section written by the named backend's Save ("" = Default)
-// for a database of len(live) records of dimension dim, live[id] false at
-// every dead slot, and returns the index and the column of rows the
-// section carries, which the index keeps. The section's bytes are
-// untrusted; the dimension and the liveness come from the database file
-// that carries it, which states them once for every section.
-func Load(name string, d *frame.Decoder, dim int, live []bool) (SecureIndex, *vec.Dataset, error) {
+// for an index over rows, one id per row, whose liveness is live (live[id]
+// false at every dead slot), and returns the index, which keeps both as
+// BuildOver does. The section's bytes are untrusted; the rows and the
+// liveness come from the database file that carries it, which states them
+// once for every section.
+func Load(name string, d *frame.Decoder, rows *vec.Dataset, live []bool) (SecureIndex, error) {
 	if err := Lookup(name); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if name == "ivf" {
-		return loadIVF(d, dim, live)
+		return loadIVF(d, rows, live)
 	}
-	return loadHNSW(d, dim, live)
+	return loadHNSW(d, rows, live)
 }

@@ -41,9 +41,8 @@ type Config struct {
 // Index is an IVF-Flat index. Nothing writes to it after construction, so
 // any number of searches run on it concurrently, beside Save.
 type Index struct {
-	dim int
-	// cents is the quantizer: nlist centroid rows of dim floats, the flat
-	// block k-means returns.
+	// cents is the quantizer: nlist centroid rows of the data's dimension,
+	// the flat block k-means returns.
 	cents []float64
 	// trained is the k-means work Build spent on the quantizer; zero for
 	// an index that was loaded.
@@ -51,11 +50,11 @@ type Index struct {
 
 	// The inverted lists in CSR form: list c's live members, in id order,
 	// are ids[offs[c]:offs[c+1]], so a probe scans one contiguous id span.
-	offs    []int32
-	ids     []int32
-	data    *vec.Dataset // the rows Build was given or Load read; never written
-	deleted []bool
-	live    int
+	offs []int32
+	ids  []int32
+	data *vec.Dataset // the rows Build or Load was given; never written
+	live []bool       // their liveness, likewise (nil = all live)
+	size int          // live row count
 }
 
 // searchCtx is the pooled per-search scratch: the probe pick and the
@@ -70,8 +69,9 @@ type searchCtx struct {
 }
 
 // Build trains the quantizer on the live rows of data and populates the
-// lists. live[i] false makes id i a dead slot, whose row should be zero
-// (Save writes it); a nil live makes every row live. A build with no live
+// lists. The index keeps data as its rows and live as its liveness, and
+// never writes either. live[i] false makes id i a dead slot, whose row
+// should be zero; a nil live makes every row live. A build with no live
 // row has no lists.
 func Build(data *vec.Dataset, live []bool, cfg Config) (*Index, error) {
 	if data.Len() == 0 {
@@ -88,7 +88,7 @@ func Build(data *vec.Dataset, live []bool, cfg Config) (*Index, error) {
 			liveIDs = append(liveIDs, i)
 		}
 	}
-	ix := &Index{dim: data.Dim()}
+	ix := &Index{}
 	assign := make([]int, data.Len())
 	if len(rows) > 0 {
 		nlist := min(max(isqrt(len(rows)), minLists), maxLists, len(rows))
@@ -109,26 +109,22 @@ func Build(data *vec.Dataset, live []bool, cfg Config) (*Index, error) {
 // and every other a dead slot: ids are positions and every list is in id
 // order.
 func (ix *Index) populate(data *vec.Dataset, live []bool, assign []int) {
+	ix.data, ix.live = data, live
 	nlist := ix.Lists()
-	n := data.Len()
-	ix.data = data
 	ix.offs = make([]int32, nlist+1)
-	ix.deleted = make([]bool, n)
-	for i := range n {
-		if live != nil && !live[i] {
-			ix.deleted[i] = true
-			continue
+	for i := range data.Len() {
+		if live == nil || live[i] {
+			ix.offs[assign[i]+1]++
+			ix.size++
 		}
-		ix.offs[assign[i]+1]++
-		ix.live++
 	}
 	for c := 0; c < nlist; c++ {
 		ix.offs[c+1] += ix.offs[c]
 	}
 	next := append([]int32(nil), ix.offs[:nlist]...)
-	ix.ids = make([]int32, ix.live)
-	for i, dead := range ix.deleted {
-		if !dead {
+	ix.ids = make([]int32, ix.size)
+	for i := range data.Len() {
+		if live == nil || live[i] {
 			ix.ids[next[assign[i]]] = int32(i)
 			next[assign[i]]++
 		}
@@ -150,19 +146,19 @@ func isqrt(n int) int {
 }
 
 // Len returns the number of live vectors.
-func (ix *Index) Len() int { return ix.live }
+func (ix *Index) Len() int { return ix.size }
 
 // Vector returns a live id's row of the index's data, or nil for a dead
 // slot or an out-of-range id. Callers must treat it as read-only.
 func (ix *Index) Vector(id int) []float64 {
-	if id < 0 || id >= len(ix.deleted) || ix.deleted[id] {
+	if id < 0 || id >= ix.data.Len() || ix.live != nil && !ix.live[id] {
 		return nil
 	}
 	return ix.data.At(id)
 }
 
 // Lists returns nlist.
-func (ix *Index) Lists() int { return len(ix.cents) / ix.dim }
+func (ix *Index) Lists() int { return len(ix.cents) / ix.data.Dim() }
 
 // Rebuild returns a new index over data and live, as Build takes them,
 // sharing the receiver's trained quantizer: the fold primitive of
@@ -176,8 +172,9 @@ func (ix *Index) Lists() int { return len(ix.cents) / ix.dim }
 // order. A receiver with no lists (built with no live vector) has no
 // quantizer to share, so its Rebuild trains one.
 func (ix *Index) Rebuild(data *vec.Dataset, live []bool) (*Index, error) {
-	if data.Dim() != ix.dim {
-		panic(fmt.Sprintf("ivf: rebuilding a %d-dim index over %d-dim rows", ix.dim, data.Dim()))
+	dim := ix.data.Dim()
+	if data.Dim() != dim {
+		panic(fmt.Sprintf("ivf: rebuilding a %d-dim index over %d-dim rows", dim, data.Dim()))
 	}
 	if len(ix.cents) == 0 {
 		return Build(data, live, Config{})
@@ -186,8 +183,8 @@ func (ix *Index) Rebuild(data *vec.Dataset, live []bool) (*Index, error) {
 		return nil, fmt.Errorf("ivf: liveness of %d ids for %d rows", len(live), data.Len())
 	}
 	var search *kmeans.Searcher
-	if ix.dim >= kmeans.WideRow {
-		search = kmeans.NewSearcher(ix.cents, ix.dim)
+	if dim >= kmeans.WideRow {
+		search = kmeans.NewSearcher(ix.cents, dim)
 	}
 
 	assign := make([]int, data.Len())
@@ -208,7 +205,7 @@ func (ix *Index) Rebuild(data *vec.Dataset, live []bool) (*Index, error) {
 			}
 			v := data.At(i)
 			if search == nil {
-				assign[i], _ = kmeans.NearestFlat(ix.cents, ix.dim, v)
+				assign[i], _ = kmeans.NearestFlat(ix.cents, dim, v)
 				continue
 			}
 			guess := assign[i]
@@ -219,7 +216,7 @@ func (ix *Index) Rebuild(data *vec.Dataset, live []bool) (*Index, error) {
 		}
 	})
 
-	fresh := &Index{dim: ix.dim, cents: ix.cents}
+	fresh := &Index{cents: ix.cents}
 	fresh.populate(data, live, assign)
 	return fresh, nil
 }
@@ -258,8 +255,8 @@ func putCtx(ctx *searchCtx) {
 }
 
 func (ix *Index) searchInto(ctx *searchCtx, dst []resultheap.Item, q []float64, k, nprobe int, sc vec.BlockScanner) []resultheap.Item {
-	if len(q) != ix.dim {
-		panic(fmt.Sprintf("ivf: querying %d-dim vector in %d-dim index", len(q), ix.dim))
+	if len(q) != ix.data.Dim() {
+		panic(fmt.Sprintf("ivf: querying %d-dim vector in %d-dim index", len(q), ix.data.Dim()))
 	}
 	nlist := ix.Lists()
 	nprobe = min(max(nprobe, 1), nlist)

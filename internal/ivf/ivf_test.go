@@ -35,9 +35,9 @@ func build(dim int, vectors [][]float64, cfg Config) (*Index, error) {
 	return Build(rows, live, cfg)
 }
 
-// rebuild is Rebuild over column(ix.dim, vectors).
+// rebuild is Rebuild over a column of ix's dimension holding vectors.
 func (ix *Index) rebuild(vectors [][]float64) (*Index, error) {
-	rows, live := column(ix.dim, vectors)
+	rows, live := column(ix.data.Dim(), vectors)
 	return ix.Rebuild(rows, live)
 }
 
@@ -106,7 +106,7 @@ func TestResultsSorted(t *testing.T) {
 // lists probed.
 func TestProbesNearestCentroids(t *testing.T) {
 	probed := func(cents [][]float64, q []float64, nprobe int) []int {
-		ix := &Index{dim: 2, cents: slices.Concat(cents...)}
+		ix := &Index{cents: slices.Concat(cents...)}
 		ix.populate(vec.DatasetFromSlices(cents), nil, []int{0, 1, 2, 3}[:len(cents)])
 		var ids []int
 		for _, it := range ix.SearchInto(nil, q, len(cents), nprobe) {
@@ -316,7 +316,7 @@ func TestRebuildMatchesAdd(t *testing.T) {
 				continue
 			}
 			live++
-			c, _ := kmeans.NearestFlat(ix.cents, ix.dim, v)
+			c, _ := kmeans.NearestFlat(ix.cents, ix.data.Dim(), v)
 			want[c] = append(want[c], int32(i))
 		}
 		for _, procs := range []int{1, 4} {

@@ -8,19 +8,17 @@ import (
 	"ppanns/internal/vec"
 )
 
-// The index's section of a database file, for n ids of dimension dim
-// whose liveness the file's presence bytes state (none of the three is
-// stored here):
+// The index's section of a database file: its topology alone. The rows,
+// the id count and the liveness are the file's to state, once for every
+// section, so none of them is stored here:
 //
 //	nlist: int64 | centroids: nlist rows of dim f64
-//	vectors: n rows of dim f64 (a dead slot's row is zero)
 //	per list: the member count i32 and the member ids i32, in id order
 
 // Save writes the index's section.
 func (ix *Index) Save(e *frame.Encoder) {
 	e.Int(ix.Lists())
 	e.FloatRun(ix.cents)
-	ix.data.Save(e)
 	for c := range ix.Lists() {
 		lst := ix.list(c)
 		e.U32(uint32(len(lst)))
@@ -28,45 +26,47 @@ func (ix *Index) Save(e *frame.Encoder) {
 	}
 }
 
-// Load reads a section Save wrote for len(live) ids of dimension dim,
-// live[id] false at every dead slot, and returns the index and the rows
-// the section carries, which the index keeps as its data. The bytes are
-// untrusted: the centroids, whose count n does not bound, grow as their
-// rows arrive, under nlist (vec.Rows.AppendZero), and the lists must hold
-// every live id exactly once, in id order within a list, and no dead one.
-func Load(d *frame.Decoder, dim int, live []bool) (*Index, *vec.Dataset, error) {
-	n := len(live)
-	ix := &Index{dim: dim, deleted: make([]bool, n)}
-	for id, ok := range live {
-		ix.deleted[id] = !ok
+// Load reads a section Save wrote for an index over rows, one id per row,
+// whose liveness is live (live[id] false at every dead slot), and returns
+// the index, which keeps rows and live as Build does. The bytes are
+// untrusted: the centroids, whose count the rows do not bound, grow as
+// their rows arrive, under nlist (vec.Rows.AppendZero), and the lists must
+// hold every live id exactly once, in id order within a list, and no dead
+// one.
+func Load(d *frame.Decoder, rows *vec.Dataset, live []bool) (*Index, error) {
+	n, dim := len(live), rows.Dim()
+	if rows.Len() != n {
+		return nil, fmt.Errorf("ivf: liveness of %d ids for %d rows", n, rows.Len())
+	}
+	ix := &Index{data: rows, live: live}
+	for _, ok := range live {
 		if ok {
-			ix.live++
+			ix.size++
 		}
 	}
 	nlist := d.Int()
 	if err := d.Err(); err != nil {
-		return nil, nil, fmt.Errorf("ivf: reading header: %w", err)
+		return nil, fmt.Errorf("ivf: reading header: %w", err)
 	}
-	if nlist < 0 || nlist > math.MaxInt32 || nlist == 0 && ix.live != 0 {
-		return nil, nil, fmt.Errorf("ivf: implausible header: %d lists over %d live ids", nlist, ix.live)
+	if nlist < 0 || nlist > math.MaxInt32 || nlist == 0 && ix.size != 0 {
+		return nil, fmt.Errorf("ivf: implausible header: %d lists over %d live ids", nlist, ix.size)
 	}
 	cents := vec.NewRows[float64](dim, dim, 0)
 	for c := 0; c < nlist && d.Err() == nil; c++ {
 		d.FloatRun(cents.AppendZero(nlist))
 	}
 	ix.cents = cents.Raw()
-	ix.data = vec.LoadDataset(d, dim, n)
 	if err := d.Err(); err != nil {
-		return nil, nil, fmt.Errorf("ivf: reading centroids and vectors: %w", err)
+		return nil, fmt.Errorf("ivf: reading centroids: %w", err)
 	}
 	ix.offs = make([]int32, nlist+1)
-	ix.ids = make([]int32, ix.live)
+	ix.ids = make([]int32, ix.size)
 	listed := make([]bool, n)
 	for c := 0; c < nlist && d.Err() == nil; c++ {
 		cnt := int(int32(d.U32()))
 		at := int(ix.offs[c])
-		if cnt < 0 || cnt > ix.live-at {
-			d.Fail(fmt.Errorf("ivf: list %d claims %d members, %d live ids are left", c, cnt, ix.live-at))
+		if cnt < 0 || cnt > ix.size-at {
+			d.Fail(fmt.Errorf("ivf: list %d claims %d members, %d live ids are left", c, cnt, ix.size-at))
 			break
 		}
 		lst := ix.ids[at : at+cnt]
@@ -81,10 +81,10 @@ func Load(d *frame.Decoder, dim int, live []bool) (*Index, *vec.Dataset, error) 
 		ix.offs[c+1] = int32(at + cnt)
 	}
 	if err := d.Err(); err != nil {
-		return nil, nil, fmt.Errorf("ivf: reading lists: %w", err)
+		return nil, fmt.Errorf("ivf: reading lists: %w", err)
 	}
-	if int(ix.offs[nlist]) != ix.live {
-		return nil, nil, fmt.Errorf("ivf: the lists hold %d of %d live ids", ix.offs[nlist], ix.live)
+	if int(ix.offs[nlist]) != ix.size {
+		return nil, fmt.Errorf("ivf: the lists hold %d of %d live ids", ix.offs[nlist], ix.size)
 	}
-	return ix, ix.data, nil
+	return ix, nil
 }

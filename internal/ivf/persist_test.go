@@ -5,16 +5,17 @@ import (
 	"testing"
 
 	"ppanns/internal/frame"
+	"ppanns/internal/vec"
 )
 
-// handSection writes an ivf section by hand: one list, over n zero rows
+// handSection writes an ivf section by hand: one list under one centroid
 // of dimension 2.
-func handSection(t *testing.T, n int, list []int32) []byte {
+func handSection(t *testing.T, list []int32) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	e := frame.NewEncoder(&buf)
 	e.Int(1)
-	e.FloatRun(make([]float64, 2+2*n))
+	e.FloatRun(make([]float64, 2))
 	e.U32(uint32(len(list)))
 	e.Int32Run(list)
 	if err := e.Close(); err != nil {
@@ -41,8 +42,8 @@ func TestLoadChecksLists(t *testing.T) {
 		{"out of range", []int32{0, 1, 7}, false},
 		{"negative", []int32{-1, 0, 1}, false},
 	} {
-		d := frame.NewDecoder(bytes.NewReader(handSection(t, len(live), c.list)))
-		ix, _, err := Load(d, 2, live)
+		d := frame.NewDecoder(bytes.NewReader(handSection(t, c.list)))
+		ix, err := Load(d, vec.ZeroDataset(2, len(live)), live)
 		if err == nil {
 			err = d.Done()
 		}

@@ -10,14 +10,13 @@ import (
 // The PQ section of a database file, for a database of n records of
 // dimension dim (both stated by the file's header, not here):
 //
-//	m, k, TrainedOn, 8192, 8: int64 | Cfg.Seed: u64
+//	m, k, TrainedOn: int64 | Cfg.Seed: u64
 //	centroids: subspace by subspace, k rows of its width (k·dim f64)
 //	codes: n rows of m bytes
 //
-// The training config's M is the codebook's m, so it is not stored again.
-// The two training words are the recipe's sample size and iteration bound,
-// both constants: they keep the section's layout until the next database
-// format drops them.
+// The training config's M is the codebook's m, so it is not stored again,
+// and the recipe's sample size and iteration bound are constants of the
+// package, so neither is stored at all.
 
 // Save writes the store's section.
 func (s *Store) Save(e *frame.Encoder) {
@@ -29,7 +28,7 @@ func (s *Store) Save(e *frame.Encoder) {
 		e.Fail(fmt.Errorf("pq: code width %d does not match codebook M %d", s.Codes.Width(), s.Book.M()))
 		return
 	}
-	for _, v := range []int{s.Book.M(), s.Book.K(), s.TrainedOn, sampleSize, trainIters} {
+	for _, v := range []int{s.Book.M(), s.Book.K(), s.TrainedOn} {
 		e.Int(v)
 	}
 	e.U64(s.Cfg.Seed)
@@ -43,19 +42,15 @@ func (s *Store) Save(e *frame.Encoder) {
 // dimension dim. The bytes are untrusted, so the shape must fit dim before
 // it sizes anything: the centroids are then bounded by dim and the code
 // arena, which grows as its bytes arrive, by n — both paid for by the
-// ciphertext section the caller has already read. Training words other
-// than the constants Save writes are refused.
+// ciphertext section the caller has already read.
 func Load(d *frame.Decoder, dim, n int) (*Store, error) {
-	m, k, trainedOn, maxSample, iters := d.Int(), d.Int(), d.Int(), d.Int(), d.Int()
+	m, k, trainedOn := d.Int(), d.Int(), d.Int()
 	seed := d.U64()
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("pq: reading header: %w", err)
 	}
 	if m <= 0 || m > dim || k <= 0 || k > LUTStride || trainedOn < 0 {
 		return nil, fmt.Errorf("pq: implausible header dim=%d m=%d k=%d TrainedOn=%d", dim, m, k, trainedOn)
-	}
-	if maxSample != sampleSize || iters != trainIters {
-		return nil, fmt.Errorf("pq: training config sample=%d iters=%d, want %d and %d", maxSample, iters, sampleSize, trainIters)
 	}
 	book := newCodebook(dim, m, k)
 	for j := 0; j < m && d.Err() == nil; j++ {

@@ -42,11 +42,10 @@ func sealed(section []byte) []byte {
 	return binary.LittleEndian.AppendUint32(slices.Clone(section), crc32.ChecksumIEEE(section))
 }
 
-// storeHeader is a section header: m, k, TrainedOn, the two training
-// words Save writes, and Seed.
+// storeHeader is a section header: m, k, TrainedOn and Seed.
 func storeHeader(m, k, trainedOn int64) []byte {
 	var b []byte
-	for _, v := range []int64{m, k, trainedOn, sampleSize, trainIters, 0} {
+	for _, v := range []int64{m, k, trainedOn, 0} {
 		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
 	return b
@@ -84,49 +83,12 @@ func TestLoadRefusesLyingHeaders(t *testing.T) {
 	}
 }
 
-// TestLoadRefusesRetrainConfig: the section's two training words are the
-// constants Save writes (a sample of 8192, 8 iterations); any other value
-// is refused at load.
-func TestLoadRefusesRetrainConfig(t *testing.T) {
-	store, err := Build(randVecs(3, 40, 6), TrainConfig{M: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := saveStream(t, store)
-	if _, err := loadStream(b, 6, 40); err != nil {
-		t.Fatalf("unpatched store: %v", err)
-	}
-	section := b[:len(b)-4]
-	// The sample and iteration words.
-	const sample, iters = 3, 4
-	for _, c := range []struct {
-		name  string
-		patch map[int]int64
-	}{
-		{"sample 3, iters 2^40", map[int]int64{sample: 3, iters: 1 << 40}},
-		{"sample 8191", map[int]int64{sample: sampleSize - 1}},
-		{"sample 0", map[int]int64{sample: 0}},
-		{"iters 0", map[int]int64{iters: 0}},
-		{"iters 9", map[int]int64{iters: trainIters + 1}},
-		{"iters 2^40", map[int]int64{iters: 1 << 40}},
-	} {
-		blob := bytes.Clone(section)
-		for word, v := range c.patch {
-			binary.LittleEndian.PutUint64(blob[8*word:], uint64(v))
-		}
-		if _, err := loadStream(sealed(blob), 6, 40); err == nil || !strings.Contains(err.Error(), "training config") {
-			t.Errorf("%s: err = %v, want a refused training config", c.name, err)
-		}
-	}
-}
-
 // FuzzLoad feeds Load mutations of small valid sections, under the shape
 // each was saved with or any other small one, each sealed with a matching
 // trailer so the mutation reaches Load. Whatever arrives, Load returns an
 // error or a store of exactly the caller's shape whose code arena is the
-// code bytes it consumed and whose two training words are the constants
-// Build writes — never a panic, and nothing sized by a count the input
-// merely claims.
+// code bytes it consumed — never a panic, and nothing sized by a count the
+// input merely claims.
 func FuzzLoad(f *testing.F) {
 	for _, c := range []struct{ n, dim, m int }{{12, 4, 2}, {30, 5, 5}, {2, 3, 1}} {
 		store, err := Build(randVecs(uint64(c.n), c.n, c.dim), TrainConfig{M: c.m, Seed: 1})
@@ -148,10 +110,7 @@ func FuzzLoad(f *testing.F) {
 		if s.Cfg.M != s.Book.M() {
 			t.Fatalf("loaded training config %+v for a codebook of m=%d", s.Cfg, s.Book.M())
 		}
-		if sample, iters := binary.LittleEndian.Uint64(section[24:]), binary.LittleEndian.Uint64(section[32:]); sample != sampleSize || iters != trainIters {
-			t.Fatalf("loaded a section whose training words are %d and %d", sample, iters)
-		}
-		if fixed := 6*8 + 8*s.Book.K()*s.Book.Dim(); s.Codes.Len()*s.Codes.Width() != len(section)-fixed {
+		if fixed := 4*8 + 8*s.Book.K()*s.Book.Dim(); s.Codes.Len()*s.Codes.Width() != len(section)-fixed {
 			t.Fatalf("%d rows of %d code bytes from a %d-byte section with %d bytes of header and centroids",
 				s.Codes.Len(), s.Codes.Width(), len(section), fixed)
 		}
