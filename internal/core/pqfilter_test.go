@@ -194,6 +194,38 @@ func checkCodes(t *testing.T, sp *snapshot, lo, hi int) {
 	}
 }
 
+// TestMemoryStats pins the per-point figures of a PQ database and its
+// delta bloat after 10 inserts: each delta record is a SAP row, a DCE
+// record and an M-byte code row.
+func TestMemoryStats(t *testing.T) {
+	const n, dim, m, inserts = 60, 12, 4, 10
+	data := clustered(79, n+inserts, dim, 3)
+	w := newWorldWith(t, Params{Dim: dim, Beta: 0.3, Seed: 79, PQ: true, PQM: m}, ServerOptions{CompactAt: -1}, data[:n])
+	for _, v := range data[n:] {
+		p, err := w.owner.EncryptVector(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.server.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	edb := w.server.snap.Load().edb
+	sapStride, dceStride := vec.PadStride(dim), edb.DCE.Stride()
+	got := w.server.MemoryStats()
+	want := MemoryStats{
+		N:          n + inserts,
+		SAP:        float64(8 * sapStride),
+		DCE:        float64(8 * dceStride),
+		PQCodes:    m,
+		PQBook:     float64(edb.PQ.Book.SizeBytes()) / (n + inserts),
+		DeltaBytes: inserts * (8*(sapStride+dceStride) + m),
+	}
+	if got != want {
+		t.Fatalf("MemoryStats = %+v, want %+v", got, want)
+	}
+}
+
 // TestFilterPQErrors pins the wire-safe failure modes of the mode switch,
 // through Search and SearchShard.
 func TestFilterPQErrors(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"ppanns/internal/index"
 	"ppanns/internal/pq"
@@ -45,6 +46,35 @@ func (e *EncryptedDatabase) gather(ids []int, build func(rows *vec.Dataset, live
 	return ne, nil
 }
 
+// clone returns a copy of the database whose three column headers are its
+// own, sharing their arenas: appendRow on the clone writes past the
+// receiver's rows and leaves the receiver's Len and rows as they were.
+// This is the serving tier's copy-on-write publication (see vec.Rows).
+func (e *EncryptedDatabase) clone() *EncryptedDatabase {
+	ne := *e
+	sap, store := *e.SAP, *e.DCE
+	ne.SAP, ne.DCE = &sap, &store
+	if e.PQ != nil {
+		pqs, codes := *e.PQ, *e.PQ.Codes
+		pqs.Codes = &codes
+		ne.PQ = &pqs
+	}
+	return &ne
+}
+
+// appendRow appends one record to every column: the SAP row, the DCE
+// record and, with a PQ tier, the codebook's encoding of the SAP row. It
+// is the one append path: live inserts, WAL replay and both fold grafts
+// run through it, so a code row is always derived from its SAP row under
+// the database's own codebook, never carried from another.
+func (e *EncryptedDatabase) appendRow(sap, rec []float64) {
+	e.SAP.Append(sap)
+	e.DCE.AppendRecord(rec)
+	if e.PQ != nil {
+		e.PQ.Book.EncodeInto(e.PQ.Codes.AppendZero(math.MaxInt), sap)
+	}
+}
+
 // foldPQ is the PQ step of a compaction, online or offline, on a gathered
 // database ne. The gathered codes under the shared codebook stand until
 // the id space has outgrown the codebook's training set (NeedsRetrain's
@@ -52,9 +82,9 @@ func (e *EncryptedDatabase) gather(ids []int, build func(rows *vec.Dataset, live
 // rows of ne's SAP column under the retained config, dead rows zero, and
 // old codes mean nothing. With no live row there is nothing to train on,
 // and the codebook is kept.
-func foldPQ(ne *EncryptedDatabase) (retrained bool, err error) {
+func foldPQ(ne *EncryptedDatabase) (err error) {
 	if ne.PQ == nil || !ne.PQ.NeedsRetrain(ne.Len()) || ne.Live() == 0 {
-		return false, nil
+		return nil
 	}
 	vecs := make([][]float64, ne.Len())
 	for id := range vecs {
@@ -63,9 +93,9 @@ func foldPQ(ne *EncryptedDatabase) (retrained bool, err error) {
 		}
 	}
 	if ne.PQ, err = pq.Build(vecs, ne.PQ.Cfg); err != nil {
-		return false, fmt.Errorf("PQ retrain: %w", err)
+		return fmt.Errorf("PQ retrain: %w", err)
 	}
-	return true, nil
+	return nil
 }
 
 // Compacted returns an offline-compacted copy of the database: the gather
@@ -93,7 +123,7 @@ func (e *EncryptedDatabase) Compacted() (*EncryptedDatabase, error) {
 	}
 	ne, err := e.gather(ids, e.Index.Rebuild)
 	if err == nil {
-		_, err = foldPQ(ne)
+		err = foldPQ(ne)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: offline compaction: %w", err)

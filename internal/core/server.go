@@ -570,40 +570,32 @@ func (sp *snapshot) search(dst []int, tok *QueryToken, k int, opt SearchOptions)
 // backend accepts inserts: they land in the delta tier, not the frozen
 // index, which a fold rebuilds.
 //
-// Insert is O(1)-ish: it appends the SAP vector, the DCE ciphertext and
-// the PQ code to their column arenas (past every published snapshot's
-// length) and publishes a new snapshot — no index clone, no work
-// proportional to the database size beyond an arena's doubling. A failed
-// insert (validation, or a WAL append failure) publishes nothing.
+// Insert is O(1)-ish: it appends the SAP vector and the DCE ciphertext to
+// their column arenas, and with a PQ tier the SAP vector's code under the
+// published codebook (appendRow), past every published snapshot's length,
+// and publishes a new snapshot — no index clone, no work proportional to
+// the database size beyond an arena's doubling. A failed insert
+// (validation, or a WAL append failure) publishes nothing.
 //
 // With a WAL attached the insert is append-then-ack: the encrypted payload
-// (SAP + DCE record + PQ code row) is logged before the snapshot publishes,
-// and the call returns only once the record is durable per the configured
-// sync policy. A non-nil error alongside a valid id means the insert is
-// applied in memory but its durability is unknown (a failed fsync poisons
-// the log; subsequent writes fail fast).
+// (SAP + DCE record) is logged before the snapshot publishes, and the call
+// returns only once the record is durable per the configured sync policy.
+// A non-nil error alongside a valid id means the insert is applied in
+// memory but its durability is unknown (a failed fsync poisons the log;
+// subsequent writes fail fast).
 func (s *Server) Insert(p *InsertPayload) (int, error) {
 	if p == nil || p.SAP == nil || p.DCE == nil {
 		return 0, fmt.Errorf("core: incomplete insert payload")
 	}
 	s.wmu.Lock()
 	cur := s.snap.Load()
-	edb := cur.edb
-	var code []byte
-	if edb.PQ != nil && len(p.SAP) == edb.Dim {
-		// Encode server-side with the published codebook so the code arena
-		// keeps covering every id; the delta tier then scans codes too. A
-		// vector of another dimension is not encoded: checkInsert refuses it.
-		code = make([]byte, edb.PQ.Book.M())
-		edb.PQ.Book.EncodeInto(code, p.SAP)
-	}
-	if err := cur.checkInsert(p, code); err != nil {
+	if err := cur.checkInsert(p); err != nil {
 		s.wmu.Unlock()
 		return 0, fmt.Errorf("core: %w", err)
 	}
 	var lsn uint64
 	if s.wal != nil {
-		payload := appendInsertPayload(nil, uint64(edb.DCE.Len()), p, code)
+		payload := appendInsertPayload(nil, uint64(cur.edb.DCE.Len()), p)
 		var werr error
 		lsn, werr = s.wal.Append(wal.KindInsert, cur.epoch+1, payload)
 		if werr != nil {
@@ -611,7 +603,7 @@ func (s *Server) Insert(p *InsertPayload) (int, error) {
 			return 0, fmt.Errorf("core: wal append: %w", werr)
 		}
 	}
-	pos := s.publishInsert(cur, p.SAP, p.DCE, code)
+	pos := s.publishInsert(cur, p)
 	s.wmu.Unlock()
 	if s.wal != nil {
 		if err := s.wal.Commit(lsn); err != nil {
@@ -623,11 +615,9 @@ func (s *Server) Insert(p *InsertPayload) (int, error) {
 }
 
 // checkInsert refuses an insert that does not fit the snapshot's database:
-// a SAP vector of another dimension, a DCE record other than 4·ctDim
-// floats, or a PQ code row other than the codebook's M bytes (any row at
-// all without a PQ tier). Insert checks the row it encoded, WAL replay the
-// row the log carries.
-func (sp *snapshot) checkInsert(p *InsertPayload, code []byte) error {
+// a SAP vector of another dimension or a DCE record other than 4·ctDim
+// floats. Insert and WAL replay both check through it.
+func (sp *snapshot) checkInsert(p *InsertPayload) error {
 	edb := sp.edb
 	if len(p.SAP) != edb.Dim {
 		return fmt.Errorf("insert payload has dim %d, want %d", len(p.SAP), edb.Dim)
@@ -635,36 +625,22 @@ func (sp *snapshot) checkInsert(p *InsertPayload, code []byte) error {
 	if ctDim := edb.DCE.CtDim(); len(p.DCE) != 4*ctDim {
 		return fmt.Errorf("insert DCE ciphertext of %d floats, want 4·%d", len(p.DCE), ctDim)
 	}
-	if edb.PQ == nil {
-		if code != nil {
-			return fmt.Errorf("insert PQ code on a database without a PQ tier")
-		}
-	} else if len(code) != edb.PQ.Book.M() {
-		return fmt.Errorf("insert PQ code of %d bytes, codebook M=%d", len(code), edb.PQ.Book.M())
-	}
 	return nil
 }
 
 // publishInsert appends a validated insert to the delta tier and publishes
-// the next snapshot, returning the new id. code is the PQ row to append
-// (nil when the database carries no PQ tier — replay passes the logged row
-// here so recovered code arenas are byte-identical). Caller holds wmu and
-// has validated dimensions against cur.
-func (s *Server) publishInsert(cur *snapshot, sapIn, rec []float64, code []byte) int {
-	edb := cur.edb
-	pos := edb.DCE.Len()
-	// Each column append writes past every published snapshot's length —
-	// invisible to in-flight readers and to the index, whose rows end at
-	// the main tier.
-	next := *edb
-	next.SAP, next.DCE = edb.SAP.Extend(sapIn), edb.DCE.Extend(rec)
-	if edb.PQ != nil {
-		pqs := *edb.PQ
-		pqs.Codes = edb.PQ.Codes.Extend(code)
-		next.PQ = &pqs
-	}
+// the next snapshot, returning the new id. Insert and WAL replay both
+// publish through it, so a replayed insert gets the code the live one got.
+// Caller holds wmu and has validated dimensions against cur.
+func (s *Server) publishInsert(cur *snapshot, p *InsertPayload) int {
+	pos := cur.edb.DCE.Len()
+	// The append writes past every published snapshot's length — invisible
+	// to in-flight readers and to the index, whose rows end at the main
+	// tier.
+	next := cur.edb.clone()
+	next.appendRow(p.SAP, p.DCE)
 	s.snap.Store(&snapshot{
-		edb:      &next,
+		edb:      next,
 		frozen:   cur.frozen,
 		tombs:    cur.tombs,
 		mainDead: cur.mainDead,
@@ -797,7 +773,8 @@ func (s *Server) CompactionStats() CompactionStats {
 // phase streams, the DCE ciphertext record the refine phase reads, and —
 // when the compressed tier is attached — the PQ code row plus the codebook
 // amortized across points. DeltaBytes is the absolute un-compacted
-// write-path bloat on top (delta-tier records awaiting the next fold).
+// write-path bloat on top: the delta-tier records awaiting the next fold,
+// each a SAP row, a DCE record and, with a PQ tier, a code row.
 type MemoryStats struct {
 	N          int
 	SAP        float64
@@ -818,9 +795,10 @@ func (s *Server) MemoryStats() MemoryStats {
 		DCE:        float64(8 * sp.edb.DCE.Stride()),
 		DeltaBytes: sp.delta() * 8 * (sp.edb.DCE.Stride() + sp.edb.SAP.Stride()),
 	}
-	if sp.edb.PQ != nil && m.N > 0 {
-		m.PQCodes = float64(len(sp.edb.PQ.Codes.Raw())) / float64(m.N)
-		m.PQBook = float64(sp.edb.PQ.Book.SizeBytes()) / float64(m.N)
+	if pqs := sp.edb.PQ; pqs != nil && m.N > 0 {
+		m.PQCodes = float64(len(pqs.Codes.Raw())) / float64(m.N)
+		m.PQBook = float64(pqs.Book.SizeBytes()) / float64(m.N)
+		m.DeltaBytes += sp.delta() * pqs.Codes.Stride()
 	}
 	return m
 }
@@ -894,8 +872,10 @@ func (s *Server) compactOnce() error {
 // The rebuilt index and the private arenas hold each dead id as an empty
 // slot: the id space never shifts (shard striping and user-visible ids
 // depend on stable positions), and no dead vector or ciphertext survives
-// the fold. The old chain keeps serving in-flight readers. The checkpoint
-// capture, the pre-graft and the swap graft follow.
+// the fold. The old chain keeps serving in-flight readers. The pre-graft
+// and the swap graft follow, each appending through appendRow, so a
+// grafted record's code is derived under the folded codebook whether or
+// not the fold retrained it.
 func (s *Server) compactFold() error {
 	start := time.Now()
 	base := s.snap.Load()
@@ -916,41 +896,8 @@ func (s *Server) compactFold() error {
 	if err != nil {
 		return fmt.Errorf("core: compaction: %w", err)
 	}
-	pqRetrained, err := foldPQ(folded)
-	if err != nil {
+	if err := foldPQ(folded); err != nil {
 		return fmt.Errorf("core: compaction: %w", err)
-	}
-	store, pqs := folded.DCE, folded.PQ
-	// graftCode carries id g's code into the folded arena: copied from the
-	// serving store when the codebook was reused, re-encoded from the SAP
-	// column when a retrain replaced it (old codes are meaningless under a
-	// new codebook).
-	var codeBuf []byte
-	graftCode := func(from *snapshot, g int) {
-		if !pqRetrained {
-			pqs.Codes.Append(from.edb.PQ.Codes.Row(g))
-			return
-		}
-		if codeBuf == nil {
-			codeBuf = make([]byte, pqs.Book.M())
-		}
-		pqs.Book.EncodeInto(codeBuf, from.edb.SAP.At(g))
-		pqs.Codes.Append(codeBuf)
-	}
-
-	// Capture the checkpoint state before any grafting: the folded index,
-	// arena and code store correspond exactly to the base snapshot's
-	// content (epoch base.epoch). The COW snapshots share the arenas;
-	// grafts below only append past their lengths, so the capture stays
-	// bit-stable while the checkpoint file is written after the swap.
-	var ckptEDB *EncryptedDatabase
-	if s.wal != nil {
-		ckpt := *folded
-		ckpt.DCE = store.Snapshot()
-		if pqs != nil {
-			ckpt.PQ = pqs.Snapshot()
-		}
-		ckptEDB = &ckpt
 	}
 
 	// Pre-graft the bulk of the post-snapshot tail with no locks held.
@@ -960,24 +907,23 @@ func (s *Server) compactFold() error {
 	// of records that land while this loop runs. The reservations pull
 	// the repacked arenas' first regrowth (a full-arena copy — Gather and
 	// the index build allocate them exactly full) out of the writers'
-	// critical section. The rebuilt index holds the gathered column's
-	// header itself, and nothing reads either until the swap publishes
-	// them, so the SAP reservation moves the one arena under both; the
-	// grafts then append to a clone of the header, past the index's rows.
+	// critical section. They are made on folded's own headers: the rebuilt
+	// index holds the gathered SAP column's header itself, so the
+	// reservation moves the one arena under both, and next, cloned after
+	// them, appends into that arena past the index's rows. folded keeps
+	// the base snapshot's content (epoch base.epoch) and is the checkpoint
+	// image; the grafts only append past its lengths, so it stays
+	// bit-stable while the checkpoint file is written after the swap.
 	pre := s.snap.Load()
 	preN := pre.edb.DCE.Len()
-	store.Reserve(preN - n + 64)
+	folded.DCE.Reserve(preN - n + 64)
 	folded.SAP.Reserve(preN - n + 64)
-	sap := *folded.SAP
-	if pqs != nil {
-		pqs.Codes.Reserve(preN - n + 64)
+	if folded.PQ != nil {
+		folded.PQ.Codes.Reserve(preN - n + 64)
 	}
+	next := folded.clone()
 	for g := n; g < preN; g++ {
-		store.AppendRecord(pre.edb.DCE.Record(g))
-		sap.Append(pre.edb.SAP.At(g))
-		if pqs != nil {
-			graftCode(pre, g)
-		}
+		next.appendRow(pre.edb.SAP.At(g), pre.edb.DCE.Record(g))
 	}
 
 	// Swap under the writer mutex, grafting everything that happened
@@ -986,13 +932,8 @@ func (s *Server) compactFold() error {
 	swapStart := time.Now()
 	s.wmu.Lock()
 	cur := s.snap.Load()
-	curN := cur.edb.DCE.Len()
-	for g := preN; g < curN; g++ {
-		store.AppendRecord(cur.edb.DCE.Record(g))
-		sap.Append(cur.edb.SAP.At(g))
-		if pqs != nil {
-			graftCode(cur, g)
-		}
+	for g := preN; g < cur.edb.DCE.Len(); g++ {
+		next.appendRow(cur.edb.SAP.At(g), cur.edb.DCE.Record(g))
 	}
 	var tombs map[int]struct{}
 	mainDead := 0
@@ -1008,9 +949,8 @@ func (s *Server) compactFold() error {
 			mainDead++
 		}
 	}
-	folded.SAP = &sap
 	s.snap.Store(&snapshot{
-		edb:      folded,
+		edb:      next,
 		frozen:   n,
 		tombs:    tombs,
 		mainDead: mainDead,
@@ -1034,7 +974,7 @@ func (s *Server) compactFold() error {
 	// surfaces through Compact/Flush/CompactionStats; a failed fsync also
 	// poisons the log, failing subsequent writes fast).
 	if s.wal != nil {
-		if err := s.walCheckpoint(ckptEDB, base.epoch, base.gen+1); err != nil {
+		if err := s.walCheckpoint(folded, base.epoch, base.gen+1); err != nil {
 			return err
 		}
 	}

@@ -10,35 +10,35 @@ import (
 // WAL payload codecs. The wal package frames, checksums and epoch-stamps
 // records; core owns what goes inside:
 //
-//	insert: [id u64] [AppendInsert's payload] [PQ code: count u32, bytes]
+//	insert: [id u64] [AppendInsert's payload]
 //	delete: [id u64]
 //
-// in the frame package's little-endian codec. The insert payload carries
-// the PQ code row the server committed — replay re-appends the logged row
-// verbatim rather than re-encoding, so a recovered server is bit-identical
-// to the never-crashed one even across codebook retrains. A zero-length
-// code row is the "database carries no PQ tier" marker.
+// in the frame package's little-endian codec. An insert logs only the two
+// ciphertexts the owner sent, never a PQ code: replay appends them through
+// the same row append as the live insert, which derives the code from the
+// SAP row under the snapshot's codebook. Recovery replays over the
+// checkpoint of the last fold, whose codebook is the one the live server
+// encoded those inserts under, so a recovered server is bit-identical to
+// the never-crashed one, across codebook retrains too.
 
 // appendInsertPayload encodes one insert record payload.
-func appendInsertPayload(dst []byte, id uint64, p *InsertPayload, code []byte) []byte {
-	return frame.AppendBytes(AppendInsert(frame.AppendU64(dst, id), p), code)
+func appendInsertPayload(dst []byte, id uint64, p *InsertPayload) []byte {
+	return AppendInsert(frame.AppendU64(dst, id), p)
 }
 
 // parseInsertPayload decodes an insert record payload. The SAP vector and
-// ciphertext own their storage; the code views p (callers append it into
-// an arena immediately), nil for the no-tier marker.
-func parseInsertPayload(b []byte) (id uint64, p *InsertPayload, code []byte, err error) {
+// ciphertext own their storage.
+func parseInsertPayload(b []byte) (id uint64, p *InsertPayload, err error) {
 	r := frame.NewReader(b)
 	id = r.U64()
 	p = ReadInsert(r)
-	code = r.Bytes()
 	if r.Err() == nil && (p == nil || p.DCE == nil) {
 		r.Fail(fmt.Errorf("no ciphertext"))
 	}
 	if err := r.Done(); err != nil {
-		return 0, nil, nil, fmt.Errorf("core: wal insert payload: %w", err)
+		return 0, nil, fmt.Errorf("core: wal insert payload: %w", err)
 	}
-	return id, p, code, nil
+	return id, p, nil
 }
 
 func appendDeletePayload(dst []byte, id uint64) []byte {
@@ -185,18 +185,18 @@ func OpenServer(walDir string, o ServerOptions) (*Server, RecoveryStats, error) 
 		}
 		switch kind {
 		case wal.KindInsert:
-			id, p, code, perr := parseInsertPayload(payload)
+			id, p, perr := parseInsertPayload(payload)
 			if perr != nil {
 				return perr
 			}
 			if want := uint64(cur.edb.DCE.Len()); id != want {
 				return fmt.Errorf("core: wal replay: insert record for id %d, next id is %d", id, want)
 			}
-			if err := cur.checkInsert(p, code); err != nil {
+			if err := cur.checkInsert(p); err != nil {
 				return fmt.Errorf("core: wal replay at epoch %d: %w", epoch, err)
 			}
 			s.wmu.Lock()
-			s.publishInsert(cur, p.SAP, p.DCE, code)
+			s.publishInsert(cur, p)
 			s.wmu.Unlock()
 		case wal.KindDelete:
 			id, perr := parseDeletePayload(payload)

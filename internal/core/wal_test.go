@@ -227,6 +227,70 @@ func TestWALRecoveryConformance(t *testing.T) {
 	}
 }
 
+// TestWALRecoveryAfterRetrainingFold: inserts that land while a fold
+// retrains the codebook are logged before the retrain, and the live server
+// encodes them under the new codebook. Recovery replays them over the
+// fold's checkpoint, so it must encode them under that codebook too: the
+// recovered code arena equals the live one, byte for byte, and every row
+// is the codebook's encoding of its SAP row.
+func TestWALRecoveryAfterRetrainingFold(t *testing.T) {
+	const dim, base, before, mid = 8, 40, 40, 3
+	data := clustered(58, base+before+mid, dim, 4)
+	for _, backend := range index.Names() {
+		t.Run(backend, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := ServerOptions{WALDir: dir, WALSync: wal.SyncPolicy{Every: 1}, CompactAt: -1}
+			w := newWALWorld(t, Params{Dim: dim, Beta: 0.3, Seed: 58, Index: backend, PQ: true, PQM: 4}, data[:base], opts)
+			insert := func(v []float64) {
+				p, err := w.owner.EncryptVector(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := w.server.Insert(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sp := w.server.snap.Load()
+			book := sp.edb.PQ.Book
+			sp.edb.Index = &midRebuildIndex{SecureIndex: sp.edb.Index, during: func() {
+				for _, v := range data[base+before:] {
+					insert(v)
+				}
+			}}
+			for _, v := range data[base : base+before] {
+				insert(v)
+			}
+			if err := w.server.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			live := w.server.snap.Load()
+			if live.edb.PQ.Book == book || live.delta() != mid {
+				t.Fatalf("the fold must retrain and leave the %d mid-rebuild inserts in the delta (retrained %v, delta %d)", mid, live.edb.PQ.Book != book, live.delta())
+			}
+			checkCodes(t, live, 0, live.edb.Len())
+			if err := w.server.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			rec, _, err := OpenServer(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			got := rec.snap.Load()
+			if !bytes.Equal(got.edb.PQ.Codes.Raw(), live.edb.PQ.Codes.Raw()) {
+				for id := range live.edb.Len() {
+					if !bytes.Equal(got.edb.PQ.Codes.Row(id), live.edb.PQ.Codes.Row(id)) {
+						t.Errorf("recovered code row %d is %v, the live server's %v", id, got.edb.PQ.Codes.Row(id), live.edb.PQ.Codes.Row(id))
+					}
+				}
+				t.FailNow()
+			}
+			checkCodes(t, got, 0, got.edb.Len())
+		})
+	}
+}
+
 // TestWALStatsReporting pins the WALStats surface: nil without a WAL,
 // populated with the policy and checkpoint identity with one.
 func TestWALStatsReporting(t *testing.T) {
@@ -269,30 +333,14 @@ func TestOpenServerEmptyDir(t *testing.T) {
 }
 
 // TestOpenServerRefusesOldGenerationLog: a WAL directory whose segments
-// were written by log generation 1 is refused with the way forward, and
-// every segment and checkpoint file is left byte for byte as it was.
+// were written by log generation 1 or 2 is refused by wal.Inspect and
+// OpenServer with the way forward, and every segment and checkpoint file
+// is left byte for byte as it was. The generation-2 directory
+// (testdata/wal-g2: hnsw with a PQ tier, d=2, 10 records, then 2 inserts
+// and a delete) was written by commit e77d75f, the last build of that
+// generation; the test opens a copy of it.
 func TestOpenServerRefusesOldGenerationLog(t *testing.T) {
-	dir := t.TempDir()
-	opts := ServerOptions{WALDir: dir, WALSync: wal.SyncPolicy{Every: 1}, CompactAt: -1}
-	w := newWALWorld(t, Params{Dim: 6, Beta: 0.3, Seed: 233}, clustered(233, 60, 6, 3), opts)
-	churnWAL(t, w, 6, 4, 234)
-	if err := w.server.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segments: %v %v", segs, err)
-	}
-	for _, seg := range segs {
-		var seq uint64
-		if _, err := fmt.Sscanf(filepath.Base(seg), "wal-%016x.seg", &seq); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(seg, binary.LittleEndian.AppendUint64([]byte("PPWALSG1"), seq), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	files := func() map[string]string {
+	files := func(dir string) map[string]string {
 		ents, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -307,13 +355,58 @@ func TestOpenServerRefusesOldGenerationLog(t *testing.T) {
 		}
 		return m
 	}
-	before := files()
-	if _, _, err := OpenServer(dir, opts); err == nil || !strings.Contains(err.Error(), "checkpoint with the previous build") {
-		t.Fatalf("OpenServer over a generation-1 log: %v", err)
+	refused := func(t *testing.T, dir string, gen int, opts ServerOptions) {
+		before := files(dir)
+		want := fmt.Sprintf("written by log generation %d, which this build does not read: checkpoint with the previous build", gen)
+		if _, err := wal.Inspect(dir); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("wal.Inspect over a generation-%d log: %v", gen, err)
+		}
+		if _, _, err := OpenServer(dir, opts); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("OpenServer over a generation-%d log: %v", gen, err)
+		}
+		if after := files(dir); !maps.Equal(after, before) {
+			t.Fatal("a refused log directory changed")
+		}
 	}
-	if after := files(); !maps.Equal(after, before) {
-		t.Fatal("a refused log directory changed")
-	}
+
+	t.Run("generation 1", func(t *testing.T) {
+		dir := t.TempDir()
+		opts := ServerOptions{WALDir: dir, WALSync: wal.SyncPolicy{Every: 1}, CompactAt: -1}
+		w := newWALWorld(t, Params{Dim: 6, Beta: 0.3, Seed: 233}, clustered(233, 60, 6, 3), opts)
+		churnWAL(t, w, 6, 4, 234)
+		if err := w.server.Close(); err != nil {
+			t.Fatal(err)
+		}
+		segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+		if err != nil || len(segs) == 0 {
+			t.Fatalf("no segments: %v %v", segs, err)
+		}
+		for _, seg := range segs {
+			var seq uint64
+			if _, err := fmt.Sscanf(filepath.Base(seg), "wal-%016x.seg", &seq); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(seg, binary.LittleEndian.AppendUint64([]byte("PPWALSG1"), seq), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		refused(t, dir, 1, opts)
+	})
+
+	t.Run("generation 2", func(t *testing.T) {
+		src := filepath.Join("testdata", "wal-g2")
+		written := files(src)
+		if len(written) != 2 {
+			t.Fatalf("testdata/wal-g2 holds %d files, want a segment and a checkpoint", len(written))
+		}
+		dir := t.TempDir()
+		for name, b := range written {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		refused(t, dir, 2, ServerOptions{CompactAt: -1})
+	})
 }
 
 // TestOpenServerCheckpointNoTail: a checkpoint with no mutation records
@@ -420,7 +513,7 @@ func TestOpenServerRefusesBadLoggedMutation(t *testing.T) {
 	}{
 		{"wrong-dimension insert", wal.KindInsert, func(p *InsertPayload) []byte {
 			p.SAP = append(p.SAP, 0)
-			return appendInsertPayload(nil, n, p, nil)
+			return appendInsertPayload(nil, n, p)
 		}, "insert payload has dim 7, want 6"},
 		{"delete of a dead id", wal.KindDelete, func(*InsertPayload) []byte {
 			return appendDeletePayload(nil, 5)

@@ -81,30 +81,6 @@ func (s *CiphertextStore) O12(id int) []float64 { return s.rows.Row(id)[:2*s.ctD
 // contributes when it is the "p" side of DistanceComp.
 func (s *CiphertextStore) P34(id int) []float64 { return s.rows.Row(id)[2*s.ctDim:] }
 
-// Snapshot returns a clone for core's snapshot publication: it shares the
-// arena and owns a copy of the liveness flags, so AppendRecord on the
-// clone is invisible to the receiver.
-func (s *CiphertextStore) Snapshot() *CiphertextStore {
-	return &CiphertextStore{
-		ctDim: s.ctDim,
-		rows:  *s.rows.Snapshot(),
-		live:  append([]bool(nil), s.live...),
-		liveN: s.liveN,
-	}
-}
-
-// Extend appends the record rec and returns a new store header, leaving
-// the receiver's view unchanged: the O(1) append for core's delta tier,
-// where the receiver is a published snapshot. The arena and the liveness
-// mask backings are both shared under the vec.Rows discipline (deletes on
-// the chain never touch store flags). The new record's id is the
-// receiver's Len().
-func (s *CiphertextStore) Extend(rec []float64) *CiphertextStore {
-	ns := *s
-	ns.AppendRecord(rec)
-	return &ns
-}
-
 // AppendRecord copies a full logical record (4·CtDim floats, as Record
 // returns) into a fresh slot and returns its id.
 func (s *CiphertextStore) AppendRecord(rec []float64) int {

@@ -188,9 +188,10 @@ func saveLoad(t *testing.T, store *CiphertextStore) (*CiphertextStore, int) {
 // bytes were in memory; a record the input does not hold fails the load.
 func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	_, full, _, _, tq := storeWorld(t, 7, 5)
-	store := full.Snapshot()
+	store := *full
+	store.live = slices.Clone(full.live)
 	store.live[3], store.liveN = false, store.liveN-1
-	clone, _ := saveLoad(t, store)
+	clone, _ := saveLoad(t, &store)
 	if clone.Len() != store.Len() || clone.Live() != store.Live() || clone.CtDim() != store.CtDim() || clone.Has(3) {
 		t.Fatalf("clone shape %d/%d/%d, want %d/%d/%d",
 			clone.Len(), clone.Live(), clone.CtDim(), store.Len(), store.Live(), store.CtDim())
@@ -252,9 +253,10 @@ func TestEncryptRecordMatchesEncrypt(t *testing.T) {
 	}
 }
 
-// TestSnapshotTombstone covers the copy-on-write store primitive behind
-// core's snapshot publication: a Snapshot shares the arena but owns its
-// liveness and length.
+// TestSnapshotTombstone covers the copy-on-write publication behind core's
+// snapshots: a copy of a store's header shares the arena, and appending to
+// the copy leaves the receiver's length and liveness as they were, whether
+// the append moves the full arena or, after Reserve, writes in place.
 func TestSnapshotTombstone(t *testing.T) {
 	const ctDim, n = 6, 5
 	s := NewCiphertextStoreN(ctDim, n)
@@ -265,19 +267,26 @@ func TestSnapshotTombstone(t *testing.T) {
 		}
 	}
 
-	snap := s.Snapshot()
-	// Appending to the snapshot must be invisible to the receiver.
+	snap := *s
+	// Appending to the copy must be invisible to the receiver.
 	id := snap.AppendRecord(make([]float64, 4*ctDim))
 	if id != n {
 		t.Fatalf("snapshot append landed at %d, want %d", id, n)
 	}
-	if s.Len() != n {
-		t.Fatalf("append to the snapshot grew the receiver to %d", s.Len())
+	if s.Len() != n || s.Live() != n || s.Has(n) {
+		t.Fatalf("append to the copy grew the receiver to %d records, %d live", s.Len(), s.Live())
 	}
-	// A second-generation snapshot sees the first's state.
-	snap2 := snap.Snapshot()
-	if snap2.Len() != n+1 || !snap2.Has(n) {
-		t.Fatalf("second-generation snapshot inconsistent: len %d, Has(%d) %v", snap2.Len(), n, snap2.Has(n))
+	// A second-generation copy sees the first's state, and an append
+	// within reserved capacity leaves it as it was.
+	snap.Reserve(1)
+	snap2 := snap
+	snap3 := snap2
+	snap3.AppendRecord(make([]float64, 4*ctDim))
+	if &snap3.Record(0)[0] != &snap2.Record(0)[0] {
+		t.Fatal("an append within capacity moved the arena")
+	}
+	if snap2.Len() != n+1 || !snap2.Has(n) || snap2.Has(n+1) {
+		t.Fatalf("second-generation copy inconsistent: len %d, Has(%d) %v", snap2.Len(), n, snap2.Has(n))
 	}
 }
 

@@ -45,12 +45,6 @@ func (s *Store) NeedsRetrain(n int) bool {
 	return s.TrainedOn > 0 && n >= 2*s.TrainedOn
 }
 
-// Snapshot returns a header clone for snapshot publication (shared arena,
-// shared codebook — both immutable once published).
-func (s *Store) Snapshot() *Store {
-	return &Store{Book: s.Book, Codes: s.Codes.Snapshot(), TrainedOn: s.TrainedOn, Cfg: s.Cfg}
-}
-
 // SizeBytes returns the total in-memory footprint: centroid tables plus
 // the code arena.
 func (s *Store) SizeBytes() int { return s.Book.SizeBytes() + len(s.Codes.Raw()) }

@@ -40,9 +40,9 @@ func Aligned[T float64 | byte](s []T) bool {
 //
 // A Rows value is a header over a shared backing array, and the serving
 // tier publishes it copy-on-write:
-//   - A published header is never mutated again. Snapshot clones one;
-//     Extend appends to a clone. Either way the receiver keeps its Len and
-//     its rows.
+//   - A published header is never mutated again. The next one is a copy of
+//     its header (core's EncryptedDatabase.clone), and appends go to the
+//     copy; the published header keeps its Len and its rows.
 //   - An append writes only past every published length. When the
 //     capacity is full it moves to a private array first, so the headers
 //     still sharing the old one never see it.
@@ -144,20 +144,6 @@ func (r *Rows[T]) Append(row []T) int {
 // Reserve makes room for rows more appends, so that they cannot move the
 // arena.
 func (r *Rows[T]) Reserve(rows int) { r.grow(rows, math.MaxInt) }
-
-// Extend appends row to a clone of the header and returns the clone: the
-// copy-on-write append. The receiver keeps its Len and its rows.
-func (r *Rows[T]) Extend(row []T) *Rows[T] {
-	ns := *r
-	ns.Append(row)
-	return &ns
-}
-
-// Snapshot returns a clone of the header, sharing the arena.
-func (r *Rows[T]) Snapshot() *Rows[T] {
-	ns := *r
-	return &ns
-}
 
 // Gather returns an exactly full arena of its own whose row j is a copy of
 // row ids[j], or zero where ids[j] names no row (a dead slot is −1).

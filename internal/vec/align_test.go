@@ -63,25 +63,27 @@ func rowsDiscipline[T float64 | byte](t *testing.T, width, stride int) {
 	}
 	holds("NewRows", r, 3)
 
-	// A full arena regrows to twice its rows, privately.
-	pub := r.Snapshot()
-	ext := pub.Extend(row(3))
-	allocated("regrown Extend", ext, 6)
-	holds("regrown Extend", ext, 4)
-	holds("published header after a regrowing Extend", pub, 3)
-	holds("receiver of Snapshot", r, 3)
+	// Publication copies the header and appends to the copy. A full
+	// arena regrows to twice its rows, privately.
+	pub := r
+	ext := *pub
+	ext.Append(row(3))
+	allocated("regrown append", &ext, 6)
+	holds("regrown append", &ext, 4)
+	holds("published header after a regrowing append", pub, 3)
 
-	// After Reserve an Extend writes in place, past the published length.
+	// After Reserve an append writes in place, past the published length.
 	ext.Reserve(10)
-	allocated("Reserve", ext, 14)
-	pub2 := ext.Snapshot()
-	ext2 := pub2.Extend(row(4))
+	allocated("Reserve", &ext, 14)
+	pub2 := ext
+	ext2 := pub2
+	ext2.Append(row(4))
 	if &ext2.Raw()[0] != &pub2.Raw()[0] {
-		t.Fatal("an Extend within capacity moved the arena")
+		t.Fatal("an append within capacity moved the arena")
 	}
-	holds("in-place Extend", ext2, 5)
-	holds("published header after an in-place Extend", pub2, 4)
-	holds("published header after both Extends", pub, 3)
+	holds("in-place append", &ext2, 5)
+	holds("published header after an in-place append", &pub2, 4)
+	holds("published header after both appends", pub, 3)
 
 	g := ext2.Gather([]int{4, -1, 0})
 	allocated("Gather", g, 3)
@@ -94,7 +96,7 @@ func rowsDiscipline[T float64 | byte](t *testing.T, width, stride int) {
 		}
 	}
 	g.Row(2)[0] = 0
-	holds("Gather's source after a write to the gathered arena", ext2, 5)
+	holds("Gather's source after a write to the gathered arena", &ext2, 5)
 
 	// A loader's limit ends it exactly full; an overstated one costs at
 	// most twice the rows that arrived.

@@ -65,15 +65,6 @@ func (d *Dataset) Append(v []float64) int { return d.rows.Append(v) }
 // arena (Rows.Reserve).
 func (d *Dataset) Reserve(n int) { d.rows.Reserve(n) }
 
-// Extend appends v to a clone of the header and returns the clone: the
-// copy-on-write append of Rows.Extend. The receiver keeps its Len and its
-// rows.
-func (d *Dataset) Extend(v []float64) *Dataset {
-	ns := *d
-	ns.rows.Append(v)
-	return &ns
-}
-
 // Gather returns a dataset with an exactly full arena of its own whose
 // row j is a copy of row ids[j], or zero where ids[j] is −1 (Rows.Gather).
 func (d *Dataset) Gather(ids []int) *Dataset { return &Dataset{rows: *d.rows.Gather(ids)} }

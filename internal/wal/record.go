@@ -11,9 +11,8 @@ type Kind uint8
 
 const (
 	// KindInsert is an acknowledged insert: the encrypted payload the
-	// server committed to its delta tier (SAP vector, DCE ciphertext
-	// record, and PQ code row when the database carries a compressed
-	// tier). The wal package treats the payload as opaque bytes; core
+	// server committed to its delta tier (SAP vector and DCE ciphertext
+	// record). The wal package treats the payload as opaque bytes; core
 	// owns the codec.
 	KindInsert Kind = 1
 	// KindDelete is an acknowledged tombstone.
@@ -52,12 +51,14 @@ func (k Kind) String() string {
 // lives in the envelope rather than the payload so the log can filter
 // replay and garbage-collect segments without parsing payloads.
 const (
-	logGen        = 2
-	segMagic      = "PPWALSG2"
+	logGen        = 3
+	segMagic      = "PPWALSG3"
 	segHeaderSize = int64(frame.EnvelopeOverhead + len(segMagic))
 
-	// oldSegMagic opens every segment of log generation 1. Such a log is
-	// refused, never read as a torn header and removed.
+	// oldSegMagic opens every segment of log generation 1, which predates
+	// the envelope. Such a log, like one of generation 2 (whose header is
+	// an envelope of that generation), is refused, never read as a torn
+	// header and removed.
 	oldSegMagic = "PPWALSG1"
 )
 

@@ -308,8 +308,12 @@ func scanDir(fs FS, dir string, repair bool) (segs []segMeta, rec *Recovery, bar
 // header envelope, then every record, handed to fn in log order. It
 // returns the length of the prefix of whole, valid envelopes; where the
 // bytes stop being the log before limit, the error wraps errCorrupt and
-// names the offset. A segment of the previous log generation, a read
-// error and fn's error come back as they are.
+// names the offset. A segment of another log generation — generation 1's
+// magic, or a header envelope stamped with another generation — is
+// refused with the way forward; that refusal, a read error and fn's error
+// come back as they are, not as errCorrupt, so such a segment is never
+// repaired away. A header stamped 0 is what a crash can leave of a segment
+// created just before it, zeroed: it is torn, not of another generation.
 func readSegment(fs FS, dir, name string, seq uint64, limit int64, fn func(Kind, uint64, []byte) error) (valid int64, err error) {
 	f, err := fs.Open(filepath.Join(dir, name))
 	if err != nil {
@@ -317,14 +321,26 @@ func readSegment(fs FS, dir, name string, seq uint64, limit int64, fn func(Kind,
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(io.LimitReader(f, limit), 64<<10)
-	if p, _ := br.Peek(len(oldSegMagic)); string(p) == oldSegMagic {
-		return 0, fmt.Errorf("wal: segment %s was written by log generation 1, which this build does not read: checkpoint with the previous build (ppanns-dbtool recover <dir> <out.ppanns>) and start this build from that database in a fresh directory", name)
+	refuse := func(gen int) error {
+		return fmt.Errorf("wal: segment %s was written by log generation %d, which this build does not read: checkpoint with the previous build (ppanns-dbtool recover <dir> <out.ppanns>) and start this build from that database in a fresh directory", name, gen)
+	}
+	// A generation-1 segment opens with its magic; any later one with an
+	// envelope, whose fifth byte is its generation.
+	head, _ := br.Peek(len(oldSegMagic))
+	if string(head) == oldSegMagic {
+		return 0, refuse(1)
+	}
+	stamped := 0
+	if len(head) > 4 {
+		stamped = int(head[4])
 	}
 	er := frame.NewEnvelopeReader(br, logGen)
 	for {
 		tag, word, p, err := er.Next()
 		var bad error
 		switch kind := Kind(tag); {
+		case valid == 0 && stamped != 0 && errors.Is(err, frame.ErrGeneration):
+			return 0, refuse(stamped)
 		case err == io.EOF && valid > 0:
 			return valid, nil
 		case err == io.EOF || err == io.ErrUnexpectedEOF || errors.Is(err, frame.ErrEnvelope):

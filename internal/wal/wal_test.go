@@ -49,6 +49,24 @@ func oldSegment(seq uint64, epochs ...uint64) []byte {
 	return b
 }
 
+// gen2Segment is segment seq as log generation 2 wrote it, holding an
+// insert record per epoch: this generation's envelopes, stamped 2, opened
+// by a header envelope carrying PPWALSG2.
+func gen2Segment(seq uint64, epochs ...uint64) []byte {
+	env := func(b []byte, tag byte, word uint64, p []byte) []byte {
+		b, err := frame.AppendEnvelope(b, 2, tag, word, func(b []byte) []byte { return append(b, p...) })
+		if err != nil {
+			panic(err)
+		}
+		return b
+	}
+	b := env(nil, 0, seq, []byte("PPWALSG2"))
+	for _, e := range epochs {
+		b = env(b, byte(KindInsert), e, payload(int(e)))
+	}
+	return b
+}
+
 // lyingTail is a segment of two records followed by the first 512 bytes
 // of a third whose length claims just under frame.MaxLen: the residue of a
 // crash, or of a hostile file. The tail outgrows the reader's buffer, so
@@ -379,32 +397,54 @@ func TestCorruptSealedSegmentRefused(t *testing.T) {
 	}
 }
 
-// TestOldGenerationLogRefused: a log of generation 1 is refused by Open
-// and Inspect with the way forward, before anything is truncated or
+// TestOldGenerationLogRefused: a log of generation 1 or 2 is refused by
+// Open and Inspect with the way forward, before anything is truncated or
 // removed — read as this generation, its first segment would be a torn
 // header, and Open would delete it.
 func TestOldGenerationLogRefused(t *testing.T) {
+	for gen, segment := range map[int]func(seq uint64, epochs ...uint64) []byte{1: oldSegment, 2: gen2Segment} {
+		t.Run(fmt.Sprintf("generation %d", gen), func(t *testing.T) {
+			dir := t.TempDir()
+			for name, b := range map[string][]byte{
+				segName(1):                segment(1, 1, 2),
+				segName(2):                segment(2, 3),
+				CheckpointName(0, 0):      []byte("snapshot"),
+				"checkpoint-x.ppanns.tmp": []byte("half a snapshot"),
+			} {
+				if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := dirFiles(t, dir)
+			want := fmt.Sprintf("written by log generation %d, which this build does not read: checkpoint with the previous build", gen)
+			if _, err := Inspect(dir); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Inspect = %v, want a refusal saying %q", err, want)
+			}
+			if _, _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Open = %v, want a refusal saying %q", err, want)
+			}
+			if !maps.Equal(dirFiles(t, dir), before) {
+				t.Fatal("a refused log directory changed")
+			}
+		})
+	}
+}
+
+// TestZeroedHeaderIsTorn: a last segment whose header is zeroed — what a
+// crash can leave of a segment created just before it — is a torn header,
+// not one of another generation: Open drops it and starts the log afresh.
+func TestZeroedHeaderIsTorn(t *testing.T) {
 	dir := t.TempDir()
-	for name, b := range map[string][]byte{
-		segName(1):                oldSegment(1, 1, 2),
-		segName(2):                oldSegment(2, 3),
-		CheckpointName(0, 0):      []byte("snapshot"),
-		"checkpoint-x.ppanns.tmp": []byte("half a snapshot"),
-	} {
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), make([]byte, segHeaderSize), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	before := dirFiles(t, dir)
-	const want = "checkpoint with the previous build"
-	if _, err := Inspect(dir); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Inspect = %v, want a refusal saying %q", err, want)
+	l, rec, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Open = %v, want a refusal saying %q", err, want)
-	}
-	if !maps.Equal(dirFiles(t, dir), before) {
-		t.Fatal("a refused log directory changed")
+	defer l.Close()
+	if !strings.Contains(rec.Truncated, "corrupt header") || rec.Records != 0 {
+		t.Fatalf("recovery = %+v, want the zeroed header dropped", rec)
 	}
 }
 
@@ -778,7 +818,7 @@ func FuzzSegment(f *testing.F) {
 	clean := append(segHeader(1), record(KindInsert, 1, payload(0))...)
 	clean = append(clean, record(KindBarrier, 1, (&Barrier{Gen: 1, Records: 5, Name: CheckpointName(1, 1)}).encode())...)
 	clean = append(clean, record(KindDelete, 2, frame.AppendU64(nil, 3))...)
-	for _, seed := range [][]byte{clean, clean[:len(clean)-7], oldSegment(1, 1, 2), lyingTail()} {
+	for _, seed := range [][]byte{clean, clean[:len(clean)-7], oldSegment(1, 1, 2), lyingTail(), gen2Segment(1, 1, 2)} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
