@@ -47,6 +47,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -318,7 +319,7 @@ func runServe(args []string) error {
 		if err != nil && !errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("serve: %w", err)
 		}
-		if err == nil && (rec.Records > 0 || len(rec.Barriers) > 0) {
+		if err == nil && rec.Records > 0 {
 			srv, stats, err := ppanns.OpenServer(*walDir, opts)
 			if err != nil {
 				return err
@@ -368,8 +369,8 @@ func loadDatabase(path string) (*ppanns.EncryptedDatabase, error) {
 	return ppanns.LoadEncryptedDatabase(f)
 }
 
-// runRecover replays a WAL directory offline — newest usable checkpoint
-// plus every acknowledged record after it — and writes the recovered
+// runRecover replays a WAL directory offline — the newest checkpoint plus
+// every acknowledged record after it — and writes the recovered
 // database atomically to the output path. The directory itself is also
 // healed: the torn tail is repaired and a fresh checkpoint recorded.
 func runRecover(args []string) error {
@@ -390,9 +391,6 @@ func runRecover(args []string) error {
 	if stats.Truncated != "" {
 		fmt.Printf("repaired:    %s (%d bytes)\n", stats.Truncated, stats.TruncatedBytes)
 	}
-	if stats.SkippedCheckpoints > 0 {
-		fmt.Printf("warning:     %d unusable checkpoint(s) skipped\n", stats.SkippedCheckpoints)
-	}
 	if err := srv.SaveTo(out); err != nil {
 		return err
 	}
@@ -403,7 +401,9 @@ func runRecover(args []string) error {
 // runInfo dials a serving instance and prints what the transport info op
 // reports: backend, dimension, and the record counts — total
 // (tombstones included) and live — so operators can see deletion debt at a
-// glance.
+// glance. With -wal it reads a WAL directory offline instead: its
+// segments, records and torn tail, and the newest checkpoint, which it
+// refuses when that file does not load.
 func runInfo(args []string) error {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7070", "server address")
@@ -422,13 +422,17 @@ func runInfo(args []string) error {
 		if rec.Truncated != "" {
 			fmt.Printf("torn tail:  %s (%d bytes after it unrecoverable; recovery will repair)\n", rec.Truncated, rec.TruncatedBytes)
 		}
-		if len(rec.Barriers) == 0 {
+		b := rec.Barrier
+		if b == nil {
 			fmt.Printf("checkpoint: none — not recoverable without one\n")
 			return nil
 		}
-		b := rec.Barriers[len(rec.Barriers)-1]
-		fmt.Printf("checkpoint: %s (epoch %d, generation %d, %d records; %d total)\n",
-			b.Name, b.Epoch, b.Gen, b.Records, len(rec.Barriers))
+		// Recovery anchors on the newest checkpoint alone, so one that does
+		// not load leaves the directory unrecoverable.
+		if _, err := loadDatabase(filepath.Join(*walDir, b.Name)); err != nil {
+			return fmt.Errorf("info: newest checkpoint %s does not load: %w", b.Name, err)
+		}
+		fmt.Printf("checkpoint: %s (epoch %d, generation %d, %d records)\n", b.Name, b.Epoch, b.Gen, b.Records)
 		return nil
 	}
 

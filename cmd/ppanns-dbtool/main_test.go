@@ -1,7 +1,9 @@
 package main
 
 import (
+	"errors"
 	"io"
+	"maps"
 	"net"
 	"os"
 	"path/filepath"
@@ -153,5 +155,156 @@ func TestGenRefusesBadCounts(t *testing.T) {
 	}
 	if err := runGen([]string{"-out", out, "-dataset", "deep", "-n", "10", "-queries", queries, "-nq", "1"}); err != nil {
 		t.Fatalf("gen of 10 vectors and 1 query: %v", err)
+	}
+}
+
+// stdout runs f with os.Stdout captured and returns what it printed.
+func stdout(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	printed := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		printed <- string(b)
+	}()
+	ferr := f()
+	os.Stdout = saved
+	w.Close()
+	out := <-printed
+	r.Close()
+	return out, ferr
+}
+
+// walFiles maps every file in dir to its bytes.
+func walFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := map[string]string{}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m[e.Name()] = string(b)
+	}
+	return m
+}
+
+// servedWAL builds a WAL directory through the serving library: a server
+// over 60 deep-like vectors takes inserts and deletes through two folds,
+// each checkpointed, and a tail of writes after them, then closes. It
+// returns the directory, the live server's Len and Live, and the two
+// folds' checkpoint names.
+func servedWAL(t *testing.T) (dir string, n, live int, first, second string) {
+	t.Helper()
+	dir = t.TempDir()
+	data := dataset.DeepLike(60, 6, 5)
+	owner, err := ppanns.NewDataOwner(ppanns.Params{Dim: data.Dim, Beta: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edb, err := owner.EncryptDatabase(data.Train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := ppanns.NewServerWith(edb, ppanns.ServerOptions{WALDir: dir, WALSync: ppanns.SyncPolicy{Every: 1}, CompactAt: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(q int, del int) {
+		p, err := owner.EncryptVector(data.Queries[q])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Delete(del); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for fold := range 2 {
+		write(2*fold, 3*fold)
+		write(2*fold+1, 3*fold+1)
+		if _, err := srv.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if fold == 0 {
+			first = srv.WALStats().Checkpoint
+		} else {
+			second = srv.WALStats().Checkpoint
+		}
+	}
+	write(4, 10)
+	n, live = srv.Len(), srv.Live()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir, n, live, first, second
+}
+
+// TestWALInfoAndRecover drives info -wal and recover over a directory the
+// serving library wrote: info prints its newest checkpoint, and recover
+// writes a database with the live server's record and live counts. With
+// the first fold's checkpoint put back and one byte of the second flipped,
+// both refuse, naming the second file, and neither changes a file.
+func TestWALInfoAndRecover(t *testing.T) {
+	dir, n, live, first, second := servedWAL(t)
+	out, err := stdout(t, func() error { return runInfo([]string{"-wal", dir}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "checkpoint: " + second + " (epoch 8, generation 2, 64 records)\n"; !strings.Contains(out, want) {
+		t.Fatalf("info -wal printed\n%s\nwant the line %q", out, want)
+	}
+	db := filepath.Join(t.TempDir(), "recovered.ppanns")
+	if _, err := stdout(t, func() error { return runRecover([]string{dir, db}) }); err != nil {
+		t.Fatal(err)
+	}
+	edb, err := loadDatabase(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := ppanns.NewServer(edb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.Len() != n || srv.Live() != live {
+		t.Fatalf("recovered database holds %d records, %d live; the live server held %d, %d", srv.Len(), srv.Live(), n, live)
+	}
+
+	dir, _, _, first, second = servedWAL(t)
+	ckpt, err := os.ReadFile(filepath.Join(dir, second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first checkpoint's bytes do not matter: recovery never reads it.
+	if err := os.WriteFile(filepath.Join(dir, first), ckpt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ckpt[len(ckpt)/2] ^= 0x10
+	if err := os.WriteFile(filepath.Join(dir, second), ckpt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := walFiles(t, dir)
+	if _, err := stdout(t, func() error { return runInfo([]string{"-wal", dir}) }); err == nil || !strings.Contains(err.Error(), second) {
+		t.Fatalf("info -wal over a corrupt newest checkpoint: %v, want a refusal naming %s", err, second)
+	}
+	if _, err := stdout(t, func() error { return runRecover([]string{dir, db + ".2"}) }); err == nil || !strings.Contains(err.Error(), second) {
+		t.Fatalf("recover over a corrupt newest checkpoint: %v, want a refusal naming %s", err, second)
+	}
+	if !maps.Equal(walFiles(t, dir), before) {
+		t.Fatal("a refused log directory changed")
+	}
+	if _, err := os.Stat(db + ".2"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a refused recover wrote its output: %v", err)
 	}
 }

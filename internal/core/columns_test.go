@@ -198,9 +198,10 @@ func (m *midRebuildIndex) Rebuild(rows *vec.Dataset, live []bool) (index.SecureI
 // inserts that land while the index is rebuilt keep their own SAP rows and
 // PQ codes in the folded snapshot's delta tier, the grafted column still
 // shares one row arena with the rebuilt index, and each insert is its own
-// nearest neighbour under both filter modes. The PQ codes are grafted as they are,
-// and, when the fold retrains the codebook (the id space has doubled since
-// training), re-encoded from the SAP column.
+// nearest neighbour under both filter modes. A grafted record's PQ code is
+// never carried over: appendRow derives it from the SAP row under the
+// folded codebook, whether or not the fold retrained it (it does once the
+// id space has doubled since training).
 func TestFoldGraftsMidRebuildInserts(t *testing.T) {
 	const dim, mid = 8, 3
 	data := clustered(57, 400, dim, 4)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -323,10 +324,8 @@ type Server struct {
 
 	// wal, when non-nil, is the attached write-ahead log: mutations
 	// append under wmu (so log order equals epoch order) and group-commit
-	// after publishing; compactions checkpoint through it. walPolicy is
-	// retained for stats.
-	wal       *wal.Log
-	walPolicy wal.SyncPolicy
+	// after publishing; compactions checkpoint through it.
+	wal *wal.Log
 }
 
 // NewServer wraps an encrypted database received from the data owner,
@@ -340,17 +339,25 @@ func NewServerWith(edb *EncryptedDatabase, o ServerOptions) (*Server, error) {
 	if edb == nil || edb.Index == nil || edb.DCE == nil || edb.DCE.Len() == 0 || edb.SAP == nil || edb.SAP.Len() != edb.DCE.Len() {
 		return nil, fmt.Errorf("core: incomplete encrypted database")
 	}
-	if o.CompactAt == 0 {
-		o.CompactAt = DefaultCompactAt
-	}
-	s := &Server{compactAt: o.CompactAt}
-	s.snap.Store(&snapshot{edb: edb, frozen: edb.DCE.Len()})
+	s := newServer(edb, 0, 0, o)
 	if o.WALDir != "" {
 		if err := s.attachWAL(edb, o); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
+}
+
+// newServer serves edb, all of it the main tier, as the snapshot at the
+// given epoch and generation, compacting at o.CompactAt. NewServerWith
+// and OpenServer both construct through it.
+func newServer(edb *EncryptedDatabase, epoch, gen uint64, o ServerOptions) *Server {
+	if o.CompactAt == 0 {
+		o.CompactAt = DefaultCompactAt
+	}
+	s := &Server{compactAt: o.CompactAt}
+	s.snap.Store(&snapshot{edb: edb, frozen: edb.DCE.Len(), epoch: epoch, gen: gen})
+	return s
 }
 
 // Flush compacts until the published snapshot is clean and returns its
@@ -565,6 +572,19 @@ func (sp *snapshot) search(dst []int, tok *QueryToken, k int, opt SearchOptions)
 	return dst, st, nil
 }
 
+// mutation is one write: an insert of payload p at id, or a delete of id.
+// Insert and Delete, WAL replay and the log's payload codec all carry it,
+// so a replayed write is the live one.
+type mutation struct {
+	kind wal.Kind // wal.KindInsert or wal.KindDelete
+	id   int
+	p    *InsertPayload // insert only
+}
+
+// nextID is the id an Insert names: the next one, read under the writer
+// mutex.
+const nextID = -1
+
 // Insert adds one encrypted vector (Section V-D) and returns its external
 // id. Deletion tombstones are not reused; ids grow monotonically. Every
 // backend accepts inserts: they land in the delta tier, not the frozen
@@ -584,70 +604,7 @@ func (sp *snapshot) search(dst []int, tok *QueryToken, k int, opt SearchOptions)
 // memory but its durability is unknown (a failed fsync poisons the log;
 // subsequent writes fail fast).
 func (s *Server) Insert(p *InsertPayload) (int, error) {
-	if p == nil || p.SAP == nil || p.DCE == nil {
-		return 0, fmt.Errorf("core: incomplete insert payload")
-	}
-	s.wmu.Lock()
-	cur := s.snap.Load()
-	if err := cur.checkInsert(p); err != nil {
-		s.wmu.Unlock()
-		return 0, fmt.Errorf("core: %w", err)
-	}
-	var lsn uint64
-	if s.wal != nil {
-		payload := appendInsertPayload(nil, uint64(cur.edb.DCE.Len()), p)
-		var werr error
-		lsn, werr = s.wal.Append(wal.KindInsert, cur.epoch+1, payload)
-		if werr != nil {
-			s.wmu.Unlock()
-			return 0, fmt.Errorf("core: wal append: %w", werr)
-		}
-	}
-	pos := s.publishInsert(cur, p)
-	s.wmu.Unlock()
-	if s.wal != nil {
-		if err := s.wal.Commit(lsn); err != nil {
-			return pos, fmt.Errorf("core: wal commit: %w", err)
-		}
-	}
-	s.maybeCompact()
-	return pos, nil
-}
-
-// checkInsert refuses an insert that does not fit the snapshot's database:
-// a SAP vector of another dimension or a DCE record other than 4·ctDim
-// floats. Insert and WAL replay both check through it.
-func (sp *snapshot) checkInsert(p *InsertPayload) error {
-	edb := sp.edb
-	if len(p.SAP) != edb.Dim {
-		return fmt.Errorf("insert payload has dim %d, want %d", len(p.SAP), edb.Dim)
-	}
-	if ctDim := edb.DCE.CtDim(); len(p.DCE) != 4*ctDim {
-		return fmt.Errorf("insert DCE ciphertext of %d floats, want 4·%d", len(p.DCE), ctDim)
-	}
-	return nil
-}
-
-// publishInsert appends a validated insert to the delta tier and publishes
-// the next snapshot, returning the new id. Insert and WAL replay both
-// publish through it, so a replayed insert gets the code the live one got.
-// Caller holds wmu and has validated dimensions against cur.
-func (s *Server) publishInsert(cur *snapshot, p *InsertPayload) int {
-	pos := cur.edb.DCE.Len()
-	// The append writes past every published snapshot's length — invisible
-	// to in-flight readers and to the index, whose rows end at the main
-	// tier.
-	next := cur.edb.clone()
-	next.appendRow(p.SAP, p.DCE)
-	s.snap.Store(&snapshot{
-		edb:      next,
-		frozen:   cur.frozen,
-		tombs:    cur.tombs,
-		mainDead: cur.mainDead,
-		epoch:    cur.epoch + 1,
-		gen:      cur.gen,
-	})
-	return pos
+	return s.write(mutation{kind: wal.KindInsert, id: nextID, p: p})
 }
 
 // Delete removes the vector with the given external id (Section V-D).
@@ -657,64 +614,93 @@ func (s *Server) publishInsert(cur *snapshot, p *InsertPayload) int {
 // drops the ciphertext bytes and rebuilds the index with the id dead. O(tombs)
 // per call (the pending set is copied), independent of database size.
 func (s *Server) Delete(pos int) error {
+	_, err := s.write(mutation{kind: wal.KindDelete, id: pos})
+	return err
+}
+
+// write is the one body of every live mutation: under the writer mutex it
+// checks m against the published snapshot, logs it (so log order is epoch
+// order) and applies it; then it waits for the log record to commit and
+// triggers a compaction when the delta has outgrown its bound. It returns
+// the mutation's id.
+func (s *Server) write(m mutation) (int, error) {
 	s.wmu.Lock()
 	cur := s.snap.Load()
-	if err := cur.checkDelete(pos); err != nil {
+	if m.kind == wal.KindInsert && m.id == nextID {
+		m.id = cur.edb.DCE.Len()
+	}
+	if err := cur.check(m); err != nil {
 		s.wmu.Unlock()
-		return fmt.Errorf("core: %w", err)
+		return 0, fmt.Errorf("core: %w", err)
 	}
 	var lsn uint64
 	if s.wal != nil {
-		var werr error
-		lsn, werr = s.wal.Append(wal.KindDelete, cur.epoch+1, appendDeletePayload(nil, uint64(pos)))
-		if werr != nil {
+		var err error
+		if lsn, err = s.wal.Append(m.kind, cur.epoch+1, appendMutation(nil, m)); err != nil {
 			s.wmu.Unlock()
-			return fmt.Errorf("core: wal append: %w", werr)
+			return 0, fmt.Errorf("core: wal append: %w", err)
 		}
 	}
-	s.publishDelete(cur, pos)
+	s.apply(cur, m)
 	s.wmu.Unlock()
 	if s.wal != nil {
 		if err := s.wal.Commit(lsn); err != nil {
-			return fmt.Errorf("core: wal commit: %w", err)
+			return m.id, fmt.Errorf("core: wal commit: %w", err)
 		}
 	}
 	s.maybeCompact()
+	return m.id, nil
+}
+
+// check refuses a mutation that does not fit the snapshot's database: an
+// insert that is incomplete, not at the next id, or whose SAP vector or
+// DCE record has another shape; a delete of an id that is not live (never
+// assigned, compacted away, or pending in tombs).
+func (sp *snapshot) check(m mutation) error {
+	edb := sp.edb
+	n := edb.DCE.Len()
+	if m.kind == wal.KindDelete {
+		if m.id < 0 || m.id >= n {
+			return fmt.Errorf("delete of unknown id %d", m.id)
+		}
+		if sp.deadAt(m.id) {
+			return fmt.Errorf("id %d already deleted", m.id)
+		}
+		return nil
+	}
+	switch p := m.p; {
+	case p == nil || p.SAP == nil || p.DCE == nil:
+		return fmt.Errorf("incomplete insert payload")
+	case m.id != n:
+		return fmt.Errorf("insert at id %d, next id is %d", m.id, n)
+	case len(p.SAP) != edb.Dim:
+		return fmt.Errorf("insert payload has dim %d, want %d", len(p.SAP), edb.Dim)
+	case len(p.DCE) != 4*edb.DCE.CtDim():
+		return fmt.Errorf("insert DCE ciphertext of %d floats, want 4·%d", len(p.DCE), edb.DCE.CtDim())
+	}
 	return nil
 }
 
-// checkDelete refuses a delete of an id that is not live in the snapshot:
-// one never assigned, compacted away, or pending in tombs.
-func (sp *snapshot) checkDelete(pos int) error {
-	if pos < 0 || pos >= sp.edb.DCE.Len() {
-		return fmt.Errorf("delete of unknown id %d", pos)
+// apply publishes the snapshot that follows cur by the checked mutation m.
+// An insert appends its row to the delta tier — past every published
+// snapshot's length, so invisible to in-flight readers and to the index,
+// whose rows end at the main tier — and a delete adds a pending tombstone.
+// Caller holds wmu.
+func (s *Server) apply(cur *snapshot, m mutation) {
+	next := *cur
+	next.epoch++
+	if m.kind == wal.KindInsert {
+		next.edb = cur.edb.clone()
+		next.edb.appendRow(m.p.SAP, m.p.DCE)
+	} else {
+		next.tombs = make(map[int]struct{}, len(cur.tombs)+1)
+		maps.Copy(next.tombs, cur.tombs)
+		next.tombs[m.id] = struct{}{}
+		if m.id < cur.frozen {
+			next.mainDead++
+		}
 	}
-	if sp.deadAt(pos) {
-		return fmt.Errorf("id %d already deleted", pos)
-	}
-	return nil
-}
-
-// publishDelete records a validated tombstone and publishes the next
-// snapshot. Caller holds wmu and has checked pos is live in cur.
-func (s *Server) publishDelete(cur *snapshot, pos int) {
-	tombs := make(map[int]struct{}, len(cur.tombs)+1)
-	for t := range cur.tombs {
-		tombs[t] = struct{}{}
-	}
-	tombs[pos] = struct{}{}
-	mainDead := cur.mainDead
-	if pos < cur.frozen {
-		mainDead++
-	}
-	s.snap.Store(&snapshot{
-		edb:      cur.edb,
-		frozen:   cur.frozen,
-		tombs:    tombs,
-		mainDead: mainDead,
-		epoch:    cur.epoch + 1,
-		gen:      cur.gen,
-	})
+	s.snap.Store(&next)
 }
 
 // CompactionStats is a point-in-time view of the write path's two-tier

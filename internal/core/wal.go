@@ -7,87 +7,75 @@ import (
 	"ppanns/internal/wal"
 )
 
-// WAL payload codecs. The wal package frames, checksums and epoch-stamps
-// records; core owns what goes inside:
+// WAL payload codec. The wal package frames, checksums and epoch-stamps
+// records; core owns what goes inside, one mutation per record, its kind
+// the record's kind:
 //
 //	insert: [id u64] [AppendInsert's payload]
 //	delete: [id u64]
 //
 // in the frame package's little-endian codec. An insert logs only the two
-// ciphertexts the owner sent, never a PQ code: replay appends them through
-// the same row append as the live insert, which derives the code from the
+// ciphertexts the owner sent, never a PQ code: replay applies it through
+// the live write's own apply, whose row append derives the code from the
 // SAP row under the snapshot's codebook. Recovery replays over the
 // checkpoint of the last fold, whose codebook is the one the live server
 // encoded those inserts under, so a recovered server is bit-identical to
 // the never-crashed one, across codebook retrains too.
 
-// appendInsertPayload encodes one insert record payload.
-func appendInsertPayload(dst []byte, id uint64, p *InsertPayload) []byte {
-	return AppendInsert(frame.AppendU64(dst, id), p)
+// appendMutation encodes m as a record payload.
+func appendMutation(dst []byte, m mutation) []byte {
+	dst = frame.AppendU64(dst, uint64(m.id))
+	if m.kind == wal.KindInsert {
+		dst = AppendInsert(dst, m.p)
+	}
+	return dst
 }
 
-// parseInsertPayload decodes an insert record payload. The SAP vector and
-// ciphertext own their storage.
-func parseInsertPayload(b []byte) (id uint64, p *InsertPayload, err error) {
+// parseMutation decodes a record payload of the given kind. The insert
+// payload owns its storage. Whether the mutation fits a database is
+// snapshot.check's to say.
+func parseMutation(kind wal.Kind, b []byte) (mutation, error) {
 	r := frame.NewReader(b)
-	id = r.U64()
-	p = ReadInsert(r)
-	if r.Err() == nil && (p == nil || p.DCE == nil) {
-		r.Fail(fmt.Errorf("no ciphertext"))
+	m := mutation{kind: kind, id: int(r.U64())}
+	switch kind {
+	case wal.KindInsert:
+		m.p = ReadInsert(r)
+	case wal.KindDelete:
+	default:
+		return mutation{}, fmt.Errorf("unexpected record kind %v", kind)
 	}
 	if err := r.Done(); err != nil {
-		return 0, nil, fmt.Errorf("core: wal insert payload: %w", err)
+		return mutation{}, fmt.Errorf("%v payload of %d bytes: %w", kind, len(b), err)
 	}
-	return id, p, nil
-}
-
-func appendDeletePayload(dst []byte, id uint64) []byte {
-	return frame.AppendU64(dst, id)
-}
-
-func parseDeletePayload(p []byte) (uint64, error) {
-	r := frame.NewReader(p)
-	id := r.U64()
-	if err := r.Done(); err != nil {
-		return 0, fmt.Errorf("core: wal delete payload of %d bytes, want 8: %w", len(p), err)
-	}
-	return id, nil
-}
-
-// walLogOptions maps the server options onto the wal package's.
-func walLogOptions(o ServerOptions) wal.Options {
-	return wal.Options{
-		Sync: o.WALSync,
-		FS:   o.walFS,
-	}
+	return m, nil
 }
 
 // attachWAL opens a fresh log for a NewServerWith-constructed server and
 // seeds it with an initial checkpoint of edb, so the directory is
 // recoverable from the first acknowledged write onward.
 func (s *Server) attachWAL(edb *EncryptedDatabase, o ServerOptions) error {
-	lg, rec, err := wal.Open(o.WALDir, walLogOptions(o))
+	lg, rec, err := wal.Open(o.WALDir, wal.Options{Sync: o.WALSync, FS: o.walFS})
 	if err != nil {
 		return err
 	}
-	if rec.Records > 0 || len(rec.Barriers) > 0 {
+	if rec.Records > 0 { // a barrier is a record too
 		lg.Close()
-		return fmt.Errorf("core: WAL dir %s already holds a log (%d records, %d checkpoints); recover it with OpenServer", o.WALDir, rec.Records, len(rec.Barriers))
-	}
-	b := wal.Barrier{Epoch: 0, Gen: 0, Records: uint64(edb.DCE.Len())}
-	if err := lg.Checkpoint(b, edb.Save); err != nil {
-		lg.Close()
-		return fmt.Errorf("core: writing initial checkpoint: %w", err)
+		return fmt.Errorf("core: WAL dir %s already holds a log (%d records); recover it with OpenServer", o.WALDir, rec.Records)
 	}
 	s.wal = lg
-	s.walPolicy = o.WALSync
+	if err := s.walCheckpoint(edb, 0, 0); err != nil {
+		lg.Close()
+		return err
+	}
 	return nil
 }
 
 // RecoveryStats describes what OpenServer found in the WAL directory and
-// how much it replayed.
+// how much it replayed: the newest checkpoint, which recovery anchors on
+// alone, the records replayed over it, and any torn-tail repair.
 type RecoveryStats struct {
-	// Checkpoint identifies the snapshot recovery started from.
+	// Checkpoint identifies the snapshot recovery started from: the
+	// newest barrier's.
 	Checkpoint      string
 	CheckpointEpoch uint64
 	CheckpointGen   uint64
@@ -99,140 +87,105 @@ type RecoveryStats struct {
 	// log was clean; TruncatedBytes quantifies it.
 	Truncated      string
 	TruncatedBytes int64
-	// SkippedCheckpoints counts barrier records whose snapshot file was
-	// missing or unreadable (e.g. a crash between snapshot rename and
-	// barrier append can never cause this, but a manually damaged dir
-	// can); recovery fell back to an older checkpoint.
-	SkippedCheckpoints int
 }
 
 // OpenServer recovers a server from a WAL directory: it repairs the log's
-// torn tail, loads the newest usable checkpoint snapshot, replays every
+// torn tail, loads the newest barrier's checkpoint, replays every
 // acknowledged mutation after it, and resumes logging. The epoch and
 // generation are restored, so the replicated tier's epoch-floor contract
 // holds across the crash-restart.
-func OpenServer(walDir string, o ServerOptions) (*Server, RecoveryStats, error) {
-	var stats RecoveryStats
-	lg, rec, err := wal.Open(walDir, walLogOptions(o))
+//
+// The newest checkpoint is the only anchor: writing it removed every older
+// snapshot file and every segment it covers. A directory whose newest
+// checkpoint does not load is refused, naming the file and why.
+//
+// Replay takes each record through parse, the epoch-gap check, then the
+// live write's own check and apply, so a replayed record cannot take a
+// path the live write did not. The log was appended in epoch order under
+// the writer mutex, so a gap means lost or reordered records — corruption
+// the CRC layer could not see — and recovery fails loudly rather than
+// serve a silently diverged database.
+func OpenServer(walDir string, o ServerOptions) (s *Server, stats RecoveryStats, err error) {
+	lg, rec, err := wal.Open(walDir, wal.Options{Sync: o.WALSync, FS: o.walFS})
 	if err != nil {
 		return nil, stats, err
 	}
+	defer func() {
+		if err != nil {
+			lg.Close()
+			s = nil
+		}
+	}()
 	stats.Truncated = rec.Truncated
 	stats.TruncatedBytes = rec.TruncatedBytes
 
-	// Newest barrier whose snapshot file is present and loadable wins.
-	// loadErr keeps the refusal of the last checkpoint that failed to load,
-	// so a directory none of whose checkpoints loads says why.
-	var edb *EncryptedDatabase
-	var from *wal.Barrier
-	var loadErr error
-	for i := len(rec.Barriers) - 1; i >= 0 && edb == nil; i-- {
-		b := rec.Barriers[i]
-		rc, oerr := lg.OpenCheckpoint(b.Name)
-		if oerr != nil {
-			stats.SkippedCheckpoints++
-			continue
-		}
-		loaded, lerr := LoadEncryptedDatabase(rc)
-		rc.Close()
-		if lerr != nil {
-			stats.SkippedCheckpoints++
-			loadErr = lerr
-			continue
-		}
-		if got := uint64(loaded.DCE.Len()); got != b.Records {
-			lg.Close()
-			return nil, stats, fmt.Errorf("core: checkpoint %s holds %d records, barrier recorded %d", b.Name, got, b.Records)
-		}
-		edb = loaded
-		from = &rec.Barriers[i]
+	b := rec.Barrier
+	switch {
+	case b == nil && rec.Records == 0:
+		return nil, stats, fmt.Errorf("core: WAL dir %s holds no checkpoint and no log records; create the server with NewServerWith(ServerOptions{WALDir: ...}) first", walDir)
+	case b == nil:
+		return nil, stats, fmt.Errorf("core: WAL dir %s has a log tail but no usable checkpoint (%d records); the acknowledged writes cannot be anchored — re-clone from a replica", walDir, rec.Records)
 	}
-	if edb == nil {
-		lg.Close()
-		if rec.Records == 0 && len(rec.Barriers) == 0 {
-			return nil, stats, fmt.Errorf("core: WAL dir %s holds no checkpoint and no log records; create the server with NewServerWith(ServerOptions{WALDir: ...}) first", walDir)
-		}
-		err := fmt.Errorf("core: WAL dir %s has a log tail but no usable checkpoint (%d records, %d unusable barriers); the acknowledged writes cannot be anchored — restore the checkpoint file or re-clone from a replica", walDir, rec.Records, stats.SkippedCheckpoints)
-		if loadErr != nil {
-			err = fmt.Errorf("%w: %w", err, loadErr)
-		}
-		return nil, stats, err
+	edb, err := loadCheckpoint(lg, b)
+	if err != nil {
+		return nil, stats, fmt.Errorf("core: WAL dir %s: newest checkpoint %s does not load, so the acknowledged writes after it cannot be anchored — restore the file or re-clone from a replica: %w", walDir, b.Name, err)
 	}
-	stats.Checkpoint = from.Name
-	stats.CheckpointEpoch = from.Epoch
-	stats.CheckpointGen = from.Gen
+	stats.Checkpoint = b.Name
+	stats.CheckpointEpoch = b.Epoch
+	stats.CheckpointGen = b.Gen
 
-	if o.CompactAt == 0 {
-		o.CompactAt = DefaultCompactAt
-	}
-	s := &Server{compactAt: o.CompactAt}
-	s.snap.Store(&snapshot{
-		edb:    edb,
-		frozen: edb.DCE.Len(),
-		epoch:  from.Epoch,
-		gen:    from.Gen,
-	})
-
-	// Replay acknowledged mutations over the checkpoint, asserting epoch
-	// contiguity: the log was appended in epoch order under the writer
-	// mutex, so any gap means lost or reordered records — corruption the
-	// CRC layer could not see — and recovery must fail loudly rather than
-	// serve a silently diverged database.
-	err = lg.Replay(from.Epoch, func(kind wal.Kind, epoch uint64, payload []byte) error {
+	s = newServer(edb, b.Epoch, b.Gen, o)
+	err = lg.Replay(b.Epoch, func(kind wal.Kind, epoch uint64, payload []byte) error {
 		cur := s.snap.Load()
-		if epoch != cur.epoch+1 {
-			return fmt.Errorf("core: wal replay epoch gap: record at epoch %d over state at epoch %d", epoch, cur.epoch)
+		m, err := parseMutation(kind, payload)
+		if err == nil && epoch != cur.epoch+1 {
+			err = fmt.Errorf("epoch gap: record over state at epoch %d", cur.epoch)
 		}
-		switch kind {
-		case wal.KindInsert:
-			id, p, perr := parseInsertPayload(payload)
-			if perr != nil {
-				return perr
-			}
-			if want := uint64(cur.edb.DCE.Len()); id != want {
-				return fmt.Errorf("core: wal replay: insert record for id %d, next id is %d", id, want)
-			}
-			if err := cur.checkInsert(p); err != nil {
-				return fmt.Errorf("core: wal replay at epoch %d: %w", epoch, err)
-			}
-			s.wmu.Lock()
-			s.publishInsert(cur, p)
-			s.wmu.Unlock()
-		case wal.KindDelete:
-			id, perr := parseDeletePayload(payload)
-			if perr != nil {
-				return perr
-			}
-			pos := int(id)
-			if err := cur.checkDelete(pos); err != nil {
-				return fmt.Errorf("core: wal replay at epoch %d: %w", epoch, err)
-			}
-			s.wmu.Lock()
-			s.publishDelete(cur, pos)
-			s.wmu.Unlock()
-		default:
-			return fmt.Errorf("core: wal replay: unexpected record kind %v", kind)
+		if err == nil {
+			err = cur.check(m)
 		}
+		if err != nil {
+			return fmt.Errorf("core: wal replay at epoch %d: %w", epoch, err)
+		}
+		s.wmu.Lock()
+		s.apply(cur, m)
+		s.wmu.Unlock()
 		stats.Replayed++
 		return nil
 	})
 	if err != nil {
-		lg.Close()
 		return nil, stats, err
 	}
 	stats.Epoch = s.snap.Load().epoch
-
 	s.wal = lg
-	s.walPolicy = o.WALSync
 	s.maybeCompact()
 	return s, stats, nil
+}
+
+// loadCheckpoint loads b's snapshot file and holds it to the record count
+// the barrier states.
+func loadCheckpoint(lg *wal.Log, b *wal.Barrier) (*EncryptedDatabase, error) {
+	rc, err := lg.OpenCheckpoint(b.Name)
+	if err != nil {
+		return nil, err
+	}
+	defer rc.Close()
+	edb, err := LoadEncryptedDatabase(rc)
+	if err != nil {
+		return nil, err
+	}
+	if got := uint64(edb.DCE.Len()); got != b.Records {
+		return nil, fmt.Errorf("it holds %d records, its barrier recorded %d", got, b.Records)
+	}
+	return edb, nil
 }
 
 // walCheckpoint persists the folded database as the log's new recovery
 // base: the PPANNSD7 snapshot goes through the atomic-persist path, a
 // barrier record marks it durable, and sealed segments wholly behind it
-// are garbage-collected. Called by compactFold with cmu held (checkpoints
-// are serialized); concurrent Insert/Delete appends are safe throughout.
+// are garbage-collected. Called by attachWAL for the initial checkpoint
+// and by compactFold with cmu held (checkpoints are serialized);
+// concurrent Insert/Delete appends are safe throughout.
 func (s *Server) walCheckpoint(edb *EncryptedDatabase, epoch, gen uint64) error {
 	b := wal.Barrier{Epoch: epoch, Gen: gen, Records: uint64(edb.DCE.Len())}
 	if err := s.wal.Checkpoint(b, edb.Save); err != nil {
@@ -268,7 +221,7 @@ func (s *Server) WALStats() *WALStats {
 	st := s.wal.Stats()
 	w := &WALStats{
 		Dir:      st.Dir,
-		Policy:   s.walPolicy.String(),
+		Policy:   st.Sync.String(),
 		Segments: st.Segments,
 		Bytes:    st.Bytes,
 		Appended: st.Appended,

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"ppanns/internal/frame"
 	"ppanns/internal/index"
 	"ppanns/internal/rng"
 	"ppanns/internal/wal"
@@ -340,21 +341,7 @@ func TestOpenServerEmptyDir(t *testing.T) {
 // and a delete) was written by commit e77d75f, the last build of that
 // generation; the test opens a copy of it.
 func TestOpenServerRefusesOldGenerationLog(t *testing.T) {
-	files := func(dir string) map[string]string {
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := map[string]string{}
-		for _, e := range ents {
-			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			m[e.Name()] = string(b)
-		}
-		return m
-	}
+	files := func(dir string) map[string]string { return walDirFiles(t, dir) }
 	refused := func(t *testing.T, dir string, gen int, opts ServerOptions) {
 		before := files(dir)
 		want := fmt.Sprintf("written by log generation %d, which this build does not read: checkpoint with the previous build", gen)
@@ -493,31 +480,43 @@ func TestOpenServerTailWithoutCheckpoint(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error after deleting checkpoint files")
 	}
-	if stats.SkippedCheckpoints == 0 {
-		t.Fatalf("missing checkpoints not counted: %+v", stats)
+	if want := "newest checkpoint " + filepath.Base(ckpts[len(ckpts)-1]) + " does not load"; !strings.Contains(err.Error(), want) || stats.Checkpoint != "" {
+		t.Fatalf("OpenServer = %v (stats %+v), want a refusal saying %q", err, stats, want)
 	}
 }
 
 // TestOpenServerRefusesBadLoggedMutation: replay holds every logged
-// mutation to the checks Insert and Delete apply, so a log carrying an
-// insert of the wrong dimension, or a delete of an id an earlier record
-// deleted, is refused by OpenServer with the live path's reason.
+// mutation to the live write's own check, so a log carrying an insert of
+// the wrong dimension, at a skipped id or with no ciphertext, or a delete
+// of an id an earlier record deleted or that was never assigned, is
+// refused by OpenServer — and the live write refuses the same mutation
+// with the same reason: the replay error without its "wal replay at
+// epoch N" prefix.
 func TestOpenServerRefusesBadLoggedMutation(t *testing.T) {
 	const n, dim = 60, 6
 	for _, tc := range []struct {
 		name string
-		kind wal.Kind
-		// payload builds the forged record from a valid insert payload.
-		payload func(p *InsertPayload) []byte
-		want    string
+		// forge builds the mutation from a valid insert payload.
+		forge func(p *InsertPayload) mutation
+		want  string
 	}{
-		{"wrong-dimension insert", wal.KindInsert, func(p *InsertPayload) []byte {
+		{"wrong-dimension insert", func(p *InsertPayload) mutation {
 			p.SAP = append(p.SAP, 0)
-			return appendInsertPayload(nil, n, p)
+			return mutation{kind: wal.KindInsert, id: n, p: p}
 		}, "insert payload has dim 7, want 6"},
-		{"delete of a dead id", wal.KindDelete, func(*InsertPayload) []byte {
-			return appendDeletePayload(nil, 5)
+		{"delete of a dead id", func(*InsertPayload) mutation {
+			return mutation{kind: wal.KindDelete, id: 5}
 		}, "id 5 already deleted"},
+		{"insert at a skipped id", func(p *InsertPayload) mutation {
+			return mutation{kind: wal.KindInsert, id: n + 1, p: p}
+		}, "insert at id 61, next id is 60"},
+		{"insert with no ciphertext", func(p *InsertPayload) mutation {
+			p.DCE = nil
+			return mutation{kind: wal.KindInsert, id: n, p: p}
+		}, "incomplete insert payload"},
+		{"delete of an id never assigned", func(*InsertPayload) mutation {
+			return mutation{kind: wal.KindDelete, id: 1000}
+		}, "delete of unknown id 1000"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -533,11 +532,12 @@ func TestOpenServerRefusesBadLoggedMutation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			m := tc.forge(p)
 			lg, _, err := wal.Open(dir, wal.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			lsn, err := lg.Append(tc.kind, 2, tc.payload(p))
+			lsn, err := lg.Append(m.kind, 2, appendMutation(nil, m))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -550,6 +550,22 @@ func TestOpenServerRefusesBadLoggedMutation(t *testing.T) {
 			_, _, err = OpenServer(dir, opts)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("OpenServer = %v, want a refusal saying %q", err, tc.want)
+			}
+
+			// The live write, on the server that wrote the log: the
+			// public call where it can name the mutation, the write body
+			// beneath both where it cannot (an insert names no id).
+			var live error
+			switch {
+			case m.kind == wal.KindDelete:
+				live = w.server.Delete(m.id)
+			case m.id == w.server.Len():
+				_, live = w.server.Insert(m.p)
+			default:
+				_, live = w.server.write(m)
+			}
+			if want := strings.Replace(err.Error(), "wal replay at epoch 2: ", "", 1); live == nil || live.Error() != want {
+				t.Fatalf("live write = %v, want the replay's refusal %q", live, want)
 			}
 		})
 	}
@@ -924,4 +940,207 @@ func TestFoldAfterDeletingEverything(t *testing.T) {
 			}
 		})
 	}
+}
+
+// walDirFiles maps every file in dir to its bytes.
+func walDirFiles(t testing.TB, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := map[string]string{}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m[e.Name()] = string(b)
+	}
+	return m
+}
+
+// TestOpenServerRefusesNewerGenerationLog: a WAL directory whose segment
+// header is stamped with a later log generation than this build's is a
+// newer build's. wal.Inspect and OpenServer refuse it with that advice, not
+// a downgrade's, and leave every file as it was.
+func TestOpenServerRefusesNewerGenerationLog(t *testing.T) {
+	dir := t.TempDir()
+	opts := ServerOptions{WALDir: dir, WALSync: wal.SyncPolicy{Every: 1}, CompactAt: -1}
+	w := newWALWorld(t, Params{Dim: 6, Beta: 0.3, Seed: 235}, clustered(235, 60, 6, 3), opts)
+	churnWAL(t, w, 6, 4, 236)
+	if err := w.server.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments: %v %v", segs, err)
+	}
+	// The header envelope is the segment's first: restamp it 4.
+	for _, seg := range segs {
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seq uint64
+		if _, err := fmt.Sscanf(filepath.Base(seg), "wal-%016x.seg", &seq); err != nil {
+			t.Fatal(err)
+		}
+		head, err := frame.AppendEnvelope(nil, 4, 0, seq, func(b []byte) []byte { return append(b, "PPWALSG4"...) })
+		if err != nil || len(head) > len(b) {
+			t.Fatalf("header of %d bytes over a %d-byte segment: %v", len(head), len(b), err)
+		}
+		if err := os.WriteFile(seg, append(head, b[len(head):]...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := walDirFiles(t, dir)
+	const want = "written by a newer build, at log generation 4 where this build reads 3: open the directory with that build"
+	if _, err := wal.Inspect(dir); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("wal.Inspect = %v, want a refusal saying %q", err, want)
+	}
+	if _, _, err := OpenServer(dir, opts); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenServer = %v, want a refusal saying %q", err, want)
+	}
+	if !maps.Equal(walDirFiles(t, dir), before) {
+		t.Fatal("a refused log directory changed")
+	}
+}
+
+// TestOpenServerUsesNewestCheckpointOnly: recovery anchors on the newest
+// barrier's checkpoint alone. After two folds, the first fold's checkpoint
+// file is put back beside the second and one byte of the second is
+// flipped: OpenServer refuses, naming the second file and the loader's
+// error, instead of falling back to the older file, and changes no file.
+func TestOpenServerUsesNewestCheckpointOnly(t *testing.T) {
+	dir := t.TempDir()
+	opts := ServerOptions{WALDir: dir, WALSync: wal.SyncPolicy{Every: 1}, CompactAt: -1}
+	w := newWALWorld(t, Params{Dim: 6, Beta: 0.3, Seed: 237}, clustered(237, 60, 6, 3), opts)
+	first, second := corruptNewestCheckpoint(t, w, dir, 238)
+	before := walDirFiles(t, dir)
+	flipped, err := os.ReadFile(filepath.Join(dir, second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lerr := LoadEncryptedDatabase(bytes.NewReader(flipped))
+	if lerr == nil {
+		t.Fatal("the flipped checkpoint loads")
+	}
+	_, _, err = OpenServer(dir, opts)
+	if err == nil || !strings.Contains(err.Error(), second) || !strings.Contains(err.Error(), lerr.Error()) || strings.Contains(err.Error(), first) {
+		t.Fatalf("OpenServer = %v, want a refusal naming %s and saying %q", err, second, lerr)
+	}
+	if !maps.Equal(walDirFiles(t, dir), before) {
+		t.Fatal("a refused log directory changed")
+	}
+}
+
+// corruptNewestCheckpoint churns w's server through two folds, each
+// checkpointed into dir, and a tail after them, then closes it. It puts
+// the first fold's checkpoint file back beside the second, flips one byte
+// of the second, and returns both names.
+func corruptNewestCheckpoint(t *testing.T, w *testWorld, dir string, seed uint64) (first, second string) {
+	t.Helper()
+	var firstBytes []byte
+	// churnWAL counts every id live, so only the first round deletes: two
+	// mutations are two inserts.
+	for fold, writes := range []int{6, 2} {
+		churnWAL(t, w, 6, writes, seed+uint64(fold))
+		if _, err := w.server.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		st := w.server.WALStats()
+		if fold == 0 {
+			first = st.Checkpoint
+			b, err := os.ReadFile(filepath.Join(dir, first))
+			if err != nil {
+				t.Fatal(err)
+			}
+			firstBytes = b
+		}
+		second = st.Checkpoint
+	}
+	churnWAL(t, w, 6, 2, seed+2)
+	if err := w.server.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if first == second {
+		t.Fatalf("both folds checkpointed as %s", first)
+	}
+	if _, err := os.Stat(filepath.Join(dir, first)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the second checkpoint left the first in place: %v", err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, first), firstBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, second)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0x10
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return first, second
+}
+
+// FuzzParseMutation: a log record is bytes read back from disk after a
+// crash. Whatever its kind and payload, parseMutation and check refuse it
+// with an error or pass it, and none panics. A mutation that passes is one
+// apply takes: the snapshot moves by exactly that write.
+func FuzzParseMutation(f *testing.F) {
+	const n, dim = 24, 4
+	data := clustered(39, n, dim, 2)
+	owner, err := NewDataOwner(Params{Dim: dim, Beta: 0.5, Seed: 39, Index: "hnsw", PQ: true, PQM: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	edb, err := owner.EncryptDatabase(data)
+	if err != nil {
+		f.Fatal(err)
+	}
+	base, err := NewServerWith(edb, ServerOptions{CompactAt: -1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := base.Delete(3); err != nil {
+		f.Fatal(err)
+	}
+	p, err := owner.EncryptVector(data[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, m := range []mutation{
+		{kind: wal.KindInsert, id: n, p: p},
+		{kind: wal.KindInsert, id: n + 1, p: p},
+		{kind: wal.KindDelete, id: 5},
+		{kind: wal.KindDelete, id: 3},
+		{kind: wal.KindDelete, id: n},
+	} {
+		b := appendMutation(nil, m)
+		f.Add(uint8(m.kind), b)
+		f.Add(uint8(m.kind), b[:len(b)-3])
+	}
+	f.Add(uint8(wal.KindBarrier), frame.AppendU64(nil, 1))
+	sp := base.snap.Load()
+	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
+		m, err := parseMutation(wal.Kind(kind), payload)
+		if err != nil || sp.check(m) != nil {
+			return
+		}
+		s := &Server{compactAt: -1}
+		s.apply(sp, m)
+		next := s.snap.Load()
+		grew, died := 0, 0
+		if m.kind == wal.KindInsert {
+			grew = 1
+		} else {
+			died = 1
+		}
+		if next.epoch != sp.epoch+1 || next.edb.DCE.Len() != sp.edb.DCE.Len()+grew || next.live() != sp.live()+grew-died || !next.deadAt(m.id) == (died == 1) {
+			t.Fatalf("%v of id %d moved the snapshot from epoch %d, %d records, %d live to %d, %d, %d",
+				m.kind, m.id, sp.epoch, sp.edb.DCE.Len(), sp.live(), next.epoch, next.edb.DCE.Len(), next.live())
+		}
+	})
 }

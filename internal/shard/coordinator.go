@@ -451,16 +451,12 @@ func (c *Coordinator) Insert(p *core.InsertPayload) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	gid := c.total
-	s, local := c.m.Locate(gid)
-	outcomes, ok := c.stripes[s].insert(p, local)
-	if ok == 0 {
-		return 0, &ShardError{Shard: s, Err: firstOutcomeErr(outcomes)}
+	applied, err := c.writeStripe(gid, writeOp{name: "insert", p: p})
+	if !applied {
+		return 0, err
 	}
 	c.total++
-	if ok < len(outcomes) {
-		return gid, &DegradedWriteError{Op: "insert", Stripe: s, Outcomes: outcomes}
-	}
-	return gid, nil
+	return gid, err
 }
 
 // Delete tombstones a global id on every replica of its owning stripe,
@@ -477,23 +473,24 @@ func (c *Coordinator) Delete(gid int) error {
 	if gid < 0 || gid >= c.total {
 		return fmt.Errorf("shard: delete of unknown global id %d", gid)
 	}
-	s, local := c.m.Locate(gid)
-	outcomes, ok := c.stripes[s].delete(local)
-	if ok == 0 {
-		return &ShardError{Shard: s, Err: firstOutcomeErr(outcomes)}
-	}
-	if ok < len(outcomes) {
-		return &DegradedWriteError{Op: "delete", Stripe: s, Outcomes: outcomes}
-	}
-	return nil
+	_, err := c.writeStripe(gid, writeOp{name: "delete"})
+	return err
 }
 
-// firstOutcomeErr returns the first failure among write outcomes.
-func firstOutcomeErr(outcomes []WriteOutcome) error {
-	for _, o := range outcomes {
-		if o.Err != nil {
-			return o.Err
-		}
+// writeStripe fans op, aimed at global id gid, to every replica of the
+// stripe gid belongs to, and reports whether any replica applied it. The
+// error is a *ShardError carrying the first cause when none did, a
+// *DegradedWriteError when only some did, and nil when all did. Caller
+// holds mu.
+func (c *Coordinator) writeStripe(gid int, op writeOp) (applied bool, err error) {
+	s, local := c.m.Locate(gid)
+	op.local = local
+	outcomes, ok := c.stripes[s].write(op)
+	switch {
+	case ok == 0: // every replica failed: the first cause stands for all
+		return false, &ShardError{Shard: s, Err: outcomes[0].Err}
+	case ok < len(outcomes):
+		return true, &DegradedWriteError{Op: op.name, Stripe: s, Outcomes: outcomes}
 	}
-	return fmt.Errorf("shard: no outcome error")
+	return true, nil
 }

@@ -197,40 +197,37 @@ type WriteOutcome struct {
 	Err     error
 }
 
-// insert applies one payload to every replica, each of which must assign
-// the expected local id (the striped-growth invariant — a mismatch means
-// the replica was mutated outside the coordinator and counts as a
-// failure). If at least one replica applied it, the write floor advances:
-// replicas that missed the write now answer below the floor and reads
-// route around them. Returns the per-replica outcomes and the success
-// count.
-func (rs *ReplicaSet) insert(p *core.InsertPayload, local int) ([]WriteOutcome, int) {
-	outcomes := make([]WriteOutcome, len(rs.replicas))
-	ok := 0
-	for r, sh := range rs.replicas {
-		got, err := sh.Insert(p)
-		if err == nil && got != local {
-			err = fmt.Errorf("shard: insert landed at local id %d, want %d — replica mutated outside the coordinator", got, local)
-		}
-		outcomes[r] = WriteOutcome{Replica: r, Err: err}
-		rs.record(r, err)
-		if err == nil {
-			ok++
-		}
-	}
-	if ok > 0 {
-		rs.floor.Add(1)
-	}
-	return outcomes, ok
+// writeOp is one coordinator-routed write: an insert of p, which every
+// replica must assign the local id local, or a delete of local.
+type writeOp struct {
+	name  string // "insert" or "delete"
+	p     *core.InsertPayload
+	local int
 }
 
-// delete is insert's tombstoning twin: fan to all replicas, advance the
-// floor if anyone applied it.
-func (rs *ReplicaSet) delete(local int) ([]WriteOutcome, int) {
+// to applies op to one replica. An insert that lands at another local id
+// than expected (the striped-growth invariant) means the replica was
+// mutated outside the coordinator, and counts as a failure.
+func (op writeOp) to(sh Shard) error {
+	if op.name == "delete" {
+		return sh.Delete(op.local)
+	}
+	got, err := sh.Insert(op.p)
+	if err == nil && got != op.local {
+		err = fmt.Errorf("shard: insert landed at local id %d, want %d — replica mutated outside the coordinator", got, op.local)
+	}
+	return err
+}
+
+// write fans op to every replica. If at least one replica applied it, the
+// write floor advances: replicas that missed the write now answer below
+// the floor and reads route around them. Returns the per-replica outcomes
+// and the success count.
+func (rs *ReplicaSet) write(op writeOp) ([]WriteOutcome, int) {
 	outcomes := make([]WriteOutcome, len(rs.replicas))
 	ok := 0
 	for r, sh := range rs.replicas {
-		err := sh.Delete(local)
+		err := op.to(sh)
 		outcomes[r] = WriteOutcome{Replica: r, Err: err}
 		rs.record(r, err)
 		if err == nil {

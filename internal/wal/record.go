@@ -79,8 +79,8 @@ func segHeader(seq uint64) []byte {
 
 // Barrier describes a checkpoint: the epoch and generation of the snapshot
 // and the snapshot's file name inside the log directory. Recovery loads
-// the newest barrier whose snapshot file exists and replays records with
-// epoch > Barrier.Epoch on top of it.
+// the newest barrier's snapshot and replays records with epoch >
+// Barrier.Epoch on top of it.
 type Barrier struct {
 	// Epoch is the server mutation counter captured by the snapshot.
 	Epoch uint64

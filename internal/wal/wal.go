@@ -12,7 +12,7 @@
 // expected residue of a crash mid-write — is truncated at the last whole
 // record, never treated as fatal. Rotation fsyncs a segment before it
 // creates the next, so bad bytes in any earlier segment mean acknowledged
-// writes were lost: that log is refused, as is a log of the previous
+// writes were lost: that log is refused, as is a log of another
 // generation, before anything in the directory is changed.
 package wal
 
@@ -66,22 +66,13 @@ func (p SyncPolicy) String() string {
 type Options struct {
 	// Sync is the durability policy (see SyncPolicy).
 	Sync SyncPolicy
-	// SegmentBytes rotates the active segment once it reaches this size.
-	// Default 16 MiB.
-	SegmentBytes int64
 	// FS overrides the filesystem, for fault injection. Default OSFS.
 	FS FS
 }
 
-func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 16 << 20
-	}
-	if o.FS == nil {
-		o.FS = OSFS
-	}
-	return o
-}
+// segmentBytes is the size at which Append seals the active segment and
+// starts the next.
+const segmentBytes = 16 << 20
 
 // segMeta describes one sealed (or scanned) segment.
 type segMeta struct {
@@ -100,9 +91,10 @@ type Recovery struct {
 	Records int
 	// Bytes is the total valid segment bytes, headers included.
 	Bytes int64
-	// Barriers lists every checkpoint barrier found, in log order. The
-	// caller picks the newest one whose snapshot file still exists.
-	Barriers []Barrier
+	// Barrier is the newest checkpoint barrier, nil when there is none.
+	// Recovery anchors on it alone: the checkpoint that wrote it removed
+	// every older snapshot file.
+	Barrier *Barrier
 	// Truncated describes the tail repair performed, empty when the log
 	// was clean.
 	Truncated string
@@ -117,6 +109,9 @@ type Log struct {
 	dir  string
 	fs   FS
 	opts Options
+	// rotateAt is segmentBytes; the package's tests lower it to rotate
+	// after a few records.
+	rotateAt int64
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -155,7 +150,9 @@ type Log struct {
 // log of another generation, or one with bad bytes before its last
 // segment, is refused with the directory untouched.
 func Open(dir string, opts Options) (*Log, *Recovery, error) {
-	opts = opts.withDefaults()
+	if opts.FS == nil {
+		opts.FS = OSFS
+	}
 	fs := opts.FS
 	if err := fs.MkdirAll(dir); err != nil {
 		return nil, nil, fmt.Errorf("wal: create dir: %w", err)
@@ -169,15 +166,12 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		dir:        dir,
 		fs:         fs,
 		opts:       opts,
+		rotateAt:   segmentBytes,
 		stopTicker: make(chan struct{}),
 	}
 	l.cond = sync.NewCond(&l.mu)
 	l.replaySegs = segs
-	if n := len(rec.Barriers); n > 0 {
-		b := rec.Barriers[n-1]
-		l.barrier = &b
-		l.barrierSeq = barrierSeq
-	}
+	l.barrier, l.barrierSeq = rec.Barrier, barrierSeq
 
 	// Reopen the last segment for appending, or start segment 1.
 	if n := len(segs); n > 0 {
@@ -244,11 +238,11 @@ func scanDir(fs FS, dir string, repair bool) (segs []segMeta, rec *Recovery, bar
 			return nil, nil, 0, fmt.Errorf("wal: stat %s: %w", name, err)
 		}
 		sm := segMeta{seq: seq, name: name}
-		var barriers []Barrier
+		var barrier *Barrier
 		sm.bytes, err = readSegment(fs, dir, name, seq, size, func(kind Kind, epoch uint64, p []byte) error {
 			if kind == KindBarrier {
 				b, _ := decodeBarrier(epoch, p) // readSegment decoded it once
-				barriers = append(barriers, b)
+				barrier = &b
 			}
 			sm.records++
 			sm.maxEpoch = max(sm.maxEpoch, epoch)
@@ -275,10 +269,9 @@ func scanDir(fs FS, dir string, repair bool) (segs []segMeta, rec *Recovery, bar
 		rec.Segments++
 		rec.Records += sm.records
 		rec.Bytes += sm.bytes
-		if len(barriers) > 0 {
-			barrierSeq = sm.seq
+		if barrier != nil {
+			rec.Barrier, barrierSeq = barrier, sm.seq
 		}
-		rec.Barriers = append(rec.Barriers, barriers...)
 	}
 	if !repair {
 		return segs, rec, barrierSeq, nil
@@ -310,7 +303,9 @@ func scanDir(fs FS, dir string, repair bool) (segs []segMeta, rec *Recovery, bar
 // bytes stop being the log before limit, the error wraps errCorrupt and
 // names the offset. A segment of another log generation — generation 1's
 // magic, or a header envelope stamped with another generation — is
-// refused with the way forward; that refusal, a read error and fn's error
+// refused with the way forward: checkpoint an older log with the build
+// before this one, open a newer log with the build that wrote it. That
+// refusal, a read error and fn's error
 // come back as they are, not as errCorrupt, so such a segment is never
 // repaired away. A header stamped 0 is what a crash can leave of a segment
 // created just before it, zeroed: it is torn, not of another generation.
@@ -322,6 +317,9 @@ func readSegment(fs FS, dir, name string, seq uint64, limit int64, fn func(Kind,
 	defer f.Close()
 	br := bufio.NewReaderSize(io.LimitReader(f, limit), 64<<10)
 	refuse := func(gen int) error {
+		if gen > logGen {
+			return fmt.Errorf("wal: segment %s was written by a newer build, at log generation %d where this build reads %d: open the directory with that build", name, gen, logGen)
+		}
 		return fmt.Errorf("wal: segment %s was written by log generation %d, which this build does not read: checkpoint with the previous build (ppanns-dbtool recover <dir> <out.ppanns>) and start this build from that database in a fresh directory", name, gen)
 	}
 	// A generation-1 segment opens with its magic; any later one with an
@@ -460,7 +458,7 @@ func (l *Log) Append(kind Kind, epoch uint64, payload []byte) (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
-	if l.activeBytes >= l.opts.SegmentBytes {
+	if l.activeBytes >= l.rotateAt {
 		if err := l.rotateLocked(); err != nil {
 			return 0, err
 		}
@@ -690,8 +688,9 @@ func (l *Log) Replay(afterEpoch uint64, fn func(kind Kind, epoch uint64, payload
 // Stats is a point-in-time summary of the log, for Server.WALStats and the
 // transport Info surface.
 type Stats struct {
-	// Dir is the log directory.
-	Dir string
+	// Dir is the log directory; Sync is its durability policy.
+	Dir  string
+	Sync SyncPolicy
 	// Segments is the number of live segment files, active included.
 	Segments int
 	// Bytes is their total size.
@@ -709,6 +708,7 @@ func (l *Log) Stats() Stats {
 	defer l.mu.Unlock()
 	st := Stats{
 		Dir:      l.dir,
+		Sync:     l.opts.Sync,
 		Segments: len(l.sealed) + 1,
 		Bytes:    l.activeBytes,
 		Appended: l.written,

@@ -53,14 +53,20 @@ func oldSegment(seq uint64, epochs ...uint64) []byte {
 // insert record per epoch: this generation's envelopes, stamped 2, opened
 // by a header envelope carrying PPWALSG2.
 func gen2Segment(seq uint64, epochs ...uint64) []byte {
+	return stampedSegment(2, seq, epochs...)
+}
+
+// stampedSegment is segment seq with every envelope stamped gen, holding
+// an insert record per epoch, opened by a header carrying PPWALSG<gen>.
+func stampedSegment(gen byte, seq uint64, epochs ...uint64) []byte {
 	env := func(b []byte, tag byte, word uint64, p []byte) []byte {
-		b, err := frame.AppendEnvelope(b, 2, tag, word, func(b []byte) []byte { return append(b, p...) })
+		b, err := frame.AppendEnvelope(b, gen, tag, word, func(b []byte) []byte { return append(b, p...) })
 		if err != nil {
 			panic(err)
 		}
 		return b
 	}
-	b := env(nil, 0, seq, []byte("PPWALSG2"))
+	b := env(nil, 0, seq, []byte(fmt.Sprintf("PPWALSG%d", gen)))
 	for _, e := range epochs {
 		b = env(b, byte(KindInsert), e, payload(int(e)))
 	}
@@ -95,6 +101,16 @@ func dirFiles(t testing.TB, dir string) map[string]string {
 		files[e.Name()] = string(b)
 	}
 	return files
+}
+
+// openAt is Open with the active segment rotating at rotateAt bytes, so a
+// few records span several segments.
+func openAt(dir string, opts Options, rotateAt int64) (*Log, *Recovery, error) {
+	l, rec, err := Open(dir, opts)
+	if err == nil {
+		l.rotateAt = rotateAt
+	}
+	return l, rec, err
 }
 
 // appendN appends n insert records with epochs base+1..base+n, committing
@@ -178,7 +194,7 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 
 func TestRotationAcrossSegments(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{SegmentBytes: 128})
+	l, _, err := openAt(dir, Options{}, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +207,7 @@ func TestRotationAcrossSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, rec, err := Open(dir, Options{SegmentBytes: 128})
+	l2, rec, err := openAt(dir, Options{}, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +314,7 @@ func (f *opFS) Append(name string) (File, error) {
 // appends nothing.
 func TestTornHeaderRemovalDurable(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{SegmentBytes: 256})
+	l, _, err := openAt(dir, Options{}, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +351,7 @@ func TestTornHeaderRemovalDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := &opFS{FS: OSFS}
-	l2, rec, err := Open(dir, Options{FS: fs, SegmentBytes: 256})
+	l2, rec, err := openAt(dir, Options{FS: fs}, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +363,7 @@ func TestTornHeaderRemovalDurable(t *testing.T) {
 	}
 	appendN(t, l2, 100, 3)
 	l2.Close()
-	_, rec3, err := Open(dir, Options{SegmentBytes: 256})
+	_, rec3, err := openAt(dir, Options{}, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +379,7 @@ func TestTornHeaderRemovalDurable(t *testing.T) {
 // file.
 func TestCorruptSealedSegmentRefused(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{SegmentBytes: 256})
+	l, _, err := openAt(dir, Options{}, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +405,7 @@ func TestCorruptSealedSegmentRefused(t *testing.T) {
 	if _, err := Inspect(dir); err == nil || !strings.Contains(err.Error(), where) {
 		t.Fatalf("Inspect = %v, want a refusal naming %s", err, where)
 	}
-	if _, _, err := Open(dir, Options{SegmentBytes: 256}); err == nil || !strings.Contains(err.Error(), where) {
+	if _, _, err := openAt(dir, Options{}, 256); err == nil || !strings.Contains(err.Error(), where) {
 		t.Fatalf("Open = %v, want a refusal naming %s", err, where)
 	}
 	if !maps.Equal(dirFiles(t, dir), before) {
@@ -427,6 +443,33 @@ func TestOldGenerationLogRefused(t *testing.T) {
 				t.Fatal("a refused log directory changed")
 			}
 		})
+	}
+}
+
+// TestNewerGenerationLogRefused: a log whose header is stamped with a
+// later generation than this build's is a newer build's. Open and Inspect
+// refuse it with that advice, not a downgrade's, and change no file.
+func TestNewerGenerationLogRefused(t *testing.T) {
+	dir := t.TempDir()
+	for name, b := range map[string][]byte{
+		segName(1):           stampedSegment(4, 1, 1, 2),
+		segName(2):           stampedSegment(4, 2, 3),
+		CheckpointName(0, 0): []byte("snapshot"),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := dirFiles(t, dir)
+	const want = "written by a newer build, at log generation 4 where this build reads 3: open the directory with that build"
+	if _, err := Inspect(dir); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Inspect = %v, want a refusal saying %q", err, want)
+	}
+	if _, _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open = %v, want a refusal saying %q", err, want)
+	}
+	if !maps.Equal(dirFiles(t, dir), before) {
+		t.Fatal("a refused log directory changed")
 	}
 }
 
@@ -502,7 +545,7 @@ func TestAppendRefusesOversizedPayload(t *testing.T) {
 
 func TestCheckpointGCAndRecovery(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{SegmentBytes: 256, Sync: SyncPolicy{Every: 1}})
+	l, _, err := openAt(dir, Options{Sync: SyncPolicy{Every: 1}}, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,14 +571,14 @@ func TestCheckpointGCAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if n := len(rec.Barriers); n != 1 || rec.Barriers[n-1] != b.withName() {
-		t.Fatalf("recovered barriers = %+v", rec.Barriers)
+	if rec.Barrier == nil || *rec.Barrier != b.withName() || rec.Records != 6 {
+		t.Fatalf("recovered barrier = %+v in %d records, want it and the 5 after it", rec.Barrier, rec.Records)
 	}
-	got, err := io.ReadAll(mustOpenCheckpoint(t, l2, rec.Barriers[0].Name))
+	got, err := io.ReadAll(mustOpenCheckpoint(t, l2, rec.Barrier.Name))
 	if err != nil || string(got) != string(blob) {
 		t.Fatalf("checkpoint content = %q, %v", got, err)
 	}
-	rows := collect(t, l2, rec.Barriers[0].Epoch)
+	rows := collect(t, l2, rec.Barrier.Epoch)
 	if len(rows) != 5 || rows[0].epoch != 21 {
 		t.Fatalf("post-barrier replay = %+v", rows)
 	}
@@ -852,8 +895,12 @@ func FuzzSegment(f *testing.F) {
 			t.Fatal(err)
 		}
 		l.Close()
-		if replayed > rec.Records-len(rec.Barriers) {
-			t.Fatalf("replayed %d records, Open counted %d and %d barriers", replayed, rec.Records, len(rec.Barriers))
+		barriers := 0
+		if rec.Barrier != nil {
+			barriers = 1
+		}
+		if replayed > rec.Records-barriers {
+			t.Fatalf("replayed %d records, Open counted %d and a barrier %+v", replayed, rec.Records, rec.Barrier)
 		}
 		l2, rec2, err := Open(dir, Options{})
 		if err != nil {

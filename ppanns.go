@@ -162,7 +162,8 @@ type CompactionStats = core.CompactionStats
 type SyncPolicy = wal.SyncPolicy
 
 // RecoveryStats describes what OpenServer found in a WAL directory: the
-// checkpoint it anchored on, how many records it replayed, and any
+// newest checkpoint, which recovery anchors on alone, how many records it
+// replayed over it through the live write's check and apply, and any
 // torn-tail repair it performed.
 type RecoveryStats = core.RecoveryStats
 
