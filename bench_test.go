@@ -338,9 +338,9 @@ func BenchmarkAblationRefine(b *testing.B) {
 		b.Fatal(err)
 	}
 	edbDCE := fixtureCiphertexts(b, f, ids)
-	farther := func(a, bIdx int) bool {
+	farther := resultheap.Farther(func(a, bIdx int) bool {
 		return dce.DistanceComp(edbDCE[a], edbDCE[bIdx], tok.Trapdoor) > 0
-	}
+	})
 	local := make([]int, len(ids))
 	for i := range local {
 		local[i] = i
@@ -390,7 +390,7 @@ func BenchmarkAblationLinearScanDCE(b *testing.B) {
 		cts[i] = key.Encrypt(v)
 	}
 	tok := key.TrapGen(data.Queries[0])
-	farther := func(a, bIdx int) bool { return dce.DistanceComp(cts[a], cts[bIdx], tok) > 0 }
+	farther := resultheap.Farther(func(a, bIdx int) bool { return dce.DistanceComp(cts[a], cts[bIdx], tok) > 0 })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h := resultheap.NewCompareHeap(benchK, farther)

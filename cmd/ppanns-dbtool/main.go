@@ -558,7 +558,7 @@ func runQuery(args []string) error {
 // optional hedging, and optional best-effort partial results.
 func queryReplicated(user *ppanns.User, qs *vec.Dataset, addrs string, k, ratio int, fd core.FilterDistMode, hedge time.Duration, partial bool) error {
 	var sets [][]shard.Shard
-	var closers []*shard.Remote
+	var closers []*transport.Client
 	defer func() {
 		for _, r := range closers {
 			r.Close()
@@ -571,9 +571,9 @@ func queryReplicated(user *ppanns.User, qs *vec.Dataset, addrs string, k, ratio 
 			if a == "" {
 				continue
 			}
-			rm := shard.NewRemote(a, dialOpts)
-			closers = append(closers, rm)
-			replicas = append(replicas, rm)
+			c := transport.NewClient(a, dialOpts)
+			closers = append(closers, c)
+			replicas = append(replicas, c)
 		}
 		if len(replicas) == 0 {
 			return fmt.Errorf("query: stripe %d of -addrs has no replica addresses", s)

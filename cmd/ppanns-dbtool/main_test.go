@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"maps"
 	"net"
@@ -50,6 +51,32 @@ func stalledListener(t *testing.T) string {
 	return l.Addr().String()
 }
 
+// queryWorld encrypts n deep-like vectors and writes the user's key and nq
+// queries to files, as query reads them. It returns the database and the
+// two file names.
+func queryWorld(t *testing.T, n, nq int) (edb *ppanns.EncryptedDatabase, keyFile, queryFile string) {
+	t.Helper()
+	dir := t.TempDir()
+	data := dataset.DeepLike(n, nq, 1)
+	owner, err := ppanns.NewDataOwner(ppanns.Params{Dim: data.Dim, Beta: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edb, err = owner.EncryptDatabase(data.Train); err != nil {
+		t.Fatal(err)
+	}
+	keyFile, queryFile = filepath.Join(dir, "user.key"), filepath.Join(dir, "q.fvecs")
+	if err := wal.WriteFileAtomic(keyFile, func(w io.Writer) error {
+		return ppanns.SaveUserKey(w, owner.UserKey())
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFvecs(queryFile, data.Queries); err != nil {
+		t.Fatal(err)
+	}
+	return edb, keyFile, queryFile
+}
+
 // TestQueryStalledServer holds both query paths to their deadlines: a
 // server that accepts and never answers fails the query, it does not hang.
 // A single server fails on the call that timed out, the first Info, not on
@@ -59,25 +86,7 @@ func TestQueryStalledServer(t *testing.T) {
 	dialOpts = transport.DialOptions{DialTimeout: 200 * time.Millisecond, Timeout: 200 * time.Millisecond}
 	t.Cleanup(func() { dialOpts = saved })
 
-	dir := t.TempDir()
-	data := dataset.DeepLike(50, 2, 1)
-	owner, err := ppanns.NewDataOwner(ppanns.Params{Dim: data.Dim, Beta: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := owner.EncryptDatabase(data.Train); err != nil {
-		t.Fatal(err)
-	}
-	keyFile, queryFile := filepath.Join(dir, "user.key"), filepath.Join(dir, "q.fvecs")
-	if err := wal.WriteFileAtomic(keyFile, func(w io.Writer) error {
-		return ppanns.SaveUserKey(w, owner.UserKey())
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFvecs(queryFile, data.Queries); err != nil {
-		t.Fatal(err)
-	}
-
+	_, keyFile, queryFile := queryWorld(t, 50, 2)
 	addr := stalledListener(t)
 	for _, target := range [][]string{{"-addr", addr}, {"-addrs", addr}} {
 		t.Run(target[0], func(t *testing.T) {
@@ -97,6 +106,60 @@ func TestQueryStalledServer(t *testing.T) {
 				t.Fatal("query against a stalled server still blocked after 2s")
 			}
 		})
+	}
+}
+
+// TestQueryReplicasWithOneDown drives query -addrs over 2 stripes × 2
+// replicas served in process, replica 1 of stripe 0 down from the start
+// (its address refuses connections): every query answers in full, none
+// partial, and the down replica's open breaker is printed.
+func TestQueryReplicasWithOneDown(t *testing.T) {
+	const nq = 6
+	edb, keyFile, queryFile := queryWorld(t, 200, nq)
+	stripes := [2][2]string{}
+	for r := range 2 {
+		parts, err := edb.Split(2, ppanns.IndexOptions{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, p := range parts {
+			srv, err := ppanns.NewServer(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			stripes[s][r] = l.Addr().String()
+			if s == 0 && r == 1 {
+				l.Close()
+				continue
+			}
+			done := make(chan struct{})
+			go func() { transport.Serve(l, srv); close(done) }()
+			t.Cleanup(func() { l.Close(); <-done })
+		}
+	}
+	addrs := stripes[0][0] + "," + stripes[0][1] + ";" + stripes[1][0] + "," + stripes[1][1]
+	out, err := stdout(t, func() error {
+		return runQuery([]string{"-key", keyFile, "-queries", queryFile, "-addrs", addrs, "-k", "5"})
+	})
+	if err != nil {
+		t.Fatalf("query -addrs with one replica down: %v\n%s", err, out)
+	}
+	for _, want := range []string{"replicated topology: 2 stripes, 200 vectors total\n", "health: stripe 0 replica 1 breaker open\n"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("query -addrs printed\n%s\nwant the line %q", out, want)
+		}
+	}
+	for i := range nq {
+		if !strings.Contains(out, fmt.Sprintf("query %d: [", i)) {
+			t.Fatalf("query -addrs printed\n%s\nwant a full answer to query %d", out, i)
+		}
+	}
+	if strings.Contains(out, "partial") || strings.Count(out, "health:") != 1 {
+		t.Fatalf("query -addrs printed\n%s\nwant no partial answer and one unhealthy replica", out)
 	}
 }
 

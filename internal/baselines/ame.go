@@ -86,9 +86,9 @@ func (h *HNSWAME) Search(tok *core.QueryToken, td *ame.Trapdoor, k, kPrime, ef i
 			return nil, 0, fmt.Errorf("baselines: candidate %d has no AME ciphertext", id)
 		}
 	}
-	heap := resultheap.NewCompareHeap(min(k, len(cands)), func(a, b int) bool {
+	heap := resultheap.NewCompareHeap(min(k, len(cands)), resultheap.Farther(func(a, b int) bool {
 		return ame.Compare(h.cts[cands[a]], h.cts[cands[b]], td) > 0
-	})
+	}))
 	for i := range cands {
 		heap.Offer(i)
 	}

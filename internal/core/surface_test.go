@@ -26,7 +26,9 @@ type surface struct {
 func surfaces(srv *core.Server, client *transport.Client) []surface {
 	return []surface{
 		{name: "server", merge: true, run: srv.SearchShard},
-		{name: "local", merge: true, run: shard.Local{Srv: srv}.SearchShard},
+		{name: "local", merge: true, run: func(tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error) {
+			return shard.Local{Srv: srv}.SearchShardCancel(nil, tok, k, opt)
+		}},
 		{name: "tcp/search", wire: true, run: func(tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error) {
 			ids, err := client.Search(tok, k, opt)
 			return core.ShardResult{IDs: ids}, err

@@ -76,9 +76,6 @@ func AppendInts(b []byte, v []int) []byte {
 	return b
 }
 
-// AppendBytes appends [count u32][bytes].
-func AppendBytes(b, p []byte) []byte { return append(AppendU32(b, uint32(len(p))), p...) }
-
 // AppendString appends [count u32][bytes].
 func AppendString(b []byte, s string) []byte { return append(AppendU32(b, uint32(len(s))), s...) }
 

@@ -19,7 +19,7 @@ func TestRoundTrip(t *testing.T) {
 	b = AppendFloats(b, []float64{math.Pi})
 	b = AppendFloats(b, nil)
 	b = AppendInts(b, []int{-1, 0, 1 << 40})
-	b = AppendBytes(b, []byte("pq"))
+	b = AppendString(b, "pq")
 	b = AppendString(b, "hnsw")
 	b = append(b, "MAGIC"...)
 

@@ -7,7 +7,7 @@ package resultheap
 type Farther func(a, b int) bool
 
 // Farther implements Comparator, so plain functions plug straight into
-// NewCompareHeapWith and Reset.
+// NewCompareHeap and Reset.
 func (f Farther) Farther(a, b int) bool { return f(a, b) }
 
 // Comparator is the interface form of Farther. Hot paths that must not
@@ -34,12 +34,7 @@ type CompareHeap struct {
 }
 
 // NewCompareHeap returns an empty heap holding at most bound ids.
-func NewCompareHeap(bound int, farther Farther) *CompareHeap {
-	return NewCompareHeapWith(bound, farther)
-}
-
-// NewCompareHeapWith is NewCompareHeap for any Comparator.
-func NewCompareHeapWith(bound int, cmp Comparator) *CompareHeap {
+func NewCompareHeap(bound int, cmp Comparator) *CompareHeap {
 	h := &CompareHeap{}
 	h.Reset(bound, cmp)
 	return h

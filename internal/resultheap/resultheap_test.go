@@ -310,7 +310,7 @@ func TestCompareHeapPropertyRandom(t *testing.T) {
 
 func TestCompareHeapResetReuse(t *testing.T) {
 	asc := Farther(func(a, b int) bool { return a > b })
-	h := NewCompareHeapWith(3, asc)
+	h := NewCompareHeap(3, asc)
 	for _, id := range []int{9, 1, 5, 7, 3} {
 		h.Offer(id)
 	}

@@ -60,7 +60,7 @@ func TestChaosFailoverZeroFailures(t *testing.T) {
 				})
 			}
 			go transport.Serve(l, srv)
-			rm := NewRemote(l.Addr().String(), transport.DialOptions{DialTimeout: 2 * time.Second})
+			rm := transport.NewClient(l.Addr().String(), transport.DialOptions{DialTimeout: 2 * time.Second})
 			t.Cleanup(func() { rm.Close() })
 			if r == 0 {
 				// And a flaky application layer on top of the flaky wire.
@@ -72,7 +72,7 @@ func TestChaosFailoverZeroFailures(t *testing.T) {
 			}
 		}
 	}
-	coord, err := NewReplicated(sets, Options{Breaker: fastBreaker})
+	coord, err := newReplicated(sets, Options{}, fastBreaker)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,12 +48,12 @@ func replicatedCompactingTCP(t *testing.T, w *world, stripes, rf, compactAt int,
 			t.Cleanup(func() { l.Close() })
 			go transport.Serve(l, srv)
 			proxies[s][r] = newRProxy(t, l.Addr().String())
-			rm := NewRemote(proxies[s][r].addr, transport.DialOptions{DialTimeout: 2 * time.Second})
+			rm := transport.NewClient(proxies[s][r].addr, transport.DialOptions{DialTimeout: 2 * time.Second})
 			t.Cleanup(func() { rm.Close() })
 			sets[s][r] = rm
 		}
 	}
-	coord, err := NewReplicated(sets, opts)
+	coord, err := newReplicated(sets, opts, fastBreaker)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestReplicatedChurnCompactionOverTCP(t *testing.T) {
 	const mutations = 150
 	const compactAt = 24
 	w := newWorld(t, n, dim)
-	coord, proxies, srvs := replicatedCompactingTCP(t, w, 2, 2, compactAt, Options{Breaker: fastBreaker})
+	coord, proxies, srvs := replicatedCompactingTCP(t, w, 2, 2, compactAt, Options{})
 
 	assertConformance(t, w, coord, k, "before churn (tcp)")
 

@@ -43,9 +43,6 @@ type Options struct {
 	// naming the dead stripes, so the caller chooses between best-effort
 	// results and strict completeness.
 	AllowPartial bool
-	// Breaker tunes the per-replica circuit breakers (zero = defaults;
-	// see BreakerOptions).
-	Breaker BreakerOptions
 }
 
 // PartialError reports that a search answered without every stripe: the
@@ -155,6 +152,11 @@ func NewCoordinatorWith(shards []Shard, opts Options) (*Coordinator, error) {
 // probed back in once it returns. Only a stripe with NO reachable replica
 // is a construction error.
 func NewReplicated(stripes [][]Shard, opts Options) (*Coordinator, error) {
+	return newReplicated(stripes, opts, breakerTuning{breakerThreshold, breakerBackoff, breakerMaxBackoff})
+}
+
+// newReplicated is NewReplicated with the breakers tuned by tune.
+func newReplicated(stripes [][]Shard, opts Options, tune breakerTuning) (*Coordinator, error) {
 	if len(stripes) == 0 {
 		return nil, fmt.Errorf("shard: coordinator needs at least one shard")
 	}
@@ -205,10 +207,10 @@ func NewReplicated(stripes [][]Shard, opts Options) (*Coordinator, error) {
 		if !stripeUp {
 			return nil, &ShardError{Shard: s, Err: fmt.Errorf("no replica reachable: %w", errors.Join(downErrs...))}
 		}
-		rs := newReplicaSet(reps, opts.Breaker, floor)
+		rs := newReplicaSet(reps, tune, floor)
 		now := time.Now()
 		for _, r := range down {
-			for i := 0; i < rs.breakers[r].opts.Threshold; i++ {
+			for i := 0; i < tune.threshold; i++ {
 				rs.breakers[r].failure(now)
 			}
 		}

@@ -43,12 +43,8 @@ type Faulty struct {
 	dead  bool
 }
 
-// Faulty must remain usable anywhere a Shard is, including as a replica,
-// and must forward hedged-read cancellation.
-var (
-	_ Shard           = (*Faulty)(nil)
-	_ searchCanceller = (*Faulty)(nil)
-)
+// Faulty must remain usable anywhere a Shard is, including as a replica.
+var _ Shard = (*Faulty)(nil)
 
 // NewFaulty wraps inner with fault injection seeded by seed. With no specs
 // Set and no Kill, it is transparent.
@@ -131,18 +127,11 @@ func sleepOrCancel(d time.Duration, cancel <-chan struct{}) bool {
 	}
 }
 
-func (f *Faulty) SearchShard(tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error) {
-	return f.SearchShardCancel(nil, tok, k, opt)
-}
-
 func (f *Faulty) SearchShardCancel(cancel <-chan struct{}, tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error) {
 	if err := f.gate("search", cancel); err != nil {
 		return core.ShardResult{}, err
 	}
-	if sc, ok := f.inner.(searchCanceller); ok {
-		return sc.SearchShardCancel(cancel, tok, k, opt)
-	}
-	return f.inner.SearchShard(tok, k, opt)
+	return f.inner.SearchShardCancel(cancel, tok, k, opt)
 }
 
 func (f *Faulty) Insert(p *core.InsertPayload) (int, error) {

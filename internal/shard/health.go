@@ -31,33 +31,18 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// BreakerOptions tunes the per-replica circuit breakers of a replicated
-// coordinator. The zero value means defaults, not "no breaking".
-type BreakerOptions struct {
-	// Threshold is the consecutive-failure count that trips the breaker
-	// (default 3). Successes reset the count, so sporadic failures under
-	// load never open it — only a replica that fails every request does.
-	Threshold int
-	// Backoff is how long the breaker stays open after first tripping
-	// (default 50ms). Each re-trip from half-open doubles it, so a
-	// replica that stays dead is probed ever less often.
-	Backoff time.Duration
-	// MaxBackoff caps the doubling (default 5s), bounding how long a
-	// revived replica waits before its half-open probe readmits it.
-	MaxBackoff time.Duration
-}
+// The breaker's tuning, as the package doc states it. A success resets the
+// failure count, so only a replica that fails every request trips.
+const (
+	breakerThreshold  = 3
+	breakerBackoff    = 50 * time.Millisecond
+	breakerMaxBackoff = 5 * time.Second
+)
 
-func (o BreakerOptions) withDefaults() BreakerOptions {
-	if o.Threshold <= 0 {
-		o.Threshold = 3
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 50 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 5 * time.Second
-	}
-	return o
+// breakerTuning is the constants above as a value, which tests lower.
+type breakerTuning struct {
+	threshold           int
+	backoff, maxBackoff time.Duration
 }
 
 // breaker is one replica's health tracker: a consecutive-failure circuit
@@ -66,7 +51,7 @@ func (o BreakerOptions) withDefaults() BreakerOptions {
 // rather than refuse to try at all, and the breaker simply records the
 // outcome.
 type breaker struct {
-	opts BreakerOptions
+	tune breakerTuning
 
 	mu      sync.Mutex
 	state   BreakerState
@@ -74,10 +59,6 @@ type breaker struct {
 	backoff time.Duration // current open duration (doubles per re-trip)
 	retryAt time.Time     // when an open breaker half-opens
 	probing bool          // a half-open probe is in flight
-}
-
-func newBreaker(opts BreakerOptions) *breaker {
-	return &breaker{opts: opts.withDefaults()}
 }
 
 // allow reports whether a request may be sent to this replica now. An open
@@ -128,7 +109,7 @@ func (b *breaker) failure(now time.Time) {
 		b.trip(now)
 	case BreakerClosed:
 		b.fails++
-		if b.fails >= b.opts.Threshold {
+		if b.fails >= b.tune.threshold {
 			b.trip(now)
 		}
 	}
@@ -138,11 +119,11 @@ func (b *breaker) failure(now time.Time) {
 // b.mu.
 func (b *breaker) trip(now time.Time) {
 	if b.backoff == 0 {
-		b.backoff = b.opts.Backoff
+		b.backoff = b.tune.backoff
 	} else {
 		b.backoff *= 2
-		if b.backoff > b.opts.MaxBackoff {
-			b.backoff = b.opts.MaxBackoff
+		if b.backoff > b.tune.maxBackoff {
+			b.backoff = b.tune.maxBackoff
 		}
 	}
 	b.state = BreakerOpen

@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,18 +16,6 @@ import (
 // could omit inserted vectors or resurrect deleted ones. The replica set
 // treats it like any other replica failure and fails over to a sibling.
 var ErrStaleReplica = errors.New("shard: replica behind the stripe's write floor")
-
-// searchCanceller is the optional Shard extension the hedged-read path
-// uses to abandon a losing attempt: closing cancel releases the call
-// without waiting for (or poisoning) the underlying connection.
-// *transport.Client and *Remote implement it (and so does the tests'
-// fault-injecting wrapper); plain Local does not need to — an in-process
-// search cannot be abandoned midway, its result is simply discarded.
-type searchCanceller interface {
-	SearchShardCancel(cancel <-chan struct{}, tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error)
-}
-
-var _ searchCanceller = (*transport.Client)(nil)
 
 // ReplicaSet is one stripe of a replicated deployment: the same shard-local
 // id space served by RF interchangeable replicas. Reads go to one healthy
@@ -45,11 +32,11 @@ type ReplicaSet struct {
 	floor    atomic.Uint64 // read-your-writes epoch floor
 }
 
-func newReplicaSet(replicas []Shard, opts BreakerOptions, floor uint64) *ReplicaSet {
+func newReplicaSet(replicas []Shard, tune breakerTuning, floor uint64) *ReplicaSet {
 	rs := &ReplicaSet{replicas: replicas, breakers: make([]*breaker, len(replicas))}
 	rs.floor.Store(floor)
 	for i := range rs.breakers {
-		rs.breakers[i] = newBreaker(opts)
+		rs.breakers[i] = &breaker{tune: tune}
 	}
 	return rs
 }
@@ -59,32 +46,27 @@ func newReplicaSet(replicas []Shard, opts BreakerOptions, floor uint64) *Replica
 // an ErrStaleReplica failure, so the caller fails over exactly as if the
 // replica had errored.
 func (rs *ReplicaSet) searchOne(r int, cancel <-chan struct{}, tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error) {
-	sh := rs.replicas[r]
 	// The floor is captured before the read is issued: only writes that
 	// completed before the read started bound it. A write that lands while
 	// the read is in flight is ordered after it and need not be visible —
 	// checking against the post-read floor would brand an up-to-date
 	// replica stale whenever a write races a read.
 	fl := rs.floor.Load()
-	var res core.ShardResult
-	var err error
-	if sc, ok := sh.(searchCanceller); ok && cancel != nil {
-		res, err = sc.SearchShardCancel(cancel, tok, k, opt)
-	} else {
-		res, err = sh.SearchShard(tok, k, opt)
-	}
+	res, err := rs.replicas[r].SearchShardCancel(cancel, tok, k, opt)
 	if err == nil && res.Epoch < fl {
 		err = fmt.Errorf("%w: answered at epoch %d, floor %d", ErrStaleReplica, res.Epoch, fl)
 	}
 	return res, err
 }
 
-// record folds one attempt's outcome into the replica's breaker. An
-// abandoned call (hedge loser) says nothing about replica health and is
+// record folds one attempt's outcome into the replica's breaker. A
+// refusal (transport.ErrRefused) is the replica answering, so it counts
+// as a success: a client's bad request must not trip a healthy replica.
+// An abandoned call (hedge loser) says nothing about replica health and is
 // not recorded.
 func (rs *ReplicaSet) record(r int, err error) {
 	switch {
-	case err == nil:
+	case err == nil || errors.Is(err, transport.ErrRefused):
 		rs.breakers[r].success()
 	case !errors.Is(err, transport.ErrAbandoned):
 		rs.breakers[r].failure(time.Now())
@@ -93,7 +75,8 @@ func (rs *ReplicaSet) record(r int, err error) {
 
 // search answers one query from the stripe: round-robin replica choice
 // filtered through the breakers, immediate failover to a sibling on any
-// failure, and — with hedge > 0 — a second speculative attempt once the
+// failure but a refusal, which every copy would repeat and which is
+// returned at once, and — with hedge > 0 — a second speculative attempt once the
 // first has been in flight that long, first response winning and the loser
 // cancelled. Every replica is attempted at most once; if no breaker admits
 // anything, one forced attempt goes through anyway (an all-open stripe
@@ -164,9 +147,9 @@ func (rs *ReplicaSet) search(tok *core.QueryToken, k int, opt core.SearchOptions
 		select {
 		case a := <-resCh:
 			outstanding--
-			if a.err == nil {
+			if a.err == nil || errors.Is(a.err, transport.ErrRefused) {
 				close(cancel) // release any hedged loser
-				return a.res, nil
+				return a.res, a.err
 			}
 			if !errors.Is(a.err, transport.ErrAbandoned) {
 				errs = append(errs, fmt.Errorf("replica %d: %w", a.r, a.err))
@@ -240,95 +223,12 @@ func (rs *ReplicaSet) write(op writeOp) ([]WriteOutcome, int) {
 	return outcomes, ok
 }
 
-// Remote is a Shard backed by a transport.Client that redials itself after
-// the client poisons: the first call after a stream-level failure pays the
-// ErrClientBroken (its breaker failure is what diverts traffic), and the
-// next one dials fresh. This is what lets a breaker actually re-close
-// after a remote replica comes back — the poisoned client it died with
-// would otherwise fail every probe forever.
-type Remote struct {
-	addr string
-	opts transport.DialOptions
+// Remote is the name the benchmark's cluster workload gives a remote
+// replica; it leaves with that workload's next change. A
+// *transport.Client is a Shard and redials itself.
+type Remote = transport.Client
 
-	mu     sync.Mutex
-	client *transport.Client
-}
-
-var (
-	_ Shard           = (*Remote)(nil)
-	_ searchCanceller = (*Remote)(nil)
-)
-
-// NewRemote returns a self-healing remote shard for addr. Dialing is lazy:
-// the first call connects.
+// NewRemote is transport.NewClient under the benchmark's name for it.
 func NewRemote(addr string, opts transport.DialOptions) *Remote {
-	return &Remote{addr: addr, opts: opts}
-}
-
-// get returns a healthy client, dialing a fresh one if the previous was
-// poisoned or never existed.
-func (rm *Remote) get() (*transport.Client, error) {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	if rm.client != nil {
-		if rm.client.Broken() == nil {
-			return rm.client, nil
-		}
-		rm.client.Close()
-		rm.client = nil
-	}
-	c, err := transport.DialWith(rm.addr, rm.opts)
-	if err != nil {
-		return nil, err
-	}
-	rm.client = c
-	return c, nil
-}
-
-func (rm *Remote) SearchShard(tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error) {
-	return rm.SearchShardCancel(nil, tok, k, opt)
-}
-
-func (rm *Remote) SearchShardCancel(cancel <-chan struct{}, tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error) {
-	c, err := rm.get()
-	if err != nil {
-		return core.ShardResult{}, err
-	}
-	return c.SearchShardCancel(cancel, tok, k, opt)
-}
-
-func (rm *Remote) Insert(p *core.InsertPayload) (int, error) {
-	c, err := rm.get()
-	if err != nil {
-		return 0, err
-	}
-	return c.Insert(p)
-}
-
-func (rm *Remote) Delete(local int) error {
-	c, err := rm.get()
-	if err != nil {
-		return err
-	}
-	return c.Delete(local)
-}
-
-func (rm *Remote) Info() (transport.Info, error) {
-	c, err := rm.get()
-	if err != nil {
-		return transport.Info{}, err
-	}
-	return c.Info()
-}
-
-// Close tears down the current connection, if any.
-func (rm *Remote) Close() error {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	if rm.client == nil {
-		return nil
-	}
-	err := rm.client.Close()
-	rm.client = nil
-	return err
+	return transport.NewClient(addr, opts)
 }

@@ -15,13 +15,14 @@ import (
 )
 
 // fastBreaker keeps breaker-driven tests quick: trips after 2 consecutive
-// failures, re-probes within milliseconds.
-var fastBreaker = BreakerOptions{Threshold: 2, Backoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond}
+// failures, re-probes within milliseconds. The coordinators the test
+// helpers wire all run it.
+var fastBreaker = breakerTuning{threshold: 2, backoff: 2 * time.Millisecond, maxBackoff: 20 * time.Millisecond}
 
 // TestBreakerLifecycle walks one breaker through its whole state machine
 // with explicit clocks — no sleeps, fully deterministic.
 func TestBreakerLifecycle(t *testing.T) {
-	b := newBreaker(BreakerOptions{Threshold: 3, Backoff: 40 * time.Millisecond, MaxBackoff: 100 * time.Millisecond})
+	b := &breaker{tune: breakerTuning{threshold: 3, backoff: 40 * time.Millisecond, maxBackoff: 100 * time.Millisecond}}
 	t0 := time.Now()
 
 	if !b.allow(t0) {
@@ -123,7 +124,7 @@ func replicatedCoordinator(t *testing.T, w *world, stripes, rf int, opts Options
 			faults[s][r] = f
 		}
 	}
-	coord, err := NewReplicated(sets, opts)
+	coord, err := newReplicated(sets, opts, fastBreaker)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func assertConformance(t *testing.T, w *world, coord *Coordinator, k int, phase 
 func TestReplicatedKilledReplicaConformance(t *testing.T) {
 	const n, dim, k = 400, 16, 8
 	w := newWorld(t, n, dim)
-	coord, faults := replicatedCoordinator(t, w, 2, 2, Options{Breaker: fastBreaker})
+	coord, faults := replicatedCoordinator(t, w, 2, 2, Options{})
 
 	assertConformance(t, w, coord, k, "all replicas up")
 
@@ -286,8 +287,8 @@ func (p *rproxy) restart(t *testing.T) {
 }
 
 // replicatedRemoteCoordinator serves every replica over real TCP and wires
-// the coordinator from Remote (redialing) shards; replica 0 of each stripe
-// sits behind a restartable proxy.
+// the coordinator from lazily dialed, self-healing transport clients;
+// replica 0 of each stripe sits behind a restartable proxy.
 func replicatedRemoteCoordinator(t *testing.T, w *world, stripes, rf int, opts Options) (*Coordinator, []*rproxy) {
 	t.Helper()
 	sets := make([][]Shard, stripes)
@@ -316,12 +317,12 @@ func replicatedRemoteCoordinator(t *testing.T, w *world, stripes, rf int, opts O
 				proxies[s] = newRProxy(t, addr)
 				addr = proxies[s].addr
 			}
-			rm := NewRemote(addr, transport.DialOptions{DialTimeout: 2 * time.Second})
+			rm := transport.NewClient(addr, transport.DialOptions{DialTimeout: 2 * time.Second})
 			t.Cleanup(func() { rm.Close() })
 			sets[s][r] = rm
 		}
 	}
-	coord, err := NewReplicated(sets, opts)
+	coord, err := newReplicated(sets, opts, fastBreaker)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +337,7 @@ func replicatedRemoteCoordinator(t *testing.T, w *world, stripes, rf int, opts O
 func TestReplicatedKilledReplicaOverTCP(t *testing.T) {
 	const n, dim, k = 300, 16, 6
 	w := newWorld(t, n, dim)
-	coord, proxies := replicatedRemoteCoordinator(t, w, 2, 2, Options{Breaker: fastBreaker})
+	coord, proxies := replicatedRemoteCoordinator(t, w, 2, 2, Options{})
 
 	assertConformance(t, w, coord, k, "all replicas up (tcp)")
 
@@ -374,6 +375,80 @@ func TestReplicatedKilledReplicaOverTCP(t *testing.T) {
 	assertConformance(t, w, coord, k, "after recovery (tcp)")
 }
 
+// TestRefusalIsAnAnswer: a request every replica refuses — an insert or a
+// query token of another dimension — is the replicas answering, not
+// failing. After three of each every breaker is still closed with no
+// failure counted, in process and over TCP, and no id is consumed; a
+// killed replica still trips its breaker.
+func TestRefusalIsAnAnswer(t *testing.T) {
+	const n, dim, k = 200, 8, 5
+	w := newWorld(t, n, dim)
+	other, err := core.NewDataOwner(core.Params{Dim: dim + 1, Beta: 0.2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherTrain, otherQueries := testData(3, 16, dim+1, 1)
+	if _, err := other.EncryptDatabase(otherTrain); err != nil {
+		t.Fatal(err)
+	}
+	bad, err := other.EncryptVector(otherTrain[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherUser, err := core.NewUser(other.UserKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	badTok, err := otherUser.Query(otherQueries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok, err := w.user.Query(w.queries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := fullRecall(n)
+
+	local, faults := replicatedCoordinator(t, w, 2, 2, Options{})
+	remote, proxies := replicatedRemoteCoordinator(t, w, 2, 2, Options{})
+	for _, tc := range []struct {
+		name  string
+		coord *Coordinator
+		kill  func()
+	}{
+		{"local", local, faults[0][0].Kill},
+		{"tcp", remote, proxies[0].kill},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for range 3 {
+				if _, err := tc.coord.Insert(bad); !errors.Is(err, transport.ErrRefused) {
+					t.Fatalf("insert of another dimension: %v, want a refusal", err)
+				}
+				if _, err := tc.coord.Search(badTok, k, opt); !errors.Is(err, transport.ErrRefused) {
+					t.Fatalf("search with a token of another dimension: %v, want a refusal", err)
+				}
+			}
+			for _, h := range tc.coord.Health() {
+				if h.State != BreakerClosed || h.Fails != 0 {
+					t.Fatalf("after refused requests: %+v, want every breaker closed with 0 fails", tc.coord.Health())
+				}
+			}
+			if tc.coord.Len() != n {
+				t.Fatalf("Len after refused inserts = %d, want %d", tc.coord.Len(), n)
+			}
+			tc.kill()
+			for i := 0; healthOf(tc.coord, 0, 0) == BreakerClosed; i++ {
+				if i == 20 {
+					t.Fatalf("killed replica's breaker still closed after %d searches: %+v", i, tc.coord.Health())
+				}
+				if _, err := tc.coord.Search(tok, k, opt); err != nil {
+					t.Fatalf("search with a killed replica: %v", err)
+				}
+			}
+		})
+	}
+}
+
 // TestHedgedReadsCutStragglerLatency pins the hedging path: with one
 // replica per stripe stalling far beyond the hedge budget, hedged queries
 // must finish near the fast replica's latency — and return exactly the
@@ -383,7 +458,6 @@ func TestHedgedReadsCutStragglerLatency(t *testing.T) {
 	const stall = 300 * time.Millisecond
 	w := newWorld(t, n, dim)
 	coord, faults := replicatedCoordinator(t, w, 2, 2, Options{
-		Breaker:    fastBreaker,
 		HedgeAfter: 5 * time.Millisecond,
 	})
 	for s := range faults {
@@ -435,7 +509,7 @@ func TestHedgedReadsCutStragglerLatency(t *testing.T) {
 func TestAllowPartialDeadStripe(t *testing.T) {
 	const n, dim, k = 300, 16, 6
 	w := newWorld(t, n, dim)
-	coord, faults := replicatedCoordinator(t, w, 2, 1, Options{Breaker: fastBreaker, AllowPartial: true})
+	coord, faults := replicatedCoordinator(t, w, 2, 1, Options{AllowPartial: true})
 	opt := fullRecall(n)
 	tok, err := w.user.Query(w.queries[0])
 	if err != nil {
@@ -472,7 +546,7 @@ func TestAllowPartialDeadStripe(t *testing.T) {
 
 	// Without AllowPartial a dead stripe stays query-fatal.
 	faults[0][0].Revive()
-	strict, _ := replicatedCoordinator(t, w, 2, 1, Options{Breaker: fastBreaker})
+	strict, _ := replicatedCoordinator(t, w, 2, 1, Options{})
 	strictFaults := strict.stripes[1].replicas[0].(*Faulty)
 	strictFaults.Kill()
 	var se *ShardError
@@ -489,7 +563,7 @@ func TestAllowPartialDeadStripe(t *testing.T) {
 func TestDegradedWriteAndReadYourWrites(t *testing.T) {
 	const n, dim, k = 300, 16, 2
 	w := newWorld(t, n, dim)
-	coord, faults := replicatedCoordinator(t, w, 2, 2, Options{Breaker: fastBreaker})
+	coord, faults := replicatedCoordinator(t, w, 2, 2, Options{})
 
 	// Global id n lands on stripe n%2 = 0. Replica 1 of that stripe
 	// refuses the insert.
@@ -578,7 +652,7 @@ func TestDegradedWriteAndReadYourWrites(t *testing.T) {
 func TestKilledReplicaMidBatchEpochSafety(t *testing.T) {
 	const n, dim, k = 300, 16, 6
 	w := newWorld(t, n, dim)
-	coord, faults := replicatedCoordinator(t, w, 2, 2, Options{Breaker: fastBreaker})
+	coord, faults := replicatedCoordinator(t, w, 2, 2, Options{})
 
 	deleted := []int{0, 1, 2, 3}
 	for _, gid := range deleted {
@@ -629,7 +703,7 @@ func TestKilledReplicaMidBatchEpochSafety(t *testing.T) {
 func TestStaleReplicaNeverServesResurrectedIds(t *testing.T) {
 	const n, dim, k = 300, 16, 6
 	w := newWorld(t, n, dim)
-	coord, faults := replicatedCoordinator(t, w, 2, 2, Options{Breaker: fastBreaker})
+	coord, faults := replicatedCoordinator(t, w, 2, 2, Options{})
 
 	// Replica 1 of stripe 0 misses the delete of gid 0.
 	faults[0][1].Set("delete", FaultSpec{ErrRate: 1})
@@ -730,70 +804,6 @@ func TestConcurrentDeletesOfOneID(t *testing.T) {
 	}
 }
 
-// TestRemoteReconnectAfterPoison covers the redial flow under concurrency:
-// a poisoned client (severed connection) fails its in-flight calls, and
-// the next call dials fresh once the replica is reachable again — the
-// Remote never stays wedged on the dead client.
-func TestRemoteReconnectAfterPoison(t *testing.T) {
-	const n, dim, k = 300, 16, 5
-	w := newWorld(t, n, dim)
-	parts, err := flushed(t, w.server).Split(1, index.Options{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := core.NewServer(parts[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	go transport.Serve(l, srv)
-	px := newRProxy(t, l.Addr().String())
-	rm := NewRemote(px.addr, transport.DialOptions{DialTimeout: 2 * time.Second})
-	t.Cleanup(func() { rm.Close() })
-
-	tok, err := w.user.Query(w.queries[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := fullRecall(n)
-	if _, err := rm.SearchShard(tok, k, opt); err != nil {
-		t.Fatalf("search before kill: %v", err)
-	}
-
-	px.kill()
-	// Concurrent calls against the dead replica: every one must fail fast
-	// (poisoned client or refused dial), none may hang or mispair.
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rm.SearchShard(tok, k, opt)
-		}()
-	}
-	wg.Wait()
-
-	px.restart(t)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		res, err := rm.SearchShard(tok, k, opt)
-		if err == nil {
-			if len(res.IDs) != k {
-				t.Fatalf("reconnected search returned %d ids, want %d", len(res.IDs), k)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("Remote never reconnected: %v", err)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // TestConstructionToleratesDeadReplica pins the wiring path the CLI
 // exercises: a coordinator built while one replica of a stripe is already
 // down must come up and serve through the survivors (the dead replica's
@@ -827,7 +837,7 @@ func TestConstructionToleratesDeadReplica(t *testing.T) {
 	for s := range faults {
 		faults[s][0].Kill()
 	}
-	coord, err := NewReplicated(sets, Options{Breaker: fastBreaker})
+	coord, err := newReplicated(sets, Options{}, fastBreaker)
 	if err != nil {
 		t.Fatalf("construction with dead replicas failed: %v", err)
 	}

@@ -24,6 +24,18 @@
 // coordinator-routed updates: inserting global id G = Len() lands on shard
 // G % N exactly when that shard holds G / N records, which round-robin
 // growth preserves; deletes tombstone in place and never shift ids.
+//
+// # Replicas
+//
+// Each stripe is served by interchangeable replicas (NewReplicated). A
+// remote replica is a *transport.Client, which redials itself after a
+// stream failure. A read goes to one replica and fails over to a sibling;
+// a write goes to every replica, and an epoch floor routes reads around
+// one that missed a write. Every replica has a circuit breaker: 3
+// consecutive failures open it for 50 ms, and each failed probe doubles
+// that, up to 5 s. An error the replica answered with
+// (transport.ErrRefused) is not a failure, and a refused read is not
+// retried on a sibling, which would refuse it too.
 package shard
 
 import (
@@ -57,11 +69,16 @@ func (m Mapping) Count(shard, total int) int {
 
 // Shard is the coordinator's view of one partition server. Both Local
 // (wrapping an in-process *core.Server) and *transport.Client (a remote
-// server speaking the wire protocol) satisfy it.
+// server speaking the wire protocol, which redials itself after a stream
+// failure) satisfy it. An error the server itself answered with — a
+// refusal of the request, not a fault of the replica — matches
+// transport.ErrRefused.
 type Shard interface {
-	// SearchShard answers one query with local ids in refine order plus
-	// their DCE records.
-	SearchShard(tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error)
+	// SearchShardCancel answers one query with local ids in refine order
+	// plus their DCE records. Closing cancel (nil never fires) may abandon
+	// the call with transport.ErrAbandoned: a hedged read discards its
+	// loser that way. A shard that cannot abandon a search finishes it.
+	SearchShardCancel(cancel <-chan struct{}, tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error)
 	// Insert appends one encrypted vector and returns its local position.
 	Insert(p *core.InsertPayload) (int, error)
 	// Delete tombstones a local position.
@@ -71,23 +88,31 @@ type Shard interface {
 	Info() (transport.Info, error)
 }
 
-// Local adapts an in-process *core.Server to the Shard interface.
+// Local adapts an in-process *core.Server to the Shard interface. Every
+// error the server returns is its answer, marked with transport.Refused as
+// the wire marks a remote server's.
 type Local struct {
 	Srv *core.Server
 }
 
-// SearchShard answers one query against the wrapped server. The records
-// are views into the snapshot's ciphertext arena, not copies — the
-// snapshot is immutable, so they stay valid for the life of the result.
-func (l Local) SearchShard(tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error) {
-	return l.Srv.SearchShard(tok, k, opt)
+// SearchShardCancel answers one query against the wrapped server; an
+// in-process search cannot be abandoned midway, so cancel is ignored. The
+// records are views into the snapshot's ciphertext arena, not copies —
+// the snapshot is immutable, so they stay valid for the life of the
+// result.
+func (l Local) SearchShardCancel(_ <-chan struct{}, tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error) {
+	res, err := l.Srv.SearchShard(tok, k, opt)
+	return res, transport.Refused(err)
 }
 
 // Insert appends one encrypted vector.
-func (l Local) Insert(p *core.InsertPayload) (int, error) { return l.Srv.Insert(p) }
+func (l Local) Insert(p *core.InsertPayload) (int, error) {
+	id, err := l.Srv.Insert(p)
+	return id, transport.Refused(err)
+}
 
 // Delete tombstones a local position.
-func (l Local) Delete(local int) error { return l.Srv.Delete(local) }
+func (l Local) Delete(local int) error { return transport.Refused(l.Srv.Delete(local)) }
 
 // Info reports the wrapped server's backend and shape.
 func (l Local) Info() (transport.Info, error) { return transport.ServerInfo(l.Srv), nil }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -401,8 +402,8 @@ func TestScatterGatherOverTransport(t *testing.T) {
 
 // TestKilledShardSurfacesError kills one shard's connections mid-
 // deployment: the scatter must answer with a *ShardError naming it — not
-// hang, and not return a silently partial result — and stay failing fast
-// on the poisoned connection afterwards.
+// hang, and not return a silently partial result — and keep failing fast
+// afterwards, each call redialing the dead shard.
 func TestKilledShardSurfacesError(t *testing.T) {
 	const n, dim, k = 300, 16, 5
 	w := newWorld(t, n, dim)
@@ -428,11 +429,12 @@ func TestKilledShardSurfacesError(t *testing.T) {
 		t.Fatalf("error names shard %d, want the killed shard 1", se.Shard)
 	}
 
-	// The killed shard's client is now poisoned: the next call fails fast
-	// with the sentinel instead of desyncing the gob stream.
+	// The killed shard's connection is poisoned, so the next call redials
+	// instead of reading a desynced stream: with the shard still gone, the
+	// dial is refused and the error names the shard.
 	_, err = coord.Search(tok, k, opt)
-	if !errors.As(err, &se) || !errors.Is(se.Err, transport.ErrClientBroken) {
-		t.Fatalf("err after kill = %v, want ShardError wrapping ErrClientBroken", err)
+	if !errors.As(err, &se) || se.Shard != 1 || !strings.Contains(se.Err.Error(), "transport: dial") {
+		t.Fatalf("err after kill = %v, want a ShardError naming shard 1 with the refused redial", err)
 	}
 }
 
@@ -440,7 +442,7 @@ func TestKilledShardSurfacesError(t *testing.T) {
 // asked — what a hostile remote shard can put on the wire.
 type forgedShard struct{ res core.ShardResult }
 
-func (f forgedShard) SearchShard(*core.QueryToken, int, core.SearchOptions) (core.ShardResult, error) {
+func (f forgedShard) SearchShardCancel(<-chan struct{}, *core.QueryToken, int, core.SearchOptions) (core.ShardResult, error) {
 	return f.res, nil
 }
 func (forgedShard) Insert(*core.InsertPayload) (int, error) { return 0, errors.New("forged shard") }

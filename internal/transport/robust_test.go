@@ -2,16 +2,16 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"ppanns/internal/core"
-	"ppanns/internal/dataset"
-	"ppanns/internal/index"
 )
 
 // withHandleHook installs a test hook into the server's request handler
@@ -168,9 +168,94 @@ func TestCancelRaceNeverPoisons(t *testing.T) {
 	}
 }
 
+// TestClientHealsAfterOutage: a client whose server goes away and comes
+// back on the same address answers again, with no redial by its caller.
+// During the outage concurrent calls fail fast — none hangs, none gets
+// another call's answer — and afterwards each concurrent call gets its own
+// answer over the one fresh connection. A Closed client never redials.
+func TestClientHealsAfterOutage(t *testing.T) {
+	_, user, d, srv := testWorld(t)
+	serve := func(addr string) (net.Listener, chan struct{}) {
+		l, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		done := make(chan struct{})
+		go func() { Serve(l, srv); close(done) }()
+		return l, done
+	}
+	l, done := serve("127.0.0.1:0")
+	addr := l.Addr().String()
+	client := NewClient(addr, DialOptions{DialTimeout: 2 * time.Second})
+	defer client.Close()
+
+	// One call per k, each with its own token, and the answer each must get.
+	const calls = 8
+	toks := queryTokens(t, user, d, calls)
+	want := make([][]int, calls)
+	for i := range want {
+		res, err := client.SearchShard(toks[i], i+1, core.SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.IDs
+	}
+	fanOut := func() []error {
+		errs := make([]error, calls)
+		var wg sync.WaitGroup
+		for i := range calls {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := client.SearchShard(toks[i], i+1, core.SearchOptions{})
+				if err == nil && !slices.Equal(res.IDs, want[i]) {
+					err = fmt.Errorf("call %d got %v, want %v", i, res.IDs, want[i])
+				}
+				errs[i] = err
+			}()
+		}
+		wg.Wait()
+		return errs
+	}
+
+	// The server goes away: Serve returns once its connections are closed.
+	l.Close()
+	<-done
+	start := time.Now()
+	for i, err := range fanOut() {
+		if err == nil {
+			t.Fatalf("call %d answered with the server down", i)
+		}
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("calls during the outage took %v, want fast failure", elapsed)
+	}
+
+	serve(addr)
+	for i, err := range fanOut() {
+		if err != nil {
+			t.Fatalf("call %d after the server returned: %v", i, err)
+		}
+	}
+	if client.Broken() != nil {
+		t.Fatalf("healed client reports %v", client.Broken())
+	}
+
+	client.Close()
+	if _, err := client.Len(); err == nil || !strings.Contains(err.Error(), "client closed") {
+		t.Fatalf("call on a closed client: %v, want it refused without a redial", err)
+	}
+	if c, err := Dial(addr); err != nil {
+		t.Fatalf("the server is up, yet: %v", err)
+	} else {
+		c.Close()
+	}
+}
+
 // TestChaosWireRedialLoop runs a client workload against a server behind a
 // hostile wire (seeded random delays and connection drops): calls may fail
-// when the wire snaps, but a fresh dial always recovers, answers are never
+// when the wire snaps, but the client redials itself, answers are never
 // corrupted, and most of the workload lands.
 func TestChaosWireRedialLoop(t *testing.T) {
 	d := startChaosServer(t, ChaosOptions{Seed: 42, DelayRate: 0.15, Delay: 500 * time.Microsecond, DropRate: 0.04})
@@ -179,24 +264,10 @@ func TestChaosWireRedialLoop(t *testing.T) {
 	if os.Getenv("PPANNS_CHAOS") == "1" {
 		iters = 400
 	}
-	var client *Client
-	t.Cleanup(func() {
-		if client != nil {
-			client.Close()
-		}
-	})
+	client := NewClient(d.addr, DialOptions{DialTimeout: 2 * time.Second})
+	defer client.Close()
 	ok := 0
 	for i := 0; i < iters; i++ {
-		if client == nil || client.Broken() != nil {
-			if client != nil {
-				client.Close()
-			}
-			c, err := DialWith(d.addr, DialOptions{DialTimeout: 2 * time.Second})
-			if err != nil {
-				continue
-			}
-			client = c
-		}
 		n, err := client.Len()
 		if err != nil {
 			continue
@@ -207,7 +278,7 @@ func TestChaosWireRedialLoop(t *testing.T) {
 		ok++
 	}
 	if ok < iters/2 {
-		t.Fatalf("only %d/%d calls landed; the redial loop is not recovering", ok, iters)
+		t.Fatalf("only %d/%d calls landed; the client is not recovering", ok, iters)
 	}
 }
 
@@ -219,19 +290,7 @@ type chaosWorld struct {
 // listener.
 func startChaosServer(t *testing.T, opts ChaosOptions) *chaosWorld {
 	t.Helper()
-	d := dataset.DeepLike(600, 10, 5)
-	owner, err := core.NewDataOwner(core.Params{Dim: d.Dim, Beta: 0.05, IndexOptions: index.Options{M: 12, EfConstruction: 100}, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	edb, err := owner.EncryptDatabase(d.Train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := core.NewServer(edb)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, _, _, srv := testWorld(t)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

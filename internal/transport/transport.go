@@ -25,11 +25,13 @@
 // Every frame carries ProtoVersion and nothing is negotiated: a frame of
 // another generation — the gob generations before 7 never form a frame of
 // this one — is refused with an error naming both; the server executes
-// nothing, the client poisons itself with ErrProtoMismatch. A frame whose
-// checksum fails, or whose header claims more than frame.MaxLen, is
-// refused the same way. A payload that fails to decode inside an intact
-// frame fails only its own call; I/O errors, an expired call deadline and
-// refused frames poison the client (ErrClientBroken).
+// nothing, the client poisons its connection with ErrProtoMismatch. A
+// frame whose checksum fails, or whose header claims more than
+// frame.MaxLen, is refused the same way. An error the server answers with
+// (ErrRefused), or a payload that fails to decode inside an intact frame,
+// fails only its own call. I/O errors, an expired call deadline and
+// refused frames poison the connection: the calls in flight on it fail,
+// and the Client's next call dials a fresh one.
 package transport
 
 import (
@@ -48,14 +50,36 @@ import (
 	"ppanns/internal/frame"
 )
 
-// ErrClientBroken wraps every call on a Client poisoned by an earlier
-// stream failure: its stream is no longer known to be at a frame
-// boundary. Dial a fresh Client to recover.
+// ErrClientBroken wraps the error of a call that found its connection
+// poisoned by an earlier stream failure: that stream is no longer known to
+// be at a frame boundary, so it is never used again. The Client's next
+// call dials a fresh connection.
 var ErrClientBroken = errors.New("transport: connection poisoned by an earlier stream error")
 
 // ErrProtoMismatch is the error of a frame stamped with another protocol
-// generation. Redialing the same peer cannot help.
+// generation. It poisons the connection, and against the same peer every
+// call redials and is refused again.
 var ErrProtoMismatch = frame.ErrGeneration
+
+// ErrRefused matches every error a server answered a call with (an opError
+// frame): a refusal of the request itself, such as a core validation
+// error. The connection stays healthy, and a replica tier counts the call
+// as answered. The error's message is the server's, unchanged.
+var ErrRefused = errors.New("transport: request refused by the server")
+
+// Refused marks err as a server's answer, matching ErrRefused with its
+// message unchanged; nil stays nil. shard.Local marks core's errors so.
+func Refused(err error) error {
+	if err == nil {
+		return nil
+	}
+	return refusal{err}
+}
+
+type refusal struct{ error }
+
+func (r refusal) Is(target error) bool { return target == ErrRefused }
+func (r refusal) Unwrap() error        { return r.error }
 
 // ProtoVersion is the one protocol generation this package speaks, stamped
 // on every frame.
@@ -232,7 +256,7 @@ func decodeResponse(want, got byte, p []byte) (resp response, err error) {
 	case err != nil:
 		return response{}, fmt.Errorf("transport: malformed %s response: %w", opName(got), err)
 	case got == opError:
-		return response{}, errors.New(resp.err)
+		return response{}, Refused(errors.New(resp.err))
 	}
 	return resp, nil
 }
@@ -446,12 +470,14 @@ func handle(srv *core.Server, req *request) response {
 // DialOptions configures a Client's deadlines. The zero value disables
 // them all — calls then wait indefinitely.
 type DialOptions struct {
-	// DialTimeout bounds the TCP connect (0 = the OS default).
+	// DialTimeout bounds each TCP connect, the first and every redial
+	// (0 = the OS default).
 	DialTimeout time.Duration
 	// Timeout is the per-call deadline: a call not answered within it
-	// fails and poisons the client. The demux could drop the late
-	// response by its seq instead, but a deadline expiry usually means
-	// the connection is sick: fail every call fast; redial to recover.
+	// fails and poisons its connection, and the Client's next call dials
+	// a fresh one. The demux could drop the late response by its seq
+	// instead, but a deadline expiry usually means the connection is sick:
+	// fail every call on it fast and start over.
 	Timeout time.Duration
 }
 
@@ -468,13 +494,29 @@ type pendingCall struct {
 	ch chan callResult
 }
 
-// Client is a connection to a remote PP-ANNS server, safe for concurrent
-// use. Concurrent calls pipeline over the single connection: each is tagged
-// with a seq id, and a demux goroutine routes responses — which the server
-// may complete out of order — back to their callers.
+// errClosed fails every call on, or in flight at, a Closed client.
+var errClosed = errors.New("transport: client closed")
+
+// Client is a self-healing connection to a remote PP-ANNS server, safe for
+// concurrent use. Concurrent calls pipeline over one connection: each is
+// tagged with a seq id, and a demux goroutine routes responses — which the
+// server may complete out of order — back to their callers. A stream
+// failure poisons that connection and fails the calls in flight on it; the
+// next call dials a fresh one. A Closed client never redials.
 type Client struct {
-	conn net.Conn
+	addr string
 	opts DialOptions
+
+	mu     sync.Mutex
+	cur    *clientConn // nil until the first dial
+	closed bool
+}
+
+// clientConn is one connection of a Client and everything that lives and
+// dies with it.
+type clientConn struct {
+	nc      net.Conn
+	timeout time.Duration
 
 	wmu  sync.Mutex // serializes request frames onto the connection
 	wbuf []byte     // the request being written; grows to fit
@@ -482,12 +524,11 @@ type Client struct {
 	mu      sync.Mutex
 	seq     uint64
 	pending map[uint64]pendingCall
-	// broken records the first stream-level failure. Once set every later
-	// call fails fast wrapping ErrClientBroken. Errors inside intact
+	// broken records the first stream-level failure. Once set the
+	// connection is closed and never used again. Errors inside intact
 	// frames (an error response, a payload that does not decode) fail
 	// only their own call.
 	broken error
-	closed bool
 }
 
 // Dial connects to a server started with Serve, with no deadlines.
@@ -495,64 +536,97 @@ func Dial(addr string) (*Client, error) {
 	return DialWith(addr, DialOptions{})
 }
 
-// DialWith is Dial with explicit deadline options.
+// DialWith is Dial with explicit deadline options. It connects at once;
+// NewClient connects on first use instead.
 func DialWith(addr string, opts DialOptions) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
+	c := NewClient(addr, opts)
+	if _, err := c.conn(); err != nil {
+		return nil, err
 	}
-	c := &Client{conn: conn, opts: opts, pending: make(map[uint64]pendingCall)}
-	go c.demux()
 	return c, nil
+}
+
+// NewClient returns a client of the server at addr that connects on its
+// first call, so a server down at construction fails calls, not this.
+func NewClient(addr string, opts DialOptions) *Client {
+	return &Client{addr: addr, opts: opts}
+}
+
+// conn returns the current connection, dialing a fresh one if there is
+// none yet or the current one is poisoned.
+func (c *Client) conn() (*clientConn, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil, errClosed
+	}
+	if c.cur != nil && c.cur.err() == nil {
+		return c.cur, nil
+	}
+	nc, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+	if err != nil {
+		return nil, fmt.Errorf("transport: dial %s: %w", c.addr, err)
+	}
+	c.cur = &clientConn{nc: nc, timeout: c.opts.Timeout, pending: make(map[uint64]pendingCall)}
+	go c.cur.demux()
+	return c.cur, nil
 }
 
 // Close tears down the connection; pending and future calls fail.
 func (c *Client) Close() error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.closed = true
-	c.mu.Unlock()
-	return c.conn.Close()
+	if c.cur != nil {
+		c.cur.fail(errClosed)
+	}
+	return nil
 }
 
-// Broken returns the stream error that poisoned this client, or nil while
-// the connection is healthy.
+// Broken returns the stream error that poisoned the current connection,
+// which the next call replaces, or nil while it is healthy or undialed.
 func (c *Client) Broken() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.broken
+	if c.cur == nil {
+		return nil
+	}
+	return c.cur.err()
 }
 
-// fail poisons the client: it records the first stream-level error, closes
-// the connection (unblocking the demux loop and any blocked writers), and
-// delivers the error to every pending call exactly once.
-func (c *Client) fail(err error) {
-	c.mu.Lock()
-	if c.broken == nil {
-		c.broken = err
+// err returns the stream error that poisoned cn, or nil.
+func (cn *clientConn) err() error {
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	return cn.broken
+}
+
+// fail poisons the connection: it records the first stream-level error,
+// closes the socket (unblocking the demux loop and any blocked writers),
+// and delivers the error to every pending call exactly once.
+func (cn *clientConn) fail(err error) {
+	cn.mu.Lock()
+	if cn.broken == nil {
+		cn.broken = err
 	}
-	pend := c.pending
-	c.pending = make(map[uint64]pendingCall)
-	c.mu.Unlock()
-	c.conn.Close()
+	pend := cn.pending
+	cn.pending = make(map[uint64]pendingCall)
+	cn.mu.Unlock()
+	cn.nc.Close()
 	for _, pc := range pend {
 		pc.ch <- callResult{err: err}
 	}
 }
 
-// demux is the Client's single reader: it reads response frames off the
-// connection, decodes each for the call registered under its seq and
+// demux is the connection's single reader: it reads response frames off
+// the socket, decodes each for the call registered under its seq and
 // delivers it.
-func (c *Client) demux() {
-	fr := frame.NewEnvelopeReader(c.conn, ProtoVersion)
+func (cn *clientConn) demux() {
+	fr := frame.NewEnvelopeReader(cn.nc, ProtoVersion)
 	for {
 		op, seq, payload, err := fr.Next()
 		if err != nil {
-			c.mu.Lock()
-			closed := c.closed
-			c.mu.Unlock()
 			switch {
-			case closed:
-				err = fmt.Errorf("transport: client closed")
 			case errors.Is(err, frame.ErrEnvelope):
 				// Whatever the frame says is not this generation's to
 				// read, or not what the server sent; deliver none of it.
@@ -561,15 +635,16 @@ func (c *Client) demux() {
 			default:
 				err = fmt.Errorf("transport: receive: %w", err)
 			}
-			c.fail(err)
+			// A Closed client's fail came first and its error stands.
+			cn.fail(err)
 			return
 		}
-		c.mu.Lock()
-		pc, ok := c.pending[seq]
+		cn.mu.Lock()
+		pc, ok := cn.pending[seq]
 		if ok {
-			delete(c.pending, seq)
+			delete(cn.pending, seq)
 		}
-		c.mu.Unlock()
+		cn.mu.Unlock()
 		if !ok {
 			// A response with no waiter (an abandoned call's late answer,
 			// a stray frame from a confused server) is dropped.
@@ -583,61 +658,71 @@ func (c *Client) demux() {
 // ErrAbandoned is returned by cancellable calls whose cancel channel fired
 // before the response arrived. The call is abandoned locally — the request
 // stays in flight on the server and its response, when it comes, is
-// dropped by seq — and the client remains healthy for subsequent calls.
+// dropped by seq — and the connection remains healthy for subsequent calls.
 var ErrAbandoned = errors.New("transport: call abandoned by caller")
 
 // abandon unregisters a pending call without poisoning the stream. It
 // reports whether the call was still pending: false means the demux (or a
 // failure) already resolved it and the caller should collect the result
 // from its channel instead.
-func (c *Client) abandon(seq uint64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.pending[seq]; !ok {
+func (cn *clientConn) abandon(seq uint64) bool {
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	if _, ok := cn.pending[seq]; !ok {
 		return false
 	}
-	delete(c.pending, seq)
+	delete(cn.pending, seq)
 	return true
+}
+
+// roundTrip is the current connection's, dialing one first if needed.
+func (c *Client) roundTrip(req *request, cancel <-chan struct{}) (response, error) {
+	cn, err := c.conn()
+	if err != nil {
+		return response{}, err
+	}
+	return cn.roundTrip(req, cancel)
 }
 
 // roundTrip sends req and waits for its response, the zero response with
 // any error. If cancel (nil never fires) is closed first the call returns
 // ErrAbandoned without waiting and without poisoning the multiplexed
 // stream (the hedged-read loser path).
-func (c *Client) roundTrip(req *request, cancel <-chan struct{}) (response, error) {
-	c.mu.Lock()
-	if c.broken != nil {
-		err := fmt.Errorf("%w (cause: %w)", ErrClientBroken, c.broken)
-		c.mu.Unlock()
+func (cn *clientConn) roundTrip(req *request, cancel <-chan struct{}) (response, error) {
+	cn.mu.Lock()
+	if cn.broken != nil {
+		// Poisoned between Client.conn and here: the next call redials.
+		err := fmt.Errorf("%w (cause: %w)", ErrClientBroken, cn.broken)
+		cn.mu.Unlock()
 		return response{}, err
 	}
-	c.seq++
-	seq := c.seq
+	cn.seq++
+	seq := cn.seq
 	ch := make(chan callResult, 1)
-	c.pending[seq] = pendingCall{op: req.op, ch: ch}
-	c.mu.Unlock()
+	cn.pending[seq] = pendingCall{op: req.op, ch: ch}
+	cn.mu.Unlock()
 
-	c.wmu.Lock()
+	cn.wmu.Lock()
 	var err error
-	c.wbuf, err = frame.AppendEnvelope(c.wbuf[:0], ProtoVersion, req.op, seq, func(b []byte) []byte { return appendRequest(b, req) })
+	cn.wbuf, err = frame.AppendEnvelope(cn.wbuf[:0], ProtoVersion, req.op, seq, func(b []byte) []byte { return appendRequest(b, req) })
 	if err != nil {
 		err = fmt.Errorf("transport: %s request: %w", opName(req.op), err)
 		// Nothing was written: only this call fails.
-		c.wmu.Unlock()
-		c.abandon(seq)
+		cn.wmu.Unlock()
+		cn.abandon(seq)
 		return response{}, err
 	}
-	_, err = c.conn.Write(c.wbuf)
-	c.wmu.Unlock()
+	_, err = cn.nc.Write(cn.wbuf)
+	cn.wmu.Unlock()
 	if err != nil {
 		err = fmt.Errorf("transport: send: %w", err)
-		c.fail(err)
+		cn.fail(err)
 		return response{}, err
 	}
 
 	var timeout <-chan time.Time
-	if c.opts.Timeout > 0 {
-		t := time.NewTimer(c.opts.Timeout)
+	if cn.timeout > 0 {
+		t := time.NewTimer(cn.timeout)
 		defer t.Stop()
 		timeout = t.C
 	}
@@ -645,7 +730,7 @@ func (c *Client) roundTrip(req *request, cancel <-chan struct{}) (response, erro
 	case r := <-ch:
 		return r.resp, r.err
 	case <-cancel:
-		if c.abandon(seq) {
+		if cn.abandon(seq) {
 			return response{}, ErrAbandoned
 		}
 		// The demux resolved the call in the same instant the cancel
@@ -654,8 +739,8 @@ func (c *Client) roundTrip(req *request, cancel <-chan struct{}) (response, erro
 		r := <-ch
 		return r.resp, r.err
 	case <-timeout:
-		err := fmt.Errorf("transport: call timed out after %v", c.opts.Timeout)
-		c.fail(err)
+		err := fmt.Errorf("transport: call timed out after %v", cn.timeout)
+		cn.fail(err)
 		return response{}, err
 	}
 }

@@ -25,6 +25,20 @@ import (
 // pieces a client needs.
 func startWorld(t *testing.T) (*core.DataOwner, *core.User, *dataset.Data, string) {
 	t.Helper()
+	owner, user, d, srv := testWorld(t)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go Serve(l, srv)
+	return owner, user, d, l.Addr().String()
+}
+
+// testWorld builds the standard test world: a server over 600 deep-like
+// vectors, the owner and a user of its key, and the data.
+func testWorld(t *testing.T) (*core.DataOwner, *core.User, *dataset.Data, *core.Server) {
+	t.Helper()
 	d := dataset.DeepLike(600, 10, 5)
 	owner, err := core.NewDataOwner(core.Params{Dim: d.Dim, Beta: 0.05, IndexOptions: index.Options{M: 12, EfConstruction: 100}, Seed: 5})
 	if err != nil {
@@ -42,13 +56,7 @@ func startWorld(t *testing.T) (*core.DataOwner, *core.User, *dataset.Data, strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	go Serve(l, srv)
-	return owner, user, d, l.Addr().String()
+	return owner, user, d, srv
 }
 
 func TestSearchOverTCP(t *testing.T) {
@@ -221,30 +229,21 @@ func queryTokens(t *testing.T, user *core.User, d *dataset.Data, n int) []*core.
 }
 
 // TestClientPoisonedAfterStreamError: after a garbled response — bytes
-// that are no frame of this generation — the client must refuse further
-// calls with ErrClientBroken instead of pairing requests with stale or
-// misaligned responses.
+// that are no frame of this generation — the client must never read that
+// stream again: the connection is poisoned, and the next call dials a
+// fresh one instead of pairing requests with stale or misaligned
+// responses.
 func TestClientPoisonedAfterStreamError(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
+	var accepted atomic.Int32
+	addr := fakeServer(t, func(conn net.Conn) {
 		// Read the request bytes, answer with garbage, keep the conn open:
 		// a crashed or misbehaving server mid-stream.
-		buf := make([]byte, 4096)
-		conn.Read(buf)
+		accepted.Add(1)
+		conn.Read(make([]byte, 4096))
 		conn.Write([]byte("this is not a frame"))
-		time.Sleep(10 * time.Second)
-		conn.Close()
-	}()
-
-	client, err := Dial(l.Addr().String())
+		io.Copy(io.Discard, conn)
+	})
+	client, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,17 +255,17 @@ func TestClientPoisonedAfterStreamError(t *testing.T) {
 	if client.Broken() == nil {
 		t.Fatal("client did not record the stream error")
 	}
-	// Subsequent calls fail fast with the sentinel — no network I/O, no
-	// misaligned decode.
+	// The next call redials: it meets the garbage again on a second
+	// connection, fails the same way, and fails fast.
 	start := time.Now()
-	if _, err := client.Len(); !errors.Is(err, ErrClientBroken) {
-		t.Fatalf("err = %v, want ErrClientBroken", err)
+	if _, err := client.Len(); err == nil || errors.Is(err, ErrClientBroken) {
+		t.Fatalf("err = %v, want the fresh connection's stream error", err)
 	}
-	if _, err := client.Search(nil, 1, core.SearchOptions{}); err == nil {
-		t.Fatal("Search on poisoned client did not error")
+	if n := accepted.Load(); n != 2 {
+		t.Fatalf("the server saw %d connections, want 2: one per call", n)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("poisoned client took %v to fail, want fast failure", elapsed)
+		t.Fatalf("redialed call took %v to fail, want fast failure", elapsed)
 	}
 }
 
@@ -500,8 +499,9 @@ func errorText(t *testing.T, payload []byte) string {
 	return msg
 }
 
-// fakeServer accepts one connection on a fresh listener and hands it to
-// serve; it returns the listener's address.
+// fakeServer hands every connection a fresh listener accepts to serve, on
+// its own goroutine, so a client that redials meets the same fake; it
+// returns the listener's address.
 func fakeServer(t *testing.T, serve func(conn net.Conn)) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -510,12 +510,16 @@ func fakeServer(t *testing.T, serve func(conn net.Conn)) string {
 	}
 	t.Cleanup(func() { l.Close() })
 	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				serve(conn)
+			}()
 		}
-		defer conn.Close()
-		serve(conn)
 	}()
 	return l.Addr().String()
 }
@@ -581,8 +585,8 @@ func TestOtherGenerationRefused(t *testing.T) {
 		if n != 0 || !errors.Is(err, ErrProtoMismatch) || !strings.Contains(err.Error(), names[0]) || !strings.Contains(err.Error(), names[1]) {
 			t.Fatalf("stamp %d as server: Len = %d, %v, want ErrProtoMismatch naming both generations", stamp, n, err)
 		}
-		if _, err := client.Len(); !errors.Is(err, ErrClientBroken) || !errors.Is(err, ErrProtoMismatch) {
-			t.Fatalf("stamp %d as server: second call err = %v, want a poisoned client that says why", stamp, err)
+		if _, err := client.Len(); !errors.Is(err, ErrProtoMismatch) || !strings.Contains(err.Error(), names[0]) {
+			t.Fatalf("stamp %d as server: second call err = %v, want a redial refused again", stamp, err)
 		}
 		client.Close()
 	}
@@ -618,7 +622,7 @@ type gobResponse struct {
 // TestGobPeerRefused: a peer of a gob generation is refused in both
 // directions and nothing it sends executes. Its bytes never form a frame
 // of this generation, so the refusal is a header refusal: the server says
-// why and closes the connection; the client poisons itself.
+// why and closes the connection; the client poisons its connection.
 func TestGobPeerRefused(t *testing.T) {
 	owner, _, d, addr := startWorld(t)
 	p, err := owner.EncryptVector(d.Train[0])
@@ -740,7 +744,7 @@ func TestMalformedPayloadFailsOnlyItsCall(t *testing.T) {
 
 // TestOversizedFrameRefused: a header claiming more than frame.MaxLen is
 // refused before anything is allocated — by the server, which says why
-// and closes, and by the client, which poisons itself.
+// and closes, and by the client, which poisons its connection.
 func TestOversizedFrameRefused(t *testing.T) {
 	huge := append(frame.AppendU32(nil, frame.MaxLen+1), rawFrame(ProtoVersion, opLen, 1, nil)[4:]...)
 
@@ -789,7 +793,7 @@ func TestOversizedFrameRefused(t *testing.T) {
 // TestFlippedBitRefused: every frame carries a CRC, so one flipped payload
 // bit is refused in both directions like a frame of another generation —
 // the server names the checksum, executes nothing and closes; the client
-// poisons itself and delivers nothing.
+// poisons the connection and delivers nothing, and its next call redials.
 func TestFlippedBitRefused(t *testing.T) {
 	owner, _, d, addr := startWorld(t)
 	payload, err := owner.EncryptVector(d.Train[0])
@@ -845,8 +849,8 @@ func TestFlippedBitRefused(t *testing.T) {
 	if n, err := fc.Len(); n != 0 || err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("a flipped answer gave Len = %d, %v, want a checksum refusal", n, err)
 	}
-	if _, err := fc.Len(); !errors.Is(err, ErrClientBroken) || !errors.Is(err, frame.ErrEnvelope) {
-		t.Fatalf("second call after a flipped answer: %v, want a poisoned client that says why", err)
+	if _, err := fc.Len(); !errors.Is(err, frame.ErrEnvelope) || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("second call after a flipped answer: %v, want a redial refused again", err)
 	}
 }
 
@@ -969,9 +973,10 @@ func TestStrayFrameDropped(t *testing.T) {
 	}
 }
 
-// TestCallTimeoutOnStalledServer covers the deadline satellite: a server
-// that accepts and then never answers must fail the call within the
-// configured deadline and poison the client — not hang it forever.
+// TestCallTimeoutOnStalledServer: a server that accepts and then never
+// answers must fail the call within the configured deadline and poison
+// the connection — not hang it forever. The next call redials and meets
+// the same deadline.
 func TestCallTimeoutOnStalledServer(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -1007,10 +1012,14 @@ func TestCallTimeoutOnStalledServer(t *testing.T) {
 		t.Fatalf("timed-out call took %v", elapsed)
 	}
 	if client.Broken() == nil {
-		t.Fatal("timeout did not poison the client")
+		t.Fatal("timeout did not poison the connection")
 	}
-	if _, err := client.Len(); !errors.Is(err, ErrClientBroken) {
-		t.Fatalf("call after timeout: err = %v, want ErrClientBroken", err)
+	start = time.Now()
+	if _, err := client.Len(); err == nil || !strings.Contains(err.Error(), "timed out") {
+		t.Fatalf("call after timeout: err = %v, want a redial that times out again", err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("redialed call took %v", elapsed)
 	}
 }
 
