@@ -81,7 +81,9 @@ func b2u(b bool) uint64 {
 // index, PQ tier — byte for byte in the database file, whether
 // EncryptDatabase ran on one core or four. Every stage is parallel (per-
 // record streams, blocked key inversion, batched HNSW build, k-means
-// assignment, PQ encoding), so each is a way this could fail.
+// assignment, PQ encoding), so each is a way this could fail. So are the
+// three stripes of a Split, built side by side: on one worker, and on more
+// workers than stripes.
 func TestSeedFixesBytesOnAnyCoreCount(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	data := clustered(91, 700, 12, 5)
@@ -96,6 +98,7 @@ func TestSeedFixesBytesOnAnyCoreCount(t *testing.T) {
 		params := c.params
 		t.Run(c.name, func(t *testing.T) {
 			var wantDB, wantKey []byte
+			var wantStripes [][]byte
 			for _, procs := range []int{1, 4} {
 				runtime.GOMAXPROCS(procs)
 				owner, err := NewDataOwner(params)
@@ -105,6 +108,18 @@ func TestSeedFixesBytesOnAnyCoreCount(t *testing.T) {
 				edb, err := owner.EncryptDatabase(data)
 				if err != nil {
 					t.Fatal(err)
+				}
+				parts, err := edb.Split(3, index.Options{Seed: 7})
+				if err != nil {
+					t.Fatal(err)
+				}
+				stripes := make([][]byte, len(parts))
+				for s, part := range parts {
+					var b bytes.Buffer
+					if err := part.Save(&b); err != nil {
+						t.Fatal(err)
+					}
+					stripes[s] = b.Bytes()
 				}
 				srv, err := NewServer(edb)
 				if err != nil {
@@ -126,8 +141,13 @@ func TestSeedFixesBytesOnAnyCoreCount(t *testing.T) {
 					t.Fatal(err)
 				}
 				if wantDB == nil {
-					wantDB, wantKey = db, key.Bytes()
+					wantDB, wantKey, wantStripes = db, key.Bytes(), stripes
 					continue
+				}
+				for s := range stripes {
+					if !bytes.Equal(stripes[s], wantStripes[s]) {
+						t.Errorf("stripe %d of Split(3) differs between GOMAXPROCS 1 and %d", s, procs)
+					}
 				}
 				if !bytes.Equal(key.Bytes(), wantKey) {
 					t.Errorf("user key differs between GOMAXPROCS 1 and %d", procs)

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"ppanns/internal/index"
+	"ppanns/internal/par"
 	"ppanns/internal/pq"
 	"ppanns/internal/vec"
 )
@@ -150,7 +152,8 @@ func (e *EncryptedDatabase) Compacted() (*EncryptedDatabase, error) {
 // opts configures the per-shard index builds; zero values select the
 // backend's documented defaults. A non-zero Seed is decorrelated per shard
 // (shard s builds with Seed+s+1); Seed 0 builds every shard with seed 0.
-// The source database is not modified.
+// The source database is not modified. The stripes are built side by side:
+// each is a function of its rows and seed, so no byte depends on core count.
 func (e *EncryptedDatabase) Split(n int, opts index.Options) ([]*EncryptedDatabase, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: non-positive shard count %d", n)
@@ -160,8 +163,8 @@ func (e *EncryptedDatabase) Split(n int, opts index.Options) ([]*EncryptedDataba
 		return nil, fmt.Errorf("core: cannot split %d vectors across %d shards", total, n)
 	}
 
-	shards := make([]*EncryptedDatabase, n)
-	for s := range shards {
+	shards, errs := make([]*EncryptedDatabase, n), make([]error, n)
+	par.Spans(runtime.GOMAXPROCS(0), n, 1, func(_, s, _ int) {
 		ids := make([]int, (total-s+n-1)/n) // |{g ∈ [0, total) : g ≡ s (mod n)}|
 		for local := range ids {
 			ids[local] = local*n + s
@@ -170,13 +173,14 @@ func (e *EncryptedDatabase) Split(n int, opts index.Options) ([]*EncryptedDataba
 		if o.Seed != 0 {
 			o.Seed = opts.Seed + uint64(s) + 1
 		}
-		shard, err := e.gather(ids, func(rows *vec.Dataset, live []bool) (index.SecureIndex, error) {
+		shards[s], errs[s] = e.gather(ids, func(rows *vec.Dataset, live []bool) (index.SecureIndex, error) {
 			return index.BuildOver(e.Backend, rows, live, o)
 		})
+	})
+	for s, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("core: shard %d: %w", s, err)
 		}
-		shards[s] = shard
 	}
 	return shards, nil
 }

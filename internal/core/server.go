@@ -762,6 +762,8 @@ func (s *Server) CompactionStats() CompactionStats {
 // write-path bloat on top: the delta-tier records awaiting the next fold,
 // each a SAP row, a DCE record and, with a PQ tier, a code row.
 type MemoryStats struct {
+	// N is Len(): the id space, tombstones included, not the live record
+	// count. Every per-point figure divides by it.
 	N          int
 	SAP        float64
 	DCE        float64

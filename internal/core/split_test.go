@@ -95,6 +95,14 @@ func TestSplitValidation(t *testing.T) {
 	if parts, err := flushed(t, w.server).Split(1, index.Options{}); err != nil || len(parts) != 1 {
 		t.Fatalf("single-shard split: %d parts, %v", len(parts), err)
 	}
+	// Every stripe's build fails; the stripes are built side by side, and
+	// the error is the lowest-numbered stripe's.
+	unknown := *flushed(t, w.server)
+	unknown.Backend = "no-such-index"
+	parts, err := unknown.Split(3, index.Options{})
+	if err == nil || !strings.HasPrefix(err.Error(), "core: shard 0: ") || parts != nil {
+		t.Fatalf("split over an unregistered backend: %d stripes, %v; want none and a shard 0 error", len(parts), err)
+	}
 }
 
 // contractBreaker wraps a SecureIndex, dropping the last record from

@@ -1,9 +1,11 @@
 // Package frame is the one binary codec at every trust boundary: the wire
 // protocol (internal/transport), the write-ahead log (internal/wal), the
 // key files (dce, dcpe, core's user key) and the database file all write
-// little-endian integers, floats, runs and strings in one layout. Frames
-// that sit in memory whole are built with the Append functions and read
-// with a Reader, whose views alias the frame. The wire's messages and the
+// little-endian integers, floats, runs and strings in one layout; a float64
+// or int32 run is one copy of its memory on a little-endian host, element
+// by element on a big-endian one, the same bytes either way. Frames that
+// sit in memory whole are built with the Append functions and read with a
+// Reader, whose views alias the frame. The wire's messages and the
 // log's records travel in one envelope (envelope.go): a length, a
 // generation, a tag, a word, the payload and a CRC32C, written by
 // AppendEnvelope and read by an EnvelopeReader. The database file, too
@@ -56,10 +58,8 @@ func AppendF64(b []byte, v float64) []byte { return AppendU64(b, math.Float64bit
 // AppendFloatRun appends v without a count: the reader knows it.
 func AppendFloatRun(b []byte, v []float64) []byte {
 	b = grow(b, 8*len(v))
-	for _, x := range v {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-	}
-	return b
+	putFloats(b[len(b):len(b)+8*len(v)], v)
+	return b[:len(b)+8*len(v)]
 }
 
 // AppendFloats appends [count u32][float64 × count].
@@ -194,11 +194,8 @@ func (r *Reader) FloatRun(n int) []float64 {
 	if !r.Want(n, 8) || n == 0 {
 		return nil
 	}
-	p := r.take(8 * n)
 	v := make([]float64, n)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
-	}
+	getFloats(v, r.take(8*n))
 	return v
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 )
 
 // streamChunk is the staging size of an Encoder and a Decoder: large
@@ -75,9 +74,7 @@ func (e *Encoder) Int(v int) { e.U64(uint64(int64(v))) }
 func (e *Encoder) FloatRun(v []float64) {
 	for len(v) > 0 {
 		p := e.next(len(v), 8)
-		for i := range len(p) / 8 {
-			binary.LittleEndian.PutUint64(p[8*i:], math.Float64bits(v[i]))
-		}
+		putFloats(p, v[:len(p)/8])
 		v = v[len(p)/8:]
 	}
 }
@@ -86,9 +83,7 @@ func (e *Encoder) FloatRun(v []float64) {
 func (e *Encoder) Int32Run(v []int32) {
 	for len(v) > 0 {
 		p := e.next(len(v), 4)
-		for i := range len(p) / 4 {
-			binary.LittleEndian.PutUint32(p[4*i:], uint32(v[i]))
-		}
+		putInt32s(p, v[:len(p)/4])
 		v = v[len(p)/4:]
 	}
 }
@@ -206,28 +201,18 @@ func (d *Decoder) Int() int { return int(int64(d.U64())) }
 
 // FloatRun fills dst with the next len(dst) float64s.
 func (d *Decoder) FloatRun(dst []float64) {
-	for len(dst) > 0 {
+	for len(dst) > 0 && d.err == nil {
 		p := d.next(len(dst), 8)
-		if p == nil {
-			return
-		}
-		for i := range len(p) / 8 {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
-		}
+		getFloats(dst[:len(p)/8], p)
 		dst = dst[len(p)/8:]
 	}
 }
 
 // Int32Run fills dst with the next len(dst) little-endian int32s.
 func (d *Decoder) Int32Run(dst []int32) {
-	for len(dst) > 0 {
+	for len(dst) > 0 && d.err == nil {
 		p := d.next(len(dst), 4)
-		if p == nil {
-			return
-		}
-		for i := range len(p) / 4 {
-			dst[i] = int32(binary.LittleEndian.Uint32(p[4*i:]))
-		}
+		getInt32s(dst[:len(p)/4], p)
 		dst = dst[len(p)/4:]
 	}
 }
