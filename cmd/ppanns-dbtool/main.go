@@ -231,7 +231,7 @@ func runSplit(args []string) error {
 			return err
 		}
 		fmt.Printf("shard %d: %d vectors (%d live, %s index) → %s\n",
-			s, p.Len(), p.DCE.Live(), p.Backend, out)
+			s, p.Len(), p.Live(), p.Backend, out)
 	}
 	fmt.Printf("global id g lives on shard g %% %d at local position g / %d; serve each file and point a shard coordinator at all of them\n",
 		*shards, *shards)

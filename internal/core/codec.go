@@ -129,6 +129,8 @@ func ReadShardResult(r *frame.Reader) ShardResult {
 }
 
 // AppendMemoryStats appends [N DeltaBytes i64] [SAP DCE PQCodes PQBook f64].
+// Live is not written: the info answer that carries the stats states it
+// beside them, and its reader fills it in.
 func AppendMemoryStats(b []byte, m *MemoryStats) []byte {
 	b = frame.AppendInt(frame.AppendInt(b, m.N), m.DeltaBytes)
 	for _, v := range []float64{m.SAP, m.DCE, m.PQCodes, m.PQBook} {

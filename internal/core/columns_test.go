@@ -11,10 +11,10 @@ import (
 )
 
 // TestColumnsSpanIDSpace pins the column layout the filter reads through
-// one distance provider: the SAP, DCE and PQ columns each span [0, Len),
-// the SAP column agrees bit for bit with the filter index on every live
-// main-tier id, and on a clean database the column is the index's own row
-// arena, not a copy. It checks the served golden's four points of a
+// one distance provider: the SAP, DCE and PQ columns and the ids each span
+// every slot, the ids rise strictly through the id space, the SAP column
+// agrees bit for bit with the filter index on every main-tier slot, and on
+// a clean database the column is the index's own row arena, not a copy. It checks the served golden's four points of a
 // WAL-backed server's life (fresh; delta tier plus tombstones in both
 // tiers; after Compact; after OpenServer replays a second round), then
 // both parts of Split(2) and Compacted() of the flushed database.
@@ -86,7 +86,7 @@ func TestColumnsSpanIDSpace(t *testing.T) {
 			served("reopened")
 
 			// The relayouts: each result is clean, and its rows are the
-			// source rows its id map names.
+			// source rows its ids name.
 			flat := flushed(t, srv)
 			checkColumns(t, "flushed", flat, flat.Len(), true, nil)
 			parts, err := flat.Split(2, index.Options{Seed: 7})
@@ -96,9 +96,13 @@ func TestColumnsSpanIDSpace(t *testing.T) {
 			for s, part := range parts {
 				point := fmt.Sprintf("split part %d", s)
 				checkColumns(t, point, part, part.Len(), true, nil)
-				for local := range part.Len() {
-					if part.DCE.Has(local) && !sameBits(part.SAP.At(local), flat.SAP.At(2*local+s)) {
-						t.Fatalf("%s: local id %d is not global id %d's row", point, local, 2*local+s)
+				if want := (flat.Len() - s + 1) / 2; part.Len() != want {
+					t.Fatalf("%s: id space %d, want %d", point, part.Len(), want)
+				}
+				for slot, local := range part.ids {
+					g, ok := flat.slot(2*int(local) + s)
+					if !ok || !sameBits(part.SAP.At(slot), flat.SAP.At(g)) {
+						t.Fatalf("%s: local id %d is not global id %d's row", point, local, 2*int(local)+s)
 					}
 				}
 			}
@@ -107,59 +111,51 @@ func TestColumnsSpanIDSpace(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkColumns(t, "Compacted", comp, comp.Len(), true, nil)
-			j := 0
-			for id := range flat.Len() {
-				if flat.DCE.Has(id) {
-					if !sameBits(comp.SAP.At(j), flat.SAP.At(id)) {
-						t.Fatalf("Compacted: id %d is not source id %d's row", j, id)
-					}
-					j++
+			if comp.Len() != flat.Live() {
+				t.Fatalf("Compacted: id space %d, %d records", comp.Len(), flat.Live())
+			}
+			for slot := range flat.Live() {
+				if comp.ids[slot] != int32(slot) || !sameBits(comp.SAP.At(slot), flat.SAP.At(slot)) {
+					t.Fatalf("Compacted: slot %d is not source slot %d's row under id %d", slot, slot, slot)
 				}
 			}
 		})
 	}
 }
 
-// checkColumns checks e's columns: SAP, DCE and (when present) PQ span
-// [0, Len); every live id in inserted has the SAP row its insert carried;
-// below frozen every live id's SAP row is the index's vector, bit for bit,
-// and every dead id's row is zero; and on a clean database the column
-// shares the index's row arena.
+// checkColumns checks e's columns: SAP, DCE, (when present) PQ and the ids
+// span every slot, and the ids rise strictly below the id space; every id
+// in inserted has the SAP row its insert carried; every slot of an id
+// below frozen has the index's vector as its SAP row, bit for bit; and on
+// a clean database the column shares the index's row arena.
 func checkColumns(t *testing.T, point string, e *EncryptedDatabase, frozen int, clean bool, inserted map[int][]float64) {
 	t.Helper()
-	n := e.DCE.Len()
-	if e.SAP.Len() != n {
-		t.Fatalf("%s: SAP column holds %d rows, DCE %d", point, e.SAP.Len(), n)
+	n := e.Live()
+	if e.SAP.Len() != n || e.DCE.Len() != n {
+		t.Fatalf("%s: SAP column holds %d rows, DCE %d, ids %d", point, e.SAP.Len(), e.DCE.Len(), n)
 	}
 	if e.PQ != nil && e.PQ.Codes.Len() != n {
-		t.Fatalf("%s: PQ column holds %d rows, DCE %d", point, e.PQ.Codes.Len(), n)
+		t.Fatalf("%s: PQ column holds %d rows, ids %d", point, e.PQ.Codes.Len(), n)
 	}
-	first := -1
-	for id := range n {
-		row := e.SAP.At(id)
-		if !e.DCE.Has(id) {
-			if id < frozen && !sameBits(row, make([]float64, e.Dim)) {
-				t.Fatalf("%s: dead id %d has a non-zero SAP row", point, id)
-			}
-			continue
+	for slot, id := range e.ids {
+		if id < 0 || int(id) >= e.Len() || slot > 0 && id <= e.ids[slot-1] {
+			t.Fatalf("%s: slot %d holds id %d after %v, in an id space of %d", point, slot, id, e.ids[max(slot-1, 0)], e.Len())
 		}
-		if v, ok := inserted[id]; ok && !sameBits(row, v) {
+		row := e.SAP.At(slot)
+		if v, ok := inserted[int(id)]; ok && !sameBits(row, v) {
 			t.Fatalf("%s: id %d: SAP row differs from the inserted one", point, id)
 		}
-		if id >= frozen {
+		if int(id) >= frozen {
 			continue
 		}
-		v, ok := e.Index.Vector(id)
+		v, ok := e.Index.Vector(slot)
 		if !ok || !sameBits(row, v) {
 			t.Fatalf("%s: id %d: SAP row differs from the index's vector (index has it: %v)", point, id, ok)
 		}
-		if first < 0 {
-			first = id
-		}
 	}
-	if clean && first >= 0 {
-		v, _ := e.Index.Vector(first)
-		if &e.SAP.At(first)[0] != &v[0] {
+	if clean && n > 0 {
+		v, _ := e.Index.Vector(0)
+		if &e.SAP.At(0)[0] != &v[0] {
 			t.Fatalf("%s: the SAP column is a copy of the index's rows, not the index's arena", point)
 		}
 	}
@@ -186,12 +182,12 @@ type midRebuildIndex struct {
 	during func()
 }
 
-func (m *midRebuildIndex) Rebuild(rows *vec.Dataset, live []bool) (index.SecureIndex, error) {
+func (m *midRebuildIndex) Rebuild(rows *vec.Dataset, ids []int32) (index.SecureIndex, error) {
 	if m.during != nil {
 		m.during()
 		m.during = nil
 	}
-	return m.SecureIndex.Rebuild(rows, live)
+	return m.SecureIndex.Rebuild(rows, ids)
 }
 
 // TestFoldGraftsMidRebuildInserts pins the fold's graft of the SAP column:

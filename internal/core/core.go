@@ -35,6 +35,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ppanns/internal/dce"
 	"ppanns/internal/dcpe"
@@ -130,42 +131,68 @@ type QueryToken struct {
 	Trapdoor *dce.Trapdoor
 }
 
-// EncryptedDatabase is the server-side state: three columns over the id
-// space [0, Len) — the C_SAP vectors, the DCE ciphertexts and, optionally,
-// the PQ codes — plus the filter index over the SAP vectors.
+// EncryptedDatabase is the server-side state: three columns — the C_SAP
+// vectors, the DCE ciphertexts and, optionally, the PQ codes — plus the
+// filter index over the SAP vectors, and the ids column that names the
+// record each row holds.
 //
-// External ids (what users see, and what index every column) are the data
-// owner's vector positions; every index backend returns
-// positions from Search, keeping any internal id remapping to itself.
+// Every column is indexed by slot, and every slot holds a live record:
+// a deleted record has no row anywhere. Slot j carries id ids[j], and ids
+// is strictly increasing, because ids are issued in order and every
+// re-layout keeps slot order; so id → slot is a binary search over it, and
+// the column is the one statement of which ids are live. Ids (what users
+// see, what Delete names and the shard tier stripes by) run over the id
+// space [0, Len), which keeps counting every id ever issued; the index
+// returns slots, which a search maps to ids once.
 type EncryptedDatabase struct {
 	Dim     int
 	Backend string
 	Index   index.SecureIndex
-	// SAP is the C_SAP column: row id is id's SAP ciphertext, a zero row
-	// at a dead slot. It is the database's one SAP row arena, which Save
-	// writes once, in a section of its own: the index holds only topology
-	// and reads the rows of the column it was built over or loaded with,
-	// in place. A server appends inserts past the index's rows,
-	// copy-on-write, so the column keeps spanning [0, Len) while the index
-	// covers the prefix it was built over.
+	// SAP is the C_SAP column: row j is slot j's SAP ciphertext. It is the
+	// database's one SAP row arena, which Save writes once, in a section of
+	// its own: the index holds only topology and reads the rows of the
+	// column it was built over or loaded with, in place. A server appends
+	// inserts past the index's rows, copy-on-write, so the column keeps
+	// spanning every slot while the index covers the prefix it was built
+	// over.
 	SAP *vec.Dataset
 	DCE *dce.CiphertextStore
 	// PQ is the compressed filter tier: a product-quantization codebook
-	// plus one M-byte code per position, trained server-side on the SAP
+	// plus one M-byte code per slot, trained server-side on the SAP
 	// ciphertexts (no new leakage — the codes are a lossy function of data
 	// the server already stores). Nil unless built with Params.PQ or
 	// loaded from a database file carrying a PQ section. When present it
-	// covers every position [0, Len).
+	// covers every slot.
 	PQ *pq.Store
+
+	// ids maps slot → id, strictly increasing; it is appended under the
+	// same copy-on-write discipline as the columns (see vec.Rows).
+	ids []int32
+	// n is the id space: the id the next insert is given.
+	n int
 }
 
-// Len returns the number of vectors in the encrypted database, including
-// tombstoned ones.
-func (e *EncryptedDatabase) Len() int { return e.DCE.Len() }
+// Len returns the id space: the number of ids ever issued, deleted ones
+// included, which is the id the next insert is given.
+func (e *EncryptedDatabase) Len() int { return e.n }
 
-// Live returns the number of non-tombstoned vectors — what Len counts
-// minus the deletions still holding their id slots.
-func (e *EncryptedDatabase) Live() int { return e.DCE.Live() }
+// Live returns the number of records held: one per slot of every column.
+func (e *EncryptedDatabase) Live() int { return len(e.ids) }
+
+// slot returns the slot holding id, and whether one does.
+func (e *EncryptedDatabase) slot(id int) (int, bool) {
+	if id < 0 || id >= e.n {
+		return 0, false
+	}
+	return slices.BinarySearch(e.ids, int32(id))
+}
+
+// toIDs maps the slots in s to their ids, in place.
+func (e *EncryptedDatabase) toIDs(s []int) {
+	for i, slot := range s {
+		s[i] = int(e.ids[slot])
+	}
+}
 
 // InsertPayload carries the ciphertexts of one new vector from the data
 // owner to the server (Section V-D insertion): the SAP vector and the DCE

@@ -33,6 +33,16 @@ func clustered(seed uint64, n, dim, clusters int) [][]float64 {
 	return out
 }
 
+// slotOf is the slot holding id in e, for a test that expects one to.
+func slotOf(t testing.TB, e *EncryptedDatabase, id int) int {
+	t.Helper()
+	slot, ok := e.slot(id)
+	if !ok {
+		t.Fatalf("id %d holds no slot", id)
+	}
+	return slot
+}
+
 // flushed is s.Flush() for a test that expects the flush to succeed.
 func flushed(t testing.TB, s *Server) *EncryptedDatabase {
 	t.Helper()

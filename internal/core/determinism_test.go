@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -16,12 +17,15 @@ import (
 )
 
 // contentDigest is the SHA-256 of what a database holds, independent of how
-// a file lays it out: Dim, Backend and the DCE component length, the live
-// mask and every DCE record, every id's Index.Vector, the PQ tier's
-// centroids, codes, TrainedOn and config, and the ids and filter distances
-// Index.SearchInto returns for the SAP rows of the first eight live ids.
-// The golden tests pin it beside the Save bytes, so a change of file
-// layout shows up as moved byte digests over an unmoved content digest.
+// a file lays it out: Dim, Backend and the DCE component length, then for
+// every id of the id space its liveness, its DCE record, its row of the
+// index and its PQ code — read by id through the id → slot map, so a
+// deleted id hashes as the zero record, absent row and zero code it was
+// when a dead slot held it — the PQ tier's centroids, TrainedOn and config,
+// and the ids and filter distances Index.SearchInto returns for the SAP
+// rows of the first eight live ids. The golden tests pin it beside the Save
+// bytes, so a change of file layout shows up as moved byte digests over an
+// unmoved content digest.
 func contentDigest(e *EncryptedDatabase) string {
 	h := sha256.New()
 	put := func(vs ...uint64) {
@@ -37,15 +41,23 @@ func contentDigest(e *EncryptedDatabase) string {
 	}
 	put(uint64(e.Dim), uint64(len(e.Backend)))
 	h.Write([]byte(e.Backend))
-	put(uint64(e.DCE.CtDim()), uint64(e.DCE.Len()))
+	put(uint64(e.DCE.CtDim()), uint64(e.Len()))
 	var probes [][]float64
-	for id := 0; id < e.DCE.Len(); id++ {
-		live := e.DCE.Has(id)
-		v, ok := e.Index.Vector(id)
-		put(b2u(live), b2u(ok))
-		floats(e.DCE.Record(id))
+	zero := make([]float64, 4*e.DCE.CtDim())
+	for id := 0; id < e.Len(); id++ {
+		slot, live := e.slot(id)
+		rec, v := zero, []float64(nil)
+		if live {
+			rec, v = e.DCE.Record(slot), e.SAP.At(slot)
+			iv, ok := e.Index.Vector(slot)
+			if !ok || !slices.Equal(iv, v) {
+				panic(fmt.Sprintf("id %d: slot %d's row of the index is not its SAP row", id, slot))
+			}
+		}
+		put(b2u(live), b2u(live))
+		floats(rec)
 		floats(v)
-		if ok && len(probes) < 8 {
+		if live && len(probes) < 8 {
 			probes = append(probes, v)
 		}
 	}
@@ -57,13 +69,18 @@ func contentDigest(e *EncryptedDatabase) string {
 		for _, block := range e.PQ.Book.Centroids() {
 			floats(block)
 		}
-		for id := 0; id < e.PQ.Codes.Len(); id++ {
-			h.Write(e.PQ.Codes.Row(id))
+		zero := make([]byte, e.PQ.Codes.Width())
+		for id := 0; id < e.Len(); id++ {
+			if slot, ok := e.slot(id); ok {
+				h.Write(e.PQ.Codes.Row(slot))
+			} else {
+				h.Write(zero)
+			}
 		}
 	}
 	for _, q := range probes {
 		for _, it := range e.Index.SearchInto(nil, q, 10, 50) {
-			put(uint64(it.ID), math.Float64bits(it.Dist))
+			put(uint64(e.ids[it.ID]), math.Float64bits(it.Dist))
 		}
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
@@ -241,9 +258,15 @@ func TestBuildStats(t *testing.T) {
 // re-captured when the file became PPANNSD6 (one frame stream under one
 // CRC32) and again when it became PPANNSD7 (each column written once, the
 // index sections topology only, the constant header and PQ words
-// dropped): the same content in the new layout. The PPANNSD7 digests are
-// those of commit 70d2083's PPANNSD6 files with their sections moved into
-// the new order and the dropped words cut out. The user-key digests were
+// dropped), and again when it became PPANNSD8 (the ids column in place of
+// the presence bytes, no dead row): the same content in the new layout.
+// The PPANNSD7 digests are those of commit 70d2083's PPANNSD6 files with
+// their sections moved into the new order and the dropped words cut out;
+// the PPANNSD8 digests are those of commit bc9cc68's PPANNSD7 files with
+// the record count added to the header, the presence bytes replaced by the
+// ids of the live records, every dead row cut from the ciphertext, SAP and
+// PQ code sections, and the index sections' node ids renumbered to slots,
+// byte for byte. The user-key digests were
 // re-captured once, when the DCE key file (generation 2) started to carry
 // the folded query matrix in place of M₁⁻¹, M₂⁻¹ and M₃⁻¹, and again when
 // the key files left gob for their own magic-led layouts (PPANNSU1 around
@@ -277,31 +300,31 @@ func TestDatabaseGolden(t *testing.T) {
 		zeros            bool // clip the data at zero
 	}{
 		{"hnsw", Params{Dim: 8, Beta: 0.5, Seed: 61, Index: "hnsw"},
-			"beeed5bbea192044e2319dd7ff2be67d459f8b539a76c8240bc726ae9a8c0a1d",
+			"64dd7348c2fb3da4ba46c375b99a6a5514597b84e68fb1f97305ae58b02c06cf",
 			"ebd35e52fdfa74db6592741df1d5b392db10613e475b2c84bf91d19cedc633f0",
 			"cdd2182c58eba5cf3d1e630e95e4b9cc726d4724da647f0efc802da3c5fc3a8c", false},
 		{"ivf", Params{Dim: 8, Beta: 0.5, Seed: 63, Index: "ivf"},
-			"3e40ec7d092abe986ca157430a1ce06e5b299f0cc3e4f7735bf2fa6669f18d93",
+			"55403ecffc3ee19773c340ee5b595ed70e23028e413506a44386f2da2c5f6731",
 			"237b34ae1d1d4aa3ecda867b00d52c94605cd3220486b96724c79fb602f76b0e",
 			"6211644de130a0a77bbad64a4e4a4820a590e3318669cb934b09e93e63243e38", false},
 		{"hnsw+pq", Params{Dim: 8, Beta: 0.5, Seed: 65, Index: "hnsw", PQ: true, PQM: 4},
-			"e81beed2edc508d7fd5e2608754db0843e3464077aa39797eb5ad776879eb535",
+			"452ae01d3fd7847e69013fedea07a2104c07fa5748d545356ced3edee4198c50",
 			"659f3b009ba55b33aa0504889ea3256a48b05ef181aae0f8082425c264ccf884",
 			"f4bac5aeaa1f3faf88058a98232e464e03c0a21c0db36c59edecfd97c44792d3", false},
 		{"ivf+pq", Params{Dim: 8, Beta: 0.5, Seed: 66, Index: "ivf", PQ: true, PQM: 4},
-			"21884aea0aad2d698170cc94d144e11393b36762485f4a95819f3b7d53e13e56",
+			"2f34d7a31405aae32a3b438d94e654f968b5603c368a7d85bb4cd95c66209e4f",
 			"11b500f9b3965bcf2aba27d5e9e297c170f868c07fb87c18e4e6c4c58f1d16c3",
 			"252d6d7c018062f1a82224f8223adf8d08e0211c7c089212cec753e4d5a01cfc", false},
 		{"hnsw d=100", Params{Dim: 100, Beta: 0.5, Seed: 67, Index: "hnsw"},
-			"cd19b74a19202ec40a145d853d01cf9364f9867fe38f9e28cbae43bd024afa23",
+			"89211fcbad2291ac47b9b004d1c82e9261f9247fa082d3f6967582c4763820af",
 			"32c3d44eb3db23fd15623916499e94c24e253a28f70f823993a35b5b84ea9e49",
 			"9512e7050efb7ed3d82acb2b3f5b07a5319f67b64ef24aee416c12c014d02f33", false},
 		{"hnsw d=300", Params{Dim: 300, Beta: 0.5, Seed: 68, Index: "hnsw"},
-			"df3f105ec90d9f1469bbaff4e8aeefb47960ba32f4bd01a8f3d711383efcfc7e",
+			"7f75aff0420e3c2f0cfe624b3195471e1594ebf9e3810babce12ea70da067dd8",
 			"f7c91092a0943d4afb826d8260c46fd94be9f2ea7b2135537a484db354c95d6d",
 			"fa01866a072c276bff80e19d2a81d840ace4b072d54b6dd65ec07b7172d18c79", false},
 		{"ivf+pq d=100 zeros", Params{Dim: 100, Beta: 0.5, Seed: 69, Index: "ivf", PQ: true, PQM: 4},
-			"1946f0486f528189e73c1c01b48118b303d0b0abbed42302ecd172ec9da2c356",
+			"ed61ff8ddaae05b4f24a57be84088ca9ca47b9d8610e99ca5a42d6681839b81a",
 			"014e8b2d533ac9bba29015e811c93d04920f44a0a03e7fb849b1afcd3900c100",
 			"fd60d343e8ddfa41343a7a05663e4f7827c06c41625df0ac9a91121292d0c46b", true},
 	} {
@@ -368,15 +391,18 @@ func clipAtZero(data [][]float64) float64 {
 // inserting more than the base's n records, so ivf+pq's 2× retrain rule
 // fires there and not at fold1), then splits the fold2 database into two
 // stripes with Seed 5 and compacts it offline. Every digest but the last is
-// the SHA-256 of the Save bytes, re-captured when the file became PPANNSD6
-// and again when it became PPANNSD7 (as TestDatabaseGolden's were: commit
-// 70d2083's files with their sections moved and the dropped words cut);
+// the SHA-256 of the Save bytes, re-captured when the file became PPANNSD6,
+// when it became PPANNSD7 and when it became PPANNSD8, each time as
+// TestDatabaseGolden's were (PPANNSD8: commit bc9cc68's files with the
+// presence bytes replaced by the ids, the dead rows cut and the index's
+// node ids renumbered to slots);
 // the last is the SHA-256 of AppendInsert over every insert payload of the
 // script, in order — the bytes the wire and the WAL carry for an insert —
 // captured at commit 31ac28f, while the payload's ciphertext was still
 // four slices. Beside them sits the contentDigest of each of the five
 // databases, recorded at commit 183fd19 over PPANNSD5, which must also
-// survive a Save and a load.
+// survive a Save and a load: it reads by id, so a database that holds no
+// row for a deleted id hashes as the one that held a zeroed dead slot.
 func TestRelayoutGolden(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -386,11 +412,11 @@ func TestRelayoutGolden(t *testing.T) {
 		content []string
 	}{
 		{"hnsw", Params{Dim: 8, Beta: 0.5, Seed: 71, Index: "hnsw"}, []string{
-			"d4499ec9c75d8006a045122a752914f0dff8ca059543c061ce4621fb92d3a54f",
-			"615845dd678e31d8630646175455d019cebbea856a7200d25ecb5b73c9cf9173",
-			"f6d19e7dda3e3e24128632ff1290d41946561057f825b6074316d29c76874213",
-			"0e724feb6776fb4f9c646850dca9c558d7e64aef9a560dad0e7d80c49f80e414",
-			"38f9748d9436bdd6f9c12cdd5d0972f874a8e7baaf7327ec68bfc8a992beeeb2",
+			"e66740734a257aad6ebc7fa3dd6c2bdd6b7ca69ffddbf1f4afc3e2f7c07696a0",
+			"412e8b226f0c20769559941fda62d1e0404bad5d4ab0d32fb1b924e02c8f351a",
+			"8d87c8b72e06f4b2080d3f2171103b066fd2c0daa58ede7e19b5643ba18899b4",
+			"5029f417b624a9f681aa1453c2b1b1110cc9272aa62bcdcc5a66a13ef966fcf5",
+			"51ea04d846bc438750dcae18223ed8ccd3c1e9bc904103fea940191560bbf75c",
 			"e300125312fdd2ef2abb16a58daa5de87441d90a176a942a726669bc2bcdfde2"},
 			[]string{
 				"b3052fa6bababf29f881ada0ce975643dd97b64a5d95fb9eafb05ca36b413f90",
@@ -400,11 +426,11 @@ func TestRelayoutGolden(t *testing.T) {
 				"b31787e9a862cf80366eda4bd4e48a735f952e127f3fb5f0489a35cbcfecd7cc",
 			}},
 		{"ivf", Params{Dim: 8, Beta: 0.5, Seed: 72, Index: "ivf"}, []string{
-			"75d098402a718b5804038cab1a770c24ac61b0ead014f25f8669286e15ed20f0",
-			"9813d3b408b8a1defed16db67f9e9189b08cba1040d518b1735224812c6c2594",
-			"6745a3ee42a2b0f4f6e415497a14a83d4445a35953882cc5e816a8f956173587",
-			"d5ddb145efb323e4d513a4de90bff64121dad59230153a620864a25d6406c42d",
-			"f9cf905c783ddb3d6eabd812988c7552fa3825d942c1ccbd7c2c5fb1ef111f4f",
+			"a4fb43dba2123101823bc91d960c9a99af4399ab61aae0e1d749f713d6c0f6a6",
+			"461f10f1676bc791dcf9a78f0864ddcec29f0bee609c8c3165496292eaa979df",
+			"f99989e839eeeb3a872acec03a07db7cbd125ac0a15d81a04dc41ca072dc8118",
+			"5f6ed26cf7503752a8ac0a8eea1b644e3626fbd56658bf2c3e9335425fd31c31",
+			"258fd9854d047d6c094f128279c8b56ef3be90a165652595745fb29f857fba59",
 			"73b91d08cf005e36664f553ef0011885cdd877b6f755299a4da9c09f537e01a0"},
 			[]string{
 				"1ebe1ae62f38262c981e8c4c8238860c4af5e29b26224a903dc107059ec3c639",
@@ -414,11 +440,11 @@ func TestRelayoutGolden(t *testing.T) {
 				"486d818ea35fb258a1bf01b346f02bec1fc00857564c907eff08e561091ccc6d",
 			}},
 		{"ivf+pq", Params{Dim: 8, Beta: 0.5, Seed: 73, Index: "ivf", PQ: true, PQM: 4}, []string{
-			"515d85cafb1d63ae9c7afaa43b1a19582d646ea489233f3fc49d270a69478291",
-			"00fb401e0c87d64bd2931feef7fe670518747772b190e3513479cf993f8fd4f6",
-			"14f8f2e64afd278808382aa2da9559d4928da4cd892c0f98678750a094e58b01",
-			"7ca9456f5d5474a12667f82948732a7e6b1927131890b9f28a7d7ccf7937ece9",
-			"e33f524ec47e1f7e273388afc93d7dd4b77c36223b4fcf2281c3899bf83ffc6c",
+			"5caac7345571c6bf27316d976c3a3d8de05d6d66b9acdebaafc3a912dd25016f",
+			"89594ccc99b29698273583b0956378d12c954b43ca1699edb9195cd653c40505",
+			"049e6dd0d601d30fa11ff5b8ca2bb2cf3a01345f0d5daaaedcc161c07356387f",
+			"ccdc97fb18ce8e6fab9d89be75cbf7a57742b57bb0379de06d133d5ac5024d67",
+			"244686a79a8b7506a66dff0592deef740fd96958e1bd88bf67a3a47b3416cf7e",
 			"515177e184b05fdb3786641906cda1d14d388a9def7aebdfa00518e40d195bd0"},
 			[]string{
 				"d9cbebbe70b2db5cf0b1dafcb43f76db35977eabd0f6f9ec594e578dd1747fde",

@@ -141,6 +141,10 @@ func (o *DataOwner) EncryptDatabase(vectors [][]float64) (*EncryptedDatabase, er
 	n := len(vectors)
 	workers := min(runtime.GOMAXPROCS(0), n)
 	sap, rs := vec.ZeroDataset(o.params.Dim, n), rng.NewStreams(rnd).First(n)
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
 	par.Spans(workers, n, 64, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sapKey.EncryptWith(sap.At(i), rs[i], vectors[i])
@@ -161,7 +165,7 @@ func (o *DataOwner) EncryptDatabase(vectors [][]float64) (*EncryptedDatabase, er
 	go func() {
 		defer wg.Done()
 		t := time.Now()
-		idx, idxErr = index.BuildOver(o.params.Index, sap, nil, o.params.indexOptions())
+		idx, idxErr = index.BuildOver(o.params.Index, sap, ids, o.params.indexOptions())
 		idxTime = time.Since(t)
 	}()
 	if o.params.PQ {
@@ -236,6 +240,8 @@ func (o *DataOwner) EncryptDatabase(vectors [][]float64) (*EncryptedDatabase, er
 		SAP:     sap,
 		DCE:     store,
 		PQ:      pqStore,
+		ids:     ids,
+		n:       n,
 	}, nil
 }
 

@@ -187,16 +187,18 @@ func checkCodes(t *testing.T, sp *snapshot, lo, hi int) {
 		if sp.deadAt(id) {
 			continue
 		}
-		sp.edb.PQ.Book.EncodeInto(code, sp.edb.SAP.At(id))
-		if !bytes.Equal(code, sp.edb.PQ.Codes.Row(id)) {
+		slot := slotOf(t, sp.edb, id)
+		sp.edb.PQ.Book.EncodeInto(code, sp.edb.SAP.At(slot))
+		if !bytes.Equal(code, sp.edb.PQ.Codes.Row(slot)) {
 			t.Fatalf("code row %d diverges from the codebook's encoding", id)
 		}
 	}
 }
 
-// TestMemoryStats pins the per-point figures of a PQ database and its
-// delta bloat after 10 inserts: each delta record is a SAP row, a DCE
-// record and an M-byte code row.
+// TestMemoryStats pins the per-record figures of a PQ database and its
+// delta bloat after 10 inserts and 2 pending deletions: each delta record
+// is a SAP row, a DCE record and an M-byte code row, and the code rows and
+// the codebook are divided by the live records.
 func TestMemoryStats(t *testing.T) {
 	const n, dim, m, inserts = 60, 12, 4, 10
 	data := clustered(79, n+inserts, dim, 3)
@@ -210,19 +212,34 @@ func TestMemoryStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	for _, id := range []int{4, n + 2} {
+		if err := w.server.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
 	edb := w.server.snap.Load().edb
 	sapStride, dceStride := vec.PadStride(dim), edb.DCE.Stride()
+	const live = n + inserts - 2
 	got := w.server.MemoryStats()
 	want := MemoryStats{
 		N:          n + inserts,
+		Live:       live,
 		SAP:        float64(8 * sapStride),
 		DCE:        float64(8 * dceStride),
-		PQCodes:    m,
-		PQBook:     float64(edb.PQ.Book.SizeBytes()) / (n + inserts),
+		PQCodes:    float64((n+inserts)*m) / live,
+		PQBook:     float64(edb.PQ.Book.SizeBytes()) / live,
 		DeltaBytes: inserts * (8*(sapStride+dceStride) + m),
 	}
 	if got != want {
 		t.Fatalf("MemoryStats = %+v, want %+v", got, want)
+	}
+	// The fold drops the deleted records' rows: every code row is a live
+	// record's again.
+	if err := w.server.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.server.MemoryStats(); got.N != n+inserts || got.Live != live || got.PQCodes != m || got.DeltaBytes != 0 {
+		t.Fatalf("MemoryStats after the fold = %+v, want N %d, Live %d, %d B of codes per record and no delta", got, n+inserts, live, m)
 	}
 }
 
@@ -309,14 +326,17 @@ func TestSplitCarriesPQ(t *testing.T) {
 		if got, want := part.PQ.Codes.Len(), part.DCE.Len(); got != want {
 			t.Fatalf("shard %d: %d code rows vs %d ciphertext rows", s, got, want)
 		}
-		for local := 0; local < part.DCE.Len(); local++ {
+		for local := 0; local < part.Len(); local++ {
 			g := local*shards + s
-			want := edb.PQ.Codes.Row(g)
-			if !edb.DCE.Has(g) {
-				want = zero
+			got, want := zero, zero
+			if slot, ok := edb.slot(g); ok {
+				want = edb.PQ.Codes.Row(slot)
 			}
-			if !bytes.Equal(part.PQ.Codes.Row(local), want) {
-				t.Fatalf("shard %d row %d (global %d) diverges", s, local, g)
+			if slot, ok := part.slot(local); ok {
+				got = part.PQ.Codes.Row(slot)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("shard %d local id %d (global %d) diverges", s, local, g)
 			}
 		}
 		srv, err := NewServer(part)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"ppanns/internal/dce"
 	"ppanns/internal/dcpe"
@@ -72,25 +73,27 @@ func LoadUserKey(r io.Reader) (*UserKey, error) {
 	return k, nil
 }
 
-// The database file, PPANNSD7, is one internal/frame stream:
+// The database file, PPANNSD8, is one internal/frame stream:
 //
-//	magic "PPANNSD7" | backend tag: length u8, name
-//	dim, n: int64 — stated once; no section repeats them
-//	presence: n bytes, 1 live, 0 dead — the one statement of liveness
-//	ciphertexts: n records of 4·ctDim f64, ctDim = dce.CiphertextDim(dim)
-//	SAP rows: n rows of dim f64
+//	magic "PPANNSD8" | backend tag: length u8, name
+//	dim, id space, records: int64 — stated once; no section repeats them
+//	ids: one i32 per record, strictly increasing, below the id space —
+//	  the one statement of liveness
+//	ciphertexts: per record 4·ctDim f64, ctDim = dce.CiphertextDim(dim)
+//	SAP rows: per record dim f64
 //	PQ flag u8 | the PQ section when it is 1 (internal/pq)
 //	the backend's index section, topology only (internal/hnsw, internal/ivf)
 //	CRC32 of every byte before it: u32
 //
-// Each column is written once, in its own section, and a dead id's
-// ciphertext and SAP row are zeros. The sections come in this order so
-// that every run the record count scales is allocated after the
-// ciphertext section has paid for n. There is one reader; files of the
-// earlier generations (PPANNSD2–6) are refused with index.ErrOldFormat.
-const edbMagic = "PPANNSD7"
+// Each column is written once, in its own section, slot by slot, and only
+// live records have a slot: a deleted record's bytes are nowhere in the
+// file. The sections come in this order so that every run the record count
+// scales is allocated after the ids section has paid for it. There is one
+// reader; files of the earlier generations (PPANNSD2–7) are refused with
+// index.ErrOldFormat.
+const edbMagic = "PPANNSD8"
 
-// Save writes the encrypted database as a PPANNSD7 file. One CRC32 covers
+// Save writes the encrypted database as a PPANNSD8 file. One CRC32 covers
 // every byte, so storage corruption anywhere — a record, a SAP row, a
 // link — fails the load instead of silently moving an answer.
 func (e *EncryptedDatabase) Save(w io.Writer) error {
@@ -101,24 +104,18 @@ func (e *EncryptedDatabase) Save(w io.Writer) error {
 	if len(backend) > 255 {
 		return fmt.Errorf("core: backend name %q too long", backend)
 	}
-	live := e.DCE.LiveMask()
-	if e.SAP == nil || e.SAP.Len() != len(live) || e.SAP.Dim() != e.Dim {
-		return fmt.Errorf("core: the SAP column does not hold %d rows of dimension %d", len(live), e.Dim)
-	}
-	for id, ok := range live {
-		if _, indexed := e.Index.Vector(id); indexed != ok {
-			return fmt.Errorf("core: record %d: live %v in the ciphertext store, %v in the index", id, ok, indexed)
-		}
+	live := e.Live()
+	if e.SAP == nil || e.SAP.Len() != live || e.SAP.Dim() != e.Dim || e.DCE.Len() != live || e.Index.Len() != live {
+		return fmt.Errorf("core: the SAP column, the ciphertext store and the index do not all hold %d records of dimension %d", live, e.Dim)
 	}
 	enc := frame.NewEncoder(w)
 	enc.ByteRun([]byte(edbMagic))
 	enc.U8(uint8(len(backend)))
 	enc.ByteRun([]byte(backend))
 	enc.Int(e.Dim)
-	enc.Int(len(live))
-	for _, ok := range live {
-		enc.U8(boolByte(ok))
-	}
+	enc.Int(e.n)
+	enc.Int(live)
+	enc.Int32Run(e.ids)
 	e.DCE.Save(enc)
 	e.SAP.Save(enc)
 	enc.U8(boolByte(e.PQ != nil))
@@ -136,13 +133,18 @@ func boolByte(b bool) uint8 {
 	return 0
 }
 
+// idsChunk bounds each step of the ids column's read: the column grows by
+// at most this many ids beyond those that have arrived.
+const idsChunk = 1 << 16
+
 // LoadEncryptedDatabase reads a database written by Save. The bytes are
 // untrusted — a file on disk, a checkpoint after a crash — so every header
 // field is checked before it sizes anything, and the runs that scale with
 // the record count are allocated as their bytes arrive: a file that lies
-// about its size fails at end of input. The PQ and index sections are read
-// for the dimension, the SAP column and the liveness the sections before
-// them state, and the trailer must match every byte read.
+// about its size fails at end of input. The ids must rise strictly and stay
+// below the id space. The PQ and index sections are read for the dimension
+// and the SAP column the sections before them state, and the trailer must
+// match every byte read.
 func LoadEncryptedDatabase(r io.Reader) (*EncryptedDatabase, error) {
 	d := frame.NewDecoder(r)
 	magic := make([]byte, len(edbMagic))
@@ -152,14 +154,14 @@ func LoadEncryptedDatabase(r io.Reader) (*EncryptedDatabase, error) {
 	}
 	switch string(magic) {
 	case edbMagic:
-	case "PPANNSD2", "PPANNSD3", "PPANNSD4", "PPANNSD5", "PPANNSD6":
+	case "PPANNSD2", "PPANNSD3", "PPANNSD4", "PPANNSD5", "PPANNSD6", "PPANNSD7":
 		return nil, fmt.Errorf("core: %s database: %w", magic, index.ErrOldFormat)
 	default:
 		return nil, fmt.Errorf("core: bad magic %q", magic)
 	}
 	tag := make([]byte, d.U8())
 	d.ByteRun(tag)
-	dim, n := d.Int(), d.Int()
+	dim, n, live := d.Int(), d.Int(), d.Int()
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("core: reading header: %w", err)
 	}
@@ -167,28 +169,32 @@ func LoadEncryptedDatabase(r io.Reader) (*EncryptedDatabase, error) {
 	if err := index.Lookup(backend); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	// n records of 4·ctDim floats must be addressable.
-	if dim <= 0 || dim > math.MaxInt32 || n <= 0 || n > math.MaxInt/(8*4*dce.CiphertextDim(dim)) {
-		return nil, fmt.Errorf("core: implausible header dim=%d n=%d", dim, n)
+	// Ids are int32s, and live records of 4·ctDim floats must be
+	// addressable.
+	if dim <= 0 || dim > math.MaxInt32 || n <= 0 || n > math.MaxInt32 || live < 0 || live > n || live > math.MaxInt/(8*4*dce.CiphertextDim(dim)) {
+		return nil, fmt.Errorf("core: implausible header dim=%d id space %d records %d", dim, n, live)
 	}
-	live := make([]bool, 0, min(n, 1<<16))
-	for len(live) < n && d.Err() == nil {
-		b := d.U8()
-		if b > 1 {
-			d.Fail(fmt.Errorf("corrupt presence byte %d for record %d", b, len(live)))
+	e := &EncryptedDatabase{Dim: dim, Backend: backend, n: n, ids: make([]int32, 0, min(live, idsChunk))}
+	for len(e.ids) < live && d.Err() == nil {
+		at := len(e.ids)
+		e.ids = slices.Grow(e.ids, min(live-at, idsChunk))[:at+min(live-at, idsChunk)]
+		d.Int32Run(e.ids[at:])
+		for j := at; j < len(e.ids) && d.Err() == nil; j++ {
+			if id := e.ids[j]; id < 0 || int(id) >= n || j > 0 && id <= e.ids[j-1] {
+				d.Fail(fmt.Errorf("record %d has id %d: ids must rise strictly below the id space %d", j, id, n))
+			}
 		}
-		live = append(live, b == 1)
 	}
-	e := &EncryptedDatabase{Dim: dim, Backend: backend, DCE: dce.LoadStore(d, dce.CiphertextDim(dim), live)}
-	e.SAP = vec.LoadDataset(d, dim, n)
+	e.DCE = dce.LoadStore(d, dce.CiphertextDim(dim), live)
+	e.SAP = vec.LoadDataset(d, dim, live)
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("core: reading the ciphertext and SAP sections: %w", err)
+		return nil, fmt.Errorf("core: reading the ids, ciphertext and SAP sections: %w", err)
 	}
 	switch flag := d.U8(); {
 	case d.Err() != nil:
 		return nil, fmt.Errorf("core: reading PQ flag: %w", d.Err())
 	case flag == 1:
-		pqs, err := pq.Load(d, dim, n)
+		pqs, err := pq.Load(d, dim, live)
 		if err != nil {
 			return nil, fmt.Errorf("core: loading PQ tier: %w", err)
 		}
@@ -196,7 +202,7 @@ func LoadEncryptedDatabase(r io.Reader) (*EncryptedDatabase, error) {
 	case flag != 0:
 		return nil, fmt.Errorf("core: corrupt PQ flag byte %d", flag)
 	}
-	idx, err := index.Load(backend, d, e.SAP, live)
+	idx, err := index.Load(backend, d, e.SAP)
 	if err != nil {
 		return nil, fmt.Errorf("core: loading %s index: %w", backend, err)
 	}

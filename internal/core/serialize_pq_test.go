@@ -10,10 +10,10 @@ import (
 // right after the ciphertext and SAP sections, before the PQ and index
 // sections.
 func pqSectionOffset(e *EncryptedDatabase) int {
-	return len(edbMagic) + 1 + len(e.Backend) + 2*8 + // magic, tag, header
-		e.DCE.Len() + // presence bytes
-		e.DCE.Len()*4*e.DCE.CtDim()*8 + // ciphertexts
-		e.DCE.Len()*e.Dim*8 // SAP rows
+	return len(edbMagic) + 1 + len(e.Backend) + 3*8 + // magic, tag, header
+		e.Live()*4 + // ids
+		e.Live()*4*e.DCE.CtDim()*8 + // ciphertexts
+		e.Live()*e.Dim*8 // SAP rows
 }
 
 // TestPQDatabaseRoundTrip proves the database file carries the

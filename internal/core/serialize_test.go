@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -159,7 +158,7 @@ func TestEncryptedDatabaseRoundTrip(t *testing.T) {
 	} {
 		name := fmt.Sprintf("%s (PQ %v)", params.Index, params.PQ)
 		w := newWorld(t, params, data)
-		// Tombstone one id so presence bytes are exercised.
+		// Delete one id so the ids column skips one.
 		if err := w.server.Delete(7); err != nil {
 			t.Fatal(err)
 		}
@@ -172,17 +171,14 @@ func TestEncryptedDatabaseRoundTrip(t *testing.T) {
 		if !bytes.Equal(saveBytes(t, edb2), blob) {
 			t.Fatalf("%s: a loaded database saves other bytes than it was loaded from", name)
 		}
-		// The records come back bit for bit, except that the deleted
-		// record's bytes must not have reached the file.
-		for id := 0; id < orig.Len(); id++ {
-			for j, f := range edb2.DCE.Record(id) {
-				want := orig.DCE.Record(id)[j]
-				if !orig.DCE.Has(id) {
-					want = 0
-				}
-				if math.Float64bits(f) != math.Float64bits(want) {
-					t.Fatalf("%s: record %d float %d is %x after the round trip, want %x", name, id, j, math.Float64bits(f), math.Float64bits(want))
-				}
+		// The records come back bit for bit, each under its id, and the
+		// deleted one not at all.
+		if !slices.Equal(edb2.ids, orig.ids) || edb2.Len() != orig.Len() {
+			t.Fatalf("%s: ids %d of %d after the round trip, %d of %d before", name, edb2.Live(), edb2.Len(), orig.Live(), orig.Len())
+		}
+		for slot := range orig.Live() {
+			if !sameBits(edb2.DCE.Record(slot), orig.DCE.Record(slot)) {
+				t.Fatalf("%s: record of id %d changed in the round trip", name, orig.ids[slot])
 			}
 		}
 		if (edb2.PQ != nil) != params.PQ {
@@ -236,14 +232,14 @@ func TestLoadEncryptedDatabaseGarbage(t *testing.T) {
 }
 
 // TestSaveRefusesMisSizedSAP: the file writes the SAP column once, for
-// every id, so Save refuses a database whose column is missing, short,
+// every record, so Save refuses a database whose column is missing, short,
 // long or of another dimension instead of writing a file no loader reads.
 func TestSaveRefusesMisSizedSAP(t *testing.T) {
 	edb := flushed(t, newWorld(t, Params{Dim: 8, Beta: 0.5, Seed: 38}, clustered(38, 40, 8, 2)).server)
 	for name, sap := range map[string]*vec.Dataset{
 		"nil":         nil,
 		"39 rows":     edb.SAP.Gather(seqIDs(39)),
-		"41 rows":     edb.SAP.Gather(append(seqIDs(40), -1)),
+		"41 rows":     edb.SAP.Gather(append(seqIDs(40), 0)),
 		"dimension 9": vec.ZeroDataset(9, 40),
 	} {
 		bad := *edb
@@ -268,8 +264,10 @@ func seqIDs(n int) []int {
 // merely claims. The earlier format generations get index.ErrOldFormat; a
 // file tagged with a retired serving backend (nsg, lsh) is told to
 // re-encrypt; a header that lies about the record count, or an arena cut
-// short, fails where the bytes run out; a PQ or index section whose header
-// lies is refused before it sizes anything.
+// short, fails where the bytes run out; an ids column that does not rise
+// strictly, names an id at or past the id space, or is longer than the id
+// space is refused; a PQ or index section whose header lies is refused
+// before it sizes anything.
 func TestLoadRefusals(t *testing.T) {
 	w := newWorld(t, Params{Dim: 8, Beta: 0.5, Seed: 35}, clustered(35, 60, 8, 3))
 	edb := flushed(t, w.server)
@@ -283,10 +281,24 @@ func TestLoadRefusals(t *testing.T) {
 		b = append(b, tag...)
 		return append(b, valid[len(edbMagic)+1+len(edb.Backend):]...)
 	}
-	// 37 bytes: a plausible header claiming 2^40 records, then 8 of them.
-	lying := append([]byte(nil), valid[:len(edbMagic)+1+len(edb.Backend)+8]...)
-	lying = binary.LittleEndian.AppendUint64(lying, 1<<40)
+	// A plausible header claiming 2^30 records, then 8 bytes of them.
+	head := len(edbMagic) + 1 + len(edb.Backend) + 8
+	lying := append([]byte(nil), valid[:head]...)
+	lying = binary.LittleEndian.AppendUint64(lying, 1<<30)
+	lying = binary.LittleEndian.AppendUint64(lying, 1<<30)
 	lying = append(lying, make([]byte, 8)...)
+	// The ids column follows the header's id space and record count, one
+	// i32 per record; each lie is resealed, so the ids check must catch it.
+	idsLying := func(patch func(b []byte)) []byte {
+		b := slices.Clone(valid)
+		patch(b)
+		return resealed(b)
+	}
+	ids := head + 2*8
+	id := func(b []byte, j int, v uint32) { binary.LittleEndian.PutUint32(b[ids+4*j:], v) }
+	if edb.Live() != 60 || edb.Len() != 60 {
+		t.Fatalf("the test database holds %d records of %d ids, want 60 of 60", edb.Live(), edb.Len())
+	}
 	// The PQ section follows the PQ flag: m, then k.
 	withPQ := flushed(t, newWorld(t, Params{Dim: 8, Beta: 0.5, Seed: 36, PQ: true, PQM: 4}, clustered(36, 60, 8, 3)).server)
 	pqLying := saveBytes(t, withPQ)
@@ -311,9 +323,13 @@ func TestLoadRefusals(t *testing.T) {
 		{"PPANNSD4", withMagic("PPANNSD4"), true, ""},
 		{"PPANNSD5", withMagic("PPANNSD5"), true, "re-encrypt"},
 		{"PPANNSD6", withMagic("PPANNSD6"), true, "re-encrypt"},
+		{"PPANNSD7", withMagic("PPANNSD7"), true, "re-encrypt"},
 		{"tagged nsg", withTag("nsg"), false, `"nsg" no longer serves: re-encrypt with hnsw or ivf`},
 		{"tagged lsh", withTag("lsh"), false, `"lsh" no longer serves: re-encrypt with hnsw or ivf`},
-		{"header claims 2^40 records", lying, false, ""},
+		{"header claims 2^30 records", lying, false, "truncated"},
+		{"ids not increasing", idsLying(func(b []byte) { id(b, 5, 4) }), false, "ids must rise strictly"},
+		{"an id at the id space", idsLying(func(b []byte) { id(b, 59, 60) }), false, "ids must rise strictly"},
+		{"more ids than the id space", idsLying(func(b []byte) { binary.LittleEndian.PutUint64(b[head:], 59) }), false, "implausible header"},
 		{"arena cut short", valid[:pqSectionOffset(edb)/2], false, ""},
 		{"PQ section claims 2^33 centroids", pqLying, false, "implausible"},
 		{"hnsw graph claims 2^31 levels", sectionLying("hnsw", 4*8, 1<<31), false, "implausible"},
@@ -341,10 +357,11 @@ func TestLoadRefusals(t *testing.T) {
 
 // TestOldFormatFilesRefused: database files the last builds of earlier
 // generations wrote (testdata/db-d5.ppanns: PPANNSD5, hnsw, d=2, 10
-// records; testdata/db-d6.ppanns: PPANNSD6, hnsw+PQ, d=2, 10 records) are
-// refused as an earlier generation, with the fix in the message — by
-// LoadEncryptedDatabase, and by OpenServer over a WAL directory whose only
-// checkpoint is the PPANNSD6 file.
+// records; testdata/db-d6.ppanns: PPANNSD6, hnsw+PQ, d=2, 10 records;
+// testdata/db-d7.ppanns: PPANNSD7, hnsw+PQ, d=2, 12 ids, 3 of them folded
+// away as dead slots) are refused as an earlier generation, with the fix
+// in the message — by LoadEncryptedDatabase, and by OpenServer over a WAL
+// directory whose only checkpoint is the PPANNSD6 file.
 func TestOldFormatFilesRefused(t *testing.T) {
 	refused := func(what string, err error) {
 		t.Helper()
@@ -352,7 +369,7 @@ func TestOldFormatFilesRefused(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrOldFormat with the re-encrypt message", what, err)
 		}
 	}
-	for _, file := range []string{"testdata/db-d5.ppanns", "testdata/db-d6.ppanns"} {
+	for _, file := range []string{"testdata/db-d5.ppanns", "testdata/db-d6.ppanns", "testdata/db-d7.ppanns"} {
 		data, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
@@ -404,7 +421,8 @@ func resealed(blob []byte) []byte {
 
 // FuzzLoadEncryptedDatabase feeds LoadEncryptedDatabase mutations of one
 // small valid file per backend (ivf also with a PQ tier, hnsw also with a
-// PQ tier and tombstones), of the same bytes under the retired magics, and
+// PQ tier, compacted after deletions so that its ids skip the deleted
+// ones), of the same bytes under the retired magics, and
 // of the ivf file tagged with the retired backends (nsg, lsh). Each input
 // is resealed — its last four bytes replaced by the CRC32 of the rest — so
 // a mutation anywhere reaches the section decoders and the cross-checks
@@ -445,7 +463,7 @@ func FuzzLoadEncryptedDatabase(f *testing.F) {
 		blob := saveBytes(f, edb)
 		f.Add(blob)
 		if c.params.Index == "hnsw" && c.dead == nil {
-			for _, magic := range []string{"PPANNSD2", "PPANNSD3", "PPANNSD4", "PPANNSD5", "PPANNSD6"} {
+			for _, magic := range []string{"PPANNSD2", "PPANNSD3", "PPANNSD4", "PPANNSD5", "PPANNSD6", "PPANNSD7"} {
 				f.Add(resealed(append([]byte(magic), blob[len(edbMagic):]...)))
 			}
 		}
@@ -463,12 +481,13 @@ func FuzzLoadEncryptedDatabase(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if edb.Len() != len(edb.DCE.LiveMask()) || edb.Index.Len() != edb.Live() || edb.SAP.Len() != edb.Len() || (edb.PQ != nil && edb.PQ.Codes.Len() != edb.Len()) {
-			t.Fatalf("loaded %d live of %d records under an index of %d and %d SAP rows", edb.Live(), edb.Len(), edb.Index.Len(), edb.SAP.Len())
+		n := edb.Live()
+		if n > edb.Len() || edb.DCE.Len() != n || edb.Index.Len() != n || edb.SAP.Len() != n || (edb.PQ != nil && edb.PQ.Codes.Len() != n) {
+			t.Fatalf("loaded %d records of %d ids under an index of %d and %d SAP rows", n, edb.Len(), edb.Index.Len(), edb.SAP.Len())
 		}
-		for id := 0; id < edb.Len(); id++ {
-			if _, ok := edb.Index.Vector(id); ok != edb.DCE.Has(id) || len(edb.DCE.Record(id)) != 4*edb.DCE.CtDim() {
-				t.Fatalf("record %d: live %v in the index, %v in the ciphertext store", id, ok, edb.DCE.Has(id))
+		for slot, id := range edb.ids {
+			if _, ok := edb.Index.Vector(slot); !ok || len(edb.DCE.Record(slot)) != 4*edb.DCE.CtDim() || int(id) >= edb.Len() || slot > 0 && id <= edb.ids[slot-1] {
+				t.Fatalf("slot %d: id %d of %d, in the index %v", slot, id, edb.Len(), ok)
 			}
 		}
 	})
@@ -509,9 +528,9 @@ func fileSections(e *EncryptedDatabase, blob []byte) []fileSection {
 		out = append(out, fileSection{name, at, at + size})
 		at += size
 	}
-	n, dim := e.Len(), e.Dim
-	add("header", len(edbMagic)+1+len(e.Backend)+2*8)
-	add("presence bytes", n)
+	n, dim := e.Live(), e.Dim
+	add("header", len(edbMagic)+1+len(e.Backend)+3*8)
+	add("ids", 4*n)
 	add("ciphertexts", n*4*e.DCE.CtDim()*8)
 	add("SAP rows", n*dim*8)
 	add("PQ flag", 1)
@@ -536,7 +555,7 @@ func fileSections(e *EncryptedDatabase, blob []byte) []fileSection {
 }
 
 // TestCorruptByteAnywhereRefused: one CRC32 covers the whole file, so a
-// byte flipped anywhere — in the header, the presence bytes, a record, the
+// byte flipped anywhere — in the header, the ids, a record, the
 // PQ tier, the SAP rows the filter ranks by, a link, a list, or the
 // trailer itself — fails the load, on hnsw, ivf and ivf+pq databases
 // carrying tombstones after a fold.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -155,19 +156,20 @@ type SearchStats struct {
 //
 // # Two tiers
 //
-// The database state is LSM-shaped. Ids [0, frozen) are the main tier,
-// covered by the frozen filter index edb.Index; ids [frozen, edb.Len())
-// are the delta tier, brute-force scanned at query time. Every column of
-// edb — the SAP rows, the DCE ciphertexts and the PQ codes — spans both
-// tiers in one arena (main prefix, delta suffix), so one distance provider
+// The database state is LSM-shaped. Ids below frozen are the main tier,
+// whose slots are covered by the frozen filter index edb.Index; ids
+// [frozen, edb.Len()) are the delta tier, brute-force scanned at query
+// time, one slot each past the main tier's. Every column of edb — the SAP
+// rows, the DCE ciphertexts, the PQ codes and the ids — spans both tiers
+// in one arena (main prefix, delta suffix), so one distance provider
 // scores candidates of either tier, and the refine phase — and every
-// consumer of DCE records downstream of it — is tier-blind. Pending
-// deletes from either tier sit in tombs until a compaction folds delta and
-// tombstones into a rebuilt main index (see compactOnce).
+// consumer of DCE records downstream of it — is tier-blind. Pending deletes from either tier sit
+// in tombs, by id, until a compaction gathers the slots that remain into
+// a rebuilt main index (see compactOnce).
 type snapshot struct {
 	edb *EncryptedDatabase
-	// frozen is the main-tier size: edb.Index covers exactly the ids
-	// [0, frozen), with a dead slot at each id a fold dropped (pending
+	// frozen is the main tier's id bound: edb.Index covers exactly the
+	// slots of the ids below it, which lead the columns (pending
 	// tombstones are masked at query time, not applied to the index).
 	frozen int
 	// tombs is the set of ids deleted since the last compaction, covering
@@ -198,17 +200,19 @@ func (sp *snapshot) clean() bool {
 	return sp.delta() == 0 && len(sp.tombs) == 0
 }
 
-// delta is the delta tier's record count.
+// delta is the delta tier's record count: every id issued since the last
+// fold holds a slot until the next.
 func (sp *snapshot) delta() int { return sp.edb.Len() - sp.frozen }
 
 // deadAt reports whether id is deleted in this snapshot, in either
-// representation: compacted away in the store, or pending in tombs.
+// representation: gone from the columns, or pending in tombs.
 func (sp *snapshot) deadAt(id int) bool {
-	return !sp.edb.DCE.Has(id) || sp.tombed(id)
+	_, ok := sp.edb.slot(id)
+	return !ok || sp.tombed(id)
 }
 
 // live is the live record count across both tiers.
-func (sp *snapshot) live() int { return sp.edb.DCE.Live() - len(sp.tombs) }
+func (sp *snapshot) live() int { return sp.edb.Live() - len(sp.tombs) }
 
 // filterInto runs the filter phase over both tiers: a k′-ANNS on the
 // frozen main index plus a scan of the delta segment, tombstones masked,
@@ -216,11 +220,12 @@ func (sp *snapshot) live() int { return sp.edb.DCE.Live() - len(sp.tombs) }
 // index search. Every candidate distance in both tiers comes from dist,
 // the query's one distance provider — squared L2 over the SAP column, or
 // the PQ scanner's asymmetric distances over the code arena; both columns
-// span the id space. The merge is one top-k′ pool on those keys, so a
+// span every slot. The merge is one top-k′ pool on those keys, so a
 // merged list is ordered identically to what a single index over both
 // tiers would return. The pool takes the main-tier answer in order, then
-// the delta tier in id order, and keeps equals in arrival order: a tie
-// goes to the main tier, and inside the delta to the lower id.
+// the delta tier in slot order, and keeps equals in arrival order: a tie
+// goes to the main tier, and inside the delta to the lower slot. The
+// items are slots.
 func (sp *snapshot) filterInto(ts *tierScratch, dst []resultheap.Item, q []float64, kPrime, ef int, dist vec.BlockScanner) []resultheap.Item {
 	if sp.clean() {
 		return sp.edb.Index.SearchIntoDist(dst, q, kPrime, ef, dist)
@@ -235,18 +240,18 @@ func (sp *snapshot) filterInto(ts *tierScratch, dst []resultheap.Item, q []float
 	ts.main = sp.edb.Index.SearchIntoDist(ts.main[:0], q, kMain, efMain, dist)
 	pool := &ts.pool
 	pool.Reset()
+	ids := sp.edb.ids
 	for _, it := range ts.main {
-		if sp.mainDead == 0 || !sp.tombed(it.ID) {
+		if sp.mainDead == 0 || !sp.tombed(int(ids[it.ID])) {
 			pool.Offer(int32(it.ID), it.Dist, kPrime)
 		}
 	}
-	// Delta tier: one block scan of the live ids of the (small) mutable
-	// segment. Delta ids can only be dead via tombs — store flags change
-	// at compaction, which empties the delta.
+	// Delta tier: one block scan of the live slots of the (small) mutable
+	// segment.
 	ts.ids = ts.ids[:0]
-	for id := sp.frozen; id < sp.edb.Len(); id++ {
-		if !sp.tombed(id) {
-			ts.ids = append(ts.ids, int32(id))
+	for slot := len(ids) - sp.delta(); slot < len(ids); slot++ {
+		if !sp.tombed(int(ids[slot])) {
+			ts.ids = append(ts.ids, int32(slot))
 		}
 	}
 	ts.dists = slices.Grow(ts.dists[:0], len(ts.ids))[:len(ts.ids)]
@@ -336,7 +341,7 @@ func NewServer(edb *EncryptedDatabase) (*Server, error) {
 
 // NewServerWith is NewServer with explicit write-path options.
 func NewServerWith(edb *EncryptedDatabase, o ServerOptions) (*Server, error) {
-	if edb == nil || edb.Index == nil || edb.DCE == nil || edb.DCE.Len() == 0 || edb.SAP == nil || edb.SAP.Len() != edb.DCE.Len() {
+	if edb == nil || edb.Index == nil || edb.DCE == nil || edb.Len() == 0 || edb.SAP == nil || edb.SAP.Len() != edb.Live() || edb.DCE.Len() != edb.Live() {
 		return nil, fmt.Errorf("core: incomplete encrypted database")
 	}
 	s := newServer(edb, 0, 0, o)
@@ -356,7 +361,7 @@ func newServer(edb *EncryptedDatabase, epoch, gen uint64, o ServerOptions) *Serv
 		o.CompactAt = DefaultCompactAt
 	}
 	s := &Server{compactAt: o.CompactAt}
-	s.snap.Store(&snapshot{edb: edb, frozen: edb.DCE.Len(), epoch: epoch, gen: gen})
+	s.snap.Store(&snapshot{edb: edb, frozen: edb.Len(), epoch: epoch, gen: gen})
 	return s
 }
 
@@ -379,12 +384,13 @@ func (s *Server) Flush() (*EncryptedDatabase, error) {
 	}
 }
 
-// Len returns the number of stored vectors (including tombstones).
-func (s *Server) Len() int { return s.snap.Load().edb.DCE.Len() }
+// Len returns the id space: the number of ids ever issued, deleted ones
+// included.
+func (s *Server) Len() int { return s.snap.Load().edb.Len() }
 
-// Live returns the number of stored vectors excluding tombstones — the
-// count users actually search over, across both tiers. Len-Live is the
-// tombstone count (compacted and pending).
+// Live returns the number of vectors not deleted — the count users
+// actually search over, across both tiers. Len-Live is the deletion count
+// (folded away and pending).
 func (s *Server) Live() int { return s.snap.Load().live() }
 
 // Epoch returns the current snapshot's mutation count: 0 for the state
@@ -442,15 +448,16 @@ func (s *Server) SearchShard(tok *QueryToken, k int, opt SearchOptions) (ShardRe
 		return ShardResult{}, fmt.Errorf("core: a merge answer needs the DCE refine, not %v", opt.Refine)
 	}
 	sp := s.snap.Load()
-	ids, st, err := sp.search(nil, tok, k, opt)
+	slots, st, err := sp.search(nil, tok, k, opt)
 	if err != nil {
 		return ShardResult{}, err
 	}
-	recs := make([][]float64, len(ids))
-	for i, id := range ids {
-		recs[i] = sp.edb.DCE.Record(id)
+	recs := make([][]float64, len(slots))
+	for i, slot := range slots {
+		recs[i] = sp.edb.DCE.Record(slot)
 	}
-	return ShardResult{IDs: ids, Epoch: st.Epoch, Recs: recs}, nil
+	sp.edb.toIDs(slots)
+	return ShardResult{IDs: slots, Epoch: st.Epoch, Recs: recs}, nil
 }
 
 // SearchInto is Search plus cost accounting, appending the result ids into
@@ -459,22 +466,26 @@ func (s *Server) SearchShard(tok *QueryToken, k int, opt SearchOptions) (ShardRe
 // internal pool, so with a recycled dst a steady-state search performs zero
 // allocations.
 func (s *Server) SearchInto(dst []int, tok *QueryToken, k int, opt SearchOptions) ([]int, SearchStats, error) {
-	return s.snap.Load().search(dst, tok, k, opt)
+	sp := s.snap.Load()
+	dst, st, err := sp.search(dst, tok, k, opt)
+	sp.edb.toIDs(dst)
+	return dst, st, err
 }
 
 // search is the shared search body of Server.SearchInto and SearchShard.
+// It appends the results' slots to dst; each caller maps them to ids once.
 //
 // k, k′ and dst are sized only after the request has been validated and k
 // and k′ clamped to the snapshot's record count — a query cannot return
 // more ids than exist — so every allocation a request can cause here is
-// O(n), whatever k arrived from the wire. The beam width is not clamped
+// O(records), whatever k arrived from the wire. The beam width is not clamped
 // here: each backend bounds the effort it derives from it (IVF by its list
 // count, HNSW by its node count).
 //
 // The whole body runs lock-free against one immutable snapshot, which
 // writers never touch — they publish whole new snapshots instead. The
 // filter phase searches both tiers (filterInto); the refine phase is
-// tier-blind, because the DCE store spans both tiers in one id space.
+// tier-blind, because the DCE store spans both tiers in one arena.
 func (sp *snapshot) search(dst []int, tok *QueryToken, k int, opt SearchOptions) ([]int, SearchStats, error) {
 	var st SearchStats
 	if tok == nil || tok.SAP == nil {
@@ -496,7 +507,7 @@ func (sp *snapshot) search(dst []int, tok *QueryToken, k int, opt SearchOptions)
 		kPrime = k
 	}
 	ef := opt.ef(kPrime)
-	n := edb.DCE.Len()
+	n := edb.Live()
 	k, kPrime = min(k, n), min(kPrime, n)
 
 	sc := getScratch()
@@ -557,9 +568,9 @@ func (sp *snapshot) search(dst []int, tok *QueryToken, k int, opt SearchOptions)
 		// A filter backend out of step with the ciphertext store must
 		// surface as a wire-safe error, never as an out-of-range panic in
 		// the serving process.
-		for _, id := range cands {
-			if !edb.DCE.Has(id) {
-				return dst[:0], st, fmt.Errorf("core: filter index returned id %d with no DCE ciphertext", id)
+		for _, slot := range cands {
+			if slot < 0 || slot >= n {
+				return dst[:0], st, fmt.Errorf("core: filter index returned slot %d with no DCE ciphertext", slot)
 			}
 		}
 		cmp := &sc.dce
@@ -627,7 +638,7 @@ func (s *Server) write(m mutation) (int, error) {
 	s.wmu.Lock()
 	cur := s.snap.Load()
 	if m.kind == wal.KindInsert && m.id == nextID {
-		m.id = cur.edb.DCE.Len()
+		m.id = cur.edb.Len()
 	}
 	if err := cur.check(m); err != nil {
 		s.wmu.Unlock()
@@ -653,12 +664,12 @@ func (s *Server) write(m mutation) (int, error) {
 }
 
 // check refuses a mutation that does not fit the snapshot's database: an
-// insert that is incomplete, not at the next id, or whose SAP vector or
-// DCE record has another shape; a delete of an id that is not live (never
-// assigned, compacted away, or pending in tombs).
+// insert that is incomplete, not at the next id, past the int32 id space,
+// or whose SAP vector or DCE record has another shape; a delete of an id
+// that is not live (never assigned, folded away, or pending in tombs).
 func (sp *snapshot) check(m mutation) error {
 	edb := sp.edb
-	n := edb.DCE.Len()
+	n := edb.Len()
 	if m.kind == wal.KindDelete {
 		if m.id < 0 || m.id >= n {
 			return fmt.Errorf("delete of unknown id %d", m.id)
@@ -673,6 +684,8 @@ func (sp *snapshot) check(m mutation) error {
 		return fmt.Errorf("incomplete insert payload")
 	case m.id != n:
 		return fmt.Errorf("insert at id %d, next id is %d", m.id, n)
+	case n == math.MaxInt32:
+		return fmt.Errorf("the id space is full at %d ids", n)
 	case len(p.SAP) != edb.Dim:
 		return fmt.Errorf("insert payload has dim %d, want %d", len(p.SAP), edb.Dim)
 	case len(p.DCE) != 4*edb.DCE.CtDim():
@@ -710,11 +723,13 @@ type CompactionStats struct {
 	Epoch uint64
 	// Generation counts compactions folded into the snapshot.
 	Generation uint64
-	// Len and Live are the record counts (total / excluding tombstones).
+	// Len is the id space and Live the records not deleted (see
+	// Server.Len and Server.Live).
 	Len, Live int
-	// Frozen is the main-tier size (ids covered by the frozen index);
-	// Delta is the delta-tier record count (Len-Frozen); Tombstones is
-	// the pending tombstone count awaiting compaction.
+	// Frozen is the main tier's id bound (the frozen index covers the
+	// live ids below it); Delta is the delta-tier record count
+	// (Len-Frozen); Tombstones is the pending tombstone count awaiting
+	// compaction.
 	Frozen, Delta, Tombstones int
 	// Compacting reports whether a background compaction is running.
 	Compacting bool
@@ -736,7 +751,7 @@ func (s *Server) CompactionStats() CompactionStats {
 	cs := CompactionStats{
 		Epoch:      sp.epoch,
 		Generation: sp.gen,
-		Len:        sp.edb.DCE.Len(),
+		Len:        sp.edb.Len(),
 		Live:       sp.live(),
 		Frozen:     sp.frozen,
 		Delta:      sp.delta(),
@@ -755,16 +770,18 @@ func (s *Server) CompactionStats() CompactionStats {
 }
 
 // MemoryStats is the published snapshot's memory footprint split by
-// serving tier, in bytes per point: the padded SAP vector row the filter
-// phase streams, the DCE ciphertext record the refine phase reads, and —
-// when the compressed tier is attached — the PQ code row plus the codebook
-// amortized across points. DeltaBytes is the absolute un-compacted
+// serving tier, in bytes per live record: the padded SAP vector row the
+// filter phase streams, the DCE ciphertext record the refine phase reads,
+// and — when the compressed tier is attached — the PQ code rows plus the
+// codebook, divided by Live. DeltaBytes is the absolute un-compacted
 // write-path bloat on top: the delta-tier records awaiting the next fold,
 // each a SAP row, a DCE record and, with a PQ tier, a code row.
 type MemoryStats struct {
-	// N is Len(): the id space, tombstones included, not the live record
-	// count. Every per-point figure divides by it.
-	N          int
+	// N is Len(): the id space, deleted ids included.
+	N int
+	// Live is Live(): the records not deleted. Every per-record figure
+	// divides by it.
+	Live       int
 	SAP        float64
 	DCE        float64
 	PQCodes    float64
@@ -778,14 +795,15 @@ type MemoryStats struct {
 func (s *Server) MemoryStats() MemoryStats {
 	sp := s.snap.Load()
 	m := MemoryStats{
-		N:          sp.edb.DCE.Len(),
+		N:          sp.edb.Len(),
+		Live:       sp.live(),
 		SAP:        float64(8 * vec.PadStride(sp.edb.Dim)),
 		DCE:        float64(8 * sp.edb.DCE.Stride()),
 		DeltaBytes: sp.delta() * 8 * (sp.edb.DCE.Stride() + sp.edb.SAP.Stride()),
 	}
-	if pqs := sp.edb.PQ; pqs != nil && m.N > 0 {
-		m.PQCodes = float64(len(pqs.Codes.Raw())) / float64(m.N)
-		m.PQBook = float64(pqs.Book.SizeBytes()) / float64(m.N)
+	if pqs := sp.edb.PQ; pqs != nil && m.Live > 0 {
+		m.PQCodes = float64(len(pqs.Codes.Raw())) / float64(m.Live)
+		m.PQBook = float64(pqs.Book.SizeBytes()) / float64(m.Live)
 		m.DeltaBytes += sp.delta() * pqs.Codes.Stride()
 	}
 	return m
@@ -854,16 +872,15 @@ func (s *Server) compactOnce() error {
 	return err
 }
 
-// compactFold is the fold: the gather (relayout.go) over the identity map
-// of the base snapshot's [0, n), pending tombstones dead, with the index
-// Rebuilt under the serving configuration; then foldPQ's 2× retrain rule.
-// The rebuilt index and the private arenas hold each dead id as an empty
-// slot: the id space never shifts (shard striping and user-visible ids
-// depend on stable positions), and no dead vector or ciphertext survives
-// the fold. The old chain keeps serving in-flight readers. The pre-graft
-// and the swap graft follow, each appending through appendRow, so a
-// grafted record's code is derived under the folded codebook whether or
-// not the fold retrained it.
+// compactFold is the fold: the gather (relayout.go) of the base
+// snapshot's slots whose ids are not pending deletion, ids kept, with the
+// index Rebuilt under the serving configuration; then foldPQ's 2× retrain
+// rule. No deleted record survives the fold in any column, and the id
+// space never shifts (shard striping and user-visible ids depend on it).
+// The old chain keeps serving in-flight readers. The pre-graft and the
+// swap graft follow, each appending through appendRow, so a grafted
+// record's code is derived under the folded codebook whether or not the
+// fold retrained it, and its id is the next one, as it was.
 func (s *Server) compactFold() error {
 	start := time.Now()
 	base := s.snap.Load()
@@ -871,16 +888,16 @@ func (s *Server) compactFold() error {
 		return nil
 	}
 	edb := base.edb
-	n := edb.DCE.Len()
+	n, baseSlots := edb.Len(), edb.Live()
 
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
+	slots := make([]int, 0, base.live())
+	ids := make([]int32, 0, base.live())
+	for slot, id := range edb.ids {
+		if !base.tombed(int(id)) {
+			slots, ids = append(slots, slot), append(ids, id)
+		}
 	}
-	for t := range base.tombs {
-		ids[t] = -1
-	}
-	folded, err := edb.gather(ids, edb.Index.Rebuild)
+	folded, err := edb.gather(slots, ids, n, edb.Index.Rebuild)
 	if err != nil {
 		return fmt.Errorf("core: compaction: %w", err)
 	}
@@ -903,14 +920,16 @@ func (s *Server) compactFold() error {
 	// image; the grafts only append past its lengths, so it stays
 	// bit-stable while the checkpoint file is written after the swap.
 	pre := s.snap.Load()
-	preN := pre.edb.DCE.Len()
-	folded.DCE.Reserve(preN - n + 64)
-	folded.SAP.Reserve(preN - n + 64)
+	preSlots := pre.edb.Live()
+	grow := preSlots - baseSlots + 64
+	folded.DCE.Reserve(grow)
+	folded.SAP.Reserve(grow)
 	if folded.PQ != nil {
-		folded.PQ.Codes.Reserve(preN - n + 64)
+		folded.PQ.Codes.Reserve(grow)
 	}
+	folded.ids = slices.Grow(folded.ids, grow)
 	next := folded.clone()
-	for g := n; g < preN; g++ {
+	for g := baseSlots; g < preSlots; g++ {
 		next.appendRow(pre.edb.SAP.At(g), pre.edb.DCE.Record(g))
 	}
 
@@ -920,7 +939,7 @@ func (s *Server) compactFold() error {
 	swapStart := time.Now()
 	s.wmu.Lock()
 	cur := s.snap.Load()
-	for g := preN; g < cur.edb.DCE.Len(); g++ {
+	for g := preSlots; g < cur.edb.Live(); g++ {
 		next.appendRow(cur.edb.SAP.At(g), cur.edb.DCE.Record(g))
 	}
 	var tombs map[int]struct{}

@@ -33,38 +33,35 @@ func TestSplitPartitionsStripe(t *testing.T) {
 	for s, p := range parts {
 		wantCnt := (n - s + shards - 1) / shards
 		if p.Len() != wantCnt {
-			t.Fatalf("shard %d holds %d records, want %d", s, p.Len(), wantCnt)
+			t.Fatalf("shard %d holds %d ids, want %d", s, p.Len(), wantCnt)
 		}
 		if p.Dim != dim || p.Backend != edb.Backend {
 			t.Fatalf("shard %d shape %d/%q, want %d/%q", s, p.Dim, p.Backend, dim, edb.Backend)
 		}
 		total += p.Len()
-		live += p.DCE.Live()
+		live += p.Live()
 		// Every local record must be a bit-exact copy of its global record,
-		// with tombstones preserved in place.
+		// and a deleted global id a deleted local one.
 		for local := 0; local < p.Len(); local++ {
 			g := local*shards + s
-			if p.DCE.Has(local) != edb.DCE.Has(g) {
-				t.Fatalf("shard %d local %d liveness %v, global id %d is %v",
-					s, local, p.DCE.Has(local), g, edb.DCE.Has(g))
+			ps, pok := p.slot(local)
+			es, eok := edb.slot(g)
+			if pok != eok {
+				t.Fatalf("shard %d local %d liveness %v, global id %d is %v", s, local, pok, g, eok)
 			}
-			want := edb.DCE.Record(g)
-			got := p.DCE.Record(local)
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("shard %d local %d record differs from global id %d at %d", s, local, g, j)
-				}
+			if pok && !slices.Equal(p.DCE.Record(ps), edb.DCE.Record(es)) {
+				t.Fatalf("shard %d local %d record differs from global id %d", s, local, g)
 			}
 		}
-		if p.Index.Len() != p.DCE.Live() {
-			t.Fatalf("shard %d index holds %d live, store %d", s, p.Index.Len(), p.DCE.Live())
+		if p.Index.Len() != p.Live() {
+			t.Fatalf("shard %d index holds %d, store %d", s, p.Index.Len(), p.Live())
 		}
 	}
 	if total != n {
-		t.Fatalf("shards hold %d records total, want %d", total, n)
+		t.Fatalf("shards hold %d ids total, want %d", total, n)
 	}
-	if live != edb.DCE.Live() {
-		t.Fatalf("shards hold %d live records, want %d", live, edb.DCE.Live())
+	if live != edb.Live() {
+		t.Fatalf("shards hold %d live records, want %d", live, edb.Live())
 	}
 
 	// Each shard must answer queries as a standalone server.
@@ -105,21 +102,21 @@ func TestSplitValidation(t *testing.T) {
 	}
 }
 
-// contractBreaker wraps a SecureIndex, dropping the last record from
-// Rebuild's live set — the backend misbehavior a compaction must reject
+// contractBreaker wraps a SecureIndex, dropping the last row from
+// Rebuild's column — the backend misbehavior a compaction must reject
 // without publishing anything.
 type contractBreaker struct {
 	index.SecureIndex
 	breakRebuild bool
 }
 
-func (b *contractBreaker) Rebuild(rows *vec.Dataset, live []bool) (index.SecureIndex, error) {
-	if b.breakRebuild && len(live) > 1 {
-		// Mark the last record dead: the rebuilt index's live set no
-		// longer matches the ciphertext store.
-		live = append(slices.Clone(live[:len(live)-1]), false)
+func (b *contractBreaker) Rebuild(rows *vec.Dataset, ids []int32) (index.SecureIndex, error) {
+	if b.breakRebuild && len(ids) > 1 {
+		// Leave the last row out: the rebuilt index no longer holds what
+		// the ciphertext store does.
+		rows, ids = rows.Gather(seqIDs(len(ids)-1)), ids[:len(ids)-1]
 	}
-	return b.SecureIndex.Rebuild(rows, live)
+	return b.SecureIndex.Rebuild(rows, ids)
 }
 
 // TestCompactionContractViolationLeavesSnapshotUntouched pins the payoff

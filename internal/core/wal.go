@@ -174,20 +174,20 @@ func loadCheckpoint(lg *wal.Log, b *wal.Barrier) (*EncryptedDatabase, error) {
 	if err != nil {
 		return nil, err
 	}
-	if got := uint64(edb.DCE.Len()); got != b.Records {
+	if got := uint64(edb.Len()); got != b.Records {
 		return nil, fmt.Errorf("it holds %d records, its barrier recorded %d", got, b.Records)
 	}
 	return edb, nil
 }
 
 // walCheckpoint persists the folded database as the log's new recovery
-// base: the PPANNSD7 snapshot goes through the atomic-persist path, a
+// base: the PPANNSD8 snapshot goes through the atomic-persist path, a
 // barrier record marks it durable, and sealed segments wholly behind it
 // are garbage-collected. Called by attachWAL for the initial checkpoint
 // and by compactFold with cmu held (checkpoints are serialized);
 // concurrent Insert/Delete appends are safe throughout.
 func (s *Server) walCheckpoint(edb *EncryptedDatabase, epoch, gen uint64) error {
-	b := wal.Barrier{Epoch: epoch, Gen: gen, Records: uint64(edb.DCE.Len())}
+	b := wal.Barrier{Epoch: epoch, Gen: gen, Records: uint64(edb.Len())}
 	if err := s.wal.Checkpoint(b, edb.Save); err != nil {
 		return fmt.Errorf("core: wal checkpoint at epoch %d: %w", epoch, err)
 	}

@@ -77,23 +77,24 @@ func churnWAL(t *testing.T, w *testWorld, dim, mutations int, seed uint64) []int
 
 // sameStores asserts two servers hold bit-identical ciphertext content and
 // PQ code rows for every live id, tolerating different physical layouts:
-// one side may have compacted a tombstone away while the other still
-// carries it as a pending tombstone over a live store slot, so liveness is
-// compared through Deleted() (both tiers), not the store flags.
+// one side may have folded a deletion away while the other still carries
+// it as a pending tombstone over a slot, so liveness is compared through
+// Deleted() (both tiers), and records by id, not by slot.
 func sameStores(t *testing.T, label string, a, b *Server) {
 	t.Helper()
 	sa, sb := a.snap.Load().edb, b.snap.Load().edb
-	if sa.DCE.Len() != sb.DCE.Len() {
-		t.Fatalf("%s: store lengths differ: %d vs %d", label, sa.DCE.Len(), sb.DCE.Len())
+	if sa.Len() != sb.Len() {
+		t.Fatalf("%s: id spaces differ: %d vs %d", label, sa.Len(), sb.Len())
 	}
-	for id := 0; id < sa.DCE.Len(); id++ {
+	for id := 0; id < sa.Len(); id++ {
 		if a.Deleted(id) != b.Deleted(id) {
 			t.Fatalf("%s: id %d deleted=%v vs deleted=%v", label, id, a.Deleted(id), b.Deleted(id))
 		}
 		if a.Deleted(id) {
 			continue
 		}
-		ra, rb := sa.DCE.Record(id), sb.DCE.Record(id)
+		slotA, slotB := slotOf(t, sa, id), slotOf(t, sb, id)
+		ra, rb := sa.DCE.Record(slotA), sb.DCE.Record(slotB)
 		for j := range ra {
 			if ra[j] != rb[j] {
 				t.Fatalf("%s: id %d ciphertext float %d differs", label, id, j)
@@ -103,7 +104,7 @@ func sameStores(t *testing.T, label string, a, b *Server) {
 			t.Fatalf("%s: PQ tier presence differs", label)
 		}
 		if sa.PQ != nil {
-			ca, cb := sa.PQ.Codes.Row(id), sb.PQ.Codes.Row(id)
+			ca, cb := sa.PQ.Codes.Row(slotA), sb.PQ.Codes.Row(slotB)
 			if len(ca) != len(cb) {
 				t.Fatalf("%s: id %d PQ code widths differ: %d vs %d", label, id, len(ca), len(cb))
 			}
@@ -280,9 +281,9 @@ func TestWALRecoveryAfterRetrainingFold(t *testing.T) {
 			defer rec.Close()
 			got := rec.snap.Load()
 			if !bytes.Equal(got.edb.PQ.Codes.Raw(), live.edb.PQ.Codes.Raw()) {
-				for id := range live.edb.Len() {
-					if !bytes.Equal(got.edb.PQ.Codes.Row(id), live.edb.PQ.Codes.Row(id)) {
-						t.Errorf("recovered code row %d is %v, the live server's %v", id, got.edb.PQ.Codes.Row(id), live.edb.PQ.Codes.Row(id))
+				for slot := range min(live.edb.Live(), got.edb.Live()) {
+					if !bytes.Equal(got.edb.PQ.Codes.Row(slot), live.edb.PQ.Codes.Row(slot)) {
+						t.Errorf("recovered code row %d is %v, the live server's %v", slot, got.edb.PQ.Codes.Row(slot), live.edb.PQ.Codes.Row(slot))
 					}
 				}
 				t.FailNow()
@@ -843,7 +844,8 @@ func TestFoldDropsDeadSlots(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mainSAP, ok := w.server.snap.Load().edb.Index.Vector(mainID)
+			before := w.server.snap.Load().edb
+			mainSAP, ok := before.Index.Vector(slotOf(t, before, mainID))
 			if !ok {
 				t.Fatal("main-tier vector missing before the fold")
 			}
@@ -867,8 +869,8 @@ func TestFoldDropsDeadSlots(t *testing.T) {
 				t.Fatal(err)
 			}
 			for d, sap := range dead {
-				if _, ok := edb.Index.Vector(d); ok {
-					t.Fatalf("folded index still reports a vector for dead id %d", d)
+				if _, ok := edb.slot(d); ok {
+					t.Fatalf("the folded database still holds a slot for dead id %d", d)
 				}
 				var pattern []byte
 				for _, f := range sap {

@@ -2,7 +2,6 @@ package dce
 
 import (
 	"fmt"
-	"slices"
 
 	"ppanns/internal/frame"
 	"ppanns/internal/vec"
@@ -22,48 +21,32 @@ import (
 // in-memory layout: Save and LoadStore speak the compact 4·ctDim-per-record
 // representation, which keeps the database file's bytes independent of it.
 //
-// Records are addressed by id (0..Len()-1). A dead record is a tombstoned
-// slot — Gather leaves it zeroed — and ids are never reused. Beside the
-// arena the store keeps a liveness mask; both follow the copy-on-write
+// Records are addressed by slot (0..Len()-1), and every slot holds a live
+// record: which id a slot carries, and which ids are gone, is the caller's
+// to say (core's ids column). The arena follows the copy-on-write
 // publication discipline documented on vec.Rows. Views are slices into the
 // arena (callers must not retain them across mutations).
 type CiphertextStore struct {
 	ctDim int
 	rows  vec.Rows[float64]
-	live  []bool
-	liveN int
 }
 
-// NewCiphertextStoreN returns a store holding n live, zero-filled records.
-// It exists for bulk encryption: workers fill disjoint Record(i) views in
+// NewCiphertextStoreN returns a store holding n zero-filled records. It
+// exists for bulk encryption: workers fill disjoint Record(i) views in
 // place (Encryptor.EncryptRecords), so no per-point allocation or copying
 // happens.
 func NewCiphertextStoreN(ctDim, n int) *CiphertextStore {
-	s := &CiphertextStore{
-		ctDim: ctDim,
-		rows:  *vec.NewRows[float64](4*ctDim, vec.PadStride(4*ctDim), n),
-		live:  make([]bool, n),
-		liveN: n,
-	}
-	for i := range s.live {
-		s.live[i] = true
-	}
-	return s
+	return &CiphertextStore{ctDim: ctDim, rows: *vec.NewRows[float64](4*ctDim, vec.PadStride(4*ctDim), n)}
 }
 
 // CtDim returns the component length of every ciphertext in the store.
 func (s *CiphertextStore) CtDim() int { return s.ctDim }
 
-// Len returns the number of records, including tombstones.
-func (s *CiphertextStore) Len() int { return len(s.live) }
+// Len returns the number of records.
+func (s *CiphertextStore) Len() int { return s.rows.Len() }
 
-// Live returns the number of non-tombstoned records.
-func (s *CiphertextStore) Live() int { return s.liveN }
-
-// Has reports whether id names a live record.
-func (s *CiphertextStore) Has(id int) bool {
-	return id >= 0 && id < len(s.live) && s.live[id]
-}
+// Cap returns the number of records the arena holds (vec.Rows.Cap).
+func (s *CiphertextStore) Cap() int { return s.rows.Cap() }
 
 // Stride returns the in-memory record stride in float64s (≥ 4·ctDim; the
 // excess is cache-line padding).
@@ -82,79 +65,45 @@ func (s *CiphertextStore) O12(id int) []float64 { return s.rows.Row(id)[:2*s.ctD
 func (s *CiphertextStore) P34(id int) []float64 { return s.rows.Row(id)[2*s.ctDim:] }
 
 // AppendRecord copies a full logical record (4·CtDim floats, as Record
-// returns) into a fresh slot and returns its id.
-func (s *CiphertextStore) AppendRecord(rec []float64) int {
-	s.rows.Append(rec)
-	s.live = append(s.live, true)
-	s.liveN++
-	return len(s.live) - 1
-}
+// returns) into a fresh slot and returns the slot.
+func (s *CiphertextStore) AppendRecord(rec []float64) int { return s.rows.Append(rec) }
 
 // Reserve pre-allocates capacity for records more appends, so they cannot
 // trigger a reallocation. Compaction calls it before grafting under the
 // writer mutex: the repacked arena is allocated exactly full, and without
 // the reservation the first graft would double it — a full-arena copy —
 // inside the writers' critical section.
-func (s *CiphertextStore) Reserve(records int) {
-	s.rows.Reserve(records)
-	s.live = slices.Grow(s.live, records)
-}
+func (s *CiphertextStore) Reserve(records int) { s.rows.Reserve(records) }
 
 // Gather returns a store with a private arena whose record j is a copy of
-// the receiver's record ids[j], or a zeroed dead slot when ids[j] < 0 or
-// names no live record. It is the one way records are copied between
-// stores: a fold keeps ids (the identity map, dead ids −1), offline
-// compaction renumbers them densely, and Split takes a stripe. The arena
-// is allocated exactly full.
-func (s *CiphertextStore) Gather(ids []int) *CiphertextStore {
-	ns := &CiphertextStore{ctDim: s.ctDim, rows: *s.rows.Gather(ids), live: make([]bool, len(ids))}
-	for j, id := range ids {
-		if s.Has(id) {
-			ns.live[j] = true
-			ns.liveN++
-		} else {
-			// vec.Rows.Gather copies a dead source record like any
-			// other; no deleted ciphertext may survive into the copy.
-			clear(ns.rows.Row(j))
-		}
-	}
-	return ns
+// the receiver's record slots[j]. It is the one way records are copied
+// between stores: a fold and offline compaction take the live slots, and
+// Split a stripe's. The arena is allocated exactly full, and a record
+// no slot names is not copied: a deleted ciphertext does not survive a
+// gather that leaves it out.
+func (s *CiphertextStore) Gather(slots []int) *CiphertextStore {
+	return &CiphertextStore{ctDim: s.ctDim, rows: *s.rows.Gather(slots)}
 }
 
-// Save writes every record's 4·CtDim floats, pad excluded, in id order:
-// the database file's ciphertext section. A dead record is written as
-// zeros whatever its bytes in memory, so no deleted ciphertext reaches
-// disk and the section's length follows from Len alone.
+// Save writes every record's 4·CtDim floats, pad excluded, in slot order:
+// the database file's ciphertext section.
 func (s *CiphertextStore) Save(e *frame.Encoder) {
-	zero := make([]float64, 4*s.ctDim)
-	for id, live := range s.live {
-		if live {
-			e.FloatRun(s.Record(id))
-		} else {
-			e.FloatRun(zero)
-		}
+	for slot := range s.Len() {
+		e.FloatRun(s.Record(slot))
 	}
 }
 
-// LoadStore reads the len(live) records Save wrote into a store of
-// component length ctDim whose liveness is live, which it keeps. The arena
-// grows as the records arrive, under len(live) (vec.Rows.AppendZero), so a
-// record count the input does not back costs at most twice what did
-// arrive.
-func LoadStore(d *frame.Decoder, ctDim int, live []bool) *CiphertextStore {
-	s := &CiphertextStore{ctDim: ctDim, rows: *vec.NewRows[float64](4*ctDim, vec.PadStride(4*ctDim), 0), live: live}
-	for id := 0; id < len(live) && d.Err() == nil; id++ {
-		d.FloatRun(s.rows.AppendZero(len(live)))
-		if live[id] {
-			s.liveN++
-		}
+// LoadStore reads the n records Save wrote into a store of component
+// length ctDim. The arena grows as the records arrive, under n
+// (vec.Rows.AppendZero), so a record count the input does not back costs
+// at most twice what did arrive.
+func LoadStore(d *frame.Decoder, ctDim, n int) *CiphertextStore {
+	s := &CiphertextStore{ctDim: ctDim, rows: *vec.NewRows[float64](4*ctDim, vec.PadStride(4*ctDim), 0)}
+	for i := 0; i < n && d.Err() == nil; i++ {
+		d.FloatRun(s.rows.AppendZero(n))
 	}
 	return s
 }
-
-// LiveMask exposes the per-record liveness flags, used by the bulk
-// serialization path. Callers must not modify it.
-func (s *CiphertextStore) LiveMask() []bool { return s.live }
 
 // CheckTrapdoor reports whether tq can be compared against the store's
 // records: its Q must hold exactly CtDim floats. The comparison entry

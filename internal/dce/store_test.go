@@ -66,31 +66,19 @@ func TestStoreViewsShareArena(t *testing.T) {
 }
 
 // TestStoreGather covers the one way records are copied between stores:
-// row j of the result is source record ids[j], and a negative, out-of-range
-// or dead source id leaves a zeroed dead slot. The arena is private.
+// record j of the result is source record slots[j], a slot may be taken
+// twice, and the arena is private.
 func TestStoreGather(t *testing.T) {
 	_, store, _, _, _ := storeWorld(t, 5, 4)
-	g := store.Gather([]int{2, -1, 0, 99, 2})
-	if g.Len() != 5 || g.Live() != 3 || store.Len() != 4 || store.Live() != 4 {
-		t.Fatalf("gathered len=%d live=%d, source len=%d live=%d", g.Len(), g.Live(), store.Len(), store.Live())
+	slots := []int{2, 0, 3, 2}
+	g := store.Gather(slots)
+	if g.Len() != 4 || store.Len() != 4 {
+		t.Fatalf("gathered len=%d, source len=%d", g.Len(), store.Len())
 	}
-	for j, id := range []int{2, -1, 0, 99, 2} {
-		if g.Has(j) != (id == 0 || id == 2) {
-			t.Fatalf("row %d (source %d): live %v", j, id, g.Has(j))
+	for j, slot := range slots {
+		if !slices.Equal(g.Record(j), store.Record(slot)) {
+			t.Fatalf("record %d is not source record %d", j, slot)
 		}
-		for c, f := range g.Record(j) {
-			want := 0.0
-			if g.Has(j) {
-				want = store.Record(id)[c]
-			}
-			if f != want {
-				t.Fatalf("row %d (source %d) float %d = %v, want %v", j, id, c, f, want)
-			}
-		}
-	}
-	// A dead source record gathers as a dead slot too.
-	if gg := g.Gather([]int{1, 3, 4}); gg.Live() != 1 || !gg.Has(2) {
-		t.Fatalf("regather of dead slots: live %d, Has(2) %v", gg.Live(), gg.Has(2))
 	}
 	g.Record(0)[0] = 42
 	if store.Record(2)[0] == 42 {
@@ -98,9 +86,9 @@ func TestStoreGather(t *testing.T) {
 	}
 }
 
-// TestStoreGatherZeroesDeadBytes: a dead record is not always zero in
-// memory — LoadStore keeps what a crafted file holds for one — and Gather
-// still leaves a zeroed dead slot where the id map names it.
+// TestStoreGatherZeroesDeadBytes: a record the slot list leaves out — a
+// deleted one, at a fold — is not copied: none of its bytes is anywhere in
+// the gathered arena, pad and slack included.
 func TestStoreGatherZeroesDeadBytes(t *testing.T) {
 	const ctDim = 4
 	var buf bytes.Buffer
@@ -116,20 +104,18 @@ func TestStoreGatherZeroesDeadBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := frame.NewDecoder(bytes.NewReader(buf.Bytes()))
-	loaded := LoadStore(d, ctDim, []bool{true, false})
+	loaded := LoadStore(d, ctDim, 2)
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Has(1) || loaded.Record(1)[0] == 0 {
-		t.Fatalf("crafted dead record: live %v, first float %v", loaded.Has(1), loaded.Record(1)[0])
+	g := loaded.Gather([]int{1})
+	if g.Len() != 1 || g.Record(0)[0] != 101 {
+		t.Fatalf("gathered %d records, the first starting %v", g.Len(), g.Record(0)[0])
 	}
-	g := loaded.Gather([]int{1, 0})
-	if g.Live() != 1 || g.Has(0) || !g.Has(1) || g.Record(1)[0] != 1 {
-		t.Fatalf("gathered live %d, Has(0) %v, Has(1) %v, record 1 starts %v", g.Live(), g.Has(0), g.Has(1), g.Record(1)[0])
-	}
-	for c, f := range g.Record(0) {
-		if f != 0 {
-			t.Fatalf("dead slot float %d = %v, want 0", c, f)
+	arena := g.rows.Raw()
+	for _, f := range arena[:cap(arena)] {
+		if f >= 1 && f <= 4*ctDim {
+			t.Fatalf("the left-out record's float %v is in the gathered arena", f)
 		}
 	}
 }
@@ -176,32 +162,28 @@ func saveLoad(t *testing.T, store *CiphertextStore) (*CiphertextStore, int) {
 		t.Fatal(err)
 	}
 	d := frame.NewDecoder(bytes.NewReader(buf.Bytes()))
-	back := LoadStore(d, store.CtDim(), slices.Clone(store.LiveMask()))
+	back := LoadStore(d, store.CtDim(), store.Len())
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}
 	return back, buf.Len()
 }
 
-// TestStoreSaveLoadRoundTrip: a store with a dead record comes back with
-// the same shape and comparisons, the dead record as zeros whatever its
-// bytes were in memory; a record the input does not hold fails the load.
+// TestStoreSaveLoadRoundTrip: a store comes back with the same shape and
+// comparisons in an aligned arena; a record the input does not hold fails
+// the load.
 func TestStoreSaveLoadRoundTrip(t *testing.T) {
-	_, full, _, _, tq := storeWorld(t, 7, 5)
-	store := *full
-	store.live = slices.Clone(full.live)
-	store.live[3], store.liveN = false, store.liveN-1
-	clone, _ := saveLoad(t, &store)
-	if clone.Len() != store.Len() || clone.Live() != store.Live() || clone.CtDim() != store.CtDim() || clone.Has(3) {
-		t.Fatalf("clone shape %d/%d/%d, want %d/%d/%d",
-			clone.Len(), clone.Live(), clone.CtDim(), store.Len(), store.Live(), store.CtDim())
+	_, store, _, _, tq := storeWorld(t, 7, 5)
+	clone, _ := saveLoad(t, store)
+	if clone.Len() != store.Len() || clone.CtDim() != store.CtDim() {
+		t.Fatalf("clone shape %d/%d, want %d/%d", clone.Len(), clone.CtDim(), store.Len(), store.CtDim())
 	}
 	if clone.DistanceComp(0, 1, tq) != store.DistanceComp(0, 1, tq) || !vec.Aligned(clone.rows.Raw()) {
 		t.Fatal("clone comparisons differ, or its arena is not aligned")
 	}
-	for _, f := range clone.Record(3) {
-		if f != 0 {
-			t.Fatal("a dead record's bytes reached the file")
+	for slot := range store.Len() {
+		if !slices.Equal(clone.Record(slot), store.Record(slot)) {
+			t.Fatalf("record %d changed in the round trip", slot)
 		}
 	}
 	var buf bytes.Buffer
@@ -209,7 +191,7 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	store.Save(e)
 	e.Close()
 	d := frame.NewDecoder(bytes.NewReader(buf.Bytes()))
-	if LoadStore(d, store.CtDim(), make([]bool, 6)); d.Err() == nil {
+	if LoadStore(d, store.CtDim(), 6); d.Err() == nil {
 		t.Fatal("a sixth record loaded from a five-record input")
 	}
 }
@@ -255,7 +237,7 @@ func TestEncryptRecordMatchesEncrypt(t *testing.T) {
 
 // TestSnapshotTombstone covers the copy-on-write publication behind core's
 // snapshots: a copy of a store's header shares the arena, and appending to
-// the copy leaves the receiver's length and liveness as they were, whether
+// the copy leaves the receiver's length and records as they were, whether
 // the append moves the full arena or, after Reserve, writes in place.
 func TestSnapshotTombstone(t *testing.T) {
 	const ctDim, n = 6, 5
@@ -273,8 +255,8 @@ func TestSnapshotTombstone(t *testing.T) {
 	if id != n {
 		t.Fatalf("snapshot append landed at %d, want %d", id, n)
 	}
-	if s.Len() != n || s.Live() != n || s.Has(n) {
-		t.Fatalf("append to the copy grew the receiver to %d records, %d live", s.Len(), s.Live())
+	if s.Len() != n || s.Record(n - 1)[0] != float64((n-1)*100+1) {
+		t.Fatalf("append to the copy grew the receiver to %d records", s.Len())
 	}
 	// A second-generation copy sees the first's state, and an append
 	// within reserved capacity leaves it as it was.
@@ -285,8 +267,8 @@ func TestSnapshotTombstone(t *testing.T) {
 	if &snap3.Record(0)[0] != &snap2.Record(0)[0] {
 		t.Fatal("an append within capacity moved the arena")
 	}
-	if snap2.Len() != n+1 || !snap2.Has(n) || snap2.Has(n+1) {
-		t.Fatalf("second-generation copy inconsistent: len %d, Has(%d) %v", snap2.Len(), n, snap2.Has(n))
+	if snap2.Len() != n+1 || snap3.Len() != n+2 {
+		t.Fatalf("second-generation copies inconsistent: len %d and %d", snap2.Len(), snap3.Len())
 	}
 }
 

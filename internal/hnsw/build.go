@@ -19,7 +19,7 @@ package hnsw
 //
 // The price is that batch-mates do not see each other, so a batch is kept
 // to a fixed small share of the graph built so far (and to single points
-// while the graph is tiny). The schedule depends on the live count only.
+// while the graph is tiny). The schedule depends on the row count only.
 //
 // The batches write the graph's own layers, carved with slack: each node's
 // slot holds its layer's full link capacity, so its list grows in place,
@@ -65,16 +65,18 @@ const batchShare = 16
 
 // Build constructs a graph over the rows of data in one seed-deterministic
 // parallel pass: row i receives graph id i, every level is drawn up front
-// from cfg.Seed in id order, and the live points are linked in
-// fixed-schedule batches across GOMAXPROCS workers. The graph keeps data
-// as its rows, and live as its liveness, and never writes either. live[i]
-// false makes id i a dead slot, which no list names, and whose row should
-// be zero; a nil live makes every row live. A dead slot's level is still drawn, so
-// the levels of the other ids do not depend on which slots are dead.
-// The result — adjacency, entry point, Save bytes — does not depend on
-// the worker count. Scratch lives for the duration of the call only.
-func Build(data *vec.Dataset, live []bool, cfg Config) (*Graph, error) {
-	g, _, err := buildLists(data, live, cfg)
+// from cfg.Seed, and the points are linked in fixed-schedule batches across
+// GOMAXPROCS workers. The graph keeps data as its rows and never writes
+// them. Every row is a live slot: a caller that deletes records builds
+// over the rows that remain. ids[i] is row i's record id, its position in
+// the level stream, strictly increasing; nil makes it i. Row i takes the
+// level drawn at ids[i], and the draws of ids no row holds are skipped,
+// so a row's level does not depend on which other records are present:
+// records that outlive a re-layout keep their levels. The result — adjacency, entry point, Save
+// bytes — does not depend on the worker count. Scratch lives for the
+// duration of the call only.
+func Build(data *vec.Dataset, ids []int32, cfg Config) (*Graph, error) {
+	g, _, err := buildLists(data, ids, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -82,34 +84,33 @@ func Build(data *vec.Dataset, live []bool, cfg Config) (*Graph, error) {
 	return g, nil
 }
 
-// buildLists lays out the graph over data and links every live point,
-// leaving its layers unpacked. It also returns what the linking computed.
-func buildLists(data *vec.Dataset, live []bool, cfg Config) (*Graph, buildCounts, error) {
+// buildLists lays out the graph over data and links every point, leaving
+// its layers unpacked. It also returns what the linking computed.
+func buildLists(data *vec.Dataset, ids []int32, cfg Config) (*Graph, buildCounts, error) {
 	n := data.Len()
-	if live != nil && len(live) != n {
-		return nil, buildCounts{}, fmt.Errorf("hnsw: liveness of %d ids for %d rows", len(live), n)
+	if ids != nil && len(ids) != n {
+		return nil, buildCounts{}, fmt.Errorf("hnsw: %d ids for %d rows", len(ids), n)
 	}
-	g := newGraph(cfg, data, live)
-	levels := drawLevels(g.cfg.Seed, g.mL, n)
-	ids := make([]int32, 0, n)
-	for i := range n {
-		if live != nil && !live[i] {
-			levels[i] = 0
-			continue
+	for i, id := range ids {
+		if id < 0 || i > 0 && id <= ids[i-1] {
+			return nil, buildCounts{}, fmt.Errorf("hnsw: id %d of row %d is negative or out of order", id, i)
 		}
-		ids = append(ids, int32(i))
 	}
-	g.carve(levels)
-	g.size = len(ids)
+	g := newGraph(cfg, data)
+	g.carve(drawLevels(g.cfg.Seed, g.mL, n, ids))
 
-	ctxs := make([]*searchCtx, min(runtime.GOMAXPROCS(0), len(ids)))
+	nodes := make([]int32, n)
+	for i := range nodes {
+		nodes[i] = int32(i)
+	}
+	ctxs := make([]*searchCtx, min(runtime.GOMAXPROCS(0), n))
 	for i := range ctxs {
 		ctxs[i] = new(searchCtx)
 		ctxs[i].vis.Grow(n)
 	}
-	for lo := 0; lo < len(ids); {
-		hi := min(lo+max(1, lo/batchShare), len(ids))
-		g.insertBatch(ctxs, ids[lo:hi])
+	for lo := 0; lo < n; {
+		hi := min(lo+max(1, lo/batchShare), n)
+		g.insertBatch(ctxs, nodes[lo:hi])
 		lo = hi
 	}
 	var counts buildCounts
@@ -134,13 +135,23 @@ func (c *buildCounts) add(o buildCounts) {
 	c.mergeKnown += o.mergeKnown
 }
 
-// drawLevels draws n levels, in id order, from the stream cfg.Seed fixes:
-// floor(−ln(U)·mL), the paper's level distribution.
-func drawLevels(seed uint64, mL float64, n int) []int {
+// drawLevels draws n levels from the stream cfg.Seed fixes:
+// floor(−ln(U)·mL), the paper's level distribution. Level i is the draw at
+// position ids[i] (at i for a nil ids); the draws between are skipped.
+func drawLevels(seed uint64, mL float64, n int, ids []int32) []int {
 	r := rng.NewSeeded(seed ^ 0x9e37)
 	levels := make([]int, n)
+	pos := 0
 	for i := range levels {
+		at := i
+		if ids != nil {
+			at = int(ids[i])
+		}
+		for ; pos < at; pos++ {
+			r.Float64()
+		}
 		u := r.Float64()
+		pos++
 		if u == 0 {
 			u = 1e-18
 		}
@@ -207,7 +218,7 @@ func (g *Graph) pack() {
 // level is node id's top layer.
 func (g *Graph) level(id int) int { return int(g.levels[id]) }
 
-// insertBatch links the nodes ids — live, ascending, with levels set and
+// insertBatch links the nodes ids — ascending, with levels set and
 // empty lists — into the graph. The caller supplies one scratch context
 // per worker, each with a visited set covering every node. Every unit of
 // parallel work writes one node only — its own in the search phase, its

@@ -27,20 +27,11 @@ func saveBytes(t testing.TB, g *Graph) []byte {
 	return buf.Bytes()
 }
 
-// liveOf is g's liveness, as a database file's presence bytes state it.
-func liveOf(g *Graph) []bool {
-	live := make([]bool, g.IDs())
-	for id := range live {
-		live[id] = !g.Deleted(id)
-	}
-	return live
-}
-
 // loadBytes reads a stream saveBytes wrote: the section for a graph over
-// rows whose liveness live marks, then the trailer.
-func loadBytes(b []byte, rows *vec.Dataset, live []bool) (*Graph, error) {
+// rows, then the trailer.
+func loadBytes(b []byte, rows *vec.Dataset) (*Graph, error) {
 	d := frame.NewDecoder(bytes.NewReader(b))
-	g, err := Load(d, rows, live)
+	g, err := Load(d, rows)
 	if err == nil {
 		err = d.Done()
 	}
@@ -73,9 +64,8 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 // levels Build draws: the classic sequential HNSW construction.
 func insertOneByOne(t *testing.T, data [][]float64, cfg Config) *Graph {
 	t.Helper()
-	g := newGraph(cfg, vec.DatasetFromSlices(data), nil)
-	g.size = len(data)
-	g.carve(drawLevels(g.cfg.Seed, g.mL, len(data)))
+	g := newGraph(cfg, vec.DatasetFromSlices(data))
+	g.carve(drawLevels(g.cfg.Seed, g.mL, len(data), nil))
 	ctx := new(searchCtx)
 	ctx.vis.Grow(len(data))
 	for id := range data {
@@ -104,7 +94,7 @@ func TestBuildMatchesSequentialInserts(t *testing.T) {
 
 // TestBuildRecallAndEquivalence holds a bulk-built graph to recall@10 ≥
 // 0.95, and its CSR search to the walk over the build's lists bit for bit —
-// with dead slots, the full build's entry point among them.
+// with ids deleted, the full build's entry point among them.
 func TestBuildRecallAndEquivalence(t *testing.T) {
 	const n, dim, k = 4000, 16, 10
 	data := clusteredData(33, n, dim, 12)
@@ -149,8 +139,8 @@ func TestBuildEdgeCases(t *testing.T) {
 	if err != nil || g.Len() != 0 || g.EntryPoint() != -1 {
 		t.Fatalf("empty build: %v, len %d, entry %d", err, g.Len(), g.EntryPoint())
 	}
-	if _, err := Build(vec.ZeroDataset(2, 2), []bool{true}, Config{}); err == nil {
-		t.Fatal("expected an error for a liveness of the wrong length")
+	if _, err := Build(vec.ZeroDataset(2, 2), []int32{0}, Config{}); err == nil {
+		t.Fatal("expected an error for ids of the wrong length")
 	}
 	one, err := build([][]float64{{1, 2}}, Config{})
 	if err != nil || one.Len() != 1 || one.EntryPoint() != 0 {
@@ -158,9 +148,9 @@ func TestBuildEdgeCases(t *testing.T) {
 	}
 }
 
-// TestSaveLoadAfterDeletingEntry: with every node of the top level dead,
-// the graph is one layer shorter, enters through a live node, and
-// round-trips through Save and Load.
+// TestSaveLoadAfterDeletingEntry: with every node of the top level
+// deleted, the graph is one layer shorter, enters through a node that
+// remains, and round-trips through Save and Load.
 func TestSaveLoadAfterDeletingEntry(t *testing.T) {
 	data := clusteredData(35, 500, 8, 4)
 	cfg := Config{M: 8, EfConstruction: 60, Seed: 35}
@@ -182,10 +172,10 @@ func TestSaveLoadAfterDeletingEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Stats().MaxLevel >= top || g.Deleted(g.EntryPoint()) {
-		t.Fatalf("max level %d (full build %d), entry %d dead=%v", g.Stats().MaxLevel, top, g.EntryPoint(), g.Deleted(g.EntryPoint()))
+	if g.Stats().MaxLevel >= top || g.EntryPoint() < 0 {
+		t.Fatalf("max level %d (full build %d), entry %d", g.Stats().MaxLevel, top, g.EntryPoint())
 	}
-	g2, err := loadBytes(saveBytes(t, g), g.data, liveOf(g))
+	g2, err := loadBytes(saveBytes(t, g), g.data)
 	if err != nil {
 		t.Fatalf("graph built without its top level does not load: %v", err)
 	}
@@ -204,9 +194,9 @@ func TestSaveLoadAfterDeletingEntry(t *testing.T) {
 	}
 }
 
-// TestSaveLoadFuzzedMutations round-trips graphs built with random dead
-// slots, down to the all-dead graph: whatever Build leaves behind, Load
-// accepts and Save reproduces byte for byte.
+// TestSaveLoadFuzzedMutations round-trips graphs built over the rows left
+// after random deletions, down to the empty graph: whatever Build leaves
+// behind, Load accepts and Save reproduces byte for byte.
 func TestSaveLoadFuzzedMutations(t *testing.T) {
 	const n = 160
 	for seed := uint64(1); seed <= 8; seed++ {
@@ -223,16 +213,18 @@ func TestSaveLoadFuzzedMutations(t *testing.T) {
 		for len(dead) < n-int(seed-1)*n/8 {
 			dead[r.IntN(n)] = true
 		}
-		rows, live := column(data)
-		for id := range dead {
-			live[id] = false
-			clear(rows.At(id))
+		rows, ids := vec.NewDataset(6, n), []int32{}
+		for id, v := range data {
+			if !dead[id] {
+				rows.Append(v)
+				ids = append(ids, int32(id))
+			}
 		}
-		g, err := Build(rows, live, cfg)
+		g, err := Build(rows, ids, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g2, err := loadBytes(saveBytes(t, g), rows, live)
+		g2, err := loadBytes(saveBytes(t, g), rows)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -263,8 +255,8 @@ func BenchmarkHNSWBuild(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var counts buildCounts
 			for i := 0; i < b.N; i++ {
-				rows, live := column(data)
-				g, cs, err := buildLists(rows, live, cfg)
+				rows, ids := column(data)
+				g, cs, err := buildLists(rows, ids, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -331,8 +323,8 @@ func TestBuildGolden(t *testing.T) {
 		{"gist-d960-n400", 400, 960, 6, 8, 64, 52},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			rows, live := column(clusteredData(c.seed, c.n, c.dim, c.clusters))
-			g, counts, err := buildLists(rows, live, Config{M: c.m, EfConstruction: c.ef, Seed: c.seed})
+			rows, ids := column(clusteredData(c.seed, c.n, c.dim, c.clusters))
+			g, counts, err := buildLists(rows, ids, Config{M: c.m, EfConstruction: c.ef, Seed: c.seed})
 			if err != nil {
 				t.Fatal(err)
 			}

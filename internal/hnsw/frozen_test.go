@@ -13,8 +13,8 @@ import (
 // first answers are the reference the packing is held to.
 func listsAndPacked(t *testing.T, data, queries [][]float64, cfg Config, k, ef int) (lists, csr [][]resultheap.Item) {
 	t.Helper()
-	rows, live := column(data)
-	g, _, err := buildLists(rows, live, cfg)
+	rows, ids := column(data)
+	g, _, err := buildLists(rows, ids, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

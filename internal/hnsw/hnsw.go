@@ -12,9 +12,8 @@
 // packing the adjacency into CSR layers — per layer, one offsets array plus
 // one flat neighbor array — which searches, Save and the accessors read with
 // no lock. Build links its points with the same descent and beam a search
-// runs, over layers carved with room for each list to grow. A dead slot
-// given to Build keeps its id (so ids stay vector positions) but is never
-// linked and is never the entry point.
+// runs, over layers carved with room for each list to grow. Every row is
+// a node, and node ids are row positions.
 //
 // The graph is topology over rows it does not own: a vec.Dataset of opaque
 // float64 vectors, which it ranks by squared Euclidean distance and never
@@ -92,33 +91,27 @@ type Graph struct {
 	mL  float64
 
 	data     *vec.Dataset // the rows Build or Load was given; never written
-	live     []bool       // their liveness, likewise (nil = all live)
 	levels   []int32      // per id: its top layer
 	layers   []csrLayer
 	entry    int
 	maxLevel int
-	size     int // live node count
 }
 
-// newGraph creates an empty graph over data's rows and liveness.
-func newGraph(cfg Config, data *vec.Dataset, live []bool) *Graph {
+// newGraph creates an empty graph over data's rows.
+func newGraph(cfg Config, data *vec.Dataset) *Graph {
 	cfg = cfg.withDefaults()
-	return &Graph{cfg: cfg, mL: 1 / math.Log(float64(cfg.M)), data: data, live: live, entry: -1}
+	return &Graph{cfg: cfg, mL: 1 / math.Log(float64(cfg.M)), data: data, entry: -1}
 }
 
-// Len returns the number of live vectors.
-func (g *Graph) Len() int { return g.size }
-
-// IDs returns the number of ids — live nodes plus dead slots. Ids are
-// dense: Build numbers its vectors 0..n-1.
-func (g *Graph) IDs() int { return len(g.levels) }
+// Len returns the number of nodes: one per row, numbered 0..n-1.
+func (g *Graph) Len() int { return len(g.levels) }
 
 // Config returns the build configuration (with defaults applied), so
 // callers can construct a fresh graph with the same parameters.
 func (g *Graph) Config() Config { return g.cfg }
 
-// Vector returns id's row of the graph's data: the zero vector at a dead
-// slot. Callers must treat it as read-only.
+// Vector returns id's row of the graph's data. Callers must treat it as
+// read-only.
 func (g *Graph) Vector(id int) []float64 { return g.data.At(id) }
 
 // searchCtx holds per-walk scratch state: the visited set, the beam's
@@ -210,7 +203,7 @@ func (g *Graph) searchInto(ctx *searchCtx, dst []resultheap.Item, q []float64, k
 	if ef < k {
 		ef = k
 	}
-	if g.size == 0 {
+	if g.entry < 0 {
 		return dst[:0]
 	}
 	ctx.vis.Grow(len(g.levels))
@@ -252,9 +245,7 @@ func (g *Graph) descend(ctx *searchCtx, ep int, epDist float64, lay *csrLayer) (
 // pool of width ef until every pooled candidate is expanded. Each hop
 // gathers its unvisited neighbors and evaluates them with one blocked
 // kernel call, then offers them to the pool in neighbor order. Searches
-// run it on layer 0; Build runs it on every layer a new node joins. No
-// list names a dead slot and the entry point is live (Build never links a
-// dead slot, Load refuses a graph that does), so a walk never meets one.
+// run it on layer 0; Build runs it on every layer a new node joins.
 // It returns the pool's candidates, closest first; they are ctx-owned:
 // consume them before the next walk on ctx.
 func (g *Graph) beam(ctx *searchCtx, ep int, epDist float64, ef int, lay *csrLayer) []resultheap.Cand {
@@ -297,29 +288,19 @@ func (g *Graph) Neighbors(id, layer int) []int {
 // EntryPoint returns the graph's entry node id (-1 when empty).
 func (g *Graph) EntryPoint() int { return g.entry }
 
-// Deleted reports whether id is a dead slot (or not an id at all).
-func (g *Graph) Deleted(id int) bool {
-	return id < 0 || id >= len(g.levels) || g.live != nil && !g.live[id]
-}
-
 // Stats summarizes graph shape for diagnostics and tests.
 type Stats struct {
-	Nodes     int // live nodes
-	Deleted   int
+	Nodes     int
 	MaxLevel  int
 	Edges     int     // directed edges across all layers
-	AvgDegree float64 // layer-0 out-degree among live nodes
+	AvgDegree float64 // layer-0 out-degree
 }
 
 // Stats computes the graph's statistics.
 func (g *Graph) Stats() Stats {
-	st := Stats{Nodes: g.size, MaxLevel: g.maxLevel}
+	st := Stats{Nodes: g.Len(), MaxLevel: g.maxLevel}
 	var deg0 int
 	for id := range g.levels {
-		if g.Deleted(id) {
-			st.Deleted++
-			continue
-		}
 		for l := 0; l <= int(g.levels[id]); l++ {
 			d := len(g.layers[l].neighbors(id))
 			st.Edges += d

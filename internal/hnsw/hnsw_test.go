@@ -71,23 +71,24 @@ func recallOf(got []int, want []int) float64 {
 }
 
 // column lays vectors out as Build takes them, at the dimension of the
-// first live row: a nil row is a dead slot held by a zero row.
-func column(vectors [][]float64) (*vec.Dataset, []bool) {
+// first non-nil row: every non-nil row, under its position as its id, so
+// a nil row is an id no row holds — a record a fold dropped.
+func column(vectors [][]float64) (*vec.Dataset, []int32) {
 	dim := len(vectors[slices.IndexFunc(vectors, func(v []float64) bool { return v != nil })])
-	rows, live := vec.ZeroDataset(dim, len(vectors)), make([]bool, len(vectors))
+	rows, ids := vec.NewDataset(dim, len(vectors)), make([]int32, 0, len(vectors))
 	for i, v := range vectors {
 		if v != nil {
-			copy(rows.At(i), v)
-			live[i] = true
+			rows.Append(v)
+			ids = append(ids, int32(i))
 		}
 	}
-	return rows, live
+	return rows, ids
 }
 
 // build is Build over column(vectors).
 func build(vectors [][]float64, cfg Config) (*Graph, error) {
-	rows, live := column(vectors)
-	return Build(rows, live, cfg)
+	rows, ids := column(vectors)
+	return Build(rows, ids, cfg)
 }
 
 func buildGraph(t *testing.T, data [][]float64, cfg Config) *Graph {
@@ -237,7 +238,7 @@ func TestConcurrentBuildAndSearch(t *testing.T) {
 }
 
 // withDead returns a copy of data with the rows at ids replaced by nil: the
-// dead slots a fold passes to Build.
+// ids a fold leaves out of the rows it passes to Build (see column).
 func withDead(data [][]float64, ids ...int) [][]float64 {
 	out := append([][]float64(nil), data...)
 	for _, id := range ids {
@@ -246,24 +247,27 @@ func withDead(data [][]float64, ids ...int) [][]float64 {
 	return out
 }
 
-// TestDelete: a build with 200 dead slots never returns one, and its recall
-// against live-only ground truth stays high.
+// TestDelete: a build over the rows left after deleting 200 ids returns
+// only those rows, and its recall against the survivors' ground truth
+// stays high.
 func TestDelete(t *testing.T) {
 	const n, dim, k = 1500, 12, 10
 	data := clusteredData(7, n, dim, 10)
 	r := rng.NewSeeded(13)
 	deleted := map[int]bool{}
-	var ids []int
+	var dead []int
 	for len(deleted) < 200 {
 		id := r.IntN(n)
 		if !deleted[id] {
 			deleted[id] = true
-			ids = append(ids, id)
+			dead = append(dead, id)
 		}
 	}
-	g := buildGraph(t, withDead(data, ids...), Config{M: 12, EfConstruction: 120, Seed: 6})
-	if g.Len() != n-200 || g.IDs() != n {
-		t.Fatalf("Len/IDs = %d/%d, want %d/%d", g.Len(), g.IDs(), n-200, n)
+	kept := withDead(data, dead...)
+	_, idOf := column(kept)
+	g := buildGraph(t, kept, Config{M: 12, EfConstruction: 120, Seed: 6})
+	if g.Len() != n-200 {
+		t.Fatalf("Len = %d, want %d", g.Len(), n-200)
 	}
 	var recall float64
 	const queries = 30
@@ -272,70 +276,74 @@ func TestDelete(t *testing.T) {
 		got := g.Search(q, k, 80)
 		ids := make([]int, len(got))
 		for j, it := range got {
-			if deleted[it.ID] {
-				t.Fatalf("dead id %d returned", it.ID)
+			if it.ID < 0 || it.ID >= g.Len() {
+				t.Fatalf("node %d returned from a graph of %d", it.ID, g.Len())
 			}
-			ids[j] = it.ID
+			ids[j] = int(idOf[it.ID])
 		}
 		recall += recallOf(ids, bruteForce(data, q, k, func(i int) bool { return deleted[i] }))
 	}
 	recall /= queries
 	if recall < 0.9 {
-		t.Fatalf("recall with dead slots = %.3f, want ≥ 0.9", recall)
+		t.Fatalf("recall after deleting = %.3f, want ≥ 0.9", recall)
 	}
 }
 
-// TestDeleteErrors: dead-slot bookkeeping, and a dead slot holds no vector.
+// TestDeleteErrors: Build refuses ids that do not fit its rows — too few,
+// negative, repeated or falling — and a graph over a row whose id is not
+// 0 holds that row at node 0, alone.
 func TestDeleteErrors(t *testing.T) {
+	rows := vec.DatasetFromSlices([][]float64{{1, 1}, {2, 2}})
+	for _, ids := range [][]int32{{0}, {-1, 1}, {3, 3}, {4, 2}} {
+		if _, err := Build(rows, ids, Config{Seed: 8}); err == nil {
+			t.Fatalf("ids %v accepted for two rows", ids)
+		}
+	}
 	g := buildGraph(t, [][]float64{nil, {1, 1}}, Config{Seed: 8})
-	if !g.Deleted(0) || g.Deleted(1) || !g.Deleted(5) || !g.Deleted(-1) {
-		t.Fatal("Deleted() bookkeeping wrong")
+	if g.Len() != 1 || g.Vector(0)[0] != 1 {
+		t.Fatalf("%d nodes, node 0 holds %v", g.Len(), g.Vector(0))
 	}
-	if v := g.Vector(0); v[0] != 0 || v[1] != 0 {
-		t.Fatalf("dead slot holds %v", v)
-	}
-	if g.EntryPoint() != 1 || len(g.Neighbors(1, 0)) != 0 {
-		t.Fatalf("entry %d, neighbors %v: the live node must be alone", g.EntryPoint(), g.Neighbors(1, 0))
+	if g.EntryPoint() != 0 || len(g.Neighbors(0, 0)) != 0 {
+		t.Fatalf("entry %d, neighbors %v: the one node must be alone", g.EntryPoint(), g.Neighbors(0, 0))
 	}
 }
 
-// TestDeleteAll: a vector set with every row nil builds an empty graph over
-// its ids.
+// TestDeleteAll: with every record deleted there is no row, and the graph
+// over none is empty.
 func TestDeleteAll(t *testing.T) {
-	g, err := Build(vec.ZeroDataset(2, 3), make([]bool, 3), Config{Seed: 9})
+	g, err := Build(vec.ZeroDataset(2, 0), []int32{}, Config{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Len() != 0 || g.IDs() != 3 {
-		t.Fatalf("Len/IDs = %d/%d, want 0/3", g.Len(), g.IDs())
+	if g.Len() != 0 {
+		t.Fatalf("Len = %d, want 0", g.Len())
 	}
 	if res := g.Search([]float64{0, 0}, 3, 10); len(res) != 0 {
-		t.Fatalf("search on an all-dead graph returned %d results", len(res))
+		t.Fatalf("search on an empty graph returned %d results", len(res))
 	}
 	if g.EntryPoint() != -1 {
-		t.Fatalf("all-dead graph has entry point %d", g.EntryPoint())
+		t.Fatalf("empty graph has entry point %d", g.EntryPoint())
 	}
 }
 
 // TestDeleteEntryPoint: when the id the full build would enter through is
-// dead, another node takes its place and searches still work — and the
+// gone, another node takes its place and searches still work — and the
 // other ids keep the levels the seed drew for them.
 func TestDeleteEntryPoint(t *testing.T) {
 	data := clusteredData(10, 300, 8, 4)
 	cfg := Config{Seed: 10}
 	full := buildGraph(t, data, cfg)
 	dead := full.EntryPoint()
-	g := buildGraph(t, withDead(data, dead), cfg)
-	if ep := g.EntryPoint(); ep == dead || ep < 0 {
-		t.Fatalf("entry point %d, the dead slot is %d", ep, dead)
+	kept := withDead(data, dead)
+	_, idOf := column(kept)
+	g := buildGraph(t, kept, cfg)
+	if ep := g.EntryPoint(); ep < 0 || int(idOf[ep]) == dead {
+		t.Fatalf("entry node %d, the deleted id is %d", ep, dead)
 	}
-	for id := range data {
-		if id != dead && g.levels[id] != full.levels[id] {
-			t.Fatalf("id %d drew level %d, %d in the full build", id, g.levels[id], full.levels[id])
+	for node, id := range idOf {
+		if g.levels[node] != full.levels[id] {
+			t.Fatalf("id %d drew level %d, %d in the full build", id, g.levels[node], full.levels[id])
 		}
-	}
-	if g.levels[dead] != 0 {
-		t.Fatalf("dead slot at level %d", g.levels[dead])
 	}
 	if res := g.Search(data[150], 5, 30); len(res) != 5 {
 		t.Fatalf("search returned %d results", len(res))
@@ -346,8 +354,8 @@ func TestStats(t *testing.T) {
 	data := clusteredData(12, 1000, 8, 8)
 	g := buildGraph(t, data, Config{M: 10, Seed: 12})
 	st := g.Stats()
-	if st.Nodes != 1000 || st.Deleted != 0 {
-		t.Fatalf("Stats nodes=%d deleted=%d", st.Nodes, st.Deleted)
+	if st.Nodes != 1000 {
+		t.Fatalf("Stats nodes=%d", st.Nodes)
 	}
 	if st.Edges == 0 || st.AvgDegree <= 1 {
 		t.Fatalf("implausible graph shape: %+v", st)
@@ -356,14 +364,14 @@ func TestStats(t *testing.T) {
 		t.Fatalf("layer-0 degree %f exceeds the layer-0 cap 2·M", st.AvgDegree)
 	}
 	g = buildGraph(t, withDead(data, 3), Config{M: 10, Seed: 12})
-	if st = g.Stats(); st.Nodes != 999 || st.Deleted != 1 {
-		t.Fatalf("Stats nodes=%d deleted=%d with one dead slot", st.Nodes, st.Deleted)
+	if st = g.Stats(); st.Nodes != 999 {
+		t.Fatalf("Stats nodes=%d with one id deleted", st.Nodes)
 	}
 }
 
 func TestLevelDistribution(t *testing.T) {
 	counts := map[int]int{}
-	for _, lv := range drawLevels(13, 1/math.Log(16), 20000) {
+	for _, lv := range drawLevels(13, 1/math.Log(16), 20000, nil) {
 		counts[lv]++
 	}
 	// P(level ≥ 1) = e^(−1/mL·1)… with mL = 1/ln(M): P(level≥1) = 1/M.
@@ -392,8 +400,8 @@ func TestDimMismatchPanics(t *testing.T) {
 }
 
 func TestGraphConnectivity(t *testing.T) {
-	// Every live node must be reachable from the entry point on layer 0,
-	// and no list may name a dead slot.
+	// Every node must be reachable from the entry point on layer 0, and
+	// every list must name a node.
 	data := clusteredData(15, 600, 8, 5)
 	var dead []int
 	for i := 0; i < 50; i++ {
@@ -402,8 +410,8 @@ func TestGraphConnectivity(t *testing.T) {
 	g := buildGraph(t, withDead(data, dead...), Config{M: 12, Seed: 15})
 	for l := range g.layers {
 		for _, nb := range g.layers[l].nbrs {
-			if g.Deleted(int(nb)) {
-				t.Fatalf("layer %d links dead slot %d", l, nb)
+			if nb < 0 || int(nb) >= g.Len() {
+				t.Fatalf("layer %d links node %d of %d", l, nb, g.Len())
 			}
 		}
 	}
@@ -423,6 +431,6 @@ func TestGraphConnectivity(t *testing.T) {
 	// strong connectivity), but the overwhelming majority must be
 	// reachable.
 	if float64(len(visited)) < 0.98*float64(g.Len()) {
-		t.Fatalf("only %d/%d live nodes reachable from entry", len(visited), g.Len())
+		t.Fatalf("only %d/%d nodes reachable from entry", len(visited), g.Len())
 	}
 }

@@ -17,15 +17,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	data := clusteredData(21, 800, 12, 6)
 	g := buildGraph(t, withDead(data, 5), Config{M: 10, EfConstruction: 120, Seed: 21})
 
-	g2, err := loadBytes(saveBytes(t, g), g.data, liveOf(g))
+	g2, err := loadBytes(saveBytes(t, g), g.data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2.Len() != g.Len() || g2.Config() != g.Config() {
+	if g2.Len() != g.Len() || g2.Len() != 799 || g2.Config() != g.Config() {
 		t.Fatalf("loaded shape %d/%+v, want %d/%+v", g2.Len(), g2.Config(), g.Len(), g.Config())
-	}
-	if !g2.Deleted(5) {
-		t.Fatal("tombstone lost in round trip")
 	}
 	// Same queries must produce identical result sets.
 	r := rng.NewSeeded(3)
@@ -55,32 +52,21 @@ func resealed(raw []byte, word int, v int64) []byte {
 
 func TestLoadRejectsGarbage(t *testing.T) {
 	empty := vec.ZeroDataset(4, 0)
-	if _, err := loadBytes([]byte("not an index"), empty, nil); err == nil {
+	if _, err := loadBytes([]byte("not an index"), empty); err == nil {
 		t.Fatal("expected error for garbage")
 	}
-	if _, err := loadBytes(nil, empty, nil); err == nil {
+	if _, err := loadBytes(nil, empty); err == nil {
 		t.Fatal("expected error for empty stream")
 	}
 	// A graph is refused by a caller expecting another shape.
 	g := buildGraph(t, withDead(clusteredData(24, 50, 6, 2), 9), Config{Seed: 24})
 	raw := saveBytes(t, g)
-	live := liveOf(g)
-	revived := liveOf(g)
-	revived[9] = true
-	rows49, rows51 := g.data.Gather(seq(49)), g.data.Gather(append(seq(50), -1))
-	for _, c := range []struct {
-		name string
-		rows *vec.Dataset
-		live []bool
-	}{
-		{"49 ids", rows49, live[:49]},
-		{"51 ids", rows51, append(liveOf(g), true)},
-		{"49 rows", rows49, live},
-		{"51 rows", rows51, live},
-		{"dead slot 9 live", g.data, revived},
+	for name, rows := range map[string]*vec.Dataset{
+		"48 rows": g.data.Gather(seq(48)),
+		"50 rows": g.data.Gather(append(seq(49), 0)),
 	} {
-		if _, err := loadBytes(raw, c.rows, c.live); err == nil {
-			t.Errorf("%s: a graph of 50 6-dim nodes, one dead, loaded", c.name)
+		if _, err := loadBytes(raw, rows); err == nil {
+			t.Errorf("%s: a graph of 49 6-dim nodes loaded", name)
 		}
 	}
 	// Header words M, EfConstruction, Seed, entry, maxLevel: a value Build
@@ -88,8 +74,8 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	for _, c := range []struct {
 		word int
 		v    int64
-	}{{0, 1}, {0, -16}, {1, 0}, {3, 50}, {3, 9}, {3, -1}, {4, 65}} {
-		if _, err := loadBytes(resealed(raw, c.word, c.v), g.data, live); err == nil {
+	}{{0, 1}, {0, -16}, {1, 0}, {3, 50}, {3, 49}, {3, -1}, {4, 65}} {
+		if _, err := loadBytes(resealed(raw, c.word, c.v), g.data); err == nil {
 			t.Errorf("a graph with header word %d = %d loaded", c.word, c.v)
 		}
 	}
@@ -99,7 +85,7 @@ func TestLoadRejectsTruncated(t *testing.T) {
 	g := buildGraph(t, clusteredData(22, 100, 6, 3), Config{Seed: 22})
 	raw := saveBytes(t, g)
 	for _, cut := range []int{10, len(raw) / 2, len(raw) - 3} {
-		if _, err := loadBytes(raw[:cut], g.data, liveOf(g)); err == nil {
+		if _, err := loadBytes(raw[:cut], g.data); err == nil {
 			t.Fatalf("expected error for stream truncated at %d", cut)
 		}
 	}
@@ -110,7 +96,7 @@ func TestSaveLoadEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := loadBytes(saveBytes(t, g), g.data, nil)
+	g2, err := loadBytes(saveBytes(t, g), g.data)
 	if err != nil {
 		t.Fatal(err)
 	}

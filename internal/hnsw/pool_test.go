@@ -151,12 +151,12 @@ func sameAnswer(t *testing.T, what string, got []resultheap.Cand, gotEvals int, 
 func checkEveryLayer(t *testing.T, g *Graph, queries [][]float64) (ties int) {
 	t.Helper()
 	ctx := new(searchCtx)
-	ctx.vis.Grow(g.IDs())
+	ctx.vis.Grow(g.Len())
 	for qi, q := range queries {
 		ep, epDist := g.entry, vec.SqDist(q, g.data.At(g.entry))
 		for l := g.maxLevel; l >= 0; l-- {
 			lay := &g.layers[l]
-			for _, ef := range []int{1, g.cfg.M, g.cfg.EfConstruction, g.IDs() + 5} {
+			for _, ef := range []int{1, g.cfg.M, g.cfg.EfConstruction, g.Len() + 5} {
 				var gotEvals int
 				want, wantEvals := refBeam(g, ep, epDist, ef, lay, func(ids []int32) []float64 {
 					return g.data.SqDistBlock(nil, q, ids)
@@ -196,8 +196,8 @@ func poolQueries(data [][]float64, seed uint64, dim int) [][]float64 {
 func TestPoolMatchesHeapBeam(t *testing.T) {
 	const dim = 12
 	data := clusteredData(51, 1500, dim, 8)
-	rows, live := column(data)
-	g, _, err := buildLists(rows, live, Config{M: 5, EfConstruction: 48, Seed: 51})
+	rows, ids := column(data)
+	g, _, err := buildLists(rows, ids, Config{M: 5, EfConstruction: 48, Seed: 51})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestSearchIntoDistMatchesHeapBeam(t *testing.T) {
 
 			sc := countingScanner{data: g.data, q: q, l1: true, evals: &wantEvals}
 			ctx := &searchCtx{sc: sc}
-			ctx.vis.Grow(g.IDs())
+			ctx.vis.Grow(g.Len())
 			ep, epDist := g.entry, sc.Dist(int32(g.entry))
 			for l := g.maxLevel; l > 0; l-- {
 				ep, epDist = g.descend(ctx, ep, epDist, &g.layers[l])

@@ -15,7 +15,7 @@ import (
 
 // The conformance suite runs every backend in Names() through the same
 // contract: build, search-recall sanity, byte-exact save/load round-trip,
-// and dead slots.
+// and deletion by rebuilding over the rows that remain.
 
 func clustered(seed uint64, n, dim, clusters int) [][]float64 {
 	r := rng.NewSeeded(seed)
@@ -30,23 +30,22 @@ func clustered(seed uint64, n, dim, clusters int) [][]float64 {
 	return out
 }
 
-// column lays vectors out as BuildOver takes them: a nil row is a dead
-// slot held by a zero row.
-func column(dim int, vectors [][]float64) (*vec.Dataset, []bool) {
-	rows, live := vec.ZeroDataset(dim, len(vectors)), make([]bool, len(vectors))
+// column lays vectors out as BuildOver takes them: the non-nil rows, each
+// under its position as its id, so a nil row is a record a fold left out.
+func column(dim int, vectors [][]float64) (*vec.Dataset, []int32) {
+	rows, ids := vec.NewDataset(dim, len(vectors)), []int32{}
 	for i, v := range vectors {
 		if v != nil {
-			copy(rows.At(i), v)
-			live[i] = true
+			rows.Append(v)
+			ids = append(ids, int32(i))
 		}
 	}
-	return rows, live
+	return rows, ids
 }
 
 // rebuild is ix.Rebuild over column(dim, vectors).
 func rebuild(ix SecureIndex, dim int, vectors [][]float64) (SecureIndex, error) {
-	rows, live := column(dim, vectors)
-	return ix.Rebuild(rows, live)
+	return ix.Rebuild(column(dim, vectors))
 }
 
 // saveSection writes ix's section as a stream of its own, trailer
@@ -65,9 +64,9 @@ func saveSection(t testing.TB, ix SecureIndex) []byte {
 // loadSection reads a stream saveSection wrote: the named backend's
 // section over column(dim, vectors), then the trailer.
 func loadSection(name string, b []byte, dim int, vectors [][]float64) (SecureIndex, error) {
-	rows, live := column(dim, vectors)
+	rows, _ := column(dim, vectors)
 	d := frame.NewDecoder(bytes.NewReader(b))
-	ix, err := Load(name, d, rows, live)
+	ix, err := Load(name, d, rows)
 	if err == nil {
 		err = d.Done()
 	}
@@ -225,16 +224,11 @@ func TestConformance(t *testing.T) {
 			if !bytes.Equal(saveSection(t, ix2), saved) {
 				t.Fatal("round-trip changed the section's bytes")
 			}
-			// The section is refused over a column of another length, and
-			// over liveness of another length than the column's.
+			// The section is refused over a column of another length.
 			for _, vectors := range [][][]float64{data[:n-1], append(slices.Clone(data), data[0])} {
 				if _, err := loadSection(name, saved, dim, vectors); err == nil {
 					t.Fatalf("a section of %d ids loaded over %d", n, len(vectors))
 				}
-			}
-			rows, _ := column(dim, data)
-			if _, err := Load(name, frame.NewDecoder(bytes.NewReader(saved)), rows, make([]bool, n+1)); err == nil {
-				t.Fatalf("a section loaded over %d rows with liveness of %d ids", n, n+1)
 			}
 			for qi, q := range queries {
 				a, b := searchIDs(ix, q, k, ef), searchIDs(ix2, q, k, ef)
@@ -263,8 +257,9 @@ func TestConformance(t *testing.T) {
 				t.Fatalf("Rebuild changed its receiver's Len to %d", ix.Len())
 			}
 
-			// Dead slots: a nil row keeps its id but holds no vector and is
-			// never returned.
+			// Deletion: a fold rebuilds over the rows that remain, each
+			// under its id; the deleted vector is never returned, and every
+			// row holds its own record's vector.
 			q := data[5]
 			top := searchIDs(ix, q, 1, ef)
 			if len(top) != 1 {
@@ -272,84 +267,91 @@ func TestConformance(t *testing.T) {
 			}
 			dead := slices.Clone(data)
 			dead[top[0]] = nil
+			_, idOf := column(dim, dead)
 			rebuilt, err := rebuild(ix, dim, dead)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if rebuilt.Len() != n-1 {
-				t.Fatalf("Len with one dead slot = %d, want %d", rebuilt.Len(), n-1)
+				t.Fatalf("Len with one record deleted = %d, want %d", rebuilt.Len(), n-1)
 			}
-			for _, id := range searchIDs(rebuilt, q, k, ef) {
-				if id == top[0] {
-					t.Fatal("dead slot returned")
+			for _, slot := range searchIDs(rebuilt, q, k, ef) {
+				if int(idOf[slot]) == top[0] {
+					t.Fatal("the deleted record returned")
 				}
 			}
-			if _, ok := rebuilt.Vector(top[0]); ok {
-				t.Fatal("Vector of a dead slot reported present")
+			for slot, id := range idOf {
+				if v, ok := rebuilt.Vector(slot); !ok || !slices.Equal(v, data[id]) {
+					t.Fatalf("row %d does not hold record %d's vector", slot, id)
+				}
 			}
-			if v, ok := rebuilt.Vector(top[0] ^ 1); !ok || !slices.Equal(v, data[top[0]^1]) {
-				t.Fatal("a dead slot moved its neighbour's vector")
+			if _, ok := rebuilt.Vector(n - 1); ok {
+				t.Fatal("Vector past the rows reported present")
 			}
 
-			// Every row dead: an empty index, from a build (a stripe whose
-			// every record is dead) and from Rebuild (a fold after deleting
-			// everything), and it round-trips.
+			// Every record deleted: an empty index over no row, from a build
+			// (a stripe whose every record is gone) and from Rebuild (a fold
+			// after deleting everything), and it round-trips.
 			allDead := make([][]float64, 8)
 			for how, build := range map[string]func() (SecureIndex, error){
-				"build":   func() (SecureIndex, error) { return Build(name, allDead, Options{Dim: dim, Seed: 42}) },
+				"build":   func() (SecureIndex, error) { return BuildOver(name, vec.NewDataset(dim, 0), nil, Options{Seed: 42}) },
 				"rebuild": func() (SecureIndex, error) { return rebuild(ix, dim, allDead) },
 			} {
 				empty, err := build()
 				if err != nil {
-					t.Fatalf("%s over all-nil rows: %v", how, err)
+					t.Fatalf("%s over no row: %v", how, err)
 				}
 				if empty.Len() != 0 || len(empty.SearchInto(nil, q, k, ef)) != 0 {
-					t.Fatalf("%s over all-nil rows: Len %d", how, empty.Len())
+					t.Fatalf("%s over no row: Len %d", how, empty.Len())
 				}
 				if loaded, err := loadSection(name, saveSection(t, empty), dim, allDead); err != nil || loaded.Len() != 0 {
-					t.Fatalf("%s over all-nil rows does not round-trip: %v", how, err)
+					t.Fatalf("%s over no row does not round-trip: %v", how, err)
 				}
 			}
 		})
 	}
 }
 
-// TestBuildMatchesBuildOver: Build over slices with nil rows is BuildOver
-// over the column of the same rows and liveness, down to the Save bytes
-// and the answers, for every backend; an all-dead set builds an empty
-// index of dimension Options.Dim through both.
+// TestBuildMatchesBuildOver: Build over slices is BuildOver over the
+// column of the same rows, with nil ids or with ids 0..n-1 spelled out,
+// down to the Save bytes and the answers, for every backend; an empty set
+// builds an empty index of dimension Options.Dim through both, and a nil
+// row is refused.
 func TestBuildMatchesBuildOver(t *testing.T) {
 	const n, dim, k, ef = 700, 10, 10, 80
 	data := clustered(61, n, dim, 5)
 	queries := makeQueries(62, data, 20, 0.3)
 	holed := slices.Clone(data)
-	for id := 3; id < n; id += 41 {
-		holed[id] = nil
-	}
+	holed[3] = nil
 	opts := Options{Dim: dim, Seed: 63}
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			for how, vectors := range map[string][][]float64{"dead slots": holed, "all dead": make([][]float64, 9)} {
+			if _, err := Build(name, holed, opts); err == nil {
+				t.Fatal("Build accepted a nil row")
+			}
+			for how, vectors := range map[string][][]float64{"rows": data, "no row": {}} {
 				wrapped, err := Build(name, vectors, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rows, live := column(dim, vectors)
-				over, err := BuildOver(name, rows, live, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				saved := saveSection(t, over)
-				if !bytes.Equal(saveSection(t, wrapped), saved) {
-					t.Fatalf("%s: Build and BuildOver save different sections", how)
+				rows, ids := column(dim, vectors)
+				saved := saveSection(t, wrapped)
+				for _, ids := range [][]int32{nil, ids} {
+					over, err := BuildOver(name, rows, ids, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(saveSection(t, over), saved) {
+						t.Fatalf("%s, ids %v…: Build and BuildOver save different sections", how, ids[:min(len(ids), 3)])
+					}
+					for qi, q := range queries {
+						if a, b := wrapped.SearchInto(nil, q, k, ef), over.SearchInto(nil, q, k, ef); !slices.Equal(a, b) {
+							t.Fatalf("%s query %d: Build answers %v, BuildOver %v", how, qi, a, b)
+						}
+					}
 				}
 				if _, err := loadSection(name, saved, dim, vectors); err != nil {
 					t.Fatalf("%s: the section does not load at dimension %d: %v", how, dim, err)
-				}
-				for qi, q := range queries {
-					if a, b := wrapped.SearchInto(nil, q, k, ef), over.SearchInto(nil, q, k, ef); !slices.Equal(a, b) {
-						t.Fatalf("%s query %d: Build answers %v, BuildOver %v", how, qi, a, b)
-					}
 				}
 			}
 		})
@@ -373,20 +375,22 @@ func (s posScanner) DistBlock(dst []float64, ids []int32) {
 
 // TestHNSWPositionsAreGraphIDs: the hnsw adapter translates nothing. The ids
 // SearchInto and SearchIntoDist return are the graph's own and are positions
-// in the corpus, and the ids the graph hands a scanner are positions too —
-// through a build with a dead slot and a save/load. That is what lets the
-// adapter carry no id map.
+// in the column, and the ids the graph hands a scanner are positions too —
+// through a build over the rows left after a deletion, and a save/load.
+// That is what lets the adapter carry no id map.
 func TestHNSWPositionsAreGraphIDs(t *testing.T) {
 	const n, dim, k, ef = 620, 10, 10, 80
-	all := clustered(95, n, dim, 5)
-	queries := makeQueries(96, all, 20, 0.3)
-	live := slices.Clone(all)
-	live[17] = nil
-	ix, err := Build("hnsw", live, Options{Dim: dim, Seed: 11})
+	data := clustered(95, n, dim, 5)
+	queries := makeQueries(96, data, 20, 0.3)
+	kept := slices.Clone(data)
+	kept[17] = nil
+	rows, ids := column(dim, kept)
+	all := rows.Slices()
+	ix, err := BuildOver("hnsw", rows, ids, Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := loadSection("hnsw", saveSection(t, ix), dim, live)
+	loaded, err := loadSection("hnsw", saveSection(t, ix), dim, kept)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,15 +443,15 @@ func TestRegistry(t *testing.T) {
 	if _, err := Build("hnsw", nil, Options{}); err == nil {
 		t.Fatal("expected Build error for missing dimension")
 	}
-	if _, err := Load("no-such-backend", frame.NewDecoder(bytes.NewReader(nil)), vec.ZeroDataset(4, 0), nil); err == nil {
+	if _, err := Load("no-such-backend", frame.NewDecoder(bytes.NewReader(nil)), vec.ZeroDataset(4, 0)); err == nil {
 		t.Fatal("expected Load error for unknown backend")
 	}
 }
 
 // TestConformanceFrozenViewStability covers the packed search
 // representations on every backend: repeated searches must
-// return the exact same ids in the exact same order, and a rebuild with
-// the top hit dead must never return it.
+// return the exact same ids in the exact same order, and a rebuild without
+// the top hit must never return it.
 func TestConformanceFrozenViewStability(t *testing.T) {
 	data := clustered(91, 900, 12, 6)
 	queries := makeQueries(92, data, 24, 0.3)
@@ -470,16 +474,17 @@ func TestConformanceFrozenViewStability(t *testing.T) {
 				}
 			}
 			victim := first[0][0].ID
-			live := slices.Clone(data)
-			live[victim] = nil
-			rebuilt, err := rebuild(ix, 12, live)
+			kept := slices.Clone(data)
+			kept[victim] = nil
+			_, idOf := column(12, kept)
+			rebuilt, err := rebuild(ix, 12, kept)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, q := range queries {
 				for _, it := range rebuilt.SearchInto(dst[:0], q, 10, 60) {
-					if it.ID == victim {
-						t.Fatalf("query %d: dead slot %d returned", i, victim)
+					if int(idOf[it.ID]) == victim {
+						t.Fatalf("query %d: deleted record %d returned", i, victim)
 					}
 				}
 			}

@@ -14,10 +14,10 @@ import (
 // searchGolden holds each backend's answer digest, recorded before the
 // backends lost their in-place mutation paths (Add, Clone, lazily rebuilt
 // views beside a second search representation). The one representation left
-// must answer exactly as the two did. The digests also predate dead slots:
-// rebuilding with nil rows answers as tombstoning those ids after the build
-// did, on the graphs too, although theirs are now built over the live ids
-// only.
+// must answer exactly as the two did. The digests also predate dead slots
+// and the rows-only rebuild: rebuilding over the rows that remain, each
+// under its id, answers — once a slot is mapped to its id — as tombstoning
+// those ids after the build did, on the graphs too.
 var searchGolden = map[string]string{
 	"hnsw": "3ff3569b0509de33",
 	"ivf":  "5ddeb507e6e48de3",
@@ -25,7 +25,8 @@ var searchGolden = map[string]string{
 
 // answerDigest hashes SearchInto and SearchIntoDist over the queries: per
 // result list its length, then every id and distance bit pattern in order.
-func answerDigest(ix SecureIndex, data, queries [][]float64, k, ef int) string {
+// The index holds rows, row j carrying record idOf[j].
+func answerDigest(ix SecureIndex, rows [][]float64, idOf []int32, queries [][]float64, k, ef int) string {
 	h := sha256.New()
 	var b [8]byte
 	put := func(v uint64) {
@@ -38,11 +39,11 @@ func answerDigest(ix SecureIndex, data, queries [][]float64, k, ef int) string {
 			if pass == 0 {
 				dst = ix.SearchInto(dst, q, k, ef)
 			} else {
-				dst = ix.SearchIntoDist(dst, q, k, ef, posScanner{data, q})
+				dst = ix.SearchIntoDist(dst, q, k, ef, posScanner{rows, q})
 			}
 			put(uint64(len(dst)))
 			for _, it := range dst {
-				put(uint64(it.ID))
+				put(uint64(idOf[it.ID]))
 				put(math.Float64bits(it.Dist))
 			}
 		}
@@ -51,7 +52,7 @@ func answerDigest(ix SecureIndex, data, queries [][]float64, k, ef int) string {
 }
 
 // TestSearchGolden pins what every backend answers through its whole life:
-// built from a seed, searched once, rebuilt with some ids dead, then saved
+// built from a seed, searched once, rebuilt without some ids, then saved
 // and loaded. The rebuilt and the loaded index must both answer the fixed
 // queries — SearchInto and SearchIntoDist, ids and distance bits — as
 // recorded in searchGolden.
@@ -66,19 +67,20 @@ func TestSearchGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			ix.SearchInto(nil, queries[0], k, ef)
-			live := slices.Clone(data)
+			kept := slices.Clone(data)
 			for _, id := range []int{0, 17, 450, n - 1} {
-				live[id] = nil
+				kept[id] = nil
 			}
-			if ix, err = rebuild(ix, dim, live); err != nil {
+			rows, idOf := column(dim, kept)
+			if ix, err = ix.Rebuild(rows, idOf); err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := loadSection(name, saveSection(t, ix), dim, live)
+			loaded, err := loadSection(name, saveSection(t, ix), dim, kept)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for stage, ix := range map[string]SecureIndex{"rebuilt": ix, "loaded": loaded} {
-				if got := answerDigest(ix, data, queries, k, ef); got != searchGolden[name] {
+				if got := answerDigest(ix, rows.Slices(), idOf, queries, k, ef); got != searchGolden[name] {
 					t.Errorf("%s: answer digest %s, want %s", stage, got, searchGolden[name])
 				}
 			}

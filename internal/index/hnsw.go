@@ -7,15 +7,15 @@ import (
 	"ppanns/internal/vec"
 )
 
-// hnswIndex adapts hnsw.Graph to SecureIndex. The bulk build gives vector i
-// graph id i, so positions — the external ids that index the ciphertext
+// hnswIndex adapts hnsw.Graph to SecureIndex. The bulk build gives row i
+// graph id i, so row positions — the slots that index the ciphertext
 // arrays — are graph ids.
 type hnswIndex struct {
 	g *hnsw.Graph
 }
 
-func buildHNSW(rows *vec.Dataset, live []bool, opts Options) (SecureIndex, error) {
-	g, err := hnsw.Build(rows, live, hnsw.Config{
+func buildHNSW(rows *vec.Dataset, ids []int32, opts Options) (SecureIndex, error) {
+	g, err := hnsw.Build(rows, ids, hnsw.Config{
 		M:              opts.M,
 		EfConstruction: opts.EfConstruction,
 		Seed:           opts.Seed,
@@ -37,7 +37,7 @@ func (ix *hnswIndex) SearchIntoDist(dst []resultheap.Item, q []float64, k, ef in
 func (ix *hnswIndex) Len() int { return ix.g.Len() }
 
 func (ix *hnswIndex) Vector(pos int) ([]float64, bool) {
-	if ix.g.Deleted(pos) {
+	if pos < 0 || pos >= ix.g.Len() {
 		return nil, false
 	}
 	return ix.g.Vector(pos), true
@@ -45,9 +45,9 @@ func (ix *hnswIndex) Vector(pos int) ([]float64, bool) {
 
 // Rebuild reconstructs a fresh graph over rows with the receiver's build
 // parameters, through the same bulk build as BuildOver.
-func (ix *hnswIndex) Rebuild(rows *vec.Dataset, live []bool) (SecureIndex, error) {
+func (ix *hnswIndex) Rebuild(rows *vec.Dataset, ids []int32) (SecureIndex, error) {
 	cfg := ix.g.Config()
-	return buildHNSW(rows, live, Options{
+	return buildHNSW(rows, ids, Options{
 		Seed:           cfg.Seed,
 		M:              cfg.M,
 		EfConstruction: cfg.EfConstruction,
@@ -56,8 +56,8 @@ func (ix *hnswIndex) Rebuild(rows *vec.Dataset, live []bool) (SecureIndex, error
 
 func (ix *hnswIndex) Save(e *frame.Encoder) { ix.g.Save(e) }
 
-func loadHNSW(d *frame.Decoder, rows *vec.Dataset, live []bool) (SecureIndex, error) {
-	g, err := hnsw.Load(d, rows, live)
+func loadHNSW(d *frame.Decoder, rows *vec.Dataset) (SecureIndex, error) {
+	g, err := hnsw.Load(d, rows)
 	if err != nil {
 		return nil, err
 	}

@@ -18,10 +18,11 @@
 //
 // Both follow one lifecycle (see SecureIndex): an index is an immutable
 // value, built or loaded once and then only read, and it holds topology
-// only, over a column of rows it is given and does not own. External ids
-// are row positions: every backend assigns ids 0..n-1 in row order, so
-// callers can index parallel ciphertext arrays directly with the ids a
-// search returns.
+// only, over a column of rows it is given and does not own. Ids are row
+// positions: every backend assigns ids 0..n-1 in row order, so callers
+// can index parallel ciphertext arrays directly with the ids a search
+// returns. Every row is live: a caller that deletes records gathers the
+// rows that remain and builds over them.
 package index
 
 import (
@@ -33,7 +34,7 @@ import (
 )
 
 // ErrOldFormat is wrapped by every refusal of a database file an earlier
-// format generation wrote (core reads PPANNSD7 only; PPANNSD2–6 are
+// format generation wrote (core reads PPANNSD8 only; PPANNSD2–7 are
 // refused). No build reads one generation and writes the next, so the fix
 // is to encrypt the vectors again.
 var ErrOldFormat = errors.New("written by an earlier format generation: re-encrypt the vectors with this build")
@@ -44,19 +45,16 @@ var ErrOldFormat = errors.New("written by an earlier format generation: re-encry
 // # Lifecycle
 //
 // An index holds topology only. BuildOver, Rebuild and Load are given a
-// column (*vec.Dataset) and its liveness; the index reads both in place
-// and never writes, appends to or copies them. It is built or loaded,
-// published, and then read with no lock, so searches run concurrently
-// with one another and beside a Save (the conformance suite verifies it).
-// Deletion is a construction input: live[id] false is a dead slot, which
-// keeps its id — positions never shift — but which no backend links or
-// lists. core owns the column and the liveness: its writers append inserts
-// past the index's rows, copy-on-write, record deletes beside them and
-// never flip a flag the index holds, and a fold gathers a fresh column,
-// Rebuilds a private index over it and publishes both atomically (see
-// core's snapshot documentation).
+// column (*vec.Dataset); the index reads it in place and never writes,
+// appends to or copies it. It is built or loaded, published, and then read
+// with no lock, so searches run concurrently with one another and beside a
+// Save (the conformance suite verifies it). core owns the column: its
+// writers append inserts past the index's rows, copy-on-write, record
+// deletes beside them, and a fold gathers a fresh column of the records
+// that remain, Rebuilds a private index over it and publishes both
+// atomically (see core's snapshot documentation).
 type SecureIndex interface {
-	// SearchInto appends up to k live ids approximately closest to q,
+	// SearchInto appends up to k ids approximately closest to q,
 	// closest first, to dst[:0], reusing its capacity. ef is an advisory
 	// search-effort knob (beam width for HNSW; probe budget for IVF).
 	SearchInto(dst []resultheap.Item, q []float64, k, ef int) []resultheap.Item
@@ -66,26 +64,27 @@ type SecureIndex interface {
 	// code arena, both spanning every id. Structural navigation that is
 	// not a candidate distance (IVF centroid probing, HNSW graph topology)
 	// still uses q exactly; every candidate the backend ranks is scored
-	// through sc. Ids passed to sc are external ids (row positions).
+	// through sc. Ids passed to sc are row positions.
 	// SearchInto is SearchIntoDist with the exact scanner over the index's
 	// column.
 	SearchIntoDist(dst []resultheap.Item, q []float64, k, ef int, sc vec.BlockScanner) []resultheap.Item
-	// Rebuild constructs a fresh index of the same backend over rows and
-	// live, as BuildOver takes them, using the receiver's build
+	// Rebuild constructs a fresh index of the same backend over rows —
+	// the live slots a fold gathered, every one a record that remains —
+	// and their ids, as BuildOver takes them, using the receiver's build
 	// configuration (graph parameters, trained quantizer, seed); the
 	// receiver is not modified. This is the fold primitive. A column with
-	// no live row builds an empty index.
-	Rebuild(rows *vec.Dataset, live []bool) (SecureIndex, error)
-	// Vector returns a live id's row of the index's column. The second
-	// result is false for dead slots and for ids the backend never
-	// assigned. Callers must treat the returned slice as read-only.
+	// no row builds an empty index.
+	Rebuild(rows *vec.Dataset, ids []int32) (SecureIndex, error)
+	// Vector returns id's row of the index's column. The second result is
+	// false for an id the backend never assigned. Callers must treat the
+	// returned slice as read-only.
 	Vector(id int) ([]float64, bool)
-	// Len returns the number of live vectors.
+	// Len returns the number of vectors.
 	Len() int
 	// Save writes the index's section of a database file: its topology
-	// alone, no row and no liveness flag, which the file states once for
-	// every section. Load over the same column and liveness round-trips
-	// it into an index that saves the same bytes.
+	// alone, no row, which the file states once for every section. Load
+	// over the same column round-trips it into an index that saves the
+	// same bytes.
 	Save(e *frame.Encoder)
 }
 

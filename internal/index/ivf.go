@@ -14,8 +14,8 @@ type ivfIndex struct {
 	ix *ivf.Index
 }
 
-func buildIVF(rows *vec.Dataset, live []bool, opts Options) (SecureIndex, error) {
-	ix, err := ivf.Build(rows, live, ivf.Config{Seed: opts.Seed})
+func buildIVF(rows *vec.Dataset, opts Options) (SecureIndex, error) {
+	ix, err := ivf.Build(rows, ivf.Config{Seed: opts.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -52,10 +52,10 @@ func (a *ivfIndex) Vector(id int) ([]float64, bool) {
 
 // Rebuild repopulates a fresh index sharing the receiver's trained
 // quantizer: assignments are recomputed per vector, but k-means training —
-// the expensive part of a cold build — is not repeated. Dead slots are in
-// no list.
-func (a *ivfIndex) Rebuild(rows *vec.Dataset, live []bool) (SecureIndex, error) {
-	ix, err := a.ix.Rebuild(rows, live)
+// the expensive part of a cold build — is not repeated. IVF keys nothing
+// by record id, so ids goes unread.
+func (a *ivfIndex) Rebuild(rows *vec.Dataset, _ []int32) (SecureIndex, error) {
+	ix, err := a.ix.Rebuild(rows)
 	if err != nil {
 		return nil, err
 	}
@@ -67,8 +67,8 @@ func (a *ivfIndex) Trained() kmeans.Stats { return a.ix.Trained() }
 
 func (a *ivfIndex) Save(e *frame.Encoder) { a.ix.Save(e) }
 
-func loadIVF(d *frame.Decoder, rows *vec.Dataset, live []bool) (SecureIndex, error) {
-	ix, err := ivf.Load(d, rows, live)
+func loadIVF(d *frame.Decoder, rows *vec.Dataset) (SecureIndex, error) {
+	ix, err := ivf.Load(d, rows)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,7 @@
 // An index is an immutable value: built (Build, Rebuild) or loaded (Load)
 // once and then only read, with no lock. It is topology over rows it does
 // not own: the lists name ids of a vec.Dataset the index keeps but never
-// writes. A dead slot keeps its id and its row, and no list holds it.
+// writes, one id per row, every row in exactly one list.
 package ivf
 
 import (
@@ -23,7 +23,7 @@ import (
 	"ppanns/internal/vec"
 )
 
-// The quantizer's recipe: nlist is √n over the n live vectors, held to
+// The quantizer's recipe: nlist is √n over the n vectors, held to
 // [minLists, maxLists] and to n itself, trained by at most trainIters
 // Lloyd iterations.
 const (
@@ -48,13 +48,11 @@ type Index struct {
 	// an index that was loaded.
 	trained kmeans.Stats
 
-	// The inverted lists in CSR form: list c's live members, in id order,
-	// are ids[offs[c]:offs[c+1]], so a probe scans one contiguous id span.
+	// The inverted lists in CSR form: list c's members, in id order, are
+	// ids[offs[c]:offs[c+1]], so a probe scans one contiguous id span.
 	offs []int32
 	ids  []int32
 	data *vec.Dataset // the rows Build or Load was given; never written
-	live []bool       // their liveness, likewise (nil = all live)
-	size int          // live row count
 }
 
 // searchCtx is the pooled per-search scratch: the probe pick and the
@@ -68,66 +66,43 @@ type searchCtx struct {
 	exact  vec.Exact
 }
 
-// Build trains the quantizer on the live rows of data and populates the
-// lists. The index keeps data as its rows and live as its liveness, and
-// never writes either. live[i] false makes id i a dead slot, whose row
-// should be zero; a nil live makes every row live. A build with no live
-// row has no lists.
-func Build(data *vec.Dataset, live []bool, cfg Config) (*Index, error) {
-	if data.Len() == 0 {
-		return nil, fmt.Errorf("ivf: empty data")
-	}
-	if live != nil && len(live) != data.Len() {
-		return nil, fmt.Errorf("ivf: liveness of %d ids for %d rows", len(live), data.Len())
-	}
-	var rows [][]float64
-	var liveIDs []int
-	for i := range data.Len() {
-		if live == nil || live[i] {
-			rows = append(rows, data.At(i))
-			liveIDs = append(liveIDs, i)
-		}
-	}
+// Build trains the quantizer on the rows of data and populates the lists.
+// The index keeps data as its rows and never writes them. Every row is a
+// live slot: a caller that deletes records builds over the rows that
+// remain. A build over no row has no lists.
+func Build(data *vec.Dataset, cfg Config) (*Index, error) {
 	ix := &Index{}
-	assign := make([]int, data.Len())
-	if len(rows) > 0 {
-		nlist := min(max(isqrt(len(rows)), minLists), maxLists, len(rows))
-		res, err := kmeans.Fit(rows, kmeans.Config{K: nlist, MaxIters: trainIters, Seed: cfg.Seed})
+	var assign []int
+	if n := data.Len(); n > 0 {
+		nlist := min(max(isqrt(n), minLists), maxLists, n)
+		res, err := kmeans.Fit(data.Slices(), kmeans.Config{K: nlist, MaxIters: trainIters, Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
 		ix.cents, ix.trained = res.Flat, res.Stats
-		for j, i := range liveIDs {
-			assign[i] = res.Assign[j]
-		}
+		assign = res.Assign
 	}
-	ix.populate(data, live, assign)
+	ix.populate(data, assign)
 	return ix, nil
 }
 
-// populate fills an empty index over data, live row i in list assign[i]
-// and every other a dead slot: ids are positions and every list is in id
-// order.
-func (ix *Index) populate(data *vec.Dataset, live []bool, assign []int) {
-	ix.data, ix.live = data, live
+// populate fills an empty index over data, row i in list assign[i]: ids
+// are positions and every list is in id order.
+func (ix *Index) populate(data *vec.Dataset, assign []int) {
+	ix.data = data
 	nlist := ix.Lists()
 	ix.offs = make([]int32, nlist+1)
-	for i := range data.Len() {
-		if live == nil || live[i] {
-			ix.offs[assign[i]+1]++
-			ix.size++
-		}
+	for _, c := range assign {
+		ix.offs[c+1]++
 	}
 	for c := 0; c < nlist; c++ {
 		ix.offs[c+1] += ix.offs[c]
 	}
 	next := append([]int32(nil), ix.offs[:nlist]...)
-	ix.ids = make([]int32, ix.size)
-	for i := range data.Len() {
-		if live == nil || live[i] {
-			ix.ids[next[assign[i]]] = int32(i)
-			next[assign[i]]++
-		}
+	ix.ids = make([]int32, len(assign))
+	for i, c := range assign {
+		ix.ids[next[c]] = int32(i)
+		next[c]++
 	}
 }
 
@@ -145,13 +120,13 @@ func isqrt(n int) int {
 	return x
 }
 
-// Len returns the number of live vectors.
-func (ix *Index) Len() int { return ix.size }
+// Len returns the number of vectors.
+func (ix *Index) Len() int { return ix.data.Len() }
 
-// Vector returns a live id's row of the index's data, or nil for a dead
-// slot or an out-of-range id. Callers must treat it as read-only.
+// Vector returns id's row of the index's data, or nil for an out-of-range
+// id. Callers must treat it as read-only.
 func (ix *Index) Vector(id int) []float64 {
-	if id < 0 || id >= ix.data.Len() || ix.live != nil && !ix.live[id] {
+	if id < 0 || id >= ix.data.Len() {
 		return nil
 	}
 	return ix.data.At(id)
@@ -160,27 +135,24 @@ func (ix *Index) Vector(id int) []float64 {
 // Lists returns nlist.
 func (ix *Index) Lists() int { return len(ix.cents) / ix.data.Dim() }
 
-// Rebuild returns a new index over data and live, as Build takes them,
-// sharing the receiver's trained quantizer: the fold primitive of
-// compaction, which re-populates from scratch without paying for k-means
-// training again. The centroids are immutable, so sharing them is safe.
-// Every live row lands in the list a full scan of the centroids would
-// choose; the rows are assigned in parallel by a kmeans.Searcher, each
-// starting from the list the receiver holds its id in (a fold keeps ids,
-// so that is usually the answer already), or below kmeans.WideRow
-// dimensions by that full scan itself, and the lists are filled in id
-// order. A receiver with no lists (built with no live vector) has no
-// quantizer to share, so its Rebuild trains one.
-func (ix *Index) Rebuild(data *vec.Dataset, live []bool) (*Index, error) {
+// Rebuild returns a new index over data, as Build takes it, sharing the
+// receiver's trained quantizer: the fold primitive of compaction, which
+// re-populates from scratch without paying for k-means training again. The
+// centroids are immutable, so sharing them is safe. Every row lands in the
+// list a full scan of the centroids would choose; the rows are assigned in
+// parallel by a kmeans.Searcher, each starting from the list the receiver
+// holds its row number in (a fold that dropped no row keeps row numbers,
+// so that is usually the answer already; any start gives the same list),
+// or below kmeans.WideRow dimensions by that full scan itself, and the
+// lists are filled in id order. A receiver with no lists (built over no
+// row) has no quantizer to share, so its Rebuild trains one.
+func (ix *Index) Rebuild(data *vec.Dataset) (*Index, error) {
 	dim := ix.data.Dim()
 	if data.Dim() != dim {
 		panic(fmt.Sprintf("ivf: rebuilding a %d-dim index over %d-dim rows", dim, data.Dim()))
 	}
 	if len(ix.cents) == 0 {
-		return Build(data, live, Config{})
-	}
-	if live != nil && len(live) != data.Len() {
-		return nil, fmt.Errorf("ivf: liveness of %d ids for %d rows", len(live), data.Len())
+		return Build(data, Config{})
 	}
 	var search *kmeans.Searcher
 	if dim >= kmeans.WideRow {
@@ -200,9 +172,6 @@ func (ix *Index) Rebuild(data *vec.Dataset, live []bool) (*Index, error) {
 	}
 	par.Spans(runtime.GOMAXPROCS(0), len(assign), 256, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if live != nil && !live[i] {
-				continue
-			}
 			v := data.At(i)
 			if search == nil {
 				assign[i], _ = kmeans.NearestFlat(ix.cents, dim, v)
@@ -217,11 +186,11 @@ func (ix *Index) Rebuild(data *vec.Dataset, live []bool) (*Index, error) {
 	})
 
 	fresh := &Index{cents: ix.cents}
-	fresh.populate(data, live, assign)
+	fresh.populate(data, assign)
 	return fresh, nil
 }
 
-// SearchInto scans the nprobe closest lists and appends the k nearest live
+// SearchInto scans the nprobe closest lists and appends the k nearest
 // ids, closest first, to dst[:0], with the exact distances to the stored
 // vectors. Scratch state is pooled and each probed list is evaluated with
 // one blocked distance call over its id span, so a warm search with a

@@ -16,29 +16,26 @@ import (
 	"ppanns/internal/vec"
 )
 
-// column lays vectors out as Build takes them: a nil row is a dead slot
-// held by a zero row.
-func column(dim int, vectors [][]float64) (*vec.Dataset, []bool) {
-	rows, live := vec.ZeroDataset(dim, len(vectors)), make([]bool, len(vectors))
-	for i, v := range vectors {
+// column lays vectors out as Build takes them: the non-nil rows, in
+// order, so a nil row is a record a fold left out.
+func column(dim int, vectors [][]float64) *vec.Dataset {
+	rows := vec.NewDataset(dim, len(vectors))
+	for _, v := range vectors {
 		if v != nil {
-			copy(rows.At(i), v)
-			live[i] = true
+			rows.Append(v)
 		}
 	}
-	return rows, live
+	return rows
 }
 
 // build is Build over column(dim, vectors).
 func build(dim int, vectors [][]float64, cfg Config) (*Index, error) {
-	rows, live := column(dim, vectors)
-	return Build(rows, live, cfg)
+	return Build(column(dim, vectors), cfg)
 }
 
 // rebuild is Rebuild over a column of ix's dimension holding vectors.
 func (ix *Index) rebuild(vectors [][]float64) (*Index, error) {
-	rows, live := column(ix.data.Dim(), vectors)
-	return ix.Rebuild(rows, live)
+	return ix.Rebuild(column(ix.data.Dim(), vectors))
 }
 
 func buildIndex(t *testing.T, n int) (*Index, *dataset.Data) {
@@ -51,12 +48,15 @@ func buildIndex(t *testing.T, n int) (*Index, *dataset.Data) {
 	return ix, d
 }
 
+// TestValidation: a build over no row has no lists and answers nothing,
+// whatever its probe budget.
 func TestValidation(t *testing.T) {
-	if _, err := Build(vec.ZeroDataset(4, 0), nil, Config{}); err == nil {
-		t.Fatal("expected error for empty data")
+	ix, err := Build(vec.ZeroDataset(4, 0), Config{})
+	if err != nil || ix.Lists() != 0 || ix.Len() != 0 {
+		t.Fatalf("empty build: %v, %d lists, Len %d", err, ix.Lists(), ix.Len())
 	}
-	if _, err := Build(vec.ZeroDataset(4, 2), []bool{true}, Config{}); err == nil {
-		t.Fatal("expected error for a liveness of the wrong length")
+	if items := ix.SearchInto(nil, make([]float64, 4), 3, 8); len(items) != 0 {
+		t.Fatalf("empty index answered %v", items)
 	}
 }
 
@@ -107,7 +107,7 @@ func TestResultsSorted(t *testing.T) {
 func TestProbesNearestCentroids(t *testing.T) {
 	probed := func(cents [][]float64, q []float64, nprobe int) []int {
 		ix := &Index{cents: slices.Concat(cents...)}
-		ix.populate(vec.DatasetFromSlices(cents), nil, []int{0, 1, 2, 3}[:len(cents)])
+		ix.populate(vec.DatasetFromSlices(cents), []int{0, 1, 2, 3}[:len(cents)])
 		var ids []int
 		for _, it := range ix.SearchInto(nil, q, len(cents), nprobe) {
 			ids = append(ids, it.ID)
@@ -127,9 +127,9 @@ func TestProbesNearestCentroids(t *testing.T) {
 }
 
 // TestAddAndDelete: a vector added by a rebuild over the grown set is
-// found at the next position; a rebuild with nil there holds it in no list
-// and no row. A rebuild with every row nil is empty, and an empty index
-// rebuilds over live vectors by training a quantizer of its own.
+// found at the next position; a rebuild over the rows without it holds it
+// in no list and no row. A rebuild over no row is empty, and an empty
+// index rebuilds over vectors by training a quantizer of its own.
 func TestAddAndDelete(t *testing.T) {
 	built, d := buildIndex(t, 500)
 	r := rng.NewSeeded(7)
@@ -150,11 +150,11 @@ func TestAddAndDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	items = gone.SearchInto(nil, novel, 1, gone.Lists())
-	if len(items) == 1 && items[0].ID == id {
-		t.Fatal("dead slot returned")
+	if len(items) != 1 || slices.Equal(gone.Vector(items[0].ID), novel) {
+		t.Fatalf("the deleted vector answered: %+v", items)
 	}
-	if gone.Vector(id) != nil || len(gone.ids) != 500 || !slices.Equal(gone.data.At(id), make([]float64, d.Dim)) {
-		t.Fatal("dead slot kept its vector or its list entry")
+	if gone.Vector(id) != nil || len(gone.ids) != 500 {
+		t.Fatal("the deleted vector kept its row or its list entry")
 	}
 	if ix.Len() != 501 || gone.Len() != 500 || built.Len() != 500 {
 		t.Fatalf("Len = %d, %d, built %d", ix.Len(), gone.Len(), built.Len())
@@ -162,11 +162,11 @@ func TestAddAndDelete(t *testing.T) {
 
 	empty, err := gone.rebuild(make([][]float64, 3))
 	if err != nil || empty.Len() != 0 || len(empty.SearchInto(nil, novel, 1, 8)) != 0 {
-		t.Fatalf("all-nil rebuild: %v, Len %d", err, empty.Len())
+		t.Fatalf("rebuild over no row: %v, Len %d", err, empty.Len())
 	}
 	bare, err := build(d.Dim, make([][]float64, 3), Config{})
 	if err != nil || bare.Lists() != 0 || bare.Len() != 0 {
-		t.Fatalf("all-nil build: %v, %d lists, Len %d", err, bare.Lists(), bare.Len())
+		t.Fatalf("build over no row: %v, %d lists, Len %d", err, bare.Lists(), bare.Len())
 	}
 	refilled, err := bare.rebuild(d.Train)
 	if err != nil || refilled.Len() != 500 || refilled.Lists() == 0 {
@@ -180,7 +180,7 @@ func TestAddAndDelete(t *testing.T) {
 func TestDimMismatchPanics(t *testing.T) {
 	ix, _ := buildIndex(t, 200)
 	for name, fn := range map[string]func(){
-		"Rebuild": func() { ix.Rebuild(vec.ZeroDataset(3, 1), nil) },
+		"Rebuild": func() { ix.Rebuild(vec.ZeroDataset(3, 1)) },
 		"Search":  func() { ix.SearchInto(nil, make([]float64, 3), 1, 1) },
 	} {
 		func() {
@@ -284,10 +284,10 @@ func TestBuildGolden(t *testing.T) {
 
 // TestRebuildMatchesAdd: the fold primitive puts every vector in the list
 // a one-at-a-time nearest-centroid insert would have — the full scan's
-// choice, in id order — whether the ids are the receiver's own (a fold: the guess is
-// the old list), renumbered (an offline compaction: the guess is wrong) or
-// new, on one core and four, at d = 96 and at d = 3. Tombstones do not
-// carry over.
+// choice, in id order — whether the rows are the receiver's own (a fold
+// that dropped none: the guess is the old list), renumbered (a fold that
+// dropped some, or an offline compaction: the guess is wrong) or new, on
+// one core and four, at d = 96 and at d = 3.
 func TestRebuildMatchesAdd(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	built, d := buildIndex(t, 1500)
@@ -309,13 +309,9 @@ func TestRebuildMatchesAdd(t *testing.T) {
 	}
 	check := func(ix *Index, name string, vectors [][]float64) {
 		t.Helper()
+		vectors = slices.DeleteFunc(slices.Clone(vectors), func(v []float64) bool { return v == nil })
 		want := make([][]int32, ix.Lists())
-		live := 0
 		for i, v := range vectors {
-			if v == nil {
-				continue
-			}
-			live++
 			c, _ := kmeans.NearestFlat(ix.cents, ix.data.Dim(), v)
 			want[c] = append(want[c], int32(i))
 		}
@@ -325,8 +321,8 @@ func TestRebuildMatchesAdd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Len() != live {
-				t.Fatalf("%s: rebuilt index holds %d live vectors, want %d", name, got.Len(), live)
+			if got.Len() != len(vectors) {
+				t.Fatalf("%s: rebuilt index holds %d vectors, want %d", name, got.Len(), len(vectors))
 			}
 			for c := range want {
 				if !slices.Equal(got.list(c), want[c]) {
@@ -334,13 +330,13 @@ func TestRebuildMatchesAdd(t *testing.T) {
 				}
 			}
 			for i, v := range vectors {
-				if !slices.Equal(got.Vector(i), v) || (v == nil) != (got.Vector(i) == nil) {
+				if !slices.Equal(got.Vector(i), v) {
 					t.Fatalf("%s: vector %d changed across the rebuild", name, i)
 				}
 			}
 		}
 	}
-	for name, vectors := range map[string][][]float64{"same ids": d.Train, "dead slots": dead, "grown": grown, "renumbered": shrunk} {
+	for name, vectors := range map[string][][]float64{"same ids": d.Train, "deleted": dead, "grown": grown, "renumbered": shrunk} {
 		check(ix, name, vectors)
 	}
 	// Below kmeans.WideRow dimensions every centroid is scanned.
@@ -355,6 +351,6 @@ func TestRebuildMatchesAdd(t *testing.T) {
 	short[5] = nil
 	check(narrow, "d=3", short)
 	if ix.Len() != 1497 {
-		t.Fatalf("Rebuild changed its receiver: %d live", ix.Len())
+		t.Fatalf("Rebuild changed its receiver: %d vectors", ix.Len())
 	}
 }

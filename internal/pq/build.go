@@ -16,18 +16,12 @@ type Store struct {
 	Cfg TrainConfig
 }
 
-// Build trains a codebook on the live (non-nil) vectors and encodes them:
-// the one-call construction the data owner and a fold's retrain use. A nil
-// row is a dead position, whose code row stays zero. TrainedOn counts
-// positions, dead ones included, as the retrain rule does.
+// Build trains a codebook on the vectors and encodes them: the one-call
+// construction the data owner and a fold's retrain use. TrainedOn is
+// len(vectors); a caller whose retrain rule counts more than the vectors
+// it trained on (a fold counts the id space) sets it after.
 func Build(vectors [][]float64, cfg TrainConfig) (*Store, error) {
-	live := make([][]float64, 0, len(vectors))
-	for _, v := range vectors {
-		if v != nil {
-			live = append(live, v)
-		}
-	}
-	book, err := Train(live, cfg)
+	book, err := Train(vectors, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -200,11 +200,11 @@ func (cb *Codebook) EncodeInto(dst []byte, v []float64) {
 // every one at the usual shapes — copy the span's columns transposed into
 // the worker's scratch and offer all K centroids to every point through
 // the block kernel; wider ones get a kmeans.Searcher for the call, from
-// which a point starts at the centroid nearest in its first coordinate. A
-// nil vector's row stays zero. Nothing is retained per subspace.
+// which a point starts at the centroid nearest in its first coordinate.
+// Nothing is retained per subspace.
 func (cb *Codebook) EncodeAll(vectors [][]float64) *CodeStore {
 	for i, v := range vectors {
-		if v != nil && len(v) != cb.dim {
+		if len(v) != cb.dim {
 			panic(fmt.Sprintf("pq: encoding %d-dim vector %d with %d-dim codebook", len(v), i, cb.dim))
 		}
 	}
@@ -220,29 +220,21 @@ func (cb *Codebook) EncodeAll(vectors [][]float64) *CodeStore {
 	cols := make([]float64, workers*span*(kmeans.WideRow-1))
 	dist := make([]float64, workers*span)
 	idx := make([]int, workers*span)
-	zero := make([]float64, cb.dim)
 	par.Spans(workers, len(vectors), span, func(worker, lo, hi int) {
 		n := hi - lo
 		for j, s := range search {
 			o, w := cb.off[j], cb.width[j]
 			if s != nil {
 				for i := lo; i < hi; i++ {
-					if vectors[i] == nil {
-						continue
-					}
 					sub := vectors[i][o : o+w]
 					best, _ := s.Nearest(sub, s.Guess(sub))
 					cs.Row(i)[j] = byte(best)
 				}
 				continue
 			}
-			// Coordinate t of point lo+i at pts[t*n+i]; a nil vector is
-			// encoded as zeros, and its code not written.
+			// Coordinate t of point lo+i at pts[t*n+i].
 			pts := cols[worker*span*(kmeans.WideRow-1):][:w*n]
 			for i, v := range vectors[lo:hi] {
-				if v == nil {
-					v = zero
-				}
 				for t, x := range v[o : o+w] {
 					pts[t*n+i] = x
 				}
@@ -250,9 +242,7 @@ func (cb *Codebook) EncodeAll(vectors [][]float64) *CodeStore {
 			codes := idx[worker*span:][:n]
 			kmeans.NearestBlock(codes, dist[worker*span:], pts, n, w, cb.cents[j])
 			for i, c := range codes {
-				if vectors[lo+i] != nil {
-					cs.Row(lo + i)[j] = byte(c)
-				}
+				cs.Row(lo + i)[j] = byte(c)
 			}
 		}
 	})

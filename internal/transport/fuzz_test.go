@@ -31,7 +31,7 @@ func fuzzMessages() ([]*request, []*response) {
 		{op: opInsert, id: 600},
 		{op: opDelete},
 		{op: opLen, n: 601, live: 599},
-		{op: opInfo, info: Info{Backend: "hnsw", N: 3, Live: 2, Dim: 3, Epoch: 4, Memory: core.MemoryStats{N: 3, SAP: 24, DCE: 256},
+		{op: opInfo, info: Info{Backend: "hnsw", N: 3, Live: 2, Dim: 3, Epoch: 4, Memory: core.MemoryStats{N: 3, Live: 2, SAP: 24, DCE: 256},
 			WAL: &core.WALStats{Dir: "w", Policy: "every=1", Segments: 1, Bytes: 99, Appended: 5, Synced: 5, Checkpoint: "c", CheckpointEpoch: 2, CheckpointGen: 1}}},
 	}
 	return reqs, resps

@@ -280,6 +280,7 @@ func readInfo(r *frame.Reader) Info {
 	}
 	in.Epoch = r.U64()
 	in.Memory = core.ReadMemoryStats(r)
+	in.Memory.Live = in.Live
 	in.WAL = core.ReadWALStats(r)
 	return in
 }

@@ -204,7 +204,7 @@ func TestInfoOverTCP(t *testing.T) {
 	if info.N != 600 || info.Dim != d.Dim {
 		t.Fatalf("N/Dim = %d/%d, want 600/%d", info.N, info.Dim, d.Dim)
 	}
-	if info.Memory.N != 600 || info.Memory.SAP <= 0 || info.Memory.DCE <= 0 {
+	if info.Memory.N != 600 || info.Memory.Live != 600 || info.Memory.SAP <= 0 || info.Memory.DCE <= 0 {
 		t.Fatalf("implausible memory breakdown: %+v", info.Memory)
 	}
 }

@@ -83,8 +83,8 @@ func (r *Rows[T]) alloc(rows int) []T {
 	return buf[off : off : off+n]
 }
 
-// cap returns the number of rows the backing array holds.
-func (r *Rows[T]) cap() int {
+// Cap returns the number of rows the backing array holds.
+func (r *Rows[T]) Cap() int {
 	return (cap(r.data) - slackBytes/int(unsafe.Sizeof(*new(T)))) / r.stride
 }
 
@@ -94,10 +94,10 @@ func (r *Rows[T]) cap() int {
 // full, and a header that overstates it costs at most twice what arrived.
 func (r *Rows[T]) grow(rows, limit int) {
 	need := r.Len() + rows
-	if need <= r.cap() {
+	if need <= r.Cap() {
 		return
 	}
-	r.data = append(r.alloc(max(need, min(2*r.cap(), limit))), r.data...)
+	r.data = append(r.alloc(max(need, min(2*r.Cap(), limit))), r.data...)
 }
 
 // Len returns the number of rows.
@@ -146,13 +146,11 @@ func (r *Rows[T]) Append(row []T) int {
 func (r *Rows[T]) Reserve(rows int) { r.grow(rows, math.MaxInt) }
 
 // Gather returns an exactly full arena of its own whose row j is a copy of
-// row ids[j], or zero where ids[j] names no row (a dead slot is −1).
+// row ids[j].
 func (r *Rows[T]) Gather(ids []int) *Rows[T] {
 	ns := NewRows[T](r.width, r.stride, len(ids))
 	for j, id := range ids {
-		if id >= 0 && id < r.Len() {
-			copy(ns.Row(j), r.Row(id))
-		}
+		copy(ns.Row(j), r.Row(id))
 	}
 	return ns
 }

@@ -85,15 +85,10 @@ func rowsDiscipline[T float64 | byte](t *testing.T, width, stride int) {
 	holds("published header after an in-place append", &pub2, 4)
 	holds("published header after both appends", pub, 3)
 
-	g := ext2.Gather([]int{4, -1, 0})
+	g := ext2.Gather([]int{4, 2, 0})
 	allocated("Gather", g, 3)
-	if g.Len() != 3 || !slices.Equal(g.Row(0), row(4)) || !slices.Equal(g.Row(2), row(0)) {
+	if g.Len() != 3 || !slices.Equal(g.Row(0), row(4)) || !slices.Equal(g.Row(1), row(2)) || !slices.Equal(g.Row(2), row(0)) {
 		t.Fatalf("Gather rows %v %v %v", g.Row(0), g.Row(1), g.Row(2))
-	}
-	for k, x := range g.Raw()[stride : 2*stride] {
-		if x != 0 {
-			t.Fatalf("Gather: dead row element %d is %v", k, x)
-		}
 	}
 	g.Row(2)[0] = 0
 	holds("Gather's source after a write to the gathered arena", &ext2, 5)
@@ -105,14 +100,14 @@ func rowsDiscipline[T float64 | byte](t *testing.T, width, stride int) {
 			l := NewRows[T](width, stride, 0)
 			for i := range arrived {
 				copy(l.AppendZero(limit), row(i))
-				allocated("bounded AppendZero", l, l.cap())
-				if l.cap() > 2*l.Len() {
-					t.Fatalf("limit %d: %d rows arrived, capacity %d", limit, l.Len(), l.cap())
+				allocated("bounded AppendZero", l, l.Cap())
+				if l.Cap() > 2*l.Len() {
+					t.Fatalf("limit %d: %d rows arrived, capacity %d", limit, l.Len(), l.Cap())
 				}
 			}
 			holds("loaded", l, arrived)
-			if limit == arrived && l.cap() != arrived {
-				t.Fatalf("loading %d of %d rows ended at capacity %d", arrived, limit, l.cap())
+			if limit == arrived && l.Cap() != arrived {
+				t.Fatalf("loading %d of %d rows ended at capacity %d", arrived, limit, l.Cap())
 			}
 		}
 	}

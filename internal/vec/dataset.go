@@ -54,6 +54,9 @@ func (d *Dataset) Stride() int { return d.rows.stride }
 // Len returns the number of vectors stored.
 func (d *Dataset) Len() int { return d.rows.Len() }
 
+// Cap returns the number of vectors the arena holds (Rows.Cap).
+func (d *Dataset) Cap() int { return d.rows.Cap() }
+
 // At returns vector i as a slice view into the backing array. The caller
 // must not grow it; writes alter the dataset.
 func (d *Dataset) At(i int) []float64 { return d.rows.Row(i) }
@@ -66,7 +69,7 @@ func (d *Dataset) Append(v []float64) int { return d.rows.Append(v) }
 func (d *Dataset) Reserve(n int) { d.rows.Reserve(n) }
 
 // Gather returns a dataset with an exactly full arena of its own whose
-// row j is a copy of row ids[j], or zero where ids[j] is −1 (Rows.Gather).
+// row j is a copy of row ids[j] (Rows.Gather).
 func (d *Dataset) Gather(ids []int) *Dataset { return &Dataset{rows: *d.rows.Gather(ids)} }
 
 // AppendZero appends an all-zero vector and returns both its index and a

@@ -76,7 +76,7 @@ func TestKernelRegistryShape(t *testing.T) {
 func TestDatasetAlignment(t *testing.T) {
 	for _, dim := range []int{1, 7, 8, 13, 96, 100, 960} {
 		d := NewDataset(dim, 3)
-		if got := d.rows.cap(); got != 3 {
+		if got := d.rows.Cap(); got != 3 {
 			t.Fatalf("dim %d: a capacity hint of 3 rows allocated %d", dim, got)
 		}
 		if d.Stride()%cacheLineFloats != 0 {
