@@ -148,7 +148,8 @@ func ReadMemoryStats(r *frame.Reader) MemoryStats {
 
 // AppendWALStats appends [present u8] and, for a non-nil w, [Dir Policy
 // Checkpoint: count u32, bytes] [Segments Bytes Appended Synced
-// CheckpointEpoch CheckpointGen u64].
+// CheckpointEpoch CheckpointGen u64]. The checkpoint's cost stays off the
+// wire.
 func AppendWALStats(b []byte, w *WALStats) []byte {
 	if w == nil {
 		return frame.AppendU8(b, 0)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"ppanns/internal/frame"
 	"ppanns/internal/wal"
@@ -211,6 +212,13 @@ type WALStats struct {
 	Checkpoint      string
 	CheckpointEpoch uint64
 	CheckpointGen   uint64
+	// CheckpointBytes, CheckpointWrite and CheckpointSync are what this
+	// process's newest checkpoint cost (wal.Stats): the snapshot's size,
+	// its encode-and-write time and its time to a durable rename. They
+	// stay in-process: AppendWALStats does not put them on the wire.
+	CheckpointBytes int64
+	CheckpointWrite time.Duration
+	CheckpointSync  time.Duration
 }
 
 // WALStats reports the attached log's shape, or nil without a WAL.
@@ -226,6 +234,10 @@ func (s *Server) WALStats() *WALStats {
 		Bytes:    st.Bytes,
 		Appended: st.Appended,
 		Synced:   st.Synced,
+
+		CheckpointBytes: st.CheckpointBytes,
+		CheckpointWrite: st.CheckpointWrite,
+		CheckpointSync:  st.CheckpointSync,
 	}
 	if st.Barrier != nil {
 		w.Checkpoint = st.Barrier.Name

@@ -294,7 +294,9 @@ func TestWALRecoveryAfterRetrainingFold(t *testing.T) {
 }
 
 // TestWALStatsReporting pins the WALStats surface: nil without a WAL,
-// populated with the policy and checkpoint identity with one.
+// populated with the policy and checkpoint identity with one, and the
+// newest checkpoint's cost naming its file's size, after NewServerWith and
+// after a fold.
 func TestWALStatsReporting(t *testing.T) {
 	data := clustered(221, 80, 6, 3)
 	plain := newWorld(t, Params{Dim: 6, Beta: 0.3, Seed: 221}, data)
@@ -305,6 +307,20 @@ func TestWALStatsReporting(t *testing.T) {
 	opts := ServerOptions{WALDir: dir, WALSync: wal.SyncPolicy{Every: 1}, CompactAt: -1}
 	w := newWALWorld(t, Params{Dim: 6, Beta: 0.3, Seed: 221}, data, opts)
 	defer w.server.Close()
+	checkCost := func(when string) string {
+		t.Helper()
+		st := w.server.WALStats()
+		fi, err := os.Stat(filepath.Join(dir, st.Checkpoint))
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if st.CheckpointBytes != fi.Size() || st.CheckpointWrite <= 0 || st.CheckpointSync <= 0 {
+			t.Fatalf("%s: checkpoint %s is %d B; stats say %d B, write %v, sync %v",
+				when, st.Checkpoint, fi.Size(), st.CheckpointBytes, st.CheckpointWrite, st.CheckpointSync)
+		}
+		return st.Checkpoint
+	}
+	first := checkCost("after NewServerWith")
 	churnWAL(t, w, 6, 9, 222)
 	st := w.server.WALStats()
 	if st == nil {
@@ -319,6 +335,12 @@ func TestWALStatsReporting(t *testing.T) {
 	}
 	if st.Checkpoint == "" || st.CheckpointEpoch != 0 || st.Segments == 0 || st.Bytes == 0 {
 		t.Fatalf("stats not populated: %+v", st)
+	}
+	if err := w.server.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if checkCost("after a fold") == first {
+		t.Fatalf("the fold wrote no new checkpoint: still %s", first)
 	}
 }
 

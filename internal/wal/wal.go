@@ -133,6 +133,8 @@ type Log struct {
 	// removes it or anything after it.
 	barrier    *Barrier
 	barrierSeq uint64
+	// ckptCost is what writing the newest barrier's snapshot cost.
+	ckptCost persistStats
 
 	// replaySegs freezes the segment set and valid byte ranges found at
 	// Open, so Replay reads exactly the recovered prefix even if appends
@@ -570,6 +572,11 @@ func (l *Log) intervalSyncer(every time.Duration) {
 // canonical CheckpointName(epoch, gen) is used. Concurrent Appends are
 // safe throughout; Checkpoint calls themselves must be serialized by the
 // caller (core's compactor lock does).
+//
+// On an error no barrier is logged, so recovery still anchors on the
+// previous checkpoint. When the error is the directory fsync after the
+// rename, the new snapshot file is already in the directory under
+// b.Name, not known to be durable; a later checkpoint sweeps it.
 func (l *Log) Checkpoint(b Barrier, write func(io.Writer) error) error {
 	if b.Name == "" {
 		b.Name = CheckpointName(b.Epoch, b.Gen)
@@ -585,7 +592,8 @@ func (l *Log) Checkpoint(b Barrier, write func(io.Writer) error) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomicFS(l.fs, filepath.Join(l.dir, b.Name), write); err != nil {
+	cost, err := writeFileAtomicFS(l.fs, filepath.Join(l.dir, b.Name), write)
+	if err != nil {
 		return fmt.Errorf("wal: write checkpoint %s: %w", b.Name, err)
 	}
 
@@ -621,6 +629,7 @@ func (l *Log) Checkpoint(b Barrier, write func(io.Writer) error) error {
 	bc := b
 	l.barrier = &bc
 	l.barrierSeq = l.seq
+	l.ckptCost = cost
 	// Collect sealed segments fully covered by the snapshot: everything
 	// before the barrier's segment whose newest record is ≤ the
 	// checkpoint epoch. Segments holding post-checkpoint records (written
@@ -700,6 +709,13 @@ type Stats struct {
 	Synced   uint64
 	// Barrier is the newest checkpoint barrier, nil before the first.
 	Barrier *Barrier
+	// CheckpointBytes, CheckpointWrite and CheckpointSync are what this
+	// process's newest checkpoint cost: its snapshot's size, the time to
+	// encode and write it (which overlap), and the time from there until
+	// its rename was durable. Zero until the process writes one.
+	CheckpointBytes int64
+	CheckpointWrite time.Duration
+	CheckpointSync  time.Duration
 }
 
 // Stats reports the log's current shape.
@@ -713,6 +729,10 @@ func (l *Log) Stats() Stats {
 		Bytes:    l.activeBytes,
 		Appended: l.written,
 		Synced:   l.synced,
+
+		CheckpointBytes: l.ckptCost.bytes,
+		CheckpointWrite: l.ckptCost.write,
+		CheckpointSync:  l.ckptCost.sync,
 	}
 	for _, s := range l.sealed {
 		st.Bytes += s.bytes

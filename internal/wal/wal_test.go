@@ -794,6 +794,84 @@ func TestIntervalSync(t *testing.T) {
 	}
 }
 
+// streamPayload writes n bytes of a fixed pattern in uneven pieces of
+// about frame.Encoder's 64 KiB chunk, and returns the first write error,
+// as the Encoder does.
+func streamPayload(n int) func(io.Writer) error {
+	return func(w io.Writer) error {
+		piece := make([]byte, 64<<10+13)
+		for i := range piece {
+			piece[i] = byte(i*7 + i>>8)
+		}
+		for k, left := 0, n; left > 0; k++ {
+			m := min(left, len(piece)-k%5*1000)
+			if _, err := w.Write(piece[:m]); err != nil {
+				return err
+			}
+			left -= m
+		}
+		return nil
+	}
+}
+
+// testFS wraps OSFS: its files sleep before each write and count their
+// Close calls, and its directory fsync fails when told to.
+type testFS struct {
+	FS
+	slow        time.Duration
+	failSyncDir bool
+	closes      int
+}
+
+var errSyncDir = errors.New("sync dir failed")
+
+func (fs *testFS) Create(name string) (File, error) {
+	f, err := fs.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &testFile{File: f, fs: fs}, nil
+}
+
+func (fs *testFS) SyncDir(dir string) error {
+	if fs.failSyncDir {
+		return errSyncDir
+	}
+	return fs.FS.SyncDir(dir)
+}
+
+type testFile struct {
+	File
+	fs *testFS
+}
+
+func (f *testFile) Write(p []byte) (int, error) {
+	time.Sleep(f.fs.slow)
+	return f.File.Write(p)
+}
+
+func (f *testFile) Close() error {
+	f.fs.closes++
+	return f.File.Close()
+}
+
+// errSeen records whether a Write through it failed.
+type errSeen struct {
+	w    io.Writer
+	seen bool
+}
+
+func (e *errSeen) Write(p []byte) (int, error) {
+	n, err := e.w.Write(p)
+	e.seen = e.seen || err != nil
+	return n, err
+}
+
+// TestWriteFileAtomic drives the atomic-persist path: small and streamed
+// payloads land byte for byte, and a write that fails, in the callback or
+// in the file under it, keeps the old content, leaves no temp file and no
+// writer goroutine. A directory fsync that fails comes after the rename:
+// the new content is in place, the file was closed once.
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.bin")
@@ -806,6 +884,15 @@ func TestWriteFileAtomic(t *testing.T) {
 	if got, _ := os.ReadFile(path); string(got) != "v1" {
 		t.Fatalf("content = %q", got)
 	}
+	onlyOld := func(when string) {
+		t.Helper()
+		if got, _ := os.ReadFile(path); string(got) != "v1" {
+			t.Fatalf("%s: content = %.20q, want the old content", when, got)
+		}
+		if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+			t.Fatalf("%s: directory has %d entries, want 1", when, len(ents))
+		}
+	}
 
 	// A failing writer must leave the old content and no temp file.
 	boom := errors.New("boom")
@@ -816,12 +903,74 @@ func TestWriteFileAtomic(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if got, _ := os.ReadFile(path); string(got) != "v1" {
-		t.Fatalf("content after failed write = %q, want old content", got)
+	onlyOld("callback error")
+
+	// More than three buffers' worth, in uneven pieces: the file holds
+	// exactly what the callback writes into a bytes.Buffer.
+	const big = 5*streamBufBytes + 12345
+	var want bytes.Buffer
+	if err := streamPayload(big)(&want); err != nil {
+		t.Fatal(err)
 	}
-	ents, _ := os.ReadDir(dir)
-	if len(ents) != 1 {
-		t.Fatalf("directory has %d entries after failed write, want 1", len(ents))
+	streamed := filepath.Join(t.TempDir(), "streamed.bin")
+	if err := WriteFileAtomic(streamed, streamPayload(big)); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(streamed); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("streamed file: %d bytes, differs from the callback's %d", len(got), want.Len())
+	}
+
+	// The first case's file is slow, so a writer goroutine still running
+	// after the call would show in the count. A write that fails reaches
+	// the callback as an error from its Write.
+	kill := func() FS { return NewFaultyFS(&Injector{KillAfterBytes: 3*streamBufBytes/2 + 7}) }
+	for _, tc := range []struct {
+		name       string
+		fs         FS
+		write      func(io.Writer) error
+		want       error
+		writeFails bool
+	}{
+		{"callback error after 2.5 MiB, slow file", &testFS{FS: OSFS, slow: 20 * time.Millisecond}, func(w io.Writer) error {
+			if err := streamPayload(5 * streamBufBytes / 2)(w); err != nil {
+				return err
+			}
+			return boom
+		}, boom, false},
+		{"killed mid-stream", kill(), streamPayload(big), ErrInjected, true},
+		{"killed mid-stream, callback ignores write errors", kill(),
+			func(w io.Writer) error { streamPayload(big)(w); return nil }, ErrInjected, true},
+		{"killed mid-stream, callback fails with its own error", kill(),
+			func(w io.Writer) error { streamPayload(big)(w); return boom }, boom, true},
+	} {
+		before := runtime.NumGoroutine()
+		seen := &errSeen{}
+		_, err := writeFileAtomicFS(tc.fs, path, func(w io.Writer) error {
+			seen.w = w
+			return tc.write(seen)
+		})
+		if !errors.Is(err, tc.want) || seen.seen != tc.writeFails {
+			t.Fatalf("%s: err = %v, want %v; a Write failed: %t, want %t", tc.name, err, tc.want, seen.seen, tc.writeFails)
+		}
+		if after := runtime.NumGoroutine(); after != before {
+			t.Fatalf("%s: %d goroutines before, %d after", tc.name, before, after)
+		}
+		onlyOld(tc.name)
+	}
+
+	fs := &testFS{FS: OSFS, failSyncDir: true}
+	st, err := writeFileAtomicFS(fs, path, streamPayload(big))
+	if !errors.Is(err, errSyncDir) {
+		t.Fatalf("failing directory fsync: err = %v", err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("failing directory fsync: path does not hold the new content")
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("failing directory fsync: temp file: %v", err)
+	}
+	if fs.closes != 1 || st.bytes != big {
+		t.Fatalf("failing directory fsync: %d closes, %d bytes; want 1, %d", fs.closes, st.bytes, big)
 	}
 }
 
