@@ -1,7 +1,7 @@
 // Benchmarks mapping one-to-one onto the paper's tables and figures (the
 // experiment index is the README's "Reproducing the paper's evaluation").
 // Each BenchmarkFigN measures the kernel its figure plots at laptop scale;
-// the full sweeps that print the figures live in cmd/ppanns-bench.
+// the full sweeps that print the figures are internal/eval's tests.
 // Ablations and scheme micro-benchmarks follow the figure benches.
 package ppanns_test
 

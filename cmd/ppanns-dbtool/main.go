@@ -101,6 +101,16 @@ func usage() {
 	os.Exit(2)
 }
 
+// atLeast refuses an integer flag below lo. The library reads a count
+// at or below zero as unset and puts its default in its place, so a bad
+// value must stop here instead of running with another one.
+func atLeast(cmd, name string, v, lo int) error {
+	if v < lo {
+		return fmt.Errorf("%s: -%s must be ≥ %d, got %d", cmd, name, lo, v)
+	}
+	return nil
+}
+
 func runGen(args []string) error {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	out := fs.String("out", "data.fvecs", "output fvecs file")
@@ -145,6 +155,9 @@ func runEncrypt(args []string) error {
 	fs.Parse(args)
 	if *in == "" {
 		return fmt.Errorf("encrypt: -in is required")
+	}
+	if err := errors.Join(atLeast("encrypt", "m", *m, 1), atLeast("encrypt", "efc", *efc, 1), atLeast("encrypt", "pq", *pqm, 0)); err != nil {
+		return err
 	}
 
 	ds, err := vec.LoadFvecsFile(*in, 0)
@@ -211,6 +224,9 @@ func runSplit(args []string) error {
 	efc := fs.Int("efc", 200, "HNSW efConstruction for the per-shard index rebuilds")
 	seed := fs.Uint64("seed", 0, "per-shard index build seed: a non-zero seed is decorrelated per shard (shard s builds with seed+s+1); 0 builds every shard with seed 0")
 	fs.Parse(args)
+	if err := errors.Join(atLeast("split", "m", *m, 1), atLeast("split", "efc", *efc, 1)); err != nil {
+		return err
+	}
 
 	f, err := os.Open(*dbIn)
 	if err != nil {
@@ -495,6 +511,9 @@ func runQuery(args []string) error {
 	fs.Parse(args)
 	if *queriesIn == "" {
 		return fmt.Errorf("query: -queries is required")
+	}
+	if err := errors.Join(atLeast("query", "ratio", *ratio, 1), atLeast("query", "limit", *limit, 0)); err != nil {
+		return err
 	}
 	var fd core.FilterDistMode
 	switch *filter {

@@ -221,6 +221,44 @@ func TestGenRefusesBadCounts(t *testing.T) {
 	}
 }
 
+// TestRefusesCountsItWouldRewrite: a count the library reads as unset
+// (-m, -efc, -ratio at or below zero), a negative -pq that would build no
+// PQ tier and a negative -limit that would run every query are refused
+// with an error naming the flag, before anything is read or written.
+func TestRefusesCountsItWouldRewrite(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "forty.fvecs")
+	if err := writeFvecs(in, dataset.DeepLike(40, 1, 1).Train); err != nil {
+		t.Fatal(err)
+	}
+	db, key := filepath.Join(dir, "db"), filepath.Join(dir, "key")
+	encrypt := []string{"-in", in, "-db", db, "-key", key, "-seed", "3", "-beta", "1"}
+	query := []string{"-key", key, "-queries", in}
+	for _, c := range []struct {
+		run  func([]string) error
+		args []string
+		flag string
+	}{
+		{runEncrypt, append(encrypt, "-m", "-3"), "-m"},
+		{runEncrypt, append(encrypt, "-efc", "-1"), "-efc"},
+		{runEncrypt, append(encrypt, "-pq", "-2"), "-pq"},
+		{runSplit, []string{"-db", db, "-out", filepath.Join(dir, "s-"), "-m", "-4"}, "-m"},
+		{runQuery, append(query, "-ratio", "0"), "-ratio"},
+		{runQuery, append(query, "-ratio", "-3"), "-ratio"},
+		{runQuery, append(query, "-limit", "-1"), "-limit"},
+	} {
+		err := c.run(c.args)
+		if err == nil || !strings.Contains(err.Error(), c.flag+" must be") {
+			t.Errorf("%v: err = %v, want a refusal naming %s", c.args, err, c.flag)
+		}
+		for _, f := range []string{db, key, filepath.Join(dir, "s-0.ppanns")} {
+			if _, err := os.Stat(f); err == nil {
+				t.Fatalf("%v wrote %s", c.args, f)
+			}
+		}
+	}
+}
+
 // stdout runs f with os.Stdout captured and returns what it printed.
 func stdout(t *testing.T, f func() error) (string, error) {
 	t.Helper()

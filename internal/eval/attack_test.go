@@ -1,7 +1,8 @@
-package bench
+package eval
 
 import (
 	"math"
+	"testing"
 
 	"ppanns/internal/aspe"
 	"ppanns/internal/dce"
@@ -9,18 +10,20 @@ import (
 	"ppanns/internal/vec"
 )
 
-// Attack reproduces Section III's insecurity results as running code: the
-// known-plaintext attacks of Theorem 1, Corollaries 1–2 and Theorem 2
+// TestAttack reproduces Section III's insecurity results as running code:
+// the known-plaintext attacks of Theorem 1, Corollaries 1–2 and Theorem 2
 // recover queries (and a database vector) from every enhanced-ASPE
-// variant's leakage, while the same solver applied to what a curious server
-// actually observes under DCE (the randomized comparison values Z_{o,p,q})
-// recovers nothing.
-func Attack(cfg Config) error {
-	cfg = cfg.withDefaults()
-	r := rng.NewSeeded(cfg.Seed ^ 0xa77ac)
+// variant's leakage to a relative error of 1e-6 or better, while the same
+// solver applied to what a curious server observes under DCE (the
+// randomized comparison values Z_{o,p,q}) recovers nothing: its error is
+// at least 0.5.
+func TestAttack(t *testing.T) {
+	s := start(t)
+	var tb table
+	r := rng.NewSeeded(s.seed ^ 0xa77ac)
 	const dim = 16
-	cfg.printf("# Section III — KPA attacks on enhanced ASPE (d=%d; square variant d=8)\n", dim)
-	cfg.printf("%-16s %22s %22s\n", "variant", "query rel. error", "db-vector rel. error")
+	tb.printf("# Section III — KPA attacks on enhanced ASPE (d=%d; square variant d=8)\n", dim)
+	tb.printf("%-16s %22s %22s\n", "variant", "query rel. error", "db-vector rel. error")
 
 	known := make([][]float64, dim+2)
 	for i := range known {
@@ -30,36 +33,35 @@ func Attack(cfg Config) error {
 	secret := rng.Gaussian(r, nil, dim)
 
 	relErr := func(got, want []float64) float64 {
-		if got == nil {
-			return math.Inf(1)
-		}
 		return vec.Dist(got, want) / (vec.Norm(want) + 1e-30)
+	}
+	recovered := func(name string, err float64) {
+		if !(err <= 1e-6) {
+			t.Errorf("%s: relative error %.2e, want ≤ 1e-6", name, err)
+		}
 	}
 
 	// --- Linear / Exponential / Logarithmic (Theorem 1, Corollaries 1–2).
-	type variantRun struct {
+	logOpt := aspe.LeakOptions{Shift: 500}
+	for _, run := range []struct {
 		name    string
 		variant aspe.Variant
 		opt     aspe.LeakOptions
 		recover func([][]float64, []float64) (*aspe.QueryRecovery, error)
-	}
-	logOpt := aspe.LeakOptions{Shift: 500}
-	runs := []variantRun{
+	}{
 		{"linear", aspe.Linear, aspe.LeakOptions{}, aspe.RecoverQueryLinear},
 		{"exponential", aspe.Exponential, aspe.LeakOptions{}, aspe.RecoverQueryExponential},
 		{"logarithmic", aspe.Logarithmic, logOpt, func(k [][]float64, l []float64) (*aspe.QueryRecovery, error) {
 			return aspe.RecoverQueryLogarithmic(k, l, logOpt)
 		}},
-	}
-	for _, run := range runs {
+	} {
 		qr := aspe.QueryRand{R1: rng.Uniform(r, 0.5, 2), R2: rng.UniformNonZero(r, 0.5, 2)}
 		leaks := make([]float64, len(known))
 		for i, p := range known {
 			leaks[i] = aspe.LeakedValue(run.variant, p, q, qr, run.opt)
 		}
-		rec, err := run.recover(known, leaks)
 		qErr := math.Inf(1)
-		if err == nil {
+		if rec, err := run.recover(known, leaks); err == nil {
 			qErr = relErr(rec.Query, q)
 		}
 
@@ -75,7 +77,7 @@ func Attack(cfg Config) error {
 			}
 			rj, err := run.recover(known, lj)
 			if err != nil {
-				return err
+				t.Fatal(err)
 			}
 			recs = append(recs, rj)
 		}
@@ -83,12 +85,13 @@ func Attack(cfg Config) error {
 		for j, rj := range recs {
 			secLeaks[j] = vec.Dot(aspe.ExtendDB(secret), rj.Coeff)
 		}
-		got, err := aspe.RecoverDatabaseVector(recs, secLeaks)
 		dbErr := math.Inf(1)
-		if err == nil {
+		if got, err := aspe.RecoverDatabaseVector(recs, secLeaks); err == nil {
 			dbErr = relErr(got, secret)
 		}
-		cfg.printf("%-16s %22.2e %22.2e\n", run.name, qErr, dbErr)
+		tb.printf("%-16s %22.2e %22.2e\n", run.name, qErr, dbErr)
+		recovered(run.name+" query", qErr)
+		recovered(run.name+" db vector", dbErr)
 	}
 
 	// --- Square (Theorem 2), smaller dimension to keep the quadratic
@@ -106,20 +109,20 @@ func Attack(cfg Config) error {
 		for i, p := range knownS {
 			leaks[i] = aspe.LeakedValue(aspe.Square, p, qs, qr, aspe.LeakOptions{})
 		}
-		rec, err := aspe.RecoverQuerySquare(knownS, leaks)
 		qErr := math.Inf(1)
-		if err == nil {
+		if rec, err := aspe.RecoverQuerySquare(knownS, leaks); err == nil {
 			qErr = relErr(rec.Query, qs)
 		}
-		cfg.printf("%-16s %22.2e %22s\n", "square (d=8)", qErr, "(see aspe tests)")
+		tb.printf("%-16s %22.2e %22s\n", "square (d=8)", qErr, "(see aspe tests)")
+		recovered("square query", qErr)
 	}
 
 	// --- Control: the same Theorem-1 solver fed with DCE's observable
 	// comparison values.
-	cfg.printf("\n# Control — Theorem-1 solver applied to DCE observables\n")
+	tb.printf("\n# Control — Theorem-1 solver applied to DCE observables\n")
 	dceKey, err := dce.KeyGen(rng.Derive(r, 9), dim)
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
 	cts := make([][]float64, len(known))
 	for i, p := range known {
@@ -134,10 +137,13 @@ func Attack(cfg Config) error {
 	}
 	rec, err := aspe.RecoverQueryLinear(known, zleaks)
 	if err != nil {
-		cfg.printf("DCE: solver failed outright (%v) — no recovery\n", err)
+		tb.printf("DCE: solver failed outright (%v) — no recovery\n", err)
 	} else {
-		cfg.printf("DCE: query rel. error %.2f (≈1 means no information recovered)\n", relErr(rec.Query, q))
+		e := relErr(rec.Query, q)
+		tb.printf("DCE: query rel. error %.2f (≈1 means no information recovered)\n", e)
+		if e < 0.5 {
+			t.Errorf("DCE control: the solver recovers the query to %.2f, want ≥ 0.5", e)
+		}
 	}
-	cfg.printf("\n(expected: ASPE variants recover to ~1e-6 or better; DCE recovery error ~O(1))\n")
-	return nil
+	s.check(t, "attack", &tb)
 }

@@ -1,8 +1,9 @@
-package bench
+package eval
 
 import (
 	"fmt"
 	"sort"
+	"testing"
 
 	"ppanns/internal/dataset"
 	"ppanns/internal/dcpe"
@@ -10,15 +11,33 @@ import (
 	"ppanns/internal/rng"
 )
 
-// TunedPQ is one operating point of the compressed filter tier: M bytes per
+// TestTune runs the recall-targeted (M, k′) tuner of the PQ tier on the
+// deep corpus and prints the operating point it chooses: Recall@k ≥ 0.95
+// at β = 0.3.
+func TestTune(t *testing.T) {
+	s := start(t)
+	const target, beta = 0.95, 0.3
+	var tb table
+	for _, d := range s.datasets(t, "deep") {
+		pt, err := calibratePQ(d, s.k, target, beta, s.seed)
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		tb.printf("%-12s M=%-3d k′=%-4d recall %.3f (target %.2f, %.1f bytes/point codes)\n",
+			d.Name, pt.M, pt.KPrime, pt.Recall, target, float64(pt.M))
+	}
+	s.check(t, "tune", &tb)
+}
+
+// tunedPQ is one operating point of the compressed filter tier: M bytes per
 // code, an over-fetch k′, and the two-phase recall the proxy measured there.
-type TunedPQ struct {
+type tunedPQ struct {
 	M      int
 	KPrime int
 	Recall float64
 }
 
-// CalibratePQ picks the cheapest (M, k′) at which PQ-filtered search with
+// calibratePQ picks the cheapest (M, k′) at which PQ-filtered search with
 // exact refine reaches the target Recall@k — the compressed tier's
 // counterpart of core.CalibrateBeta. Like the β calibration it runs a bounded
 // brute-force proxy instead of a full index build: vectors are SAP-encrypted
@@ -33,13 +52,13 @@ type TunedPQ struct {
 // k′ ascending (refine work) — and the first point meeting the target wins.
 // When nothing reaches the target, the best point found is returned along
 // with an error describing the shortfall.
-func CalibratePQ(data *dataset.Data, k int, target, beta float64, seed uint64) (TunedPQ, error) {
+func calibratePQ(data *dataset.Data, k int, target, beta float64, seed uint64) (tunedPQ, error) {
 	if target <= 0 || target >= 1 {
-		return TunedPQ{}, fmt.Errorf("bench: recall target %g outside (0,1)", target)
+		return tunedPQ{}, fmt.Errorf("recall target %g outside (0,1)", target)
 	}
 	key, err := dcpe.KeyGen(rng.NewSeeded(seed^0x9cb), data.Dim, 1024, beta)
 	if err != nil {
-		return TunedPQ{}, err
+		return tunedPQ{}, err
 	}
 	// Bound the proxy's work on large corpora: PQ recall at a given (M, k′)
 	// is a property of the quantizer and the data distribution, not of n.
@@ -62,14 +81,14 @@ func CalibratePQ(data *dataset.Data, k int, target, beta float64, seed uint64) (
 
 	ms := []int{8, 16, 32, 48}
 	kPrimes := []int{4 * k, 8 * k, 16 * k, 32 * k}
-	best := TunedPQ{Recall: -1}
+	best := tunedPQ{Recall: -1}
 	for _, m := range ms {
 		if m > data.Dim {
 			continue
 		}
 		store, err := pq.Build(enc, pq.TrainConfig{M: m, Seed: seed ^ 0x4bd})
 		if err != nil {
-			return TunedPQ{}, err
+			return tunedPQ{}, err
 		}
 		// Rank all n once per (M, query); every k′ is then a prefix.
 		lut := make([]float64, m*pq.LUTStride)
@@ -112,7 +131,7 @@ func CalibratePQ(data *dataset.Data, k int, target, beta float64, seed uint64) (
 		}
 		for pi, kp := range kPrimes {
 			r := recalls[pi] / float64(nq)
-			pt := TunedPQ{M: m, KPrime: kp, Recall: r}
+			pt := tunedPQ{M: m, KPrime: kp, Recall: r}
 			if r >= target {
 				return pt, nil
 			}
@@ -121,32 +140,6 @@ func CalibratePQ(data *dataset.Data, k int, target, beta float64, seed uint64) (
 			}
 		}
 	}
-	return best, fmt.Errorf("bench: no (M, k′) reached recall %.3f; best %.3f at M=%d k′=%d",
+	return best, fmt.Errorf("no (M, k′) reached recall %.3f; best %.3f at M=%d k′=%d",
 		target, best.Recall, best.M, best.KPrime)
-}
-
-// tuneRecall is the Recall@k the "tune" experiment asks of the compressed
-// tier, and tuneBeta the DCPE noise it tunes at.
-const (
-	tuneRecall = 0.95
-	tuneBeta   = 0.3
-)
-
-// Tune ("tune") runs the recall-targeted (M, k′) tuner and prints the
-// chosen operating point per configured dataset.
-func Tune(cfg Config) error {
-	cfg = cfg.withDefaults()
-	datas, err := cfg.datasets("deep")
-	if err != nil {
-		return err
-	}
-	for _, data := range datas {
-		pt, err := CalibratePQ(data, cfg.K, tuneRecall, tuneBeta, cfg.Seed)
-		if err != nil {
-			return fmt.Errorf("bench: %s: %w", data.Name, err)
-		}
-		cfg.printf("%-12s M=%-3d k′=%-4d recall %.3f (target %.2f, %.1f bytes/point codes)\n",
-			data.Name, pt.M, pt.KPrime, pt.Recall, tuneRecall, float64(pt.M))
-	}
-	return nil
 }

@@ -49,7 +49,9 @@ type Server struct {
 }
 
 // NewServer builds a PIR server over n equal-size blocks. Short blocks are
-// zero-padded to the longest block's size.
+// zero-padded copies, padded to the longest block's size; a block of that
+// size is kept as given, so servers over one database share its memory,
+// and the caller must not change the blocks afterwards.
 func NewServer(blocks [][]byte) (*Server, error) {
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("pir: empty database")
@@ -65,6 +67,10 @@ func NewServer(blocks [][]byte) (*Server, error) {
 	}
 	padded := make([][]byte, len(blocks))
 	for i, b := range blocks {
+		if len(b) == size {
+			padded[i] = b
+			continue
+		}
 		p := make([]byte, size)
 		copy(p, b)
 		padded[i] = p

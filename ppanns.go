@@ -33,8 +33,8 @@
 //
 // The Server type is constructed from ciphertexts only; no API path exposes
 // plaintexts or keys to it. See README.md for a quickstart and the
-// backend-selection table; cmd/ppanns-bench reproduces the paper's
-// evaluation.
+// backend-selection table; the tests of internal/eval reproduce the
+// paper's evaluation as committed tables.
 package ppanns
 
 import (
