@@ -96,12 +96,10 @@ func (f *fixture) search(b *testing.B, opt ppanns.SearchOptions) {
 	}
 }
 
-// BenchmarkTable1DatasetGen regenerates Table I's corpora (generation +
-// statistics pass).
+// BenchmarkTable1DatasetGen regenerates one of Table I's corpora.
 func BenchmarkTable1DatasetGen(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		d := dataset.SIFTLike(2000, 10, uint64(i)+1)
-		_ = d.Describe()
+		_ = dataset.SIFTLike(2000, 10, uint64(i)+1)
 	}
 }
 
@@ -229,7 +227,7 @@ func BenchmarkFig8Encryption(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dceKey, err := dce.KeyGen(rng.Derive(r, 2), dim)
+	dceKey, err := dce.KeyGen(rng.Derive(r, 2), dim, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -381,7 +379,7 @@ func fixtureCiphertexts(b *testing.B, f *fixture, ids []int) [][]float64 {
 func BenchmarkAblationLinearScanDCE(b *testing.B) {
 	data := dataset.DeepLike(1000, 5, 19)
 	r := rng.NewSeeded(19)
-	key, err := dce.KeyGen(r, data.Dim)
+	key, err := dce.KeyGen(r, data.Dim, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -407,7 +405,7 @@ func BenchmarkDCEDistanceComp(b *testing.B) {
 	for _, dim := range []int{96, 128, 960} {
 		b.Run(fmt.Sprintf("d=%d", dim), func(b *testing.B) {
 			r := rng.NewSeeded(23)
-			key, err := dce.KeyGen(r, dim)
+			key, err := dce.KeyGen(r, dim, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -445,7 +443,7 @@ func BenchmarkDCETrapGen(b *testing.B) {
 	for _, dim := range []int{96, 128, 960} {
 		b.Run(fmt.Sprintf("d=%d", dim), func(b *testing.B) {
 			r := rng.NewSeeded(31)
-			key, err := dce.KeyGen(r, dim)
+			key, err := dce.KeyGen(r, dim, 1)
 			if err != nil {
 				b.Fatal(err)
 			}

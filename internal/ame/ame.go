@@ -42,7 +42,7 @@ const Shares = 16
 type Key struct {
 	dim   int
 	ext   int     // 2d+6
-	scale float64 // uniform input scaling, same rationale as dce.KeyGenScaled
+	scale float64 // uniform input scaling, same rationale as dce.KeyGen's scale
 
 	a     [Shares]*matrix.Dense // left-share encryption matrices
 	b     [Shares]*matrix.Dense // right-share encryption matrices
@@ -68,7 +68,7 @@ type Trapdoor struct {
 // KeyGen generates an AME key for d-dimensional vectors.
 func KeyGen(r *rng.Rand, dim int) (*Key, error) { return KeyGenScaled(r, dim, 1) }
 
-// KeyGenScaled is KeyGen with a uniform input scale (see dce.KeyGenScaled
+// KeyGenScaled is KeyGen with a uniform input scale (see dce.KeyGen
 // for why O(1)-magnitude inputs matter for float64 comparison headroom).
 func KeyGenScaled(r *rng.Rand, dim int, scale float64) (*Key, error) {
 	if dim <= 0 {
@@ -89,9 +89,6 @@ func KeyGenScaled(r *rng.Rand, dim int, scale float64) (*Key, error) {
 
 // Dim returns the plaintext dimension.
 func (k *Key) Dim() int { return k.dim }
-
-// ExtDim returns 2d+6, the share vector dimension.
-func (k *Key) ExtDim() int { return k.ext }
 
 // extend builds x_u = r_u·[‖u‖², uᵀ, 1, junk...] with fresh junk randomness
 // drawn from r.
@@ -216,9 +213,4 @@ func Compare(co, cp *Ciphertext, td *Trapdoor) float64 {
 		z += vec.Dot(buf, cp.R[i])
 	}
 	return z
-}
-
-// Closer reports whether dist(o, q) < dist(p, q).
-func Closer(co, cp *Ciphertext, td *Trapdoor) bool {
-	return Compare(co, cp, td) < 0
 }

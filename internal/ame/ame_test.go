@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"ppanns/internal/kerneltest"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
@@ -40,19 +41,19 @@ func TestShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.ExtDim() != 2*dim+6 {
-		t.Fatalf("ExtDim = %d, want %d", k.ExtDim(), 2*dim+6)
+	if k.ext != 2*dim+6 {
+		t.Fatalf("ext = %d, want %d", k.ext, 2*dim+6)
 	}
 	p := rng.Gaussian(r, nil, dim)
 	ct := k.Encrypt(p)
 	for i := 0; i < Shares; i++ {
-		if len(ct.L[i]) != k.ExtDim() || len(ct.R[i]) != k.ExtDim() {
+		if len(ct.L[i]) != k.ext || len(ct.R[i]) != k.ext {
 			t.Fatalf("share %d has wrong length", i)
 		}
 	}
 	td := k.TrapGen(p)
 	for i := 0; i < Shares; i++ {
-		if td.T[i].Rows() != k.ExtDim() || td.T[i].Cols() != k.ExtDim() {
+		if td.T[i].Rows() != k.ext || len(td.T[i].Row(0)) != k.ext {
 			t.Fatalf("trapdoor share %d has wrong shape", i)
 		}
 	}
@@ -118,7 +119,7 @@ func TestRankingAgainstPlaintext(t *testing.T) {
 			if math.Abs(di-dj) <= relGap*(di+dj+1) {
 				continue
 			}
-			if Closer(cts[i], cts[j], td) != (di < dj) {
+			if (Compare(cts[i], cts[j], td) < 0) != (di < dj) {
 				t.Fatalf("pairwise comparison (%d,%d) wrong", i, j)
 			}
 		}
@@ -134,11 +135,11 @@ func TestEncryptionRandomized(t *testing.T) {
 	}
 	p := rng.Gaussian(r, nil, dim)
 	a, b := k.Encrypt(p), k.Encrypt(p)
-	if vec.ApproxEqual(a.L[0], b.L[0], 1e-12) {
+	if kerneltest.ApproxEqual(a.L[0], b.L[0], 1e-12) {
 		t.Fatal("two encryptions produced identical left shares")
 	}
 	td1, td2 := k.TrapGen(p), k.TrapGen(p)
-	if vec.ApproxEqual(td1.T[0].Raw(), td2.T[0].Raw(), 1e-12) {
+	if kerneltest.ApproxEqual(td1.T[0].Raw(), td2.T[0].Raw(), 1e-12) {
 		t.Fatal("two trapdoors produced identical share matrices")
 	}
 }
@@ -204,7 +205,7 @@ func TestConcurrentEncrypt(t *testing.T) {
 				if math.Abs(do-dp) <= relGap*(do+dp+1) {
 					continue
 				}
-				if Closer(k.Encrypt(o), k.Encrypt(p), td) != (do < dp) {
+				if (Compare(k.Encrypt(o), k.Encrypt(p), td) < 0) != (do < dp) {
 					ok = false
 				}
 			}
@@ -231,7 +232,7 @@ func TestEncryptWithStream(t *testing.T) {
 	o, p, q := rng.Gaussian(r, nil, dim), rng.Gaussian(r, nil, dim), rng.Gaussian(r, nil, dim)
 	co, again := k.EncryptWith(streams.At(0), o), k.EncryptWith(streams.At(0), o)
 	for i := range co.L {
-		if !vec.ApproxEqual(co.L[i], again.L[i], 0) || !vec.ApproxEqual(co.R[i], again.R[i], 0) {
+		if !kerneltest.ApproxEqual(co.L[i], again.L[i], 0) || !kerneltest.ApproxEqual(co.R[i], again.R[i], 0) {
 			t.Fatalf("share %d: same stream, different ciphertexts", i)
 		}
 	}

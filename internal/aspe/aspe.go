@@ -1,8 +1,10 @@
-// Package aspe implements asymmetric scalar-product-preserving encryption
+// Package aspe models what asymmetric scalar-product-preserving encryption
 // (Wong et al.) and the "enhanced" variants the paper revisits in Section
-// III-A, together with the known-plaintext attacks of Theorem 1,
-// Corollaries 1–2 and Theorem 2 that recover queries and database vectors
-// from the leaked distance transformations.
+// III-A leak to the server, together with the known-plaintext attacks of
+// Theorem 1, Corollaries 1–2 and Theorem 2 that recover queries and
+// database vectors from the leaked distance transformations. The scheme's
+// own encryption lives in the package's tests, which show that the leak
+// LeakedValue computes is what a server reads off real ciphertexts.
 //
 // The scheme here exists as a *negative* baseline: the attack package
 // demonstrates why distance-value leakage (even transformed) is fatal, which
@@ -25,10 +27,7 @@ package aspe
 import (
 	"fmt"
 	"math"
-	"sync"
 
-	"ppanns/internal/matrix"
-	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
 
@@ -64,33 +63,11 @@ func (v Variant) String() string {
 	}
 }
 
-// Scheme is an ASPE key pair for d-dimensional vectors.
-type Scheme struct {
-	dim  int
-	m    *matrix.Dense // (d+2)², encrypts database vectors
-	mInv *matrix.Dense
-
-	mu  sync.Mutex
-	rnd *rng.Rand
-}
-
 // QueryRand is the per-query randomness. It is generated at trapdoor time
 // and — in a deployment — known only to the user.
 type QueryRand struct {
 	R1, R2, R3 float64
 }
-
-// KeyGen creates an ASPE scheme instance.
-func KeyGen(r *rng.Rand, dim int) (*Scheme, error) {
-	if dim <= 0 {
-		return nil, fmt.Errorf("aspe: non-positive dimension %d", dim)
-	}
-	m, mInv := matrix.RandomInvertible(r, dim+2)
-	return &Scheme{dim: dim, m: m, mInv: mInv, rnd: rng.Derive(r, 0xa59e)}, nil
-}
-
-// Dim returns the plaintext dimension.
-func (s *Scheme) Dim() int { return s.dim }
 
 // ExtendDB returns p′ = [−2pᵀ, ‖p‖², 1], the database-side extension.
 func ExtendDB(p []float64) []float64 {
@@ -103,48 +80,10 @@ func ExtendDB(p []float64) []float64 {
 	return out
 }
 
-// EncryptDB encrypts a database vector: C_p = Mᵀ·p′.
-func (s *Scheme) EncryptDB(p []float64) []float64 {
-	if len(p) != s.dim {
-		panic(fmt.Sprintf("aspe: encrypting %d-dim vector with %d-dim key", len(p), s.dim))
-	}
-	// Mᵀ·p′ equals p′ᵀ·M read as a column.
-	return s.m.VecMul(nil, ExtendDB(p))
-}
-
-// NewQueryRand draws fresh per-query randomness (r₁ positive).
-func (s *Scheme) NewQueryRand() QueryRand {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return QueryRand{
-		R1: rng.Uniform(s.rnd, 0.5, 2),
-		R2: rng.UniformNonZero(s.rnd, 0.5, 2),
-		R3: rng.UniformNonZero(s.rnd, 0.5, 2),
-	}
-}
-
-// EncryptQuery produces the trapdoor T_q = M⁻¹·[r₁qᵀ, r₁, r₂]ᵀ.
-func (s *Scheme) EncryptQuery(q []float64, qr QueryRand) []float64 {
-	if len(q) != s.dim {
-		panic(fmt.Sprintf("aspe: query of dim %d with %d-dim key", len(q), s.dim))
-	}
-	ext := make([]float64, s.dim+2)
-	for i, v := range q {
-		ext[i] = qr.R1 * v
-	}
-	ext[s.dim] = qr.R1
-	ext[s.dim+1] = qr.R2
-	return s.mInv.MulVec(nil, ext)
-}
-
-// InnerProduct is the server-side evaluation C_pᵀ·T_q = r₁·D(p,q) + r₂,
-// where D(p,q) = ‖p‖² − 2pᵀq.
-func InnerProduct(cp, tq []float64) float64 { return vec.Dot(cp, tq) }
-
-// D returns the core quantity D(p,q) = ‖p‖² − 2pᵀq = dist(p,q) − ‖q‖².
+// dValue returns the core quantity D(p,q) = ‖p‖² − 2pᵀq = dist(p,q) − ‖q‖².
 // For a fixed query it is a constant shift of the squared distance, so any
 // increasing transform of D orders candidates identically to dist.
-func D(p, q []float64) float64 { return vec.SqNorm(p) - 2*vec.Dot(p, q) }
+func dValue(p, q []float64) float64 { return vec.SqNorm(p) - 2*vec.Dot(p, q) }
 
 // logShift keeps the logarithmic variant's argument positive: the leaked
 // value is ln(r₁·D + r₂ + logShift·r₁·‖q-scale‖); we use a data-dependent
@@ -158,14 +97,14 @@ type LeakOptions struct {
 
 // LeakedValue computes the transformed distance value L(C_p, T_q) that
 // variant v exposes to the server for plaintext pair (p, q) under query
-// randomness qr. For Linear this equals InnerProduct(EncryptDB(p),
-// EncryptQuery(q, qr)) computed purely from ciphertexts; the other variants
+// randomness qr. For Linear this equals the inner product of EncryptDB(p) and
+// EncryptQuery(q, qr), computed purely from ciphertexts; the other variants
 // apply their transform to that same core, modelling the enhanced schemes'
 // observable output.
 func LeakedValue(v Variant, p, q []float64, qr QueryRand, opt LeakOptions) float64 {
 	// The float64 conversions forbid fusing a product into a sum, so every
 	// architecture rounds alike.
-	core := float64(qr.R1*D(p, q)) + qr.R2
+	core := float64(qr.R1*dValue(p, q)) + qr.R2
 	switch v {
 	case Linear:
 		return core
@@ -178,7 +117,7 @@ func LeakedValue(v Variant, p, q []float64, qr QueryRand, opt LeakOptions) float
 		}
 		return math.Log(arg)
 	case Square:
-		t := D(p, q) + qr.R2
+		t := dValue(p, q) + qr.R2
 		return float64(qr.R1*t*t) + qr.R3
 	default:
 		panic(fmt.Sprintf("aspe: unknown variant %d", v))

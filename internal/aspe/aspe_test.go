@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"ppanns/internal/kerneltest"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
@@ -27,8 +28,8 @@ func TestInnerProductRecoversLinearLeak(t *testing.T) {
 		p := rng.Gaussian(r, nil, dim)
 		q := rng.Gaussian(r, nil, dim)
 		qr := s.NewQueryRand()
-		got := InnerProduct(s.EncryptDB(p), s.EncryptQuery(q, qr))
-		want := qr.R1*D(p, q) + qr.R2
+		got := vec.Dot(s.EncryptDB(p), s.EncryptQuery(q, qr))
+		want := qr.R1*dValue(p, q) + qr.R2
 		if math.Abs(got-want) > 1e-8*(1+math.Abs(want)) {
 			t.Fatalf("inner product %g, want %g", got, want)
 		}
@@ -50,8 +51,8 @@ func TestLinearLeakOrdersLikeDistance(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		o := rng.Gaussian(r, nil, dim)
 		p := rng.Gaussian(r, nil, dim)
-		lo := InnerProduct(s.EncryptDB(o), tq)
-		lp := InnerProduct(s.EncryptDB(p), tq)
+		lo := vec.Dot(s.EncryptDB(o), tq)
+		lp := vec.Dot(s.EncryptDB(p), tq)
 		if (lo < lp) != (vec.SqDist(o, q) < vec.SqDist(p, q)) {
 			t.Fatal("leak ordering disagrees with distance ordering")
 		}
@@ -101,7 +102,7 @@ func TestTheorem1LinearAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vec.ApproxEqual(rec.Query, q, 1e-6) {
+	if !kerneltest.ApproxEqual(rec.Query, q, 1e-6) {
 		t.Fatalf("query not recovered: %v vs %v", rec.Query[:3], q[:3])
 	}
 }
@@ -116,7 +117,7 @@ func TestCorollary1ExponentialAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vec.ApproxEqual(rec.Query, q, 1e-6) {
+	if !kerneltest.ApproxEqual(rec.Query, q, 1e-6) {
 		t.Fatal("query not recovered from exponential leaks")
 	}
 }
@@ -132,7 +133,7 @@ func TestCorollary2LogarithmicAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vec.ApproxEqual(rec.Query, q, 1e-6) {
+	if !kerneltest.ApproxEqual(rec.Query, q, 1e-6) {
 		t.Fatal("query not recovered from logarithmic leaks")
 	}
 }
@@ -148,7 +149,7 @@ func TestTheorem2SquareAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vec.ApproxEqual(rec.Query, q, 1e-5) {
+	if !kerneltest.ApproxEqual(rec.Query, q, 1e-5) {
 		t.Fatal("query not recovered from square leaks")
 	}
 }
@@ -180,7 +181,7 @@ func TestTheorem1DatabaseRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vec.ApproxEqual(got, secret, 1e-6) {
+	if !kerneltest.ApproxEqual(got, secret, 1e-6) {
 		t.Fatal("database vector not recovered")
 	}
 }
@@ -209,11 +210,11 @@ func TestTheorem2DatabaseRecovery(t *testing.T) {
 	for j, rec := range recs {
 		leaks[j] = vec.Dot(squareFeatures(secret), rec.Coeff)
 	}
-	got, err := RecoverDatabaseVectorSquare(recs, leaks)
+	got, err := recoverDatabaseVectorSquare(recs, leaks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vec.ApproxEqual(got, secret, 1e-4) {
+	if !kerneltest.ApproxEqual(got, secret, 1e-4) {
 		t.Fatalf("database vector not recovered: %v vs %v", got, secret)
 	}
 }
@@ -236,13 +237,13 @@ func TestEndToEndCiphertextAttack(t *testing.T) {
 	tq := s.EncryptQuery(q, s.NewQueryRand())
 	leaks := make([]float64, len(cts))
 	for i, c := range cts {
-		leaks[i] = InnerProduct(c, tq)
+		leaks[i] = vec.Dot(c, tq)
 	}
 	rec, err := RecoverQueryLinear(known, leaks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vec.ApproxEqual(rec.Query, q, 1e-6) {
+	if !kerneltest.ApproxEqual(rec.Query, q, 1e-6) {
 		t.Fatal("ciphertext-only attack failed to recover the query")
 	}
 }
@@ -264,7 +265,7 @@ func TestAttackInputValidation(t *testing.T) {
 	if _, err := RecoverDatabaseVector(nil, nil); err == nil {
 		t.Fatal("expected error for no recovered queries")
 	}
-	if _, err := RecoverDatabaseVectorSquare(nil, nil); err == nil {
+	if _, err := recoverDatabaseVectorSquare(nil, nil); err == nil {
 		t.Fatal("expected error for no recovered square queries")
 	}
 }

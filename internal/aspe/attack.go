@@ -206,34 +206,6 @@ func RecoverDatabaseVector(recovered []*QueryRecovery, leaks []float64) ([]float
 	return p, nil
 }
 
-// RecoverDatabaseVectorSquare is the symmetric second stage of Theorem 2:
-// with m = 0.5d²+2.5d+3 recovered square-variant coefficient vectors c_j and
-// the leaked values L_j = φ(p)ᵀ·c_j of an unknown p, it solves for φ(p) and
-// reads p off the linear block of the feature vector.
-func RecoverDatabaseVectorSquare(recovered []*SquareQueryRecovery, leaks []float64) ([]float64, error) {
-	if len(recovered) == 0 {
-		return nil, fmt.Errorf("aspe attack: no recovered queries")
-	}
-	m := len(recovered[0].Coeff)
-	if len(recovered) < m || len(leaks) < m {
-		return nil, fmt.Errorf("aspe attack: square database recovery needs %d recovered queries, have %d", m, len(recovered))
-	}
-	rows := make([][]float64, m)
-	for j := 0; j < m; j++ {
-		rows[j] = recovered[j].Coeff
-	}
-	phi, err := matrix.FromRows(rows).Solve(leaks[:m])
-	if err != nil {
-		return nil, fmt.Errorf("aspe attack: coefficient matrix singular: %w", err)
-	}
-	d := len(recovered[0].Query)
-	// φ layout: [‖p‖⁴ | ‖p‖²p (d) | p² (d) | cross (d(d−1)/2) | p (d) | 1].
-	start := 1 + d + d + d*(d-1)/2
-	p := make([]float64, d)
-	copy(p, phi[start:start+d])
-	return p, nil
-}
-
 // attackSystem validates attack inputs and builds the (d+2)×(d+2) design
 // matrix whose rows are [−2p_iᵀ, ‖p_i‖², 1].
 func attackSystem(known [][]float64, leaks []float64) (int, *matrix.Dense, error) {

@@ -183,7 +183,7 @@ func TestOurs(t *testing.T) {
 }
 
 func TestOursValidation(t *testing.T) {
-	if _, err := NewOurs(nil, nil, core.SearchOptions{}); err == nil {
+	if _, err := newOurs(nil, nil, core.SearchOptions{}); err == nil {
 		t.Fatal("expected error for nil parties")
 	}
 }

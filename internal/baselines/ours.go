@@ -16,8 +16,8 @@ type Ours struct {
 	dim    int
 }
 
-// NewOurs builds the wrapper from an existing deployment.
-func NewOurs(user *core.User, server *core.Server, opt core.SearchOptions) (*Ours, error) {
+// newOurs builds the wrapper from an existing deployment.
+func newOurs(user *core.User, server *core.Server, opt core.SearchOptions) (*Ours, error) {
 	if user == nil || server == nil {
 		return nil, fmt.Errorf("baselines: nil user or server")
 	}
@@ -43,7 +43,7 @@ func NewOursFromData(data [][]float64, params core.Params, opt core.SearchOption
 	if err != nil {
 		return nil, err
 	}
-	return NewOurs(user, server, opt)
+	return newOurs(user, server, opt)
 }
 
 // Name implements System.

@@ -56,7 +56,9 @@ type Params struct {
 
 	// Beta is DCPE's perturbation bound β. 0 means no noise (no index
 	// privacy); the paper tunes it per dataset so the filter-only recall
-	// ceiling is ≈0.5. See dcpe.BetaRange for the recommended range.
+	// ceiling is ≈0.5, inside the paper's range [√M, 2M√d], where
+	// M = max_p max_i |p_i| (Section V-A). CalibrateBeta finds that β
+	// for a corpus.
 	Beta float64
 
 	// Index selects the filter-phase backend by name: "hnsw" (default) or

@@ -71,9 +71,6 @@ func NewDataOwner(params Params) (*DataOwner, error) {
 	return &DataOwner{params: p}, nil
 }
 
-// Params returns the validated parameters.
-func (o *DataOwner) Params() Params { return o.params }
-
 // UserKey returns the key material to authorize a user (Figure 1 step 0).
 // It is nil until EncryptDatabase has run.
 func (o *DataOwner) UserKey() *UserKey { return o.keys }
@@ -186,7 +183,7 @@ func (o *DataOwner) EncryptDatabase(vectors [][]float64) (*EncryptedDatabase, er
 		if maxAbs := vec.MaxAbs(vectors); maxAbs > 0 {
 			scale = 1 / maxAbs
 		}
-		k, err := dce.KeyGenScaled(dceRand, o.params.Dim, scale)
+		k, err := dce.KeyGen(dceRand, o.params.Dim, scale)
 		if err != nil {
 			wg.Wait()
 			return nil, fmt.Errorf("core: DCE keygen: %w", err)

@@ -262,17 +262,17 @@ func (sp *snapshot) filterInto(ts *tierScratch, dst []resultheap.Item, q []float
 	return pool.AppendItems(dst, kPrime)
 }
 
-// DefaultCompactAt is the delta-tier bound used when
+// defaultCompactAt is the delta-tier bound used when
 // ServerOptions.CompactAt is zero: once the delta or the pending-tombstone set
 // reaches this many entries, a background compaction folds them into the
 // main index.
-const DefaultCompactAt = 1024
+const defaultCompactAt = 1024
 
 // ServerOptions tunes the serving tier's write path.
 type ServerOptions struct {
 	// CompactAt bounds the delta tier: when the delta record count or the
 	// pending tombstone count reaches it, a background goroutine compacts.
-	// 0 selects DefaultCompactAt; negative disables automatic compaction
+	// 0 selects defaultCompactAt (1024); negative disables automatic compaction
 	// (Compact must be called manually).
 	CompactAt int
 	// WALDir, when non-empty, makes the write path durable: every
@@ -358,7 +358,7 @@ func NewServerWith(edb *EncryptedDatabase, o ServerOptions) (*Server, error) {
 // and OpenServer both construct through it.
 func newServer(edb *EncryptedDatabase, epoch, gen uint64, o ServerOptions) *Server {
 	if o.CompactAt == 0 {
-		o.CompactAt = DefaultCompactAt
+		o.CompactAt = defaultCompactAt
 	}
 	s := &Server{compactAt: o.CompactAt}
 	s.snap.Store(&snapshot{edb: edb, frozen: edb.Len(), epoch: epoch, gen: gen})

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"runtime"
 	"slices"
@@ -151,7 +152,7 @@ func TestSearchShardMatchesSearch(t *testing.T) {
 						// k arrives from the wire: whatever it is, the answer
 						// is an error or at most n ids, and the memory a
 						// request can claim is bounded by n, not by k.
-						for _, kk := range []int{-1, 0, n, n + 1, 1 << 40} {
+						for _, kk := range []int{-1, 0, n, n + 1, math.MaxInt} {
 							var before, after runtime.MemStats
 							runtime.ReadMemStats(&before)
 							r, err := sf.run(toks[0], kk, opt)

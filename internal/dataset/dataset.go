@@ -45,8 +45,8 @@ type Data struct {
 	gt   [][]int
 }
 
-// Spec parameterizes a synthetic corpus.
-type Spec struct {
+// corpusSpec parameterizes a synthetic corpus.
+type corpusSpec struct {
 	Name     string
 	Dim      int
 	N        int // database size
@@ -55,7 +55,7 @@ type Spec struct {
 	Seed     uint64
 }
 
-func (s Spec) clusters() int {
+func (s corpusSpec) clusters() int {
 	if s.Clusters > 0 {
 		return s.Clusters
 	}
@@ -68,7 +68,7 @@ func (s Spec) clusters() int {
 
 // SIFTLike generates a corpus with SIFT's dimensionality and value range.
 func SIFTLike(n, queries int, seed uint64) *Data {
-	spec := Spec{Name: "sift-like", Dim: 128, N: n, Queries: queries, Seed: seed}
+	spec := corpusSpec{Name: "sift-like", Dim: 128, N: n, Queries: queries, Seed: seed}
 	r := rng.NewSeeded(seed ^ 0x51f7)
 	k := spec.clusters()
 	centers := make([][]float64, k)
@@ -94,7 +94,7 @@ func SIFTLike(n, queries int, seed uint64) *Data {
 
 // GISTLike generates a d=960 corpus with low intrinsic dimension.
 func GISTLike(n, queries int, seed uint64) *Data {
-	spec := Spec{Name: "gist-like", Dim: 960, N: n, Queries: queries, Seed: seed}
+	spec := corpusSpec{Name: "gist-like", Dim: 960, N: n, Queries: queries, Seed: seed}
 	r := rng.NewSeeded(seed ^ 0x6157)
 	const latent = 24
 	// Fixed random embedding of a latent space into R^960.
@@ -121,7 +121,7 @@ func GISTLike(n, queries int, seed uint64) *Data {
 
 // GloVeLike generates a d=100 zero-mean corpus with heterogeneous norms.
 func GloVeLike(n, queries int, seed uint64) *Data {
-	spec := Spec{Name: "glove-like", Dim: 100, N: n, Queries: queries, Seed: seed}
+	spec := corpusSpec{Name: "glove-like", Dim: 100, N: n, Queries: queries, Seed: seed}
 	r := rng.NewSeeded(seed ^ 0x610e)
 	k := spec.clusters()
 	centers := make([][]float64, k)
@@ -140,7 +140,7 @@ func GloVeLike(n, queries int, seed uint64) *Data {
 
 // DeepLike generates a d=96 ℓ2-normalized corpus.
 func DeepLike(n, queries int, seed uint64) *Data {
-	spec := Spec{Name: "deep-like", Dim: 96, N: n, Queries: queries, Seed: seed}
+	spec := corpusSpec{Name: "deep-like", Dim: 96, N: n, Queries: queries, Seed: seed}
 	r := rng.NewSeeded(seed ^ 0xdeeb)
 	k := spec.clusters()
 	centers := make([][]float64, k)
@@ -175,7 +175,7 @@ func ByName(name string, n, queries int, seed uint64) (*Data, error) {
 	}
 }
 
-func build(spec Spec, sample func() []float64) *Data {
+func build(spec corpusSpec, sample func() []float64) *Data {
 	d := &Data{Name: spec.Name, Dim: spec.Dim}
 	d.Train = make([][]float64, spec.N)
 	for i := range d.Train {
@@ -268,33 +268,4 @@ func MeanRecall(got, want [][]int) float64 {
 		sum += Recall(got[i], want[i])
 	}
 	return sum / float64(len(got))
-}
-
-// Stats describes a corpus for Table I.
-type Stats struct {
-	Name     string
-	Dim      int
-	N        int
-	Queries  int
-	MaxAbs   float64
-	MeanNorm float64
-	BetaLo   float64 // √M
-	BetaHi   float64 // 2M√d
-}
-
-// Describe computes Table-I style statistics plus the β range DCPE allows.
-func (d *Data) Describe() Stats {
-	maxAbs := vec.MaxAbs(d.Train)
-	var norm float64
-	for _, v := range d.Train {
-		norm += vec.Norm(v)
-	}
-	if len(d.Train) > 0 {
-		norm /= float64(len(d.Train))
-	}
-	return Stats{
-		Name: d.Name, Dim: d.Dim, N: len(d.Train), Queries: len(d.Queries),
-		MaxAbs: maxAbs, MeanNorm: norm,
-		BetaLo: math.Sqrt(maxAbs), BetaHi: 2 * maxAbs * math.Sqrt(float64(d.Dim)),
-	}
 }

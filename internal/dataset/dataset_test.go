@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"ppanns/internal/kerneltest"
 	"ppanns/internal/vec"
 )
 
@@ -173,33 +174,16 @@ func TestRecall(t *testing.T) {
 	}
 }
 
-func TestDescribe(t *testing.T) {
-	d := SIFTLike(100, 5, 10)
-	st := d.Describe()
-	if st.Dim != 128 || st.N != 100 || st.Queries != 5 {
-		t.Fatalf("Describe = %+v", st)
-	}
-	if st.MaxAbs <= 0 || st.MaxAbs > 255 {
-		t.Fatalf("MaxAbs = %v", st.MaxAbs)
-	}
-	if st.BetaLo != math.Sqrt(st.MaxAbs) {
-		t.Fatal("BetaLo formula wrong")
-	}
-	if st.BetaHi != 2*st.MaxAbs*math.Sqrt(128) {
-		t.Fatal("BetaHi formula wrong")
-	}
-}
-
 func TestDeterministicGeneration(t *testing.T) {
 	a := GloVeLike(100, 5, 11)
 	b := GloVeLike(100, 5, 11)
 	for i := range a.Train {
-		if !vec.ApproxEqual(a.Train[i], b.Train[i], 0) {
+		if !kerneltest.ApproxEqual(a.Train[i], b.Train[i], 0) {
 			t.Fatal("same seed produced different data")
 		}
 	}
 	c := GloVeLike(100, 5, 12)
-	if vec.ApproxEqual(a.Train[0], c.Train[0], 1e-9) {
+	if kerneltest.ApproxEqual(a.Train[0], c.Train[0], 1e-9) {
 		t.Fatal("different seeds produced identical data")
 	}
 }

@@ -15,7 +15,7 @@ var benchSink float64
 func BenchmarkDistanceComp(b *testing.B) {
 	for _, dim := range []int{96, 128, 960} {
 		r := rng.NewSeeded(41)
-		key, err := KeyGen(r, dim)
+		key, err := KeyGen(r, dim, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func BenchmarkDCEKeyGen(b *testing.B) {
 	b.Run("d=960", func(b *testing.B) {
 		r := rng.NewSeeded(44)
 		for i := 0; i < b.N; i++ {
-			if _, err := KeyGen(r, 960); err != nil {
+			if _, err := KeyGen(r, 960, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -61,7 +61,7 @@ func BenchmarkDCEKeyGen(b *testing.B) {
 func BenchmarkEncrypt(b *testing.B) {
 	const dim = 128
 	r := rng.NewSeeded(43)
-	key, err := KeyGen(r, dim)
+	key, err := KeyGen(r, dim, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func BenchmarkEncrypt(b *testing.B) {
 		}
 	})
 
-	big, err := KeyGen(r, 960)
+	big, err := KeyGen(r, 960, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -64,7 +64,7 @@ type Key struct {
 	dim    int     // caller-facing dimension d
 	padDim int     // d rounded up to the next even number
 	half   int     // padDim/2
-	scale  float64 // uniform input scaling (see KeyGenScaled)
+	scale  float64 // uniform input scaling (see KeyGen)
 
 	m1, m2         *matrix.Dense // (padDim/2+4)², used for database vectors
 	pi1            *rng.Permutation
@@ -88,17 +88,13 @@ type Key struct {
 // KeyGen generates a DCE key for d-dimensional vectors using randomness
 // from r (pass rng.NewCrypto() outside tests). It mirrors the paper's
 // KeyGen(1^ζ, d); the security parameter is realized by the entropy of r.
-func KeyGen(r *rng.Rand, dim int) (*Key, error) {
-	return KeyGenScaled(r, dim, 1)
-}
-
-// KeyGenScaled is KeyGen with an explicit uniform input scale. Every vector
-// is multiplied by scale before encryption; distance comparisons are
-// invariant under uniform scaling, so correctness is unaffected, but keeping
-// coordinates at O(1) magnitude preserves float64 headroom through the two
-// cancellation steps of DistanceComp. Data owners should pass
-// scale = 1/max|p_i| for raw-range data (the core scheme does).
-func KeyGenScaled(r *rng.Rand, dim int, scale float64) (*Key, error) {
+// Every vector is multiplied by the uniform input scale before encryption;
+// distance comparisons are invariant under uniform scaling, so correctness
+// is unaffected, but keeping coordinates at O(1) magnitude preserves
+// float64 headroom through the two cancellation steps of DistanceComp.
+// Data owners should pass scale = 1/max|p_i| for raw-range data (the core
+// scheme does), and 1 for data already at that magnitude.
+func KeyGen(r *rng.Rand, dim int, scale float64) (*Key, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("dce: non-positive dimension %d", dim)
 	}
@@ -173,9 +169,6 @@ func foldQuery(m3 *matrix.LU, inv1, inv2 *matrix.Dense, pi2 *rng.Permutation, kv
 
 // Dim returns the plaintext dimension d the key was generated for.
 func (k *Key) Dim() int { return k.dim }
-
-// Scale returns the uniform input scale applied before encryption.
-func (k *Key) Scale() float64 { return k.scale }
 
 // CiphertextDim returns the length of each of the four ciphertext component
 // vectors of a d-dimensional key (2d+16, d padded to even), so a record
@@ -484,5 +477,5 @@ func (k *Key) trapGen(q []float64, rs queryRand) *Trapdoor {
 // = 2·r_o·r_p·r_q·(dist(o,q) − dist(p,q)) from the records o and p. Its
 // sign answers the comparison: negative means dist(o,q) < dist(p,q).
 func DistanceComp(o, p []float64, tq *Trapdoor) float64 {
-	return DistanceCompHalves(o[:len(o)/2], p[len(p)/2:], tq.Q)
+	return distanceCompHalves(o[:len(o)/2], p[len(p)/2:], tq.Q)
 }

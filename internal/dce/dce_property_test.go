@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -21,11 +22,11 @@ import (
 func TestScaleInvariance(t *testing.T) {
 	r := rng.NewSeeded(101)
 	dim := 20
-	k1, err := KeyGenScaled(rng.Derive(r, 1), dim, 1)
+	k1, err := KeyGen(rng.Derive(r, 1), dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2, err := KeyGenScaled(rng.Derive(r, 2), dim, 0.01)
+	k2, err := KeyGen(rng.Derive(r, 2), dim, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestScaleInvariance(t *testing.T) {
 func TestTranslationConsistency(t *testing.T) {
 	r := rng.NewSeeded(102)
 	dim := 16
-	k, err := KeyGen(r, dim)
+	k, err := KeyGen(r, dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +83,13 @@ func TestTranslationConsistency(t *testing.T) {
 func TestCiphertextStatistics(t *testing.T) {
 	r := rng.NewSeeded(103)
 	dim := 16
-	k, err := KeyGen(r, dim)
+	k, err := KeyGen(r, dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Two very different plaintexts; their ciphertext component means
 	// should both be near zero relative to their spread.
-	for _, p := range [][]float64{vec.Ones(dim), vec.Scale(nil, -1, vec.Ones(dim))} {
+	for _, p := range [][]float64{slices.Repeat([]float64{1}, dim), vec.Scale(nil, -1, slices.Repeat([]float64{1}, dim))} {
 		ct := k.Encrypt(p)
 		var sum, sumSq float64
 		p1 := ct[:k.CiphertextDim()]
@@ -118,7 +119,7 @@ func decodeKey(data []byte) (*Key, error) {
 func TestKeySerializeRoundTrip(t *testing.T) {
 	r := rng.NewSeeded(104)
 	for _, dim := range []int{12, 7} {
-		k, err := KeyGenScaled(r, dim, 0.5)
+		k, err := KeyGen(r, dim, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,8 +131,8 @@ func TestKeySerializeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if k2.Dim() != dim || k2.Scale() != 0.5 {
-			t.Fatalf("round trip lost header: dim=%d scale=%g", k2.Dim(), k2.Scale())
+		if k2.Dim() != dim || k2.scale != 0.5 {
+			t.Fatalf("round trip lost header: dim=%d scale=%g", k2.Dim(), k2.scale)
 		}
 		if again, _ := k2.AppendBinary(nil); !bytes.Equal(again, blob) {
 			t.Fatal("a reloaded key encodes differently")
@@ -201,7 +202,7 @@ type generation2Wire struct {
 }
 
 func TestKeyDeserializeRejectsGarbage(t *testing.T) {
-	k10, err := KeyGen(rng.NewSeeded(105), 10)
+	k10, err := KeyGen(rng.NewSeeded(105), 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"ppanns/internal/kerneltest"
 	"ppanns/internal/matrix"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
@@ -40,19 +42,19 @@ func closer(co, cp []float64, tq *Trapdoor) bool { return DistanceComp(co, cp, t
 
 func TestKeyGenValidation(t *testing.T) {
 	r := rng.NewSeeded(1)
-	if _, err := KeyGen(r, 0); err == nil {
+	if _, err := KeyGen(r, 0, 1); err == nil {
 		t.Fatal("expected error for dim 0")
 	}
-	if _, err := KeyGenScaled(r, 4, 0); err == nil {
+	if _, err := KeyGen(r, 4, 0); err == nil {
 		t.Fatal("expected error for scale 0")
 	}
-	if _, err := KeyGenScaled(r, 4, -1); err == nil {
+	if _, err := KeyGen(r, 4, -1); err == nil {
 		t.Fatal("expected error for negative scale")
 	}
-	// ReadKey refuses a NaN or infinite scale, so KeyGenScaled must not
+	// ReadKey refuses a NaN or infinite scale, so KeyGen must not
 	// make one.
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := KeyGenScaled(r, 4, v); err == nil {
+		if _, err := KeyGen(r, 4, v); err == nil {
 			t.Fatalf("expected error for scale %g", v)
 		}
 	}
@@ -61,7 +63,7 @@ func TestKeyGenValidation(t *testing.T) {
 func TestCiphertextShapes(t *testing.T) {
 	r := rng.NewSeeded(2)
 	for _, dim := range []int{1, 2, 3, 8, 17, 64} {
-		k, err := KeyGen(r, dim)
+		k, err := KeyGen(r, dim, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +89,7 @@ func TestCiphertextShapes(t *testing.T) {
 func TestComparisonCorrectnessGaussian(t *testing.T) {
 	r := rng.NewSeeded(3)
 	for _, dim := range []int{2, 7, 16, 32, 128} {
-		k, err := KeyGen(r, dim)
+		k, err := KeyGen(r, dim, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +107,7 @@ func TestComparisonCorrectnessSIFTRange(t *testing.T) {
 	// input scale. The owner sets scale = 1/255.
 	r := rng.NewSeeded(4)
 	dim := 128
-	k, err := KeyGenScaled(r, dim, 1.0/255)
+	k, err := KeyGen(r, dim, 1.0/255)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +127,7 @@ func TestComparisonNearTies(t *testing.T) {
 	// Candidates engineered to have close (but distinguishable) distances.
 	r := rng.NewSeeded(5)
 	dim := 24
-	k, err := KeyGen(r, dim)
+	k, err := KeyGen(r, dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +136,7 @@ func TestComparisonNearTies(t *testing.T) {
 		o := vec.Add(nil, q, rng.GaussianVec(r, dim, 0.5))
 		// p = o shifted slightly so dist(p,q) differs from dist(o,q) by a
 		// small but resolvable margin.
-		p := vec.Clone(o)
+		p := slices.Clone(o)
 		p[trial%dim] += 1e-3
 		checkComparison(t, k, o, p, q)
 		checkComparison(t, k, p, o, q)
@@ -143,7 +145,7 @@ func TestComparisonNearTies(t *testing.T) {
 
 func TestComparisonQuick(t *testing.T) {
 	r := rng.NewSeeded(6)
-	k, err := KeyGen(r, 12)
+	k, err := KeyGen(r, 12, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +169,7 @@ func TestComparisonQuick(t *testing.T) {
 func TestZeroAndEqualVectors(t *testing.T) {
 	r := rng.NewSeeded(7)
 	dim := 10
-	k, err := KeyGen(r, dim)
+	k, err := KeyGen(r, dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +190,7 @@ func TestTransitivityOnRanking(t *testing.T) {
 	// plaintext distance ranking — the property the refine phase rests on.
 	r := rng.NewSeeded(8)
 	dim := 32
-	k, err := KeyGen(r, dim)
+	k, err := KeyGen(r, dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,14 +229,14 @@ func TestEncryptionIsRandomized(t *testing.T) {
 	// randomness), yet compare identically.
 	r := rng.NewSeeded(9)
 	dim := 16
-	k, err := KeyGen(r, dim)
+	k, err := KeyGen(r, dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := rng.Gaussian(r, nil, dim)
 	a := k.Encrypt(p)
 	b := k.Encrypt(p)
-	if vec.ApproxEqual(a, b, 1e-12) {
+	if kerneltest.ApproxEqual(a, b, 1e-12) {
 		t.Fatal("two encryptions of the same vector produced identical ciphertexts")
 	}
 	q := rng.Gaussian(r, nil, dim)
@@ -248,14 +250,14 @@ func TestEncryptionIsRandomized(t *testing.T) {
 
 func TestTrapdoorIsRandomized(t *testing.T) {
 	r := rng.NewSeeded(10)
-	k, err := KeyGen(r, 16)
+	k, err := KeyGen(r, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := rng.Gaussian(r, nil, 16)
 	a := k.TrapGen(q)
 	b := k.TrapGen(q)
-	if vec.ApproxEqual(a.Q, b.Q, 1e-12) {
+	if kerneltest.ApproxEqual(a.Q, b.Q, 1e-12) {
 		t.Fatal("two trapdoors for the same query are identical")
 	}
 }
@@ -266,7 +268,7 @@ func TestZProportionalToDistanceGap(t *testing.T) {
 	// plaintext gap.
 	r := rng.NewSeeded(11)
 	dim := 20
-	k, err := KeyGen(r, dim)
+	k, err := KeyGen(r, dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +290,7 @@ func TestZProportionalToDistanceGap(t *testing.T) {
 
 func TestDimMismatchPanics(t *testing.T) {
 	r := rng.NewSeeded(12)
-	k, err := KeyGen(r, 8)
+	k, err := KeyGen(r, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +314,7 @@ func TestConcurrentEncrypt(t *testing.T) {
 	// parallelizes database encryption).
 	r := rng.NewSeeded(13)
 	dim := 16
-	k, err := KeyGen(r, dim)
+	k, err := KeyGen(r, dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,11 +355,11 @@ func TestConcurrentEncrypt(t *testing.T) {
 // scales M₃⁻¹ of it by r_q·kv₂◦kv₄.
 func TestTrapGenMatchesEquation15(t *testing.T) {
 	for _, dim := range []int{1, 7, 96, 200} {
-		folded, err := KeyGen(rng.NewSeeded(15), dim)
+		folded, err := KeyGen(rng.NewSeeded(15), dim, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		long, err := KeyGen(rng.NewSeeded(15), dim)
+		long, err := KeyGen(rng.NewSeeded(15), dim, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -401,7 +403,7 @@ func TestTrapGenMatchesEquation15(t *testing.T) {
 // TestKeyKeepsNoSquareMatrix: the query side is folded, so no matrix the
 // key holds is (2d+16)² — not M₃⁻¹, not M₃.
 func TestKeyKeepsNoSquareMatrix(t *testing.T) {
-	k, err := KeyGen(rng.NewSeeded(16), 20)
+	k, err := KeyGen(rng.NewSeeded(16), 20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +423,7 @@ func TestKeyKeepsNoSquareMatrix(t *testing.T) {
 func TestOddDimensionPadding(t *testing.T) {
 	r := rng.NewSeeded(14)
 	for _, dim := range []int{1, 3, 5, 9, 31} {
-		k, err := KeyGen(r, dim)
+		k, err := KeyGen(r, dim, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package dce
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"ppanns/internal/rng"
 	"ppanns/internal/simd"
@@ -16,7 +17,7 @@ import (
 func TestStoreArenaAlignment(t *testing.T) {
 	for _, dim := range []int{3, 6, 13, 96} {
 		r := rng.NewSeeded(uint64(433 + dim))
-		k, err := KeyGen(r, dim)
+		k, err := KeyGen(r, dim, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +32,7 @@ func TestStoreArenaAlignment(t *testing.T) {
 			t.Fatalf("dim %d: stride %d, want %d", dim, store.Stride(), vec.PadStride(4*store.CtDim()))
 		}
 		for id := 0; id < store.Len(); id++ {
-			if !vec.Aligned(store.Record(id)) {
+			if !aligned(store.Record(id)) {
 				t.Fatalf("dim %d: record %d base not 64-byte aligned", dim, id)
 			}
 		}
@@ -71,7 +72,7 @@ func TestDCEKernelRegistryShape(t *testing.T) {
 
 // TestDCEPublicSurfaceMatchesScalar drives the public comparison surface —
 // DistanceComp on two records, CiphertextStore.DistanceComp and the
-// cross-store DistanceCompHalves — on the variant this process runs and
+// cross-store distanceCompHalves — on the variant this process runs and
 // holds each to the scalar reference bit for bit. The forced-scalar CI leg
 // runs it on the other variant.
 func TestDCEPublicSurfaceMatchesScalar(t *testing.T) {
@@ -82,7 +83,7 @@ func TestDCEPublicSurfaceMatchesScalar(t *testing.T) {
 	}{
 		{"records", DistanceComp(store.Record(1), store.Record(6), tq), scalarComp(store, 1, 6, tq)},
 		{"store", store.DistanceComp(3, 5, tq), scalarComp(store, 3, 5, tq)},
-		{"halves", DistanceCompHalves(store.O12(2), store.P34(8), tq.Q), scalarComp(store, 2, 8, tq)},
+		{"halves", distanceCompHalves(store.o12(2), store.p34(8), tq.Q), scalarComp(store, 2, 8, tq)},
 	} {
 		if math.Float64bits(c.got) != math.Float64bits(c.want) {
 			t.Fatalf("%s on %s: %v, scalar reference %v", c.name, ActiveKernel(), c.got, c.want)
@@ -93,7 +94,7 @@ func TestDCEPublicSurfaceMatchesScalar(t *testing.T) {
 // scalarComp is distCompScalar on the store's records o and p.
 func scalarComp(s *CiphertextStore, o, p int, tq *Trapdoor) float64 {
 	d := len(tq.Q)
-	o12, p34 := s.O12(o), s.P34(p)
+	o12, p34 := s.o12(o), s.p34(p)
 	return distCompScalar(o12[:d], o12[d:], p34[:d], p34[d:], tq.Q)
 }
 
@@ -106,7 +107,7 @@ func scalarComp(s *CiphertextStore, o, p int, tq *Trapdoor) float64 {
 func TestDistanceCompEntryPointsBitIdentical(t *testing.T) {
 	r := rng.NewSeeded(321)
 	for _, dim := range []int{2, 3, 7, 16, 31, 96} {
-		key, err := KeyGen(r, dim)
+		key, err := KeyGen(r, dim, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func TestDistanceCompEntryPointsBitIdentical(t *testing.T) {
 				for name, got := range map[string]float64{
 					"records": DistanceComp(store.Record(o), store.Record(p), tq),
 					"store":   store.DistanceComp(o, p, tq),
-					"halves":  DistanceCompHalves(store.O12(o), store.P34(p), tq.Q),
+					"halves":  distanceCompHalves(store.o12(o), store.p34(p), tq.Q),
 				} {
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("dim=%d o=%d p=%d: %s = %v, scalar reference %v", dim, o, p, name, got, want)
@@ -138,4 +139,10 @@ func TestDistanceCompEntryPointsBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// aligned reports whether the slice's base address sits on a 64-byte
+// cache-line boundary, the arena allocation contract.
+func aligned(s []float64) bool {
+	return uintptr(unsafe.Pointer(unsafe.SliceData(s)))%64 == 0
 }

@@ -2,6 +2,7 @@ package dce
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -33,12 +34,12 @@ func componentMoments(v []float64) (mean, sd float64) {
 func TestChosenPlaintextMomentsOverlap(t *testing.T) {
 	r := rng.NewSeeded(201)
 	dim := 16
-	k, err := KeyGen(r, dim)
+	k, err := KeyGen(r, dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa := vec.Ones(dim)                     // all +1
-	pb := vec.Scale(nil, -1, vec.Ones(dim)) // all −1
+	pa := slices.Repeat([]float64{1}, dim)                     // all +1
+	pb := vec.Scale(nil, -1, slices.Repeat([]float64{1}, dim)) // all −1
 	const trials = 64
 	meansA := make([]float64, trials)
 	meansB := make([]float64, trials)
@@ -84,14 +85,14 @@ func TestChosenPlaintextMomentsOverlap(t *testing.T) {
 func TestTrapdoorMagnitudeHidesQueryNorm(t *testing.T) {
 	r := rng.NewSeeded(202)
 	dim := 16
-	k, err := KeyGen(r, dim)
+	k, err := KeyGen(r, dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Queries with strictly increasing norms.
 	var norms, tnorms []float64
 	for i := 1; i <= 24; i++ {
-		q := vec.Scale(nil, float64(i)*0.25, vec.Ones(dim))
+		q := vec.Scale(nil, float64(i)*0.25, slices.Repeat([]float64{1}, dim))
 		norms = append(norms, vec.Norm(q))
 		tnorms = append(tnorms, vec.Norm(k.TrapGen(q).Q))
 	}
@@ -117,7 +118,7 @@ func TestTrapdoorMagnitudeHidesQueryNorm(t *testing.T) {
 func TestZValuesCarryPerPairRandomness(t *testing.T) {
 	r := rng.NewSeeded(203)
 	dim := 12
-	k, err := KeyGen(r, dim)
+	k, err := KeyGen(r, dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestZValuesCarryPerPairRandomness(t *testing.T) {
 func TestCiphertextComponentsUncorrelatedWithPlaintext(t *testing.T) {
 	r := rng.NewSeeded(204)
 	dim := 8
-	k, err := KeyGen(r, dim)
+	k, err := KeyGen(r, dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,13 +56,13 @@ func (s *CiphertextStore) Stride() int { return s.rows.Stride() }
 // (4·CtDim floats, pad excluded) as a view into the arena.
 func (s *CiphertextStore) Record(id int) []float64 { return s.rows.Row(id) }
 
-// O12 returns the [P1|P2] half of id's record — the operands a point
+// o12 returns the [P1|P2] half of id's record — the operands a point
 // contributes when it is the "o" side of DistanceComp.
-func (s *CiphertextStore) O12(id int) []float64 { return s.rows.Row(id)[:2*s.ctDim] }
+func (s *CiphertextStore) o12(id int) []float64 { return s.rows.Row(id)[:2*s.ctDim] }
 
-// P34 returns the [P3|P4] half of id's record — the operands a point
+// p34 returns the [P3|P4] half of id's record — the operands a point
 // contributes when it is the "p" side of DistanceComp.
-func (s *CiphertextStore) P34(id int) []float64 { return s.rows.Row(id)[2*s.ctDim:] }
+func (s *CiphertextStore) p34(id int) []float64 { return s.rows.Row(id)[2*s.ctDim:] }
 
 // AppendRecord copies a full logical record (4·CtDim floats, as Record
 // returns) into a fresh slot and returns the slot.
@@ -119,13 +119,13 @@ func (s *CiphertextStore) CheckTrapdoor(tq *Trapdoor) error {
 // DistanceComp is the package-level DistanceComp for the store's records
 // o and p, read in place.
 func (s *CiphertextStore) DistanceComp(o, p int, tq *Trapdoor) float64 {
-	return DistanceCompHalves(s.O12(o), s.P34(p), tq.Q)
+	return distanceCompHalves(s.o12(o), s.p34(p), tq.Q)
 }
 
-// DistanceCompHalves evaluates Z_{o,p,q} from o's [P1|P2] half and p's
+// distanceCompHalves evaluates Z_{o,p,q} from o's [P1|P2] half and p's
 // [P3|P4] half (each 2·len(q) floats), without requiring both records to
 // live in the same store: the one kernel call behind both DistanceComps.
-func DistanceCompHalves(o12, p34, q []float64) float64 {
+func distanceCompHalves(o12, p34, q []float64) float64 {
 	d := len(q)
 	return distCompKernel(o12[:d], o12[d:], p34[:d], p34[d:], q)
 }

@@ -16,7 +16,7 @@ import (
 func storeWorld(t *testing.T, dim, n int) (*Key, *CiphertextStore, [][]float64, []float64, *Trapdoor) {
 	t.Helper()
 	r := rng.NewSeeded(101)
-	k, err := KeyGen(r, dim)
+	k, err := KeyGen(r, dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestStoreViewsShareArena(t *testing.T) {
 		t.Fatal("the record view does not alias the arena")
 	}
 	d := store.CtDim()
-	o12, p34 := store.O12(1), store.P34(1)
+	o12, p34 := store.o12(1), store.p34(1)
 	if len(o12) != 2*d || len(p34) != 2*d {
 		t.Fatalf("half-view lengths %d/%d, want %d", len(o12), len(p34), 2*d)
 	}
@@ -123,7 +123,7 @@ func TestStoreGatherZeroesDeadBytes(t *testing.T) {
 func TestStoreSignAgainstPlainDistances(t *testing.T) {
 	dim, n := 9, 12
 	r := rng.NewSeeded(303)
-	k, err := KeyGen(r, dim)
+	k, err := KeyGen(r, dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	if clone.Len() != store.Len() || clone.CtDim() != store.CtDim() {
 		t.Fatalf("clone shape %d/%d, want %d/%d", clone.Len(), clone.CtDim(), store.Len(), store.CtDim())
 	}
-	if clone.DistanceComp(0, 1, tq) != store.DistanceComp(0, 1, tq) || !vec.Aligned(clone.rows.Raw()) {
+	if clone.DistanceComp(0, 1, tq) != store.DistanceComp(0, 1, tq) || !aligned(clone.rows.Raw()) {
 		t.Fatal("clone comparisons differ, or its arena is not aligned")
 	}
 	for slot := range store.Len() {
@@ -211,11 +211,11 @@ func TestEncryptRecordMatchesEncrypt(t *testing.T) {
 	// the bulk path (Encryptor.EncryptRecords into a store record) must
 	// write the same bits, and the store must compare the record as
 	// DistanceComp does.
-	k, err := KeyGen(rng.NewSeeded(77), 10)
+	k, err := KeyGen(rng.NewSeeded(77), 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, _ := KeyGen(rng.NewSeeded(77), 10)
+	twin, _ := KeyGen(rng.NewSeeded(77), 10, 1)
 	r := rng.NewSeeded(78)
 	v := rng.Gaussian(r, nil, 10)
 	rec := k.Encrypt(v)
@@ -290,9 +290,9 @@ func TestDistanceCompHalves(t *testing.T) {
 	for o := 0; o < n; o++ {
 		for p := 0; p < n; p++ {
 			want := s.DistanceComp(o, p, &Trapdoor{Q: q})
-			got := DistanceCompHalves(s.O12(o), s.P34(p), q)
+			got := distanceCompHalves(s.o12(o), s.p34(p), q)
 			if got != want {
-				t.Fatalf("DistanceCompHalves(%d, %d) = %g, in-store %g", o, p, got, want)
+				t.Fatalf("distanceCompHalves(%d, %d) = %g, in-store %g", o, p, got, want)
 			}
 		}
 	}
@@ -352,11 +352,11 @@ func TestEncryptorStreamsAndScratch(t *testing.T) {
 	r := rng.NewSeeded(78)
 	for _, dim := range []int{1, 7, 10, 100, 129} {
 		seed := r.Uint64()
-		k, err := KeyGen(rng.NewSeeded(seed), dim)
+		k, err := KeyGen(rng.NewSeeded(seed), dim, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		twin, _ := KeyGen(rng.NewSeeded(seed), dim)
+		twin, _ := KeyGen(rng.NewSeeded(seed), dim, 1)
 		streams := rng.NewStreams(r)
 		enc := k.NewEncryptor()
 		first := 0
@@ -411,7 +411,7 @@ func TestEncryptorStreamsAndScratch(t *testing.T) {
 // key generated for the store's records is accepted.
 func TestPrepareQueryValidatesDimension(t *testing.T) {
 	r := rng.NewSeeded(322)
-	key, err := KeyGen(r, 8)
+	key, err := KeyGen(r, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

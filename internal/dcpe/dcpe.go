@@ -36,7 +36,8 @@ type Key struct {
 }
 
 // KeyGen creates a SAP key for d-dimensional vectors. The paper sets
-// s = 1024 and tunes β per dataset inside BetaRange; β = 0 yields exact
+// s = 1024 and tunes β per dataset inside [√M, 2M√d], where
+// M = max_p max_i |p_i| (Section V-A); β = 0 yields exact
 // (scaled) distances and no privacy, larger β trades accuracy for privacy.
 func KeyGen(r *rng.Rand, dim int, s, beta float64) (*Key, error) {
 	if dim <= 0 {
@@ -51,24 +52,15 @@ func KeyGen(r *rng.Rand, dim int, s, beta float64) (*Key, error) {
 	return &Key{s: s, beta: beta, dim: dim, rnd: rng.Derive(r, 0xdc9e)}, nil
 }
 
-// S returns the scaling factor.
-func (k *Key) S() float64 { return k.s }
-
 // Beta returns the perturbation bound β.
 func (k *Key) Beta() float64 { return k.beta }
 
 // Dim returns the vector dimension.
 func (k *Key) Dim() int { return k.dim }
 
-// MaxNoise returns sβ/4, the radius of the perturbation ball — every
-// ciphertext satisfies ‖C − s·p‖ ≤ MaxNoise().
-func (k *Key) MaxNoise() float64 { return k.s * k.beta / 4 }
-
-// BetaRange returns the recommended [√M, 2M√d] range for β, where
-// M = max_p max_i |p_i| (Section V-A).
-func BetaRange(maxAbs float64, dim int) (lo, hi float64) {
-	return math.Sqrt(maxAbs), 2 * maxAbs * math.Sqrt(float64(dim))
-}
+// maxNoise returns sβ/4, the radius of the perturbation ball — every
+// ciphertext satisfies ‖C − s·p‖ ≤ maxNoise().
+func (k *Key) maxNoise() float64 { return k.s * k.beta / 4 }
 
 // Encrypt implements Algorithm 1 (EncSAP): C = s·p + λ with λ uniform in
 // the ball of radius sβ/4, drawn from the key's own sequential stream. It
@@ -96,7 +88,7 @@ func (k *Key) EncryptWith(dst []float64, r *rng.Rand, p []float64) []float64 {
 	xp := r.Float64()                  // Line 2: x′ ← U(0, 1)
 
 	// Line 3: x ← (sβ/4)·x′^(1/d); Line 4: λ = x·u/‖u‖.
-	x := k.MaxNoise() * math.Pow(xp, 1/float64(k.dim))
+	x := k.maxNoise() * math.Pow(xp, 1/float64(k.dim))
 	norm := vec.Norm(out)
 	if norm == 0 {
 		return vec.Scale(out, k.s, p) // astronomically unlikely; treat as zero perturbation

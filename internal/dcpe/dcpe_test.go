@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ppanns/internal/kerneltest"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
@@ -42,9 +43,9 @@ func TestNoiseBound(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		p := rng.Gaussian(r, nil, dim)
 		c := k.Encrypt(p)
-		noise := vec.Dist(c, vec.Scale(nil, k.S(), p))
-		if noise > k.MaxNoise()*(1+1e-12) {
-			t.Fatalf("noise %g exceeds bound %g", noise, k.MaxNoise())
+		noise := dist(c, vec.Scale(nil, k.s, p))
+		if noise > k.maxNoise()*(1+1e-12) {
+			t.Fatalf("noise %g exceeds bound %g", noise, k.maxNoise())
 		}
 	}
 }
@@ -65,7 +66,7 @@ func TestNoiseFillsBall(t *testing.T) {
 	const trials = 500
 	for trial := 0; trial < trials; trial++ {
 		c := k.Encrypt(p)
-		radius := vec.Norm(c) / k.MaxNoise()
+		radius := vec.Norm(c) / k.maxNoise()
 		if radius > 0.8 {
 			nearShell++
 		}
@@ -85,7 +86,7 @@ func TestBetaZeroIsExactScaling(t *testing.T) {
 	}
 	p := rng.Gaussian(r, nil, dim)
 	c := k.Encrypt(p)
-	if !vec.ApproxEqual(c, vec.Scale(nil, 3, p), 0) {
+	if !kerneltest.ApproxEqual(c, vec.Scale(nil, 3, p), 0) {
 		t.Fatal("beta=0 encryption is not exact scaling")
 	}
 }
@@ -105,14 +106,14 @@ func TestBetaDCPProperty(t *testing.T) {
 		o := rng.Gaussian(r, nil, dim)
 		p := rng.Gaussian(r, nil, dim)
 		q := rng.Gaussian(r, nil, dim)
-		if vec.Dist(o, q) >= vec.Dist(p, q)-beta {
+		if dist(o, q) >= dist(p, q)-beta {
 			continue
 		}
 		checked++
 		co, cp, cq := k.Encrypt(o), k.Encrypt(p), k.Encrypt(q)
-		if vec.Dist(co, cq) >= vec.Dist(cp, cq) {
+		if dist(co, cq) >= dist(cp, cq) {
 			t.Fatalf("β-DCP violated: dist(o,q)=%g, dist(p,q)=%g, enc %g vs %g",
-				vec.Dist(o, q), vec.Dist(p, q), vec.Dist(co, cq), vec.Dist(cp, cq))
+				dist(o, q), dist(p, q), dist(co, cq), dist(cp, cq))
 		}
 	}
 	if checked < 100 {
@@ -134,21 +135,11 @@ func TestApproxDistanceWithinBand(t *testing.T) {
 		p := rng.Gaussian(rr, nil, dim)
 		q := rng.Gaussian(rr, nil, dim)
 		cp, cq := k.Encrypt(p), k.Encrypt(q)
-		encDist := vec.Dist(cp, cq) / k.S()
-		return math.Abs(encDist-vec.Dist(p, q)) <= beta/2+1e-9
+		encDist := dist(cp, cq) / k.s
+		return math.Abs(encDist-dist(p, q)) <= beta/2+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBetaRange(t *testing.T) {
-	lo, hi := BetaRange(255, 128)
-	if math.Abs(lo-math.Sqrt(255)) > 1e-12 {
-		t.Fatalf("lo = %g", lo)
-	}
-	if math.Abs(hi-2*255*math.Sqrt(128)) > 1e-9 {
-		t.Fatalf("hi = %g", hi)
 	}
 }
 
@@ -159,7 +150,7 @@ func TestEncryptIsRandomized(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := rng.Gaussian(r, nil, 8)
-	if vec.ApproxEqual(k.Encrypt(p), k.Encrypt(p), 1e-12) {
+	if kerneltest.ApproxEqual(k.Encrypt(p), k.Encrypt(p), 1e-12) {
 		t.Fatal("two SAP encryptions identical despite beta > 0")
 	}
 }
@@ -193,7 +184,7 @@ func TestConcurrentEncrypt(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				p := rng.Gaussian(rr, nil, dim)
 				c := k.Encrypt(p)
-				if vec.Dist(c, vec.Scale(nil, k.S(), p)) > k.MaxNoise()*(1+1e-12) {
+				if dist(c, vec.Scale(nil, k.s, p)) > k.maxNoise()*(1+1e-12) {
 					ok = false
 				}
 			}
@@ -222,15 +213,17 @@ func TestEncryptWithStream(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		p := rng.Gaussian(r, nil, dim)
 		a, b := k.EncryptWith(nil, streams.At(i), p), k.EncryptWith(nil, streams.At(i), p)
-		if !vec.ApproxEqual(a, b, 0) {
+		if !kerneltest.ApproxEqual(a, b, 0) {
 			t.Fatalf("record %d: same stream, different ciphertexts", i)
 		}
-		if noise := vec.Dist(a, vec.Scale(nil, k.S(), p)); noise > k.MaxNoise()*(1+1e-12) {
-			t.Fatalf("noise %g exceeds bound %g", noise, k.MaxNoise())
+		if noise := dist(a, vec.Scale(nil, k.s, p)); noise > k.maxNoise()*(1+1e-12) {
+			t.Fatalf("noise %g exceeds bound %g", noise, k.maxNoise())
 		}
 	}
 	p := rng.Gaussian(r, nil, dim)
-	if !vec.ApproxEqual(k.Encrypt(p), twin.Encrypt(p), 0) {
+	if !kerneltest.ApproxEqual(k.Encrypt(p), twin.Encrypt(p), 0) {
 		t.Fatal("EncryptWith advanced the key's sequential stream")
 	}
 }
+
+func dist(a, b []float64) float64 { return math.Sqrt(vec.SqDist(a, b)) }

@@ -33,7 +33,7 @@ func TestAttack(t *testing.T) {
 	secret := rng.Gaussian(r, nil, dim)
 
 	relErr := func(got, want []float64) float64 {
-		return vec.Dist(got, want) / (vec.Norm(want) + 1e-30)
+		return dist(got, want) / (vec.Norm(want) + 1e-30)
 	}
 	recovered := func(name string, err float64) {
 		if !(err <= 1e-6) {
@@ -120,7 +120,7 @@ func TestAttack(t *testing.T) {
 	// --- Control: the same Theorem-1 solver fed with DCE's observable
 	// comparison values.
 	tb.printf("\n# Control — Theorem-1 solver applied to DCE observables\n")
-	dceKey, err := dce.KeyGen(rng.Derive(r, 9), dim)
+	dceKey, err := dce.KeyGen(rng.Derive(r, 9), dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"ppanns/internal/dataset"
 	"ppanns/internal/hnsw"
 	"ppanns/internal/lsh"
-	"ppanns/internal/vec"
 )
 
 // TestFig7 reproduces Figure 7's recall and traffic: ours against RS-SANN,
@@ -134,7 +133,7 @@ func lshDefaults(d *dataset.Data, seed uint64) lsh.Config {
 	var nn float64
 	for _, q := range d.Queries[:nq] {
 		ids := dataset.ExactKNN(sample, q, 1)
-		nn += vec.Dist(sample[ids[0]], q)
+		nn += dist(sample[ids[0]], q)
 	}
 	nn /= float64(nq)
 	return lsh.Config{Dim: d.Dim, Tables: 10, Hashes: 6, W: 2 * nn, Seed: seed}
@@ -162,7 +161,7 @@ func TestLSHDefaultsAveragesTheQueriesItSampled(t *testing.T) {
 	var sum float64
 	for _, q := range d.Queries {
 		ids := dataset.ExactKNN(d.Train[:400], q, 1)
-		sum += vec.Dist(d.Train[ids[0]], q)
+		sum += dist(d.Train[ids[0]], q)
 	}
 	want := 2 * sum / 8
 	if got := lshDefaults(d, 61).W; math.Abs(got-want) > 1e-12*want {

@@ -140,7 +140,7 @@ func TestFig8(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dceKey, err := dce.KeyGen(rng.Derive(r, 2), dim)
+		dceKey, err := dce.KeyGen(rng.Derive(r, 2), dim, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestFig10(t *testing.T) {
 	s := start(t)
 	var tb table
 	tb.printf("# Figure 10 — scalability: recall at ef=%d as n grows (paper: 25M–100M; here %d–%d)\n",
-		16*s.k, s.n, 4*s.n)
+		s.ratio*s.k, s.n, 4*s.n)
 	for _, name := range []string{"sift", "deep"} {
 		tb.printf("\n## %s\n", name)
 		tb.printf("%-10s %12s\n", "n", fmt.Sprintf("recall@%d", s.k))
@@ -178,7 +178,7 @@ func TestFig10(t *testing.T) {
 			m.n = s.n * mult
 			d := m.datasets(t, name)[0]
 			dep := deploy(t, d, s.beta(t, d), s.seed)
-			r := dep.recall(t, s.k, core.SearchOptions{KPrime: 16 * s.k, EfSearch: 16 * s.k})
+			r := dep.recall(t, s.k, core.SearchOptions{KPrime: s.ratio * s.k, EfSearch: s.ratio * s.k})
 			tb.printf("%-10d %12.3f\n", m.n, r)
 		}
 	}
@@ -203,7 +203,7 @@ func TestOverhead(t *testing.T) {
 			t.Fatal(err)
 		}
 		var plain float64
-		for _, ef := range []int{20, 40, 80, 160, 320} {
+		for _, ef := range []int{2 * s.k, 4 * s.k, 8 * s.k, 16 * s.k, 32 * s.k} {
 			plain = recall(t, d, s.k, len(d.Queries), func(i int) ([]int, error) {
 				res := g.Search(d.Queries[i], s.k, ef)
 				ids := make([]int, len(res))
@@ -220,8 +220,8 @@ func TestOverhead(t *testing.T) {
 		// The index raises a beam narrower than k′ = 16k to k′, so the
 		// search for the recall target starts there.
 		var ours float64
-		for _, ef := range []int{16 * s.k, 32 * s.k, 64 * s.k} {
-			if ours = dep.recall(t, s.k, core.SearchOptions{KPrime: 16 * s.k, EfSearch: ef}); ours >= 0.9 {
+		for _, ef := range []int{s.ratio * s.k, 2 * s.ratio * s.k, 4 * s.ratio * s.k} {
+			if ours = dep.recall(t, s.k, core.SearchOptions{KPrime: s.ratio * s.k, EfSearch: ef}); ours >= 0.9 {
 				break
 			}
 		}

@@ -123,7 +123,7 @@ func calibrateW(vectors [][]float64, seed uint64) float64 {
 		if a == b {
 			continue
 		}
-		sum += vec.Dist(vectors[a], vectors[b])
+		sum += dist(vectors[a], vectors[b])
 		cnt++
 	}
 	if cnt == 0 || sum == 0 {

@@ -18,7 +18,7 @@ func TestRoundTrip(t *testing.T) {
 	b = AppendFloatRun(b, []float64{1.5, -2})
 	b = AppendFloats(b, []float64{math.Pi})
 	b = AppendFloats(b, nil)
-	b = AppendInts(b, []int{-1, 0, 1 << 40})
+	b = AppendInts(b, []int{-1, 0, math.MaxInt})
 	b = AppendString(b, "pq")
 	b = AppendString(b, "hnsw")
 	b = append(b, "MAGIC"...)
@@ -32,7 +32,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if u8 != 7 || u32 != 1<<31 || u64 != math.MaxUint64 || i != -3 || !math.IsInf(f, -1) ||
 		!slices.Equal(run, []float64{1.5, -2}) || !slices.Equal(fl, []float64{math.Pi}) || empty != nil ||
-		!slices.Equal(ints, []int{-1, 0, 1 << 40}) || string(bs) != "pq" || s != "hnsw" || !magic {
+		!slices.Equal(ints, []int{-1, 0, math.MaxInt}) || string(bs) != "pq" || s != "hnsw" || !magic {
 		t.Fatalf("read back %v %v %v %v %v %v %v %v %v %q %q %v", u8, u32, u64, i, f, run, fl, empty, ints, bs, s, magic)
 	}
 }

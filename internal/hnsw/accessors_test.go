@@ -3,6 +3,7 @@ package hnsw
 import (
 	"testing"
 
+	"ppanns/internal/kerneltest"
 	"ppanns/internal/vec"
 )
 
@@ -10,7 +11,7 @@ func TestVectorAccessor(t *testing.T) {
 	data := clusteredData(31, 100, 6, 3)
 	g := buildGraph(t, data, Config{Seed: 31})
 	for i := 0; i < 10; i++ {
-		if !vec.ApproxEqual(g.Vector(i), data[i], 0) {
+		if !kerneltest.ApproxEqual(g.Vector(i), data[i], 0) {
 			t.Fatalf("Vector(%d) does not match inserted data", i)
 		}
 	}

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -162,8 +163,8 @@ func TestConformance(t *testing.T) {
 			// The beam width can arrive from the wire. On a fresh index —
 			// no pooled search context yet — an absurd ef must cost memory
 			// bounded by the index and find what ef = n finds.
-			if got, want := searchIDs(ix, queries[0], k, 1<<40), searchIDs(ix, queries[0], k, n); !slices.Equal(got, want) {
-				t.Fatalf("ef=1<<40 found %v, ef=n found %v", got, want)
+			if got, want := searchIDs(ix, queries[0], k, math.MaxInt), searchIDs(ix, queries[0], k, n); !slices.Equal(got, want) {
+				t.Fatalf("ef=MaxInt found %v, ef=n found %v", got, want)
 			}
 
 			// Recall sanity against brute force.
@@ -245,7 +246,7 @@ func TestConformance(t *testing.T) {
 			// Vectors join through Rebuild: over the corpus plus one, the
 			// newcomer is found at the next position, and the receiver is
 			// left as it was.
-			novel := vec.Scale(nil, 40, vec.Ones(dim)) // far from every cluster
+			novel := vec.Scale(nil, 40, slices.Repeat([]float64{1}, dim)) // far from every cluster
 			grown, err := rebuild(ix, dim, append(slices.Clone(data), novel))
 			if err != nil {
 				t.Fatal(err)

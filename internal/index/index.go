@@ -12,7 +12,7 @@
 //	hnsw — hierarchical proximity graph (default)
 //	ivf  — IVF-Flat inverted file, the coarse quantizer of the PQ tier
 //
-// NSG and E2LSH are rows of the Section V-A ablation (internal/bench),
+// NSG and E2LSH are rows of the Section V-A ablation (internal/eval's TestIndexes),
 // built there straight from internal/nsg and internal/lsh; a database
 // tagged with either is refused (see Lookup).
 //

@@ -17,7 +17,7 @@ func Names() []string { return []string{"hnsw", "ivf"} }
 // Lookup checks a backend name; the empty string selects Default. The
 // names "nsg" and "lsh" are refused with a re-encrypt message: those
 // backends were serving tags once and remain only as rows of the Section
-// V-A ablation (internal/bench), so a database carrying either tag must be
+// V-A ablation (internal/eval's TestIndexes), so a database carrying either tag must be
 // re-encrypted with a serving backend.
 func Lookup(name string) error {
 	switch name {

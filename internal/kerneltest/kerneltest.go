@@ -71,3 +71,16 @@ func Mix(r *rng.Rand, x, vals []float64) {
 func SameBits(got, want float64) bool {
 	return math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want)
 }
+
+// ApproxEqual reports whether a and b agree element-wise within tol.
+func ApproxEqual(a, b []float64, tol float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, av := range a {
+		if math.Abs(av-b[i]) > tol {
+			return false
+		}
+	}
+	return true
+}

@@ -8,6 +8,7 @@ import (
 
 	"ppanns/internal/dataset"
 	"ppanns/internal/dcpe"
+	"ppanns/internal/kerneltest"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
@@ -109,7 +110,7 @@ func TestDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vec.ApproxEqual(a.Flat, b.Flat, 0) {
+	if !kerneltest.ApproxEqual(a.Flat, b.Flat, 0) {
 		t.Fatal("same seed produced different clusterings")
 	}
 }

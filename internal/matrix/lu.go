@@ -33,7 +33,7 @@ const (
 	luRows = 16
 )
 
-// Factorize computes the LU factorization of the square matrix a.
+// factorize computes the LU factorization of the square matrix a.
 // It returns ErrSingular when a pivot falls below tolerance.
 //
 // The elimination is right-looking and cache-blocked: a panel of luBlock
@@ -45,7 +45,7 @@ const (
 // time. Every element still receives its updates one pivot at a time in
 // pivot order, so pivots and factors are those of the unblocked algorithm
 // bit for bit, on any number of cores.
-func Factorize(a *Dense) (*LU, error) {
+func factorize(a *Dense) (*LU, error) {
 	if a.rows != a.cols {
 		return nil, fmt.Errorf("matrix: LU of non-square %dx%d: %w", a.rows, a.cols, ErrSingular)
 	}
@@ -171,8 +171,8 @@ func (f *LU) rowPerm() []int {
 	return perm
 }
 
-// Inverse returns A⁻¹ from the factorization: SolveMat of the identity.
-func (f *LU) Inverse() *Dense { return f.SolveMat(Identity(f.lu.rows)) }
+// inverse returns A⁻¹ from the factorization: SolveMat of the identity.
+func (f *LU) inverse() *Dense { return f.SolveMat(identity(f.lu.rows)) }
 
 // SolveMat returns X with A·X = B, for any number of right-hand sides. The
 // columns are solved for in panels of invPanel, in parallel, each in a
@@ -256,16 +256,16 @@ func (f *LU) substitute(s []float64, w int) {
 // Inverse returns m⁻¹, or ErrSingular when m is not invertible to working
 // precision.
 func (m *Dense) Inverse() (*Dense, error) {
-	f, err := Factorize(m)
+	f, err := factorize(m)
 	if err != nil {
 		return nil, err
 	}
-	return f.Inverse(), nil
+	return f.inverse(), nil
 }
 
 // Solve solves m·x = b.
 func (m *Dense) Solve(b []float64) ([]float64, error) {
-	f, err := Factorize(m)
+	f, err := factorize(m)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +276,7 @@ func (m *Dense) Solve(b []float64) ([]float64, error) {
 // with its inverse.
 func RandomInvertible(r *rng.Rand, n int) (*Dense, *Dense) {
 	m, f := RandomFactored(r, n)
-	return m, f.Inverse()
+	return m, f.inverse()
 }
 
 // RandomFactored samples an n×n matrix with independent N(0,1) entries and
@@ -292,7 +292,7 @@ func RandomFactored(r *rng.Rand, n int) (*Dense, *LU) {
 		for i := range m.data {
 			m.data[i] = r.NormFloat64()
 		}
-		if f, err := Factorize(m); err == nil {
+		if f, err := factorize(m); err == nil {
 			return m, f
 		}
 	}

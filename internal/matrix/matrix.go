@@ -47,9 +47,6 @@ func FromRows(rows [][]float64) *Dense {
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
 
-// Cols returns the number of columns.
-func (m *Dense) Cols() int { return m.cols }
-
 // At returns element (i, j).
 func (m *Dense) At(i, j int) float64 { return m.data[i*m.cols+j] }
 
@@ -172,8 +169,8 @@ func Mul(a, b *Dense) *Dense {
 	return c
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Dense {
+// identity returns the n×n identity matrix.
+func identity(n int) *Dense {
 	m := NewDense(n, n)
 	for i := 0; i < n; i++ {
 		m.Set(i, i, 1)

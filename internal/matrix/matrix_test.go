@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"ppanns/internal/kerneltest"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
@@ -16,11 +17,11 @@ import (
 func TestMulVecAndVecMul(t *testing.T) {
 	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}}) // 3x2
 	got := m.MulVec(nil, []float64{1, 1})
-	if !vec.ApproxEqual(got, []float64{3, 7, 11}, 0) {
+	if !kerneltest.ApproxEqual(got, []float64{3, 7, 11}, 0) {
 		t.Fatalf("MulVec = %v", got)
 	}
 	got = m.VecMul(nil, []float64{1, 1, 1})
-	if !vec.ApproxEqual(got, []float64{9, 12}, 0) {
+	if !kerneltest.ApproxEqual(got, []float64{9, 12}, 0) {
 		t.Fatalf("VecMul = %v", got)
 	}
 }
@@ -35,7 +36,7 @@ func TestVecMulMatchesTransposeMulVec(t *testing.T) {
 		x := rng.Gaussian(r, nil, 7)
 		a := m.VecMul(nil, x)
 		b := m.Transpose().MulVec(nil, x)
-		if !vec.ApproxEqual(a, b, 1e-12) {
+		if !kerneltest.ApproxEqual(a, b, 1e-12) {
 			t.Fatalf("xᵀA != Aᵀx: %v vs %v", a, b)
 		}
 	}
@@ -46,22 +47,22 @@ func TestMul(t *testing.T) {
 	b := FromRows([][]float64{{5, 6}, {7, 8}})
 	c := Mul(a, b)
 	want := FromRows([][]float64{{19, 22}, {43, 50}})
-	if !vec.ApproxEqual(c.Raw(), want.Raw(), 0) {
+	if !kerneltest.ApproxEqual(c.Raw(), want.Raw(), 0) {
 		t.Fatalf("Mul = %v", c.Raw())
 	}
 }
 
 func TestIdentity(t *testing.T) {
-	id := Identity(4)
+	id := identity(4)
 	r := rng.NewSeeded(2)
 	m := NewDense(4, 4)
 	for i := range m.Raw() {
 		m.Raw()[i] = r.NormFloat64()
 	}
-	if !vec.ApproxEqual(Mul(id, m).Raw(), m.Raw(), 0) {
+	if !kerneltest.ApproxEqual(Mul(id, m).Raw(), m.Raw(), 0) {
 		t.Fatal("I·M != M")
 	}
-	if !vec.ApproxEqual(Mul(m, id).Raw(), m.Raw(), 0) {
+	if !kerneltest.ApproxEqual(Mul(m, id).Raw(), m.Raw(), 0) {
 		t.Fatal("M·I != M")
 	}
 }
@@ -72,8 +73,8 @@ func TestInverse(t *testing.T) {
 		n := 3 + trial%13
 		m, inv := RandomInvertible(r, n)
 		prod := Mul(m, inv)
-		id := Identity(n)
-		if !vec.ApproxEqual(prod.Raw(), id.Raw(), 1e-8) {
+		id := identity(n)
+		if !kerneltest.ApproxEqual(prod.Raw(), id.Raw(), 1e-8) {
 			t.Fatalf("n=%d: M·M⁻¹ deviates from I", n)
 		}
 	}
@@ -90,7 +91,7 @@ func TestSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !vec.ApproxEqual(got, want, 1e-8) {
+		if !kerneltest.ApproxEqual(got, want, 1e-8) {
 			t.Fatalf("solve mismatch: %v vs %v", got, want)
 		}
 	}
@@ -108,7 +109,7 @@ func TestSingularDetected(t *testing.T) {
 }
 
 func TestFactorizeNonSquare(t *testing.T) {
-	if _, err := Factorize(NewDense(2, 3)); err == nil {
+	if _, err := factorize(NewDense(2, 3)); err == nil {
 		t.Fatal("expected error for non-square factorization")
 	}
 }
@@ -116,7 +117,7 @@ func TestFactorizeNonSquare(t *testing.T) {
 func TestTranspose(t *testing.T) {
 	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	tr := m.Transpose()
-	if tr.Rows() != 3 || tr.Cols() != 2 || tr.At(2, 1) != 6 || tr.At(0, 1) != 4 {
+	if tr.Rows() != 3 || tr.cols != 2 || tr.At(2, 1) != 6 || tr.At(0, 1) != 4 {
 		t.Fatalf("Transpose wrong: %+v", tr.Raw())
 	}
 }
@@ -266,7 +267,7 @@ func TestBlockedLUMatchesUnblocked(t *testing.T) {
 		var inv1, x1 *Dense
 		for _, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
-			f, err := Factorize(a)
+			f, err := factorize(a)
 			if err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
@@ -286,7 +287,7 @@ func TestBlockedLUMatchesUnblocked(t *testing.T) {
 					}
 				}
 			}
-			inv, x := f.Inverse(), f.SolveMat(rhs)
+			inv, x := f.inverse(), f.SolveMat(rhs)
 			if inv1 == nil {
 				inv1, x1 = inv, x
 				continue
@@ -302,7 +303,7 @@ func TestBlockedLUMatchesUnblocked(t *testing.T) {
 				}
 			}
 		}
-		if worst := maxRowSum(Mul(a, inv1), Identity(n)); worst > 1e-9*float64(n) {
+		if worst := maxRowSum(Mul(a, inv1), identity(n)); worst > 1e-9*float64(n) {
 			t.Fatalf("n=%d: ‖A·A⁻¹ − I‖∞ = %g, want <= %g", n, worst, 1e-9*float64(n))
 		}
 		if worst := maxRowSum(Mul(a, x1), rhs); worst > 1e-9*float64(n) {
@@ -311,7 +312,7 @@ func TestBlockedLUMatchesUnblocked(t *testing.T) {
 		// The column-at-a-time solve is the third witness: against a column
 		// of the inverse within rounding, against SolveMat's columns bit for
 		// bit.
-		f, _ := Factorize(a)
+		f, _ := factorize(a)
 		e := make([]float64, n)
 		e[n/2] = 1
 		for i, v := range f.Solve(e) {
@@ -409,7 +410,7 @@ func TestSolveMatMatchesSolve(t *testing.T) {
 			if sparse {
 				signedZeros(r, a, true)
 			}
-			f, err := Factorize(a)
+			f, err := factorize(a)
 			if err != nil {
 				t.Fatalf("n=%d sparse=%v: %v", n, sparse, err)
 			}
@@ -442,7 +443,7 @@ func TestSolveMatMatchesSolve(t *testing.T) {
 
 func TestBlockedLUSingular(t *testing.T) {
 	for _, n := range []int{1, 3, 70, 130} {
-		if _, err := Factorize(NewDense(n, n)); !errors.Is(err, ErrSingular) {
+		if _, err := factorize(NewDense(n, n)); !errors.Is(err, ErrSingular) {
 			t.Fatalf("n=%d zero matrix: %v", n, err)
 		}
 		// A rank-deficient matrix whose dependency only shows past the

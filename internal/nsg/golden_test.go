@@ -68,9 +68,9 @@ func TestUnboundedEf(t *testing.T) {
 	g, d := buildGraph(t, 400)
 	n := g.Len()
 	for _, q := range d.Queries[:4] {
-		got := g.SearchInto(nil, q, 10, 1<<40)
+		got := g.SearchInto(nil, q, 10, math.MaxInt)
 		if want := g.SearchInto(nil, q, 10, n); !slices.Equal(got, want) {
-			t.Fatalf("ef=1<<40 found %v, ef=n found %v", got, want)
+			t.Fatalf("ef=MaxInt found %v, ef=n found %v", got, want)
 		}
 	}
 }

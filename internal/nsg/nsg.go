@@ -9,7 +9,7 @@
 // The graph is an immutable value (NSG is a batch-built index): Build packs
 // it into CSR form, and nothing writes to it after.
 //
-// The graph serves the Section V-A index ablation (internal/bench), which
+// The graph serves the Section V-A index ablation (internal/eval's TestIndexes), which
 // builds it over SAP ciphertexts beside the serving backends.
 package nsg
 

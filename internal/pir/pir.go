@@ -78,9 +78,6 @@ func NewServer(blocks [][]byte) (*Server, error) {
 	return &Server{blocks: padded, blockSize: size}, nil
 }
 
-// BlockSize returns the padded block size in bytes.
-func (s *Server) BlockSize() int { return s.blockSize }
-
 // Answer XOR-folds the blocks whose bit is set in the selection vector
 // (bit i of sel[i/8]). The scan over all selected blocks is the server-side
 // cost the experiments account.
@@ -114,14 +111,6 @@ func (s *Server) Stats() Stats {
 		UploadBytes:   s.uploads.Load(),
 		DownloadBytes: s.downloads.Load(),
 	}
-}
-
-// ResetStats zeroes the counters (between experiment phases).
-func (s *Server) ResetStats() {
-	s.queries.Store(0)
-	s.scanned.Store(0)
-	s.uploads.Store(0)
-	s.downloads.Store(0)
 }
 
 // Client generates PIR queries for a database of n blocks.
@@ -173,34 +162,4 @@ func Combine(ansA, ansB []byte) ([]byte, error) {
 		out[i] = ansA[i] ^ ansB[i]
 	}
 	return out, nil
-}
-
-// Retrieve runs the whole two-server protocol against a pair of servers —
-// the convenience path the baselines use.
-func Retrieve(c *Client, a, b *Server, index int) ([]byte, error) {
-	selA, selB, err := c.Query(index)
-	if err != nil {
-		return nil, err
-	}
-	ansA, err := a.Answer(selA)
-	if err != nil {
-		return nil, err
-	}
-	ansB, err := b.Answer(selB)
-	if err != nil {
-		return nil, err
-	}
-	return Combine(ansA, ansB)
-}
-
-// DPFKeyBytes returns the upload size a distributed-point-function PIR
-// (as used by the PRI-ANN paper) would need for an n-block database with a
-// 128-bit security parameter: ~λ·(log₂ n + 2) bits per server. Experiments
-// report it alongside the XOR-PIR upload for fair communication accounting.
-func DPFKeyBytes(n int) int {
-	bits := 0
-	for v := n - 1; v > 0; v >>= 1 {
-		bits++
-	}
-	return 16 * (bits + 2)
 }

@@ -21,13 +21,13 @@ type Store struct {
 // len(vectors); a caller whose retrain rule counts more than the vectors
 // it trained on (a fold counts the id space) sets it after.
 func Build(vectors [][]float64, cfg TrainConfig) (*Store, error) {
-	book, err := Train(vectors, cfg)
+	book, err := train(vectors, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &Store{
 		Book:      book,
-		Codes:     book.EncodeAll(vectors),
+		Codes:     book.encodeAll(vectors),
 		TrainedOn: len(vectors),
 		Cfg:       cfg.withDefaults(),
 	}, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -63,8 +64,8 @@ func TestLoadRefusesLyingHeaders(t *testing.T) {
 		wantText string
 	}{
 		// dim 4, m 1, k 1 and one centroid, then no code for any of the
-		// 2^33 rows (8 GiB) the caller declares.
-		{"n = 2^33", sealed(append(storeHeader(1, 1, 0), make([]byte, 4*8)...)), 4, 1 << 33, "truncated"},
+		// MaxInt rows the caller declares.
+		{"n = MaxInt", sealed(append(storeHeader(1, 1, 0), make([]byte, 4*8)...)), 4, math.MaxInt, "truncated"},
 		{"m > dim", sealed(storeHeader(5, 1, 10)), 4, 10, "implausible"},
 		{"m = 0", sealed(storeHeader(0, 1, 10)), 4, 10, "implausible"},
 		{"k > 256", sealed(storeHeader(1, 257, 10)), 4, 10, "implausible"},

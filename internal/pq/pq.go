@@ -68,14 +68,14 @@ type Codebook struct {
 	// cents[m] is subspace m's flat centroid block: k rows of width[m]
 	// float64s.
 	cents [][]float64
-	// trained is the k-means work Train spent, summed over the subspaces;
+	// trained is the k-means work train spent, summed over the subspaces;
 	// zero for a codebook reassembled from its centroids.
 	trained kmeans.Stats
 }
 
-// Train fits a codebook to the given vectors (typically the SAP
+// train fits a codebook to the given vectors (typically the SAP
 // ciphertexts of the corpus).
-func Train(vectors [][]float64, cfg TrainConfig) (*Codebook, error) {
+func train(vectors [][]float64, cfg TrainConfig) (*Codebook, error) {
 	if len(vectors) == 0 {
 		return nil, fmt.Errorf("pq: empty training set")
 	}
@@ -163,7 +163,7 @@ func (cb *Codebook) M() int { return cb.m }
 // K returns the number of centroids per subspace.
 func (cb *Codebook) K() int { return cb.k }
 
-// Trained returns the k-means work Train spent on the codebook, summed over
+// Trained returns the k-means work train spent on the codebook, summed over
 // its subspaces; zero for one that was loaded.
 func (cb *Codebook) Trained() kmeans.Stats { return cb.trained }
 
@@ -193,7 +193,7 @@ func (cb *Codebook) EncodeInto(dst []byte, v []float64) {
 	}
 }
 
-// EncodeAll encodes every vector into a fresh code store, across
+// encodeAll encodes every vector into a fresh code store, across
 // GOMAXPROCS workers (encoding a million points is the expensive half of a
 // PQ build), into the codes EncodeInto writes. A span of points goes
 // through one subspace at a time. Subspaces narrower than kmeans.WideRow —
@@ -202,7 +202,7 @@ func (cb *Codebook) EncodeInto(dst []byte, v []float64) {
 // the block kernel; wider ones get a kmeans.Searcher for the call, from
 // which a point starts at the centroid nearest in its first coordinate.
 // Nothing is retained per subspace.
-func (cb *Codebook) EncodeAll(vectors [][]float64) *CodeStore {
+func (cb *Codebook) encodeAll(vectors [][]float64) *CodeStore {
 	for i, v := range vectors {
 		if len(v) != cb.dim {
 			panic(fmt.Sprintf("pq: encoding %d-dim vector %d with %d-dim codebook", len(v), i, cb.dim))

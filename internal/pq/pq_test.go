@@ -28,10 +28,10 @@ func randVecs(seed uint64, n, dim int) [][]float64 {
 }
 
 func TestTrainValidation(t *testing.T) {
-	if _, err := Train(nil, TrainConfig{}); err == nil {
+	if _, err := train(nil, TrainConfig{}); err == nil {
 		t.Fatal("expected error for empty training set")
 	}
-	if _, err := Train(randVecs(1, 50, 4), TrainConfig{M: 8}); err == nil {
+	if _, err := train(randVecs(1, 50, 4), TrainConfig{M: 8}); err == nil {
 		t.Fatal("expected error for M > dim")
 	}
 }
@@ -265,16 +265,16 @@ func TestBuildGolden(t *testing.T) {
 func TestEncodeAllMatchesEncodeInto(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, c := range []struct{ dim, m int }{{24, 8}, {20, 3}, {64, 4}, {5, 5}} {
-		train := randVecs(21, 1200, c.dim)
-		book, err := Train(train, TrainConfig{M: c.m, Seed: 21})
+		sample := randVecs(21, 1200, c.dim)
+		book, err := train(sample, TrainConfig{M: c.m, Seed: 21})
 		if err != nil {
 			t.Fatal(err)
 		}
-		vecs := append(randVecs(22, 700, c.dim), train[:300]...)
+		vecs := append(randVecs(22, 700, c.dim), sample[:300]...)
 		want := make([]byte, c.m)
 		for _, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
-			codes := book.EncodeAll(vecs)
+			codes := book.encodeAll(vecs)
 			for i, v := range vecs {
 				book.EncodeInto(want, v)
 				if !bytes.Equal(codes.Row(i), want) {
@@ -331,7 +331,7 @@ func BenchmarkPQTrain(b *testing.B) {
 	sap := sapLike(b, 30000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Train(sap, TrainConfig{M: 32, Seed: 1}); err != nil {
+		if _, err := train(sap, TrainConfig{M: 32, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -341,13 +341,13 @@ func BenchmarkPQTrain(b *testing.B) {
 // M = 32 codes each.
 func BenchmarkPQEncodeAll(b *testing.B) {
 	sap := sapLike(b, 30000)
-	book, err := Train(sap, TrainConfig{M: 32, Seed: 1})
+	book, err := train(sap, TrainConfig{M: 32, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if cs := book.EncodeAll(sap); cs.Len() != len(sap) {
+		if cs := book.encodeAll(sap); cs.Len() != len(sap) {
 			b.Fatalf("encoded %d of %d", cs.Len(), len(sap))
 		}
 	}

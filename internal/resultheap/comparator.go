@@ -85,8 +85,8 @@ func (h *CompareHeap) Offer(id int) bool {
 	return true
 }
 
-// Pop removes and returns the farthest id.
-func (h *CompareHeap) Pop() int {
+// pop removes and returns the farthest id.
+func (h *CompareHeap) pop() int {
 	top := h.ids[0]
 	last := len(h.ids) - 1
 	h.ids[0] = h.ids[last]
@@ -116,7 +116,7 @@ func (h *CompareHeap) SortedInto(dst []int) []int {
 		dst = dst[:n]
 	}
 	for i := n - 1; i >= 0; i-- {
-		dst[i] = h.Pop()
+		dst[i] = h.pop()
 	}
 	return dst
 }

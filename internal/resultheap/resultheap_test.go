@@ -87,13 +87,13 @@ func TestPoolExpandAfterInsertAhead(t *testing.T) {
 // it was offered, and Reset keeps the storage.
 func TestPoolGrowsByAppend(t *testing.T) {
 	var p Pool
-	p.Offer(0, 3, 1<<40)
-	p.Offer(1, 1, 1<<40)
-	p.Offer(2, 2, 1<<40)
+	p.Offer(0, 3, math.MaxInt)
+	p.Offer(1, 1, math.MaxInt)
+	p.Offer(2, 2, math.MaxInt)
 	if n := len(p.Cands()); n != 3 || cap(p.Cands()) > 8 {
 		t.Fatalf("pool of 3 offers has len %d cap %d", n, cap(p.Cands()))
 	}
-	items := p.AppendItems(nil, 1<<40)
+	items := p.AppendItems(nil, math.MaxInt)
 	if len(items) != 3 || items[0] != (Item{ID: 1, Dist: 1}) || items[2] != (Item{ID: 0, Dist: 3}) {
 		t.Fatalf("AppendItems = %v", items)
 	}

@@ -18,16 +18,16 @@ import (
 // Rand is the concrete random stream type used throughout the library.
 type Rand = mrand.Rand
 
-// New returns a deterministic PCG-backed random stream for the given seed
+// newRand returns a deterministic PCG-backed random stream for the given seed
 // pair. Two streams created with the same seeds yield identical sequences.
-func New(seed1, seed2 uint64) *Rand {
+func newRand(seed1, seed2 uint64) *Rand {
 	return mrand.New(mrand.NewPCG(seed1, seed2))
 }
 
 // NewSeeded returns a stream derived from a single seed. The second PCG word
 // is a fixed golden-ratio constant so distinct seeds yield distinct streams.
 func NewSeeded(seed uint64) *Rand {
-	return New(seed, 0x9e3779b97f4a7c15)
+	return newRand(seed, 0x9e3779b97f4a7c15)
 }
 
 // NewCrypto returns a random stream seeded from the operating system CSPRNG.
@@ -39,7 +39,7 @@ func NewCrypto() *Rand {
 		// there is no meaningful way to continue generating keys.
 		panic(fmt.Sprintf("rng: crypto seed unavailable: %v", err))
 	}
-	return New(binary.LittleEndian.Uint64(buf[:8]), binary.LittleEndian.Uint64(buf[8:]))
+	return newRand(binary.LittleEndian.Uint64(buf[:8]), binary.LittleEndian.Uint64(buf[8:]))
 }
 
 // Derive returns a new independent stream deterministically derived from the
@@ -47,7 +47,7 @@ func NewCrypto() *Rand {
 // sub-components (e.g. one stream per key matrix) without coupling their
 // consumption patterns.
 func Derive(r *Rand, label uint64) *Rand {
-	return New(r.Uint64()^label, r.Uint64()+label)
+	return newRand(r.Uint64()^label, r.Uint64()+label)
 }
 
 // Streams is a family of independent streams indexed by an integer and
@@ -64,7 +64,7 @@ func NewStreams(r *Rand) Streams {
 
 // At returns stream i of the family.
 func (s Streams) At(i int) *Rand {
-	return New(s.seeds(i))
+	return newRand(s.seeds(i))
 }
 
 // First returns streams 0 to n−1 of the family, stream i as At(i) would

@@ -7,8 +7,8 @@ import (
 )
 
 func TestNewDeterministic(t *testing.T) {
-	a := New(1, 2)
-	b := New(1, 2)
+	a := newRand(1, 2)
+	b := newRand(1, 2)
 	for i := 0; i < 100; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatalf("streams with equal seeds diverged at step %d", i)
@@ -126,7 +126,7 @@ func TestPermutationRoundTrip(t *testing.T) {
 	r := NewSeeded(8)
 	f := func(seed uint64, size uint8) bool {
 		n := int(size%64) + 1
-		p := NewPermutation(New(seed, 1), n)
+		p := NewPermutation(newRand(seed, 1), n)
 		src := Gaussian(r, nil, n)
 		permuted := p.Apply(nil, src)
 		for i, j := range p.Forward() {

@@ -108,13 +108,13 @@ func (e *DegradedWriteError) Is(target error) bool { return target == ErrDegrade
 // Coordinator is the scatter-gather head of a sharded deployment: it owns
 // the global id space, fans queries out to every stripe concurrently, and
 // merges shard-local answers into global ones. Each stripe is a
-// ReplicaSet — one replica in the plain sharded topology, several in a
+// replicaSet — one replica in the plain sharded topology, several in a
 // replicated one, where reads fail over between siblings and writes fan
 // to all of them. Searches may run concurrently with each other and with
 // updates; updates serialize on the coordinator (shard servers themselves
 // publish snapshots, so their reads never block either way).
 type Coordinator struct {
-	stripes []*ReplicaSet
+	stripes []*replicaSet
 	m       Mapping
 	opts    Options
 	backend string
@@ -161,7 +161,7 @@ func newReplicated(stripes [][]Shard, opts Options, tune breakerTuning) (*Coordi
 		return nil, fmt.Errorf("shard: coordinator needs at least one shard")
 	}
 	c := &Coordinator{
-		stripes: make([]*ReplicaSet, len(stripes)),
+		stripes: make([]*replicaSet, len(stripes)),
 		m:       Mapping{Shards: len(stripes)},
 		opts:    opts,
 	}
@@ -217,7 +217,7 @@ func newReplicated(stripes [][]Shard, opts Options, tune breakerTuning) (*Coordi
 		c.stripes[s] = rs
 	}
 	for s, n := range lens {
-		if want := c.m.Count(s, c.total); n != want {
+		if want := c.m.count(s, c.total); n != want {
 			return nil, fmt.Errorf("shard: shard %d holds %d records, a striped partition of %d needs %d",
 				s, n, c.total, want)
 		}
@@ -314,7 +314,7 @@ func putScratch(sc *searchScratch) {
 
 // Search answers a k-ANNS query across all stripes: one concurrent
 // scatter (each stripe picks a healthy replica, failing over and
-// optionally hedging; see ReplicaSet.search), then a merge of the
+// optionally hedging; see replicaSet.search), then a merge of the
 // shard-local top-k sets into the global top-k by DCE comparisons,
 // returned as global ids closest-first. A dead stripe — every replica
 // failed — surfaces as a *ShardError, or, with Options.AllowPartial,
@@ -341,7 +341,7 @@ func (c *Coordinator) Search(tok *core.QueryToken, k int, opt core.SearchOptions
 	var wg sync.WaitGroup
 	for s, rs := range c.stripes {
 		wg.Add(1)
-		go func(s int, rs *ReplicaSet) {
+		go func(s int, rs *replicaSet) {
 			defer wg.Done()
 			results[s], sc.errs[s] = rs.search(tok, k, sOpt, c.opts.HedgeAfter)
 		}(s, rs)
@@ -430,7 +430,7 @@ func (c *Coordinator) merge(tq *dce.Trapdoor, k int, results []core.ShardResult,
 		if best == -1 {
 			break
 		}
-		ids = append(ids, c.m.Global(best, results[best].IDs[cursors[best]]))
+		ids = append(ids, c.m.global(best, results[best].IDs[cursors[best]]))
 		cursors[best]++
 	}
 	return ids, nil

@@ -11,21 +11,21 @@ type BreakerState int
 const (
 	// BreakerClosed: the replica is healthy; requests flow normally.
 	BreakerClosed BreakerState = iota
-	// BreakerOpen: the replica crossed the consecutive-failure threshold;
+	// breakerOpen: the replica crossed the consecutive-failure threshold;
 	// requests are diverted to siblings until the backoff expires.
-	BreakerOpen
-	// BreakerHalfOpen: the backoff expired and a single probe request is
+	breakerOpen
+	// breakerHalfOpen: the backoff expired and a single probe request is
 	// allowed through; its outcome closes or re-opens the breaker.
-	BreakerHalfOpen
+	breakerHalfOpen
 )
 
 func (s BreakerState) String() string {
 	switch s {
 	case BreakerClosed:
 		return "closed"
-	case BreakerOpen:
+	case breakerOpen:
 		return "open"
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		return "half-open"
 	}
 	return "unknown"
@@ -68,14 +68,14 @@ func (b *breaker) allow(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
-	case BreakerOpen:
+	case breakerOpen:
 		if now.Before(b.retryAt) {
 			return false
 		}
-		b.state = BreakerHalfOpen
+		b.state = breakerHalfOpen
 		b.probing = true
 		return true
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		if b.probing {
 			return false
 		}
@@ -104,7 +104,7 @@ func (b *breaker) failure(now time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		b.probing = false
 		b.trip(now)
 	case BreakerClosed:
@@ -126,7 +126,7 @@ func (b *breaker) trip(now time.Time) {
 			b.backoff = b.tune.maxBackoff
 		}
 	}
-	b.state = BreakerOpen
+	b.state = breakerOpen
 	b.retryAt = now.Add(b.backoff)
 }
 

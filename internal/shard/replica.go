@@ -17,7 +17,7 @@ import (
 // treats it like any other replica failure and fails over to a sibling.
 var ErrStaleReplica = errors.New("shard: replica behind the stripe's write floor")
 
-// ReplicaSet is one stripe of a replicated deployment: the same shard-local
+// replicaSet is one stripe of a replicated deployment: the same shard-local
 // id space served by RF interchangeable replicas. Reads go to one healthy
 // replica (round-robin, circuit-breaker-filtered, with failover and
 // optional hedging); writes fan to all replicas. The epoch floor — the
@@ -25,15 +25,15 @@ var ErrStaleReplica = errors.New("shard: replica behind the stripe's write floor
 // coordinator-routed writes must be at — is how a read detects it landed on
 // a replica that missed a write: the answer's Epoch falls below the floor
 // and the read fails over (read-your-writes through the coordinator).
-type ReplicaSet struct {
+type replicaSet struct {
 	replicas []Shard
 	breakers []*breaker
 	rr       atomic.Uint64 // round-robin cursor
 	floor    atomic.Uint64 // read-your-writes epoch floor
 }
 
-func newReplicaSet(replicas []Shard, tune breakerTuning, floor uint64) *ReplicaSet {
-	rs := &ReplicaSet{replicas: replicas, breakers: make([]*breaker, len(replicas))}
+func newReplicaSet(replicas []Shard, tune breakerTuning, floor uint64) *replicaSet {
+	rs := &replicaSet{replicas: replicas, breakers: make([]*breaker, len(replicas))}
 	rs.floor.Store(floor)
 	for i := range rs.breakers {
 		rs.breakers[i] = &breaker{tune: tune}
@@ -45,7 +45,7 @@ func newReplicaSet(replicas []Shard, tune breakerTuning, floor uint64) *ReplicaS
 // check: a successful answer from below the write floor is converted into
 // an ErrStaleReplica failure, so the caller fails over exactly as if the
 // replica had errored.
-func (rs *ReplicaSet) searchOne(r int, cancel <-chan struct{}, tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error) {
+func (rs *replicaSet) searchOne(r int, cancel <-chan struct{}, tok *core.QueryToken, k int, opt core.SearchOptions) (core.ShardResult, error) {
 	// The floor is captured before the read is issued: only writes that
 	// completed before the read started bound it. A write that lands while
 	// the read is in flight is ordered after it and need not be visible —
@@ -64,7 +64,7 @@ func (rs *ReplicaSet) searchOne(r int, cancel <-chan struct{}, tok *core.QueryTo
 // as a success: a client's bad request must not trip a healthy replica.
 // An abandoned call (hedge loser) says nothing about replica health and is
 // not recorded.
-func (rs *ReplicaSet) record(r int, err error) {
+func (rs *replicaSet) record(r int, err error) {
 	switch {
 	case err == nil || errors.Is(err, transport.ErrRefused):
 		rs.breakers[r].success()
@@ -82,7 +82,7 @@ func (rs *ReplicaSet) record(r int, err error) {
 // anything, one forced attempt goes through anyway (an all-open stripe
 // still probes rather than refusing). The error, when every replica has
 // failed, aggregates the per-replica causes.
-func (rs *ReplicaSet) search(tok *core.QueryToken, k int, opt core.SearchOptions, hedge time.Duration) (core.ShardResult, error) {
+func (rs *replicaSet) search(tok *core.QueryToken, k int, opt core.SearchOptions, hedge time.Duration) (core.ShardResult, error) {
 	n := len(rs.replicas)
 	start := int(rs.rr.Add(1)) % n
 	if n == 1 {
@@ -206,7 +206,7 @@ func (op writeOp) to(sh Shard) error {
 // write floor advances: replicas that missed the write now answer below
 // the floor and reads route around them. Returns the per-replica outcomes
 // and the success count.
-func (rs *ReplicaSet) write(op writeOp) ([]WriteOutcome, int) {
+func (rs *replicaSet) write(op writeOp) ([]WriteOutcome, int) {
 	outcomes := make([]WriteOutcome, len(rs.replicas))
 	ok := 0
 	for r, sh := range rs.replicas {

@@ -42,7 +42,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatalf("state/fails = %v/%d, want closed/2", st, fails)
 	}
 	b.failure(t0)
-	if st, _ := b.snapshot(); st != BreakerOpen {
+	if st, _ := b.snapshot(); st != breakerOpen {
 		t.Fatalf("state after threshold failures = %v, want open", st)
 	}
 	if b.allow(t0.Add(39 * time.Millisecond)) {
@@ -54,7 +54,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if !b.allow(t1) {
 		t.Fatal("breaker did not half-open after the backoff")
 	}
-	if st, _ := b.snapshot(); st != BreakerHalfOpen {
+	if st, _ := b.snapshot(); st != breakerHalfOpen {
 		t.Fatalf("state = %v, want half-open", st)
 	}
 	if b.allow(t1) {
@@ -63,7 +63,7 @@ func TestBreakerLifecycle(t *testing.T) {
 
 	// Failed probe: re-open with doubled backoff.
 	b.failure(t1)
-	if st, _ := b.snapshot(); st != BreakerOpen {
+	if st, _ := b.snapshot(); st != breakerOpen {
 		t.Fatalf("state after failed probe = %v, want open", st)
 	}
 	if b.allow(t1.Add(79 * time.Millisecond)) {
@@ -845,7 +845,7 @@ func TestConstructionToleratesDeadReplica(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", coord.Len(), n)
 	}
 	for s := range faults {
-		if st := healthOf(coord, s, 0); st != BreakerOpen {
+		if st := healthOf(coord, s, 0); st != breakerOpen {
 			t.Fatalf("stripe %d: dead replica's breaker = %v at construction, want open", s, st)
 		}
 	}

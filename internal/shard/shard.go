@@ -57,13 +57,13 @@ func (m Mapping) Locate(global int) (shard, local int) {
 	return global % m.Shards, global / m.Shards
 }
 
-// Global returns the global id of a shard-local position.
-func (m Mapping) Global(shard, local int) int {
+// global returns the global id of a shard-local position.
+func (m Mapping) global(shard, local int) int {
 	return local*m.Shards + shard
 }
 
-// Count returns how many of the global ids 0..total-1 a shard owns.
-func (m Mapping) Count(shard, total int) int {
+// count returns how many of the global ids 0..total-1 a shard owns.
+func (m Mapping) count(shard, total int) int {
 	return (total - shard + m.Shards - 1) / m.Shards
 }
 

@@ -242,12 +242,12 @@ func TestMappingRoundTrip(t *testing.T) {
 				t.Fatalf("Locate(%d) local %d, want %d (stripe order)", g, local, counts[s])
 			}
 			counts[s]++
-			if back := m.Global(s, local); back != g {
+			if back := m.global(s, local); back != g {
 				t.Fatalf("Global(Locate(%d)) = %d", g, back)
 			}
 		}
 		for s := 0; s < shards; s++ {
-			if got := m.Count(s, 200); got != counts[s] {
+			if got := m.count(s, 200); got != counts[s] {
 				t.Fatalf("Count(%d, 200) = %d, want %d", s, got, counts[s])
 			}
 		}

@@ -43,14 +43,14 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	reqs, resps := fuzzMessages()
 	var seeds [][]byte
 	for i, req := range reqs {
-		b, err := frame.AppendEnvelope(nil, ProtoVersion, req.op, uint64(i+1), func(b []byte) []byte { return appendRequest(b, req) })
+		b, err := frame.AppendEnvelope(nil, protoVersion, req.op, uint64(i+1), func(b []byte) []byte { return appendRequest(b, req) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		seeds = append(seeds, b)
 	}
 	for i, resp := range resps {
-		b, err := frame.AppendEnvelope(nil, ProtoVersion, resp.op, uint64(i+1), func(b []byte) []byte { return appendResponse(b, resp) })
+		b, err := frame.AppendEnvelope(nil, protoVersion, resp.op, uint64(i+1), func(b []byte) []byte { return appendResponse(b, resp) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	if err := gob.NewEncoder(&g).Encode(&gobRequest{Proto: 6, Seq: 1, Op: "len"}); err != nil {
 		t.Fatal(err)
 	}
-	huge := rawFrame(ProtoVersion, opLen, 1, nil)
+	huge := rawFrame(protoVersion, opLen, 1, nil)
 	huge[3] = 0x7f
 	return append(seeds, g.Bytes(), huge)
 }
@@ -86,7 +86,7 @@ func resealed(data []byte) []byte {
 // read loop would accept is decoded as a request, and as the response to
 // a call of every op.
 func decodeStream(data []byte) {
-	fr := frame.NewEnvelopeReader(bytes.NewReader(data), ProtoVersion)
+	fr := frame.NewEnvelopeReader(bytes.NewReader(data), protoVersion)
 	for {
 		op, _, p, err := fr.Next()
 		if err != nil {
@@ -126,11 +126,11 @@ func FuzzFrame(f *testing.F) {
 func TestFrameRoundTrip(t *testing.T) {
 	reqs, resps := fuzzMessages()
 	for _, req := range reqs {
-		b, err := frame.AppendEnvelope(nil, ProtoVersion, req.op, 7, func(b []byte) []byte { return appendRequest(b, req) })
+		b, err := frame.AppendEnvelope(nil, protoVersion, req.op, 7, func(b []byte) []byte { return appendRequest(b, req) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		op, seq, p, err := frame.NewEnvelopeReader(bytes.NewReader(b), ProtoVersion).Next()
+		op, seq, p, err := frame.NewEnvelopeReader(bytes.NewReader(b), protoVersion).Next()
 		if err != nil || seq != 7 || op != req.op {
 			t.Fatalf("%s request: header op %d seq %d, %v", opName(req.op), op, seq, err)
 		}
@@ -140,11 +140,11 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 	}
 	for _, resp := range resps {
-		b, err := frame.AppendEnvelope(nil, ProtoVersion, resp.op, 7, func(b []byte) []byte { return appendResponse(b, resp) })
+		b, err := frame.AppendEnvelope(nil, protoVersion, resp.op, 7, func(b []byte) []byte { return appendResponse(b, resp) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		op, _, p, err := frame.NewEnvelopeReader(bytes.NewReader(b), ProtoVersion).Next()
+		op, _, p, err := frame.NewEnvelopeReader(bytes.NewReader(b), protoVersion).Next()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,7 @@
 // it, and the scatter-gather tier (internal/shard) keeps one connection
 // per shard.
 //
-// Every frame carries ProtoVersion and nothing is negotiated: a frame of
+// Every frame carries protoVersion and nothing is negotiated: a frame of
 // another generation — the gob generations before 7 never form a frame of
 // this one — is refused with an error naming both; the server executes
 // nothing, the client poisons its connection with ErrProtoMismatch. A
@@ -81,9 +81,9 @@ type refusal struct{ error }
 func (r refusal) Is(target error) bool { return target == ErrRefused }
 func (r refusal) Unwrap() error        { return r.error }
 
-// ProtoVersion is the one protocol generation this package speaks, stamped
+// protoVersion is the one protocol generation this package speaks, stamped
 // on every frame.
-const ProtoVersion = 10
+const protoVersion = 10
 
 // The ops. A response carries its request's op, or opError with the
 // message as a string payload.
@@ -358,7 +358,7 @@ func Serve(l net.Listener, srv *core.Server) error {
 // requests and hands each to a handler goroutine; responses are written
 // under a write mutex so frames never interleave on the shared stream.
 func serveConn(conn net.Conn, srv *core.Server) {
-	fr := frame.NewEnvelopeReader(conn, ProtoVersion)
+	fr := frame.NewEnvelopeReader(conn, protoVersion)
 	var (
 		wmu  sync.Mutex
 		wbuf []byte // the response being written; grows to fit
@@ -368,10 +368,10 @@ func serveConn(conn net.Conn, srv *core.Server) {
 		wmu.Lock()
 		defer wmu.Unlock()
 		var err error
-		wbuf, err = frame.AppendEnvelope(wbuf[:0], ProtoVersion, resp.op, seq, func(b []byte) []byte { return appendResponse(b, &resp) })
+		wbuf, err = frame.AppendEnvelope(wbuf[:0], protoVersion, resp.op, seq, func(b []byte) []byte { return appendResponse(b, &resp) })
 		if err != nil {
 			msg := fmt.Sprintf("transport: %s answer: %v", opName(resp.op), err)
-			wbuf, _ = frame.AppendEnvelope(wbuf[:0], ProtoVersion, opError, seq, func(b []byte) []byte { return frame.AppendString(b, msg) })
+			wbuf, _ = frame.AppendEnvelope(wbuf[:0], protoVersion, opError, seq, func(b []byte) []byte { return frame.AppendString(b, msg) })
 		}
 		conn.SetWriteDeadline(time.Now().Add(serverWriteTimeout))
 		if _, err := conn.Write(wbuf); err != nil {
@@ -584,17 +584,6 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// Broken returns the stream error that poisoned the current connection,
-// which the next call replaces, or nil while it is healthy or undialed.
-func (c *Client) Broken() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cur == nil {
-		return nil
-	}
-	return c.cur.err()
-}
-
 // err returns the stream error that poisoned cn, or nil.
 func (cn *clientConn) err() error {
 	cn.mu.Lock()
@@ -623,7 +612,7 @@ func (cn *clientConn) fail(err error) {
 // the socket, decodes each for the call registered under its seq and
 // delivers it.
 func (cn *clientConn) demux() {
-	fr := frame.NewEnvelopeReader(cn.nc, ProtoVersion)
+	fr := frame.NewEnvelopeReader(cn.nc, protoVersion)
 	for {
 		op, seq, payload, err := fr.Next()
 		if err != nil {
@@ -705,7 +694,7 @@ func (cn *clientConn) roundTrip(req *request, cancel <-chan struct{}) (response,
 
 	cn.wmu.Lock()
 	var err error
-	cn.wbuf, err = frame.AppendEnvelope(cn.wbuf[:0], ProtoVersion, req.op, seq, func(b []byte) []byte { return appendRequest(b, req) })
+	cn.wbuf, err = frame.AppendEnvelope(cn.wbuf[:0], protoVersion, req.op, seq, func(b []byte) []byte { return appendRequest(b, req) })
 	if err != nil {
 		err = fmt.Errorf("transport: %s request: %w", opName(req.op), err)
 		// Nothing was written: only this call fails.

@@ -478,7 +478,7 @@ func rawFrame(proto, op byte, seq uint64, payload []byte) []byte {
 // on conn.
 func readRawFrame(t *testing.T, conn net.Conn) (op byte, seq uint64, payload []byte) {
 	t.Helper()
-	op, seq, payload, err := frame.NewEnvelopeReader(conn, ProtoVersion).Next()
+	op, seq, payload, err := frame.NewEnvelopeReader(conn, protoVersion).Next()
 	if err != nil {
 		t.Fatalf("reading a frame: %v", err)
 	}
@@ -539,7 +539,7 @@ func TestOtherGenerationRefused(t *testing.T) {
 	}
 	insert := core.AppendInsert(nil, payload)
 	for _, stamp := range []byte{9, 8, 0} {
-		names := []string{fmt.Sprintf("generation %d", stamp), fmt.Sprintf("generation %d", ProtoVersion)}
+		names := []string{fmt.Sprintf("generation %d", stamp), fmt.Sprintf("generation %d", protoVersion)}
 
 		// As a client of the real server: an insert that must not happen.
 		conn, err := net.Dial("tcp", addr)
@@ -566,7 +566,7 @@ func TestOtherGenerationRefused(t *testing.T) {
 
 		// As the server: it answers everything, stamped its own way.
 		faddr := fakeServer(t, func(conn net.Conn) {
-			fr := frame.NewEnvelopeReader(conn, ProtoVersion)
+			fr := frame.NewEnvelopeReader(conn, protoVersion)
 			for {
 				_, seq, _, err := fr.Next()
 				if err != nil {
@@ -640,8 +640,8 @@ func TestGobPeerRefused(t *testing.T) {
 	}
 	op, _, payload := readRawFrame(t, conn)
 	if msg := errorText(t, payload); op != opError ||
-		!strings.Contains(msg, fmt.Sprintf("generation %d", ProtoVersion)) || !strings.Contains(msg, "nothing was executed") {
-		t.Fatalf("gob client answered op %d %q, want a refusal naming generation %d", op, msg, ProtoVersion)
+		!strings.Contains(msg, fmt.Sprintf("generation %d", protoVersion)) || !strings.Contains(msg, "nothing was executed") {
+		t.Fatalf("gob client answered op %d %q, want a refusal naming generation %d", op, msg, protoVersion)
 	}
 	if _, err := conn.Read(make([]byte, 1)); err == nil {
 		t.Fatal("the server kept the gob peer's connection open")
@@ -693,13 +693,13 @@ func TestMalformedPayloadFailsOnlyItsCall(t *testing.T) {
 	}
 	defer conn.Close()
 	search := core.AppendQuery(nil, tok, 5, core.SearchOptions{})
-	if _, err := conn.Write(rawFrame(ProtoVersion, opSearch, 1, search[:len(search)-3])); err != nil {
+	if _, err := conn.Write(rawFrame(protoVersion, opSearch, 1, search[:len(search)-3])); err != nil {
 		t.Fatal(err)
 	}
 	if op, seq, p := readRawFrame(t, conn); op != opError || seq != 1 || !strings.Contains(errorText(t, p), "malformed search request") {
 		t.Fatalf("cut-short search answered op %d seq %d %q", op, seq, p)
 	}
-	if _, err := conn.Write(rawFrame(ProtoVersion, opLen, 2, nil)); err != nil {
+	if _, err := conn.Write(rawFrame(protoVersion, opLen, 2, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if op, seq, p := readRawFrame(t, conn); op != opLen || seq != 2 || readCount(p) != 600 {
@@ -710,7 +710,7 @@ func TestMalformedPayloadFailsOnlyItsCall(t *testing.T) {
 	// len answer, the second is whole.
 	calls := 0
 	faddr := fakeServer(t, func(conn net.Conn) {
-		fr := frame.NewEnvelopeReader(conn, ProtoVersion)
+		fr := frame.NewEnvelopeReader(conn, protoVersion)
 		for {
 			_, seq, _, err := fr.Next()
 			if err != nil {
@@ -721,7 +721,7 @@ func TestMalformedPayloadFailsOnlyItsCall(t *testing.T) {
 			if calls == 1 {
 				body = body[:len(body)-3]
 			}
-			if _, err := conn.Write(rawFrame(ProtoVersion, opLen, seq, body)); err != nil {
+			if _, err := conn.Write(rawFrame(protoVersion, opLen, seq, body)); err != nil {
 				return
 			}
 		}
@@ -746,11 +746,11 @@ func TestMalformedPayloadFailsOnlyItsCall(t *testing.T) {
 // refused before anything is allocated — by the server, which says why
 // and closes, and by the client, which poisons its connection.
 func TestOversizedFrameRefused(t *testing.T) {
-	huge := append(frame.AppendU32(nil, frame.MaxLen+1), rawFrame(ProtoVersion, opLen, 1, nil)[4:]...)
+	huge := append(frame.AppendU32(nil, frame.MaxLen+1), rawFrame(protoVersion, opLen, 1, nil)[4:]...)
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, _, err := frame.NewEnvelopeReader(bytes.NewReader(huge), ProtoVersion).Next()
+	_, _, _, err := frame.NewEnvelopeReader(bytes.NewReader(huge), protoVersion).Next()
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, frame.ErrEnvelope) {
 		t.Fatalf("reading an oversized header: %v", err)
@@ -773,7 +773,7 @@ func TestOversizedFrameRefused(t *testing.T) {
 	}
 
 	faddr := fakeServer(t, func(conn net.Conn) {
-		frame.NewEnvelopeReader(conn, ProtoVersion).Next()
+		frame.NewEnvelopeReader(conn, protoVersion).Next()
 		conn.Write(huge)
 		io.Copy(io.Discard, conn)
 	})
@@ -810,7 +810,7 @@ func TestFlippedBitRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(flipped(rawFrame(ProtoVersion, opInsert, 7, core.AppendInsert(nil, payload)))); err != nil {
+	if _, err := conn.Write(flipped(rawFrame(protoVersion, opInsert, 7, core.AppendInsert(nil, payload)))); err != nil {
 		t.Fatal(err)
 	}
 	if op, seq, p := readRawFrame(t, conn); op != opError || seq != 7 ||
@@ -830,13 +830,13 @@ func TestFlippedBitRefused(t *testing.T) {
 	}
 
 	faddr := fakeServer(t, func(conn net.Conn) {
-		fr := frame.NewEnvelopeReader(conn, ProtoVersion)
+		fr := frame.NewEnvelopeReader(conn, protoVersion)
 		for {
 			_, seq, _, err := fr.Next()
 			if err != nil {
 				return
 			}
-			if _, err := conn.Write(flipped(rawFrame(ProtoVersion, opLen, seq, frame.AppendInt(frame.AppendInt(nil, 42), 42)))); err != nil {
+			if _, err := conn.Write(flipped(rawFrame(protoVersion, opLen, seq, frame.AppendInt(frame.AppendInt(nil, 42), 42)))); err != nil {
 				return
 			}
 		}
@@ -927,13 +927,13 @@ func TestRetiredSearchBatchOpRefused(t *testing.T) {
 	defer conn.Close()
 	const opSearchBatch = 7
 	batch := core.AppendQuery(core.AppendQuery(nil, tok, 5, core.SearchOptions{KPrime: 40}), tok, 5, core.SearchOptions{KPrime: 40})
-	if _, err := conn.Write(rawFrame(ProtoVersion, opSearchBatch, 1, batch)); err != nil {
+	if _, err := conn.Write(rawFrame(protoVersion, opSearchBatch, 1, batch)); err != nil {
 		t.Fatal(err)
 	}
 	if op, seq, p := readRawFrame(t, conn); op != opError || seq != 1 || errorText(t, p) != "transport: unknown op 7" {
 		t.Fatalf("batch search answered op %d seq %d %q, want seq 1 and an unknown-op error", op, seq, p)
 	}
-	if _, err := conn.Write(rawFrame(ProtoVersion, opLen, 2, nil)); err != nil {
+	if _, err := conn.Write(rawFrame(protoVersion, opLen, 2, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if op, seq, p := readRawFrame(t, conn); op != opLen || seq != 2 || readCount(p) != 600 {
@@ -947,13 +947,13 @@ func TestRetiredSearchBatchOpRefused(t *testing.T) {
 func TestStrayFrameDropped(t *testing.T) {
 	counts := func(n int) []byte { return frame.AppendInt(frame.AppendInt(nil, n), n) }
 	addr := fakeServer(t, func(conn net.Conn) {
-		fr := frame.NewEnvelopeReader(conn, ProtoVersion)
+		fr := frame.NewEnvelopeReader(conn, protoVersion)
 		for {
 			_, seq, _, err := fr.Next()
 			if err != nil {
 				return
 			}
-			if _, err := conn.Write(append(rawFrame(ProtoVersion, opLen, 0, counts(13)), rawFrame(ProtoVersion, opLen, seq, counts(42))...)); err != nil {
+			if _, err := conn.Write(append(rawFrame(protoVersion, opLen, 0, counts(13)), rawFrame(protoVersion, opLen, seq, counts(42))...)); err != nil {
 				return
 			}
 		}
@@ -1110,4 +1110,15 @@ func TestServeOutlivesNoConnection(t *testing.T) {
 	if _, err := client.Len(); err == nil {
 		t.Fatal("a connection outlived the Serve call that accepted it")
 	}
+}
+
+// Broken returns the stream error that poisoned the current connection,
+// which the next call replaces, or nil while it is healthy or undialed.
+func (c *Client) Broken() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.cur == nil {
+		return nil
+	}
+	return c.cur.err()
 }

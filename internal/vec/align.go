@@ -26,12 +26,6 @@ func PadStride(n int) int {
 	return (n + cacheLineFloats - 1) &^ (cacheLineFloats - 1)
 }
 
-// Aligned reports whether the slice's base address sits on a cache-line
-// boundary. Alignment tests use it to pin the arena allocation contract.
-func Aligned[T float64 | byte](s []T) bool {
-	return uintptr(unsafe.Pointer(unsafe.SliceData(s)))%cacheLineBytes == 0
-}
-
 // Rows is the one id-addressed row arena: the SAP rows of a Dataset, the
 // DCE records of a ciphertext store and the PQ codes all live in one. Row
 // i holds Width elements at Raw()[i·Stride:]; the Stride−Width pad

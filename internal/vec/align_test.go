@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"unsafe"
@@ -48,7 +49,7 @@ func rowsDiscipline[T float64 | byte](t *testing.T, width, stride int) {
 	size := int(unsafe.Sizeof(*new(T)))
 	allocated := func(what string, r *Rows[T], rows int) {
 		t.Helper()
-		if !Aligned(r.Raw()) {
+		if !aligned(r.Raw()) {
 			t.Fatalf("%s: base not 64-byte aligned", what)
 		}
 		if got, want := cap(r.Raw()), rows*stride+8/size; got != want {
@@ -96,7 +97,7 @@ func rowsDiscipline[T float64 | byte](t *testing.T, width, stride int) {
 	// A loader's limit ends it exactly full; an overstated one costs at
 	// most twice the rows that arrived.
 	for _, arrived := range []int{1, 5, 17, 100} {
-		for _, limit := range []int{arrived, 1 << 40} {
+		for _, limit := range []int{arrived, math.MaxInt} {
 			l := NewRows[T](width, stride, 0)
 			for i := range arrived {
 				copy(l.AppendZero(limit), row(i))
@@ -111,4 +112,10 @@ func rowsDiscipline[T float64 | byte](t *testing.T, width, stride int) {
 			}
 		}
 	}
+}
+
+// aligned reports whether the slice's base address sits on a cache-line
+// boundary, the arena allocation contract.
+func aligned[T float64 | byte](s []T) bool {
+	return uintptr(unsafe.Pointer(unsafe.SliceData(s)))%cacheLineBytes == 0
 }

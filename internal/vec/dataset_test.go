@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ppanns/internal/frame"
+	"ppanns/internal/kerneltest"
 )
 
 func TestDatasetBasics(t *testing.T) {
@@ -17,7 +18,7 @@ func TestDatasetBasics(t *testing.T) {
 	if i != 0 || j != 1 || ds.Len() != 2 {
 		t.Fatalf("append indices %d %d len %d", i, j, ds.Len())
 	}
-	if !ApproxEqual(ds.At(1), []float64{4, 5, 6}, 0) {
+	if !kerneltest.ApproxEqual(ds.At(1), []float64{4, 5, 6}, 0) {
 		t.Fatalf("At(1) = %v", ds.At(1))
 	}
 }
@@ -26,7 +27,7 @@ func TestDatasetAppendZero(t *testing.T) {
 	ds := NewDataset(2, 1)
 	idx, row := ds.AppendZero()
 	row[0], row[1] = 9, 8
-	if idx != 0 || !ApproxEqual(ds.At(0), []float64{9, 8}, 0) {
+	if idx != 0 || !kerneltest.ApproxEqual(ds.At(0), []float64{9, 8}, 0) {
 		t.Fatalf("AppendZero row not writable in place: %v", ds.At(0))
 	}
 }
@@ -74,8 +75,8 @@ func TestDatasetSaveLoad(t *testing.T) {
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != 3 || !Aligned(back.rows.Raw()) || !ApproxEqual(back.At(2), ds.At(2), 0) {
-		t.Fatalf("loaded %d rows, aligned %v, row 2 %v", back.Len(), Aligned(back.rows.Raw()), back.At(2))
+	if back.Len() != 3 || !aligned(back.rows.Raw()) || !kerneltest.ApproxEqual(back.At(2), ds.At(2), 0) {
+		t.Fatalf("loaded %d rows, aligned %v, row 2 %v", back.Len(), aligned(back.rows.Raw()), back.At(2))
 	}
 	d = frame.NewDecoder(bytes.NewReader(buf.Bytes()))
 	LoadDataset(d, 3, 4)
@@ -90,7 +91,7 @@ func TestFvecsRoundTrip(t *testing.T) {
 	if err := WriteFvecs(&buf, ds); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFvecs(&buf, 0)
+	got, err := readFvecs(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestFvecsRoundTrip(t *testing.T) {
 		t.Fatalf("round trip shape %dx%d", got.Len(), got.Dim())
 	}
 	for i := 0; i < 2; i++ {
-		if !ApproxEqual(got.At(i), ds.At(i), 1e-6) {
+		if !kerneltest.ApproxEqual(got.At(i), ds.At(i), 1e-6) {
 			t.Fatalf("row %d = %v, want %v", i, got.At(i), ds.At(i))
 		}
 	}
@@ -110,7 +111,7 @@ func TestFvecsMaxVectors(t *testing.T) {
 	if err := WriteFvecs(&buf, ds); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFvecs(&buf, 2)
+	got, err := readFvecs(&buf, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,20 +127,20 @@ func TestFvecsTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()[:buf.Len()-2]
-	if _, err := ReadFvecs(bytes.NewReader(raw), 0); err == nil {
+	if _, err := readFvecs(bytes.NewReader(raw), 0); err == nil {
 		t.Fatal("expected error for truncated stream")
 	}
 }
 
 func TestFvecsEmpty(t *testing.T) {
-	if _, err := ReadFvecs(bytes.NewReader(nil), 0); err == nil {
+	if _, err := readFvecs(bytes.NewReader(nil), 0); err == nil {
 		t.Fatal("expected error for empty stream")
 	}
 }
 
 func TestBadDimHeader(t *testing.T) {
 	raw := []byte{0xFF, 0xFF, 0xFF, 0xFF} // dim = -1
-	if _, err := ReadFvecs(bytes.NewReader(raw), 0); err == nil {
+	if _, err := readFvecs(bytes.NewReader(raw), 0); err == nil {
 		t.Fatal("expected error for negative dimension")
 	}
 }

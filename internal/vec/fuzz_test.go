@@ -20,7 +20,7 @@ func FuzzReadFvecs(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ds, err := ReadFvecs(bytes.NewReader(data), 1000)
+		ds, err := readFvecs(bytes.NewReader(data), 1000)
 		if err != nil {
 			return // rejected input: fine, as long as there is no panic
 		}
@@ -28,7 +28,7 @@ func FuzzReadFvecs(f *testing.F) {
 		if err := WriteFvecs(&out, ds); err != nil {
 			t.Fatalf("accepted dataset failed to re-encode: %v", err)
 		}
-		ds2, err := ReadFvecs(bytes.NewReader(out.Bytes()), 0)
+		ds2, err := readFvecs(bytes.NewReader(out.Bytes()), 0)
 		if err != nil {
 			t.Fatalf("re-encoded stream rejected: %v", err)
 		}

@@ -15,9 +15,9 @@ import (
 // it; the synthetic generators in internal/dataset stand in for the
 // corpora themselves.
 
-// ReadFvecs parses an fvecs stream into a Dataset, converting float32
+// readFvecs parses an fvecs stream into a Dataset, converting float32
 // elements to float64. maxVectors <= 0 means read everything.
-func ReadFvecs(r io.Reader, maxVectors int) (*Dataset, error) {
+func readFvecs(r io.Reader, maxVectors int) (*Dataset, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var ds *Dataset
 	for n := 0; maxVectors <= 0 || n < maxVectors; n++ {
@@ -77,7 +77,7 @@ func LoadFvecsFile(path string, maxVectors int) (*Dataset, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadFvecs(f, maxVectors)
+	return readFvecs(f, maxVectors)
 }
 
 func readDimHeader(br *bufio.Reader) (int, error) {

@@ -90,7 +90,7 @@ func TestDatasetAlignment(t *testing.T) {
 			d.Append(randFloats(r, dim, 1))
 		}
 		for i := 0; i < d.Len(); i++ {
-			if !Aligned(d.At(i)) {
+			if !aligned(d.At(i)) {
 				t.Fatalf("dim %d: row %d base not 64-byte aligned", dim, i)
 			}
 		}

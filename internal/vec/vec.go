@@ -65,9 +65,6 @@ func SqDistRows(dst, rows, q []float64) {
 	}
 }
 
-// Dist returns the Euclidean distance between a and b.
-func Dist(a, b []float64) float64 { return math.Sqrt(SqDist(a, b)) }
-
 // SqNorm returns the squared Euclidean norm of a.
 func SqNorm(a []float64) float64 {
 	var s float64
@@ -80,39 +77,12 @@ func SqNorm(a []float64) float64 {
 // Norm returns the Euclidean norm of a.
 func Norm(a []float64) float64 { return math.Sqrt(SqNorm(a)) }
 
-// Clone returns a fresh copy of a.
-func Clone(a []float64) []float64 {
-	c := make([]float64, len(a))
-	copy(c, a)
-	return c
-}
-
 // Add stores a+b into dst and returns dst; dst may alias a or b and may be
 // nil, in which case a new slice is allocated.
 func Add(dst, a, b []float64) []float64 {
 	dst = ensure(dst, len(a))
 	for i, av := range a {
 		dst[i] = av + b[i]
-	}
-	return dst
-}
-
-// Sub stores a-b into dst and returns dst, with the same aliasing rules as
-// Add.
-func Sub(dst, a, b []float64) []float64 {
-	dst = ensure(dst, len(a))
-	for i, av := range a {
-		dst[i] = av - b[i]
-	}
-	return dst
-}
-
-// Mul stores the element-wise (Hadamard) product a◦b into dst and returns
-// dst. This is the ◦ operator of the paper's Section IV-A.
-func Mul(dst, a, b []float64) []float64 {
-	dst = ensure(dst, len(a))
-	for i, av := range a {
-		dst[i] = av * b[i]
 	}
 	return dst
 }
@@ -147,28 +117,6 @@ func Normalize(a []float64) []float64 {
 		a[i] *= inv
 	}
 	return a
-}
-
-// ApproxEqual reports whether a and b agree element-wise within tol.
-func ApproxEqual(a, b []float64, tol float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, av := range a {
-		if math.Abs(av-b[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// Ones returns an n-dimensional vector of all ones — the paper's 1_d.
-func Ones(n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1
-	}
-	return v
 }
 
 // MaxAbs returns the maximum absolute coordinate across all vectors, the

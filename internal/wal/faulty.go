@@ -2,7 +2,6 @@ package wal
 
 import (
 	"errors"
-	"io"
 	"sync"
 )
 
@@ -36,13 +35,6 @@ func (in *Injector) Syncs() int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.syncs
-}
-
-// Dead reports whether a fault has fired.
-func (in *Injector) Dead() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.dead
 }
 
 // admitWrite returns how many of n bytes may be written, and whether the
@@ -85,15 +77,15 @@ func (in *Injector) admitSync() bool {
 // writes and syncs through the Injector. Reads and directory operations
 // pass through untouched.
 type FaultyFS struct {
-	Base FS
-	Inj  *Injector
+	FS
+	Inj *Injector
 }
 
-// NewFaultyFS returns a FaultyFS over OSFS.
-func NewFaultyFS(in *Injector) *FaultyFS { return &FaultyFS{Base: OSFS, Inj: in} }
+// NewFaultyFS returns a FaultyFS over the operating system's filesystem.
+func NewFaultyFS(in *Injector) *FaultyFS { return &FaultyFS{FS: osFS{}, Inj: in} }
 
 func (f *FaultyFS) Create(name string) (File, error) {
-	file, err := f.Base.Create(name)
+	file, err := f.FS.Create(name)
 	if err != nil {
 		return nil, err
 	}
@@ -101,21 +93,12 @@ func (f *FaultyFS) Create(name string) (File, error) {
 }
 
 func (f *FaultyFS) Append(name string) (File, error) {
-	file, err := f.Base.Append(name)
+	file, err := f.FS.Append(name)
 	if err != nil {
 		return nil, err
 	}
 	return &faultFile{f: file, inj: f.Inj}, nil
 }
-
-func (f *FaultyFS) Open(name string) (io.ReadCloser, error) { return f.Base.Open(name) }
-func (f *FaultyFS) ReadDir(dir string) ([]string, error)    { return f.Base.ReadDir(dir) }
-func (f *FaultyFS) Size(name string) (int64, error)         { return f.Base.Size(name) }
-func (f *FaultyFS) Truncate(name string, size int64) error  { return f.Base.Truncate(name, size) }
-func (f *FaultyFS) Rename(oldpath, newpath string) error    { return f.Base.Rename(oldpath, newpath) }
-func (f *FaultyFS) Remove(name string) error                { return f.Base.Remove(name) }
-func (f *FaultyFS) MkdirAll(dir string) error               { return f.Base.MkdirAll(dir) }
-func (f *FaultyFS) SyncDir(dir string) error                { return f.Base.SyncDir(dir) }
 
 type faultFile struct {
 	f   File

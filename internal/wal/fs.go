@@ -19,7 +19,7 @@ type File interface {
 
 // FS abstracts the filesystem operations of the write path, so tests can
 // inject torn writes, sync errors, and kill-at-offset crashes (FaultyFS)
-// without touching the log logic. The default implementation (OSFS) maps
+// without touching the log logic. The default implementation (osFS) maps
 // straight onto the os package.
 type FS interface {
 	// Create opens name for writing, truncating any existing file.
@@ -45,9 +45,7 @@ type FS interface {
 	SyncDir(dir string) error
 }
 
-// OSFS is the production FS, backed by the os package.
-var OSFS FS = osFS{}
-
+// osFS is the production FS, backed by the os package.
 type osFS struct{}
 
 func (osFS) Create(name string) (File, error) {
@@ -118,7 +116,7 @@ func (osFS) SyncDir(dir string) error {
 // error from the directory fsync comes after the rename: path then holds
 // the new content, but it is not known to be durable.
 func WriteFileAtomic(path string, write func(io.Writer) error) error {
-	_, err := writeFileAtomicFS(OSFS, path, write)
+	_, err := writeFileAtomicFS(osFS{}, path, write)
 	return err
 }
 

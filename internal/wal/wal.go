@@ -66,7 +66,7 @@ func (p SyncPolicy) String() string {
 type Options struct {
 	// Sync is the durability policy (see SyncPolicy).
 	Sync SyncPolicy
-	// FS overrides the filesystem, for fault injection. Default OSFS.
+	// FS overrides the filesystem, for fault injection. Default: the os package.
 	FS FS
 }
 
@@ -153,7 +153,7 @@ type Log struct {
 // segment, is refused with the directory untouched.
 func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	if opts.FS == nil {
-		opts.FS = OSFS
+		opts.FS = osFS{}
 	}
 	fs := opts.FS
 	if err := fs.MkdirAll(dir); err != nil {
@@ -204,7 +204,7 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 // lock — and reports what a recovery would find. Tooling (ppanns-dbtool
 // info) uses it to describe a WAL without mutating it.
 func Inspect(dir string) (*Recovery, error) {
-	_, rec, _, err := scanDir(OSFS, dir, false)
+	_, rec, _, err := scanDir(osFS{}, dir, false)
 	return rec, err
 }
 

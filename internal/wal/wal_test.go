@@ -325,12 +325,12 @@ func TestTornHeaderRemovalDurable(t *testing.T) {
 		t.Fatalf("%d segments, want at least 3", n)
 	}
 	last, prev := segName(uint64(n)), segName(uint64(n-1))
-	size, err := OSFS.Size(filepath.Join(dir, last))
+	size, err := osFS{}.Size(filepath.Join(dir, last))
 	if err != nil {
 		t.Fatal(err)
 	}
 	lastRecs := 0
-	if _, err := readSegment(OSFS, dir, last, uint64(n), size, func(Kind, uint64, []byte) error { lastRecs++; return nil }); err != nil {
+	if _, err := readSegment(osFS{}, dir, last, uint64(n), size, func(Kind, uint64, []byte) error { lastRecs++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	const want = 30
@@ -338,7 +338,7 @@ func TestTornHeaderRemovalDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	failing := &opFS{FS: OSFS, syncErr: errors.New("sync refused")}
+	failing := &opFS{FS: osFS{}, syncErr: errors.New("sync refused")}
 	if _, _, err := Open(dir, Options{FS: failing}); err == nil || !strings.Contains(err.Error(), "sync refused") {
 		t.Fatalf("Open with a failing directory sync = %v, want its error", err)
 	}
@@ -350,7 +350,7 @@ func TestTornHeaderRemovalDurable(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, last), segHeader(uint64(n))[:10], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fs := &opFS{FS: OSFS}
+	fs := &opFS{FS: osFS{}}
 	l2, rec, err := openAt(dir, Options{FS: fs}, 256)
 	if err != nil {
 		t.Fatal(err)
@@ -814,7 +814,7 @@ func streamPayload(n int) func(io.Writer) error {
 	}
 }
 
-// testFS wraps OSFS: its files sleep before each write and count their
+// testFS wraps osFS: its files sleep before each write and count their
 // Close calls, and its directory fsync fails when told to.
 type testFS struct {
 	FS
@@ -931,7 +931,7 @@ func TestWriteFileAtomic(t *testing.T) {
 		want       error
 		writeFails bool
 	}{
-		{"callback error after 2.5 MiB, slow file", &testFS{FS: OSFS, slow: 20 * time.Millisecond}, func(w io.Writer) error {
+		{"callback error after 2.5 MiB, slow file", &testFS{FS: osFS{}, slow: 20 * time.Millisecond}, func(w io.Writer) error {
 			if err := streamPayload(5 * streamBufBytes / 2)(w); err != nil {
 				return err
 			}
@@ -958,7 +958,7 @@ func TestWriteFileAtomic(t *testing.T) {
 		onlyOld(tc.name)
 	}
 
-	fs := &testFS{FS: OSFS, failSyncDir: true}
+	fs := &testFS{FS: osFS{}, failSyncDir: true}
 	st, err := writeFileAtomicFS(fs, path, streamPayload(big))
 	if !errors.Is(err, errSyncDir) {
 		t.Fatalf("failing directory fsync: err = %v", err)
@@ -1088,4 +1088,11 @@ func TestSegNameRoundtrip(t *testing.T) {
 			t.Fatalf("%q parsed as segment", bad)
 		}
 	}
+}
+
+// Dead reports whether a fault has fired.
+func (in *Injector) Dead() bool {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.dead
 }
