@@ -20,8 +20,7 @@ import (
 // README's API ledger that gives one of four reasons for keeping it.
 //
 // A caller that ships is non-test code outside the name's own package and
-// outside benchmark/. The tests of internal/eval count as callers of the six
-// evaluation-only packages, and any package's tests as callers of
+// outside benchmark/. Any package's tests count as callers of
 // internal/kerneltest, which exists only for tests. A package-level name is
 // matched through each file's resolved imports (pq.Build does not make
 // index.Build used). A method is matched by name alone, whatever its
@@ -87,9 +86,6 @@ func TestAPILedger(t *testing.T) {
 	t.Logf("%d exported names under internal/: %d ship, %d kept by a ledger row", len(m.decls), len(shipping), len(rows))
 }
 
-// evalOnly are the packages only internal/eval's tests may import.
-var evalOnly = []string{"baselines", "ame", "aspe", "pir", "lsh", "nsg"}
-
 // stdInterfaces are the standard library's interface methods an "interface"
 // row may name, each with the interface that requires it.
 var stdInterfaces = map[string]string{
@@ -130,7 +126,7 @@ func (f *srcFile) ships(dir string) bool {
 	case dir == "internal/kerneltest":
 		return true
 	case f.test:
-		return f.dir == "internal/eval" && slices.Contains(evalOnly, strings.TrimPrefix(dir, "internal/"))
+		return false
 	default:
 		return !strings.HasPrefix(f.path, "benchmark/")
 	}

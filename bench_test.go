@@ -1,7 +1,9 @@
-// Benchmarks mapping one-to-one onto the paper's tables and figures (the
+// Benchmarks of the serving path at the paper's operating points (the
 // experiment index is the README's "Reproducing the paper's evaluation").
-// Each BenchmarkFigN measures the kernel its figure plots at laptop scale;
-// the full sweeps that print the figures are internal/eval's tests.
+// Each BenchmarkFigN measures the part of the scheme its figure plots, at
+// laptop scale; the full sweeps that print the figures are internal/eval's
+// tests, and the benches of the comparison systems (Figures 6 and 7, AME's
+// encryption and comparison) sit there beside those systems' code.
 // Ablations and scheme micro-benchmarks follow the figure benches.
 package ppanns_test
 
@@ -12,14 +14,10 @@ import (
 	"testing"
 
 	"ppanns"
-	"ppanns/internal/ame"
-	"ppanns/internal/baselines"
-	"ppanns/internal/core"
 	"ppanns/internal/dataset"
 	"ppanns/internal/dce"
 	"ppanns/internal/dcpe"
 	"ppanns/internal/hnsw"
-	"ppanns/internal/lsh"
 	"ppanns/internal/resultheap"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
@@ -146,79 +144,9 @@ func BenchmarkFig5Ratio(b *testing.B) {
 	}
 }
 
-// BenchmarkFig6RefineScheme measures one query under Figure 6's three
-// refine schemes over a shared index: filter-only, DCE, and the HNSW-AME
-// baseline.
-func BenchmarkFig6RefineScheme(b *testing.B) {
-	f := buildFixture(b, 800)
-	for _, mode := range []ppanns.RefineMode{ppanns.RefineNone, ppanns.RefineDCE} {
-		b.Run(mode.String(), func(b *testing.B) {
-			f.search(b, ppanns.SearchOptions{KPrime: 16 * benchK, EfSearch: 160, Refine: mode})
-		})
-	}
-	hnswAME, err := baselines.NewHNSWAME(f.server, f.data.Train, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Each trapdoor is 16 (2d+6)² matrices: a few, built before the timer.
-	tds := make([]*ame.Trapdoor, 4)
-	for i := range tds {
-		if tds[i], err = hnswAME.Trapdoor(f.data.Queries[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("ame", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			j := i % len(tds)
-			if _, _, err := hnswAME.Search(f.tokens[j], tds[j], benchK, 16*benchK, 160); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkFig7Baselines measures one query on each of Figure 7's four
-// systems at a shared small scale.
-func BenchmarkFig7Baselines(b *testing.B) {
-	data := dataset.DeepLike(1000, 10, 13)
-	lshCfg := lsh.Config{Dim: data.Dim, Tables: 10, Hashes: 6, W: 1.0, Seed: 13}
-
-	ours, err := baselines.NewOursFromData(data.Train, core.Params{
-		Dim: data.Dim, Beta: 0.3, IndexOptions: ppanns.IndexOptions{EfConstruction: 150}, Seed: 13,
-	}, core.SearchOptions{KPrime: 16 * benchK, EfSearch: 160})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rs, err := baselines.NewRSSANN(data.Train, baselines.RSSANNConfig{LSH: lshCfg, Probes: 6, Seed: 13})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pri, err := baselines.NewPRIANN(data.Train, baselines.PRIANNConfig{LSH: lshCfg, BucketCap: 48, Seed: 13})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pacm, err := baselines.NewPACMANN(data.Train, baselines.PACMANNConfig{
-		Graph: hnsw.Config{M: 12, EfConstruction: 100}, Beam: 6, MaxRounds: 6, Seed: 13,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, sys := range []baselines.System{ours, rs, pri, pacm} {
-		b.Run(sys.Name(), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := sys.Search(data.Queries[i%len(data.Queries)], benchK); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkFig8Encryption measures Figure 8's per-vector encryption cost
-// for the three schemes.
+// for the paper's two schemes; internal/eval's BenchmarkFig8Encryption
+// measures the AME baseline the same way.
 func BenchmarkFig8Encryption(b *testing.B) {
 	const dim = 128
 	r := rng.NewSeeded(17)
@@ -231,10 +159,6 @@ func BenchmarkFig8Encryption(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ameKey, err := ame.KeyGen(rng.Derive(r, 3), dim)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.Run("DCPE", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sapKey.Encrypt(v)
@@ -243,11 +167,6 @@ func BenchmarkFig8Encryption(b *testing.B) {
 	b.Run("DCE", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			dceKey.Encrypt(v)
-		}
-	})
-	b.Run("AME", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ameKey.Encrypt(v)
 		}
 	})
 }
@@ -336,7 +255,7 @@ func BenchmarkAblationRefine(b *testing.B) {
 		b.Fatal(err)
 	}
 	edbDCE := fixtureCiphertexts(b, f, ids)
-	farther := resultheap.Farther(func(a, bIdx int) bool {
+	farther := fartherFunc(func(a, bIdx int) bool {
 		return dce.DistanceComp(edbDCE[a], edbDCE[bIdx], tok.Trapdoor) > 0
 	})
 	local := make([]int, len(ids))
@@ -345,11 +264,12 @@ func BenchmarkAblationRefine(b *testing.B) {
 	}
 	b.Run("heap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			h := resultheap.NewCompareHeap(benchK, farther)
+			var h resultheap.CompareHeap
+			h.Reset(benchK, farther)
 			for _, id := range local {
 				h.Offer(id)
 			}
-			_ = h.SortedAscending()
+			_ = h.SortedInto(nil)
 		}
 	})
 	b.Run("full-sort", func(b *testing.B) {
@@ -388,16 +308,22 @@ func BenchmarkAblationLinearScanDCE(b *testing.B) {
 		cts[i] = key.Encrypt(v)
 	}
 	tok := key.TrapGen(data.Queries[0])
-	farther := resultheap.Farther(func(a, bIdx int) bool { return dce.DistanceComp(cts[a], cts[bIdx], tok) > 0 })
+	farther := fartherFunc(func(a, bIdx int) bool { return dce.DistanceComp(cts[a], cts[bIdx], tok) > 0 })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h := resultheap.NewCompareHeap(benchK, farther)
+		var h resultheap.CompareHeap
+		h.Reset(benchK, farther)
 		for id := range cts {
 			h.Offer(id)
 		}
-		_ = h.SortedAscending()
+		_ = h.SortedInto(nil)
 	}
 }
+
+// fartherFunc adapts a plain function to resultheap.Comparator.
+type fartherFunc func(a, b int) bool
+
+func (f fartherFunc) Farther(a, b int) bool { return f(a, b) }
 
 // --- Scheme micro-benchmarks (the O(d) vs O(d²) story of Section IV-B).
 
@@ -415,25 +341,6 @@ func BenchmarkDCEDistanceComp(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				dce.DistanceComp(co, cp, tq)
-			}
-		})
-	}
-}
-
-func BenchmarkAMECompare(b *testing.B) {
-	for _, dim := range []int{96, 128} {
-		b.Run(fmt.Sprintf("d=%d", dim), func(b *testing.B) {
-			r := rng.NewSeeded(29)
-			key, err := ame.KeyGen(r, dim)
-			if err != nil {
-				b.Fatal(err)
-			}
-			co := key.Encrypt(rng.Gaussian(r, nil, dim))
-			cp := key.Encrypt(rng.Gaussian(r, nil, dim))
-			td := key.TrapGen(rng.Gaussian(r, nil, dim))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ame.Compare(co, cp, td)
 			}
 		})
 	}

@@ -28,8 +28,7 @@
 //
 // encrypt's -index flag selects the filter-index backend (hnsw or ivf);
 // the choice is stored in the database file, and serve/query report it. A
-// database encrypted with -index nsg or lsh by an earlier build is refused
-// with a message to re-encrypt with hnsw or ivf.
+// database tagged with any other backend name is refused as unknown.
 //
 // serve's -wal flag attaches a write-ahead log: every acknowledged
 // Insert/Delete is logged (durable per -wal-sync) and survives a crash.

@@ -231,7 +231,7 @@ func TestDimensionValidation(t *testing.T) {
 
 // TestParamsUnknownBackend ensures backend selection fails fast at
 // parameter validation, not at encryption time — for a name that never
-// served and for the retired serving tags.
+// served and for the ablation's graphs, which are not backends.
 func TestParamsUnknownBackend(t *testing.T) {
 	for _, name := range []string{"btree", "nsg", "lsh"} {
 		if _, err := NewDataOwner(Params{Dim: 4, Index: name}); err == nil {

@@ -262,8 +262,8 @@ func seqIDs(n int) []int {
 // TestLoadRefusals: what LoadEncryptedDatabase will not read, it refuses with
 // an error — never a panic, never an allocation sized by a number the file
 // merely claims. The earlier format generations get index.ErrOldFormat; a
-// file tagged with a retired serving backend (nsg, lsh) is told to
-// re-encrypt; a header that lies about the record count, or an arena cut
+// file tagged with a backend name no build serves (nsg, lsh) is refused as
+// an unknown backend; a header that lies about the record count, or an arena cut
 // short, fails where the bytes run out; an ids column that does not rise
 // strictly, names an id at or past the id space, or is longer than the id
 // space is refused; a PQ or index section whose header lies is refused
@@ -324,8 +324,8 @@ func TestLoadRefusals(t *testing.T) {
 		{"PPANNSD5", withMagic("PPANNSD5"), true, "re-encrypt"},
 		{"PPANNSD6", withMagic("PPANNSD6"), true, "re-encrypt"},
 		{"PPANNSD7", withMagic("PPANNSD7"), true, "re-encrypt"},
-		{"tagged nsg", withTag("nsg"), false, `"nsg" no longer serves: re-encrypt with hnsw or ivf`},
-		{"tagged lsh", withTag("lsh"), false, `"lsh" no longer serves: re-encrypt with hnsw or ivf`},
+		{"tagged nsg", withTag("nsg"), false, `unknown backend "nsg"`},
+		{"tagged lsh", withTag("lsh"), false, `unknown backend "lsh"`},
 		{"header claims 2^30 records", lying, false, "truncated"},
 		{"ids not increasing", idsLying(func(b []byte) { id(b, 5, 4) }), false, "ids must rise strictly"},
 		{"an id at the id space", idsLying(func(b []byte) { id(b, 59, 60) }), false, "ids must rise strictly"},
@@ -423,7 +423,8 @@ func resealed(blob []byte) []byte {
 // small valid file per backend (ivf also with a PQ tier, hnsw also with a
 // PQ tier, compacted after deletions so that its ids skip the deleted
 // ones), of the same bytes under the retired magics, and
-// of the ivf file tagged with the retired backends (nsg, lsh). Each input
+// of the ivf file tagged with backend names no build serves (nsg, lsh),
+// which the loader refuses as unknown. Each input
 // is resealed — its last four bytes replaced by the CRC32 of the rest — so
 // a mutation anywhere reaches the section decoders and the cross-checks
 // instead of stopping at the checksum. Whatever arrives, the loader returns

@@ -595,9 +595,9 @@ func TestOpenServerRefusesBadLoggedMutation(t *testing.T) {
 }
 
 // TestOpenServerRefusesRetiredBackend: a WAL directory whose checkpoints
-// carry a retired serving tag (nsg, lsh) is refused with the database
-// loader's re-encrypt message, not only with the generic missing-anchor
-// one.
+// carry a backend tag no build serves (nsg) is refused with the database
+// loader's unknown-backend message, not only with the generic
+// missing-anchor one.
 func TestOpenServerRefusesRetiredBackend(t *testing.T) {
 	dir := t.TempDir()
 	opts := ServerOptions{WALDir: dir, WALSync: wal.SyncPolicy{Every: 1}, CompactAt: -1}
@@ -622,7 +622,7 @@ func TestOpenServerRefusesRetiredBackend(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := OpenServer(dir, opts); err == nil || !strings.Contains(err.Error(), `"nsg" no longer serves: re-encrypt with hnsw or ivf`) {
+	if _, _, err := OpenServer(dir, opts); err == nil || !strings.Contains(err.Error(), `unknown backend "nsg"`) {
 		t.Fatalf("OpenServer over nsg-tagged checkpoints: %v", err)
 	}
 }

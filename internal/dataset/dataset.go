@@ -47,24 +47,15 @@ type Data struct {
 
 // corpusSpec parameterizes a synthetic corpus.
 type corpusSpec struct {
-	Name     string
-	Dim      int
-	N        int // database size
-	Queries  int
-	Clusters int // mixture components; default max(16, N/500)
-	Seed     uint64
+	Name    string
+	Dim     int
+	N       int // database size
+	Queries int
+	Seed    uint64
 }
 
-func (s corpusSpec) clusters() int {
-	if s.Clusters > 0 {
-		return s.Clusters
-	}
-	c := s.N / 500
-	if c < 16 {
-		c = 16
-	}
-	return c
-}
+// clusters is the number of mixture components: max(16, N/500).
+func (s corpusSpec) clusters() int { return max(16, s.N/500) }
 
 // SIFTLike generates a corpus with SIFT's dimensionality and value range.
 func SIFTLike(n, queries int, seed uint64) *Data {

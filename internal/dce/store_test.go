@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ppanns/internal/frame"
+	"ppanns/internal/matrix"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
@@ -298,6 +299,13 @@ func TestDistanceCompHalves(t *testing.T) {
 	}
 }
 
+// vecMul returns the row-vector product xᵀ·m, a block of one.
+func vecMul(m *matrix.Dense, x []float64) []float64 {
+	dst := make([]float64, len(m.Row(0)))
+	m.VecMulBlock([][]float64{dst}, [][]float64{x})
+	return dst
+}
+
 // refEncrypt is Enc for one record on its own, the body Encryptor ran
 // before it encrypted in blocks, drawing the record's randomness from r:
 // the oracle every block is held to bit for bit.
@@ -324,11 +332,11 @@ func refEncrypt(k *Key, r *rng.Rand, p, rec []float64) {
 	p2[k.half+3] = gamma
 
 	enc := make([]float64, 2*sub)
-	k.m1.VecMul(enc[:sub], p1)
-	k.m2.VecMul(enc[sub:], p2)
+	copy(enc[:sub], vecMul(k.m1, p1))
+	copy(enc[sub:], vecMul(k.m2, p2))
 	bar := k.pi2.Apply(nil, enc)
-	up := k.mup.VecMul(nil, bar)
-	down := k.mdown.VecMul(nil, bar)
+	up := vecMul(k.mup, bar)
+	down := vecMul(k.mdown, bar)
 
 	rp := rs[5]
 	big := k.CiphertextDim()

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"ppanns/internal/aspe"
 	"ppanns/internal/dce"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
@@ -42,23 +41,23 @@ func TestAttack(t *testing.T) {
 	}
 
 	// --- Linear / Exponential / Logarithmic (Theorem 1, Corollaries 1–2).
-	logOpt := aspe.LeakOptions{Shift: 500}
+	logOpt := aspeLeakOptions{Shift: 500}
 	for _, run := range []struct {
 		name    string
-		variant aspe.Variant
-		opt     aspe.LeakOptions
-		recover func([][]float64, []float64) (*aspe.QueryRecovery, error)
+		variant aspeVariant
+		opt     aspeLeakOptions
+		recover func([][]float64, []float64) (*queryRecovery, error)
 	}{
-		{"linear", aspe.Linear, aspe.LeakOptions{}, aspe.RecoverQueryLinear},
-		{"exponential", aspe.Exponential, aspe.LeakOptions{}, aspe.RecoverQueryExponential},
-		{"logarithmic", aspe.Logarithmic, logOpt, func(k [][]float64, l []float64) (*aspe.QueryRecovery, error) {
-			return aspe.RecoverQueryLogarithmic(k, l, logOpt)
+		{"linear", aspeLinear, aspeLeakOptions{}, recoverQueryLinear},
+		{"exponential", aspeExponential, aspeLeakOptions{}, recoverQueryExponential},
+		{"logarithmic", aspeLogarithmic, logOpt, func(k [][]float64, l []float64) (*queryRecovery, error) {
+			return recoverQueryLogarithmic(k, l, logOpt)
 		}},
 	} {
-		qr := aspe.QueryRand{R1: rng.Uniform(r, 0.5, 2), R2: rng.UniformNonZero(r, 0.5, 2)}
+		qr := aspeQueryRand{R1: rng.Uniform(r, 0.5, 2), R2: rng.UniformNonZero(r, 0.5, 2)}
 		leaks := make([]float64, len(known))
 		for i, p := range known {
-			leaks[i] = aspe.LeakedValue(run.variant, p, q, qr, run.opt)
+			leaks[i] = aspeLeak(run.variant, p, q, qr, run.opt)
 		}
 		qErr := math.Inf(1)
 		if rec, err := run.recover(known, leaks); err == nil {
@@ -67,13 +66,13 @@ func TestAttack(t *testing.T) {
 
 		// Database recovery: gather d+2 recovered queries, then attack an
 		// unseen vector.
-		var recs []*aspe.QueryRecovery
+		var recs []*queryRecovery
 		for j := 0; j < dim+2; j++ {
 			qj := rng.Gaussian(r, nil, dim)
-			qrj := aspe.QueryRand{R1: rng.Uniform(r, 0.5, 2), R2: rng.UniformNonZero(r, 0.5, 2)}
+			qrj := aspeQueryRand{R1: rng.Uniform(r, 0.5, 2), R2: rng.UniformNonZero(r, 0.5, 2)}
 			lj := make([]float64, len(known))
 			for i, p := range known {
-				lj[i] = aspe.LeakedValue(run.variant, p, qj, qrj, run.opt)
+				lj[i] = aspeLeak(run.variant, p, qj, qrj, run.opt)
 			}
 			rj, err := run.recover(known, lj)
 			if err != nil {
@@ -83,10 +82,10 @@ func TestAttack(t *testing.T) {
 		}
 		secLeaks := make([]float64, len(recs))
 		for j, rj := range recs {
-			secLeaks[j] = vec.Dot(aspe.ExtendDB(secret), rj.Coeff)
+			secLeaks[j] = vec.Dot(aspeExtendDB(secret), rj.Coeff)
 		}
 		dbErr := math.Inf(1)
-		if got, err := aspe.RecoverDatabaseVector(recs, secLeaks); err == nil {
+		if got, err := recoverDatabaseVector(recs, secLeaks); err == nil {
 			dbErr = relErr(got, secret)
 		}
 		tb.printf("%-16s %22.2e %22.2e\n", run.name, qErr, dbErr)
@@ -98,19 +97,19 @@ func TestAttack(t *testing.T) {
 	// embedding readable.
 	{
 		const sd = 8
-		m := aspe.SquareFeatureDim(sd)
+		m := squareFeatureDim(sd)
 		knownS := make([][]float64, m)
 		for i := range knownS {
 			knownS[i] = rng.Gaussian(r, nil, sd)
 		}
 		qs := rng.Gaussian(r, nil, sd)
-		qr := aspe.QueryRand{R1: 1.3, R2: -0.7, R3: 0.9}
+		qr := aspeQueryRand{R1: 1.3, R2: -0.7, R3: 0.9}
 		leaks := make([]float64, m)
 		for i, p := range knownS {
-			leaks[i] = aspe.LeakedValue(aspe.Square, p, qs, qr, aspe.LeakOptions{})
+			leaks[i] = aspeLeak(aspeSquare, p, qs, qr, aspeLeakOptions{})
 		}
 		qErr := math.Inf(1)
-		if rec, err := aspe.RecoverQuerySquare(knownS, leaks); err == nil {
+		if rec, err := recoverQuerySquare(knownS, leaks); err == nil {
 			qErr = relErr(rec.Query, qs)
 		}
 		tb.printf("%-16s %22.2e %22s\n", "square (d=8)", qErr, "(see aspe tests)")
@@ -135,7 +134,7 @@ func TestAttack(t *testing.T) {
 	for i := range known {
 		zleaks[i] = dce.DistanceComp(cts[0], cts[i], tq)
 	}
-	rec, err := aspe.RecoverQueryLinear(known, zleaks)
+	rec, err := recoverQueryLinear(known, zleaks)
 	if err != nil {
 		tb.printf("DCE: solver failed outright (%v) — no recovery\n", err)
 	} else {

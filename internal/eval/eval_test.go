@@ -17,6 +17,14 @@
 // The full scale compares with testdata/full/<id>.txt. The corpora are
 // synthetic stand-ins, so the shapes, not the absolute numbers, are the
 // reproduction target (README, "Reproducing the paper's evaluation").
+//
+// The schemes the evaluation compares against are this package's test
+// code too, one file each with its own unit tests: AME and HNSW-AME
+// (ame_test.go), ASPE and its attacks (aspe_test.go), two-server PIR
+// (pir_test.go), E2LSH (lsh_test.go), NSG (nsg_test.go), and the RS-SANN,
+// PACM-ANN and PRI-ANN baselines (rssann_test.go, pacmann_test.go,
+// priann_test.go). No binary links a _test.go file, so none of them can
+// reach the serving build.
 package eval
 
 import (
@@ -31,6 +39,7 @@ import (
 
 	"ppanns/internal/core"
 	"ppanns/internal/dataset"
+	"ppanns/internal/matrix"
 	"ppanns/internal/vec"
 )
 
@@ -130,6 +139,51 @@ func (s scale) check(t *testing.T, id string, tb *table) {
 // dist returns the Euclidean distance between a and b.
 func dist(a, b []float64) float64 { return math.Sqrt(vec.SqDist(a, b)) }
 
+// The dense-matrix steps the AME and ASPE schemes take beyond what the
+// serving path needs of internal/matrix.
+
+// fromRows builds a matrix by copying rows, which share one length.
+func fromRows(rows [][]float64) *matrix.Dense {
+	m := matrix.NewDense(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
+// transpose returns mᵀ as a new matrix.
+func transpose(m *matrix.Dense) *matrix.Dense {
+	t := matrix.NewDense(len(m.Row(0)), m.Rows())
+	for i := range m.Rows() {
+		for j, v := range m.Row(i) {
+			t.Row(j)[i] = v
+		}
+	}
+	return t
+}
+
+// vecMul stores the row-vector product xᵀ·m into dst (nil: a new slice)
+// and returns it.
+func vecMul(dst []float64, m *matrix.Dense, x []float64) []float64 {
+	if dst == nil {
+		dst = make([]float64, len(m.Row(0)))
+	}
+	m.VecMulBlock([][]float64{dst}, [][]float64{x})
+	return dst
+}
+
+// mul returns the product a·b: row i is a's row i times b, every entry
+// accumulated in order, each product and sum rounded on its own.
+func mul(a, b *matrix.Dense) *matrix.Dense {
+	c := matrix.NewDense(a.Rows(), len(b.Row(0)))
+	dst, x := make([][]float64, a.Rows()), make([][]float64, a.Rows())
+	for i := range dst {
+		dst[i], x[i] = c.Row(i), a.Row(i)
+	}
+	b.VecMulBlock(dst, x)
+	return c
+}
+
 // table collects one experiment's printed rows.
 type table struct{ strings.Builder }
 
@@ -143,7 +197,7 @@ type deployment struct {
 	tokens []*core.QueryToken
 }
 
-func deploy(t *testing.T, d *dataset.Data, beta float64, seed uint64) *deployment {
+func deploy(t testing.TB, d *dataset.Data, beta float64, seed uint64) *deployment {
 	t.Helper()
 	owner, err := core.NewDataOwner(core.Params{Dim: d.Dim, Beta: beta, Seed: seed})
 	if err != nil {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"ppanns/internal/ame"
-	"ppanns/internal/baselines"
 	"ppanns/internal/core"
 	"ppanns/internal/dce"
 	"ppanns/internal/dcpe"
@@ -79,14 +77,14 @@ func TestFig6(t *testing.T) {
 	for _, d := range s.datasets(t, "sift", "glove", "deep") {
 		beta := s.beta(t, d)
 		dep := deploy(t, d, beta, s.seed)
-		hnswAME, err := baselines.NewHNSWAME(dep.server, d.Train, s.seed)
+		hnswAME, err := newHNSWAME(dep.server, d.Train, s.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Few AME queries: each trapdoor is 16 (2d+6)² matrices.
-		tds := make([]*ame.Trapdoor, min(len(d.Queries), 10))
+		tds := make([]*ameTrapdoor, min(len(d.Queries), 10))
 		for i := range tds {
-			if tds[i], err = hnswAME.Trapdoor(d.Queries[i]); err != nil {
+			if tds[i], err = hnswAME.trapdoor(d.Queries[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -115,7 +113,7 @@ func TestFig6(t *testing.T) {
 			return dep.server.Search(dep.tokens[i], s.k, core.SearchOptions{KPrime: kPrime, EfSearch: kPrime})
 		})
 		row("HNSW-ame", "k'", len(tds), func(i, kPrime int) ([]int, error) {
-			ids, _, err := hnswAME.Search(dep.tokens[i], tds[i], s.k, kPrime, kPrime)
+			ids, _, err := hnswAME.search(dep.tokens[i], tds[i], s.k, kPrime, kPrime)
 			return ids, err
 		})
 		if dceRow[4] <= dceRow[0] {
@@ -144,14 +142,14 @@ func TestFig8(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ameKey, err := ame.KeyGen(rng.Derive(r, 3), dim)
+		ameKey, err := ameKeyGen(rng.Derive(r, 3), dim, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sapB := 8 * len(sapKey.Encrypt(v))
 		dceB := 8 * len(dceKey.Encrypt(v))
 		ameB := 0
-		ct := ameKey.Encrypt(v)
+		ct := ameKey.encrypt(v)
 		for i := range ct.L {
 			ameB += 8 * (len(ct.L[i]) + len(ct.R[i]))
 		}

@@ -6,8 +6,6 @@ import (
 
 	"ppanns/internal/dcpe"
 	"ppanns/internal/index"
-	"ppanns/internal/lsh"
-	"ppanns/internal/nsg"
 	"ppanns/internal/resultheap"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
@@ -18,8 +16,8 @@ import (
 // and the paper's survey names inverted files, hashing and linear scan as
 // the alternatives proximity graphs beat. It runs the filter phase over
 // SAP ciphertexts with a flat-scan floor, every serving backend of
-// internal/index, and two comparison points built straight from their own
-// packages — E2LSH (internal/lsh) and NSG (internal/nsg) — in that order.
+// internal/index, and two comparison points — E2LSH (lsh_test.go) and NSG
+// (nsg_test.go) — in that order.
 func TestIndexes(t *testing.T) {
 	s := start(t)
 	var tb table
@@ -79,27 +77,27 @@ func TestIndexes(t *testing.T) {
 		// 8 beam slots, clamped to [Hashes, 2·Hashes] (the probe generator
 		// emits at most 2·Hashes single-coordinate perturbations).
 		const tables, hashes = 12, 8
-		lx, err := lsh.New(lsh.Config{Dim: d.Dim, Tables: tables, Hashes: hashes, W: calibrateW(encTrain, s.seed), Seed: s.seed})
+		lx, err := newLSH(lshConfig{Dim: d.Dim, Tables: tables, Hashes: hashes, W: calibrateW(encTrain, s.seed), Seed: s.seed})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for id, v := range encTrain {
-			lx.Insert(id, v)
+			lx.insert(id, v)
 		}
 		probes := min(max(ef/8, hashes), 2*hashes)
 		row("lsh", func(q []float64) []resultheap.Item {
 			var res resultheap.Pool
-			for _, id := range lx.Candidates(q, probes, 0) {
+			for _, id := range lx.candidates(q, probes, 0) {
 				res.Offer(int32(id), vec.SqDist(q, encTrain[id]), s.k)
 			}
 			return res.AppendItems(nil, s.k)
 		})
 
-		g, err := nsg.Build(encTrain, nsg.Config{Seed: s.seed})
+		g, err := buildNSG(encTrain, nsgConfig{Seed: s.seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		row("nsg", func(q []float64) []resultheap.Item { return g.SearchInto(nil, q, s.k, ef) })
+		row("nsg", func(q []float64) []resultheap.Item { return g.searchInto(nil, q, s.k, ef) })
 	}
 	s.check(t, "indexes", &tb)
 }

@@ -1,23 +1,16 @@
-// Package nsg implements a navigating spreading-out graph in the style of
-// Fu et al. (the paper's reference [9]) — the alternative proximity graph
-// Section V-A says can replace HNSW under the privacy-preserving index.
-//
-// Construction follows the NSG recipe: an approximate kNN graph seeds the
-// candidate pools, edges are selected with the MRNG occlusion rule from a
-// navigating node (the medoid), and a spanning traversal guarantees every
-// vertex stays reachable. Search is a beam walk from the navigating node.
-// The graph is an immutable value (NSG is a batch-built index): Build packs
-// it into CSR form, and nothing writes to it after.
-//
-// The graph serves the Section V-A index ablation (internal/eval's TestIndexes), which
-// builds it over SAP ciphertexts beside the serving backends.
-package nsg
+package eval
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
+	"testing"
 
+	"ppanns/internal/dataset"
 	"ppanns/internal/epochset"
 	"ppanns/internal/hnsw"
 	"ppanns/internal/par"
@@ -25,8 +18,21 @@ import (
 	"ppanns/internal/vec"
 )
 
-// Config parameterizes construction.
-type Config struct {
+// A navigating spreading-out graph in the style of Fu et al. (the paper's
+// reference [9]) — the alternative proximity graph Section V-A says can
+// replace HNSW under the privacy-preserving index, and the NSG row of
+// TestIndexes, built there over SAP ciphertexts beside the serving
+// backends.
+//
+// Construction follows the NSG recipe: an approximate kNN graph seeds the
+// candidate pools, edges are selected with the MRNG occlusion rule from a
+// navigating node (the medoid), and a spanning traversal guarantees every
+// vertex stays reachable. Search is a beam walk from the navigating node.
+// The graph is an immutable value (NSG is a batch-built index): buildNSG
+// packs it into CSR form, and nothing writes to it after.
+
+// nsgConfig parameterizes construction.
+type nsgConfig struct {
 	// R is the maximum out-degree (default 32).
 	R int
 	// L is the candidate pool size per node during construction
@@ -38,7 +44,7 @@ type Config struct {
 	Seed uint64
 }
 
-func (c Config) withDefaults() Config {
+func (c nsgConfig) withDefaults() nsgConfig {
 	if c.R <= 0 {
 		c.R = 32
 	}
@@ -51,15 +57,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Graph is a built NSG index. Nothing writes to it after construction, so
+// nsgGraph is a built NSG index. Nothing writes to it after construction, so
 // any number of searches run on it concurrently.
-type Graph struct {
-	cfg  Config
+type nsgGraph struct {
+	cfg  nsgConfig
 	dim  int
 	data *vec.Dataset
 	nav  int // navigating node (medoid)
 
-	// adj is the per-vertex adjacency construction works on. Build packs
+	// adj is the per-vertex adjacency construction works on. buildNSG packs
 	// it into CSR form and drops it: vertex id's neighbors are
 	// nbrs[offs[id]:offs[id+1]], so the beam search walks one contiguous
 	// array with one blocked distance call per hop.
@@ -71,11 +77,11 @@ type Graph struct {
 }
 
 // neighbors returns vertex id's adjacency list.
-func (g *Graph) neighbors(id int) []int32 { return g.nbrs[g.offs[id]:g.offs[id+1]] }
+func (g *nsgGraph) neighbors(id int) []int32 { return g.nbrs[g.offs[id]:g.offs[id+1]] }
 
-// Build constructs the graph over vectors, giving vector i vertex id i.
+// buildNSG constructs the graph over vectors, giving vector i vertex id i.
 // Every row must be a vector of one dimension.
-func Build(vectors [][]float64, cfg Config) (*Graph, error) {
+func buildNSG(vectors [][]float64, cfg nsgConfig) (*nsgGraph, error) {
 	if len(vectors) == 0 {
 		return nil, fmt.Errorf("nsg: empty data")
 	}
@@ -85,26 +91,22 @@ func Build(vectors [][]float64, cfg Config) (*Graph, error) {
 			return nil, fmt.Errorf("nsg: row %d has %d coordinates, row 0 has %d", i, len(v), dim)
 		}
 	}
-	n := len(vectors)
-	g := &Graph{
+	g := &nsgGraph{
 		cfg:  cfg.withDefaults(),
 		dim:  dim,
-		data: vec.NewDataset(dim, n),
-		adj:  make([][]int32, n),
-	}
-	for _, v := range vectors {
-		g.data.Append(v)
+		data: vec.DatasetFromSlices(vectors),
+		adj:  make([][]int32, len(vectors)),
 	}
 	if err := g.link(vectors); err != nil {
 		return nil, err
 	}
-	g.offs, g.nbrs = vec.FlattenCSR(g.adj)
+	g.offs, g.nbrs = flattenCSR(g.adj)
 	g.adj = nil
 	return g, nil
 }
 
 // link runs the NSG construction.
-func (g *Graph) link(vectors [][]float64) error {
+func (g *nsgGraph) link(vectors [][]float64) error {
 	// Step 1: approximate kNN pools via an auxiliary HNSW.
 	aux, err := hnsw.Build(vec.DatasetFromSlices(vectors), nil, hnsw.Config{M: 16, EfConstruction: 2 * g.cfg.L, Seed: g.cfg.Seed})
 	if err != nil {
@@ -152,7 +154,7 @@ func (g *Graph) link(vectors [][]float64) error {
 // refineFromNavigator replaces each node's adjacency with an
 // occlusion-pruned selection over {nodes visited during a beam search
 // nav→v} ∪ {the kNN pool}, following the NSG construction.
-func (g *Graph) refineFromNavigator(vectors [][]float64, aux *hnsw.Graph) {
+func (g *nsgGraph) refineFromNavigator(vectors [][]float64, aux *hnsw.Graph) {
 	n := len(vectors)
 	frozen := make([][]int32, n)
 	for i, lst := range g.adj {
@@ -194,7 +196,7 @@ func (g *Graph) refineFromNavigator(vectors [][]float64, aux *hnsw.Graph) {
 // towards q, over beam with width L, and returns every node whose distance
 // was evaluated. The visited scratch must be all-false on entry and is
 // reset via the returned pool by the caller.
-func (g *Graph) collectVisited(beam *resultheap.Pool, frozen [][]int32, q []float64, visited []bool) []resultheap.Item {
+func (g *nsgGraph) collectVisited(beam *resultheap.Pool, frozen [][]int32, q []float64, visited []bool) []resultheap.Item {
 	var pool []resultheap.Item
 	mark := func(id int, d float64) {
 		visited[id] = true
@@ -224,7 +226,7 @@ func (g *Graph) collectVisited(beam *resultheap.Pool, frozen [][]int32, q []floa
 
 // insertReverseEdges adds v→u for every u→v, occlusion-pruning overflowing
 // lists back down to R.
-func (g *Graph) insertReverseEdges() {
+func (g *nsgGraph) insertReverseEdges() {
 	n := len(g.adj)
 	incoming := make([][]int32, n)
 	for u, lst := range g.adj {
@@ -290,7 +292,7 @@ func medoid(vectors [][]float64) int {
 // occlusionPrune applies the MRNG edge rule: candidate c (ascending by
 // distance) is kept iff no already-kept edge r satisfies
 // dist(c, r) < dist(c, base).
-func (g *Graph) occlusionPrune(base []float64, cands []resultheap.Item, r int) []int32 {
+func (g *nsgGraph) occlusionPrune(base []float64, cands []resultheap.Item, r int) []int32 {
 	out := make([]int32, 0, r)
 	for _, c := range cands {
 		if len(out) >= r {
@@ -313,7 +315,7 @@ func (g *Graph) occlusionPrune(base []float64, cands []resultheap.Item, r int) [
 
 // ensureReachable BFSes from the navigating node, then attaches each
 // unreached vertex to its nearest reached neighbor (bidirectionally).
-func (g *Graph) ensureReachable() {
+func (g *nsgGraph) ensureReachable() {
 	reached := make([]bool, len(g.adj))
 	queue := []int{g.nav}
 	reached[g.nav] = true
@@ -350,25 +352,25 @@ func (g *Graph) ensureReachable() {
 	}
 }
 
-// Len returns the number of vertices.
-func (g *Graph) Len() int { return g.data.Len() }
+// size returns the number of vertices.
+func (g *nsgGraph) size() int { return g.data.Len() }
 
-// searchCtx is the pooled per-search working set: the visited set, the
+// nsgSearchCtx is the pooled per-search working set: the visited set, the
 // beam's candidate pool, and the gathered-neighbor buffer with its
 // blocked-kernel output. Each grows by append, to what a search touched,
 // never to its beam width. A warm search allocates nothing.
-type searchCtx struct {
+type nsgSearchCtx struct {
 	vis    epochset.Set
 	pool   resultheap.Pool
 	gather []int32
 	dists  []float64
 }
 
-// SearchInto appends the (approximately) k closest ids, closest first, to
+// searchInto appends the (approximately) k closest ids, closest first, to
 // dst[:0], using beam width ef. With a recycled dst a warm search is
 // allocation-free: all scratch state is pooled, and the beam walks the CSR
 // adjacency with one blocked distance call per hop.
-func (g *Graph) SearchInto(dst []resultheap.Item, q []float64, k, ef int) []resultheap.Item {
+func (g *nsgGraph) searchInto(dst []resultheap.Item, q []float64, k, ef int) []resultheap.Item {
 	if len(q) != g.dim {
 		panic(fmt.Sprintf("nsg: querying %d-dim vector in %d-dim graph", len(q), g.dim))
 	}
@@ -376,11 +378,11 @@ func (g *Graph) SearchInto(dst []resultheap.Item, q []float64, k, ef int) []resu
 		ef = k
 	}
 
-	ctx, _ := g.ctxPool.Get().(*searchCtx)
+	ctx, _ := g.ctxPool.Get().(*nsgSearchCtx)
 	if ctx == nil {
-		ctx = new(searchCtx)
+		ctx = new(nsgSearchCtx)
 	}
-	ctx.vis.Grow(g.Len())
+	ctx.vis.Grow(g.size())
 	ctx.vis.Next()
 	defer g.ctxPool.Put(ctx)
 
@@ -402,4 +404,226 @@ func (g *Graph) SearchInto(dst []resultheap.Item, q []float64, k, ef int) []resu
 	}
 	ctx.gather = gather
 	return pool.AppendItems(dst, k)
+}
+
+func buildGraph(t *testing.T, n int) (*nsgGraph, *dataset.Data) {
+	t.Helper()
+	d := dataset.DeepLike(n, 20, 41)
+	g, err := buildNSG(d.Train, nsgConfig{Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, d
+}
+
+func TestNSGValidation(t *testing.T) {
+	if _, err := buildNSG(nil, nsgConfig{}); err == nil {
+		t.Fatal("expected error for empty data")
+	}
+}
+
+func TestNSGRecall(t *testing.T) {
+	g, d := buildGraph(t, 3000)
+	gt := d.GroundTruth(10)
+	var recall float64
+	for qi, q := range d.Queries {
+		items := g.searchInto(nil, q, 10, 100)
+		ids := make([]int, len(items))
+		for i, it := range items {
+			ids[i] = it.ID
+		}
+		recall += dataset.Recall(ids, gt[qi])
+	}
+	recall /= float64(len(d.Queries))
+	if recall < 0.9 {
+		t.Fatalf("NSG recall = %.3f, want ≥ 0.9", recall)
+	}
+}
+
+func TestNSGEveryVertexReachable(t *testing.T) {
+	g, _ := buildGraph(t, 1200)
+	n := g.size()
+	reached := make([]bool, n)
+	queue := []int{g.nav}
+	reached[g.nav] = true
+	count := 1
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		for _, nb := range g.neighbors(cur) {
+			if !reached[nb] {
+				reached[nb] = true
+				count++
+				queue = append(queue, int(nb))
+			}
+		}
+	}
+	if count != n {
+		t.Fatalf("only %d/%d vertices reachable from the navigating node", count, n)
+	}
+}
+
+func TestNSGDegreeBounded(t *testing.T) {
+	g, _ := buildGraph(t, 1000)
+	if avg := float64(len(g.nbrs)) / float64(g.size()); avg <= 1 {
+		t.Fatalf("implausible average degree %f", avg)
+	}
+	// Connectivity repair may push a few vertices slightly over R; the
+	// bulk must respect the bound.
+	over := 0
+	for i := range g.size() {
+		if len(g.neighbors(i)) > g.cfg.R+4 {
+			over++
+		}
+	}
+	if over > g.size()/50 {
+		t.Fatalf("%d vertices far exceed the degree bound R=%d", over, g.cfg.R)
+	}
+}
+
+func TestNSGSelfQuery(t *testing.T) {
+	g, d := buildGraph(t, 800)
+	hits := 0
+	for i := 0; i < 100; i++ {
+		items := g.searchInto(nil, d.Train[i], 1, 50)
+		if len(items) == 1 && items[0].ID == i {
+			hits++
+		}
+	}
+	if hits < 95 {
+		t.Fatalf("self-query hit rate %d/100", hits)
+	}
+}
+
+// TestNSGDelete: a dead slot is not a build input — the graph is only built
+// by the ablation, over every row — so a nil row is refused, as are rows of
+// differing or zero dimension.
+func TestNSGDelete(t *testing.T) {
+	d := dataset.DeepLike(50, 2, 41)
+	for name, vectors := range map[string][][]float64{
+		"nil row":      append(append([][]float64(nil), d.Train[:10]...), nil),
+		"short row":    append(append([][]float64(nil), d.Train[:10]...), d.Train[10][:d.Dim-1]),
+		"all nil":      make([][]float64, 4),
+		"no dimension": {{}, {}},
+	} {
+		if _, err := buildNSG(vectors, nsgConfig{Seed: 41}); err == nil {
+			t.Errorf("%s: build succeeded", name)
+		}
+	}
+}
+
+func TestNSGResultsSorted(t *testing.T) {
+	g, d := buildGraph(t, 500)
+	items := g.searchInto(nil, d.Queries[1], 10, 60)
+	for i := 1; i < len(items); i++ {
+		if items[i].Dist < items[i-1].Dist {
+			t.Fatal("results not sorted ascending")
+		}
+	}
+}
+
+func TestNSGDimMismatchPanics(t *testing.T) {
+	g, _ := buildGraph(t, 200)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	g.searchInto(nil, make([]float64, 3), 1, 10)
+}
+
+// TestNSGSearchIntoReusesCapacity guards the pooled hot path: a warm
+// searchInto with a recycled dst must not allocate.
+func TestNSGSearchIntoReusesCapacity(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	g, d := buildGraph(t, 500)
+	var dst []resultheap.Item
+	dst = g.searchInto(dst, d.Queries[0], 10, 50) // warm pools + dst
+	allocs := testing.AllocsPerRun(20, func() {
+		dst = g.searchInto(dst[:0], d.Queries[1%len(d.Queries)], 10, 50)
+	})
+	if allocs > 1 { // tolerate one pool refill if GC lands mid-run
+		t.Fatalf("warm searchInto allocates %.1f times per run", allocs)
+	}
+}
+
+// nsgGolden is the digest of a seeded build's adjacency and its answers,
+// recorded while the beam still ran a candidate min-heap beside a bounded
+// result max-heap. The sorted candidate pool that replaced the pair must
+// build and answer byte for byte as they did.
+const nsgGolden = "517c2ecbb3159247"
+
+// graphDigest hashes the navigating node, the CSR adjacency, and every
+// query's searchInto answer at each beam width: per list its length, then
+// every id and distance bit pattern in order.
+func graphDigest(g *nsgGraph, queries [][]float64, k int, efs []int) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	put(uint64(g.nav))
+	for _, o := range g.offs {
+		put(uint64(o))
+	}
+	for _, nb := range g.nbrs {
+		put(uint64(nb))
+	}
+	var dst []resultheap.Item
+	for _, q := range queries {
+		for _, ef := range efs {
+			dst = g.searchInto(dst, q, k, ef)
+			put(uint64(len(dst)))
+			for _, it := range dst {
+				put(uint64(it.ID))
+				put(math.Float64bits(it.Dist))
+			}
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))[:16]
+}
+
+// TestNSGGolden pins what a seeded build links and answers.
+func TestNSGGolden(t *testing.T) {
+	d := dataset.DeepLike(700, 16, 43)
+	g, err := buildNSG(d.Train, nsgConfig{R: 24, L: 64, KNN: 32, Seed: 43})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := graphDigest(g, d.Queries, 10, []int{10, 40, 200}); got != nsgGolden {
+		t.Fatalf("graph digest %s, want %s", got, nsgGolden)
+	}
+}
+
+// TestNSGUnboundedEf: the beam width is a caller's number. On a fresh graph —
+// no pooled search context yet — an absurd ef must cost memory bounded by
+// the graph and find what ef = n finds.
+func TestNSGUnboundedEf(t *testing.T) {
+	g, d := buildGraph(t, 400)
+	n := g.size()
+	for _, q := range d.Queries[:4] {
+		got := g.searchInto(nil, q, 10, math.MaxInt)
+		if want := g.searchInto(nil, q, 10, n); !slices.Equal(got, want) {
+			t.Fatalf("ef=MaxInt found %v, ef=n found %v", got, want)
+		}
+	}
+}
+
+// flattenCSR flattens per-vertex adjacency lists into compressed-sparse-row
+// form: list i occupies flat[offs[i]:offs[i+1]].
+func flattenCSR(lists [][]int32) (offs []int32, flat []int32) {
+	offs = make([]int32, len(lists)+1)
+	total := int32(0)
+	for i, lst := range lists {
+		total += int32(len(lst))
+		offs[i+1] = total
+	}
+	flat = make([]int32, total)
+	for i, lst := range lists {
+		copy(flat[offs[i]:offs[i+1]], lst)
+	}
+	return offs, flat
 }

@@ -1,31 +1,32 @@
-package baselines
+package eval
 
 import (
 	"encoding/binary"
 	"fmt"
+	"testing"
 	"time"
 
+	"ppanns/internal/frame"
 	"ppanns/internal/hnsw"
-	"ppanns/internal/pir"
 	"ppanns/internal/rng"
 	"ppanns/internal/vec"
 )
 
-// PACMANN is the PACM-ANN baseline [45]: the search runs on the *user*,
+// pacmann is the PACM-ANN baseline [45]: the search runs on the *user*,
 // which walks a server-hosted proximity graph by privately fetching one
 // block per visited node — vector plus fixed-degree adjacency — from two
 // non-colluding PIR servers, over multiple interactive rounds. Every fetch
 // costs each server a linear scan of the whole block database, which is
 // what makes the scheme orders of magnitude slower than single-server
 // search despite its strong query privacy.
-type PACMANN struct {
+type pacmann struct {
 	dim    int
 	n      int
 	degree int
 	entry  int
 
-	serverA, serverB *pir.Server
-	client           *pir.Client
+	serverA, serverB *pirServer
+	client           *pirClient
 
 	// Beam is the user-side beam width (recall knob).
 	Beam int
@@ -33,8 +34,8 @@ type PACMANN struct {
 	MaxRounds int
 }
 
-// PACMANNConfig parameterizes construction.
-type PACMANNConfig struct {
+// pacmannConfig parameterizes construction.
+type pacmannConfig struct {
 	// Graph holds HNSW build parameters for the server-side proximity
 	// graph.
 	Graph hnsw.Config
@@ -47,9 +48,9 @@ type PACMANNConfig struct {
 	Seed      uint64
 }
 
-// NewPACMANN builds the proximity graph, serializes per-node blocks and
+// newPACMANN builds the proximity graph, serializes per-node blocks and
 // loads them into the two PIR servers.
-func NewPACMANN(data [][]float64, cfg PACMANNConfig) (*PACMANN, error) {
+func newPACMANN(data [][]float64, cfg pacmannConfig) (*pacmann, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("pacmann: empty database")
 	}
@@ -73,27 +74,26 @@ func NewPACMANN(data [][]float64, cfg PACMANNConfig) (*PACMANN, error) {
 	dim := len(data[0])
 	blocks := make([][]byte, len(data))
 	for id := range data {
-		block := make([]byte, 8*dim+4*degree)
-		copy(block, encodeVector(g.Vector(id)))
+		block := frame.AppendFloatRun(make([]byte, 0, 8*dim+4*degree), g.Vector(id))
 		nbs := g.Neighbors(id, 0)
 		for j := 0; j < degree; j++ {
 			v := int32(-1)
 			if j < len(nbs) {
 				v = int32(nbs[j])
 			}
-			binary.LittleEndian.PutUint32(block[8*dim+4*j:], uint32(v))
+			block = binary.LittleEndian.AppendUint32(block, uint32(v))
 		}
 		blocks[id] = block
 	}
-	a, err := pir.NewServer(blocks)
+	a, err := newPIRServer(blocks)
 	if err != nil {
 		return nil, err
 	}
-	b, err := pir.NewServer(blocks)
+	b, err := newPIRServer(blocks)
 	if err != nil {
 		return nil, err
 	}
-	client, err := pir.NewClient(rng.NewSeeded(cfg.Seed^0x77), len(blocks))
+	client, err := newPIRClient(rng.NewSeeded(cfg.Seed^0x77), len(blocks))
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +105,7 @@ func NewPACMANN(data [][]float64, cfg PACMANNConfig) (*PACMANN, error) {
 	if rounds <= 0 {
 		rounds = 12
 	}
-	return &PACMANN{
+	return &pacmann{
 		dim: dim, n: len(data), degree: degree,
 		entry:   g.EntryPoint(),
 		serverA: a, serverB: b, client: client,
@@ -113,16 +113,16 @@ func NewPACMANN(data [][]float64, cfg PACMANNConfig) (*PACMANN, error) {
 	}, nil
 }
 
-// Name implements System.
-func (p *PACMANN) Name() string { return "PACM-ANN" }
+// name implements system.
+func (p *pacmann) name() string { return "PACM-ANN" }
 
-// Search implements System: a user-driven beam walk with one PIR fetch per
+// search implements system: a user-driven beam walk with one PIR fetch per
 // visited node per round.
-func (p *PACMANN) Search(q []float64, k int) ([]int, Costs, error) {
+func (p *pacmann) search(q []float64, k int) ([]int, costSplit, error) {
 	if len(q) != p.dim {
-		return nil, Costs{}, fmt.Errorf("pacmann: query dim %d, want %d", len(q), p.dim)
+		return nil, costSplit{}, fmt.Errorf("pacmann: query dim %d, want %d", len(q), p.dim)
 	}
-	var c Costs
+	var c costSplit
 
 	type known struct {
 		vec      []float64
@@ -136,7 +136,7 @@ func (p *PACMANN) Search(q []float64, k int) ([]int, Costs, error) {
 	// attributing client work to UserTime and server scans to ServerTime.
 	fetchOne := func(id int) (*known, error) {
 		startU := time.Now()
-		selA, selB, err := p.client.Query(id)
+		selA, selB, err := p.client.query(id)
 		if err != nil {
 			return nil, err
 		}
@@ -144,11 +144,11 @@ func (p *PACMANN) Search(q []float64, k int) ([]int, Costs, error) {
 		c.UploadBytes += int64(len(selA) + len(selB))
 
 		startS := time.Now()
-		ansA, err := p.serverA.Answer(selA)
+		ansA, err := p.serverA.answer(selA)
 		if err != nil {
 			return nil, err
 		}
-		ansB, err := p.serverB.Answer(selB)
+		ansB, err := p.serverB.answer(selB)
 		if err != nil {
 			return nil, err
 		}
@@ -156,11 +156,11 @@ func (p *PACMANN) Search(q []float64, k int) ([]int, Costs, error) {
 		c.DownloadBytes += int64(len(ansA) + len(ansB))
 
 		startU = time.Now()
-		block, err := pir.Combine(ansA, ansB)
+		block, err := pirCombine(ansA, ansB)
 		if err != nil {
 			return nil, err
 		}
-		v := decodeVector(block, p.dim)
+		v := frame.NewReader(block).FloatRun(p.dim)
 		nbs := make([]int, 0, p.degree)
 		for j := 0; j < p.degree; j++ {
 			nb := int(int32(binary.LittleEndian.Uint32(block[8*p.dim+4*j:])))
@@ -247,4 +247,43 @@ func (p *PACMANN) Search(q []float64, k int) ([]int, Costs, error) {
 	c.UserTime += time.Since(start)
 	c.Candidates = len(ids)
 	return res, c, nil
+}
+
+func TestPACMANN(t *testing.T) {
+	w := newWorld(t, 1000, 10, 10)
+	sys, err := newPACMANN(w.data.Train, pacmannConfig{
+		Graph:     hnsw.Config{M: 12, EfConstruction: 100},
+		Beam:      8,
+		MaxRounds: 10,
+		Seed:      3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recall, costs := runSystem(t, sys, w, 10)
+	if recall < 0.6 {
+		t.Fatalf("PACM-ANN recall = %.3f, want ≥ 0.6", recall)
+	}
+	// The defining cost shape: multi-round interaction and server scans
+	// proportional to fetches × database size.
+	if costs.Rounds <= len(w.queries) {
+		t.Fatalf("PACM-ANN not multi-round: %d rounds over %d queries", costs.Rounds, len(w.queries))
+	}
+	if costs.ServerTime == 0 || costs.UploadBytes == 0 {
+		t.Fatalf("costs not attributed: %+v", costs)
+	}
+}
+
+func TestPACMANNValidation(t *testing.T) {
+	if _, err := newPACMANN(nil, pacmannConfig{}); err == nil {
+		t.Fatal("expected error for empty database")
+	}
+	w := newWorld(t, 100, 1, 1)
+	sys, err := newPACMANN(w.data.Train, pacmannConfig{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sys.search(make([]float64, 3), 1); err == nil {
+		t.Fatal("expected error for wrong query dim")
+	}
 }

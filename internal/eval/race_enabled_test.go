@@ -1,6 +1,6 @@
 //go:build race
 
-package nsg
+package eval
 
 // raceEnabled reports whether the race detector instruments this build;
 // allocation-count assertions are meaningless under it.

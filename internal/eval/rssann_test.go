@@ -1,23 +1,24 @@
-package baselines
+package eval
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
 	"fmt"
+	"testing"
 	"time"
 
-	"ppanns/internal/lsh"
+	"ppanns/internal/frame"
 	"ppanns/internal/rng"
 )
 
-// RSSANN is the RS-SANN baseline [25]: database vectors are AES-CTR
+// rssann is the RS-SANN baseline [25]: database vectors are AES-CTR
 // encrypted on the server next to an LSH index. The server's role is bucket
 // lookup and ciphertext shipping; the user decrypts every candidate and
 // computes exact distances locally — the heavy user-side involvement the
 // paper's P3 property argues against.
-type RSSANN struct {
+type rssann struct {
 	dim    int
-	index  *lsh.Index
+	index  *lshIndex
 	cts    [][]byte // iv ‖ AES-CTR(vector bytes), one per database vector
 	aesKey []byte
 
@@ -27,22 +28,22 @@ type RSSANN struct {
 	MaxCandidates int
 }
 
-// RSSANNConfig parameterizes construction.
-type RSSANNConfig struct {
-	LSH           lsh.Config
+// rssannConfig parameterizes construction.
+type rssannConfig struct {
+	LSH           lshConfig
 	Probes        int
 	MaxCandidates int
 	Seed          uint64
 }
 
-// NewRSSANN encrypts the database and builds the LSH index (the data
+// newRSSANN encrypts the database and builds the LSH index (the data
 // owner's setup step).
-func NewRSSANN(data [][]float64, cfg RSSANNConfig) (*RSSANN, error) {
+func newRSSANN(data [][]float64, cfg rssannConfig) (*rssann, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("rssann: empty database")
 	}
 	cfg.LSH.Dim = len(data[0])
-	index, err := lsh.New(cfg.LSH)
+	index, err := newLSH(cfg.LSH)
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +56,7 @@ func NewRSSANN(data [][]float64, cfg RSSANNConfig) (*RSSANN, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &RSSANN{
+	s := &rssann{
 		dim:           len(data[0]),
 		index:         index,
 		cts:           make([][]byte, len(data)),
@@ -64,12 +65,12 @@ func NewRSSANN(data [][]float64, cfg RSSANNConfig) (*RSSANN, error) {
 		MaxCandidates: cfg.MaxCandidates,
 	}
 	for id, v := range data {
-		index.Insert(id, v)
+		index.insert(id, v)
 		iv := make([]byte, aes.BlockSize)
 		for i := range iv {
 			iv[i] = byte(r.Uint64())
 		}
-		plain := encodeVector(v)
+		plain := frame.AppendFloatRun(nil, v)
 		ct := make([]byte, len(iv)+len(plain))
 		copy(ct, iv)
 		cipher.NewCTR(block, iv).XORKeyStream(ct[len(iv):], plain)
@@ -78,28 +79,28 @@ func NewRSSANN(data [][]float64, cfg RSSANNConfig) (*RSSANN, error) {
 	return s, nil
 }
 
-// Name implements System.
-func (s *RSSANN) Name() string { return "RS-SANN" }
+// name implements system.
+func (s *rssann) name() string { return "RS-SANN" }
 
-// Search implements System: server-side filter via LSH, user-side decrypt
+// search implements system: server-side filter via LSH, user-side decrypt
 // and exact refine.
-func (s *RSSANN) Search(q []float64, k int) ([]int, Costs, error) {
+func (s *rssann) search(q []float64, k int) ([]int, costSplit, error) {
 	if len(q) != s.dim {
-		return nil, Costs{}, fmt.Errorf("rssann: query dim %d, want %d", len(q), s.dim)
+		return nil, costSplit{}, fmt.Errorf("rssann: query dim %d, want %d", len(q), s.dim)
 	}
-	var c Costs
+	var c costSplit
 	c.Rounds = 1
 
 	// User hashes the query (the LSH keys are user-side secret material in
 	// RS-SANN; hashing is cheap).
 	start := time.Now()
 	// Upload: the per-table bucket keys.
-	c.UploadBytes = int64(8 * s.index.Tables())
+	c.UploadBytes = int64(8 * len(s.index.tables))
 	c.UserTime += time.Since(start)
 
 	// Server: bucket lookups, gather encrypted candidates.
 	start = time.Now()
-	cands := s.index.Candidates(q, s.Probes, s.MaxCandidates)
+	cands := s.index.candidates(q, s.Probes, s.MaxCandidates)
 	var payload [][]byte
 	for _, id := range cands {
 		payload = append(payload, s.cts[id])
@@ -119,9 +120,52 @@ func (s *RSSANN) Search(q []float64, k int) ([]int, Costs, error) {
 		iv := ct[:aes.BlockSize]
 		plain := make([]byte, len(ct)-aes.BlockSize)
 		cipher.NewCTR(block, iv).XORKeyStream(plain, ct[aes.BlockSize:])
-		decrypted[cands[i]] = decodeVector(plain, s.dim)
+		decrypted[cands[i]] = frame.NewReader(plain).FloatRun(s.dim)
 	}
 	ids := topKByDistance(decrypted, cands, q, k)
 	c.UserTime += time.Since(start)
 	return ids, c, nil
+}
+
+func TestRSSANN(t *testing.T) {
+	w := newWorld(t, 2000, 20, 10)
+	sys, err := newRSSANN(w.data.Train, rssannConfig{
+		LSH:    lshConfig{Tables: 10, Hashes: 6, W: 1.0, Seed: 1},
+		Probes: 4,
+		Seed:   1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recall, costs := runSystem(t, sys, w, 10)
+	if recall < 0.6 {
+		t.Fatalf("RS-SANN recall = %.3f, want ≥ 0.6", recall)
+	}
+	if costs.UserTime == 0 || costs.ServerTime == 0 {
+		t.Fatalf("costs not attributed: %+v", costs)
+	}
+	if costs.DownloadBytes == 0 || costs.Candidates == 0 {
+		t.Fatalf("transfer accounting empty: %+v", costs)
+	}
+	// The defining cost shape: RS-SANN ships ciphertexts and burns user
+	// time on decryption — download must scale with candidates.
+	perCand := costs.DownloadBytes / int64(costs.Candidates)
+	wantCt := int64(16 + 8*w.data.Dim)
+	if perCand != wantCt {
+		t.Fatalf("per-candidate download %d bytes, want %d", perCand, wantCt)
+	}
+}
+
+func TestRSSANNValidation(t *testing.T) {
+	if _, err := newRSSANN(nil, rssannConfig{}); err == nil {
+		t.Fatal("expected error for empty database")
+	}
+	w := newWorld(t, 100, 1, 1)
+	sys, err := newRSSANN(w.data.Train, rssannConfig{LSH: lshConfig{Seed: 2}, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sys.search(make([]float64, 3), 1); err == nil {
+		t.Fatal("expected error for wrong query dim")
+	}
 }

@@ -213,7 +213,7 @@ func TestSaveLoadFuzzedMutations(t *testing.T) {
 		for len(dead) < n-int(seed-1)*n/8 {
 			dead[r.IntN(n)] = true
 		}
-		rows, ids := vec.NewDataset(6, n), []int32{}
+		rows, ids := vec.ZeroDataset(6, 0), []int32{}
 		for id, v := range data {
 			if !dead[id] {
 				rows.Append(v)

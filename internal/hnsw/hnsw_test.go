@@ -75,7 +75,7 @@ func recallOf(got []int, want []int) float64 {
 // a nil row is an id no row holds — a record a fold dropped.
 func column(vectors [][]float64) (*vec.Dataset, []int32) {
 	dim := len(vectors[slices.IndexFunc(vectors, func(v []float64) bool { return v != nil })])
-	rows, ids := vec.NewDataset(dim, len(vectors)), make([]int32, 0, len(vectors))
+	rows, ids := vec.ZeroDataset(dim, 0), make([]int32, 0, len(vectors))
 	for i, v := range vectors {
 		if v != nil {
 			rows.Append(v)

@@ -34,7 +34,7 @@ func clustered(seed uint64, n, dim, clusters int) [][]float64 {
 // column lays vectors out as BuildOver takes them: the non-nil rows, each
 // under its position as its id, so a nil row is a record a fold left out.
 func column(dim int, vectors [][]float64) (*vec.Dataset, []int32) {
-	rows, ids := vec.NewDataset(dim, len(vectors)), []int32{}
+	rows, ids := vec.ZeroDataset(dim, 0), []int32{}
 	for i, v := range vectors {
 		if v != nil {
 			rows.Append(v)
@@ -295,7 +295,7 @@ func TestConformance(t *testing.T) {
 			// after deleting everything), and it round-trips.
 			allDead := make([][]float64, 8)
 			for how, build := range map[string]func() (SecureIndex, error){
-				"build":   func() (SecureIndex, error) { return BuildOver(name, vec.NewDataset(dim, 0), nil, Options{Seed: 42}) },
+				"build":   func() (SecureIndex, error) { return BuildOver(name, vec.ZeroDataset(dim, 0), nil, Options{Seed: 42}) },
 				"rebuild": func() (SecureIndex, error) { return rebuild(ix, dim, allDead) },
 			} {
 				empty, err := build()
@@ -428,11 +428,11 @@ func TestRegistry(t *testing.T) {
 	if err := Lookup(""); err != nil {
 		t.Fatalf("empty name (the default %q) refused: %v", Default, err)
 	}
-	// The retired serving tags are refused with a re-encrypt message.
+	// The ablation's graphs are not backends: their names are unknown.
 	for _, name := range []string{"nsg", "lsh"} {
 		err := Lookup(name)
-		if err == nil || !strings.Contains(err.Error(), `"`+name+`"`) || !strings.Contains(err.Error(), "re-encrypt with hnsw or ivf") {
-			t.Fatalf("Lookup(%q) = %v, want a re-encrypt refusal naming the tag", name, err)
+		if err == nil || !strings.Contains(err.Error(), `unknown backend "`+name+`"`) {
+			t.Fatalf("Lookup(%q) = %v, want the unknown-backend refusal", name, err)
 		}
 		if _, err := Build(name, clustered(1, 20, 4, 2), Options{Dim: 4}); err == nil {
 			t.Fatalf("Build(%q) succeeded", name)

@@ -12,9 +12,9 @@
 //	hnsw — hierarchical proximity graph (default)
 //	ivf  — IVF-Flat inverted file, the coarse quantizer of the PQ tier
 //
-// NSG and E2LSH are rows of the Section V-A ablation (internal/eval's TestIndexes),
-// built there straight from internal/nsg and internal/lsh; a database
-// tagged with either is refused (see Lookup).
+// NSG and E2LSH are rows of the Section V-A ablation, internal/eval's
+// TestIndexes, which builds them itself; neither is a backend name, so
+// Lookup refuses either as unknown.
 //
 // Both follow one lifecycle (see SecureIndex): an index is an immutable
 // value, built or loaded once and then only read, and it holds topology

@@ -14,17 +14,12 @@ const Default = "hnsw"
 // Names returns the backend names, sorted.
 func Names() []string { return []string{"hnsw", "ivf"} }
 
-// Lookup checks a backend name; the empty string selects Default. The
-// names "nsg" and "lsh" are refused with a re-encrypt message: those
-// backends were serving tags once and remain only as rows of the Section
-// V-A ablation (internal/eval's TestIndexes), so a database carrying either tag must be
-// re-encrypted with a serving backend.
+// Lookup checks a backend name; the empty string selects Default. Any
+// other name is refused as unknown.
 func Lookup(name string) error {
 	switch name {
 	case "", "hnsw", "ivf":
 		return nil
-	case "nsg", "lsh":
-		return fmt.Errorf("index: backend %q no longer serves: re-encrypt with hnsw or ivf", name)
 	}
 	return fmt.Errorf("index: unknown backend %q (have %v)", name, Names())
 }

@@ -19,7 +19,7 @@ import (
 // column lays vectors out as Build takes them: the non-nil rows, in
 // order, so a nil row is a record a fold left out.
 func column(dim int, vectors [][]float64) *vec.Dataset {
-	rows := vec.NewDataset(dim, len(vectors))
+	rows := vec.ZeroDataset(dim, 0)
 	for _, v := range vectors {
 		if v != nil {
 			rows.Append(v)

@@ -50,7 +50,7 @@ func factorize(a *Dense) (*LU, error) {
 		return nil, fmt.Errorf("matrix: LU of non-square %dx%d: %w", a.rows, a.cols, ErrSingular)
 	}
 	n := a.rows
-	f := &LU{lu: a.Clone(), pivot: make([]int, n)}
+	f := &LU{lu: a.clone(), pivot: make([]int, n)}
 
 	// Matrix scale for the relative pivot test.
 	var scale float64
@@ -136,10 +136,10 @@ func (f *LU) update(k0, k1, c1 int) {
 	})
 }
 
-// Solve solves A·x = b in place of a fresh slice and returns x: SolveMat
+// solve solves A·x = b in place of a fresh slice and returns x: SolveMat
 // with one right-hand side, so x is bit for bit the matching column of
 // SolveMat's result.
-func (f *LU) Solve(b []float64) []float64 {
+func (f *LU) solve(b []float64) []float64 {
 	n := f.lu.rows
 	if len(b) != n {
 		panic(fmt.Sprintf("matrix: LU solve with %d-vector against %dx%d", len(b), n, n))
@@ -269,7 +269,7 @@ func (m *Dense) Solve(b []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return f.Solve(b), nil
+	return f.solve(b), nil
 }
 
 // RandomInvertible samples an n×n matrix with RandomFactored and returns it

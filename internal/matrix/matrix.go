@@ -28,30 +28,11 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix by copying the given rows, which must share one
-// length.
-func FromRows(rows [][]float64) *Dense {
-	if len(rows) == 0 {
-		panic("matrix: FromRows needs at least one row")
-	}
-	m := NewDense(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			panic(fmt.Sprintf("matrix: row %d has %d columns, want %d", i, len(r), m.cols))
-		}
-		copy(m.Row(i), r)
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
 
 // At returns element (i, j).
 func (m *Dense) At(i, j int) float64 { return m.data[i*m.cols+j] }
-
-// Set assigns element (i, j).
-func (m *Dense) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 
 // Row returns row i as a mutable slice view.
 func (m *Dense) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols] }
@@ -68,21 +49,9 @@ func FromRaw(rows, cols int, raw []float64) (*Dense, error) {
 	return &Dense{rows: rows, cols: cols, data: raw}, nil
 }
 
-// Clone returns a deep copy of m.
-func (m *Dense) Clone() *Dense {
+// clone returns a deep copy of m.
+func (m *Dense) clone() *Dense {
 	return &Dense{rows: m.rows, cols: m.cols, data: append([]float64(nil), m.data...)}
-}
-
-// Transpose returns mᵀ as a new matrix.
-func (m *Dense) Transpose() *Dense {
-	t := NewDense(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			t.data[j*t.cols+i] = v
-		}
-	}
-	return t
 }
 
 // MulVec stores A·x into dst (length rows) and returns dst; dst may be nil.
@@ -100,16 +69,6 @@ func (m *Dense) MulVec(dst, x []float64) []float64 {
 	for i := range dst {
 		dst[i] = dot8(m.Row(i), x)
 	}
-	return dst
-}
-
-// VecMul stores the row-vector product xᵀ·A into dst (length cols) and
-// returns dst; dst may be nil. It is VecMulBlock for a block of one.
-func (m *Dense) VecMul(dst, x []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, m.cols)
-	}
-	m.VecMulBlock([][]float64{dst}, [][]float64{x})
 	return dst
 }
 
@@ -133,10 +92,10 @@ func (m *Dense) VecMulBlock(dst, x [][]float64) {
 	}
 	for b := range x {
 		if len(x[b]) != m.rows {
-			panic(fmt.Sprintf("matrix: VecMul with %d-vector against %dx%d", len(x[b]), m.rows, m.cols))
+			panic(fmt.Sprintf("matrix: VecMulBlock with %d-vector against %dx%d", len(x[b]), m.rows, m.cols))
 		}
 		if len(dst[b]) != m.cols {
-			panic(fmt.Sprintf("matrix: VecMul destination %d, want %d", len(dst[b]), m.cols))
+			panic(fmt.Sprintf("matrix: VecMulBlock destination %d, want %d", len(dst[b]), m.cols))
 		}
 		clear(dst[b])
 	}
@@ -159,21 +118,11 @@ func (m *Dense) VecMulBlock(dst, x [][]float64) {
 	}
 }
 
-// Mul returns the matrix product A·B.
-func Mul(a, b *Dense) *Dense {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("matrix: product of %dx%d and %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	c := NewDense(a.rows, b.cols)
-	axpyRowsEach(0, a.rows, c.Row, a.data, a.cols, a.cols, b.data, b.cols)
-	return c
-}
-
 // identity returns the n×n identity matrix.
 func identity(n int) *Dense {
 	m := NewDense(n, n)
 	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
+		m.data[i*n+i] = 1
 	}
 	return m
 }

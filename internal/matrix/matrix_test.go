@@ -15,12 +15,12 @@ import (
 )
 
 func TestMulVecAndVecMul(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}}) // 3x2
+	m := fromRows([][]float64{{1, 2}, {3, 4}, {5, 6}}) // 3x2
 	got := m.MulVec(nil, []float64{1, 1})
 	if !kerneltest.ApproxEqual(got, []float64{3, 7, 11}, 0) {
 		t.Fatalf("MulVec = %v", got)
 	}
-	got = m.VecMul(nil, []float64{1, 1, 1})
+	got = m.vecMul(nil, []float64{1, 1, 1})
 	if !kerneltest.ApproxEqual(got, []float64{9, 12}, 0) {
 		t.Fatalf("VecMul = %v", got)
 	}
@@ -34,8 +34,8 @@ func TestVecMulMatchesTransposeMulVec(t *testing.T) {
 			m.Raw()[i] = r.NormFloat64()
 		}
 		x := rng.Gaussian(r, nil, 7)
-		a := m.VecMul(nil, x)
-		b := m.Transpose().MulVec(nil, x)
+		a := m.vecMul(nil, x)
+		b := m.transpose().MulVec(nil, x)
 		if !kerneltest.ApproxEqual(a, b, 1e-12) {
 			t.Fatalf("xᵀA != Aᵀx: %v vs %v", a, b)
 		}
@@ -43,10 +43,10 @@ func TestVecMulMatchesTransposeMulVec(t *testing.T) {
 }
 
 func TestMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	c := Mul(a, b)
-	want := FromRows([][]float64{{19, 22}, {43, 50}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
+	c := mul(a, b)
+	want := fromRows([][]float64{{19, 22}, {43, 50}})
 	if !kerneltest.ApproxEqual(c.Raw(), want.Raw(), 0) {
 		t.Fatalf("Mul = %v", c.Raw())
 	}
@@ -59,10 +59,10 @@ func TestIdentity(t *testing.T) {
 	for i := range m.Raw() {
 		m.Raw()[i] = r.NormFloat64()
 	}
-	if !kerneltest.ApproxEqual(Mul(id, m).Raw(), m.Raw(), 0) {
+	if !kerneltest.ApproxEqual(mul(id, m).Raw(), m.Raw(), 0) {
 		t.Fatal("I·M != M")
 	}
-	if !kerneltest.ApproxEqual(Mul(m, id).Raw(), m.Raw(), 0) {
+	if !kerneltest.ApproxEqual(mul(m, id).Raw(), m.Raw(), 0) {
 		t.Fatal("M·I != M")
 	}
 }
@@ -72,7 +72,7 @@ func TestInverse(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 3 + trial%13
 		m, inv := RandomInvertible(r, n)
-		prod := Mul(m, inv)
+		prod := mul(m, inv)
 		id := identity(n)
 		if !kerneltest.ApproxEqual(prod.Raw(), id.Raw(), 1e-8) {
 			t.Fatalf("n=%d: M·M⁻¹ deviates from I", n)
@@ -98,7 +98,7 @@ func TestSolve(t *testing.T) {
 }
 
 func TestSingularDetected(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {2, 4}}) // rank 1
+	m := fromRows([][]float64{{1, 2}, {2, 4}}) // rank 1
 	if _, err := m.Inverse(); err == nil {
 		t.Fatal("expected ErrSingular for rank-deficient matrix")
 	}
@@ -115,8 +115,8 @@ func TestFactorizeNonSquare(t *testing.T) {
 }
 
 func TestTranspose(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := m.Transpose()
+	m := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	tr := m.transpose()
 	if tr.Rows() != 3 || tr.cols != 2 || tr.At(2, 1) != 6 || tr.At(0, 1) != 4 {
 		t.Fatalf("Transpose wrong: %+v", tr.Raw())
 	}
@@ -133,9 +133,9 @@ func TestFromRaw(t *testing.T) {
 }
 
 func TestCloneIndependent(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
-	c := m.Clone()
-	c.Set(0, 0, 99)
+	m := fromRows([][]float64{{1, 2}, {3, 4}})
+	c := m.clone()
+	c.set(0, 0, 99)
 	if m.At(0, 0) != 1 {
 		t.Fatal("Clone shares storage")
 	}
@@ -150,7 +150,7 @@ func TestBilinearInvariance(t *testing.T) {
 		m, inv := RandomInvertible(r, n)
 		x := rng.Gaussian(r, nil, n)
 		y := rng.Gaussian(r, nil, n)
-		encX := m.VecMul(nil, x)
+		encX := m.vecMul(nil, x)
 		encY := inv.MulVec(nil, y)
 		got := vec.Dot(encX, encY)
 		want := vec.Dot(x, y)
@@ -167,7 +167,7 @@ func TestBilinearInvariance(t *testing.T) {
 // multipliers positive), pivots, and whether the matrix was accepted.
 func refFactorize(a *Dense) (*Dense, []int, bool) {
 	n := a.rows
-	lu := a.Clone()
+	lu := a.clone()
 	pivot := make([]int, n)
 	var scale float64
 	for _, v := range lu.data {
@@ -196,7 +196,7 @@ func refFactorize(a *Dense) (*Dense, []int, bool) {
 		inv := 1 / lu.At(k, k)
 		for i := k + 1; i < n; i++ {
 			f := lu.At(i, k) * inv
-			lu.Set(i, k, f)
+			lu.set(i, k, f)
 			ri, rk := lu.Row(i), lu.Row(k)
 			for j := k + 1; j < n; j++ {
 				ri[j] -= f * rk[j]
@@ -303,10 +303,10 @@ func TestBlockedLUMatchesUnblocked(t *testing.T) {
 				}
 			}
 		}
-		if worst := maxRowSum(Mul(a, inv1), identity(n)); worst > 1e-9*float64(n) {
+		if worst := maxRowSum(mul(a, inv1), identity(n)); worst > 1e-9*float64(n) {
 			t.Fatalf("n=%d: ‖A·A⁻¹ − I‖∞ = %g, want <= %g", n, worst, 1e-9*float64(n))
 		}
-		if worst := maxRowSum(Mul(a, x1), rhs); worst > 1e-9*float64(n) {
+		if worst := maxRowSum(mul(a, x1), rhs); worst > 1e-9*float64(n) {
 			t.Fatalf("n=%d: ‖A·X − B‖∞ = %g, want <= %g", n, worst, 1e-9*float64(n))
 		}
 		// The column-at-a-time solve is the third witness: against a column
@@ -315,7 +315,7 @@ func TestBlockedLUMatchesUnblocked(t *testing.T) {
 		f, _ := factorize(a)
 		e := make([]float64, n)
 		e[n/2] = 1
-		for i, v := range f.Solve(e) {
+		for i, v := range f.solve(e) {
 			if math.Abs(v-inv1.At(i, n/2)) > 1e-9*(1+math.Abs(v)) {
 				t.Fatalf("n=%d: Solve(e_%d)[%d] = %v, inverse column %v", n, n/2, i, v, inv1.At(i, n/2))
 			}
@@ -325,7 +325,7 @@ func TestBlockedLUMatchesUnblocked(t *testing.T) {
 			for i := range col {
 				col[i] = rhs.At(i, j)
 			}
-			for i, v := range f.Solve(col) {
+			for i, v := range f.solve(col) {
 				if math.Float64bits(v) != math.Float64bits(x1.At(i, j)) {
 					t.Fatalf("n=%d: Solve(B column %d)[%d] = %v, SolveMat %v", n, j, i, v, x1.At(i, j))
 				}
@@ -386,10 +386,10 @@ func signedZeros(r *rng.Rand, m *Dense, unit bool) *Dense {
 		for i := 0; i < m.rows; i++ {
 			if i%5 == 2 {
 				for j := range m.Row(i) {
-					m.Set(i, j, negZero)
+					m.set(i, j, negZero)
 				}
 			}
-			m.Set(i, i, 1+math.Abs(m.At(i, i)))
+			m.set(i, i, 1+math.Abs(m.At(i, i)))
 		}
 	}
 	return m
@@ -425,7 +425,7 @@ func TestSolveMatMatchesSolve(t *testing.T) {
 					for i := range col {
 						col[i] = b.At(i, j)
 					}
-					for i, v := range f.Solve(col) {
+					for i, v := range f.solve(col) {
 						if math.Float64bits(v) != math.Float64bits(x.At(i, j)) {
 							t.Fatalf("n=%d sparse=%v cols=%d: Solve(B column %d)[%d] = %v, SolveMat %v", n, sparse, cols, j, i, v, x.At(i, j))
 						}
@@ -482,7 +482,7 @@ func FuzzVecMul(f *testing.F) {
 				m.data[i] = 0
 			}
 		}
-		got, want := m.VecMul(nil, x), refVecMul(m, x)
+		got, want := m.vecMul(nil, x), refVecMul(m, x)
 		for j := range want {
 			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 				t.Fatalf("%dx%d column %d: %v, scalar loop %v", rows, cols, j, got[j], want[j])
@@ -548,8 +548,8 @@ func TestVecMulBlockNonFinitePanels(t *testing.T) {
 	r := rng.NewSeeded(12)
 	const rows, cols = 3*panelRows + 7, 37
 	m := gaussianMatrix(r, rows, cols)
-	m.Set(panelRows+5, 3, math.Inf(1))
-	m.Set(3*panelRows+2, 30, math.NaN())
+	m.set(panelRows+5, 3, math.Inf(1))
+	m.set(3*panelRows+2, 30, math.NaN())
 	x, dst := make([][]float64, 9), make([][]float64, 9)
 	for b := range x {
 		x[b], dst[b] = rng.Gaussian(r, nil, rows), make([]float64, cols)
@@ -581,7 +581,7 @@ func TestVecMulBitIdenticalToScalarLoop(t *testing.T) {
 				x[i] = 0
 			}
 		}
-		got, want := m.VecMul(nil, x), refVecMul(m, x)
+		got, want := m.vecMul(nil, x), refVecMul(m, x)
 		for j := range want {
 			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 				t.Fatalf("trial %d (%dx%d) column %d: %v, scalar loop %v", trial, rows, cols, j, got[j], want[j])
@@ -653,4 +653,58 @@ func BenchmarkSolveMat(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f.SolveMat(rhs)
 	}
+}
+
+// The constructors and products below are the tests' own: the serving
+// path needs none of them.
+
+// fromRows builds a matrix by copying the given rows, which must share one
+// length.
+func fromRows(rows [][]float64) *Dense {
+	if len(rows) == 0 {
+		panic("matrix: fromRows needs at least one row")
+	}
+	m := NewDense(len(rows), len(rows[0]))
+	for i, r := range rows {
+		if len(r) != m.cols {
+			panic(fmt.Sprintf("matrix: row %d has %d columns, want %d", i, len(r), m.cols))
+		}
+		copy(m.Row(i), r)
+	}
+	return m
+}
+
+// set assigns element (i, j).
+func (m *Dense) set(i, j int, v float64) { m.data[i*m.cols+j] = v }
+
+// transpose returns mᵀ as a new matrix.
+func (m *Dense) transpose() *Dense {
+	t := NewDense(m.cols, m.rows)
+	for i := 0; i < m.rows; i++ {
+		for j, v := range m.Row(i) {
+			t.data[j*t.cols+i] = v
+		}
+	}
+	return t
+}
+
+// vecMul is VecMulBlock for a block of one: it stores xᵀ·A into dst
+// (length cols; nil allocates it) and returns dst.
+func (m *Dense) vecMul(dst, x []float64) []float64 {
+	if dst == nil {
+		dst = make([]float64, m.cols)
+	}
+	m.VecMulBlock([][]float64{dst}, [][]float64{x})
+	return dst
+}
+
+// mul returns the matrix product A·B through the panel kernel the LU's
+// updates run.
+func mul(a, b *Dense) *Dense {
+	if a.cols != b.rows {
+		panic(fmt.Sprintf("matrix: product of %dx%d and %dx%d", a.rows, a.cols, b.rows, b.cols))
+	}
+	c := NewDense(a.rows, b.cols)
+	axpyRowsEach(0, a.rows, c.Row, a.data, a.cols, a.cols, b.data, b.cols)
+	return c
 }

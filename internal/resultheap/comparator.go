@@ -1,23 +1,17 @@
 package resultheap
 
-// Farther is an opaque pairwise comparator: Farther(a, b) reports whether
-// candidate a is strictly farther from the (implicit) query than candidate b.
-// In the PP-ANNS refine phase it is backed by DCE's DistanceComp, so each
-// call is a secure distance comparison the server cannot learn values from.
-type Farther func(a, b int) bool
-
-// Farther implements Comparator, so plain functions plug straight into
-// NewCompareHeap and Reset.
-func (f Farther) Farther(a, b int) bool { return f(a, b) }
-
-// Comparator is the interface form of Farther. Hot paths that must not
-// allocate pass a pooled struct pointer here instead of a fresh closure.
+// Comparator is an opaque pairwise comparator: Farther(a, b) reports
+// whether candidate a is strictly farther from the (implicit) query than
+// candidate b. In the PP-ANNS refine phase it is backed by DCE's
+// DistanceComp, so each call is a secure distance comparison the server
+// cannot learn values from. Hot paths that must not allocate pass a pooled
+// struct pointer here instead of a fresh closure.
 type Comparator interface {
 	Farther(a, b int) bool
 }
 
 // CompareHeap is a bounded max-heap over candidate ids ordered only by a
-// Farther comparator. It implements the max heap H of the paper's
+// Comparator. It implements the max heap H of the paper's
 // Algorithm 2: the top element is the current worst (farthest) of the best k
 // candidates seen so far.
 //
@@ -31,13 +25,6 @@ type CompareHeap struct {
 	ids   []int
 	bound int
 	calls int
-}
-
-// NewCompareHeap returns an empty heap holding at most bound ids.
-func NewCompareHeap(bound int, cmp Comparator) *CompareHeap {
-	h := &CompareHeap{}
-	h.Reset(bound, cmp)
-	return h
 }
 
 // Reset re-arms the heap for a new selection with the given bound and
@@ -100,14 +87,9 @@ func (h *CompareHeap) pop() int {
 // IDs returns the held ids in heap order (not sorted).
 func (h *CompareHeap) IDs() []int { return h.ids }
 
-// SortedAscending drains the heap, returning ids ordered from closest to
-// farthest. Each extraction costs O(log k) comparator calls.
-func (h *CompareHeap) SortedAscending() []int {
-	return h.SortedInto(nil)
-}
-
-// SortedInto is SortedAscending writing into dst (reusing its capacity),
-// so steady-state callers avoid the per-drain allocation.
+// SortedInto drains the heap into dst (reusing its capacity; nil
+// allocates), returning ids ordered from closest to farthest. Each
+// extraction costs O(log k) comparator calls.
 func (h *CompareHeap) SortedInto(dst []int) []int {
 	n := len(h.ids)
 	if cap(dst) < n {

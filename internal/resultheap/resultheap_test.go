@@ -180,9 +180,21 @@ func TestPoolNaNSortsLast(t *testing.T) {
 	}
 }
 
-// distComparator builds a Farther comparator from a plain distance table,
-// standing in for DCE in tests.
-func distComparator(dists []float64) Farther {
+// farther adapts a plain function to Comparator.
+type farther func(a, b int) bool
+
+func (f farther) Farther(a, b int) bool { return f(a, b) }
+
+// newCompareHeap returns an empty heap holding at most bound ids.
+func newCompareHeap(bound int, cmp Comparator) *CompareHeap {
+	h := &CompareHeap{}
+	h.Reset(bound, cmp)
+	return h
+}
+
+// distComparator builds a comparator from a plain distance table, standing
+// in for DCE in tests.
+func distComparator(dists []float64) farther {
 	return func(a, b int) bool { return dists[a] > dists[b] }
 }
 
@@ -193,11 +205,11 @@ func TestCompareHeapKeepsClosestK(t *testing.T) {
 	for i := range dists {
 		dists[i] = r.Float64()
 	}
-	h := NewCompareHeap(k, distComparator(dists))
+	h := newCompareHeap(k, distComparator(dists))
 	for i := 0; i < n; i++ {
 		h.Offer(i)
 	}
-	got := h.SortedAscending()
+	got := h.SortedInto(nil)
 	if len(got) != k {
 		t.Fatalf("kept %d ids, want %d", len(got), k)
 	}
@@ -217,37 +229,37 @@ func TestCompareHeapKeepsClosestK(t *testing.T) {
 
 func TestCompareHeapUnderfilled(t *testing.T) {
 	dists := []float64{3, 1, 2}
-	h := NewCompareHeap(10, distComparator(dists))
+	h := newCompareHeap(10, distComparator(dists))
 	for i := range dists {
 		if !h.Offer(i) {
 			t.Fatalf("offer %d rejected while under bound", i)
 		}
 	}
-	got := h.SortedAscending()
+	got := h.SortedInto(nil)
 	want := []int{1, 2, 0}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("SortedAscending = %v, want %v", got, want)
+			t.Fatalf("SortedInto = %v, want %v", got, want)
 		}
 	}
 }
 
 func TestCompareHeapRejectsFarther(t *testing.T) {
 	dists := []float64{1, 2, 9}
-	h := NewCompareHeap(2, distComparator(dists))
+	h := newCompareHeap(2, distComparator(dists))
 	h.Offer(0)
 	h.Offer(1)
 	if h.Offer(2) {
 		t.Fatal("heap admitted a candidate farther than its top")
 	}
-	if got := h.SortedAscending(); !slices.Equal(got, []int{0, 1}) {
+	if got := h.SortedInto(nil); !slices.Equal(got, []int{0, 1}) {
 		t.Fatalf("heap holds %v, want [0 1]", got)
 	}
 }
 
 func TestCompareHeapCountsComparisons(t *testing.T) {
 	dists := []float64{4, 3, 2, 1}
-	h := NewCompareHeap(2, distComparator(dists))
+	h := newCompareHeap(2, distComparator(dists))
 	for i := range dists {
 		h.Offer(i)
 	}
@@ -267,7 +279,7 @@ func TestCompareHeapBoundPanics(t *testing.T) {
 			t.Fatal("expected panic for non-positive bound")
 		}
 	}()
-	NewCompareHeap(0, nil)
+	newCompareHeap(0, nil)
 }
 
 func TestCompareHeapPropertyRandom(t *testing.T) {
@@ -279,11 +291,11 @@ func TestCompareHeapPropertyRandom(t *testing.T) {
 		for i := range dists {
 			dists[i] = r.Float64()
 		}
-		h := NewCompareHeap(k, distComparator(dists))
+		h := newCompareHeap(k, distComparator(dists))
 		for i := 0; i < n; i++ {
 			h.Offer(i)
 		}
-		got := h.SortedAscending()
+		got := h.SortedInto(nil)
 		idx := make([]int, n)
 		for i := range idx {
 			idx[i] = i
@@ -309,8 +321,8 @@ func TestCompareHeapPropertyRandom(t *testing.T) {
 }
 
 func TestCompareHeapResetReuse(t *testing.T) {
-	asc := Farther(func(a, b int) bool { return a > b })
-	h := NewCompareHeap(3, asc)
+	asc := farther(func(a, b int) bool { return a > b })
+	h := newCompareHeap(3, asc)
 	for _, id := range []int{9, 1, 5, 7, 3} {
 		h.Offer(id)
 	}

@@ -16,9 +16,9 @@ type Dataset struct {
 	rows Rows[float64]
 }
 
-// NewDataset returns an empty dataset of the given dimension with capacity
+// newDataset returns an empty dataset of the given dimension with capacity
 // for capHint vectors.
-func NewDataset(dim, capHint int) *Dataset {
+func newDataset(dim, capHint int) *Dataset {
 	d := &Dataset{rows: *NewRows[float64](dim, PadStride(dim), 0)}
 	d.rows.Reserve(capHint)
 	return d
@@ -36,7 +36,7 @@ func DatasetFromSlices(vectors [][]float64) *Dataset {
 	if len(vectors) == 0 {
 		panic("vec: DatasetFromSlices needs at least one vector")
 	}
-	ds := NewDataset(len(vectors[0]), len(vectors))
+	ds := newDataset(len(vectors[0]), len(vectors))
 	for _, v := range vectors {
 		ds.Append(v)
 	}
@@ -90,25 +90,6 @@ func (d *Dataset) SqDistBlock(dst []float64, q []float64, ids []int32) []float64
 	return dst
 }
 
-// FlattenCSR flattens a slice-of-slices id structure (adjacency lists,
-// inverted-list memberships) into compressed-sparse-row form: list i
-// occupies flat[offs[i]:offs[i+1]]. The frozen search views are built on
-// this shape so scans walk one contiguous array instead of chasing the
-// outer slice's pointers.
-func FlattenCSR(lists [][]int32) (offs []int32, flat []int32) {
-	offs = make([]int32, len(lists)+1)
-	total := int32(0)
-	for i, lst := range lists {
-		total += int32(len(lst))
-		offs[i+1] = total
-	}
-	flat = make([]int32, total)
-	for i, lst := range lists {
-		copy(flat[offs[i]:offs[i+1]], lst)
-	}
-	return offs, flat
-}
-
 // Slices returns all rows as slice views (no copying).
 func (d *Dataset) Slices() [][]float64 {
 	out := make([][]float64, d.Len())
@@ -129,7 +110,7 @@ func (d *Dataset) Save(e *frame.Encoder) {
 // dim. The arena grows as the rows arrive, under n (Rows.AppendZero), so a
 // row count the input does not back costs at most twice what did arrive.
 func LoadDataset(dec *frame.Decoder, dim, n int) *Dataset {
-	d := NewDataset(dim, 0)
+	d := newDataset(dim, 0)
 	for i := 0; i < n && dec.Err() == nil; i++ {
 		dec.FloatRun(d.rows.AppendZero(n))
 	}

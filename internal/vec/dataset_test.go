@@ -9,7 +9,7 @@ import (
 )
 
 func TestDatasetBasics(t *testing.T) {
-	ds := NewDataset(3, 4)
+	ds := newDataset(3, 4)
 	if ds.Dim() != 3 || ds.Len() != 0 {
 		t.Fatalf("fresh dataset dim=%d len=%d", ds.Dim(), ds.Len())
 	}
@@ -24,7 +24,7 @@ func TestDatasetBasics(t *testing.T) {
 }
 
 func TestDatasetAppendZero(t *testing.T) {
-	ds := NewDataset(2, 1)
+	ds := newDataset(2, 1)
 	idx, row := ds.AppendZero()
 	row[0], row[1] = 9, 8
 	if idx != 0 || !kerneltest.ApproxEqual(ds.At(0), []float64{9, 8}, 0) {
@@ -38,7 +38,7 @@ func TestDatasetDimMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewDataset(3, 1).Append([]float64{1})
+	newDataset(3, 1).Append([]float64{1})
 }
 
 // TestDatasetFromSlicesAndClone: DatasetFromSlices clones its input — the

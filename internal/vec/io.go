@@ -29,7 +29,7 @@ func readFvecs(r io.Reader, maxVectors int) (*Dataset, error) {
 			return nil, fmt.Errorf("vec: fvecs vector %d: %w", n, err)
 		}
 		if ds == nil {
-			ds = NewDataset(dim, 1024)
+			ds = newDataset(dim, 1024)
 		} else if dim != ds.Dim() {
 			return nil, fmt.Errorf("vec: fvecs vector %d has dim %d, want %d", n, dim, ds.Dim())
 		}

@@ -23,7 +23,7 @@ func randFloats(r *rng.Rand, n int, scale float64) []float64 {
 func TestKernelRankingInvariance(t *testing.T) {
 	r := rng.NewSeeded(413)
 	const dim, rows = 100, 64
-	d := NewDataset(dim, rows)
+	d := newDataset(dim, rows)
 	for i := 0; i < rows; i++ {
 		d.Append(randFloats(r, dim, 10))
 	}
@@ -75,7 +75,7 @@ func TestKernelRegistryShape(t *testing.T) {
 // starts. TestRowsDiscipline covers the arena's allocations.
 func TestDatasetAlignment(t *testing.T) {
 	for _, dim := range []int{1, 7, 8, 13, 96, 100, 960} {
-		d := NewDataset(dim, 3)
+		d := newDataset(dim, 3)
 		if got := d.rows.Cap(); got != 3 {
 			t.Fatalf("dim %d: a capacity hint of 3 rows allocated %d", dim, got)
 		}

@@ -141,7 +141,7 @@ func TestSqDistMatchesReferenceAssociation(t *testing.T) {
 
 func TestSqDistBlockBitIdentical(t *testing.T) {
 	for _, dim := range []int{1, 3, 4, 31, 96} {
-		ds := NewDataset(dim, 8)
+		ds := newDataset(dim, 8)
 		for r := 0; r < 8; r++ {
 			v := make([]float64, dim)
 			for i := range v {
@@ -177,5 +177,5 @@ func TestSqDistBlockDimMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewDataset(3, 1).SqDistBlock(nil, []float64{1, 2}, nil)
+	newDataset(3, 1).SqDistBlock(nil, []float64{1, 2}, nil)
 }

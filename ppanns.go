@@ -57,7 +57,7 @@ type IndexOptions = index.Options
 
 // Backends lists the serving filter-index backends, sorted by name: hnsw
 // and ivf. A database tagged with any other name, such as the nsg or lsh
-// of the Section V-A ablation, is refused with a re-encrypt message.
+// of the Section V-A ablation, is refused as an unknown backend.
 func Backends() []string { return index.Names() }
 
 // SearchOptions tunes a query: k′ (KPrime, default 8·k; the paper's
