@@ -214,18 +214,17 @@ func runEncrypt(args []string) error {
 	return nil
 }
 
+// runSplit writes one database file per stripe of the input. Each
+// stripe's filter index is rebuilt under the input's own build parameters
+// (HNSW M, efConstruction and seed; IVF's trained quantizer), as compact
+// rebuilds it, so a one-stripe split of a database holding no tombstone
+// writes its input back byte for byte.
 func runSplit(args []string) error {
 	fs := flag.NewFlagSet("split", flag.ExitOnError)
 	dbIn := fs.String("db", "db.ppanns", "encrypted database file")
 	shards := fs.Int("shards", 2, "number of shards")
 	outPrefix := fs.String("out", "shard-", "output file prefix (writes <prefix><i>.ppanns)")
-	m := fs.Int("m", 16, "HNSW M for the per-shard index rebuilds")
-	efc := fs.Int("efc", 200, "HNSW efConstruction for the per-shard index rebuilds")
-	seed := fs.Uint64("seed", 0, "per-shard index build seed: a non-zero seed is decorrelated per shard (shard s builds with seed+s+1); 0 builds every shard with seed 0")
 	fs.Parse(args)
-	if err := errors.Join(atLeast("split", "m", *m, 1), atLeast("split", "efc", *efc, 1)); err != nil {
-		return err
-	}
 
 	f, err := os.Open(*dbIn)
 	if err != nil {
@@ -236,7 +235,7 @@ func runSplit(args []string) error {
 	if err != nil {
 		return err
 	}
-	parts, err := edb.Split(*shards, ppanns.IndexOptions{M: *m, EfConstruction: *efc, Seed: *seed})
+	parts, err := edb.Split(*shards, ppanns.IndexOptions{})
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -118,7 +119,7 @@ func TestQueryReplicasWithOneDown(t *testing.T) {
 	edb, keyFile, queryFile := queryWorld(t, 200, nq)
 	stripes := [2][2]string{}
 	for r := range 2 {
-		parts, err := edb.Split(2, ppanns.IndexOptions{Seed: 1})
+		parts, err := edb.Split(2, ppanns.IndexOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,9 +223,10 @@ func TestGenRefusesBadCounts(t *testing.T) {
 }
 
 // TestRefusesCountsItWouldRewrite: a count the library reads as unset
-// (-m, -efc, -ratio at or below zero), a negative -pq that would build no
-// PQ tier and a negative -limit that would run every query are refused
-// with an error naming the flag, before anything is read or written.
+// (encrypt's -m and -efc, query's -ratio, at or below zero), a negative
+// -pq that would build no PQ tier and a negative -limit that would run
+// every query are refused with an error naming the flag, before anything
+// is read or written.
 func TestRefusesCountsItWouldRewrite(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "forty.fvecs")
@@ -242,7 +244,6 @@ func TestRefusesCountsItWouldRewrite(t *testing.T) {
 		{runEncrypt, append(encrypt, "-m", "-3"), "-m"},
 		{runEncrypt, append(encrypt, "-efc", "-1"), "-efc"},
 		{runEncrypt, append(encrypt, "-pq", "-2"), "-pq"},
-		{runSplit, []string{"-db", db, "-out", filepath.Join(dir, "s-"), "-m", "-4"}, "-m"},
 		{runQuery, append(query, "-ratio", "0"), "-ratio"},
 		{runQuery, append(query, "-ratio", "-3"), "-ratio"},
 		{runQuery, append(query, "-limit", "-1"), "-limit"},
@@ -251,11 +252,43 @@ func TestRefusesCountsItWouldRewrite(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.flag+" must be") {
 			t.Errorf("%v: err = %v, want a refusal naming %s", c.args, err, c.flag)
 		}
-		for _, f := range []string{db, key, filepath.Join(dir, "s-0.ppanns")} {
+		for _, f := range []string{db, key} {
 			if _, err := os.Stat(f); err == nil {
 				t.Fatalf("%v wrote %s", c.args, f)
 			}
 		}
+	}
+}
+
+// TestOneStripeSplitWritesItsInput: split rebuilds each stripe's index
+// under the database's own build parameters, so split -shards 1 of a
+// database encrypted at -m 8 -efc 64 writes the file back byte for byte,
+// its graph still at M=8 and efConstruction 64.
+func TestOneStripeSplitWritesItsInput(t *testing.T) {
+	dir := t.TempDir()
+	in, db := filepath.Join(dir, "data.fvecs"), filepath.Join(dir, "db.ppanns")
+	if err := writeFvecs(in, dataset.DeepLike(300, 1, 2).Train); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stdout(t, func() error {
+		return runEncrypt([]string{"-in", in, "-db", db, "-key", filepath.Join(dir, "user.key"), "-beta", "1", "-seed", "3", "-m", "8", "-efc", "64"})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	prefix := filepath.Join(dir, "s-")
+	if _, err := stdout(t, func() error { return runSplit([]string{"-db", db, "-shards", "1", "-out", prefix}) }); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(prefix + "0.ppanns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("split -shards 1 wrote %d bytes, not its %d-byte input", len(got), len(want))
 	}
 }
 

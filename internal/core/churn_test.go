@@ -291,7 +291,7 @@ func TestChurnCompactionConformance(t *testing.T) {
 			// Independently rebuilt reference: Split(1) re-encodes the
 			// flushed database through a from-scratch index build with its
 			// own options, preserving ids.
-			parts, err := flushed(t, w.server).Split(1, index.Options{Seed: 111})
+			parts, err := flushed(t, w.server).Split(1, index.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -89,7 +89,7 @@ func TestColumnsSpanIDSpace(t *testing.T) {
 			// source rows its ids name.
 			flat := flushed(t, srv)
 			checkColumns(t, "flushed", flat, flat.Len(), true, nil)
-			parts, err := flat.Split(2, index.Options{Seed: 7})
+			parts, err := flat.Split(2, index.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

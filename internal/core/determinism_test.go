@@ -126,7 +126,7 @@ func TestSeedFixesBytesOnAnyCoreCount(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				parts, err := edb.Split(3, index.Options{Seed: 7})
+				parts, err := edb.Split(3, index.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -390,12 +390,14 @@ func clipAtZero(data [][]float64) float64 {
 // by itself, flushes it twice (fold1 after a small script; fold2 after
 // inserting more than the base's n records, so ivf+pq's 2× retrain rule
 // fires there and not at fold1), then splits the fold2 database into two
-// stripes with Seed 5 and compacts it offline. Every digest but the last is
-// the SHA-256 of the Save bytes, re-captured when the file became PPANNSD6,
+// stripes and compacts it offline. Every digest but the last is the
+// SHA-256 of the Save bytes, re-captured when the file became PPANNSD6,
 // when it became PPANNSD7 and when it became PPANNSD8, each time as
 // TestDatabaseGolden's were (PPANNSD8: commit bc9cc68's files with the
 // presence bytes replaced by the ids, the dead rows cut and the index's
-// node ids renumbered to slots);
+// node ids renumbered to slots); the two stripes' were re-captured once
+// more when Split began rebuilding each stripe under the source index's
+// own configuration instead of a fresh build with the caller's seed;
 // the last is the SHA-256 of AppendInsert over every insert payload of the
 // script, in order — the bytes the wire and the WAL carry for an insert —
 // captured at commit 31ac28f, while the payload's ciphertext was still
@@ -414,8 +416,8 @@ func TestRelayoutGolden(t *testing.T) {
 		{"hnsw", Params{Dim: 8, Beta: 0.5, Seed: 71, Index: "hnsw"}, []string{
 			"e66740734a257aad6ebc7fa3dd6c2bdd6b7ca69ffddbf1f4afc3e2f7c07696a0",
 			"412e8b226f0c20769559941fda62d1e0404bad5d4ab0d32fb1b924e02c8f351a",
-			"8d87c8b72e06f4b2080d3f2171103b066fd2c0daa58ede7e19b5643ba18899b4",
-			"5029f417b624a9f681aa1453c2b1b1110cc9272aa62bcdcc5a66a13ef966fcf5",
+			"f42b3e75b137d0a1d6e0143849d5caf9feae6f167a2d6edf73c41a205efb8ca7",
+			"f3846f2f187321c8bc7f105aea53d6f5a024eee93edbad0f74a439f54c40eec3",
 			"51ea04d846bc438750dcae18223ed8ccd3c1e9bc904103fea940191560bbf75c",
 			"e300125312fdd2ef2abb16a58daa5de87441d90a176a942a726669bc2bcdfde2"},
 			[]string{
@@ -428,8 +430,8 @@ func TestRelayoutGolden(t *testing.T) {
 		{"ivf", Params{Dim: 8, Beta: 0.5, Seed: 72, Index: "ivf"}, []string{
 			"a4fb43dba2123101823bc91d960c9a99af4399ab61aae0e1d749f713d6c0f6a6",
 			"461f10f1676bc791dcf9a78f0864ddcec29f0bee609c8c3165496292eaa979df",
-			"f99989e839eeeb3a872acec03a07db7cbd125ac0a15d81a04dc41ca072dc8118",
-			"5f6ed26cf7503752a8ac0a8eea1b644e3626fbd56658bf2c3e9335425fd31c31",
+			"c727b46ea6930b47af55a5ca46cb70729f91c50c0bc833dbbbd236e2ec91940e",
+			"ef216ffe685b0a6974dbde03e4dce16d560f296caea97c5f175d44fbd2c4115d",
 			"258fd9854d047d6c094f128279c8b56ef3be90a165652595745fb29f857fba59",
 			"73b91d08cf005e36664f553ef0011885cdd877b6f755299a4da9c09f537e01a0"},
 			[]string{
@@ -442,8 +444,8 @@ func TestRelayoutGolden(t *testing.T) {
 		{"ivf+pq", Params{Dim: 8, Beta: 0.5, Seed: 73, Index: "ivf", PQ: true, PQM: 4}, []string{
 			"5caac7345571c6bf27316d976c3a3d8de05d6d66b9acdebaafc3a912dd25016f",
 			"89594ccc99b29698273583b0956378d12c954b43ca1699edb9195cd653c40505",
-			"049e6dd0d601d30fa11ff5b8ca2bb2cf3a01345f0d5daaaedcc161c07356387f",
-			"ccdc97fb18ce8e6fab9d89be75cbf7a57742b57bb0379de06d133d5ac5024d67",
+			"7d0acb4eb585652373b147c08d35e671d09d08678b5ca0ec7ce163c1ffd2cccb",
+			"44c8ff3402e67c0d63fb02cd31ce510e73401ddf71f195362d0eb5429daeb0e2",
 			"244686a79a8b7506a66dff0592deef740fd96958e1bd88bf67a3a47b3416cf7e",
 			"515177e184b05fdb3786641906cda1d14d388a9def7aebdfa00518e40d195bd0"},
 			[]string{
@@ -533,7 +535,7 @@ func TestRelayoutGolden(t *testing.T) {
 			t.Fatalf("%s: fold2 did not retrain PQ (TrainedOn %d)", c.name, folded.PQ.TrainedOn)
 		}
 
-		stripes, err := folded.Split(2, index.Options{Seed: 5})
+		stripes, err := folded.Split(2, index.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

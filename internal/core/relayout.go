@@ -8,13 +8,11 @@ import (
 	"ppanns/internal/index"
 	"ppanns/internal/par"
 	"ppanns/internal/pq"
-	"ppanns/internal/vec"
 )
 
 // gather is the one re-layout of a database. The serving tier's fold,
-// offline Compacted and Split differ only in the slots they keep, the ids
-// those records carry after it, and their index step, and all three run
-// through it.
+// offline Compacted and Split differ only in the slots they keep and the
+// ids those records carry after it, and all three run through it.
 //
 // Slot j of the result holds source slot slots[j] under id ids[j], in an
 // id space of n. The caller passes live slots only, in slot order, so the
@@ -22,13 +20,15 @@ import (
 //
 // gather copies the SAP rows, the ciphertext records and, when the source
 // carries a PQ tier, the code rows under the shared codebook, into
-// private arenas, and build makes the filter index over the gathered SAP
-// column, which the index reads in place; retraining is the caller's step
-// (foldPQ). The result is checked once: the index must hold exactly the
-// records of the store.
-func (e *EncryptedDatabase) gather(slots []int, ids []int32, n int, build func(rows *vec.Dataset, ids []int32) (index.SecureIndex, error)) (*EncryptedDatabase, error) {
+// private arenas, and the source index's Rebuild makes the filter index
+// over the gathered SAP column under the source's build configuration (an
+// HNSW graph's M, efConstruction and seed; an IVF index's trained
+// quantizer), which the index reads in place; retraining PQ is the
+// caller's step (foldPQ). The result is checked once: the index must hold
+// exactly the records of the store.
+func (e *EncryptedDatabase) gather(slots []int, ids []int32, n int) (*EncryptedDatabase, error) {
 	sap, store := e.SAP.Gather(slots), e.DCE.Gather(slots)
-	idx, err := build(sap, ids)
+	idx, err := e.Index.Rebuild(sap, ids)
 	if err != nil {
 		return nil, fmt.Errorf("building %s index: %w", e.Backend, err)
 	}
@@ -113,7 +113,7 @@ func (e *EncryptedDatabase) Compacted() (*EncryptedDatabase, error) {
 	for j := range slots {
 		slots[j], ids[j] = j, int32(j)
 	}
-	ne, err := e.gather(slots, ids, live, e.Index.Rebuild)
+	ne, err := e.gather(slots, ids, live)
 	if err == nil {
 		err = foldPQ(ne)
 	}
@@ -135,16 +135,18 @@ func (e *EncryptedDatabase) Compacted() (*EncryptedDatabase, error) {
 // its local id, in an id space of the local ids below the global one: a
 // deleted id holds no row but keeps its local id, so the arithmetic
 // mapping never shifts. Each shard gets its stripe of the SAP column and
-// of the ciphertext arena, and a freshly built filter index over its SAP
-// stripe. When present, the PQ code rows are gathered too, under the
-// shared codebook: it was fit on the full corpus, so it is never retrained
-// here, and PQ distances stay comparable across stripes.
+// of the ciphertext arena, and a filter index over its SAP stripe, rebuilt
+// under the source index's own configuration, as a fold rebuilds it: an
+// HNSW stripe keeps the source's M, efConstruction and seed, and an IVF
+// stripe shares the source's trained quantizer, so nothing is trained
+// here. When present, the PQ code rows are gathered too, under the shared
+// codebook, so PQ distances stay comparable across stripes. A one-stripe
+// split of a database that holds no tombstone is therefore the database
+// itself: it saves the same bytes.
 //
-// opts configures the per-shard index builds; zero values select the
-// backend's documented defaults. A non-zero Seed is decorrelated per shard
-// (shard s builds with Seed+s+1); Seed 0 builds every shard with seed 0.
-// The source database is not modified. The stripes are built side by side:
-// each is a function of its rows and seed, so no byte depends on core count.
+// opts is ignored: a stripe's build parameters are the source's. The
+// source database is not modified. The stripes are built side by side:
+// each is a function of its rows, so no byte depends on core count.
 func (e *EncryptedDatabase) Split(n int, opts index.Options) ([]*EncryptedDatabase, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: non-positive shard count %d", n)
@@ -163,14 +165,8 @@ func (e *EncryptedDatabase) Split(n int, opts index.Options) ([]*EncryptedDataba
 				slots, ids = append(slots, slot), append(ids, id/int32(n))
 			}
 		}
-		o := opts
-		if o.Seed != 0 {
-			o.Seed = opts.Seed + uint64(s) + 1
-		}
 		// |{g ∈ [0, total) : g ≡ s (mod n)}| local ids.
-		shards[s], errs[s] = e.gather(slots, ids, (total-s+n-1)/n, func(rows *vec.Dataset, ids []int32) (index.SecureIndex, error) {
-			return index.BuildOver(e.Backend, rows, ids, o)
-		})
+		shards[s], errs[s] = e.gather(slots, ids, (total-s+n-1)/n)
 	})
 	for s, err := range errs {
 		if err != nil {

@@ -897,7 +897,7 @@ func (s *Server) compactFold() error {
 			slots, ids = append(slots, slot), append(ids, id)
 		}
 	}
-	folded, err := edb.gather(slots, ids, n, edb.Index.Rebuild)
+	folded, err := edb.gather(slots, ids, n)
 	if err != nil {
 		return fmt.Errorf("core: compaction: %w", err)
 	}

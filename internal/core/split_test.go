@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"slices"
 	"strings"
 	"testing"
@@ -22,7 +23,7 @@ func TestSplitPartitionsStripe(t *testing.T) {
 		}
 	}
 
-	parts, err := edb.Split(shards, index.Options{Seed: 31})
+	parts, err := edb.Split(shards, index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +81,56 @@ func TestSplitPartitionsStripe(t *testing.T) {
 	}
 }
 
+// TestOneStripeSplitSavesItsInput: a split is the fold, so each stripe's
+// index is rebuilt under the source index's own configuration, whatever
+// options the call passes. A one-stripe split of a database holding no
+// tombstone therefore saves the source's bytes, on hnsw (at M=8,
+// efConstruction 64, not the defaults), ivf and ivf+PQ, and each stripe of
+// a three-way split, split again into one stripe, saves its own bytes.
+func TestOneStripeSplitSavesItsInput(t *testing.T) {
+	const n, dim = 240, 8
+	data := clustered(35, n, dim, 4)
+	for _, c := range []struct {
+		name   string
+		params Params
+	}{
+		{"hnsw", Params{Dim: dim, Beta: 0.3, Seed: 35, Index: "hnsw", IndexOptions: index.Options{M: 8, EfConstruction: 64}}},
+		{"ivf", Params{Dim: dim, Beta: 0.3, Seed: 36, Index: "ivf"}},
+		{"ivf+pq", Params{Dim: dim, Beta: 0.3, Seed: 37, Index: "ivf", PQ: true, PQM: 4}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			owner, err := NewDataOwner(c.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edb, err := owner.EncryptDatabase(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			one := func(e *EncryptedDatabase) []byte {
+				t.Helper()
+				parts, err := e.Split(1, index.Options{M: 16, EfConstruction: 200, Seed: 9})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return saveBytes(t, parts[0])
+			}
+			if !bytes.Equal(one(edb), saveBytes(t, edb)) {
+				t.Fatal("a one-stripe split of a fresh database saves other bytes than its input")
+			}
+			parts, err := edb.Split(3, index.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s, p := range parts {
+				if !bytes.Equal(one(p), saveBytes(t, p)) {
+					t.Fatalf("stripe %d, split again into one stripe, saves other bytes than itself", s)
+				}
+			}
+		})
+	}
+}
+
 func TestSplitValidation(t *testing.T) {
 	data := clustered(32, 40, 6, 3)
 	w := newWorld(t, Params{Dim: 6, Beta: 0.3, Seed: 32}, data)
@@ -92,13 +143,13 @@ func TestSplitValidation(t *testing.T) {
 	if parts, err := flushed(t, w.server).Split(1, index.Options{}); err != nil || len(parts) != 1 {
 		t.Fatalf("single-shard split: %d parts, %v", len(parts), err)
 	}
-	// Every stripe's build fails; the stripes are built side by side, and
-	// the error is the lowest-numbered stripe's.
-	unknown := *flushed(t, w.server)
-	unknown.Backend = "no-such-index"
-	parts, err := unknown.Split(3, index.Options{})
+	// Every stripe's rebuild breaks the index contract; the stripes are
+	// built side by side, and the error is the lowest-numbered stripe's.
+	broken := *flushed(t, w.server)
+	broken.Index = &contractBreaker{SecureIndex: broken.Index, breakRebuild: true}
+	parts, err := broken.Split(3, index.Options{})
 	if err == nil || !strings.HasPrefix(err.Error(), "core: shard 0: ") || parts != nil {
-		t.Fatalf("split over an unregistered backend: %d stripes, %v; want none and a shard 0 error", len(parts), err)
+		t.Fatalf("split through a contract-violating backend: %d stripes, %v; want none and a shard 0 error", len(parts), err)
 	}
 }
 

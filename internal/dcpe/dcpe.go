@@ -52,9 +52,6 @@ func KeyGen(r *rng.Rand, dim int, s, beta float64) (*Key, error) {
 	return &Key{s: s, beta: beta, dim: dim, rnd: rng.Derive(r, 0xdc9e)}, nil
 }
 
-// Beta returns the perturbation bound β.
-func (k *Key) Beta() float64 { return k.beta }
-
 // Dim returns the vector dimension.
 func (k *Key) Dim() int { return k.dim }
 

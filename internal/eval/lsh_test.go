@@ -1,8 +1,9 @@
 package eval
 
 import (
+	"encoding/binary"
 	"fmt"
-	"hash/maphash"
+	"hash/fnv"
 	"sort"
 	"sync"
 	"testing"
@@ -30,7 +31,7 @@ type lshConfig struct {
 	Hashes int
 	// W is the quantization width. Defaults to 4.
 	W float64
-	// Seed drives projection sampling.
+	// Seed drives projection sampling and the bucket-key hash.
 	Seed uint64
 }
 
@@ -59,7 +60,6 @@ type lshTable struct {
 // lshIndex is a thread-safe E2LSH index over external integer ids.
 type lshIndex struct {
 	cfg    lshConfig
-	seed   maphash.Seed
 	mu     sync.RWMutex
 	tables []lshTable
 	count  int
@@ -72,7 +72,7 @@ func newLSH(cfg lshConfig) (*lshIndex, error) {
 		return nil, err
 	}
 	r := rng.NewSeeded(cfg.Seed ^ 0x15a)
-	ix := &lshIndex{cfg: cfg, seed: maphash.MakeSeed()}
+	ix := &lshIndex{cfg: cfg}
 	ix.tables = make([]lshTable, cfg.Tables)
 	for t := range ix.tables {
 		tb := &ix.tables[t]
@@ -112,17 +112,15 @@ func floorI64(x float64) int64 {
 	return i
 }
 
-// key folds K quantized projections into one bucket key.
+// key folds K quantized projections into one bucket key: FNV-1a over the
+// config's seed and the projections, so the seed fixes every key.
 func (ix *lshIndex) key(hashes []int64) uint64 {
-	var mh maphash.Hash
-	mh.SetSeed(ix.seed)
-	var buf [8]byte
+	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, 8*(1+len(hashes))), ix.cfg.Seed)
 	for _, h := range hashes {
-		for b := 0; b < 8; b++ {
-			buf[b] = byte(uint64(h) >> (8 * b))
-		}
-		mh.Write(buf[:])
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(h))
 	}
+	mh := fnv.New64a()
+	mh.Write(buf)
 	return mh.Sum64()
 }
 
@@ -150,30 +148,46 @@ func (ix *lshIndex) insert(id int, v []float64) {
 // tables, probing up to probes neighboring buckets per table (0 = exact
 // bucket only). maxCandidates truncates the result (≤ 0 = unlimited).
 func (ix *lshIndex) candidates(q []float64, probes, maxCandidates int) []int {
+	return ix.lookup(ix.queryKeys(q, probes), maxCandidates)
+}
+
+// queryKeys hashes q into the keys it is looked up under, per table: its
+// own bucket's key, then up to probes neighboring buckets' keys. It reads
+// only the projections, which never change after newLSH, so it is the
+// query side of candidates, run without the index's lock.
+func (ix *lshIndex) queryKeys(q []float64, probes int) [][]uint64 {
 	if len(q) != ix.cfg.Dim {
 		panic(fmt.Sprintf("lsh: querying %d-dim vector in %d-dim index", len(q), ix.cfg.Dim))
 	}
+	keys := make([][]uint64, len(ix.tables))
+	scratch := make([]int64, 0, ix.cfg.Hashes)
+	for t := range ix.tables {
+		tb := &ix.tables[t]
+		scratch = ix.rawHashes(tb, q, scratch)
+		keys[t] = []uint64{ix.key(scratch)}
+		if probes > 0 {
+			keys[t] = append(keys[t], ix.probeKeys(tb, q, scratch, probes)...)
+		}
+	}
+	return keys
+}
+
+// lookup returns the deduplicated union of the buckets keys names, table
+// by table, in key order: the index side of candidates. maxCandidates
+// truncates the result once a table's buckets reach it (≤ 0 = unlimited).
+func (ix *lshIndex) lookup(keys [][]uint64, maxCandidates int) []int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 
 	seen := make(map[int32]struct{})
 	var out []int
-	scratch := make([]int64, 0, ix.cfg.Hashes)
-	collect := func(tb *lshTable, key uint64) {
-		for _, id := range tb.buckets[key] {
-			if _, dup := seen[id]; !dup {
-				seen[id] = struct{}{}
-				out = append(out, int(id))
-			}
-		}
-	}
-	for t := range ix.tables {
-		tb := &ix.tables[t]
-		scratch = ix.rawHashes(tb, q, scratch)
-		collect(tb, ix.key(scratch))
-		if probes > 0 {
-			for _, pk := range ix.probeKeys(tb, q, scratch, probes) {
-				collect(tb, pk)
+	for t, tk := range keys {
+		for _, key := range tk {
+			for _, id := range ix.tables[t].buckets[key] {
+				if _, dup := seen[id]; !dup {
+					seen[id] = struct{}{}
+					out = append(out, int(id))
+				}
 			}
 		}
 		if maxCandidates > 0 && len(out) >= maxCandidates {
@@ -219,13 +233,9 @@ func (ix *lshIndex) probeKeys(tb *lshTable, q []float64, base []int64, probes in
 // bucketOf returns, per table, the bucket key q falls into. The PIR-based
 // baselines use these as block addresses to retrieve privately.
 func (ix *lshIndex) bucketOf(q []float64) []uint64 {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	keys := make([]uint64, len(ix.tables))
-	scratch := make([]int64, 0, ix.cfg.Hashes)
-	for t := range ix.tables {
-		scratch = ix.rawHashes(&ix.tables[t], q, scratch)
-		keys[t] = ix.key(scratch)
+	for t, tk := range ix.queryKeys(q, 0) {
+		keys[t] = tk[0]
 	}
 	return keys
 }

@@ -3,6 +3,8 @@ package eval
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -68,9 +70,11 @@ func newPRIANN(data [][]float64, cfg priannConfig) (*priann, error) {
 		blockOf := make(map[uint64]int, len(buckets))
 		// Block 0 is a reserved empty block for absent buckets, so a query
 		// whose bucket does not exist still issues an indistinguishable
-		// fetch.
+		// fetch. The buckets follow in key order, so the seed fixes the
+		// layout.
 		blocks = append(blocks, make([]byte, bucketCap*entryBytes))
-		for key, ids := range buckets {
+		for _, key := range slices.Sorted(maps.Keys(buckets)) {
+			ids := buckets[key]
 			block := make([]byte, 0, bucketCap*entryBytes)
 			for _, id := range ids[:min(len(ids), bucketCap)] {
 				block = binary.LittleEndian.AppendUint32(block, uint32(id)+1) // +1: 0 means empty
@@ -192,6 +196,30 @@ func TestPRIANN(t *testing.T) {
 	}
 	if costs.ServerTime == 0 || costs.UserTime == 0 {
 		t.Fatalf("costs not attributed: %+v", costs)
+	}
+}
+
+// TestPRIANNSeedFixesBlocks: two builds with one seed lay out identical
+// PIR blocks, each bucket at the same block index, in every table.
+func TestPRIANNSeedFixesBlocks(t *testing.T) {
+	w := newWorld(t, 400, 1, 1)
+	cfg := priannConfig{LSH: lshConfig{Tables: 4, Hashes: 6, W: 1.2, Seed: 8}, BucketCap: 16, Seed: 8}
+	a, err := newPRIANN(w.data.Train, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := newPRIANN(w.data.Train, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range a.tables {
+		ta, tb := &a.tables[i], &b.tables[i]
+		if !maps.Equal(ta.blockOf, tb.blockOf) {
+			t.Fatalf("table %d: the buckets land in other blocks on a second build", i)
+		}
+		if !slices.EqualFunc(ta.serverA.blocks, tb.serverA.blocks, slices.Equal) {
+			t.Fatalf("table %d: a second build lays out other blocks", i)
+		}
 	}
 }
 

@@ -91,16 +91,18 @@ func (s *rssann) search(q []float64, k int) ([]int, costSplit, error) {
 	var c costSplit
 	c.Rounds = 1
 
-	// User hashes the query (the LSH keys are user-side secret material in
-	// RS-SANN; hashing is cheap).
+	// User hashes the query into its bucket keys, probes included (the LSH
+	// keys are user-side secret material in RS-SANN).
 	start := time.Now()
-	// Upload: the per-table bucket keys.
+	keys := s.index.queryKeys(q, s.Probes)
+	// Upload: 8 bytes per table, the count Figure 9 prints; the probe keys
+	// beside each table's own are not counted.
 	c.UploadBytes = int64(8 * len(s.index.tables))
 	c.UserTime += time.Since(start)
 
 	// Server: bucket lookups, gather encrypted candidates.
 	start = time.Now()
-	cands := s.index.candidates(q, s.Probes, s.MaxCandidates)
+	cands := s.index.lookup(keys, s.MaxCandidates)
 	var payload [][]byte
 	for _, id := range cands {
 		payload = append(payload, s.cts[id])

@@ -84,9 +84,6 @@ func (h *CompareHeap) pop() int {
 	return top
 }
 
-// IDs returns the held ids in heap order (not sorted).
-func (h *CompareHeap) IDs() []int { return h.ids }
-
 // SortedInto drains the heap into dst (reusing its capacity; nil
 // allocates), returning ids ordered from closest to farthest. Each
 // extraction costs O(log k) comparator calls.

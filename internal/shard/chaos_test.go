@@ -35,7 +35,7 @@ func TestChaosFailoverZeroFailures(t *testing.T) {
 		sets[s] = make([]Shard, rf)
 	}
 	for r := 0; r < rf; r++ {
-		parts, err := flushed(t, w.server).Split(stripes, index.Options{Seed: 11})
+		parts, err := flushed(t, w.server).Split(stripes, index.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

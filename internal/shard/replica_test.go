@@ -110,7 +110,7 @@ func replicatedCoordinator(t *testing.T, w *world, stripes, rf int, opts Options
 		faults[s] = make([]*Faulty, rf)
 	}
 	for r := 0; r < rf; r++ {
-		parts, err := flushed(t, w.server).Split(stripes, index.Options{Seed: 11})
+		parts, err := flushed(t, w.server).Split(stripes, index.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +297,7 @@ func replicatedRemoteCoordinator(t *testing.T, w *world, stripes, rf int, opts O
 	}
 	proxies := make([]*rproxy, stripes)
 	for r := 0; r < rf; r++ {
-		parts, err := flushed(t, w.server).Split(stripes, index.Options{Seed: 11})
+		parts, err := flushed(t, w.server).Split(stripes, index.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -762,7 +762,7 @@ func TestConcurrentDeletesOfOneID(t *testing.T) {
 	w := newWorld(t, n, dim)
 	sets := make([][]Shard, 2)
 	for r := 0; r < 2; r++ {
-		parts, err := flushed(t, w.server).Split(2, index.Options{Seed: 11})
+		parts, err := flushed(t, w.server).Split(2, index.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -819,7 +819,7 @@ func TestConstructionToleratesDeadReplica(t *testing.T) {
 		faults[s] = make([]*Faulty, 2)
 	}
 	for r := 0; r < 2; r++ {
-		parts, err := flushed(t, w.server).Split(2, index.Options{Seed: 11})
+		parts, err := flushed(t, w.server).Split(2, index.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

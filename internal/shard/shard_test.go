@@ -81,7 +81,7 @@ func newWorld(t *testing.T, n, dim int) *world {
 // coordinator over the parts.
 func localCoordinator(t *testing.T, w *world, shards int) (*Coordinator, []*core.Server) {
 	t.Helper()
-	parts, err := flushed(t, w.server).Split(shards, index.Options{Seed: 11})
+	parts, err := flushed(t, w.server).Split(shards, index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestCoordinatorValidation(t *testing.T) {
 	}
 	const n, dim = 120, 16
 	w := newWorld(t, n, dim)
-	parts, err := flushed(t, w.server).Split(2, index.Options{Seed: 11})
+	parts, err := flushed(t, w.server).Split(2, index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func (p *proxy) kill() {
 // coordinator of transport clients; shard 1 sits behind a severable proxy.
 func remoteCoordinator(t *testing.T, w *world, shards int) (*Coordinator, *proxy) {
 	t.Helper()
-	parts, err := flushed(t, w.server).Split(shards, index.Options{Seed: 11})
+	parts, err := flushed(t, w.server).Split(shards, index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +514,7 @@ func TestDivideEffortRecall(t *testing.T) {
 	opt := core.SearchOptions{KPrime: 16 * k}
 
 	for _, shards := range []int{2, 3} {
-		parts, err := flushed(t, w.server).Split(shards, index.Options{Seed: 11})
+		parts, err := flushed(t, w.server).Split(shards, index.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -221,7 +221,7 @@ func servedOverTCP(t *testing.T, train, probes [][]float64, params core.Params) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err := edb.Split(2, index.Options{Seed: 94})
+	parts, err := edb.Split(2, index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
